@@ -64,12 +64,12 @@ import (
 	"repro/internal/workload"
 )
 
-// serialFlagsErr rejects flag combinations that need the serial engine:
-// -record and -replay capture (or impose) the global injection order,
-// which only exists when one shard steps the whole network. The engine
-// would clamp Shards to 1 anyway (traffic.Replay and traffic.Recorder
-// are SerialOnly); rejecting the flags keeps the surprise out of a run
-// the user asked to be parallel.
+// serialFlagsErr rejects -record/-replay together with -shards. Only
+// -record needs the serial engine: traffic.Recorder captures the global
+// injection order and would clamp Shards to 1 anyway. traffic.Replay is
+// shard-safe (see internal/traffic/trace.go); -replay is refused
+// alongside -record so a recorded run and its replay step on the same
+// engine — sharded replays go through -trace-in.
 func serialFlagsErr(record, replay string, shards int) error {
 	if (record != "" || replay != "") && shards > 1 {
 		return fmt.Errorf("-record/-replay capture the global injection order and need the serial engine; drop -shards")
@@ -77,22 +77,88 @@ func serialFlagsErr(record, replay string, shards int) error {
 	return nil
 }
 
+// simFlags are the flags that describe the simulation itself — exactly
+// what a harness.Scenario carries, so the run, its -check artifact and
+// its replay all name the same configuration.
+type simFlags struct {
+	preset, topo, routing, scheme, pattern, burst, hotspot string
+	vcs, vnets, window                                     int
+	rate                                                   float64
+	cycles, warmup, seed, tdd, think                       int64
+}
+
+func (f *simFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.preset, "preset", "", "named configuration from Table III (see spintables -table 3)")
+	fs.StringVar(&f.topo, "topo", "mesh:8x8", "topology spec (mesh:XxY, torus:XxY, ring:N, dragonfly:p,a,h,g, dragonfly1024, irregular:XxY:F)")
+	fs.StringVar(&f.routing, "routing", "min_adaptive", "routing algorithm")
+	fs.StringVar(&f.scheme, "scheme", "", "deadlock scheme: spin, static_bubble, ring_bubble or empty")
+	fs.IntVar(&f.vcs, "vcs", 1, "VCs per virtual network")
+	fs.IntVar(&f.vnets, "vnets", 1, "virtual networks")
+	fs.StringVar(&f.pattern, "traffic", "uniform_random", "synthetic traffic pattern")
+	fs.Float64Var(&f.rate, "rate", 0.1, "offered load (flits/node/cycle)")
+	fs.Int64Var(&f.cycles, "cycles", 100000, "simulated cycles")
+	fs.Int64Var(&f.warmup, "warmup", 10000, "warmup cycles before measurement")
+	fs.Int64Var(&f.seed, "seed", 1, "random seed (base seed when -seeds > 1)")
+	fs.Int64Var(&f.tdd, "tdd", 0, "deadlock detection threshold (0 = default 128)")
+	fs.IntVar(&f.window, "window", 0, "closed-loop client window: max outstanding requests per terminal (0 = open loop)")
+	fs.Int64Var(&f.think, "think", 0, "closed-loop mean think time in cycles after each reply (with -window)")
+	fs.StringVar(&f.burst, "burst", "", "on/off burst modulation as ON:OFF mean cycles, e.g. 16:48")
+	fs.StringVar(&f.hotspot, "hotspot", "", "hotspot skew as FRAC:N, e.g. 0.2:2 (20% of packets to 2 hot terminals)")
+}
+
+// shaped reports whether any workload-shaping flag is set.
+func (f *simFlags) shaped() bool { return f.window > 0 || f.burst != "" || f.hotspot != "" }
+
+// scenario translates the flags into the scenario the run, the checker
+// and any failure artifact share.
+func (f *simFlags) scenario() (harness.Scenario, error) {
+	sc := harness.Scenario{
+		Topology: f.topo, Routing: f.routing, Scheme: f.scheme,
+		VNets: f.vnets, VCsPerVNet: f.vcs,
+		Traffic: f.pattern, Rate: f.rate, Seed: f.seed, TDD: f.tdd,
+		Cycles: f.cycles, Warmup: f.warmup,
+	}
+	if f.preset != "" {
+		p, err := spin.PresetByName(f.preset)
+		if err != nil {
+			return sc, err
+		}
+		c := p.Config
+		sc.Topology, sc.Routing, sc.Scheme, sc.VNets, sc.VCsPerVNet = c.Topology, c.Routing, c.Scheme, c.VNets, c.VCsPerVNet
+	}
+	if f.think != 0 && f.window == 0 {
+		return sc, fmt.Errorf("-think needs -window (closed-loop clients)")
+	}
+	if !f.shaped() {
+		return sc, nil
+	}
+	var w workload.Spec
+	if f.window > 0 {
+		w.Mode, w.Window, w.Think = "closed", f.window, f.think
+		if sc.VNets < 2 {
+			sc.VNets = 2 // replies need their own message class
+		}
+	}
+	if f.burst != "" {
+		if _, err := fmt.Sscanf(f.burst, "%d:%d", &w.BurstOn, &w.BurstOff); err != nil {
+			return sc, fmt.Errorf("-burst wants ON:OFF mean cycles, got %q", f.burst)
+		}
+	}
+	if f.hotspot != "" {
+		if _, err := fmt.Sscanf(f.hotspot, "%g:%d", &w.HotFrac, &w.Hotspots); err != nil {
+			return sc, fmt.Errorf("-hotspot wants FRAC:N, got %q", f.hotspot)
+		}
+	}
+	sc.Workload = &w
+	return sc, w.Validate()
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spinsim: ")
+	var f simFlags
+	f.register(flag.CommandLine)
 	var (
-		preset   = flag.String("preset", "", "named configuration from Table III (see spintables -table 3)")
-		topo     = flag.String("topo", "mesh:8x8", "topology spec (mesh:XxY, torus:XxY, ring:N, dragonfly:p,a,h,g, dragonfly1024, irregular:XxY:F)")
-		routing  = flag.String("routing", "min_adaptive", "routing algorithm")
-		scheme   = flag.String("scheme", "", "deadlock scheme: spin, static_bubble, ring_bubble or empty")
-		vcs      = flag.Int("vcs", 1, "VCs per virtual network")
-		vnets    = flag.Int("vnets", 1, "virtual networks")
-		pattern  = flag.String("traffic", "uniform_random", "synthetic traffic pattern")
-		rate     = flag.Float64("rate", 0.1, "offered load (flits/node/cycle)")
-		cycles   = flag.Int64("cycles", 100000, "simulated cycles")
-		warmup   = flag.Int64("warmup", 10000, "warmup cycles before measurement")
-		seed     = flag.Int64("seed", 1, "random seed (base seed when -seeds > 1)")
-		tdd      = flag.Int64("tdd", 0, "deadlock detection threshold (0 = default 128)")
 		drain    = flag.Bool("drain", false, "after the run, stop traffic and drain (liveness check)")
 		check    = flag.Bool("check", false, "attach the runtime invariant checker; on violation print it, write a replay artifact, and exit 1")
 		checkDir = flag.String("checkdir", ".", "directory for -check replay artifacts")
@@ -100,10 +166,6 @@ func main() {
 		record   = flag.String("record", "", "record the injected workload to a CSV trace file")
 		replay   = flag.String("replay", "", "drive the run from a CSV trace file instead of -traffic")
 		traceIn  = flag.String("trace-in", "", "drive the run from a binary spintrace-v1 file (streamed; works with -shards)")
-		window   = flag.Int("window", 0, "closed-loop client window: max outstanding requests per terminal (0 = open loop)")
-		think    = flag.Int64("think", 0, "closed-loop mean think time in cycles after each reply (with -window)")
-		burst    = flag.String("burst", "", "on/off burst modulation as ON:OFF mean cycles, e.g. 16:48")
-		hotspot  = flag.String("hotspot", "", "hotspot skew as FRAC:N, e.g. 0.2:2 (20% of packets to 2 hot terminals)")
 		seeds    = flag.Int("seeds", 1, "replicate count: run the configuration under N derived seeds")
 		shards   = flag.Int("shards", 0, "spatial shards per simulation for the parallel cycle engine (0/1 = serial); never changes results")
 		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON of the run to this file (open in ui.perfetto.dev)")
@@ -123,27 +185,27 @@ func main() {
 		return
 	}
 	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
+		pf, err := os.Create(*cpuprof)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(pf); err != nil {
 			log.Fatal(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			pf.Close()
 		}()
 	}
 	if *memprof != "" {
 		defer func() {
-			f, err := os.Create(*memprof)
+			pf, err := os.Create(*memprof)
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer f.Close()
+			defer pf.Close()
 			runtime.GC() // report live objects, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := pprof.WriteHeapProfile(pf); err != nil {
 				log.Fatal(err)
 			}
 		}()
@@ -151,275 +213,196 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	cfg := spin.Config{
-		Topology:   *topo,
-		Routing:    *routing,
-		Scheme:     *scheme,
-		VCsPerVNet: *vcs,
-		VNets:      *vnets,
-		Traffic:    *pattern,
-		Rate:       *rate,
-		Warmup:     *warmup,
-		Seed:       *seed,
-		TDD:        *tdd,
-		Shards:     *shards,
-	}
-	if *preset != "" {
-		p, err := spin.PresetByName(*preset)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg = p.Config
-		cfg.Traffic = *pattern
-		cfg.Rate = *rate
-		cfg.Warmup = *warmup
-		cfg.Seed = *seed
-		cfg.TDD = *tdd
-		cfg.Shards = *shards
-	}
-	var wspec workload.Spec
-	if *window > 0 {
-		wspec.Mode = "closed"
-		wspec.Window = *window
-		wspec.Think = *think
-	} else if *think != 0 {
-		log.Fatal("-think needs -window (closed-loop clients)")
-	}
-	if *burst != "" {
-		if _, err := fmt.Sscanf(*burst, "%d:%d", &wspec.BurstOn, &wspec.BurstOff); err != nil {
-			log.Fatalf("-burst wants ON:OFF mean cycles, got %q", *burst)
-		}
-	}
-	if *hotspot != "" {
-		if _, err := fmt.Sscanf(*hotspot, "%g:%d", &wspec.HotFrac, &wspec.Hotspots); err != nil {
-			log.Fatalf("-hotspot wants FRAC:N, got %q", *hotspot)
-		}
-	}
-	if err := wspec.Validate(); err != nil {
+	sc, err := f.scenario()
+	if err != nil {
 		log.Fatal(err)
 	}
-	shaped := *window > 0 || *burst != "" || *hotspot != ""
 	switch {
-	case shaped && (*replay != "" || *traceIn != ""):
+	case f.shaped() && (*replay != "" || *traceIn != ""):
 		log.Fatal("-window/-burst/-hotspot shape the synthetic source; they cannot combine with -replay/-trace-in")
 	case *traceIn != "" && (*replay != "" || *record != ""):
 		log.Fatal("-trace-in is incompatible with -replay/-record")
-	case *window > 0 && *record != "":
+	case f.window > 0 && *record != "":
 		log.Fatal("-record captures an open-loop injection sequence; it cannot wrap closed-loop clients")
-	}
-	if wspec.Mode == "closed" && cfg.VNets < 2 {
-		cfg.VNets = 2 // replies need their own message class
 	}
 	telemetryOn := *traceOut != "" || *tsout != "" || *hist || *epoch != 0
 	if *seeds > 1 {
 		if *record != "" || *replay != "" || *traceIn != "" || *drain {
 			log.Fatal("-seeds > 1 is incompatible with -record/-replay/-trace-in/-drain")
 		}
-		if shaped {
+		if f.shaped() {
 			log.Fatal("-seeds > 1 is incompatible with -window/-burst/-hotspot")
 		}
 		if telemetryOn {
 			log.Fatal("-seeds > 1 is incompatible with -trace/-tsout/-hist/-epoch")
 		}
-		runReplicates(ctx, cfg, *cycles, *seeds, *workers, *timeout, *progress, *check)
+		runReplicates(ctx, sc, *seeds, *shards, *workers, *timeout, *progress, *check)
 		return
 	}
 	if err := serialFlagsErr(*record, *replay, *shards); err != nil {
 		log.Fatal(err)
 	}
 	if *replay != "" || *traceIn != "" {
-		cfg.Traffic = "" // the trace drives injection
+		sc.Traffic, sc.Rate = "", 0 // the trace drives injection
 	}
-	s, err := spin.New(cfg)
+	if *replay != "" {
+		// The CSV becomes the scenario's exact-injection list, so a -check
+		// artifact replays the same packets.
+		rf, err := os.Open(*replay)
+		if err != nil {
+			log.Fatal(err)
+		}
+		tr, err := traffic.LoadTrace(rf)
+		rf.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, e := range tr.Entries {
+			sc.Injections = append(sc.Injections, harness.Injection{Cycle: e.Cycle, Src: e.Src, Dst: e.Dst, Length: e.Length, VNet: e.VNet})
+		}
+	}
+	s, err := sc.SimShards(*shards)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if shaped {
-		nc := s.Network().Config()
-		pat, err := traffic.ByName(cfg.Traffic, s.Topology())
-		if err != nil {
-			log.Fatal(err)
-		}
-		gen, err := workload.Build(wspec, pat, cfg.Rate, cfg.DataFrac, nc.VNets, s.Topology().NumTerminals(), nc.MaxPktLen, cfg.Seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s.Network().SetTraffic(gen)
-	}
+	net := s.Network()
 	var recorder *traffic.Recorder
 	var stream *traffic.StreamReplay
 	switch {
 	case *traceIn != "":
-		f, err := os.Open(*traceIn)
+		tf, err := os.Open(*traceIn)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		tr, err := traffic.StreamTrace(f)
+		defer tf.Close()
+		tr, err := traffic.StreamTrace(tf)
 		if err != nil {
 			log.Fatal(err)
 		}
-		nc := s.Network().Config()
+		nc := net.Config()
 		stream = traffic.NewStreamReplay(tr, s.Topology().NumTerminals(), nc.VNets, nc.MaxPktLen)
-		s.Network().SetTraffic(stream)
-	case *replay != "":
-		f, err := os.Open(*replay)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, err := traffic.LoadTrace(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		nc := s.Network().Config()
-		if err := tr.Validate(s.Topology().NumTerminals(), nc.VNets, nc.MaxPktLen); err != nil {
-			log.Fatal(err)
-		}
-		s.Network().SetTraffic(&traffic.Replay{Trace: tr})
+		net.SetTraffic(stream)
 	case *record != "":
-		recorder = &traffic.Recorder{Gen: s.Network().Config().Traffic}
-		s.Network().SetTraffic(recorder)
+		recorder = &traffic.Recorder{Gen: net.Config().Traffic}
+		net.SetTraffic(recorder)
 	}
-	var checker *sim.InvariantChecker
-	if *check {
-		net := s.Network()
-		checker = net.AttachChecker(harness.FromConfig(cfg, *cycles).CheckOptions(net.NumRouters()))
-	}
-	var tele *sim.Telemetry
-	var events *telemetry.Recorder
-	if telemetryOn {
-		topt := sim.TelemetryOptions{Hist: *hist}
-		if *traceOut != "" || *tsout != "" || *epoch != 0 {
-			topt.Window = *epoch
-			if topt.Window == 0 {
-				topt.Window = 100
-			}
+
+	ob := harness.Observe{Check: *check, Drain: *drain, Hist: *hist}
+	if *traceOut != "" || *tsout != "" || *epoch != 0 {
+		ob.Window = *epoch
+		if ob.Window == 0 {
+			ob.Window = 100
 		}
-		if *traceOut != "" {
-			events = telemetry.NewRecorder(*tracebuf)
-			topt.Probe = events
+	}
+	if *traceOut != "" {
+		ob.Events = telemetry.NewRecorder(*tracebuf)
+	}
+	if *progress && ob.Window == 0 {
+		ob.Window = max(1, sc.Cycles/10) // progress-only windows
+	}
+	var lastPct int64
+	ob.OnWindow = func(done int64, _ []sim.WindowSample) {
+		if pct := done * 100 / sc.Cycles; *progress && pct >= lastPct+10 {
+			lastPct = pct - pct%10
+			fmt.Fprintf(os.Stderr, "spinsim: %d%% (%d/%d cycles)\n", lastPct, done, sc.Cycles)
 		}
-		tele = s.Network().AttachTelemetry(topt)
+		if done == sc.Cycles {
+			// The traffic phase is over and the drain has not started:
+			// the instantaneous gauges below still describe the run.
+			report(s, sc, *hist, recorder, *record, stream, *traceIn)
+		}
 	}
-	if *check {
-		// After the telemetry attach (which replaces the layer wholesale):
-		// the flight recorder rides the same event funnel and snapshots
-		// the SPIN protocol tail when an invariant fires.
-		s.Network().AttachFlightRecorder(harness.FlightRecorderCap)
-	}
-	if err := runOne(ctx, s, *cycles, *timeout, *progress); err != nil {
+	jobs := []runner.Job[*harness.Result]{{Key: "run", Run: func(ctx context.Context, _ int64) (*harness.Result, error) {
+		return harness.Drive(ctx, sc, net, ob)
+	}}}
+	results, err := runner.Run(ctx, runner.Options{Workers: 1, Timeout: *timeout}, jobs)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if stream != nil {
-		if err := stream.Err(); err != nil {
-			log.Fatalf("trace stream: %v", err)
+	res := results[0]
+	if *drain {
+		if res.Drained {
+			fmt.Println("drain           complete: every packet delivered")
+		} else {
+			fmt.Printf("drain           INCOMPLETE: %d still in flight\n", net.InFlight())
 		}
 	}
-	if recorder != nil {
-		f, err := os.Create(*record)
+	// Telemetry files are written before the verdict so a failed run
+	// still leaves the trace behind — that is when it matters most.
+	if *tsout != "" {
+		writeJSONFile(*tsout, res.TimeSeries)
+		fmt.Printf("timeseries      %d windows of %d cycles written to %s\n",
+			len(res.TimeSeries.Samples), res.TimeSeries.Window, *tsout)
+	}
+	if *traceOut != "" {
+		tf, err := os.Create(*traceOut)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := recorder.Trace.Save(f); err != nil {
+		if err := telemetry.WriteChromeTrace(tf, ob.Events.Events(), res.TimeSeries); err != nil {
 			log.Fatal(err)
 		}
-		if err := f.Close(); err != nil {
+		if err := tf.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("trace           %d injections recorded to %s\n", len(recorder.Trace.Entries), *record)
+		fmt.Printf("trace           %d events (of %d seen) written to %s\n",
+			ob.Events.Len(), ob.Events.Total(), *traceOut)
+	}
+	if res.Failed() {
+		if *check {
+			log.Print(harness.ReportFailure(*checkDir, res))
+		}
+		os.Exit(1)
+	}
+	if *check {
+		fmt.Printf("check           ok: no invariant violations (max deadlock spell %d cycles)\n", res.MaxDeadlockSpell)
+	}
+}
+
+// report prints the end-of-traffic summary (and saves a -record trace).
+func report(s *spin.Simulation, sc harness.Scenario, hist bool, recorder *traffic.Recorder, recordPath string, stream *traffic.StreamReplay, tracePath string) {
+	net := s.Network()
+	if recorder != nil {
+		rf, err := os.Create(recordPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := recorder.Trace.Save(rf); err != nil {
+			log.Fatal(err)
+		}
+		if err := rf.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("trace           %d injections recorded to %s\n", len(recorder.Trace.Entries), recordPath)
 	}
 	st := s.Stats()
+	nc := net.Config()
 	fmt.Printf("topology        %s (%d routers, %d terminals)\n",
 		s.Topology().Name(), s.Topology().NumRouters(), s.Topology().NumTerminals())
-	fmt.Printf("config          routing=%s scheme=%s vnets=%d vcs=%d\n", cfg.Routing, orNone(cfg.Scheme), maxi(1, cfg.VNets), maxi(1, cfg.VCsPerVNet))
-	fmt.Printf("offered         %s @ %.3f flits/node/cycle, %d cycles\n", cfg.Traffic, cfg.Rate, *cycles)
+	fmt.Printf("config          routing=%s scheme=%s vnets=%d vcs=%d\n", sc.Routing, orNone(sc.Scheme), nc.VNets, nc.VCsPerVNet)
+	fmt.Printf("offered         %s @ %.3f flits/node/cycle, %d cycles\n", sc.Traffic, sc.Rate, sc.Cycles)
 	fmt.Printf("packets         injected=%d ejected=%d in-flight=%d queued=%d\n",
-		st.Injected, st.Ejected, s.Network().InFlight(), s.Network().QueuedPackets())
+		st.Injected, st.Ejected, net.InFlight(), net.QueuedPackets())
 	fmt.Printf("latency         avg=%.1f net=%.1f max=%d cycles\n", st.AvgLatency(), st.AvgNetLatency(), st.MaxLatency)
-	if *hist {
-		sum := tele.LatencySummary()
+	if hist {
+		sum := net.Telemetry().LatencySummary()
 		fmt.Printf("percentiles     p50=%.1f p95=%.1f p99=%.1f max=%d cycles (n=%d)\n",
 			sum.P50, sum.P95, sum.P99, sum.Max, sum.Count)
 	}
 	fmt.Printf("throughput      %.4f flits/node/cycle, %.2f avg hops\n", s.Throughput(), st.AvgHops())
-	u := s.Network().LinkUtilisation()
+	u := net.LinkUtilisation()
 	fmt.Printf("links           flit=%.3f sm=%.4f idle=%.3f\n", u.Flit, u.SMAll, u.Idle)
-	if cfg.Scheme == "spin" {
+	if sc.Scheme == "spin" {
 		fmt.Printf("spin            spins=%d recoveries=%d probes=%d kill_moves=%d\n",
 			st.Spins, st.Counter("recoveries"), st.Counter("probes_sent"), st.Counter("kill_moves_sent"))
 	}
-	if cl, ok := s.Network().Config().Traffic.(*workload.ClosedLoop); ok {
-		achieved := float64(cl.Completed()) / float64(*cycles) / float64(s.Topology().NumTerminals())
+	if cl, ok := nc.Traffic.(*workload.ClosedLoop); ok {
+		achieved := float64(cl.Completed()) / float64(sc.Cycles) / float64(s.Topology().NumTerminals())
 		fmt.Printf("closedloop      window=%d issued=%d completed=%d in_window=%d achieved=%.4f req/node/cycle\n",
 			cl.WindowLimit(), cl.Issued(), cl.Completed(), cl.InWindow(), achieved)
 	}
 	if stream != nil {
-		fmt.Printf("trace           %d packets streamed from %s\n", stream.Pumped(), *traceIn)
-	}
-	drained := true
-	if *drain {
-		if s.Drain(10 * *cycles) {
-			fmt.Println("drain           complete: every packet delivered")
-		} else {
-			fmt.Printf("drain           INCOMPLETE: %d still in flight\n", s.Network().InFlight())
-			drained = false
-			if checker == nil {
-				os.Exit(1)
-			}
-		}
-	}
-	// Telemetry files are written before the checker verdict so a failed
-	// check still leaves the trace behind — that is when it matters most.
-	if tele != nil {
-		tele.Flush()
-		if *tsout != "" {
-			writeJSONFile(*tsout, tele.TimeSeries())
-			fmt.Printf("timeseries      %d windows of %d cycles written to %s\n",
-				len(tele.TimeSeries().Samples), tele.TimeSeries().Window, *tsout)
-		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := telemetry.WriteChromeTrace(f, events.Events(), tele.TimeSeries()); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("trace           %d events (of %d seen) written to %s\n",
-				events.Len(), events.Total(), *traceOut)
-		}
-	}
-	if checker != nil {
-		ns := s.Network().Stats()
-		res := &harness.Result{
-			Scenario:         harness.FromConfig(cfg, *cycles),
-			Violations:       checker.Violations(),
-			Drained:          drained,
-			Injected:         ns.Injected,
-			Ejected:          ns.Ejected,
-			Spins:            ns.Spins,
-			MaxDeadlockSpell: checker.MaxDeadlockSpell(),
-		}
-		if events != nil {
-			ev := events.Events()
-			if len(ev) > harness.TraceTail {
-				ev = ev[len(ev)-harness.TraceTail:]
-			}
-			res.Trace = ev
-		}
-		if res.Failed() {
-			if !drained {
-				s.Network().CaptureForensics("drain_incomplete")
-			}
-			res.Forensics = s.Network().FlightRecorder().Snapshot()
-			log.Print(harness.ReportFailure(*checkDir, res))
-			os.Exit(1)
-		}
-		fmt.Printf("check           ok: no invariant violations (max deadlock spell %d cycles)\n", checker.MaxDeadlockSpell())
+		fmt.Printf("trace           %d packets streamed from %s\n", stream.Pumped(), tracePath)
 	}
 }
 
@@ -454,24 +437,6 @@ func replayForensics(path string) {
 	}
 }
 
-// runOne advances a single simulation through the runner so -timeout and
-// Ctrl-C cancellation apply, printing coarse progress when asked.
-func runOne(ctx context.Context, s *spin.Simulation, cycles int64, timeout time.Duration, progress bool) error {
-	job := runner.Job[struct{}]{Key: "run", Run: func(ctx context.Context, _ int64) (struct{}, error) {
-		var done, lastPct int64
-		return struct{}{}, runner.Cycles(ctx, func(n int64) {
-			s.Run(n)
-			done += n
-			if pct := done * 100 / cycles; progress && pct >= lastPct+10 {
-				lastPct = pct - pct%10
-				fmt.Fprintf(os.Stderr, "spinsim: %d%% (%d/%d cycles)\n", lastPct, done, cycles)
-			}
-		}, cycles)
-	}}
-	_, err := runner.Run(ctx, runner.Options{Workers: 1, Timeout: timeout}, []runner.Job[struct{}]{job})
-	return err
-}
-
 // replicate is one seed's headline metrics.
 type replicate struct {
 	Seed       int64
@@ -480,39 +445,33 @@ type replicate struct {
 	Spins      int64
 }
 
-// runReplicates runs cfg under n derived seeds in parallel and prints
+// runReplicates runs sc under n derived seeds in parallel and prints
 // per-replicate rows plus mean ± stddev aggregates.
-func runReplicates(ctx context.Context, cfg spin.Config, cycles int64, n, workers int, timeout time.Duration, progress, check bool) {
+func runReplicates(ctx context.Context, sc harness.Scenario, n, shards, workers int, timeout time.Duration, progress, check bool) {
 	jobs := make([]runner.Job[replicate], n)
 	for i := 0; i < n; i++ {
-		i := i
 		jobs[i] = runner.Job[replicate]{
 			Key: fmt.Sprintf("rep/%d", i),
 			Run: func(ctx context.Context, seed int64) (replicate, error) {
-				c := cfg
+				c := sc
 				c.Seed = seed
-				s, err := spin.New(c)
+				s, err := c.SimShards(shards)
 				if err != nil {
 					return replicate{}, err
 				}
-				var checker *sim.InvariantChecker
-				if check {
-					net := s.Network()
-					checker = net.AttachChecker(harness.FromConfig(c, cycles).CheckOptions(net.NumRouters()))
-				}
-				if err := runner.Cycles(ctx, s.Run, cycles); err != nil {
+				res, err := harness.Drive(ctx, c, s.Network(), harness.Observe{Check: check})
+				if err != nil {
 					return replicate{}, err
 				}
-				if checker != nil {
-					if err := checker.Err(); err != nil {
-						return replicate{}, fmt.Errorf("seed %d: %w", seed, err)
-					}
+				if res.Failed() {
+					return replicate{}, fmt.Errorf("seed %d: %s", seed, res.Summary())
 				}
-				return replicate{Seed: seed, AvgLatency: s.AvgLatency(), Throughput: s.Throughput(), Spins: s.Spins()}, nil
+				st := &res.Stats
+				return replicate{Seed: seed, AvgLatency: st.AvgLatency(), Throughput: st.Throughput(s.Topology().NumTerminals()), Spins: st.Spins}, nil
 			},
 		}
 	}
-	o := runner.Options{Workers: workers, Seed: cfg.Seed, Timeout: timeout}
+	o := runner.Options{Workers: workers, Seed: sc.Seed, Timeout: timeout}
 	if progress {
 		o.Progress = func(e runner.Event) {
 			fmt.Fprintf(os.Stderr, "spinsim: [%d/%d] %s (%.1fs)\n", e.Done, e.Total, e.Key, e.Elapsed.Seconds())
@@ -523,7 +482,7 @@ func runReplicates(ctx context.Context, cfg spin.Config, cycles int64, n, worker
 		log.Fatal(err)
 	}
 	fmt.Printf("config          %s routing=%s scheme=%s traffic=%s rate=%.3f cycles=%d\n",
-		cfg.Topology, cfg.Routing, orNone(cfg.Scheme), cfg.Traffic, cfg.Rate, cycles)
+		sc.Topology, sc.Routing, orNone(sc.Scheme), sc.Traffic, sc.Rate, sc.Cycles)
 	fmt.Printf("%-6s %20s %12s %12s %8s\n", "rep", "seed", "avg_latency", "throughput", "spins")
 	for i, r := range reps {
 		fmt.Printf("%-6d %20d %12.1f %12.4f %8d\n", i, r.Seed, r.AvgLatency, r.Throughput, r.Spins)
@@ -569,11 +528,4 @@ func orNone(s string) string {
 		return "none"
 	}
 	return s
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

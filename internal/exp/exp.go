@@ -184,11 +184,30 @@ func pointKey(curve string, rate float64) string {
 	return fmt.Sprintf("%s@%g", curve, rate)
 }
 
+// drive runs one built sweep point through the shared run driver with
+// the sweep's observers attached; a checked point that breaks an
+// invariant fails its job. hist forces the latency histogram for points
+// that report percentiles even without Options.Telemetry.
+func (o Options) drive(ctx context.Context, sc harness.Scenario, net *sim.Network, hist bool) (*harness.Result, error) {
+	ob := harness.Observe{Check: o.Check, Hist: hist || o.Telemetry}
+	if o.Telemetry {
+		ob.Window = o.Epoch
+	}
+	res, err := harness.Drive(ctx, sc, net, ob)
+	if err != nil {
+		return nil, err
+	}
+	if res.Failed() {
+		return nil, fmt.Errorf("exp: %s", res.Summary())
+	}
+	return res, nil
+}
+
 // runPoint executes one configuration at one rate and returns the
-// simulation for metric extraction. The point's seed derives from
-// o.Seed and key; the run is advanced in chunks so ctx cancellation and
-// per-job timeouts are honoured promptly.
-func runPoint(ctx context.Context, cfg spin.Config, pattern string, rate float64, key string, o Options) (*spin.Simulation, error) {
+// simulation and the driver's result for metric extraction. The point's
+// seed derives from o.Seed and key; the run is advanced in chunks so ctx
+// cancellation and per-job timeouts are honoured promptly.
+func runPoint(ctx context.Context, cfg spin.Config, pattern string, rate float64, key string, o Options) (*spin.Simulation, *harness.Result, error) {
 	cfg.Traffic = pattern
 	cfg.Rate = rate
 	cfg.Seed = runner.SeedFor(o.Seed, key)
@@ -196,25 +215,13 @@ func runPoint(ctx context.Context, cfg spin.Config, pattern string, rate float64
 	cfg.Shards = o.Shards
 	s, err := spin.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var checker *sim.InvariantChecker
-	if o.Check {
-		sc := harness.FromConfig(cfg, o.Cycles)
-		checker = s.Network().AttachChecker(sc.CheckOptions(s.Network().NumRouters()))
+	res, err := o.drive(ctx, harness.FromConfig(cfg, o.Cycles), s.Network(), false)
+	if err != nil {
+		return nil, nil, fmt.Errorf("point %s: %w", key, err)
 	}
-	if o.Telemetry {
-		s.Network().AttachTelemetry(sim.TelemetryOptions{Window: o.Epoch, Hist: true})
-	}
-	if err := runner.Cycles(ctx, s.Run, o.Cycles); err != nil {
-		return nil, err
-	}
-	if checker != nil {
-		if err := checker.Err(); err != nil {
-			return nil, fmt.Errorf("point %s: %w", key, err)
-		}
-	}
-	return s, nil
+	return s, res, nil
 }
 
 // latencyCurve sweeps rates and reports (offered rate, avg latency)
@@ -226,22 +233,15 @@ func runPoint(ctx context.Context, cfg spin.Config, pattern string, rate float64
 func latencyCurve(ctx context.Context, cfg spin.Config, pattern string, rates []float64, satLatency float64, curveKey string, o Options) (Series, error) {
 	var s Series
 	for _, rate := range rates {
-		simn, err := runPoint(ctx, cfg, pattern, rate, pointKey(curveKey, rate), o)
+		_, res, err := runPoint(ctx, cfg, pattern, rate, pointKey(curveKey, rate), o)
 		if err != nil {
 			return s, err
 		}
-		lat := simn.AvgLatency()
+		lat := res.Stats.AvgLatency()
 		if lat == 0 {
 			continue
 		}
-		pt := Point{X: rate, Y: lat}
-		if tele := simn.Network().Telemetry(); tele != nil {
-			tele.Flush()
-			sum := tele.LatencySummary()
-			pt.Latency = &sum
-			pt.TS = tele.TimeSeries()
-		}
-		s.Points = append(s.Points, pt)
+		s.Points = append(s.Points, Point{X: rate, Y: lat, Latency: res.Latency, TS: res.TimeSeries})
 		if lat > satLatency {
 			break
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bubble"
 	"repro/internal/deflection"
+	"repro/internal/harness"
 	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -74,21 +75,27 @@ func torusPoint(ctx context.Context, torus *topology.Mesh, rate float64, useBubb
 		StatsStart: o.Warmup,
 		Traffic:    &traffic.Synthetic{Pattern: traffic.Tornado(torus), Rate: rate, DataFrac: 1},
 	}
+	// The hand-built routing objects have no spec string; the driver
+	// needs the scenario only for its length and, through Scheme, the
+	// checker's recovery bound.
+	sc := harness.Scenario{Topology: "torus:4x4", Scheme: "ring_bubble", Seed: seed, Cycles: o.Cycles}
 	if useBubble {
 		cfg.Routing = &torusDOR{m: torus}
 		cfg.Scheme = &bubble.RingBubble{Mesh: torus}
 	} else {
 		cfg.Routing = &routing.MinAdaptive{Topo: torus}
 		cfg.Scheme = spinScheme()
+		sc.Scheme = "spin"
 	}
 	n, err := sim.NewNetwork(cfg)
 	if err != nil {
 		return 0, err
 	}
-	if err := runner.Cycles(ctx, n.Run, o.Cycles); err != nil {
+	res, err := o.drive(ctx, sc, n, false)
+	if err != nil {
 		return 0, err
 	}
-	return n.Stats().AvgLatency(), nil
+	return res.Stats.AvgLatency(), nil
 }
 
 // DeflectionComparison contrasts BLESS-style deflection with buffered XY
@@ -190,10 +197,11 @@ func deflectionPoint(ctx context.Context, rate float64, seed int64, o Options) (
 	if err != nil {
 		return out, err
 	}
-	if err := runner.Cycles(ctx, bn.Run, o.Cycles); err != nil {
+	res, err := o.drive(ctx, harness.Scenario{Topology: "mesh:4x4", Routing: "xy", Seed: seed, Cycles: o.Cycles}, bn, false)
+	if err != nil {
 		return out, err
 	}
-	out.Buffered = bn.Stats().AvgLatency()
+	out.Buffered = res.Stats.AvgLatency()
 	return out, nil
 }
 

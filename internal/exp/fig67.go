@@ -126,7 +126,7 @@ func SaturationSummary(ctx context.Context, topo string, configs []string, vcs [
 			name, cfg, rate := name, cfg, rate
 			key := pointKey(curveKey, rate)
 			jobs = append(jobs, runner.Job[satPoint]{Key: key, Run: func(ctx context.Context, _ int64) (satPoint, error) {
-				simn, err := runPoint(ctx, cfg, pattern, rate, key, o)
+				simn, _, err := runPoint(ctx, cfg, pattern, rate, key, o)
 				if err != nil {
 					return satPoint{}, err
 				}

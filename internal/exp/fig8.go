@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	spin "repro"
+	"repro/internal/harness"
 	"repro/internal/power"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -111,10 +112,11 @@ func appEDP(ctx context.Context, app traffic.AppProfile, routing, scheme string,
 	// Drive the run from the application trace instead of a synthetic
 	// pattern.
 	s.Network().SetTraffic(&traffic.AppTraffic{Profile: app, Topo: topo})
-	if err := runner.Cycles(ctx, s.Run, o.Cycles); err != nil {
+	res, err := o.drive(ctx, harness.FromConfig(cfg, o.Cycles), s.Network(), false)
+	if err != nil {
 		return 0, err
 	}
-	st := s.Stats()
+	st := &res.Stats
 	rc := power.MeshRouter(3*vcs, pk)
 	rc.NumRouters = topo.NumRouters()
 	energy := power.NetworkEnergy(power.Default(), rc,
@@ -156,7 +158,7 @@ func Fig8b(ctx context.Context, o Options) (*Fig8bResult, error) {
 		rate := rate
 		key := pointKey("fig8b", rate)
 		jobs = append(jobs, runner.Job[sim.LinkUtilisation]{Key: key, Run: func(ctx context.Context, _ int64) (sim.LinkUtilisation, error) {
-			s, err := runPoint(ctx, spin.Config{
+			s, _, err := runPoint(ctx, spin.Config{
 				Topology:   o.meshSpec(),
 				Routing:    "min_adaptive",
 				Scheme:     "spin",

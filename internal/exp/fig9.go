@@ -69,11 +69,11 @@ func Fig9(ctx context.Context, o Options) (*Fig9Result, error) {
 					VCsPerVNet: su.vcs,
 					SPIN:       spinimpl.Config{CountTruth: true},
 				}
-				s, err := runPoint(ctx, cfg, su.pattern, rate, key, o)
+				_, res, err := runPoint(ctx, cfg, su.pattern, rate, key, o)
 				if err != nil {
 					return Fig9Entry{}, err
 				}
-				st := s.Stats()
+				st := &res.Stats
 				return Fig9Entry{
 					Topology:       su.label,
 					VCs:            su.vcs,

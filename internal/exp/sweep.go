@@ -55,7 +55,9 @@ type SweepRequest struct {
 	// Seed is the base seed; per-point seeds derive from it and each
 	// point's stable key.
 	Seed int64 `json:"seed"`
-	// Check attaches the runtime invariant checker to every point.
+	// Check attaches the runtime invariant checker to every point that
+	// steps a network (Fig. 3 deadlocks on purpose and is exempt; Fig. 10
+	// and the cost table are analytic).
 	Check bool `json:"check,omitempty"`
 	// Telemetry adds a latency-percentile summary and an epoch-windowed
 	// time-series to every point of the result.
@@ -106,6 +108,12 @@ func (r SweepRequest) Normalized() SweepRequest {
 		r.Epoch = 0
 	case r.Epoch == 0:
 		r.Epoch = 100
+	}
+	switch r.Fig {
+	case "3", "10", "costs":
+		// No checker ever runs for these, so a "checked" key must not
+		// name a result distinct from the unchecked one.
+		r.Check = false
 	}
 	return r
 }

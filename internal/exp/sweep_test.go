@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -160,5 +163,55 @@ func TestSweepOptionsCarrySemantics(t *testing.T) {
 	o := SweepRequest{Fig: "7", Seed: 9, Cycles: 500, Full: true, Check: true}.Normalized().Options()
 	if o.Cycles != 500 || o.Seed != 9 || o.Small || !o.Check || o.Warmup != 50 {
 		t.Fatalf("options = %+v", o)
+	}
+}
+
+// TestSweepCheckNeverAliases is the table over SweepIDs behind the
+// "check silently ignored" fix: a figure either runs its points under the
+// invariant checker — then check stays in the canonical request, so the
+// checked and unchecked results get distinct content addresses — or it
+// never runs a checker (Fig. 3 deadlocks on purpose; Fig. 10 and the cost
+// table are analytic) and normalization clears the flag, so a "checked"
+// key can never name an unchecked result.
+func TestSweepCheckNeverAliases(t *testing.T) {
+	exempt := map[string]bool{"3": true, "10": true, "costs": true}
+	for _, id := range SweepIDs() {
+		plain := SweepRequest{Fig: id, Seed: 1, Cycles: 300}
+		checked := plain
+		checked.Check = true
+		same := bytes.Equal(plain.Canonical(), checked.Canonical())
+		switch {
+		case exempt[id] && !same:
+			t.Errorf("fig %s runs no checker, yet check changes its key: %s", id, checked.Canonical())
+		case exempt[id] && checked.Normalized().Options().Check:
+			t.Errorf("fig %s: normalized options still ask for a checker", id)
+		case !exempt[id] && same:
+			t.Errorf("fig %s: check dropped from the canonical request", id)
+		}
+	}
+	// The sweeps that used to drop Options.Check on the floor now run
+	// every network point under the checker, cleanly.
+	for _, id := range []string{"8a", "torus", "deflection", "workload"} {
+		o := SweepRequest{Fig: id, Seed: 1, Cycles: 300, Check: true}.Normalized().Options()
+		if _, err := Sweep(context.Background(), id, o); err != nil {
+			t.Errorf("fig %s under check: %v", id, err)
+		}
+	}
+}
+
+// TestCheckedPointFailsItsJob drives a Fig. 8a point that must deadlock
+// (adaptive routing, one VC, no recovery scheme, a saturating profile):
+// with Options.Check the violation fails the job; without it the point
+// still completes.
+func TestCheckedPointFailsItsJob(t *testing.T) {
+	hammer := traffic.AppProfile{Name: "hammer", Rate: 0.9, DataRatio: 0.5}
+	o := Options{Cycles: 3000, Warmup: -1, Small: true, Check: true}.withDefaults()
+	_, err := appEDP(context.Background(), hammer, "min_adaptive", "", 1, power.SchemeNone, 1, o)
+	if err == nil || !strings.Contains(err.Error(), "violation") {
+		t.Fatalf("deadlocking point under check returned %v, want a violation", err)
+	}
+	o.Check = false
+	if _, err := appEDP(context.Background(), hammer, "min_adaptive", "", 1, power.SchemeNone, 1, o); err != nil {
+		t.Fatalf("unchecked point failed: %v", err)
 	}
 }

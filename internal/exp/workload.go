@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -99,8 +98,8 @@ func workloadPoint(ctx context.Context, rate float64, seed int64, o Options) (Wo
 	if err != nil {
 		return pt, err
 	}
-	s.Network().AttachTelemetry(sim.TelemetryOptions{Hist: true})
-	if err := runner.Cycles(ctx, s.Run, o.Cycles); err != nil {
+	res, err := o.drive(ctx, sc, s.Network(), true)
+	if err != nil {
 		return pt, err
 	}
 	cl, ok := s.Network().Config().Traffic.(*workload.ClosedLoop)
@@ -110,11 +109,7 @@ func workloadPoint(ctx context.Context, rate float64, seed int64, o Options) (Wo
 	terminals := s.Topology().NumTerminals()
 	pt.Offered = rate
 	pt.Achieved = float64(cl.Completed()) / float64(o.Cycles) / float64(terminals)
-	pt.AvgLat = s.AvgLatency()
-	if tele := s.Network().Telemetry(); tele != nil {
-		tele.Flush()
-		sum := tele.LatencySummary()
-		pt.P50, pt.P99 = sum.P50, sum.P99
-	}
+	pt.AvgLat = res.Stats.AvgLatency()
+	pt.P50, pt.P99 = res.Latency.P50, res.Latency.P99
 	return pt, nil
 }

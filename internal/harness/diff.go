@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	spin "repro"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -66,7 +68,7 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 	}
 	rec := &traffic.Recorder{Gen: s.Network().Config().Traffic}
 	s.Network().SetTraffic(rec)
-	primary, err := runChecked(sc, s)
+	primary, err := runDelivering(sc, s.Network())
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +83,7 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 		return nil, err
 	}
 	bs.Network().SetTraffic(&traffic.Replay{Trace: &rec.Trace})
-	baseline, err := runChecked(bsc, bs)
+	baseline, err := runDelivering(bsc, bs.Network())
 	if err != nil {
 		return nil, err
 	}
@@ -89,6 +91,21 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 	d := &DiffResult{Primary: primary, Baseline: baseline, TraceLen: len(rec.Trace.Entries)}
 	d.Mismatches = compareDeliveries(primary, baseline, len(rec.Trace.Entries))
 	return d, nil
+}
+
+// runDelivering is the checked, drained run with every delivery
+// collected for comparison.
+func runDelivering(sc Scenario, net *sim.Network) (*Result, error) {
+	var got []Delivery
+	net.SetEjectHook(func(p *sim.Packet) {
+		got = append(got, Delivery{ID: p.ID, Src: p.Src, Dst: p.Dst, Length: p.Length, VNet: p.VNet})
+	})
+	res, err := Drive(context.Background(), sc, net, Observe{Check: true, Drain: true})
+	if err != nil {
+		return nil, err
+	}
+	res.Delivered = got
+	return res, nil
 }
 
 // compareDeliveries checks that both runs delivered the full recorded

@@ -5,10 +5,12 @@
 // differential oracle), and writes a replayable JSON artifact for every
 // violation so failures reproduce deterministically.
 //
-// The entry points are Generate (random valid Scenario), Run (one
-// checked execution), RunDifferential (SPIN vs escape-VC on the same
-// trace), and FuzzScenario in fuzz_test.go (the native go test -fuzz
-// driver over the same machinery).
+// The entry points are Generate (random valid Scenario), Drive (the one
+// run driver every entry point in the repository steps a built network
+// through), Run (one checked, drained execution on it), RunDifferential
+// (SPIN vs escape-VC on the same trace), and FuzzScenario in
+// fuzz_test.go (the native go test -fuzz driver over the same
+// machinery).
 package harness
 
 import (
@@ -47,7 +49,9 @@ type Scenario struct {
 	TDD  int64 `json:"tdd,omitempty"`
 
 	// Cycles is the traffic phase length; DrainCycles bounds the drain
-	// that follows (0 = 20x Cycles).
+	// that follows. 0 means the default budget, 250x Cycles, wherever a
+	// drain is run (harness runs, spinsim -drain); the serving path
+	// drains only when the request sets it.
 	Cycles      int64 `json:"cycles"`
 	DrainCycles int64 `json:"drain_cycles,omitempty"`
 
@@ -214,7 +218,8 @@ func (sc Scenario) SimShards(shards int) (*spin.Simulation, error) {
 	return s, nil
 }
 
-// drainBudget is the post-traffic drain bound. The default is generous
+// drainBudget is the post-traffic drain bound, the one rule every
+// entry point shares through Drive. The default is generous
 // on purpose: a deeply oversaturated 1-VC configuration holds O(rate x
 // cycles x terminals) flits in its injection queues and drains them at
 // its (recovery-limited) saturation throughput, which can take hundreds

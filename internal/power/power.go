@@ -54,13 +54,6 @@ var defaultTech = Tech{
 // locally tweak) the constants without racing on shared state.
 func Default() Tech { return defaultTech }
 
-// DefaultTech is a package-level copy of Default()'s value.
-//
-// Deprecated: as package-level mutable state it is not safe to modify
-// once parallel sweeps are running; use Default() and pass the value
-// through explicitly.
-var DefaultTech = defaultTech
-
 // SchemeKind enumerates the deadlock-freedom hardware variants whose
 // overhead the model charges.
 type SchemeKind int

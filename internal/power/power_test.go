@@ -114,13 +114,10 @@ func TestSchemeNoneHasNoExtra(t *testing.T) {
 }
 
 // Default returns the constants by value: callers can mutate their copy
-// freely, and the deprecated package-level DefaultTech matches it.
+// freely.
 func TestDefaultAccessor(t *testing.T) {
 	if Default() != defaultTech {
 		t.Fatal("Default() does not return the calibrated constants")
-	}
-	if DefaultTech != Default() {
-		t.Fatal("deprecated DefaultTech diverged from Default()")
 	}
 	local := Default()
 	local.BufAreaPerBit = 99

@@ -568,20 +568,27 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.handleSimulateSSE(w, r, req, n, key)
 		return
 	}
-	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
+	s.serveCached(w, r, key, s.onPool(span, key, func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
+		return s.runSim(ctx, n, key, 0, nil, cs)
+	}), &fleet.ProxySpec{Path: "/v1/simulate", Body: n.canonical()})
+}
+
+// onPool is the one path onto the worker pool: it wraps a computation
+// as the cache's compute function, recording the queue_wait span (ended
+// when the job is dequeued, or when the submit is rejected — the wasted
+// wait) and the compute span the job runs under.
+func (s *Server) onPool(span *otrace.Span, key string, run func(context.Context, *otrace.Span) ([]byte, error)) func(context.Context) ([]byte, error) {
+	return func(ctx context.Context) ([]byte, error) {
 		qw := span.StartChild("queue_wait")
 		b, err := s.pool.Submit(ctx, runner.Job[[]byte]{Key: key, Run: func(jctx context.Context, _ int64) ([]byte, error) {
-			qw.End() // the job was dequeued: the wait is over
+			qw.End()
 			cs := span.StartChild("compute")
 			defer cs.End()
-			if s.testCompute != nil {
-				return s.testCompute(jctx, n)
-			}
-			return s.runSim(jctx, n, key, 0, nil, cs)
+			return run(jctx, cs)
 		}})
-		qw.End() // a rejected submit records the wasted wait
+		qw.End()
 		return b, err
-	}, &fleet.ProxySpec{Path: "/v1/simulate", Body: n.canonical()})
+	}
 }
 
 // handleSweep is POST /v1/sweep.
@@ -605,34 +612,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cache.KeyOf(ResultVersion+"/sweep", n.Canonical())
-	span := requestSpan(r)
-	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
-		qw := span.StartChild("queue_wait")
-		b, err := s.pool.Submit(ctx, runner.Job[[]byte]{Key: key, Run: func(jctx context.Context, _ int64) ([]byte, error) {
-			qw.End()
-			cs := span.StartChild("compute")
-			defer cs.End()
-			o := n.Options()
-			o.Workers = s.cfg.Workers
-			o.Shards = s.shardsEff
-			v, err := exp.Sweep(jctx, n.Fig, o)
-			if err != nil {
-				return nil, err
-			}
-			// The figure's canonical JSON IS the response body — the
-			// same bytes spinsweep -json prints, so CLI and API can
-			// never drift.
-			es := cs.StartChild("encode")
-			defer es.End()
-			var buf bytes.Buffer
-			if err := exp.EncodeJSON(&buf, v); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		}})
-		qw.End()
-		return b, err
-	}, &fleet.ProxySpec{Path: "/v1/sweep", Body: n.Canonical()})
+	s.serveCached(w, r, key, s.onPool(requestSpan(r), key, func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
+		o := n.Options()
+		o.Workers = s.cfg.Workers
+		o.Shards = s.shardsEff
+		v, err := exp.Sweep(ctx, n.Fig, o)
+		if err != nil {
+			return nil, err
+		}
+		// The figure's canonical JSON IS the response body — the same
+		// bytes spinsweep -json prints, so CLI and API can never drift.
+		return encodeBody(cs, v)
+	}), &fleet.ProxySpec{Path: "/v1/sweep", Body: n.Canonical()})
+}
+
+// encodeBody renders a response value with the shared encoder under an
+// encode span.
+func encodeBody(span *otrace.Span, v interface{}) ([]byte, error) {
+	es := span.StartChild("encode")
+	defer es.End()
+	var buf bytes.Buffer
+	if err := exp.EncodeJSON(&buf, v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // serveCached is the shared request tail: consult the cache (deduping
@@ -792,17 +795,20 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, key string, 
 	}
 }
 
-// runSim is the shared simulation body. When onSample is non-nil (the
-// SSE streaming path), the run is chunked at epoch-window granularity
-// and each freshly closed time-series window is delivered to onSample
-// as the simulation progresses. Chunked stepping is state-for-state
-// identical to one Run call and the window sampler is observational, so
-// the rendered response bytes — the value that gets cached — are
-// byte-identical with and without streaming. span, when non-nil, gets
-// per-epoch child spans on chunked runs plus an encode span (span is
-// passed explicitly, not via ctx: the singleflight leader's ctx is
-// detached from the request that started the span).
+// runSim is the simulation body of /v1/simulate: build the scenario's
+// network, hand it to the shared run driver, fill the response. When
+// onSample is non-nil (the SSE path) each freshly closed time-series
+// window is delivered as the simulation progresses; the driver's chunked
+// stepping and observers never change state, so the rendered bytes — the
+// value that gets cached — are identical with and without streaming.
+// span, when non-nil, gets per-epoch child spans on windowed runs plus
+// an encode span (span is passed explicitly, not via ctx: the
+// singleflight leader's ctx is detached from the request that started
+// the span).
 func (s *Server) runSim(ctx context.Context, req SimRequest, key string, streamWindow int64, onSample func(sim.WindowSample), span *otrace.Span) ([]byte, error) {
+	if s.testCompute != nil {
+		return s.testCompute(ctx, req)
+	}
 	start := time.Now()
 	sc := req.Scenario
 	// SimShards attaches whatever traffic source the scenario carries —
@@ -814,66 +820,40 @@ func (s *Server) runSim(ctx context.Context, req SimRequest, key string, streamW
 		// the client's fault, not the server's.
 		return nil, errBadRequest{err}
 	}
-	var checker *sim.InvariantChecker
-	if req.Check {
-		net := simulation.Network()
-		checker = net.AttachChecker(sc.CheckOptions(net.NumRouters()))
-	}
-	// Telemetry is always attached: the latency histogram feeds the
-	// simulator-level Prometheus series for every executed request. The
-	// window sampler and response fields stay opt-in (req.Telemetry), so
-	// response bytes for telemetry-free requests are unchanged. The
-	// oracle-firing probe only matters on checked requests (the oracle
-	// only runs under the checker), and attaching a probe makes the hot
-	// path construct events, so it too is gated on req.Check.
-	topt := sim.TelemetryOptions{Hist: true}
-	if req.Telemetry {
-		topt.Window = req.Epoch
-	}
-	if onSample != nil && topt.Window <= 0 {
-		// Streaming needs a window even when the response itself carries
-		// no time-series; the samples are progress-only and the response
-		// fields stay gated on req.Telemetry below.
-		topt.Window = streamWindow
-	}
-	var oracle oracleCounter
-	if req.Check {
-		topt.Probe = &oracle
-	}
-	tele := simulation.Network().AttachTelemetry(topt)
-	// Traced telemetry requests also run chunked (identical state, see
-	// above) so each epoch window becomes a child span — the Perfetto
-	// view then shows where inside the simulation the time went.
-	chunked := onSample != nil || (span != nil && topt.Window > 0)
-	if !chunked {
-		if err := runner.Cycles(ctx, simulation.Run, sc.Cycles); err != nil {
-			return nil, err
-		}
-	} else {
-		emitted := 0
-		for done := int64(0); done < sc.Cycles; {
-			chunk := topt.Window
-			if rem := sc.Cycles - done; rem < chunk {
-				chunk = rem
-			}
-			es := span.StartChild("epoch")
-			es.SetMetricName("epoch")
-			err := runner.Cycles(ctx, simulation.Run, chunk)
+	// The histogram is always on: it feeds the simulator-level Prometheus
+	// series for every executed request. The window is the request's
+	// epoch (normalized to 0 without telemetry) or, when streaming a
+	// request that has none, the progress-only stream window; the
+	// response fields stay gated on req.Telemetry below.
+	ob := harness.Observe{Check: req.Check, Drain: sc.DrainCycles > 0, Hist: true, Window: max(req.Epoch, streamWindow)}
+	if onSample != nil || (span != nil && ob.Window > 0) {
+		// Each window becomes a child span, so the Perfetto view shows
+		// where inside the simulation the time went.
+		es := span.StartChild("epoch")
+		es.SetMetricName("epoch")
+		ob.OnWindow = func(done int64, closed []sim.WindowSample) {
 			es.End()
-			if err != nil {
-				return nil, err
-			}
-			done += chunk
 			if onSample != nil {
-				if ts := tele.TimeSeries(); ts != nil {
-					for ; emitted < len(ts.Samples); emitted++ {
-						onSample(ts.Samples[emitted])
-					}
+				for _, smp := range closed {
+					onSample(smp)
 				}
 			}
+			if done < sc.Cycles {
+				es = span.StartChild("epoch")
+				es.SetMetricName("epoch")
+			}
 		}
 	}
-	st := simulation.Stats()
+	res, err := harness.Drive(ctx, sc, simulation.Network(), ob)
+	if err != nil {
+		if ctx.Err() == nil {
+			// Not a cancellation: the scenario's trace named something
+			// the topology cannot host. 400, and never cached.
+			return nil, errBadRequest{err}
+		}
+		return nil, err
+	}
+	st := &res.Stats
 	resp := SimResponse{
 		Key:     key,
 		Request: req,
@@ -884,60 +864,38 @@ func (s *Server) runSim(ctx context.Context, req SimRequest, key string, streamW
 			AvgNetLatency: st.AvgNetLatency(),
 			MaxLatency:    st.MaxLatency,
 			AvgHops:       st.AvgHops(),
-			Throughput:    simulation.Throughput(),
+			Throughput:    st.Throughput(simulation.Topology().NumTerminals()),
 			Spins:         st.Spins,
 		},
 	}
 	if sc.DrainCycles > 0 {
-		drained := simulation.Drain(sc.DrainCycles)
-		resp.Stats.Drained = &drained
+		resp.Stats.Drained = &res.Drained
 	}
-	if checker != nil {
-		violations := checker.Violations()
+	if req.Check {
 		resp.Check = &CheckReport{
-			OK:               len(violations) == 0,
-			Violations:       violations,
-			MaxDeadlockSpell: checker.MaxDeadlockSpell(),
+			OK:               len(res.Violations) == 0,
+			Violations:       res.Violations,
+			MaxDeadlockSpell: res.MaxDeadlockSpell,
 		}
 	}
-	tele.Flush()
 	if req.Telemetry {
-		sum := tele.LatencySummary()
-		resp.Latency = &sum
-		resp.TimeSeries = tele.TimeSeries()
+		resp.Latency, resp.TimeSeries = res.Latency, res.TimeSeries
 	}
-	s.observeSimulator(st, tele, oracle.firings)
+	s.observeSimulator(simulation.Stats(), res)
 	s.mSimCycles.Observe(float64(sc.Cycles))
 	s.mSimSeconds.Observe(time.Since(start).Seconds())
-	es := span.StartChild("encode")
-	defer es.End()
-	var buf bytes.Buffer
-	if err := exp.EncodeJSON(&buf, resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// oracleCounter is a minimal telemetry probe counting deadlock-oracle
-// firings (the only event kind it will see arrives from the checker).
-type oracleCounter struct{ firings int64 }
-
-func (o *oracleCounter) Event(e sim.Event) {
-	if e.Kind == sim.EvOracleDeadlock {
-		o.firings++
-	}
+	return encodeBody(span, resp)
 }
 
 // observeSimulator folds one executed simulation's counters and latency
 // percentiles into the simulator-level Prometheus series.
-func (s *Server) observeSimulator(st *sim.Stats, tele *sim.Telemetry, oracleFirings int64) {
+func (s *Server) observeSimulator(st *sim.Stats, res *harness.Result) {
 	s.mSimSpins.Add(float64(st.Spins))
 	s.mSimRecovers.Add(float64(st.Counter("recoveries")))
 	s.mSimProbes.Add(float64(st.Counter("probes_sent")))
 	s.mSimKillMoves.Add(float64(st.Counter("kill_moves_sent")))
-	s.mSimDeadlocks.Add(float64(oracleFirings))
-	sum := tele.LatencySummary()
-	if sum.Count > 0 {
+	s.mSimDeadlocks.Add(float64(res.OracleFirings))
+	if sum := res.Latency; sum.Count > 0 {
 		s.mSimLatency.ObserveL(map[string]string{"quantile": "p50"}, sum.P50)
 		s.mSimLatency.ObserveL(map[string]string{"quantile": "p95"}, sum.P95)
 		s.mSimLatency.ObserveL(map[string]string{"quantile": "p99"}, sum.P99)

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/runner"
+	"repro/internal/otrace"
 	"repro/internal/sim"
 )
 
@@ -126,26 +126,15 @@ func (s *Server) handleSimulateSSE(w http.ResponseWriter, r *http.Request, req, 
 	defer sw.close()
 
 	window := streamWindowFor(req, n)
-	compute := func(ctx context.Context) ([]byte, error) {
-		qw := span.StartChild("queue_wait")
-		b, err := s.pool.Submit(ctx, runner.Job[[]byte]{Key: key, Run: func(jctx context.Context, _ int64) ([]byte, error) {
-			qw.End()
-			cs := span.StartChild("compute")
-			defer cs.End()
-			if s.testCompute != nil {
-				return s.testCompute(jctx, n)
+	compute := s.onPool(span, key, func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
+		return s.runSim(ctx, n, key, window, func(smp sim.WindowSample) {
+			b, err := json.Marshal(smp)
+			if err != nil {
+				return
 			}
-			return s.runSim(jctx, n, key, window, func(smp sim.WindowSample) {
-				b, err := json.Marshal(smp)
-				if err != nil {
-					return
-				}
-				sw.event("sample", b)
-			}, cs)
-		}})
-		qw.End()
-		return b, err
-	}
+			sw.event("sample", b)
+		}, cs)
+	})
 
 	// Do blocks until the flight finishes; run it aside so this handler
 	// can heartbeat the connection meanwhile (a cache hit returns before

@@ -129,3 +129,37 @@ func TestSimulateRejectsCorruptTrace(t *testing.T) {
 		t.Fatalf("corrupt trace: status %d, want 400 (body %s)", rec.Code, rec.Body)
 	}
 }
+
+// TestSimulateRejectsTraceOutsideTopology is the poisoned-cache
+// regression: a structurally valid trace whose entry names a terminal
+// the topology does not have stops the stream mid-run. That must answer
+// 400 — not 200 with truncated stats — and must never enter the cache,
+// so the repeat is rejected again instead of being served as a hit.
+func TestSimulateRejectsTraceOutsideTopology(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	var buf bytes.Buffer
+	tw := traffic.NewTraceWriter(&buf)
+	for _, e := range []traffic.TraceEntry{
+		{Cycle: 0, Src: 0, Dst: 5, Length: 1},
+		{Cycle: 2, Src: 100, Dst: 3, Length: 1}, // mesh:4x4 has 16 terminals
+	} {
+		if err := tw.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","traffic":"","rate":0,"cycles":100,"seed":1,"trace_b64":%q}`,
+		base64.StdEncoding.EncodeToString(buf.Bytes()))
+	for attempt := 1; attempt <= 2; attempt++ {
+		rec := post(t, s.Handler(), "/v1/simulate", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("attempt %d: status %d (X-Cache %q), want 400; body %s",
+				attempt, rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+		}
+	}
+	if st := s.Snapshot(); st.Hits != 0 || st.MemEntries != 0 {
+		t.Fatalf("rejected trace reached the cache: %+v", st)
+	}
+}
