@@ -18,7 +18,6 @@ import (
 
 	spin "repro"
 	"repro/internal/cdg"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -26,7 +25,7 @@ func main() {
 	log.SetPrefix("spincheck: ")
 	var (
 		topoSpec = flag.String("topo", "mesh:8x8", "topology spec")
-		routing  = flag.String("routing", "xy", "routing function: xy, westfirst, min_adaptive, escape_vc, escape_subnet, torus_dor, dfly_min_ladder, dfly_free")
+		routing  = flag.String("routing", "xy", "routing function (see cdg.DepFor): xy, westfirst, min_adaptive, favors_min, favors_nmin, escape_vc, escape_subnet, torus_dor, dfly_min_ladder, ugal_ladder, dfly_free, ugal_spin")
 		vcs      = flag.Int("vcs", 1, "VC classes per link")
 		seed     = flag.Int64("seed", 1, "seed for randomised topologies")
 	)
@@ -36,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dep, err := resolveDep(*routing, topo, *vcs)
+	dep, err := cdg.DepFor(*routing, topo, *vcs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,49 +56,4 @@ func main() {
 	}
 	fmt.Printf("verdict:  NOT avoidance-deadlock-free: %d cyclic component(s), largest %d channels\n", len(cycles), largest)
 	fmt.Println("          pair this routing with a recovery scheme (e.g. SPIN)")
-}
-
-func resolveDep(name string, topo topology.Topology, vcs int) (cdg.DependencyFunc, error) {
-	mesh, isMesh := topo.(*topology.Mesh)
-	dfly, isDfly := topo.(*topology.Dragonfly)
-	switch name {
-	case "xy":
-		if !isMesh {
-			return nil, fmt.Errorf("xy needs a mesh")
-		}
-		return cdg.XYDep(mesh), nil
-	case "westfirst":
-		if !isMesh {
-			return nil, fmt.Errorf("westfirst needs a mesh")
-		}
-		return cdg.WestFirstDep(mesh), nil
-	case "min_adaptive", "favors_min":
-		return cdg.MinAdaptiveDep(topo), nil
-	case "escape_vc":
-		if !isMesh {
-			return nil, fmt.Errorf("escape_vc needs a mesh")
-		}
-		return cdg.EscapeDep(mesh, vcs), nil
-	case "escape_subnet":
-		if !isMesh {
-			return nil, fmt.Errorf("escape_subnet needs a mesh")
-		}
-		return cdg.EscapeSubgraphDep(mesh), nil
-	case "torus_dor":
-		if !isMesh || !mesh.Torus {
-			return nil, fmt.Errorf("torus_dor needs a torus")
-		}
-		return cdg.TorusDORDep(mesh), nil
-	case "dfly_min_ladder":
-		if !isDfly {
-			return nil, fmt.Errorf("dfly_min_ladder needs a dragonfly")
-		}
-		return cdg.DflyLadderDep(dfly, vcs), nil
-	case "dfly_free", "dfly_min":
-		if !isDfly {
-			return nil, fmt.Errorf("dfly_free needs a dragonfly")
-		}
-		return cdg.DflyFreeDep(dfly), nil
-	}
-	return nil, fmt.Errorf("unknown routing %q", name)
 }

@@ -295,7 +295,7 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		ob.Events = telemetry.NewRecorder(*tracebuf)
+		ob.Events = sim.NewEventRing(*tracebuf, sim.DefaultMask)
 	}
 	if *progress && ob.Window == 0 {
 		ob.Window = max(1, sc.Cycles/10) // progress-only windows

@@ -86,81 +86,98 @@ func TestBenchRegression(t *testing.T) {
 	}
 }
 
-// TestStepAllocBudget pins the steady-state allocation discipline:
-// after warmup — pools populated, scratch buffers grown, source queues
-// at their plateau — Network.Step must not allocate at all. The runs are
+// stepAllocBudget runs the named saturating workload at 1 and 4 shards
+// with attach's observers on, warms it up, and requires that the next
+// runs cycles (one Step each) allocate nothing. The runs are
 // deterministic (fixed seed, sequential cycles), so the budget is exact,
-// not statistical.
-func TestStepAllocBudget(t *testing.T) {
+// not statistical. check, when non-nil, runs after the measurement.
+func stepAllocBudget(t *testing.T, name string, runs int, attach func(*sim.Network), check func(*testing.T, *sim.Network)) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%s/shards%d", name, shards), func(t *testing.T) {
+			var w Workload
+			for _, cand := range Workloads() {
+				if cand.Name == name {
+					w = cand
+				}
+			}
+			if w.Name == "" {
+				t.Fatalf("workload %s not defined", name)
+			}
+			cfg := w.Cfg
+			cfg.Shards = shards
+			s, err := spin.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attach != nil {
+				attach(s.Network())
+			}
+			s.Run(8000)
+			if avg := testing.AllocsPerRun(runs, func() { s.Run(1) }); avg != 0 {
+				t.Errorf("steady-state Step allocates %.4f objects/cycle, want 0", avg)
+			}
+			if check != nil {
+				check(t, s.Network())
+			}
+		})
+	}
+}
+
+// TestStepAllocBudget pins the steady-state allocation discipline:
+// after warmup — pools populated, scratch buffers grown, source queues
+// at their plateau — Network.Step must not allocate at all.
+func TestStepAllocBudget(t *testing.T) {
 	for _, name := range []string{"mesh8x8/sat", "dfly64/sat"} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards%d", name, shards), func(t *testing.T) {
-				var w Workload
-				for _, cand := range Workloads() {
-					if cand.Name == name {
-						w = cand
-					}
-				}
-				if w.Name == "" {
-					t.Fatalf("workload %s not defined", name)
-				}
-				cfg := w.Cfg
-				cfg.Shards = shards
-				s, err := spin.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.Run(8000)
-				if avg := testing.AllocsPerRun(300, func() { s.Run(1) }); avg != 0 {
-					t.Errorf("steady-state Step allocates %.4f objects/cycle, want 0", avg)
-				}
-			})
-		}
+		stepAllocBudget(t, name, 300, nil, nil)
 	}
 }
 
 // TestStepAllocBudgetFlightRecorder re-runs the zero-alloc gate with
-// the forensics flight recorder attached: the recorder's masked ring
-// must record SPIN protocol events without costing a single steady-state
-// allocation, since it is meant to be left on in production runs.
+// the forensics flight recorder attached: its ring must record SPIN
+// protocol events without costing a single steady-state allocation,
+// since it is meant to be left on in production runs.
 func TestStepAllocBudgetFlightRecorder(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	for _, name := range []string{"mesh8x8/sat", "dfly64/sat"} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards%d", name, shards), func(t *testing.T) {
-				var w Workload
-				for _, cand := range Workloads() {
-					if cand.Name == name {
-						w = cand
-					}
-				}
-				if w.Name == "" {
-					t.Fatalf("workload %s not defined", name)
-				}
-				cfg := w.Cfg
-				cfg.Shards = shards
-				s, err := spin.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec := s.Network().AttachFlightRecorder(1024)
-				s.Run(8000)
-				if avg := testing.AllocsPerRun(300, func() { s.Run(1) }); avg != 0 {
-					t.Errorf("steady-state Step with flight recorder allocates %.4f objects/cycle, want 0", avg)
-				}
+		stepAllocBudget(t, name, 300,
+			func(n *sim.Network) { n.AttachFlightRecorder(1024) },
+			func(t *testing.T, n *sim.Network) {
 				// Only the mesh workload is guaranteed SPIN activity at
 				// saturation; dfly64's routing can stay recovery-free.
-				if name == "mesh8x8/sat" && rec.Total() == 0 {
+				if name == "mesh8x8/sat" && n.FlightRecorder().Total() == 0 {
 					t.Error("flight recorder saw no SPIN events on a saturating mesh workload")
 				}
 			})
-		}
 	}
+}
+
+// TestStepAllocBudgetObserverSet is the gate for everything a checked
+// harness.Drive run attaches except the checker itself: the flight
+// recorder, the DefaultMask event tail, the latency histogram and the
+// window sampler, all at once. A window close appends its sample (by
+// design, once per window), so the per-cycle budget is measured strictly
+// inside one window: 8000 warm-up cycles end on a boundary and the 1+90
+// measured cycles stay short of the next.
+func TestStepAllocBudgetObserverSet(t *testing.T) {
+	var tail *sim.EventRing
+	stepAllocBudget(t, "mesh8x8/sat", 90,
+		func(n *sim.Network) {
+			n.AttachFlightRecorder(1024)
+			tail = sim.NewEventRing(256, sim.DefaultMask)
+			n.AddObserver(tail.Mask(), tail)
+			n.AttachTelemetry(sim.TelemetryOptions{Hist: true, Window: 100})
+		},
+		func(t *testing.T, n *sim.Network) {
+			if tail.Total() <= uint64(tail.Cap()) || n.FlightRecorder().Total() == 0 {
+				t.Errorf("tail ring saw %d events (cap %d), flight ring %d: the rings were not exercised",
+					tail.Total(), tail.Cap(), n.FlightRecorder().Total())
+			}
+			if ts := n.Telemetry().TimeSeries(); len(ts.Samples) != 80 || n.Telemetry().Latency().Count() == 0 {
+				t.Errorf("sampler closed %d windows (want 80) or the histogram is empty", len(ts.Samples))
+			}
+		})
 }
 
 // TestStepAllocBudgetWorkloads extends the zero-alloc gate to the shaped

@@ -1,10 +1,72 @@
 package cdg
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
+
+// DepFor errors: the routing name has no static dependency model at all,
+// or it has one that does not run on the given topology.
+var (
+	ErrNoStaticModel = errors.New("no static CDG model")
+	ErrWrongTopology = errors.New("wrong topology")
+)
+
+// DepFor maps a routing name — the harness/spind routing specs plus
+// spincheck's analysis-only names (escape_subnet, torus_dor, dfly_free)
+// — to its static dependency function on topo. It is the one such table:
+// cmd/spincheck and the harness forensics CDG cut both call it.
+func DepFor(name string, topo topology.Topology, vcs int) (DependencyFunc, error) {
+	mesh, _ := topo.(*topology.Mesh)
+	dfly, _ := topo.(*topology.Dragonfly)
+	var dep DependencyFunc
+	needs := "a mesh"
+	switch name {
+	case "", "min_adaptive", "favors_min", "favors_nmin":
+		return MinAdaptiveDep(topo), nil
+	case "xy":
+		if mesh != nil {
+			dep = XYDep(mesh)
+		}
+	case "westfirst":
+		if mesh != nil {
+			dep = WestFirstDep(mesh)
+		}
+	case "escape_vc":
+		if mesh != nil {
+			dep = EscapeDep(mesh, vcs)
+		}
+	case "escape_subnet":
+		if mesh != nil {
+			dep = EscapeSubgraphDep(mesh)
+		}
+	case "torus_dor":
+		needs = "a torus"
+		if mesh != nil && mesh.Torus {
+			dep = TorusDORDep(mesh)
+		}
+	case "dfly_min_ladder", "ugal_ladder":
+		needs = "a dragonfly"
+		if dfly != nil {
+			dep = DflyLadderDep(dfly, vcs)
+		}
+	case "dfly_free", "dfly_min", "ugal_spin":
+		needs = "a dragonfly"
+		if dfly != nil {
+			dep = DflyFreeDep(dfly)
+		}
+	default:
+		return nil, fmt.Errorf("cdg: routing %q: %w", name, ErrNoStaticModel)
+	}
+	if dep == nil {
+		return nil, fmt.Errorf("cdg: routing %s needs %s: %w", name, needs, ErrWrongTopology)
+	}
+	return dep, nil
+}
 
 // XYDep is the dependency function of dimension-ordered mesh routing.
 func XYDep(m *topology.Mesh) DependencyFunc {

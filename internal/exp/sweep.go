@@ -7,6 +7,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/harness"
 )
 
 // This file is the canonical sweep surface shared by cmd/spinsweep and
@@ -137,16 +139,11 @@ func (r SweepRequest) Options() Options {
 }
 
 // DecodeSweepRequest reads one request from JSON, rejecting unknown
-// fields.
+// fields and trailing data (see harness.DecodeStrict).
 func DecodeSweepRequest(rd io.Reader) (SweepRequest, error) {
-	var r SweepRequest
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return SweepRequest{}, fmt.Errorf("exp: decode sweep request: %w", err)
-	}
-	if dec.More() {
-		return SweepRequest{}, fmt.Errorf("exp: trailing data after sweep request")
+	r, err := harness.DecodeStrict[SweepRequest](rd)
+	if err != nil {
+		return r, fmt.Errorf("exp: decode sweep request: %w", err)
 	}
 	return r, nil
 }

@@ -18,19 +18,29 @@ import (
 // identical canonical bytes, and therefore the same content-addressed
 // cache key.
 
-// DecodeScenario reads one scenario from JSON, rejecting unknown fields
-// so a typoed knob ("vc_per_vnet") fails loudly instead of silently
-// simulating something else.
-func DecodeScenario(r io.Reader) (Scenario, error) {
-	var sc Scenario
+// DecodeStrict reads exactly one JSON document of type T, the way every
+// request body is read: unknown fields are rejected, so a typoed knob
+// ("vc_per_vnet") fails loudly instead of silently simulating something
+// else, and so is anything but whitespace after the document — a second
+// document in the body is almost certainly a client bug.
+func DecodeStrict[T any](r io.Reader) (T, error) {
+	var v, zero T
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		return Scenario{}, fmt.Errorf("harness: decode scenario: %w", err)
+	if err := dec.Decode(&v); err != nil {
+		return zero, err
 	}
-	// A second document in the body is almost certainly a client bug.
 	if dec.More() {
-		return Scenario{}, fmt.Errorf("harness: trailing data after scenario")
+		return zero, fmt.Errorf("trailing data after the JSON document")
+	}
+	return v, nil
+}
+
+// DecodeScenario reads one scenario from JSON (see DecodeStrict).
+func DecodeScenario(r io.Reader) (Scenario, error) {
+	sc, err := DecodeStrict[Scenario](r)
+	if err != nil {
+		return sc, fmt.Errorf("harness: decode scenario: %w", err)
 	}
 	return sc, nil
 }

@@ -9,7 +9,6 @@ import (
 	spin "repro"
 	"repro/internal/cdg"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // Forensics is the deadlock flight-recorder artifact: the scenario, the
@@ -73,39 +72,6 @@ type CDGChannel struct {
 	DstPort int `json:"dst_port"`
 }
 
-// cdgDep maps the scenario's routing spec to its static dependency
-// function, mirroring cmd/spincheck's table. Nil (without error) means
-// the routing has no static CDG model — the cut is simply omitted.
-func cdgDep(name string, topo topology.Topology, vcs int) cdg.DependencyFunc {
-	mesh, isMesh := topo.(*topology.Mesh)
-	dfly, isDfly := topo.(*topology.Dragonfly)
-	switch name {
-	case "xy":
-		if isMesh {
-			return cdg.XYDep(mesh)
-		}
-	case "westfirst":
-		if isMesh {
-			return cdg.WestFirstDep(mesh)
-		}
-	case "min_adaptive", "", "favors_min", "favors_nmin":
-		return cdg.MinAdaptiveDep(topo)
-	case "escape_vc":
-		if isMesh {
-			return cdg.EscapeDep(mesh, vcs)
-		}
-	case "dfly_min_ladder", "ugal_ladder":
-		if isDfly {
-			return cdg.DflyLadderDep(dfly, vcs)
-		}
-	case "dfly_min", "ugal_spin":
-		if isDfly {
-			return cdg.DflyFreeDep(dfly)
-		}
-	}
-	return nil
-}
-
 // BuildCDGCut computes the static CDG cut for the scenario, best-effort:
 // nil when the topology fails to build or the routing has no static
 // model. It never fails a forensics write.
@@ -118,8 +84,8 @@ func BuildCDGCut(sc Scenario) *CDGCut {
 	if vcs == 0 {
 		vcs = 1
 	}
-	dep := cdgDep(sc.Routing, topo, vcs)
-	if dep == nil {
+	dep, err := cdg.DepFor(sc.Routing, topo, vcs)
+	if err != nil {
 		return nil
 	}
 	g := cdg.Build(topo, vcs, dep)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
 
@@ -134,22 +133,8 @@ type Observe struct {
 	// instantaneous state a drain would erase.
 	OnWindow func(done int64, closed []sim.WindowSample)
 	// Events is the caller's ring for the run's event stream; checked
-	// runs without one get a TraceTail-sized ring.
-	Events *telemetry.Recorder
-}
-
-// eventTap is the probe Drive attaches: it feeds the event ring and
-// counts deadlock-oracle firings (which only the checker emits).
-type eventTap struct {
-	rec    *telemetry.Recorder
-	oracle int64
-}
-
-func (t *eventTap) Event(e sim.Event) {
-	if e.Kind == sim.EvOracleDeadlock {
-		t.oracle++
-	}
-	t.rec.Event(e)
+	// runs without one get a TraceTail-sized ring of DefaultMask events.
+	Events *sim.EventRing
 }
 
 // Run executes the scenario with the invariant checker attached: the
@@ -174,22 +159,21 @@ func Run(sc Scenario) (*Result, error) {
 // what is simulated.
 func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Result, error) {
 	res := &Result{Scenario: sc, Drained: true}
-	topt := sim.TelemetryOptions{Hist: o.Hist, Window: o.Window}
-	tap := &eventTap{rec: o.Events}
+	tail := o.Events
 	var checker *sim.InvariantChecker
 	if o.Check {
 		checker = net.AttachChecker(sc.CheckOptions(net.NumRouters()))
-		topt.Recorder = sim.NewFlightRecorder(FlightRecorderCap)
-		if tap.rec == nil {
-			tap.rec = telemetry.NewRecorder(TraceTail)
+		net.AttachFlightRecorder(FlightRecorderCap)
+		if tail == nil {
+			tail = sim.NewEventRing(TraceTail, sim.DefaultMask)
 		}
 	}
-	if tap.rec != nil {
-		topt.Probe = tap
+	if tail != nil {
+		net.AddObserver(tail.Mask(), tail)
 	}
 	var tele *sim.Telemetry
-	if topt != (sim.TelemetryOptions{}) {
-		tele = net.AttachTelemetry(topt)
+	if o.Hist || o.Window > 0 {
+		tele = net.AttachTelemetry(sim.TelemetryOptions{Hist: o.Hist, Window: o.Window})
 	}
 
 	step := sc.Cycles
@@ -227,8 +211,8 @@ func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Resu
 	if checker != nil {
 		res.Violations = append(checker.Violations(), windowViolations(net, o.Drain && res.Drained)...)
 		res.MaxDeadlockSpell = checker.MaxDeadlockSpell()
-		res.OracleFirings = tap.oracle
-		res.Trace = tap.rec.Events()
+		res.OracleFirings = checker.OracleFirings()
+		res.Trace = tail.Events()
 		res.Trace = res.Trace[max(0, len(res.Trace)-TraceTail):]
 		// The checker snapshots the flight recorder at its first
 		// violation; an incomplete drain is a liveness failure it never

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -235,6 +236,30 @@ func TestForensicsArtifactFromInducedDeadlock(t *testing.T) {
 	}
 	if len(mutated.Forensics.SpinningVCs) == 0 {
 		t.Error("forensics snapshot has an empty VC chain for a persistent deadlock")
+	}
+	// Artifact parity: testdata holds the scenario artifact's trace tail
+	// and the forensics snapshot (events, events_total, spinning_vcs) as
+	// the last build before the one-observer-list refactor (PR 12) wrote
+	// them; what observers are wired through must never change what the
+	// artifacts say, byte for byte.
+	for name, v := range map[string]any{
+		"ring5_no_probe_trace.json":    harness.NewArtifact(mutated).Trace,
+		"ring5_no_probe_snapshot.json": mutated.Forensics,
+	} {
+		got, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(got, '\n'), want) {
+			t.Errorf("%s: artifact bytes differ from the checked-in parent output", name)
+		}
+	}
+	if mutated.OracleFirings != 501 {
+		t.Errorf("oracle firings %d, want 501 (one per oracle_deadlock event of the run)", mutated.OracleFirings)
 	}
 
 	dir := t.TempDir()

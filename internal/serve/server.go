@@ -533,11 +533,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span := requestSpan(r)
-	var req SimRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	ds := span.StartChild("decode")
-	err := dec.Decode(&req)
+	req, err := harness.DecodeStrict[SimRequest](http.MaxBytesReader(w, r.Body, 1<<20))
 	ds.End()
 	if err != nil {
 		httpError(w, r, "bad request: "+err.Error(), http.StatusBadRequest)

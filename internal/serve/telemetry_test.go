@@ -184,3 +184,46 @@ func TestRequestLogging(t *testing.T) {
 		t.Error("request IDs repeat")
 	}
 }
+
+// TestRequestBodyIsOneDocument: both POST endpoints read their body with
+// the same strict decoder, so a second document or stray bytes after the
+// request are a 400 on either, while trailing whitespace is fine.
+func TestRequestBodyIsOneDocument(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, ep := range []struct{ path, body string }{
+		{"/v1/simulate", smallScenario},
+		{"/v1/sweep", `{"fig":"10"}`},
+	} {
+		for _, tc := range []struct {
+			name, suffix string
+			want         int
+		}{
+			{"second document", ep.body, http.StatusBadRequest},
+			{"stray token", " x", http.StatusBadRequest},
+			{"trailing whitespace", " \n\t\n", http.StatusOK},
+			{"nothing", "", http.StatusOK},
+		} {
+			if rec := post(t, s.Handler(), ep.path, ep.body+tc.suffix); rec.Code != tc.want {
+				t.Errorf("%s with %s after the body: status %d, want %d", ep.path, tc.name, rec.Code, tc.want)
+			}
+		}
+	}
+}
+
+// TestDeadlockFiringsMetric pins spind_sim_deadlock_firings_total for a
+// fixed checked request: the checker's own count of oracle samples that
+// found a deadlock must equal the number of oracle_deadlock events the
+// run emits, 117 here (the value an event-counting probe reads).
+func TestDeadlockFiringsMetric(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec := post(t, s.Handler(), "/v1/simulate",
+		`{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","traffic":"uniform_random","rate":0.5,"vcs_per_vnet":1,"cycles":4000,"seed":3,"check":true}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	metrics := post(t, s.Handler(), "/metrics", "").Body.String()
+	if !strings.Contains(metrics, "\nspind_sim_deadlock_firings_total 117\n") {
+		t.Errorf("/metrics lacks spind_sim_deadlock_firings_total 117:\n%s",
+			regexp.MustCompile(`(?m)^spind_sim_deadlock_firings_total.*$`).FindString(metrics))
+	}
+}

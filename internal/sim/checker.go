@@ -118,8 +118,9 @@ type InvariantChecker struct {
 	runPkts  []*Packet
 	dlBuf    []DeadlockedVC
 
-	maxStall int64 // longest no-progress interval observed on any VC
-	maxSpell int64 // longest continuous oracle-deadlock spell observed
+	maxStall      int64 // longest no-progress interval observed on any VC
+	maxSpell      int64 // longest continuous oracle-deadlock spell observed
+	oracleFirings int64 // oracle samples that found >= 1 deadlocked VC
 
 	// windowAuditReported dedupes the sticky AuditWindows error — the
 	// generator repeats its first failure forever, one report suffices.
@@ -198,6 +199,10 @@ func (c *InvariantChecker) MaxStall() int64 { return c.maxStall }
 // VC stayed in the global oracle's deadlocked set — the empirical
 // recovery bound of the run.
 func (c *InvariantChecker) MaxDeadlockSpell() int64 { return c.maxSpell }
+
+// OracleFirings reports how many oracle samples found a deadlock (each
+// is also an EvOracleDeadlock event for whoever listens).
+func (c *InvariantChecker) OracleFirings() int64 { return c.oracleFirings }
 
 func (c *InvariantChecker) report(rule, format string, args ...any) {
 	if len(c.violations) >= c.opt.MaxViolations {
@@ -398,10 +403,13 @@ func (c *InvariantChecker) checkProgress() {
 func (c *InvariantChecker) checkRecoveryBound() {
 	now := c.net.now
 	c.dlBuf = c.net.FindDeadlock()
-	if t := c.net.tele; t != nil && t.probeOn() && len(c.dlBuf) > 0 {
-		k := c.dlBuf[0]
-		t.emit(Event{Cycle: now, Kind: EvOracleDeadlock, Router: k.Router,
-			Port: k.Port, VC: k.Index, Arg: int64(len(c.dlBuf))})
+	if len(c.dlBuf) > 0 {
+		c.oracleFirings++
+		if c.net.wants(EvOracleDeadlock) {
+			k := c.dlBuf[0]
+			c.net.emit(Event{Cycle: now, Kind: EvOracleDeadlock, Router: k.Router,
+				Port: k.Port, VC: k.Index, Arg: int64(len(c.dlBuf))})
+		}
 	}
 	current := make(map[DeadlockedVC]bool, len(c.dlBuf))
 	for _, k := range c.dlBuf {

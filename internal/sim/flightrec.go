@@ -1,79 +1,70 @@
 package sim
 
-import "math/bits"
-
-// The flight recorder is the always-on crash-safe half of the
-// observability layer: a fixed-size masked ring of SPIN protocol events
-// (probes and state-machine sends, kills, spins, per-VC freeze
-// transitions, oracle firings) that costs zero allocations in steady
-// state. When the invariant checker fires — or a recovery outlives its
-// bound, which reaches the same report path — the ring is snapshotted
-// together with the frozen/spinning-VC chain into a ForensicsSnapshot
-// that internal/harness wraps into a replayable forensics-<key>.json
-// artifact.
-
-// flightKindMask selects the SPIN protocol kinds the recorder keeps:
-// everything the recovery machinery does, nothing per-flit.
-const flightKindMask uint64 = 1<<EvSMSend | 1<<EvSMDrop | 1<<EvSMDeliver |
-	1<<EvVCFreeze | 1<<EvVCUnfreeze | 1<<EvSpinStart | 1<<EvSpinEnd |
-	1<<EvOracleDeadlock
-
-// FlightRecorder is a bounded ring of SPIN protocol events. Attach one
-// with Network.AttachFlightRecorder (or TelemetryOptions.Recorder); the
-// hot path writes into preallocated slots through a power-of-two index
-// mask, so steady-state recording never allocates.
-type FlightRecorder struct {
+// EventRing is the simulator's one bounded event store: a preallocated
+// ring keeping the last Cap events whose kind its mask selects. Writing
+// never allocates, so a ring may sit in the hot path of a saturated run.
+// Its two standing instances are the flight recorder (SpinEvents, plus
+// the first-failure snapshot; see AttachFlightRecorder) and the event
+// tail harness.Drive keeps for failure artifacts and `spinsim -trace`.
+type EventRing struct {
+	mask KindMask
 	ring []Event
-	mask uint64
-	n    uint64 // events recorded (monotonic; ring index is n & mask)
+	next int    // slot the next event lands in
+	n    uint64 // events kept plus overwritten (monotonic)
 
-	snap *ForensicsSnapshot // first-failure snapshot, nil until triggered
+	snap *ForensicsSnapshot // flight recorder only: first-failure snapshot
 }
 
-// NewFlightRecorder builds a recorder holding the last capacity events
-// (rounded up to a power of two; <= 0 selects 1024).
-func NewFlightRecorder(capacity int) *FlightRecorder {
+// NewEventRing builds a ring holding the last capacity events (<= 0
+// selects 256) of the kinds in mask.
+func NewEventRing(capacity int, mask KindMask) *EventRing {
 	if capacity <= 0 {
-		capacity = 1024
+		capacity = 256
 	}
-	if capacity&(capacity-1) != 0 {
-		capacity = 1 << bits.Len(uint(capacity))
-	}
-	return &FlightRecorder{ring: make([]Event, capacity), mask: uint64(capacity - 1)}
+	return &EventRing{mask: mask, ring: make([]Event, capacity)}
 }
 
-// record stores one event if its kind is a SPIN protocol kind. It is
-// called from Telemetry.emit inside Network.Step and must not allocate.
-func (r *FlightRecorder) record(e Event) {
-	if flightKindMask&(1<<e.Kind) == 0 {
+// Mask reports which kinds the ring keeps; pass it to Network.AddObserver.
+func (r *EventRing) Mask() KindMask { return r.mask }
+
+// Event implements Probe: it stores e if the mask selects its kind,
+// overwriting the oldest entry once full.
+func (r *EventRing) Event(e Event) {
+	if !r.mask.Has(e.Kind) {
 		return
 	}
-	r.ring[r.n&r.mask] = e
+	r.ring[r.next] = e
 	r.n++
+	if r.next++; r.next == len(r.ring) {
+		r.next = 0
+	}
 }
 
-// Total reports how many SPIN events the recorder has seen (kept plus
+// Total reports how many events matched the mask (kept plus
 // overwritten).
-func (r *FlightRecorder) Total() uint64 { return r.n }
+func (r *EventRing) Total() uint64 { return r.n }
 
 // Cap reports the ring capacity.
-func (r *FlightRecorder) Cap() int { return len(r.ring) }
+func (r *EventRing) Cap() int { return len(r.ring) }
 
-// Events returns the retained events oldest-first (a copy).
-func (r *FlightRecorder) Events() []Event {
+// Len reports how many events are currently retained.
+func (r *EventRing) Len() int { return int(min(r.n, uint64(len(r.ring)))) }
+
+// Events returns the retained events oldest-first (a copy; the ring may
+// keep recording).
+func (r *EventRing) Events() []Event {
 	if r.n <= uint64(len(r.ring)) {
 		return append([]Event(nil), r.ring[:r.n]...)
 	}
-	at := r.n & r.mask
 	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[at:]...)
-	out = append(out, r.ring[:at]...)
-	return out
+	out = append(out, r.ring[r.next:]...)
+	return append(out, r.ring[:r.next]...)
 }
 
 // Snapshot returns the forensics snapshot taken at the first invariant
-// failure, or nil if none fired.
-func (r *FlightRecorder) Snapshot() *ForensicsSnapshot { return r.snap }
+// failure, or nil if none fired (always nil on a ring that is not the
+// network's flight recorder).
+func (r *EventRing) Snapshot() *ForensicsSnapshot { return r.snap }
 
 // VCForensics is the frozen point-in-time state of one virtual channel
 // involved in (or adjacent to) a recovery — the per-VC freeze state the
@@ -117,27 +108,24 @@ type ForensicsSnapshot struct {
 	SpinningVCs []VCForensics `json:"spinning_vcs,omitempty"`
 }
 
-// AttachFlightRecorder installs a flight recorder of the given capacity
-// on the network's telemetry layer (attaching an otherwise-inert layer
-// when none exists, preserving any probe/sampler already attached).
-// Returns the recorder.
-func (n *Network) AttachFlightRecorder(capacity int) *FlightRecorder {
-	rec := NewFlightRecorder(capacity)
-	if n.tele == nil {
-		n.AttachTelemetry(TelemetryOptions{Recorder: rec})
-	} else {
-		n.tele.opt.Recorder = rec
+// AttachFlightRecorder puts the always-on crash-safe observer on the
+// network: a ring of the last capacity (<= 0 selects 1024) SPIN protocol
+// events — probes and state-machine sends, kills, spins, per-VC freeze
+// transitions, oracle firings. When the invariant checker fires, or a
+// harness reports a failed drain, CaptureForensics snapshots the ring
+// with the frozen/spinning-VC chain into a ForensicsSnapshot that
+// internal/harness wraps into a replayable forensics-<key>.json.
+func (n *Network) AttachFlightRecorder(capacity int) *EventRing {
+	if capacity <= 0 {
+		capacity = 1024
 	}
-	return rec
+	n.flight = NewEventRing(capacity, SpinEvents)
+	n.AddObserver(SpinEvents, n.flight)
+	return n.flight
 }
 
 // FlightRecorder returns the attached recorder, or nil.
-func (n *Network) FlightRecorder() *FlightRecorder {
-	if n.tele == nil {
-		return nil
-	}
-	return n.tele.opt.Recorder
-}
+func (n *Network) FlightRecorder() *EventRing { return n.flight }
 
 // CaptureForensics takes the first-failure snapshot: the event ring
 // plus the current frozen/spinning-VC chain. Only the first capture
@@ -147,7 +135,7 @@ func (n *Network) FlightRecorder() *FlightRecorder {
 // path; harnesses call it directly for non-checker failures (e.g. an
 // incomplete drain).
 func (n *Network) CaptureForensics(reason string) *ForensicsSnapshot {
-	rec := n.FlightRecorder()
+	rec := n.flight
 	if rec == nil {
 		return nil
 	}

@@ -196,9 +196,13 @@ type Network struct {
 	// cycle (see checker.go).
 	checker *InvariantChecker
 
-	// tele, when attached, is the observability layer (see telemetry.go).
-	// Every hot-path hook is a nil-check on it.
-	tele *Telemetry
+	// observers is the one event fan-out and evMask the union of its
+	// masks; flight is the observer CaptureForensics snapshots. tele, when
+	// attached, is the sampling layer (see telemetry.go).
+	observers []observer
+	evMask    KindMask
+	flight    *EventRing
+	tele      *Telemetry
 }
 
 // NewNetwork builds a network from cfg, attaching the scheme's agents.
@@ -471,7 +475,7 @@ func (n *Network) inject(s *shardState, src int, spec PacketSpec, pooled bool) *
 	s.routing.AtSource(n.routers[p.SrcRouter], p)
 	nic.push(p)
 	s.dQueued++
-	if n.tele != nil && n.tele.probeOn() {
+	if n.wants(EvPacketQueued) {
 		s.emitEvent(Event{Cycle: n.now, Kind: EvPacketQueued, Router: p.SrcRouter,
 			Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet})
 	}

@@ -73,7 +73,7 @@ func (n *NIC) injectStep(net *Network, s *shardState) {
 		p.InjectCycle = now
 		s.dInNetwork++
 		v.reserve(p, now, false)
-		if net.tele != nil && net.tele.probeOn() {
+		if net.wants(EvPacketInject) {
 			s.emitEvent(Event{Cycle: now, Kind: EvPacketInject, Router: n.router.ID,
 				Port: n.port, VC: v.index, Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet})
 		}
@@ -83,7 +83,7 @@ func (n *NIC) injectStep(net *Network, s *shardState) {
 		s.stats.BufferWrites++
 	}
 	s.stats.InjectedFlits++
-	if net.tele != nil && net.tele.probeOn() {
+	if net.wants(EvFlitInject) {
 		s.emitEvent(Event{Cycle: now, Kind: EvFlitInject, Router: n.router.ID,
 			Port: n.port, VC: n.curVC.index, Packet: n.cur.ID, VNet: n.cur.VNet})
 	}

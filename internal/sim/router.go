@@ -250,7 +250,7 @@ func (r *Router) CloneSM(m *SM) *SM {
 // FreezeVC marks the VC as frozen: it no longer participates in normal
 // switch allocation and its resident packet will only move during a spin.
 func (r *Router) FreezeVC(v *VC) {
-	if t := r.net.tele; t != nil && !v.frozen && t.probeOn() {
+	if !v.frozen && r.net.wants(EvVCFreeze) {
 		r.shard.emitEvent(Event{Cycle: r.net.now, Kind: EvVCFreeze, Router: r.ID, Port: v.port, VC: v.index})
 	}
 	v.frozen = true
@@ -258,7 +258,7 @@ func (r *Router) FreezeVC(v *VC) {
 
 // UnfreezeVC lifts a freeze (kill_move processing).
 func (r *Router) UnfreezeVC(v *VC) {
-	if t := r.net.tele; t != nil && v.frozen && t.probeOn() {
+	if v.frozen && r.net.wants(EvVCUnfreeze) {
 		r.shard.emitEvent(Event{Cycle: r.net.now, Kind: EvVCUnfreeze, Router: r.ID, Port: v.port, VC: v.index})
 	}
 	v.frozen = false
@@ -276,7 +276,7 @@ func (r *Router) StartSpin(v *VC, outPort int, target *VC) {
 	if !v.spinning {
 		v.spinning = true
 		r.spinningVCs++
-		if t := r.net.tele; t != nil && t.probeOn() {
+		if r.net.wants(EvSpinStart) {
 			r.shard.emitEvent(Event{Cycle: r.net.now, Kind: EvSpinStart, Router: r.ID,
 				Port: v.port, VC: v.index, Arg: int64(outPort)})
 		}
@@ -371,7 +371,7 @@ func (r *Router) resolveSMs() {
 		if r.spinClaimed[p] || r.outLink[p] == nil {
 			s.stats.SMDropped += int64(len(cands))
 			for _, c := range cands {
-				if t := r.net.tele; t != nil && t.probeOn() {
+				if r.net.wants(EvSMDrop) {
 					s.emitEvent(Event{Cycle: r.net.now, Kind: EvSMDrop, Router: r.ID, Port: p,
 						Src: c.Sender, VNet: int(c.VNet), SM: c.Kind.String(), Tag: c.Tag, Arg: c.SpinCycle})
 				}
@@ -390,7 +390,7 @@ func (r *Router) resolveSMs() {
 		s.stats.SMDropped += int64(len(cands) - 1)
 		for _, c := range cands {
 			if c != win {
-				if t := r.net.tele; t != nil && t.probeOn() {
+				if r.net.wants(EvSMDrop) {
 					s.emitEvent(Event{Cycle: r.net.now, Kind: EvSMDrop, Router: r.ID, Port: p,
 						Src: c.Sender, VNet: int(c.VNet), SM: c.Kind.String(), Tag: c.Tag, Arg: c.SpinCycle})
 				}
@@ -406,12 +406,12 @@ func (r *Router) resolveSMs() {
 			l.smCycles[win.Kind]++
 		}
 		s.stats.SMSent[win.Kind]++
-		if t := r.net.tele; t != nil {
+		if r.net.tele != nil {
 			s.busySM++
-			if t.probeOn() {
-				s.emitEvent(Event{Cycle: r.net.now, Kind: EvSMSend, Router: r.ID, Port: p,
-					Src: win.Sender, VNet: int(win.VNet), SM: win.Kind.String(), Tag: win.Tag, Arg: win.SpinCycle})
-			}
+		}
+		if r.net.wants(EvSMSend) {
+			s.emitEvent(Event{Cycle: r.net.now, Kind: EvSMSend, Router: r.ID, Port: p,
+				Src: win.Sender, VNet: int(win.VNet), SM: win.Kind.String(), Tag: win.Tag, Arg: win.SpinCycle})
 		}
 	}
 }

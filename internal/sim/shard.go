@@ -151,12 +151,12 @@ type shardState struct {
 	panicVal any
 }
 
-// emitEvent delivers a telemetry event: directly in serial runs
-// (preserving the historical in-cycle interleaving), via the shard's
-// phase bucket otherwise. Callers guard with tele != nil && probeOn().
+// emitEvent delivers an event: directly in serial runs (preserving the
+// historical in-cycle interleaving), via the shard's phase bucket
+// otherwise. Callers guard with Network.wants(kind).
 func (s *shardState) emitEvent(e Event) {
 	if s.n.nShards == 1 {
-		s.n.tele.emit(e)
+		s.n.emit(e)
 		return
 	}
 	s.events[s.phase] = append(s.events[s.phase], e)
@@ -307,7 +307,7 @@ func (s *shardState) deliverLink(l *link) {
 		})
 	}
 	for _, t := range s.smBuf {
-		if n.tele != nil && n.tele.probeOn() {
+		if n.wants(EvSMDeliver) {
 			s.emitEvent(Event{Cycle: n.now, Kind: EvSMDeliver, Router: l.dst.ID,
 				Port: l.topo.DstPort, Src: t.sm.Sender, VNet: int(t.sm.VNet),
 				SM: t.sm.Kind.String(), Tag: t.sm.Tag, Arg: t.sm.SpinCycle})
@@ -330,7 +330,7 @@ func (s *shardState) ejected(f Flit) {
 	if n.measuring() {
 		s.stats.EjectedFlitsMeas++
 	}
-	if n.tele != nil && n.tele.probeOn() {
+	if n.wants(EvFlitEject) {
 		s.emitEvent(Event{Cycle: n.now, Kind: EvFlitEject, Router: f.Pkt.DstRouter,
 			Packet: f.Pkt.ID, VNet: f.Pkt.VNet})
 	}
@@ -359,7 +359,7 @@ func (s *shardState) ejected(f Flit) {
 			s.stats.MaxLatency = lat
 		}
 	}
-	if n.tele != nil || n.ejectHook != nil || n.checker != nil || n.trafObs != nil || p.pooled {
+	if n.tele != nil || n.wants(EvPacketEject) || n.ejectHook != nil || n.checker != nil || n.trafObs != nil || p.pooled {
 		s.ejects = append(s.ejects, ejectRec{p: p, lat: p.EjectCycle - p.GenCycle, measured: measured})
 	}
 }
@@ -457,11 +457,11 @@ func (n *Network) commit() {
 	}
 	// 8. Buffered events, bucket-major then shard-major (serial runs emit
 	// directly and skip the buffers entirely).
-	if n.nShards > 1 && n.tele != nil && n.tele.probeOn() {
+	if n.nShards > 1 && n.evMask != 0 {
 		for ph := 0; ph < numPhases; ph++ {
 			for _, s := range n.shards {
 				for i := range s.events[ph] {
-					n.tele.emit(s.events[ph][i])
+					n.emit(s.events[ph][i])
 				}
 				s.events[ph] = s.events[ph][:0]
 			}
@@ -474,7 +474,11 @@ func (n *Network) commit() {
 		for i, rec := range s.ejects {
 			p := rec.p
 			if n.tele != nil {
-				n.tele.onEject(p, rec.lat, rec.measured)
+				n.tele.onEject(rec.lat, rec.measured)
+			}
+			if n.wants(EvPacketEject) {
+				n.emit(Event{Cycle: n.now, Kind: EvPacketEject, Router: p.DstRouter,
+					Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Arg: rec.lat})
 			}
 			if n.ejectHook != nil {
 				n.ejectHook(p)

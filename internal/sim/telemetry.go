@@ -6,13 +6,14 @@ import (
 	"math/bits"
 )
 
-// This file is the simulator-native observability layer: a discrete-event
-// probe interface compiled into the hot path, an epoch-windowed
-// time-series sampler, and a log₂-bucketed latency histogram. Every hook
-// in the cycle loop is a nil-check on Network.tele, so a simulation
-// without telemetry attached pays nothing — the 0-allocs/cycle budget in
-// internal/bench and the byte-identical exp goldens both hold with the
-// layer compiled in.
+// This file is the simulator-native observability layer: the event
+// vocabulary and the network's observer list (the one fan-out every
+// event goes through), an epoch-windowed time-series sampler, and a
+// log₂-bucketed latency histogram. Every emission site tests the
+// observers' union kind mask before it builds an Event and every sampler
+// hook is a nil-check on Network.tele, so a simulation nobody watches
+// pays nothing — the 0-allocs/cycle budget in internal/bench and the
+// byte-identical exp goldens both hold with the layer compiled in.
 //
 // Events carry plain values only (IDs, port numbers, kind names), never
 // pointers into engine state, so probes may retain them indefinitely
@@ -23,8 +24,8 @@ import (
 type EventKind uint8
 
 // Event kinds. Flit-level events fire once per flit and dominate event
-// volume at load; sinks that only care about lifecycle and SPIN activity
-// should filter them out (internal/telemetry.Recorder does by default).
+// volume at load; observers that only care about lifecycle and SPIN
+// activity leave them out of their mask (DefaultMask does).
 const (
 	EvPacketQueued   EventKind = iota + 1 // packet created at a source queue
 	EvPacketInject                        // head flit entered the network
@@ -110,6 +111,63 @@ type Event struct {
 // is called from inside Network.Step.
 type Probe interface {
 	Event(Event)
+}
+
+// KindMask selects event kinds: bit k set means kind k is wanted.
+type KindMask uint64
+
+// MaskOf returns the mask selecting exactly the given kinds.
+func MaskOf(kinds ...EventKind) KindMask {
+	var m KindMask
+	for _, k := range kinds {
+		m |= 1 << k
+	}
+	return m
+}
+
+// Has reports whether kind k is selected.
+func (m KindMask) Has(k EventKind) bool { return m&(1<<k) != 0 }
+
+const (
+	// AllEvents selects every event kind.
+	AllEvents = ^KindMask(0)
+	// DefaultMask keeps lifecycle and SPIN events but drops the per-flit
+	// kinds, which dominate event volume at load (one event per flit per
+	// endpoint) while adding little over the packet-level events.
+	DefaultMask = AllEvents &^ (1<<EvFlitInject | 1<<EvFlitEject)
+	// SpinEvents selects what the recovery machinery does and nothing
+	// per-packet: the flight recorder's mask.
+	SpinEvents KindMask = 1<<EvSMSend | 1<<EvSMDrop | 1<<EvSMDeliver |
+		1<<EvVCFreeze | 1<<EvVCUnfreeze | 1<<EvSpinStart | 1<<EvSpinEnd |
+		1<<EvOracleDeadlock
+)
+
+// observer is one entry of the network's listener list.
+type observer struct {
+	mask  KindMask
+	probe Probe
+}
+
+// AddObserver adds p to the network's observer list: from the next cycle
+// on it receives every event whose kind is in mask, in emission order.
+// This list is the only event fan-out; call it between Steps, not during
+// one.
+func (n *Network) AddObserver(mask KindMask, p Probe) {
+	n.observers = append(n.observers, observer{mask, p})
+	n.evMask |= mask
+}
+
+// wants reports whether any observer listens for kind k. Emission sites
+// test it before building the Event.
+func (n *Network) wants(k EventKind) bool { return n.evMask.Has(k) }
+
+// emit delivers e to every observer whose mask selects its kind.
+func (n *Network) emit(e Event) {
+	for i := range n.observers {
+		if o := &n.observers[i]; o.mask.Has(e.Kind) {
+			o.probe.Event(e)
+		}
+	}
 }
 
 // TimeSeriesSchema versions the windowed time-series encoding.
@@ -249,25 +307,20 @@ func (h *LatencyHist) Summary() LatencySummary {
 	return s
 }
 
-// TelemetryOptions configures the observability layer attached by
-// Network.AttachTelemetry. The zero value enables only event delivery
-// (and only if Probe is set).
+// TelemetryOptions configures the sampling layer attached by
+// Network.AttachTelemetry (events are not its business: see AddObserver).
 type TelemetryOptions struct {
 	// Window, when > 0, enables the epoch-windowed time-series sampler
 	// with that window width in cycles.
 	Window int64
 	// Hist enables the measurement-window latency histogram.
 	Hist bool
-	// Probe, when non-nil, receives every discrete event.
-	Probe Probe
-	// Recorder, when non-nil, keeps a bounded ring of SPIN protocol
-	// events for post-mortem forensics (see FlightRecorder).
-	Recorder *FlightRecorder
 }
 
-// Telemetry is the per-network observability state. Obtain one with
-// Network.AttachTelemetry; it is inert (and the network pays only
-// nil-checks) when no telemetry is attached.
+// Telemetry is what the network computes about itself while it runs:
+// the latency histogram, the window sampler and its link busy counters.
+// Obtain one with Network.AttachTelemetry; the network pays only
+// nil-checks when none is attached.
 type Telemetry struct {
 	net  *Network
 	opt  TelemetryOptions
@@ -285,10 +338,9 @@ type Telemetry struct {
 	samples   []WindowSample
 }
 
-// AttachTelemetry installs the observability layer (replacing any
-// previous one; nil-equivalent options detach nothing — the layer stays,
-// inert). It may be attached at any point; windows start at the current
-// cycle.
+// AttachTelemetry installs the sampling layer (replacing any previous
+// one; observers and the flight recorder are untouched). It may be
+// attached at any point; windows start at the current cycle.
 func (n *Network) AttachTelemetry(opt TelemetryOptions) *Telemetry {
 	t := &Telemetry{net: n, opt: opt, winStart: n.now}
 	if opt.Hist {
@@ -302,21 +354,6 @@ func (n *Network) AttachTelemetry(opt TelemetryOptions) *Telemetry {
 
 // Telemetry returns the attached observability layer, or nil.
 func (n *Network) Telemetry() *Telemetry { return n.tele }
-
-// emit delivers an event to the flight recorder and the probe. Call
-// sites guard with probeOn() so no Event struct is built when nobody
-// listens.
-func (t *Telemetry) emit(e Event) {
-	if t.opt.Recorder != nil {
-		t.opt.Recorder.record(e)
-	}
-	if t.opt.Probe != nil {
-		t.opt.Probe.Event(e)
-	}
-}
-
-// probeOn reports whether events need to be constructed at all.
-func (t *Telemetry) probeOn() bool { return t.opt.Probe != nil || t.opt.Recorder != nil }
 
 // Latency returns the measurement-window latency histogram (nil unless
 // TelemetryOptions.Hist was set).
@@ -333,13 +370,9 @@ func (t *Telemetry) LatencySummary() LatencySummary {
 // onEject accounts a fully ejected packet. measured mirrors the Stats
 // gating: only packets generated inside the measurement window feed the
 // histogram, so hist totals equal LatencySum/EjectedMeasured exactly.
-func (t *Telemetry) onEject(p *Packet, lat int64, measured bool) {
+func (t *Telemetry) onEject(lat int64, measured bool) {
 	if t.hist != nil && measured {
 		t.hist.Observe(lat)
-	}
-	if t.probeOn() {
-		t.emit(Event{Cycle: t.net.now, Kind: EvPacketEject, Router: p.DstRouter,
-			Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Arg: lat})
 	}
 }
 

@@ -246,7 +246,7 @@ func (v *VC) clearResidentState() {
 		v.spinning = false
 		v.router.spinningVCs--
 		n := v.router.net
-		if n.tele != nil && n.tele.probeOn() {
+		if n.wants(EvSpinEnd) {
 			v.router.shard.emitEvent(Event{Cycle: n.now, Kind: EvSpinEnd, Router: v.router.ID,
 				Port: v.port, VC: v.index})
 		}

@@ -38,8 +38,8 @@ func saturatedSPIN(t *testing.T) *spin.Simulation {
 // (spin_end).
 func TestRecorderCapturesSPINSequence(t *testing.T) {
 	s := saturatedSPIN(t)
-	rec := telemetry.NewRecorder(1 << 16)
-	s.Network().AttachTelemetry(sim.TelemetryOptions{Probe: rec, Window: 100, Hist: true})
+	rec := sim.NewEventRing(1<<16, sim.DefaultMask)
+	s.Network().AddObserver(rec.Mask(), rec)
 	s.Run(6000)
 
 	var probeCycle, moveCycle int64 = -1, -1
@@ -77,8 +77,9 @@ func TestRecorderCapturesSPINSequence(t *testing.T) {
 // id, and the pair shares cat and name as the matching rules require).
 func TestChromeTraceSchema(t *testing.T) {
 	s := saturatedSPIN(t)
-	rec := telemetry.NewRecorder(1 << 16)
-	tele := s.Network().AttachTelemetry(sim.TelemetryOptions{Probe: rec, Window: 100})
+	rec := sim.NewEventRing(1<<16, sim.DefaultMask)
+	s.Network().AddObserver(rec.Mask(), rec)
+	tele := s.Network().AttachTelemetry(sim.TelemetryOptions{Window: 100})
 	s.Run(3000)
 	tele.Flush()
 
@@ -145,29 +146,6 @@ func TestChromeTraceSchema(t *testing.T) {
 	for _, ph := range []string{"b", "e", "i", "C", "M"} {
 		if counts[ph] == 0 {
 			t.Errorf("trace contains no %q events", ph)
-		}
-	}
-}
-
-// TestRecorderRing verifies mask filtering, FIFO order, and oldest-first
-// eviction once the ring wraps.
-func TestRecorderRing(t *testing.T) {
-	rec := telemetry.NewRecorder(4)
-	rec.SetMask(telemetry.KindMask(0).With(sim.EvSMSend))
-	for i := 0; i < 7; i++ {
-		rec.Event(sim.Event{Cycle: int64(i), Kind: sim.EvSMSend})
-		rec.Event(sim.Event{Cycle: int64(i), Kind: sim.EvFlitInject}) // masked out
-	}
-	if rec.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", rec.Total())
-	}
-	got := rec.Events()
-	if len(got) != 4 {
-		t.Fatalf("Len = %d, want 4", len(got))
-	}
-	for i, e := range got {
-		if want := int64(3 + i); e.Cycle != want {
-			t.Errorf("event %d: cycle %d, want %d (oldest-first after wrap)", i, e.Cycle, want)
 		}
 	}
 }

@@ -1,3 +1,8 @@
+// Package telemetry renders what the simulator and the daemon observed
+// as Chrome/Perfetto trace-event JSON: sim events plus the windowed
+// time-series (WriteChromeTrace) and otrace spans (WriteSpanTrace). The
+// observing itself — the observer list, the event ring, the sampler and
+// the histogram — lives in internal/sim, inside the hot path.
 package telemetry
 
 import (

@@ -10,15 +10,18 @@ import (
 
 // TestOneRunDriver pins the run-path contract: outside the simulator
 // itself (internal/sim), this facade (spin.go), the examples and tests,
-// observers are attached and networks drained in exactly one place —
-// harness.Drive — and spind reaches its worker pool through one helper.
-// A second call site means an entry point is assembling its own run
-// again, which is how the attach/drain/err-check copies drifted before.
+// observers are registered, event rings built and networks drained in
+// exactly one place — harness.Drive — and spind reaches its worker pool
+// through one helper; the one exception is the -trace ring spinsim sizes
+// from -tracebuf and hands to Drive. A second call site means an entry
+// point is assembling its own run again, which is how the
+// attach/drain/err-check copies drifted before.
 func TestOneRunDriver(t *testing.T) {
 	driver := filepath.Join("internal", "harness", "run.go")
 	want := map[string][]string{
-		".AttachChecker(": {driver}, ".AttachTelemetry(": {driver}, "NewFlightRecorder(": {driver},
-		".AttachFlightRecorder(": nil, ".Drain(": {driver},
+		".AttachChecker(": {driver}, ".AttachTelemetry(": {driver}, ".AttachFlightRecorder(": {driver},
+		".AddObserver(": {driver}, ".Drain(": {driver},
+		"NewEventRing(":  {filepath.Join("cmd", "spinsim", "main.go"), driver},
 		"s.pool.Submit(": {filepath.Join("internal", "serve", "server.go")},
 	}
 	got := map[string][]string{}

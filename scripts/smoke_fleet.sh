@@ -180,7 +180,11 @@ for seed in $(seq 20 25); do
     || { echo "seed $seed after the kill differs from reference"; exit 1; }
 done
 wait "$KILLER"
-kill -0 "$N3_PID" 2>/dev/null && { echo "n3 survived SIGKILL?"; exit 1; }
+# Reap n3 and read how it died (kill -0 right after the SIGKILL could
+# still see the not-yet-reaped zombie): 128 + 9.
+n3_status=0
+wait "$N3_PID" 2>/dev/null || n3_status=$?
+[ "$n3_status" -eq 137 ] || { echo "n3 exited with status $n3_status, want 137 (SIGKILL)"; exit 1; }
 
 echo "== gossip notices the death"
 for i in $(seq 1 75); do
