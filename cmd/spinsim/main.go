@@ -8,7 +8,7 @@
 // -timeout bounds each run, -progress reports completions, and Ctrl-C
 // cancels promptly. -shards N steps the network itself on N spatial
 // shards (byte-identical results at any shard count; incompatible with
-// -record/-replay, which capture the global injection order).
+// -record, which captures the global injection order).
 //
 // Usage:
 //
@@ -32,18 +32,25 @@
 // most W requests outstanding per terminal (-think sets the mean
 // post-reply think time), -burst ON:OFF modulates the source with
 // per-terminal on/off bursts, and -hotspot FRAC:N skews FRAC of the
-// destinations onto N hot terminals. -trace-in replays a binary
-// spintrace-v1 file (see cmd/spintrace) through the streaming decoder —
-// constant memory regardless of trace length, and, unlike CSV -replay,
-// composable with -shards:
+// destinations onto N hot terminals:
 //
 //	spinsim -topo mesh:8x8 -scheme spin -rate 0.4 -window 8 -think 16
 //	spinsim -topo mesh:8x8 -scheme spin -rate 0.2 -burst 16:48 -hotspot 0.2:2
-//	spinsim -topo mesh:8x8 -scheme spin -trace-in workload.spintrace -shards 4
+//
+// Exact workloads: -record writes the packets a run injects as a
+// spintrace-v1 file (see cmd/spintrace, which also converts to and from
+// CSV), and -replay drives a run from one instead of -traffic, at any
+// -shards. The file becomes the scenario's trace_b64, so a -check
+// artifact of a replayed run carries its workload; the compressed file
+// is held in memory for the run.
+//
+//	spinsim -topo mesh:8x8 -rate 0.2 -cycles 5000 -record t.spintrace
+//	spinsim -topo mesh:8x8 -scheme spin -replay t.spintrace -shards 4 -drain
 package main
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -64,15 +71,16 @@ import (
 	"repro/internal/workload"
 )
 
-// serialFlagsErr rejects -record/-replay together with -shards. Only
-// -record needs the serial engine: traffic.Recorder captures the global
-// injection order and would clamp Shards to 1 anyway. traffic.Replay is
-// shard-safe (see internal/traffic/trace.go); -replay is refused
-// alongside -record so a recorded run and its replay step on the same
-// engine — sharded replays go through -trace-in.
+// serialFlagsErr is what -record cannot combine with: traffic.Recorder
+// captures the global injection order of the generator it wraps, so it
+// needs the serial engine, and a generator — recording a -replay would
+// only copy its file. Replay itself is shard-safe.
 func serialFlagsErr(record, replay string, shards int) error {
-	if (record != "" || replay != "") && shards > 1 {
-		return fmt.Errorf("-record/-replay capture the global injection order and need the serial engine; drop -shards")
+	switch {
+	case record != "" && shards > 1:
+		return fmt.Errorf("-record captures the global injection order and needs the serial engine; drop -shards")
+	case record != "" && replay != "":
+		return fmt.Errorf("-record wraps a traffic generator; recording a -replay would only copy %s", replay)
 	}
 	return nil
 }
@@ -81,10 +89,10 @@ func serialFlagsErr(record, replay string, shards int) error {
 // what a harness.Scenario carries, so the run, its -check artifact and
 // its replay all name the same configuration.
 type simFlags struct {
-	preset, topo, routing, scheme, pattern, burst, hotspot string
-	vcs, vnets, window                                     int
-	rate                                                   float64
-	cycles, warmup, seed, tdd, think                       int64
+	preset, topo, routing, scheme, pattern, burst, hotspot, replay string
+	vcs, vnets, window                                             int
+	rate                                                           float64
+	cycles, warmup, seed, tdd, think                               int64
 }
 
 func (f *simFlags) register(fs *flag.FlagSet) {
@@ -104,6 +112,7 @@ func (f *simFlags) register(fs *flag.FlagSet) {
 	fs.Int64Var(&f.think, "think", 0, "closed-loop mean think time in cycles after each reply (with -window)")
 	fs.StringVar(&f.burst, "burst", "", "on/off burst modulation as ON:OFF mean cycles, e.g. 16:48")
 	fs.StringVar(&f.hotspot, "hotspot", "", "hotspot skew as FRAC:N, e.g. 0.2:2 (20% of packets to 2 hot terminals)")
+	fs.StringVar(&f.replay, "replay", "", "drive the run from a spintrace-v1 file instead of -traffic (works with -shards)")
 }
 
 // shaped reports whether any workload-shaping flag is set.
@@ -128,6 +137,19 @@ func (f *simFlags) scenario() (harness.Scenario, error) {
 	}
 	if f.think != 0 && f.window == 0 {
 		return sc, fmt.Errorf("-think needs -window (closed-loop clients)")
+	}
+	if f.replay != "" {
+		if f.shaped() {
+			return sc, fmt.Errorf("-window/-burst/-hotspot shape the synthetic source; they cannot combine with -replay")
+		}
+		raw, err := os.ReadFile(f.replay)
+		if err != nil {
+			return sc, err
+		}
+		// The trace drives injection, and rides in the scenario so a
+		// -check artifact replays the same packets.
+		sc.Traffic, sc.Rate, sc.TraceB64 = "", 0, base64.StdEncoding.EncodeToString(raw)
+		return sc, nil
 	}
 	if !f.shaped() {
 		return sc, nil
@@ -163,9 +185,7 @@ func main() {
 		check    = flag.Bool("check", false, "attach the runtime invariant checker; on violation print it, write a replay artifact, and exit 1")
 		checkDir = flag.String("checkdir", ".", "directory for -check replay artifacts")
 		replayFr = flag.String("replay-forensics", "", "re-drive a forensics-<key>.json flight-recorder artifact through the checked harness; exit 0 if the failure reproduces")
-		record   = flag.String("record", "", "record the injected workload to a CSV trace file")
-		replay   = flag.String("replay", "", "drive the run from a CSV trace file instead of -traffic")
-		traceIn  = flag.String("trace-in", "", "drive the run from a binary spintrace-v1 file (streamed; works with -shards)")
+		record   = flag.String("record", "", "record the injected workload to a spintrace-v1 file")
 		seeds    = flag.Int("seeds", 1, "replicate count: run the configuration under N derived seeds")
 		shards   = flag.Int("shards", 0, "spatial shards per simulation for the parallel cycle engine (0/1 = serial); never changes results")
 		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON of the run to this file (open in ui.perfetto.dev)")
@@ -217,18 +237,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch {
-	case f.shaped() && (*replay != "" || *traceIn != ""):
-		log.Fatal("-window/-burst/-hotspot shape the synthetic source; they cannot combine with -replay/-trace-in")
-	case *traceIn != "" && (*replay != "" || *record != ""):
-		log.Fatal("-trace-in is incompatible with -replay/-record")
-	case f.window > 0 && *record != "":
+	if f.window > 0 && *record != "" {
 		log.Fatal("-record captures an open-loop injection sequence; it cannot wrap closed-loop clients")
 	}
 	telemetryOn := *traceOut != "" || *tsout != "" || *hist || *epoch != 0
 	if *seeds > 1 {
-		if *record != "" || *replay != "" || *traceIn != "" || *drain {
-			log.Fatal("-seeds > 1 is incompatible with -record/-replay/-trace-in/-drain")
+		if *record != "" || f.replay != "" || *drain {
+			log.Fatal("-seeds > 1 is incompatible with -record/-replay/-drain")
 		}
 		if f.shaped() {
 			log.Fatal("-seeds > 1 is incompatible with -window/-burst/-hotspot")
@@ -239,27 +254,8 @@ func main() {
 		runReplicates(ctx, sc, *seeds, *shards, *workers, *timeout, *progress, *check)
 		return
 	}
-	if err := serialFlagsErr(*record, *replay, *shards); err != nil {
+	if err := serialFlagsErr(*record, f.replay, *shards); err != nil {
 		log.Fatal(err)
-	}
-	if *replay != "" || *traceIn != "" {
-		sc.Traffic, sc.Rate = "", 0 // the trace drives injection
-	}
-	if *replay != "" {
-		// The CSV becomes the scenario's exact-injection list, so a -check
-		// artifact replays the same packets.
-		rf, err := os.Open(*replay)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, err := traffic.LoadTrace(rf)
-		rf.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, e := range tr.Entries {
-			sc.Injections = append(sc.Injections, harness.Injection{Cycle: e.Cycle, Src: e.Src, Dst: e.Dst, Length: e.Length, VNet: e.VNet})
-		}
 	}
 	s, err := sc.SimShards(*shards)
 	if err != nil {
@@ -267,22 +263,7 @@ func main() {
 	}
 	net := s.Network()
 	var recorder *traffic.Recorder
-	var stream *traffic.StreamReplay
-	switch {
-	case *traceIn != "":
-		tf, err := os.Open(*traceIn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer tf.Close()
-		tr, err := traffic.StreamTrace(tf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		nc := net.Config()
-		stream = traffic.NewStreamReplay(tr, s.Topology().NumTerminals(), nc.VNets, nc.MaxPktLen)
-		net.SetTraffic(stream)
-	case *record != "":
+	if *record != "" {
 		recorder = &traffic.Recorder{Gen: net.Config().Traffic}
 		net.SetTraffic(recorder)
 	}
@@ -309,7 +290,7 @@ func main() {
 		if done == sc.Cycles {
 			// The traffic phase is over and the drain has not started:
 			// the instantaneous gauges below still describe the run.
-			report(s, sc, *hist, recorder, *record, stream, *traceIn)
+			report(s, sc, *hist, recorder, *record, f.replay)
 		}
 	}
 	jobs := []runner.Job[*harness.Result]{{Key: "run", Run: func(ctx context.Context, _ int64) (*harness.Result, error) {
@@ -360,20 +341,20 @@ func main() {
 }
 
 // report prints the end-of-traffic summary (and saves a -record trace).
-func report(s *spin.Simulation, sc harness.Scenario, hist bool, recorder *traffic.Recorder, recordPath string, stream *traffic.StreamReplay, tracePath string) {
+func report(s *spin.Simulation, sc harness.Scenario, hist bool, recorder *traffic.Recorder, recordPath, replayPath string) {
 	net := s.Network()
 	if recorder != nil {
 		rf, err := os.Create(recordPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := recorder.Trace.Save(rf); err != nil {
+		if err := traffic.EncodeTrace(rf, recorder.Entries); err != nil {
 			log.Fatal(err)
 		}
 		if err := rf.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("trace           %d injections recorded to %s\n", len(recorder.Trace.Entries), recordPath)
+		fmt.Printf("trace           %d injections recorded to %s\n", len(recorder.Entries), recordPath)
 	}
 	st := s.Stats()
 	nc := net.Config()
@@ -401,8 +382,8 @@ func report(s *spin.Simulation, sc harness.Scenario, hist bool, recorder *traffi
 		fmt.Printf("closedloop      window=%d issued=%d completed=%d in_window=%d achieved=%.4f req/node/cycle\n",
 			cl.WindowLimit(), cl.Issued(), cl.Completed(), cl.InWindow(), achieved)
 	}
-	if stream != nil {
-		fmt.Printf("trace           %d packets streamed from %s\n", stream.Pumped(), tracePath)
+	if stream, ok := nc.Traffic.(*traffic.StreamReplay); ok {
+		fmt.Printf("trace           %d packets streamed from %s\n", stream.Pumped(), replayPath)
 	}
 }
 

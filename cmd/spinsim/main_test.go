@@ -1,17 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/traffic"
 	"repro/internal/workload"
 )
 
-// TestSerialFlagsErr pins the -record/-replay vs -shards rejection:
-// trace capture and replay depend on the global injection order, which
-// only the serial engine has.
+// TestSerialFlagsErr pins what -record refuses: capture depends on the
+// global injection order, which only the serial engine has, and wraps a
+// generator, which a -replay run has none of. Replay alone runs at any
+// shard count.
 func TestSerialFlagsErr(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -21,12 +26,13 @@ func TestSerialFlagsErr(t *testing.T) {
 	}{
 		{"no trace flags, serial", "", "", 1, false},
 		{"no trace flags, sharded", "", "", 8, false},
-		{"record, serial", "t.json", "", 1, false},
-		{"replay, serial", "", "t.json", 1, false},
-		{"record, sharded", "t.json", "", 2, true},
-		{"replay, sharded", "", "t.json", 4, true},
-		{"record and replay, sharded", "a.json", "b.json", 2, true},
-		{"shards zero counts as serial", "t.json", "", 0, false},
+		{"record, serial", "t.spintrace", "", 1, false},
+		{"replay, serial", "", "t.spintrace", 1, false},
+		{"record, sharded", "t.spintrace", "", 2, true},
+		{"replay, sharded", "", "t.spintrace", 4, false},
+		{"record and replay, sharded", "a.spintrace", "b.spintrace", 2, true},
+		{"record and replay, serial", "a.spintrace", "b.spintrace", 1, true},
+		{"shards zero counts as serial", "t.spintrace", "", 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,4 +106,58 @@ func TestCheckArtifactKeepsWorkloadShaping(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckArtifactKeepsReplayedTrace is the same contract for -replay:
+// the trace rides in the scenario, so the artifact of a replayed run
+// validates and re-injects the same packets at any shard count.
+func TestCheckArtifactKeepsReplayedTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.spintrace")
+	var entries []traffic.TraceEntry
+	for i := 0; i < 96; i++ {
+		entries = append(entries, traffic.TraceEntry{Cycle: int64(i / 4), Src: i % 16, Dst: (i%16 + 1 + i%15) % 16, Length: 1 + 4*(i%2)})
+	}
+	var buf bytes.Buffer
+	if err := traffic.EncodeTrace(&buf, entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var f simFlags
+	fs := flag.NewFlagSet("spinsim", flag.ContinueOnError)
+	f.register(fs)
+	if err := fs.Parse([]string{"-topo", "mesh:4x4", "-scheme", "spin", "-cycles", "200", "-warmup", "20", "-replay", path}); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := f.scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(sc harness.Scenario, shards int) *harness.Result {
+		s, err := sc.SimShards(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := harness.Drive(context.Background(), sc, s.Network(), harness.Observe{Check: true, Drain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed() || res.Injected != int64(len(entries)) {
+			t.Fatalf("replayed run: %s, injected %d of %d", res.Summary(), res.Injected, len(entries))
+		}
+		return res
+	}
+	apath, err := harness.WriteArtifact(t.TempDir(), harness.NewArtifact(run(sc, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := harness.LoadArtifact(apath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := art.Scenario.Validate(); err != nil {
+		t.Fatalf("artifact scenario does not validate: %v", err)
+	}
+	run(art.Scenario, 2)
 }

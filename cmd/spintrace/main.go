@@ -1,9 +1,9 @@
-// Command spintrace converts between the repository's two trace
-// formats: the human-readable CSV that spinsim -record/-replay uses
-// (cycle,src,dst,length,vnet per line) and the streaming binary
-// spintrace-v1 container (varint-delta encoded, chunked with per-chunk
-// CRCs, gzip-framed) that spinsim -trace-in and the spind /v1/simulate
-// trace_b64 field consume.
+// Command spintrace inspects spintrace-v1 files — the repository's one
+// trace format (varint-delta encoded, chunked with per-chunk CRCs,
+// gzip-framed), written by spinsim -record and consumed by spinsim
+// -replay and the spind /v1/simulate trace_b64 field — and converts
+// them to and from hand-editable CSV (cycle,src,dst,length,vnet per
+// line). This command is the only place CSV traces exist.
 //
 // Usage:
 //
@@ -20,11 +20,14 @@ package main
 import (
 	"bufio"
 	"encoding/base64"
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"sort"
+	"strconv"
 
 	"repro/internal/traffic"
 )
@@ -88,7 +91,7 @@ func doPack(path string, w io.Writer, asB64 bool) {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := traffic.LoadTrace(f)
+	tr, err := parseCSV(f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,11 +113,45 @@ func doPack(path string, w io.Writer, asB64 bool) {
 	}
 }
 
+// parseCSV reads a CSV trace, one cycle,src,dst,length,vnet record per
+// line, and orders it by cycle (stably), as spintrace-v1 requires.
+func parseCSV(r io.Reader) ([]traffic.TraceEntry, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = 5
+	var entries []traffic.TraceEntry
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad trace: %w", err)
+		}
+		var vals [5]int64
+		for i, f := range rec {
+			if vals[i], err = strconv.ParseInt(f, 10, 64); err != nil {
+				return nil, fmt.Errorf("bad trace field %q: %w", f, err)
+			}
+		}
+		entries = append(entries, traffic.TraceEntry{
+			Cycle: vals[0], Src: int(vals[1]), Dst: int(vals[2]), Length: int(vals[3]), VNet: int(vals[4]),
+		})
+	}
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Cycle < entries[j].Cycle })
+	return entries, nil
+}
+
+// writeCSV prints one entry as a CSV record.
+func writeCSV(w io.Writer, e traffic.TraceEntry) error {
+	_, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d\n", e.Cycle, e.Src, e.Dst, e.Length, e.VNet)
+	return err
+}
+
 // doUnpack streams a spintrace-v1 file back out as CSV, one entry at a
 // time — the decode side never holds the whole trace.
 func doUnpack(path string, w io.Writer) {
 	reader(path, func(e traffic.TraceEntry) {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d\n", e.Cycle, e.Src, e.Dst, e.Length, e.VNet); err != nil {
+		if err := writeCSV(w, e); err != nil {
 			log.Fatal(err)
 		}
 	})

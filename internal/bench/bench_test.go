@@ -3,6 +3,7 @@ package bench
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -183,19 +184,22 @@ func TestStepAllocBudgetObserverSet(t *testing.T) {
 // TestStepAllocBudgetWorkloads extends the zero-alloc gate to the shaped
 // traffic generators: the closed-loop request/response clients (whose
 // reply queues and window accounting must reach a steady-state plateau
-// and then stop allocating) and the burst modulator. Same discipline as
-// TestStepAllocBudget: after warmup, Step allocates nothing.
+// and then stop allocating), the burst modulator, and the replay engine
+// fed from memory (whose per-source queues must plateau likewise). Same
+// discipline as TestStepAllocBudget: after warmup, Step allocates
+// nothing.
 func TestStepAllocBudgetWorkloads(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	build := func(t *testing.T, shards int, closed bool) *sim.Network {
+	build := func(t *testing.T, shards int, kind string) *sim.Network {
 		m, err := topology.NewMesh(8, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var gen sim.TrafficGen
-		if closed {
+		switch kind {
+		case "closedloop":
 			cl, err := workload.NewClosedLoop(workload.ClosedLoopConfig{
 				Pattern: traffic.Uniform(64),
 				Window:  4,
@@ -208,7 +212,7 @@ func TestStepAllocBudgetWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			gen = cl
-		} else {
+		case "burst":
 			gen = &workload.Burst{
 				Inner:   &traffic.Synthetic{Pattern: traffic.Uniform(64), Rate: 0.2, VNets: 2},
 				OnMean:  12,
@@ -230,15 +234,27 @@ func TestStepAllocBudgetWorkloads(t *testing.T) {
 		if shards > 1 && n.Shards() != shards {
 			t.Fatalf("workload generator clamped to %d shards, want %d", n.Shards(), shards)
 		}
+		if kind == "replay" {
+			// Four packets a cycle, past the end of the measurement.
+			rng := rand.New(rand.NewSource(17))
+			entries := make([]traffic.TraceEntry, 4*9000)
+			for i := range entries {
+				src := rng.Intn(64)
+				entries[i] = traffic.TraceEntry{Cycle: int64(i / 4), Src: src, Dst: (src + 1 + rng.Intn(63)) % 64,
+					Length: 1 + 4*rng.Intn(2), VNet: rng.Intn(2)}
+			}
+			rp, err := traffic.NewStreamReplay(traffic.SliceSource(entries), n.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.SetTraffic(rp)
+		}
 		return n
 	}
-	for _, tc := range []struct {
-		name   string
-		closed bool
-	}{{"closedloop", true}, {"burst", false}} {
+	for _, kind := range []string{"closedloop", "burst", "replay"} {
 		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards%d", tc.name, shards), func(t *testing.T) {
-				n := build(t, shards, tc.closed)
+			t.Run(fmt.Sprintf("%s/shards%d", kind, shards), func(t *testing.T) {
+				n := build(t, shards, kind)
 				n.Run(8000)
 				if avg := testing.AllocsPerRun(300, func() { n.Run(1) }); avg != 0 {
 					t.Errorf("steady-state Step allocates %.4f objects/cycle, want 0", avg)

@@ -82,9 +82,7 @@ func (o Options) withDefaults() Options {
 	case o.Warmup == 0:
 		o.Warmup = o.Cycles / 10
 	}
-	if o.Telemetry && o.Epoch == 0 {
-		o.Epoch = 100
-	}
+	o.Epoch = harness.TelemetryEpoch(o.Telemetry, o.Epoch)
 	return o
 }
 

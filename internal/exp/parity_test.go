@@ -40,7 +40,7 @@ func parityScenarios(t *testing.T) map[string]harness.Scenario {
 	for i := 0; i < 400; i++ {
 		src := i % 16
 		e := traffic.TraceEntry{Cycle: int64(i / 2), Src: src, Dst: (src + 1 + i%15) % 16, Length: 1 + 4*(i%2)}
-		injections.Injections = append(injections.Injections, harness.Injection{Cycle: e.Cycle, Src: e.Src, Dst: e.Dst, Length: e.Length})
+		injections.Injections = append(injections.Injections, e)
 		if err := tw.Add(e); err != nil {
 			t.Fatal(err)
 		}

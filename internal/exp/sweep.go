@@ -105,12 +105,7 @@ func (r SweepRequest) Normalized() SweepRequest {
 	case r.Warmup == 0:
 		r.Warmup = r.Cycles / 10
 	}
-	switch {
-	case !r.Telemetry:
-		r.Epoch = 0
-	case r.Epoch == 0:
-		r.Epoch = 100
-	}
+	r.Epoch = harness.TelemetryEpoch(r.Telemetry, r.Epoch)
 	switch r.Fig {
 	case "3", "10", "costs":
 		// No checker ever runs for these, so a "checked" key must not
@@ -122,13 +117,7 @@ func (r SweepRequest) Normalized() SweepRequest {
 
 // Canonical returns the request's canonical bytes: the JSON of its
 // normalized form, the content-address input for the result cache.
-func (r SweepRequest) Canonical() []byte {
-	b, err := json.Marshal(r.Normalized())
-	if err != nil {
-		panic(fmt.Sprintf("exp: canonical encoding failed: %v", err))
-	}
-	return b
-}
+func (r SweepRequest) Canonical() []byte { return harness.CanonicalJSON(r.Normalized()) }
 
 // Options projects the request's semantic fields into run options; the
 // caller layers its execution knobs (Workers, Timeout, Progress) on the

@@ -2,12 +2,9 @@ package harness
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/traffic"
 )
 
 // This file is the request ⇄ Scenario round-trip used by the serving
@@ -36,6 +33,30 @@ func DecodeStrict[T any](r io.Reader) (T, error) {
 	return v, nil
 }
 
+// CanonicalJSON is the canonical encoding every request shape shares:
+// the JSON of its normalized form. Struct-field order makes the bytes
+// deterministic, so the encoding is a stable content-address input.
+func CanonicalJSON(normalized any) []byte {
+	b, err := json.Marshal(normalized)
+	if err != nil {
+		// Requests are plain data; Marshal cannot fail on them.
+		panic(fmt.Sprintf("harness: canonical encoding failed: %v", err))
+	}
+	return b
+}
+
+// TelemetryEpoch resolves a request's time-series window: there is none
+// without telemetry, and with it 0 means 100 cycles.
+func TelemetryEpoch(telemetry bool, epoch int64) int64 {
+	switch {
+	case !telemetry:
+		return 0
+	case epoch == 0:
+		return 100
+	}
+	return epoch
+}
+
 // DecodeScenario reads one scenario from JSON (see DecodeStrict).
 func DecodeScenario(r io.Reader) (Scenario, error) {
 	sc, err := DecodeStrict[Scenario](r)
@@ -47,7 +68,8 @@ func DecodeScenario(r io.Reader) (Scenario, error) {
 
 // Validate reports whether the scenario is a runnable request. It checks
 // request-shape errors only; spec-string errors (an unknown topology or
-// routing name) surface from spin.New when the simulation is built.
+// routing name) and exact-workload entries the built network cannot
+// host surface from SimShards when the simulation is built.
 func (sc Scenario) Validate() error {
 	switch {
 	case sc.Topology == "":
@@ -95,29 +117,22 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	if sc.TraceB64 != "" {
-		raw, err := base64.StdEncoding.DecodeString(sc.TraceB64)
+		// Full structural validation (magic, chunk CRCs, canonical
+		// varints, field bounds) by streaming the trace to its end in
+		// constant memory: a repetitive trace decompresses to hundreds of
+		// times its upload size. Rejecting a corrupt trace here keeps it
+		// out of the content-addressed cache entirely.
+		tr, err := sc.traceReader()
 		if err != nil {
-			return fmt.Errorf("harness: trace_b64 is not valid base64: %w", err)
+			return err
 		}
-		// Full structural validation (magic, chunk CRCs, field bounds)
-		// happens against the decoded stream; rejecting a corrupt trace
-		// here keeps it out of the content-addressed cache entirely.
-		if _, err := traffic.DecodeTrace(bytes.NewReader(raw)); err != nil {
-			return fmt.Errorf("harness: trace_b64: %w", err)
-		}
-	}
-	for i, inj := range sc.Injections {
-		switch {
-		case inj.Cycle < 0:
-			return fmt.Errorf("harness: injection %d: negative cycle", i)
-		case inj.Src < 0 || inj.Dst < 0:
-			return fmt.Errorf("harness: injection %d: negative terminal", i)
-		case inj.Src == inj.Dst:
-			return fmt.Errorf("harness: injection %d: self-destined at %d", i, inj.Src)
-		case inj.Length <= 0:
-			return fmt.Errorf("harness: injection %d: length must be > 0, got %d", i, inj.Length)
-		case inj.VNet < 0:
-			return fmt.Errorf("harness: injection %d: negative vnet", i)
+		defer tr.Close()
+		for {
+			if _, err := tr.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				return fmt.Errorf("harness: trace_b64: %w", err)
+			}
 		}
 	}
 	return nil
@@ -185,17 +200,9 @@ func (sc Scenario) Normalized() Scenario {
 	return sc
 }
 
-// Canonical returns the scenario's canonical encoding: the JSON of its
-// normalized form. Struct-field order makes the bytes deterministic, so
-// the encoding is a stable content-address input.
-func (sc Scenario) Canonical() []byte {
-	b, err := json.Marshal(sc.Normalized())
-	if err != nil {
-		// Scenario is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("harness: canonical encoding failed: %v", err))
-	}
-	return b
-}
+// Canonical returns the scenario's canonical encoding (see
+// CanonicalJSON).
+func (sc Scenario) Canonical() []byte { return CanonicalJSON(sc.Normalized()) }
 
 // CanonicalEqual reports whether two scenarios describe the same
 // simulation.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	spin "repro"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -74,22 +73,21 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 	}
 
 	// Baseline run: same topology/seed, escape-VC routing, no scheme,
-	// driven by the recorded trace instead of a generator.
+	// with the recording as its exact workload instead of a generator —
+	// built by SimShards like any other injections scenario.
 	bsc := sc.Baseline()
-	bcfg := bsc.Config()
-	bcfg.Traffic = ""
-	bs, err := spin.New(bcfg)
+	bsc.Traffic, bsc.Rate, bsc.Workload, bsc.Injections = "", 0, nil, rec.Entries
+	bs, err := bsc.Sim()
 	if err != nil {
 		return nil, err
 	}
-	bs.Network().SetTraffic(&traffic.Replay{Trace: &rec.Trace})
 	baseline, err := runDelivering(bsc, bs.Network())
 	if err != nil {
 		return nil, err
 	}
 
-	d := &DiffResult{Primary: primary, Baseline: baseline, TraceLen: len(rec.Trace.Entries)}
-	d.Mismatches = compareDeliveries(primary, baseline, len(rec.Trace.Entries))
+	d := &DiffResult{Primary: primary, Baseline: baseline, TraceLen: len(rec.Entries)}
+	d.Mismatches = compareDeliveries(primary, baseline, len(rec.Entries))
 	return d, nil
 }
 

@@ -152,9 +152,9 @@ func Run(sc Scenario) (*Result, error) {
 // Drive is the one run driver: every observed simulation — harness
 // corpus, spind request, sweep point, spinsim run — goes through this
 // attach → step → drain → collect path. net is a built network whose
-// traffic source the caller may already have replaced (trace replay,
-// recording); sc gives the run length, the checker bounds and the name
-// on failure artifacts. Chunked stepping is state-for-state identical to
+// traffic source the caller may already have wrapped (recording); sc
+// gives the run length, the checker bounds and the name on failure
+// artifacts. Chunked stepping is state-for-state identical to
 // one Run call and observers only read, so what is watched never changes
 // what is simulated.
 func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Result, error) {
@@ -196,8 +196,8 @@ func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Resu
 		}
 	}
 	if sr, ok := net.Config().Traffic.(*traffic.StreamReplay); ok {
-		// An entry the topology cannot host stops the stream; the
-		// truncated run must not pass for a result.
+		// A corrupt chunk, or an entry the network cannot host, stops the
+		// stream; the truncated run must not pass for a result.
 		if err := sr.Err(); err != nil {
 			return nil, fmt.Errorf("harness: trace stream: %w", err)
 		}

@@ -61,10 +61,12 @@ type Scenario struct {
 	Warmup int64 `json:"warmup,omitempty"`
 
 	// Injections, when non-empty, replaces the synthetic generator with
-	// an exact packet-by-packet workload (traffic.Replay). Traffic must
-	// be empty and Rate zero; the model checker's counterexample replays
-	// (internal/mc, cmd/spinmc) are built on this.
-	Injections []Injection `json:"injections,omitempty"`
+	// an exact packet-by-packet workload. Traffic must be empty and Rate
+	// zero; the model checker's counterexample replays (internal/mc,
+	// cmd/spinmc) and the differential oracle's baseline run are built on
+	// this. A list that is not time-ordered keeps each source's listed
+	// order (see traffic.SliceSource).
+	Injections []traffic.TraceEntry `json:"injections,omitempty"`
 
 	// Workload shapes the synthetic traffic beyond the plain Bernoulli
 	// source: closed-loop finite-window clients, on/off bursts, hotspot
@@ -73,10 +75,10 @@ type Scenario struct {
 	Workload *workload.Spec `json:"workload,omitempty"`
 
 	// TraceB64 carries a spintrace-v1 binary trace (base64, standard
-	// encoding) replayed through traffic.StreamReplay. The bytes are part
-	// of the canonical encoding, so the service cache key is content-
-	// addressed over the trace itself. Mutually exclusive with Traffic,
-	// Injections, and Workload; Rate must be zero.
+	// encoding): an exact workload like Injections, in its streamed form.
+	// The bytes are part of the canonical encoding, so the service cache
+	// key is content-addressed over the trace itself. Mutually exclusive
+	// with Traffic, Injections, and Workload; Rate must be zero.
 	TraceB64 string `json:"trace_b64,omitempty"`
 	// Mutation injects a deliberate protocol defect for counterexample
 	// replay: "" (or "none") is the faithful protocol, "no_probe"
@@ -84,20 +86,6 @@ type Scenario struct {
 	// DisableProbe), turning every true deadlock into a drain failure.
 	Mutation string `json:"mutation,omitempty"`
 }
-
-// Injection is one exact packet injection of a replayed workload.
-type Injection struct {
-	Cycle  int64 `json:"cycle"`
-	Src    int   `json:"src"`
-	Dst    int   `json:"dst"`
-	Length int   `json:"length"`
-	VNet   int   `json:"vnet"`
-}
-
-// maxPktLen is the engine's packet-length cap (sim.Config.MaxPktLen
-// default), the bound trace entries and workload packet lengths must
-// respect.
-const maxPktLen = 5
 
 // closedLoop reports whether the scenario carries a closed-loop
 // workload block.
@@ -156,14 +144,16 @@ func FromConfig(cfg spin.Config, cycles int64) Scenario {
 }
 
 // Sim builds the runnable simulation for the scenario, attaching the
-// exact-injection, streamed-trace, or shaped-workload traffic when the
-// scenario carries one.
+// exact or shaped-workload traffic when the scenario carries one.
 func (sc Scenario) Sim() (*spin.Simulation, error) { return sc.SimShards(0) }
 
 // SimShards is Sim with an explicit engine shard count — an execution
 // knob, not part of the scenario (it never affects results or cache
 // keys). The serving path uses it to run canonical scenarios on its
-// configured shard budget.
+// configured shard budget. It is the one place a scenario becomes a
+// traffic source: spin.New builds the plain synthetic generator, and an
+// exact workload (Injections or TraceB64, one replay engine over either
+// entry source) or a workload block replaces it here.
 func (sc Scenario) SimShards(shards int) (*spin.Simulation, error) {
 	cfg := sc.Config()
 	if shards > 0 {
@@ -173,31 +163,22 @@ func (sc Scenario) SimShards(shards int) (*spin.Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(sc.Injections) > 0 {
-		tr := &traffic.Trace{Entries: make([]traffic.TraceEntry, len(sc.Injections))}
-		for i, inj := range sc.Injections {
-			tr.Entries[i] = traffic.TraceEntry{Cycle: inj.Cycle, Src: inj.Src, Dst: inj.Dst, Length: inj.Length, VNet: inj.VNet}
-		}
-		depth := sc.VCDepth
-		if depth == 0 {
-			depth = 5
-		}
-		if err := tr.Validate(s.Topology().NumTerminals(), max(1, sc.VNets), depth); err != nil {
+	net := s.Network()
+	var exact traffic.EntrySource
+	switch {
+	case len(sc.Injections) > 0:
+		exact = traffic.SliceSource(sc.Injections)
+	case sc.TraceB64 != "":
+		if exact, err = sc.traceReader(); err != nil {
 			return nil, err
 		}
-		s.Network().SetTraffic(&traffic.Replay{Trace: tr})
 	}
-	if sc.TraceB64 != "" {
-		raw, err := base64.StdEncoding.DecodeString(sc.TraceB64)
-		if err != nil {
-			return nil, fmt.Errorf("harness: trace_b64: %w", err)
-		}
-		tr, err := traffic.StreamTrace(bytes.NewReader(raw))
+	if exact != nil {
+		rp, err := traffic.NewStreamReplay(exact, net.Config())
 		if err != nil {
 			return nil, err
 		}
-		vnets := s.Network().Config().VNets
-		s.Network().SetTraffic(traffic.NewStreamReplay(tr, s.Topology().NumTerminals(), vnets, maxPktLen))
+		net.SetTraffic(rp)
 	}
 	if sc.Workload != nil {
 		w := *sc.Workload
@@ -207,15 +188,29 @@ func (sc Scenario) SimShards(shards int) (*spin.Simulation, error) {
 			if err != nil {
 				return nil, err
 			}
-			vnets := s.Network().Config().VNets
-			gen, err := workload.Build(w, pat, sc.Rate, sc.DataFrac, vnets, s.Topology().NumTerminals(), maxPktLen, sc.Seed)
+			nc := net.Config()
+			gen, err := workload.Build(w, pat, sc.Rate, sc.DataFrac, nc.VNets, s.Topology().NumTerminals(), nc.MaxPktLen, sc.Seed)
 			if err != nil {
 				return nil, err
 			}
-			s.Network().SetTraffic(gen)
+			net.SetTraffic(gen)
 		}
 	}
 	return s, nil
+}
+
+// traceReader opens the scenario's TraceB64 for streaming; the magic is
+// checked here, everything after it as the entries are read.
+func (sc Scenario) traceReader() (*traffic.TraceReader, error) {
+	raw, err := base64.StdEncoding.DecodeString(sc.TraceB64)
+	if err != nil {
+		return nil, fmt.Errorf("harness: trace_b64 is not valid base64: %w", err)
+	}
+	tr, err := traffic.StreamTrace(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("harness: trace_b64: %w", err)
+	}
+	return tr, nil
 }
 
 // drainBudget is the post-traffic drain bound, the one rule every

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/harness"
+	"repro/internal/traffic"
 )
 
 // Counterexample replay: a model violation trace is converted into a
@@ -60,7 +61,7 @@ func (in *Instance) TraceScenario(v Violation) (harness.Scenario, error) {
 			return harness.Scenario{}, fmt.Errorf("mc: malformed trace action %q", action)
 		}
 		p := in.Packets[pkt]
-		sc.Injections = append(sc.Injections, harness.Injection{
+		sc.Injections = append(sc.Injections, traffic.TraceEntry{
 			// The step index preserves the counterexample's relative
 			// injection order; packet length fills the whole VC, the
 			// model's single-occupancy abstraction.

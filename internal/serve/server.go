@@ -17,7 +17,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -101,24 +100,12 @@ type SimRequest struct {
 
 // normalized returns the canonical form of the request.
 func (r SimRequest) normalized() SimRequest {
-	n := SimRequest{Scenario: r.Scenario.Normalized(), Check: r.Check, Telemetry: r.Telemetry, Epoch: r.Epoch}
-	switch {
-	case !n.Telemetry:
-		n.Epoch = 0
-	case n.Epoch == 0:
-		n.Epoch = 100
-	}
-	return n
+	return SimRequest{Scenario: r.Scenario.Normalized(), Check: r.Check, Telemetry: r.Telemetry,
+		Epoch: harness.TelemetryEpoch(r.Telemetry, r.Epoch)}
 }
 
 // canonical returns the canonical bytes of the request.
-func (r SimRequest) canonical() []byte {
-	b, err := json.Marshal(r.normalized())
-	if err != nil {
-		panic(fmt.Sprintf("serve: canonical encoding failed: %v", err))
-	}
-	return b
-}
+func (r SimRequest) canonical() []byte { return harness.CanonicalJSON(r.normalized()) }
 
 // SimStats is the measured outcome of one simulation.
 type SimStats struct {

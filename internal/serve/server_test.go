@@ -401,3 +401,43 @@ func mustScenario(t *testing.T, body string) harness.Scenario {
 	}
 	return req.normalized().Scenario
 }
+
+// pinnedTraceB64 is a fixed 24-entry spintrace-v1 upload, spelled out so
+// the key below does not depend on this build's gzip output.
+const pinnedTraceB64 = "H4sIAAAAAAAA/wTAu63CMBiG4ff7L3Fsx8kpT8UGFIyEEAUNQoAQNWMwLc/jdrk+78fTef86tP83SCA3sHTwEihqQnbBNAzK5mhWQPWEloJeDC3VYfSAdSRsCGEGCgebAnxOFE2Qi8G0OhSCv933wy8AAP//cSIZ2YwAAAA="
+
+// TestCacheKeysPinned holds the content addresses of fixed requests to
+// the values computed before the request-normalisation helpers were
+// shared (PR 13): canonical bytes, and therefore every cached result,
+// survive the refactor. An epoch without telemetry names the plain
+// request's result.
+func TestCacheKeysPinned(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	sim := `"topology":"mesh:4x4","routing":"xy","traffic":"uniform_random","rate":0.05,"cycles":200,"seed":1`
+	for _, c := range []struct{ name, path, body, key string }{
+		{"simulate", "/v1/simulate", `{` + sim + `}`,
+			"36883bc5b000bcc4d0ec245e5cb96ade153bb5e151f6a45e16638a60792595b2"},
+		{"simulate+telemetry", "/v1/simulate", `{` + sim + `,"telemetry":true}`,
+			"f271effb1201ae1d650f60d5ceae8942cf534582df5b4e32542baf27389469f7"},
+		{"simulate+telemetry+epoch", "/v1/simulate", `{` + sim + `,"telemetry":true,"epoch":50}`,
+			"096b1dad80e06f75d9673a415cfc8a9d5ef681d345841a5fe35ee247f923513b"},
+		{"simulate+epoch only", "/v1/simulate", `{` + sim + `,"epoch":50}`,
+			"36883bc5b000bcc4d0ec245e5cb96ade153bb5e151f6a45e16638a60792595b2"},
+		{"sweep", "/v1/sweep", `{"fig":"10"}`,
+			"31e7be3cdddfd7b4314c8b9d1f98347b8d16e818636c730997e8e223f81d0b70"},
+		{"sweep+telemetry", "/v1/sweep", `{"fig":"10","telemetry":true}`,
+			"d6450419d44ded73b92e0aa9454ee84e6b27081bcbdc1715105162a29ead8125"},
+		{"trace_b64", "/v1/simulate", `{"topology":"mesh:4x4","routing":"xy","cycles":200,"seed":1,"trace_b64":"` + pinnedTraceB64 + `"}`,
+			"ebf723e1274744d3a0a41c7908c5feb4b9b8e7db13cf06860300e207592b99ff"},
+		{"injections", "/v1/simulate", `{"topology":"mesh:4x4","routing":"xy","cycles":200,"seed":1,"injections":[{"cycle":3,"src":0,"dst":5,"length":5,"vnet":0},{"cycle":1,"src":2,"dst":9,"length":1,"vnet":0}]}`,
+			"5bd5bb6f4b4724be1619529d27055c556436a1a023ea72b96ea1d971aad2de8e"},
+	} {
+		rec := post(t, s.Handler(), c.path, c.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", c.name, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Cache-Key"); got != c.key {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.key)
+		}
+	}
+}

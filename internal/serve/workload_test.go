@@ -134,7 +134,10 @@ func TestSimulateRejectsCorruptTrace(t *testing.T) {
 // regression: a structurally valid trace whose entry names a terminal
 // the topology does not have stops the stream mid-run. That must answer
 // 400 — not 200 with truncated stats — and must never enter the cache,
-// so the repeat is rejected again instead of being served as a hit.
+// so the repeat is rejected again instead of being served as a hit. An
+// injections list the engine cannot host (a 7-flit packet: inside
+// vc_depth 8, beyond the engine's 5-flit cap) gets the same answer, not
+// a 500 from a panicked job.
 func TestSimulateRejectsTraceOutsideTopology(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	var buf bytes.Buffer
@@ -150,13 +153,17 @@ func TestSimulateRejectsTraceOutsideTopology(t *testing.T) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	body := fmt.Sprintf(`{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","traffic":"","rate":0,"cycles":100,"seed":1,"trace_b64":%q}`,
-		base64.StdEncoding.EncodeToString(buf.Bytes()))
-	for attempt := 1; attempt <= 2; attempt++ {
-		rec := post(t, s.Handler(), "/v1/simulate", body)
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("attempt %d: status %d (X-Cache %q), want 400; body %s",
-				attempt, rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+	for name, body := range map[string]string{
+		"trace_b64": fmt.Sprintf(`{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","traffic":"","rate":0,"cycles":100,"seed":1,"trace_b64":%q}`,
+			base64.StdEncoding.EncodeToString(buf.Bytes())),
+		"injections": `{"topology":"mesh:4x4","routing":"xy","cycles":100,"vc_depth":8,"injections":[{"cycle":0,"src":0,"dst":5,"length":7,"vnet":0}]}`,
+	} {
+		for attempt := 1; attempt <= 2; attempt++ {
+			rec := post(t, s.Handler(), "/v1/simulate", body)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s, attempt %d: status %d (X-Cache %q), want 400; body %s",
+					name, attempt, rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+			}
 		}
 	}
 	if st := s.Snapshot(); st.Hits != 0 || st.MemEntries != 0 {

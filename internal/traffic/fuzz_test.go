@@ -3,48 +3,10 @@ package traffic
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 )
-
-// FuzzTraceParser hardens LoadTrace against arbitrary input: malformed
-// traces must fail with an error, never a panic, and anything that
-// parses must survive a Save/LoadTrace round trip unchanged (LoadTrace
-// sorts by cycle, so a second pass is a fixpoint) and Validate without
-// panicking.
-//
-// Run it with: go test -fuzz FuzzTraceParser -fuzztime 30s ./internal/traffic
-func FuzzTraceParser(f *testing.F) {
-	f.Add([]byte("0,0,1,5,0\n12,3,2,1,0\n"))
-	f.Add([]byte("")) // empty trace is valid
-	f.Add([]byte("1,2\n"))
-	f.Add([]byte("a,b,c,d,e\n"))
-	f.Add([]byte("\"0\",0,1,5,0\n"))
-	f.Add([]byte("9223372036854775807,0,1,5,0\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := LoadTrace(bytes.NewReader(data))
-		if err != nil {
-			return // rejected cleanly — the property under test
-		}
-		// Validate must be panic-free on anything the parser accepts,
-		// whatever verdict it reaches.
-		_ = tr.Validate(8, 2, 5)
-
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			t.Fatalf("accepted trace failed to save: %v", err)
-		}
-		back, err := LoadTrace(&buf)
-		if err != nil {
-			t.Fatalf("saved trace failed to reload: %v\nsaved: %q", err, buf.String())
-		}
-		if !reflect.DeepEqual(tr.Entries, back.Entries) {
-			t.Fatalf("round trip changed the trace:\nfirst:  %v\nreload: %v", tr.Entries, back.Entries)
-		}
-	})
-}
 
 // FuzzSpintraceDecoder hardens the binary spintrace-v1 decoder against
 // arbitrary bytes. The invariants:
@@ -78,7 +40,7 @@ func FuzzSpintraceDecoder(f *testing.F) {
 	corrupt[len(corrupt)/2] ^= 0x20
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeTrace(bytes.NewReader(data))
+		tr, err := decodeAll(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrTraceMagic) && !errors.Is(err, ErrTraceCorrupt) {
 				t.Fatalf("untyped decode error: %v", err)
@@ -86,7 +48,7 @@ func FuzzSpintraceDecoder(f *testing.F) {
 			return
 		}
 		prev := int64(0)
-		for i, e := range tr.Entries {
+		for i, e := range tr {
 			if e.Cycle < prev || e.Length <= 0 || e.Src < 0 || e.Dst < 0 || e.VNet < 0 {
 				t.Fatalf("decoder accepted invalid entry %d: %+v", i, e)
 			}
@@ -96,7 +58,7 @@ func FuzzSpintraceDecoder(f *testing.F) {
 		if err := EncodeTrace(&re, tr); err != nil {
 			t.Fatalf("accepted trace failed to re-encode: %v", err)
 		}
-		tr2, err := DecodeTrace(bytes.NewReader(re.Bytes()))
+		tr2, err := decodeAll(bytes.NewReader(re.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded trace failed to decode: %v", err)
 		}
@@ -107,29 +69,8 @@ func FuzzSpintraceDecoder(f *testing.F) {
 		if !bytes.Equal(re.Bytes(), re2.Bytes()) {
 			t.Fatalf("encoding is not canonical: second round trip changed bytes (%d vs %d)", re.Len(), re2.Len())
 		}
-		if !reflect.DeepEqual(tr.Entries, tr2.Entries) {
-			t.Fatalf("round trip changed entries: %d vs %d", len(tr.Entries), len(tr2.Entries))
-		}
-		// The streaming decoder must agree with the in-memory one.
-		sr, err := StreamTrace(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("DecodeTrace accepted what StreamTrace rejects: %v", err)
-		}
-		defer sr.Close()
-		for i := 0; ; i++ {
-			e, err := sr.Next()
-			if err == io.EOF {
-				if i != len(tr.Entries) {
-					t.Fatalf("stream ended after %d of %d entries", i, len(tr.Entries))
-				}
-				break
-			}
-			if err != nil {
-				t.Fatalf("stream entry %d: %v", i, err)
-			}
-			if e != tr.Entries[i] {
-				t.Fatalf("stream entry %d = %+v, DecodeTrace saw %+v", i, e, tr.Entries[i])
-			}
+		if !reflect.DeepEqual(tr, tr2) {
+			t.Fatalf("round trip changed entries: %d vs %d", len(tr), len(tr2))
 		}
 	})
 }

@@ -11,9 +11,10 @@ import (
 	"math"
 )
 
-// spintrace-v1 is the streaming binary trace format. The CSV codec
-// (Save/LoadTrace) stays for small, hand-editable cases; spintrace is
-// for production-scale traces that never fit in memory.
+// spintrace-v1 is the trace format: the one encoding of an exact
+// workload on disk and on the wire (cmd/spintrace converts to and from
+// hand-editable CSV). It streams, so production-scale traces never have
+// to fit in memory.
 //
 // Layout (inside a standard gzip frame):
 //
@@ -163,10 +164,10 @@ func (tw *TraceWriter) Close() error {
 	return tw.zw.Close()
 }
 
-// EncodeTrace writes an in-memory trace in spintrace-v1 format.
-func EncodeTrace(w io.Writer, t *Trace) error {
+// EncodeTrace writes time-ordered entries in spintrace-v1 format.
+func EncodeTrace(w io.Writer, entries []TraceEntry) error {
 	tw := NewTraceWriter(w)
-	for _, e := range t.Entries {
+	for _, e := range entries {
 		if err := tw.Add(e); err != nil {
 			return err
 		}
@@ -379,26 +380,5 @@ func readCanonicalUvarint(br *bufio.Reader) (uint64, int, error) {
 			return v, n, nil
 		}
 		shift += 7
-	}
-}
-
-// DecodeTrace reads an entire spintrace-v1 stream into memory. Use
-// StreamTrace for traces that may not fit.
-func DecodeTrace(r io.Reader) (*Trace, error) {
-	tr, err := StreamTrace(r)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-	var t Trace
-	for {
-		e, err := tr.Next()
-		if err == io.EOF {
-			return &t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Entries = append(t.Entries, e)
 	}
 }

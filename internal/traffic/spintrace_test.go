@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -17,15 +18,15 @@ import (
 
 // randomTrace builds a valid trace of n entries with nondecreasing
 // cycles, perCycle entries per cycle on a 16-terminal topology.
-func randomTrace(rng *rand.Rand, n, perCycle int) *Trace {
-	tr := &Trace{Entries: make([]TraceEntry, n)}
-	for i := range tr.Entries {
+func randomTrace(rng *rand.Rand, n, perCycle int) []TraceEntry {
+	tr := make([]TraceEntry, n)
+	for i := range tr {
 		src := rng.Intn(16)
 		dst := rng.Intn(16)
 		if dst == src {
 			dst = (dst + 1) % 16
 		}
-		tr.Entries[i] = TraceEntry{
+		tr[i] = TraceEntry{
 			Cycle:  int64(i / perCycle),
 			Src:    src,
 			Dst:    dst,
@@ -36,7 +37,7 @@ func randomTrace(rng *rand.Rand, n, perCycle int) *Trace {
 	return tr
 }
 
-func encodeBytes(t *testing.T, tr *Trace) []byte {
+func encodeBytes(t *testing.T, tr []TraceEntry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeTrace(&buf, tr); err != nil {
@@ -45,10 +46,30 @@ func encodeBytes(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
+// decodeAll reads a whole spintrace-v1 stream into memory: the
+// reference the streaming assertions compare against.
+func decodeAll(r io.Reader) ([]TraceEntry, error) {
+	tr, err := StreamTrace(r)
+	if err != nil {
+		return nil, err
+	}
+	defer tr.Close()
+	var out []TraceEntry
+	for {
+		e, err := tr.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+}
+
 // TestSpintraceRoundTrip is the codec property test: encode → decode
-// reproduces the entries exactly, the streaming and in-memory decoders
-// agree, and re-encoding the decode is byte-identical to the original
-// encoding (the fixpoint that makes traces content-addressable). Sizes
+// reproduces the entries exactly, and re-encoding the decode is
+// byte-identical to the original encoding (the fixpoint that makes traces content-addressable). Sizes
 // bracket the chunk boundary (4096 entries per chunk).
 func TestSpintraceRoundTrip(t *testing.T) {
 	t.Parallel()
@@ -57,39 +78,19 @@ func TestSpintraceRoundTrip(t *testing.T) {
 		tr := randomTrace(rng, n, 4)
 		enc := encodeBytes(t, tr)
 
-		dec, err := DecodeTrace(bytes.NewReader(enc))
+		dec, err := decodeAll(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
-		if len(dec.Entries) != n {
-			t.Fatalf("n=%d: decoded %d entries", n, len(dec.Entries))
+		if len(dec) != n {
+			t.Fatalf("n=%d: decoded %d entries", n, len(dec))
 		}
-		for i := range dec.Entries {
-			if dec.Entries[i] != tr.Entries[i] {
-				t.Fatalf("n=%d: entry %d = %+v, want %+v", n, i, dec.Entries[i], tr.Entries[i])
+		for i := range dec {
+			if dec[i] != tr[i] {
+				t.Fatalf("n=%d: entry %d = %+v, want %+v", n, i, dec[i], tr[i])
 			}
 		}
 
-		// Streaming decoder sees the identical sequence.
-		sr, err := StreamTrace(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; ; i++ {
-			e, err := sr.Next()
-			if err == io.EOF {
-				if i != n {
-					t.Fatalf("n=%d: stream ended after %d entries", n, i)
-				}
-				break
-			}
-			if err != nil {
-				t.Fatalf("n=%d: stream entry %d: %v", n, i, err)
-			}
-			if e != tr.Entries[i] {
-				t.Fatalf("n=%d: stream entry %d = %+v, want %+v", n, i, e, tr.Entries[i])
-			}
-		}
 		// Re-encode fixpoint.
 		if re := encodeBytes(t, dec); !bytes.Equal(re, enc) {
 			t.Fatalf("n=%d: re-encode is not byte-identical (%d vs %d bytes)", n, len(re), len(enc))
@@ -242,78 +243,63 @@ func gzipAppend(t *testing.T, valid, extra []byte) []byte {
 // stateless apart from the read-only mesh.
 func (x *xyForTest) CloneForShard() sim.RoutingAlgorithm { return &xyForTest{m: x.m} }
 
-// TestStreamReplayMatchesReplay pins the equivalence of the two replay
-// paths: the in-memory Replay and the streaming StreamReplay drive a
-// simulation to byte-identical statistics, serial and sharded alike.
+// TestStreamReplayMatchesReplay pins the equivalence of the two entry
+// sources: the same entries fed from memory (SliceSource) and from a
+// spintrace-v1 stream (TraceReader) drive a simulation to identical
+// statistics, serial and sharded alike.
 func TestStreamReplayMatchesReplay(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(21))
 	tr := randomTrace(rng, 400, 2)
-	// Single vnet in the sim config below.
-	for i := range tr.Entries {
-		tr.Entries[i].VNet = 0
+	// testNet has a single vnet.
+	for i := range tr {
+		tr[i].VNet = 0
 	}
 	enc := encodeBytes(t, tr)
 
-	m, err := topology.NewMesh(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(gen sim.TrafficGen, shards int) (int64, int64, int64) {
-		n, err := sim.NewNetwork(sim.Config{
-			Topology:   m,
-			Routing:    &xyForTest{m: m},
-			Traffic:    gen,
-			VCsPerVNet: 2,
-			Shards:     shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(src EntrySource, shards int) sim.Stats {
+		n := testNet(t, shards)
 		if shards > 1 && n.Shards() != shards {
-			t.Fatalf("replay clamped to %d shards, want %d", n.Shards(), shards)
+			t.Fatalf("network clamped to %d shards, want %d", n.Shards(), shards)
 		}
+		rp := replayOver(t, n, src)
 		n.Run(300)
 		if !n.Drain(10000) {
 			t.Fatal("failed to drain")
 		}
-		st := n.Stats()
-		return st.Injected, st.Ejected, st.LatencySum
+		if err := rp.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !rp.Done() {
+			t.Fatal("replay not done")
+		}
+		return *n.Stats()
 	}
-	stream := func() *StreamReplay {
+	stream := func() EntrySource {
 		r, err := StreamTrace(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewStreamReplay(r, 16, 1, 5)
+		return r
 	}
 
-	wi, we, wl := run(&Replay{Trace: tr}, 0)
-	if wi != int64(len(tr.Entries)) {
-		t.Fatalf("reference run injected %d of %d", wi, len(tr.Entries))
+	want := run(SliceSource(tr), 0)
+	if want.Injected != int64(len(tr)) {
+		t.Fatalf("reference run injected %d of %d", want.Injected, len(tr))
 	}
-	type variant struct {
+	for _, v := range []struct {
 		name string
-		gen  sim.TrafficGen
+		src  EntrySource
 		sh   int
-	}
-	for _, v := range []variant{
-		{"replay/shards2", &Replay{Trace: tr}, 2},
+	}{
+		{"slice/shards2", SliceSource(tr), 2},
+		{"slice/shards4", SliceSource(tr), 4},
 		{"stream/serial", stream(), 0},
 		{"stream/shards2", stream(), 2},
 		{"stream/shards4", stream(), 4},
 	} {
-		gi, ge, gl := run(v.gen, v.sh)
-		if gi != wi || ge != we || gl != wl {
-			t.Fatalf("%s diverged: inj/eject/latsum %d/%d/%d, want %d/%d/%d", v.name, gi, ge, gl, wi, we, wl)
-		}
-		if sr, ok := v.gen.(*StreamReplay); ok {
-			if err := sr.Err(); err != nil {
-				t.Fatalf("%s: stream error %v", v.name, err)
-			}
-			if !sr.Done() {
-				t.Fatalf("%s: stream not done", v.name)
-			}
+		if got := run(v.src, v.sh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s diverged:\n got %+v\nwant %+v", v.name, got, want)
 		}
 	}
 }
@@ -390,21 +376,8 @@ func TestStreamReplayBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := topology.NewMesh(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := NewStreamReplay(tr, 16, 1, 5)
-	n, err := sim.NewNetwork(sim.Config{
-		Topology:   m,
-		Routing:    &xyForTest{m: m},
-		Traffic:    sr,
-		VCsPerVNet: 2,
-		Shards:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := testNet(t, 2)
+	sr := replayOver(t, n, tr)
 
 	runtime.GC()
 	var before runtime.MemStats

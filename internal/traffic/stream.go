@@ -8,21 +8,20 @@ import (
 	"repro/internal/sim"
 )
 
-// StreamReplay replays a spintrace-v1 stream through the simulator
-// without ever holding the trace in memory. It implements the
+// StreamReplay is the replay engine: it injects an exact workload,
+// pulled from an EntrySource, at its recorded cycles. It implements the
 // sim.TrafficStepper split: StepTraffic (serial, once per cycle) pumps
 // the entries that have come due into per-source queues, and Generate
 // (parallel, per terminal) drains only its own source's queue — so
-// streaming replay composes with the sharded engine instead of clamping
-// it to one shard the way the legacy map-based Replay did.
+// replay composes with the sharded engine.
 //
-// Memory is bounded by one decoder chunk plus the entries due in the
-// current cycle, independent of trace length.
+// Over a *TraceReader, memory is bounded by one decoder chunk plus the
+// entries due in the current cycle, independent of trace length.
 type StreamReplay struct {
-	r *TraceReader
+	src EntrySource
 
-	// Validation bounds; entries outside them poison the replay with a
-	// descriptive error instead of panicking inside the injector.
+	// The network's own bounds; an entry outside them poisons the replay
+	// with a descriptive error instead of panicking inside the injector.
 	terminals int
 	vnets     int
 	maxLen    int
@@ -35,48 +34,56 @@ type StreamReplay struct {
 	pumped    int64
 }
 
-// NewStreamReplay wraps an open TraceReader. The bounds mirror
-// Trace.Validate: terminals and vnets from the simulated configuration,
-// maxLen from Config.MaxPktLen.
-func NewStreamReplay(r *TraceReader, terminals, vnets, maxLen int) *StreamReplay {
-	return &StreamReplay{r: r, terminals: terminals, vnets: vnets, maxLen: maxLen}
+// NewStreamReplay replays src into the network cfg describes (a built
+// network's Config, defaults resolved). An in-memory source is checked
+// whole, so an entry the network cannot host is an error before the
+// first cycle; a stream is checked entry by entry as it is read (see
+// Err).
+func NewStreamReplay(src EntrySource, cfg sim.Config) (*StreamReplay, error) {
+	s := &StreamReplay{src: src, terminals: cfg.Topology.NumTerminals(), vnets: cfg.VNets, maxLen: cfg.MaxPktLen}
+	if l, ok := src.(*sliceSource); ok {
+		for i, e := range l.entries {
+			if err := s.check(int64(i), e); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return s, nil
 }
 
 // Name implements sim.TrafficGen.
 func (s *StreamReplay) Name() string { return "trace_stream" }
 
-// RequiresSerialStep implements sim.SerialOnly: streaming replay is
-// shard-safe by construction.
+// RequiresSerialStep implements sim.SerialOnly: replay is shard-safe by
+// construction.
 func (s *StreamReplay) RequiresSerialStep() bool { return false }
 
 // PrepareTerminals implements sim.TrafficPrep.
 func (s *StreamReplay) PrepareTerminals(n int) {
-	if s.terminals == 0 {
-		s.terminals = n
-	}
-	if n < s.terminals {
-		n = s.terminals
-	}
-	s.queues = make([][]TraceEntry, n)
+	s.queues = make([][]TraceEntry, max(n, s.terminals))
 }
 
-func (s *StreamReplay) check(e TraceEntry) error {
+// check is the one entry-vs-network bounds rule; i is the entry's
+// position in replay order.
+func (s *StreamReplay) check(i int64, e TraceEntry) error {
 	switch {
+	case e.Cycle < 0:
+		return fmt.Errorf("traffic: trace entry %d: negative cycle %d", i, e.Cycle)
 	case e.Src < 0 || e.Src >= s.terminals:
-		return fmt.Errorf("traffic: trace entry %d: src %d outside [0,%d)", s.pumped, e.Src, s.terminals)
+		return fmt.Errorf("traffic: trace entry %d: src %d outside [0,%d)", i, e.Src, s.terminals)
 	case e.Dst < 0 || e.Dst >= s.terminals:
-		return fmt.Errorf("traffic: trace entry %d: dst %d outside [0,%d)", s.pumped, e.Dst, s.terminals)
+		return fmt.Errorf("traffic: trace entry %d: dst %d outside [0,%d)", i, e.Dst, s.terminals)
 	case e.Src == e.Dst:
-		return fmt.Errorf("traffic: trace entry %d: self-destined packet at node %d", s.pumped, e.Src)
+		return fmt.Errorf("traffic: trace entry %d: self-destined packet at node %d", i, e.Src)
 	case e.Length <= 0 || e.Length > s.maxLen:
-		return fmt.Errorf("traffic: trace entry %d: length %d outside (0,%d]", s.pumped, e.Length, s.maxLen)
+		return fmt.Errorf("traffic: trace entry %d: length %d outside (0,%d]", i, e.Length, s.maxLen)
 	case e.VNet < 0 || e.VNet >= s.vnets:
-		return fmt.Errorf("traffic: trace entry %d: vnet %d outside [0,%d)", s.pumped, e.VNet, s.vnets)
+		return fmt.Errorf("traffic: trace entry %d: vnet %d outside [0,%d)", i, e.VNet, s.vnets)
 	}
 	return nil
 }
 
-// StepTraffic implements sim.TrafficStepper: advance the stream up to
+// StepTraffic implements sim.TrafficStepper: advance the source up to
 // cycle now, queueing every entry that has come due. Runs serially
 // before the parallel phases, so the per-source appends never race with
 // Generate.
@@ -89,18 +96,14 @@ func (s *StreamReplay) StepTraffic(now int64) {
 			if s.eof {
 				return
 			}
-			e, err := s.r.Next()
-			if err == io.EOF {
-				s.eof = true
-				return
+			e, err := s.src.Next()
+			if err == nil {
+				err = s.check(s.pumped, e)
 			}
 			if err != nil {
-				s.err = err
-				s.eof = true
-				return
-			}
-			if err := s.check(e); err != nil {
-				s.err = err
+				if err != io.EOF {
+					s.err = err
+				}
 				s.eof = true
 				return
 			}
@@ -133,11 +136,11 @@ func (s *StreamReplay) Generate(_ int64, src int, _ *rand.Rand, emit func(sim.Pa
 	s.queues[src] = q[:0]
 }
 
-// Err reports the first decode or validation failure; replay halts at
-// the failing entry rather than injecting garbage.
+// Err reports the first decode or bounds failure; replay halts at the
+// failing entry rather than injecting garbage.
 func (s *StreamReplay) Err() error { return s.err }
 
-// Done reports whether the stream is exhausted and every queued entry
+// Done reports whether the source is exhausted and every queued entry
 // has been injected.
 func (s *StreamReplay) Done() bool {
 	if !s.eof || s.nextValid {

@@ -1,180 +1,77 @@
 package traffic
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
 	"math/rand"
 	"sort"
-	"strconv"
 
 	"repro/internal/sim"
 )
 
-// TraceEntry is one packet injection of a recorded workload.
+// TraceEntry is one packet injection of an exact workload: what a
+// scenario's injections list, a recording and a spintrace-v1 stream all
+// hold. Exact workloads make experiments repeatable across
+// configurations: the same injection sequence can drive a west-first
+// baseline and a SPIN configuration, removing generator noise from
+// comparisons.
 type TraceEntry struct {
-	Cycle  int64
-	Src    int
-	Dst    int
-	Length int
-	VNet   int
+	Cycle  int64 `json:"cycle"`
+	Src    int   `json:"src"`
+	Dst    int   `json:"dst"`
+	Length int   `json:"length"`
+	VNet   int   `json:"vnet"`
 }
 
-// Trace is a replayable packet workload. Traces make experiments exactly
-// repeatable across configurations: the same injection sequence can drive
-// a west-first baseline and a SPIN configuration, removing generator
-// noise from comparisons.
-type Trace struct {
-	Entries []TraceEntry
+// EntrySource feeds StreamReplay: Next yields entries in nondecreasing
+// cycle order and io.EOF after the last one. *TraceReader is the
+// streaming source; SliceSource is the in-memory one.
+type EntrySource interface {
+	Next() (TraceEntry, error)
 }
 
-// Save writes the trace as CSV: cycle,src,dst,length,vnet.
-func (t *Trace) Save(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	for _, e := range t.Entries {
-		rec := []string{
-			strconv.FormatInt(e.Cycle, 10),
-			strconv.Itoa(e.Src),
-			strconv.Itoa(e.Dst),
-			strconv.Itoa(e.Length),
-			strconv.Itoa(e.VNet),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+// sliceSource is an in-memory EntrySource.
+type sliceSource struct {
+	entries []TraceEntry
+	pos     int
 }
 
-// LoadTrace parses a CSV trace.
-func LoadTrace(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 5
-	var t Trace
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
+// SliceSource serves an in-memory entry list. A list that is not
+// time-ordered keeps each source's listed order: an entry never
+// overtakes one listed before it for the same source, so its effective
+// cycle is the running maximum over that source's earlier entries, and
+// the list is replayed in stable order of that. (Cross-source order
+// inside a cycle is immaterial: packet IDs are per-terminal sequences.)
+// entries is never modified.
+func SliceSource(entries []TraceEntry) EntrySource {
+	byCycle := func(i, j int) bool { return entries[i].Cycle < entries[j].Cycle }
+	if !sort.SliceIsSorted(entries, byCycle) {
+		entries = append([]TraceEntry(nil), entries...)
+		latest := map[int]int64{}
+		for i := range entries {
+			e := &entries[i]
+			e.Cycle = max(e.Cycle, latest[e.Src])
+			latest[e.Src] = e.Cycle
 		}
-		if err != nil {
-			return nil, fmt.Errorf("traffic: bad trace: %w", err)
-		}
-		var e TraceEntry
-		vals := make([]int64, 5)
-		for i, f := range rec {
-			v, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("traffic: bad trace field %q: %w", f, err)
-			}
-			vals[i] = v
-		}
-		e.Cycle, e.Src, e.Dst, e.Length, e.VNet =
-			vals[0], int(vals[1]), int(vals[2]), int(vals[3]), int(vals[4])
-		t.Entries = append(t.Entries, e)
+		sort.SliceStable(entries, byCycle)
 	}
-	sort.SliceStable(t.Entries, func(i, j int) bool { return t.Entries[i].Cycle < t.Entries[j].Cycle })
-	return &t, nil
+	return &sliceSource{entries: entries}
 }
 
-// Validate checks every entry against a topology's terminal count and
-// packet limits, so malformed traces fail with an error instead of a
-// panic deep inside the simulator.
-func (t *Trace) Validate(terminals, vnets, maxLen int) error {
-	for i, e := range t.Entries {
-		switch {
-		case e.Src < 0 || e.Src >= terminals:
-			return fmt.Errorf("traffic: trace entry %d: src %d outside [0,%d)", i, e.Src, terminals)
-		case e.Dst < 0 || e.Dst >= terminals:
-			return fmt.Errorf("traffic: trace entry %d: dst %d outside [0,%d)", i, e.Dst, terminals)
-		case e.Src == e.Dst:
-			return fmt.Errorf("traffic: trace entry %d: self-destined packet at node %d", i, e.Src)
-		case e.Length <= 0 || e.Length > maxLen:
-			return fmt.Errorf("traffic: trace entry %d: length %d outside (0,%d]", i, e.Length, maxLen)
-		case e.VNet < 0 || e.VNet >= vnets:
-			return fmt.Errorf("traffic: trace entry %d: vnet %d outside [0,%d)", i, e.VNet, vnets)
-		case e.Cycle < 0:
-			return fmt.Errorf("traffic: trace entry %d: negative cycle", i)
-		}
+// Next implements EntrySource.
+func (s *sliceSource) Next() (TraceEntry, error) {
+	if s.pos == len(s.entries) {
+		return TraceEntry{}, io.EOF
 	}
-	return nil
+	s.pos++
+	return s.entries[s.pos-1], nil
 }
 
-// Replay implements sim.TrafficGen by injecting the trace's packets at
-// their recorded cycles. The trace is partitioned into per-source
-// cursor lists up front (PrepareTerminals, called by the simulator when
-// traffic is attached), so Generate touches only source-local state and
-// the replay composes with the sharded engine — each shard advances its
-// own terminals' cursors with no shared writes.
-type Replay struct {
-	Trace *Trace
-	// bySrc[src] holds that source's entries in trace order; next[src]
-	// indexes its next un-injected entry.
-	bySrc [][]TraceEntry
-	next  []int
-}
-
-// Name implements sim.TrafficGen.
-func (r *Replay) Name() string { return "trace_replay" }
-
-// RequiresSerialStep implements sim.SerialOnly: replay is shard-safe.
-func (r *Replay) RequiresSerialStep() bool { return false }
-
-// PrepareTerminals implements sim.TrafficPrep, partitioning the trace
-// by source before the first cycle.
-func (r *Replay) PrepareTerminals(n int) {
-	for _, e := range r.Trace.Entries {
-		if e.Src >= n {
-			n = e.Src + 1
-		}
-	}
-	r.bySrc = make([][]TraceEntry, n)
-	r.next = make([]int, n)
-	for _, e := range r.Trace.Entries {
-		if e.Src >= 0 {
-			r.bySrc[e.Src] = append(r.bySrc[e.Src], e)
-		}
-	}
-}
-
-// Generate implements sim.TrafficGen.
-func (r *Replay) Generate(cycle int64, src int, _ *rand.Rand, emit func(sim.PacketSpec)) {
-	if r.bySrc == nil {
-		// Direct use without a simulator attach (tests, tools); the
-		// simulator always calls PrepareTerminals first.
-		r.PrepareTerminals(0)
-	}
-	if src < 0 || src >= len(r.bySrc) {
-		return
-	}
-	entries := r.bySrc[src]
-	i := r.next[src]
-	for i < len(entries) && entries[i].Cycle <= cycle {
-		e := entries[i]
-		emit(sim.PacketSpec{Dst: e.Dst, Length: e.Length, VNet: e.VNet})
-		i++
-	}
-	r.next[src] = i
-}
-
-// Done reports whether every entry has been injected.
-func (r *Replay) Done() bool {
-	if r.bySrc == nil {
-		return len(r.Trace.Entries) == 0
-	}
-	for src, entries := range r.bySrc {
-		if r.next[src] < len(entries) {
-			return false
-		}
-	}
-	return true
-}
-
-// Recorder wraps a TrafficGen and captures everything it emits, producing
-// a Trace that replays the same workload.
+// Recorder wraps a TrafficGen and captures everything it emits, in
+// injection order: an entry list that replays the same workload. It
+// does not declare shard-safety, so a recorded run steps serially.
 type Recorder struct {
-	Gen   sim.TrafficGen
-	Trace Trace
+	Gen     sim.TrafficGen
+	Entries []TraceEntry
 }
 
 // Name implements sim.TrafficGen.
@@ -183,7 +80,7 @@ func (rec *Recorder) Name() string { return rec.Gen.Name() + "+record" }
 // Generate implements sim.TrafficGen.
 func (rec *Recorder) Generate(cycle int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
 	rec.Gen.Generate(cycle, src, rng, func(spec sim.PacketSpec) {
-		rec.Trace.Entries = append(rec.Trace.Entries, TraceEntry{
+		rec.Entries = append(rec.Entries, TraceEntry{
 			Cycle: cycle, Src: src, Dst: spec.Dst, Length: spec.Length, VNet: spec.VNet,
 		})
 		emit(spec)

@@ -2,50 +2,83 @@ package traffic
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-func TestTraceSaveLoadRoundTrip(t *testing.T) {
-	tr := &Trace{Entries: []TraceEntry{
-		{Cycle: 3, Src: 1, Dst: 2, Length: 5, VNet: 0},
-		{Cycle: 1, Src: 0, Dst: 3, Length: 1, VNet: 2},
-	}}
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(&buf)
+// testNet builds a 4x4 mesh network under xyForTest; VCDepth 8 keeps
+// the buffer depth apart from the engine's packet-length cap (5).
+func testNet(t *testing.T, shards int) *sim.Network {
+	t.Helper()
+	m, err := topology.NewMesh(4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Entries) != 2 {
-		t.Fatalf("entries = %d", len(got.Entries))
+	n, err := sim.NewNetwork(sim.Config{
+		Topology: m, Routing: &xyForTest{m: m}, VCsPerVNet: 2, VCDepth: 8, Shards: shards,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// LoadTrace sorts by cycle.
-	if got.Entries[0].Cycle != 1 || got.Entries[1].Cycle != 3 {
-		t.Fatalf("not sorted: %+v", got.Entries)
-	}
-	if got.Entries[1] != tr.Entries[0] {
-		t.Fatalf("round trip mismatch: %+v", got.Entries[1])
-	}
+	return n
 }
 
-func TestLoadTraceRejectsGarbage(t *testing.T) {
-	if _, err := LoadTrace(strings.NewReader("1,2,3\n")); err == nil {
-		t.Fatal("short record accepted")
+// replayOver attaches a replay of src to n.
+func replayOver(t *testing.T, n *sim.Network, src EntrySource) *StreamReplay {
+	t.Helper()
+	rp, err := NewStreamReplay(src, n.Config())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadTrace(strings.NewReader("a,b,c,d,e\n")); err == nil {
-		t.Fatal("non-numeric record accepted")
+	n.SetTraffic(rp)
+	return rp
+}
+
+// TestSliceSourceOrder pins the rule for lists that are not
+// time-ordered: per source, a later-listed entry never overtakes an
+// earlier-listed one (its effective cycle is the running maximum), and
+// the caller's slice is left alone.
+func TestSliceSourceOrder(t *testing.T) {
+	in := []TraceEntry{
+		{Cycle: 10, Src: 0, Dst: 1, Length: 1},
+		{Cycle: 30, Src: 2, Dst: 1, Length: 1},
+		{Cycle: 4, Src: 2, Dst: 3, Length: 1}, // waits behind cycle 30
+		{Cycle: 2, Src: 0, Dst: 3, Length: 1}, // waits behind cycle 10
+		{Cycle: 20, Src: 1, Dst: 0, Length: 1},
+		{Cycle: 31, Src: 2, Dst: 0, Length: 1},
+	}
+	want := []TraceEntry{
+		{Cycle: 10, Src: 0, Dst: 1, Length: 1},
+		{Cycle: 10, Src: 0, Dst: 3, Length: 1},
+		{Cycle: 20, Src: 1, Dst: 0, Length: 1},
+		{Cycle: 30, Src: 2, Dst: 1, Length: 1},
+		{Cycle: 30, Src: 2, Dst: 3, Length: 1},
+		{Cycle: 31, Src: 2, Dst: 0, Length: 1},
+	}
+	orig := append([]TraceEntry(nil), in...)
+	src := SliceSource(in)
+	var got []TraceEntry
+	for {
+		e, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		got = append(got, e)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay order\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(in, orig) {
+		t.Fatal("SliceSource modified the caller's list")
 	}
 }
 
 func TestRecorderThenReplayIdentical(t *testing.T) {
-	m, _ := topology.NewMesh(4, 4, 1)
 	gen := &Synthetic{Pattern: Uniform(16), Rate: 0.2, VNets: 2}
 	rec := &Recorder{Gen: gen}
 	rng := rand.New(rand.NewSource(7))
@@ -54,13 +87,20 @@ func TestRecorderThenReplayIdentical(t *testing.T) {
 			rec.Generate(c, src, rng, func(sim.PacketSpec) {})
 		}
 	}
-	if len(rec.Trace.Entries) == 0 {
+	if len(rec.Entries) == 0 {
 		t.Fatal("nothing recorded")
 	}
 	// Replay must emit exactly the recorded specs at the recorded cycles.
-	rp := &Replay{Trace: &rec.Trace}
+	cfg := testNet(t, 0).Config()
+	cfg.VNets = 2
+	rp, err := NewStreamReplay(SliceSource(rec.Entries), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.PrepareTerminals(16)
 	var replayed []TraceEntry
 	for c := int64(0); c < 2100; c++ {
+		rp.StepTraffic(c)
 		for src := 0; src < 16; src++ {
 			rp.Generate(c, src, nil, func(spec sim.PacketSpec) {
 				replayed = append(replayed, TraceEntry{Cycle: c, Src: src, Dst: spec.Dst, Length: spec.Length, VNet: spec.VNet})
@@ -70,11 +110,11 @@ func TestRecorderThenReplayIdentical(t *testing.T) {
 	if !rp.Done() {
 		t.Fatal("replay not done")
 	}
-	if len(replayed) != len(rec.Trace.Entries) {
-		t.Fatalf("replayed %d, recorded %d", len(replayed), len(rec.Trace.Entries))
+	if len(replayed) != len(rec.Entries) {
+		t.Fatalf("replayed %d, recorded %d", len(replayed), len(rec.Entries))
 	}
 	count := map[TraceEntry]int{}
-	for _, e := range rec.Trace.Entries {
+	for _, e := range rec.Entries {
 		count[e]++
 	}
 	for _, e := range replayed {
@@ -85,36 +125,22 @@ func TestRecorderThenReplayIdentical(t *testing.T) {
 			t.Fatalf("entry %+v mismatch (%d)", e, c)
 		}
 	}
-	_ = m
 }
 
 func TestReplayDrivesSimulationDeterministically(t *testing.T) {
-	m, _ := topology.NewMesh(4, 4, 1)
-	tr := &Trace{}
+	var entries []TraceEntry
 	for i := 0; i < 50; i++ {
-		tr.Entries = append(tr.Entries, TraceEntry{Cycle: int64(i * 3), Src: i % 16, Dst: (i*7 + 1) % 16, Length: 1 + (i%2)*4})
-	}
-	// Drop self-destined entries.
-	kept := tr.Entries[:0]
-	for _, e := range tr.Entries {
-		if e.Src != e.Dst {
-			kept = append(kept, e)
+		// Self-destined entries are not a workload.
+		if e := (TraceEntry{Cycle: int64(i * 3), Src: i % 16, Dst: (i*7 + 1) % 16, Length: 1 + (i%2)*4}); e.Src != e.Dst {
+			entries = append(entries, e)
 		}
 	}
-	tr.Entries = kept
 	run := func() int64 {
-		n, err := sim.NewNetwork(sim.Config{
-			Topology:   m,
-			Routing:    &xyForTest{m: m},
-			Traffic:    &Replay{Trace: tr},
-			VCsPerVNet: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := testNet(t, 0)
+		replayOver(t, n, SliceSource(entries))
 		n.Run(1000)
-		if n.Stats().Injected != int64(len(tr.Entries)) {
-			t.Fatalf("injected %d, trace has %d", n.Stats().Injected, len(tr.Entries))
+		if n.Stats().Injected != int64(len(entries)) {
+			t.Fatalf("injected %d, trace has %d", n.Stats().Injected, len(entries))
 		}
 		if !n.Drain(10000) {
 			t.Fatal("replay run failed to drain")
@@ -152,22 +178,58 @@ func (x *xyForTest) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortReq
 	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
 }
 
+// TestTraceValidate is the bounds table: whichever source an entry
+// arrives from, the replay engine refuses what the network cannot host
+// with an error, never a panic inside the injector. The network's
+// VCDepth is 8, so the length rows pin that the bound is MaxPktLen (5),
+// not the buffer depth.
 func TestTraceValidate(t *testing.T) {
-	good := &Trace{Entries: []TraceEntry{{Cycle: 0, Src: 0, Dst: 1, Length: 5, VNet: 0}}}
-	if err := good.Validate(4, 1, 5); err != nil {
-		t.Fatal(err)
+	good := TraceEntry{Cycle: 1, Src: 0, Dst: 5, Length: 5}
+	cases := []struct {
+		name string
+		e    TraceEntry
+		bad  bool
+	}{
+		{"full-length packet", good, false},
+		{"length 6 fits vc_depth, not the engine", TraceEntry{Cycle: 1, Src: 0, Dst: 5, Length: 6}, true},
+		{"length 7 fits vc_depth, not the engine", TraceEntry{Cycle: 1, Src: 0, Dst: 5, Length: 7}, true},
+		{"vnet >= vnets", TraceEntry{Cycle: 1, Src: 0, Dst: 5, Length: 1, VNet: 1}, true},
+		{"dst >= terminals", TraceEntry{Cycle: 1, Src: 0, Dst: 16, Length: 1}, true},
+		{"src >= terminals", TraceEntry{Cycle: 1, Src: 16, Dst: 5, Length: 1}, true},
+		{"self-destined", TraceEntry{Cycle: 1, Src: 5, Dst: 5, Length: 1}, true},
 	}
-	bad := []Trace{
-		{Entries: []TraceEntry{{Src: 9, Dst: 1, Length: 1}}},
-		{Entries: []TraceEntry{{Src: 0, Dst: 9, Length: 1}}},
-		{Entries: []TraceEntry{{Src: 1, Dst: 1, Length: 1}}},
-		{Entries: []TraceEntry{{Src: 0, Dst: 1, Length: 9}}},
-		{Entries: []TraceEntry{{Src: 0, Dst: 1, Length: 1, VNet: 3}}},
-		{Entries: []TraceEntry{{Cycle: -1, Src: 0, Dst: 1, Length: 1}}},
+	for _, tc := range cases {
+		entries := []TraceEntry{good, tc.e}
+		t.Run(tc.name+"/slice", func(t *testing.T) {
+			// An in-memory list fails before the first cycle.
+			_, err := NewStreamReplay(SliceSource(entries), testNet(t, 0).Config())
+			if (err != nil) != tc.bad {
+				t.Fatalf("NewStreamReplay error %v, want bad=%v", err, tc.bad)
+			}
+		})
+		t.Run(tc.name+"/stream", func(t *testing.T) {
+			// A stream fails at the entry, and injects nothing after it.
+			tr, err := StreamTrace(bytes.NewReader(encodeBytes(t, entries)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := testNet(t, 2)
+			rp := replayOver(t, n, tr)
+			n.Run(40)
+			if err := rp.Err(); (err != nil) != tc.bad {
+				t.Fatalf("stream error %v, want bad=%v", err, tc.bad)
+			}
+			want := int64(len(entries))
+			if tc.bad {
+				want--
+			}
+			if got := n.Stats().Injected; got != want {
+				t.Fatalf("injected %d, want %d", got, want)
+			}
+		})
 	}
-	for i, tr := range bad {
-		if err := tr.Validate(4, 1, 5); err == nil {
-			t.Fatalf("bad trace %d accepted", i)
-		}
+	// Only a list can carry a negative cycle; the format cannot encode one.
+	if _, err := NewStreamReplay(SliceSource([]TraceEntry{{Cycle: -1, Src: 0, Dst: 1, Length: 1}}), testNet(t, 0).Config()); err == nil {
+		t.Fatal("negative cycle accepted")
 	}
 }

@@ -16,13 +16,23 @@ import (
 // from -tracebuf and hands to Drive. A second call site means an entry
 // point is assembling its own run again, which is how the
 // attach/drain/err-check copies drifted before.
+//
+// The same goes for the workload: outside internal/traffic the replay
+// engine is built only by Scenario.SimShards, and a network's generator
+// is swapped only there, by the two recorders (the differential oracle's
+// primary run, spinsim -record) and by Fig. 8's PARSEC generator.
 func TestOneRunDriver(t *testing.T) {
 	driver := filepath.Join("internal", "harness", "run.go")
+	scenario := filepath.Join("internal", "harness", "scenario.go")
+	spinsim := filepath.Join("cmd", "spinsim", "main.go")
 	want := map[string][]string{
 		".AttachChecker(": {driver}, ".AttachTelemetry(": {driver}, ".AttachFlightRecorder(": {driver},
 		".AddObserver(": {driver}, ".Drain(": {driver},
-		"NewEventRing(":  {filepath.Join("cmd", "spinsim", "main.go"), driver},
-		"s.pool.Submit(": {filepath.Join("internal", "serve", "server.go")},
+		"NewEventRing(":    {spinsim, driver},
+		"s.pool.Submit(":   {filepath.Join("internal", "serve", "server.go")},
+		"NewStreamReplay(": {scenario},
+		".SetTraffic(": {spinsim, filepath.Join("internal", "exp", "fig8.go"),
+			filepath.Join("internal", "harness", "diff.go"), scenario, scenario},
 	}
 	got := map[string][]string{}
 	for _, root := range []string{"cmd", "internal"} {
@@ -30,7 +40,7 @@ func TestOneRunDriver(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if d.IsDir() && path == filepath.Join("internal", "sim") {
+			if d.IsDir() && (path == filepath.Join("internal", "sim") || path == filepath.Join("internal", "traffic")) {
 				return filepath.SkipDir
 			}
 			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

@@ -108,6 +108,20 @@ curl -fsS -D "$TMP/h5" -o "$TMP/r5" -d "$TRACE_BODY" "http://$ADDR/v1/simulate"
 grep -i '^x-cache: hit' "$TMP/h5" >/dev/null || { echo "trace repeat was not a hit:"; cat "$TMP/h5"; exit 1; }
 cmp "$TMP/r4" "$TMP/r5" || { echo "trace cache hit not byte-identical"; exit 1; }
 
+echo "== CLI round trip (spinsim -record -> spinsim -replay -shards 2)"
+go build -o "$TMP/spinsim" ./cmd/spinsim
+"$TMP/spinsim" -topo mesh:4x4 -scheme spin -rate 0.1 -cycles 2000 -warmup 200 -seed 5 \
+  -record "$TMP/t.spintrace" > "$TMP/rec.out"
+RECORDED="$(sed -n 's/^trace  *\([0-9]*\) injections recorded.*/\1/p' "$TMP/rec.out")"
+[ "${RECORDED:-0}" -gt 0 ] || { echo "spinsim -record captured nothing:"; cat "$TMP/rec.out"; exit 1; }
+"$TMP/spintrace" -info "$TMP/t.spintrace" | grep -q "^entries  *$RECORDED " \
+  || { echo "recorded file does not hold $RECORDED entries"; exit 1; }
+"$TMP/spinsim" -topo mesh:4x4 -scheme spin -cycles 2000 -warmup 200 -seed 5 \
+  -replay "$TMP/t.spintrace" -shards 2 -drain > "$TMP/rep.out"
+grep -q "^trace  *$RECORDED packets streamed" "$TMP/rep.out" \
+  || { echo "replay did not inject the $RECORDED recorded packets:"; cat "$TMP/rep.out"; exit 1; }
+grep -q '^drain  *complete' "$TMP/rep.out" || { echo "replayed run did not drain:"; cat "$TMP/rep.out"; exit 1; }
+
 echo "== closed-loop workload request"
 WBODY='{"topology":"mesh:8x8","routing":"min_adaptive","scheme":"spin","traffic":"uniform_random","rate":0.2,"cycles":2000,"seed":4,"workload":{"mode":"closed","window":4,"req_len":1,"resp_len":1,"think":8}}'
 curl -fsS -o "$TMP/r6" -d "$WBODY" "http://$ADDR/v1/simulate"
@@ -127,7 +141,6 @@ wait "$SPIND_PID"
 if [ -n "${SMOKE_ARTIFACTS_DIR:-}" ]; then
   echo "== observability sample artifacts -> $SMOKE_ARTIFACTS_DIR"
   mkdir -p "$SMOKE_ARTIFACTS_DIR"
-  go build -o "$TMP/spinsim" ./cmd/spinsim
   "$TMP/spinsim" -topo mesh:8x8 -routing favors_min -scheme spin -vcs 1 \
     -traffic uniform_random -rate 0.40 -seed 7 -cycles 6000 -warmup 1000 \
     -trace "$SMOKE_ARTIFACTS_DIR/sample-trace.json" -epoch 500 -hist \

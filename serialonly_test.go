@@ -7,6 +7,7 @@ import (
 	spin "repro"
 	"repro/internal/sim"
 	spinimpl "repro/internal/spin"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -62,10 +63,20 @@ func TestSerialOnlyClamping(t *testing.T) {
 	}
 }
 
+// emptyReplay is the replay engine over an empty workload on topo.
+func emptyReplay(t *testing.T, topo topology.Topology) *traffic.StreamReplay {
+	t.Helper()
+	rp, err := traffic.NewStreamReplay(traffic.SliceSource(nil), sim.Config{Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rp
+}
+
 // TestTraceTrafficShardPolicy: traffic.Recorder captures the global
 // injection order, which is inherently serial, so it clamps to one
-// shard. traffic.Replay (and the streaming StreamReplay) dispatch each
-// entry to its source terminal's queue, a shard-local affair, so replay
+// shard. The replay engine (traffic.StreamReplay) dispatches each entry
+// to its source terminal's queue, a shard-local affair, so replay
 // declares shard-safety and keeps the requested count.
 func TestTraceTrafficShardPolicy(t *testing.T) {
 	topo, err := spin.BuildTopology("mesh:4x4", 1)
@@ -82,7 +93,7 @@ func TestTraceTrafficShardPolicy(t *testing.T) {
 		gen        sim.TrafficGen
 		wantShards int
 	}{
-		{"replay", &traffic.Replay{Trace: &traffic.Trace{}}, 4},
+		{"replay", emptyReplay(t, topo), 4},
 		{"recorder", &traffic.Recorder{Gen: base}, 1},
 	}
 	for _, tc := range cases {
@@ -141,5 +152,5 @@ func TestReplaySetTrafficAllowedSharded(t *testing.T) {
 	if s.Network().Shards() != 4 {
 		t.Fatalf("control network did not shard: %d", s.Network().Shards())
 	}
-	s.Network().SetTraffic(&traffic.Replay{Trace: &traffic.Trace{}})
+	s.Network().SetTraffic(emptyReplay(t, s.Topology()))
 }
