@@ -1,7 +1,8 @@
 // Package bench measures the simulator's hot path — ns, heap bytes and
 // heap allocations per simulated cycle — over a fixed matrix of
-// workloads (mesh, torus, dragonfly at low and saturation load), and
-// compares runs against the committed baseline BENCH_sim.json.
+// workloads (mesh, torus, dragonfly at low and saturation load, plus an
+// empty mesh and the 1-VC SPIN regime), and compares runs against the
+// committed baseline BENCH_sim.json.
 //
 // The baseline carries a machine-speed calibration: the time per
 // iteration of a fixed integer kernel measured on the machine that wrote
@@ -97,11 +98,21 @@ func Workloads() []Workload {
 			Cycles: 2000,
 		}
 	}
+	// The two ends the load ladder misses: an empty network with no traffic
+	// source at all (the per-cycle floor every idle router, link and
+	// terminal adds to), and the paper's own 1-VC regime, where deadlocks
+	// form and the SPIN probe/move/spin machinery runs hot.
+	idle := mk("mesh8x8/idle", "mesh:8x8", "min_adaptive", 0)
+	idle.Cfg.Traffic = ""
+	spin1vc := mk("torus8x8/spin1vc", "torus:8x8", "favors_min", 0.10)
+	spin1vc.Cfg.VCsPerVNet, spin1vc.Cfg.Traffic = 1, "bit_complement"
 	return []Workload{
+		idle,
 		mk("mesh8x8/low", "mesh:8x8", "min_adaptive", 0.05),
 		mk("mesh8x8/sat", "mesh:8x8", "min_adaptive", 0.28),
 		mk("torus8x8/low", "torus:8x8", "min_adaptive", 0.05),
 		mk("torus8x8/sat", "torus:8x8", "min_adaptive", 0.45),
+		spin1vc,
 		mk("dfly64/low", "dragonfly:4,4,4,16", "ugal_spin", 0.05),
 		mk("dfly64/sat", "dragonfly:4,4,4,16", "ugal_spin", 0.20),
 	}

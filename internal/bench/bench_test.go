@@ -131,7 +131,7 @@ func stepAllocBudget(t *testing.T, name string, runs int, attach func(*sim.Netwo
 // after warmup — pools populated, scratch buffers grown, source queues
 // at their plateau — Network.Step must not allocate at all.
 func TestStepAllocBudget(t *testing.T) {
-	for _, name := range []string{"mesh8x8/sat", "dfly64/sat"} {
+	for _, name := range []string{"mesh8x8/idle", "mesh8x8/sat", "torus8x8/spin1vc", "dfly64/sat"} {
 		stepAllocBudget(t, name, 300, nil, nil)
 	}
 }

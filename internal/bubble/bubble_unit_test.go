@@ -160,14 +160,63 @@ func TestRingAgentQuiescent(t *testing.T) {
 	}
 }
 
-// TestStaticBubbleAgentNotQuiescer: the static-bubble agent's Tick
-// advances blocked timers every cycle, so it must NOT satisfy
-// sim.Quiescer — if someone adds a Quiescent method without making it
-// state-aware, recovery timeouts silently stop firing on idle-looking
-// routers.
-func TestStaticBubbleAgentNotQuiescer(t *testing.T) {
-	var a interface{} = &sbAgent{}
-	if _, ok := a.(sim.Quiescer); ok {
-		t.Fatal("sbAgent implements Quiescer; its Tick mutates timeout state every cycle")
+// TestStaticBubbleQuiescentTracksTimers: the static-bubble agent's Tick
+// advances blocked timers, so its Quiescent must be state-aware — true
+// exactly while no timer is running. A Quiescent that ignored the timers
+// would let recovery timeouts silently stop on idle-looking routers.
+func TestStaticBubbleQuiescentTracksTimers(t *testing.T) {
+	mesh, err := topology.NewMesh(3, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := &StaticBubble{Mesh: mesh, TDD: 16}
+	n, err := sim.NewNetwork(sim.Config{
+		Topology:   mesh,
+		Routing:    sb.Routing(2),
+		Scheme:     sb,
+		Traffic:    &traffic.Synthetic{Pattern: traffic.Uniform(9), Rate: 0.9},
+		VCsPerVNet: 2,
+		Seed:       7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var _ sim.Quiescer = sb.agents[0]
+	running := func(a *sbAgent) int {
+		k := 0
+		for _, since := range a.blockedSince {
+			if since != 0 {
+				k++
+			}
+		}
+		return k
+	}
+	sawTimer := false
+	check := func() {
+		for _, a := range sb.agents {
+			k := running(a)
+			sawTimer = sawTimer || k > 0
+			if a.Quiescent() != (k == 0) || k != len(a.tracked) {
+				t.Fatalf("cycle %d r%d: Quiescent=%v with %d timers running, %d tracked", n.Now(), a.r.ID, a.Quiescent(), k, len(a.tracked))
+			}
+		}
+	}
+	check()
+	for i := 0; i < 1500; i++ {
+		n.Step()
+		check()
+	}
+	if !sawTimer || n.Stats().Counter("static_bubble_recoveries") == 0 {
+		t.Fatalf("hard-driven mesh never ran a timer to expiry (recoveries %d)", n.Stats().Counter("static_bubble_recoveries"))
+	}
+	if !n.Drain(100000) {
+		t.Fatalf("failed to drain: %d in flight", n.InFlight())
+	}
+	n.Run(2) // the Tick after the last departure retires the last timer
+	check()
+	for _, a := range sb.agents {
+		if !a.Quiescent() {
+			t.Fatalf("r%d keeps a timer on an empty network", a.r.ID)
+		}
 	}
 }

@@ -37,7 +37,9 @@ func (s *StaticBubble) Attach(n *sim.Network) {
 	}
 	s.net = n
 	for i := 0; i < n.NumRouters(); i++ {
-		a := &sbAgent{scheme: s, r: n.Router(i)}
+		r := n.Router(i)
+		slots := r.Radix() * r.VCsPerPort()
+		a := &sbAgent{scheme: s, r: r, blockedSince: make([]int64, slots), recovery: make([]uint64, slots)}
 		s.agents = append(s.agents, a)
 		n.SetAgent(i, a)
 	}
@@ -56,39 +58,48 @@ type sbAgent struct {
 	scheme *StaticBubble
 	r      *sim.Router
 
-	// blockedSince tracks, per (port, vc), when the resident packet became
-	// head-blocked (0 = not blocked).
-	blockedSince map[[2]int]int64
-	// recovery marks VCs whose resident has been released into the
-	// recovery buffer path.
-	recovery map[[2]int]uint64 // -> packet id
+	// Timers, indexed by the router's flat VC slot. blockedSince is the
+	// cycle (plus one; zero is not blocked) the resident packet became
+	// head-blocked; recovery is the id of the resident released into the
+	// recovery buffer path. tracked lists the slots with a running timer.
+	blockedSince []int64
+	recovery     []uint64
+	tracked      []int32
 }
+
+// headBlocked reports whether v's resident waits at a link port without a
+// grant — the state the detection timeout measures.
+func headBlocked(v *sim.VC) bool {
+	return v.Len() > 0 && !v.WaitingToEject() && v.Granted() < 0
+}
+
+// Quiescent implements sim.Quiescer: with no timer running, Tick only
+// acts on buffered flits, and routers holding flits are always stepped.
+func (a *sbAgent) Quiescent() bool { return len(a.tracked) == 0 }
 
 // Tick implements sim.Agent: advance the blocked timers.
 func (a *sbAgent) Tick() {
 	now := a.r.Now()
-	if a.blockedSince == nil {
-		a.blockedSince = map[[2]int]int64{}
-		a.recovery = map[[2]int]uint64{}
+	// Timers whose resident left, was granted or reached its destination
+	// stop; the walk below re-lists the ones still running.
+	for _, slot := range a.tracked {
+		if !headBlocked(a.r.VCAt(int(slot))) {
+			a.blockedSince[slot], a.recovery[slot] = 0, 0
+		}
 	}
-	for p := a.r.LocalPorts(); p < a.r.Radix(); p++ {
-		for k := 0; k < a.r.VCsPerPort(); k++ {
-			v := a.r.VC(p, k)
-			key := [2]int{p, k}
-			pk := v.FrontPacket()
-			if pk == nil || v.WaitingToEject() || v.Granted() >= 0 {
-				delete(a.blockedSince, key)
-				delete(a.recovery, key)
-				continue
-			}
-			if since, ok := a.blockedSince[key]; !ok {
-				a.blockedSince[key] = now
-			} else if now-since >= a.scheme.TDD {
-				if a.recovery[key] != pk.ID {
-					a.recovery[key] = pk.ID
-					a.r.Stats().Count("static_bubble_recoveries", 1)
-				}
-			}
+	a.tracked = a.tracked[:0]
+	lo, hi := a.r.LocalPorts()*a.r.VCsPerPort(), len(a.blockedSince)
+	for slot := a.r.FirstOccupied(lo, hi); slot >= 0; slot = a.r.FirstOccupied(slot+1, hi) {
+		v := a.r.VCAt(slot)
+		if !headBlocked(v) {
+			continue
+		}
+		a.tracked = append(a.tracked, int32(slot))
+		if since := a.blockedSince[slot]; since == 0 {
+			a.blockedSince[slot] = now + 1
+		} else if id := v.FrontPacket().ID; now+1-since >= a.scheme.TDD && a.recovery[slot] != id {
+			a.recovery[slot] = id
+			a.r.Stats().Count("static_bubble_recoveries", 1)
 		}
 	}
 }
@@ -105,13 +116,7 @@ func (a *sbAgent) FilterSend(vc *sim.VC, outPort int, dvc *sim.VC) bool {
 		return true
 	}
 	pk := vc.FrontPacket()
-	if pk == nil {
-		return false
-	}
-	if a.recovery == nil {
-		return false
-	}
-	return a.recovery[[2]int{vc.Port(), vc.Index()}] == pk.ID
+	return pk != nil && a.recovery[vc.Slot()] == pk.ID
 }
 
 // FilterInject implements sim.Agent: fresh packets may not claim the

@@ -36,6 +36,7 @@ const (
 	RuleProgress      = "progress"       // a VC's front flit made no progress for StallBound cycles
 	RuleRecovery      = "recovery_bound" // oracle-visible deadlock outlived RecoveryBound cycles
 	RuleWindow        = "window"         // closed-loop window accounting broken (outstanding outside [0,W], unmatched reply, drain residue)
+	RuleWorklist      = "worklist"       // an engine worklist bitset disagrees with the state it indexes (a missed wake-up is a silent stall)
 )
 
 // CheckOptions configures an InvariantChecker. The zero value enables the
@@ -82,13 +83,16 @@ func (o *CheckOptions) setDefaults() {
 	}
 }
 
-// stallState tracks one VC's front flit across sweeps for the
-// forward-progress bound.
+// stallState tracks one VC's front flit across cycles for the
+// forward-progress bound. Only occupied VCs are visited, so seen — the
+// cycle, plus one, of the last visit — tells a continuing wait from a
+// packet re-entering a VC it left (a misroute), which starts afresh.
 type stallState struct {
 	pktID    uint64
 	frontSeq int
 	bufLen   int
 	since    int64
+	seen     int64
 	reported bool
 }
 
@@ -110,7 +114,7 @@ type InvariantChecker struct {
 	dropped    int64 // violations beyond MaxViolations
 
 	delivered map[uint64]struct{}
-	stalls    map[*VC]*stallState
+	stalls    [][]stallState // [router][VC slot]
 	spells    map[DeadlockedVC]*dlSpell
 
 	// Reusable scratch state.
@@ -129,15 +133,21 @@ type InvariantChecker struct {
 
 func newChecker(n *Network, opt CheckOptions) *InvariantChecker {
 	opt.setDefaults()
-	return &InvariantChecker{
+	c := &InvariantChecker{
 		net:       n,
 		opt:       opt,
 		diameter:  networkDiameter(n),
 		delivered: make(map[uint64]struct{}),
-		stalls:    make(map[*VC]*stallState),
 		spells:    make(map[DeadlockedVC]*dlSpell),
 		inflight:  make(map[*VC]int),
 	}
+	if opt.StallBound > 0 {
+		c.stalls = make([][]stallState, len(n.routers))
+		for i, r := range n.routers {
+			c.stalls[i] = make([]stallState, len(r.vcFlat))
+		}
+	}
+	return c
 }
 
 // networkDiameter computes the router-graph diameter for the hop bound,
@@ -257,6 +267,31 @@ func (c *InvariantChecker) sweep() {
 	if inside := n.stats.InjectedFlits - n.stats.EjectedFlits; inside != int64(buffered+inTransit) {
 		c.report(RuleConservation, "injected-ejected=%d but buffered=%d + in-transit=%d", inside, buffered, inTransit)
 	}
+	c.checkWorklists()
+}
+
+// checkWorklists audits the engine's worklist bitsets: Step visits only
+// what they name, so a clear bit over live state is work silently never
+// done. Between steps an occ bit must equal "VC holds a flit", and every
+// active() router and every loaded NIC must be in its shard's set (a set
+// bit over idle state is merely retired at the next visit).
+func (c *InvariantChecker) checkWorklists() {
+	n := c.net
+	for _, r := range n.routers {
+		for slot, v := range r.vcFlat {
+			if bit := r.occ.has(slot); bit != (len(v.buf) > 0) {
+				c.report(RuleWorklist, "r%d p%d vc%d holds %d flits but its occupied bit is %v", r.ID, v.port, v.index, len(v.buf), bit)
+			}
+		}
+		if r.active() && !r.shard.awake.has(r.ID-r.shard.r0) {
+			c.report(RuleWorklist, "r%d is active but not in its shard's awake set", r.ID)
+		}
+	}
+	for t, nic := range n.nics {
+		if (nic.cur != nil || nic.QueueLen() > 0) && !n.shards[n.termShard[t]].nicBusy.has(int(n.termSlot[t])) {
+			c.report(RuleWorklist, "terminal %d has %d packets queued (mid-injection: %v) but is not in its shard's busy set", t, nic.QueueLen(), nic.cur != nil)
+		}
+	}
 }
 
 // checkVC audits one VC: credit accounting, the VCT interleave contract
@@ -372,17 +407,17 @@ func (c *InvariantChecker) checkWindows(wt WindowedTraffic) {
 // may sit unchanged for more than StallBound cycles.
 func (c *InvariantChecker) checkProgress() {
 	now := c.net.now
-	for _, r := range c.net.routers {
-		r.ForEachVC(func(v *VC) {
-			if len(v.buf) == 0 {
-				delete(c.stalls, v)
-				return
-			}
+	for i, r := range c.net.routers {
+		total := len(r.vcFlat)
+		for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
+			v := r.vcFlat[slot]
 			f := v.buf[0]
-			s := c.stalls[v]
-			if s == nil || s.pktID != f.Pkt.ID || s.frontSeq != f.Seq || s.bufLen != len(v.buf) {
-				c.stalls[v] = &stallState{pktID: f.Pkt.ID, frontSeq: f.Seq, bufLen: len(v.buf), since: now}
-				return
+			s := &c.stalls[i][slot]
+			fresh := s.seen != now || s.pktID != f.Pkt.ID || s.frontSeq != f.Seq || s.bufLen != len(v.buf)
+			s.seen = now + 1
+			if fresh {
+				s.pktID, s.frontSeq, s.bufLen, s.since, s.reported = f.Pkt.ID, f.Seq, len(v.buf), now, false
+				continue
 			}
 			if stalled := now - s.since; stalled > c.maxStall {
 				c.maxStall = stalled
@@ -392,7 +427,7 @@ func (c *InvariantChecker) checkProgress() {
 				c.report(RuleProgress, "r%d p%d vc%d front flit (packet %d seq %d) stuck for %d cycles (bound %d, frozen=%v)",
 					v.router.ID, v.port, v.index, f.Pkt.ID, f.Seq, now-s.since, c.opt.StallBound, v.frozen)
 			}
-		})
+		}
 	}
 }
 

@@ -224,3 +224,71 @@ func TestCheckerCleanOnRealTraffic(t *testing.T) {
 		t.Fatalf("delivered %d of 30", n.Stats().Ejected)
 	}
 }
+
+// TestCheckerAuditsWorklists breaks each worklist bitset by hand, one bit
+// at a time, and requires exactly that violation: Step visits only what
+// the bitsets name, so a missed wake-up would otherwise be a silent stall.
+func TestCheckerAuditsWorklists(t *testing.T) {
+	cases := []struct {
+		name   string
+		breakF func(n *Network, v *VC)
+		want   string
+	}{
+		{"occupied VC, bit clear", func(_ *Network, v *VC) { v.router.occ.clear(v.Slot()) }, "r1 p2 vc0 holds 1 flits but its occupied bit is false"},
+		{"empty VC, bit set", func(n *Network, _ *VC) { n.Router(0).occ.set(3) }, "r0 p1 vc1 holds 0 flits but its occupied bit is true"},
+		{"active router asleep", func(_ *Network, v *VC) { v.router.shard.awake.clear(v.router.ID) }, "r1 is active but not in its shard's awake set"},
+		{"queued NIC not busy", func(n *Network, _ *VC) { n.shards[0].nicBusy.clear(0) }, "terminal 0 has 1 packets queued (mid-injection: false) but is not in its shard's busy set"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, v := vcFixture(t)
+			p := &Packet{ID: 1, Length: 2}
+			v.reserve(p, 0, false)
+			v.enqueue(Flit{Pkt: p, Seq: 0}, 0)
+			account(n, 1)
+			n.InjectPacket(0, PacketSpec{Dst: 1, Length: 1})
+			if vs := n.CheckStructural(); len(vs) != 0 {
+				t.Fatalf("intact worklists flagged: %v", vs)
+			}
+			tc.breakF(n, v)
+			vs := n.CheckStructural()
+			if len(vs) != 1 || vs[0].Rule != RuleWorklist || vs[0].Detail != tc.want {
+				t.Fatalf("got %v, want one %s violation %q", vs, RuleWorklist, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckerStallRestartsOnReentry pins the hazard of keeping stall
+// state in a flat per-slot array: a packet that leaves a VC and later
+// re-enters it (a misroute) presents the same (packet, seq, length) the
+// slot last recorded, and must still start a fresh no-progress interval.
+func TestCheckerStallRestartsOnReentry(t *testing.T) {
+	g := lineTopology(t)
+	n, err := NewNetwork(Config{Topology: g, Routing: nopRouting{}, VCsPerVNet: 1, VCDepth: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := n.AttachChecker(CheckOptions{StallBound: 20})
+	r := n.Router(0)
+	v := r.VC(1, 0)
+	p := &Packet{ID: 1, Length: 1, DstRouter: 1}
+	park := func(cycles int64) {
+		v.reserve(p, n.now, true)
+		v.enqueue(Flit{Pkt: p, Seq: 0}, n.now)
+		n.stats.InjectedFlits++
+		r.FreezeVC(v)
+		n.Run(cycles)
+	}
+	park(15)
+	v.dequeue()
+	n.stats.InjectedFlits--
+	n.Run(1) // one pass sees the VC empty
+	park(15)
+	if err := c.Err(); err != nil {
+		t.Fatalf("two 15-cycle waits around an absence read as one stall: %v", err)
+	}
+	if c.MaxStall() >= 15 {
+		t.Fatalf("max stall %d spans the absence", c.MaxStall())
+	}
+}

@@ -178,6 +178,7 @@ type Network struct {
 	shards      []*shardState
 	routerShard []int32
 	termShard   []int32
+	termSlot    []int32 // terminal's index in its shard's terms (its nicBusy bit)
 	linkShard   []int32
 	work        chan func()
 	phaseWG     sync.WaitGroup
@@ -275,6 +276,11 @@ func (n *Network) buildShards() {
 			n.routerShard[r] = int32(si)
 			n.routers[r].shard = s
 		}
+		// Every router starts awake; phase 2 retires the idle ones.
+		s.awake = newBitset(s.r1 - s.r0)
+		for r := s.r0; r < s.r1; r++ {
+			n.routers[r].wake()
+		}
 		if si == 0 || n.nShards == 1 {
 			s.routing = n.cfg.Routing
 		} else {
@@ -284,11 +290,16 @@ func (n *Network) buildShards() {
 		s.injectFn = func(spec PacketSpec) { n.inject(sh, sh.injectTerm, spec, true) }
 	}
 	n.termShard = make([]int32, len(n.nics))
+	n.termSlot = make([]int32, len(n.nics))
 	for t := range n.nics {
 		si := n.routerShard[topo.TerminalRouter(t)]
 		n.termShard[t] = si
 		s := n.shards[si]
+		n.termSlot[t] = int32(len(s.terms))
 		s.terms = append(s.terms, int32(t))
+	}
+	for _, s := range n.shards {
+		s.nicBusy = newBitset(len(s.terms))
 	}
 	n.linkShard = make([]int32, len(n.links))
 	for i, l := range n.links {
@@ -302,7 +313,7 @@ func (n *Network) buildShards() {
 			lo++
 		}
 		s.l1 = lo
-		s.linkActive = make([]uint64, (s.l1-s.l0+63)/64)
+		s.linkActive = newBitset(s.l1 - s.l0)
 	}
 	n.p1fns = make([]func(), n.nShards)
 	n.p2fns = make([]func(), n.nShards)
@@ -412,6 +423,7 @@ func (n *Network) SetAgent(router int, a Agent) {
 	r.agent = a
 	r.qagent, _ = a.(Quiescer)
 	r.vpub, _ = a.(ViewPublisher)
+	r.wake()
 }
 
 // SetEjectHook registers an observer for every ejected packet.
@@ -474,6 +486,7 @@ func (n *Network) inject(s *shardState, src int, spec PacketSpec, pooled bool) *
 	p.Checksum = checksumFor(p.ID, p.Src, p.Dst, p.Length)
 	s.routing.AtSource(n.routers[p.SrcRouter], p)
 	nic.push(p)
+	s.nicBusy.set(int(n.termSlot[src]))
 	s.dQueued++
 	if n.wants(EvPacketQueued) {
 		s.emitEvent(Event{Cycle: n.now, Kind: EvPacketQueued, Router: p.SrcRouter,

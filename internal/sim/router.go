@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -16,8 +17,13 @@ type Router struct {
 	localPorts int
 
 	in      [][]*VC // [port][vcIdx]
-	vcFlat  []*VC   // all input VCs in (port, vcIdx) order, for the SA scan
+	vcFlat  []*VC   // all input VCs in (port, vcIdx) order: slot = port*VCsPerPort+vcIdx
 	outLink []*link // per output port; nil for terminal/unwired ports
+
+	// occ is the occupied-VC worklist: bit slot is set exactly while
+	// vcFlat[slot] buffers a flit (VC.enqueue/dequeue maintain it). The
+	// pipeline stages and the agents walk its set bits, not the port arrays.
+	occ bitset
 
 	// shard is the engine partition that steps this router; all shard-local
 	// scratch, pools, stats, and outboxes live there.
@@ -27,10 +33,9 @@ type Router struct {
 	qagent Quiescer      // agent's optional quiescence probe (nil: always active)
 	vpub   ViewPublisher // agent's optional cross-shard view hook
 
-	// Occupancy counters backing the active-set worklists: a router is
-	// stepped only when one of them is non-zero (or its agent is awake).
+	// Work counters behind active(): a router is stepped only while one of
+	// them is non-zero or its agent is awake.
 	flitCount   int // buffered flits across all input VCs
-	occupied    int // input VCs with at least one buffered flit
 	spinningVCs int // VCs force-transmitting a spin this cycle
 	smPending   int // SMs offered via SendSM awaiting arbitration
 
@@ -67,10 +72,11 @@ func newRouter(n *Network, id int) *Router {
 	}
 	vcs := n.cfg.VNets * n.cfg.VCsPerVNet
 	r.vcFlat = make([]*VC, 0, radix*vcs)
+	r.occ = newBitset(radix * vcs)
 	for p := 0; p < radix; p++ {
 		r.in[p] = make([]*VC, vcs)
 		for k := 0; k < vcs; k++ {
-			v := &VC{router: r, port: p, index: k, depth: n.cfg.VCDepth, outPort: -1}
+			v := &VC{router: r, port: p, index: k, slot: int32(p*vcs + k), depth: n.cfg.VCDepth, outPort: -1}
 			r.in[p][k] = v
 			r.vcFlat = append(r.vcFlat, v)
 		}
@@ -89,6 +95,36 @@ func (r *Router) active() bool {
 	}
 	return r.qagent == nil || !r.qagent.Quiescent()
 }
+
+// wake puts the router in its shard's awake set, the routers phase 2 asks
+// active() of. Everything that can turn active() true calls it — a first
+// flit, an offered or delivered SM, a new agent — and always on the owning
+// shard (phase 1, the router's own Tick) or between steps.
+func (r *Router) wake() { r.shard.awake.set(r.ID - r.shard.r0) }
+
+// FirstOccupied returns the lowest slot in [lo, hi) whose VC buffers a
+// flit, or -1. Slots number the input VCs port-major (port*VCsPerPort +
+// index); VCAt resolves one.
+func (r *Router) FirstOccupied(lo, hi int) int {
+	if lo >= hi {
+		return -1
+	}
+	w := lo >> 6
+	word := r.occ[w] &^ (1<<uint(lo&63) - 1)
+	for word == 0 {
+		if w++; w<<6 >= hi {
+			return -1
+		}
+		word = r.occ[w]
+	}
+	if slot := w<<6 + bits.TrailingZeros64(word); slot < hi {
+		return slot
+	}
+	return -1
+}
+
+// VCAt returns the VC at a flat slot (see VC.Slot).
+func (r *Router) VCAt(slot int) *VC { return r.vcFlat[slot] }
 
 // Net returns the owning network.
 func (r *Router) Net() *Network { return r.net }
@@ -229,6 +265,7 @@ func (r *Router) SendSM(p int, sm *SM) {
 	}
 	r.smSends[p] = append(r.smSends[p], sm)
 	r.smPending++
+	r.wake()
 }
 
 // NewSM returns a zeroed special message from the shard's free list.
@@ -292,35 +329,28 @@ func (r *Router) StartSpin(v *VC, outPort int, target *VC) {
 // routeStage computes port requests for every VC whose resident head flit
 // has reached the front and is not yet routed.
 func (r *Router) routeStage() {
-	// Only VCs holding flits can need routing; stop once every occupied VC
-	// has been visited (no enqueue happens during this stage).
-	left := r.occupied
-	for p := 0; p < r.radix && left > 0; p++ {
-		for _, v := range r.in[p] {
-			if len(v.buf) == 0 {
-				continue
-			}
-			left--
-			if v.routed || !v.buf[0].IsHead() {
-				continue
-			}
-			pkt := v.buf[0].Pkt
-			if pkt.Intermediate >= 0 && pkt.Phase == 0 && r.ID == pkt.Intermediate {
-				pkt.Phase = 1
-			}
-			if pkt.DstRouter == r.ID {
-				termPort := r.net.cfg.Topology.TerminalPort(pkt.Dst)
-				v.reqs = append(v.reqs[:0], PortRequest{Port: termPort, VCMask: AllVCs})
-				v.routed = true
-				continue
-			}
-			r.routeBuf = r.shard.routing.Route(r, p, pkt, r.routeBuf[:0])
-			if len(r.routeBuf) == 0 {
-				panic(fmt.Sprintf("sim: routing %s returned no ports for %v at router %d", r.shard.routing.Name(), pkt, r.ID))
-			}
-			v.reqs = append(v.reqs[:0], r.routeBuf...)
-			v.routed = true
+	total := len(r.vcFlat)
+	for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
+		v := r.vcFlat[slot]
+		if v.routed || !v.buf[0].IsHead() {
+			continue
 		}
+		pkt := v.buf[0].Pkt
+		if pkt.Intermediate >= 0 && pkt.Phase == 0 && r.ID == pkt.Intermediate {
+			pkt.Phase = 1
+		}
+		if pkt.DstRouter == r.ID {
+			termPort := r.net.cfg.Topology.TerminalPort(pkt.Dst)
+			v.reqs = append(v.reqs[:0], PortRequest{Port: termPort, VCMask: AllVCs})
+			v.routed = true
+			continue
+		}
+		r.routeBuf = r.shard.routing.Route(r, v.port, pkt, r.routeBuf[:0])
+		if len(r.routeBuf) == 0 {
+			panic(fmt.Sprintf("sim: routing %s returned no ports for %v at router %d", r.shard.routing.Name(), pkt, r.ID))
+		}
+		v.reqs = append(v.reqs[:0], r.routeBuf...)
+		v.routed = true
 	}
 }
 
@@ -337,12 +367,11 @@ func (r *Router) claimSpinPorts() {
 	if r.spinningVCs == 0 {
 		return
 	}
-	for p := 0; p < r.radix; p++ {
-		for _, v := range r.in[p] {
-			if v.spinning && len(v.buf) > 0 {
-				r.spinClaimed[v.outPort] = true
-				r.spinClaimedDirty = true
-			}
+	total := len(r.vcFlat)
+	for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
+		if v := r.vcFlat[slot]; v.spinning {
+			r.spinClaimed[v.outPort] = true
+			r.spinClaimedDirty = true
 		}
 	}
 }
@@ -434,20 +463,20 @@ func (r *Router) spinStage() {
 	if r.spinningVCs == 0 {
 		return
 	}
-	for p := 0; p < r.radix; p++ {
-		for _, v := range r.in[p] {
-			if !v.spinning || len(v.buf) == 0 {
-				continue
-			}
-			out, target := v.outPort, v.target
-			if r.inUsed[p] || r.outUsed[out] {
-				panic("sim: spin port collision")
-			}
-			r.sendFlitFrom(v, out, target)
-			r.inUsed[p] = true
-			r.outUsed[out] = true
-			r.usedDirty = true
+	total := len(r.vcFlat)
+	for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
+		v := r.vcFlat[slot]
+		if !v.spinning {
+			continue
 		}
+		out, target := v.outPort, v.target
+		if r.inUsed[v.port] || r.outUsed[out] {
+			panic("sim: spin port collision")
+		}
+		r.sendFlitFrom(v, out, target)
+		r.inUsed[v.port] = true
+		r.outUsed[out] = true
+		r.usedDirty = true
 	}
 }
 
@@ -455,38 +484,37 @@ func (r *Router) spinStage() {
 // traffic. Each input VC tries its port requests in preference order; a
 // rotating start index provides fairness.
 func (r *Router) saStage() {
-	total := len(r.vcFlat)
-	if total == 0 || r.occupied == 0 {
+	if r.flitCount == 0 {
 		return
 	}
 	// The rotating start index advances once per cycle; deriving it from
 	// the clock (instead of a stored pointer bumped every call) lets idle
 	// routers skip the stage entirely without desynchronising fairness.
-	start := int(r.net.now % int64(total))
 	// No VC gains flits during switch allocation and a VC only drains when
-	// visited, so the scan may stop once every occupied VC has been seen.
-	left := r.occupied
-	for i := 0; i < total && left > 0; i++ {
-		slot := start + i
-		if slot >= total {
-			slot -= total
-		}
-		v := r.vcFlat[slot]
-		if len(v.buf) == 0 {
-			continue
-		}
-		left--
-		if v.frozen || v.spinning || r.inUsed[v.port] {
-			continue
-		}
-		if v.target != nil || (v.outPort >= 0 && v.outPort < r.localPorts) {
-			// Granted packet (or ejection in progress): stream next flit.
-			r.tryContinue(v)
-			continue
-		}
-		if v.routed && v.buf[0].IsHead() {
-			r.tryGrant(v)
-		}
+	// visited, so walking the occupied bits [start, total) then [0, start)
+	// visits exactly the VCs a full rotating scan would, in its order.
+	total := len(r.vcFlat)
+	start := int(r.net.now % int64(total))
+	for slot := r.FirstOccupied(start, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
+		r.allocate(r.vcFlat[slot])
+	}
+	for slot := r.FirstOccupied(0, start); slot >= 0; slot = r.FirstOccupied(slot+1, start) {
+		r.allocate(r.vcFlat[slot])
+	}
+}
+
+// allocate is one occupied VC's turn at switch allocation.
+func (r *Router) allocate(v *VC) {
+	if v.frozen || v.spinning || r.inUsed[v.port] {
+		return
+	}
+	if v.target != nil || (v.outPort >= 0 && v.outPort < r.localPorts) {
+		// Granted packet (or ejection in progress): stream next flit.
+		r.tryContinue(v)
+		return
+	}
+	if v.routed && v.buf[0].IsHead() {
+		r.tryGrant(v)
 	}
 }
 

@@ -79,6 +79,16 @@ type ViewPublisher interface {
 	PublishView()
 }
 
+// bitset is the engine's worklist: one bit per entity of a population,
+// walked in ascending order a word at a time with bits.TrailingZeros64,
+// so entities with nothing to do cost nothing.
+type bitset []uint64
+
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
+func (b bitset) has(i int) bool { return b[i>>6]>>uint(i&63)&1 != 0 }
+
 // resvOp is a deferred downstream-VC reservation. Normal reservations
 // (switch allocation grants) are unique per VC per cycle — each input
 // port is fed by exactly one link and each output port sends at most one
@@ -123,10 +133,15 @@ type shardState struct {
 	busyFlit   int64
 	busySM     int64
 
-	// linkActive is the active bitset over the shard's inbound links; bit
-	// i covers link l0+i. Set bits arrive via commit (linkMarks of the
-	// sending shard), cleared bits are shard-local in phase 1.
-	linkActive []uint64
+	// The shard's worklists. linkActive: bit i covers inbound link l0+i;
+	// set bits arrive via commit (linkMarks of the sending shard), cleared
+	// bits are shard-local in phase 1. awake: bit i covers router r0+i; set
+	// by Router.wake, cleared in phase 2 once active() is false. nicBusy:
+	// bit i covers terminal terms[i]; set by Network.inject, cleared in
+	// phase 1 once the NIC has nothing queued or mid-injection.
+	linkActive bitset
+	awake      bitset
+	nicBusy    bitset
 
 	active  []*Router
 	flitBuf []flitTransit
@@ -200,15 +215,29 @@ func (s *shardState) phase1() {
 		}
 	}
 	s.phase = phInject
-	for _, t := range s.terms {
-		n.nics[t].injectStep(n, s)
+	for w, word := range s.nicBusy {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			nic := n.nics[s.terms[w*64+b]]
+			nic.injectStep(n, s)
+			if nic.cur == nil && nic.head == len(nic.queue) {
+				s.nicBusy.clear(w*64 + b)
+			}
+		}
 	}
 	// Agent views are published after every SM delivery and injection of
 	// the cycle, so phase-2 readers on any shard observe one consistent,
-	// pre-Tick snapshot.
-	for r := s.r0; r < s.r1; r++ {
-		if vp := n.routers[r].vpub; vp != nil {
-			vp.PublishView()
+	// pre-Tick snapshot. Only awake routers can have one to publish: an
+	// agent's follower state changes in HandleSM (which wakes the router)
+	// or in its own Tick (whose router stays awake through this phase).
+	for w, word := range s.awake {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			if vp := n.routers[s.r0+w*64+b].vpub; vp != nil {
+				vp.PublishView()
+			}
 		}
 	}
 }
@@ -219,9 +248,15 @@ func (s *shardState) phase1() {
 // views, so no shard can observe another's intra-phase progress.
 func (s *shardState) phase2() {
 	active := s.active[:0]
-	for i := s.r0; i < s.r1; i++ {
-		if r := s.n.routers[i]; r.active() {
-			active = append(active, r)
+	for w, word := range s.awake {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			if r := s.n.routers[s.r0+w*64+b]; r.active() {
+				active = append(active, r)
+			} else {
+				s.awake.clear(w*64 + b)
+			}
 		}
 	}
 	s.active = active
@@ -269,7 +304,7 @@ func (s *shardState) deliverArrivals() {
 			l := n.links[s.l0+w*64+b]
 			s.deliverLink(l)
 			if len(l.flits) == 0 && len(l.sms) == 0 {
-				s.linkActive[w] &^= 1 << uint(b)
+				s.linkActive.clear(w*64 + b)
 			}
 		}
 	}
@@ -314,6 +349,7 @@ func (s *shardState) deliverLink(l *link) {
 		}
 		if a := l.dst.agent; a != nil {
 			a.HandleSM(t.sm, l.topo.DstPort)
+			l.dst.wake()
 		}
 		// Delivered SMs are dead: agents copy (CloneSM) anything they
 		// forward and never retain the original.
@@ -425,8 +461,7 @@ func (n *Network) commit() {
 	for _, s := range n.shards {
 		for _, li := range s.linkMarks {
 			o := n.shards[n.linkShard[li]]
-			i := int(li) - o.l0
-			o.linkActive[i>>6] |= 1 << uint(i&63)
+			o.linkActive.set(int(li) - o.l0)
 		}
 		s.linkMarks = s.linkMarks[:0]
 	}

@@ -28,8 +28,12 @@ type VC struct {
 
 	// Routing state of the resident (front) packet. reqs is computed once
 	// per router visit when the head flit reaches the front.
-	reqs     []PortRequest
-	routed   bool
+	reqs   []PortRequest
+	routed bool
+	// slot is the VC's flat index port*VCsPerPort+index at its router: its
+	// bit in Router.occ. It sits in routed's padding, so VC keeps its
+	// allocator size class.
+	slot     int32
 	target   *VC // downstream VC granted to the resident packet
 	outPort  int // output port of the grant (-1 until granted)
 	frozen   bool
@@ -55,6 +59,10 @@ func (v *VC) Port() int { return v.port }
 
 // Index returns the VC index within its port.
 func (v *VC) Index() int { return v.index }
+
+// Slot returns the VC's flat index at its router, port*VCsPerPort+index:
+// the numbering Router.FirstOccupied and Router.VCAt use.
+func (v *VC) Slot() int { return int(v.slot) }
 
 // VNet reports the virtual network this VC serves.
 func (v *VC) VNet() int { return v.index / v.router.net.cfg.VCsPerVNet }
@@ -199,17 +207,22 @@ func (v *VC) WaitingToEject() bool {
 	return p != nil && p.DstRouter == v.router.ID
 }
 
-// enqueue appends an arriving flit, maintaining the router's occupancy
-// counters that drive the active-set worklists.
+// enqueue appends an arriving flit, maintaining the worklists it can grow:
+// the router's occupied-VC bitset and, on the router's first flit, the
+// shard's awake set.
 func (v *VC) enqueue(f Flit, now int64) {
 	if len(v.buf) >= v.depth {
 		panic(fmt.Sprintf("sim: VC overflow at r%d p%d vc%d cycle %d: depth=%d inFlight=%d frozen=%v spinning=%v resv=%v arriving=%v seq=%d front=%v",
 			v.router.ID, v.port, v.index, now, v.depth, v.inFlight, v.frozen, v.spinning, v.resvOwner, f.Pkt, f.Seq, v.buf[0].Pkt))
 	}
+	r := v.router
 	if len(v.buf) == 0 {
-		v.router.occupied++
+		r.occ.set(int(v.slot))
 	}
-	v.router.flitCount++
+	if r.flitCount == 0 {
+		r.wake()
+	}
+	r.flitCount++
 	v.buf = append(v.buf, f)
 	v.markDirty()
 }
@@ -222,7 +235,7 @@ func (v *VC) dequeue() Flit {
 	v.buf = v.buf[:len(v.buf)-1]
 	v.router.flitCount--
 	if len(v.buf) == 0 {
-		v.router.occupied--
+		v.router.occ.clear(int(v.slot))
 	}
 	if f.IsTail() {
 		v.clearResidentState()

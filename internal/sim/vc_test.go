@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/topology"
 )
@@ -142,4 +143,24 @@ func (nopRouting) Name() string { return "nop" }
 
 func (nopRouting) Route(_ *Router, _ int, _ *Packet, buf []PortRequest) []PortRequest {
 	return append(buf, PortRequest{Port: 1, VCMask: AllVCs})
+}
+
+// TestHotStructSizeClasses keeps the per-entity structs inside the
+// allocator size classes they had before the worklists: one more word on
+// VC rounds every VC up a class (+9 % bytes per VC, visible as
+// alloc_b_per_work on the short sweep points).
+func TestHotStructSizeClasses(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, fits uintptr
+	}{
+		{"VC", unsafe.Sizeof(VC{}), 176},
+		{"Router", unsafe.Sizeof(Router{}), 384},
+		{"NIC", unsafe.Sizeof(NIC{}), 96},
+	} {
+		if c.got > c.fits {
+			t.Errorf("%s is %d bytes, past its %d-byte size class", c.name, c.got, c.fits)
+		}
+		t.Logf("%s %d/%d", c.name, c.got, c.fits)
+	}
 }

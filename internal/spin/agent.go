@@ -177,21 +177,19 @@ func blockedDependency(v *sim.VC) (int, bool) {
 func (a *Agent) scanWatch(port, idx int) (int, int, bool) {
 	r := a.r
 	vcs := r.VCsPerPort()
-	total := (r.Radix() - r.LocalPorts()) * vcs
-	if total <= 0 {
-		return 0, 0, false
-	}
-	startSlot := 0
+	// Link-port VCs are the router's flat slots [lo, hi). The round-robin
+	// order is start+1, ..., hi-1, lo, ..., start: two runs of the
+	// occupied-VC bitset.
+	lo, hi := r.LocalPorts()*vcs, r.Radix()*vcs
+	start := lo
 	if port >= r.LocalPorts() {
-		startSlot = (port-r.LocalPorts())*vcs + idx
+		start = port*vcs + idx
 	}
-	for i := 1; i <= total; i++ {
-		slot := (startSlot + i) % total
-		p := r.LocalPorts() + slot/vcs
-		k := slot % vcs
-		v := r.VC(p, k)
-		if v.Len() > 0 && !v.WaitingToEject() && !v.Frozen() {
-			return p, k, true
+	for _, run := range [2][2]int{{start + 1, hi}, {lo, start + 1}} {
+		for slot := r.FirstOccupied(run[0], run[1]); slot >= 0; slot = r.FirstOccupied(slot+1, run[1]) {
+			if v := r.VCAt(slot); !v.WaitingToEject() && !v.Frozen() {
+				return v.Port(), v.Index(), true
+			}
 		}
 	}
 	return 0, 0, false

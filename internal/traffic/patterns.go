@@ -227,6 +227,13 @@ type Synthetic struct {
 	// terminal's emission sequence is independent of the others' — the
 	// property the sharded engine's determinism contract rests on.
 	next []int32
+
+	// DataLen and DataFrac with their defaults applied, and the per-cycle
+	// injection probability Rate/E[len] they imply: resolved once, in
+	// PrepareTerminals, instead of per terminal per cycle. The exported
+	// fields must not change afterwards.
+	dataLen       int
+	frac, pInject float64
 }
 
 // Name implements sim.TrafficGen.
@@ -243,26 +250,31 @@ func (s *Synthetic) PrepareTerminals(n int) {
 	if len(s.next) < n {
 		s.next = make([]int32, n)
 	}
+	s.dataLen = s.DataLen
+	if s.dataLen == 0 {
+		s.dataLen = 5
+	}
+	s.frac = s.DataFrac
+	if s.frac == 0 {
+		s.frac = 0.5
+	}
+	meanLen := s.frac*float64(s.dataLen) + (1 - s.frac)
+	s.pInject = s.Rate / meanLen
 }
 
 // Generate implements sim.TrafficGen.
 func (s *Synthetic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
-	dataLen := s.DataLen
-	if dataLen == 0 {
-		dataLen = 5
+	if s.dataLen == 0 {
+		// Driven without the engine's PrepareTerminals call (serial callers
+		// only: the engine always prepares before stepping shards).
+		s.PrepareTerminals(src + 1)
 	}
-	frac := s.DataFrac
-	if frac == 0 {
-		frac = 0.5
-	}
-	meanLen := frac*float64(dataLen) + (1 - frac)
-	pInject := s.Rate / meanLen
-	if rng.Float64() >= pInject {
+	if rng.Float64() >= s.pInject {
 		return
 	}
 	length := 1
-	if rng.Float64() < frac {
-		length = dataLen
+	if rng.Float64() < s.frac {
+		length = s.dataLen
 	}
 	vnet := 0
 	if s.VNets > 1 {
