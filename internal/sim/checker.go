@@ -272,9 +272,12 @@ func (c *InvariantChecker) sweep() {
 
 // checkWorklists audits the engine's worklist bitsets: Step visits only
 // what they name, so a clear bit over live state is work silently never
-// done. Between steps an occ bit must equal "VC holds a flit", and every
-// active() router and every loaded NIC must be in its shard's set (a set
-// bit over idle state is merely retired at the next visit).
+// done. Between steps an occ bit must equal "VC holds a flit", an inFree
+// bit the snapshot predicate it caches, a needRoute bit "the front flit is
+// an unrouted head", and every active() router and every loaded NIC must be
+// in its shard's set (a set bit over idle state is merely retired at the
+// next visit). The two sleep sets err the other way — a set bit is a turn
+// never taken — so each of their bits must still be owed its sleep.
 func (c *InvariantChecker) checkWorklists() {
 	n := c.net
 	for _, r := range n.routers {
@@ -282,16 +285,68 @@ func (c *InvariantChecker) checkWorklists() {
 			if bit := r.occ.has(slot); bit != (len(v.buf) > 0) {
 				c.report(RuleWorklist, "r%d p%d vc%d holds %d flits but its occupied bit is %v", r.ID, v.port, v.index, len(v.buf), bit)
 			}
+			if bit := r.inFree.has(v.freeBit()); bit != v.snapAllocatable() {
+				c.report(RuleWorklist, "r%d p%d vc%d snapshot is reserved=%v free=%d but its free bit is %v", r.ID, v.port, v.index, v.snapResv, v.snapFree, bit)
+			}
+			if bit := r.needRoute.has(slot); bit != v.unroutedHead() {
+				c.report(RuleWorklist, "r%d p%d vc%d (%d flits, routed=%v) has its route-request bit %v", r.ID, v.port, v.index, len(v.buf), v.routed, bit)
+			}
+			if r.blocked.has(slot) {
+				if why := blockedUnowed(v); why != "" {
+					c.report(RuleWorklist, "r%d p%d vc%d sleeps in the blocked set but %s", r.ID, v.port, v.index, why)
+				}
+			}
 		}
 		if r.active() && !r.shard.awake.has(r.ID-r.shard.r0) {
 			c.report(RuleWorklist, "r%d is active but not in its shard's awake set", r.ID)
 		}
 	}
 	for t, nic := range n.nics {
-		if (nic.cur != nil || nic.QueueLen() > 0) && !n.shards[n.termShard[t]].nicBusy.has(int(n.termSlot[t])) {
+		s, slot := n.shards[n.termShard[t]], int(n.termSlot[t])
+		if (nic.cur != nil || nic.QueueLen() > 0) && !s.nicBusy.has(slot) {
 			c.report(RuleWorklist, "terminal %d has %d packets queued (mid-injection: %v) but is not in its shard's busy set", t, nic.QueueLen(), nic.cur != nil)
 		}
+		if !s.nicBlocked.has(slot) {
+			continue
+		}
+		if nic.cur != nil || nic.QueueLen() == 0 || !s.nicBusy.has(slot) {
+			c.report(RuleWorklist, "terminal %d sleeps in the blocked set with %d packets queued (mid-injection: %v, busy: %v)", t, nic.QueueLen(), nic.cur != nil, s.nicBusy.has(slot))
+			continue
+		}
+		p := nic.queue[nic.head]
+		for _, v := range nic.router.in[nic.port][p.VNet*n.cfg.VCsPerVNet:][:n.cfg.VCsPerVNet] {
+			if v.CanAccept(p.Length) {
+				c.report(RuleWorklist, "terminal %d sleeps in the blocked set but r%d p%d vc%d has room for its next packet", t, v.router.ID, v.port, v.index)
+				break
+			}
+		}
 	}
+}
+
+// blockedUnowed says why v should not be in its router's blocked set, or
+// "" when its sleep is owed: it fronts a routed, ungranted head that asks
+// for no ejection and has no admissible free VC behind any link it asks
+// for.
+func blockedUnowed(v *VC) string {
+	r := v.router
+	switch {
+	case len(v.buf) == 0:
+		return "is empty"
+	case !v.routed || !v.buf[0].IsHead():
+		return "has no routed head at its front"
+	case v.target != nil || v.outPort >= 0:
+		return "holds a grant"
+	}
+	base := v.buf[0].Pkt.VNet * r.net.cfg.VCsPerVNet
+	for _, req := range v.reqs {
+		if req.Port < r.localPorts {
+			return "asks for ejection"
+		}
+		if r.outLink[req.Port] != nil && r.freeVCs(req.Port, base, req.VCMask) != 0 {
+			return fmt.Sprintf("output %d has a free VC it may take (a wake was dropped)", req.Port)
+		}
+	}
+	return ""
 }
 
 // checkVC audits one VC: credit accounting, the VCT interleave contract

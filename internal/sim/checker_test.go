@@ -238,6 +238,10 @@ func TestCheckerAuditsWorklists(t *testing.T) {
 		{"empty VC, bit set", func(n *Network, _ *VC) { n.Router(0).occ.set(3) }, "r0 p1 vc1 holds 0 flits but its occupied bit is true"},
 		{"active router asleep", func(_ *Network, v *VC) { v.router.shard.awake.clear(v.router.ID) }, "r1 is active but not in its shard's awake set"},
 		{"queued NIC not busy", func(n *Network, _ *VC) { n.shards[0].nicBusy.clear(0) }, "terminal 0 has 1 packets queued (mid-injection: false) but is not in its shard's busy set"},
+		{"free VC, free bit clear", func(n *Network, _ *VC) { n.Router(0).inFree.clear(n.Router(0).VC(1, 1).freeBit()) }, "r0 p1 vc1 snapshot is reserved=false free=5 but its free bit is false"},
+		{"unrouted head, route bit clear", func(_ *Network, v *VC) { v.router.needRoute.clear(v.Slot()) }, "r1 p2 vc0 (1 flits, routed=false) has its route-request bit false"},
+		{"empty VC asleep", func(n *Network, _ *VC) { n.Router(0).blocked.set(3) }, "r0 p1 vc1 sleeps in the blocked set but is empty"},
+		{"NIC asleep beside a free VC", func(n *Network, _ *VC) { n.shards[0].nicBlocked.set(0) }, "terminal 0 sleeps in the blocked set but r0 p0 vc0 has room for its next packet"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -256,6 +260,113 @@ func TestCheckerAuditsWorklists(t *testing.T) {
 				t.Fatalf("got %v, want one %s violation %q", vs, RuleWorklist, tc.want)
 			}
 		})
+	}
+}
+
+// stallFixture is a 1-VC line whose only link VC at r1 holds a parked
+// packet, so traffic from terminal 0 backs up behind it: the first packet's
+// head blocks in r0's terminal VC and the next waits in the NIC. release
+// takes the parked packet away by hand.
+func stallFixture(t *testing.T) (n *Network, head *VC, release func()) {
+	t.Helper()
+	n, err := NewNetwork(Config{Topology: lineTopology(t), Routing: nopRouting{}, VCsPerVNet: 1, VCDepth: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AttachChecker(CheckOptions{})
+	down := n.Router(1).VC(2, 0)
+	parked := &Packet{ID: 1 << 40, Length: 1}
+	down.reserve(parked, 0, false)
+	down.enqueue(Flit{Pkt: parked, Seq: 0}, 0)
+	account(n, 1)
+	n.Router(1).FreezeVC(down)
+	n.Run(1) // the commit publishes the parked VC's snapshot
+	for i := 0; i < 2; i++ {
+		n.InjectPacket(0, PacketSpec{Dst: 1, Length: 5})
+	}
+	n.Run(8)
+	return n, n.Router(0).VC(0, 0), func() {
+		n.Router(1).UnfreezeVC(down)
+		down.dequeue()
+		n.stats.InjectedFlits--
+	}
+}
+
+// TestStalledHeadAndNICSleepAndWake drives the stall index end to end on
+// real traffic: both sleepers are in their sets while the way is shut, the
+// checker finds nothing wrong with that, and freeing the one VC they wait
+// for wakes both — the packets arrive.
+func TestStalledHeadAndNICSleepAndWake(t *testing.T) {
+	n, head, release := stallFixture(t)
+	if !n.Router(0).blocked.has(head.Slot()) || !n.shards[0].nicBlocked.has(0) {
+		t.Fatalf("backed-up head asleep: %v, backlogged NIC asleep: %v; want both",
+			n.Router(0).blocked.has(head.Slot()), n.shards[0].nicBlocked.has(0))
+	}
+	before := SAVisits(n)
+	n.Run(50)
+	// The parked VC is frozen, not a stalled head: it alone takes its
+	// (empty) turn each cycle.
+	if got := SAVisits(n) - before; got != 50 {
+		t.Fatalf("%d switch-allocation turns in 50 cycles, want the parked VC's 50 and none for the sleeping head", got)
+	}
+	release()
+	n.Run(40)
+	if err := n.Checker().Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n.Stats().Ejected != 2 {
+		t.Fatalf("delivered %d of 2 after the way opened", n.Stats().Ejected)
+	}
+}
+
+// The four tests below corrupt one index each on that traffic, the way a
+// bug in its upkeep would, and require the checker to name it.
+
+func TestCheckerDetectsDroppedBlockedWake(t *testing.T) {
+	n, head, release := stallFixture(t)
+	release()
+	n.Run(1) // the commit publishes the freed VC and wakes r0's heads
+	if n.Router(0).blocked.has(head.Slot()) {
+		t.Fatal("head still asleep after the VC it waits for freed")
+	}
+	n.Router(0).blocked.set(head.Slot()) // as if that wake had been dropped
+	if vs := n.CheckStructural(); len(vs) != 1 || vs[0].Rule != RuleWorklist {
+		t.Fatalf("dropped wake not flagged as one %s violation: %v", RuleWorklist, vs)
+	}
+}
+
+func TestCheckerDetectsStaleFreeBit(t *testing.T) {
+	n, head, _ := stallFixture(t)
+	n.Router(0).inFree.set(head.freeBit()) // reserved by the packet it holds
+	if vs := n.CheckStructural(); len(vs) != 1 || vs[0].Rule != RuleWorklist {
+		t.Fatalf("free bit over a reserved VC not flagged as one %s violation: %v", RuleWorklist, vs)
+	}
+}
+
+func TestCheckerDetectsStaleRouteRequest(t *testing.T) {
+	n, head, _ := stallFixture(t)
+	n.Router(0).needRoute.set(head.Slot()) // head was routed cycles ago
+	if vs := n.CheckStructural(); len(vs) != 1 || vs[0].Rule != RuleWorklist {
+		t.Fatalf("route request over a routed head not flagged as one %s violation: %v", RuleWorklist, vs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("routeStage accepted a route request without an unrouted head")
+		}
+	}()
+	n.Step()
+}
+
+func TestCheckerDetectsStaleNICBlocked(t *testing.T) {
+	n, _, release := stallFixture(t)
+	release()
+	n.Run(40)
+	if n.shards[0].nicBlocked.has(0) {
+		t.Fatal("NIC still asleep after its queue drained")
+	}
+	n.shards[0].nicBlocked.set(0)
+	if vs := n.CheckStructural(); len(vs) != 1 || vs[0].Rule != RuleWorklist {
+		t.Fatalf("idle NIC in the blocked set not flagged as one %s violation: %v", RuleWorklist, vs)
 	}
 }
 

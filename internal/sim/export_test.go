@@ -7,3 +7,35 @@ package sim
 func (n *Network) ObserveBuilt(p Probe) {
 	n.observers = append(n.observers, observer{AllEvents, p})
 }
+
+// ResetStallIndex rebuilds n's stall index by full scan: every sleeper is
+// woken (blocked and nicBlocked emptied) and needRoute and inFree are
+// recomputed from the state they cache. A network reset before every Step
+// is the re-scanning engine the index replaced; TestStallIndexParity steps
+// one in lock-step with the product as its oracle.
+func ResetStallIndex(n *Network) {
+	for _, r := range n.routers {
+		clear(r.blocked)
+		clear(r.needRoute)
+		clear(r.inFree)
+		for slot, v := range r.vcFlat {
+			if v.unroutedHead() {
+				r.needRoute.set(slot)
+			}
+			if v.snapAllocatable() {
+				r.inFree.set(v.freeBit())
+			}
+		}
+	}
+	for _, s := range n.shards {
+		clear(s.nicBlocked)
+	}
+}
+
+// SAVisits reports how many switch-allocation turns n has handed out.
+func SAVisits(n *Network) (total int64) {
+	for _, s := range n.shards {
+		total += s.saVisits
+	}
+	return total
+}

@@ -168,6 +168,11 @@ type Network struct {
 	routerRNG []*rand.Rand
 	termRNG   []*rand.Rand
 
+	// freeStride is the bit stride between input ports in Router.inFree:
+	// the VCs of a port rounded up to whole words, so that a port's bits
+	// are a word-aligned window an upstream router can hold a slice of.
+	freeStride int
+
 	inNetwork     int // packets injected (head) but not fully ejected
 	queuedPackets int // packets waiting in NIC source queues (incremental)
 
@@ -213,9 +218,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	cfg.Shards = cfg.resolveShards()
 	n := &Network{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), nShards: cfg.Shards}
+	n.freeStride = (cfg.VNets*cfg.VCsPerVNet + 63) / 64 * 64
 	topo := cfg.Topology
 	n.routers = make([]*Router, topo.NumRouters())
 	for i := range n.routers {
+		if radix := topo.Radix(i); radix > 64 {
+			return nil, fmt.Errorf("sim: router %d has %d ports, at most 64 are supported", i, radix)
+		}
 		n.routers[i] = newRouter(n, i)
 	}
 	// Links are ordered by destination router (stable over the topology's
@@ -226,7 +235,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	for i, tl := range topoLinks {
 		l := &link{topo: tl, index: i, dst: n.routers[tl.Dst]}
 		n.links = append(n.links, l)
-		n.routers[tl.Src].outLink[tl.SrcPort] = l
+		n.routers[tl.Src].wire(tl.SrcPort, l)
 	}
 	n.nics = make([]*NIC, topo.NumTerminals())
 	for t := range n.nics {
@@ -296,10 +305,13 @@ func (n *Network) buildShards() {
 		n.termShard[t] = si
 		s := n.shards[si]
 		n.termSlot[t] = int32(len(s.terms))
+		nic := n.nics[t]
+		nic.router.waker[nic.port] = n.termSlot[t]
 		s.terms = append(s.terms, int32(t))
 	}
 	for _, s := range n.shards {
 		s.nicBusy = newBitset(len(s.terms))
+		s.nicBlocked = newBitset(len(s.terms))
 	}
 	n.linkShard = make([]int32, len(n.links))
 	for i, l := range n.links {

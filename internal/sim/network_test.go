@@ -201,6 +201,18 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := sim.NewNetwork(sim.Config{Topology: m, Routing: &routing.XY{Mesh: m}, VCsPerVNet: 40}); err == nil {
 		t.Fatal("over-wide VC config accepted")
 	}
+	// Router port sets are one word: a 65-port router must be refused, not
+	// silently alias port 64 onto port 0.
+	wide, err := topology.NewGraph("wide", 2, []int{0, 1}, []topology.Link{
+		{Src: 0, SrcPort: 64, Dst: 1, DstPort: 1, Latency: 1},
+		{Src: 1, SrcPort: 1, Dst: 0, DstPort: 64, Latency: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.NewNetwork(sim.Config{Topology: wide, Routing: &routing.XY{Mesh: m}}); err == nil {
+		t.Fatal("65-port router accepted")
+	}
 }
 
 func TestStatsThroughputMatchesOfferedLoadBelowSaturation(t *testing.T) {

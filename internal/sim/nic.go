@@ -63,8 +63,13 @@ func (n *NIC) injectStep(net *Network, s *shardState) {
 			return
 		}
 		p := n.queue[n.head]
-		v := n.pickVC(net, p)
+		v, full := n.pickVC(net, p)
 		if v == nil {
+			if full {
+				// Only a dequeue at the terminal port can make room: sleep
+				// until VC.dequeue clears the bit.
+				s.nicBlocked.set(int(net.termSlot[n.term]))
+			}
 			return
 		}
 		n.pop()
@@ -95,8 +100,11 @@ func (n *NIC) injectStep(net *Network, s *shardState) {
 }
 
 // pickVC selects an input VC of the packet's vnet at the terminal port,
-// honouring virtual cut-through and the scheme's injection filter.
-func (n *NIC) pickVC(net *Network, p *Packet) *VC {
+// honouring virtual cut-through and the scheme's injection filter. With no
+// VC to return, full reports that none had room at all (as opposed to the
+// filter refusing one that did).
+func (n *NIC) pickVC(net *Network, p *Packet) (v *VC, full bool) {
+	full = true
 	base := p.VNet * net.cfg.VCsPerVNet
 	for k := 0; k < net.cfg.VCsPerVNet; k++ {
 		v := n.router.in[n.port][base+k]
@@ -104,9 +112,10 @@ func (n *NIC) pickVC(net *Network, p *Packet) *VC {
 			continue
 		}
 		if n.router.agent != nil && !n.router.agent.FilterInject(v, p) {
+			full = false
 			continue
 		}
-		return v
+		return v, false
 	}
-	return nil
+	return nil, full
 }

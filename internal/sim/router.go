@@ -16,14 +16,39 @@ type Router struct {
 	radix      int
 	localPorts int
 
-	in      [][]*VC // [port][vcIdx]
+	in      [][]*VC // [port][vcIdx]: windows of vcFlat
 	vcFlat  []*VC   // all input VCs in (port, vcIdx) order: slot = port*VCsPerPort+vcIdx
 	outLink []*link // per output port; nil for terminal/unwired ports
 
-	// occ is the occupied-VC worklist: bit slot is set exactly while
-	// vcFlat[slot] buffers a flit (VC.enqueue/dequeue maintain it). The
-	// pipeline stages and the agents walk its set bits, not the port arrays.
-	occ bitset
+	// What output port p sees of the router at the far end of its link: that
+	// input port's VCs and its words of the downstream router's inFree (both
+	// nil without a link).
+	outVCs  [][]*VC
+	outFree []bitset
+
+	// The router's worklists, one slab. occ is the occupied-VC set: bit slot
+	// is set exactly while vcFlat[slot] buffers a flit (VC.enqueue/dequeue
+	// maintain it); the spin stages and the agents walk it. The other three
+	// index what cannot move, so that a stalled VC costs nothing:
+	//
+	//   - needRoute: the front flit is a head not yet routed (set where a head
+	//     reaches the front, in enqueue and dequeue; routeStage drains it).
+	//   - blocked: a routed head every one of whose requests names a link
+	//     whose admissible downstream VCs are all taken (tryGrant sets it,
+	//     dequeue clears it); saStage walks occ &^ blocked.
+	//   - inFree: bit port*Network.freeStride+vcIdx is set while that input
+	//     VC is unreserved with a free slot as of the last commit. Only
+	//     VC.refreshSnap writes it; a rising bit is the one event that can
+	//     unblock a head upstream, so it clears the feeding router's blocked
+	//     set. Upstream routers read it through their outFree.
+	occ       bitset
+	needRoute bitset
+	blocked   bitset
+	inFree    bitset
+	// waker names, per input port, who may be asleep on the port's VCs: for
+	// a terminal port the NIC's bit in the shard's nicBusy/nicBlocked, for a
+	// link port the id of the router feeding it (-1: nobody).
+	waker []int32
 
 	// shard is the engine partition that steps this router; all shard-local
 	// scratch, pools, stats, and outboxes live there.
@@ -39,49 +64,62 @@ type Router struct {
 	spinningVCs int // VCs force-transmitting a spin this cycle
 	smPending   int // SMs offered via SendSM awaiting arbitration
 
-	// Per-cycle scratch state. The dirty flags record that a scratch array
-	// holds non-zero entries, so skipped cycles never pay the clear loops
-	// and stale state is cleared lazily at each stage's next run.
-	smSends          [][]*SM // per output port: SMs competing for the link
-	smBusy           []bool  // output port carries an SM this cycle
-	smBusyDirty      bool
-	spinClaimed      []bool // output port claimed by a spinning VC this cycle
-	spinClaimedDirty bool
-	inUsed           []bool
-	outUsed          []bool
-	usedDirty        bool
-
-	routeBuf []PortRequest
+	// Per-cycle port scratch: each set is reset by the first stage that
+	// uses it in a cycle and read only later in that same phase 2.
+	smSends     [][]*SM // per output port: SMs competing for the link
+	smBusy      portSet // output port carries an SM this cycle
+	spinClaimed portSet // output port claimed by a spinning VC this cycle
+	inUsed      portSet // crossbar inputs and outputs taken this cycle
+	outUsed     portSet
 }
+
+// portSet is a one-word set of router ports (NewNetwork rejects a radix
+// past 64).
+type portSet uint64
+
+func (s portSet) has(p int) bool { return s>>uint(p)&1 != 0 }
+func (s *portSet) set(p int)     { *s |= 1 << uint(p) }
 
 func newRouter(n *Network, id int) *Router {
 	topo := n.cfg.Topology
 	radix := topo.Radix(id)
-	r := &Router{
-		net:         n,
-		ID:          id,
-		radix:       radix,
-		localPorts:  topo.LocalPorts(id),
-		in:          make([][]*VC, radix),
-		outLink:     make([]*link, radix),
-		smSends:     make([][]*SM, radix),
-		smBusy:      make([]bool, radix),
-		spinClaimed: make([]bool, radix),
-		inUsed:      make([]bool, radix),
-		outUsed:     make([]bool, radix),
-	}
 	vcs := n.cfg.VNets * n.cfg.VCsPerVNet
-	r.vcFlat = make([]*VC, 0, radix*vcs)
-	r.occ = newBitset(radix * vcs)
+	r := &Router{
+		net:        n,
+		ID:         id,
+		radix:      radix,
+		localPorts: topo.LocalPorts(id),
+		in:         make([][]*VC, radix),
+		vcFlat:     make([]*VC, radix*vcs),
+		outLink:    make([]*link, radix),
+		outVCs:     make([][]*VC, radix),
+		outFree:    make([]bitset, radix),
+		waker:      make([]int32, radix),
+		smSends:    make([][]*SM, radix),
+	}
+	slotWords := (radix*vcs + 63) / 64
+	slab := make(bitset, 3*slotWords+radix*n.freeStride/64)
+	r.occ, slab = slab[:slotWords:slotWords], slab[slotWords:]
+	r.needRoute, slab = slab[:slotWords:slotWords], slab[slotWords:]
+	r.blocked, r.inFree = slab[:slotWords:slotWords], slab[slotWords:]
 	for p := 0; p < radix; p++ {
-		r.in[p] = make([]*VC, vcs)
-		for k := 0; k < vcs; k++ {
-			v := &VC{router: r, port: p, index: k, slot: int32(p*vcs + k), depth: n.cfg.VCDepth, outPort: -1}
-			r.in[p][k] = v
-			r.vcFlat = append(r.vcFlat, v)
+		r.in[p] = r.vcFlat[p*vcs : (p+1)*vcs : (p+1)*vcs]
+		r.waker[p] = -1
+		for k := range r.in[p] {
+			r.in[p][k] = &VC{router: r, port: p, index: k, slot: int32(p*vcs + k), depth: n.cfg.VCDepth, outPort: -1}
 		}
 	}
 	return r
+}
+
+// wire attaches l to output port p, caching the far end's view of it.
+func (r *Router) wire(p int, l *link) {
+	d, dp := l.dst, l.topo.DstPort
+	r.outLink[p] = l
+	r.outVCs[p] = d.in[dp]
+	words := r.net.freeStride / 64
+	r.outFree[p] = d.inFree[dp*words : (dp+1)*words]
+	d.waker[dp] = int32(r.ID)
 }
 
 // active reports whether the router needs to be stepped this cycle: it
@@ -195,8 +233,7 @@ func (r *Router) Now() int64 { return r.net.now }
 // port p for vnet, i.e. the downstream input-port VCs selected by mask.
 // It appends to buf. Returns nil when p has no link.
 func (r *Router) DownstreamVCs(p, vnet int, mask uint32, buf []*VC) []*VC {
-	d, inPort, ok := r.Downstream(p)
-	if !ok {
+	if !r.HasOutLink(p) {
 		return buf
 	}
 	base := vnet * r.net.cfg.VCsPerVNet
@@ -204,9 +241,18 @@ func (r *Router) DownstreamVCs(p, vnet int, mask uint32, buf []*VC) []*VC {
 		if mask&(1<<uint(k)) == 0 {
 			continue
 		}
-		buf = append(buf, d.in[inPort][base+k])
+		buf = append(buf, r.outVCs[p][base+k])
 	}
 	return buf
+}
+
+// freeVCs returns which of the downstream VCs base..base+VCsPerVNet-1 at
+// linked output port p (bit k: VC base+k) mask admits and the last commit
+// left unreserved with a free slot. Every VC that canAcceptSnap is among
+// them, so the snapshot readers test only these, and an empty answer means
+// nothing behind p can be granted before a VC there frees.
+func (r *Router) freeVCs(p, base int, mask uint32) uint32 {
+	return mask & (1<<uint(r.net.cfg.VCsPerVNet) - 1) & r.outFree[p].window32(base)
 }
 
 // FreeVCAt reports whether some downstream VC at output port p (vnet,
@@ -215,16 +261,12 @@ func (r *Router) DownstreamVCs(p, vnet int, mask uint32, buf []*VC) []*VC {
 // the commit snapshot, matching what real hardware's delayed credit
 // counters would show and keeping the answer shard-invariant.
 func (r *Router) FreeVCAt(p, vnet int, mask uint32, length int) bool {
-	d, inPort, ok := r.Downstream(p)
-	if !ok {
+	if !r.HasOutLink(p) {
 		return false
 	}
 	base := vnet * r.net.cfg.VCsPerVNet
-	for k := 0; k < r.net.cfg.VCsPerVNet; k++ {
-		if mask&(1<<uint(k)) == 0 {
-			continue
-		}
-		if d.in[inPort][base+k].canAcceptSnap(length) {
+	for cand := r.freeVCs(p, base, mask); cand != 0; cand &= cand - 1 {
+		if r.outVCs[p][base+bits.TrailingZeros32(cand)].canAcceptSnap(length) {
 			return true
 		}
 	}
@@ -236,8 +278,7 @@ func (r *Router) FreeVCAt(p, vnet int, mask uint32, length int) bool {
 // commit. This is the FAvORS port-contention proxy, obtainable in hardware
 // from VC credits.
 func (r *Router) MinActiveTime(p, vnet int, mask uint32) int64 {
-	d, inPort, ok := r.Downstream(p)
-	if !ok {
+	if !r.HasOutLink(p) {
 		return 1 << 30
 	}
 	now := r.net.now
@@ -247,7 +288,7 @@ func (r *Router) MinActiveTime(p, vnet int, mask uint32) int64 {
 		if mask&(1<<uint(k)) == 0 {
 			continue
 		}
-		if t := d.in[inPort][base+k].activeTimeSnap(now); t < best {
+		if t := r.outVCs[p][base+k].activeTimeSnap(now); t < best {
 			best = t
 		}
 	}
@@ -327,51 +368,47 @@ func (r *Router) StartSpin(v *VC, outPort int, target *VC) {
 }
 
 // routeStage computes port requests for every VC whose resident head flit
-// has reached the front and is not yet routed.
+// has reached the front and is not yet routed: exactly the needRoute bits.
 func (r *Router) routeStage() {
-	total := len(r.vcFlat)
-	for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
-		v := r.vcFlat[slot]
-		if v.routed || !v.buf[0].IsHead() {
-			continue
-		}
-		pkt := v.buf[0].Pkt
-		if pkt.Intermediate >= 0 && pkt.Phase == 0 && r.ID == pkt.Intermediate {
-			pkt.Phase = 1
-		}
-		if pkt.DstRouter == r.ID {
-			termPort := r.net.cfg.Topology.TerminalPort(pkt.Dst)
-			v.reqs = append(v.reqs[:0], PortRequest{Port: termPort, VCMask: AllVCs})
+	for w, word := range r.needRoute {
+		for ; word != 0; word &= word - 1 {
+			v := r.vcFlat[w<<6+bits.TrailingZeros64(word)]
+			if !v.unroutedHead() {
+				panic(fmt.Sprintf("sim: r%d p%d vc%d queued for routing without an unrouted head at its front", r.ID, v.port, v.index))
+			}
+			pkt := v.buf[0].Pkt
+			if pkt.Intermediate >= 0 && pkt.Phase == 0 && r.ID == pkt.Intermediate {
+				pkt.Phase = 1
+			}
+			if pkt.DstRouter == r.ID {
+				termPort := r.net.cfg.Topology.TerminalPort(pkt.Dst)
+				v.reqs = append(v.reqs[:0], PortRequest{Port: termPort, VCMask: AllVCs})
+				v.routed = true
+				continue
+			}
+			s := r.shard
+			s.routeBuf = s.routing.Route(r, v.port, pkt, s.routeBuf[:0])
+			if len(s.routeBuf) == 0 {
+				panic(fmt.Sprintf("sim: routing %s returned no ports for %v at router %d", s.routing.Name(), pkt, r.ID))
+			}
+			v.reqs = append(v.reqs[:0], s.routeBuf...)
 			v.routed = true
-			continue
 		}
-		r.routeBuf = r.shard.routing.Route(r, v.port, pkt, r.routeBuf[:0])
-		if len(r.routeBuf) == 0 {
-			panic(fmt.Sprintf("sim: routing %s returned no ports for %v at router %d", r.shard.routing.Name(), pkt, r.ID))
-		}
-		v.reqs = append(v.reqs[:0], r.routeBuf...)
-		v.routed = true
+		r.needRoute[w] = 0
 	}
 }
 
 // claimSpinPorts reserves output ports for VCs that are spinning this
 // cycle; SMs may not preempt a spin in progress.
 func (r *Router) claimSpinPorts() {
-	if !r.spinClaimedDirty && r.spinningVCs == 0 {
-		return
-	}
-	for p := range r.spinClaimed {
-		r.spinClaimed[p] = false
-	}
-	r.spinClaimedDirty = false
+	r.spinClaimed = 0
 	if r.spinningVCs == 0 {
 		return
 	}
 	total := len(r.vcFlat)
 	for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
 		if v := r.vcFlat[slot]; v.spinning {
-			r.spinClaimed[v.outPort] = true
-			r.spinClaimedDirty = true
+			r.spinClaimed.set(v.outPort)
 		}
 	}
 }
@@ -379,13 +416,7 @@ func (r *Router) claimSpinPorts() {
 // resolveSMs arbitrates this cycle's SM sends per output port and places
 // winners on the links.
 func (r *Router) resolveSMs() {
-	if r.smPending == 0 && !r.smBusyDirty {
-		return
-	}
-	for p := range r.smBusy {
-		r.smBusy[p] = false
-	}
-	r.smBusyDirty = false
+	r.smBusy = 0
 	if r.smPending == 0 {
 		return
 	}
@@ -397,7 +428,7 @@ func (r *Router) resolveSMs() {
 			continue
 		}
 		r.smSends[p] = cands[:0]
-		if r.spinClaimed[p] || r.outLink[p] == nil {
+		if r.spinClaimed.has(p) || r.outLink[p] == nil {
 			s.stats.SMDropped += int64(len(cands))
 			for _, c := range cands {
 				if r.net.wants(EvSMDrop) {
@@ -429,8 +460,7 @@ func (r *Router) resolveSMs() {
 		l := r.outLink[p]
 		l.sendSM(r.net.now, win)
 		s.linkMarks = append(s.linkMarks, int32(l.index))
-		r.smBusy[p] = true
-		r.smBusyDirty = true
+		r.smBusy.set(p)
 		if r.net.measuring() {
 			l.smCycles[win.Kind]++
 		}
@@ -445,21 +475,10 @@ func (r *Router) resolveSMs() {
 	}
 }
 
-// clearUsed resets the crossbar port-usage scratch set by last cycle's
-// spin and switch-allocation stages.
-func (r *Router) clearUsed() {
-	if !r.usedDirty {
-		return
-	}
-	for p := range r.inUsed {
-		r.inUsed[p] = false
-		r.outUsed[p] = false
-	}
-	r.usedDirty = false
-}
-
-// spinStage force-transmits one flit from every spinning VC.
+// spinStage opens the cycle's crossbar schedule and force-transmits one
+// flit from every spinning VC.
 func (r *Router) spinStage() {
+	r.inUsed, r.outUsed = 0, 0
 	if r.spinningVCs == 0 {
 		return
 	}
@@ -470,13 +489,12 @@ func (r *Router) spinStage() {
 			continue
 		}
 		out, target := v.outPort, v.target
-		if r.inUsed[v.port] || r.outUsed[out] {
+		if r.inUsed.has(v.port) || r.outUsed.has(out) {
 			panic("sim: spin port collision")
 		}
 		r.sendFlitFrom(v, out, target)
-		r.inUsed[v.port] = true
-		r.outUsed[out] = true
-		r.usedDirty = true
+		r.inUsed.set(v.port)
+		r.outUsed.set(out)
 	}
 }
 
@@ -490,22 +508,38 @@ func (r *Router) saStage() {
 	// The rotating start index advances once per cycle; deriving it from
 	// the clock (instead of a stored pointer bumped every call) lets idle
 	// routers skip the stage entirely without desynchronising fairness.
-	// No VC gains flits during switch allocation and a VC only drains when
-	// visited, so walking the occupied bits [start, total) then [0, start)
-	// visits exactly the VCs a full rotating scan would, in its order.
+	// No VC gains flits during switch allocation, a VC only drains when
+	// visited, and a blocked VC's turn changes nothing, so walking the
+	// occupied, unblocked bits [start, total) then [0, start) gives every VC
+	// a full rotating scan would serve its turn, in its order.
 	total := len(r.vcFlat)
 	start := int(r.net.now % int64(total))
-	for slot := r.FirstOccupied(start, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
-		r.allocate(r.vcFlat[slot])
-	}
-	for slot := r.FirstOccupied(0, start); slot >= 0; slot = r.FirstOccupied(slot+1, start) {
-		r.allocate(r.vcFlat[slot])
+	r.allocateRun(start, total)
+	r.allocateRun(0, start)
+}
+
+// allocateRun gives the occupied, unblocked VCs of slots [lo, hi) their
+// turn at switch allocation, ascending. A turn touches no other VC's bits,
+// so each word is read once.
+func (r *Router) allocateRun(lo, hi int) {
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := r.occ[w] &^ r.blocked[w]
+		if w == lo>>6 {
+			word &^= 1<<uint(lo&63) - 1
+		}
+		if n := hi - w<<6; n < 64 {
+			word &= 1<<uint(n) - 1
+		}
+		r.shard.saVisits += int64(bits.OnesCount64(word))
+		for ; word != 0; word &= word - 1 {
+			r.allocate(r.vcFlat[w<<6+bits.TrailingZeros64(word)])
+		}
 	}
 }
 
 // allocate is one occupied VC's turn at switch allocation.
 func (r *Router) allocate(v *VC) {
-	if v.frozen || v.spinning || r.inUsed[v.port] {
+	if v.frozen || v.spinning || r.inUsed.has(v.port) {
 		return
 	}
 	if v.target != nil || (v.outPort >= 0 && v.outPort < r.localPorts) {
@@ -521,18 +555,17 @@ func (r *Router) allocate(v *VC) {
 // tryContinue streams a flit of an already-granted packet.
 func (r *Router) tryContinue(v *VC) {
 	out := v.outPort
-	if r.outUsed[out] {
+	if r.outUsed.has(out) {
 		return
 	}
 	if v.target == nil {
 		// Ejection continues unconditionally: the NIC never stalls.
 		r.ejectFlit(v)
-		r.inUsed[v.port] = true
-		r.outUsed[out] = true
-		r.usedDirty = true
+		r.inUsed.set(v.port)
+		r.outUsed.set(out)
 		return
 	}
-	if r.smBusy[out] {
+	if r.smBusy.has(out) {
 		return
 	}
 	// Downstream credit check against the commit snapshot: this VC is the
@@ -542,40 +575,48 @@ func (r *Router) tryContinue(v *VC) {
 		return
 	}
 	r.sendFlitFrom(v, out, v.target)
-	r.inUsed[v.port] = true
-	r.outUsed[out] = true
-	r.usedDirty = true
+	r.inUsed.set(v.port)
+	r.outUsed.set(out)
 }
 
 // tryGrant walks the request list of a routed head packet and performs VC
 // allocation plus first-flit transmission on the first viable request.
+// A head that asks for no ejection and finds every admissible downstream
+// VC of every link it asks for taken goes to sleep in blocked: nothing it
+// could be granted exists until one of those VCs frees, and that wakes it
+// (see Router.inFree). A busy output or an agent veto is no reason to
+// sleep: both can lift without any VC freeing.
 func (r *Router) tryGrant(v *VC) {
 	pkt := v.buf[0].Pkt
+	base := pkt.VNet * r.net.cfg.VCsPerVNet
+	stalled := true
 	for _, req := range v.reqs {
 		out := req.Port
-		if r.outUsed[out] {
-			continue
-		}
 		if out < r.localPorts {
+			stalled = false
+			if r.outUsed.has(out) {
+				continue
+			}
 			// Ejection request.
 			v.outPort = out
 			r.ejectFlit(v)
-			r.inUsed[v.port] = true
-			r.outUsed[out] = true
-			r.usedDirty = true
+			r.inUsed.set(v.port)
+			r.outUsed.set(out)
 			return
 		}
-		if r.smBusy[out] || r.outLink[out] == nil {
+		if r.outLink[out] == nil {
 			continue
 		}
-		l := r.outLink[out]
-		dvcs := l.dst.in[l.topo.DstPort]
-		base := pkt.VNet * r.net.cfg.VCsPerVNet
-		for k := 0; k < r.net.cfg.VCsPerVNet; k++ {
-			if req.VCMask&(1<<uint(k)) == 0 {
-				continue
-			}
-			dvc := dvcs[base+k]
+		cand := r.freeVCs(out, base, req.VCMask)
+		if cand == 0 {
+			continue
+		}
+		stalled = false
+		if r.outUsed.has(out) || r.smBusy.has(out) {
+			continue
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			dvc := r.outVCs[out][base+bits.TrailingZeros32(cand)]
 			if !dvc.canAcceptSnap(pkt.Length) {
 				continue
 			}
@@ -590,11 +631,13 @@ func (r *Router) tryGrant(v *VC) {
 			v.target = dvc
 			v.outPort = out
 			r.sendFlitFrom(v, out, dvc)
-			r.inUsed[v.port] = true
-			r.outUsed[out] = true
-			r.usedDirty = true
+			r.inUsed.set(v.port)
+			r.outUsed.set(out)
 			return
 		}
+	}
+	if stalled {
+		r.blocked.set(int(v.slot))
 	}
 }
 

@@ -89,6 +89,16 @@ func (b bitset) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 func (b bitset) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
 func (b bitset) has(i int) bool { return b[i>>6]>>uint(i&63)&1 != 0 }
 
+// window32 returns bits [i, i+32) of b as a word, zero past its end.
+func (b bitset) window32(i int) uint32 {
+	w, o := i>>6, uint(i&63)
+	x := b[w] >> o
+	if o > 32 && w+1 < len(b) {
+		x |= b[w+1] << (64 - o)
+	}
+	return uint32(x)
+}
+
 // resvOp is a deferred downstream-VC reservation. Normal reservations
 // (switch allocation grants) are unique per VC per cycle — each input
 // port is fed by exactly one link and each output port sends at most one
@@ -138,14 +148,23 @@ type shardState struct {
 	// bits are shard-local in phase 1. awake: bit i covers router r0+i; set
 	// by Router.wake, cleared in phase 2 once active() is false. nicBusy:
 	// bit i covers terminal terms[i]; set by Network.inject, cleared in
-	// phase 1 once the NIC has nothing queued or mid-injection.
+	// phase 1 once the NIC has nothing queued or mid-injection. nicBlocked:
+	// the busy NICs whose next packet found every terminal VC full; set by
+	// injectStep, cleared by a dequeue at the terminal port (the only thing
+	// that makes room); phase 1 walks nicBusy &^ nicBlocked.
 	linkActive bitset
 	awake      bitset
 	nicBusy    bitset
+	nicBlocked bitset
 
-	active  []*Router
-	flitBuf []flitTransit
-	smBuf   []smTransit
+	// saVisits counts the turns saStage has handed out (the work the
+	// blocked index exists to avoid).
+	saVisits int64
+
+	active   []*Router
+	flitBuf  []flitTransit
+	smBuf    []smTransit
+	routeBuf []PortRequest // routeStage's scratch for one Route call
 
 	pktPool []*Packet
 	smPool  []*SM
@@ -216,6 +235,7 @@ func (s *shardState) phase1() {
 	}
 	s.phase = phInject
 	for w, word := range s.nicBusy {
+		word &^= s.nicBlocked[w]
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
@@ -273,14 +293,9 @@ func (s *shardState) phase2() {
 	s.phase = phResolve
 	for _, r := range active {
 		r.claimSpinPorts()
-	}
-	for _, r := range active {
 		r.resolveSMs()
 	}
 	s.phase = phSpin
-	for _, r := range active {
-		r.clearUsed()
-	}
 	for _, r := range active {
 		r.spinStage()
 	}

@@ -101,14 +101,36 @@ func (v *VC) ActiveTime(now int64) int64 {
 }
 
 // refreshSnap freezes the cross-shard-visible state; called at commit for
-// dirty VCs and once at construction.
+// dirty VCs and once at construction. It is the only writer of the
+// router's inFree word for this VC, and so the one wake source of the
+// feeding router's blocked heads: when the VC turns free for allocation,
+// all of them get their next turn.
 func (v *VC) refreshSnap() {
 	v.snapFree = v.depth - len(v.buf) - v.inFlight
 	v.snapLen = len(v.buf)
 	v.snapResv = v.resvOwner != nil
 	v.snapActive = v.activeSince
 	v.snapDirty = false
+	r := v.router
+	if i := v.freeBit(); !v.snapAllocatable() {
+		r.inFree.clear(i)
+	} else if !r.inFree.has(i) {
+		r.inFree.set(i)
+		if v.port >= r.localPorts && r.waker[v.port] >= 0 {
+			clear(r.net.routers[r.waker[v.port]].blocked)
+		}
+	}
 }
+
+// freeBit is the VC's bit in its router's inFree, and snapAllocatable the
+// predicate the bit caches: unreserved with a free slot as of the last
+// commit, which canAcceptSnap needs whatever the length.
+func (v *VC) freeBit() int          { return v.port*v.router.net.freeStride + v.index }
+func (v *VC) snapAllocatable() bool { return !v.snapResv && v.snapFree > 0 }
+
+// unroutedHead reports whether the front flit is a head still to be routed:
+// the predicate of the VC's bit in its router's needRoute.
+func (v *VC) unroutedHead() bool { return len(v.buf) > 0 && v.buf[0].IsHead() && !v.routed }
 
 // markDirty queues the VC for a snapshot refresh at the next commit. It is
 // called either from the VC's own shard during the parallel phases or from
@@ -208,8 +230,8 @@ func (v *VC) WaitingToEject() bool {
 }
 
 // enqueue appends an arriving flit, maintaining the worklists it can grow:
-// the router's occupied-VC bitset and, on the router's first flit, the
-// shard's awake set.
+// the router's occupied-VC bitset, its route worklist when a head lands at
+// the front, and, on the router's first flit, the shard's awake set.
 func (v *VC) enqueue(f Flit, now int64) {
 	if len(v.buf) >= v.depth {
 		panic(fmt.Sprintf("sim: VC overflow at r%d p%d vc%d cycle %d: depth=%d inFlight=%d frozen=%v spinning=%v resv=%v arriving=%v seq=%d front=%v",
@@ -218,6 +240,9 @@ func (v *VC) enqueue(f Flit, now int64) {
 	r := v.router
 	if len(v.buf) == 0 {
 		r.occ.set(int(v.slot))
+		if f.IsHead() {
+			r.needRoute.set(int(v.slot))
+		}
 	}
 	if r.flitCount == 0 {
 		r.wake()
@@ -228,19 +253,29 @@ func (v *VC) enqueue(f Flit, now int64) {
 }
 
 // dequeue removes the front flit, updating routing/reservation state when
-// the departing flit is a tail.
+// the departing flit is a tail. A VC that moves is not stalled, and room
+// at a terminal port is what a backlogged NIC waits for: both sleepers
+// wake here.
 func (v *VC) dequeue() Flit {
 	f := v.buf[0]
 	copy(v.buf, v.buf[1:])
 	v.buf = v.buf[:len(v.buf)-1]
-	v.router.flitCount--
+	r := v.router
+	r.flitCount--
 	if len(v.buf) == 0 {
-		v.router.occ.clear(int(v.slot))
+		r.occ.clear(int(v.slot))
+	}
+	r.blocked.clear(int(v.slot))
+	if v.port < r.localPorts && r.waker[v.port] >= 0 {
+		r.shard.nicBlocked.clear(int(r.waker[v.port]))
 	}
 	if f.IsTail() {
 		v.clearResidentState()
 		if v.resvOwner == f.Pkt {
 			v.resvOwner = nil
+		}
+		if len(v.buf) > 0 && v.buf[0].IsHead() {
+			r.needRoute.set(int(v.slot))
 		}
 	}
 	v.markDirty()

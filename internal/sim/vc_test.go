@@ -145,17 +145,20 @@ func (nopRouting) Route(_ *Router, _ int, _ *Packet, buf []PortRequest) []PortRe
 	return append(buf, PortRequest{Port: 1, VCMask: AllVCs})
 }
 
-// TestHotStructSizeClasses keeps the per-entity structs inside the
-// allocator size classes they had before the worklists: one more word on
-// VC rounds every VC up a class (+9 % bytes per VC, visible as
-// alloc_b_per_work on the short sweep points).
+// TestHotStructSizeClasses keeps the per-entity structs inside their
+// allocator size classes: one more word on VC rounds every VC up a class
+// (+9 % bytes per VC, visible as alloc_b_per_work on the short sweep
+// points). The stall index lives in Router and shardState only; it took
+// Router from the 384 class to the 416 one (the four worklists are windows
+// of one slab, so they cost four slice headers, not four allocations) and
+// adds nothing to VC or NIC.
 func TestHotStructSizeClasses(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, fits uintptr
 	}{
 		{"VC", unsafe.Sizeof(VC{}), 176},
-		{"Router", unsafe.Sizeof(Router{}), 384},
+		{"Router", unsafe.Sizeof(Router{}), 416},
 		{"NIC", unsafe.Sizeof(NIC{}), 96},
 	} {
 		if c.got > c.fits {
