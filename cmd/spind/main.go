@@ -69,7 +69,6 @@ func main() {
 		cachedir  = flag.String("cachedir", "", "directory for the on-disk result cache (empty = in-memory only)")
 		cachemem  = flag.Int("cachemem", 0, "in-memory cache entries (0 = default 1024)")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "spatial shards per simulation (0/1 = serial); capped so workers x shards never oversubscribes GOMAXPROCS; never changes results")
 		queue     = flag.Int("queue", 0, "accepted-but-waiting jobs before shedding 429s (0 = 4x workers)")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request simulation budget")
 		maxcycles = flag.Int64("maxcycles", 2_000_000, "largest cycles value a request may ask for")
@@ -94,7 +93,6 @@ func main() {
 	cfg := serve.Config{
 		Cache:     store,
 		Workers:   *workers,
-		Shards:    *shards,
 		QueueSize: *queue,
 		Timeout:   *timeout,
 		MaxCycles: *maxcycles,
@@ -178,8 +176,7 @@ func main() {
 	if workersEff <= 0 {
 		workersEff = runtime.GOMAXPROCS(0)
 	}
-	log.Printf("listening on %s (workers=%d, shards=%d requested, cachedir=%q; resolved counts on /metrics)",
-		*addr, workersEff, *shards, *cachedir)
+	log.Printf("listening on %s (workers=%d, cachedir=%q)", *addr, workersEff, *cachedir)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

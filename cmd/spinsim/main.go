@@ -6,9 +6,7 @@
 // the replicate index — and reports per-replicate and aggregate numbers,
 // the cheap way to put confidence intervals on a single design point.
 // -timeout bounds each run, -progress reports completions, and Ctrl-C
-// cancels promptly. -shards N steps the network itself on N spatial
-// shards (byte-identical results at any shard count; incompatible with
-// -record, which captures the global injection order).
+// cancels promptly.
 //
 // Usage:
 //
@@ -39,13 +37,13 @@
 //
 // Exact workloads: -record writes the packets a run injects as a
 // spintrace-v1 file (see cmd/spintrace, which also converts to and from
-// CSV), and -replay drives a run from one instead of -traffic, at any
-// -shards. The file becomes the scenario's trace_b64, so a -check
-// artifact of a replayed run carries its workload; the compressed file
-// is held in memory for the run.
+// CSV), and -replay drives a run from one instead of -traffic. The file
+// becomes the scenario's trace_b64, so a -check artifact of a replayed
+// run carries its workload; the compressed file is held in memory for the
+// run.
 //
 //	spinsim -topo mesh:8x8 -rate 0.2 -cycles 5000 -record t.spintrace
-//	spinsim -topo mesh:8x8 -scheme spin -replay t.spintrace -shards 4 -drain
+//	spinsim -topo mesh:8x8 -scheme spin -replay t.spintrace -drain
 package main
 
 import (
@@ -71,15 +69,11 @@ import (
 	"repro/internal/workload"
 )
 
-// serialFlagsErr is what -record cannot combine with: traffic.Recorder
-// captures the global injection order of the generator it wraps, so it
-// needs the serial engine, and a generator — recording a -replay would
-// only copy its file. Replay itself is shard-safe.
-func serialFlagsErr(record, replay string, shards int) error {
-	switch {
-	case record != "" && shards > 1:
-		return fmt.Errorf("-record captures the global injection order and needs the serial engine; drop -shards")
-	case record != "" && replay != "":
+// recordFlagsErr is what -record cannot combine with: traffic.Recorder
+// wraps a generator, and a -replay run has none — recording it would only
+// copy its file.
+func recordFlagsErr(record, replay string) error {
+	if record != "" && replay != "" {
 		return fmt.Errorf("-record wraps a traffic generator; recording a -replay would only copy %s", replay)
 	}
 	return nil
@@ -112,7 +106,7 @@ func (f *simFlags) register(fs *flag.FlagSet) {
 	fs.Int64Var(&f.think, "think", 0, "closed-loop mean think time in cycles after each reply (with -window)")
 	fs.StringVar(&f.burst, "burst", "", "on/off burst modulation as ON:OFF mean cycles, e.g. 16:48")
 	fs.StringVar(&f.hotspot, "hotspot", "", "hotspot skew as FRAC:N, e.g. 0.2:2 (20% of packets to 2 hot terminals)")
-	fs.StringVar(&f.replay, "replay", "", "drive the run from a spintrace-v1 file instead of -traffic (works with -shards)")
+	fs.StringVar(&f.replay, "replay", "", "drive the run from a spintrace-v1 file instead of -traffic")
 }
 
 // shaped reports whether any workload-shaping flag is set.
@@ -187,7 +181,6 @@ func main() {
 		replayFr = flag.String("replay-forensics", "", "re-drive a forensics-<key>.json flight-recorder artifact through the checked harness; exit 0 if the failure reproduces")
 		record   = flag.String("record", "", "record the injected workload to a spintrace-v1 file")
 		seeds    = flag.Int("seeds", 1, "replicate count: run the configuration under N derived seeds")
-		shards   = flag.Int("shards", 0, "spatial shards per simulation for the parallel cycle engine (0/1 = serial); never changes results")
 		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON of the run to this file (open in ui.perfetto.dev)")
 		tracebuf = flag.Int("tracebuf", 1<<18, "trace ring capacity: -trace keeps the last N non-flit events")
 		epoch    = flag.Int64("epoch", 0, "telemetry time-series window in cycles (0 = default 100 when a time-series consumer is on)")
@@ -251,13 +244,13 @@ func main() {
 		if telemetryOn {
 			log.Fatal("-seeds > 1 is incompatible with -trace/-tsout/-hist/-epoch")
 		}
-		runReplicates(ctx, sc, *seeds, *shards, *workers, *timeout, *progress, *check)
+		runReplicates(ctx, sc, *seeds, *workers, *timeout, *progress, *check)
 		return
 	}
-	if err := serialFlagsErr(*record, f.replay, *shards); err != nil {
+	if err := recordFlagsErr(*record, f.replay); err != nil {
 		log.Fatal(err)
 	}
-	s, err := sc.SimShards(*shards)
+	s, err := sc.Sim()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -428,7 +421,7 @@ type replicate struct {
 
 // runReplicates runs sc under n derived seeds in parallel and prints
 // per-replicate rows plus mean ± stddev aggregates.
-func runReplicates(ctx context.Context, sc harness.Scenario, n, shards, workers int, timeout time.Duration, progress, check bool) {
+func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, timeout time.Duration, progress, check bool) {
 	jobs := make([]runner.Job[replicate], n)
 	for i := 0; i < n; i++ {
 		jobs[i] = runner.Job[replicate]{
@@ -436,7 +429,7 @@ func runReplicates(ctx context.Context, sc harness.Scenario, n, shards, workers 
 			Run: func(ctx context.Context, seed int64) (replicate, error) {
 				c := sc
 				c.Seed = seed
-				s, err := c.SimShards(shards)
+				s, err := c.Sim()
 				if err != nil {
 					return replicate{}, err
 				}

@@ -13,33 +13,24 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSerialFlagsErr pins what -record refuses: capture depends on the
-// global injection order, which only the serial engine has, and wraps a
-// generator, which a -replay run has none of. Replay alone runs at any
-// shard count.
-func TestSerialFlagsErr(t *testing.T) {
+// TestRecordFlagsErr pins what -record refuses: it wraps a generator,
+// which a -replay run has none of.
+func TestRecordFlagsErr(t *testing.T) {
 	cases := []struct {
 		name           string
 		record, replay string
-		shards         int
 		wantErr        bool
 	}{
-		{"no trace flags, serial", "", "", 1, false},
-		{"no trace flags, sharded", "", "", 8, false},
-		{"record, serial", "t.spintrace", "", 1, false},
-		{"replay, serial", "", "t.spintrace", 1, false},
-		{"record, sharded", "t.spintrace", "", 2, true},
-		{"replay, sharded", "", "t.spintrace", 4, false},
-		{"record and replay, sharded", "a.spintrace", "b.spintrace", 2, true},
-		{"record and replay, serial", "a.spintrace", "b.spintrace", 1, true},
-		{"shards zero counts as serial", "t.spintrace", "", 0, false},
+		{"no trace flags", "", "", false},
+		{"record", "t.spintrace", "", false},
+		{"replay", "", "t.spintrace", false},
+		{"record and replay", "a.spintrace", "b.spintrace", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := serialFlagsErr(tc.record, tc.replay, tc.shards)
+			err := recordFlagsErr(tc.record, tc.replay)
 			if (err != nil) != tc.wantErr {
-				t.Errorf("serialFlagsErr(%q, %q, %d) = %v, wantErr %v",
-					tc.record, tc.replay, tc.shards, err, tc.wantErr)
+				t.Errorf("recordFlagsErr(%q, %q) = %v, wantErr %v", tc.record, tc.replay, err, tc.wantErr)
 			}
 		})
 	}
@@ -79,7 +70,7 @@ func TestCheckArtifactKeepsWorkloadShaping(t *testing.T) {
 			if sc.VNets != tc.vnets {
 				t.Fatalf("vnets = %d, want %d", sc.VNets, tc.vnets)
 			}
-			s, err := sc.SimShards(0)
+			s, err := sc.Sim()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +101,7 @@ func TestCheckArtifactKeepsWorkloadShaping(t *testing.T) {
 
 // TestCheckArtifactKeepsReplayedTrace is the same contract for -replay:
 // the trace rides in the scenario, so the artifact of a replayed run
-// validates and re-injects the same packets at any shard count.
+// validates and re-injects the same packets.
 func TestCheckArtifactKeepsReplayedTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.spintrace")
 	var entries []traffic.TraceEntry
@@ -134,8 +125,8 @@ func TestCheckArtifactKeepsReplayedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(sc harness.Scenario, shards int) *harness.Result {
-		s, err := sc.SimShards(shards)
+	run := func(sc harness.Scenario) *harness.Result {
+		s, err := sc.Sim()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +139,7 @@ func TestCheckArtifactKeepsReplayedTrace(t *testing.T) {
 		}
 		return res
 	}
-	apath, err := harness.WriteArtifact(t.TempDir(), harness.NewArtifact(run(sc, 0)))
+	apath, err := harness.WriteArtifact(t.TempDir(), harness.NewArtifact(run(sc)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +150,5 @@ func TestCheckArtifactKeepsReplayedTrace(t *testing.T) {
 	if err := art.Scenario.Validate(); err != nil {
 		t.Fatalf("artifact scenario does not validate: %v", err)
 	}
-	run(art.Scenario, 2)
+	run(art.Scenario)
 }

@@ -7,13 +7,8 @@
 // stderr. Results are bit-identical at any worker count for a given
 // -seed. Ctrl-C cancels the sweep promptly.
 //
-// -shards N additionally parallelizes inside each simulation point via
-// the sharded cycle engine — useful when one paper-scale point dominates
-// the sweep. Shard count never changes results either; when
-// workers x shards would oversubscribe GOMAXPROCS the shard count is
-// capped (resolved values are printed under -progress). -preset runs a
-// latency curve for one named Table III preset (see -pattern, -maxrate)
-// instead of a figure.
+// -preset runs a latency curve for one named Table III preset (see
+// -pattern, -maxrate) instead of a figure.
 //
 // Dispatch and JSON encoding live in internal/exp (Sweep, EncodeJSON)
 // and are shared with the spind daemon's /v1/sweep endpoint, so the CLI
@@ -30,7 +25,7 @@
 //	spinsweep -fig 10           # area overheads
 //	spinsweep -fig all -workers 8
 //	spinsweep -fig 7 -cycles 100000 -full   # paper-scale run
-//	spinsweep -preset dfly1024 -shards 8 -progress   # sharded engine on one big preset
+//	spinsweep -preset dfly1024 -progress    # latency curve of one big preset
 package main
 
 import (
@@ -40,7 +35,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 
 	"repro/internal/exp"
@@ -61,7 +55,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "base random seed; per-point seeds derive from it and each point's key")
 		asJSON   = flag.Bool("json", false, "emit results as JSON instead of text")
 		workers  = flag.Int("workers", 0, "concurrent simulation points (0 = GOMAXPROCS); never changes results")
-		shards   = flag.Int("shards", 0, "spatial shards per simulation point (0/1 = serial); capped so workers x shards never oversubscribes GOMAXPROCS; never changes results")
 		timeout  = flag.Duration("timeout", 0, "per-simulation-point time budget (0 = unlimited), e.g. 30s")
 		progress = flag.Bool("progress", false, "stream per-point completions to stderr")
 		check    = flag.Bool("check", false, "attach the runtime invariant checker to every sweep point; a violation fails that point")
@@ -75,32 +68,12 @@ func main() {
 	if *epoch != 0 && !*tele {
 		log.Fatal("-epoch needs -telemetry")
 	}
-	// Sweep-level workers and run-level shards multiply: cap the shard
-	// count so the product never oversubscribes GOMAXPROCS (neither knob
-	// changes results, so the cap is free to apply).
-	maxp := runtime.GOMAXPROCS(0)
-	workersEff := *workers
-	if workersEff <= 0 {
-		workersEff = maxp
-	}
-	shardsEff := *shards
-	if shardsEff < 1 {
-		shardsEff = 1
-	}
-	if workersEff*shardsEff > maxp {
-		shardsEff = maxp / workersEff
-		if shardsEff < 1 {
-			shardsEff = 1
-		}
-	}
 	o := exp.Options{
 		Cycles: *cycles, Warmup: *warmup, Small: !*full, Seed: *seed,
-		Workers: *workers, Shards: shardsEff, Timeout: *timeout, Check: *check,
+		Workers: *workers, Timeout: *timeout, Check: *check,
 		Telemetry: *tele, Epoch: *epoch,
 	}
 	if *progress {
-		fmt.Fprintf(os.Stderr, "spinsweep: parallelism workers=%d shards=%d/point (requested %d, GOMAXPROCS %d)\n",
-			workersEff, shardsEff, *shards, maxp)
 		o.Progress = progressPrinter()
 	}
 	emit := func(v interface{}) error {

@@ -1,8 +1,8 @@
 // Package bench measures the simulator's hot path — ns, heap bytes and
 // heap allocations per simulated cycle — over a fixed matrix of
-// workloads (mesh, torus, dragonfly at low and saturation load, plus an
-// empty mesh and the 1-VC SPIN regime), and compares runs against the
-// committed baseline BENCH_sim.json.
+// workloads (mesh, torus, dragonfly at low and saturation load, an empty
+// mesh, the 1-VC SPIN regime, and two paper-scale presets), and compares
+// runs against the committed baseline BENCH_sim.json.
 //
 // The baseline carries a machine-speed calibration: the time per
 // iteration of a fixed integer kernel measured on the machine that wrote
@@ -60,18 +60,6 @@ type Report struct {
 	// the current machine's calibration to this.
 	CalibrationNs float64  `json:"calibration_ns"`
 	Workloads     []Result `json:"workloads"`
-	// Scaling records the sharded engine's measured ns/cycle at several
-	// shard counts on the paper-scale workloads (informational: speedup
-	// depends on the producing machine's core count, recorded in NumCPU).
-	NumCPU  int             `json:"num_cpu,omitempty"`
-	Scaling []ScalingResult `json:"scaling,omitempty"`
-}
-
-// ScalingResult is one (workload, shard count) cell of the scaling table.
-type ScalingResult struct {
-	Workload   string  `json:"workload"`
-	Shards     int     `json:"shards"`
-	NsPerCycle float64 `json:"ns_per_cycle"`
 }
 
 // Schema is the current BENCH_sim.json schema version.
@@ -118,11 +106,12 @@ func Workloads() []Workload {
 	}
 }
 
-// ScaleWorkloads is the paper-scale matrix behind BenchmarkStepShards
-// and the scaling table: the Table III presets the sharded engine was
-// built to make interactive. Cycle counts are short — one cycle of the
-// 1024-node dragonfly costs roughly what a whole mesh8x8 measurement
-// window does — and warmup is just long enough to fill the pipeline.
+// ScaleWorkloads is the paper-scale end of the matrix: the 1024-node
+// Table III dragonfly and a 4096-router mesh, the rows where per-router
+// cost is set by cache misses rather than instructions. Cycle counts are
+// short — one cycle of the 1024-node dragonfly costs roughly what a whole
+// mesh8x8 measurement window does — and warmup is just long enough to
+// fill the pipeline.
 func ScaleWorkloads() []Workload {
 	mk := func(name, preset string, rate float64) Workload {
 		p, err := spin.PresetByName(preset)
@@ -139,29 +128,6 @@ func ScaleWorkloads() []Workload {
 		mk("dfly1024/low", "dfly1024", 0.05),
 		mk("mesh64x64/low", "mesh64x64", 0.05),
 	}
-}
-
-// ShardCounts is the shard ladder measured by the scaling table and
-// BenchmarkStepShards.
-func ShardCounts() []int { return []int{1, 2, 4, 8} }
-
-// CollectScaling measures each scale workload's ns/cycle across the
-// shard ladder. Speedups are meaningful only when the machine has the
-// cores to back them (Report.NumCPU records that context).
-func CollectScaling() ([]ScalingResult, error) {
-	var out []ScalingResult
-	for _, w := range ScaleWorkloads() {
-		for _, shards := range ShardCounts() {
-			sw := w
-			sw.Cfg.Shards = shards
-			r, err := Measure(sw)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ScalingResult{Workload: w.Name, Shards: shards, NsPerCycle: r.NsPerCycle})
-		}
-	}
-	return out, nil
 }
 
 // Measure runs one workload and reports per-cycle cost. The warmup phase
@@ -220,8 +186,8 @@ func Calibrate() float64 {
 // counts come from the first run, which is deterministic) and stamps the
 // report with the machine calibration.
 func Collect(reps int) (Report, error) {
-	rep := Report{Schema: Schema, GoVersion: runtime.Version(), CalibrationNs: Calibrate(), NumCPU: runtime.NumCPU()}
-	for _, w := range Workloads() {
+	rep := Report{Schema: Schema, GoVersion: runtime.Version(), CalibrationNs: Calibrate()}
+	for _, w := range append(Workloads(), ScaleWorkloads()...) {
 		var best Result
 		for i := 0; i < reps; i++ {
 			r, err := Measure(w)
@@ -236,11 +202,6 @@ func Collect(reps int) (Report, error) {
 		}
 		rep.Workloads = append(rep.Workloads, best)
 	}
-	scaling, err := CollectScaling()
-	if err != nil {
-		return Report{}, err
-	}
-	rep.Scaling = scaling
 	return rep, nil
 }
 

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"flag"
-	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"testing"
 
 	spin "repro"
@@ -87,44 +85,40 @@ func TestBenchRegression(t *testing.T) {
 	}
 }
 
-// stepAllocBudget runs the named saturating workload at 1 and 4 shards
-// with attach's observers on, warms it up, and requires that the next
-// runs cycles (one Step each) allocate nothing. The runs are
-// deterministic (fixed seed, sequential cycles), so the budget is exact,
-// not statistical. check, when non-nil, runs after the measurement.
+// stepAllocBudget runs the named saturating workload with attach's
+// observers on, warms it up, and requires that the next runs cycles (one
+// Step each) allocate nothing. The runs are deterministic (fixed seed,
+// sequential cycles), so the budget is exact, not statistical. check,
+// when non-nil, runs after the measurement.
 func stepAllocBudget(t *testing.T, name string, runs int, attach func(*sim.Network), check func(*testing.T, *sim.Network)) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("%s/shards%d", name, shards), func(t *testing.T) {
-			var w Workload
-			for _, cand := range Workloads() {
-				if cand.Name == name {
-					w = cand
-				}
+	t.Run(name, func(t *testing.T) {
+		var w Workload
+		for _, cand := range Workloads() {
+			if cand.Name == name {
+				w = cand
 			}
-			if w.Name == "" {
-				t.Fatalf("workload %s not defined", name)
-			}
-			cfg := w.Cfg
-			cfg.Shards = shards
-			s, err := spin.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if attach != nil {
-				attach(s.Network())
-			}
-			s.Run(8000)
-			if avg := testing.AllocsPerRun(runs, func() { s.Run(1) }); avg != 0 {
-				t.Errorf("steady-state Step allocates %.4f objects/cycle, want 0", avg)
-			}
-			if check != nil {
-				check(t, s.Network())
-			}
-		})
-	}
+		}
+		if w.Name == "" {
+			t.Fatalf("workload %s not defined", name)
+		}
+		s, err := spin.New(w.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attach != nil {
+			attach(s.Network())
+		}
+		s.Run(8000)
+		if avg := testing.AllocsPerRun(runs, func() { s.Run(1) }); avg != 0 {
+			t.Errorf("steady-state Step allocates %.4f objects/cycle, want 0", avg)
+		}
+		if check != nil {
+			check(t, s.Network())
+		}
+	})
 }
 
 // TestStepAllocBudget pins the steady-state allocation discipline:
@@ -192,7 +186,7 @@ func TestStepAllocBudgetWorkloads(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	build := func(t *testing.T, shards int, kind string) *sim.Network {
+	build := func(t *testing.T, kind string) *sim.Network {
 		m, err := topology.NewMesh(8, 8, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -225,14 +219,10 @@ func TestStepAllocBudgetWorkloads(t *testing.T) {
 			Traffic:    gen,
 			VNets:      2,
 			VCsPerVNet: 2,
-			Shards:     shards,
 			Seed:       17,
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if shards > 1 && n.Shards() != shards {
-			t.Fatalf("workload generator clamped to %d shards, want %d", n.Shards(), shards)
 		}
 		if kind == "replay" {
 			// Four packets a cycle, past the end of the measurement.
@@ -252,82 +242,20 @@ func TestStepAllocBudgetWorkloads(t *testing.T) {
 		return n
 	}
 	for _, kind := range []string{"closedloop", "burst", "replay"} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards%d", kind, shards), func(t *testing.T) {
-				n := build(t, shards, kind)
-				n.Run(8000)
-				if avg := testing.AllocsPerRun(300, func() { n.Run(1) }); avg != 0 {
-					t.Errorf("steady-state Step allocates %.4f objects/cycle, want 0", avg)
-				}
-			})
-		}
-	}
-}
-
-// TestShardScalingGate measures the sharded engine's speedup at 4
-// shards on the paper-scale mesh and gates on the >=1.5x target. The
-// target only makes sense with cores to back it, so below 4 CPUs the
-// test skips; on multicore hardware a miss is advisory unless
-// BENCH_STRICT is set (the CI bench job's posture, mirrored from
-// TestBenchRegression).
-// minShardCores is the smallest core count on which the 4-shard speedup
-// target is measurable at all; below it only the sharding overhead
-// shows.
-const minShardCores = 4
-
-func TestShardScalingGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation distorts timing")
-	}
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	if cores := runtime.NumCPU(); cores < minShardCores {
-		t.Skipf("detected %d CPUs but the scaling gate needs >= %d: speedup is not measurable, skipping", cores, minShardCores)
-	}
-	var w Workload
-	for _, cand := range ScaleWorkloads() {
-		if cand.Name == "mesh64x64/low" {
-			w = cand
-		}
-	}
-	if w.Name == "" {
-		t.Fatal("scale workload mesh64x64/low not defined")
-	}
-	measure := func(shards int) float64 {
-		sw := w
-		sw.Cfg.Shards = shards
-		best := 0.0
-		for i := 0; i < 3; i++ {
-			r, err := Measure(sw)
-			if err != nil {
-				t.Fatal(err)
+		t.Run(kind, func(t *testing.T) {
+			n := build(t, kind)
+			n.Run(8000)
+			if avg := testing.AllocsPerRun(300, func() { n.Run(1) }); avg != 0 {
+				t.Errorf("steady-state Step allocates %.4f objects/cycle, want 0", avg)
 			}
-			if best == 0 || r.NsPerCycle < best {
-				best = r.NsPerCycle
-			}
-		}
-		return best
-	}
-	ns1 := measure(1)
-	ns4 := measure(4)
-	speedup := ns1 / ns4
-	t.Logf("mesh64x64/low: %.0f ns/cycle serial, %.0f ns/cycle at 4 shards (%.2fx, %d CPUs)",
-		ns1, ns4, speedup, runtime.NumCPU())
-	if speedup < 1.5 {
-		msg := "4-shard speedup %.2fx below the 1.5x target"
-		if os.Getenv("BENCH_STRICT") != "" {
-			t.Errorf(msg, speedup)
-		} else {
-			t.Logf(msg+" — advisory only; set BENCH_STRICT=1 to enforce", speedup)
-		}
+		})
 	}
 }
 
 // BenchmarkStep exposes the workload matrix to `go test -bench` so CI
 // and benchstat see standard ns/op + allocs/op series per cycle.
 func BenchmarkStep(b *testing.B) {
-	for _, w := range Workloads() {
+	for _, w := range append(Workloads(), ScaleWorkloads()...) {
 		b.Run(w.Name, func(b *testing.B) {
 			s, err := spin.New(w.Cfg)
 			if err != nil {
@@ -338,29 +266,6 @@ func BenchmarkStep(b *testing.B) {
 			b.ResetTimer()
 			s.Run(int64(b.N))
 		})
-	}
-}
-
-// BenchmarkStepShards exposes the paper-scale workloads across the
-// shard ladder, the `go test -bench` view of the scaling table. On a
-// 1-core runner the sub-serial shards>1 rows measure the coordination
-// overhead; on multicore they measure the speedup.
-func BenchmarkStepShards(b *testing.B) {
-	for _, w := range ScaleWorkloads() {
-		for _, shards := range ShardCounts() {
-			b.Run(fmt.Sprintf("%s/shards%d", w.Name, shards), func(b *testing.B) {
-				cfg := w.Cfg
-				cfg.Shards = shards
-				s, err := spin.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Run(w.Warmup)
-				b.ReportAllocs()
-				b.ResetTimer()
-				s.Run(int64(b.N))
-			})
-		}
 	}
 }
 

@@ -28,11 +28,6 @@ type RingBubble struct {
 // Name implements sim.Scheme.
 func (b *RingBubble) Name() string { return "bubble_fc" }
 
-// RequiresSerialStep implements sim.SerialOnly: the spare-bubble check
-// scans live VC state around the whole ring, which crosses shard
-// boundaries mid-phase, so the scheme needs the serial engine.
-func (b *RingBubble) RequiresSerialStep() bool { return true }
-
 // Attach implements sim.Scheme.
 func (b *RingBubble) Attach(n *sim.Network) {
 	for i := 0; i < n.NumRouters(); i++ {
@@ -67,7 +62,10 @@ func (b *RingBubble) ringOf(router, port int) (int, int) {
 }
 
 // ringHasSpareBubble counts free packet buffers in the ring of (router,
-// outPort) excluding the one at dvc, requiring at least one more.
+// outPort) excluding the one at dvc, requiring at least one more. It reads
+// the live VC state of every router on the ring, not the commit snapshots,
+// so a ring-bubble run depends on phase 2 walking routers in ascending
+// order (the order its goldens encode).
 func (b *RingBubble) ringHasSpareBubble(n *sim.Network, router, outPort int, dvc *sim.VC, length int) bool {
 	dim, coord := b.ringOf(router, outPort)
 	if dim < 0 {

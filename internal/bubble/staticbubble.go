@@ -25,11 +25,6 @@ type StaticBubble struct {
 // Name implements sim.Scheme.
 func (s *StaticBubble) Name() string { return "static_bubble" }
 
-// RequiresSerialStep implements sim.SerialOnly: the agents only inspect
-// their own router's VCs and static downstream VC indices, so the scheme
-// runs under the sharded engine.
-func (s *StaticBubble) RequiresSerialStep() bool { return false }
-
 // Attach implements sim.Scheme.
 func (s *StaticBubble) Attach(n *sim.Network) {
 	if s.TDD == 0 {

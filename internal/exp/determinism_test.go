@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	spin "repro"
 )
 
 // figJSON canonicalises a figure map for byte-level comparison.
@@ -44,88 +42,6 @@ func TestFig7DeterministicAcrossWorkers(t *testing.T) {
 		if got := figJSON(t, figs); string(got) != string(want) {
 			t.Fatalf("workers=%d produced different figure data than workers=1", workers)
 		}
-	}
-}
-
-// TestFig7DeterministicAcrossShards is the sharded engine's determinism
-// contract: the sweep JSON must be byte-identical whether each
-// simulation steps serially or split across 2 or 8 spatial shards,
-// independently of the worker-pool size. Run under -race this also
-// exercises the compute/commit phase separation for data races.
-func TestFig7DeterministicAcrossShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	o := Options{Cycles: 1200, Small: true, Seed: 7, Workers: 2, Shards: 1}
-	base, err := Fig7(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := figJSON(t, base)
-	for _, shards := range []int{2, 8} {
-		o.Shards = shards
-		figs, err := Fig7(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := figJSON(t, figs); string(got) != string(want) {
-			t.Fatalf("shards=%d produced different figure data than shards=1", shards)
-		}
-	}
-}
-
-// TestPresetDeterministicAcrossShards extends the shard-determinism
-// matrix to the paper-scale presets — the 1024-node dragonfly and the
-// 64x64 mesh, the configurations the sharded engine exists for — at
-// cycle counts reduced far below a real sweep (their serial runs are
-// what the engine amortizes). Byte-identical Stats JSON at 1, 2, and 4
-// shards, packets in flight and all.
-func TestPresetDeterministicAcrossShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cases := []struct {
-		preset string
-		cycles int64
-	}{
-		{"dfly1024", 300},
-		{"mesh64x64", 200},
-	}
-	for _, tc := range cases {
-		t.Run(tc.preset, func(t *testing.T) {
-			run := func(shards int) []byte {
-				p, err := spin.PresetByName(tc.preset)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := p.Config
-				cfg.Traffic = "uniform_random"
-				cfg.Rate = 0.1
-				cfg.Seed = 7
-				cfg.TDD = 64
-				cfg.Shards = shards
-				s, err := spin.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if shards > 1 && s.Network().Shards() != shards {
-					t.Fatalf("preset clamped to %d shards, want %d", s.Network().Shards(), shards)
-				}
-				s.Run(tc.cycles)
-				b, err := json.Marshal(s.Stats())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			}
-			want := run(1)
-			for _, shards := range []int{2, 4} {
-				if got := run(shards); string(got) != string(want) {
-					t.Errorf("shards=%d stats diverge from serial:\n  1: %s\n  %d: %s",
-						shards, want, shards, got)
-				}
-			}
-		})
 	}
 }
 

@@ -48,11 +48,6 @@ type Options struct {
 	// Workers bounds concurrently running simulation points (0 =
 	// GOMAXPROCS). Worker count never changes results.
 	Workers int
-	// Shards is the per-simulation shard count handed to the cycle
-	// engine (0 or 1 = serial). Like Workers it is an execution knob —
-	// the engine is byte-deterministic at any shard count — so it never
-	// appears in SweepRequest or the content address.
-	Shards int
 	// Timeout bounds each simulation job (0 = unlimited).
 	Timeout time.Duration
 	// Progress, when non-nil, observes each completed simulation job.
@@ -210,7 +205,6 @@ func runPoint(ctx context.Context, cfg spin.Config, pattern string, rate float64
 	cfg.Rate = rate
 	cfg.Seed = runner.SeedFor(o.Seed, key)
 	cfg.Warmup = o.Warmup
-	cfg.Shards = o.Shards
 	s, err := spin.New(cfg)
 	if err != nil {
 		return nil, nil, err

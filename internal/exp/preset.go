@@ -11,8 +11,8 @@ import (
 // PresetSweep runs the latency-vs-offered-load curve of one named
 // Table III preset under a chosen synthetic pattern — the by-name entry
 // point behind `spinsweep -preset`, and the convenient way to drive the
-// large-scale presets (dfly1024, mesh64x64) through the sharded engine
-// without defining a whole figure around them. The curve runs as one
+// large-scale presets (dfly1024, mesh64x64) without defining a whole
+// figure around them. The curve runs as one
 // runner job so -timeout, -progress, and Ctrl-C behave exactly as in
 // the figure sweeps, and per-point seeds derive from the same
 // "preset/<name>/<pattern>@<rate>" key scheme.

@@ -56,7 +56,7 @@ const workloadWindow = 8
 // WorkloadSweep runs the closed-loop saturation sweep, one parallel job
 // per offered-rate point. Each point is a harness scenario, so the same
 // configuration is reachable via /v1/simulate with an identical
-// workload block — and byte-identical results, at any shard count.
+// workload block, and byte-identical results.
 func WorkloadSweep(ctx context.Context, o Options) (*WorkloadSweepResult, error) {
 	o = o.withDefaults()
 	res := &WorkloadSweepResult{Topology: o.meshSpec(), Window: workloadWindow}
@@ -94,7 +94,7 @@ func workloadPoint(ctx context.Context, rate float64, seed int64, o Options) (Wo
 		Warmup:     o.Warmup,
 		Workload:   &workload.Spec{Mode: "closed", Window: workloadWindow, ReqLen: 1, RespLen: 1},
 	}
-	s, err := sc.SimShards(o.Shards)
+	s, err := sc.Sim()
 	if err != nil {
 		return pt, err
 	}

@@ -37,33 +37,8 @@ func TestWorkloadSweepSaturates(t *testing.T) {
 	}
 }
 
-// TestWorkloadSweepDeterministicAcrossShards pins the byte-identity of
-// the closed-loop sweep across engine shard counts: the whole
-// request/reply/think machinery (serial OnEject accounting, per-terminal
-// think streams) must be invisible to sharding.
-func TestWorkloadSweepDeterministicAcrossShards(t *testing.T) {
-	t.Parallel()
-	enc := func(shards int) string {
-		res, err := WorkloadSweep(context.Background(), Options{Cycles: 1500, Seed: 11, Small: true, Workers: 2, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	want := enc(1)
-	for _, shards := range []int{2, 4} {
-		if got := enc(shards); got != want {
-			t.Fatalf("shards=%d diverged:\n%s\nvs shards=1:\n%s", shards, got, want)
-		}
-	}
-}
-
-// TestWorkloadSweepDeterministicAcrossWorkers pins the other axis of the
-// execution-knob contract: sweep-level worker parallelism (per-point
+// TestWorkloadSweepDeterministicAcrossWorkers pins the execution-knob
+// contract: sweep-level worker parallelism (per-point
 // derived seeds, arbitrary completion order) renders the same bytes at 1
 // and 8 workers.
 func TestWorkloadSweepDeterministicAcrossWorkers(t *testing.T) {

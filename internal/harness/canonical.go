@@ -69,7 +69,7 @@ func DecodeScenario(r io.Reader) (Scenario, error) {
 // Validate reports whether the scenario is a runnable request. It checks
 // request-shape errors only; spec-string errors (an unknown topology or
 // routing name) and exact-workload entries the built network cannot
-// host surface from SimShards when the simulation is built.
+// host surface from Sim when the simulation is built.
 func (sc Scenario) Validate() error {
 	switch {
 	case sc.Topology == "":

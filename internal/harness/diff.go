@@ -74,7 +74,7 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 
 	// Baseline run: same topology/seed, escape-VC routing, no scheme,
 	// with the recording as its exact workload instead of a generator —
-	// built by SimShards like any other injections scenario.
+	// built by Sim like any other injections scenario.
 	bsc := sc.Baseline()
 	bsc.Traffic, bsc.Rate, bsc.Workload, bsc.Injections = "", 0, nil, rec.Entries
 	bs, err := bsc.Sim()

@@ -66,22 +66,20 @@ func TestReplayParityWithParent(t *testing.T) {
 		if err := r.Scenario.Validate(); err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
-		for _, shards := range []int{1, 2, 4} {
-			s, err := r.Scenario.SimShards(shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Drive(context.Background(), r.Scenario, s.Network(), Observe{Check: true, Drain: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Failed() {
-				t.Fatalf("%s/shards%d: %s", r.Name, shards, res.Summary())
-			}
-			st := s.Network().Stats()
-			if got := (replayDigest{st.Injected, st.Ejected, st.LatencySum, st.MaxLatency, st.Spins}); got != r.Want {
-				t.Errorf("%s/shards%d: %+v, the parent produced %+v", r.Name, shards, got, r.Want)
-			}
+		s, err := r.Scenario.Sim()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Drive(context.Background(), r.Scenario, s.Network(), Observe{Check: true, Drain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed() {
+			t.Fatalf("%s: %s", r.Name, res.Summary())
+		}
+		st := s.Network().Stats()
+		if got := (replayDigest{st.Injected, st.Ejected, st.LatencySum, st.MaxLatency, st.Spins}); got != r.Want {
+			t.Errorf("%s: %+v, the parent produced %+v", r.Name, got, r.Want)
 		}
 	}
 	wd := want.Differential

@@ -143,23 +143,19 @@ func FromConfig(cfg spin.Config, cycles int64) Scenario {
 	}
 }
 
-// Sim builds the runnable simulation for the scenario, attaching the
-// exact or shaped-workload traffic when the scenario carries one.
-func (sc Scenario) Sim() (*spin.Simulation, error) { return sc.SimShards(0) }
+// SimShards is Sim; the argument is ignored.
+//
+// Deprecated: the cycle engine has no shard count. Kept only because
+// benchmark/sim.go, frozen for the PR that deleted the sharded engine,
+// still calls it (see ROADMAP).
+func (sc Scenario) SimShards(int) (*spin.Simulation, error) { return sc.Sim() }
 
-// SimShards is Sim with an explicit engine shard count — an execution
-// knob, not part of the scenario (it never affects results or cache
-// keys). The serving path uses it to run canonical scenarios on its
-// configured shard budget. It is the one place a scenario becomes a
-// traffic source: spin.New builds the plain synthetic generator, and an
-// exact workload (Injections or TraceB64, one replay engine over either
-// entry source) or a workload block replaces it here.
-func (sc Scenario) SimShards(shards int) (*spin.Simulation, error) {
-	cfg := sc.Config()
-	if shards > 0 {
-		cfg.Shards = shards
-	}
-	s, err := spin.New(cfg)
+// Sim builds the runnable simulation for the scenario. It is the one place
+// a scenario becomes a traffic source: spin.New builds the plain synthetic
+// generator, and an exact workload (Injections or TraceB64, one replay
+// engine over either entry source) or a workload block replaces it here.
+func (sc Scenario) Sim() (*spin.Simulation, error) {
+	s, err := spin.New(sc.Config())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/routing"
@@ -144,7 +145,7 @@ func TestFAvORSMisroutesAtMostOnce(t *testing.T) {
 		}
 	})
 	pat := traffic.Uniform(25)
-	rng := n.RNG()
+	rng := rand.New(rand.NewSource(9))
 	for c := 0; c < 4000; c++ {
 		if c < 2000 {
 			for src := 0; src < 25; src++ {

@@ -47,14 +47,6 @@ type Config struct {
 	Cache *cache.Store
 	// Workers bounds concurrently running jobs (0 = GOMAXPROCS).
 	Workers int
-	// Shards is the spatial shard count each simulation's cycle engine
-	// runs with (0 or 1 = serial). Shards never change results — the
-	// engine is byte-deterministic at any count — so the knob does not
-	// participate in cache keys. The effective value is capped so
-	// Workers x Shards never oversubscribes GOMAXPROCS; both the
-	// resolved worker and shard counts are exported on /metrics
-	// (spind_workers_effective, spind_shards_effective).
-	Shards int
 	// QueueSize bounds accepted-but-not-running jobs (0 = 4x workers);
 	// beyond it the server sheds load with 429 + Retry-After.
 	QueueSize int
@@ -168,10 +160,8 @@ type Server struct {
 	mSimDeadlocks *counter
 	mSimLatency   *histogram
 
-	// Resolved parallelism: workersEff is the pool size, shardsEff the
-	// per-simulation shard count after the oversubscription cap.
+	// workersEff is the resolved pool size (spind_workers_effective).
 	workersEff int
-	shardsEff  int
 
 	// fleet is the optional membership/ownership layer; draining flips
 	// when shutdown starts so /readyz fails before the listener closes
@@ -224,24 +214,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.tracer = otrace.NewTracer(node, 0)
 
-	// Resolve the parallelism budget: request-level workers multiply
-	// with per-simulation shards, so cap the shard count to keep the
-	// product within GOMAXPROCS (shards never change results, so the
-	// cap is free).
-	maxp := runtime.GOMAXPROCS(0)
 	s.workersEff = cfg.Workers
 	if s.workersEff <= 0 {
-		s.workersEff = maxp
-	}
-	s.shardsEff = cfg.Shards
-	if s.shardsEff < 1 {
-		s.shardsEff = 1
-	}
-	if s.workersEff*s.shardsEff > maxp {
-		s.shardsEff = maxp / s.workersEff
-		if s.shardsEff < 1 {
-			s.shardsEff = 1
-		}
+		s.workersEff = runtime.GOMAXPROCS(0)
 	}
 
 	s.mRequests = s.reg.counter("spind_requests_total", "HTTP requests by endpoint and status code.")
@@ -291,8 +266,6 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.reg.gaugeFunc("spind_workers_effective", "Resolved worker-pool size (concurrent simulations).",
 		func() float64 { return float64(s.workersEff) })
-	s.reg.gaugeFunc("spind_shards_effective", "Resolved per-simulation shard count after the GOMAXPROCS oversubscription cap.",
-		func() float64 { return float64(s.shardsEff) })
 
 	s.pool = runner.NewPool[[]byte](runner.PoolOptions{
 		Workers:   cfg.Workers,
@@ -599,7 +572,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, key, s.onPool(requestSpan(r), key, func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
 		o := n.Options()
 		o.Workers = s.cfg.Workers
-		o.Shards = s.shardsEff
 		v, err := exp.Sweep(ctx, n.Fig, o)
 		if err != nil {
 			return nil, err
@@ -795,10 +767,10 @@ func (s *Server) runSim(ctx context.Context, req SimRequest, key string, streamW
 	}
 	start := time.Now()
 	sc := req.Scenario
-	// SimShards attaches whatever traffic source the scenario carries —
+	// Sim attaches whatever traffic source the scenario carries —
 	// synthetic, shaped workload, explicit injections, or a streamed
-	// binary trace. Shard count is an execution knob: never in the key.
-	simulation, err := sc.SimShards(s.shardsEff)
+	// binary trace.
+	simulation, err := sc.Sim()
 	if err != nil {
 		// The specs parsed as JSON but name unknown topologies/routings:
 		// the client's fault, not the server's.

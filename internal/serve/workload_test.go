@@ -14,33 +14,32 @@ import (
 // closedScenario is a closed-loop client scenario sized for test latency.
 const closedScenario = `{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","traffic":"uniform_random","rate":0.3,"cycles":800,"seed":3,"workload":{"mode":"closed","window":4,"req_len":1,"resp_len":1,"think":4}}`
 
-// TestSimulateWorkloadShardInvariant pins the serving half of the
+// TestSimulateWorkloadDeterministic pins the serving half of the
 // closed-loop determinism contract: the same workload scenario, executed
-// on servers configured with different engine shard counts, renders
-// byte-identical response bodies (and therefore identical cache
-// entries).
-func TestSimulateWorkloadShardInvariant(t *testing.T) {
+// on two independent servers, renders byte-identical response bodies (and
+// therefore identical cache entries).
+func TestSimulateWorkloadDeterministic(t *testing.T) {
 	bodies := make([][]byte, 0, 2)
-	for _, shards := range []int{1, 4} {
-		s := newTestServer(t, Config{Workers: 1, Shards: shards})
+	for range 2 {
+		s := newTestServer(t, Config{Workers: 1})
 		rec := post(t, s.Handler(), "/v1/simulate", closedScenario)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("shards=%d: status %d, body %s", shards, rec.Code, rec.Body)
+			t.Fatalf("status %d, body %s", rec.Code, rec.Body)
 		}
 		var resp SimResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Stats.Injected == 0 || resp.Stats.Ejected == 0 {
-			t.Fatalf("shards=%d: closed loop moved no traffic: %+v", shards, resp.Stats)
+			t.Fatalf("closed loop moved no traffic: %+v", resp.Stats)
 		}
 		if resp.Request.VNets < 2 {
-			t.Fatalf("shards=%d: normalization did not reserve a reply vnet: %+v", shards, resp.Request)
+			t.Fatalf("normalization did not reserve a reply vnet: %+v", resp.Request)
 		}
 		bodies = append(bodies, rec.Body.Bytes())
 	}
 	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatal("workload response bytes differ between shard counts")
+		t.Fatal("workload response bytes differ between two servers")
 	}
 }
 
@@ -73,7 +72,7 @@ func testTraceB64(t *testing.T, entries int, seed int) string {
 // replays byte-identically from the cache (hit), and a different trace
 // — same everything else — lands on a different content address.
 func TestSimulateTraceContentAddressed(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 2, Workers: 1})
+	s := newTestServer(t, Config{Workers: 1})
 	body := func(seed int) string {
 		return fmt.Sprintf(`{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","traffic":"","rate":0,"cycles":400,"drain_cycles":4000,"seed":9,"trace_b64":%q}`, testTraceB64(t, 64, seed))
 	}

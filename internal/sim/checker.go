@@ -275,7 +275,7 @@ func (c *InvariantChecker) sweep() {
 // done. Between steps an occ bit must equal "VC holds a flit", an inFree
 // bit the snapshot predicate it caches, a needRoute bit "the front flit is
 // an unrouted head", and every active() router and every loaded NIC must be
-// in its shard's set (a set bit over idle state is merely retired at the
+// in the network's set (a set bit over idle state is merely retired at the
 // next visit). The two sleep sets err the other way — a set bit is a turn
 // never taken — so each of their bits must still be owed its sleep.
 func (c *InvariantChecker) checkWorklists() {
@@ -297,20 +297,19 @@ func (c *InvariantChecker) checkWorklists() {
 				}
 			}
 		}
-		if r.active() && !r.shard.awake.has(r.ID-r.shard.r0) {
-			c.report(RuleWorklist, "r%d is active but not in its shard's awake set", r.ID)
+		if r.active() && !n.awake.has(r.ID) {
+			c.report(RuleWorklist, "r%d is active but not in the awake set", r.ID)
 		}
 	}
 	for t, nic := range n.nics {
-		s, slot := n.shards[n.termShard[t]], int(n.termSlot[t])
-		if (nic.cur != nil || nic.QueueLen() > 0) && !s.nicBusy.has(slot) {
-			c.report(RuleWorklist, "terminal %d has %d packets queued (mid-injection: %v) but is not in its shard's busy set", t, nic.QueueLen(), nic.cur != nil)
+		if (nic.cur != nil || nic.QueueLen() > 0) && !n.nicBusy.has(t) {
+			c.report(RuleWorklist, "terminal %d has %d packets queued (mid-injection: %v) but is not in the busy set", t, nic.QueueLen(), nic.cur != nil)
 		}
-		if !s.nicBlocked.has(slot) {
+		if !n.nicBlocked.has(t) {
 			continue
 		}
-		if nic.cur != nil || nic.QueueLen() == 0 || !s.nicBusy.has(slot) {
-			c.report(RuleWorklist, "terminal %d sleeps in the blocked set with %d packets queued (mid-injection: %v, busy: %v)", t, nic.QueueLen(), nic.cur != nil, s.nicBusy.has(slot))
+		if nic.cur != nil || nic.QueueLen() == 0 || !n.nicBusy.has(t) {
+			c.report(RuleWorklist, "terminal %d sleeps in the blocked set with %d packets queued (mid-injection: %v, busy: %v)", t, nic.QueueLen(), nic.cur != nil, n.nicBusy.has(t))
 			continue
 		}
 		p := nic.queue[nic.head]

@@ -236,12 +236,12 @@ func TestCheckerAuditsWorklists(t *testing.T) {
 	}{
 		{"occupied VC, bit clear", func(_ *Network, v *VC) { v.router.occ.clear(v.Slot()) }, "r1 p2 vc0 holds 1 flits but its occupied bit is false"},
 		{"empty VC, bit set", func(n *Network, _ *VC) { n.Router(0).occ.set(3) }, "r0 p1 vc1 holds 0 flits but its occupied bit is true"},
-		{"active router asleep", func(_ *Network, v *VC) { v.router.shard.awake.clear(v.router.ID) }, "r1 is active but not in its shard's awake set"},
-		{"queued NIC not busy", func(n *Network, _ *VC) { n.shards[0].nicBusy.clear(0) }, "terminal 0 has 1 packets queued (mid-injection: false) but is not in its shard's busy set"},
+		{"active router asleep", func(_ *Network, v *VC) { v.router.net.awake.clear(v.router.ID) }, "r1 is active but not in the awake set"},
+		{"queued NIC not busy", func(n *Network, _ *VC) { n.nicBusy.clear(0) }, "terminal 0 has 1 packets queued (mid-injection: false) but is not in the busy set"},
 		{"free VC, free bit clear", func(n *Network, _ *VC) { n.Router(0).inFree.clear(n.Router(0).VC(1, 1).freeBit()) }, "r0 p1 vc1 snapshot is reserved=false free=5 but its free bit is false"},
 		{"unrouted head, route bit clear", func(_ *Network, v *VC) { v.router.needRoute.clear(v.Slot()) }, "r1 p2 vc0 (1 flits, routed=false) has its route-request bit false"},
 		{"empty VC asleep", func(n *Network, _ *VC) { n.Router(0).blocked.set(3) }, "r0 p1 vc1 sleeps in the blocked set but is empty"},
-		{"NIC asleep beside a free VC", func(n *Network, _ *VC) { n.shards[0].nicBlocked.set(0) }, "terminal 0 sleeps in the blocked set but r0 p0 vc0 has room for its next packet"},
+		{"NIC asleep beside a free VC", func(n *Network, _ *VC) { n.nicBlocked.set(0) }, "terminal 0 sleeps in the blocked set but r0 p0 vc0 has room for its next packet"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,9 +298,9 @@ func stallFixture(t *testing.T) (n *Network, head *VC, release func()) {
 // for wakes both — the packets arrive.
 func TestStalledHeadAndNICSleepAndWake(t *testing.T) {
 	n, head, release := stallFixture(t)
-	if !n.Router(0).blocked.has(head.Slot()) || !n.shards[0].nicBlocked.has(0) {
+	if !n.Router(0).blocked.has(head.Slot()) || !n.nicBlocked.has(0) {
 		t.Fatalf("backed-up head asleep: %v, backlogged NIC asleep: %v; want both",
-			n.Router(0).blocked.has(head.Slot()), n.shards[0].nicBlocked.has(0))
+			n.Router(0).blocked.has(head.Slot()), n.nicBlocked.has(0))
 	}
 	before := SAVisits(n)
 	n.Run(50)
@@ -361,10 +361,10 @@ func TestCheckerDetectsStaleNICBlocked(t *testing.T) {
 	n, _, release := stallFixture(t)
 	release()
 	n.Run(40)
-	if n.shards[0].nicBlocked.has(0) {
+	if n.nicBlocked.has(0) {
 		t.Fatal("NIC still asleep after its queue drained")
 	}
-	n.shards[0].nicBlocked.set(0)
+	n.nicBlocked.set(0)
 	if vs := n.CheckStructural(); len(vs) != 1 || vs[0].Rule != RuleWorklist {
 		t.Fatalf("idle NIC in the blocked set not flagged as one %s violation: %v", RuleWorklist, vs)
 	}

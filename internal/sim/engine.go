@@ -1,0 +1,367 @@
+package sim
+
+import (
+	"fmt"
+	"math/bits"
+	"sort"
+)
+
+// The cycle engine. A cycle is two phases and a commit, and the split is
+// the cycle-accurate model, not an execution strategy: every router acts
+// in a cycle on what its neighbours looked like at the end of the last
+// one, whichever router the walk happens to reach first.
+//
+//   - Phase 1: deliver link arrivals into input VCs and agent inboxes, run
+//     traffic generation (each terminal on its private RNG stream), inject
+//     NIC flits, and publish agent views.
+//   - Phase 2: route computation, agent ticks, spin claims, SM arbitration
+//     and switch allocation over the active routers. A router's effects on
+//     another router's state — VC reservations, in-flight credits, ejection
+//     observers — are buffered instead of applied.
+//   - Commit: force reservations, then grants, in-flight credits, VC
+//     snapshot refresh, ejection observer replay, checker, telemetry.
+//
+// The contract: every cross-router read in phase 2 goes through state
+// frozen before it — VC snapshots refreshed at the previous commit, agent
+// views published at the end of phase 1 — and every cross-router write is
+// buffered to commit. Phase 2 is therefore independent of the order its
+// routers are walked in; TestPhase2OrderInvariance permutes the order and
+// fails on a live cross-router read.
+
+// TrafficPrep is implemented by traffic generators that keep per-terminal
+// state; PrepareTerminals is called once before the first cycle with the
+// terminal count.
+type TrafficPrep interface {
+	PrepareTerminals(n int)
+}
+
+// ViewPublisher is implemented by agents whose state other routers' agents
+// read during phase 2 (the SPIN follower chain). PublishView is called at
+// the end of phase 1 — after SM delivery, before any Tick — and must copy
+// the cross-router-visible fields into a snapshot that stays immutable
+// through phase 2.
+type ViewPublisher interface {
+	PublishView()
+}
+
+// bitset is the engine's worklist: one bit per entity of a population,
+// walked in ascending order a word at a time with bits.TrailingZeros64,
+// so entities with nothing to do cost nothing.
+type bitset []uint64
+
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
+func (b bitset) has(i int) bool { return b[i>>6]>>uint(i&63)&1 != 0 }
+
+// window32 returns bits [i, i+32) of b as a word, zero past its end.
+func (b bitset) window32(i int) uint32 {
+	w, o := i>>6, uint(i&63)
+	x := b[w] >> o
+	if o > 32 && w+1 < len(b) {
+		x |= b[w+1] << (64 - o)
+	}
+	return uint32(x)
+}
+
+// resvOp is a deferred downstream-VC reservation. Normal reservations
+// (switch allocation grants) are unique per VC per cycle — each input
+// port is fed by exactly one link and each output port sends at most one
+// head per cycle — so their commit order is irrelevant. Force
+// reservations (spin targets) are applied first; a normal reservation
+// finding the VC already owned then stands down in favor of the spin.
+type resvOp struct {
+	dvc   *VC
+	pkt   *Packet
+	force bool
+}
+
+// ejectRec is a fully ejected packet awaiting commit's replay of its
+// observers (telemetry, eject hook, invariant checker, pool recycle).
+type ejectRec struct {
+	p        *Packet
+	lat      int64
+	measured bool
+}
+
+// allocSM pulls a recycled special message from the free list (keeping its
+// Path capacity) or allocates a fresh one.
+func (n *Network) allocSM() *SM {
+	if k := len(n.smPool); k > 0 {
+		sm := n.smPool[k-1]
+		n.smPool[k-1] = nil
+		n.smPool = n.smPool[:k-1]
+		path := sm.Path[:0]
+		*sm = SM{Path: path, pooled: true}
+		return sm
+	}
+	return &SM{pooled: true}
+}
+
+// freeSM returns a pool-owned SM to the free list. SMs built directly by
+// tests (composite literals) are left to the garbage collector.
+func (n *Network) freeSM(sm *SM) {
+	if sm == nil || !sm.pooled {
+		return
+	}
+	n.smPool = append(n.smPool, sm)
+}
+
+// phase1 delivers arrivals, generates and injects traffic, and publishes
+// agent views.
+func (n *Network) phase1() {
+	n.deliverArrivals()
+	if n.cfg.Traffic != nil {
+		for t := range n.nics {
+			n.injectTerm = t
+			n.cfg.Traffic.Generate(n.now, t, n.termRNG[t], n.injectFn)
+		}
+	}
+	for w, word := range n.nicBusy {
+		word &^= n.nicBlocked[w]
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			nic := n.nics[w*64+b]
+			nic.injectStep(n)
+			if nic.cur == nil && nic.head == len(nic.queue) {
+				n.nicBusy.clear(w*64 + b)
+			}
+		}
+	}
+	// Agent views are published after every SM delivery and injection of
+	// the cycle, so phase-2 readers observe one consistent, pre-Tick
+	// snapshot. Only awake routers can have one to publish: an agent's
+	// follower state changes in HandleSM (which wakes the router) or in its
+	// own Tick (whose router stays awake through this phase).
+	for w, word := range n.awake {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			if vp := n.routers[w*64+b].vpub; vp != nil {
+				vp.PublishView()
+			}
+		}
+	}
+}
+
+// phase2 runs the compute stages over the active routers, stage by stage.
+// Every cross-router read inside them goes through VC snapshots or
+// published views, so no router can observe another's progress within the
+// phase.
+func (n *Network) phase2() {
+	active := n.active[:0]
+	for w, word := range n.awake {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			if r := n.routers[w*64+b]; r.active() {
+				active = append(active, r)
+			} else {
+				n.awake.clear(w*64 + b)
+			}
+		}
+	}
+	n.active = active
+	if n.permute != nil {
+		n.permute(active)
+	}
+	for _, r := range active {
+		r.routeStage()
+	}
+	for _, r := range active {
+		if r.agent != nil {
+			r.agent.Tick()
+		}
+	}
+	for _, r := range active {
+		r.claimSpinPorts()
+		r.resolveSMs()
+	}
+	for _, r := range active {
+		r.spinStage()
+	}
+	for _, r := range active {
+		r.saStage()
+	}
+}
+
+// deliverArrivals moves flits and SMs that complete link traversal this
+// cycle into input VCs and agent inboxes. Only links with traffic in flight
+// are visited, in ascending link order.
+func (n *Network) deliverArrivals() {
+	for w, word := range n.linkActive {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			l := n.links[w*64+b]
+			n.deliverLink(l)
+			if len(l.flits) == 0 && len(l.sms) == 0 {
+				n.linkActive.clear(w*64 + b)
+			}
+		}
+	}
+}
+
+func (n *Network) deliverLink(l *link) {
+	n.flitBuf = n.flitBuf[:0]
+	n.smBuf = n.smBuf[:0]
+	n.flitBuf, n.smBuf = l.takeArrivals(n.now, n.flitBuf, n.smBuf)
+	for _, t := range n.flitBuf {
+		t.dst.inFlight--
+		t.dst.enqueue(t.flit, n.now)
+		if n.measuring() {
+			n.stats.BufferWrites++
+		}
+		if t.flit.IsHead() {
+			pkt := t.flit.Pkt
+			pkt.Hops++
+			// Misroute accounting: a hop that fails to reduce the
+			// distance to the phase-local destination.
+			cur, prev := l.dst.ID, l.topo.Src
+			topo := n.cfg.Topology
+			if topo.Distance(cur, pkt.RouteDst()) >= topo.Distance(prev, pkt.RouteDst()) {
+				pkt.Misroutes++
+			}
+			if l.global {
+				pkt.GlobalHops++
+			}
+		}
+	}
+	if len(n.smBuf) > 1 {
+		sort.SliceStable(n.smBuf, func(i, j int) bool {
+			return n.smBuf[i].sm.Kind.ClassPriority() > n.smBuf[j].sm.Kind.ClassPriority()
+		})
+	}
+	for _, t := range n.smBuf {
+		if n.wants(EvSMDeliver) {
+			n.emit(Event{Cycle: n.now, Kind: EvSMDeliver, Router: l.dst.ID,
+				Port: l.topo.DstPort, Src: t.sm.Sender, VNet: int(t.sm.VNet),
+				SM: t.sm.Kind.String(), Tag: t.sm.Tag, Arg: t.sm.SpinCycle})
+		}
+		if a := l.dst.agent; a != nil {
+			a.HandleSM(t.sm, l.topo.DstPort)
+			l.dst.wake()
+		}
+		// Delivered SMs are dead: agents copy (CloneSM) anything they
+		// forward and never retain the original.
+		n.freeSM(t.sm)
+	}
+}
+
+// ejected accounts a flit leaving the network; on tails it finalises the
+// packet and defers observer replay (telemetry, hooks, checker, pool
+// recycle) to commit.
+func (n *Network) ejected(f Flit) {
+	n.stats.EjectedFlits++
+	if n.measuring() {
+		n.stats.EjectedFlitsMeas++
+	}
+	if n.wants(EvFlitEject) {
+		n.emit(Event{Cycle: n.now, Kind: EvFlitEject, Router: f.Pkt.DstRouter,
+			Packet: f.Pkt.ID, VNet: f.Pkt.VNet})
+	}
+	if !f.IsTail() {
+		return
+	}
+	p := f.Pkt
+	if p.Checksum != checksumFor(p.ID, p.Src, p.Dst, p.Length) {
+		panic(fmt.Sprintf("sim: payload corruption in %v", p))
+	}
+	if dst := n.cfg.Topology.TerminalRouter(p.Dst); dst != p.DstRouter {
+		panic(fmt.Sprintf("sim: %v ejected at wrong router", p))
+	}
+	p.EjectCycle = n.now
+	n.stats.Ejected++
+	n.inNetwork--
+	measured := p.GenCycle >= n.cfg.StatsStart
+	if measured {
+		n.stats.EjectedMeasured++
+		lat := p.EjectCycle - p.GenCycle
+		n.stats.LatencySum += lat
+		n.stats.NetLatencySum += p.EjectCycle - p.InjectCycle
+		n.stats.HopSum += int64(p.Hops)
+		n.stats.MisrouteSum += int64(p.Misroutes)
+		if lat > n.stats.MaxLatency {
+			n.stats.MaxLatency = lat
+		}
+	}
+	if n.tele != nil || n.wants(EvPacketEject) || n.ejectHook != nil || n.checker != nil || n.trafObs != nil || p.pooled {
+		n.ejects = append(n.ejects, ejectRec{p: p, lat: p.EjectCycle - p.GenCycle, measured: measured})
+	}
+}
+
+// commit applies the effects phase 2 buffered and runs the end-of-cycle
+// work.
+func (n *Network) commit() {
+	now := n.now
+	// 1. Spin force-reservations.
+	for _, op := range n.resvOps {
+		if op.force {
+			op.dvc.applyReserve(op.pkt, now)
+		}
+	}
+	// 2. Normal reservations. At most one per VC per cycle can exist (one
+	// inbound link, one head per output port); if a spin force-reserved
+	// the VC this cycle the grant stands down and the spin keeps it.
+	for i, op := range n.resvOps {
+		if !op.force && op.dvc.resvOwner == nil {
+			op.dvc.applyReserve(op.pkt, now)
+		}
+		n.resvOps[i] = resvOp{}
+	}
+	n.resvOps = n.resvOps[:0]
+	// 3. In-flight credits for flits launched this cycle.
+	for i, v := range n.inFlightOps {
+		v.inFlight++
+		v.markDirty()
+		n.inFlightOps[i] = nil
+	}
+	n.inFlightOps = n.inFlightOps[:0]
+	// 4. Refresh the snapshots of every VC whose state changed.
+	for i, v := range n.dirtyVCs {
+		v.refreshSnap()
+		n.dirtyVCs[i] = nil
+	}
+	n.dirtyVCs = n.dirtyVCs[:0]
+	// 5. Ejection observer replay; pooled packets recycle unless an
+	// observer may have retained the pointer.
+	for i, rec := range n.ejects {
+		p := rec.p
+		if n.tele != nil {
+			n.tele.onEject(rec.lat, rec.measured)
+		}
+		if n.wants(EvPacketEject) {
+			n.emit(Event{Cycle: n.now, Kind: EvPacketEject, Router: p.DstRouter,
+				Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Arg: rec.lat})
+		}
+		if n.ejectHook != nil {
+			n.ejectHook(p)
+		}
+		if n.trafObs != nil {
+			// Closed-loop accounting: the observer must not retain p
+			// (it may be recycled below), so recycling stays legal.
+			n.trafObs.OnEject(p)
+		}
+		if n.checker != nil {
+			n.checker.onEject(p)
+		}
+		if p.pooled && n.ejectHook == nil && n.checker == nil {
+			n.pktPool = append(n.pktPool, p)
+		}
+		n.ejects[i] = ejectRec{}
+	}
+	n.ejects = n.ejects[:0]
+	// 6. Checker, cycle counters, telemetry window close.
+	if n.checker != nil {
+		n.checker.endOfStep()
+	}
+	if n.measuring() {
+		n.stats.MeasuredCycles++
+	}
+	n.stats.Cycles++
+	n.now++
+	if n.tele != nil {
+		n.tele.onCycle()
+	}
+}

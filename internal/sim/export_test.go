@@ -27,15 +27,14 @@ func ResetStallIndex(n *Network) {
 			}
 		}
 	}
-	for _, s := range n.shards {
-		clear(s.nicBlocked)
-	}
+	clear(n.nicBlocked)
 }
 
 // SAVisits reports how many switch-allocation turns n has handed out.
-func SAVisits(n *Network) (total int64) {
-	for _, s := range n.shards {
-		total += s.saVisits
-	}
-	return total
-}
+func SAVisits(n *Network) int64 { return n.saVisits }
+
+// PermutePhase2 makes every later Step hand phase 2's router list to f to
+// reorder in place (nil restores the ascending walk). It is the
+// order-invariance oracle's hook: under the engine's contract no
+// permutation changes what a run computes.
+func PermutePhase2(n *Network, f func([]*Router)) { n.permute = f }

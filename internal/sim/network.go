@@ -3,37 +3,34 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/topology"
 )
 
 // TrafficGen produces packets. Generate is called once per terminal per
 // cycle and emits zero or more packet specs to inject at that terminal.
-// The supplied rng is the terminal's private stream; generators must not
-// share mutable state across terminals unless they declare themselves
-// serial-only (see SerialOnly).
+// The supplied rng is the terminal's private stream, so what a terminal
+// generates never depends on the order terminals are visited in. State
+// shared across terminals belongs in StepTraffic (see TrafficStepper).
 type TrafficGen interface {
 	Name() string
 	Generate(cycle int64, src int, rng *rand.Rand, emit func(PacketSpec))
 }
 
 // TrafficStepper is an optional TrafficGen extension: StepTraffic runs
-// serially at the top of every Step, before the parallel phases. It is
-// the place for work that must see the whole generator — pumping a
-// streaming trace into per-source queues, advancing a global arrival
-// process — while Generate stays shard-safe and source-local.
+// once at the top of every Step, before phase 1. It is the place for work
+// that must see the whole generator — pumping a streaming trace into
+// per-source queues, advancing a global arrival process — while Generate
+// stays source-local.
 type TrafficStepper interface {
 	StepTraffic(now int64)
 }
 
 // TrafficEjectObserver is an optional TrafficGen extension: OnEject is
-// called for every ejected packet during the serial commit, in
-// deterministic shard-major order. Closed-loop generators use it to
-// retire outstanding requests and queue replies. The *Packet is only
-// valid for the duration of the call — the engine may recycle it.
+// called for every ejected packet during commit. Closed-loop generators
+// use it to retire outstanding requests and queue replies. The *Packet is
+// only valid for the duration of the call — the engine may recycle it.
 type TrafficEjectObserver interface {
 	OnEject(p *Packet)
 }
@@ -76,14 +73,6 @@ type Config struct {
 	MaxPktLen   int // largest packet the traffic emits; default 5
 	RouterDelay int // per-hop router pipeline cycles; default 1 (1-cycle router)
 
-	// Shards is the number of spatial router partitions stepped in
-	// parallel; 0 or 1 runs the engine inline with no goroutines. The
-	// count is an execution knob, not part of the simulated system:
-	// output is byte-identical at any value. It is clamped to the router
-	// count and to 1 when the scheme, traffic generator, or routing
-	// algorithm requires serial stepping (see SerialOnly/ShardCloner).
-	Shards int
-
 	Seed       int64
 	StatsStart int64 // cycle measurement begins (warmup length)
 }
@@ -119,52 +108,17 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// resolveShards clamps the configured shard count to what the assembled
-// simulation supports. Schemes and traffic generators must positively
-// declare shard-safety via SerialOnly; routing algorithms must implement
-// ShardCloner. Anything else runs serial.
-func (c *Config) resolveShards() int {
-	s := c.Shards
-	if s <= 0 {
-		s = 1
-	}
-	if r := c.Topology.NumRouters(); s > r {
-		s = r
-	}
-	if s == 1 {
-		return 1
-	}
-	if c.Scheme != nil {
-		so, ok := c.Scheme.(SerialOnly)
-		if !ok || so.RequiresSerialStep() {
-			return 1
-		}
-	}
-	if c.Traffic != nil {
-		so, ok := c.Traffic.(SerialOnly)
-		if !ok || so.RequiresSerialStep() {
-			return 1
-		}
-	}
-	if _, ok := c.Routing.(ShardCloner); !ok {
-		return 1
-	}
-	return s
-}
-
 // Network is a running simulation instance.
 type Network struct {
 	cfg     Config
 	routers []*Router
 	links   []*link
 	nics    []*NIC
-	rng     *rand.Rand
 	now     int64
 	stats   Stats
 
 	// Per-entity RNG streams (see rng.go): routers draw for adaptive
-	// tie-breaking, terminals for traffic generation. The engine never
-	// draws from the legacy shared rng.
+	// tie-breaking, terminals for traffic generation.
 	routerRNG []*rand.Rand
 	termRNG   []*rand.Rand
 
@@ -176,19 +130,44 @@ type Network struct {
 	inNetwork     int // packets injected (head) but not fully ejected
 	queuedPackets int // packets waiting in NIC source queues (incremental)
 
-	// Sharded engine state (see shard.go). nShards==1 still builds one
-	// shard — the outbox discipline is the single code path — but runs it
-	// inline with no worker goroutines.
-	nShards     int
-	shards      []*shardState
-	routerShard []int32
-	termShard   []int32
-	termSlot    []int32 // terminal's index in its shard's terms (its nicBusy bit)
-	linkShard   []int32
-	work        chan func()
-	phaseWG     sync.WaitGroup
-	p1fns       []func()
-	p2fns       []func()
+	// The engine's worklists (see engine.go), one bit per link index, router
+	// id or terminal id. linkActive: set by a send (sendFlitFrom, resolveSMs)
+	// and first read by the next cycle's phase 1, which clears it once
+	// nothing is left in flight. awake: set by Router.wake, cleared in phase 2
+	// once active() is false. nicBusy: set by inject, cleared in phase 1 once
+	// the NIC has nothing queued or mid-injection. nicBlocked: the busy NICs
+	// whose next packet found every terminal VC full; set by injectStep,
+	// cleared by a dequeue at the terminal port (the only thing that makes
+	// room); phase 1 walks nicBusy &^ nicBlocked.
+	linkActive bitset
+	awake      bitset
+	nicBusy    bitset
+	nicBlocked bitset
+
+	// saVisits counts the turns saStage has handed out (the work the
+	// blocked index exists to avoid).
+	saVisits int64
+
+	// Per-cycle scratch and free lists.
+	active   []*Router // phase 2's routers, ascending
+	flitBuf  []flitTransit
+	smBuf    []smTransit
+	routeBuf []PortRequest // routeStage's scratch for one Route call
+	pktPool  []*Packet
+	smPool   []*SM
+
+	injectTerm int
+	injectFn   func(PacketSpec)
+
+	// What phase 2 does to another router's state, buffered to commit.
+	resvOps     []resvOp
+	inFlightOps []*VC
+	ejects      []ejectRec
+	dirtyVCs    []*VC
+
+	// permute, when set, reorders phase 2's router list. Test-only: the
+	// order-invariance oracle (export_test.go) is its one writer.
+	permute func([]*Router)
 
 	// ejectHook, when set, observes every ejected packet (tests, traces).
 	ejectHook func(*Packet)
@@ -216,20 +195,21 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	cfg.Shards = cfg.resolveShards()
-	n := &Network{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), nShards: cfg.Shards}
+	n := &Network{cfg: cfg}
 	n.freeStride = (cfg.VNets*cfg.VCsPerVNet + 63) / 64 * 64
 	topo := cfg.Topology
 	n.routers = make([]*Router, topo.NumRouters())
+	n.awake = newBitset(len(n.routers))
 	for i := range n.routers {
 		if radix := topo.Radix(i); radix > 64 {
 			return nil, fmt.Errorf("sim: router %d has %d ports, at most 64 are supported", i, radix)
 		}
 		n.routers[i] = newRouter(n, i)
+		// Every router starts awake; phase 2 retires the idle ones.
+		n.routers[i].wake()
 	}
 	// Links are ordered by destination router (stable over the topology's
-	// declaration order) so each shard's inbound links form one contiguous
-	// index range; shard-major traversal then equals global link order.
+	// declaration order): the order phase 1 delivers arrivals in.
 	topoLinks := append([]topology.Link(nil), topo.Links()...)
 	sort.SliceStable(topoLinks, func(i, j int) bool { return topoLinks[i].Dst < topoLinks[j].Dst })
 	for i, tl := range topoLinks {
@@ -237,11 +217,15 @@ func NewNetwork(cfg Config) (*Network, error) {
 		n.links = append(n.links, l)
 		n.routers[tl.Src].wire(tl.SrcPort, l)
 	}
+	n.linkActive = newBitset(len(n.links))
 	n.nics = make([]*NIC, topo.NumTerminals())
 	for t := range n.nics {
-		r := n.routers[topo.TerminalRouter(t)]
-		n.nics[t] = &NIC{term: t, router: r, port: topo.TerminalPort(t)}
+		r, port := n.routers[topo.TerminalRouter(t)], topo.TerminalPort(t)
+		n.nics[t] = &NIC{term: t, router: r, port: port}
+		r.waker[port] = int32(t)
 	}
+	n.nicBusy = newBitset(len(n.nics))
+	n.nicBlocked = newBitset(len(n.nics))
 	for _, l := range n.links {
 		l.global = n.isGlobalHop(l)
 	}
@@ -253,7 +237,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	for i := range n.termRNG {
 		n.termRNG[i] = newEntityRand(cfg.Seed, TerminalKey(i))
 	}
-	n.buildShards()
+	n.injectFn = func(spec PacketSpec) { n.inject(n.injectTerm, spec, true) }
 	if tp, ok := cfg.Traffic.(TrafficPrep); ok {
 		tp.PrepareTerminals(len(n.nics))
 	}
@@ -270,114 +254,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// buildShards partitions routers into contiguous ranges, assigns
-// terminals and inbound links to their owners, clones per-shard routing
-// scratch, and (for multi-shard runs) starts the persistent workers.
-func (n *Network) buildShards() {
-	topo := n.cfg.Topology
-	nr := len(n.routers)
-	n.shards = make([]*shardState, n.nShards)
-	n.routerShard = make([]int32, nr)
-	for si := 0; si < n.nShards; si++ {
-		s := &shardState{n: n, id: si, r0: si * nr / n.nShards, r1: (si + 1) * nr / n.nShards}
-		n.shards[si] = s
-		for r := s.r0; r < s.r1; r++ {
-			n.routerShard[r] = int32(si)
-			n.routers[r].shard = s
-		}
-		// Every router starts awake; phase 2 retires the idle ones.
-		s.awake = newBitset(s.r1 - s.r0)
-		for r := s.r0; r < s.r1; r++ {
-			n.routers[r].wake()
-		}
-		if si == 0 || n.nShards == 1 {
-			s.routing = n.cfg.Routing
-		} else {
-			s.routing = n.cfg.Routing.(ShardCloner).CloneForShard()
-		}
-		sh := s
-		s.injectFn = func(spec PacketSpec) { n.inject(sh, sh.injectTerm, spec, true) }
-	}
-	n.termShard = make([]int32, len(n.nics))
-	n.termSlot = make([]int32, len(n.nics))
-	for t := range n.nics {
-		si := n.routerShard[topo.TerminalRouter(t)]
-		n.termShard[t] = si
-		s := n.shards[si]
-		n.termSlot[t] = int32(len(s.terms))
-		nic := n.nics[t]
-		nic.router.waker[nic.port] = n.termSlot[t]
-		s.terms = append(s.terms, int32(t))
-	}
-	for _, s := range n.shards {
-		s.nicBusy = newBitset(len(s.terms))
-		s.nicBlocked = newBitset(len(s.terms))
-	}
-	n.linkShard = make([]int32, len(n.links))
-	for i, l := range n.links {
-		n.linkShard[i] = n.routerShard[l.topo.Dst]
-	}
-	// Links are dst-sorted, so each shard's range is contiguous.
-	lo := 0
-	for si, s := range n.shards {
-		s.l0 = lo
-		for lo < len(n.links) && int(n.linkShard[lo]) == si {
-			lo++
-		}
-		s.l1 = lo
-		s.linkActive = newBitset(s.l1 - s.l0)
-	}
-	n.p1fns = make([]func(), n.nShards)
-	n.p2fns = make([]func(), n.nShards)
-	for si, s := range n.shards {
-		sh := s
-		if si == 0 {
-			n.p1fns[0] = sh.phase1
-			n.p2fns[0] = sh.phase2
-			continue
-		}
-		n.p1fns[si] = func() {
-			defer n.phaseWG.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					sh.panicVal = r
-				}
-			}()
-			sh.phase1()
-		}
-		n.p2fns[si] = func() {
-			defer n.phaseWG.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					sh.panicVal = r
-				}
-			}()
-			sh.phase2()
-		}
-	}
-	if n.nShards > 1 {
-		// Persistent workers blocked on the work channel. They capture
-		// only the channel, so the finalizer can reclaim the network and
-		// shut them down once it becomes unreachable.
-		work := make(chan func())
-		n.work = work
-		for i := 0; i < n.nShards-1; i++ {
-			go func() {
-				for f := range work {
-					f()
-				}
-			}()
-		}
-		runtime.SetFinalizer(n, func(nn *Network) { close(nn.work) })
-	}
-}
-
-// Config returns the simulation configuration (with the resolved shard
-// count).
+// Config returns the simulation configuration, defaults resolved.
 func (n *Network) Config() Config { return n.cfg }
-
-// Shards reports the resolved shard count the engine runs with.
-func (n *Network) Shards() int { return n.nShards }
 
 // Topology returns the simulated topology.
 func (n *Network) Topology() topology.Topology { return n.cfg.Topology }
@@ -394,14 +272,8 @@ func (n *Network) NIC(t int) *NIC { return n.nics[t] }
 // Now reports the current cycle.
 func (n *Network) Now() int64 { return n.now }
 
-// Stats returns the accumulated statistics. Between steps the shard
-// accumulators are always drained, so the totals are current.
+// Stats returns the accumulated statistics.
 func (n *Network) Stats() *Stats { return &n.stats }
-
-// RNG returns the legacy shared random source. The engine itself draws
-// from per-router and per-terminal streams (RouterRNG/TerminalRNG); this
-// source is kept for callers that need a deterministic scratch stream.
-func (n *Network) RNG() *rand.Rand { return n.rng }
 
 // RouterRNG returns router id's private stream.
 func (n *Network) RouterRNG(id int) *rand.Rand { return n.routerRNG[id] }
@@ -449,20 +321,14 @@ func (n *Network) measuring() bool { return n.now >= n.cfg.StatsStart }
 func (n *Network) InjectPacket(src int, spec PacketSpec) *Packet {
 	// Packets injected through the public API are never pooled: callers
 	// routinely retain the pointer past ejection (tests, trace capture).
-	s := n.shards[n.termShard[src]]
-	p := n.inject(s, src, spec, false)
-	// Public injections happen between steps; fold the gauge delta now so
-	// QueuedPackets is immediately consistent.
-	n.queuedPackets += s.dQueued
-	s.dQueued = 0
-	return p
+	return n.inject(src, spec, false)
 }
 
 // inject creates (or recycles) a packet and enqueues it at src's NIC.
-// Pooled packets come from — and on ejection return to — the shard free
-// list; only the engine's own traffic-generation path uses pooling, and
-// only while no eject observer could retain the pointer.
-func (n *Network) inject(s *shardState, src int, spec PacketSpec, pooled bool) *Packet {
+// Pooled packets come from — and on ejection return to — the free list;
+// only the engine's own traffic-generation path uses pooling, and only
+// while no eject observer could retain the pointer.
+func (n *Network) inject(src int, spec PacketSpec, pooled bool) *Packet {
 	if spec.Length <= 0 || spec.Length > n.cfg.MaxPktLen {
 		panic(fmt.Sprintf("sim: packet length %d outside (0,%d]", spec.Length, n.cfg.MaxPktLen))
 	}
@@ -475,11 +341,11 @@ func (n *Network) inject(s *shardState, src int, spec PacketSpec, pooled bool) *
 	id := uint64(nic.pktSeq)*uint64(len(n.nics)) + uint64(src) + 1
 	nic.pktSeq++
 	var p *Packet
-	if pooled && len(s.pktPool) > 0 {
-		k := len(s.pktPool) - 1
-		p = s.pktPool[k]
-		s.pktPool[k] = nil
-		s.pktPool = s.pktPool[:k]
+	if pooled && len(n.pktPool) > 0 {
+		k := len(n.pktPool) - 1
+		p = n.pktPool[k]
+		n.pktPool[k] = nil
+		n.pktPool = n.pktPool[:k]
 	} else {
 		p = new(Packet)
 	}
@@ -496,25 +362,25 @@ func (n *Network) inject(s *shardState, src int, spec PacketSpec, pooled bool) *
 		pooled:       pooled,
 	}
 	p.Checksum = checksumFor(p.ID, p.Src, p.Dst, p.Length)
-	s.routing.AtSource(n.routers[p.SrcRouter], p)
+	n.cfg.Routing.AtSource(n.routers[p.SrcRouter], p)
 	nic.push(p)
-	s.nicBusy.set(int(n.termSlot[src]))
-	s.dQueued++
+	n.nicBusy.set(src)
+	n.queuedPackets++
 	if n.wants(EvPacketQueued) {
-		s.emitEvent(Event{Cycle: n.now, Kind: EvPacketQueued, Router: p.SrcRouter,
+		n.emit(Event{Cycle: n.now, Kind: EvPacketQueued, Router: p.SrcRouter,
 			Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet})
 	}
 	return p
 }
 
-// Step advances the simulation by one cycle: two parallel phases over the
-// shards, then the serial commit (see shard.go).
+// Step advances the simulation by one cycle: two phases, then the commit
+// (see engine.go).
 func (n *Network) Step() {
 	if n.trafStep != nil && n.cfg.Traffic != nil {
 		n.trafStep.StepTraffic(n.now)
 	}
-	n.runParallel(n.p1fns)
-	n.runParallel(n.p2fns)
+	n.phase1()
+	n.phase2()
 	n.commit()
 }
 
@@ -594,16 +460,8 @@ func (n *Network) LinkUtilisation() LinkUtilisation {
 }
 
 // SetTraffic replaces the open-loop traffic generator (nil disables
-// generation; queued and in-flight packets are unaffected). A sharded
-// network rejects generators that require serial stepping — the shard
-// count is fixed at construction.
+// generation; queued and in-flight packets are unaffected).
 func (n *Network) SetTraffic(g TrafficGen) {
-	if g != nil && n.nShards > 1 {
-		so, ok := g.(SerialOnly)
-		if !ok || so.RequiresSerialStep() {
-			panic(fmt.Sprintf("sim: traffic %s requires serial stepping but the network runs %d shards", g.Name(), n.nShards))
-		}
-	}
 	if tp, ok := g.(TrafficPrep); ok {
 		tp.PrepareTerminals(len(n.nics))
 	}

@@ -53,10 +53,9 @@ func (n *NIC) pop() *Packet {
 }
 
 // injectStep moves at most one flit into the router this cycle. It runs in
-// phase 1 on the shard owning the attached router; gauges and stats go
-// through the shard's accumulators. The terminal VCs it touches are
-// shard-local, so reservation and enqueue stay on the live path.
-func (n *NIC) injectStep(net *Network, s *shardState) {
+// phase 1 and touches only its own router's terminal VCs, which nothing
+// else writes in that phase, so reservation and enqueue are live.
+func (n *NIC) injectStep(net *Network) {
 	now := net.now
 	if n.cur == nil {
 		if n.head == len(n.queue) {
@@ -68,33 +67,33 @@ func (n *NIC) injectStep(net *Network, s *shardState) {
 			if full {
 				// Only a dequeue at the terminal port can make room: sleep
 				// until VC.dequeue clears the bit.
-				s.nicBlocked.set(int(net.termSlot[n.term]))
+				net.nicBlocked.set(n.term)
 			}
 			return
 		}
 		n.pop()
-		s.dQueued--
+		net.queuedPackets--
 		n.cur, n.curVC, n.curSeq = p, v, 0
 		p.InjectCycle = now
-		s.dInNetwork++
+		net.inNetwork++
 		v.reserve(p, now, false)
 		if net.wants(EvPacketInject) {
-			s.emitEvent(Event{Cycle: now, Kind: EvPacketInject, Router: n.router.ID,
+			net.emit(Event{Cycle: now, Kind: EvPacketInject, Router: n.router.ID,
 				Port: n.port, VC: v.index, Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet})
 		}
 	}
 	n.curVC.enqueue(Flit{Pkt: n.cur, Seq: n.curSeq}, now)
 	if net.measuring() {
-		s.stats.BufferWrites++
+		net.stats.BufferWrites++
 	}
-	s.stats.InjectedFlits++
+	net.stats.InjectedFlits++
 	if net.wants(EvFlitInject) {
-		s.emitEvent(Event{Cycle: now, Kind: EvFlitInject, Router: n.router.ID,
+		net.emit(Event{Cycle: now, Kind: EvFlitInject, Router: n.router.ID,
 			Port: n.port, VC: n.curVC.index, Packet: n.cur.ID, VNet: n.cur.VNet})
 	}
 	n.curSeq++
 	if n.curSeq == n.cur.Length {
-		s.stats.Injected++
+		net.stats.Injected++
 		n.cur, n.curVC, n.curSeq = nil, nil, 0
 	}
 }

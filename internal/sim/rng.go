@@ -7,12 +7,12 @@ import (
 	"strconv"
 )
 
-// RNG discipline for the sharded engine: instead of one shared generator
-// whose draw sequence depends on iteration order, every router and every
-// terminal owns an independent stream seeded from (Config.Seed, entity
-// key). The sequence each entity observes is then a function of the
-// configuration alone, never of shard count or worker interleaving —
-// the foundation of the parallel-determinism contract.
+// RNG discipline: instead of one shared generator whose draw sequence
+// depends on iteration order, every router and every terminal owns an
+// independent stream seeded from (Config.Seed, entity key). The sequence
+// each entity observes is then a function of the configuration alone,
+// never of which other entities drew before it — what lets Step skip idle
+// routers and walk the busy ones in any order.
 
 // splitmix64 is a tiny (16-byte) rand.Source64. The default Go source
 // carries ~5 KB of state per instance, which at one stream per router

@@ -46,17 +46,13 @@ type Router struct {
 	blocked   bitset
 	inFree    bitset
 	// waker names, per input port, who may be asleep on the port's VCs: for
-	// a terminal port the NIC's bit in the shard's nicBusy/nicBlocked, for a
-	// link port the id of the router feeding it (-1: nobody).
+	// a terminal port the terminal (its bit in the network's nicBlocked), for
+	// a link port the id of the router feeding it (-1: nobody).
 	waker []int32
-
-	// shard is the engine partition that steps this router; all shard-local
-	// scratch, pools, stats, and outboxes live there.
-	shard *shardState
 
 	agent  Agent
 	qagent Quiescer      // agent's optional quiescence probe (nil: always active)
-	vpub   ViewPublisher // agent's optional cross-shard view hook
+	vpub   ViewPublisher // agent's optional cross-router view hook
 
 	// Work counters behind active(): a router is stepped only while one of
 	// them is non-zero or its agent is awake.
@@ -134,11 +130,10 @@ func (r *Router) active() bool {
 	return r.qagent == nil || !r.qagent.Quiescent()
 }
 
-// wake puts the router in its shard's awake set, the routers phase 2 asks
-// active() of. Everything that can turn active() true calls it — a first
-// flit, an offered or delivered SM, a new agent — and always on the owning
-// shard (phase 1, the router's own Tick) or between steps.
-func (r *Router) wake() { r.shard.awake.set(r.ID - r.shard.r0) }
+// wake puts the router in the network's awake set, the routers phase 2 asks
+// active() of. Everything that can turn active() true calls it: a first
+// flit, an offered or delivered SM, a new agent.
+func (r *Router) wake() { r.net.awake.set(r.ID) }
 
 // FirstOccupied returns the lowest slot in [lo, hi) whose VC buffers a
 // flit, or -1. Slots number the input VCs port-major (port*VCsPerPort +
@@ -218,13 +213,11 @@ func (r *Router) Downstream(p int) (*Router, int, bool) {
 // RNG exposes the router's private deterministic random stream for
 // adaptive tie-breaking. The stream is derived from (Config.Seed, router
 // id), so its draw sequence never depends on other routers' activity or on
-// the shard count.
+// the order routers are stepped in.
 func (r *Router) RNG() *rand.Rand { return r.net.routerRNG[r.ID] }
 
-// Stats returns the shard-local statistics accumulator for this router.
-// Agents counting during the parallel phases must go through it (not
-// Net().Stats()); the deltas fold into the global Stats at commit.
-func (r *Router) Stats() *Stats { return &r.shard.stats }
+// Stats returns the network's statistics, for agents to count into.
+func (r *Router) Stats() *Stats { return &r.net.stats }
 
 // Now reports the current cycle.
 func (r *Router) Now() int64 { return r.net.now }
@@ -259,7 +252,8 @@ func (r *Router) freeVCs(p, base int, mask uint32) uint32 {
 // mask) could accept a packet of the given length as of the last commit.
 // Adaptive algorithms use it as their primary congestion signal; it reads
 // the commit snapshot, matching what real hardware's delayed credit
-// counters would show and keeping the answer shard-invariant.
+// counters would show and keeping the answer independent of which router
+// phase 2 has already stepped.
 func (r *Router) FreeVCAt(p, vnet int, mask uint32, length int) bool {
 	if !r.HasOutLink(p) {
 		return false
@@ -301,7 +295,7 @@ func (r *Router) MinActiveTime(p, vnet int, mask uint32) int64 {
 // bufferless).
 func (r *Router) SendSM(p int, sm *SM) {
 	if !r.HasOutLink(p) {
-		r.shard.freeSM(sm)
+		r.net.freeSM(sm)
 		return
 	}
 	r.smSends[p] = append(r.smSends[p], sm)
@@ -309,15 +303,15 @@ func (r *Router) SendSM(p int, sm *SM) {
 	r.wake()
 }
 
-// NewSM returns a zeroed special message from the shard's free list.
+// NewSM returns a zeroed special message from the network's free list.
 // Agents should build SMs with it (and CloneSM) so that steady-state SM
 // traffic allocates nothing; SMs the engine drops or delivers are
 // recycled automatically.
-func (r *Router) NewSM() *SM { return r.shard.allocSM() }
+func (r *Router) NewSM() *SM { return r.net.allocSM() }
 
 // CloneSM returns a pooled deep copy of m, for forking or forwarding.
 func (r *Router) CloneSM(m *SM) *SM {
-	c := r.shard.allocSM()
+	c := r.net.allocSM()
 	path := c.Path
 	*c = *m
 	c.pooled = true
@@ -329,7 +323,7 @@ func (r *Router) CloneSM(m *SM) *SM {
 // switch allocation and its resident packet will only move during a spin.
 func (r *Router) FreezeVC(v *VC) {
 	if !v.frozen && r.net.wants(EvVCFreeze) {
-		r.shard.emitEvent(Event{Cycle: r.net.now, Kind: EvVCFreeze, Router: r.ID, Port: v.port, VC: v.index})
+		r.net.emit(Event{Cycle: r.net.now, Kind: EvVCFreeze, Router: r.ID, Port: v.port, VC: v.index})
 	}
 	v.frozen = true
 }
@@ -337,7 +331,7 @@ func (r *Router) FreezeVC(v *VC) {
 // UnfreezeVC lifts a freeze (kill_move processing).
 func (r *Router) UnfreezeVC(v *VC) {
 	if v.frozen && r.net.wants(EvVCUnfreeze) {
-		r.shard.emitEvent(Event{Cycle: r.net.now, Kind: EvVCUnfreeze, Router: r.ID, Port: v.port, VC: v.index})
+		r.net.emit(Event{Cycle: r.net.now, Kind: EvVCUnfreeze, Router: r.ID, Port: v.port, VC: v.index})
 	}
 	v.frozen = false
 }
@@ -355,16 +349,16 @@ func (r *Router) StartSpin(v *VC, outPort int, target *VC) {
 		v.spinning = true
 		r.spinningVCs++
 		if r.net.wants(EvSpinStart) {
-			r.shard.emitEvent(Event{Cycle: r.net.now, Kind: EvSpinStart, Router: r.ID,
+			r.net.emit(Event{Cycle: r.net.now, Kind: EvSpinStart, Router: r.ID,
 				Port: v.port, VC: v.index, Arg: int64(outPort)})
 		}
 	}
 	v.frozen = false
 	v.outPort = outPort
 	v.target = target
-	// The target usually lives on another shard; its force reservation is
-	// buffered and applied (before any normal reservation) at commit.
-	r.shard.resvOps = append(r.shard.resvOps, resvOp{dvc: target, pkt: v.FrontPacket(), force: true})
+	// The target is another router's VC; its force reservation is buffered
+	// and applied (before any normal reservation) at commit.
+	r.net.resvOps = append(r.net.resvOps, resvOp{dvc: target, pkt: v.FrontPacket(), force: true})
 }
 
 // routeStage computes port requests for every VC whose resident head flit
@@ -386,12 +380,12 @@ func (r *Router) routeStage() {
 				v.routed = true
 				continue
 			}
-			s := r.shard
-			s.routeBuf = s.routing.Route(r, v.port, pkt, s.routeBuf[:0])
-			if len(s.routeBuf) == 0 {
-				panic(fmt.Sprintf("sim: routing %s returned no ports for %v at router %d", s.routing.Name(), pkt, r.ID))
+			n := r.net
+			n.routeBuf = n.cfg.Routing.Route(r, v.port, pkt, n.routeBuf[:0])
+			if len(n.routeBuf) == 0 {
+				panic(fmt.Sprintf("sim: routing %s returned no ports for %v at router %d", n.cfg.Routing.Name(), pkt, r.ID))
 			}
-			v.reqs = append(v.reqs[:0], s.routeBuf...)
+			v.reqs = append(v.reqs[:0], n.routeBuf...)
 			v.routed = true
 		}
 		r.needRoute[w] = 0
@@ -421,7 +415,7 @@ func (r *Router) resolveSMs() {
 		return
 	}
 	r.smPending = 0
-	s := r.shard
+	n := r.net
 	for p := 0; p < r.radix; p++ {
 		cands := r.smSends[p]
 		if len(cands) == 0 {
@@ -429,13 +423,13 @@ func (r *Router) resolveSMs() {
 		}
 		r.smSends[p] = cands[:0]
 		if r.spinClaimed.has(p) || r.outLink[p] == nil {
-			s.stats.SMDropped += int64(len(cands))
+			n.stats.SMDropped += int64(len(cands))
 			for _, c := range cands {
-				if r.net.wants(EvSMDrop) {
-					s.emitEvent(Event{Cycle: r.net.now, Kind: EvSMDrop, Router: r.ID, Port: p,
+				if n.wants(EvSMDrop) {
+					n.emit(Event{Cycle: n.now, Kind: EvSMDrop, Router: r.ID, Port: p,
 						Src: c.Sender, VNet: int(c.VNet), SM: c.Kind.String(), Tag: c.Tag, Arg: c.SpinCycle})
 				}
-				s.freeSM(c)
+				n.freeSM(c)
 			}
 			continue
 		}
@@ -447,29 +441,29 @@ func (r *Router) resolveSMs() {
 		} else {
 			win = cands[0]
 		}
-		s.stats.SMDropped += int64(len(cands) - 1)
+		n.stats.SMDropped += int64(len(cands) - 1)
 		for _, c := range cands {
 			if c != win {
-				if r.net.wants(EvSMDrop) {
-					s.emitEvent(Event{Cycle: r.net.now, Kind: EvSMDrop, Router: r.ID, Port: p,
+				if n.wants(EvSMDrop) {
+					n.emit(Event{Cycle: n.now, Kind: EvSMDrop, Router: r.ID, Port: p,
 						Src: c.Sender, VNet: int(c.VNet), SM: c.Kind.String(), Tag: c.Tag, Arg: c.SpinCycle})
 				}
-				s.freeSM(c)
+				n.freeSM(c)
 			}
 		}
 		l := r.outLink[p]
-		l.sendSM(r.net.now, win)
-		s.linkMarks = append(s.linkMarks, int32(l.index))
+		l.sendSM(n.now, win)
+		n.linkActive.set(l.index)
 		r.smBusy.set(p)
-		if r.net.measuring() {
+		if n.measuring() {
 			l.smCycles[win.Kind]++
 		}
-		s.stats.SMSent[win.Kind]++
-		if r.net.tele != nil {
-			s.busySM++
+		n.stats.SMSent[win.Kind]++
+		if n.tele != nil {
+			n.tele.busySM++
 		}
-		if r.net.wants(EvSMSend) {
-			s.emitEvent(Event{Cycle: r.net.now, Kind: EvSMSend, Router: r.ID, Port: p,
+		if n.wants(EvSMSend) {
+			n.emit(Event{Cycle: n.now, Kind: EvSMSend, Router: r.ID, Port: p,
 				Src: win.Sender, VNet: int(win.VNet), SM: win.Kind.String(), Tag: win.Tag, Arg: win.SpinCycle})
 		}
 	}
@@ -530,7 +524,7 @@ func (r *Router) allocateRun(lo, hi int) {
 		if n := hi - w<<6; n < 64 {
 			word &= 1<<uint(n) - 1
 		}
-		r.shard.saVisits += int64(bits.OnesCount64(word))
+		r.net.saVisits += int64(bits.OnesCount64(word))
 		for ; word != 0; word &= word - 1 {
 			r.allocate(r.vcFlat[w<<6+bits.TrailingZeros64(word)])
 		}
@@ -623,11 +617,11 @@ func (r *Router) tryGrant(v *VC) {
 			if r.agent != nil && !r.agent.FilterSend(v, out, dvc) {
 				continue
 			}
-			// The reservation is buffered: the target lives on whatever shard
-			// owns the downstream router. Each input port has one feeding
-			// link and each output port sends one head per cycle, so no other
-			// normal reservation can race it at commit.
-			r.shard.resvOps = append(r.shard.resvOps, resvOp{dvc: dvc, pkt: pkt})
+			// The reservation is buffered: the target is the downstream
+			// router's VC. Each input port has one feeding link and each
+			// output port sends one head per cycle, so no other normal
+			// reservation can race it at commit.
+			r.net.resvOps = append(r.net.resvOps, resvOp{dvc: dvc, pkt: pkt})
 			v.target = dvc
 			v.outPort = out
 			r.sendFlitFrom(v, out, dvc)
@@ -642,23 +636,24 @@ func (r *Router) tryGrant(v *VC) {
 }
 
 // sendFlitFrom dequeues v's front flit onto the output link toward dvc.
-// The downstream credit (dvc.inFlight) and the link activation both cross
-// shard boundaries, so they go through the outboxes.
+// The downstream credit (dvc.inFlight) is the downstream router's state,
+// so it is buffered to commit. The link's worklist bit is set here: the
+// arrival is at least a cycle out, and phase 1 has already walked the set.
 func (r *Router) sendFlitFrom(v *VC, out int, dvc *VC) {
 	f := v.dequeue()
 	l := r.outLink[out]
-	s := r.shard
-	s.inFlightOps = append(s.inFlightOps, dvc)
-	l.sendFlit(r.net.now, f, dvc)
-	s.linkMarks = append(s.linkMarks, int32(l.index))
-	if r.net.tele != nil {
-		s.busyFlit++
+	n := r.net
+	n.inFlightOps = append(n.inFlightOps, dvc)
+	l.sendFlit(n.now, f, dvc)
+	n.linkActive.set(l.index)
+	if n.tele != nil {
+		n.tele.busyFlit++
 	}
-	if r.net.measuring() {
+	if n.measuring() {
 		l.flitCycles++
-		s.stats.BufferReads++
-		s.stats.XbarTraversals++
-		s.stats.LinkTraversals++
+		n.stats.BufferReads++
+		n.stats.XbarTraversals++
+		n.stats.LinkTraversals++
 	}
 }
 
@@ -666,8 +661,8 @@ func (r *Router) sendFlitFrom(v *VC, out int, dvc *VC) {
 func (r *Router) ejectFlit(v *VC) {
 	f := v.dequeue()
 	if r.net.measuring() {
-		r.shard.stats.BufferReads++
-		r.shard.stats.XbarTraversals++
+		r.net.stats.BufferReads++
+		r.net.stats.XbarTraversals++
 	}
-	r.shard.ejected(f)
+	r.net.ejected(f)
 }

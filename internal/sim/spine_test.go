@@ -10,7 +10,7 @@ import (
 
 // spineRun is the saturated 1-VC SPIN mesh the event-spine tests drive:
 // deadlocks form, so every event kind but the checker's fires.
-func spineRun(t *testing.T, shards int) *spin.Simulation {
+func spineRun(t *testing.T) *spin.Simulation {
 	t.Helper()
 	s, err := spin.New(spin.Config{
 		Topology:   "mesh:8x8",
@@ -20,7 +20,6 @@ func spineRun(t *testing.T, shards int) *spin.Simulation {
 		Rate:       0.40,
 		VCsPerVNet: 1,
 		Seed:       7,
-		Shards:     shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,47 +45,44 @@ func filtered(evs []sim.Event, mask sim.KindMask, from int64) []sim.Event {
 
 // TestMaskedObserverSeesFilteredSubsequence: in one run, every masked
 // observer hears exactly the subsequence of an all-kinds observer its
-// mask selects, in the same order — whether events are emitted in-cycle
-// (1 shard) or buffered per shard and flushed at commit (2 shards), and
-// also for an observer that joins mid-run, when the union mask grows.
+// mask selects, in the same order — also for an observer that joins
+// mid-run, when the union mask grows.
 func TestMaskedObserverSeesFilteredSubsequence(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		s := spineRun(t, shards)
-		net := s.Network()
-		var spinOnly, all, late, lateFlits collect
-		flits := sim.MaskOf(sim.EvFlitInject, sim.EvFlitEject)
-		net.AddObserver(sim.SpinEvents, &spinOnly)
-		net.AddObserver(sim.AllEvents, &all)
-		checker := net.AttachChecker(sim.CheckOptions{OracleEvery: 16, RecoveryBound: 1 << 30})
-		s.Run(300)
-		joined := net.Now()
-		net.AddObserver(sim.DefaultMask, &late)
-		net.AddObserver(flits, &lateFlits)
-		s.Run(1200)
+	s := spineRun(t)
+	net := s.Network()
+	var spinOnly, all, late, lateFlits collect
+	flits := sim.MaskOf(sim.EvFlitInject, sim.EvFlitEject)
+	net.AddObserver(sim.SpinEvents, &spinOnly)
+	net.AddObserver(sim.AllEvents, &all)
+	checker := net.AttachChecker(sim.CheckOptions{OracleEvery: 16, RecoveryBound: 1 << 30})
+	s.Run(300)
+	joined := net.Now()
+	net.AddObserver(sim.DefaultMask, &late)
+	net.AddObserver(flits, &lateFlits)
+	s.Run(1200)
 
-		if len(spinOnly) == 0 || len(late) == 0 || len(lateFlits) == 0 {
-			t.Fatalf("shards %d: an observer heard nothing (%d/%d/%d events); the test exercised nothing",
-				shards, len(spinOnly), len(late), len(lateFlits))
+	if len(spinOnly) == 0 || len(late) == 0 || len(lateFlits) == 0 {
+		t.Fatalf("an observer heard nothing (%d/%d/%d events); the test exercised nothing",
+			len(spinOnly), len(late), len(lateFlits))
+	}
+	for _, tc := range []struct {
+		name string
+		got  collect
+		mask sim.KindMask
+		from int64
+	}{
+		{"spin-only", spinOnly, sim.SpinEvents, 0},
+		{"late default-mask", late, sim.DefaultMask, joined},
+		{"late flits", lateFlits, flits, joined},
+	} {
+		if want := filtered(all, tc.mask, tc.from); !reflect.DeepEqual([]sim.Event(tc.got), want) {
+			t.Errorf("%s observer heard %d events, the all-kinds observer's filtered view has %d (or order differs)",
+				tc.name, len(tc.got), len(want))
 		}
-		for _, tc := range []struct {
-			name string
-			got  collect
-			mask sim.KindMask
-			from int64
-		}{
-			{"spin-only", spinOnly, sim.SpinEvents, 0},
-			{"late default-mask", late, sim.DefaultMask, joined},
-			{"late flits", lateFlits, flits, joined},
-		} {
-			if want := filtered(all, tc.mask, tc.from); !reflect.DeepEqual([]sim.Event(tc.got), want) {
-				t.Errorf("shards %d: %s observer heard %d events, the all-kinds observer's filtered view has %d (or order differs)",
-					shards, tc.name, len(tc.got), len(want))
-			}
-		}
-		// The checker's own count is the event stream's count.
-		if got, want := checker.OracleFirings(), int64(len(filtered(all, sim.MaskOf(sim.EvOracleDeadlock), 0))); got != want || got == 0 {
-			t.Errorf("shards %d: checker counted %d oracle firings, observers heard %d (want equal, > 0)", shards, got, want)
-		}
+	}
+	// The checker's own count is the event stream's count.
+	if got, want := checker.OracleFirings(), int64(len(filtered(all, sim.MaskOf(sim.EvOracleDeadlock), 0))); got != want || got == 0 {
+		t.Errorf("checker counted %d oracle firings, observers heard %d (want equal, > 0)", got, want)
 	}
 }
 
@@ -96,7 +92,7 @@ func TestMaskedObserverSeesFilteredSubsequence(t *testing.T) {
 // discard the other.
 func TestAttachOrderKeepsRings(t *testing.T) {
 	run := func(flightFirst bool) []sim.Event {
-		s := spineRun(t, 1)
+		s := spineRun(t)
 		net := s.Network()
 		if flightFirst {
 			net.AttachFlightRecorder(512)
@@ -134,20 +130,18 @@ func (c *kindCounter) Event(e sim.Event) { c[e.Kind]++ }
 // set alone (flight recorder + DefaultMask tail) it must count zero flit
 // events although flits moved.
 func TestNoEventBuiltOutsideUnionMask(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		s := spineRun(t, shards)
-		net := s.Network()
-		net.AttachFlightRecorder(1024)
-		tail := sim.NewEventRing(256, sim.DefaultMask)
-		net.AddObserver(tail.Mask(), tail)
-		var built kindCounter
-		net.ObserveBuilt(&built)
-		s.Run(1000)
-		if built[sim.EvSMSend] == 0 || built[sim.EvPacketEject] == 0 || net.Stats().EjectedFlits == 0 {
-			t.Fatalf("shards %d: no SPIN/packet events built or no flit moved; the test exercised nothing", shards)
-		}
-		if flits := built[sim.EvFlitInject] + built[sim.EvFlitEject]; flits != 0 {
-			t.Errorf("shards %d: %d flit events built with no listener for them", shards, flits)
-		}
+	s := spineRun(t)
+	net := s.Network()
+	net.AttachFlightRecorder(1024)
+	tail := sim.NewEventRing(256, sim.DefaultMask)
+	net.AddObserver(tail.Mask(), tail)
+	var built kindCounter
+	net.ObserveBuilt(&built)
+	s.Run(1000)
+	if built[sim.EvSMSend] == 0 || built[sim.EvPacketEject] == 0 || net.Stats().EjectedFlits == 0 {
+		t.Fatal("no SPIN/packet events built or no flit moved; the test exercised nothing")
+	}
+	if flits := built[sim.EvFlitInject] + built[sim.EvFlitEject]; flits != 0 {
+		t.Errorf("%d flit events built with no listener for them", flits)
 	}
 }

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,7 +18,7 @@ func (l *eventLog) Event(e sim.Event) { *l = append(*l, e) }
 // backlogged NICs) decides what a Step visits, and a twin whose index is
 // rebuilt by full scan before every Step, i.e. the engine that re-scans
 // everything every cycle. Both must emit the same events in the same order
-// and end with the same Stats at every shard count: one missed wake, or one
+// and end with the same Stats: one missed wake, or one
 // VC put to sleep that a scan would have served, and they part ways.
 //
 // The scenarios pair every scheme with the topologies it runs on (static
@@ -44,21 +43,19 @@ func TestStallIndexParity(t *testing.T) {
 		{"none/mesh_escape_vc", spin.Config{Topology: "mesh:8x8", Routing: "escape_vc", VNets: 3, VCsPerVNet: 2, Traffic: "bit_complement", Rate: 0.40}, 1500},
 	}
 	for _, sc := range scenarios {
-		for _, shards := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/shards%d", sc.name, shards), func(t *testing.T) {
-				cfg := sc.cfg
-				cfg.Seed, cfg.Shards = 29, shards
-				product, twin := lockstep(t, cfg, sc.cycles)
-				st := product.Stats()
-				if st.Ejected == 0 {
-					t.Fatal("scenario delivered nothing")
-				}
-				if sc.cfg.VCsPerVNet == 1 && sc.cfg.Scheme == "spin" && st.Spins == 0 {
-					t.Fatal("1-VC SPIN scenario never spun")
-				}
-				t.Logf("%d packets, %d spins, switch-allocation turns %d (full scan: %d)", st.Ejected, st.Spins, sim.SAVisits(product), sim.SAVisits(twin))
-			})
-		}
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := sc.cfg
+			cfg.Seed = 29
+			product, twin := lockstep(t, cfg, sc.cycles)
+			st := product.Stats()
+			if st.Ejected == 0 {
+				t.Fatal("scenario delivered nothing")
+			}
+			if sc.cfg.VCsPerVNet == 1 && sc.cfg.Scheme == "spin" && st.Spins == 0 {
+				t.Fatal("1-VC SPIN scenario never spun")
+			}
+			t.Logf("%d packets, %d spins, switch-allocation turns %d (full scan: %d)", st.Ejected, st.Spins, sim.SAVisits(product), sim.SAVisits(twin))
+		})
 	}
 }
 

@@ -43,53 +43,6 @@ func (s *Stats) Count(name string, delta int64) {
 // Counter reads a scheme counter.
 func (s *Stats) Counter(name string) int64 { return s.Counters[name] }
 
-// drainInto folds this accumulator into dst and zeroes it. The sharded
-// engine drains every shard's Stats into the global one at each commit;
-// only the additive fields move — Cycles/MeasuredCycles are advanced by
-// the commit itself and never accumulate per shard.
-func (s *Stats) drainInto(dst *Stats) {
-	dst.Injected += s.Injected
-	dst.Ejected += s.Ejected
-	dst.InjectedFlits += s.InjectedFlits
-	dst.EjectedFlits += s.EjectedFlits
-	dst.EjectedMeasured += s.EjectedMeasured
-	dst.LatencySum += s.LatencySum
-	dst.NetLatencySum += s.NetLatencySum
-	dst.HopSum += s.HopSum
-	dst.MisrouteSum += s.MisrouteSum
-	dst.EjectedFlitsMeas += s.EjectedFlitsMeas
-	dst.BufferReads += s.BufferReads
-	dst.BufferWrites += s.BufferWrites
-	dst.XbarTraversals += s.XbarTraversals
-	dst.LinkTraversals += s.LinkTraversals
-	dst.Spins += s.Spins
-	dst.SMDropped += s.SMDropped
-	s.Injected, s.Ejected = 0, 0
-	s.InjectedFlits, s.EjectedFlits = 0, 0
-	s.EjectedMeasured, s.LatencySum, s.NetLatencySum = 0, 0, 0
-	s.HopSum, s.MisrouteSum, s.EjectedFlitsMeas = 0, 0, 0
-	s.BufferReads, s.BufferWrites = 0, 0
-	s.XbarTraversals, s.LinkTraversals = 0, 0
-	s.Spins, s.SMDropped = 0, 0
-	if s.MaxLatency > dst.MaxLatency {
-		dst.MaxLatency = s.MaxLatency
-	}
-	s.MaxLatency = 0
-	for k := range s.SMSent {
-		dst.SMSent[k] += s.SMSent[k]
-		s.SMSent[k] = 0
-	}
-	if len(s.Counters) > 0 {
-		if dst.Counters == nil {
-			dst.Counters = make(map[string]int64)
-		}
-		for name, d := range s.Counters {
-			dst.Counters[name] += d
-			delete(s.Counters, name)
-		}
-	}
-}
-
 // AvgLatency reports mean packet latency (cycles, source queueing
 // included) over the measurement window.
 func (s *Stats) AvgLatency() float64 {

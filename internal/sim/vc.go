@@ -39,16 +39,16 @@ type VC struct {
 	frozen   bool
 	spinning bool // force-transmitting during a spin
 
-	// Commit-frozen snapshot of the state other shards may read during the
-	// parallel phases (downstream credit checks, congestion proxies). The
-	// snapshot refreshes at the end of every commit for VCs marked dirty;
-	// all cross-router reads in phase 2 go through it — on every shard
-	// count, so serial and sharded runs observe identical values.
+	// Commit-frozen snapshot of the state other routers may read during
+	// phase 2 (downstream credit checks, congestion proxies). The snapshot
+	// refreshes at every commit for VCs marked dirty; all cross-router reads
+	// in phase 2 go through it, so what a router sees of a neighbour is the
+	// end of the last cycle whether or not the neighbour has been stepped.
 	snapFree   int   // FreeSlots at last commit
 	snapLen    int   // Len at last commit
 	snapResv   bool  // allocated (resvOwner != nil) at last commit
 	snapActive int64 // activeSince at last commit
-	snapDirty  bool  // queued on its shard's refresh list
+	snapDirty  bool  // queued on the network's refresh list
 }
 
 // Router returns the router this VC belongs to.
@@ -100,7 +100,7 @@ func (v *VC) ActiveTime(now int64) int64 {
 	return now - v.activeSince
 }
 
-// refreshSnap freezes the cross-shard-visible state; called at commit for
+// refreshSnap freezes the cross-router-visible state; called at commit for
 // dirty VCs and once at construction. It is the only writer of the
 // router's inFree word for this VC, and so the one wake source of the
 // feeding router's blocked heads: when the VC turns free for allocation,
@@ -132,17 +132,14 @@ func (v *VC) snapAllocatable() bool { return !v.snapResv && v.snapFree > 0 }
 // the predicate of the VC's bit in its router's needRoute.
 func (v *VC) unroutedHead() bool { return len(v.buf) > 0 && v.buf[0].IsHead() && !v.routed }
 
-// markDirty queues the VC for a snapshot refresh at the next commit. It is
-// called either from the VC's own shard during the parallel phases or from
-// the serial commit itself, so the owning shard's list is never written
-// concurrently.
+// markDirty queues the VC for a snapshot refresh at the next commit.
 func (v *VC) markDirty() {
 	if v.snapDirty {
 		return
 	}
 	v.snapDirty = true
-	s := v.router.shard
-	s.dirtyVCs = append(s.dirtyVCs, v)
+	n := v.router.net
+	n.dirtyVCs = append(n.dirtyVCs, v)
 }
 
 // canAcceptSnap is CanAccept evaluated against the commit snapshot.
@@ -160,7 +157,7 @@ func (v *VC) activeTimeSnap(now int64) int64 {
 
 // SnapLen reports the buffered flit count as of the last commit — the
 // occupancy reading congestion-aware routing (UGAL) uses for next-hop
-// queues, stable across the parallel phases.
+// queues, stable across phase 2.
 func (v *VC) SnapLen() int { return v.snapLen }
 
 // Front returns the flit at the head of the FIFO.
@@ -231,7 +228,7 @@ func (v *VC) WaitingToEject() bool {
 
 // enqueue appends an arriving flit, maintaining the worklists it can grow:
 // the router's occupied-VC bitset, its route worklist when a head lands at
-// the front, and, on the router's first flit, the shard's awake set.
+// the front, and, on the router's first flit, the network's awake set.
 func (v *VC) enqueue(f Flit, now int64) {
 	if len(v.buf) >= v.depth {
 		panic(fmt.Sprintf("sim: VC overflow at r%d p%d vc%d cycle %d: depth=%d inFlight=%d frozen=%v spinning=%v resv=%v arriving=%v seq=%d front=%v",
@@ -267,7 +264,7 @@ func (v *VC) dequeue() Flit {
 	}
 	r.blocked.clear(int(v.slot))
 	if v.port < r.localPorts && r.waker[v.port] >= 0 {
-		r.shard.nicBlocked.clear(int(r.waker[v.port]))
+		r.net.nicBlocked.clear(int(r.waker[v.port]))
 	}
 	if f.IsTail() {
 		v.clearResidentState()
@@ -295,7 +292,7 @@ func (v *VC) clearResidentState() {
 		v.router.spinningVCs--
 		n := v.router.net
 		if n.wants(EvSpinEnd) {
-			v.router.shard.emitEvent(Event{Cycle: n.now, Kind: EvSpinEnd, Router: v.router.ID,
+			n.emit(Event{Cycle: n.now, Kind: EvSpinEnd, Router: v.router.ID,
 				Port: v.port, VC: v.index})
 		}
 	}
@@ -303,9 +300,9 @@ func (v *VC) clearResidentState() {
 
 // reserve allocates the VC to a packet whose head flit has just been sent
 // toward it. force is used by spins, which overwrite the reservation while
-// the previous resident drains. It is the live path (same-shard targets:
-// NIC terminal VCs); cross-shard reservations are buffered as resvOps and
-// go through applyReserve at commit.
+// the previous resident drains. It is the live path (a NIC reserving its
+// own router's terminal VC in phase 1); a reservation of another router's
+// VC is buffered as a resvOp and goes through applyReserve at commit.
 func (v *VC) reserve(p *Packet, now int64, force bool) {
 	if !force && v.resvOwner != nil {
 		panic("sim: double VC reservation")

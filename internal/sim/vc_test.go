@@ -148,7 +148,7 @@ func (nopRouting) Route(_ *Router, _ int, _ *Packet, buf []PortRequest) []PortRe
 // TestHotStructSizeClasses keeps the per-entity structs inside their
 // allocator size classes: one more word on VC rounds every VC up a class
 // (+9 % bytes per VC, visible as alloc_b_per_work on the short sweep
-// points). The stall index lives in Router and shardState only; it took
+// points). The stall index lives in Router and Network only; it took
 // Router from the 384 class to the 416 one (the four worklists are windows
 // of one slab, so they cost four slice headers, not four allocations) and
 // adds nothing to VC or NIC.

@@ -99,15 +99,15 @@ type Agent struct {
 	tagSeq uint64
 
 	// view is the follower state snapshot other routers' agents read
-	// during the engine's parallel compute phase (see PublishView).
+	// during the engine's phase 2 (see PublishView).
 	view agentView
 }
 
 // agentView is the cross-router-visible follower state, frozen at the end
 // of the engine's delivery phase. The chainClosed/peerFrozenVC walks read
 // peers through it, so every agent of a loop evaluates the same state no
-// matter which shard (or at which point of the phase) it runs on — the
-// all-or-none spin property.
+// matter at which point of phase 2 it runs — the all-or-none spin
+// property.
 type agentView struct {
 	isDeadlock bool
 	srcID      int
@@ -408,8 +408,8 @@ func (a *Agent) tickFollower(now int64) {
 // upstream router would push flits into a buffer nobody is draining.
 // The walk reads peers through their published views (state at the end of
 // the delivery phase), so every agent of the loop evaluates the same
-// snapshot and either the entire loop fires or none of it does —
-// regardless of shard count or tick order.
+// snapshot and either the entire loop fires or none of it does,
+// regardless of tick order.
 func (a *Agent) chainClosed(e frozenEntry) bool {
 	cur, curEntry := a, e
 	for steps := 0; steps <= a.s.cfg.MaxPathLen; steps++ {

@@ -55,7 +55,10 @@ type Config struct {
 	MaxPathLen int
 	// CountTruth enables oracle-backed false-positive accounting: each
 	// confirmed recovery is checked against the global deadlock oracle.
-	// Costs oracle runs per recovery; used by the Fig. 9 experiment.
+	// Costs oracle runs per recovery; used by the Fig. 9 experiment. The
+	// oracle scans live state network-wide from inside a Tick, so unlike
+	// the agents themselves (own-router state plus published peer views)
+	// the count depends on phase 2's ascending router order.
 	CountTruth bool
 	// DisableProbe turns off the detection/probe phase entirely: agents
 	// never arm the deadlock-detection counter, so no probes, moves, or
@@ -94,12 +97,6 @@ func New(cfg Config) *Scheme {
 
 // Name implements sim.Scheme.
 func (s *Scheme) Name() string { return "spin" }
-
-// RequiresSerialStep implements sim.SerialOnly. The agents are shard-safe
-// (own-router state plus published peer views); only the oracle-backed
-// false-positive accounting (CountTruth) scans global live state and
-// forces the serial engine.
-func (s *Scheme) RequiresSerialStep() bool { return s.cfg.CountTruth }
 
 // Attach implements sim.Scheme.
 func (s *Scheme) Attach(n *sim.Network) {

@@ -224,8 +224,8 @@ type Synthetic struct {
 	VNets    int     // spread packets round-robin over vnets (default 1)
 
 	// next rotates the vnet per terminal (not globally), so each
-	// terminal's emission sequence is independent of the others' — the
-	// property the sharded engine's determinism contract rests on.
+	// terminal's emission sequence is independent of the others' and of
+	// the order terminals are visited in.
 	next []int32
 
 	// DataLen and DataFrac with their defaults applied, and the per-cycle
@@ -240,10 +240,6 @@ type Synthetic struct {
 func (s *Synthetic) Name() string {
 	return fmt.Sprintf("%s@%.3f", s.Pattern.Name(), s.Rate)
 }
-
-// RequiresSerialStep implements sim.SerialOnly: generation is safe under
-// the sharded engine (all state is per-terminal).
-func (s *Synthetic) RequiresSerialStep() bool { return false }
 
 // PrepareTerminals implements sim.TrafficPrep.
 func (s *Synthetic) PrepareTerminals(n int) {
@@ -265,8 +261,8 @@ func (s *Synthetic) PrepareTerminals(n int) {
 // Generate implements sim.TrafficGen.
 func (s *Synthetic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
 	if s.dataLen == 0 {
-		// Driven without the engine's PrepareTerminals call (serial callers
-		// only: the engine always prepares before stepping shards).
+		// Driven without the engine's PrepareTerminals call (tests calling
+		// Generate directly: the engine always prepares before stepping).
 		s.PrepareTerminals(src + 1)
 	}
 	if rng.Float64() >= s.pInject {

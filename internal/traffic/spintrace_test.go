@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // randomTrace builds a valid trace of n entries with nondecreasing
@@ -239,14 +238,10 @@ func gzipAppend(t *testing.T, valid, extra []byte) []byte {
 	return gzipBytes(t, append(raw, extra...))
 }
 
-// CloneForShard lets the sharded-engine tests below use xyForTest: it is
-// stateless apart from the read-only mesh.
-func (x *xyForTest) CloneForShard() sim.RoutingAlgorithm { return &xyForTest{m: x.m} }
-
 // TestStreamReplayMatchesReplay pins the equivalence of the two entry
 // sources: the same entries fed from memory (SliceSource) and from a
 // spintrace-v1 stream (TraceReader) drive a simulation to identical
-// statistics, serial and sharded alike.
+// statistics.
 func TestStreamReplayMatchesReplay(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(21))
@@ -257,11 +252,8 @@ func TestStreamReplayMatchesReplay(t *testing.T) {
 	}
 	enc := encodeBytes(t, tr)
 
-	run := func(src EntrySource, shards int) sim.Stats {
-		n := testNet(t, shards)
-		if shards > 1 && n.Shards() != shards {
-			t.Fatalf("network clamped to %d shards, want %d", n.Shards(), shards)
-		}
+	run := func(src EntrySource) sim.Stats {
+		n := testNet(t)
 		rp := replayOver(t, n, src)
 		n.Run(300)
 		if !n.Drain(10000) {
@@ -283,48 +275,12 @@ func TestStreamReplayMatchesReplay(t *testing.T) {
 		return r
 	}
 
-	want := run(SliceSource(tr), 0)
+	want := run(SliceSource(tr))
 	if want.Injected != int64(len(tr)) {
 		t.Fatalf("reference run injected %d of %d", want.Injected, len(tr))
 	}
-	for _, v := range []struct {
-		name string
-		src  EntrySource
-		sh   int
-	}{
-		{"slice/shards2", SliceSource(tr), 2},
-		{"slice/shards4", SliceSource(tr), 4},
-		{"stream/serial", stream(), 0},
-		{"stream/shards2", stream(), 2},
-		{"stream/shards4", stream(), 4},
-	} {
-		if got := run(v.src, v.sh); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s diverged:\n got %+v\nwant %+v", v.name, got, want)
-		}
-	}
-}
-
-// TestRecorderStillClampsToSerial pins what did NOT change: recording
-// captures the global injection order, so a sharded network must refuse
-// it (by clamping at build time).
-func TestRecorderStillClampsToSerial(t *testing.T) {
-	t.Parallel()
-	m, err := topology.NewMesh(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := sim.NewNetwork(sim.Config{
-		Topology:   m,
-		Routing:    &xyForTest{m: m},
-		Traffic:    &Recorder{Gen: &Synthetic{Pattern: Uniform(16), Rate: 0.1}},
-		VCsPerVNet: 2,
-		Shards:     4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Shards() != 1 {
-		t.Fatalf("recorder ran on %d shards", n.Shards())
+	if got := run(stream()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stream diverged from slice:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -376,7 +332,7 @@ func TestStreamReplayBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := testNet(t, 2)
+	n := testNet(t)
 	sr := replayOver(t, n, tr)
 
 	runtime.GC()

@@ -10,10 +10,9 @@ import (
 
 // StreamReplay is the replay engine: it injects an exact workload,
 // pulled from an EntrySource, at its recorded cycles. It implements the
-// sim.TrafficStepper split: StepTraffic (serial, once per cycle) pumps
-// the entries that have come due into per-source queues, and Generate
-// (parallel, per terminal) drains only its own source's queue — so
-// replay composes with the sharded engine.
+// sim.TrafficStepper split: StepTraffic (once per cycle, the only reader
+// of the source) pumps the entries that have come due into per-source
+// queues, and Generate (per terminal) drains only its own source's queue.
 //
 // Over a *TraceReader, memory is bounded by one decoder chunk plus the
 // entries due in the current cycle, independent of trace length.
@@ -53,10 +52,6 @@ func NewStreamReplay(src EntrySource, cfg sim.Config) (*StreamReplay, error) {
 
 // Name implements sim.TrafficGen.
 func (s *StreamReplay) Name() string { return "trace_stream" }
-
-// RequiresSerialStep implements sim.SerialOnly: replay is shard-safe by
-// construction.
-func (s *StreamReplay) RequiresSerialStep() bool { return false }
 
 // PrepareTerminals implements sim.TrafficPrep.
 func (s *StreamReplay) PrepareTerminals(n int) {

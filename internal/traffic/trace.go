@@ -67,8 +67,8 @@ func (s *sliceSource) Next() (TraceEntry, error) {
 }
 
 // Recorder wraps a TrafficGen and captures everything it emits, in
-// injection order: an entry list that replays the same workload. It
-// does not declare shard-safety, so a recorded run steps serially.
+// injection order: an entry list that replays the same workload. The
+// order is the engine's: terminals ascending within a cycle.
 type Recorder struct {
 	Gen     sim.TrafficGen
 	Entries []TraceEntry

@@ -13,14 +13,14 @@ import (
 
 // testNet builds a 4x4 mesh network under xyForTest; VCDepth 8 keeps
 // the buffer depth apart from the engine's packet-length cap (5).
-func testNet(t *testing.T, shards int) *sim.Network {
+func testNet(t *testing.T) *sim.Network {
 	t.Helper()
 	m, err := topology.NewMesh(4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n, err := sim.NewNetwork(sim.Config{
-		Topology: m, Routing: &xyForTest{m: m}, VCsPerVNet: 2, VCDepth: 8, Shards: shards,
+		Topology: m, Routing: &xyForTest{m: m}, VCsPerVNet: 2, VCDepth: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestRecorderThenReplayIdentical(t *testing.T) {
 		t.Fatal("nothing recorded")
 	}
 	// Replay must emit exactly the recorded specs at the recorded cycles.
-	cfg := testNet(t, 0).Config()
+	cfg := testNet(t).Config()
 	cfg.VNets = 2
 	rp, err := NewStreamReplay(SliceSource(rec.Entries), cfg)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestReplayDrivesSimulationDeterministically(t *testing.T) {
 		}
 	}
 	run := func() int64 {
-		n := testNet(t, 0)
+		n := testNet(t)
 		replayOver(t, n, SliceSource(entries))
 		n.Run(1000)
 		if n.Stats().Injected != int64(len(entries)) {
@@ -202,7 +202,7 @@ func TestTraceValidate(t *testing.T) {
 		entries := []TraceEntry{good, tc.e}
 		t.Run(tc.name+"/slice", func(t *testing.T) {
 			// An in-memory list fails before the first cycle.
-			_, err := NewStreamReplay(SliceSource(entries), testNet(t, 0).Config())
+			_, err := NewStreamReplay(SliceSource(entries), testNet(t).Config())
 			if (err != nil) != tc.bad {
 				t.Fatalf("NewStreamReplay error %v, want bad=%v", err, tc.bad)
 			}
@@ -213,7 +213,7 @@ func TestTraceValidate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := testNet(t, 2)
+			n := testNet(t)
 			rp := replayOver(t, n, tr)
 			n.Run(40)
 			if err := rp.Err(); (err != nil) != tc.bad {
@@ -229,7 +229,7 @@ func TestTraceValidate(t *testing.T) {
 		})
 	}
 	// Only a list can carry a negative cycle; the format cannot encode one.
-	if _, err := NewStreamReplay(SliceSource([]TraceEntry{{Cycle: -1, Src: 0, Dst: 1, Length: 1}}), testNet(t, 0).Config()); err == nil {
+	if _, err := NewStreamReplay(SliceSource([]TraceEntry{{Cycle: -1, Src: 0, Dst: 1, Length: 1}}), testNet(t).Config()); err == nil {
 		t.Fatal("negative cycle accepted")
 	}
 }

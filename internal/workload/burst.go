@@ -7,12 +7,12 @@ import (
 	"repro/internal/traffic"
 )
 
-// Burst modulates an inner shard-safe generator with a per-terminal
+// Burst modulates an inner generator with a per-terminal
 // Markov on/off process: each terminal alternates between bursts (inner
 // generator runs) and idle gaps (nothing injected), with exponentially
 // distributed durations around OnMean/OffMean drawn from the terminal's
 // private rng stream. State is strictly per-terminal, so the wrapper
-// inherits the inner generator's shard safety and determinism.
+// adds no dependence on the order terminals are visited in.
 type Burst struct {
 	Inner   sim.TrafficGen
 	OnMean  int64 // mean burst length in cycles (>= 1)
@@ -24,9 +24,6 @@ type Burst struct {
 
 // Name implements sim.TrafficGen.
 func (b *Burst) Name() string { return b.Inner.Name() + "+burst" }
-
-// RequiresSerialStep implements sim.SerialOnly.
-func (b *Burst) RequiresSerialStep() bool { return false }
 
 // PrepareTerminals implements sim.TrafficPrep.
 func (b *Burst) PrepareTerminals(n int) {

@@ -18,12 +18,13 @@ import (
 // the classic message-class separation that keeps the request/reply
 // dependency cycle out of the network.
 //
-// Shard discipline: Generate touches only the source terminal's state
+// State discipline: Generate touches only the source terminal's state
 // (window slot check, think timer, pending-reply queue), while request
 // retirement and reply scheduling happen in OnEject during the
-// simulator's serial commit, in deterministic shard-major order. Think
-// times draw from per-terminal splitmix streams derived with
-// sim.EntitySeed, so results are byte-identical at any shard count.
+// simulator's commit, each touching only the ejecting terminal's state.
+// Think times draw from per-terminal splitmix streams derived with
+// sim.EntitySeed, so results do not depend on the order terminals are
+// visited or packets ejected in within a cycle.
 type ClosedLoop struct {
 	pat      traffic.Pattern
 	window   int32
@@ -149,10 +150,6 @@ func NewClosedLoop(c ClosedLoopConfig) (*ClosedLoop, error) {
 func (cl *ClosedLoop) Name() string {
 	return fmt.Sprintf("closed_loop(%s,W=%d)@%.3f", cl.pat.Name(), cl.window, cl.rate)
 }
-
-// RequiresSerialStep implements sim.SerialOnly: generation is
-// terminal-local, commit-side accounting is serial by construction.
-func (cl *ClosedLoop) RequiresSerialStep() bool { return false }
 
 // PrepareTerminals implements sim.TrafficPrep.
 func (cl *ClosedLoop) PrepareTerminals(n int) {

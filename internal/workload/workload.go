@@ -1,11 +1,10 @@
 // Package workload builds production-shaped traffic on top of the
 // synthetic pattern generators: closed-loop request/response clients
 // with finite MSHR-style windows, Markov-modulated on/off bursts, and
-// hotspot destination skew. Everything here is shard-safe — generation
-// state is per-terminal, randomness comes from the per-entity streams,
-// and global accounting runs only in the engine's serial commit — so
-// workloads compose with the sharded engine and keep its byte-identical
-// determinism contract.
+// hotspot destination skew. Generation state is per-terminal, randomness
+// comes from the per-entity streams, and global accounting runs only in
+// the engine's commit, so a workload's output is a function of the
+// configuration alone, never of the order the engine visits terminals in.
 package workload
 
 import (

@@ -100,7 +100,7 @@ func TestSpecNormalize(t *testing.T) {
 }
 
 // closedNet builds a mesh network driven by a closed-loop client set.
-func closedNet(t *testing.T, cfg ClosedLoopConfig, shards int) (*sim.Network, *ClosedLoop) {
+func closedNet(t *testing.T, cfg ClosedLoopConfig) (*sim.Network, *ClosedLoop) {
 	t.Helper()
 	m, err := topology.NewMesh(4, 4, 1)
 	if err != nil {
@@ -122,14 +122,10 @@ func closedNet(t *testing.T, cfg ClosedLoopConfig, shards int) (*sim.Network, *C
 		Traffic:    cl,
 		VNets:      cfg.VNets,
 		VCsPerVNet: 2,
-		Shards:     shards,
 		Seed:       cfg.Seed,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if shards > 1 && n.Shards() != shards {
-		t.Fatalf("closed loop clamped to %d shards, want %d", n.Shards(), shards)
 	}
 	return n, cl
 }
@@ -140,7 +136,7 @@ func closedNet(t *testing.T, cfg ClosedLoopConfig, shards int) (*sim.Network, *C
 // conservation between issues and completions.
 func TestClosedLoopHonorsWindow(t *testing.T) {
 	t.Parallel()
-	n, cl := closedNet(t, ClosedLoopConfig{Window: 2, Rate: 0.5, Think: 4, Seed: 7}, 0)
+	n, cl := closedNet(t, ClosedLoopConfig{Window: 2, Rate: 0.5, Think: 4, Seed: 7})
 	checker := n.AttachChecker(sim.CheckOptions{})
 	n.Run(600)
 	for _, v := range checker.Violations() {
@@ -172,86 +168,13 @@ func TestClosedLoopHonorsWindow(t *testing.T) {
 	}
 }
 
-// TestClosedLoopShardDeterminism pins the workload half of the engine's
-// byte-identical contract: every counter the closed loop exposes is
-// identical at 1, 2, and 4 shards.
-func TestClosedLoopShardDeterminism(t *testing.T) {
-	t.Parallel()
-	type snap struct {
-		issued, completed, inWindow, injected, ejected, latSum int64
-	}
-	run := func(shards int) snap {
-		n, cl := closedNet(t, ClosedLoopConfig{Window: 4, Rate: 0.4, Think: 8, Seed: 3}, shards)
-		n.Run(800)
-		st := n.Stats()
-		return snap{cl.Issued(), cl.Completed(), cl.InWindow(), st.Injected, st.Ejected, st.LatencySum}
-	}
-	want := run(0)
-	if want.issued == 0 {
-		t.Fatal("nothing issued")
-	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != want {
-			t.Fatalf("shards=%d diverged: %+v, want %+v", shards, got, want)
-		}
-	}
-}
-
-// TestBurstShardDeterminism pins the bursty generator's half of the
-// byte-identical contract: the Markov on/off gating over per-terminal
-// rng streams is identical at 1, 2, and 4 shards, with and without
-// hotspot skew.
-func TestBurstShardDeterminism(t *testing.T) {
-	t.Parallel()
-	type snap struct {
-		injected, ejected, latSum int64
-	}
-	run := func(shards int) snap {
-		m, err := topology.NewMesh(4, 4, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := Build(Spec{BurstOn: 8, BurstOff: 24, HotFrac: 0.2, Hotspots: 2},
-			traffic.Uniform(16), 0.15, 0.5, 1, 16, 5, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := sim.NewNetwork(sim.Config{
-			Topology:   m,
-			Routing:    &routing.XY{Mesh: m},
-			Traffic:    gen,
-			VCsPerVNet: 2,
-			Shards:     shards,
-			Seed:       9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shards > 1 && n.Shards() != shards {
-			t.Fatalf("burst generator clamped to %d shards, want %d", n.Shards(), shards)
-		}
-		n.Run(800)
-		st := n.Stats()
-		return snap{st.Injected, st.Ejected, st.LatencySum}
-	}
-	want := run(0)
-	if want.injected == 0 {
-		t.Fatal("burst generator injected nothing")
-	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != want {
-			t.Fatalf("shards=%d diverged: %+v, want %+v", shards, got, want)
-		}
-	}
-}
-
 // TestCheckerCatchesWindowOverflow corrupts the per-terminal outstanding
 // counter above the window limit and asserts the invariant checker's
 // RuleWindow fires — the detection path for a client that ignores its
 // window.
 func TestCheckerCatchesWindowOverflow(t *testing.T) {
 	t.Parallel()
-	n, cl := closedNet(t, ClosedLoopConfig{Window: 2, Rate: 0.5, Seed: 1}, 0)
+	n, cl := closedNet(t, ClosedLoopConfig{Window: 2, Rate: 0.5, Seed: 1})
 	checker := n.AttachChecker(sim.CheckOptions{})
 	n.Run(50)
 	if vs := checker.Violations(); len(vs) != 0 {
@@ -276,7 +199,7 @@ func TestCheckerCatchesWindowOverflow(t *testing.T) {
 // must report it and the checker must surface it as RuleWindow.
 func TestCheckerCatchesAccountingMismatch(t *testing.T) {
 	t.Parallel()
-	n, cl := closedNet(t, ClosedLoopConfig{Window: 4, Rate: 0.5, Seed: 2}, 0)
+	n, cl := closedNet(t, ClosedLoopConfig{Window: 4, Rate: 0.5, Seed: 2})
 	checker := n.AttachChecker(sim.CheckOptions{})
 	n.Run(50)
 	cl.completed[3] += 2 // corrupt: replies retired that were never issued

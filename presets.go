@@ -73,10 +73,10 @@ func Presets() []Preset {
 			Theory: "SPIN", Type: "Recovery", Adaptive: "Full", Minimal: "Yes",
 			Config: Config{Topology: "mesh:8x8", Routing: "favors_min", Scheme: "spin", VNets: 3, VCsPerVNet: 1},
 		},
-		// Paper-scale presets, sized for the sharded engine (-shards):
-		// the canonical 1024-node dragonfly of Table III under the paper's
-		// headline configuration, and a 64x64 mesh for full-mesh-class
-		// studies. Serial runs work too, just slowly.
+		// Paper-scale presets: the canonical 1024-node dragonfly of Table
+		// III under the paper's headline configuration, and a 64x64 mesh
+		// for full-mesh-class studies (milliseconds per cycle; not in the
+		// paper).
 		{
 			Name: "dfly1024", Description: "1024-node dragonfly (p=4, a=8, h=4, g=32), UGAL with free VC use under SPIN",
 			Theory: "SPIN", Type: "Recovery", Adaptive: "Full", Minimal: "No",

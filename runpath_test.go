@@ -18,7 +18,7 @@ import (
 // attach/drain/err-check copies drifted before.
 //
 // The same goes for the workload: outside internal/traffic the replay
-// engine is built only by Scenario.SimShards, and a network's generator
+// engine is built only by Scenario.Sim, and a network's generator
 // is swapped only there, by the two recorders (the differential oracle's
 // primary run, spinsim -record) and by Fig. 8's PARSEC generator.
 func TestOneRunDriver(t *testing.T) {

@@ -108,7 +108,7 @@ curl -fsS -D "$TMP/h5" -o "$TMP/r5" -d "$TRACE_BODY" "http://$ADDR/v1/simulate"
 grep -i '^x-cache: hit' "$TMP/h5" >/dev/null || { echo "trace repeat was not a hit:"; cat "$TMP/h5"; exit 1; }
 cmp "$TMP/r4" "$TMP/r5" || { echo "trace cache hit not byte-identical"; exit 1; }
 
-echo "== CLI round trip (spinsim -record -> spinsim -replay -shards 2)"
+echo "== CLI round trip (spinsim -record -> spinsim -replay)"
 go build -o "$TMP/spinsim" ./cmd/spinsim
 "$TMP/spinsim" -topo mesh:4x4 -scheme spin -rate 0.1 -cycles 2000 -warmup 200 -seed 5 \
   -record "$TMP/t.spintrace" > "$TMP/rec.out"
@@ -117,7 +117,7 @@ RECORDED="$(sed -n 's/^trace  *\([0-9]*\) injections recorded.*/\1/p' "$TMP/rec.
 "$TMP/spintrace" -info "$TMP/t.spintrace" | grep -q "^entries  *$RECORDED " \
   || { echo "recorded file does not hold $RECORDED entries"; exit 1; }
 "$TMP/spinsim" -topo mesh:4x4 -scheme spin -cycles 2000 -warmup 200 -seed 5 \
-  -replay "$TMP/t.spintrace" -shards 2 -drain > "$TMP/rep.out"
+  -replay "$TMP/t.spintrace" -drain > "$TMP/rep.out"
 grep -q "^trace  *$RECORDED packets streamed" "$TMP/rep.out" \
   || { echo "replay did not inject the $RECORDED recorded packets:"; cat "$TMP/rep.out"; exit 1; }
 grep -q '^drain  *complete' "$TMP/rep.out" || { echo "replayed run did not drain:"; cat "$TMP/rep.out"; exit 1; }

@@ -73,12 +73,6 @@ type Config struct {
 	Seed       int64 // deterministic seed
 	Warmup     int64 // cycles before measurement starts
 
-	// Shards is the number of spatial router partitions the cycle engine
-	// steps in parallel (0 or 1 = serial). Results are byte-identical at
-	// any shard count; the engine clamps the value when the scheme,
-	// traffic generator, or routing algorithm requires serial stepping.
-	Shards int
-
 	// TDD overrides SPIN's (and Static Bubble's) detection threshold
 	// (default 128, the paper's value).
 	TDD int64
@@ -159,7 +153,6 @@ func New(cfg Config) (*Simulation, error) {
 		VCsPerVNet: vcs,
 		VCDepth:    cfg.VCDepth,
 		Seed:       cfg.Seed,
-		Shards:     cfg.Shards,
 		StatsStart: cfg.Warmup,
 	})
 	if err != nil {
