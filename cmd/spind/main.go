@@ -51,7 +51,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -103,9 +102,12 @@ func main() {
 
 	// Fleet mode: any -peers (or an explicit -node/-advertise) joins this
 	// daemon to a gossip fleet. A lone daemon stays exactly as before.
-	var fl *fleet.Fleet
+	var (
+		fl       *fleet.Fleet
+		adv      = *advertise
+		seedList []string
+	)
 	if *peers != "" || *node != "" || *advertise != "" {
-		adv := *advertise
 		if adv == "" {
 			// A bare ":8080" listen address is reachable locally; fleets
 			// spanning hosts must set -advertise explicitly.
@@ -119,7 +121,6 @@ func main() {
 		if id == "" {
 			id = adv
 		}
-		var seedList []string
 		for _, p := range strings.Split(*peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				seedList = append(seedList, p)
@@ -169,14 +170,9 @@ func main() {
 		// Gossip starts after the listener: the first exchange needs peers
 		// to be able to dial back.
 		fl.Start()
-		log.Printf("fleet: node %s advertising %s (%d seed peers, gossip %v)",
-			fl.SelfID(), *advertise, len(strings.Split(*peers, ",")), *gossip)
+		log.Printf("fleet: node %s advertising %s (%d seed peers, gossip %v)", fl.SelfID(), adv, len(seedList), *gossip)
 	}
-	workersEff := *workers
-	if workersEff <= 0 {
-		workersEff = runtime.GOMAXPROCS(0)
-	}
-	log.Printf("listening on %s (workers=%d, cachedir=%q)", *addr, workersEff, *cachedir)
+	log.Printf("listening on %s (workers=%d, cachedir=%q)", *addr, srv.Workers(), *cachedir)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -36,6 +36,8 @@ type Hop struct {
 	ReqID       string
 	Path        string
 	Traceparent string
+	// forwarded marks a proxied request (Proxy sets it).
+	forwarded bool
 }
 
 // set stamps the hop headers onto an outbound peer request.
@@ -49,6 +51,39 @@ func (h Hop) set(req *http.Request) {
 	if h.Traceparent != "" {
 		req.Header.Set(HeaderTraceparent, h.Traceparent)
 	}
+	if h.forwarded {
+		req.Header.Set(HeaderForwarded, "1")
+	}
+}
+
+// call is the one peer round-trip behind fill, proxy, backfill, trace
+// collection and gossip: an HTTP request to addr bounded by timeout,
+// stamped with the hop headers, its response body read up to
+// maxPeerBody. Anything but a 2xx is an error quoting the start of the
+// peer's message; the response comes back with it (body consumed and
+// closed) for the status code and headers — a 404 is a miss to a fill
+// and a failure to everyone else.
+func (f *Fleet) call(ctx context.Context, timeout time.Duration, method, addr, path string, body []byte, hop Hop) (*http.Response, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	hop.set(req)
+	resp, err := f.client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	if err == nil && resp.StatusCode/100 != 2 {
+		err = fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(b[:min(len(b), 1024)])))
+	}
+	return resp, b, err
 }
 
 // maxPeerBody bounds a peer response (a cached simulation result; the
@@ -89,88 +124,33 @@ func (f *Fleet) Fill(ctx context.Context, key string, hop Hop) ([]byte, string, 
 		if m.Self || m.State != StateAlive || m.Addr == "" {
 			continue
 		}
-		b, err := f.fetchOne(ctx, m, key, hop)
+		resp, b, err := f.call(ctx, fillTimeout, http.MethodGet, m.Addr, "/v1/cache/"+key, nil, hop)
 		switch {
-		case err == nil && b != nil:
-			f.metrics.addPeer(f.metrics.fillHits, m.ID, 1)
-			return b, m.ID, true
 		case err == nil:
-			f.metrics.addPeer(f.metrics.fillMisses, m.ID, 1)
+			f.metrics.fillHits.AddL(peer(m.ID), 1)
+			return b, m.ID, true
+		case resp != nil && resp.StatusCode == http.StatusNotFound:
+			f.metrics.fillMisses.AddL(peer(m.ID), 1)
 		default:
-			f.metrics.addPeer(f.metrics.fillErrors, m.ID, 1)
+			f.metrics.fillErrors.AddL(peer(m.ID), 1)
 			f.logf("fill %s from %s: %v", short(key), m.ID, err)
 		}
 	}
 	return nil, "", false
 }
 
-// fetchOne is one GET /v1/cache/<key>; (nil, nil) means a clean 404.
-func (f *Fleet) fetchOne(ctx context.Context, m Member, key string, hop Hop) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.FillTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+m.Addr+"/v1/cache/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	hop.set(req)
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
-		if err != nil {
-			return nil, err
-		}
-		return b, nil
-	case http.StatusNotFound:
-		return nil, nil
-	}
-	return nil, fmt.Errorf("status %d", resp.StatusCode)
-}
-
 // Proxy forwards a full request to the owner, which computes (or
 // singleflight-joins) and caches it locally before answering. It
 // returns the response bytes plus the owner-reported hop path.
 func (f *Fleet) Proxy(ctx context.Context, m Member, spec ProxySpec, hop Hop) ([]byte, string, error) {
-	b, path, err := f.proxyOnce(ctx, m, spec, hop)
+	hop.forwarded = true
+	resp, b, err := f.call(ctx, f.cfg.ProxyTimeout, http.MethodPost, m.Addr, spec.Path, spec.Body, hop)
 	if err != nil {
-		f.metrics.addPeer(f.metrics.proxyErrors, m.ID, 1)
+		f.metrics.proxyErrors.AddL(peer(m.ID), 1)
 		f.logf("proxy %s to %s: %v", spec.Path, m.ID, err)
 		return nil, "", err
 	}
-	f.metrics.addPeer(f.metrics.proxied, m.ID, 1)
-	return b, path, nil
-}
-
-func (f *Fleet) proxyOnce(ctx context.Context, m Member, spec ProxySpec, hop Hop) ([]byte, string, error) {
-	if m.Addr == "" {
-		return nil, "", fmt.Errorf("member %s has no address", m.ID)
-	}
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.ProxyTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+m.Addr+spec.Path, bytes.NewReader(spec.Body))
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderForwarded, "1")
-	hop.set(req)
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, "", fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
-	if err != nil {
-		return nil, "", err
-	}
+	f.metrics.proxied.AddL(peer(m.ID), 1)
 	return b, resp.Header.Get(HeaderPath), nil
 }
 
@@ -185,71 +165,40 @@ func (f *Fleet) Backfill(key string, val []byte) {
 	if !ok || owner.Self || owner.Addr == "" {
 		return
 	}
+	f.bg.Add(1)
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), f.cfg.FillTimeout+8*time.Second)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, "http://"+owner.Addr+"/v1/cache/"+key, bytes.NewReader(val))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := f.client.Do(req)
-		if err != nil {
-			f.metrics.add(&f.metrics.backfillErrors, 1)
+		defer f.bg.Done()
+		if _, _, err := f.call(context.Background(), fillTimeout+8*time.Second, http.MethodPut, owner.Addr, "/v1/cache/"+key, val, Hop{}); err != nil {
+			f.metrics.backfillErrors.Add(1)
 			f.logf("backfill %s to %s: %v", short(key), owner.ID, err)
 			return
 		}
-		resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			f.metrics.add(&f.metrics.backfillErrors, 1)
-			f.logf("backfill %s to %s: status %d", short(key), owner.ID, resp.StatusCode)
-			return
-		}
-		f.metrics.add(&f.metrics.backfills, 1)
+		f.metrics.backfills.Add(1)
 	}()
 }
 
 // Fallback records that a request fell back to local compute because
 // the key's owner was unreachable (the serving layer calls it so the
 // counter lives next to the other fleet series).
-func (f *Fleet) Fallback() {
-	f.metrics.add(&f.metrics.fallbacks, 1)
-}
+func (f *Fleet) Fallback() { f.metrics.fallbacks.Add(1) }
 
 // CollectPeers GETs path from every alive non-self member concurrently
-// and returns the 200-status bodies keyed by member ID. Trace retrieval
+// and returns the successful bodies keyed by member ID. Trace retrieval
 // uses it to gather a request's spans from every node it may have
-// touched; errors and non-200s are skipped (a trace merge is best
+// touched; errors and non-2xx answers are skipped (a trace merge is best
 // effort — a dead peer's spans are simply absent).
 func (f *Fleet) CollectPeers(ctx context.Context, path string) map[string][]byte {
-	var targets []Member
-	for _, m := range f.Members() {
-		if !m.Self && m.State == StateAlive && m.Addr != "" {
-			targets = append(targets, m)
-		}
-	}
-	out := make(map[string][]byte, len(targets))
+	out := make(map[string][]byte)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, m := range targets {
+	for _, m := range f.Members() {
+		if m.Self || m.State != StateAlive || m.Addr == "" {
+			continue
+		}
 		wg.Add(1)
 		go func(m Member) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, f.cfg.FillTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+m.Addr+path, nil)
-			if err != nil {
-				return
-			}
-			resp, err := f.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+			_, b, err := f.call(ctx, fillTimeout, http.MethodGet, m.Addr, path, nil, Hop{})
 			if err != nil {
 				return
 			}

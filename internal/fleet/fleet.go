@@ -56,12 +56,17 @@ type CacheInfo struct {
 // State classifies a member's health as derived from heartbeat ages.
 type State string
 
+// onRing reports whether a member in this state is eligible for
+// ownership — and still worth gossiping to: a reachable suspect's reply
+// is exactly what refutes the suspicion.
+func (s State) onRing() bool { return s == StateAlive || s == StateSuspect }
+
 // Member states. A member is Alive while its heartbeat keeps advancing,
-// Suspect after SuspectAfter without progress, Dead after DeadAfter,
-// and Left when it announced a graceful shutdown. Alive and Suspect
-// members stay on the ownership ring (suspicion is often transient and
-// ring churn moves every key's owner); Dead and Left members are
-// removed. Fill and Proxy only talk to Alive members, so a Suspect
+// Suspect after suspectRounds intervals without progress, Dead after
+// deadRounds, and Left when it announced a graceful shutdown. Alive and
+// Suspect members stay on the ownership ring (suspicion is often
+// transient and ring churn moves every key's owner); Dead and Left
+// members are removed. Fill and Proxy only talk to Alive members, so a Suspect
 // owner already routes callers to the compute-locally-and-backfill
 // path before the ring reassigns its keys.
 const (
@@ -98,28 +103,14 @@ type Config struct {
 	// Peers seeds membership with known addresses; gossip discovers the
 	// rest. Empty means a fleet of one (everything stays local).
 	Peers []string
-	// Interval is the gossip period (default 1s).
+	// Interval is the gossip period (default 1s). Failure detection is
+	// derived from it: see suspectRounds and deadRounds.
 	Interval time.Duration
-	// SuspectAfter and DeadAfter bound failure detection: a member whose
-	// heartbeat has not advanced for SuspectAfter is suspect (no longer
-	// routed to), for DeadAfter dead (dropped from the ring). Defaults:
-	// 3x and 10x Interval.
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// Fanout is how many peers each gossip round exchanges state with
-	// (default 2).
-	Fanout int
-	// VNodes is the virtual-node count per member on the consistent-hash
-	// ring (default 64); more means better balance, slower rebuilds.
-	VNodes int
 	// Cache is the local content-addressed store served to peers over
 	// GET /v1/cache/<key> and written by backfills (required).
 	Cache Cache
 	// CacheStats, when non-nil, feeds the gossiped per-node CacheInfo.
 	CacheStats func() CacheInfo
-	// FillTimeout bounds one peer cache-fill GET (default 2s); a fill is
-	// an optimization, so it fails fast into the proxy/local path.
-	FillTimeout time.Duration
 	// ProxyTimeout bounds one proxied compute round-trip (default 3m; it
 	// covers a full simulation on the owner, so it must exceed the
 	// serving layer's per-request budget).
@@ -133,6 +124,25 @@ type Config struct {
 	// Client overrides the HTTP client used for every peer call (tests).
 	Client *http.Client
 }
+
+// Fleet tuning: constants, not Config fields, until two deployments need
+// different values.
+const (
+	// suspectRounds and deadRounds bound failure detection in gossip
+	// intervals: a member whose heartbeat has not advanced for
+	// suspectRounds intervals is suspect (no longer routed to), for
+	// deadRounds dead (dropped from the ring).
+	suspectRounds = 3
+	deadRounds    = 10
+	// fanout is how many peers each gossip round exchanges state with.
+	fanout = 2
+	// vnodes is the virtual-node count per member on the consistent-hash
+	// ring; more means better balance, slower rebuilds.
+	vnodes = 64
+	// fillTimeout bounds one peer cache-fill GET; a fill is an
+	// optimization, so it fails fast into the proxy/local path.
+	fillTimeout = 2 * time.Second
+)
 
 // member is the internal membership record: the gossiped fields plus
 // local failure-detection bookkeeping.
@@ -148,6 +158,8 @@ type Fleet struct {
 	cfg     Config
 	client  *http.Client
 	metrics *metrics
+	// now is the clock behind heartbeat ages (tests step it).
+	now func() time.Time
 
 	mu      sync.Mutex
 	members map[string]*member // by ID; always contains self
@@ -159,6 +171,8 @@ type Fleet struct {
 
 	stop chan struct{}
 	done chan struct{}
+	// bg counts in-flight backfill pushes; Close waits for them.
+	bg sync.WaitGroup
 }
 
 // New validates cfg and builds the Fleet (gossip does not run until
@@ -176,39 +190,22 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3 * cfg.Interval
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 10 * cfg.Interval
-	}
-	if cfg.DeadAfter < cfg.SuspectAfter {
-		cfg.DeadAfter = cfg.SuspectAfter
-	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 2
-	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
-	if cfg.FillTimeout <= 0 {
-		cfg.FillTimeout = 2 * time.Second
-	}
 	if cfg.ProxyTimeout <= 0 {
 		cfg.ProxyTimeout = 3 * time.Minute
 	}
 	f := &Fleet{
 		cfg:     cfg,
 		client:  cfg.Client,
-		metrics: newMetrics(),
+		now:     time.Now,
 		members: make(map[string]*member),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	f.metrics = newMetrics(f)
 	if f.client == nil {
 		f.client = &http.Client{}
 	}
-	now := time.Now()
+	now := f.now()
 	self := &member{
 		wireMember: wireMember{
 			ID:          cfg.ID,
@@ -256,8 +253,9 @@ func (f *Fleet) Start() {
 	}
 }
 
-// Close stops the gossip loop. It does not announce departure; call
-// Leave first for a graceful exit.
+// Close stops the gossip loop and waits for in-flight backfill pushes
+// (each bounded by its own timeout). It does not announce departure;
+// call Leave first for a graceful exit.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	if f.closed {
@@ -271,6 +269,7 @@ func (f *Fleet) Close() {
 	if started {
 		<-f.done
 	}
+	f.bg.Wait()
 }
 
 // Members returns the current membership view, self first then sorted
@@ -278,7 +277,7 @@ func (f *Fleet) Close() {
 func (f *Fleet) Members() []Member {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	now := time.Now()
+	now := f.now()
 	out := make([]Member, 0, len(f.members))
 	for _, m := range f.members {
 		out = append(out, f.publicLocked(m, now))
@@ -290,16 +289,6 @@ func (f *Fleet) Members() []Member {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// MemberState reports one member's current state ("" if unknown).
-func (f *Fleet) MemberState(id string) State {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if m, ok := f.members[id]; ok {
-		return m.state
-	}
-	return ""
 }
 
 // publicLocked converts an internal record to the public view; f.mu
@@ -320,17 +309,11 @@ func (f *Fleet) publicLocked(m *member, now time.Time) Member {
 // Owner reports the ring owner of a content-address key. ok is false
 // only when the ring is empty (never: self is always on it).
 func (f *Fleet) Owner(key string) (Member, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	id, ok := f.ring.owner(key)
-	if !ok {
+	ms := f.owners(key, 1)
+	if len(ms) == 0 {
 		return Member{}, false
 	}
-	m := f.members[id]
-	if m == nil {
-		return Member{}, false
-	}
-	return f.publicLocked(m, time.Now()), true
+	return ms[0], true
 }
 
 // owners reports the first n distinct ring nodes for key (owner first,
@@ -339,7 +322,7 @@ func (f *Fleet) owners(key string, n int) []Member {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ids := f.ring.owners(key, n)
-	now := time.Now()
+	now := f.now()
 	out := make([]Member, 0, len(ids))
 	for _, id := range ids {
 		if m := f.members[id]; m != nil {
@@ -355,11 +338,11 @@ func (f *Fleet) owners(key string, n int) []Member {
 func (f *Fleet) rebuildRingLocked() {
 	ids := make([]string, 0, len(f.members))
 	for id, m := range f.members {
-		if m.state == StateAlive || m.state == StateSuspect {
+		if m.state.onRing() {
 			ids = append(ids, id)
 		}
 	}
-	f.ring = newRing(ids, f.cfg.VNodes)
+	f.ring = newRing(ids)
 }
 
 // logf writes one structured record to the configured logger, if any.

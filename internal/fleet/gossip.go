@@ -1,17 +1,15 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"time"
 )
 
 // The gossip protocol: every Interval each node advances its own
-// heartbeat and POSTs its full membership table to Fanout random live
+// heartbeat and POSTs its full membership table to fanout random live
 // peers; the receiver merges it and replies with its own table, which
 // the sender merges back. An entry wins a merge when its (incarnation,
 // heartbeat) pair is newer — incarnation is the owner's boot timestamp,
@@ -62,7 +60,7 @@ func (f *Fleet) round() {
 	f.mu.Lock()
 	self := f.members[f.cfg.ID]
 	self.Heartbeat++
-	self.lastSeen = time.Now()
+	self.lastSeen = f.now()
 	if f.cfg.CacheStats != nil {
 		self.Cache = f.cfg.CacheStats()
 	}
@@ -72,11 +70,11 @@ func (f *Fleet) round() {
 
 	for _, addr := range targets {
 		if err := f.exchange(addr, msg); err != nil {
-			f.metrics.add(&f.metrics.gossipErrors, 1)
+			f.metrics.gossipErrors.Add(1)
 			f.logf("gossip %s: %v", addr, err)
 		}
 	}
-	f.metrics.add(&f.metrics.gossipRounds, 1)
+	f.metrics.gossipRounds.Add(1)
 
 	f.mu.Lock()
 	f.sweepLocked()
@@ -93,7 +91,7 @@ func (f *Fleet) snapshotLocked() gossipMsg {
 	return msg
 }
 
-// targetsLocked picks up to Fanout gossip targets: routable members
+// targetsLocked picks up to fanout gossip targets: routable members
 // plus any seed addresses not yet matched to a member; f.mu held.
 func (f *Fleet) targetsLocked() []string {
 	var pool []string
@@ -103,10 +101,8 @@ func (f *Fleet) targetsLocked() []string {
 			continue
 		}
 		known[m.Addr] = true
-		// Dead and left members are not gossiped to — but suspects are:
-		// a reachable suspect's reply is exactly what refutes the
-		// suspicion.
-		if m.state == StateAlive || m.state == StateSuspect {
+		// Dead and left members are not gossiped to.
+		if m.state.onRing() {
 			pool = append(pool, m.Addr)
 		}
 	}
@@ -116,10 +112,7 @@ func (f *Fleet) targetsLocked() []string {
 		}
 	}
 	rand.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if len(pool) > f.cfg.Fanout {
-		pool = pool[:f.cfg.Fanout]
-	}
-	return pool
+	return pool[:min(len(pool), fanout)]
 }
 
 // exchange POSTs one gossip message and merges the reply.
@@ -128,23 +121,12 @@ func (f *Fleet) exchange(addr string, msg gossipMsg) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Interval)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/v1/gossip", bytes.NewReader(body))
+	_, b, err := f.call(context.Background(), f.cfg.Interval, http.MethodPost, addr, "/v1/gossip", body, Hop{})
 	if err != nil {
 		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
 	}
 	var reply gossipMsg
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+	if err := json.Unmarshal(b, &reply); err != nil {
 		return err
 	}
 	f.merge(reply.Members)
@@ -153,7 +135,7 @@ func (f *Fleet) exchange(addr string, msg gossipMsg) error {
 
 // merge folds a received membership table into the local view.
 func (f *Fleet) merge(entries []wireMember) {
-	now := time.Now()
+	now := f.now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	changed := false
@@ -179,7 +161,7 @@ func (f *Fleet) merge(entries []wireMember) {
 		if !newer {
 			continue
 		}
-		wasEligible := m.state == StateAlive || m.state == StateSuspect
+		wasOnRing := m.state.onRing()
 		m.wireMember = wm
 		m.lastSeen = now
 		if wm.Left {
@@ -187,8 +169,7 @@ func (f *Fleet) merge(entries []wireMember) {
 		} else {
 			m.state = StateAlive
 		}
-		eligible := m.state == StateAlive || m.state == StateSuspect
-		if wasEligible != eligible {
+		if wasOnRing != m.state.onRing() {
 			changed = true
 			f.logf("member %s is now %s", m.ID, m.state)
 		}
@@ -200,27 +181,23 @@ func (f *Fleet) merge(entries []wireMember) {
 
 // sweepLocked ages members through suspect and dead; f.mu held.
 func (f *Fleet) sweepLocked() {
-	now := time.Now()
+	now := f.now()
 	changed := false
 	for _, m := range f.members {
-		if m.ID == f.cfg.ID || m.state == StateLeft || m.state == StateDead {
+		if m.ID == f.cfg.ID || !m.state.onRing() {
 			continue
 		}
 		age := now.Sub(m.lastSeen)
-		next := m.state
+		next := StateAlive
 		switch {
-		case age > f.cfg.DeadAfter:
+		case age > deadRounds*f.cfg.Interval:
 			next = StateDead
-		case age > f.cfg.SuspectAfter:
+		case age > suspectRounds*f.cfg.Interval:
 			next = StateSuspect
-		default:
-			next = StateAlive
 		}
 		if next != m.state {
 			f.logf("member %s: %s -> %s (heartbeat age %v)", m.ID, m.state, next, age.Round(time.Millisecond))
-			if (m.state == StateAlive || m.state == StateSuspect) != (next == StateAlive || next == StateSuspect) {
-				changed = true
-			}
+			changed = changed || m.state.onRing() != next.onRing()
 			m.state = next
 		}
 	}
@@ -241,7 +218,7 @@ func (f *Fleet) Leave() {
 	msg := f.snapshotLocked()
 	var targets []string
 	for _, m := range f.members {
-		if m.ID != f.cfg.ID && m.Addr != "" && (m.state == StateAlive || m.state == StateSuspect) {
+		if m.ID != f.cfg.ID && m.Addr != "" && m.state.onRing() {
 			targets = append(targets, m.Addr)
 		}
 	}

@@ -129,7 +129,7 @@ func (f *Fleet) Status() AdminStatus {
 		Addr:    f.cfg.Advertise,
 		Ready:   f.Ready(),
 		Members: f.Members(),
-		Ring:    RingInfo{VNodes: f.cfg.VNodes, Nodes: nodes},
+		Ring:    RingInfo{VNodes: vnodes, Nodes: nodes},
 		Count:   f.Counters(),
 	}
 }

@@ -1,64 +1,66 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
+
+	"repro/internal/prom"
 )
 
-// metrics holds the fleet's Prometheus series. The serving layer's
-// registry renders them at scrape time through WriteMetrics, so the
-// fleet stays free of the serve package (serve imports fleet, not the
-// reverse). Per-peer series are keyed by peer ID, which is bounded by
-// fleet size.
+// metrics holds the fleet's Prometheus series, in their own registry so
+// the fleet stays free of the serve package (serve imports fleet, not
+// the reverse); the serving layer splices WriteMetrics into /metrics.
+// Per-peer series are labelled by peer ID, which is bounded by fleet
+// size.
 type metrics struct {
-	mu sync.Mutex
+	reg *prom.Registry
 
-	gossipRounds   int64
-	gossipErrors   int64
-	backfills      int64
-	backfillErrors int64
-	fallbacks      int64
-
-	fillHits    map[string]int64 // by peer ID
-	fillMisses  map[string]int64
-	fillErrors  map[string]int64
-	proxied     map[string]int64
-	proxyErrors map[string]int64
+	gossipRounds, gossipErrors, backfills, backfillErrors, fallbacks *prom.Counter
+	fillHits, fillMisses, fillErrors, proxied, proxyErrors           *prom.Counter // by peer
 }
 
-func newMetrics() *metrics {
+// peer is the label set of one per-peer series.
+func peer(id string) map[string]string { return map[string]string{"peer": id} }
+
+// newMetrics registers the fleet series in their render order.
+func newMetrics(f *Fleet) *metrics {
+	r := prom.NewRegistry()
+	r.GaugeSetFunc("spind_fleet_members", "Fleet members in the local view by health state.", func() []prom.Sample {
+		states := map[State]int{}
+		f.mu.Lock()
+		for _, m := range f.members {
+			states[m.state]++
+		}
+		f.mu.Unlock()
+		var out []prom.Sample
+		for _, s := range []State{StateAlive, StateSuspect, StateDead, StateLeft} {
+			out = append(out, prom.Sample{Labels: prom.Labels("state", string(s)), Value: float64(states[s])})
+		}
+		return out
+	})
+	r.GaugeFunc("spind_fleet_ring_nodes", "Members currently owning keys on the consistent-hash ring.", func() float64 {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return float64(len(f.ring.nodes()))
+	})
+	r.GaugeFunc("spind_fleet_ready", "Whether the first gossip round has completed (readiness gate).", func() float64 {
+		if f.Ready() {
+			return 1
+		}
+		return 0
+	})
 	return &metrics{
-		fillHits:    map[string]int64{},
-		fillMisses:  map[string]int64{},
-		fillErrors:  map[string]int64{},
-		proxied:     map[string]int64{},
-		proxyErrors: map[string]int64{},
+		reg:            r,
+		gossipRounds:   r.Counter("spind_fleet_gossip_rounds_total", "Gossip rounds completed."),
+		gossipErrors:   r.Counter("spind_fleet_gossip_errors_total", "Gossip exchanges that failed."),
+		backfills:      r.Counter("spind_fleet_backfills_total", "Locally computed results pushed to their ring owner."),
+		backfillErrors: r.Counter("spind_fleet_backfill_errors_total", "Backfill pushes that failed."),
+		fallbacks:      r.Counter("spind_fleet_local_fallbacks_total", "Requests computed locally because the key's owner was unreachable."),
+		fillHits:       r.Counter("spind_fleet_fill_hits_total", "Peer cache-fills that returned a cached result."),
+		fillMisses:     r.Counter("spind_fleet_fill_misses_total", "Peer cache-fills answered 404 (owner had no entry)."),
+		fillErrors:     r.Counter("spind_fleet_fill_errors_total", "Peer cache-fills that failed (peer unreachable or errored)."),
+		proxied:        r.Counter("spind_fleet_proxied_total", "Requests forwarded to their key's owner for compute."),
+		proxyErrors:    r.Counter("spind_fleet_proxy_errors_total", "Owner forwards that failed (fell back to local compute)."),
 	}
-}
-
-func (m *metrics) add(field *int64, delta int64) {
-	m.mu.Lock()
-	*field += delta
-	m.mu.Unlock()
-}
-
-func (m *metrics) addPeer(series map[string]int64, peer string, delta int64) {
-	m.mu.Lock()
-	series[peer] += delta
-	m.mu.Unlock()
-}
-
-// peerTotal sums one per-peer series (tests and the admin endpoint).
-func (m *metrics) peerTotal(series map[string]int64) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var t int64
-	for _, v := range series {
-		t += v
-	}
-	return t
 }
 
 // Counters is the admin-endpoint summary of the fleet series.
@@ -75,84 +77,23 @@ type Counters struct {
 	Fallbacks      int64 `json:"local_fallbacks"`
 }
 
-// Counters snapshots the fleet-level counters.
+// Counters snapshots the fleet-level counters (per-peer series summed).
 func (f *Fleet) Counters() Counters {
 	m := f.metrics
-	m.mu.Lock()
-	c := Counters{
-		GossipRounds:   m.gossipRounds,
-		GossipErrors:   m.gossipErrors,
-		Backfills:      m.backfills,
-		BackfillErrors: m.backfillErrors,
-		Fallbacks:      m.fallbacks,
+	return Counters{
+		GossipRounds:   int64(m.gossipRounds.Total()),
+		GossipErrors:   int64(m.gossipErrors.Total()),
+		FillHits:       int64(m.fillHits.Total()),
+		FillMisses:     int64(m.fillMisses.Total()),
+		FillErrors:     int64(m.fillErrors.Total()),
+		Proxied:        int64(m.proxied.Total()),
+		ProxyErrors:    int64(m.proxyErrors.Total()),
+		Backfills:      int64(m.backfills.Total()),
+		BackfillErrors: int64(m.backfillErrors.Total()),
+		Fallbacks:      int64(m.fallbacks.Total()),
 	}
-	sum := func(s map[string]int64) int64 {
-		var t int64
-		for _, v := range s {
-			t += v
-		}
-		return t
-	}
-	c.FillHits = sum(m.fillHits)
-	c.FillMisses = sum(m.fillMisses)
-	c.FillErrors = sum(m.fillErrors)
-	c.Proxied = sum(m.proxied)
-	c.ProxyErrors = sum(m.proxyErrors)
-	m.mu.Unlock()
-	return c
 }
 
 // WriteMetrics renders the fleet series in Prometheus text exposition
 // format; the serving registry calls it at scrape time.
-func (f *Fleet) WriteMetrics(w io.Writer) {
-	states := map[State]int{StateAlive: 0, StateSuspect: 0, StateDead: 0, StateLeft: 0}
-	f.mu.Lock()
-	for _, m := range f.members {
-		states[m.state]++
-	}
-	ringNodes := len(f.ring.nodes())
-	ready := 0
-	if f.ready || (len(f.seeds) == 0 && len(f.members) == 1) {
-		ready = 1
-	}
-	f.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP spind_fleet_members Fleet members in the local view by health state.\n# TYPE spind_fleet_members gauge\n")
-	for _, s := range []State{StateAlive, StateSuspect, StateDead, StateLeft} {
-		fmt.Fprintf(w, "spind_fleet_members{state=%q} %d\n", s, states[s])
-	}
-	fmt.Fprintf(w, "# HELP spind_fleet_ring_nodes Members currently owning keys on the consistent-hash ring.\n# TYPE spind_fleet_ring_nodes gauge\nspind_fleet_ring_nodes %d\n", ringNodes)
-	fmt.Fprintf(w, "# HELP spind_fleet_ready Whether the first gossip round has completed (readiness gate).\n# TYPE spind_fleet_ready gauge\nspind_fleet_ready %d\n", ready)
-
-	m := f.metrics
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	writeScalar := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	writeScalar("spind_fleet_gossip_rounds_total", "Gossip rounds completed.", m.gossipRounds)
-	writeScalar("spind_fleet_gossip_errors_total", "Gossip exchanges that failed.", m.gossipErrors)
-	writeScalar("spind_fleet_backfills_total", "Locally computed results pushed to their ring owner.", m.backfills)
-	writeScalar("spind_fleet_backfill_errors_total", "Backfill pushes that failed.", m.backfillErrors)
-	writeScalar("spind_fleet_local_fallbacks_total", "Requests computed locally because the key's owner was unreachable.", m.fallbacks)
-	writePeer := func(name, help string, series map[string]int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		if len(series) == 0 {
-			fmt.Fprintf(w, "%s 0\n", name)
-			return
-		}
-		peers := make([]string, 0, len(series))
-		for p := range series {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-		for _, p := range peers {
-			fmt.Fprintf(w, "%s{peer=%q} %d\n", name, p, series[p])
-		}
-	}
-	writePeer("spind_fleet_fill_hits_total", "Peer cache-fills that returned a cached result.", m.fillHits)
-	writePeer("spind_fleet_fill_misses_total", "Peer cache-fills answered 404 (owner had no entry).", m.fillMisses)
-	writePeer("spind_fleet_fill_errors_total", "Peer cache-fills that failed (peer unreachable or errored).", m.fillErrors)
-	writePeer("spind_fleet_proxied_total", "Requests forwarded to their key's owner for compute.", m.proxied)
-	writePeer("spind_fleet_proxy_errors_total", "Owner forwards that failed (fell back to local compute).", m.proxyErrors)
-}
+func (f *Fleet) WriteMetrics(w io.Writer) { f.metrics.reg.Render(w) }

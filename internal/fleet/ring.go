@@ -20,6 +20,7 @@ import (
 // nothing process-local (map order, random seeds) may leak in.
 type ring struct {
 	points []ringPoint // sorted by hash
+	ids    []string    // the distinct members, sorted
 }
 
 type ringPoint struct {
@@ -34,8 +35,9 @@ func hash64(s string) uint64 {
 }
 
 // newRing builds a ring over ids with vnodes virtual nodes each.
-func newRing(ids []string, vnodes int) *ring {
-	r := &ring{points: make([]ringPoint, 0, len(ids)*vnodes)}
+func newRing(ids []string) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(ids)*vnodes), ids: append([]string(nil), ids...)}
+	sort.Strings(r.ids)
 	for _, id := range ids {
 		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, ringPoint{hash: hash64(id + "#" + strconv.Itoa(i)), id: id})
@@ -50,15 +52,6 @@ func newRing(ids []string, vnodes int) *ring {
 		return r.points[i].id < r.points[j].id
 	})
 	return r
-}
-
-// owner reports the member owning key (false on an empty ring).
-func (r *ring) owner(key string) (string, bool) {
-	ids := r.owners(key, 1)
-	if len(ids) == 0 {
-		return "", false
-	}
-	return ids[0], true
 }
 
 // owners reports up to n distinct members for key: the owner first,
@@ -85,15 +78,4 @@ func (r *ring) owners(key string, n int) []string {
 }
 
 // nodes reports the distinct member IDs on the ring, sorted.
-func (r *ring) nodes() []string {
-	seen := make(map[string]bool)
-	for _, p := range r.points {
-		seen[p.id] = true
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (r *ring) nodes() []string { return r.ids }

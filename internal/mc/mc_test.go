@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/harness"
@@ -129,6 +130,29 @@ func TestNoProbeMutationFindsLivenessViolation(t *testing.T) {
 	}
 	if len(v.Trace) == 0 {
 		t.Fatal("violation carries no counterexample trace")
+	}
+}
+
+// TestViolationOrderDeterministic: each BFS level is one runner batch
+// collected in chunk order and violations tie-break on the state's
+// encoding, not its first-writer id, so two parallel runs report the same
+// violations in the same order. The traces themselves follow first-writer
+// parent pointers and may differ in path, never in length (the level).
+func TestViolationOrderDeterministic(t *testing.T) {
+	sig := func(r *Result) []string {
+		var out []string
+		for _, v := range r.Violations {
+			out = append(out, fmt.Sprintf("%s|%s|%d", v.Kind, v.Message, len(v.Trace)))
+		}
+		return out
+	}
+	a := checkInstance(t, "ring5", 20, 4, MutSpinUnchecked)
+	b := checkInstance(t, "ring5", 20, 4, MutSpinUnchecked)
+	if len(a.Violations) < 2 {
+		t.Fatalf("want several violations to order, got %d", len(a.Violations))
+	}
+	if !reflect.DeepEqual(sig(a), sig(b)) {
+		t.Errorf("violation order differs between two Workers=4 runs:\n%v\n%v", sig(a), sig(b))
 	}
 }
 

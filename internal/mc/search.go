@@ -3,7 +3,6 @@ package mc
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -143,10 +142,6 @@ type chunkOut struct {
 // are deterministic for fixed (instance, options); violation traces are
 // valid paths but follow first-writer parent pointers.
 func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	maxVio := opts.MaxViolations
 	if maxVio <= 0 {
 		maxVio = 64
@@ -161,18 +156,10 @@ func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
 		vios = append(vios, vioRec{kind: "invariant", state: 0, message: msg})
 	}
 
-	queueSize := 2 * workers
-	pool := runner.NewPool[chunkOut](runner.PoolOptions{Workers: workers, QueueSize: queueSize})
-	defer pool.Close()
-	// Submissions are throttled to the queue capacity so Submit can never
-	// hit ErrQueueFull: each in-flight submission holds at most one slot.
-	sem := make(chan struct{}, queueSize)
-
 	frontier := []frontierItem{{id: 0, enc: st.states[0].enc}}
 	var edges []edge
 	depth := int32(0) // level of the current frontier
 	truncated := false
-	var firstErr error
 	for len(frontier) > 0 {
 		if opts.Bound > 0 && int(depth) >= opts.Bound {
 			truncated = true
@@ -182,41 +169,28 @@ func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
 			truncated = true
 			break
 		}
+		// One runner batch per level: the chunks expand in parallel and
+		// come back in chunk order, so next/edges/vios do not depend on
+		// which worker finished first.
 		const chunkSize = 256
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			next []frontierItem
-		)
+		var jobs []runner.Job[chunkOut]
 		for start := 0; start < len(frontier); start += chunkSize {
 			chunk := frontier[start:min(start+chunkSize, len(frontier))]
-			key := fmt.Sprintf("mc:%s:l%d:c%d", in.Name, depth, start/chunkSize)
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				out, err := pool.Submit(ctx, runner.Job[chunkOut]{Key: key, Run: func(ctx context.Context, _ int64) (chunkOut, error) {
-					return in.expandChunk(st, chunk, depth+1)
-				}})
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				next = append(next, out.next...)
-				edges = append(edges, out.edges...)
-				vios = append(vios, out.vios...)
-			}()
+			jobs = append(jobs, runner.Job[chunkOut]{
+				Key: fmt.Sprintf("mc:%s:l%d:c%d", in.Name, depth, start/chunkSize),
+				Run: func(context.Context, int64) (chunkOut, error) { return in.expandChunk(st, chunk, depth+1) },
+			})
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+		outs, err := runner.Run(ctx, runner.Options{Workers: opts.Workers}, jobs)
+		if err != nil {
+			return nil, err
 		}
-		frontier = next
+		frontier = nil
+		for _, out := range outs {
+			frontier = append(frontier, out.next...)
+			edges = append(edges, out.edges...)
+			vios = append(vios, out.vios...)
+		}
 		depth++
 	}
 	if truncated {
@@ -307,7 +281,12 @@ func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
 		if vios[a].message != vios[b].message {
 			return vios[a].message < vios[b].message
 		}
-		return vios[a].state < vios[b].state
+		// State ids are first-writer, so they differ between runs at
+		// Workers > 1; the encoding and the action label do not.
+		if ea, eb := st.states[vios[a].state].enc, st.states[vios[b].state].enc; ea != eb {
+			return ea < eb
+		}
+		return vios[a].action < vios[b].action
 	})
 	for _, v := range vios[:min(len(vios), maxVio)] {
 		trace := st.traceOf(v.state)

@@ -9,15 +9,16 @@ import (
 	"time"
 )
 
-// Pool is the long-lived sibling of Run: a fixed set of workers serving
-// a bounded queue of jobs submitted one at a time, built for daemons
-// (cmd/spind) where jobs arrive with requests instead of as a batch.
+// Pool is the package's one worker loop: a fixed set of workers serving
+// a bounded queue of jobs. Daemons (cmd/spind) keep one for their
+// lifetime and Submit jobs as requests arrive; Run fills one with a whole
+// batch.
 //
 // The queue is deliberately bounded and Submit fails fast with
 // ErrQueueFull instead of blocking — a server sheds load (429) rather
 // than accumulating unbounded goroutines until it collapses. Panics in
-// jobs are captured into *PanicError exactly as in Run, so one poisoned
-// request can never take the daemon down.
+// jobs are captured into *PanicError by runOne, so one poisoned request
+// can never take the daemon down.
 type Pool[T any] struct {
 	opts  PoolOptions
 	queue chan poolItem[T]
@@ -26,7 +27,6 @@ type Pool[T any] struct {
 	mu      sync.Mutex
 	queued  int
 	running int
-	done    int
 	closed  bool
 }
 
@@ -43,25 +43,23 @@ type PoolOptions struct {
 	// Timeout bounds each job's execution (0 = unlimited), layered under
 	// whatever deadline the Submit context already carries.
 	Timeout time.Duration
-	// OnState, when non-nil, observes every queue transition with the
-	// current (queued, running) sizes. Calls are serialized; the callback
-	// must not call back into the pool.
-	OnState func(queued, running int)
-	// Progress, when non-nil, receives one Event per completed job, with
-	// Done counting completions over the pool's lifetime and Total == 0
-	// (a pool has no fixed job count). Calls are serialized.
-	Progress ProgressFunc
 }
 
+// poolItem is one queued job. idx is its position in a Run batch (-1
+// from Submit) and travels back in the poolResult, so one res channel
+// can collect a whole batch.
 type poolItem[T any] struct {
 	ctx context.Context
 	job Job[T]
-	res chan poolResult[T]
+	idx int
+	res chan<- poolResult[T]
 }
 
 type poolResult[T any] struct {
-	val T
-	err error
+	idx     int
+	val     T
+	err     error
+	elapsed time.Duration // the job's own execution time
 }
 
 // ErrQueueFull is returned by Submit when the pending queue is at
@@ -99,30 +97,34 @@ func NewPool[T any](o PoolOptions) *Pool[T] {
 // abandons it cheaply — the worker discards the job without running it.
 func (p *Pool[T]) Submit(ctx context.Context, job Job[T]) (T, error) {
 	var zero T
-	item := poolItem[T]{ctx: ctx, job: job, res: make(chan poolResult[T], 1)}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return zero, fmt.Errorf("runner: job %q: %w", job.Key, ErrPoolClosed)
+	res := make(chan poolResult[T], 1)
+	if err := p.enqueue(ctx, job, -1, res); err != nil {
+		return zero, err
 	}
 	select {
-	case p.queue <- item:
-		p.queued++
-		p.notifyLocked()
-	default:
-		queued, running := p.queued, p.running
-		p.mu.Unlock()
-		return zero, fmt.Errorf("runner: job %q: %w (%d queued, %d running)", job.Key, ErrQueueFull, queued, running)
-	}
-	p.mu.Unlock()
-
-	select {
-	case r := <-item.res:
+	case r := <-res:
 		return r.val, r.err
 	case <-ctx.Done():
 		// The worker sees the expired context and skips or cancels the
-		// job; nobody else reads item.res, so dropping it is safe.
+		// job; nobody else reads res, so dropping it is safe.
 		return zero, fmt.Errorf("runner: job %q: %w", job.Key, ctx.Err())
+	}
+}
+
+// enqueue queues one job without waiting for it; its result arrives on
+// res, which must have room for it (a worker never blocks delivering).
+func (p *Pool[T]) enqueue(ctx context.Context, job Job[T], idx int, res chan<- poolResult[T]) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return fmt.Errorf("runner: job %q: %w", job.Key, ErrPoolClosed)
+	}
+	select {
+	case p.queue <- poolItem[T]{ctx: ctx, job: job, idx: idx, res: res}:
+		p.queued++
+		return nil
+	default:
+		return fmt.Errorf("runner: job %q: %w (%d queued, %d running)", job.Key, ErrQueueFull, p.queued, p.running)
 	}
 }
 
@@ -136,16 +138,18 @@ func (p *Pool[T]) Depth() (queued, running int) {
 // Close stops accepting jobs and waits for every already-queued job to
 // finish. It is idempotent.
 func (p *Pool[T]) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
-	p.closed = true
-	close(p.queue)
-	p.mu.Unlock()
+	p.shut()
 	p.wg.Wait()
+}
+
+// shut closes the queue: the workers exit once it drains.
+func (p *Pool[T]) shut() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.closed {
+		p.closed = true
+		close(p.queue)
+	}
 }
 
 // runItem executes one dequeued job with the shared runOne machinery
@@ -154,30 +158,17 @@ func (p *Pool[T]) runItem(item poolItem[T]) {
 	p.mu.Lock()
 	p.queued--
 	p.running++
-	p.notifyLocked()
 	p.mu.Unlock()
 
 	start := time.Now()
-	var r poolResult[T]
-	r.val, r.err = runOne(item.ctx, Options{Seed: p.opts.Seed, Timeout: p.opts.Timeout}, item.job)
-	item.res <- r
+	r := poolResult[T]{idx: item.idx}
+	r.val, r.err = runOne(item.ctx, p.opts, item.job)
+	r.elapsed = time.Since(start)
 
+	// The bookkeeping settles before the result is delivered, so a caller
+	// that has its result never reads a Depth that still counts the job.
 	p.mu.Lock()
 	p.running--
-	p.done++
-	p.notifyLocked()
-	if p.opts.Progress != nil {
-		p.opts.Progress(Event{
-			Key: item.job.Key, Index: -1, Done: p.done, Total: 0,
-			Err: r.err, Elapsed: time.Since(start),
-		})
-	}
 	p.mu.Unlock()
-}
-
-// notifyLocked fires the queue-state hook; p.mu must be held.
-func (p *Pool[T]) notifyLocked() {
-	if p.opts.OnState != nil {
-		p.opts.OnState(p.queued, p.running)
-	}
+	item.res <- r
 }

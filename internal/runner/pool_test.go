@@ -3,7 +3,9 @@ package runner
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -94,25 +96,13 @@ func TestPoolPanicCapture(t *testing.T) {
 	}
 }
 
-// TestPoolStateHook records every queue transition and checks the
-// bookkeeping: depth rises while jobs wait, and everything returns to
-// (0, 0) when the pool drains.
-func TestPoolStateHook(t *testing.T) {
-	type state struct{ queued, running int }
-	var (
-		mu     sync.Mutex
-		states []state
-	)
+// TestPoolDepth checks the queue bookkeeping behind Depth (what health
+// endpoints and the spind queue gauges sample): depth rises while jobs
+// wait, and everything is back to (0, 0) once their results are in.
+func TestPoolDepth(t *testing.T) {
 	release := make(chan struct{})
-	p := NewPool[int](PoolOptions{
-		Workers:   1,
-		QueueSize: 2,
-		OnState: func(q, r int) {
-			mu.Lock()
-			states = append(states, state{q, r})
-			mu.Unlock()
-		},
-	})
+	p := NewPool[int](PoolOptions{Workers: 1, QueueSize: 2})
+	defer p.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -137,27 +127,8 @@ func TestPoolStateHook(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	p.Close()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(states) == 0 {
-		t.Fatal("no state transitions observed")
-	}
-	maxQ, maxR := 0, 0
-	for _, s := range states {
-		if s.queued > maxQ {
-			maxQ = s.queued
-		}
-		if s.running > maxR {
-			maxR = s.running
-		}
-	}
-	if maxQ != 2 || maxR != 1 {
-		t.Fatalf("peak state = (%d queued, %d running), want (2, 1)", maxQ, maxR)
-	}
-	if last := states[len(states)-1]; last != (state{0, 0}) {
-		t.Fatalf("final state = %+v, want drained (0, 0)", last)
+	if q, r := p.Depth(); q != 0 || r != 0 {
+		t.Fatalf("depth after every result = (%d queued, %d running), want drained (0, 0)", q, r)
 	}
 }
 
@@ -228,13 +199,8 @@ func TestPoolCancelWhileQueued(t *testing.T) {
 
 // TestPoolClose checks drain-on-close and the post-close Submit error.
 func TestPoolClose(t *testing.T) {
-	var mu sync.Mutex
-	completed := 0
-	p := NewPool[int](PoolOptions{Workers: 2, QueueSize: 4, Progress: func(e Event) {
-		mu.Lock()
-		completed = e.Done
-		mu.Unlock()
-	}})
+	var completed atomic.Int64
+	p := NewPool[int](PoolOptions{Workers: 2, QueueSize: 4})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -242,18 +208,41 @@ func TestPoolClose(t *testing.T) {
 			defer wg.Done()
 			p.Submit(context.Background(), Job[int]{Key: "", Run: func(context.Context, int64) (int, error) {
 				time.Sleep(5 * time.Millisecond)
+				completed.Add(1)
 				return 0, nil
 			}})
 		}()
 	}
 	wg.Wait()
 	p.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if completed != 4 {
-		t.Fatalf("progress saw %d completions, want 4", completed)
+	if n := completed.Load(); n != 4 {
+		t.Fatalf("%d jobs completed, want 4", n)
 	}
 	if _, err := p.Submit(context.Background(), Job[int]{Key: "late"}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
+	}
+}
+
+// TestRunAndSubmitShareOneWorkerLoop pins that Run is a batch on a Pool,
+// not a second scheduler: a job run by a 1-worker Run and the same job
+// run by Pool.Submit both panic out of the pool's worker loop, through
+// runItem and runOne (the only panic/timeout path), and come back as the
+// same *PanicError.
+func TestRunAndSubmitShareOneWorkerLoop(t *testing.T) {
+	job := Job[int]{Key: "boom", Run: func(context.Context, int64) (int, error) { panic("kaboom") }}
+	_, runErr := Run(context.Background(), Options{Workers: 1}, []Job[int]{job})
+	p := NewPool[int](PoolOptions{Workers: 1})
+	defer p.Close()
+	_, submitErr := p.Submit(context.Background(), job)
+	for path, err := range map[string]error{"Run": runErr, "Submit": submitErr} {
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want *PanicError", path, err)
+		}
+		for _, frame := range []string{"runner.runOne[", "runner.(*Pool[", ".runItem", "runner.NewPool["} {
+			if !strings.Contains(string(pe.Stack), frame) {
+				t.Errorf("%s: panic stack lacks %q — the job did not run on the pool's worker loop:\n%s", path, frame, pe.Stack)
+			}
+		}
 	}
 }

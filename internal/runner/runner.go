@@ -17,9 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
@@ -103,6 +101,12 @@ func mix64(x uint64) uint64 {
 // jobs' results are kept, and the triggering error (wrapped with its job
 // key) is returned. Job keys must be unique — they name the job's seed
 // and any duplicate would silently run two jobs on identical randomness.
+//
+// Run is a batch on a Pool: it fills a pool whose queue holds the whole
+// batch, closes the queue, and collects completions as they arrive —
+// which is where first-error cancellation and the Index/Done/Total of
+// each progress Event come from. The workers, and runOne under them, are
+// the pool's.
 func Run[T any](ctx context.Context, o Options, jobs []Job[T]) ([]T, error) {
 	if len(jobs) == 0 {
 		return nil, ctx.Err()
@@ -114,65 +118,41 @@ func Run[T any](ctx context.Context, o Options, jobs []Job[T]) ([]T, error) {
 		}
 		seen[j.Key] = i
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
+	// No more workers than jobs; NewPool resolves Workers <= 0 to GOMAXPROCS.
+	p := NewPool[T](PoolOptions{Workers: min(o.Workers, len(jobs)), QueueSize: len(jobs), Seed: o.Seed, Timeout: o.Timeout})
+	defer p.Close()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make([]T, len(jobs))
-	var (
-		mu       sync.Mutex
-		done     int
-		firstErr error
-	)
-	feed := make(chan int)
-	go func() {
-		defer close(feed)
-		for i := range jobs {
-			select {
-			case feed <- i:
-			case <-ctx.Done():
-				return
-			}
+	// Sized to the batch, so a worker never blocks on delivering.
+	res := make(chan poolResult[T], len(jobs))
+	for i, job := range jobs {
+		if err := p.enqueue(ctx, job, i, res); err != nil {
+			return nil, err
 		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				job := jobs[i]
-				start := time.Now()
-				res, err := runOne(ctx, o, job)
-				mu.Lock()
-				if err == nil {
-					results[i] = res
-				} else if firstErr == nil {
-					// Jobs cancelled as a consequence of an earlier
-					// failure must not mask it.
-					firstErr = err
-					cancel()
-				}
-				done++
-				if o.Progress != nil {
-					o.Progress(Event{
-						Key: job.Key, Index: i, Done: done, Total: len(jobs),
-						Err: err, Elapsed: time.Since(start),
-					})
-				}
-				mu.Unlock()
-			}
-		}()
 	}
-	wg.Wait()
+	p.shut()
+
+	results := make([]T, len(jobs))
+	var firstErr error
+	for done := 1; done <= len(jobs); done++ {
+		r := <-res
+		if r.err == nil {
+			results[r.idx] = r.val
+		} else if firstErr == nil {
+			// Jobs cancelled as a consequence of an earlier failure must
+			// not mask it; the ones still queued see the cancelled
+			// context in runOne and never start.
+			firstErr = r.err
+			cancel()
+		}
+		if o.Progress != nil {
+			o.Progress(Event{
+				Key: jobs[r.idx].Key, Index: r.idx, Done: done, Total: len(jobs),
+				Err: r.err, Elapsed: r.elapsed,
+			})
+		}
+	}
 	if firstErr != nil {
 		return results, firstErr
 	}
@@ -181,7 +161,7 @@ func Run[T any](ctx context.Context, o Options, jobs []Job[T]) ([]T, error) {
 
 // runOne executes a single job with panic capture and the per-job
 // timeout applied.
-func runOne[T any](ctx context.Context, o Options, job Job[T]) (res T, err error) {
+func runOne[T any](ctx context.Context, o PoolOptions, job Job[T]) (res T, err error) {
 	if err = ctx.Err(); err != nil {
 		return res, fmt.Errorf("runner: job %q: %w", job.Key, err)
 	}

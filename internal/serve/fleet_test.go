@@ -268,6 +268,48 @@ func TestFleetOwnerDownFallback(t *testing.T) {
 	}
 }
 
+// TestFleetStreamedLeadIsLocal: a streamed request landing on a non-owner
+// computes here — its samples only exist where the simulation runs — but
+// that is a choice, not a failure: with the owner alive it is labelled
+// "local", spind_fleet_local_fallbacks_total ("owner was unreachable")
+// stays 0, and the result is still backfilled to the owner.
+func TestFleetStreamedLeadIsLocal(t *testing.T) {
+	a := newFleetNode(t, "a", nil, 25*time.Millisecond)
+	b := newFleetNode(t, "b", []string{a.addr}, 25*time.Millisecond)
+	converge(t, a, b)
+
+	seed := pickSeed(t, a, "b")
+	resp, body := postNode(t, a, "/v1/simulate?stream=sse", simBody(seed), nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"computed_on":"a"`)) {
+		t.Fatalf("streamed request did not lead locally: status %d: %s", resp.StatusCode, body)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for !strings.Contains(a.logs.String(), `"endpoint":"simulate"`) {
+		if time.Now().After(deadline) {
+			t.Fatal("request never logged")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if logs := a.logs.String(); !strings.Contains(logs, `"fleet":"local"`) {
+		t.Errorf("streamed lead not logged fleet=local:\n%s", logs)
+	}
+	if n := a.f.Counters().Fallbacks; n != 0 {
+		t.Errorf("local_fallbacks = %d with the owner alive, want 0", n)
+	}
+	for {
+		if v, ok := b.store.Get(simKey(t, seed)); ok {
+			if !bytes.Contains(v, []byte(`"computed_on":"a"`)) {
+				t.Fatalf("owner holds %s, want a's backfilled bytes", v)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("streamed local lead was never backfilled to the owner")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestFleetRequestIDPropagation pins the observability satellite: a
 // client-supplied X-Request-ID survives the proxy hop, the response
 // reports the full node path, and the same ID is greppable in both

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/prom"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -18,31 +20,31 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // and large integral counts render without an exponent. Regenerate with
 // `go test ./internal/serve -run MetricsRenderGolden -update`.
 func TestMetricsRenderGolden(t *testing.T) {
-	reg := newRegistry()
+	reg := prom.NewRegistry()
 
-	c := reg.counter("t_requests_total", "requests by label")
+	c := reg.Counter("t_requests_total", "requests by label")
 	c.AddL(map[string]string{"endpoint": "simulate", "code": "200"}, 3)
 	c.AddL(map[string]string{"code": "500", "endpoint": "simulate"}, 1) // same set, shuffled insert order
 	c.AddL(map[string]string{"endpoint": "sweep", "code": "200"}, 1<<52)
 
-	reg.counter("t_untouched_total", "a counter nobody incremented")
-	reg.counterFunc("t_sampled_total", "a scrape-time sampled counter", func() float64 { return 42 })
+	reg.Counter("t_untouched_total", "a counter nobody incremented")
+	reg.CounterFunc("t_sampled_total", "a scrape-time sampled counter", func() float64 { return 42 })
 
-	g := reg.gauge("t_depth", "a settable gauge")
+	g := reg.Gauge("t_depth", "a settable gauge")
 	g.Set(7)
-	reg.gaugeFunc("t_ratio", "a sampled gauge", func() float64 { return math.NaN() })
+	reg.GaugeFunc("t_ratio", "a sampled gauge", func() float64 { return math.NaN() })
 
-	h := reg.histogram("t_latency_seconds", "an observed histogram", []float64{0.1, 1, 10})
+	h := reg.Histogram("t_latency_seconds", "an observed histogram", []float64{0.1, 1, 10})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(100) // lands in +Inf overflow
 	h.ObserveL(map[string]string{"endpoint": "simulate"}, 2)
 	h.ObserveL(map[string]string{"endpoint": "big"}, 1<<52) // must not render as 4.5e+15
 
-	reg.histogram("t_empty_seconds", "a histogram nobody observed", []float64{1, 2})
+	reg.Histogram("t_empty_seconds", "a histogram nobody observed", []float64{1, 2})
 
 	var buf bytes.Buffer
-	reg.writeTo(&buf)
+	reg.Render(&buf)
 	got := buf.String()
 
 	golden := filepath.Join("testdata", "metrics_render.golden")
@@ -89,18 +91,18 @@ func TestMetricsRenderGolden(t *testing.T) {
 // series of an untouched histogram vanishes once a labeled observation
 // arrives — it must never persist as a phantom unlabeled series.
 func TestMetricsEmptyHistogramTransient(t *testing.T) {
-	reg := newRegistry()
-	h := reg.histogram("t_h", "h", []float64{1})
+	reg := prom.NewRegistry()
+	h := reg.Histogram("t_h", "h", []float64{1})
 
 	var before bytes.Buffer
-	reg.writeTo(&before)
+	reg.Render(&before)
 	if !strings.Contains(before.String(), `t_h_bucket{le="+Inf"} 0`) {
 		t.Fatalf("empty histogram lacks +Inf bucket:\n%s", before.String())
 	}
 
 	h.ObserveL(map[string]string{"endpoint": "x"}, 0.5)
 	var after bytes.Buffer
-	reg.writeTo(&after)
+	reg.Render(&after)
 	if strings.Contains(after.String(), `t_h_bucket{le="+Inf"} 0`) ||
 		strings.Contains(after.String(), "t_h_count 0") {
 		t.Errorf("phantom unlabeled zero series survived first observation:\n%s", after.String())

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/otrace"
+	"repro/internal/prom"
 )
 
 // TestMetricsRenderConcurrent hammers the text renderer while every
@@ -19,11 +20,11 @@ import (
 // totals after the storm must account for every recorded sample —
 // including series born mid-scrape.
 func TestMetricsRenderConcurrent(t *testing.T) {
-	reg := newRegistry()
-	c := reg.counter("t_ops_total", "ops by worker and op")
-	g := reg.gauge("t_level", "a settable gauge")
-	h := reg.histogram("t_dur_seconds", "durations", []float64{0.001, 0.01, 0.1, 1})
-	reg.gaugeFunc("t_sampled", "a scrape-time gauge", func() float64 { return 1 })
+	reg := prom.NewRegistry()
+	c := reg.Counter("t_ops_total", "ops by worker and op")
+	g := reg.Gauge("t_level", "a settable gauge")
+	h := reg.Histogram("t_dur_seconds", "durations", []float64{0.001, 0.01, 0.1, 1})
+	reg.GaugeFunc("t_sampled", "a scrape-time gauge", func() float64 { return 1 })
 
 	const workers, iters = 8, 400
 	stop := make(chan struct{})
@@ -39,7 +40,7 @@ func TestMetricsRenderConcurrent(t *testing.T) {
 				default:
 				}
 				var buf bytes.Buffer
-				reg.writeTo(&buf)
+				reg.Render(&buf)
 				out := buf.String()
 				// Every scrape is a complete exposition, whatever the
 				// mutators are doing.
@@ -218,6 +219,81 @@ func TestTraceServerEnvelope(t *testing.T) {
 	}
 }
 
+// traceEnvelope posts a ?trace=server request and returns its spans by
+// name plus the root span (the one whose parent is not in the envelope).
+func traceEnvelope(t *testing.T, s *Server, path, body string) (map[string]otrace.SpanData, otrace.SpanData) {
+	t.Helper()
+	rec := post(t, s.Handler(), path+"?trace=server", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+	}
+	var doc traceResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("%s: response is not a trace envelope: %v", path, err)
+	}
+	ids, byName := map[string]bool{}, map[string]otrace.SpanData{}
+	for _, sp := range doc.Spans {
+		ids[sp.SpanID] = true
+		byName[sp.Name] = sp
+	}
+	var root otrace.SpanData
+	for _, sp := range doc.Spans {
+		if !ids[sp.Parent] {
+			root = sp
+		}
+	}
+	return byName, root
+}
+
+// TestSpanTreeAdditive pins the span tree's nesting: decode, validate
+// and cache are the root's only children and do not overlap, so their
+// durations add up to the request (within 10 % on a miss long enough for
+// the gaps between them not to count); queue_wait and compute nest under
+// cache. /v1/sweep goes through the same head and tail, so it shows the
+// same decode and validate spans.
+func TestSpanTreeAdditive(t *testing.T) {
+	s := newTestServer(t, Config{})
+	// The structure is checked on every attempt; the timing is a
+	// measurement on a shared box, so one quiet attempt in three suffices.
+	var ratios []float64
+	for seed := 3; seed < 6; seed++ {
+		scenario := fmt.Sprintf(`{"topology":"mesh:8x8","routing":"min_adaptive","scheme":"spin","traffic":"uniform_random","rate":0.1,"cycles":20000,"seed":%d}`, seed)
+		spans, root := traceEnvelope(t, s, "/v1/simulate", scenario)
+		var sum int64
+		for name, sp := range spans {
+			switch name {
+			case "decode", "validate", "cache":
+				if sp.Parent != root.SpanID {
+					t.Errorf("%s is not a child of the root span", name)
+				}
+				sum += sp.Dur
+			case "queue_wait", "compute":
+				if sp.Parent != spans["cache"].SpanID {
+					t.Errorf("%s is not nested under cache", name)
+				}
+			case root.Name, "encode":
+			default:
+				t.Errorf("unexpected span %q in a single-node miss", name)
+			}
+		}
+		ratios = append(ratios, float64(sum)/float64(root.Dur))
+		if r := ratios[len(ratios)-1]; r >= 0.9 && r <= 1.0 {
+			ratios = nil
+			break
+		}
+	}
+	if ratios != nil {
+		t.Errorf("top-level spans sum to %.3f of the root span, want within 10%% below it", ratios)
+	}
+
+	sweep, sweepRoot := traceEnvelope(t, s, "/v1/sweep", `{"fig":"10"}`)
+	for _, name := range []string{"decode", "validate", "cache"} {
+		if sp, ok := sweep[name]; !ok || sp.Parent != sweepRoot.SpanID {
+			t.Errorf("/v1/sweep span tree lacks a top-level %q (have %v)", name, sweep)
+		}
+	}
+}
+
 // fetchTrace GETs /v1/trace/<id> from one fleet node (404 -> empty doc).
 func fetchTrace(t *testing.T, n *fleetNode, id, query string) traceResponse {
 	t.Helper()
@@ -301,13 +377,18 @@ func TestFleetMergedTraceTimeline(t *testing.T) {
 	if proxySpan == nil || peerRoot == nil {
 		t.Fatalf("merged trace lacks the hop pair (proxy=%v peerRoot=%v):\n%+v", proxySpan, peerRoot, doc.Spans)
 	}
-	// The stitch: b's root is a child of a's proxy span, which is itself
+	// The stitch: b's root is a child of a's proxy span, which nests under
+	// a's cache span (the hop is how the cache got its value), itself
 	// rooted in a's request span. One connected tree across two nodes.
 	if peerRoot.Parent != proxySpan.SpanID {
 		t.Errorf("peer root parent %s, want the proxy span %s", peerRoot.Parent, proxySpan.SpanID)
 	}
-	if parent, ok := byID[proxySpan.Parent]; !ok || parent.Node != "a" || parent.Name != "simulate" {
-		t.Errorf("proxy span not rooted in a's request span (parent %q)", proxySpan.Parent)
+	cacheSpan, ok := byID[proxySpan.Parent]
+	if !ok || cacheSpan.Node != "a" || cacheSpan.Name != "cache" {
+		t.Errorf("proxy span not nested under a's cache span (parent %q)", proxySpan.Parent)
+	}
+	if root, ok := byID[cacheSpan.Parent]; !ok || root.Node != "a" || root.Name != "simulate" {
+		t.Errorf("cache span not rooted in a's request span (parent %q)", cacheSpan.Parent)
 	}
 
 	// The same merged view is reachable from the peer: collection fans

@@ -31,6 +31,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/otrace"
+	"repro/internal/prom"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -143,22 +144,20 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	reg         *registry
-	mRequests   *counter
-	mReqSeconds *histogram
-	mQueued     *gauge
-	mRunning    *gauge
-	mSimCycles  *histogram
-	mSimSeconds *histogram
+	reg         *prom.Registry
+	mRequests   *prom.Counter
+	mReqSeconds *prom.Histogram
+	mSimCycles  *prom.Histogram
+	mSimSeconds *prom.Histogram
 
 	// Simulator-level series, fed from each executed request's stats and
 	// telemetry (cache hits don't re-observe: they ran no simulator).
-	mSimSpins     *counter
-	mSimRecovers  *counter
-	mSimProbes    *counter
-	mSimKillMoves *counter
-	mSimDeadlocks *counter
-	mSimLatency   *histogram
+	mSimSpins     *prom.Counter
+	mSimRecovers  *prom.Counter
+	mSimProbes    *prom.Counter
+	mSimKillMoves *prom.Counter
+	mSimDeadlocks *prom.Counter
+	mSimLatency   *prom.Histogram
 
 	// workersEff is the resolved pool size (spind_workers_effective).
 	workersEff int
@@ -174,7 +173,7 @@ type Server struct {
 	// duration histogram its OnEnd hook feeds. build is the daemon's
 	// identity, resolved once (served by /v1/version and gossiped).
 	tracer       *otrace.Tracer
-	mSpanSeconds *histogram
+	mSpanSeconds *prom.Histogram
 	build        BuildInfo
 
 	reqSeq atomic.Uint64 // request-ID sequence (satellite: request logging)
@@ -203,7 +202,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.QueueSize = 4 * workers
 	}
-	s := &Server{cfg: cfg, store: cfg.Cache, mux: http.NewServeMux(), start: time.Now(), reg: newRegistry(), fleet: cfg.Fleet}
+	s := &Server{cfg: cfg, store: cfg.Cache, mux: http.NewServeMux(), start: time.Now(), reg: prom.NewRegistry(), fleet: cfg.Fleet}
 	s.build = ReadBuild()
 
 	// The tracer's node name is the fleet identity when there is one, so
@@ -219,62 +218,62 @@ func New(cfg Config) (*Server, error) {
 		s.workersEff = runtime.GOMAXPROCS(0)
 	}
 
-	s.mRequests = s.reg.counter("spind_requests_total", "HTTP requests by endpoint and status code.")
-	s.mReqSeconds = s.reg.histogram("spind_request_duration_seconds", "End-to-end request latency by endpoint.",
+	s.mRequests = s.reg.Counter("spind_requests_total", "HTTP requests by endpoint and status code.")
+	s.mReqSeconds = s.reg.Histogram("spind_request_duration_seconds", "End-to-end request latency by endpoint.",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60})
-	s.mQueued = s.reg.gauge("spind_queue_depth", "Jobs accepted but not yet running.")
-	s.mRunning = s.reg.gauge("spind_inflight_jobs", "Jobs currently executing on the pool.")
-	s.mSimCycles = s.reg.histogram("spind_simulation_cycles", "Simulated cycles per executed request.",
+	s.reg.GaugeFunc("spind_queue_depth", "Jobs accepted but not yet running.", func() float64 {
+		queued, _ := s.pool.Depth()
+		return float64(queued)
+	})
+	s.reg.GaugeFunc("spind_inflight_jobs", "Jobs currently executing on the pool.", func() float64 {
+		_, running := s.pool.Depth()
+		return float64(running)
+	})
+	s.mSimCycles = s.reg.Histogram("spind_simulation_cycles", "Simulated cycles per executed request.",
 		[]float64{1e3, 1e4, 1e5, 1e6, 1e7})
-	s.mSimSeconds = s.reg.histogram("spind_simulation_duration_seconds", "Wall-clock time per executed simulation.",
+	s.mSimSeconds = s.reg.Histogram("spind_simulation_duration_seconds", "Wall-clock time per executed simulation.",
 		[]float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120})
-	s.mSimSpins = s.reg.counter("spind_sim_spins_total", "Synchronized SPIN movements performed by executed simulations.")
-	s.mSimRecovers = s.reg.counter("spind_sim_recoveries_total", "SPIN deadlock recoveries completed by executed simulations.")
-	s.mSimProbes = s.reg.counter("spind_sim_probes_total", "SPIN probe messages sent by executed simulations.")
-	s.mSimKillMoves = s.reg.counter("spind_sim_kill_moves_total", "SPIN kill_move messages sent by executed simulations.")
-	s.mSimDeadlocks = s.reg.counter("spind_sim_deadlock_firings_total", "Deadlock-oracle firings observed by executed simulations (checked requests only).")
-	s.mSimLatency = s.reg.histogram("spind_sim_packet_latency_cycles", "Packet-latency percentiles (quantile label) per executed simulation, in cycles.",
+	s.mSimSpins = s.reg.Counter("spind_sim_spins_total", "Synchronized SPIN movements performed by executed simulations.")
+	s.mSimRecovers = s.reg.Counter("spind_sim_recoveries_total", "SPIN deadlock recoveries completed by executed simulations.")
+	s.mSimProbes = s.reg.Counter("spind_sim_probes_total", "SPIN probe messages sent by executed simulations.")
+	s.mSimKillMoves = s.reg.Counter("spind_sim_kill_moves_total", "SPIN kill_move messages sent by executed simulations.")
+	s.mSimDeadlocks = s.reg.Counter("spind_sim_deadlock_firings_total", "Deadlock-oracle firings observed by executed simulations (checked requests only).")
+	s.mSimLatency = s.reg.Histogram("spind_sim_packet_latency_cycles", "Packet-latency percentiles (quantile label) per executed simulation, in cycles.",
 		[]float64{10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 100000})
-	s.mSpanSeconds = s.reg.histogram("spind_span_duration_seconds", "Request span durations by span name (per-peer spans collapse onto one label).",
+	s.mSpanSeconds = s.reg.Histogram("spind_span_duration_seconds", "Request span durations by span name (per-peer spans collapse onto one label).",
 		[]float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1, 5, 10, 30, 60})
 	s.tracer.OnEnd(func(d otrace.SpanData) {
 		s.mSpanSeconds.ObserveL(map[string]string{"span": d.MetricName()}, float64(d.Dur)/1e9)
 	})
-	s.reg.collectorFunc(func(w io.Writer) {
-		fmt.Fprintf(w, "# HELP spind_build_info Build identity of this daemon (value is always 1; the labels carry the information).\n")
-		fmt.Fprintf(w, "# TYPE spind_build_info gauge\n")
-		fmt.Fprintf(w, "spind_build_info{version=%q,commit=%q,go=%q} 1\n", s.build.Version, s.build.Commit, s.build.Go)
+	s.reg.GaugeSetFunc("spind_build_info", "Build identity of this daemon (value is always 1; the labels carry the information).", func() []prom.Sample {
+		return []prom.Sample{{Labels: prom.Labels("version", s.build.Version, "commit", s.build.Commit, "go", s.build.Go), Value: 1}}
 	})
 	snap := func(f func(cache.Stats) float64) func() float64 {
 		return func() float64 { return f(s.store.Snapshot()) }
 	}
-	s.reg.counterFunc("spind_cache_hits_total", "Requests answered from the result cache.",
+	s.reg.CounterFunc("spind_cache_hits_total", "Requests answered from the result cache.",
 		snap(func(st cache.Stats) float64 { return float64(st.Hits) }))
-	s.reg.counterFunc("spind_cache_disk_hits_total", "Cache hits served from the disk tier.",
+	s.reg.CounterFunc("spind_cache_disk_hits_total", "Cache hits served from the disk tier.",
 		snap(func(st cache.Stats) float64 { return float64(st.DiskHits) }))
-	s.reg.counterFunc("spind_cache_misses_total", "Requests that led a new computation.",
+	s.reg.CounterFunc("spind_cache_misses_total", "Requests that led a new computation.",
 		snap(func(st cache.Stats) float64 { return float64(st.Misses) }))
-	s.reg.counterFunc("spind_singleflight_shared_total", "Requests that joined an identical in-flight computation.",
+	s.reg.CounterFunc("spind_singleflight_shared_total", "Requests that joined an identical in-flight computation.",
 		snap(func(st cache.Stats) float64 { return float64(st.Shared) }))
-	s.reg.counterFunc("spind_compute_errors_total", "Led computations that failed (never cached).",
+	s.reg.CounterFunc("spind_compute_errors_total", "Led computations that failed (never cached).",
 		snap(func(st cache.Stats) float64 { return float64(st.Errors) }))
-	s.reg.counterFunc("spind_cache_corrupt_evictions_total", "On-disk cache entries that failed strict decode and were evicted (served as misses).",
+	s.reg.CounterFunc("spind_cache_corrupt_evictions_total", "On-disk cache entries that failed strict decode and were evicted (served as misses).",
 		snap(func(st cache.Stats) float64 { return float64(st.Corrupt) }))
-	s.reg.gaugeFunc("spind_cache_mem_entries", "Entries in the in-memory cache tier.",
+	s.reg.GaugeFunc("spind_cache_mem_entries", "Entries in the in-memory cache tier.",
 		snap(func(st cache.Stats) float64 { return float64(st.MemEntries) }))
-	s.reg.gaugeFunc("spind_uptime_seconds", "Seconds since the daemon started.",
+	s.reg.GaugeFunc("spind_uptime_seconds", "Seconds since the daemon started.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	s.reg.gaugeFunc("spind_workers_effective", "Resolved worker-pool size (concurrent simulations).",
+	s.reg.GaugeFunc("spind_workers_effective", "Resolved worker-pool size (concurrent simulations).",
 		func() float64 { return float64(s.workersEff) })
 
 	s.pool = runner.NewPool[[]byte](runner.PoolOptions{
 		Workers:   cfg.Workers,
 		QueueSize: cfg.QueueSize,
 		Timeout:   cfg.Timeout,
-		OnState: func(queued, running int) {
-			s.mQueued.Set(float64(queued))
-			s.mRunning.Set(float64(running))
-		},
 	})
 
 	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.handleSimulate))
@@ -291,13 +290,17 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("/v1/fleet", s.instrument("fleet", s.fleet.HandleAdmin))
 		s.mux.HandleFunc("/v1/gossip", s.fleet.HandleGossip)
 		s.mux.HandleFunc("/v1/cache/", s.fleet.HandleCache)
-		s.reg.collectorFunc(s.fleet.WriteMetrics)
+		s.reg.Collector(s.fleet.WriteMetrics)
 	}
 	return s, nil
 }
 
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// Workers reports the resolved worker-pool size (what
+// spind_workers_effective exposes).
+func (s *Server) Workers() int { return s.workersEff }
 
 // Close drains the worker pool. Call after the HTTP listener has shut
 // down, so no request is still waiting on a job.
@@ -330,28 +333,19 @@ type reqInfo struct {
 	id    string
 	cache string
 	key   string
-	fleet string // "-", "owner", "fill:<peer>", "proxy:<peer>", "fallback"
+	fleet string // "-", "owner", "fill:<peer>", "proxy:<peer>", "local", "fallback"
 	path  string // hop path, e.g. "nodeA>nodeB" ("" without a fleet)
-	// span is the request's root span; handlers hang child spans off it
-	// (decode, validate, cache, queue_wait, compute, fill/proxy hops).
+	// span is the request's root span; handlers hang the top-level child
+	// spans off it (decode, validate, cache — the rest nest under cache).
 	span *otrace.Span
 }
 
 type reqInfoKey struct{}
 
-// requestInfo retrieves the request record (nil outside instrument).
+// requestInfo retrieves the request record. Every handler that reads it
+// is mounted through instrument, which is what puts it there.
 func requestInfo(r *http.Request) *reqInfo {
-	info, _ := r.Context().Value(reqInfoKey{}).(*reqInfo)
-	return info
-}
-
-// requestSpan retrieves the request's root span (nil outside
-// instrument; every Span method is nil-safe, so callers never guard).
-func requestSpan(r *http.Request) *otrace.Span {
-	if info := requestInfo(r); info != nil {
-		return info.span
-	}
-	return nil
+	return r.Context().Value(reqInfoKey{}).(*reqInfo)
 }
 
 // nextRequestID mints a process-unique request ID: a start-time salt so
@@ -433,10 +427,7 @@ func sanitizeRequestID(id string) string {
 // httpError answers an error with the request ID appended, so a client
 // report can be matched to the daemon's log line.
 func httpError(w http.ResponseWriter, r *http.Request, msg string, code int) {
-	if info := requestInfo(r); info != nil {
-		msg += " (request " + info.id + ")"
-	}
-	http.Error(w, msg, code)
+	http.Error(w, msg+" (request "+requestInfo(r).id+")", code)
 }
 
 // handleHealthz reports liveness plus a queue snapshot. Liveness only:
@@ -475,8 +466,8 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // handleMetrics renders the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", metricsContentType)
-	s.reg.writeTo(w)
+	w.Header().Set("Content-Type", prom.ContentType)
+	s.reg.Render(w)
 }
 
 // errBadRequest marks errors caused by the request content (as opposed
@@ -486,25 +477,35 @@ type errBadRequest struct{ err error }
 func (e errBadRequest) Error() string { return e.err.Error() }
 func (e errBadRequest) Unwrap() error { return e.err }
 
+// decodeRequest is the shared request head of /v1/simulate and /v1/sweep:
+// POST only, a strict decode of a body of at most 1 MiB under a decode
+// span, then the request's own Validate under a validate span. A failure
+// is answered here (405 / 400) and reported as ok == false.
+func decodeRequest[T interface{ Validate() error }](w http.ResponseWriter, r *http.Request, what string, decode func(io.Reader) (T, error)) (req T, ok bool) {
+	if r.Method != http.MethodPost {
+		httpError(w, r, "POST a "+what+" JSON body", http.StatusMethodNotAllowed)
+		return req, false
+	}
+	span := requestInfo(r).span
+	ds := span.StartChild("decode")
+	req, err := decode(http.MaxBytesReader(w, r.Body, 1<<20))
+	ds.End()
+	if err == nil {
+		vs := span.StartChild("validate")
+		err = req.Validate()
+		vs.End()
+	}
+	if err != nil {
+		httpError(w, r, "bad request: "+err.Error(), http.StatusBadRequest)
+		return req, false
+	}
+	return req, true
+}
+
 // handleSimulate is POST /v1/simulate.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, r, "POST a scenario JSON body", http.StatusMethodNotAllowed)
-		return
-	}
-	span := requestSpan(r)
-	ds := span.StartChild("decode")
-	req, err := harness.DecodeStrict[SimRequest](http.MaxBytesReader(w, r.Body, 1<<20))
-	ds.End()
-	if err != nil {
-		httpError(w, r, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	vs := span.StartChild("validate")
-	err = req.Validate()
-	vs.End()
-	if err != nil {
-		httpError(w, r, "bad request: "+err.Error(), http.StatusBadRequest)
+	req, ok := decodeRequest(w, r, "scenario", harness.DecodeStrict[SimRequest])
+	if !ok {
 		return
 	}
 	if req.Epoch < 0 {
@@ -516,51 +517,33 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := req.normalized()
-	key := cache.KeyOf(ResultVersion+"/simulate", n.canonical())
+	canon := n.canonical()
+	key := cache.KeyOf(ResultVersion+"/simulate", canon)
+	var sse *sseWriter // ?stream=sse: a response mode, not part of the key (see stream.go)
+	var window int64
+	var onSample func(sim.WindowSample)
 	if stream := r.URL.Query().Get("stream"); stream != "" {
 		if stream != "sse" {
 			httpError(w, r, fmt.Sprintf("bad request: unknown stream mode %q (want sse)", stream), http.StatusBadRequest)
 			return
 		}
-		s.handleSimulateSSE(w, r, req, n, key)
-		return
+		if sse = newSSEWriter(w, key); sse == nil {
+			httpError(w, r, "streaming unsupported by this connection", http.StatusNotImplemented)
+			return
+		}
+		defer sse.close()
+		window, onSample = streamWindowFor(req, n), sse.sample
 	}
-	s.serveCached(w, r, key, s.onPool(span, key, func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
-		return s.runSim(ctx, n, key, 0, nil, cs)
-	}), &fleet.ProxySpec{Path: "/v1/simulate", Body: n.canonical()})
-}
-
-// onPool is the one path onto the worker pool: it wraps a computation
-// as the cache's compute function, recording the queue_wait span (ended
-// when the job is dequeued, or when the submit is rejected — the wasted
-// wait) and the compute span the job runs under.
-func (s *Server) onPool(span *otrace.Span, key string, run func(context.Context, *otrace.Span) ([]byte, error)) func(context.Context) ([]byte, error) {
-	return func(ctx context.Context) ([]byte, error) {
-		qw := span.StartChild("queue_wait")
-		b, err := s.pool.Submit(ctx, runner.Job[[]byte]{Key: key, Run: func(jctx context.Context, _ int64) ([]byte, error) {
-			qw.End()
-			cs := span.StartChild("compute")
-			defer cs.End()
-			return run(jctx, cs)
-		}})
-		qw.End()
-		return b, err
-	}
+	s.serveCached(w, r, key, fleet.ProxySpec{Path: "/v1/simulate", Body: canon}, sse,
+		func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
+			return s.runSim(ctx, n, key, window, onSample, cs)
+		})
 }
 
 // handleSweep is POST /v1/sweep.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, r, "POST a sweep request JSON body", http.StatusMethodNotAllowed)
-		return
-	}
-	req, err := exp.DecodeSweepRequest(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, r, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := req.Validate(); err != nil {
-		httpError(w, r, "bad request: "+err.Error(), http.StatusBadRequest)
+	req, ok := decodeRequest(w, r, "sweep request", exp.DecodeSweepRequest)
+	if !ok {
 		return
 	}
 	n := req.Normalized()
@@ -568,18 +551,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, fmt.Sprintf("bad request: cycles beyond this server's limit (%d)", s.cfg.MaxCycles), http.StatusBadRequest)
 		return
 	}
-	key := cache.KeyOf(ResultVersion+"/sweep", n.Canonical())
-	s.serveCached(w, r, key, s.onPool(requestSpan(r), key, func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
-		o := n.Options()
-		o.Workers = s.cfg.Workers
-		v, err := exp.Sweep(ctx, n.Fig, o)
-		if err != nil {
-			return nil, err
-		}
-		// The figure's canonical JSON IS the response body — the same
-		// bytes spinsweep -json prints, so CLI and API can never drift.
-		return encodeBody(cs, v)
-	}), &fleet.ProxySpec{Path: "/v1/sweep", Body: n.Canonical()})
+	canon := n.Canonical()
+	key := cache.KeyOf(ResultVersion+"/sweep", canon)
+	s.serveCached(w, r, key, fleet.ProxySpec{Path: "/v1/sweep", Body: canon}, nil,
+		func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
+			o := n.Options()
+			o.Workers = s.cfg.Workers
+			v, err := exp.Sweep(ctx, n.Fig, o)
+			if err != nil {
+				return nil, err
+			}
+			// The figure's canonical JSON IS the response body — the same
+			// bytes spinsweep -json prints, so CLI and API can never drift.
+			return encodeBody(cs, v)
+		})
 }
 
 // encodeBody renders a response value with the shared encoder under an
@@ -594,52 +579,75 @@ func encodeBody(span *otrace.Span, v interface{}) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// serveCached is the shared request tail: consult the cache (deduping
-// concurrent identical requests), run the computation on a miss, map
-// failure modes to status codes, and emit the result with cache
-// metadata headers. proxy, when non-nil and a fleet is attached, allows
-// the computation to be satisfied by the key's ring owner instead of
-// locally (see fleetCompute).
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) ([]byte, error), proxy *fleet.ProxySpec) {
+// serveCached is the one request tail, shared by /v1/simulate, /v1/sweep
+// and the SSE view of /v1/simulate: consult the cache (deduping
+// concurrent identical requests), on a miss run the computation — on the
+// pool, behind the fleet request path (see fleetCompute) — map failure
+// modes to status codes, and emit the result. proxy is the request in
+// the form the key's ring owner accepts. sse, when non-nil, selects the
+// event-stream response mode: heartbeats while waiting, the result (or
+// the error) as an event instead of a plain body.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, proxy fleet.ProxySpec, sse *sseWriter, run func(context.Context, *otrace.Span) ([]byte, error)) {
 	info := requestInfo(r)
-	var span *otrace.Span
-	if info != nil {
-		info.key = key
-		span = info.span
-	}
+	info.key = key
 	// One span covers lookup, singleflight join, and any led computation
 	// — its children (queue_wait, compute, fill/proxy) say which of
-	// those it was; the outcome attr says how the cache answered.
-	cs := span.StartChild("cache")
-	body, outcome, err := s.store.Do(r.Context(), key, s.fleetCompute(r, info, key, compute, proxy))
+	// those it was; the outcome attr says how the cache answered. Nothing
+	// but decode and validate sits beside it, so the root's children add
+	// up to the request.
+	cs := info.span.StartChild("cache")
+	body, outcome, err := sse.await(func() ([]byte, cache.Outcome, error) {
+		return s.store.Do(r.Context(), key, s.fleetCompute(r, cs, key, proxy, sse != nil, s.onPool(cs, key, run)))
+	})
+	info.cache = outcome.String()
 	if err != nil {
-		if info != nil {
-			info.cache = "error"
-		}
-		cs.SetAttr("outcome", "error")
-		cs.End()
-		s.writeError(w, r, key, err)
-		return
+		info.cache = "error"
 	}
-	if info != nil {
-		info.cache = outcome.String()
-	}
-	cs.SetAttr("outcome", outcome.String())
+	cs.SetAttr("outcome", info.cache)
 	cs.End()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", outcome.String())
-	w.Header().Set("X-Cache-Key", key)
-	if s.fleet != nil && info != nil {
-		w.Header().Set("X-Fleet", info.fleet)
-		w.Header().Set(fleet.HeaderPath, info.path)
+	switch {
+	case err != nil:
+		// A stream that has already written events reports in-band; one
+		// that has not (and every plain request) gets the status mapping.
+		if sse == nil || !sse.fail(info.id, err) {
+			s.writeError(w, r, err)
+		}
+	case sse != nil:
+		sse.event("result", body)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Cache", info.cache)
+		w.Header().Set("X-Cache-Key", key)
+		if s.fleet != nil {
+			w.Header().Set("X-Fleet", info.fleet)
+			w.Header().Set(fleet.HeaderPath, info.path)
+		}
+		if r.URL.Query().Get("trace") == "server" {
+			// The wrapper is assembled after Do, so the cache stores (and
+			// fills/backfills ship) only the inner result bytes — tracing a
+			// request never perturbs what the fleet caches.
+			body = s.wrapServerTrace(info.span, body)
+		}
+		w.Write(body)
 	}
-	if r.URL.Query().Get("trace") == "server" {
-		// The wrapper is assembled after Do, so the cache stores (and
-		// fills/backfills ship) only the inner result bytes — tracing a
-		// request never perturbs what the fleet caches.
-		body = s.wrapServerTrace(span, body)
+}
+
+// onPool is the one path onto the worker pool: it wraps a computation
+// as the cache's compute function, recording under parent the queue_wait
+// span (ended when the job is dequeued, or when the submit is rejected —
+// the wasted wait) and the compute span the job runs under.
+func (s *Server) onPool(parent *otrace.Span, key string, run func(context.Context, *otrace.Span) ([]byte, error)) func(context.Context) ([]byte, error) {
+	return func(ctx context.Context) ([]byte, error) {
+		qw := parent.StartChild("queue_wait")
+		b, err := s.pool.Submit(ctx, runner.Job[[]byte]{Key: key, Run: func(jctx context.Context, _ int64) ([]byte, error) {
+			qw.End()
+			cs := parent.StartChild("compute")
+			defer cs.End()
+			return run(jctx, cs)
+		}})
+		qw.End()
+		return b, err
 	}
-	w.Write(body)
 }
 
 // fleetCompute wraps a local computation with the fleet request path:
@@ -651,8 +659,11 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 //     one, so it simply becomes our cached value);
 //  4. on fill miss with a healthy owner, proxy the canonical request to
 //     it, so each simulation runs once fleet-wide, on its owner, with
-//     the owner's own singleflight deduping concurrent callers;
-//  5. on owner failure, compute locally and backfill the result to the
+//     the owner's own singleflight deduping concurrent callers — unless
+//     the request streams: its samples only exist where the simulation
+//     runs, so a streamed miss leads locally ("local");
+//  5. on owner failure ("fallback"), compute locally; either way a
+//     result computed for a key we do not own is backfilled to the
 //     ring, so availability never depends on any single node.
 //
 // The wrapper runs inside cache.Store.Do, so everything downstream of
@@ -660,20 +671,15 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 // N concurrent identical requests on this node cost one fill/proxy hop.
 // Requests already forwarded once (X-Fleet-Forwarded) always compute
 // locally; divergent ring views must not bounce a request around.
-func (s *Server) fleetCompute(r *http.Request, info *reqInfo, key string, compute func(context.Context) ([]byte, error), proxy *fleet.ProxySpec) func(context.Context) ([]byte, error) {
+func (s *Server) fleetCompute(r *http.Request, parent *otrace.Span, key string, proxy fleet.ProxySpec, streamed bool, compute func(context.Context) ([]byte, error)) func(context.Context) ([]byte, error) {
 	if s.fleet == nil || r.Header.Get(fleet.HeaderForwarded) != "" {
 		return compute
 	}
-	var reqID, hopPath string
-	var span *otrace.Span
-	if info != nil {
-		reqID, hopPath = info.id, info.path
-		span = info.span
-	}
+	info := requestInfo(r)
 	return func(ctx context.Context) ([]byte, error) {
 		owner, ok := s.fleet.Owner(key)
 		if !ok || owner.Self {
-			if info != nil && ok {
+			if ok {
 				info.fleet = "owner"
 			}
 			return compute(ctx)
@@ -681,43 +687,49 @@ func (s *Server) fleetCompute(r *http.Request, info *reqInfo, key string, comput
 		// Each peer hop gets its own span, and the hop carries that
 		// span's traceparent: whatever the peer records becomes a child
 		// of the hop, not of the whole request.
-		fs := span.StartChild("fill")
-		b, peer, hit := s.fleet.Fill(ctx, key, fleet.Hop{ReqID: reqID, Path: hopPath, Traceparent: fs.Traceparent()})
+		hop := func(span *otrace.Span) fleet.Hop {
+			return fleet.Hop{ReqID: info.id, Path: info.path, Traceparent: span.Traceparent()}
+		}
+		fs := parent.StartChild("fill")
+		b, peer, hit := s.fleet.Fill(ctx, key, hop(fs))
 		if hit {
 			fs.SetAttr("peer", peer)
 			fs.End()
-			if info != nil {
-				info.fleet = "fill:" + peer
-			}
+			info.fleet = "fill:" + peer
 			return b, nil
 		}
 		fs.SetAttr("outcome", "miss")
 		fs.End()
-		if proxy != nil && owner.State == fleet.StateAlive {
-			ps := span.StartChild("proxy:" + owner.ID)
-			ps.SetMetricName("proxy")
-			b, upPath, err := s.fleet.Proxy(ctx, owner, *proxy, fleet.Hop{ReqID: reqID, Path: hopPath, Traceparent: ps.Traceparent()})
-			if err == nil {
-				ps.End()
-				if info != nil {
+		// A fallback is a local compute the owner should have done: it is
+		// not alive, or it is and the proxy to it failed.
+		how := "fallback"
+		if owner.State == fleet.StateAlive {
+			if streamed {
+				how = "local"
+			} else {
+				ps := parent.StartChild("proxy:" + owner.ID)
+				ps.SetMetricName("proxy")
+				b, upPath, err := s.fleet.Proxy(ctx, owner, proxy, hop(ps))
+				if err == nil {
+					ps.End()
 					info.fleet = "proxy:" + owner.ID
 					if upPath != "" {
 						info.path = upPath
 					}
+					return b, nil
 				}
-				return b, nil
+				// Proxy failure is already counted and logged by the fleet;
+				// fall through to local compute.
+				ps.SetAttr("error", err.Error())
+				ps.End()
 			}
-			ps.SetAttr("error", err.Error())
-			ps.End()
-			// Proxy failure is already counted and logged by the fleet;
-			// fall through to local compute.
 		}
 		b, err := compute(ctx)
 		if err == nil {
-			if info != nil {
-				info.fleet = "fallback"
+			info.fleet = how
+			if how == "fallback" {
+				s.fleet.Fallback()
 			}
-			s.fleet.Fallback()
 			s.fleet.Backfill(key, b)
 		}
 		return b, err
@@ -725,7 +737,7 @@ func (s *Server) fleetCompute(r *http.Request, info *reqInfo, key string, comput
 }
 
 // writeError maps computation failures onto HTTP semantics.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, key string, err error) {
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	var pe *runner.PanicError
 	var bad errBadRequest
 	switch {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/harness"
+	"repro/internal/prom"
 )
 
 // newTestServer builds a Server over a fresh store. Callers must Close.
@@ -317,7 +318,7 @@ func TestMetricsExposition(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != metricsContentType {
+	if ct := rec.Header().Get("Content-Type"); ct != prom.ContentType {
 		t.Fatalf("content type = %q", ct)
 	}
 	text := rec.Body.String()

@@ -2,14 +2,12 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/otrace"
 	"repro/internal/sim"
 )
 
@@ -28,9 +26,10 @@ import (
 //	: keepalive     comment heartbeats while waiting (cache hits and
 //	                singleflight waiters see no samples, only the result)
 //
-// The stream flag is a transport knob, not a request parameter: it is
-// excluded from the canonical encoding, so streaming and non-streaming
-// callers share one cache entry and one singleflight flight.
+// The stream flag is a response mode of the shared request tail
+// (serveCached), not a request parameter: it is excluded from the
+// canonical encoding, so streaming and non-streaming callers share one
+// cache entry and one singleflight flight.
 
 // sseWriter serializes writes to one event-stream connection. The
 // computation leader outlives its own handler when other waiters remain
@@ -46,46 +45,50 @@ type sseWriter struct {
 	wrote  bool
 }
 
+// newSSEWriter puts the connection into event-stream mode (nil when it
+// cannot flush).
+func newSSEWriter(w http.ResponseWriter, key string) *sseWriter {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		return nil
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("X-Accel-Buffering", "no")
+	w.Header().Set("X-Cache-Key", key)
+	return &sseWriter{w: w, fl: fl}
+}
+
+// write sends one framed block — an event, or a comment line (clients
+// ignore it; proxies see traffic and keep the connection open) — and
+// flushes it.
+func (s *sseWriter) write(block []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.wrote = true
+	s.w.Write(block)
+	s.fl.Flush()
+}
+
 // event emits one named event; multi-line data is split across data:
 // lines per the SSE framing rules.
 func (s *sseWriter) event(name string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.wrote = true
-	s.w.Write([]byte("event: " + name + "\n"))
+	block := []byte("event: " + name + "\n")
 	for _, line := range bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n")) {
-		s.w.Write([]byte("data: "))
-		s.w.Write(line)
-		s.w.Write([]byte("\n"))
+		block = append(append(append(block, "data: "...), line...), '\n')
 	}
-	s.w.Write([]byte("\n"))
-	s.fl.Flush()
-}
-
-// comment emits an SSE comment line (clients ignore it; proxies see
-// traffic and keep the connection open).
-func (s *sseWriter) comment(text string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.wrote = true
-	s.w.Write([]byte(": " + text + "\n\n"))
-	s.fl.Flush()
+	s.write(append(block, '\n'))
 }
 
 // close detaches the writer from the connection; subsequent events are
-// dropped. Returns whether anything was ever written (an untouched
-// stream can still fall back to a plain HTTP error).
-func (s *sseWriter) close() bool {
+// dropped.
+func (s *sseWriter) close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.closed = true
-	return s.wrote
+	s.mu.Unlock()
 }
 
 // streamWindowFor picks the sample-window size for a streamed run: the
@@ -98,99 +101,57 @@ func streamWindowFor(req, n SimRequest) int64 {
 	if req.Epoch > 0 {
 		return req.Epoch
 	}
-	w := n.Cycles / 50
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(n.Cycles/50, 1)
 }
 
-// handleSimulateSSE is POST /v1/simulate?stream=sse. req is the decoded
-// request, n its canonical form, key the shared content address.
-func (s *Server) handleSimulateSSE(w http.ResponseWriter, r *http.Request, req, n SimRequest, key string) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, r, "streaming unsupported by this connection", http.StatusNotImplemented)
-		return
+// sample emits one closed telemetry window.
+func (s *sseWriter) sample(smp sim.WindowSample) {
+	if b, err := json.Marshal(smp); err == nil {
+		s.event("sample", b)
 	}
-	info := requestInfo(r)
-	span := requestSpan(r)
-	if info != nil {
-		info.key = key
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.Header().Set("X-Cache-Key", key)
-	sw := &sseWriter{w: w, fl: fl}
-	defer sw.close()
+}
 
-	window := streamWindowFor(req, n)
-	compute := s.onPool(span, key, func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
-		return s.runSim(ctx, n, key, window, func(smp sim.WindowSample) {
-			b, err := json.Marshal(smp)
-			if err != nil {
-				return
-			}
-			sw.event("sample", b)
-		}, cs)
-	})
-
-	// Do blocks until the flight finishes; run it aside so this handler
-	// can heartbeat the connection meanwhile (a cache hit returns before
-	// the first tick; a shared waiter may sit for minutes).
-	type result struct {
-		body    []byte
-		outcome cache.Outcome
-		err     error
+// fail reports a failure in-band, with the request ID for log
+// correlation, and returns true — unless nothing has been written yet:
+// then the status line is still available, the caller falls back to the
+// plain HTTP error mapping (status codes stay meaningful for non-led
+// requests) and fail returns false.
+func (s *sseWriter) fail(requestID string, err error) bool {
+	s.mu.Lock()
+	wrote := s.wrote
+	s.mu.Unlock()
+	if !wrote {
+		return false
 	}
-	done := make(chan result, 1)
+	b, _ := json.Marshal(struct {
+		Error   string `json:"error"`
+		Request string `json:"request_id,omitempty"`
+	}{err.Error(), requestID})
+	s.event("error", b)
+	return true
+}
+
+// await runs do — the cache lookup and whatever computation it leads or
+// joins. In plain mode (a nil writer) that is all; a stream runs it aside
+// and heartbeats the connection until it returns: a cache hit is back
+// before the first tick, a shared waiter may sit for minutes.
+func (s *sseWriter) await(do func() ([]byte, cache.Outcome, error)) (body []byte, outcome cache.Outcome, err error) {
+	if s == nil {
+		return do()
+	}
+	done := make(chan struct{})
 	go func() {
-		body, outcome, err := s.store.Do(r.Context(), key, s.fleetCompute(r, info, key, compute, nil))
-		done <- result{body, outcome, err}
+		defer close(done)
+		body, outcome, err = do()
 	}()
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
-			sw.comment("keepalive")
-		case res := <-done:
-			if res.err != nil {
-				if info != nil {
-					info.cache = "error"
-				}
-				s.streamError(w, r, sw, key, res.err)
-				return
-			}
-			if info != nil {
-				info.cache = res.outcome.String()
-			}
-			sw.event("result", res.body)
-			return
+			s.write([]byte(": keepalive\n\n"))
+		case <-done:
+			return body, outcome, err
 		}
 	}
-}
-
-// streamError reports a failure on a stream. If nothing has been
-// written yet the response falls back to the plain HTTP error mapping
-// (status codes stay meaningful for non-led requests); otherwise the
-// status line is long gone and the error travels in-band.
-func (s *Server) streamError(w http.ResponseWriter, r *http.Request, sw *sseWriter, key string, err error) {
-	sw.mu.Lock()
-	wrote := sw.wrote
-	sw.mu.Unlock()
-	if !wrote {
-		s.writeError(w, r, key, err)
-		return
-	}
-	msg := struct {
-		Error   string `json:"error"`
-		Request string `json:"request_id,omitempty"`
-	}{Error: err.Error()}
-	if info := requestInfo(r); info != nil {
-		msg.Request = info.id
-	}
-	b, _ := json.Marshal(msg)
-	sw.event("error", b)
 }

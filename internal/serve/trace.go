@@ -69,9 +69,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // client has the trace ID and can GET /v1/trace/<id> for the merged
 // tree once the hop spans land.
 func (s *Server) wrapServerTrace(span *otrace.Span, body []byte) []byte {
-	if span == nil {
-		return body
-	}
 	spans := s.tracer.Trace(span.TraceID())
 	if d, ok := span.Snapshot(); ok {
 		spans = append(spans, d)

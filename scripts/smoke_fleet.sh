@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# End-to-end smoke test for a spind fleet: boot three gossiping daemons
-# plus a single-node reference, wait for readiness (first gossip round),
-# fan a seed sweep across the fleet round-robin and assert every
-# response is byte-identical (sha256) to the reference node's answer,
-# repeat the sweep rotated one node over and prove zero new simulations
-# ran (the fleet answered from its distributed cache), stream one
-# request over SSE, trace one proxied request end to end (traceparent
-# propagation across the hop, both nodes logging the same trace ID, a
-# merged /v1/trace timeline with spans from >=2 nodes, a
-# Perfetto-loadable rendering), SIGKILL a node mid-sweep and assert the survivors
-# answer everything — still byte-identical — and detect the death via
-# gossip. With SMOKE_ARTIFACTS_DIR set, per-node logs and metrics are
-# left there for CI to upload. Run from the repo root.
+# End-to-end smoke test for a spind fleet — only what needs real
+# processes and real sockets: boot three gossiping daemons plus a
+# single-node reference, fan a seed sweep (and one /v1/sweep) across the
+# fleet and assert every response is byte-identical (sha256) to the
+# reference node's answer, trace one proxied request end to end
+# (traceparent across the hop, both nodes logging the same trace ID, a
+# merged /v1/trace timeline with spans from >=2 nodes, a Perfetto-loadable
+# rendering), and SIGKILL a node mid-sweep and assert the survivors answer
+# everything, still byte-identical. Membership, failure detection,
+# partitions, slow peers, restarts, failed backfills, repeat-hits and SSE
+# are table tests on an in-memory transport and a stepped clock
+# (go test ./internal/fleet ./internal/serve). With SMOKE_ARTIFACTS_DIR
+# set, per-node logs and metrics are left there for CI to upload. Run
+# from the repo root.
 set -euo pipefail
 
 BASE="${SPIND_FLEET_BASE_PORT:-18190}"
@@ -95,39 +96,11 @@ sha256sum "$TMP"/ref-*.json > "$TMP/ref.sha256"
 ( cd "$TMP" && sed 's/ref-/fleet-/' ref.sha256 | sha256sum -c --quiet ) \
   || { echo "fleet responses not byte-identical to reference"; exit 1; }
 
-sim_count() { # total executed simulations across the fleet
-  local total=0 c
-  for a in "$A1" "$A2" "$A3"; do
-    c="$(curl -fsS "http://$a/metrics" | awk '/^spind_simulation_duration_seconds_count /{print $2}')"
-    total=$((total + ${c:-0}))
-  done
-  echo "$total"
-}
-
-echo "== repeat the sweep rotated one node over: zero new simulations"
-before="$(sim_count)"
-for seed in $(seq 1 9); do
-  node="${NODES[$(( seed % 3 ))]}"
-  curl -fsS -D "$TMP/h" -o "$TMP/again-$seed.json" -d "$(body "$seed")" "http://$node/v1/simulate"
-  cmp "$TMP/ref-$seed.json" "$TMP/again-$seed.json" \
-    || { echo "repeated seed $seed differs"; exit 1; }
-done
-after="$(sim_count)"
-[ "$before" -eq "$after" ] \
-  || { echo "repeat sweep ran $((after - before)) new simulations, want 0"; exit 1; }
-echo "   executed simulations fleet-wide: $after (unchanged across repeat)"
-
 echo "== sweep endpoint across the hop"
 SWEEP='{"fig":"10","cycles":5000,"warmup":500}'
 curl -fsS -o "$TMP/sweep-ref.json" -d "$SWEEP" "http://$REF/v1/sweep"
 curl -fsS -o "$TMP/sweep-n2.json" -d "$SWEEP" "http://$A2/v1/sweep"
 cmp "$TMP/sweep-ref.json" "$TMP/sweep-n2.json" || { echo "sweep differs from reference"; exit 1; }
-
-echo "== SSE stream"
-SSEBODY='{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","traffic":"uniform_random","rate":0.05,"cycles":2000,"seed":77,"telemetry":true,"epoch":200}'
-curl -fsSN -o "$TMP/sse.txt" -d "$SSEBODY" "http://$A1/v1/simulate?stream=sse"
-grep -q '^event: sample' "$TMP/sse.txt" || { echo "SSE stream carried no sample events:"; cat "$TMP/sse.txt"; exit 1; }
-grep -q '^event: result' "$TMP/sse.txt" || { echo "SSE stream carried no result event"; exit 1; }
 
 echo "== distributed tracing: traceparent propagation across a proxied hop"
 TID="feedfacecafebeeffeedfacecafebeef"
@@ -159,10 +132,6 @@ grep -q '"traceEvents"' "$TMP/trace-merged-perfetto.json" \
   || { echo "merged perfetto trace malformed:"; cat "$TMP/trace-merged-perfetto.json"; exit 1; }
 echo "   merged timeline spans $nodes nodes (proxied seed $PROXIED, owner $OWNER)"
 
-echo "== build identity gossiped into the fleet view"
-grep -q '"version":' "$TMP/fleet.json" \
-  || { echo "fleet members carry no version field:"; cat "$TMP/fleet.json"; exit 1; }
-
 echo "== SIGKILL n3 mid-sweep: survivors keep answering, byte-identical"
 N3_PID="${PIDS[3]}"
 for seed in $(seq 20 25); do
@@ -186,17 +155,4 @@ n3_status=0
 wait "$N3_PID" 2>/dev/null || n3_status=$?
 [ "$n3_status" -eq 137 ] || { echo "n3 exited with status $n3_status, want 137 (SIGKILL)"; exit 1; }
 
-echo "== gossip notices the death"
-for i in $(seq 1 75); do
-  alive="$(curl -fsS "http://$A1/v1/fleet" | grep -c '"state": "alive"' || true)"
-  [ "$alive" -le 2 ] && break
-  sleep 0.2
-done
-[ "$alive" -le 2 ] || { echo "n1 still sees $alive alive members after killing n3"; exit 1; }
-
-echo "== graceful drain of the survivors"
-kill -TERM "${PIDS[1]}" "${PIDS[2]}" "${PIDS[0]}"
-wait "${PIDS[1]}" "${PIDS[2]}" "${PIDS[0]}" 2>/dev/null || true
-
-grep -q '"fleet":' "$TMP/n1.log" || { echo "n1 request log has no fleet fields:"; cat "$TMP/n1.log"; exit 1; }
 echo "smoke_fleet: OK"
