@@ -25,6 +25,7 @@ import (
 	"time"
 
 	spin "repro"
+	"repro/internal/sim"
 )
 
 // Workload is one benchmarked configuration.
@@ -38,7 +39,15 @@ type Workload struct {
 	Warmup int64
 	// Cycles measured.
 	Cycles int64
+	// Attach, when set, attaches observers before the warm-up; the func it
+	// returns, if any, is their verdict, read after the measurement. A row
+	// named after a plain row plus CheckSuffix is that row under the
+	// invariant checker, gated on its ratio to it: the checker's tax.
+	Attach func(*sim.Network) func() error
 }
+
+// CheckSuffix marks a workload measured with the invariant checker on.
+const CheckSuffix = "+check"
 
 // Result is one workload's measurement.
 type Result struct {
@@ -47,6 +56,11 @@ type Result struct {
 	AllocsPerCycle float64 `json:"allocs_per_cycle"`
 	BytesPerCycle  float64 `json:"bytes_per_cycle"`
 	Cycles         int64   `json:"cycles"`
+	// BeforeNsPerCycle is the row as measured at the parent of the commit
+	// that last changed what it times, on the machine and in the session
+	// that wrote NsPerCycle: the "before" of a recorded speed-up. -update
+	// carries it over; only the commit making the claim edits it.
+	BeforeNsPerCycle float64 `json:"before_ns_per_cycle,omitempty"`
 }
 
 // Report is the BENCH_sim.json schema.
@@ -138,6 +152,10 @@ func Measure(w Workload) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("bench %s: %w", w.Name, err)
 	}
+	var verdict func() error
+	if w.Attach != nil {
+		verdict = w.Attach(s.Network())
+	}
 	s.Run(w.Warmup)
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -146,6 +164,11 @@ func Measure(w Workload) (Result, error) {
 	s.Run(w.Cycles)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
+	if verdict != nil {
+		if err := verdict(); err != nil {
+			return Result{}, fmt.Errorf("bench %s: %w", w.Name, err)
+		}
+	}
 	n := float64(w.Cycles)
 	return Result{
 		Name:           w.Name,
@@ -182,12 +205,12 @@ func Calibrate() float64 {
 	return best
 }
 
-// Collect measures every workload (best ns of reps runs each; allocation
-// counts come from the first run, which is deterministic) and stamps the
-// report with the machine calibration.
-func Collect(reps int) (Report, error) {
+// Collect measures every workload of the matrix, then extra (best ns of reps
+// runs each; allocation counts come from the first run, which is
+// deterministic) and stamps the report with the machine calibration.
+func Collect(reps int, extra ...Workload) (Report, error) {
 	rep := Report{Schema: Schema, GoVersion: runtime.Version(), CalibrationNs: Calibrate()}
-	for _, w := range append(Workloads(), ScaleWorkloads()...) {
+	for _, w := range append(append(Workloads(), ScaleWorkloads()...), extra...) {
 		var best Result
 		for i := 0; i < reps; i++ {
 			r, err := Measure(w)

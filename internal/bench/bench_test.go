@@ -2,17 +2,39 @@ package bench
 
 import (
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	spin "repro"
+	"repro/internal/harness"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
+
+// checkedWorkloads are the rows measured under the invariant checker,
+// attached with the options harness.Drive derives. They live in the test
+// file because only harness.Drive and tests may attach one
+// (TestOneRunDriver).
+func checkedWorkloads() []Workload {
+	var ws []Workload
+	for _, w := range Workloads() {
+		if w.Name == "mesh8x8/sat" || w.Name == "torus8x8/spin1vc" {
+			sc := harness.Scenario{Scheme: w.Cfg.Scheme, TDD: w.Cfg.TDD}
+			w.Name += CheckSuffix
+			w.Attach = func(n *sim.Network) func() error {
+				return n.AttachChecker(sc.CheckOptions(n.NumRouters())).Err
+			}
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
 
 var update = flag.Bool("update", false, "rewrite BENCH_sim.json from this machine's measurements")
 
@@ -23,7 +45,9 @@ const baselineFile = "BENCH_sim.json"
 // after scaling the baseline by the machines' calibration ratio and
 // allowing 10% noise; allocations and bytes per cycle are
 // machine-independent and compare directly (allocations near-exactly,
-// bytes with slack for allocator bucketing).
+// bytes with slack for allocator bucketing). A checked row (CheckSuffix) is
+// gated on its ratio to its plain row instead — the checker's tax, which
+// needs no calibration and does not move when Step itself gets faster.
 //
 // The wall-clock limit only fails the test when BENCH_STRICT is set in
 // the environment (the CI bench job sets it and runs this package
@@ -38,11 +62,17 @@ func TestBenchRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cur, err := Collect(3)
+	cur, err := Collect(3, checkedWorkloads()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *update {
+		if old, err := Load(baselineFile); err == nil {
+			for i, w := range cur.Workloads {
+				prev, _ := old.Find(w.Name)
+				cur.Workloads[i].BeforeNsPerCycle = prev.BeforeNsPerCycle
+			}
+		}
 		if err := cur.Write(baselineFile); err != nil {
 			t.Fatal(err)
 		}
@@ -63,16 +93,21 @@ func TestBenchRegression(t *testing.T) {
 			continue
 		}
 		limit := want.NsPerCycle * scale * 1.10
-		t.Logf("%-14s %8.0f ns/cycle (limit %8.0f)  %6.3f allocs/cycle  %8.1f B/cycle",
+		gate := fmt.Sprintf("%.0f ns/cycle exceeds %.0f (baseline %.0f x calibration %.2f x 1.10)", got.NsPerCycle, limit, want.NsPerCycle, scale)
+		over := got.NsPerCycle > limit
+		if plain, checked := strings.CutSuffix(got.Name, CheckSuffix); checked {
+			gotPlain, _ := cur.Find(plain)
+			wantPlain, _ := base.Find(plain)
+			tax, baseTax := got.NsPerCycle/gotPlain.NsPerCycle, want.NsPerCycle/wantPlain.NsPerCycle
+			gate = fmt.Sprintf("%.2fx its plain row exceeds %.2fx (baseline %.2fx x 1.10)", tax, baseTax*1.10, baseTax)
+			over = tax > baseTax*1.10
+		}
+		t.Logf("%-22s %8.0f ns/cycle (limit %8.0f)  %6.3f allocs/cycle  %8.1f B/cycle",
 			got.Name, got.NsPerCycle, limit, got.AllocsPerCycle, got.BytesPerCycle)
-		if got.NsPerCycle > limit {
-			msg := "%s: %.0f ns/cycle exceeds %.0f (baseline %.0f x calibration %.2f x 1.10)"
-			if os.Getenv("BENCH_STRICT") != "" {
-				t.Errorf(msg, got.Name, got.NsPerCycle, limit, want.NsPerCycle, scale)
-			} else {
-				t.Logf(msg+" — advisory only; set BENCH_STRICT=1 to enforce",
-					got.Name, got.NsPerCycle, limit, want.NsPerCycle, scale)
-			}
+		if over && os.Getenv("BENCH_STRICT") != "" {
+			t.Errorf("%s: %s", got.Name, gate)
+		} else if over {
+			t.Logf("%s: %s — advisory only; set BENCH_STRICT=1 to enforce", got.Name, gate)
 		}
 		if got.AllocsPerCycle > want.AllocsPerCycle+0.01 {
 			t.Errorf("%s: %.3f allocs/cycle exceeds baseline %.3f",
@@ -96,7 +131,7 @@ func stepAllocBudget(t *testing.T, name string, runs int, attach func(*sim.Netwo
 	}
 	t.Run(name, func(t *testing.T) {
 		var w Workload
-		for _, cand := range Workloads() {
+		for _, cand := range append(Workloads(), checkedWorkloads()...) {
 			if cand.Name == name {
 				w = cand
 			}
@@ -107,6 +142,9 @@ func stepAllocBudget(t *testing.T, name string, runs int, attach func(*sim.Netwo
 		s, err := spin.New(w.Cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if w.Attach != nil {
+			w.Attach(s.Network())
 		}
 		if attach != nil {
 			attach(s.Network())
@@ -173,6 +211,24 @@ func TestStepAllocBudgetObserverSet(t *testing.T) {
 				t.Errorf("sampler closed %d windows (want 80) or the histogram is empty", len(ts.Samples))
 			}
 		})
+}
+
+// TestStepAllocBudgetChecker is the same gate with the invariant checker
+// attached as harness.Drive attaches it: the delta pass, the audits and the
+// oracle samples that fall among the measured cycles run out of scratch the
+// checker and the network keep, and delivered packets still recycle. Only
+// the delivered-ID set grows, by doubling: rarely enough to round to zero.
+func TestStepAllocBudgetChecker(t *testing.T) {
+	for _, name := range []string{"mesh8x8/sat" + CheckSuffix, "torus8x8/spin1vc" + CheckSuffix} {
+		stepAllocBudget(t, name, 300, nil, func(t *testing.T, n *sim.Network) {
+			if err := n.Checker().Err(); err != nil {
+				t.Error(err)
+			}
+			if name == "torus8x8/spin1vc"+CheckSuffix && n.Checker().OracleFirings() == 0 {
+				t.Error("the oracle never fired in the 1-VC regime: its samples were not exercised")
+			}
+		})
+	}
 }
 
 // TestStepAllocBudgetWorkloads extends the zero-alloc gate to the shaped
@@ -255,11 +311,14 @@ func TestStepAllocBudgetWorkloads(t *testing.T) {
 // BenchmarkStep exposes the workload matrix to `go test -bench` so CI
 // and benchstat see standard ns/op + allocs/op series per cycle.
 func BenchmarkStep(b *testing.B) {
-	for _, w := range append(Workloads(), ScaleWorkloads()...) {
+	for _, w := range append(append(Workloads(), ScaleWorkloads()...), checkedWorkloads()...) {
 		b.Run(w.Name, func(b *testing.B) {
 			s, err := spin.New(w.Cfg)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if w.Attach != nil {
+				w.Attach(s.Network())
 			}
 			s.Run(w.Warmup)
 			b.ReportAllocs()

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -406,6 +407,31 @@ func mustScenario(t *testing.T, body string) harness.Scenario {
 // pinnedTraceB64 is a fixed 24-entry spintrace-v1 upload, spelled out so
 // the key below does not depend on this build's gzip output.
 const pinnedTraceB64 = "H4sIAAAAAAAA/wTAu63CMBiG4ff7L3Fsx8kpT8UGFIyEEAUNQoAQNWMwLc/jdrk+78fTef86tP83SCA3sHTwEihqQnbBNAzK5mhWQPWEloJeDC3VYfSAdSRsCGEGCgebAnxOFE2Qi8G0OhSCv933wy8AAP//cSIZ2YwAAAA="
+
+// TestCheckedResponsePinned holds the bytes a client gets for a checked
+// miss — the benchmark's miss_checked body, seed fixed — to their digest
+// from before the invariant checker went incremental (PR 19): the verdict,
+// the oracle counts and the telemetry of a clean run must not depend on
+// which VCs the checker looks at.
+func TestCheckedResponsePinned(t *testing.T) {
+	req := SimRequest{Scenario: harness.Scenario{
+		Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin",
+		Traffic: "uniform_random", Rate: 0.2, VCsPerVNet: 3, Seed: 1_100_000, Cycles: 1000,
+	}}
+	req.Check, req.Telemetry, req.Epoch = true, true, 20
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := post(t, newTestServer(t, Config{Workers: 1}).Handler(), "/v1/simulate", string(body))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s", rec.Code, rec.Body)
+	}
+	const want = "020fba7bb433cfcbd25b0ee13261243bea2398b1b750ad67fe633ced3ee925a0"
+	if got := fmt.Sprintf("%x", sha256.Sum256(rec.Body.Bytes())); got != want {
+		t.Errorf("checked response digest %s, want %s", got, want)
+	}
+}
 
 // TestCacheKeysPinned holds the content addresses of fixed requests to
 // the values computed before the request-normalisation helpers were

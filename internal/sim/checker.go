@@ -1,17 +1,27 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // The invariant checker is the runtime counterpart of the static CDG
-// analysis: an always-on observer that asserts, every cycle, the
-// structural contracts the simulator's correctness argument rests on —
-// flit conservation, credit/free-slot accounting, the virtual cut-through
-// interleave contract, reservation consistency, exactly-once delivery,
-// hop bounds, and the SPIN liveness bounds (no VC stalls forever; no
-// oracle-visible deadlock survives past the recovery bound). The fuzzing
-// harness in internal/harness attaches one to every generated scenario;
-// tests attach one to hand-built networks via Network.AttachChecker or
-// ask for a one-shot sweep via Network.CheckStructural.
+// analysis: an always-on observer that asserts the structural contracts the
+// simulator's correctness argument rests on — flit conservation,
+// credit/free-slot accounting, the virtual cut-through interleave contract,
+// reservation consistency, worklist upkeep, exactly-once delivery, hop
+// bounds, and the SPIN liveness bounds (no VC stalls forever; no
+// oracle-visible deadlock survives past the recovery bound). harness.Drive
+// attaches one to every checked run; tests attach one to hand-built networks
+// (Network.AttachChecker) or ask for one audit (Network.CheckStructural).
+//
+// A VC whose state did not change cannot change its verdict, so the
+// structural rules run as two passes over the same rule bodies. Every cycle
+// the delta pass looks at the VCs commit refreshed (Network.dirtyVCs), the
+// destinations of flits on active links and, for the worklist bits alone,
+// the occupied VCs. The audit walks everything, NIC and router sets too,
+// every auditEvery cycles and whenever the verdict is read: it catches what
+// bypassed markDirty, at most auditEvery-1 cycles late.
 
 // Violation is one invariant breach observed by an InvariantChecker.
 type Violation struct {
@@ -39,13 +49,14 @@ const (
 	RuleWorklist      = "worklist"       // an engine worklist bitset disagrees with the state it indexes (a missed wake-up is a silent stall)
 )
 
+// auditEvery is the audit's cadence in cycles: a few percent of a saturated
+// Step (every cycle, it cost two), half the default SPIN detection threshold.
+const auditEvery = 64
+
 // CheckOptions configures an InvariantChecker. The zero value enables the
-// per-cycle structural checks (conservation, credit, VCT, reservation,
+// structural checks (conservation, credit, VCT, reservation, worklist,
 // delivery, hop bound) and disables the liveness bounds.
 type CheckOptions struct {
-	// Every is the structural sweep interval in cycles (default 1: every
-	// cycle). Raising it trades detection latency for speed on big runs.
-	Every int64
 	// StallBound, when > 0, flags any VC whose front flit is unchanged
 	// for more than StallBound consecutive cycles — the forward-progress
 	// bound. It must exceed the scheme's worst-case legitimate wait
@@ -69,9 +80,6 @@ type CheckOptions struct {
 }
 
 func (o *CheckOptions) setDefaults() {
-	if o.Every <= 0 {
-		o.Every = 1
-	}
 	if o.OracleEvery <= 0 {
 		o.OracleEvery = 16
 	}
@@ -83,49 +91,75 @@ func (o *CheckOptions) setDefaults() {
 	}
 }
 
-// stallState tracks one VC's front flit across cycles for the
-// forward-progress bound. Only occupied VCs are visited, so seen — the
-// cycle, plus one, of the last visit — tells a continuing wait from a
-// packet re-entering a VC it left (a misroute), which starts afresh.
-type stallState struct {
-	pktID    uint64
-	frontSeq int
-	bufLen   int
-	since    int64
-	seen     int64
-	reported bool
+// wait times one VC's front flit for the forward-progress bound, or (frontSeq
+// and bufLen left zero) its resident's stay in the oracle's deadlocked set.
+// Only waiting VCs are visited, so seen — the cycle, plus one, of the last
+// visit — tells a continuing wait from a packet re-entering a VC it left.
+type wait struct {
+	pktID            uint64
+	frontSeq, bufLen int
+	since, seen      int64
+	reported         bool
 }
 
-// dlSpell tracks one continuously-deadlocked VC across oracle samples.
-type dlSpell struct {
-	pktID    uint64
-	since    int64
-	reported bool
+// age returns how long w has lasted, restarting it first unless it was last
+// visited at cycle prev with got, what is waiting, unchanged.
+func (w *wait) age(now, prev int64, got wait) int64 {
+	if w.seen != prev+1 || w.pktID != got.pktID || w.frontSeq != got.frontSeq || w.bufLen != got.bufLen {
+		*w = got
+		w.since = now
+	}
+	w.seen = now + 1
+	return now - w.since
 }
+
+// pktRun is one packet's run of consecutive flits in a VC's FIFO.
+type pktRun struct {
+	pkt        *Packet
+	start, end int // first and last seq
+}
+
+// spellRules are reported once per spell, so that one stuck VC (router, NIC,
+// the network) cannot fill MaxViolations. A rule's bit in failing is its index.
+var spellRules = [...]string{RuleWorklist, RuleCredit, RuleVCTOrder, RuleVCTInterleave, RuleReservation, RuleConservation}
+
+// What a look covers: every rule, or off the change set spellRules[0] alone.
+const allRules, worklistOnly = 1<<len(spellRules) - 1, 1
 
 // InvariantChecker observes a Network and records invariant violations.
 // Attach one with Network.AttachChecker before running.
 type InvariantChecker struct {
-	net *Network
-	opt CheckOptions
-
-	diameter   int
+	net        *Network
+	opt        CheckOptions
+	diameter   int // -1 until the first delivery asks for it
 	violations []Violation
 	dropped    int64 // violations beyond MaxViolations
 
-	delivered map[uint64]struct{}
-	stalls    [][]stallState // [router][VC slot]
-	spells    map[DeadlockedVC]*dlSpell
+	// failing holds, per entity (VCs by vcIndex, routers, NICs, the network),
+	// the spellRules failing at its last look; ent is under look, was its old bits.
+	failing []uint8
+	ent     int
+	was     uint8
 
-	// Reusable scratch state.
-	inflight map[*VC]int
-	runPkts  []*Packet
+	// delivered has one bit per packet ID the engine issued (they are
+	// dense: pktSeq*terminals + src + 1), foreign the IDs of hand-built ones.
+	delivered bitset
+	foreign   map[uint64]struct{}
+	stalls    []wait // by vcIndex, like spells and inflight
+	spells    []wait
+
+	// One pass's scratch: flits on links per destination VC (zeroed through
+	// touched); per router, the VCs looked at in full, their flits in buffered.
+	inflight []int32
+	touched  []*VC
+	seen     []bitset
+	buffered int
+	runs     []pktRun
 	dlBuf    []DeadlockedVC
 
 	maxStall      int64 // longest no-progress interval observed on any VC
 	maxSpell      int64 // longest continuous oracle-deadlock spell observed
 	oracleFirings int64 // oracle samples that found >= 1 deadlocked VC
-
 	// windowAuditReported dedupes the sticky AuditWindows error — the
 	// generator repeats its first failure forever, one report suffices.
 	windowAuditReported bool
@@ -133,19 +167,24 @@ type InvariantChecker struct {
 
 func newChecker(n *Network, opt CheckOptions) *InvariantChecker {
 	opt.setDefaults()
+	vcs := int(n.vcBase[len(n.routers)])
 	c := &InvariantChecker{
-		net:       n,
-		opt:       opt,
-		diameter:  networkDiameter(n),
-		delivered: make(map[uint64]struct{}),
-		spells:    make(map[DeadlockedVC]*dlSpell),
-		inflight:  make(map[*VC]int),
+		net:      n,
+		opt:      opt,
+		diameter: -1,
+		failing:  make([]uint8, vcs+len(n.routers)+len(n.nics)+1),
+		foreign:  make(map[uint64]struct{}),
+		inflight: make([]int32, vcs),
+		seen:     make([]bitset, len(n.routers)),
+	}
+	for i, r := range n.routers {
+		c.seen[i] = newBitset(len(r.vcFlat))
 	}
 	if opt.StallBound > 0 {
-		c.stalls = make([][]stallState, len(n.routers))
-		for i, r := range n.routers {
-			c.stalls[i] = make([]stallState, len(r.vcFlat))
-		}
+		c.stalls = make([]wait, vcs)
+	}
+	if opt.RecoveryBound > 0 {
+		c.spells = make([]wait, vcs)
 	}
 	return c
 }
@@ -156,46 +195,42 @@ func networkDiameter(n *Network) int {
 	if d, ok := n.cfg.Topology.(interface{ Diameter() int }); ok {
 		return d.Diameter()
 	}
-	max := 0
-	routers := n.cfg.Topology.NumRouters()
-	for a := 0; a < routers; a++ {
-		for b := 0; b < routers; b++ {
-			if d := n.cfg.Topology.Distance(a, b); d > max {
-				max = d
-			}
+	topo, diameter := n.cfg.Topology, 0
+	for a := 0; a < topo.NumRouters(); a++ {
+		for b := 0; b < topo.NumRouters(); b++ {
+			diameter = max(diameter, topo.Distance(a, b))
 		}
 	}
-	return max
+	return diameter
 }
 
-// AttachChecker installs an invariant checker that sweeps the network
-// every cycle (per opts) and audits every delivery. At most one checker
-// may be attached; attaching replaces any previous one.
+// AttachChecker installs an invariant checker that checks every cycle's
+// changes and every delivery and audits the whole network every auditEvery
+// cycles. At most one may be attached; attaching replaces any previous one.
 func (n *Network) AttachChecker(opt CheckOptions) *InvariantChecker {
-	c := newChecker(n, opt)
-	n.checker = c
-	return c
+	n.checker = newChecker(n, opt)
+	return n.checker
 }
 
 // Checker returns the attached invariant checker, or nil.
 func (n *Network) Checker() *InvariantChecker { return n.checker }
 
-// CheckStructural runs one structural invariant sweep (conservation,
-// credit accounting, VCT interleave, reservation consistency) against the
-// network's instantaneous state and returns any violations. It does not
-// attach anything; tests use it to audit hand-built networks mid-run.
-func (n *Network) CheckStructural() []Violation {
-	c := newChecker(n, CheckOptions{})
-	c.sweep()
+// CheckStructural runs one audit (conservation, credit accounting, VCT
+// interleave, reservation consistency, worklists) of the network's
+// instantaneous state and returns any violations. It does not attach
+// anything; tests use it to audit hand-built networks mid-run.
+func (n *Network) CheckStructural() []Violation { return newChecker(n, CheckOptions{}).Violations() }
+
+// Violations returns the recorded violations (nil when the run is clean)
+// after one more audit, so that no run, however it ended, is read unaudited.
+func (c *InvariantChecker) Violations() []Violation {
+	c.pass(true)
 	return c.violations
 }
 
-// Violations returns the recorded violations (nil when the run is clean).
-func (c *InvariantChecker) Violations() []Violation { return c.violations }
-
 // Err summarises the violations as an error, nil when clean.
 func (c *InvariantChecker) Err() error {
-	if len(c.violations) == 0 {
+	if len(c.Violations()) == 0 {
 		return nil
 	}
 	return fmt.Errorf("sim: %d invariant violation(s), first: %s", len(c.violations)+int(c.dropped), c.violations[0])
@@ -219,24 +254,43 @@ func (c *InvariantChecker) report(rule, format string, args ...any) {
 		c.dropped++
 		return
 	}
-	c.violations = append(c.violations, Violation{
-		Cycle:  c.net.now,
-		Rule:   rule,
-		Detail: fmt.Sprintf(format, args...),
-	})
+	c.violations = append(c.violations, Violation{Cycle: c.net.now, Rule: rule, Detail: fmt.Sprintf(format, args...)})
 	// First violation freezes the flight recorder (no-op when none is
 	// attached): the ring and VC chain at the moment of failure are the
 	// forensics artifact.
 	c.net.CaptureForensics(rule)
 }
 
+// begin opens a look at entity e that runs the covered spellRules, re-arming
+// them; flag records that one failed, reporting it unless it already was.
+func (c *InvariantChecker) begin(e int, covered uint8) {
+	c.ent, c.was = e, c.failing[e]
+	c.failing[e] &^= covered
+}
+
+func (c *InvariantChecker) flag(rule, format string, args ...any) {
+	var bit uint8
+	for i, r := range spellRules {
+		if r == rule {
+			bit = 1 << i
+		}
+	}
+	c.failing[c.ent] |= bit
+	if c.was&bit == 0 {
+		c.report(rule, format, args...)
+	}
+}
+
+// flagVC is flag for a rule about v, whose place leads the detail.
+func (c *InvariantChecker) flagVC(v *VC, rule, format string, args ...any) {
+	c.flag(rule, "r%d p%d vc%d "+format, append([]any{v.router.ID, v.port, v.index}, args...)...)
+}
+
 // endOfStep runs at the end of Network.Step, after switch allocation.
 func (c *InvariantChecker) endOfStep() {
-	if c.net.now%c.opt.Every == 0 {
-		c.sweep()
-		if wt, ok := c.net.cfg.Traffic.(WindowedTraffic); ok {
-			c.checkWindows(wt)
-		}
+	c.pass(c.net.now%auditEvery == 0)
+	if wt, ok := c.net.cfg.Traffic.(WindowedTraffic); ok {
+		c.checkWindows(wt)
 	}
 	if c.opt.StallBound > 0 {
 		c.checkProgress()
@@ -246,78 +300,126 @@ func (c *InvariantChecker) endOfStep() {
 	}
 }
 
-// sweep audits conservation plus every VC's structural state.
-func (c *InvariantChecker) sweep() {
+// pass runs the structural rules, as the audit or the delta pass, and ends
+// on flit conservation over sums it took itself, not the engine's counters.
+func (c *InvariantChecker) pass(audit bool) {
 	n := c.net
-	clear(c.inflight)
-	inTransit := 0
-	for _, l := range n.links {
-		inTransit += len(l.flits)
-		for _, t := range l.flits {
-			c.inflight[t.dst]++
+	if audit {
+		for _, l := range n.links {
+			c.countLink(l)
 		}
-	}
-	buffered := 0
-	for _, r := range n.routers {
-		r.ForEachVC(func(v *VC) {
-			buffered += len(v.buf)
-			c.checkVC(v)
-		})
-	}
-	if inside := n.stats.InjectedFlits - n.stats.EjectedFlits; inside != int64(buffered+inTransit) {
-		c.report(RuleConservation, "injected-ejected=%d but buffered=%d + in-transit=%d", inside, buffered, inTransit)
-	}
-	c.checkWorklists()
-}
-
-// checkWorklists audits the engine's worklist bitsets: Step visits only
-// what they name, so a clear bit over live state is work silently never
-// done. Between steps an occ bit must equal "VC holds a flit", an inFree
-// bit the snapshot predicate it caches, a needRoute bit "the front flit is
-// an unrouted head", and every active() router and every loaded NIC must be
-// in the network's set (a set bit over idle state is merely retired at the
-// next visit). The two sleep sets err the other way — a set bit is a turn
-// never taken — so each of their bits must still be owed its sleep.
-func (c *InvariantChecker) checkWorklists() {
-	n := c.net
-	for _, r := range n.routers {
-		for slot, v := range r.vcFlat {
-			if bit := r.occ.has(slot); bit != (len(v.buf) > 0) {
-				c.report(RuleWorklist, "r%d p%d vc%d holds %d flits but its occupied bit is %v", r.ID, v.port, v.index, len(v.buf), bit)
+		for _, r := range n.routers {
+			for _, v := range r.vcFlat {
+				c.lookVC(v, allRules)
 			}
-			if bit := r.inFree.has(v.freeBit()); bit != v.snapAllocatable() {
-				c.report(RuleWorklist, "r%d p%d vc%d snapshot is reserved=%v free=%d but its free bit is %v", r.ID, v.port, v.index, v.snapResv, v.snapFree, bit)
+			c.begin(len(c.inflight)+r.ID, allRules)
+			if r.active() && !n.awake.has(r.ID) {
+				c.flag(RuleWorklist, "r%d is active but not in the awake set", r.ID)
 			}
-			if bit := r.needRoute.has(slot); bit != v.unroutedHead() {
-				c.report(RuleWorklist, "r%d p%d vc%d (%d flits, routed=%v) has its route-request bit %v", r.ID, v.port, v.index, len(v.buf), v.routed, bit)
+		}
+		// A loaded NIC is busy; a sleeper is also between packets, all VCs full.
+		for t, nic := range n.nics {
+			c.begin(len(c.inflight)+len(n.routers)+t, allRules)
+			busy := n.nicBusy.has(t)
+			if (nic.cur != nil || nic.QueueLen() > 0) && !busy {
+				c.flag(RuleWorklist, "terminal %d has %d packets queued (mid-injection: %v) but is not in the busy set", t, nic.QueueLen(), nic.cur != nil)
 			}
-			if r.blocked.has(slot) {
-				if why := blockedUnowed(v); why != "" {
-					c.report(RuleWorklist, "r%d p%d vc%d sleeps in the blocked set but %s", r.ID, v.port, v.index, why)
+			if !n.nicBlocked.has(t) {
+				continue
+			}
+			if nic.cur != nil || nic.QueueLen() == 0 || !busy {
+				c.flag(RuleWorklist, "terminal %d sleeps in the blocked set with %d packets queued (mid-injection: %v, busy: %v)", t, nic.QueueLen(), nic.cur != nil, busy)
+				continue
+			}
+			p := nic.queue[nic.head]
+			for _, v := range nic.router.in[nic.port][p.VNet*n.cfg.VCsPerVNet:][:n.cfg.VCsPerVNet] {
+				if v.CanAccept(p.Length) {
+					c.flag(RuleWorklist, "terminal %d sleeps in the blocked set but r%d p%d vc%d has room for its next packet", t, v.router.ID, v.port, v.index)
+					break
 				}
 			}
 		}
-		if r.active() && !n.awake.has(r.ID) {
-			c.report(RuleWorklist, "r%d is active but not in the awake set", r.ID)
+	} else {
+		for w, word := range n.linkActive {
+			for ; word != 0; word &= word - 1 {
+				c.countLink(n.links[w<<6+bits.TrailingZeros64(word)])
+			}
+		}
+		for _, v := range n.dirtyVCs {
+			c.lookVC(v, allRules)
+		}
+		for _, v := range c.touched {
+			if !c.seen[v.router.ID].has(int(v.slot)) {
+				c.lookVC(v, allRules)
+			}
+		}
+		for _, r := range n.routers {
+			for w, word := range r.occ {
+				for word &^= c.seen[r.ID][w]; word != 0; word &= word - 1 {
+					v := r.vcFlat[w<<6+bits.TrailingZeros64(word)]
+					c.buffered += len(v.buf)
+					c.lookVC(v, worklistOnly)
+				}
+			}
 		}
 	}
-	for t, nic := range n.nics {
-		if (nic.cur != nil || nic.QueueLen() > 0) && !n.nicBusy.has(t) {
-			c.report(RuleWorklist, "terminal %d has %d packets queued (mid-injection: %v) but is not in the busy set", t, nic.QueueLen(), nic.cur != nil)
+	inTransit := 0
+	for _, v := range c.touched {
+		i := n.vcIndex(v)
+		inTransit, c.inflight[i] = inTransit+int(c.inflight[i]), 0
+	}
+	c.begin(len(c.failing)-1, allRules)
+	if inside := n.stats.InjectedFlits - n.stats.EjectedFlits; inside != int64(c.buffered+inTransit) {
+		c.flag(RuleConservation, "injected-ejected=%d but buffered=%d + in-transit=%d", inside, c.buffered, inTransit)
+	}
+	c.touched, c.buffered = c.touched[:0], 0
+	for _, s := range c.seen {
+		clear(s)
+	}
+}
+
+// countLink adds l's flits to the in-flight counts of the VCs they head for.
+func (c *InvariantChecker) countLink(l *link) {
+	for _, t := range l.flits {
+		i := c.net.vcIndex(t.dst)
+		if c.inflight[i]++; c.inflight[i] == 1 {
+			c.touched = append(c.touched, t.dst)
 		}
-		if !n.nicBlocked.has(t) {
-			continue
-		}
-		if nic.cur != nil || nic.QueueLen() == 0 || !n.nicBusy.has(t) {
-			c.report(RuleWorklist, "terminal %d sleeps in the blocked set with %d packets queued (mid-injection: %v, busy: %v)", t, nic.QueueLen(), nic.cur != nil, n.nicBusy.has(t))
-			continue
-		}
-		p := nic.queue[nic.head]
-		for _, v := range nic.router.in[nic.port][p.VNet*n.cfg.VCsPerVNet:][:n.cfg.VCsPerVNet] {
-			if v.CanAccept(p.Length) {
-				c.report(RuleWorklist, "terminal %d sleeps in the blocked set but r%d p%d vc%d has room for its next packet", t, v.router.ID, v.port, v.index)
-				break
-			}
+	}
+}
+
+// lookVC runs v's rules: all, or off the change set the worklist bits alone
+// (routeStage clears needRoute by the word, a VC freed downstream blocked).
+func (c *InvariantChecker) lookVC(v *VC, covered uint8) {
+	c.begin(c.net.vcIndex(v), covered)
+	if covered == allRules {
+		c.seen[v.router.ID].set(int(v.slot))
+		c.buffered += len(v.buf)
+		c.checkCredit(v)
+		c.checkFIFO(v)
+	}
+	c.checkWorklistBits(v)
+}
+
+// checkWorklistBits audits v's bits in its router's worklists: Step visits
+// only what they name, so a clear bit over live state is work never done.
+// Between steps an occ bit must equal "VC holds a flit", an inFree bit the
+// snapshot predicate it caches, a needRoute bit "the front flit is an unrouted
+// head". In the sleep sets (blocked; nicBlocked) a set bit must still be owed.
+func (c *InvariantChecker) checkWorklistBits(v *VC) {
+	r, slot := v.router, int(v.slot)
+	if bit := r.occ.has(slot); bit != (len(v.buf) > 0) {
+		c.flagVC(v, RuleWorklist, "holds %d flits but its occupied bit is %v", len(v.buf), bit)
+	}
+	if bit := r.inFree.has(v.freeBit()); bit != v.snapAllocatable() {
+		c.flagVC(v, RuleWorklist, "snapshot is reserved=%v free=%d but its free bit is %v", v.snapResv, v.snapFree, bit)
+	}
+	if bit := r.needRoute.has(slot); bit != v.unroutedHead() {
+		c.flagVC(v, RuleWorklist, "(%d flits, routed=%v) has its route-request bit %v", len(v.buf), v.routed, bit)
+	}
+	if r.blocked.has(slot) {
+		if why := blockedUnowed(v); why != "" {
+			c.flagVC(v, RuleWorklist, "sleeps in the blocked set but %s", why)
 		}
 	}
 }
@@ -348,50 +450,47 @@ func blockedUnowed(v *VC) string {
 	return ""
 }
 
-// checkVC audits one VC: credit accounting, the VCT interleave contract
-// (at most two packets, interleaved only as old-tail + new-head), and
-// reservation consistency.
-func (c *InvariantChecker) checkVC(v *VC) {
+// checkCredit audits v's credit accounting against its buffer and the links.
+func (c *InvariantChecker) checkCredit(v *VC) {
 	if len(v.buf) > v.depth {
-		c.report(RuleCredit, "r%d p%d vc%d holds %d flits, depth %d", v.router.ID, v.port, v.index, len(v.buf), v.depth)
+		c.flagVC(v, RuleCredit, "holds %d flits, depth %d", len(v.buf), v.depth)
 	}
 	if v.inFlight < 0 {
-		c.report(RuleCredit, "r%d p%d vc%d negative in-flight count %d", v.router.ID, v.port, v.index, v.inFlight)
+		c.flagVC(v, RuleCredit, "negative in-flight count %d", v.inFlight)
 	}
 	if v.FreeSlots() < 0 {
 		// Holds even mid-spin: the forced drain vacates exactly one slot
 		// per forced send, so len+inFlight never exceeds the depth.
-		c.report(RuleCredit, "r%d p%d vc%d free slots %d (len=%d inFlight=%d depth=%d)",
-			v.router.ID, v.port, v.index, v.FreeSlots(), len(v.buf), v.inFlight, v.depth)
+		c.flagVC(v, RuleCredit, "free slots %d (len=%d inFlight=%d depth=%d)", v.FreeSlots(), len(v.buf), v.inFlight, v.depth)
 	}
-	if got := c.inflight[v]; got != v.inFlight {
-		c.report(RuleCredit, "r%d p%d vc%d records %d in-flight flits, links carry %d", v.router.ID, v.port, v.index, v.inFlight, got)
+	if got := int(c.inflight[c.ent]); got != v.inFlight {
+		c.flagVC(v, RuleCredit, "records %d in-flight flits, links carry %d", v.inFlight, got)
 	}
+}
 
+// checkFIFO audits the VCT interleave contract (at most two packets,
+// interleaved only as old-tail + new-head) and reservation consistency.
+func (c *InvariantChecker) checkFIFO(v *VC) {
 	// Partition the FIFO into per-packet runs, checking seq contiguity.
-	c.runPkts = c.runPkts[:0]
-	var runStart []int // first seq of each run
-	var runEnd []int   // last seq of each run
+	runs := c.runs[:0]
 	for _, f := range v.buf {
-		k := len(c.runPkts) - 1
-		if k >= 0 && c.runPkts[k] == f.Pkt {
-			if f.Seq != runEnd[k]+1 {
-				c.report(RuleVCTOrder, "r%d p%d vc%d packet %d flit seq %d follows %d", v.router.ID, v.port, v.index, f.Pkt.ID, f.Seq, runEnd[k])
+		if k := len(runs) - 1; k >= 0 && runs[k].pkt == f.Pkt {
+			if f.Seq != runs[k].end+1 {
+				c.flagVC(v, RuleVCTOrder, "packet %d flit seq %d follows %d", f.Pkt.ID, f.Seq, runs[k].end)
 			}
-			runEnd[k] = f.Seq
+			runs[k].end = f.Seq
 			continue
 		}
-		for _, prev := range c.runPkts {
-			if prev == f.Pkt {
-				c.report(RuleVCTInterleave, "r%d p%d vc%d flits of packet %d split by another packet", v.router.ID, v.port, v.index, f.Pkt.ID)
+		for _, prev := range runs {
+			if prev.pkt == f.Pkt {
+				c.flagVC(v, RuleVCTInterleave, "flits of packet %d split by another packet", f.Pkt.ID)
 			}
 		}
-		c.runPkts = append(c.runPkts, f.Pkt)
-		runStart = append(runStart, f.Seq)
-		runEnd = append(runEnd, f.Seq)
+		runs = append(runs, pktRun{f.Pkt, f.Seq, f.Seq})
 	}
+	c.runs = runs
 
-	switch len(c.runPkts) {
+	switch len(runs) {
 	case 0:
 		// Empty VC: an owner with no flits buffered or in flight would be
 		// a leak, except mid-stream cut-through (the packet's remaining
@@ -401,27 +500,25 @@ func (c *InvariantChecker) checkVC(v *VC) {
 		// The single resident must own the VC unless it is the draining
 		// old packet of a spin whose successor is still on the wire.
 		if v.resvOwner == nil {
-			c.report(RuleReservation, "r%d p%d vc%d buffers packet %d but has no reservation owner", v.router.ID, v.port, v.index, c.runPkts[0].ID)
-		} else if v.resvOwner != c.runPkts[0] && v.inFlight == 0 {
-			c.report(RuleReservation, "r%d p%d vc%d owned by packet %d but buffers only packet %d with nothing in flight",
-				v.router.ID, v.port, v.index, v.resvOwner.ID, c.runPkts[0].ID)
+			c.flagVC(v, RuleReservation, "buffers packet %d but has no reservation owner", runs[0].pkt.ID)
+		} else if v.resvOwner != runs[0].pkt && v.inFlight == 0 {
+			c.flagVC(v, RuleReservation, "owned by packet %d but buffers only packet %d with nothing in flight", v.resvOwner.ID, runs[0].pkt.ID)
 		}
 	case 2:
 		// The spin overlap: the old resident's draining tail ahead of the
 		// new owner's arriving head.
-		oldPkt, newPkt := c.runPkts[0], c.runPkts[1]
-		if runEnd[0] != oldPkt.Length-1 {
-			c.report(RuleVCTInterleave, "r%d p%d vc%d old packet %d truncated at seq %d (length %d) ahead of packet %d",
-				v.router.ID, v.port, v.index, oldPkt.ID, runEnd[0], oldPkt.Length, newPkt.ID)
+		old, new := runs[0], runs[1]
+		if old.end != old.pkt.Length-1 {
+			c.flagVC(v, RuleVCTInterleave, "old packet %d truncated at seq %d (length %d) ahead of packet %d", old.pkt.ID, old.end, old.pkt.Length, new.pkt.ID)
 		}
-		if runStart[1] != 0 {
-			c.report(RuleVCTInterleave, "r%d p%d vc%d new packet %d starts at seq %d, not its head", v.router.ID, v.port, v.index, newPkt.ID, runStart[1])
+		if new.start != 0 {
+			c.flagVC(v, RuleVCTInterleave, "new packet %d starts at seq %d, not its head", new.pkt.ID, new.start)
 		}
-		if v.resvOwner != newPkt {
-			c.report(RuleReservation, "r%d p%d vc%d interleaves packets %d+%d but owner is %v", v.router.ID, v.port, v.index, oldPkt.ID, newPkt.ID, v.resvOwner)
+		if v.resvOwner != new.pkt {
+			c.flagVC(v, RuleReservation, "interleaves packets %d+%d but owner is %v", old.pkt.ID, new.pkt.ID, v.resvOwner)
 		}
 	default:
-		c.report(RuleVCTInterleave, "r%d p%d vc%d holds %d distinct packets (VCT allows 2)", v.router.ID, v.port, v.index, len(c.runPkts))
+		c.flagVC(v, RuleVCTInterleave, "holds %d distinct packets (VCT allows 2)", len(runs))
 	}
 }
 
@@ -430,10 +527,24 @@ func (c *InvariantChecker) checkVC(v *VC) {
 // misroute raises the remaining budget by at most one, over at most two
 // routing phases).
 func (c *InvariantChecker) onEject(p *Packet) {
-	if _, dup := c.delivered[p.ID]; dup {
+	var dup bool
+	terms := uint64(len(c.net.nics))
+	if i := p.ID - 1; i/terms < uint64(c.net.nics[i%terms].pktSeq) {
+		for int(i>>6) >= len(c.delivered) {
+			c.delivered = append(c.delivered, make(bitset, len(c.delivered)+64)...)
+		}
+		dup = c.delivered.has(int(i))
+		c.delivered.set(int(i))
+	} else {
+		_, dup = c.foreign[p.ID]
+		c.foreign[p.ID] = struct{}{}
+	}
+	if dup {
 		c.report(RuleDelivery, "packet %d delivered twice", p.ID)
 	}
-	c.delivered[p.ID] = struct{}{}
+	if c.diameter < 0 {
+		c.diameter = networkDiameter(c.net)
+	}
 	if bound := 2*c.diameter + c.opt.HopSlack; p.Hops-2*p.Misroutes > bound {
 		c.report(RuleHopBound, "packet %d took %d hops with %d misroutes (bound %d, diameter %d)", p.ID, p.Hops, p.Misroutes, bound, c.diameter)
 	}
@@ -443,7 +554,7 @@ func (c *InvariantChecker) onEject(p *Packet) {
 // every terminal's outstanding count stays within [0, W], and the
 // generator's own request/reply bookkeeping balances (a reply that
 // matches no issued request, or completions exceeding issues, surfaces
-// through AuditWindows). Runs on the sweep cadence.
+// through AuditWindows). Runs every cycle.
 func (c *InvariantChecker) checkWindows(wt WindowedTraffic) {
 	w := wt.WindowLimit()
 	for t := range c.net.nics {
@@ -461,25 +572,18 @@ func (c *InvariantChecker) checkWindows(wt WindowedTraffic) {
 // may sit unchanged for more than StallBound cycles.
 func (c *InvariantChecker) checkProgress() {
 	now := c.net.now
-	for i, r := range c.net.routers {
+	for _, r := range c.net.routers {
 		total := len(r.vcFlat)
 		for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
 			v := r.vcFlat[slot]
 			f := v.buf[0]
-			s := &c.stalls[i][slot]
-			fresh := s.seen != now || s.pktID != f.Pkt.ID || s.frontSeq != f.Seq || s.bufLen != len(v.buf)
-			s.seen = now + 1
-			if fresh {
-				s.pktID, s.frontSeq, s.bufLen, s.since, s.reported = f.Pkt.ID, f.Seq, len(v.buf), now, false
-				continue
-			}
-			if stalled := now - s.since; stalled > c.maxStall {
-				c.maxStall = stalled
-			}
-			if now-s.since > c.opt.StallBound && !s.reported {
+			s := &c.stalls[c.net.vcIndex(v)]
+			stalled := s.age(now, now-1, wait{pktID: f.Pkt.ID, frontSeq: f.Seq, bufLen: len(v.buf)})
+			c.maxStall = max(c.maxStall, stalled)
+			if stalled > c.opt.StallBound && !s.reported {
 				s.reported = true
 				c.report(RuleProgress, "r%d p%d vc%d front flit (packet %d seq %d) stuck for %d cycles (bound %d, frozen=%v)",
-					v.router.ID, v.port, v.index, f.Pkt.ID, f.Seq, now-s.since, c.opt.StallBound, v.frozen)
+					v.router.ID, v.port, v.index, f.Pkt.ID, f.Seq, stalled, c.opt.StallBound, v.frozen)
 			}
 		}
 	}
@@ -491,7 +595,7 @@ func (c *InvariantChecker) checkProgress() {
 // machinery must agree with the oracle and clear the deadlock in time.
 func (c *InvariantChecker) checkRecoveryBound() {
 	now := c.net.now
-	c.dlBuf = c.net.FindDeadlock()
+	c.dlBuf = c.net.findDeadlock(c.dlBuf[:0])
 	if len(c.dlBuf) > 0 {
 		c.oracleFirings++
 		if c.net.wants(EvOracleDeadlock) {
@@ -500,31 +604,17 @@ func (c *InvariantChecker) checkRecoveryBound() {
 				Port: k.Port, VC: k.Index, Arg: int64(len(c.dlBuf))})
 		}
 	}
-	current := make(map[DeadlockedVC]bool, len(c.dlBuf))
 	for _, k := range c.dlBuf {
-		current[k] = true
 		v := c.net.routers[k.Router].in[k.Port][k.Index]
 		p := v.FrontPacket()
-		if p == nil {
-			continue
-		}
-		s := c.spells[k]
-		if s == nil || s.pktID != p.ID {
-			c.spells[k] = &dlSpell{pktID: p.ID, since: now}
-			continue
-		}
-		if spell := now - s.since; spell > c.maxSpell {
-			c.maxSpell = spell
-		}
-		if now-s.since > c.opt.RecoveryBound && !s.reported {
+		// The checker runs every cycle: the last sample was OracleEvery ago.
+		s := &c.spells[c.net.vcIndex(v)]
+		spell := s.age(now, now-c.opt.OracleEvery, wait{pktID: p.ID})
+		c.maxSpell = max(c.maxSpell, spell)
+		if spell > c.opt.RecoveryBound && !s.reported {
 			s.reported = true
 			c.report(RuleRecovery, "r%d p%d vc%d (packet %d) deadlocked for %d cycles (bound %d)",
-				k.Router, k.Port, k.Index, p.ID, now-s.since, c.opt.RecoveryBound)
-		}
-	}
-	for k := range c.spells {
-		if !current[k] {
-			delete(c.spells, k)
+				k.Router, k.Port, k.Index, p.ID, spell, c.opt.RecoveryBound)
 		}
 	}
 }

@@ -318,12 +318,11 @@ func (n *Network) commit() {
 		n.inFlightOps[i] = nil
 	}
 	n.inFlightOps = n.inFlightOps[:0]
-	// 4. Refresh the snapshots of every VC whose state changed.
-	for i, v := range n.dirtyVCs {
+	// 4. Refresh the snapshots of every VC whose state changed. The list is
+	// the checker's change set in step 6 (nothing in between touches a VC).
+	for _, v := range n.dirtyVCs {
 		v.refreshSnap()
-		n.dirtyVCs[i] = nil
 	}
-	n.dirtyVCs = n.dirtyVCs[:0]
 	// 5. Ejection observer replay; pooled packets recycle unless an
 	// observer may have retained the pointer.
 	for i, rec := range n.ejects {
@@ -346,7 +345,7 @@ func (n *Network) commit() {
 		if n.checker != nil {
 			n.checker.onEject(p)
 		}
-		if p.pooled && n.ejectHook == nil && n.checker == nil {
+		if p.pooled && n.ejectHook == nil {
 			n.pktPool = append(n.pktPool, p)
 		}
 		n.ejects[i] = ejectRec{}
@@ -356,6 +355,7 @@ func (n *Network) commit() {
 	if n.checker != nil {
 		n.checker.endOfStep()
 	}
+	n.dirtyVCs = n.dirtyVCs[:0]
 	if n.measuring() {
 		n.stats.MeasuredCycles++
 	}

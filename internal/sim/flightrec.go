@@ -156,34 +156,35 @@ func (n *Network) CaptureForensics(reason string) *ForensicsSnapshot {
 // the downstream VCs reachable through their grants — the recovery (or
 // failed-to-recover) chain at snapshot time.
 func (n *Network) vcChain() []VCForensics {
-	seen := make(map[*VC]bool)
-	deadlocked := make(map[*VC]bool)
+	const inChain, deadlocked = 1, 2
+	marks := make([]uint8, n.vcBase[len(n.routers)]) // by vcIndex
 	var chain []*VC
-	add := func(v *VC) {
-		if v != nil && !seen[v] {
-			seen[v] = true
+	add := func(v *VC, mark uint8) {
+		if v == nil {
+			return
+		}
+		if marks[n.vcIndex(v)] == 0 {
 			chain = append(chain, v)
 		}
+		marks[n.vcIndex(v)] |= inChain | mark
 	}
 	for _, r := range n.routers {
-		r.ForEachVC(func(v *VC) {
+		for _, v := range r.vcFlat {
 			if v.frozen || v.spinning {
-				add(v)
+				add(v, 0)
 			}
-		})
+		}
 	}
 	// The oracle's deadlocked set covers the case recovery never ran
 	// (disabled protocol, exceeded bound): blocked VCs with no freeze or
 	// spin state still form the chain worth dumping.
 	for _, d := range n.FindDeadlock() {
-		v := n.routers[d.Router].in[d.Port][d.Index]
-		deadlocked[v] = true
-		add(v)
+		add(n.routers[d.Router].in[d.Port][d.Index], deadlocked)
 	}
 	// Walk grants: each chain member's downstream target joins the chain,
 	// closing the loop when the deadlocked cycle bites its own tail.
 	for i := 0; i < len(chain); i++ {
-		add(chain[i].target)
+		add(chain[i].target, 0)
 	}
 	out := make([]VCForensics, 0, len(chain))
 	for _, v := range chain {
@@ -193,7 +194,7 @@ func (n *Network) vcChain() []VCForensics {
 			VC:         v.index,
 			Frozen:     v.frozen,
 			Spinning:   v.spinning,
-			Deadlocked: deadlocked[v],
+			Deadlocked: marks[n.vcIndex(v)]&deadlocked != 0,
 			BufLen:     len(v.buf),
 			InFlight:   v.inFlight,
 			OutPort:    v.outPort,

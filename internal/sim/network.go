@@ -126,6 +126,10 @@ type Network struct {
 	// the VCs of a port rounded up to whole words, so that a port's bits
 	// are a word-aligned window an upstream router can hold a slice of.
 	freeStride int
+	// vcBase[r] is the index of router r's slot 0 among all VCs (see vcIndex),
+	// its last entry their count: what the checker's and the oracle's per-VC
+	// side tables are indexed by.
+	vcBase []int32
 
 	inNetwork     int // packets injected (head) but not fully ejected
 	queuedPackets int // packets waiting in NIC source queues (incremental)
@@ -153,6 +157,7 @@ type Network struct {
 	flitBuf  []flitTransit
 	smBuf    []smTransit
 	routeBuf []PortRequest // routeStage's scratch for one Route call
+	oracle   oracleScratch // FindDeadlock's graph, kept between calls
 	pktPool  []*Packet
 	smPool   []*SM
 
@@ -177,8 +182,8 @@ type Network struct {
 	trafStep TrafficStepper
 	trafObs  TrafficEjectObserver
 
-	// checker, when attached, audits the network's invariants every
-	// cycle (see checker.go).
+	// checker, when attached, audits every cycle what that cycle changed
+	// and the whole network on a fixed cadence (see checker.go).
 	checker *InvariantChecker
 
 	// observers is the one event fan-out and evMask the union of its
@@ -200,11 +205,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 	topo := cfg.Topology
 	n.routers = make([]*Router, topo.NumRouters())
 	n.awake = newBitset(len(n.routers))
+	n.vcBase = make([]int32, len(n.routers)+1)
 	for i := range n.routers {
 		if radix := topo.Radix(i); radix > 64 {
 			return nil, fmt.Errorf("sim: router %d has %d ports, at most 64 are supported", i, radix)
 		}
 		n.routers[i] = newRouter(n, i)
+		n.vcBase[i+1] = n.vcBase[i] + int32(len(n.routers[i].vcFlat))
 		// Every router starts awake; phase 2 retires the idle ones.
 		n.routers[i].wake()
 	}
@@ -314,6 +321,9 @@ func (n *Network) SetAgent(router int, a Agent) {
 func (n *Network) SetEjectHook(f func(*Packet)) { n.ejectHook = f }
 
 func (n *Network) measuring() bool { return n.now >= n.cfg.StatsStart }
+
+// vcIndex is v's index among all the network's VCs, router-major.
+func (n *Network) vcIndex(v *VC) int { return int(n.vcBase[v.router.ID]) + int(v.slot) }
 
 // InjectPacket creates a packet and enqueues it at src's NIC, running the
 // routing algorithm's source hook. Tests and traffic replay use it

@@ -16,99 +16,89 @@ type DeadlockedVC struct {
 	Router, Port, Index int
 }
 
+// oracleScratch is FindDeadlock's wait-for graph, kept by the network so
+// that sampling a busy network allocates nothing. Node i is the occupied,
+// routed VC vcs[i]; its admissible downstream VCs are deps[lo[i]:lo[i+1]].
+// nodeOf maps a vcIndex to its node number plus one, zeroed on return.
+type oracleScratch struct {
+	vcs, deps  []*VC
+	lo, nodeOf []int32
+	live       []bool
+}
+
 // FindDeadlock computes the set of deadlocked VCs via a liveness fixpoint.
 // An empty result means no routing deadlock exists at this instant.
 // Frozen/spinning VCs in mid-recovery count as live (recovery will move
 // them); tests bound how long recovery may take separately.
-func (n *Network) FindDeadlock() []DeadlockedVC {
-	type node struct {
-		vc   *VC
-		deps []*VC // admissible downstream VCs
+func (n *Network) FindDeadlock() []DeadlockedVC { return n.findDeadlock(nil) }
+
+// findDeadlock appends FindDeadlock's answer to out.
+func (n *Network) findDeadlock(out []DeadlockedVC) []DeadlockedVC {
+	s := &n.oracle
+	if s.nodeOf == nil {
+		s.nodeOf = make([]int32, n.vcBase[len(n.routers)])
 	}
-	var nodes []node
-	idx := map[*VC]int{}
+	s.vcs, s.deps, s.lo, s.live = s.vcs[:0], s.deps[:0], s.lo[:0], s.live[:0]
 	for _, r := range n.routers {
-		for p := 0; p < r.radix; p++ {
-			for _, v := range r.in[p] {
-				if len(v.buf) == 0 || !v.routed {
-					continue
-				}
-				nodes = append(nodes, node{vc: v})
-				idx[v] = len(nodes) - 1
+		total := len(r.vcFlat)
+		for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
+			if v := r.vcFlat[slot]; v.routed {
+				s.vcs = append(s.vcs, v)
+				s.nodeOf[n.vcIndex(v)] = int32(len(s.vcs))
 			}
 		}
 	}
-	live := make([]bool, len(nodes))
-	var vcBuf []*VC
-	for i := range nodes {
-		v := nodes[i].vc
+	for _, v := range s.vcs {
 		r := v.router
+		s.lo = append(s.lo, int32(len(s.deps)))
+		alive := false
 		switch {
 		case v.frozen || v.spinning:
-			live[i] = true
+			alive = true
 		case v.WaitingToEject() || (v.target == nil && v.outPort >= 0 && v.outPort < r.localPorts):
-			live[i] = true
+			alive = true
 		case v.target != nil:
-			if v.target.FreeSlots() > 0 {
-				live[i] = true
-			} else {
-				nodes[i].deps = append(nodes[i].deps, v.target)
-			}
+			alive = v.target.FreeSlots() > 0
+			s.deps = append(s.deps, v.target)
 		default:
 			pkt := v.FrontPacket()
 			for _, req := range v.reqs {
-				if req.Port < r.localPorts {
-					live[i] = true
-					break
+				first := len(s.deps)
+				s.deps = r.DownstreamVCs(req.Port, pkt.VNet, req.VCMask, s.deps)
+				for _, dvc := range s.deps[first:] {
+					alive = alive || dvc.CanAccept(pkt.Length)
 				}
-				vcBuf = r.DownstreamVCs(req.Port, pkt.VNet, req.VCMask, vcBuf[:0])
-				for _, dvc := range vcBuf {
-					if dvc.CanAccept(pkt.Length) {
-						live[i] = true
-						break
-					}
-					nodes[i].deps = append(nodes[i].deps, dvc)
-				}
-				if live[i] {
+				if alive = alive || req.Port < r.localPorts; alive {
 					break
 				}
 			}
 		}
+		s.live = append(s.live, alive)
 	}
+	s.lo = append(s.lo, int32(len(s.deps)))
 	// Propagate liveness backwards to a fixpoint: v is live if any
 	// dependency is live (space will eventually appear there).
 	for changed := true; changed; {
 		changed = false
-		for i := range nodes {
-			if live[i] {
+		for i := range s.vcs {
+			if s.live[i] {
 				continue
 			}
-			for _, dvc := range nodes[i].deps {
-				j, ok := idx[dvc]
-				if !ok {
-					// Dependency VC holds no routed resident: it is
-					// draining space or idle-but-reserved; treat a
-					// reserved-but-empty VC as live (its owner is moving).
-					if dvc.resvOwner == nil || len(dvc.buf) == 0 {
-						live[i] = true
-						break
-					}
-					continue
-				}
-				if live[j] {
-					live[i] = true
+			for _, dvc := range s.deps[s.lo[i]:s.lo[i+1]] {
+				// A dependency that holds no routed resident is draining
+				// space or idle-but-reserved; a reserved-but-empty VC counts
+				// as live (its owner is moving).
+				if j := s.nodeOf[n.vcIndex(dvc)]; j > 0 && s.live[j-1] || j == 0 && (dvc.resvOwner == nil || len(dvc.buf) == 0) {
+					s.live[i], changed = true, true
 					break
 				}
 			}
-			if live[i] {
-				changed = true
-			}
 		}
 	}
-	var out []DeadlockedVC
-	for i, nd := range nodes {
-		if !live[i] {
-			out = append(out, DeadlockedVC{Router: nd.vc.router.ID, Port: nd.vc.port, Index: nd.vc.index})
+	for i, v := range s.vcs {
+		s.nodeOf[n.vcIndex(v)] = 0
+		if !s.live[i] {
+			out = append(out, DeadlockedVC{Router: v.router.ID, Port: v.port, Index: v.index})
 		}
 	}
 	return out

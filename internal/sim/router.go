@@ -174,17 +174,6 @@ func (r *Router) Agent() Agent { return r.agent }
 // VC returns the virtual channel at (port, idx).
 func (r *Router) VC(port, idx int) *VC { return r.in[port][idx] }
 
-// ForEachVC visits every input VC of the router in (port, index) order.
-// Observers — the invariant checker, stats probes — use it instead of
-// reaching into the port arrays.
-func (r *Router) ForEachVC(f func(*VC)) {
-	for p := 0; p < r.radix; p++ {
-		for _, v := range r.in[p] {
-			f(v)
-		}
-	}
-}
-
 // VCsPerPort reports how many VCs each input port has.
 func (r *Router) VCsPerPort() int { return r.net.cfg.VNets * r.net.cfg.VCsPerVNet }
 

@@ -27,22 +27,7 @@ func (l *eventLog) Event(e sim.Event) { *l = append(*l, e) }
 // saturation, the 1-VC SPIN regime with freezes and spins, agent vetoes on
 // send and on injection, and NIC backlogs.
 func TestStallIndexParity(t *testing.T) {
-	scenarios := []struct {
-		name   string
-		cfg    spin.Config
-		cycles int
-	}{
-		{"spin/mesh_3vc_sat", spin.Config{Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin", VCsPerVNet: 3, Traffic: "uniform_random", Rate: 0.28}, 1500},
-		{"spin/torus_1vc", spinTorus1VC, 4000},
-		{"spin/dragonfly_ugal", spin.Config{Topology: "dragonfly:4,4,4,16", Routing: "ugal_spin", Scheme: "spin", VCsPerVNet: 3, Traffic: "uniform_random", Rate: 0.20}, 1200},
-		{"spin/irregular_mesh", spin.Config{Topology: "irregular:6x6:8", Routing: "min_adaptive", Scheme: "spin", VNets: 3, VCsPerVNet: 1, Traffic: "uniform_random", Rate: 0.30}, 2000},
-		{"static_bubble/mesh", spin.Config{Topology: "mesh:8x8", Scheme: "static_bubble", VNets: 3, VCsPerVNet: 2, Traffic: "transpose", Rate: 0.40, TDD: 32}, 2000},
-		{"ring_bubble/torus", spin.Config{Topology: "torus:4x4", Routing: "xy", Scheme: "ring_bubble", VCsPerVNet: 1, Traffic: "tornado", Rate: 0.50}, 2000},
-		// 72 VCs a port: every per-port index spans two words.
-		{"spin/mesh_wide_ports", spin.Config{Topology: "mesh:4x4", Routing: "min_adaptive", Scheme: "spin", VNets: 3, VCsPerVNet: 24, Traffic: "uniform_random", Rate: 0.60}, 600},
-		{"none/mesh_escape_vc", spin.Config{Topology: "mesh:8x8", Routing: "escape_vc", VNets: 3, VCsPerVNet: 2, Traffic: "bit_complement", Rate: 0.40}, 1500},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range stallScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := sc.cfg
 			cfg.Seed = 29
@@ -57,6 +42,23 @@ func TestStallIndexParity(t *testing.T) {
 			t.Logf("%d packets, %d spins, switch-allocation turns %d (full scan: %d)", st.Ejected, st.Spins, sim.SAVisits(product), sim.SAVisits(twin))
 		})
 	}
+}
+
+// stallScenarios are TestStallIndexParity's (and TestIncrementalCheckerParity's).
+var stallScenarios = []struct {
+	name   string
+	cfg    spin.Config
+	cycles int
+}{
+	{"spin/mesh_3vc_sat", spin.Config{Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin", VCsPerVNet: 3, Traffic: "uniform_random", Rate: 0.28}, 1500},
+	{"spin/torus_1vc", spinTorus1VC, 4000},
+	{"spin/dragonfly_ugal", spin.Config{Topology: "dragonfly:4,4,4,16", Routing: "ugal_spin", Scheme: "spin", VCsPerVNet: 3, Traffic: "uniform_random", Rate: 0.20}, 1200},
+	{"spin/irregular_mesh", spin.Config{Topology: "irregular:6x6:8", Routing: "min_adaptive", Scheme: "spin", VNets: 3, VCsPerVNet: 1, Traffic: "uniform_random", Rate: 0.30}, 2000},
+	{"static_bubble/mesh", spin.Config{Topology: "mesh:8x8", Scheme: "static_bubble", VNets: 3, VCsPerVNet: 2, Traffic: "transpose", Rate: 0.40, TDD: 32}, 2000},
+	{"ring_bubble/torus", spin.Config{Topology: "torus:4x4", Routing: "xy", Scheme: "ring_bubble", VCsPerVNet: 1, Traffic: "tornado", Rate: 0.50}, 2000},
+	// 72 VCs a port: every per-port index spans two words.
+	{"spin/mesh_wide_ports", spin.Config{Topology: "mesh:4x4", Routing: "min_adaptive", Scheme: "spin", VNets: 3, VCsPerVNet: 24, Traffic: "uniform_random", Rate: 0.60}, 600},
+	{"none/mesh_escape_vc", spin.Config{Topology: "mesh:8x8", Routing: "escape_vc", VNets: 3, VCsPerVNet: 2, Traffic: "bit_complement", Rate: 0.40}, 1500},
 }
 
 // spinTorus1VC is the paper's own regime — one VC, fully adaptive routing,

@@ -419,11 +419,11 @@ func (t *Telemetry) vcOccupancy() []float64 {
 	occ := make([]float64, n.cfg.VNets)
 	slots := make([]int64, n.cfg.VNets)
 	for _, r := range n.routers {
-		r.ForEachVC(func(v *VC) {
+		for _, v := range r.vcFlat {
 			vn := v.VNet()
 			occ[vn] += float64(len(v.buf))
 			slots[vn] += int64(v.depth)
-		})
+		}
 	}
 	for i := range occ {
 		if slots[i] > 0 {
