@@ -74,6 +74,25 @@ type Report struct {
 	// the current machine's calibration to this.
 	CalibrationNs float64  `json:"calibration_ns"`
 	Workloads     []Result `json:"workloads"`
+	// Setup is what a run pays before its first cycle.
+	Setup []SetupResult `json:"setup"`
+}
+
+// Cost is one set-up operation: best ns of its repetitions, heap bytes and
+// objects of the first.
+type Cost struct {
+	Ns      float64 `json:"ns"`
+	Bytes   float64 `json:"bytes"`
+	Objects float64 `json:"objects"`
+}
+
+// SetupResult is one configuration's set-up cost: spin.New, Reset after a
+// run, and (Before, carried by -update) spin.New at the commit before Reset.
+type SetupResult struct {
+	Name   string `json:"name"`
+	New    Cost   `json:"new"`
+	Reset  Cost   `json:"reset"`
+	Before Cost   `json:"before_new"`
 }
 
 // Schema is the current BENCH_sim.json schema version.
@@ -179,6 +198,46 @@ func Measure(w Workload) (Result, error) {
 	}, nil
 }
 
+// SetupWorkloads are the setup block's configurations: the Fig. 7 mesh, the
+// small dragonfly and the 1024-node preset.
+func SetupWorkloads() (ws []Workload) {
+	for _, w := range append(Workloads(), ScaleWorkloads()...) {
+		if w.Name == "mesh8x8/low" || w.Name == "dfly64/low" || w.Name == "dfly1024/low" {
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
+
+// MeasureSetup times w's build, and its rewind after a short run (so that
+// there are buffers, free lists and in-flight traffic to rewind).
+func MeasureSetup(w Workload, reps int) (SetupResult, error) {
+	s, err := spin.New(w.Cfg)
+	if err != nil {
+		return SetupResult{}, fmt.Errorf("bench %s: %w", w.Name, err)
+	}
+	cost := func(run int64, op func() error) (c Cost) {
+		for i := 0; i < reps && err == nil; i++ {
+			s.Run(run)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			err = op()
+			ns := float64(time.Since(start).Nanoseconds())
+			runtime.ReadMemStats(&after)
+			if i == 0 {
+				c = Cost{ns, float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs)}
+			}
+			c.Ns = min(c.Ns, ns)
+		}
+		return c
+	}
+	res := SetupResult{Name: w.Name}
+	res.New = cost(0, func() error { _, err := spin.New(w.Cfg); return err })
+	res.Reset = cost(w.Warmup/10, func() error { return s.Reset(w.Cfg) })
+	return res, err
+}
+
 // calibrationSink defeats dead-code elimination of the kernel.
 var calibrationSink uint64
 
@@ -224,6 +283,13 @@ func Collect(reps int, extra ...Workload) (Report, error) {
 			}
 		}
 		rep.Workloads = append(rep.Workloads, best)
+	}
+	for _, w := range SetupWorkloads() {
+		r, err := MeasureSetup(w, 5*reps) // sub-millisecond operations: best of more
+		if err != nil {
+			return Report{}, err
+		}
+		rep.Setup = append(rep.Setup, r)
 	}
 	return rep, nil
 }

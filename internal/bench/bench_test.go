@@ -47,7 +47,8 @@ const baselineFile = "BENCH_sim.json"
 // machine-independent and compare directly (allocations near-exactly,
 // bytes with slack for allocator bucketing). A checked row (CheckSuffix) is
 // gated on its ratio to its plain row instead — the checker's tax, which
-// needs no calibration and does not move when Step itself gets faster.
+// needs no calibration and does not move when Step itself gets faster. The
+// setup block (spin.New and Reset per configuration) is gated likewise.
 //
 // The wall-clock limit only fails the test when BENCH_STRICT is set in
 // the environment (the CI bench job sets it and runs this package
@@ -71,6 +72,9 @@ func TestBenchRegression(t *testing.T) {
 			for i, w := range cur.Workloads {
 				prev, _ := old.Find(w.Name)
 				cur.Workloads[i].BeforeNsPerCycle = prev.BeforeNsPerCycle
+			}
+			for i, prev := range old.Setup {
+				cur.Setup[i].Before = prev.Before
 			}
 		}
 		if err := cur.Write(baselineFile); err != nil {
@@ -116,6 +120,27 @@ func TestBenchRegression(t *testing.T) {
 		if got.BytesPerCycle > want.BytesPerCycle*1.5+64 {
 			t.Errorf("%s: %.1f B/cycle exceeds baseline %.1f by more than 1.5x+64",
 				got.Name, got.BytesPerCycle, want.BytesPerCycle)
+		}
+	}
+	// The setup block: heap bytes and objects per spin.New and per Reset are
+	// machine-independent and compare directly (5 % + a little slack for
+	// map and slice growth policy), ns through the calibration ratio under
+	// the same advisory-unless-BENCH_STRICT rule.
+	for i, got := range cur.Setup {
+		want := base.Setup[i]
+		for _, c := range []struct {
+			op        string
+			got, want Cost
+		}{{"spin.New", got.New, want.New}, {"Reset", got.Reset, want.Reset}} {
+			limit := c.want.Ns * scale * 1.25
+			t.Logf("%-13s %-8s %10.0f ns (limit %10.0f) %9.0f B %6.0f objects (before: %.0f ns, %.0f B, %.0f objects)",
+				got.Name, c.op, c.got.Ns, limit, c.got.Bytes, c.got.Objects, want.Before.Ns, want.Before.Bytes, want.Before.Objects)
+			if c.got.Bytes > c.want.Bytes*1.05+1024 || c.got.Objects > c.want.Objects*1.05+16 {
+				t.Errorf("%s %s: %.0f B in %.0f objects exceeds baseline %.0f in %.0f", got.Name, c.op, c.got.Bytes, c.got.Objects, c.want.Bytes, c.want.Objects)
+			}
+			if c.got.Ns > limit && os.Getenv("BENCH_STRICT") != "" {
+				t.Errorf("%s %s: %.0f ns exceeds %.0f (baseline %.0f x calibration %.2f x 1.25)", got.Name, c.op, c.got.Ns, limit, c.want.Ns, scale)
+			}
 		}
 	}
 }
@@ -324,6 +349,36 @@ func BenchmarkStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			s.Run(int64(b.N))
+		})
+	}
+}
+
+// BenchmarkSetup exposes the setup block to `go test -bench`: one build, and
+// one rewind of a built simulation that has run, per iteration.
+func BenchmarkSetup(b *testing.B) {
+	for _, w := range SetupWorkloads() {
+		b.Run(w.Name+"/new", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := spin.New(w.Cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(w.Name+"/reset", func(b *testing.B) {
+			s, err := spin.New(w.Cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s.Run(w.Warmup / 10)
+				b.StartTimer()
+				if err := s.Reset(w.Cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

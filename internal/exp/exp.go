@@ -196,36 +196,37 @@ func (o Options) drive(ctx context.Context, sc harness.Scenario, net *sim.Networ
 	return res, nil
 }
 
-// runPoint executes one configuration at one rate and returns the
-// simulation and the driver's result for metric extraction. The point's
+// runPoint executes one configuration at one rate on s, Reset to the point
+// (a job running a ladder of points passes one Simulation and builds once),
+// and returns the driver's result for metric extraction. The point's
 // seed derives from o.Seed and key; the run is advanced in chunks so ctx
 // cancellation and per-job timeouts are honoured promptly.
-func runPoint(ctx context.Context, cfg spin.Config, pattern string, rate float64, key string, o Options) (*spin.Simulation, *harness.Result, error) {
+func runPoint(ctx context.Context, s *spin.Simulation, cfg spin.Config, pattern string, rate float64, key string, o Options) (*harness.Result, error) {
 	cfg.Traffic = pattern
 	cfg.Rate = rate
 	cfg.Seed = runner.SeedFor(o.Seed, key)
 	cfg.Warmup = o.Warmup
-	s, err := spin.New(cfg)
-	if err != nil {
-		return nil, nil, err
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
 	}
 	res, err := o.drive(ctx, harness.FromConfig(cfg, o.Cycles), s.Network(), false)
 	if err != nil {
-		return nil, nil, fmt.Errorf("point %s: %w", key, err)
+		return nil, fmt.Errorf("point %s: %w", key, err)
 	}
-	return s, res, nil
+	return res, nil
 }
 
 // latencyCurve sweeps rates and reports (offered rate, avg latency)
 // points, stopping after latency explodes past satLatency (the curve's
 // vertical asymptote); the last point is still recorded so the knee
 // shows. The early exit makes the sweep inherently sequential, so one
-// whole curve is the unit of parallelism (one runner job), with
-// per-point seeds still derived from the point keys.
+// whole curve is the unit of parallelism (one runner job) and of reuse (one
+// Simulation), with per-point seeds still derived from the point keys.
 func latencyCurve(ctx context.Context, cfg spin.Config, pattern string, rates []float64, satLatency float64, curveKey string, o Options) (Series, error) {
 	var s Series
+	simn := new(spin.Simulation)
 	for _, rate := range rates {
-		_, res, err := runPoint(ctx, cfg, pattern, rate, pointKey(curveKey, rate), o)
+		res, err := runPoint(ctx, simn, cfg, pattern, rate, pointKey(curveKey, rate), o)
 		if err != nil {
 			return s, err
 		}

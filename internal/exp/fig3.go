@@ -68,9 +68,9 @@ func Fig3(ctx context.Context, o Options) (*Fig3Result, error) {
 			su, pat := su, pat
 			key := "fig3/" + su.label + "/" + pat
 			jobs = append(jobs, runner.Job[Fig3Entry]{Key: key, Run: func(ctx context.Context, _ int64) (Fig3Entry, error) {
-				min := 0.0
+				min, s := 0.0, new(spin.Simulation)
 				for _, rate := range rates {
-					dl, err := deadlocksAt(ctx, su.topo, su.routing, pat, pointKey(key, rate), rate, o)
+					dl, err := deadlocksAt(ctx, s, su.topo, su.routing, pat, pointKey(key, rate), rate, o)
 					if err != nil {
 						return Fig3Entry{}, err
 					}
@@ -91,9 +91,9 @@ func Fig3(ctx context.Context, o Options) (*Fig3Result, error) {
 	return res, nil
 }
 
-// deadlocksAt runs one point with no recovery scheme and polls the oracle.
-func deadlocksAt(ctx context.Context, topo, routing, pattern, key string, rate float64, o Options) (bool, error) {
-	s, err := spin.New(spin.Config{
+// deadlocksAt runs one point with no recovery scheme on s and polls the oracle.
+func deadlocksAt(ctx context.Context, s *spin.Simulation, topo, routing, pattern, key string, rate float64, o Options) (bool, error) {
+	err := s.Reset(spin.Config{
 		Topology:   topo,
 		Routing:    routing,
 		Traffic:    pattern,

@@ -126,7 +126,8 @@ func SaturationSummary(ctx context.Context, topo string, configs []string, vcs [
 			name, cfg, rate := name, cfg, rate
 			key := pointKey(curveKey, rate)
 			jobs = append(jobs, runner.Job[satPoint]{Key: key, Run: func(ctx context.Context, _ int64) (satPoint, error) {
-				simn, _, err := runPoint(ctx, cfg, pattern, rate, key, o)
+				simn := new(spin.Simulation)
+				_, err := runPoint(ctx, simn, cfg, pattern, rate, key, o)
 				if err != nil {
 					return satPoint{}, err
 				}

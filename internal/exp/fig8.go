@@ -158,7 +158,8 @@ func Fig8b(ctx context.Context, o Options) (*Fig8bResult, error) {
 		rate := rate
 		key := pointKey("fig8b", rate)
 		jobs = append(jobs, runner.Job[sim.LinkUtilisation]{Key: key, Run: func(ctx context.Context, _ int64) (sim.LinkUtilisation, error) {
-			s, _, err := runPoint(ctx, spin.Config{
+			s := new(spin.Simulation)
+			_, err := runPoint(ctx, s, spin.Config{
 				Topology:   o.meshSpec(),
 				Routing:    "min_adaptive",
 				Scheme:     "spin",

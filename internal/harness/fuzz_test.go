@@ -38,7 +38,7 @@ func FuzzScenario(f *testing.F) {
 //
 // Run it with: go test -fuzz FuzzWorkloadScenario -fuzztime 30s ./internal/harness
 func FuzzWorkloadScenario(f *testing.F) {
-	f.Add(uint8(1), uint8(3), uint8(0), uint8(0), uint8(0), uint16(40), int64(7), uint16(300), uint8(0), uint8(3), uint8(4), uint8(8)) // closed loop on 4x4 mesh+spin
+	f.Add(uint8(1), uint8(3), uint8(0), uint8(0), uint8(0), uint16(40), int64(7), uint16(300), uint8(0), uint8(3), uint8(4), uint8(8))  // closed loop on 4x4 mesh+spin
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(20), int64(1), uint16(250), uint8(1), uint8(8), uint8(16), uint8(0)) // bursty on 3x3 mesh, xy
 	f.Add(uint8(4), uint8(2), uint8(4), uint8(1), uint8(1), uint16(30), int64(3), uint16(300), uint8(2), uint8(20), uint8(1), uint8(0)) // hotspot on torus+spin
 	f.Fuzz(func(t *testing.T, topoSel, routeSel, patSel, vcs, vnets uint8, ratePct uint16, seed int64, cycles uint16, mode, wa, wb, wc uint8) {

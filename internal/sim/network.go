@@ -147,6 +147,7 @@ type Network struct {
 	awake      bitset
 	nicBusy    bitset
 	nicBlocked bitset
+	routerSets bitset // every router's four worklists (see Router.occ), one slab
 
 	// saVisits counts the turns saStage has handed out (the work the
 	// blocked index exists to avoid).
@@ -195,61 +196,147 @@ type Network struct {
 	tele      *Telemetry
 }
 
-// NewNetwork builds a network from cfg, attaching the scheme's agents.
+// carve cuts *slab's first k elements off as a window that cannot grow.
+func carve[T any](slab *[]T, k int) []T {
+	w := (*slab)[:k:k]
+	*slab = (*slab)[k:]
+	return w
+}
+
+// NewNetwork builds a network from cfg. It wires the skeleton — routers,
+// VCs, links, NICs and RNG sources from one slab each, per-port tables as
+// windows of network-wide slabs: a function of (Topology, VNets, VCsPerVNet,
+// VCDepth) alone — and leaves every initial value of run state to Reset.
 func NewNetwork(cfg Config) (*Network, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg}
-	n.freeStride = (cfg.VNets*cfg.VCsPerVNet + 63) / 64 * 64
-	topo := cfg.Topology
-	n.routers = make([]*Router, topo.NumRouters())
-	n.awake = newBitset(len(n.routers))
-	n.vcBase = make([]int32, len(n.routers)+1)
-	for i := range n.routers {
-		if radix := topo.Radix(i); radix > 64 {
+	topo, vcs := cfg.Topology, cfg.VNets*cfg.VCsPerVNet
+	n := &Network{cfg: cfg, freeStride: (vcs + 63) / 64 * 64}
+	routers := make([]Router, topo.NumRouters())
+	n.routers = make([]*Router, len(routers))
+	n.vcBase = make([]int32, len(routers)+1)
+	ports, words := 0, 0
+	for i := range routers {
+		radix := topo.Radix(i)
+		if radix > 64 {
 			return nil, fmt.Errorf("sim: router %d has %d ports, at most 64 are supported", i, radix)
 		}
-		n.routers[i] = newRouter(n, i)
-		n.vcBase[i+1] = n.vcBase[i] + int32(len(n.routers[i].vcFlat))
-		// Every router starts awake; phase 2 retires the idle ones.
-		n.routers[i].wake()
+		ports += radix
+		words += 3*((radix*vcs+63)/64) + radix*n.freeStride/64
+		n.vcBase[i+1] = n.vcBase[i] + int32(radix*vcs)
+	}
+	vcSlab, vcFlat := make([]VC, ports*vcs), make([]*VC, ports*vcs)
+	in, outVCs := make([][]*VC, ports), make([][]*VC, ports)
+	outLink, outFree := make([]*link, ports), make([]bitset, ports)
+	waker, smSends := make([]int32, ports), make([][]*SM, ports)
+	n.routerSets = make(bitset, words)
+	sets := []uint64(n.routerSets)
+	for i := range routers {
+		r, radix := &routers[i], topo.Radix(i)
+		slotWords := (radix*vcs + 63) / 64
+		*r = Router{net: n, ID: i, radix: radix, localPorts: topo.LocalPorts(i),
+			in: carve(&in, radix), vcFlat: carve(&vcFlat, radix*vcs),
+			outLink: carve(&outLink, radix), outVCs: carve(&outVCs, radix), outFree: carve(&outFree, radix),
+			waker: carve(&waker, radix), smSends: carve(&smSends, radix),
+			occ: carve(&sets, slotWords), needRoute: carve(&sets, slotWords), blocked: carve(&sets, slotWords),
+			inFree: carve(&sets, radix*n.freeStride/64)}
+		for slot := range r.vcFlat {
+			r.vcFlat[slot] = &vcSlab[int(n.vcBase[i])+slot]
+			*r.vcFlat[slot] = VC{router: r, port: slot / vcs, index: slot % vcs, slot: int32(slot)}
+		}
+		for p := range r.in {
+			r.in[p] = r.vcFlat[p*vcs : (p+1)*vcs : (p+1)*vcs]
+			r.waker[p] = -1
+		}
+		n.routers[i] = r
 	}
 	// Links are ordered by destination router (stable over the topology's
 	// declaration order): the order phase 1 delivers arrivals in.
 	topoLinks := append([]topology.Link(nil), topo.Links()...)
 	sort.SliceStable(topoLinks, func(i, j int) bool { return topoLinks[i].Dst < topoLinks[j].Dst })
+	links := make([]link, len(topoLinks))
+	n.links = make([]*link, len(links))
 	for i, tl := range topoLinks {
-		l := &link{topo: tl, index: i, dst: n.routers[tl.Dst]}
-		n.links = append(n.links, l)
+		l := &links[i]
+		*l = link{topo: tl, index: i, dst: n.routers[tl.Dst]}
+		l.global = n.isGlobalHop(l)
+		n.links[i] = l
 		n.routers[tl.Src].wire(tl.SrcPort, l)
 	}
-	n.linkActive = newBitset(len(n.links))
-	n.nics = make([]*NIC, topo.NumTerminals())
-	for t := range n.nics {
+	nics := make([]NIC, topo.NumTerminals())
+	n.nics = make([]*NIC, len(nics))
+	for t := range nics {
 		r, port := n.routers[topo.TerminalRouter(t)], topo.TerminalPort(t)
-		n.nics[t] = &NIC{term: t, router: r, port: port}
+		nics[t] = NIC{term: t, router: r, port: port}
+		n.nics[t] = &nics[t]
 		r.waker[port] = int32(t)
 	}
-	n.nicBusy = newBitset(len(n.nics))
-	n.nicBlocked = newBitset(len(n.nics))
-	for _, l := range n.links {
-		l.global = n.isGlobalHop(l)
+	n.linkActive, n.awake, n.nicBusy, n.nicBlocked = newBitset(len(links)), newBitset(len(routers)), newBitset(len(nics)), newBitset(len(nics))
+	srcs, rngs := make([]splitmix64, len(routers)+len(nics)), make([]*rand.Rand, len(routers)+len(nics))
+	for i := range rngs {
+		rngs[i] = rand.New(&srcs[i])
 	}
-	n.routerRNG = make([]*rand.Rand, len(n.routers))
-	for i := range n.routerRNG {
-		n.routerRNG[i] = newEntityRand(cfg.Seed, RouterKey(i))
-	}
-	n.termRNG = make([]*rand.Rand, len(n.nics))
-	for i := range n.termRNG {
-		n.termRNG[i] = newEntityRand(cfg.Seed, TerminalKey(i))
-	}
+	n.routerRNG, n.termRNG = rngs[:len(routers)], rngs[len(routers):]
 	n.injectFn = func(spec PacketSpec) { n.inject(n.injectTerm, spec, true) }
-	if tp, ok := cfg.Traffic.(TrafficPrep); ok {
-		tp.PrepareTerminals(len(n.nics))
+	return n, n.Reset(cfg) // cannot fail: cfg is valid and of the network's own shape
+}
+
+// rewind empties s, zeroing it so that no pointer of the last run lives on.
+func rewind[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// Reset rewinds the network to cycle 0 of a run of cfg, exactly as
+// NewNetwork(cfg) would have built it. It is the only writer of initial run
+// state (NewNetwork ends by calling it). Whatever watches the network —
+// observers, telemetry, flight recorder, checker, eject hook — is dropped.
+// cfg must have the shape the network was built with (Topology value, VNets,
+// VCsPerVNet, VCDepth): another is an error that leaves the network untouched.
+func (n *Network) Reset(cfg Config) error {
+	if err := cfg.setDefaults(); err != nil {
+		return err
 	}
-	n.trafStep, _ = cfg.Traffic.(TrafficStepper)
-	n.trafObs, _ = cfg.Traffic.(TrafficEjectObserver)
+	if was := n.cfg; cfg.Topology != was.Topology || cfg.VNets != was.VNets || cfg.VCsPerVNet != was.VCsPerVNet || cfg.VCDepth != was.VCDepth {
+		return fmt.Errorf("sim: Reset of a %s network (%d vnets x %d VCs x %d flits) to another shape", was.Topology.Name(), was.VNets, was.VCsPerVNet, was.VCDepth)
+	}
+	n.cfg, n.now, n.stats = cfg, 0, Stats{}
+	n.inNetwork, n.queuedPackets, n.saVisits = 0, 0, 0
+	clear(n.linkActive)
+	clear(n.awake)
+	clear(n.nicBusy)
+	clear(n.nicBlocked)
+	clear(n.routerSets)
+	n.resvOps, n.inFlightOps, n.ejects, n.dirtyVCs = rewind(n.resvOps), rewind(n.inFlightOps), rewind(n.ejects), rewind(n.dirtyVCs)
+	n.observers, n.evMask, n.flight, n.tele, n.checker, n.ejectHook = nil, 0, nil, nil, nil, nil
+	for _, l := range n.links {
+		for _, t := range l.sms {
+			n.freeSM(t.sm)
+		}
+		*l = link{topo: l.topo, index: l.index, dst: l.dst, global: l.global, flits: rewind(l.flits), sms: rewind(l.sms)}
+	}
+	for t, nic := range n.nics {
+		*nic = NIC{term: t, router: nic.router, port: nic.port, queue: rewind(nic.queue)}
+		n.termRNG[t].Seed(EntitySeed(cfg.Seed, TerminalKey(t)))
+	}
+	for i, r := range n.routers {
+		r.agent, r.qagent, r.vpub = nil, nil, nil
+		r.flitCount, r.spinningVCs, r.smPending = 0, 0, 0
+		for p := range r.smSends {
+			r.smSends[p] = rewind(r.smSends[p])
+		}
+		// A VC is rewritten as a literal naming only what survives, so a
+		// field added later starts a run zeroed without being listed here.
+		for _, v := range r.vcFlat {
+			*v = VC{router: r, port: v.port, index: v.index, slot: v.slot, depth: cfg.VCDepth, outPort: -1,
+				buf: v.buf[:0], reqs: v.reqs[:0]}
+		}
+		n.routerRNG[i].Seed(EntitySeed(cfg.Seed, RouterKey(i)))
+		// Every router starts awake; phase 2 retires the idle ones.
+		r.wake()
+	}
+	n.SetTraffic(cfg.Traffic)
 	if cfg.Scheme != nil {
 		cfg.Scheme.Attach(n)
 	}
@@ -258,7 +345,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 			v.refreshSnap()
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // Config returns the simulation configuration, defaults resolved.

@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"math/rand"
-	"strconv"
-)
+import "strconv"
 
 // RNG discipline: instead of one shared generator whose draw sequence
 // depends on iteration order, every router and every terminal owns an
@@ -47,14 +42,18 @@ func mix64(x uint64) uint64 {
 // and a stable entity key. The derivation mirrors runner.SeedFor exactly
 // (FNV-1a over the little-endian base followed by the key bytes,
 // finalized with mix64), so entity streams and sweep-point seeds come
-// from one documented scheme.
+// from one documented scheme. The hash is spelled out because Reset
+// reseeds every stream of a network per sweep point: hash/fnv's costs two
+// heap objects a call.
 func EntitySeed(base int64, key string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(base))
-	h.Write(b[:])
-	h.Write([]byte(key))
-	return int64(mix64(h.Sum64()))
+	h := uint64(14695981039346656037)
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(base>>(8*i)))) * 1099511628211
+	}
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	return int64(mix64(h))
 }
 
 // RouterKey is the entity key of router id's stream.
@@ -62,8 +61,3 @@ func RouterKey(id int) string { return "R:" + strconv.Itoa(id) }
 
 // TerminalKey is the entity key of terminal id's stream.
 func TerminalKey(id int) string { return "T:" + strconv.Itoa(id) }
-
-// newEntityRand builds one entity stream.
-func newEntityRand(base int64, key string) *rand.Rand {
-	return rand.New(&splitmix64{state: uint64(EntitySeed(base, key))})
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/runner"
@@ -110,4 +111,10 @@ func TestNetworkEntityStreams(t *testing.T) {
 	if got := n.TerminalRNG(3).Uint64(); got != wantT {
 		t.Errorf("TerminalRNG(3) first draw = %d, want %d", got, wantT)
 	}
+}
+
+// newEntityRand builds one entity stream from scratch: what NewNetwork's
+// reseed-in-place (Network.Reset) must be indistinguishable from.
+func newEntityRand(base int64, key string) *rand.Rand {
+	return rand.New(&splitmix64{state: uint64(EntitySeed(base, key))})
 }

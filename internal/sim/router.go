@@ -76,38 +76,6 @@ type portSet uint64
 func (s portSet) has(p int) bool { return s>>uint(p)&1 != 0 }
 func (s *portSet) set(p int)     { *s |= 1 << uint(p) }
 
-func newRouter(n *Network, id int) *Router {
-	topo := n.cfg.Topology
-	radix := topo.Radix(id)
-	vcs := n.cfg.VNets * n.cfg.VCsPerVNet
-	r := &Router{
-		net:        n,
-		ID:         id,
-		radix:      radix,
-		localPorts: topo.LocalPorts(id),
-		in:         make([][]*VC, radix),
-		vcFlat:     make([]*VC, radix*vcs),
-		outLink:    make([]*link, radix),
-		outVCs:     make([][]*VC, radix),
-		outFree:    make([]bitset, radix),
-		waker:      make([]int32, radix),
-		smSends:    make([][]*SM, radix),
-	}
-	slotWords := (radix*vcs + 63) / 64
-	slab := make(bitset, 3*slotWords+radix*n.freeStride/64)
-	r.occ, slab = slab[:slotWords:slotWords], slab[slotWords:]
-	r.needRoute, slab = slab[:slotWords:slotWords], slab[slotWords:]
-	r.blocked, r.inFree = slab[:slotWords:slotWords], slab[slotWords:]
-	for p := 0; p < radix; p++ {
-		r.in[p] = r.vcFlat[p*vcs : (p+1)*vcs : (p+1)*vcs]
-		r.waker[p] = -1
-		for k := range r.in[p] {
-			r.in[p][k] = &VC{router: r, port: p, index: k, slot: int32(p*vcs + k), depth: n.cfg.VCDepth, outPort: -1}
-		}
-	}
-	return r
-}
-
 // wire attaches l to output port p, caching the far end's view of it.
 func (r *Router) wire(p int, l *link) {
 	d, dp := l.dst, l.topo.DstPort

@@ -3,6 +3,8 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -165,4 +167,72 @@ func TestGeneratedTopologiesConnected(t *testing.T) {
 			t.Errorf("%s is not connected", name)
 		}
 	}
+}
+
+// TestGraphTablesUnchanged: Distance and MinimalPorts for every pair
+// equal a reference computed the way NewGraph used to — a BFS over the
+// link list per source and, per (router, dst) pair, the ports collected
+// in link-declaration order and then sorted. Routing decisions and RNG
+// draws depend on the order of MinimalPorts, so it is compared exactly.
+func TestGraphTablesUnchanged(t *testing.T) {
+	for name, topo := range generatedTopologies(t) {
+		t.Run(name, func(t *testing.T) {
+			n := topo.NumRouters()
+			out := make([][]Link, n)
+			for _, l := range topo.Links() {
+				out[l.Src] = append(out[l.Src], l)
+			}
+			dist := make([][]int, n)
+			for s := range dist {
+				d := make([]int, n)
+				for i := range d {
+					d[i] = -1
+				}
+				d[s] = 0
+				for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+					for _, l := range out[queue[0]] {
+						if d[l.Dst] == -1 {
+							d[l.Dst] = d[queue[0]] + 1
+							queue = append(queue, l.Dst)
+						}
+					}
+				}
+				dist[s] = d
+			}
+			for r := 0; r < n; r++ {
+				for dst := 0; dst < n; dst++ {
+					if got := topo.Distance(r, dst); got != dist[r][dst] {
+						t.Fatalf("Distance(%d, %d) = %d, reference %d", r, dst, got, dist[r][dst])
+					}
+					want := []int{}
+					if r != dst && dist[r][dst] >= 0 {
+						for _, l := range out[r] {
+							if dist[l.Dst][dst] >= 0 && dist[l.Dst][dst] == dist[r][dst]-1 {
+								want = append(want, l.SrcPort)
+							}
+						}
+						sort.Ints(want)
+					}
+					if got := topo.MinimalPorts(r, dst); !reflect.DeepEqual(got, want) {
+						t.Fatalf("MinimalPorts(%d, %d) = %v, reference %v", r, dst, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGraphBuildAllocBudget: building a graph costs a fixed number of
+// slabs plus the link list's growth, not an object per router or per
+// (router, dst) pair (8,411 objects for this mesh with a sort per pair).
+func TestGraphBuildAllocBudget(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewMesh(8, 8, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 500 {
+		t.Fatalf("NewMesh(8,8,1) makes %.0f allocations, budget 500", allocs)
+	}
+	t.Logf("NewMesh(8,8,1): %.0f allocations", allocs)
 }

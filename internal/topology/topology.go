@@ -9,10 +9,7 @@
 // queries that topology-agnostic routing (and SPIN itself) rely on.
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Link is a directed channel between an output port of router Src and an
 // input port of router Dst. Latency is the traversal time in cycles and
@@ -59,23 +56,22 @@ type Topology interface {
 // Graph is a concrete Topology built from an explicit link list. Concrete
 // topologies (Mesh, Dragonfly, ...) embed Graph and add coordinate helpers.
 type Graph struct {
-	name      string
-	routers   int
-	termOf    []int // terminal -> router
-	termPort  []int // terminal -> local port
-	localCnt  []int // router -> #terminal ports
-	radix     []int // router -> total ports
-	links     []Link
-	outLink   [][]int // [router][port] -> index into links, or -1
-	dist      [][]int16
+	name     string
+	routers  int
+	termOf   []int // terminal -> router
+	termPort []int // terminal -> local port
+	localCnt []int // router -> #terminal ports
+	radix    []int // router -> total ports
+	links    []Link
+	outLink  [][]int // [router][port] -> index into links, or -1
+	dist     [][]int16
 	// Minimal out ports are stored as one flat pool indexed by offsets:
 	// the ports for (r, dst) live in minPorts[minOff[r*routers+dst] :
 	// minOff[r*routers+dst+1]]. A per-pair [][]int8 costs one allocation
 	// per (router, dst) pair — ~16.7M slices at 4096 routers — while the
 	// flat form is two allocations regardless of scale.
-	minOff    []int32
-	minPorts  []int8
-	neighbors [][]int // [router] -> outgoing link indices
+	minOff   []int32
+	minPorts []int8
 }
 
 // NewGraph assembles a Graph. terminals[t] gives the router each terminal
@@ -119,52 +115,60 @@ func NewGraph(name string, routers int, terminals []int, links []Link) (*Graph, 
 			g.radix[l.Dst] = l.DstPort + 1
 		}
 	}
-	g.outLink = make([][]int, routers)
+	// One slab for every router's port table (radix is final here); the
+	// same offsets index the duplicate in-port check.
+	off := make([]int, routers+1)
 	for r := 0; r < routers; r++ {
-		g.outLink[r] = make([]int, g.radix[r])
-		for p := range g.outLink[r] {
-			g.outLink[r][p] = -1
-		}
+		off[r+1] = off[r] + g.radix[r]
 	}
-	inSeen := make(map[[2]int]bool)
+	flat := make([]int, off[routers])
+	for i := range flat {
+		flat[i] = -1
+	}
+	g.outLink = make([][]int, routers)
+	for r := range g.outLink {
+		g.outLink[r] = flat[off[r]:off[r+1]:off[r+1]]
+	}
+	inSeen := make([]bool, len(flat))
 	for i, l := range g.links {
 		if g.outLink[l.Src][l.SrcPort] != -1 {
 			return nil, fmt.Errorf("topology %s: two links leave router %d port %d", name, l.Src, l.SrcPort)
 		}
 		g.outLink[l.Src][l.SrcPort] = i
-		key := [2]int{l.Dst, l.DstPort}
-		if inSeen[key] {
+		in := off[l.Dst] + l.DstPort
+		if inSeen[in] {
 			return nil, fmt.Errorf("topology %s: two links enter router %d port %d", name, l.Dst, l.DstPort)
 		}
-		inSeen[key] = true
-	}
-	g.neighbors = make([][]int, routers)
-	for i, l := range g.links {
-		g.neighbors[l.Src] = append(g.neighbors[l.Src], i)
+		inSeen[in] = true
 	}
 	g.computeDistances()
 	g.computeMinimalPorts()
 	return g, nil
 }
 
+// computeDistances runs one BFS per source over the port tables.
 func (g *Graph) computeDistances() {
-	g.dist = make([][]int16, g.routers)
-	queue := make([]int, 0, g.routers)
-	for s := 0; s < g.routers; s++ {
-		d := make([]int16, g.routers)
-		for i := range d {
-			d[i] = -1
-		}
+	n := g.routers
+	flat := make([]int16, n*n)
+	for i := range flat {
+		flat[i] = -1
+	}
+	g.dist = make([][]int16, n)
+	queue := make([]int, n)
+	for s := 0; s < n; s++ {
+		d := flat[s*n : (s+1)*n : (s+1)*n]
 		d[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
-			for _, li := range g.neighbors[r] {
-				n := g.links[li].Dst
-				if d[n] == -1 {
-					d[n] = d[r] + 1
-					queue = append(queue, n)
+		queue[0] = s
+		for head, tail := 0, 1; head < tail; head++ {
+			r := queue[head]
+			for _, li := range g.outLink[r] {
+				if li < 0 {
+					continue
+				}
+				if nb := g.links[li].Dst; d[nb] == -1 {
+					d[nb] = d[r] + 1
+					queue[tail] = nb
+					tail++
 				}
 			}
 		}
@@ -172,28 +176,24 @@ func (g *Graph) computeDistances() {
 	}
 }
 
+// computeMinimalPorts fills the (r, dst) port pool. A router's port table
+// is walked in port order, so every list comes out ascending by port.
 func (g *Graph) computeMinimalPorts() {
-	g.minOff = make([]int32, g.routers*g.routers+1)
-	g.minPorts = g.minPorts[:0]
-	var scratch []int8
-	for r := 0; r < g.routers; r++ {
-		for dst := 0; dst < g.routers; dst++ {
-			g.minOff[r*g.routers+dst] = int32(len(g.minPorts))
-			if r == dst || g.dist[r][dst] < 0 {
-				continue
-			}
-			scratch = scratch[:0]
-			for _, li := range g.neighbors[r] {
-				l := g.links[li]
-				if g.dist[l.Dst][dst] >= 0 && g.dist[l.Dst][dst] == g.dist[r][dst]-1 {
-					scratch = append(scratch, int8(l.SrcPort))
+	n := g.routers
+	g.minOff = make([]int32, n*n+1)
+	g.minPorts = make([]int8, 0, 2*n*n)
+	for r := 0; r < n; r++ {
+		for dst := 0; dst < n; dst++ {
+			g.minOff[r*n+dst] = int32(len(g.minPorts))
+			want := g.dist[r][dst] - 1 // negative: r == dst, or unreachable
+			for p, li := range g.outLink[r] {
+				if li >= 0 && want >= 0 && g.dist[g.links[li].Dst][dst] == want {
+					g.minPorts = append(g.minPorts, int8(p))
 				}
 			}
-			sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-			g.minPorts = append(g.minPorts, scratch...)
 		}
 	}
-	g.minOff[g.routers*g.routers] = int32(len(g.minPorts))
+	g.minOff[n*n] = int32(len(g.minPorts))
 }
 
 // minimalAt returns the pooled minimal-port slice for (r, dst).

@@ -179,16 +179,16 @@ func EncodeTrace(w io.Writer, entries []TraceEntry) error {
 // most one decoded chunk (4096 entries) in memory regardless of trace
 // length.
 type TraceReader struct {
-	zr        *gzip.Reader
-	br        *bufio.Reader
-	chunk     []TraceEntry
-	pos       int
-	chunkIdx  int
-	cycle     int64
-	sawShort  bool // a chunk under chunkEntries must be the last
-	done      bool
-	err       error
-	payload   []byte
+	zr       *gzip.Reader
+	br       *bufio.Reader
+	chunk    []TraceEntry
+	pos      int
+	chunkIdx int
+	cycle    int64
+	sawShort bool // a chunk under chunkEntries must be the last
+	done     bool
+	err      error
+	payload  []byte
 }
 
 // StreamTrace opens a spintrace-v1 stream for incremental reading. It

@@ -151,16 +151,16 @@ func Build(s Spec, pat traffic.Pattern, rate, dataFrac float64, vnets, terminals
 	}
 	if s.Mode == "closed" {
 		return NewClosedLoop(ClosedLoopConfig{
-			Pattern: pat,
-			Window:  s.Window,
-			Rate:    rate,
-			ReqLen:  s.ReqLen,
-			RespLen: s.RespLen,
-			Think:   s.Think,
-			ThinkMax: s.ThinkMax,
-			VNets:   vnets,
+			Pattern:   pat,
+			Window:    s.Window,
+			Rate:      rate,
+			ReqLen:    s.ReqLen,
+			RespLen:   s.RespLen,
+			Think:     s.Think,
+			ThinkMax:  s.ThinkMax,
+			VNets:     vnets,
 			MaxPktLen: maxPktLen,
-			Seed:    seed,
+			Seed:      seed,
 		})
 	}
 	syn := &traffic.Synthetic{Pattern: pat, Rate: rate, DataFrac: dataFrac, VNets: vnets}

@@ -80,25 +80,46 @@ type Config struct {
 	SPIN spinimpl.Config
 }
 
-// Simulation is a runnable network instance.
+// Simulation is a runnable network instance. It belongs to one goroutine.
 type Simulation struct {
 	cfg  Config
 	net  *sim.Network
 	topo topology.Topology
-	spin *spinimpl.Scheme
+	alg  sim.RoutingAlgorithm // BuildRouting's, kept across Reset; nil under a scheme that forces its own
 }
 
 // New builds a Simulation from cfg.
 func New(cfg Config) (*Simulation, error) {
-	topo, err := BuildTopology(cfg.Topology, cfg.Seed)
-	if err != nil {
+	s := new(Simulation)
+	if err := s.Reset(cfg); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// Reset rewinds s to cycle 0 of a run of cfg, indistinguishable from
+// New(cfg), rebuilding only what cfg changed: the topology is kept while its
+// spec string is (a seeded family — irregular, jellyfish — also needs the
+// same seed), the routing object while its name, VC count and topology are
+// (its lazily built tables are a function of those), and the network is
+// rewound in place (sim.Network.Reset) while its shape is; scheme and traffic
+// generator are always built afresh. Stats, events and results already taken
+// from s stay valid; anything attached to Network() is dropped. A failed
+// Reset leaves s unusable until a Reset succeeds.
+func (s *Simulation) Reset(cfg Config) (err error) {
+	was := *s
+	*s = Simulation{}
+	topo, alg, net := was.topo, was.alg, was.net
 	vcs := cfg.VCsPerVNet
 	if vcs == 0 {
 		vcs = 1
 	}
-	s := &Simulation{cfg: cfg, topo: topo}
+	if topo == nil || cfg.Topology != was.cfg.Topology || topologyUsesSeed(cfg.Topology) && cfg.Seed != was.cfg.Seed {
+		if topo, err = BuildTopology(cfg.Topology, cfg.Seed); err != nil {
+			return err
+		}
+		alg, net = nil, nil
+	}
 	var scheme sim.Scheme
 	var forcedRouting sim.RoutingAlgorithm
 	switch cfg.Scheme {
@@ -108,12 +129,11 @@ func New(cfg Config) (*Simulation, error) {
 		if cfg.TDD != 0 {
 			sc.TDD = cfg.TDD
 		}
-		s.spin = spinimpl.New(sc)
-		scheme = s.spin
+		scheme = spinimpl.New(sc)
 	case "static_bubble":
 		m, ok := topo.(*topology.Mesh)
 		if !ok {
-			return nil, fmt.Errorf("spin: static_bubble needs a mesh topology")
+			return fmt.Errorf("spin: static_bubble needs a mesh topology")
 		}
 		sb := &bubble.StaticBubble{Mesh: m, TDD: cfg.TDD}
 		scheme = sb
@@ -121,32 +141,34 @@ func New(cfg Config) (*Simulation, error) {
 	case "ring_bubble":
 		m, ok := topo.(*topology.Mesh)
 		if !ok || !m.Torus {
-			return nil, fmt.Errorf("spin: ring_bubble needs a torus topology")
+			return fmt.Errorf("spin: ring_bubble needs a torus topology")
 		}
 		scheme = &bubble.RingBubble{Mesh: m}
 	default:
-		return nil, fmt.Errorf("spin: unknown scheme %q", cfg.Scheme)
+		return fmt.Errorf("spin: unknown scheme %q", cfg.Scheme)
 	}
-	var alg sim.RoutingAlgorithm
-	if forcedRouting != nil {
-		alg = forcedRouting
+	routing := forcedRouting
+	if routing != nil {
+		alg = nil
 	} else {
-		alg, err = BuildRouting(cfg.Routing, topo, vcs)
-		if err != nil {
-			return nil, err
+		if alg == nil || cfg.Routing != was.cfg.Routing || cfg.VCsPerVNet != was.cfg.VCsPerVNet {
+			if alg, err = BuildRouting(cfg.Routing, topo, vcs); err != nil {
+				return err
+			}
 		}
+		routing = alg
 	}
 	var gen sim.TrafficGen
 	if cfg.Traffic != "" {
 		pat, err := traffic.ByName(cfg.Traffic, topo)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		gen = &traffic.Synthetic{Pattern: pat, Rate: cfg.Rate, DataFrac: cfg.DataFrac, VNets: max(1, cfg.VNets)}
 	}
-	net, err := sim.NewNetwork(sim.Config{
+	simCfg := sim.Config{
 		Topology:   topo,
-		Routing:    alg,
+		Routing:    routing,
 		Scheme:     scheme,
 		Traffic:    gen,
 		VNets:      cfg.VNets,
@@ -154,12 +176,15 @@ func New(cfg Config) (*Simulation, error) {
 		VCDepth:    cfg.VCDepth,
 		Seed:       cfg.Seed,
 		StatsStart: cfg.Warmup,
-	})
-	if err != nil {
-		return nil, err
 	}
-	s.net = net
-	return s, nil
+	// A network of another shape is not rewound but replaced.
+	if net == nil || net.Reset(simCfg) != nil {
+		if net, err = sim.NewNetwork(simCfg); err != nil {
+			return err
+		}
+	}
+	*s = Simulation{cfg: cfg, net: net, topo: topo, alg: alg}
+	return nil
 }
 
 // BuildTopology parses a topology spec string.
@@ -235,6 +260,12 @@ func BuildTopology(spec string, seed int64) (topology.Topology, error) {
 		return topology.NewFatTree(v[0], v[1], v[2], 1)
 	}
 	return nil, fmt.Errorf("spin: unknown topology %q", spec)
+}
+
+// topologyUsesSeed reports whether BuildTopology's result for spec depends
+// on its seed: the families above that take a rand.Rand.
+func topologyUsesSeed(spec string) bool {
+	return strings.HasPrefix(spec, "irregular:") || strings.HasPrefix(spec, "jellyfish:")
 }
 
 // parseInts parses "name:a,b,c"-style specs.
