@@ -48,7 +48,8 @@ const baselineFile = "BENCH_sim.json"
 // bytes with slack for allocator bucketing). A checked row (CheckSuffix) is
 // gated on its ratio to its plain row instead — the checker's tax, which
 // needs no calibration and does not move when Step itself gets faster. The
-// setup block (spin.New and Reset per configuration) is gated likewise.
+// setup block (spin.New and Reset per configuration) is gated likewise, and
+// so is the serve block of BENCH_serve.json (checkServe: a hit per way to it).
 //
 // The wall-clock limit only fails the test when BENCH_STRICT is set in
 // the environment (the CI bench job sets it and runs this package
@@ -67,6 +68,7 @@ func TestBenchRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkServe(t, cur.CalibrationNs)
 	if *update {
 		if old, err := Load(baselineFile); err == nil {
 			for i, w := range cur.Workloads {

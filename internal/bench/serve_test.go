@@ -1,0 +1,237 @@
+package bench
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cache"
+	"repro/internal/harness"
+	"repro/internal/serve"
+)
+
+// This file is the request rung of the bench package: what spind spends
+// on one cache hit, through Handler().ServeHTTP with no socket, by the way
+// the hit is found. The rows live in BENCH_serve.json beside the same rows
+// measured at the parent of the commit that last changed the request path
+// (before). Only public API is used, so this file compiles there unchanged.
+
+const serveBaselineFile = "BENCH_serve.json"
+
+// RequestRow is one kind of hit and its cost per request.
+type RequestRow struct {
+	Name string `json:"name"`
+	Cost
+	Before Cost `json:"before"`
+}
+
+// ServeReport is the BENCH_serve.json schema.
+type ServeReport struct {
+	Schema        int          `json:"schema"`
+	GoVersion     string       `json:"go_version"`
+	CalibrationNs float64      `json:"calibration_ns"`
+	Serve         []RequestRow `json:"serve"`
+}
+
+// sink is the smallest ResponseWriter that keeps what the rows check.
+type sink struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *sink) Header() http.Header         { return w.h }
+func (w *sink) WriteHeader(c int)           { w.code = c }
+func (w *sink) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+
+// requester sends bodies to one in-process spind, reusing one request and
+// one writer so that a row's cost is the handler's, not the harness's.
+type requester struct {
+	tb   testing.TB
+	h    http.Handler
+	body bytes.Reader
+	req  *http.Request
+	w    sink
+}
+
+func newRequester(tb testing.TB, maxMem int) *requester {
+	store, err := cache.Open(tb.TempDir(), maxMem)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Cache: store, Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(srv.Close)
+	rq := &requester{tb: tb, h: srv.Handler(), w: sink{h: http.Header{}}}
+	rq.req, err = http.NewRequest(http.MethodPost, "/v1/simulate", nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rq.req.Body = io.NopCloser(&rq.body)
+	return rq
+}
+
+// post sends body and requires a 200 of the given X-Cache class.
+func (rq *requester) post(body []byte, wantCache string) {
+	rq.body.Reset(body)
+	rq.req.ContentLength = int64(len(body))
+	clear(rq.w.h)
+	rq.w.code, rq.w.n = http.StatusOK, 0
+	rq.h.ServeHTTP(&rq.w, rq.req)
+	if got := rq.w.h.Get("X-Cache"); rq.w.code != http.StatusOK || got != wantCache || rq.w.n == 0 {
+		rq.tb.Fatalf("status %d, X-Cache %q, %d bytes; want 200, %q, a body", rq.w.code, got, rq.w.n, wantCache)
+	}
+}
+
+func simBody(tb testing.TB, seed int64) []byte {
+	b, err := json.Marshal(serve.SimRequest{Scenario: harness.Scenario{
+		Topology: "mesh:4x4", Routing: "min_adaptive", Scheme: "spin",
+		Traffic: "uniform_random", Rate: 0.2, VCsPerVNet: 3, Seed: seed, Cycles: 1000,
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// requestRows builds the three ways to a hit; each func sends one request.
+//
+//	hit/alias     the same bytes again, value in the memory tier
+//	hit/fullpath  a spelling the alias table does not hold (64 paddings of
+//	              one request in rotation, more than an entry remembers),
+//	              value in the memory tier: decode to key, then the lookup
+//	hit/disk      two keys taking turns in a one-entry memory tier: the full
+//	              path, then the disk tier's read and json.Valid
+func requestRows(tb testing.TB) []struct {
+	name string
+	next func()
+} {
+	mem, disk := newRequester(tb, 0), newRequester(tb, 1)
+	one, two := simBody(tb, 1), simBody(tb, 2)
+	mem.post(one, "miss")
+	disk.post(one, "miss")
+	disk.post(two, "miss")
+	spellings := make([][]byte, 64)
+	for i := range spellings {
+		spellings[i] = append(bytes.Clone(one), strings.Repeat(" ", i+1)...)
+	}
+	var i, j int
+	return []struct {
+		name string
+		next func()
+	}{
+		{"hit/alias", func() { mem.post(one, "hit") }},
+		{"hit/fullpath", func() { mem.post(spellings[i%len(spellings)], "hit"); i++ }},
+		{"hit/disk", func() { disk.post([][]byte{one, two}[j%2], "hit"); j++ }},
+	}
+}
+
+// measureRequests is the serve block: per row the best ns of reps batches,
+// heap bytes and objects of the first.
+func measureRequests(tb testing.TB, reps int) (rows []RequestRow) {
+	const batch = 2000
+	for _, r := range requestRows(tb) {
+		for i := 0; i < batch; i++ { // settle the rotation and every lazy bind
+			r.next()
+		}
+		row := RequestRow{Name: r.name}
+		for rep := 0; rep < reps; rep++ {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			for i := 0; i < batch; i++ {
+				r.next()
+			}
+			ns := float64(time.Since(start).Nanoseconds()) / batch
+			runtime.ReadMemStats(&after)
+			if rep == 0 {
+				row.Cost = Cost{ns, float64(after.TotalAlloc-before.TotalAlloc) / batch, float64(after.Mallocs-before.Mallocs) / batch}
+			}
+			row.Ns = min(row.Ns, ns)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// checkServe is TestBenchRegression's serve block: bytes and objects per
+// request compare directly (5 % and a quarter of an object of slack: the
+// disk row's reads vary a little), ns through the calibration ratio under
+// the same advisory-unless-BENCH_STRICT rule. With -update it rewrites the
+// file, carrying each row's before over.
+func checkServe(t *testing.T, calibrationNs float64) {
+	cur := ServeReport{Schema: Schema, GoVersion: runtime.Version(), CalibrationNs: calibrationNs, Serve: measureRequests(t, 5)}
+	var base ServeReport
+	b, err := os.ReadFile(serveBaselineFile)
+	if err == nil {
+		err = json.Unmarshal(b, &base)
+	}
+	if *update {
+		for i := range cur.Serve {
+			if i < len(base.Serve) {
+				cur.Serve[i].Before = base.Serve[i].Before
+			}
+		}
+		out, _ := json.MarshalIndent(cur, "", "  ")
+		if err := os.WriteFile(serveBaselineFile, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err != nil || base.Schema != Schema || len(base.Serve) != len(cur.Serve) {
+		t.Fatalf("%s: unreadable or out of date (%v); run with -update", serveBaselineFile, err)
+	}
+	scale := calibrationNs / base.CalibrationNs
+	for i, got := range cur.Serve {
+		want := base.Serve[i]
+		limit := want.Ns * scale * 1.25
+		t.Logf("%-13s %7.0f ns (limit %7.0f) %6.0f B %5.1f objects (before: %.0f ns, %.0f B, %.1f objects)",
+			got.Name, got.Ns, limit, got.Bytes, got.Objects, want.Before.Ns, want.Before.Bytes, want.Before.Objects)
+		if got.Bytes > want.Bytes*1.05+64 || got.Objects > want.Objects*1.05+0.25 {
+			t.Errorf("%s: %.0f B in %.1f objects per request exceeds baseline %.0f in %.1f", got.Name, got.Bytes, got.Objects, want.Bytes, want.Objects)
+		}
+		if got.Ns > limit && os.Getenv("BENCH_STRICT") != "" {
+			t.Errorf("%s: %.0f ns exceeds %.0f (baseline %.0f x calibration %.2f x 1.25)", got.Name, got.Ns, limit, want.Ns, scale)
+		}
+	}
+}
+
+// hitAllocBudget is the ceiling on heap objects per alias hit, harness
+// included (it reuses its request and writer, so that is the header map's
+// entries). The parent of the commit that introduced the alias spent 100.
+const hitAllocBudget = 25
+
+// TestHitAllocBudget pins what a repeated body costs in objects: the read,
+// the digest, two spans, the headers — and no decode, no label maps, no
+// per-span random draw, no request copy.
+func TestHitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	alias := requestRows(t)[0]
+	alias.next()
+	if avg := testing.AllocsPerRun(2000, alias.next); avg > hitAllocBudget {
+		t.Errorf("%s allocates %.1f objects per request, budget %d", alias.name, avg, hitAllocBudget)
+	}
+}
+
+// BenchmarkRequest exposes the serve block to `go test -bench`.
+func BenchmarkRequest(b *testing.B) {
+	for _, r := range requestRows(b) {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.next()
+			}
+		})
+	}
+}

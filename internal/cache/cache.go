@@ -84,14 +84,20 @@ type Store struct {
 	mem     map[string]*list.Element
 	order   *list.List // front = most recently used
 	maxMem  int
+	alias   map[string]*list.Element // raw-body digest -> the memory-tier entry it spells
 	flights map[string]*flight
 	stats   Stats
 }
 
 type memEntry struct {
-	key string
-	val []byte
+	key     string
+	val     []byte
+	aliases []string // at most maxAliases, oldest first; die with the entry
 }
+
+// maxAliases bounds the spellings remembered per memory-tier entry, and
+// with maxMem the alias table, whatever a client pads its requests with.
+const maxAliases = 4
 
 // flight is one in-progress computation plus its waiters.
 type flight struct {
@@ -119,6 +125,7 @@ func Open(dir string, maxMem int) (*Store, error) {
 		mem:     make(map[string]*list.Element),
 		order:   list.New(),
 		maxMem:  maxMem,
+		alias:   make(map[string]*list.Element),
 		flights: make(map[string]*flight),
 	}, nil
 }
@@ -158,6 +165,42 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.stats.DiskHits++
 	s.mu.Unlock()
 	return v, true
+}
+
+// GetAlias answers a repeated request body by its bytes: d is KeyOf the
+// body as it arrived. When d was attached (Alias) to an entry the memory
+// tier still holds, it returns the entry's key and value, counting and
+// touching what Get(key) would; anything else is !ok.
+func (s *Store) GetAlias(d string) (key string, val []byte, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.alias[d]
+	if !ok {
+		return "", nil, false
+	}
+	s.order.MoveToFront(el)
+	s.stats.Hits++
+	e := el.Value.(*memEntry)
+	return e.key, e.val, true
+}
+
+// Alias attaches d, the digest of a body that went the full path and came
+// out at key, to key's memory-tier entry (a no-op if that is gone). It dies
+// with the entry, so the table is bounded and no body bytes are kept.
+func (s *Store) Alias(d, key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.mem[key]
+	if _, known := s.alias[d]; !ok || known {
+		return
+	}
+	e := el.Value.(*memEntry)
+	if len(e.aliases) == maxAliases {
+		delete(s.alias, e.aliases[0])
+		e.aliases = append(e.aliases[:0], e.aliases[1:]...)
+	}
+	e.aliases = append(e.aliases, d)
+	s.alias[d] = el
 }
 
 // Put stores a value under key in both tiers. The disk write is atomic
@@ -299,8 +342,10 @@ func (s *Store) putMemLocked(key string, val []byte) {
 	}
 	s.mem[key] = s.order.PushFront(&memEntry{key: key, val: val})
 	for len(s.mem) > s.maxMem {
-		last := s.order.Back()
-		s.order.Remove(last)
-		delete(s.mem, last.Value.(*memEntry).key)
+		last := s.order.Remove(s.order.Back()).(*memEntry)
+		delete(s.mem, last.key)
+		for _, d := range last.aliases {
+			delete(s.alias, d)
+		}
 	}
 }

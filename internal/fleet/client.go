@@ -23,10 +23,10 @@ import (
 // receiving node's request span becomes a child of the hop span and a
 // cross-node request merges into one span tree.
 const (
-	HeaderRequestID   = "X-Request-ID"
+	HeaderRequestID   = "X-Request-Id"
 	HeaderPath        = "X-Fleet-Path"
 	HeaderForwarded   = "X-Fleet-Forwarded"
-	HeaderTraceparent = "traceparent"
+	HeaderTraceparent = "Traceparent"
 )
 
 // Hop is the per-request context a peer call carries across the wire:
@@ -127,12 +127,12 @@ func (f *Fleet) Fill(ctx context.Context, key string, hop Hop) ([]byte, string, 
 		resp, b, err := f.call(ctx, fillTimeout, http.MethodGet, m.Addr, "/v1/cache/"+key, nil, hop)
 		switch {
 		case err == nil:
-			f.metrics.fillHits.AddL(peer(m.ID), 1)
+			f.metrics.fillHits.With("peer", m.ID).Add(1)
 			return b, m.ID, true
 		case resp != nil && resp.StatusCode == http.StatusNotFound:
-			f.metrics.fillMisses.AddL(peer(m.ID), 1)
+			f.metrics.fillMisses.With("peer", m.ID).Add(1)
 		default:
-			f.metrics.fillErrors.AddL(peer(m.ID), 1)
+			f.metrics.fillErrors.With("peer", m.ID).Add(1)
 			f.logf("fill %s from %s: %v", short(key), m.ID, err)
 		}
 	}
@@ -146,11 +146,11 @@ func (f *Fleet) Proxy(ctx context.Context, m Member, spec ProxySpec, hop Hop) ([
 	hop.forwarded = true
 	resp, b, err := f.call(ctx, f.cfg.ProxyTimeout, http.MethodPost, m.Addr, spec.Path, spec.Body, hop)
 	if err != nil {
-		f.metrics.proxyErrors.AddL(peer(m.ID), 1)
+		f.metrics.proxyErrors.With("peer", m.ID).Add(1)
 		f.logf("proxy %s to %s: %v", spec.Path, m.ID, err)
 		return nil, "", err
 	}
-	f.metrics.proxied.AddL(peer(m.ID), 1)
+	f.metrics.proxied.With("peer", m.ID).Add(1)
 	return b, resp.Header.Get(HeaderPath), nil
 }
 

@@ -18,9 +18,6 @@ type metrics struct {
 	fillHits, fillMisses, fillErrors, proxied, proxyErrors           *prom.Counter // by peer
 }
 
-// peer is the label set of one per-peer series.
-func peer(id string) map[string]string { return map[string]string{"peer": id} }
-
 // newMetrics registers the fleet series in their render order.
 func newMetrics(f *Fleet) *metrics {
 	r := prom.NewRegistry()

@@ -14,10 +14,12 @@ package otrace
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -75,39 +77,66 @@ func allZero(s string) bool {
 	return true
 }
 
-// randHex returns n random bytes as 2n lowercase hex characters.
-func randHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
+// newIDs draws a request tree's identifiers in one crypto/rand read: a
+// 32-hex trace ID and the base its span IDs count up from (the root is
+// base, the tree's i-th child base+i), neither of them zero.
+func newIDs() (traceID string, base uint64) {
+	var b [24]byte
+	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand never fails on the supported platforms; a non-random
-		// ID would still be unique enough for correlation, so degrade
-		// rather than panic the serving path.
-		for i := range b {
-			b[i] = byte(time.Now().UnixNano() >> (uint(i) * 8))
+		// ID still correlates, so degrade rather than panic the serving path.
+		for i := 0; i < len(b); i += 8 {
+			binary.LittleEndian.PutUint64(b[i:], uint64(time.Now().UnixNano()))
 		}
 	}
-	s := hex.EncodeToString(b)
-	if allZero(s) {
-		s = "1" + s[1:]
+	b[0] |= 1
+	b[16] |= 1
+	var h [traceIDHexLen]byte
+	hex.Encode(h[:], b[:16])
+	return string(h[:]), binary.BigEndian.Uint64(b[16:])
+}
+
+// spanHex renders a span ID as 16 lowercase hex characters.
+func spanHex(id uint64) string {
+	var b [spanIDHexLen]byte
+	for i := range b {
+		b[i] = "0123456789abcdef"[id>>60]
+		id <<= 4
 	}
-	return s
+	return string(b[:])
 }
 
 // SpanData is the exported, immutable form of one finished (or
 // snapshotted) span. Durations and start times are wall-clock
 // nanoseconds so spans from different nodes merge on one axis.
 type SpanData struct {
-	TraceID string            `json:"trace_id"`
-	SpanID  string            `json:"span_id"`
-	Parent  string            `json:"parent_span_id,omitempty"`
-	Name    string            `json:"name"`
-	Node    string            `json:"node,omitempty"`
-	Start   int64             `json:"start_unix_ns"`
-	Dur     int64             `json:"dur_ns"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
+	TraceID string `json:"trace_id"`
+	SpanID  string `json:"span_id"`
+	Parent  string `json:"parent_span_id,omitempty"`
+	Name    string `json:"name"`
+	Node    string `json:"node,omitempty"`
+	Start   int64  `json:"start_unix_ns"`
+	Dur     int64  `json:"dur_ns"`
+	// Attrs is built by Span.Snapshot, Span.Tree and Tracer.Trace only: a
+	// span keeps its attributes as a few pairs, which is what OnEnd sees.
+	Attrs map[string]string `json:"attrs,omitempty"`
+	attrs []attr
 	// Metric overrides the histogram label the span lands under (spans
 	// like "proxy:<peer>" all observe as "proxy"); empty means Name.
 	Metric string `json:"-"`
+}
+
+type attr struct{ k, v string }
+
+// rendered returns d with Attrs built from the pairs.
+func (d SpanData) rendered() SpanData {
+	if len(d.attrs) > 0 {
+		d.Attrs = make(map[string]string, len(d.attrs))
+		for _, a := range d.attrs {
+			d.Attrs[a.k] = a.v
+		}
+	}
+	return d
 }
 
 // MetricName is the label the span's duration is observed under.
@@ -122,29 +151,40 @@ func (d SpanData) MetricName() string {
 // Tracer.StartRequest and children with StartChild; finish with End.
 // All methods are safe on a nil receiver (no tracer → no spans).
 type Span struct {
-	tr    *Tracer
-	mu    sync.Mutex
-	data  SpanData
-	start time.Time
-	ended bool
+	tr      *Tracer
+	root    *Span
+	mu      sync.Mutex
+	data    SpanData
+	start   time.Time
+	ended   bool
+	attrbuf [3]attr // data.attrs' first backing: what a request's spans carry
+	// On a root, for its tree: a span's ID is base + the number of spans
+	// started before it, and a span that ends waits in done (under mu) for
+	// the root's End to file the tree into the ring as one record.
+	base uint64
+	next atomic.Uint64
+	done []SpanData
 }
 
 // StartChild opens a child span under s.
-func (s *Span) StartChild(name string) *Span {
+func (s *Span) StartChild(name string) *Span { return s.StartChildAt(name, time.Now()) }
+
+// StartChildAt opens a child as of start: a span named once part of it ran.
+func (s *Span) StartChildAt(name string, start time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	now := time.Now()
 	return &Span{
 		tr:    s.tr,
-		start: now,
+		root:  s.root,
+		start: start,
 		data: SpanData{
 			TraceID: s.data.TraceID,
-			SpanID:  randHex(8),
+			SpanID:  spanHex(s.root.base + s.root.next.Add(1)),
 			Parent:  s.data.SpanID,
 			Name:    name,
 			Node:    s.data.Node,
-			Start:   now.UnixNano(),
+			Start:   start.UnixNano(),
 		},
 	}
 }
@@ -155,10 +195,10 @@ func (s *Span) SetAttr(k, v string) {
 		return
 	}
 	s.mu.Lock()
-	if s.data.Attrs == nil {
-		s.data.Attrs = make(map[string]string, 4)
+	if s.data.attrs == nil {
+		s.data.attrs = s.attrbuf[:0]
 	}
-	s.data.Attrs[k] = v
+	s.data.attrs = append(s.data.attrs, attr{k, v}) // a key set again wins when rendered
 	s.mu.Unlock()
 }
 
@@ -173,8 +213,9 @@ func (s *Span) SetMetricName(m string) {
 	s.mu.Unlock()
 }
 
-// End finishes the span and records it into the tracer's ring (at most
-// once; duplicate Ends are ignored).
+// End finishes the span (at most once; duplicate Ends are ignored). The
+// ring sees it when its root ends — or at once if it outlives its root, as
+// the computation a cancelled request leaves behind does, or fills a batch.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -188,15 +229,37 @@ func (s *Span) End() {
 	s.data.Dur = time.Since(s.start).Nanoseconds()
 	d := s.data
 	s.mu.Unlock()
-	if s.tr != nil {
-		s.tr.record(d)
+	if fn := s.tr.onEnd.Load(); fn != nil {
+		(*fn)(d)
+	}
+	r := s.root
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.done = append(r.done, d)
+	if r.ended || len(r.done) == s.tr.capSpans {
+		s.tr.record(d.TraceID, r.done)
+		r.done = nil
 	}
 }
 
+// Tree is the live view of a root's tree: the spans that have ended and
+// wait for the root's End, then the root itself as Snapshot shows it.
+func (s *Span) Tree() []SpanData {
+	d, ok := s.Snapshot()
+	if !ok {
+		return nil
+	}
+	s.root.mu.Lock()
+	defer s.root.mu.Unlock()
+	out := make([]SpanData, 0, len(s.root.done)+1)
+	for _, f := range s.root.done {
+		out = append(out, f.rendered())
+	}
+	return append(out, d)
+}
+
 // Snapshot returns the span's current data with the duration measured
-// up to now — the live view of an unfinished span (the ?trace=server
-// response includes the root this way, since the root only Ends after
-// the response is written).
+// up to now — the live view of an unfinished span.
 func (s *Span) Snapshot() (SpanData, bool) {
 	if s == nil {
 		return SpanData{}, false
@@ -207,13 +270,7 @@ func (s *Span) Snapshot() (SpanData, bool) {
 	if !s.ended {
 		d.Dur = time.Since(s.start).Nanoseconds()
 	}
-	if len(s.data.Attrs) > 0 {
-		d.Attrs = make(map[string]string, len(s.data.Attrs))
-		for k, v := range s.data.Attrs {
-			d.Attrs[k] = v
-		}
-	}
-	return d, true
+	return d.rendered(), true
 }
 
 // TraceID reports the span's 32-hex-char trace ID ("" on nil).
@@ -257,8 +314,9 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	traces map[string]*traceEntry
-	order  []string // trace IDs oldest-first, for eviction
-	onEnd  func(SpanData)
+	order  []string // ring of retained trace IDs; once full, order[head] is the oldest
+	head   int
+	onEnd  atomic.Pointer[func(SpanData)]
 }
 
 // DefaultTraceCap and DefaultSpanCap bound the ring: at most
@@ -291,16 +349,12 @@ func (t *Tracer) Node() string {
 	return t.node
 }
 
-// OnEnd installs a callback invoked (synchronously) for every span as
-// it is recorded — the hook the serving layer uses to feed span-duration
-// histograms. Install before serving begins.
+// OnEnd installs a callback invoked (synchronously) for every span as it
+// ends — the hook the serving layer feeds span-duration histograms from.
 func (t *Tracer) OnEnd(fn func(SpanData)) {
-	if t == nil {
-		return
+	if t != nil {
+		t.onEnd.Store(&fn)
 	}
-	t.mu.Lock()
-	t.onEnd = fn
-	t.mu.Unlock()
 }
 
 // StartRequest opens a root span for one inbound request. A valid
@@ -313,45 +367,41 @@ func (t *Tracer) StartRequest(name, traceparent string) *Span {
 	}
 	now := time.Now()
 	s := &Span{tr: t, start: now}
-	s.data = SpanData{
-		SpanID: randHex(8),
-		Name:   name,
-		Node:   t.node,
-		Start:  now.UnixNano(),
-	}
+	s.root = s
+	s.data = SpanData{Name: name, Node: t.node, Start: now.UnixNano()}
+	s.data.TraceID, s.base = newIDs()
+	s.data.SpanID = spanHex(s.base)
 	if tid, parent, ok := ParseTraceparent(traceparent); ok {
 		s.data.TraceID = tid
 		s.data.Parent = parent
-	} else {
-		s.data.TraceID = randHex(16)
 	}
 	return s
 }
 
-// record stores one finished span, evicting the oldest trace beyond the
-// trace cap.
-func (t *Tracer) record(d SpanData) {
+// record files finished spans of one tree under their trace, evicting the
+// oldest trace beyond the trace cap. The slice is the ring's from here on.
+func (t *Tracer) record(traceID string, spans []SpanData) {
 	t.mu.Lock()
-	e := t.traces[d.TraceID]
+	defer t.mu.Unlock()
+	e := t.traces[traceID]
 	if e == nil {
 		e = &traceEntry{}
-		t.traces[d.TraceID] = e
-		t.order = append(t.order, d.TraceID)
-		for len(t.order) > t.capTrace {
-			evict := t.order[0]
-			t.order = t.order[1:]
-			delete(t.traces, evict)
+		t.traces[traceID] = e
+		if len(t.order) < t.capTrace {
+			t.order = append(t.order, traceID)
+		} else {
+			delete(t.traces, t.order[t.head])
+			t.order[t.head] = traceID
+			t.head = (t.head + 1) % t.capTrace
 		}
 	}
-	if len(e.spans) < t.capSpans {
-		e.spans = append(e.spans, d)
+	// A long tree comes in batches; a peer's trace can have several roots here.
+	room := min(len(spans), t.capSpans-len(e.spans))
+	e.dropped += len(spans) - room
+	if e.spans == nil {
+		e.spans = spans[:room]
 	} else {
-		e.dropped++
-	}
-	fn := t.onEnd
-	t.mu.Unlock()
-	if fn != nil {
-		fn(d)
+		e.spans = append(e.spans, spans[:room]...)
 	}
 }
 
@@ -368,6 +418,9 @@ func (t *Tracer) Trace(traceID string) []SpanData {
 		out = append([]SpanData(nil), e.spans...)
 	}
 	t.mu.Unlock()
+	for i := range out {
+		out[i] = out[i].rendered()
+	}
 	SortSpans(out)
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -75,40 +76,49 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// labelString renders {k="v",...} with sorted keys ("" for no labels).
-// It runs on every labelled Add/Observe, so it builds the string
-// directly instead of going through Labels.
-func labelString(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := "{"
-	for i, k := range keys {
-		if i > 0 {
-			s += ","
-		}
-		s += k + "=" + strconv.Quote(labels[k])
-	}
-	return s + "}"
-}
+// escaper applies the 0.0.4 text format's label-value escapes: backslash,
+// double quote, newline. Any other valid UTF-8 (tabs, controls) is legal.
+var escaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Labels renders {k="v",...} from alternating keys and values, in the
-// order given — for series whose label order is part of their pinned
-// exposition (GaugeSetFunc samples).
+// order given ("" for none) — the one place label strings are rendered. A
+// value may come from outside the process (a gossiped peer id), so invalid
+// UTF-8 becomes U+FFFD: it must not lose a scraper the page.
 func Labels(kv ...string) string {
+	if len(kv) < 2 {
+		return ""
+	}
 	s := "{"
 	for i := 0; i+1 < len(kv); i += 2 {
 		if i > 0 {
 			s += ","
 		}
-		s += kv[i] + "=" + strconv.Quote(kv[i+1])
+		s += kv[i] + `="` + escaper.Replace(strings.ToValidUTF8(kv[i+1], "\uFFFD")) + `"`
 	}
 	return s + "}"
+}
+
+// sortedLabels is Labels with the pairs ordered by key: the identity of a
+// series, whatever order its binder named the labels in.
+func sortedLabels(kv []string) string {
+	kv = append([]string(nil), kv[:len(kv)&^1]...)
+	for i := 2; i < len(kv); i += 2 { // insertion sort: a series has one to three labels
+		for j := i; j > 0 && kv[j] < kv[j-2]; j -= 2 {
+			kv[j], kv[j-2] = kv[j-2], kv[j]
+			kv[j+1], kv[j-1] = kv[j-1], kv[j+1]
+		}
+	}
+	return Labels(kv...)
+}
+
+// addFloat adds delta to the float64 stored as bits in a.
+func addFloat(a *atomic.Uint64, delta float64) {
+	for {
+		old := a.Load()
+		if a.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
 }
 
 // collector splices another renderer's exposition text in at this point
@@ -122,77 +132,114 @@ func (r *Registry) Collector(fn func(io.Writer)) { r.add(collector(fn)) }
 
 func (c collector) render(w io.Writer) { c(w) }
 
+// family is what Counter and Histogram share: a name and the series bound
+// so far, by rendered label string.
+type family struct {
+	name, help string
+	buckets    []float64 // a histogram's upper bounds, ascending, +Inf implied
+	mu         sync.Mutex
+	series     map[string]*series
+}
+
+// series is one label set's values: a counter's value or a histogram's sum,
+// and a histogram's count per bucket, +Inf overflow last (a counter's one
+// slot stays zero).
+type series struct {
+	labels  string
+	sum     atomic.Uint64 // float64 bits
+	buckets []float64
+	counts  []atomic.Uint64
+}
+
+func (f *family) newSeries(labels string) *series {
+	return &series{labels: labels, buckets: f.buckets, counts: make([]atomic.Uint64, len(f.buckets)+1)}
+}
+
+// bind returns the series kv names, making it on first sight.
+func (f *family) bind(kv []string) *series {
+	ls := sortedLabels(kv)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.series[ls]
+	if s == nil {
+		s = f.newSeries(ls)
+		f.series[ls] = s
+	}
+	return s
+}
+
+// count is the series' sample count: the sum of its buckets, so a scrape's
+// _count always equals its +Inf bucket.
+func (s *series) count() (n uint64) {
+	for i := range s.counts {
+		n += s.counts[i].Load()
+	}
+	return n
+}
+
+// live lists, in label order, the series that have been updated (one bound
+// ahead of its first sample stays out of the exposition) or, when there is
+// none, one unlabeled zero series — for a histogram every bucket including
+// +Inf — so scrapers see the metric exists and rate() works from the first
+// sample. The lock covers the map only: values are atomics and the caller
+// writes to the scraper without it, so a slow scrape blocks no update.
+func (f *family) live() (out []*series) {
+	f.mu.Lock()
+	for _, s := range f.series {
+		if s.sum.Load() != 0 || s.count() > 0 {
+			out = append(out, s)
+		}
+	}
+	f.mu.Unlock()
+	if out == nil {
+		return []*series{f.newSeries("")}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })
+	return out
+}
+
 // Counter is a monotonically increasing sample set, one series per
 // label combination.
-type Counter struct {
-	name, help string
-	mu         sync.Mutex
-	series     map[string]float64 // rendered label string -> value
-}
+type Counter struct{ family }
+
+// CounterSeries is one series of a Counter. With binds it once; an update
+// is then an atomic add, with no label string built and no lock taken.
+type CounterSeries series
 
 // Counter registers and returns a counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{name: name, help: help, series: map[string]float64{}}
+	c := &Counter{family{name: name, help: help, series: map[string]*series{}}}
 	r.add(c)
 	return c
 }
 
+// With returns the series selected by alternating label keys and values
+// (any order; none: the unlabeled series). Request paths bind once.
+func (c *Counter) With(kv ...string) *CounterSeries { return (*CounterSeries)(c.bind(kv)) }
+
 // Add increments the unlabeled series.
-func (c *Counter) Add(delta float64) { c.AddL(nil, delta) }
+func (c *Counter) Add(delta float64) { c.With().Add(delta) }
 
-// AddL increments the series selected by labels.
-func (c *Counter) AddL(labels map[string]string, delta float64) {
-	ls := labelString(labels)
-	c.mu.Lock()
-	c.series[ls] += delta
-	c.mu.Unlock()
-}
+// Add increments the series.
+func (s *CounterSeries) Add(delta float64) { addFloat(&s.sum, delta) }
 
-// Value reads one series (tests and internal checks).
-func (c *Counter) Value(labels map[string]string) float64 {
-	ls := labelString(labels)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.series[ls]
-}
+// Value reads the series.
+func (s *CounterSeries) Value() float64 { return math.Float64frombits(s.sum.Load()) }
 
 // Total sums every series of the counter (the fleet's admin view reports
 // its per-peer counters as totals).
-func (c *Counter) Total() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t float64
-	for _, v := range c.series {
-		t += v
+func (c *Counter) Total() (t float64) {
+	for _, s := range c.live() {
+		t += (*CounterSeries)(s).Value()
 	}
 	return t
 }
 
 func (c *Counter) render(w io.Writer) {
-	c.mu.Lock()
 	header(w, c.name, c.help, "counter")
-	for _, k := range seriesKeys(c.series) {
-		fmt.Fprintf(w, "%s%s %s\n", c.name, k, formatValue(c.series[k]))
+	for _, s := range c.live() {
+		fmt.Fprintf(w, "%s%s %s\n", c.name, s.labels, formatValue((*CounterSeries)(s).Value()))
 	}
-	c.mu.Unlock()
-}
-
-// seriesKeys lists a series map's label strings in render order. An
-// instrument nobody has touched still renders its complete unlabeled
-// series at zero — for a histogram every bucket including +Inf — so
-// scrapers see the metric exists and rate() works from the first sample.
-// The zero series is render-only: once real (possibly labeled)
-// observations arrive, it disappears.
-func seriesKeys[V any](series map[string]V) []string {
-	keys := make([]string, 0, len(series)+1)
-	for k := range series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if len(keys) == 0 {
-		keys = append(keys, "")
-	}
-	return keys
 }
 
 // Gauge is a settable value.
@@ -252,75 +299,46 @@ func (g *sampled) render(w io.Writer) {
 
 // Histogram is a cumulative-bucket histogram, one series set per label
 // combination.
-type Histogram struct {
-	name, help string
-	buckets    []float64 // upper bounds, ascending, +Inf implied
-	mu         sync.Mutex
-	series     map[string]*histSeries
-}
+type Histogram struct{ family }
 
-type histSeries struct {
-	counts []uint64 // one per bucket, plus the +Inf overflow at the end
-	sum    float64
-	count  uint64
-}
+// HistogramSeries is one series set of a Histogram, bound once by With.
+type HistogramSeries series
 
 // Histogram registers and returns a histogram.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	h := &Histogram{name: name, help: help, buckets: buckets, series: map[string]*histSeries{}}
+	h := &Histogram{family{name: name, help: help, buckets: buckets, series: map[string]*series{}}}
 	r.add(h)
 	return h
 }
 
+// With returns the series set selected by label pairs (see Counter.With).
+func (h *Histogram) With(kv ...string) *HistogramSeries { return (*HistogramSeries)(h.bind(kv)) }
+
 // Observe records a sample into the unlabeled series.
-func (h *Histogram) Observe(v float64) { h.ObserveL(nil, v) }
+func (h *Histogram) Observe(v float64) { h.With().Observe(v) }
 
-// ObserveL records a sample into the series selected by labels.
-func (h *Histogram) ObserveL(labels map[string]string, v float64) {
-	ls := labelString(labels)
-	h.mu.Lock()
-	s := h.series[ls]
-	if s == nil {
-		s = &histSeries{counts: make([]uint64, len(h.buckets)+1)}
-		h.series[ls] = s
-	}
-	i := sort.SearchFloat64s(h.buckets, v) // first bucket with bound >= v
-	s.counts[i]++
-	s.sum += v
-	s.count++
-	h.mu.Unlock()
+// Observe records a sample.
+func (s *HistogramSeries) Observe(v float64) {
+	s.counts[sort.SearchFloat64s(s.buckets, v)].Add(1) // first bucket with bound >= v
+	addFloat(&s.sum, v)
 }
 
-// Count reads one series' sample count (tests).
-func (h *Histogram) Count(labels map[string]string) uint64 {
-	ls := labelString(labels)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if s := h.series[ls]; s != nil {
-		return s.count
-	}
-	return 0
-}
+// Count reads the series' sample count.
+func (s *HistogramSeries) Count() uint64 { return (*series)(s).count() }
 
 func (h *Histogram) render(w io.Writer) {
-	h.mu.Lock()
 	header(w, h.name, h.help, "histogram")
-	for _, k := range seriesKeys(h.series) {
-		s := h.series[k]
-		if s == nil {
-			s = &histSeries{counts: make([]uint64, len(h.buckets)+1)}
-		}
+	for _, s := range h.live() {
 		cum := uint64(0)
 		for i, bound := range h.buckets {
-			cum += s.counts[i]
-			fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, withLE(k, formatValue(bound)), cum)
+			cum += s.counts[i].Load()
+			fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, withLE(s.labels, formatValue(bound)), cum)
 		}
-		cum += s.counts[len(h.buckets)]
-		fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, withLE(k, "+Inf"), cum)
-		fmt.Fprintf(w, "%s_sum%s %s\n", h.name, k, formatValue(s.sum))
-		fmt.Fprintf(w, "%s_count%s %d\n", h.name, k, s.count)
+		cum += s.counts[len(h.buckets)].Load()
+		fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, withLE(s.labels, "+Inf"), cum)
+		fmt.Fprintf(w, "%s_sum%s %s\n", h.name, s.labels, formatValue(math.Float64frombits(s.sum.Load())))
+		fmt.Fprintf(w, "%s_count%s %d\n", h.name, s.labels, cum)
 	}
-	h.mu.Unlock()
 }
 
 // withLE splices the le label into a rendered label string.

@@ -23,9 +23,9 @@ func TestMetricsRenderGolden(t *testing.T) {
 	reg := prom.NewRegistry()
 
 	c := reg.Counter("t_requests_total", "requests by label")
-	c.AddL(map[string]string{"endpoint": "simulate", "code": "200"}, 3)
-	c.AddL(map[string]string{"code": "500", "endpoint": "simulate"}, 1) // same set, shuffled insert order
-	c.AddL(map[string]string{"endpoint": "sweep", "code": "200"}, 1<<52)
+	c.With("endpoint", "simulate", "code", "200").Add(3)
+	c.With("code", "500", "endpoint", "simulate").Add(1) // same set, named in another order
+	c.With("endpoint", "sweep", "code", "200").Add(1 << 52)
 
 	reg.Counter("t_untouched_total", "a counter nobody incremented")
 	reg.CounterFunc("t_sampled_total", "a scrape-time sampled counter", func() float64 { return 42 })
@@ -38,8 +38,8 @@ func TestMetricsRenderGolden(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(100) // lands in +Inf overflow
-	h.ObserveL(map[string]string{"endpoint": "simulate"}, 2)
-	h.ObserveL(map[string]string{"endpoint": "big"}, 1<<52) // must not render as 4.5e+15
+	h.With("endpoint", "simulate").Observe(2)
+	h.With("endpoint", "big").Observe(1 << 52) // must not render as 4.5e+15
 
 	reg.Histogram("t_empty_seconds", "a histogram nobody observed", []float64{1, 2})
 
@@ -100,7 +100,7 @@ func TestMetricsEmptyHistogramTransient(t *testing.T) {
 		t.Fatalf("empty histogram lacks +Inf bucket:\n%s", before.String())
 	}
 
-	h.ObserveL(map[string]string{"endpoint": "x"}, 0.5)
+	h.With("endpoint", "x").Observe(0.5)
 	var after bytes.Buffer
 	reg.Render(&after)
 	if strings.Contains(after.String(), `t_h_bucket{le="+Inf"} 0`) ||

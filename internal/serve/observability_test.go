@@ -63,9 +63,9 @@ func TestMetricsRenderConcurrent(t *testing.T) {
 		go func(w int) {
 			defer mut.Done()
 			for i := 0; i < iters; i++ {
-				c.AddL(map[string]string{"worker": fmt.Sprintf("w%d", w%3), "op": fmt.Sprintf("op%d", i%5)}, 1)
+				c.With("worker", fmt.Sprintf("w%d", w%3), "op", fmt.Sprintf("op%d", i%5)).Add(1)
 				g.Set(float64(i))
-				h.ObserveL(map[string]string{"span": fmt.Sprintf("s%d", i%4)}, float64(i%7)/100)
+				h.With("span", fmt.Sprintf("s%d", i%4)).Observe(float64(i%7) / 100)
 				h.Observe(float64(i % 3))
 			}
 		}(w)
@@ -77,17 +77,17 @@ func TestMetricsRenderConcurrent(t *testing.T) {
 	var total float64
 	for w := 0; w < 3; w++ {
 		for op := 0; op < 5; op++ {
-			total += c.Value(map[string]string{"worker": fmt.Sprintf("w%d", w), "op": fmt.Sprintf("op%d", op)})
+			total += c.With("worker", fmt.Sprintf("w%d", w), "op", fmt.Sprintf("op%d", op)).Value()
 		}
 	}
 	if total != workers*iters {
 		t.Errorf("counter lost samples under scrape load: %v, want %d", total, workers*iters)
 	}
-	if n := h.Count(nil); n != workers*iters {
+	if n := h.With().Count(); n != workers*iters {
 		t.Errorf("unlabeled histogram count %d, want %d", n, workers*iters)
 	}
 	for i := 0; i < 4; i++ {
-		if n := h.Count(map[string]string{"span": fmt.Sprintf("s%d", i)}); n != workers*iters/4 {
+		if n := h.With("span", fmt.Sprintf("s%d", i)).Count(); n != workers*iters/4 {
 			t.Errorf("series s%d count %d, want %d", i, n, workers*iters/4)
 		}
 	}
@@ -121,7 +121,7 @@ func TestSpanDurationHistogramEdges(t *testing.T) {
 
 	// Single bucket: one observation below the smallest bound shows up
 	// in every cumulative bucket of its series.
-	s.mSpanSeconds.ObserveL(map[string]string{"span": "edge"}, 5e-6)
+	s.mSpanSeconds.With("span", "edge").Observe(5e-6)
 	out = scrape()
 	for _, le := range []string{"1e-05", "0.0001", "0.001", "0.01", "0.1", "0.5", "1", "5", "10", "30", "60", "+Inf"} {
 		want := fmt.Sprintf(`spind_span_duration_seconds_bucket{span="edge",le=%q} 1`, le)
@@ -132,7 +132,7 @@ func TestSpanDurationHistogramEdges(t *testing.T) {
 
 	// Max-clamped: an observation past the top bound increments only the
 	// +Inf overflow; every finite bucket keeps its prior count.
-	s.mSpanSeconds.ObserveL(map[string]string{"span": "edge"}, 3600)
+	s.mSpanSeconds.With("span", "edge").Observe(3600)
 	out = scrape()
 	if !strings.Contains(out, `spind_span_duration_seconds_bucket{span="edge",le="60"} 1`) {
 		t.Error("over-max observation leaked into a finite bucket")
@@ -151,13 +151,13 @@ func TestSpanDurationHistogramEdges(t *testing.T) {
 	hop.SetMetricName("proxy")
 	hop.End()
 	root.End()
-	if n := s.mSpanSeconds.Count(map[string]string{"span": "probe"}); n != 1 {
+	if n := s.mSpanSeconds.With("span", "probe").Count(); n != 1 {
 		t.Errorf("root span not observed under its name: count %d", n)
 	}
-	if n := s.mSpanSeconds.Count(map[string]string{"span": "proxy"}); n != 1 {
+	if n := s.mSpanSeconds.With("span", "proxy").Count(); n != 1 {
 		t.Errorf("hop span not collapsed onto its metric name: count %d", n)
 	}
-	if n := s.mSpanSeconds.Count(map[string]string{"span": "proxy:some-peer"}); n != 0 {
+	if n := s.mSpanSeconds.With("span", "proxy:some-peer").Count(); n != 0 {
 		t.Errorf("per-peer span name leaked into the label set: count %d", n)
 	}
 }

@@ -22,7 +22,10 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -176,7 +179,10 @@ type Server struct {
 	mSpanSeconds *prom.Histogram
 	build        BuildInfo
 
-	reqSeq atomic.Uint64 // request-ID sequence (satellite: request logging)
+	// idPrefix is a start-time salt: request IDs of different daemon runs
+	// don't collide in aggregated logs. reqSeq numbers them.
+	idPrefix string
+	reqSeq   atomic.Uint64
 
 	// testCompute, when set (tests only), replaces the simulation body
 	// of /v1/simulate pool jobs. It still runs on the pool, so panic
@@ -204,6 +210,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, store: cfg.Cache, mux: http.NewServeMux(), start: time.Now(), reg: prom.NewRegistry(), fleet: cfg.Fleet}
 	s.build = ReadBuild()
+	s.idPrefix = strconv.FormatInt(s.start.UnixNano()&0xffffffff, 16) + "-"
 
 	// The tracer's node name is the fleet identity when there is one, so
 	// spans merged across nodes say which daemon ran them.
@@ -242,8 +249,14 @@ func New(cfg Config) (*Server, error) {
 		[]float64{10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 100000})
 	s.mSpanSeconds = s.reg.Histogram("spind_span_duration_seconds", "Request span durations by span name (per-peer spans collapse onto one label).",
 		[]float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1, 5, 10, 30, 60})
+	var spanSeries sync.Map // span metric name -> its series, bound on first use
 	s.tracer.OnEnd(func(d otrace.SpanData) {
-		s.mSpanSeconds.ObserveL(map[string]string{"span": d.MetricName()}, float64(d.Dur)/1e9)
+		name := d.MetricName()
+		series, ok := spanSeries.Load(name)
+		if !ok {
+			series, _ = spanSeries.LoadOrStore(name, s.mSpanSeconds.With("span", name))
+		}
+		series.(*prom.HistogramSeries).Observe(float64(d.Dur) / 1e9)
 	})
 	s.reg.GaugeSetFunc("spind_build_info", "Build identity of this daemon (value is always 1; the labels carry the information).", func() []prom.Sample {
 		return []prom.Sample{{Labels: prom.Labels("version", s.build.Version, "commit", s.build.Commit, "go", s.build.Go), Value: 1}}
@@ -306,10 +319,12 @@ func (s *Server) Workers() int { return s.workersEff }
 // down, so no request is still waiting on a job.
 func (s *Server) Close() { s.pool.Close() }
 
-// statusWriter captures the response code for metrics.
+// statusWriter captures the response code for metrics and, being what
+// every instrumented handler writes to, carries the request's record.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
+	info reqInfo
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -325,8 +340,8 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// reqInfo is the per-request context record behind request logging: the
-// ID assigned at ingress plus whatever the handler learns along the way
+// reqInfo is the per-request record behind request logging: the ID
+// assigned at ingress plus whatever the handler learns along the way
 // (cache outcome, job key, and — with a fleet — how the fleet satisfied
 // the request and the peer-hop path).
 type reqInfo struct {
@@ -337,22 +352,26 @@ type reqInfo struct {
 	path  string // hop path, e.g. "nodeA>nodeB" ("" without a fleet)
 	// span is the request's root span; handlers hang the top-level child
 	// spans off it (decode, validate, cache — the rest nest under cache).
-	span *otrace.Span
+	span   *otrace.Span
+	query  url.Values // parsed once; nil (every Get "") without a query string
+	digest string     // of the body as it arrived, for the tail to alias ("": none)
 }
-
-type reqInfoKey struct{}
 
 // requestInfo retrieves the request record. Every handler that reads it
 // is mounted through instrument, which is what puts it there.
-func requestInfo(r *http.Request) *reqInfo {
-	return r.Context().Value(reqInfoKey{}).(*reqInfo)
+func requestInfo(w http.ResponseWriter) *reqInfo { return &w.(*statusWriter).info }
+
+// nextRequestID mints a process-unique request ID, the sequence number
+// zero-padded to six digits.
+func (s *Server) nextRequestID() string {
+	seq := strconv.FormatUint(s.reqSeq.Add(1), 10)
+	return s.idPrefix + "000000"[min(len(seq), 6):] + seq
 }
 
-// nextRequestID mints a process-unique request ID: a start-time salt so
-// IDs from different daemon runs don't collide in aggregated logs, plus
-// a sequence number.
-func (s *Server) nextRequestID() string {
-	return fmt.Sprintf("%x-%06d", s.start.UnixNano()&0xffffffff, s.reqSeq.Add(1))
+// codeSeries is a status code's text and its spind_requests_total series.
+type codeSeries struct {
+	text string
+	n    *prom.CounterSeries
 }
 
 // instrument wraps a handler with the request counter, the latency
@@ -362,29 +381,39 @@ func (s *Server) nextRequestID() string {
 // minting a new one, so one ID follows a request across every node it
 // touches; an incoming traceparent likewise parents this request's root
 // span under the caller's hop span, which is what stitches per-node
-// span trees into one cross-fleet timeline.
+// span trees into one cross-fleet timeline. What no request changes is
+// bound once: the latency series here, a status code's text and counter
+// series the first time the endpoint answers it.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	seconds := s.mReqSeconds.With("endpoint", endpoint)
+	var codes sync.Map // int -> *codeSeries
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := sanitizeRequestID(r.Header.Get(fleet.HeaderRequestID))
-		if id == "" {
-			id = s.nextRequestID()
+		sw := &statusWriter{w, http.StatusOK, reqInfo{id: sanitizeRequestID(r.Header.Get(fleet.HeaderRequestID)), cache: "-", key: "-", fleet: "-"}}
+		info := &sw.info
+		if info.id == "" {
+			info.id = s.nextRequestID()
 		}
-		info := &reqInfo{id: id, cache: "-", key: "-", fleet: "-"}
 		info.span = s.tracer.StartRequest(endpoint, r.Header.Get(fleet.HeaderTraceparent))
 		info.span.SetAttr("request_id", info.id)
 		if s.fleet != nil {
 			info.path = fleet.AppendPath(r.Header.Get(fleet.HeaderPath), s.fleet.SelfID())
 		}
-		r = r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, info))
-		w.Header().Set("X-Request-ID", info.id)
+		if r.URL.RawQuery != "" {
+			info.query = r.URL.Query()
+		}
+		w.Header().Set(fleet.HeaderRequestID, info.id)
 		w.Header().Set(fleet.HeaderTraceparent, info.span.Traceparent())
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		dur := time.Since(start)
-		s.mRequests.AddL(map[string]string{"endpoint": endpoint, "code": fmt.Sprint(sw.code)}, 1)
-		s.mReqSeconds.ObserveL(map[string]string{"endpoint": endpoint}, dur.Seconds())
-		info.span.SetAttr("code", fmt.Sprint(sw.code))
+		code, ok := codes.Load(sw.code)
+		if !ok {
+			text := strconv.Itoa(sw.code)
+			code, _ = codes.LoadOrStore(sw.code, &codeSeries{text, s.mRequests.With("endpoint", endpoint, "code", text)})
+		}
+		code.(*codeSeries).n.Add(1)
+		seconds.Observe(dur.Seconds())
+		info.span.SetAttr("code", code.(*codeSeries).text)
 		info.span.SetAttr("cache", info.cache)
 		info.span.End()
 		if s.cfg.Log != nil {
@@ -426,8 +455,8 @@ func sanitizeRequestID(id string) string {
 
 // httpError answers an error with the request ID appended, so a client
 // report can be matched to the daemon's log line.
-func httpError(w http.ResponseWriter, r *http.Request, msg string, code int) {
-	http.Error(w, msg+" (request "+requestInfo(r).id+")", code)
+func httpError(w http.ResponseWriter, msg string, code int) {
+	http.Error(w, msg+" (request "+requestInfo(w).id+")", code)
 }
 
 // handleHealthz reports liveness plus a queue snapshot. Liveness only:
@@ -477,26 +506,45 @@ type errBadRequest struct{ err error }
 func (e errBadRequest) Error() string { return e.err.Error() }
 func (e errBadRequest) Unwrap() error { return e.err }
 
-// decodeRequest is the shared request head of /v1/simulate and /v1/sweep:
-// POST only, a strict decode of a body of at most 1 MiB under a decode
-// span, then the request's own Validate under a validate span. A failure
-// is answered here (405 / 400) and reported as ok == false.
-func decodeRequest[T interface{ Validate() error }](w http.ResponseWriter, r *http.Request, what string, decode func(io.Reader) (T, error)) (req T, ok bool) {
+// readRequest is the shared request head of /v1/simulate and /v1/sweep:
+// POST only, a body of at most 1 MiB, then one of two ways to the tail.
+// Decode, Validate, limits, normalise, encode and hash are a pure function
+// of the bytes under this server's fixed config, so bytes it answered
+// before (serveCached attaches their digest, salted like the endpoint's
+// keys), whose value the memory tier still holds, are a hit under one cache
+// span; ?stream=sse, which needs the decoded request, bypasses. Any other
+// body is decoded strictly under a decode span and validated under a
+// validate span. !ok means the request is answered (an alias hit, 405, 400).
+func readRequest[T interface{ Validate() error }](s *Server, w http.ResponseWriter, r *http.Request, salt, what string, decode func(io.Reader) (T, error)) (req T, ok bool) {
 	if r.Method != http.MethodPost {
-		httpError(w, r, "POST a "+what+" JSON body", http.StatusMethodNotAllowed)
+		httpError(w, "POST a "+what+" JSON body", http.StatusMethodNotAllowed)
 		return req, false
 	}
-	span := requestInfo(r).span
-	ds := span.StartChild("decode")
-	req, err := decode(http.MaxBytesReader(w, r.Body, 1<<20))
+	info := requestInfo(w)
+	start := time.Now()
+	body := http.MaxBytesReader(w, r.Body, 1<<20)
+	raw, err := io.ReadAll(body)
+	if err == nil && info.query.Get("stream") == "" {
+		info.digest = cache.KeyOf(salt, raw)
+		if key, val, hit := s.store.GetAlias(info.digest); hit {
+			cs := info.span.StartChildAt("cache", start)
+			cs.SetAttr("via", "alias")
+			s.respond(w, r, cs, key, val, cache.Hit, nil, nil)
+			return req, false
+		}
+	}
+	ds := info.span.StartChildAt("decode", start)
+	// body repeats how it ended (EOF or a failure) on further Reads, so the
+	// decoder still words the answer to an oversize or truncated body.
+	req, err = decode(io.MultiReader(bytes.NewReader(raw), body))
 	ds.End()
 	if err == nil {
-		vs := span.StartChild("validate")
+		vs := info.span.StartChild("validate")
 		err = req.Validate()
 		vs.End()
 	}
 	if err != nil {
-		httpError(w, r, "bad request: "+err.Error(), http.StatusBadRequest)
+		httpError(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return req, false
 	}
 	return req, true
@@ -504,16 +552,16 @@ func decodeRequest[T interface{ Validate() error }](w http.ResponseWriter, r *ht
 
 // handleSimulate is POST /v1/simulate.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeRequest(w, r, "scenario", harness.DecodeStrict[SimRequest])
+	req, ok := readRequest(s, w, r, ResultVersion+"/simulate", "scenario", harness.DecodeStrict[SimRequest])
 	if !ok {
 		return
 	}
 	if req.Epoch < 0 {
-		httpError(w, r, fmt.Sprintf("bad request: epoch must be >= 0, got %d", req.Epoch), http.StatusBadRequest)
+		httpError(w, fmt.Sprintf("bad request: epoch must be >= 0, got %d", req.Epoch), http.StatusBadRequest)
 		return
 	}
 	if req.Cycles > s.cfg.MaxCycles || req.DrainCycles > 100*s.cfg.MaxCycles {
-		httpError(w, r, fmt.Sprintf("bad request: cycles beyond this server's limit (%d)", s.cfg.MaxCycles), http.StatusBadRequest)
+		httpError(w, fmt.Sprintf("bad request: cycles beyond this server's limit (%d)", s.cfg.MaxCycles), http.StatusBadRequest)
 		return
 	}
 	n := req.normalized()
@@ -522,13 +570,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var sse *sseWriter // ?stream=sse: a response mode, not part of the key (see stream.go)
 	var window int64
 	var onSample func(sim.WindowSample)
-	if stream := r.URL.Query().Get("stream"); stream != "" {
+	if stream := requestInfo(w).query.Get("stream"); stream != "" {
 		if stream != "sse" {
-			httpError(w, r, fmt.Sprintf("bad request: unknown stream mode %q (want sse)", stream), http.StatusBadRequest)
+			httpError(w, fmt.Sprintf("bad request: unknown stream mode %q (want sse)", stream), http.StatusBadRequest)
 			return
 		}
 		if sse = newSSEWriter(w, key); sse == nil {
-			httpError(w, r, "streaming unsupported by this connection", http.StatusNotImplemented)
+			httpError(w, "streaming unsupported by this connection", http.StatusNotImplemented)
 			return
 		}
 		defer sse.close()
@@ -542,13 +590,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // handleSweep is POST /v1/sweep.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeRequest(w, r, "sweep request", exp.DecodeSweepRequest)
+	req, ok := readRequest(s, w, r, ResultVersion+"/sweep", "sweep request", exp.DecodeSweepRequest)
 	if !ok {
 		return
 	}
 	n := req.Normalized()
 	if n.Cycles > s.cfg.MaxCycles {
-		httpError(w, r, fmt.Sprintf("bad request: cycles beyond this server's limit (%d)", s.cfg.MaxCycles), http.StatusBadRequest)
+		httpError(w, fmt.Sprintf("bad request: cycles beyond this server's limit (%d)", s.cfg.MaxCycles), http.StatusBadRequest)
 		return
 	}
 	canon := n.Canonical()
@@ -588,8 +636,7 @@ func encodeBody(span *otrace.Span, v interface{}) ([]byte, error) {
 // event-stream response mode: heartbeats while waiting, the result (or
 // the error) as an event instead of a plain body.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, proxy fleet.ProxySpec, sse *sseWriter, run func(context.Context, *otrace.Span) ([]byte, error)) {
-	info := requestInfo(r)
-	info.key = key
+	info := requestInfo(w)
 	// One span covers lookup, singleflight join, and any led computation
 	// — its children (queue_wait, compute, fill/proxy) say which of
 	// those it was; the outcome attr says how the cache answered. Nothing
@@ -597,8 +644,21 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	// up to the request.
 	cs := info.span.StartChild("cache")
 	body, outcome, err := sse.await(func() ([]byte, cache.Outcome, error) {
-		return s.store.Do(r.Context(), key, s.fleetCompute(r, cs, key, proxy, sse != nil, s.onPool(cs, key, run)))
+		return s.store.Do(r.Context(), key, s.fleetCompute(r, info, cs, key, proxy, sse != nil, s.onPool(cs, key, run)))
 	})
+	if err == nil && info.digest != "" {
+		// The bytes' next repeat skips the way here while memory holds key.
+		s.store.Alias(info.digest, key)
+	}
+	s.respond(w, r, cs, key, body, outcome, err, sse)
+}
+
+// respond is serveCached's end and the whole of an alias hit: it closes
+// the cache span cs with the outcome, then writes the error, the stream's
+// result event, or the headers and the body.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, cs *otrace.Span, key string, body []byte, outcome cache.Outcome, err error, sse *sseWriter) {
+	info := requestInfo(w)
+	info.key = key
 	info.cache = outcome.String()
 	if err != nil {
 		info.cache = "error"
@@ -622,10 +682,10 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 			w.Header().Set("X-Fleet", info.fleet)
 			w.Header().Set(fleet.HeaderPath, info.path)
 		}
-		if r.URL.Query().Get("trace") == "server" {
-			// The wrapper is assembled after Do, so the cache stores (and
-			// fills/backfills ship) only the inner result bytes — tracing a
-			// request never perturbs what the fleet caches.
+		if info.query.Get("trace") == "server" {
+			// The wrapper is assembled after the lookup, so the cache stores
+			// (and fills/backfills ship) only the inner result bytes —
+			// tracing a request never perturbs what the fleet caches.
 			body = s.wrapServerTrace(info.span, body)
 		}
 		w.Write(body)
@@ -671,11 +731,10 @@ func (s *Server) onPool(parent *otrace.Span, key string, run func(context.Contex
 // N concurrent identical requests on this node cost one fill/proxy hop.
 // Requests already forwarded once (X-Fleet-Forwarded) always compute
 // locally; divergent ring views must not bounce a request around.
-func (s *Server) fleetCompute(r *http.Request, parent *otrace.Span, key string, proxy fleet.ProxySpec, streamed bool, compute func(context.Context) ([]byte, error)) func(context.Context) ([]byte, error) {
+func (s *Server) fleetCompute(r *http.Request, info *reqInfo, parent *otrace.Span, key string, proxy fleet.ProxySpec, streamed bool, compute func(context.Context) ([]byte, error)) func(context.Context) ([]byte, error) {
 	if s.fleet == nil || r.Header.Get(fleet.HeaderForwarded) != "" {
 		return compute
 	}
-	info := requestInfo(r)
 	return func(ctx context.Context) ([]byte, error) {
 		owner, ok := s.fleet.Owner(key)
 		if !ok || owner.Self {
@@ -747,19 +806,19 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		w.WriteHeader(499)
 	case errors.Is(err, runner.ErrQueueFull):
 		w.Header().Set("Retry-After", "2")
-		httpError(w, r, "overloaded: job queue full, retry later", http.StatusTooManyRequests)
+		httpError(w, "overloaded: job queue full, retry later", http.StatusTooManyRequests)
 	case errors.Is(err, runner.ErrPoolClosed):
-		httpError(w, r, "shutting down", http.StatusServiceUnavailable)
+		httpError(w, "shutting down", http.StatusServiceUnavailable)
 	case errors.Is(err, context.DeadlineExceeded):
-		httpError(w, r, fmt.Sprintf("simulation exceeded the per-request budget (%v)", s.cfg.Timeout), http.StatusGatewayTimeout)
+		httpError(w, fmt.Sprintf("simulation exceeded the per-request budget (%v)", s.cfg.Timeout), http.StatusGatewayTimeout)
 	case errors.As(err, &pe):
 		// The panic is captured, the daemon lives on; the job key lets
 		// operators replay the poisoned request.
-		httpError(w, r, fmt.Sprintf("internal error: job %s panicked: %v", pe.Key, pe.Value), http.StatusInternalServerError)
+		httpError(w, fmt.Sprintf("internal error: job %s panicked: %v", pe.Key, pe.Value), http.StatusInternalServerError)
 	case errors.As(err, &bad):
-		httpError(w, r, "bad request: "+bad.Error(), http.StatusBadRequest)
+		httpError(w, "bad request: "+bad.Error(), http.StatusBadRequest)
 	default:
-		httpError(w, r, "internal error: "+err.Error(), http.StatusInternalServerError)
+		httpError(w, "internal error: "+err.Error(), http.StatusInternalServerError)
 	}
 }
 
@@ -864,9 +923,9 @@ func (s *Server) observeSimulator(st *sim.Stats, res *harness.Result) {
 	s.mSimKillMoves.Add(float64(st.Counter("kill_moves_sent")))
 	s.mSimDeadlocks.Add(float64(res.OracleFirings))
 	if sum := res.Latency; sum.Count > 0 {
-		s.mSimLatency.ObserveL(map[string]string{"quantile": "p50"}, sum.P50)
-		s.mSimLatency.ObserveL(map[string]string{"quantile": "p95"}, sum.P95)
-		s.mSimLatency.ObserveL(map[string]string{"quantile": "p99"}, sum.P99)
+		s.mSimLatency.With("quantile", "p50").Observe(sum.P50)
+		s.mSimLatency.With("quantile", "p95").Observe(sum.P95)
+		s.mSimLatency.With("quantile", "p99").Observe(sum.P99)
 	}
 }
 

@@ -172,12 +172,13 @@ func TestQueueFullSheds(t *testing.T) {
 		<-release
 		return []byte(`{}`), nil
 	}
-	defer close(release)
-
 	body := func(seed int) string {
 		return fmt.Sprintf(`{"topology":"mesh:4x4","routing":"min_adaptive","traffic":"uniform_random","rate":0.05,"cycles":1000,"seed":%d}`, seed)
 	}
 	done := make(chan struct{}, 2)
+	// Both held requests must have answered — their results stored — before
+	// the test's temp dir is removed under them.
+	defer func() { close(release); <-done; <-done }()
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			post(t, s.Handler(), "/v1/simulate", body(i))

@@ -78,9 +78,9 @@ func TestSimulateTelemetryResponse(t *testing.T) {
 			t.Errorf("/metrics missing %s", must)
 		}
 	}
-	if s.mSimLatency.Count(map[string]string{"quantile": "p95"}) != 2 {
+	if s.mSimLatency.With("quantile", "p95").Count() != 2 {
 		t.Errorf("p95 series observed %d times, want 2 (one per executed request)",
-			s.mSimLatency.Count(map[string]string{"quantile": "p95"}))
+			s.mSimLatency.With("quantile", "p95").Count())
 	}
 }
 

@@ -33,12 +33,12 @@ type traceResponse struct {
 // form.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, r, "GET a trace by ID", http.StatusMethodNotAllowed)
+		httpError(w, "GET a trace by ID", http.StatusMethodNotAllowed)
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	if !otrace.ValidTraceID(id) {
-		httpError(w, r, "bad trace ID: want 32 lowercase hex chars", http.StatusBadRequest)
+		httpError(w, "bad trace ID: want 32 lowercase hex chars", http.StatusBadRequest)
 		return
 	}
 	spans := s.tracer.Trace(id)
@@ -52,7 +52,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		otrace.SortSpans(spans)
 	}
 	if len(spans) == 0 {
-		httpError(w, r, "unknown trace (expired from the ring, or never sampled here)", http.StatusNotFound)
+		httpError(w, "unknown trace (expired from the ring, or never sampled here)", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -64,15 +64,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // wrapServerTrace wraps response bytes in the trace envelope: the spans
-// this node has recorded for the request's trace plus a live snapshot
-// of the still-open root span. Peer spans are not fetched here — the
+// this node has recorded for the request's trace plus the live tree of
+// the still-open root span. Peer spans are not fetched here — the
 // client has the trace ID and can GET /v1/trace/<id> for the merged
 // tree once the hop spans land.
 func (s *Server) wrapServerTrace(span *otrace.Span, body []byte) []byte {
-	spans := s.tracer.Trace(span.TraceID())
-	if d, ok := span.Snapshot(); ok {
-		spans = append(spans, d)
-	}
+	spans := append(s.tracer.Trace(span.TraceID()), span.Tree()...)
 	otrace.SortSpans(spans)
 	out, err := json.Marshal(traceResponse{TraceID: span.TraceID(), Spans: spans, Result: body})
 	if err != nil {

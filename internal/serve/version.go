@@ -54,7 +54,7 @@ func ReadBuild() BuildInfo {
 // handleVersion is GET /v1/version.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, r, "GET", http.StatusMethodNotAllowed)
+		httpError(w, "GET", http.StatusMethodNotAllowed)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
