@@ -422,6 +422,10 @@ type replicate struct {
 // runReplicates runs sc under n derived seeds in parallel and prints
 // per-replicate rows plus mean ± stddev aggregates.
 func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, timeout time.Duration, progress, check bool) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sims := spin.NewPool(workers) // one network per worker, rewound per seed
 	jobs := make([]runner.Job[replicate], n)
 	for i := 0; i < n; i++ {
 		jobs[i] = runner.Job[replicate]{
@@ -429,7 +433,7 @@ func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, tim
 			Run: func(ctx context.Context, seed int64) (replicate, error) {
 				c := sc
 				c.Seed = seed
-				s, err := c.Sim()
+				s, err := c.SimFrom(sims)
 				if err != nil {
 					return replicate{}, err
 				}
@@ -440,8 +444,9 @@ func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, tim
 				if res.Failed() {
 					return replicate{}, fmt.Errorf("seed %d: %s", seed, res.Summary())
 				}
-				st := &res.Stats
-				return replicate{Seed: seed, AvgLatency: st.AvgLatency(), Throughput: st.Throughput(s.Topology().NumTerminals()), Spins: st.Spins}, nil
+				st, terminals := &res.Stats, s.Topology().NumTerminals()
+				sims.Put(s)
+				return replicate{Seed: seed, AvgLatency: st.AvgLatency(), Throughput: st.Throughput(terminals), Spins: st.Spins}, nil
 			},
 		}
 	}

@@ -143,5 +143,8 @@ func progressPrinter() runner.ProgressFunc {
 		}
 		fmt.Fprintf(os.Stderr, "spinsweep: [%d/%d] %s (%.1fs) %s\n",
 			e.Done, e.Total, e.Key, e.Elapsed.Seconds(), status)
+		if e.Note != "" { // a figure's closing line: what its points cost to set up
+			fmt.Fprintf(os.Stderr, "spinsweep: %s\n", e.Note)
+		}
 	}
 }

@@ -76,6 +76,9 @@ type Report struct {
 	Workloads     []Result `json:"workloads"`
 	// Setup is what a run pays before its first cycle.
 	Setup []SetupResult `json:"setup"`
+	// Sweep is what a point of a figure pays around its cycles (measured by
+	// the package's tests: see sweep_test.go).
+	Sweep SweepResult `json:"sweep"`
 }
 
 // Cost is one set-up operation: best ns of its repetitions, heap bytes and
@@ -87,12 +90,27 @@ type Cost struct {
 }
 
 // SetupResult is one configuration's set-up cost: spin.New, Reset after a
-// run, and (Before, carried by -update) spin.New at the commit before Reset.
+// run, a Pool's Get of a shape it holds idle (Put included), and (Before,
+// carried by -update) spin.New at the commit before Reset.
 type SetupResult struct {
 	Name   string `json:"name"`
 	New    Cost   `json:"new"`
 	Reset  Cost   `json:"reset"`
+	Pooled Cost   `json:"pooled"`
 	Before Cost   `json:"before_new"`
+}
+
+// SweepResult is one figure's cost per point (Cost), its points, and the
+// networks built to run them; Before and BeforeBuilds (carried by -update)
+// are the same figure at the commit before simulations were pooled across
+// jobs, measured in the same session.
+type SweepResult struct {
+	Name string `json:"name"`
+	Cost
+	Points       int  `json:"points"`
+	Builds       int  `json:"networks_built"`
+	Before       Cost `json:"before"`
+	BeforeBuilds int  `json:"before_networks_built"`
 }
 
 // Schema is the current BENCH_sim.json schema version.
@@ -235,6 +253,8 @@ func MeasureSetup(w Workload, reps int) (SetupResult, error) {
 	res := SetupResult{Name: w.Name}
 	res.New = cost(0, func() error { _, err := spin.New(w.Cfg); return err })
 	res.Reset = cost(w.Warmup/10, func() error { return s.Reset(w.Cfg) })
+	pool := spin.NewPool(1)
+	res.Pooled = cost(w.Warmup/10, func() (err error) { pool.Put(s); s, err = pool.Get(w.Cfg); return err })
 	return res, err
 }
 

@@ -69,8 +69,10 @@ func TestBenchRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkServe(t, cur.CalibrationNs)
+	cur.Sweep = measureSweep(t, 3)
 	if *update {
 		if old, err := Load(baselineFile); err == nil {
+			cur.Sweep.Before, cur.Sweep.BeforeBuilds = old.Sweep.Before, old.Sweep.BeforeBuilds
 			for i, w := range cur.Workloads {
 				prev, _ := old.Find(w.Name)
 				cur.Workloads[i].BeforeNsPerCycle = prev.BeforeNsPerCycle
@@ -133,7 +135,7 @@ func TestBenchRegression(t *testing.T) {
 		for _, c := range []struct {
 			op        string
 			got, want Cost
-		}{{"spin.New", got.New, want.New}, {"Reset", got.Reset, want.Reset}} {
+		}{{"spin.New", got.New, want.New}, {"Reset", got.Reset, want.Reset}, {"pooled", got.Pooled, want.Pooled}} {
 			limit := c.want.Ns * scale * 1.25
 			t.Logf("%-13s %-8s %10.0f ns (limit %10.0f) %9.0f B %6.0f objects (before: %.0f ns, %.0f B, %.0f objects)",
 				got.Name, c.op, c.got.Ns, limit, c.got.Bytes, c.got.Objects, want.Before.Ns, want.Before.Bytes, want.Before.Objects)
@@ -145,6 +147,7 @@ func TestBenchRegression(t *testing.T) {
 			}
 		}
 	}
+	checkSweep(t, cur.Sweep, base.Sweep, scale, os.Getenv("BENCH_STRICT") != "")
 }
 
 // stepAllocBudget runs the named saturating workload with attach's

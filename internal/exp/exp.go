@@ -18,6 +18,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -65,7 +66,16 @@ type Options struct {
 	// Epoch is the time-series window in cycles (default 100 when
 	// Telemetry is on).
 	Epoch int64
+
+	// sims is where every point of one sweep gets its Simulation, so that a
+	// figure builds shapes x workers networks, not one per job or point.
+	// withDefaults makes it: it lives for one Fig*/Sweep call.
+	sims *spin.Pool
 }
+
+// simShapes is the most network shapes one figure runs over (Fig. 9: mesh
+// and dragonfly at 1 and 3 VCs); the pool keeps one of each per worker.
+const simShapes = 4
 
 func (o Options) withDefaults() Options {
 	if o.Cycles == 0 {
@@ -78,12 +88,30 @@ func (o Options) withDefaults() Options {
 		o.Warmup = o.Cycles / 10
 	}
 	o.Epoch = harness.TelemetryEpoch(o.Telemetry, o.Epoch)
+	if o.sims == nil {
+		workers := o.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		o.sims = spin.NewPool(simShapes * workers)
+	}
 	return o
 }
 
-// runnerOpts projects the execution knobs for internal/runner.
+// runnerOpts projects the execution knobs for internal/runner. The last
+// progress event of a batch carries what the sweep's pool did so far.
 func (o Options) runnerOpts() runner.Options {
-	return runner.Options{Workers: o.Workers, Seed: o.Seed, Timeout: o.Timeout, Progress: o.Progress}
+	progress := o.Progress
+	if progress != nil {
+		progress = func(e runner.Event) {
+			if e.Done == e.Total {
+				builds, rewinds := o.sims.Setups()
+				e.Note = fmt.Sprintf("%d points, %d networks built", builds+rewinds, builds)
+			}
+			o.Progress(e)
+		}
+	}
+	return runner.Options{Workers: o.Workers, Seed: o.Seed, Timeout: o.Timeout, Progress: progress}
 }
 
 // meshSpec and dflySpec resolve topology specs under the Small knob.
@@ -196,23 +224,29 @@ func (o Options) drive(ctx context.Context, sc harness.Scenario, net *sim.Networ
 	return res, nil
 }
 
-// runPoint executes one configuration at one rate on s, Reset to the point
-// (a job running a ladder of points passes one Simulation and builds once),
-// and returns the driver's result for metric extraction. The point's
-// seed derives from o.Seed and key; the run is advanced in chunks so ctx
-// cancellation and per-job timeouts are honoured promptly.
-func runPoint(ctx context.Context, s *spin.Simulation, cfg spin.Config, pattern string, rate float64, key string, o Options) (*harness.Result, error) {
+// runPoint executes one configuration at one rate on a Simulation from the
+// sweep's pool and returns the driver's result for metric extraction; read,
+// when non-nil, sees the Simulation before it goes back (a failed point's
+// does not). The point's seed derives from o.Seed and key; the run is
+// advanced in chunks so ctx cancellation and per-job timeouts are honoured
+// promptly.
+func runPoint(ctx context.Context, cfg spin.Config, pattern string, rate float64, key string, o Options, read func(*spin.Simulation)) (*harness.Result, error) {
 	cfg.Traffic = pattern
 	cfg.Rate = rate
 	cfg.Seed = runner.SeedFor(o.Seed, key)
 	cfg.Warmup = o.Warmup
-	if err := s.Reset(cfg); err != nil {
+	s, err := o.sims.Get(cfg)
+	if err != nil {
 		return nil, err
 	}
 	res, err := o.drive(ctx, harness.FromConfig(cfg, o.Cycles), s.Network(), false)
 	if err != nil {
 		return nil, fmt.Errorf("point %s: %w", key, err)
 	}
+	if read != nil {
+		read(s)
+	}
+	o.sims.Put(s)
 	return res, nil
 }
 
@@ -220,13 +254,12 @@ func runPoint(ctx context.Context, s *spin.Simulation, cfg spin.Config, pattern 
 // points, stopping after latency explodes past satLatency (the curve's
 // vertical asymptote); the last point is still recorded so the knee
 // shows. The early exit makes the sweep inherently sequential, so one
-// whole curve is the unit of parallelism (one runner job) and of reuse (one
-// Simulation), with per-point seeds still derived from the point keys.
+// whole curve is the unit of parallelism (one runner job), with per-point
+// seeds still derived from the point keys.
 func latencyCurve(ctx context.Context, cfg spin.Config, pattern string, rates []float64, satLatency float64, curveKey string, o Options) (Series, error) {
 	var s Series
-	simn := new(spin.Simulation)
 	for _, rate := range rates {
-		res, err := runPoint(ctx, simn, cfg, pattern, rate, pointKey(curveKey, rate), o)
+		res, err := runPoint(ctx, cfg, pattern, rate, pointKey(curveKey, rate), o, nil)
 		if err != nil {
 			return s, err
 		}

@@ -68,9 +68,9 @@ func Fig3(ctx context.Context, o Options) (*Fig3Result, error) {
 			su, pat := su, pat
 			key := "fig3/" + su.label + "/" + pat
 			jobs = append(jobs, runner.Job[Fig3Entry]{Key: key, Run: func(ctx context.Context, _ int64) (Fig3Entry, error) {
-				min, s := 0.0, new(spin.Simulation)
+				min := 0.0
 				for _, rate := range rates {
-					dl, err := deadlocksAt(ctx, s, su.topo, su.routing, pat, pointKey(key, rate), rate, o)
+					dl, err := deadlocksAt(ctx, su.topo, su.routing, pat, pointKey(key, rate), rate, o)
 					if err != nil {
 						return Fig3Entry{}, err
 					}
@@ -91,9 +91,11 @@ func Fig3(ctx context.Context, o Options) (*Fig3Result, error) {
 	return res, nil
 }
 
-// deadlocksAt runs one point with no recovery scheme on s and polls the oracle.
-func deadlocksAt(ctx context.Context, s *spin.Simulation, topo, routing, pattern, key string, rate float64, o Options) (bool, error) {
-	err := s.Reset(spin.Config{
+// deadlocksAt runs one point with no recovery scheme on a Simulation from
+// the sweep's pool (it goes back deadlocked or not: Reset forgets either)
+// and polls the oracle.
+func deadlocksAt(ctx context.Context, topo, routing, pattern, key string, rate float64, o Options) (bool, error) {
+	s, err := o.sims.Get(spin.Config{
 		Topology:   topo,
 		Routing:    routing,
 		Traffic:    pattern,
@@ -106,14 +108,14 @@ func deadlocksAt(ctx context.Context, s *spin.Simulation, topo, routing, pattern
 		return false, err
 	}
 	const pollEvery = 500
-	for done := int64(0); done < o.Cycles; done += pollEvery {
+	deadlocked := false
+	for done := int64(0); done < o.Cycles && !deadlocked; done += pollEvery {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
 		s.Run(pollEvery)
-		if s.Deadlocked() {
-			return true, nil
-		}
+		deadlocked = s.Deadlocked()
 	}
-	return false, nil
+	o.sims.Put(s)
+	return deadlocked, nil
 }

@@ -126,12 +126,9 @@ func SaturationSummary(ctx context.Context, topo string, configs []string, vcs [
 			name, cfg, rate := name, cfg, rate
 			key := pointKey(curveKey, rate)
 			jobs = append(jobs, runner.Job[satPoint]{Key: key, Run: func(ctx context.Context, _ int64) (satPoint, error) {
-				simn := new(spin.Simulation)
-				_, err := runPoint(ctx, simn, cfg, pattern, rate, key, o)
-				if err != nil {
-					return satPoint{}, err
-				}
-				return satPoint{Name: name, TP: simn.Throughput()}, nil
+				pt := satPoint{Name: name}
+				_, err := runPoint(ctx, cfg, pattern, rate, key, o, func(s *spin.Simulation) { pt.TP = s.Throughput() })
+				return pt, err
 			}})
 		}
 	}

@@ -104,7 +104,7 @@ func appEDP(ctx context.Context, app traffic.AppProfile, routing, scheme string,
 		Seed:       seed,
 		Warmup:     o.Warmup,
 	}
-	s, err := spin.New(cfg)
+	s, err := o.sims.Get(cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -116,6 +116,7 @@ func appEDP(ctx context.Context, app traffic.AppProfile, routing, scheme string,
 	if err != nil {
 		return 0, err
 	}
+	o.sims.Put(s)
 	st := &res.Stats
 	rc := power.MeshRouter(3*vcs, pk)
 	rc.NumRouters = topo.NumRouters()
@@ -158,18 +159,15 @@ func Fig8b(ctx context.Context, o Options) (*Fig8bResult, error) {
 		rate := rate
 		key := pointKey("fig8b", rate)
 		jobs = append(jobs, runner.Job[sim.LinkUtilisation]{Key: key, Run: func(ctx context.Context, _ int64) (sim.LinkUtilisation, error) {
-			s := new(spin.Simulation)
-			_, err := runPoint(ctx, s, spin.Config{
+			var u sim.LinkUtilisation
+			_, err := runPoint(ctx, spin.Config{
 				Topology:   o.meshSpec(),
 				Routing:    "min_adaptive",
 				Scheme:     "spin",
 				VNets:      3,
 				VCsPerVNet: 3,
-			}, "uniform_random", rate, key, o)
-			if err != nil {
-				return sim.LinkUtilisation{}, err
-			}
-			return s.Network().LinkUtilisation(), nil
+			}, "uniform_random", rate, key, o, func(s *spin.Simulation) { u = s.Network().LinkUtilisation() })
+			return u, err
 		}})
 	}
 	entries, err := runner.Run(ctx, o.runnerOpts(), jobs)

@@ -69,7 +69,7 @@ func Fig9(ctx context.Context, o Options) (*Fig9Result, error) {
 					VCsPerVNet: su.vcs,
 					SPIN:       spinimpl.Config{CountTruth: true},
 				}
-				res, err := runPoint(ctx, new(spin.Simulation), cfg, su.pattern, rate, key, o)
+				res, err := runPoint(ctx, cfg, su.pattern, rate, key, o, nil)
 				if err != nil {
 					return Fig9Entry{}, err
 				}

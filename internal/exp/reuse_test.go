@@ -11,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-// TestPointResultSurvivesRewind: a curve's points run on one Simulation,
+// TestPointResultSurvivesRewind: a sweep's points run on pooled Simulations,
 // rewound between them, so nothing a finished point handed back may alias
 // what the next point's Reset and run overwrite. Point k's result — with
 // the checker, the histogram and the windowed sampler on, so that every
@@ -36,17 +36,18 @@ func TestPointResultSurvivesRewind(t *testing.T) {
 			Forensics  *sim.ForensicsSnapshot
 		}{r, r.Stats, r.Latency, r.TimeSeries, r.OracleFirings, r.Trace, r.Forensics})
 	}
-	s := new(spin.Simulation)
-	first, err := runPoint(context.Background(), s, cfg, "uniform_random", 0.45, "alias@0.45", o)
+	var nets []*sim.Network
+	ran := func(s *spin.Simulation) { nets = append(nets, s.Network()) }
+	first, err := runPoint(context.Background(), cfg, "uniform_random", 0.45, "alias@0.45", o, ran)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, before := s.Network(), encode(first)
-	second, err := runPoint(context.Background(), s, cfg, "uniform_random", 0.6, "alias@0.6", o)
+	before := encode(first)
+	second, err := runPoint(context.Background(), cfg, "uniform_random", 0.6, "alias@0.6", o, ran)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Network() != net {
+	if nets[0] != nets[1] {
 		t.Fatal("the second point did not rewind the first one's network")
 	}
 	if after := encode(first); !bytes.Equal(before, after) {

@@ -94,7 +94,7 @@ func workloadPoint(ctx context.Context, rate float64, seed int64, o Options) (Wo
 		Warmup:     o.Warmup,
 		Workload:   &workload.Spec{Mode: "closed", Window: workloadWindow, ReqLen: 1, RespLen: 1},
 	}
-	s, err := sc.Sim()
+	s, err := sc.SimFrom(o.sims)
 	if err != nil {
 		return pt, err
 	}
@@ -111,5 +111,6 @@ func workloadPoint(ctx context.Context, rate float64, seed int64, o Options) (Wo
 	pt.Achieved = float64(cl.Completed()) / float64(o.Cycles) / float64(terminals)
 	pt.AvgLat = res.Stats.AvgLatency()
 	pt.P50, pt.P99 = res.Latency.P50, res.Latency.P99
+	o.sims.Put(s)
 	return pt, nil
 }

@@ -150,12 +150,16 @@ func FromConfig(cfg spin.Config, cycles int64) Scenario {
 // still calls it (see ROADMAP).
 func (sc Scenario) SimShards(int) (*spin.Simulation, error) { return sc.Sim() }
 
-// Sim builds the runnable simulation for the scenario. It is the one place
-// a scenario becomes a traffic source: spin.New builds the plain synthetic
-// generator, and an exact workload (Injections or TraceB64, one replay
-// engine over either entry source) or a workload block replaces it here.
-func (sc Scenario) Sim() (*spin.Simulation, error) {
-	s, err := spin.New(sc.Config())
+// Sim builds the runnable simulation for the scenario: SimFrom with no pool.
+func (sc Scenario) Sim() (*spin.Simulation, error) { return sc.SimFrom(nil) }
+
+// SimFrom rewinds a Simulation taken from p (nil: a new one) to the scenario;
+// the caller hands it back with p.Put once its run has completed. It is the
+// one place a scenario becomes a traffic source: Reset builds the plain
+// synthetic generator, and an exact workload (Injections or TraceB64, one
+// replay engine over either entry source) or a workload block replaces it here.
+func (sc Scenario) SimFrom(p *spin.Pool) (*spin.Simulation, error) {
+	s, err := p.Get(sc.Config())
 	if err != nil {
 		return nil, err
 	}

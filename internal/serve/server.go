@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	spin "repro"
 	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/fleet"
@@ -144,6 +145,9 @@ type Server struct {
 	cfg   Config
 	store *cache.Store
 	pool  *runner.Pool[[]byte]
+	// sims keeps the simulations the last misses ran on, at most one per
+	// worker, so a miss of a shape a worker has just run rewinds it.
+	sims  *spin.Pool
 	mux   *http.ServeMux
 	start time.Time
 
@@ -161,6 +165,8 @@ type Server struct {
 	mSimKillMoves *prom.Counter
 	mSimDeadlocks *prom.Counter
 	mSimLatency   *prom.Histogram
+	mSimBuilds    *prom.CounterSeries // spind_sim_setups_total{how="build"}
+	mSimRewinds   *prom.CounterSeries // and {how="rewind"}
 
 	// workersEff is the resolved pool size (spind_workers_effective).
 	workersEff int
@@ -224,6 +230,7 @@ func New(cfg Config) (*Server, error) {
 	if s.workersEff <= 0 {
 		s.workersEff = runtime.GOMAXPROCS(0)
 	}
+	s.sims = spin.NewPool(s.workersEff)
 
 	s.mRequests = s.reg.Counter("spind_requests_total", "HTTP requests by endpoint and status code.")
 	s.mReqSeconds = s.reg.Histogram("spind_request_duration_seconds", "End-to-end request latency by endpoint.",
@@ -245,6 +252,8 @@ func New(cfg Config) (*Server, error) {
 	s.mSimProbes = s.reg.Counter("spind_sim_probes_total", "SPIN probe messages sent by executed simulations.")
 	s.mSimKillMoves = s.reg.Counter("spind_sim_kill_moves_total", "SPIN kill_move messages sent by executed simulations.")
 	s.mSimDeadlocks = s.reg.Counter("spind_sim_deadlock_firings_total", "Deadlock-oracle firings observed by executed simulations (checked requests only).")
+	setups := s.reg.Counter("spind_sim_setups_total", "Executed simulations by how their network came to be: built, or rewound from one an earlier request of that shape ran on.")
+	s.mSimBuilds, s.mSimRewinds = setups.With("how", "build"), setups.With("how", "rewind")
 	s.mSimLatency = s.reg.Histogram("spind_sim_packet_latency_cycles", "Packet-latency percentiles (quantile label) per executed simulation, in cycles.",
 		[]float64{10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 100000})
 	s.mSpanSeconds = s.reg.Histogram("spind_span_duration_seconds", "Request span durations by span name (per-peer spans collapse onto one label).",
@@ -838,14 +847,20 @@ func (s *Server) runSim(ctx context.Context, req SimRequest, key string, streamW
 	}
 	start := time.Now()
 	sc := req.Scenario
-	// Sim attaches whatever traffic source the scenario carries —
+	// SimFrom attaches whatever traffic source the scenario carries —
 	// synthetic, shaped workload, explicit injections, or a streamed
-	// binary trace.
-	simulation, err := sc.Sim()
+	// binary trace — to a simulation of the server's pool, which gets it
+	// back only from a run that completed.
+	simulation, err := sc.SimFrom(s.sims)
 	if err != nil {
 		// The specs parsed as JSON but name unknown topologies/routings:
 		// the client's fault, not the server's.
 		return nil, errBadRequest{err}
+	}
+	if simulation.Rewound() {
+		s.mSimRewinds.Add(1)
+	} else {
+		s.mSimBuilds.Add(1)
 	}
 	// The histogram is always on: it feeds the simulator-level Prometheus
 	// series for every executed request. The window is the request's
@@ -909,6 +924,7 @@ func (s *Server) runSim(ctx context.Context, req SimRequest, key string, streamW
 		resp.Latency, resp.TimeSeries = res.Latency, res.TimeSeries
 	}
 	s.observeSimulator(simulation.Stats(), res)
+	s.sims.Put(simulation)
 	s.mSimCycles.Observe(float64(sc.Cycles))
 	s.mSimSeconds.Observe(time.Since(start).Seconds())
 	return encodeBody(span, resp)

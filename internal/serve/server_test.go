@@ -469,3 +469,79 @@ func TestCacheKeysPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSimPoolBoundAndMetric: the server keeps the simulations its misses ran
+// on — at most Workers of them, the least recently returned dropped first —
+// and says on /metrics which way each miss's network came to be. A miss of a
+// shape just run (another seed) rewinds; after Workers + 2 distinct shapes
+// only the last Workers are still there; a failed request keeps nothing; and
+// what a rewound miss answers is what a server that never saw the shape does.
+func TestSimPoolBoundAndMetric(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	body := func(vcs int, seed int64) string {
+		return fmt.Sprintf(`{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","traffic":"uniform_random","rate":0.2,"vcs_per_vnet":%d,"cycles":500,"seed":%d}`, vcs, seed)
+	}
+	setups := func() (builds, rewinds float64) { return s.mSimBuilds.Value(), s.mSimRewinds.Value() }
+	miss := func(b string) []byte {
+		t.Helper()
+		rec := post(t, s.Handler(), "/v1/simulate", b)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("status %d, X-Cache %q: %s", rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	for vcs := 1; vcs <= 4; vcs++ { // Workers + 2 shapes, one after the other
+		miss(body(vcs, 1))
+	}
+	if b, r := setups(); b != 4 || r != 0 {
+		t.Fatalf("four new shapes: %v builds, %v rewinds", b, r)
+	}
+	rewound := miss(body(4, 2)) // the shape just run, another seed
+	miss(body(3, 2))
+	if b, r := setups(); b != 4 || r != 2 {
+		t.Fatalf("the two most recent shapes again: %v builds, %v rewinds, want 4 and 2", b, r)
+	}
+	miss(body(1, 2)) // dropped when the third shape came back
+	if b, r := setups(); b != 5 || r != 2 {
+		t.Fatalf("the oldest shape again: %v builds, %v rewinds, want 5 and 2", b, r)
+	}
+	if pb, pr := s.sims.Setups(); float64(pb) != 5 || float64(pr) != 2 {
+		t.Fatalf("the pool counts %d builds and %d rewinds, the metric 5 and 2", pb, pr)
+	}
+
+	// The same request on a server that has never seen the shape.
+	fresh := newTestServer(t, Config{Workers: 2})
+	if rec := post(t, fresh.Handler(), "/v1/simulate", body(4, 2)); !bytes.Equal(rec.Body.Bytes(), rewound) {
+		t.Fatalf("a rewound miss answered differently from a fresh server:\nrewound %s\nfresh   %s", rewound, rec.Body)
+	}
+
+	// A request that fails after taking a simulation (its trace names a
+	// terminal the 4x4 mesh does not have) hands nothing back: the shape it
+	// took (1 VC, returned last) is a build again.
+	bad := `{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","cycles":500,"seed":3,"injections":[{"cycle":1,"src":99,"dst":1,"length":1}]}`
+	_, took := s.sims.Setups()
+	if rec := post(t, s.Handler(), "/v1/simulate", bad); rec.Code != http.StatusBadRequest {
+		t.Fatalf("bad trace: status %d: %s", rec.Code, rec.Body)
+	}
+	if _, r := s.sims.Setups(); r != took+1 {
+		t.Fatalf("the failing request did not take the idle simulation of its shape: %d rewinds, want %d", r, took+1)
+	}
+	before, _ := setups() // the metric counts executed simulations: this one never ran
+	miss(body(1, 4))
+	if b, _ := setups(); b != before+1 {
+		t.Fatalf("the miss after a failed request of its shape rewound what the failure left: %v builds, want %v", b, before+1)
+	}
+
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	b, r := setups()
+	for _, want := range []string{
+		fmt.Sprintf(`spind_sim_setups_total{how="build"} %v`, b),
+		fmt.Sprintf(`spind_sim_setups_total{how="rewind"} %v`, r),
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}

@@ -38,3 +38,19 @@ func SAVisits(n *Network) int64 { return n.saVisits }
 // order-invariance oracle's hook: under the engine's contract no
 // permutation changes what a run computes.
 func PermutePhase2(n *Network, f func([]*Router)) { n.permute = f }
+
+// PooledPackets reports the length of n's packet free list and how many
+// packets the chunks hold that Reset puts back on it.
+func PooledPackets(n *Network) (free, owned int) { return len(n.pktPool), len(n.pktChunks) * pktChunk }
+
+// InjectPooled queues a packet at src the way the traffic path does: taken
+// from the free list.
+func InjectPooled(n *Network, src int, spec PacketSpec) { n.inject(src, spec, true) }
+
+// FlitsOnLinks counts the flits in flight between routers.
+func FlitsOnLinks(n *Network) (k int) {
+	for _, l := range n.links {
+		k += len(l.flits)
+	}
+	return k
+}

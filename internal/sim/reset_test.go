@@ -69,6 +69,15 @@ func watchAndRun(t *testing.T, net *sim.Network, cycles int) runRecord {
 // TestStallIndexParity's (every scheme on the topologies it runs on, among
 // them static_bubble's forced routing and escape_vc) plus a closed loop, a
 // Dally-ladder UGAL and a 3-vnet dragonfly.
+//
+// Each scenario then makes two more stops, for who owns a packet across a
+// Reset. The dirtying run above had an eject hook, which keeps what it is
+// shown: Reset must have reclaimed nothing, and what the hook kept must read
+// after the rewound run as it did at ejection. A second dirtying run has no
+// hook and ends with packets in VCs, on links and in NIC queues: Reset must
+// put every one of them back on the free list, the run after it must match
+// the fresh build cycle for cycle without allocating a packet, and a pooled
+// inject must cost no allocation.
 func TestResetEqualsNew(t *testing.T) {
 	type scenario struct {
 		name   string
@@ -134,8 +143,14 @@ func TestResetEqualsNew(t *testing.T) {
 			net.AttachFlightRecorder(64)
 			net.AddObserver(sim.AllEvents, new(eventDigest))
 			ejected := 0
-			net.SetEjectHook(func(*sim.Packet) { ejected++ })
-			net.Run(3000)
+			var kept []*sim.Packet
+			var asEjected []sim.Packet
+			net.Run(1500) // the hook meets packets made before it was installed
+			net.SetEjectHook(func(p *sim.Packet) {
+				ejected++
+				kept, asEjected = append(kept, p), append(asEjected, *p)
+			})
+			net.Run(1500)
 			if net.InFlight() == 0 || net.QueuedPackets() == 0 || ejected == 0 {
 				t.Fatalf("dirtying run left %d packets in flight, %d queued, %d ejected: nothing to forget", net.InFlight(), net.QueuedPackets(), ejected)
 			}
@@ -169,6 +184,9 @@ func TestResetEqualsNew(t *testing.T) {
 			if net.Checker() != nil || net.Telemetry() != nil || net.FlightRecorder() != nil {
 				t.Fatal("Reset kept something that watches the network attached")
 			}
+			if free, owned := sim.PooledPackets(net); free != 0 || owned != 0 {
+				t.Fatalf("Reset after a hooked run reclaimed packets: %d free, %d owned", free, owned)
+			}
 			hookSaw := ejected
 			got := watchAndRun(t, net, sc.cycles)
 			if ejected != hookSaw {
@@ -177,7 +195,38 @@ func TestResetEqualsNew(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("rewound run differs from a fresh build's:\nrewound %+v\nfresh   %+v", got, want)
 			}
+			for i, p := range kept {
+				if *p != asEjected[i] {
+					t.Fatalf("a packet the eject hook kept was reused: %+v, ejected as %+v", *p, asEjected[i])
+				}
+			}
 			t.Logf("%d packets, %d spins, %d events, digest %016x", got.Stats.Ejected, got.Stats.Spins, got.Events, got.Digest)
+
+			build(s, dirty)
+			net.Run(1500)
+			for extra := 0; sim.FlitsOnLinks(net) == 0 && extra < 5000; extra++ {
+				net.Step() // a jammed network moves in bursts: stop inside one
+			}
+			if net.InFlight() == 0 || net.QueuedPackets() == 0 || sim.FlitsOnLinks(net) == 0 {
+				t.Fatalf("second dirtying run left %d packets in flight, %d queued, %d flits on links", net.InFlight(), net.QueuedPackets(), sim.FlitsOnLinks(net))
+			}
+			build(s, cfg)
+			free, owned := sim.PooledPackets(net)
+			if free != owned || owned < net.InFlight()+net.QueuedPackets() || owned == 0 {
+				t.Fatalf("Reset put %d of the network's %d packets back on the free list", free, owned)
+			}
+			if got := watchAndRun(t, net, sc.cycles); !reflect.DeepEqual(got, want) {
+				t.Fatalf("run on reclaimed packets differs from a fresh build's:\nrewound %+v\nfresh   %+v", got, want)
+			}
+			if _, after := sim.PooledPackets(net); after != owned {
+				t.Fatalf("the run after a Reset allocated packets: %d owned, %d before", after, owned)
+			}
+			build(s, cfg)
+			spec := sim.PacketSpec{Dst: 1, Length: 1}
+			sim.InjectPooled(net, 0, spec) // the NIC queue's first slot
+			if avg := testing.AllocsPerRun(20, func() { sim.InjectPooled(net, 0, spec) }); avg != 0 {
+				t.Fatalf("a pooled inject after Reset allocates %.1f objects", avg)
+			}
 		})
 	}
 }

@@ -112,7 +112,8 @@ func TestFailedResetLeavesNothingBehind(t *testing.T) {
 // links and a jellyfish's wiring, so one Simulation taken through two seeds
 // must hold the two graphs fresh builds hold, not share the first. Every
 // family goes through, so that a new seeded one Reset does not know about
-// fails here; the others must keep their graph across seeds.
+// fails here; the others must keep their graph across seeds. A Pool must draw
+// the same line between shapes.
 func TestSeededTopologyRebuilt(t *testing.T) {
 	seeded := 0
 	for _, spec := range []string{"mesh:4x4", "torus:4x4", "ring:6", "dragonfly:2,4,2,9", "fattree:4,2,2", "irregular:8x8:4", "jellyfish:16,1,4"} {
@@ -132,10 +133,22 @@ func TestSeededTopologyRebuilt(t *testing.T) {
 				t.Fatalf("%s seed %d: the Simulation's graph is not the one the seed builds", spec, seed)
 			}
 		}
-		if same := reflect.DeepEqual(fresh[0], fresh[1]); same != (held[0] == held[1]) {
+		same := reflect.DeepEqual(fresh[0], fresh[1])
+		if same != (held[0] == held[1]) {
 			t.Fatalf("%s: seeds build one graph = %v, Reset kept the graph = %v", spec, same, held[0] == held[1])
 		} else if !same {
 			seeded++
+		}
+		// A Pool keys its idle simulations likewise: the other seed is the
+		// same shape exactly when it is the same graph.
+		pool := spin.NewPool(1)
+		pool.Put(s) // at seed 6
+		back, err := pool.Get(spin.Config{Topology: spec, Routing: "min_adaptive", Scheme: "spin", Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Topology().Links(), fresh[0]) || back.Rewound() != same || (back == s) != same {
+			t.Fatalf("%s: a pool holding seed 6 answered seed 5 with the same simulation = %v, rewound = %v; same graph = %v", spec, back == s, back.Rewound(), same)
 		}
 	}
 	if seeded != 2 {

@@ -55,6 +55,10 @@ grep -q '^spind_sim_deadlock_firings_total ' "$TMP/metrics"
 grep -q 'spind_sim_packet_latency_cycles_bucket{quantile="p50",le="+Inf"} 1' "$TMP/metrics"
 grep -q 'spind_sim_packet_latency_cycles_count{quantile="p99"} 1' "$TMP/metrics"
 
+echo "== another seed of the shape just run rewinds its network"
+curl -fsS -o /dev/null -d "${BODY/\"seed\":1/\"seed\":2}" "http://$ADDR/v1/simulate"
+curl -fsS "http://$ADDR/metrics" | grep -q '^spind_sim_setups_total{how="rewind"} 1$' || { echo "the second seed built a network"; exit 1; }
+
 echo "== telemetry request (latency percentiles + time-series)"
 TBODY='{"topology":"mesh:8x8","routing":"min_adaptive","scheme":"spin","traffic":"uniform_random","rate":0.05,"cycles":5000,"seed":1,"telemetry":true,"epoch":500}'
 curl -fsS -D "$TMP/h3" -o "$TMP/r3" -d "$TBODY" "http://$ADDR/v1/simulate"

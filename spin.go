@@ -31,8 +31,11 @@ package spin
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"math/rand"
 
@@ -86,6 +89,8 @@ type Simulation struct {
 	net  *sim.Network
 	topo topology.Topology
 	alg  sim.RoutingAlgorithm // BuildRouting's, kept across Reset; nil under a scheme that forces its own
+	// rewound: the last Reset kept the network it found instead of building one.
+	rewound bool
 }
 
 // New builds a Simulation from cfg.
@@ -183,8 +188,88 @@ func (s *Simulation) Reset(cfg Config) (err error) {
 			return err
 		}
 	}
-	*s = Simulation{cfg: cfg, net: net, topo: topo, alg: alg}
+	*s = Simulation{cfg: cfg, net: net, topo: topo, alg: alg, rewound: net == was.net}
 	return nil
+}
+
+// Rewound reports whether the last Reset rewound the network s already had
+// (false: it built one).
+func (s *Simulation) Rewound() bool { return s.rewound }
+
+// Pool holds idle Simulations for callers that run many configurations over
+// few network shapes (a figure's points, a daemon's misses), so that a
+// network is built when its shape is new, not when a job is. It is safe for
+// concurrent use; a nil *Pool holds nothing (Get builds, Put drops).
+type Pool struct {
+	mu              sync.Mutex
+	idle            []*Simulation // least recently returned first, at most bound
+	bound           int
+	builds, rewinds atomic.Int64
+}
+
+// NewPool returns a pool that keeps at most bound idle Simulations, dropping
+// the least recently returned first.
+func NewPool(bound int) *Pool { return &Pool{bound: bound} }
+
+// sameShape reports whether a network built for a can be rewound to b:
+// topology spec (and seed, where it picks the graph), VNets, VCsPerVNet,
+// VCDepth, as spelled.
+func sameShape(a, b Config) bool {
+	return a.Topology == b.Topology && a.VNets == b.VNets && a.VCsPerVNet == b.VCsPerVNet && a.VCDepth == b.VCDepth &&
+		(a.Seed == b.Seed || !topologyUsesSeed(a.Topology))
+}
+
+// Get returns a Simulation Reset to cfg: an idle one of cfg's shape if the
+// pool holds one (the most recently returned), otherwise a new one. The
+// caller owns it until Put.
+func (p *Pool) Get(cfg Config) (*Simulation, error) {
+	var s *Simulation
+	if p != nil {
+		p.mu.Lock()
+		for i := len(p.idle) - 1; i >= 0; i-- {
+			if sameShape(p.idle[i].cfg, cfg) {
+				s = p.idle[i]
+				p.idle = slices.Delete(p.idle, i, i+1)
+				break
+			}
+		}
+		p.mu.Unlock()
+	}
+	if s == nil {
+		s = new(Simulation)
+	}
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
+	}
+	if p != nil && s.rewound {
+		p.rewinds.Add(1)
+	} else if p != nil {
+		p.builds.Add(1)
+	}
+	return s, nil
+}
+
+// Put hands s back for a later Get. Only a Simulation whose run completed
+// belongs here: one that ended in an error, a cancellation, a timeout or a
+// panic is dropped by its caller instead.
+func (p *Pool) Put(s *Simulation) {
+	if p == nil || s.net == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.idle = append(p.idle, s)
+	if len(p.idle) > p.bound {
+		p.idle = slices.Delete(p.idle, 0, 1)
+	}
+}
+
+// Setups reports how many Gets built a network and how many rewound one.
+func (p *Pool) Setups() (builds, rewinds int64) {
+	if p == nil {
+		return 0, 0
+	}
+	return p.builds.Load(), p.rewinds.Load()
 }
 
 // BuildTopology parses a topology spec string.
