@@ -47,6 +47,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -91,9 +92,10 @@ type simFlags struct {
 
 func (f *simFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.preset, "preset", "", "named configuration from Table III (see spintables -table 3)")
-	fs.StringVar(&f.topo, "topo", "mesh:8x8", "topology spec (mesh:XxY, torus:XxY, ring:N, dragonfly:p,a,h,g, dragonfly1024, irregular:XxY:F)")
-	fs.StringVar(&f.routing, "routing", "min_adaptive", "routing algorithm")
-	fs.StringVar(&f.scheme, "scheme", "", "deadlock scheme: spin, static_bubble, ring_bubble or empty")
+	topologies, routings, _, schemes := spin.Names()
+	fs.StringVar(&f.topo, "topo", "mesh:8x8", "topology spec: "+topologies)
+	fs.StringVar(&f.routing, "routing", "min_adaptive", "routing algorithm: "+routings)
+	fs.StringVar(&f.scheme, "scheme", "", "deadlock scheme: "+schemes)
 	fs.IntVar(&f.vcs, "vcs", 1, "VCs per virtual network")
 	fs.IntVar(&f.vnets, "vnets", 1, "virtual networks")
 	fs.StringVar(&f.pattern, "traffic", "uniform_random", "synthetic traffic pattern")
@@ -353,7 +355,7 @@ func report(s *spin.Simulation, sc harness.Scenario, hist bool, recorder *traffi
 	nc := net.Config()
 	fmt.Printf("topology        %s (%d routers, %d terminals)\n",
 		s.Topology().Name(), s.Topology().NumRouters(), s.Topology().NumTerminals())
-	fmt.Printf("config          routing=%s scheme=%s vnets=%d vcs=%d\n", sc.Routing, orNone(sc.Scheme), nc.VNets, nc.VCsPerVNet)
+	fmt.Printf("config          routing=%s scheme=%s vnets=%d vcs=%d\n", sc.Routing, cmp.Or(sc.Scheme, "none"), nc.VNets, nc.VCsPerVNet)
 	fmt.Printf("offered         %s @ %.3f flits/node/cycle, %d cycles\n", sc.Traffic, sc.Rate, sc.Cycles)
 	fmt.Printf("packets         injected=%d ejected=%d in-flight=%d queued=%d\n",
 		st.Injected, st.Ejected, net.InFlight(), net.QueuedPackets())
@@ -461,7 +463,7 @@ func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, tim
 		log.Fatal(err)
 	}
 	fmt.Printf("config          %s routing=%s scheme=%s traffic=%s rate=%.3f cycles=%d\n",
-		sc.Topology, sc.Routing, orNone(sc.Scheme), sc.Traffic, sc.Rate, sc.Cycles)
+		sc.Topology, sc.Routing, cmp.Or(sc.Scheme, "none"), sc.Traffic, sc.Rate, sc.Cycles)
 	fmt.Printf("%-6s %20s %12s %12s %8s\n", "rep", "seed", "avg_latency", "throughput", "spins")
 	for i, r := range reps {
 		fmt.Printf("%-6d %20d %12.1f %12.4f %8d\n", i, r.Seed, r.AvgLatency, r.Throughput, r.Spins)
@@ -500,11 +502,4 @@ func writeJSONFile(path string, v interface{}) {
 	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func orNone(s string) string {
-	if s == "" {
-		return "none"
-	}
-	return s
 }

@@ -4,42 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/bubble"
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
-
-// torusDOR is dimension-ordered routing with wraparound (shortest
-// direction), the routing Bubble Flow Control protects.
-type torusDOR struct {
-	sim.BaseRouting
-	m *topology.Mesh
-}
-
-func (t *torusDOR) Name() string { return "torus_dor" }
-
-func (t *torusDOR) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
-	cx, cy := t.m.Coords(r.ID)
-	dx, dy := t.m.Coords(p.RouteDst())
-	var port int
-	switch {
-	case cx != dx:
-		east := ((dx - cx) + t.m.X) % t.m.X
-		if east <= t.m.X-east {
-			port = topology.MeshPort(topology.East)
-		} else {
-			port = topology.MeshPort(topology.West)
-		}
-	default:
-		north := ((dy - cy) + t.m.Y) % t.m.Y
-		if north <= t.m.Y-north {
-			port = topology.MeshPort(topology.North)
-		} else {
-			port = topology.MeshPort(topology.South)
-		}
-	}
-	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
-}
 
 func TestTorusDORWithoutBubbleDeadlocks(t *testing.T) {
 	torus, err := topology.NewTorus(4, 4, 1)
@@ -48,7 +17,7 @@ func TestTorusDORWithoutBubbleDeadlocks(t *testing.T) {
 	}
 	n, err := sim.NewNetwork(sim.Config{
 		Topology:   torus,
-		Routing:    &torusDOR{m: torus},
+		Routing:    &routing.TorusDOR{Mesh: torus},
 		Traffic:    &traffic.Synthetic{Pattern: traffic.Tornado(torus), Rate: 0.9, DataFrac: 1},
 		VCsPerVNet: 1,
 		Seed:       3,
@@ -75,7 +44,7 @@ func TestRingBubbleKeepsTorusDeadlockFree(t *testing.T) {
 	}
 	n, err := sim.NewNetwork(sim.Config{
 		Topology:   torus,
-		Routing:    &torusDOR{m: torus},
+		Routing:    &routing.TorusDOR{Mesh: torus},
 		Scheme:     &bubble.RingBubble{Mesh: torus},
 		Traffic:    &traffic.Synthetic{Pattern: traffic.Tornado(torus), Rate: 0.6, DataFrac: 1},
 		VCsPerVNet: 1,
@@ -102,7 +71,7 @@ func TestStaticBubbleMeshDeadlockFree(t *testing.T) {
 	pat, _ := traffic.ByName("transpose", mesh)
 	n, err := sim.NewNetwork(sim.Config{
 		Topology:   mesh,
-		Routing:    sb.Routing(3),
+		Routing:    &routing.EscapeVC{Mesh: mesh, VCs: 3},
 		Scheme:     sb,
 		Traffic:    &traffic.Synthetic{Pattern: pat, Rate: 0.4},
 		VCsPerVNet: 3, // 2 usable + 1 reserved recovery VC
@@ -125,7 +94,7 @@ func TestStaticBubbleReservesVC0(t *testing.T) {
 	sb := &bubble.StaticBubble{Mesh: mesh, TDD: 1 << 40} // never recover
 	n, err := sim.NewNetwork(sim.Config{
 		Topology:   mesh,
-		Routing:    sb.Routing(2),
+		Routing:    &routing.EscapeVC{Mesh: mesh, VCs: 2},
 		Scheme:     sb,
 		Traffic:    &traffic.Synthetic{Pattern: traffic.Uniform(9), Rate: 0.2},
 		VCsPerVNet: 2,
@@ -161,7 +130,7 @@ func TestStaticBubbleRecoversConstructedDeadlock(t *testing.T) {
 	sb := &bubble.StaticBubble{Mesh: mesh, TDD: 16}
 	n, err := sim.NewNetwork(sim.Config{
 		Topology:   mesh,
-		Routing:    sb.Routing(2),
+		Routing:    &routing.EscapeVC{Mesh: mesh, VCs: 2},
 		Scheme:     sb,
 		Traffic:    &traffic.Synthetic{Pattern: traffic.Uniform(4), Rate: 0.9},
 		VCsPerVNet: 2,

@@ -3,6 +3,7 @@ package bubble
 import (
 	"testing"
 
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -172,7 +173,7 @@ func TestStaticBubbleQuiescentTracksTimers(t *testing.T) {
 	sb := &StaticBubble{Mesh: mesh, TDD: 16}
 	n, err := sim.NewNetwork(sim.Config{
 		Topology:   mesh,
-		Routing:    sb.Routing(2),
+		Routing:    &routing.EscapeVC{Mesh: mesh, VCs: 2},
 		Scheme:     sb,
 		Traffic:    &traffic.Synthetic{Pattern: traffic.Uniform(9), Rate: 0.9},
 		VCsPerVNet: 2,

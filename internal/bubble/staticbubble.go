@@ -1,7 +1,6 @@
 package bubble
 
 import (
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -12,7 +11,10 @@ import (
 // scheme). A per-router timeout detects blocked packets; a detected packet
 // is granted entry into the recovery VC, through which it drains over the
 // dimension-ordered (acyclic) path. Packets already in the recovery VC
-// keep using it freely, so the drain can never deadlock.
+// keep using it freely, so the drain can never deadlock. It runs with
+// escape_vc routing (routing.EscapeVC): fully-adaptive minimal requests
+// over the regular VCs plus the dimension-ordered recovery request on VC
+// 0, which the agent vetoes until a timeout fires.
 type StaticBubble struct {
 	Mesh *topology.Mesh
 	// TDD is the detection timeout in cycles (default 128).
@@ -38,14 +40,6 @@ func (s *StaticBubble) Attach(n *sim.Network) {
 		s.agents = append(s.agents, a)
 		n.SetAgent(i, a)
 	}
-}
-
-// Routing returns the routing algorithm Static Bubble pairs with:
-// fully-adaptive minimal requests over the regular VCs plus the
-// dimension-ordered recovery request on VC 0 (vetoed by the agent until a
-// timeout fires). vcs is the configuration's VCs per vnet.
-func (s *StaticBubble) Routing(vcs int) sim.RoutingAlgorithm {
-	return &routing.EscapeVC{Mesh: s.Mesh, VCs: vcs}
 }
 
 type sbAgent struct {

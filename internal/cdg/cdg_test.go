@@ -1,7 +1,6 @@
 package cdg
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -66,14 +65,26 @@ func TestEscapeVCStructure(t *testing.T) {
 	}
 }
 
+// TestDragonflyLadderAcyclic: a ladder is acyclic with one VC per global
+// hop of its longest path — two for minimal routing, three for UGAL, whose
+// Valiant detour crosses two global channels — and cyclic with one fewer
+// (the router clamps the extra hop onto the top rung); free VC use is
+// cyclic at any count.
 func TestDragonflyLadderAcyclic(t *testing.T) {
 	d, err := topology.NewDragonfly(2, 4, 2, 9, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := Build(d, 2, DflyLadderDep(d, 2))
-	if !g.Acyclic() {
-		t.Fatalf("dragonfly VC ladder must be acyclic: %s", g.Describe())
+	for _, tc := range []struct {
+		valiant bool
+		floor   int
+	}{{false, 2}, {true, 3}} {
+		if g := Build(d, tc.floor, DflyLadderDep(d, tc.floor, tc.valiant)); !g.Acyclic() {
+			t.Errorf("ladder (valiant %v) at %d VCs must be acyclic: %s", tc.valiant, tc.floor, g.Describe())
+		}
+		if g := Build(d, tc.floor-1, DflyLadderDep(d, tc.floor-1, tc.valiant)); g.Acyclic() {
+			t.Errorf("ladder (valiant %v) at %d VCs must be cyclic: %s", tc.valiant, tc.floor-1, g.Describe())
+		}
 	}
 	free := Build(d, 2, DflyFreeDep(d))
 	if free.Acyclic() {
@@ -161,60 +172,3 @@ func TestJellyfishAdaptiveCyclic(t *testing.T) {
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// TestDepForTable covers every routing name either of the two former
-// tables (cmd/spincheck's resolveDep, harness's cdgDep) accepted: on a
-// topology the routing runs on, DepFor yields a model with the expected
-// verdict; on one it does not, ErrWrongTopology; and a name neither
-// table knew is ErrNoStaticModel, never a silent nil.
-func TestDepForTable(t *testing.T) {
-	m := mesh(t, 4, 4)
-	tor, err := topology.NewTorus(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := topology.NewDragonfly(2, 4, 2, 9, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		on      topology.Topology
-		vcs     int
-		acyclic bool
-		wrong   topology.Topology // nil: runs anywhere
-	}{
-		{"", m, 1, false, nil},
-		{"min_adaptive", m, 1, false, nil},
-		{"favors_min", m, 1, false, nil},
-		{"favors_nmin", m, 1, false, nil},
-		{"xy", m, 1, true, d},
-		{"westfirst", m, 2, true, d},
-		{"escape_vc", m, 3, false, d},
-		{"escape_subnet", m, 3, true, d},
-		{"torus_dor", tor, 1, false, m},
-		{"dfly_min_ladder", d, 2, true, m},
-		{"ugal_ladder", d, 2, true, m},
-		{"dfly_free", d, 2, false, m},
-		{"dfly_min", d, 2, false, m},
-		{"ugal_spin", d, 2, false, tor},
-	} {
-		dep, err := DepFor(tc.name, tc.on, tc.vcs)
-		if err != nil || dep == nil {
-			t.Errorf("DepFor(%q) on %s: dep nil=%v, err %v", tc.name, tc.on.Name(), dep == nil, err)
-			continue
-		}
-		if g := Build(tc.on, tc.vcs, dep); g.Acyclic() != tc.acyclic {
-			t.Errorf("DepFor(%q) on %s: acyclic=%v, want %v (%s)", tc.name, tc.on.Name(), g.Acyclic(), tc.acyclic, g.Describe())
-		}
-		if tc.wrong == nil {
-			continue
-		}
-		if dep, err := DepFor(tc.name, tc.wrong, tc.vcs); dep != nil || !errors.Is(err, ErrWrongTopology) {
-			t.Errorf("DepFor(%q) on %s: dep nil=%v, err %v, want ErrWrongTopology", tc.name, tc.wrong.Name(), dep == nil, err)
-		}
-	}
-	if dep, err := DepFor("not_a_routing", m, 1); dep != nil || !errors.Is(err, ErrNoStaticModel) {
-		t.Errorf("unknown routing: dep nil=%v, err %v, want ErrNoStaticModel", dep == nil, err)
-	}
-}

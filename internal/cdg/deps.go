@@ -1,72 +1,10 @@
 package cdg
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
-
-// DepFor errors: the routing name has no static dependency model at all,
-// or it has one that does not run on the given topology.
-var (
-	ErrNoStaticModel = errors.New("no static CDG model")
-	ErrWrongTopology = errors.New("wrong topology")
-)
-
-// DepFor maps a routing name — the harness/spind routing specs plus
-// spincheck's analysis-only names (escape_subnet, torus_dor, dfly_free)
-// — to its static dependency function on topo. It is the one such table:
-// cmd/spincheck and the harness forensics CDG cut both call it.
-func DepFor(name string, topo topology.Topology, vcs int) (DependencyFunc, error) {
-	mesh, _ := topo.(*topology.Mesh)
-	dfly, _ := topo.(*topology.Dragonfly)
-	var dep DependencyFunc
-	needs := "a mesh"
-	switch name {
-	case "", "min_adaptive", "favors_min", "favors_nmin":
-		return MinAdaptiveDep(topo), nil
-	case "xy":
-		if mesh != nil {
-			dep = XYDep(mesh)
-		}
-	case "westfirst":
-		if mesh != nil {
-			dep = WestFirstDep(mesh)
-		}
-	case "escape_vc":
-		if mesh != nil {
-			dep = EscapeDep(mesh, vcs)
-		}
-	case "escape_subnet":
-		if mesh != nil {
-			dep = EscapeSubgraphDep(mesh)
-		}
-	case "torus_dor":
-		needs = "a torus"
-		if mesh != nil && mesh.Torus {
-			dep = TorusDORDep(mesh)
-		}
-	case "dfly_min_ladder", "ugal_ladder":
-		needs = "a dragonfly"
-		if dfly != nil {
-			dep = DflyLadderDep(dfly, vcs)
-		}
-	case "dfly_free", "dfly_min", "ugal_spin":
-		needs = "a dragonfly"
-		if dfly != nil {
-			dep = DflyFreeDep(dfly)
-		}
-	default:
-		return nil, fmt.Errorf("cdg: routing %q: %w", name, ErrNoStaticModel)
-	}
-	if dep == nil {
-		return nil, fmt.Errorf("cdg: routing %s needs %s: %w", name, needs, ErrWrongTopology)
-	}
-	return dep, nil
-}
 
 // XYDep is the dependency function of dimension-ordered mesh routing.
 func XYDep(m *topology.Mesh) DependencyFunc {
@@ -126,77 +64,64 @@ func EscapeSubgraphDep(m *topology.Mesh) DependencyFunc {
 	}
 }
 
-// TorusDORDep is dimension-ordered routing on a torus, taking the
-// shorter wraparound direction per dimension. With one VC its CDG is
-// cyclic around each ring — the classic motivation for bubble flow
-// control and dateline VCs.
+// TorusDORDep is the dependency function of torus_dor
+// (routing.TorusDOR): dimension order, the shorter way round each ring.
+// With one VC its CDG is cyclic around each ring — the classic motivation
+// for bubble flow control and dateline VCs.
 func TorusDORDep(m *topology.Mesh) DependencyFunc {
 	return func(r, _, _, dst int) []Request {
-		cx, cy := m.Coords(r)
-		dx, dy := m.Coords(dst)
-		var port int
-		switch {
-		case cx != dx:
-			east := ((dx - cx) + m.X) % m.X
-			if east <= m.X-east {
-				port = topology.MeshPort(topology.East)
-			} else {
-				port = topology.MeshPort(topology.West)
-			}
-		case cy != dy:
-			north := ((dy - cy) + m.Y) % m.Y
-			if north <= m.Y-north {
-				port = topology.MeshPort(topology.North)
-			} else {
-				port = topology.MeshPort(topology.South)
-			}
-		default:
-			return nil
-		}
-		return []Request{{Port: port, VCMask: sim.AllVCs}}
+		return []Request{{Port: routing.TorusDORPort(m, r, dst), VCMask: sim.AllVCs}}
 	}
 }
 
-// DflyLadderDep is the dragonfly Dally VC ladder: a packet in VC class k
-// has crossed k global channels; it moves to VC k on local hops and VC
-// k+1 across global channels, which orders channel acquisition and makes
-// the extended CDG acyclic.
-func DflyLadderDep(d *topology.Dragonfly, vcs int) DependencyFunc {
+// DflyLadderDep is the dragonfly Dally VC ladder: a packet that has
+// crossed k global channels uses VC k (routing.LadderMask, which clamps at
+// the top rung as the router does), so with one VC per global hop of the
+// longest path the extended CDG is acyclic, and with fewer it is not.
+// Without valiant it models canonical minimal routing (dfly_min_ladder);
+// with it, UGAL (ugal_ladder), whose Valiant detour's first global hop may
+// go to any group and which, in that intermediate group, takes a
+// pre-global local hop on arriving over a global port: two global hops,
+// three rungs.
+func DflyLadderDep(d *topology.Dragonfly, vcs int, valiant bool) DependencyFunc {
 	return func(r, inPort, held, dst int) []Request {
-		// The VC class climbs when the held channel is a global one (the
-		// packet's global-hop count incremented on traversal).
-		cls := held
-		if cls < 0 {
-			cls = 0
+		// The held VC class is the global hops crossed before the held
+		// channel; arriving over a global one adds its own.
+		hops := max(held, 0)
+		overGlobal := inPort >= 0 && d.IsGlobalPort(inPort)
+		if overGlobal {
+			hops++
 		}
-		if inPort >= 0 && d.IsGlobalPort(inPort) {
-			cls++
-		}
-		if cls >= vcs {
-			return nil
-		}
-		mask := uint32(1) << uint(cls)
+		mask := routing.LadderMask(hops, vcs)
 		var reqs []Request
+		add := func(ports ...int) {
+			for _, p := range ports {
+				reqs = append(reqs, Request{Port: p, VCMask: mask})
+			}
+		}
 		gd := d.Group(dst)
-		if d.Group(r) == gd {
-			if r != dst {
-				reqs = append(reqs, Request{Port: d.LocalPortTo(r, dst), VCMask: mask})
+		globals := d.GlobalPortsTo(r, gd)
+		switch {
+		case valiant && hops == 0:
+			// The Valiant leg toward an intermediate group, which a packet
+			// may take even when its destination shares its group: any
+			// global port, or straight out of injection the local hop to
+			// the router holding it. Minimal routes are among these.
+			for p := d.P; p < d.Radix(r); p++ {
+				if _, ok := d.OutLink(r, p); ok && (inPort < 0 || d.IsGlobalPort(p)) {
+					add(p)
+				}
 			}
-			return reqs
-		}
-		if globals := d.GlobalPortsTo(r, gd); len(globals) > 0 {
-			for _, p := range globals {
-				reqs = append(reqs, Request{Port: p, VCMask: mask})
-			}
-			return reqs
-		}
-		// Pre-global local hop: only taken straight out of injection (a
-		// packet already holding a channel at a router without the global
-		// link cannot occur under canonical minimal routing).
-		if inPort < 0 {
-			for _, p := range d.CanonicalMinimalPorts(r, dst) {
-				reqs = append(reqs, Request{Port: p, VCMask: mask})
-			}
+		case d.Group(r) == gd:
+			add(d.LocalPortTo(r, dst))
+		case len(globals) > 0:
+			add(globals...)
+		case inPort < 0 || valiant && overGlobal:
+			// Pre-global local hop: straight out of injection, or after
+			// the Valiant hop into the intermediate group (a minimal
+			// packet holding a channel is never at a router without the
+			// global link it needs).
+			add(d.CanonicalMinimalPorts(r, dst)...)
 		}
 		return reqs
 	}

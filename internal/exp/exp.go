@@ -27,7 +27,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	spinimpl "repro/internal/spin"
 )
 
 // Options control experiment scale and execution.
@@ -284,7 +283,3 @@ func defaultRates(max float64) []float64 {
 	}
 	return out
 }
-
-// spinScheme builds a SPIN scheme with defaults for extension experiments
-// that construct sim configs directly.
-func spinScheme() sim.Scheme { return spinimpl.New(spinimpl.Config{}) }

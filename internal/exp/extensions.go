@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/bubble"
+	spin "repro"
 	"repro/internal/deflection"
 	"repro/internal/harness"
 	"repro/internal/routing"
@@ -38,23 +38,29 @@ func (c *TorusComparison) String() string {
 	return b.String()
 }
 
-// Torus runs the comparison, one parallel job per (rate, scheme) point.
-// Each job builds its own torus instance so no topology state is shared
-// across goroutines.
+// Torus runs the comparison, one parallel job per (rate, scheme) point, on
+// the sweep's pool: torus_dor under ring_bubble against min_adaptive under
+// SPIN, tornado traffic of 5-flit packets.
 func Torus(ctx context.Context, o Options) (*TorusComparison, error) {
 	o = o.withDefaults()
 	res := &TorusComparison{Rates: []float64{0.05, 0.1, 0.2, 0.3}}
 	var jobs []runner.Job[float64]
-	for _, variant := range []string{"bubble", "spin"} {
+	for _, v := range []struct {
+		name string
+		cfg  spin.Config
+	}{
+		{"bubble", spin.Config{Topology: "torus:4x4", Routing: "torus_dor", Scheme: "ring_bubble", DataFrac: 1}},
+		{"spin", spin.Config{Topology: "torus:4x4", Routing: "min_adaptive", Scheme: "spin", DataFrac: 1}},
+	} {
 		for _, rate := range res.Rates {
-			variant, rate := variant, rate
-			key := pointKey("torus/"+variant, rate)
-			jobs = append(jobs, runner.Job[float64]{Key: key, Run: func(ctx context.Context, seed int64) (float64, error) {
-				torus, err := topology.NewTorus(4, 4, 1)
+			v, rate := v, rate
+			key := pointKey("torus/"+v.name, rate)
+			jobs = append(jobs, runner.Job[float64]{Key: key, Run: func(ctx context.Context, _ int64) (float64, error) {
+				pt, err := runPoint(ctx, v.cfg, "tornado", rate, key, o, nil)
 				if err != nil {
 					return 0, err
 				}
-				return torusPoint(ctx, torus, rate, variant == "bubble", seed, o)
+				return pt.Stats.AvgLatency(), nil
 			}})
 		}
 	}
@@ -65,37 +71,6 @@ func Torus(ctx context.Context, o Options) (*TorusComparison, error) {
 	res.Bubble = lats[:len(res.Rates)]
 	res.SPIN = lats[len(res.Rates):]
 	return res, nil
-}
-
-func torusPoint(ctx context.Context, torus *topology.Mesh, rate float64, useBubble bool, seed int64, o Options) (float64, error) {
-	cfg := sim.Config{
-		Topology:   torus,
-		VCsPerVNet: 1,
-		Seed:       seed,
-		StatsStart: o.Warmup,
-		Traffic:    &traffic.Synthetic{Pattern: traffic.Tornado(torus), Rate: rate, DataFrac: 1},
-	}
-	// The hand-built routing objects have no spec string; the driver
-	// needs the scenario only for its length and, through Scheme, the
-	// checker's recovery bound.
-	sc := harness.Scenario{Topology: "torus:4x4", Scheme: "ring_bubble", Seed: seed, Cycles: o.Cycles}
-	if useBubble {
-		cfg.Routing = &torusDOR{m: torus}
-		cfg.Scheme = &bubble.RingBubble{Mesh: torus}
-	} else {
-		cfg.Routing = &routing.MinAdaptive{Topo: torus}
-		cfg.Scheme = spinScheme()
-		sc.Scheme = "spin"
-	}
-	n, err := sim.NewNetwork(cfg)
-	if err != nil {
-		return 0, err
-	}
-	res, err := o.drive(ctx, sc, n, false)
-	if err != nil {
-		return 0, err
-	}
-	return res.Stats.AvgLatency(), nil
 }
 
 // DeflectionComparison contrasts BLESS-style deflection with buffered XY
@@ -203,37 +178,4 @@ func deflectionPoint(ctx context.Context, rate float64, seed int64, o Options) (
 	}
 	out.Buffered = res.Stats.AvgLatency()
 	return out, nil
-}
-
-// torusDOR is shortest-direction dimension-ordered torus routing (shared
-// with the bubble tests).
-type torusDOR struct {
-	sim.BaseRouting
-	m *topology.Mesh
-}
-
-func (t *torusDOR) Name() string { return "torus_dor" }
-
-// Route implements sim.RoutingAlgorithm.
-func (t *torusDOR) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
-	cx, cy := t.m.Coords(r.ID)
-	dx, dy := t.m.Coords(p.RouteDst())
-	var port int
-	switch {
-	case cx != dx:
-		east := ((dx - cx) + t.m.X) % t.m.X
-		if east <= t.m.X-east {
-			port = topology.MeshPort(topology.East)
-		} else {
-			port = topology.MeshPort(topology.West)
-		}
-	default:
-		north := ((dy - cy) + t.m.Y) % t.m.Y
-		if north <= t.m.Y-north {
-			port = topology.MeshPort(topology.North)
-		} else {
-			port = topology.MeshPort(topology.South)
-		}
-	}
-	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
 }

@@ -77,7 +77,7 @@ func Table1() (*Table1Result, error) {
 		{"mesh west-first (Dally, partial adaptive) acyclic", true, cdg.Build(mesh, 2, cdg.WestFirstDep(mesh)).Acyclic()},
 		{"mesh fully-adaptive (needs SPIN) cyclic", false, cdg.Build(mesh, 1, cdg.MinAdaptiveDep(mesh)).Acyclic()},
 		{"mesh Duato escape sub-network acyclic", true, cdg.Build(mesh, 3, cdg.EscapeSubgraphDep(mesh)).Acyclic()},
-		{"dragonfly VC ladder (Dally) acyclic", true, cdg.Build(dfly, 2, cdg.DflyLadderDep(dfly, 2)).Acyclic()},
+		{"dragonfly VC ladder (Dally) acyclic", true, cdg.Build(dfly, 2, cdg.DflyLadderDep(dfly, 2, false)).Acyclic()},
 		{"dragonfly free-VC (needs SPIN) cyclic", false, cdg.Build(dfly, 1, cdg.DflyFreeDep(dfly)).Acyclic()},
 	}
 	for _, c := range checks {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	spin "repro"
 )
 
 // This file is the request ⇄ Scenario round-trip used by the serving
@@ -146,7 +148,7 @@ func (sc Scenario) Validate() error {
 // original.
 func (sc Scenario) Normalized() Scenario {
 	if sc.Routing == "" {
-		sc.Routing = "min_adaptive" // spin.BuildRouting's "" alias
+		sc.Routing = "min_adaptive" // spin.LookupRouting's "" alias
 	}
 	if sc.Scheme == "none" {
 		sc.Scheme = "" // spin.New treats "none" and "" alike
@@ -189,13 +191,10 @@ func (sc Scenario) Normalized() Scenario {
 	if sc.Mutation == "none" {
 		sc.Mutation = "" // the faithful protocol, spelled out
 	}
-	switch sc.Scheme {
-	case "spin", "static_bubble":
-		if sc.TDD == 0 {
-			sc.TDD = 128 // the paper's detection threshold
-		}
-	default:
+	if e := spin.LookupScheme(sc.Scheme); e == nil || !e.UsesTDD {
 		sc.TDD = 0 // no detection timeout exists to configure
+	} else if sc.TDD == 0 {
+		sc.TDD = 128 // the paper's detection threshold
 	}
 	return sc
 }

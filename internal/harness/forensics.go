@@ -27,9 +27,9 @@ type Forensics struct {
 	// Snapshot is the flight recorder's dump: the retained SPIN protocol
 	// event tail plus the VC freeze/spin chain at failure time.
 	Snapshot *sim.ForensicsSnapshot `json:"snapshot,omitempty"`
-	// CDG is the static channel-dependency cut for the scenario's
-	// (topology, routing) pair — which cycles the recovery scheme was
-	// responsible for breaking. Nil when the routing has no static model.
+	// CDG is the static channel-dependency cut for the (topology, routing)
+	// pair the run used — which cycles the recovery scheme was responsible
+	// for breaking. Nil when the routing has no static model.
 	CDG *CDGCut `json:"cdg,omitempty"`
 	// Repro is the one-line command that re-drives this artifact through
 	// the harness.
@@ -52,6 +52,9 @@ const cdgCutMaxChannels = 64
 // dependency graph (Dally & Seitz): the cycle census plus the concrete
 // channels of the largest cyclic component.
 type CDGCut struct {
+	// Routing is the routing modelled: the one the scheme forces, if any
+	// (spin.RoutingOf), else the scenario's.
+	Routing      string `json:"routing"`
 	Summary      string `json:"summary"`
 	Channels     int    `json:"channels"`
 	Edges        int    `json:"edges"`
@@ -73,23 +76,22 @@ type CDGChannel struct {
 }
 
 // BuildCDGCut computes the static CDG cut for the scenario, best-effort:
-// nil when the topology fails to build or the routing has no static
-// model. It never fails a forensics write.
+// nil when the topology fails to build or the routing table has no model
+// of the routing on it. It never fails a forensics write.
 func BuildCDGCut(sc Scenario) *CDGCut {
 	topo, err := spin.BuildTopology(sc.Topology, sc.Seed)
-	if err != nil {
+	e := spin.LookupRouting(spin.RoutingOf(sc.Config()))
+	if err != nil || e == nil {
 		return nil
 	}
-	vcs := sc.VCsPerVNet
-	if vcs == 0 {
-		vcs = 1
-	}
-	dep, err := cdg.DepFor(sc.Routing, topo, vcs)
+	vcs := max(sc.VCsPerVNet, 1)
+	dep, err := e.Model(topo, vcs)
 	if err != nil {
 		return nil
 	}
 	g := cdg.Build(topo, vcs, dep)
 	cut := &CDGCut{
+		Routing:  e.Name,
 		Summary:  g.Describe(),
 		Channels: g.NumChannels(),
 		Edges:    g.NumEdges(),

@@ -3,6 +3,7 @@ package harness
 import (
 	"math/rand"
 
+	spin "repro"
 	"repro/internal/workload"
 )
 
@@ -10,56 +11,43 @@ import (
 // the simulator accepts and that are deadlock-free by construction
 // (acyclic routing) or by recovery (cyclic routing under SPIN) — so that
 // every invariant violation a run produces is a real bug, not a
-// misconfigured experiment. The validity rules encoded here mirror
-// BuildRouting/BuildTopology in the top-level package and the CDG
-// verdicts of Table I:
-//
-//   - xy, westfirst, escape_vc and dfly_min_ladder build acyclic channel
-//     dependencies and may run without a recovery scheme;
-//   - min_adaptive, favors_min, favors_nmin, dfly_min and ugal_spin are
-//     cyclic and MUST run under SPIN;
-//   - escape_vc needs a mesh/torus and >= 2 VCs per vnet; the bit
-//     permutation patterns need power-of-two terminal counts; transpose
-//     needs a square mesh or power-of-two terminals.
+// misconfigured experiment. Which is which, and how many VCs a routing
+// needs, is the root package's routing table (spin.Routings): a routing
+// that may run without a scheme runs without one, any other under SPIN,
+// and every one at no fewer VCs than its floor. What is legal here is the
+// topology's routing list; the bit permutation patterns need power-of-two
+// terminal counts, transpose a square mesh or power-of-two terminals.
 
 // topoChoice describes one generatable topology and what is legal on it.
 type topoChoice struct {
 	spec      string
 	terminals int
 	square    bool // square mesh (transpose legal regardless of pow2)
-	mesh      bool // *topology.Mesh underneath (xy/westfirst/escape_vc legal)
 	dragonfly bool
-	// acyclic / cyclic routing choices legal on this topology. Cyclic
-	// ones are always paired with scheme "spin".
-	acyclic []string
-	cyclic  []string
+	// routings legal on this topology. The order is part of the corpus: a
+	// draw picks an index.
+	routings []string
 }
 
 var topoChoices = []topoChoice{
-	{spec: "mesh:3x3", terminals: 9, square: true, mesh: true,
-		acyclic: []string{"xy", "westfirst", "escape_vc"},
-		cyclic:  []string{"min_adaptive", "favors_min", "favors_nmin"}},
-	{spec: "mesh:4x4", terminals: 16, square: true, mesh: true,
-		acyclic: []string{"xy", "westfirst", "escape_vc"},
-		cyclic:  []string{"min_adaptive", "favors_min", "favors_nmin"}},
-	{spec: "mesh:4x2", terminals: 8, mesh: true,
-		acyclic: []string{"xy", "westfirst", "escape_vc"},
-		cyclic:  []string{"min_adaptive", "favors_min"}},
-	{spec: "mesh:5x5", terminals: 25, square: true, mesh: true,
-		acyclic: []string{"xy", "westfirst", "escape_vc"},
-		cyclic:  []string{"min_adaptive", "favors_min"}},
+	{spec: "mesh:3x3", terminals: 9, square: true,
+		routings: []string{"xy", "westfirst", "escape_vc", "min_adaptive", "favors_min", "favors_nmin"}},
+	{spec: "mesh:4x4", terminals: 16, square: true,
+		routings: []string{"xy", "westfirst", "escape_vc", "min_adaptive", "favors_min", "favors_nmin"}},
+	{spec: "mesh:4x2", terminals: 8,
+		routings: []string{"xy", "westfirst", "escape_vc", "min_adaptive", "favors_min"}},
+	{spec: "mesh:5x5", terminals: 25, square: true,
+		routings: []string{"xy", "westfirst", "escape_vc", "min_adaptive", "favors_min"}},
 	// XY on a torus never takes wrap links (mesh-coordinate turns only),
 	// so it stays acyclic; escape_vc's escape ring is likewise non-wrap.
-	{spec: "torus:4x4", terminals: 16, square: true, mesh: true,
-		acyclic: []string{"xy", "escape_vc"},
-		cyclic:  []string{"min_adaptive", "favors_min"}},
+	{spec: "torus:4x4", terminals: 16, square: true,
+		routings: []string{"xy", "escape_vc", "min_adaptive", "favors_min"}},
 	{spec: "dragonfly:2,4,2,9", terminals: 72, dragonfly: true,
-		acyclic: []string{"dfly_min_ladder"},
-		cyclic:  []string{"dfly_min", "ugal_spin"}},
+		routings: []string{"dfly_min_ladder", "dfly_min", "ugal_spin"}},
 	{spec: "jellyfish:10,1,3", terminals: 10,
-		cyclic: []string{"min_adaptive", "favors_min"}},
+		routings: []string{"min_adaptive", "favors_min"}},
 	{spec: "irregular:4x4:3", terminals: 16,
-		cyclic: []string{"min_adaptive", "favors_min"}},
+		routings: []string{"min_adaptive", "favors_min"}},
 }
 
 // patterns legal for a topology: the bit permutations need power-of-two
@@ -75,6 +63,18 @@ func (tc topoChoice) patterns() []string {
 }
 
 func pick(rng *rand.Rand, opts []string) string { return opts[rng.Intn(len(opts))] }
+
+// route sets the scenario's routing as the routing table says it may run:
+// without a scheme if it is deadlock-free alone, else under SPIN, and at
+// no fewer VCs than its floor.
+func (sc *Scenario) route(name string) {
+	e := spin.LookupRouting(name)
+	sc.Routing, sc.Scheme = name, "spin"
+	if e.Schemeless {
+		sc.Scheme = ""
+	}
+	sc.VCsPerVNet = max(sc.VCsPerVNet, e.MinVCs)
+}
 
 // Generate draws one random valid scenario. The same rng state always
 // yields the same scenario, so a harness run over seeds 1..N is a fixed,
@@ -97,20 +97,7 @@ func Generate(rng *rand.Rand) Scenario {
 		Cycles:     600 + rng.Int63n(600),
 	}
 
-	// Choose routing: acyclic (schemeless) or cyclic (under SPIN).
-	all := len(tc.acyclic) + len(tc.cyclic)
-	if k := rng.Intn(all); k < len(tc.acyclic) {
-		sc.Routing = tc.acyclic[k]
-		sc.Scheme = ""
-	} else {
-		sc.Routing = tc.cyclic[k-len(tc.acyclic)]
-		sc.Scheme = "spin"
-	}
-	// escape_vc needs a distinct escape VC; the minimal-routing VC
-	// ladder needs one VC per global hop plus one to stay acyclic.
-	if (sc.Routing == "escape_vc" || sc.Routing == "dfly_min_ladder") && sc.VCsPerVNet < 2 {
-		sc.VCsPerVNet = 2
-	}
+	sc.route(pick(rng, tc.routings))
 	// The big dragonfly is the slowest topology; cap its runtime share.
 	if tc.dragonfly {
 		sc.Cycles = 400
@@ -139,16 +126,7 @@ func FromBits(topoSel, routeSel, patSel, vcs, vnets uint8, ratePct uint16, seed 
 		TDD:        16,
 		Cycles:     100 + int64(cycles)%400,
 	}
-	all := len(tc.acyclic) + len(tc.cyclic)
-	if k := int(routeSel) % all; k < len(tc.acyclic) {
-		sc.Routing = tc.acyclic[k]
-	} else {
-		sc.Routing = tc.cyclic[k-len(tc.acyclic)]
-		sc.Scheme = "spin"
-	}
-	if (sc.Routing == "escape_vc" || sc.Routing == "dfly_min_ladder") && sc.VCsPerVNet < 2 {
-		sc.VCsPerVNet = 2
-	}
+	sc.route(tc.routings[int(routeSel)%len(tc.routings)])
 	if tc.dragonfly {
 		sc.Cycles = 200
 		sc.VNets = 1
@@ -221,14 +199,15 @@ func WorkloadFromBits(sc Scenario, mode, wa, wb, wc uint8) Scenario {
 }
 
 // DifferentialEligible reports whether the scenario has an escape-VC
-// baseline to compare against: the baseline routing needs a mesh/torus.
+// baseline to compare against: whether Baseline's routing builds on its
+// topology.
 func (sc Scenario) DifferentialEligible() bool {
-	for _, tc := range topoChoices {
-		if tc.spec == sc.Topology {
-			return tc.mesh
-		}
+	b := sc.Baseline()
+	topo, err := spin.BuildTopology(b.Topology, b.Seed)
+	if err == nil {
+		_, err = spin.BuildRouting(b.Routing, topo, b.VCsPerVNet)
 	}
-	return false
+	return err == nil
 }
 
 // Baseline derives the escape-VC reference configuration used by the
@@ -237,11 +216,7 @@ func (sc Scenario) DifferentialEligible() bool {
 // construction, so its delivered packet set is ground truth.
 func (sc Scenario) Baseline() Scenario {
 	b := sc
-	b.Routing = "escape_vc"
-	b.Scheme = ""
 	b.TDD = 0
-	if b.VCsPerVNet < 2 {
-		b.VCsPerVNet = 2
-	}
+	b.route("escape_vc")
 	return b
 }

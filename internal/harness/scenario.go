@@ -15,6 +15,7 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -230,12 +231,8 @@ func (sc Scenario) drainBudget() int64 {
 // String is a one-line human-readable summary, stable enough for subtest
 // names.
 func (sc Scenario) String() string {
-	scheme := sc.Scheme
-	if scheme == "" {
-		scheme = "none"
-	}
 	return fmt.Sprintf("%s/%s/%s/%s@%.2f/vn%d-vc%d/seed%d",
-		sc.Topology, sc.Routing, scheme, sc.Traffic, sc.Rate, sc.VNets, sc.VCsPerVNet, sc.Seed)
+		sc.Topology, sc.Routing, cmp.Or(sc.Scheme, "none"), sc.Traffic, sc.Rate, sc.VNets, sc.VCsPerVNet, sc.Seed)
 }
 
 // Key is a short stable content hash, used for artifact filenames.

@@ -28,10 +28,14 @@ func (d *DflyMinimal) Name() string {
 	return "dfly_min"
 }
 
-// ladderMask maps a packet's global-hop count to its admissible VC under
+// LadderMask maps a packet's global-hop count to its admissible VC under
 // Dally's theory: the VC index must equal the number of global channels
-// already crossed, which makes the extended CDG acyclic.
-func ladderMask(globalHops, vcs int) uint32 {
+// already crossed, which makes the extended CDG acyclic. A count past the
+// top rung clamps to it, so a ladder with fewer VCs than a path has global
+// hops shares its top VC between them and can deadlock; the routing table
+// of the root package sets each ladder's VC floor so that cannot happen.
+// internal/cdg models the ladders with this same function.
+func LadderMask(globalHops, vcs int) uint32 {
 	k := globalHops
 	if k >= vcs {
 		k = vcs - 1
@@ -68,7 +72,7 @@ func (d *DflyMinimal) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortR
 	mustPorts(d.Name(), ports, r.ID, dst)
 	mask := sim.AllVCs
 	if d.VCLadder {
-		mask = ladderMask(p.GlobalHops, d.VCs)
+		mask = LadderMask(p.GlobalHops, d.VCs)
 	}
 	port := pickAdaptive(r, ports, p.VNet, mask, p.Length)
 	return append(buf, sim.PortRequest{Port: port, VCMask: mask})
@@ -142,7 +146,7 @@ func (u *UGAL) portCongestion(r *sim.Router, ports []int, p *sim.Packet) int64 {
 	}
 	mask := sim.AllVCs
 	if u.VCLadder {
-		mask = ladderMask(0, u.VCs)
+		mask = LadderMask(0, u.VCs)
 	}
 	best := int64(1) << 30
 	for _, port := range ports {
@@ -187,7 +191,7 @@ func (u *UGAL) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest)
 	mustPorts(u.Name(), ports, r.ID, dst)
 	mask := sim.AllVCs
 	if u.VCLadder {
-		mask = ladderMask(p.GlobalHops, u.VCs)
+		mask = LadderMask(p.GlobalHops, u.VCs)
 	}
 	port := pickAdaptive(r, ports, p.VNet, mask, p.Length)
 	return append(buf, sim.PortRequest{Port: port, VCMask: mask})

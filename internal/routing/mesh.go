@@ -27,30 +27,21 @@ func (x *XY) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) [
 	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
 }
 
-// buildXYTable precomputes xyPort for every (cur, dst) pair.
+// buildXYTable precomputes XYPort for every (cur, dst) pair.
 func buildXYTable(m *topology.Mesh) []uint8 {
 	n := m.NumRouters()
 	tbl := make([]uint8, n*n)
 	for cur := 0; cur < n; cur++ {
 		for dst := 0; dst < n; dst++ {
-			tbl[cur*n+dst] = uint8(xyPort(m, cur, dst))
+			tbl[cur*n+dst] = uint8(XYPort(m, cur, dst))
 		}
 	}
 	return tbl
 }
 
 // XYPort computes the dimension-ordered output port from cur toward dst.
-// It is exported for static CDG analysis (internal/cdg).
-func XYPort(m *topology.Mesh, cur, dst int) int { return xyPort(m, cur, dst) }
-
-// WestFirstPorts appends the west-first-legal minimal output ports from
-// cur toward dst to buf. Exported for static CDG analysis.
-func WestFirstPorts(m *topology.Mesh, cur, dst int, buf []int) []int {
-	return westFirstPorts(m, cur, dst, buf)
-}
-
-// xyPort computes the dimension-ordered output port from cur toward dst.
-func xyPort(m *topology.Mesh, cur, dst int) int {
+// Exported for static CDG analysis (internal/cdg).
+func XYPort(m *topology.Mesh, cur, dst int) int {
 	cx, cy := m.Coords(cur)
 	dx, dy := m.Coords(dst)
 	switch {
@@ -63,6 +54,41 @@ func xyPort(m *topology.Mesh, cur, dst int) int {
 	default:
 		return topology.MeshPort(topology.South)
 	}
+}
+
+// TorusDOR is dimension-ordered torus routing: correct X first, then Y,
+// each the shorter way round its ring. With one VC its CDG is cyclic
+// around every ring, the classic case for bubble flow control
+// (ring_bubble) and dateline VCs.
+type TorusDOR struct {
+	sim.BaseRouting
+	Mesh *topology.Mesh
+}
+
+// Name implements sim.RoutingAlgorithm.
+func (t *TorusDOR) Name() string { return "torus_dor" }
+
+// Route implements sim.RoutingAlgorithm.
+func (t *TorusDOR) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return append(buf, sim.PortRequest{Port: TorusDORPort(t.Mesh, r.ID, p.RouteDst()), VCMask: sim.AllVCs})
+}
+
+// TorusDORPort is TorusDOR's output port from cur toward dst (cur != dst),
+// east or north when both ways round are equally short. Exported for
+// static CDG analysis.
+func TorusDORPort(m *topology.Mesh, cur, dst int) int {
+	cx, cy := m.Coords(cur)
+	dx, dy := m.Coords(dst)
+	if cx != dx {
+		if east := (dx - cx + m.X) % m.X; east <= m.X-east {
+			return topology.MeshPort(topology.East)
+		}
+		return topology.MeshPort(topology.West)
+	}
+	if north := (dy - cy + m.Y) % m.Y; north <= m.Y-north {
+		return topology.MeshPort(topology.North)
+	}
+	return topology.MeshPort(topology.South)
 }
 
 // WestFirst is the turn-model partially-adaptive mesh routing: a packet
@@ -84,7 +110,7 @@ func (w *WestFirst) Name() string { return "westfirst" }
 func (w *WestFirst) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
 	if w.tbl == nil {
 		w.tbl = buildPortTable(w.Mesh.NumRouters(), func(cur, dst int) []int {
-			return westFirstPorts(w.Mesh, cur, dst, nil)
+			return WestFirstPorts(w.Mesh, cur, dst, nil)
 		})
 	}
 	w.scratch = w.tbl.appendPorts(w.scratch[:0], r.ID, p.RouteDst())
@@ -94,8 +120,9 @@ func (w *WestFirst) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortReq
 	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
 }
 
-// westFirstPorts appends the west-first-legal minimal ports to buf.
-func westFirstPorts(m *topology.Mesh, cur, dst int, buf []int) []int {
+// WestFirstPorts appends the west-first-legal minimal output ports from
+// cur toward dst to buf. Exported for static CDG analysis.
+func WestFirstPorts(m *topology.Mesh, cur, dst int, buf []int) []int {
 	cx, cy := m.Coords(cur)
 	dx, dy := m.Coords(dst)
 	if dx < cx {

@@ -93,8 +93,8 @@ func TestXYTableMatchesXYPort(t *testing.T) {
 			n := m.NumRouters()
 			for r := 0; r < n; r++ {
 				for dst := 0; dst < n; dst++ {
-					if got, want := int(tbl[r*n+dst]), xyPort(m, r, dst); got != want {
-						t.Fatalf("(%d -> %d): table=%d, xyPort=%d", r, dst, got, want)
+					if got, want := int(tbl[r*n+dst]), XYPort(m, r, dst); got != want {
+						t.Fatalf("(%d -> %d): table=%d, XYPort=%d", r, dst, got, want)
 					}
 				}
 			}
@@ -103,7 +103,7 @@ func TestXYTableMatchesXYPort(t *testing.T) {
 }
 
 // TestWestFirstTableMatchesDirect: the packed west-first port sets equal
-// westFirstPorts, in order, on every mesh pair.
+// WestFirstPorts, in order, on every mesh pair.
 func TestWestFirstTableMatchesDirect(t *testing.T) {
 	for name, topo := range tableInstances(t) {
 		m, ok := topo.(*topology.Mesh)
@@ -112,13 +112,13 @@ func TestWestFirstTableMatchesDirect(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			tbl := buildPortTable(m.NumRouters(), func(cur, dst int) []int {
-				return westFirstPorts(m, cur, dst, nil)
+				return WestFirstPorts(m, cur, dst, nil)
 			})
 			var buf []int
 			n := m.NumRouters()
 			for r := 0; r < n; r++ {
 				for dst := 0; dst < n; dst++ {
-					want := wantPorts(westFirstPorts(m, r, dst, nil))
+					want := wantPorts(WestFirstPorts(m, r, dst, nil))
 					buf = tbl.appendPorts(buf[:0], r, dst)
 					if !reflect.DeepEqual(wantPorts(buf), want) {
 						t.Fatalf("(%d -> %d): table=%v, direct=%v", r, dst, buf, want)

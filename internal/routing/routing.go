@@ -1,8 +1,8 @@
 // Package routing implements the routing algorithms evaluated in the SPIN
 // paper: deterministic and turn-model mesh routing (XY, West-first),
-// fully-adaptive minimal routing, Duato escape-VC routing, dragonfly
-// minimal and UGAL routing, and the paper's FAvORS one-VC fully-adaptive
-// algorithm (minimal and non-minimal variants).
+// fully-adaptive minimal routing, Duato escape-VC routing, dimension-ordered
+// torus routing, dragonfly minimal and UGAL routing, and the paper's FAvORS
+// one-VC fully-adaptive algorithm (minimal and non-minimal variants).
 //
 // All algorithms implement sim.RoutingAlgorithm. Route is invoked once per
 // router visit (as in Garnet), so adaptive algorithms bind their port

@@ -204,3 +204,32 @@ func TestDflyMinimalCanonicalNeverTwoGlobals(t *testing.T) {
 		t.Fatal("canonical dragonfly failed to drain")
 	}
 }
+
+// TestLadderBelowFloorDeadlocks documents the VC floors of the root
+// package's routing table by bypassing them: a ladder with fewer VCs than
+// its paths have global hops clamps the extra hops onto its top VC, and the
+// network deadlocks — minimal routing at 1 VC, UGAL (whose Valiant detour
+// crosses two global channels) at 2.
+func TestLadderBelowFloorDeadlocks(t *testing.T) {
+	d, err := topology.NewDragonfly(2, 4, 2, 9, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		alg     sim.RoutingAlgorithm
+		vcs     int
+		pattern string
+	}{
+		{&routing.DflyMinimal{Dfly: d, VCLadder: true, VCs: 1}, 1, "uniform_random"},
+		{&routing.UGAL{Dfly: d, VCLadder: true, VCs: 2}, 2, "tornado"},
+	} {
+		n := run(t, d, tc.alg, tc.vcs, tc.pattern, 0.5, 0)
+		for i := 0; i < 40 && !n.Deadlocked(); i++ {
+			n.Run(250)
+		}
+		if !n.Deadlocked() {
+			t.Errorf("%s at %d VC(s) ran 10000 cycles of %s without deadlocking", tc.alg.Name(), tc.vcs, tc.pattern)
+		}
+		t.Logf("%s at %d VC(s): deadlocked by cycle %d", tc.alg.Name(), tc.vcs, n.Now())
+	}
+}

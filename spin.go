@@ -32,15 +32,9 @@ package spin
 import (
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"math/rand"
-
-	"repro/internal/bubble"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	spinimpl "repro/internal/spin"
 	"repro/internal/topology"
@@ -49,16 +43,14 @@ import (
 
 // Config declares a simulation.
 type Config struct {
-	// Topology: "mesh:XxY", "torus:XxY", "ring:N", "dragonfly:p,a,h,g",
-	// "dragonfly1024", "irregular:XxY:F" (F faulty links),
-	// "jellyfish:N,P,DEG" (random regular graph), "fattree:E,S,P"
-	// (two-level folded Clos).
+	// Topology is a spec of one of the Topologies families, in the form
+	// its Usage spells ("mesh:8x8", "dragonfly:2,4,2,9", "dragonfly1024").
 	Topology string
-	// Routing: "xy", "westfirst", "min_adaptive", "escape_vc",
-	// "favors_min", "favors_nmin", "dfly_min", "dfly_min_ladder",
-	// "ugal_ladder", "ugal_spin".
+	// Routing names one of the Routings that runs ("" is min_adaptive), at
+	// no fewer VCs per vnet than its MinVCs. A scheme that forces a routing
+	// overrides it (RoutingOf).
 	Routing string
-	// Scheme: "" (none), "spin", "static_bubble", "ring_bubble".
+	// Scheme names one of the Schemes ("" is none).
 	Scheme string
 	// Traffic: a synthetic pattern name ("uniform_random",
 	// "bit_complement", "transpose", "tornado", "neighbor", "bit_reverse",
@@ -88,7 +80,7 @@ type Simulation struct {
 	cfg  Config
 	net  *sim.Network
 	topo topology.Topology
-	alg  sim.RoutingAlgorithm // BuildRouting's, kept across Reset; nil under a scheme that forces its own
+	alg  sim.RoutingAlgorithm // built for RoutingOf(cfg), kept across Reset
 	// rewound: the last Reset kept the network it found instead of building one.
 	rewound bool
 }
@@ -105,8 +97,9 @@ func New(cfg Config) (*Simulation, error) {
 // Reset rewinds s to cycle 0 of a run of cfg, indistinguishable from
 // New(cfg), rebuilding only what cfg changed: the topology is kept while its
 // spec string is (a seeded family — irregular, jellyfish — also needs the
-// same seed), the routing object while its name, VC count and topology are
-// (its lazily built tables are a function of those), and the network is
+// same seed), the routing object while RoutingOf(cfg), VC count and
+// topology are (its lazily built tables are a function of those, and a
+// scheme's forced routing is kept like a named one), and the network is
 // rewound in place (sim.Network.Reset) while its shape is; scheme and traffic
 // generator are always built afresh. Stats, events and results already taken
 // from s stay valid; anything attached to Network() is dropped. A failed
@@ -119,49 +112,27 @@ func (s *Simulation) Reset(cfg Config) (err error) {
 	if vcs == 0 {
 		vcs = 1
 	}
-	if topo == nil || cfg.Topology != was.cfg.Topology || topologyUsesSeed(cfg.Topology) && cfg.Seed != was.cfg.Seed {
+	if topo == nil || cfg.Topology != was.cfg.Topology || seeded(cfg.Topology) && cfg.Seed != was.cfg.Seed {
 		if topo, err = BuildTopology(cfg.Topology, cfg.Seed); err != nil {
 			return err
 		}
 		alg, net = nil, nil
 	}
-	var scheme sim.Scheme
-	var forcedRouting sim.RoutingAlgorithm
-	switch cfg.Scheme {
-	case "", "none":
-	case "spin":
-		sc := cfg.SPIN
-		if cfg.TDD != 0 {
-			sc.TDD = cfg.TDD
-		}
-		scheme = spinimpl.New(sc)
-	case "static_bubble":
-		m, ok := topo.(*topology.Mesh)
-		if !ok {
-			return fmt.Errorf("spin: static_bubble needs a mesh topology")
-		}
-		sb := &bubble.StaticBubble{Mesh: m, TDD: cfg.TDD}
-		scheme = sb
-		forcedRouting = sb.Routing(vcs)
-	case "ring_bubble":
-		m, ok := topo.(*topology.Mesh)
-		if !ok || !m.Torus {
-			return fmt.Errorf("spin: ring_bubble needs a torus topology")
-		}
-		scheme = &bubble.RingBubble{Mesh: m}
-	default:
+	sch, t := LookupScheme(cfg.Scheme), targetOf(topo, vcs)
+	switch {
+	case sch == nil:
 		return fmt.Errorf("spin: unknown scheme %q", cfg.Scheme)
+	case !t.fits(sch.Needs):
+		return fmt.Errorf("spin: %s needs %s", sch.Name, sch.Needs)
 	}
-	routing := forcedRouting
-	if routing != nil {
-		alg = nil
-	} else {
-		if alg == nil || cfg.Routing != was.cfg.Routing || cfg.VCsPerVNet != was.cfg.VCsPerVNet {
-			if alg, err = BuildRouting(cfg.Routing, topo, vcs); err != nil {
-				return err
-			}
+	var scheme sim.Scheme
+	if sch.build != nil {
+		scheme = sch.build(cfg, t)
+	}
+	if alg == nil || RoutingOf(cfg) != RoutingOf(was.cfg) || cfg.VCsPerVNet != was.cfg.VCsPerVNet {
+		if alg, err = BuildRouting(RoutingOf(cfg), topo, vcs); err != nil {
+			return err
 		}
-		routing = alg
 	}
 	var gen sim.TrafficGen
 	if cfg.Traffic != "" {
@@ -173,7 +144,7 @@ func (s *Simulation) Reset(cfg Config) (err error) {
 	}
 	simCfg := sim.Config{
 		Topology:   topo,
-		Routing:    routing,
+		Routing:    alg,
 		Scheme:     scheme,
 		Traffic:    gen,
 		VNets:      cfg.VNets,
@@ -216,7 +187,7 @@ func NewPool(bound int) *Pool { return &Pool{bound: bound} }
 // VCDepth, as spelled.
 func sameShape(a, b Config) bool {
 	return a.Topology == b.Topology && a.VNets == b.VNets && a.VCsPerVNet == b.VCsPerVNet && a.VCDepth == b.VCDepth &&
-		(a.Seed == b.Seed || !topologyUsesSeed(a.Topology))
+		(a.Seed == b.Seed || !seeded(a.Topology))
 }
 
 // Get returns a Simulation Reset to cfg: an idle one of cfg's shape if the
@@ -272,166 +243,6 @@ func (p *Pool) Setups() (builds, rewinds int64) {
 	return p.builds.Load(), p.rewinds.Load()
 }
 
-// BuildTopology parses a topology spec string.
-func BuildTopology(spec string, seed int64) (topology.Topology, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("spin: empty topology spec")
-	}
-	parts := strings.Split(spec, ":")
-	switch parts[0] {
-	case "mesh", "torus", "irregular":
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("spin: %s needs dimensions, e.g. %q", parts[0], parts[0]+":8x8")
-		}
-		x, y, err := parseXY(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		switch parts[0] {
-		case "mesh":
-			return topology.NewMesh(x, y, 1)
-		case "torus":
-			return topology.NewTorus(x, y, 1)
-		default:
-			faults := 4
-			if len(parts) >= 3 {
-				f, err := strconv.Atoi(parts[2])
-				if err != nil {
-					return nil, fmt.Errorf("spin: bad fault count %q", parts[2])
-				}
-				faults = f
-			}
-			return topology.NewIrregularMesh(x, y, 1, faults, rand.New(rand.NewSource(seed+1)))
-		}
-	case "ring":
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("spin: ring needs a size, e.g. \"ring:8\"")
-		}
-		n, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return topology.NewRing(n, 1, true)
-	case "dragonfly":
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("spin: dragonfly needs p,a,h,g")
-		}
-		nums := strings.Split(parts[1], ",")
-		if len(nums) != 4 {
-			return nil, fmt.Errorf("spin: dragonfly needs p,a,h,g, got %q", parts[1])
-		}
-		v := make([]int, 4)
-		for i, s := range nums {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return nil, err
-			}
-			v[i] = n
-		}
-		return topology.NewDragonfly(v[0], v[1], v[2], v[3], 1, 3)
-	case "dragonfly1024":
-		return topology.NewDragonfly(4, 8, 4, 32, 1, 3)
-	case "jellyfish":
-		v, err := parseInts(parts, 3, "jellyfish:N,P,DEG")
-		if err != nil {
-			return nil, err
-		}
-		return topology.NewJellyfish(v[0], v[1], v[2], 1, rand.New(rand.NewSource(seed+2)))
-	case "fattree":
-		v, err := parseInts(parts, 3, "fattree:E,S,P")
-		if err != nil {
-			return nil, err
-		}
-		return topology.NewFatTree(v[0], v[1], v[2], 1)
-	}
-	return nil, fmt.Errorf("spin: unknown topology %q", spec)
-}
-
-// topologyUsesSeed reports whether BuildTopology's result for spec depends
-// on its seed: the families above that take a rand.Rand.
-func topologyUsesSeed(spec string) bool {
-	return strings.HasPrefix(spec, "irregular:") || strings.HasPrefix(spec, "jellyfish:")
-}
-
-// parseInts parses "name:a,b,c"-style specs.
-func parseInts(parts []string, n int, usage string) ([]int, error) {
-	if len(parts) < 2 {
-		return nil, fmt.Errorf("spin: topology needs parameters, e.g. %q", usage)
-	}
-	nums := strings.Split(parts[1], ",")
-	if len(nums) != n {
-		return nil, fmt.Errorf("spin: expected %q, got %q", usage, parts[1])
-	}
-	out := make([]int, n)
-	for i, f := range nums {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func parseXY(s string) (int, int, error) {
-	xy := strings.SplitN(s, "x", 2)
-	if len(xy) != 2 {
-		return 0, 0, fmt.Errorf("spin: bad dimensions %q", s)
-	}
-	x, err := strconv.Atoi(xy[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	y, err := strconv.Atoi(xy[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	return x, y, nil
-}
-
-// BuildRouting resolves a routing algorithm by name for a topology.
-func BuildRouting(name string, topo topology.Topology, vcs int) (sim.RoutingAlgorithm, error) {
-	mesh, isMesh := topo.(*topology.Mesh)
-	dfly, isDfly := topo.(*topology.Dragonfly)
-	switch name {
-	case "xy":
-		if !isMesh {
-			return nil, fmt.Errorf("spin: xy routing needs a mesh")
-		}
-		return &routing.XY{Mesh: mesh}, nil
-	case "westfirst":
-		if !isMesh {
-			return nil, fmt.Errorf("spin: westfirst routing needs a mesh")
-		}
-		return &routing.WestFirst{Mesh: mesh}, nil
-	case "min_adaptive", "":
-		return &routing.MinAdaptive{Topo: topo}, nil
-	case "escape_vc":
-		if !isMesh {
-			return nil, fmt.Errorf("spin: escape_vc routing needs a mesh")
-		}
-		if vcs < 2 {
-			return nil, fmt.Errorf("spin: escape_vc needs >= 2 VCs per vnet")
-		}
-		return &routing.EscapeVC{Mesh: mesh, VCs: vcs}, nil
-	case "favors_min":
-		return &routing.FAvORS{Topo: topo}, nil
-	case "favors_nmin":
-		return &routing.FAvORS{Topo: topo, NonMinimal: true}, nil
-	case "dfly_min", "dfly_min_ladder":
-		if !isDfly {
-			return nil, fmt.Errorf("spin: %s needs a dragonfly", name)
-		}
-		return &routing.DflyMinimal{Dfly: dfly, VCLadder: name == "dfly_min_ladder", VCs: vcs}, nil
-	case "ugal_ladder", "ugal_spin":
-		if !isDfly {
-			return nil, fmt.Errorf("spin: %s needs a dragonfly", name)
-		}
-		return &routing.UGAL{Dfly: dfly, VCLadder: name == "ugal_ladder", VCs: vcs}, nil
-	}
-	return nil, fmt.Errorf("spin: unknown routing %q", name)
-}
-
 // Run advances the simulation by cycles.
 func (s *Simulation) Run(cycles int64) { s.net.Run(cycles) }
 
@@ -464,10 +275,3 @@ func (s *Simulation) Spins() int64 { return s.net.Stats().Spins }
 // Deadlocked consults the global oracle (measurement/testing aid — no
 // distributed scheme uses it).
 func (s *Simulation) Deadlocked() bool { return s.net.Deadlocked() }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -72,6 +72,26 @@ func TestFacadeRoutingValidation(t *testing.T) {
 	}
 }
 
+// TestLadderFloors: a dragonfly ladder builds only with one VC per global
+// hop of its longest path — two for minimal routing, three for UGAL's
+// Valiant detour. internal/routing's TestLadderBelowFloorDeadlocks shows
+// what the refused configurations do.
+func TestLadderFloors(t *testing.T) {
+	for _, tc := range []struct {
+		routing string
+		floor   int
+	}{{"dfly_min_ladder", 2}, {"ugal_ladder", 3}} {
+		cfg := spin.Config{Topology: "dragonfly:2,4,2,9", Routing: tc.routing, Traffic: "uniform_random", Rate: 0.3, VCsPerVNet: tc.floor - 1}
+		if _, err := spin.New(cfg); err == nil {
+			t.Errorf("%s at %d VCs built", tc.routing, cfg.VCsPerVNet)
+		}
+		cfg.VCsPerVNet = tc.floor
+		if _, err := spin.New(cfg); err != nil {
+			t.Errorf("%s at %d VCs: %v", tc.routing, cfg.VCsPerVNet, err)
+		}
+	}
+}
+
 func TestAllPresetsBuildAndRun(t *testing.T) {
 	for _, p := range spin.Presets() {
 		cfg := p.Config
