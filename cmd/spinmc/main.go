@@ -3,14 +3,14 @@
 // abstracted instance, checks the safety invariants and the
 // reach-delivery liveness property on every state, and prints the
 // state-space census. Property violations are written as harness
-// scenario artifacts replayable through the simulator:
+// failure artifacts replayable through the simulator:
 //
 //	spinmc -topo mesh2x2                  # exhaust, print census
 //	spinmc -topo ring5 -bound 24 -json    # bounded, census as JSON
 //	spinmc -topo ring5 -mutate no_probe -out /tmp/cex
-//	spinmc -replay /tmp/cex/scenario-<key>.json
+//	spinsim -replay-artifact /tmp/cex/scenario-<key>.json
 //
-// Exit status 1 means a property violation (or a failed replay).
+// Exit status 1 means a property violation.
 package main
 
 import (
@@ -23,6 +23,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"repro/internal/harness"
 	"repro/internal/mc"
 )
 
@@ -36,21 +37,13 @@ func main() {
 		workers   = flag.Int("workers", 0, "parallel expansion workers (0 = GOMAXPROCS)")
 		maxStates = flag.Int("maxstates", 0, "stop expanding once the store exceeds N states (0 = unlimited)")
 		mutate    = flag.String("mutate", "none", "inject a protocol defect: none, no_probe, or spin_unchecked")
-		out       = flag.String("out", "", "directory for counterexample scenario artifacts")
+		out       = flag.String("out", "", "directory for counterexample artifacts (replay with spinsim -replay-artifact)")
 		jsonOut   = flag.Bool("json", false, "print the full result as JSON instead of a summary")
-		replay    = flag.String("replay", "", "replay a counterexample artifact through the simulator instead of checking")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *replay != "" {
-		if err := replayArtifact(*replay); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	mut, err := mc.MutationByName(*mutate)
 	if err != nil {
@@ -102,4 +95,35 @@ func main() {
 		}
 	}
 	os.Exit(1)
+}
+
+// writeArtifacts converts each replayable violation into a harness
+// failure artifact under dir, deduplicating identical scenarios (many
+// violations share one injection prefix).
+func writeArtifacts(in *mc.Instance, res *mc.Result, dir string) ([]string, error) {
+	var paths []string
+	seen := map[string]bool{}
+	for _, v := range res.Violations {
+		sc, err := in.TraceScenario(v)
+		if err != nil {
+			log.Printf("skip %s violation: %v", v.Kind, err)
+			continue
+		}
+		key := sc.Key()
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		art := harness.Artifact{
+			Scenario: sc,
+			Summary:  fmt.Sprintf("model counterexample: [%s] %s", v.Kind, v.Message),
+			Notes:    []string{fmt.Sprintf("model trace (%d steps): %v", len(v.Trace), v.Trace)},
+		}
+		p, err := harness.WriteArtifact(dir, art)
+		if err != nil {
+			return paths, err
+		}
+		paths = append(paths, p)
+	}
+	return paths, nil
 }

@@ -44,6 +44,14 @@
 //
 //	spinsim -topo mesh:8x8 -rate 0.2 -cycles 5000 -record t.spintrace
 //	spinsim -topo mesh:8x8 -scheme spin -replay t.spintrace -drain
+//
+// Failures: -check attaches the invariant checker, and a failed run (or
+// replicate) writes one artifact, scenario-<key>.json, to -checkdir.
+// -replay-artifact re-runs any such file — spinmc's counterexamples too —
+// and exits 1 if the replayed run fails (2 if the file cannot be replayed):
+//
+//	spinsim -topo mesh:4x4 -vcs 1 -rate 0.9 -cycles 3000 -drain -check -checkdir /tmp/a
+//	spinsim -replay-artifact /tmp/a/scenario-<key>.json
 package main
 
 import (
@@ -51,8 +59,10 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -180,7 +190,7 @@ func main() {
 		drain    = flag.Bool("drain", false, "after the run, stop traffic and drain (liveness check)")
 		check    = flag.Bool("check", false, "attach the runtime invariant checker; on violation print it, write a replay artifact, and exit 1")
 		checkDir = flag.String("checkdir", ".", "directory for -check replay artifacts")
-		replayFr = flag.String("replay-forensics", "", "re-drive a forensics-<key>.json flight-recorder artifact through the checked harness; exit 0 if the failure reproduces")
+		replayAr = flag.String("replay-artifact", "", "re-run a scenario-<key>.json failure artifact under the checker; exit 1 if the replayed run fails")
 		record   = flag.String("record", "", "record the injected workload to a spintrace-v1 file")
 		seeds    = flag.Int("seeds", 1, "replicate count: run the configuration under N derived seeds")
 		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON of the run to this file (open in ui.perfetto.dev)")
@@ -195,8 +205,15 @@ func main() {
 		memprof  = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
 	flag.Parse()
-	if *replayFr != "" {
-		replayForensics(*replayFr)
+	if *replayAr != "" {
+		failed, err := replayArtifact(os.Stdout, *replayAr)
+		if err != nil {
+			log.Print(err)
+			os.Exit(2) // not replayed: exit 1 is reserved for a run that failed
+		}
+		if failed {
+			os.Exit(1)
+		}
 		return
 	}
 	if *cpuprof != "" {
@@ -246,7 +263,9 @@ func main() {
 		if telemetryOn {
 			log.Fatal("-seeds > 1 is incompatible with -trace/-tsout/-hist/-epoch")
 		}
-		runReplicates(ctx, sc, *seeds, *workers, *timeout, *progress, *check)
+		if err := runReplicates(ctx, sc, *seeds, *workers, *timeout, *progress, *check, *checkDir); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 	if err := recordFlagsErr(*record, f.replay); err != nil {
@@ -382,35 +401,40 @@ func report(s *spin.Simulation, sc harness.Scenario, hist bool, recorder *traffi
 	}
 }
 
-// replayForensics re-drives a flight-recorder artifact through the
-// checked harness and reports whether the recorded failure reproduces.
-func replayForensics(path string) {
-	f, err := harness.LoadForensics(path)
+// replayArtifact re-runs a failure artifact's scenario under the checker
+// and reports whether the replayed run failed. Runs are deterministic in
+// their seed, so a faithful artifact reproduces its failure exactly.
+func replayArtifact(w io.Writer, path string) (failed bool, err error) {
+	art, err := harness.LoadArtifact(path)
 	if err != nil {
-		log.Fatal(err)
+		return false, err
 	}
-	fmt.Printf("forensics       %s\n", path)
-	fmt.Printf("scenario        %s\n", f.Scenario)
-	if f.Snapshot != nil {
-		fmt.Printf("recorded        %s at cycle %d: %d SPIN events retained (%d seen), %d chained VCs\n",
-			f.Snapshot.Reason, f.Snapshot.Cycle, len(f.Snapshot.Events), f.Snapshot.Total, len(f.Snapshot.SpinningVCs))
+	if err := art.Scenario.Validate(); err != nil {
+		return false, err
 	}
-	if f.CDG != nil {
-		fmt.Printf("cdg             %s\n", f.CDG.Summary)
+	fmt.Fprintf(w, "artifact        %s\n", path)
+	fmt.Fprintf(w, "scenario        %s\n", art.Scenario)
+	if snap := art.Snapshot; snap != nil {
+		fmt.Fprintf(w, "recorded        %s at cycle %d: %d SPIN events retained (%d seen), %d chained VCs\n",
+			snap.Reason, snap.Cycle, len(snap.Events), snap.Total, len(snap.SpinningVCs))
 	}
-	res, reproduced, err := harness.ReplayForensics(f)
+	if art.CDG != nil {
+		fmt.Fprintf(w, "cdg             %s\n", art.CDG.Summary)
+	}
+	res, err := harness.Run(art.Scenario)
 	if err != nil {
-		log.Fatal(err)
+		return false, err
 	}
-	if !reproduced {
-		fmt.Printf("replay          NOT REPRODUCED: %s\n", res.Summary())
-		os.Exit(1)
+	if !res.Failed() {
+		fmt.Fprintf(w, "replay          NOT REPRODUCED: %s\n", res.Summary())
+		return false, nil
 	}
-	fmt.Printf("replay          reproduced: %s\n", res.Summary())
-	if res.Forensics != nil {
-		fmt.Printf("snapshot        fresh capture at cycle %d: %d events, %d chained VCs\n",
-			res.Forensics.Cycle, len(res.Forensics.Events), len(res.Forensics.SpinningVCs))
+	fmt.Fprintf(w, "replay          reproduced: %s\n", res.Summary())
+	if snap := res.Forensics; snap != nil {
+		fmt.Fprintf(w, "snapshot        fresh capture at cycle %d: %d events, %d chained VCs\n",
+			snap.Cycle, len(snap.Events), len(snap.SpinningVCs))
 	}
+	return true, nil
 }
 
 // replicate is one seed's headline metrics.
@@ -422,8 +446,9 @@ type replicate struct {
 }
 
 // runReplicates runs sc under n derived seeds in parallel and prints
-// per-replicate rows plus mean ± stddev aggregates.
-func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, timeout time.Duration, progress, check bool) {
+// per-replicate rows plus mean ± stddev aggregates. A replicate that fails
+// its check writes its artifact to checkDir and fails the set.
+func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, timeout time.Duration, progress, check bool, checkDir string) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -444,7 +469,7 @@ func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, tim
 					return replicate{}, err
 				}
 				if res.Failed() {
-					return replicate{}, fmt.Errorf("seed %d: %s", seed, res.Summary())
+					return replicate{}, errors.New(harness.ReportFailure(checkDir, res))
 				}
 				st, terminals := &res.Stats, s.Topology().NumTerminals()
 				sims.Put(s)
@@ -460,7 +485,7 @@ func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, tim
 	}
 	reps, err := runner.Run(ctx, o, jobs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("config          %s routing=%s scheme=%s traffic=%s rate=%.3f cycles=%d\n",
 		sc.Topology, sc.Routing, cmp.Or(sc.Scheme, "none"), sc.Traffic, sc.Rate, sc.Cycles)
@@ -476,6 +501,7 @@ func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, tim
 	lm, ls := meanStd(lat)
 	tm, ts := meanStd(tp)
 	fmt.Printf("%-6s %20s %7.1f±%-4.1f %7.4f±%-.4f\n", "agg", fmt.Sprintf("%d seeds", n), lm, ls, tm, ts)
+	return nil
 }
 
 // meanStd reports mean and sample standard deviation.

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/mc"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
@@ -151,4 +154,103 @@ func TestCheckArtifactKeepsReplayedTrace(t *testing.T) {
 		t.Fatalf("artifact scenario does not validate: %v", err)
 	}
 	run(art.Scenario)
+}
+
+// TestReplicateFailureWritesArtifact: -check -seeds N promises a replay
+// artifact like a single run does, so a replicate that fails its check
+// writes one and the error names it.
+func TestReplicateFailureWritesArtifact(t *testing.T) {
+	// Cyclic routing, no recovery scheme, saturated: deadlocks for certain.
+	sc := harness.Scenario{Topology: "mesh:4x4", Routing: "min_adaptive", Traffic: "bit_complement",
+		Rate: 0.6, VCsPerVNet: 1, Seed: 11, Cycles: 1200, Warmup: 100}
+	dir := filepath.Join(t.TempDir(), "checkdir")
+	err := runReplicates(context.Background(), sc, 2, 1, 0, false, true, dir)
+	if err == nil {
+		t.Fatal("a deadlocking replicate set passed its check")
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "scenario-*.json"))
+	if len(files) == 0 {
+		t.Fatalf("no artifact in -checkdir; error: %v", err)
+	}
+	var named string
+	for _, f := range files {
+		if strings.Contains(err.Error(), f) {
+			named = f
+		}
+	}
+	if named == "" {
+		t.Fatalf("error names none of %v: %v", files, err)
+	}
+	art, err := harness.LoadArtifact(named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Scenario.Seed == sc.Seed || len(art.Violations) == 0 {
+		t.Fatalf("artifact is not the failed replicate's: seed %d, %d violations", art.Scenario.Seed, len(art.Violations))
+	}
+}
+
+// TestReplayArtifactExitStatus: -replay-artifact fails (exit 1) exactly
+// when the replayed run does. The ring5 no_probe model counterexample
+// reproduces in the simulator; the same workload without the mutation
+// recovers. Each shape a failure file has had replays: the artifact, and
+// the scenario and flight-recorder files it replaced.
+func TestReplayArtifactExitStatus(t *testing.T) {
+	in, err := mc.NewInstance("ring5", 0, mc.MutNoProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mc.Check(context.Background(), in, mc.Options{Workers: 2, Bound: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Failed() {
+		t.Fatal("no counterexample to replay")
+	}
+	mutated, err := in.TraceScenario(res.Violations[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := mutated
+	healthy.Mutation = ""
+
+	dir := t.TempDir()
+	oldShape := func(name, schema string, sc harness.Scenario) string {
+		b, err := json.Marshal(struct {
+			Schema   string           `json:"schema,omitempty"`
+			Scenario harness.Scenario `json:"scenario"`
+		}{schema, sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	artifact, err := harness.WriteArtifact(dir, harness.Artifact{Scenario: mutated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path string
+		fails      bool
+	}{
+		{"artifact", artifact, true},
+		{"flight-recorder file", oldShape("recorder.json", "spin-forensics-v1", mutated), true},
+		{"scenario file without the mutation", oldShape("healthy.json", "", healthy), false},
+	} {
+		var out bytes.Buffer
+		failed, err := replayArtifact(&out, tc.path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if failed != tc.fails {
+			t.Errorf("%s: replay failed = %v, want %v:\n%s", tc.name, failed, tc.fails, out.String())
+		}
+		if reproduced := strings.Contains(out.String(), "replay          reproduced: "); reproduced != tc.fails {
+			t.Errorf("%s: output does not match the verdict:\n%s", tc.name, out.String())
+		}
+	}
 }

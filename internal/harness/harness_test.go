@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -219,9 +220,11 @@ func brokenScenario() Scenario {
 	}
 }
 
-// TestArtifactReplayReproduces is the broken-build drill: a violating
-// run must produce a scenario.json artifact whose replay reproduces the
-// identical violations.
+// TestArtifactReplayReproduces is the broken-build drill: a violating run
+// must leave exactly one artifact, holding the event tail after the drain
+// (bounded by TraceTail, chronological, event kinds spelled out), the
+// flight recorder's snapshot and the CDG cut, whose scenario replays to
+// the identical violations.
 func TestArtifactReplayReproduces(t *testing.T) {
 	t.Parallel()
 	res, err := Run(brokenScenario())
@@ -234,10 +237,35 @@ func TestArtifactReplayReproduces(t *testing.T) {
 	if len(res.Violations) == 0 {
 		t.Fatal("expected checker violations, only drain failure")
 	}
+	if len(res.Trace) == 0 || len(res.Trace) > TraceTail {
+		t.Fatalf("trace tail holds %d events, want 1..%d", len(res.Trace), TraceTail)
+	}
+	for i := 1; i < len(res.Trace); i++ {
+		if res.Trace[i].Cycle < res.Trace[i-1].Cycle {
+			t.Fatalf("trace not chronological at %d: %d after %d", i, res.Trace[i].Cycle, res.Trace[i-1].Cycle)
+		}
+	}
 	dir := t.TempDir()
-	path, err := WriteArtifact(dir, NewArtifact(res))
+	msg := ReportFailure(dir, res)
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Fatalf("a failure left %d files, want 1:\n%s", len(files), msg)
+	}
+	path := filepath.Join(dir, files[0].Name())
+	if strings.Count(msg, path) != 2 || strings.Count(msg, "spinsim -replay-artifact") != 1 {
+		t.Fatalf("report does not name one path and one replay command:\n%s", msg)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"trace"`, `"snapshot"`, `"cdg"`, `"kind": "`} {
+		if !strings.Contains(string(raw), want) {
+			t.Fatalf("artifact missing %s", want)
+		}
 	}
 	art, err := LoadArtifact(path)
 	if err != nil {
@@ -246,8 +274,11 @@ func TestArtifactReplayReproduces(t *testing.T) {
 	if fmt.Sprintf("%+v", art.Scenario) != fmt.Sprintf("%+v", res.Scenario) {
 		t.Fatalf("artifact scenario drifted: %+v != %+v", art.Scenario, res.Scenario)
 	}
-	if art.Repro == "" {
-		t.Fatal("artifact missing repro command")
+	if !reflect.DeepEqual(art.Trace, res.Trace) || !reflect.DeepEqual(art.Snapshot, res.Forensics) || art.CDG == nil {
+		t.Fatal("artifact event lists or CDG cut did not round-trip")
+	}
+	if len(art.Notes) == 0 || !strings.Contains(art.Notes[0], "drain incomplete") {
+		t.Fatalf("notes %v lack the drain verdict", art.Notes)
 	}
 	// Replay: the violations must reproduce exactly, cycle for cycle.
 	again, err := Run(art.Scenario)
@@ -259,33 +290,6 @@ func TestArtifactReplayReproduces(t *testing.T) {
 	}
 	if again.Drained != res.Drained {
 		t.Fatal("replay drain verdict diverged")
-	}
-}
-
-// TestReplayArtifact reruns the artifact named by HARNESS_REPLAY — the
-// one-line repro command written into every artifact lands here.
-func TestReplayArtifact(t *testing.T) {
-	path := os.Getenv(ReplayEnv)
-	if path == "" {
-		t.Skipf("set %s=<scenario.json> to replay a failure artifact", ReplayEnv)
-	}
-	art, err := LoadArtifact(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("replaying %s", art.Scenario)
-	res, err := Run(art.Scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %v", v)
-	}
-	if !res.Drained {
-		t.Errorf("drain incomplete: %d injected, %d ejected", res.Injected, res.Ejected)
-	}
-	if !res.Failed() {
-		t.Logf("artifact no longer reproduces (fixed?): %s", res.Summary())
 	}
 }
 

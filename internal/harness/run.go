@@ -44,8 +44,8 @@ type Result struct {
 	// what the network was doing when the invariant broke.
 	Trace []sim.Event `json:"-"`
 	// Forensics is the flight recorder's first-failure snapshot (SPIN
-	// event ring + frozen/spinning-VC chain), nil on clean runs. It is
-	// written out as a forensics-<key>.json artifact by ReportFailure.
+	// event ring + frozen/spinning-VC chain), nil on clean runs. It is the
+	// failure artifact's snapshot (see ReportFailure).
 	Forensics *sim.ForensicsSnapshot `json:"-"`
 }
 
@@ -90,7 +90,7 @@ func (r *Result) Summary() string {
 // deadlock-free, so any persistent oracle deadlock at all is a bug and
 // the bound is a small constant.
 func (sc Scenario) CheckOptions(routers int) sim.CheckOptions {
-	opt := sim.CheckOptions{OracleEvery: 16}
+	var opt sim.CheckOptions
 	tdd := sc.TDD
 	if tdd == 0 {
 		tdd = 128 // the paper's default, applied when the scenario doesn't override
@@ -163,7 +163,7 @@ func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Resu
 	var checker *sim.InvariantChecker
 	if o.Check {
 		checker = net.AttachChecker(sc.CheckOptions(net.NumRouters()))
-		net.AttachFlightRecorder(FlightRecorderCap)
+		net.AttachFlightRecorder(0)
 		if tail == nil {
 			tail = sim.NewEventRing(TraceTail, sim.DefaultMask)
 		}

@@ -92,8 +92,8 @@ type Instance struct {
 	RoutingName string
 	// Packets is the workload (truncatable via the -packets flag).
 	Packets []Packet
-	// MaxPath caps probe paths, mirroring spin.Config.MaxPathLen's
-	// default of 2 x routers.
+	// MaxPath caps probe paths, mirroring the simulator's cap
+	// of 2 x routers (internal/spin's loop-buffer depth).
 	MaxPath int
 	// Mutation is the injected defect (MutNone = faithful protocol).
 	Mutation Mutation

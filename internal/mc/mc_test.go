@@ -201,7 +201,7 @@ func TestCounterexampleReplaysThroughSimulator(t *testing.T) {
 		t.Fatalf("counterexample injects %d of %d packets", len(sc.Injections), len(in.Packets))
 	}
 
-	mutated, err := Replay(sc)
+	mutated, err := harness.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCounterexampleReplaysThroughSimulator(t *testing.T) {
 
 	healthy := sc
 	healthy.Mutation = ""
-	clean, err := Replay(healthy)
+	clean, err := harness.Run(healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +229,9 @@ func TestCounterexampleReplaysThroughSimulator(t *testing.T) {
 // TestForensicsArtifactFromInducedDeadlock is the flight-recorder
 // acceptance test: replaying the ring5 no_probe counterexample through
 // the checked harness must trip the flight recorder, the resulting
-// forensics-<key>.json must carry the SPIN event tail and the
-// frozen/spinning-VC chain, and re-driving the artifact through
-// harness.ReplayForensics must reproduce the violation.
+// failure artifact must carry the SPIN event tail and the
+// frozen/spinning-VC chain, and re-running the artifact's scenario must
+// reproduce the violation.
 func TestForensicsArtifactFromInducedDeadlock(t *testing.T) {
 	res := checkInstance(t, "ring5", 14, 4, MutNoProbe)
 	if !res.Failed() {
@@ -245,7 +245,7 @@ func TestForensicsArtifactFromInducedDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated, err := Replay(sc)
+	mutated, err := harness.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,26 +287,29 @@ func TestForensicsArtifactFromInducedDeadlock(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	path, err := harness.WriteForensics(dir, harness.NewForensics(mutated))
+	path, err := harness.WriteArtifact(dir, harness.NewArtifact(mutated))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := harness.LoadForensics(path)
+	art, err := harness.LoadArtifact(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Scenario.Key() != sc.Key() {
+	if art.Scenario.Key() != sc.Key() {
 		t.Fatal("artifact scenario does not match the replayed scenario")
 	}
-	replayRes, reproduced, err := harness.ReplayForensics(f)
+	if art.Snapshot == nil || art.CDG == nil {
+		t.Fatal("artifact lacks the flight recorder's snapshot or the CDG cut")
+	}
+	again, err := harness.Run(art.Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reproduced {
-		t.Fatalf("forensics replay did not reproduce the violation: %s", replayRes.Summary())
+	if !again.Failed() {
+		t.Fatalf("artifact replay did not reproduce the violation: %s", again.Summary())
 	}
-	if replayRes.Forensics == nil {
-		t.Error("forensics replay produced no fresh snapshot")
+	if again.Forensics == nil {
+		t.Error("artifact replay produced no fresh snapshot")
 	}
 }
 

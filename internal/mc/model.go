@@ -28,7 +28,7 @@ import "fmt"
 // probe_move is elided (the model's initiator returns to detection after
 // every spin, the DisableProbeMove ablation); the rotating-priority probe
 // drop is subsumed by the nondeterministic DropSM (instance loops are
-// shorter than the GraceHops default, so the simulator never applies the
+// shorter than internal/spin's graceHops, so the simulator never applies the
 // rule to them either); and an initiator re-emits an SM kind only once
 // its previous one is gone, mirroring the timed guarantee that a
 // bufferless SM either returns or is dropped within one loop traversal.

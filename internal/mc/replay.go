@@ -81,7 +81,3 @@ func (in *Instance) TraceScenario(v Violation) (harness.Scenario, error) {
 	}
 	return sc, nil
 }
-
-// Replay runs the counterexample scenario through the simulator with the
-// invariant checker attached and reports the checked result.
-func Replay(sc harness.Scenario) (*harness.Result, error) { return harness.Run(sc) }

@@ -53,6 +53,18 @@ const (
 // Step (every cycle, it cost two), half the default SPIN detection threshold.
 const auditEvery = 64
 
+const (
+	// oracleEvery is the FindDeadlock sampling interval backing the
+	// RecoveryBound check.
+	oracleEvery = 16
+	// hopSlack loosens the hop bound: a packet must satisfy
+	// Hops - 2*Misroutes <= 2*diameter + hopSlack.
+	hopSlack = 4
+	// maxViolations caps recorded violations; checking continues but
+	// further violations only bump a counter.
+	maxViolations = 64
+)
+
 // CheckOptions configures an InvariantChecker. The zero value enables the
 // structural checks (conservation, credit, VCT, reservation, worklist,
 // delivery, hop bound) and disables the liveness bounds.
@@ -68,27 +80,6 @@ type CheckOptions struct {
 	// agreement check: SPIN's probes must find and break every deadlock
 	// the oracle sees within the bound.
 	RecoveryBound int64
-	// OracleEvery is the FindDeadlock sampling interval backing the
-	// RecoveryBound check (default 16).
-	OracleEvery int64
-	// HopSlack loosens the hop bound (default 4): a packet must satisfy
-	// Hops - 2*Misroutes <= 2*diameter + HopSlack.
-	HopSlack int
-	// MaxViolations caps recorded violations (default 64); checking
-	// continues but further violations only bump a counter.
-	MaxViolations int
-}
-
-func (o *CheckOptions) setDefaults() {
-	if o.OracleEvery <= 0 {
-		o.OracleEvery = 16
-	}
-	if o.HopSlack == 0 {
-		o.HopSlack = 4
-	}
-	if o.MaxViolations <= 0 {
-		o.MaxViolations = 64
-	}
 }
 
 // wait times one VC's front flit for the forward-progress bound, or (frontSeq
@@ -120,7 +111,7 @@ type pktRun struct {
 }
 
 // spellRules are reported once per spell, so that one stuck VC (router, NIC,
-// the network) cannot fill MaxViolations. A rule's bit in failing is its index.
+// the network) cannot fill maxViolations. A rule's bit in failing is its index.
 var spellRules = [...]string{RuleWorklist, RuleCredit, RuleVCTOrder, RuleVCTInterleave, RuleReservation, RuleConservation}
 
 // What a look covers: every rule, or off the change set spellRules[0] alone.
@@ -133,7 +124,7 @@ type InvariantChecker struct {
 	opt        CheckOptions
 	diameter   int // -1 until the first delivery asks for it
 	violations []Violation
-	dropped    int64 // violations beyond MaxViolations
+	dropped    int64 // violations beyond maxViolations
 
 	// failing holds, per entity (VCs by vcIndex, routers, NICs, the network),
 	// the spellRules failing at its last look; ent is under look, was its old bits.
@@ -166,7 +157,6 @@ type InvariantChecker struct {
 }
 
 func newChecker(n *Network, opt CheckOptions) *InvariantChecker {
-	opt.setDefaults()
 	vcs := int(n.vcBase[len(n.routers)])
 	c := &InvariantChecker{
 		net:      n,
@@ -250,14 +240,14 @@ func (c *InvariantChecker) MaxDeadlockSpell() int64 { return c.maxSpell }
 func (c *InvariantChecker) OracleFirings() int64 { return c.oracleFirings }
 
 func (c *InvariantChecker) report(rule, format string, args ...any) {
-	if len(c.violations) >= c.opt.MaxViolations {
+	if len(c.violations) >= maxViolations {
 		c.dropped++
 		return
 	}
 	c.violations = append(c.violations, Violation{Cycle: c.net.now, Rule: rule, Detail: fmt.Sprintf(format, args...)})
 	// First violation freezes the flight recorder (no-op when none is
 	// attached): the ring and VC chain at the moment of failure are the
-	// forensics artifact.
+	// failure artifact's snapshot.
 	c.net.CaptureForensics(rule)
 }
 
@@ -295,7 +285,7 @@ func (c *InvariantChecker) endOfStep() {
 	if c.opt.StallBound > 0 {
 		c.checkProgress()
 	}
-	if c.opt.RecoveryBound > 0 && c.net.now%c.opt.OracleEvery == 0 {
+	if c.opt.RecoveryBound > 0 && c.net.now%oracleEvery == 0 {
 		c.checkRecoveryBound()
 	}
 }
@@ -545,7 +535,7 @@ func (c *InvariantChecker) onEject(p *Packet) {
 	if c.diameter < 0 {
 		c.diameter = networkDiameter(c.net)
 	}
-	if bound := 2*c.diameter + c.opt.HopSlack; p.Hops-2*p.Misroutes > bound {
+	if bound := 2*c.diameter + hopSlack; p.Hops-2*p.Misroutes > bound {
 		c.report(RuleHopBound, "packet %d took %d hops with %d misroutes (bound %d, diameter %d)", p.ID, p.Hops, p.Misroutes, bound, c.diameter)
 	}
 }
@@ -607,9 +597,9 @@ func (c *InvariantChecker) checkRecoveryBound() {
 	for _, k := range c.dlBuf {
 		v := c.net.routers[k.Router].in[k.Port][k.Index]
 		p := v.FrontPacket()
-		// The checker runs every cycle: the last sample was OracleEvery ago.
+		// The checker runs every cycle: the last sample was oracleEvery ago.
 		s := &c.spells[c.net.vcIndex(v)]
-		spell := s.age(now, now-c.opt.OracleEvery, wait{pktID: p.ID})
+		spell := s.age(now, now-oracleEvery, wait{pktID: p.ID})
 		c.maxSpell = max(c.maxSpell, spell)
 		if spell > c.opt.RecoveryBound && !s.reported {
 			s.reported = true

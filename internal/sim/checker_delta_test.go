@@ -146,7 +146,7 @@ func TestAuditCatchesWhatBypassedMarkDirty(t *testing.T) {
 }
 
 // TestCheckerReportsOncePerSpell: a violation that persists is one
-// violation. Re-reported every cycle, a stuck VC filled all MaxViolations
+// violation. Re-reported every cycle, a stuck VC filled all maxViolations
 // slots within 64 cycles and every later, different failure was only a
 // dropped count; and it comes back once the VC has passed in between.
 func TestCheckerReportsOncePerSpell(t *testing.T) {

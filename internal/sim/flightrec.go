@@ -113,8 +113,8 @@ type ForensicsSnapshot struct {
 // events — probes and state-machine sends, kills, spins, per-VC freeze
 // transitions, oracle firings. When the invariant checker fires, or a
 // harness reports a failed drain, CaptureForensics snapshots the ring
-// with the frozen/spinning-VC chain into a ForensicsSnapshot that
-// internal/harness wraps into a replayable forensics-<key>.json.
+// with the frozen/spinning-VC chain into a ForensicsSnapshot, the
+// snapshot of internal/harness's replayable failure artifact.
 func (n *Network) AttachFlightRecorder(capacity int) *EventRing {
 	if capacity <= 0 {
 		capacity = 1024

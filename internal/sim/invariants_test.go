@@ -71,34 +71,6 @@ func TestFlitConservationContinuously(t *testing.T) {
 	}
 }
 
-func TestRouterDelayAffectsLatency(t *testing.T) {
-	lat := func(delay int) int64 {
-		m, _ := topology.NewMesh(6, 1, 1)
-		n, err := sim.NewNetwork(sim.Config{
-			Topology:    m,
-			Routing:     &routing.XY{Mesh: m},
-			VCsPerVNet:  1,
-			RouterDelay: delay,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got int64 = -1
-		n.SetEjectHook(func(p *sim.Packet) { got = p.EjectCycle - p.GenCycle })
-		n.InjectPacket(0, sim.PacketSpec{Dst: 5, Length: 1})
-		n.Run(100)
-		return got
-	}
-	l1, l3 := lat(1), lat(3)
-	if l1 < 0 || l3 < 0 {
-		t.Fatal("packet not delivered")
-	}
-	// 5 hops, each costing (link 1 + router delay): delta = 5*(3-1).
-	if l3-l1 != 10 {
-		t.Fatalf("router-delay scaling wrong: delay1=%d delay3=%d", l1, l3)
-	}
-}
-
 func TestHeterogeneousLinkLatencies(t *testing.T) {
 	// A custom 3-router line with a slow middle link.
 	links := []topology.Link{

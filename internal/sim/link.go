@@ -32,11 +32,14 @@ type link struct {
 	smCycles   [numSMKinds]int64
 }
 
+// routerDelay is the per-hop router pipeline in cycles: a 1-cycle router.
+const routerDelay = 1
+
 // sendFlit launches a flit: it occupies the wire for Latency cycles and
-// then the downstream router pipeline for RouterDelay cycles before it
+// then the downstream router pipeline for routerDelay cycles before it
 // becomes serviceable in dst.
 func (l *link) sendFlit(now int64, f Flit, dst *VC) {
-	delay := int64(l.topo.Latency + l.dst.net.cfg.RouterDelay)
+	delay := int64(l.topo.Latency + routerDelay)
 	l.flits = append(l.flits, flitTransit{arrive: now + delay, flit: f, dst: dst})
 }
 

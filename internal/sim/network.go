@@ -67,11 +67,10 @@ type Config struct {
 	Scheme   Scheme     // nil: no deadlock handling beyond the routing itself
 	Traffic  TrafficGen // nil: no open-loop traffic (tests drive manually)
 
-	VNets       int // virtual networks (message classes); default 1
-	VCsPerVNet  int // VCs per vnet per port; default 1
-	VCDepth     int // flits per VC; default 5
-	MaxPktLen   int // largest packet the traffic emits; default 5
-	RouterDelay int // per-hop router pipeline cycles; default 1 (1-cycle router)
+	VNets      int // virtual networks (message classes); default 1
+	VCsPerVNet int // VCs per vnet per port; default 1
+	VCDepth    int // flits per VC; default 5
+	MaxPktLen  int // largest packet the traffic emits; default 5
 
 	Seed       int64
 	StatsStart int64 // cycle measurement begins (warmup length)
@@ -95,9 +94,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.MaxPktLen == 0 {
 		c.MaxPktLen = 5
-	}
-	if c.RouterDelay == 0 {
-		c.RouterDelay = 1
 	}
 	if c.VCsPerVNet > 32 {
 		return fmt.Errorf("sim: at most 32 VCs per vnet, got %d", c.VCsPerVNet)

@@ -54,7 +54,7 @@ func TestMaskedObserverSeesFilteredSubsequence(t *testing.T) {
 	flits := sim.MaskOf(sim.EvFlitInject, sim.EvFlitEject)
 	net.AddObserver(sim.SpinEvents, &spinOnly)
 	net.AddObserver(sim.AllEvents, &all)
-	checker := net.AttachChecker(sim.CheckOptions{OracleEvery: 16, RecoveryBound: 1 << 30})
+	checker := net.AttachChecker(sim.CheckOptions{RecoveryBound: 1 << 30})
 	s.Run(300)
 	joined := net.Now()
 	net.AddObserver(sim.DefaultMask, &late)

@@ -412,7 +412,7 @@ func (a *Agent) tickFollower(now int64) {
 // regardless of tick order.
 func (a *Agent) chainClosed(e frozenEntry) bool {
 	cur, curEntry := a, e
-	for steps := 0; steps <= a.s.cfg.MaxPathLen; steps++ {
+	for steps := 0; steps <= a.s.maxPath; steps++ {
 		d, inPort, ok := cur.r.Downstream(curEntry.out)
 		if !ok {
 			return false

@@ -82,17 +82,17 @@ func (a *Agent) confirmDeadlock(sm *sim.SM, inPort int, now int64) {
 // drop it — an idle, granted, or freshly-arrived VC means the input port
 // can still make progress, so no deadlock passes through it.
 func (a *Agent) forkProbe(sm *sim.SM, inPort int) {
-	if len(sm.Path) >= a.s.cfg.MaxPathLen {
+	if len(sm.Path) >= a.s.maxPath {
 		a.count("probe_drops_toolong", 1)
 		return
 	}
-	// Optional rotating-priority rule (Config.PriorityDrop): a router
-	// drops probes from lower-priority senders, so only a loop's
-	// highest-priority member confirms. By default probes pass freely and
-	// priorities only arbitrate port contention (PickSM): any member's
-	// returning probe confirms, and near-simultaneous confirmations of
-	// the same loop are serialised by the move source-id rule.
-	if sm.Sender != a.id && (a.s.cfg.PriorityDrop || sm.Forked || len(sm.Path) >= a.s.cfg.GraceHops) {
+	// Rotating-priority rule, for forked copies and past graceHops only: a
+	// router drops probes from lower-priority senders. Inside the grace
+	// window probes pass freely and priorities only arbitrate port
+	// contention (PickSM): any member's returning probe confirms, and
+	// near-simultaneous confirmations of the same loop are serialised by
+	// the move source-id rule.
+	if sm.Sender != a.id && (sm.Forked || len(sm.Path) >= graceHops) {
 		now := a.r.Now()
 		if a.s.Priority(a.id, now) > a.s.Priority(sm.Sender, now) {
 			a.count("probe_drops_priority", 1)

@@ -28,31 +28,11 @@ type Config struct {
 	// DisableProbeMove turns off the multi-spin optimisation; the FSM then
 	// falls back to fresh detection after every spin (ablation knob).
 	DisableProbeMove bool
-	// PriorityDrop enables the literal reading of the paper's rule that a
-	// router drops probes from senders with lower dynamic priority at
-	// EVERY hop. It guarantees at most one confirmed recovery per loop but
-	// serialises recovery behind the rotating priority, which collapses
-	// throughput once congestion couples many loops. The default applies
-	// the rule only after GraceHops hops: short loops (the common case)
-	// confirm in parallel from any initiator, while long probe walks are
-	// culled quickly, keeping SM link utilisation negligible.
-	PriorityDrop bool
-	// GraceHops is how many hops a probe travels before the rotating
-	// priority rule may drop it (default 12; ignored when PriorityDrop
-	// forces the rule from hop one).
-	GraceHops int
 	// DisableProbeFork drops probes at input ports whose packets wait on
 	// more than one output port instead of forking them. The paper argues
 	// forking is required to trace inter-dependent cycles; this ablation
 	// knob lets the claim be measured.
 	DisableProbeFork bool
-	// MaxPathLen caps the probe path (loop-buffer depth); 0 means
-	// 2 × routers. The paper sizes the loop buffer at N entries
-	// (log2(radix)·N bits); we default larger because fully developed
-	// congestion can grow dependency cycles past N hops, and a cycle
-	// longer than the cap can never be confirmed or recovered. The cap
-	// also bounds probe lifetime, keeping SM link utilisation low.
-	MaxPathLen int
 	// CountTruth enables oracle-backed false-positive accounting: each
 	// confirmed recovery is checked against the global deadlock oracle.
 	// Costs oracle runs per recovery; used by the Fig. 9 experiment. The
@@ -73,14 +53,21 @@ func (c Config) withDefaults() Config {
 	if c.TDD == 0 {
 		c.TDD = 128
 	}
-	if c.GraceHops == 0 {
-		c.GraceHops = 12
-	}
 	if c.EpochFactor == 0 {
 		c.EpochFactor = 4
 	}
 	return c
 }
+
+// graceHops is how many hops a probe travels before the rotating priority
+// rule may drop it. The paper's literal reading drops probes from
+// lower-priority senders at every hop: at most one confirmed recovery per
+// loop, but recovery serialises behind the rotating priority and
+// throughput collapses once congestion couples many loops. After a grace
+// window, short loops (the common case) confirm in parallel from any
+// initiator while long probe walks are still culled quickly, keeping SM
+// link utilisation negligible.
+const graceHops = 12
 
 // Scheme implements sim.Scheme for SPIN.
 type Scheme struct {
@@ -88,6 +75,12 @@ type Scheme struct {
 	net    *sim.Network
 	agents []*Agent
 	epoch  int64
+	// maxPath caps the probe path (loop-buffer depth) at 2 × routers. The
+	// paper sizes the loop buffer at N entries (log2(radix)·N bits); fully
+	// developed congestion can grow dependency cycles past N hops, and a
+	// cycle longer than the cap can never be confirmed or recovered. The
+	// cap also bounds probe lifetime, keeping SM link utilisation low.
+	maxPath int
 }
 
 // New builds a SPIN scheme with cfg (zero value = paper defaults).
@@ -102,9 +95,7 @@ func (s *Scheme) Name() string { return "spin" }
 func (s *Scheme) Attach(n *sim.Network) {
 	s.net = n
 	s.epoch = s.cfg.EpochFactor * s.cfg.TDD
-	if s.cfg.MaxPathLen == 0 {
-		s.cfg.MaxPathLen = 2 * n.NumRouters()
-	}
+	s.maxPath = 2 * n.NumRouters()
 	s.agents = make([]*Agent, n.NumRouters())
 	for i := 0; i < n.NumRouters(); i++ {
 		a := newAgent(s, n.Router(i))

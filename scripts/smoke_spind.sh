@@ -57,7 +57,8 @@ grep -q 'spind_sim_packet_latency_cycles_count{quantile="p99"} 1' "$TMP/metrics"
 
 echo "== another seed of the shape just run rewinds its network"
 curl -fsS -o /dev/null -d "${BODY/\"seed\":1/\"seed\":2}" "http://$ADDR/v1/simulate"
-curl -fsS "http://$ADDR/metrics" | grep -q '^spind_sim_setups_total{how="rewind"} 1$' || { echo "the second seed built a network"; exit 1; }
+curl -fsS -o "$TMP/metrics-rewind" "http://$ADDR/metrics"
+grep -q '^spind_sim_setups_total{how="rewind"} 1$' "$TMP/metrics-rewind" || { echo "the second seed built a network"; exit 1; }
 
 echo "== telemetry request (latency percentiles + time-series)"
 TBODY='{"topology":"mesh:8x8","routing":"min_adaptive","scheme":"spin","traffic":"uniform_random","rate":0.05,"cycles":5000,"seed":1,"telemetry":true,"epoch":500}'
@@ -118,8 +119,9 @@ go build -o "$TMP/spinsim" ./cmd/spinsim
   -record "$TMP/t.spintrace" > "$TMP/rec.out"
 RECORDED="$(sed -n 's/^trace  *\([0-9]*\) injections recorded.*/\1/p' "$TMP/rec.out")"
 [ "${RECORDED:-0}" -gt 0 ] || { echo "spinsim -record captured nothing:"; cat "$TMP/rec.out"; exit 1; }
-"$TMP/spintrace" -info "$TMP/t.spintrace" | grep -q "^entries  *$RECORDED " \
-  || { echo "recorded file does not hold $RECORDED entries"; exit 1; }
+"$TMP/spintrace" -info "$TMP/t.spintrace" > "$TMP/info.out"
+grep -q "^entries  *$RECORDED " "$TMP/info.out" \
+  || { echo "recorded file does not hold $RECORDED entries:"; cat "$TMP/info.out"; exit 1; }
 "$TMP/spinsim" -topo mesh:4x4 -scheme spin -cycles 2000 -warmup 200 -seed 5 \
   -replay "$TMP/t.spintrace" -drain > "$TMP/rep.out"
 grep -q "^trace  *$RECORDED packets streamed" "$TMP/rep.out" \
