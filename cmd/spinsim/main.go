@@ -91,8 +91,8 @@ func recordFlagsErr(record, replay string) error {
 }
 
 // simFlags are the flags that describe the simulation itself — exactly
-// what a harness.Scenario carries, so the run, its -check artifact and
-// its replay all name the same configuration.
+// what a spin.Config carries, so the run, its -check artifact and its
+// replay all name the same configuration.
 type simFlags struct {
 	preset, topo, routing, scheme, pattern, burst, hotspot, replay string
 	vcs, vnets, window                                             int
@@ -107,11 +107,11 @@ func (f *simFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.routing, "routing", "min_adaptive", "routing algorithm: "+routings)
 	fs.StringVar(&f.scheme, "scheme", "", "deadlock scheme: "+schemes)
 	fs.IntVar(&f.vcs, "vcs", 1, "VCs per virtual network")
-	fs.IntVar(&f.vnets, "vnets", 1, "virtual networks")
+	fs.IntVar(&f.vnets, "vnets", 0, "virtual networks (0 = 1, or 2 under -window)")
 	fs.StringVar(&f.pattern, "traffic", "uniform_random", "synthetic traffic pattern")
 	fs.Float64Var(&f.rate, "rate", 0.1, "offered load (flits/node/cycle)")
 	fs.Int64Var(&f.cycles, "cycles", 100000, "simulated cycles")
-	fs.Int64Var(&f.warmup, "warmup", 10000, "warmup cycles before measurement")
+	fs.Int64Var(&f.warmup, "warmup", 0, "warmup cycles before measurement (0 = cycles/10, negative = no warmup)")
 	fs.Int64Var(&f.seed, "seed", 1, "random seed (base seed when -seeds > 1)")
 	fs.Int64Var(&f.tdd, "tdd", 0, "deadlock detection threshold (0 = default 128)")
 	fs.IntVar(&f.window, "window", 0, "closed-loop client window: max outstanding requests per terminal (0 = open loop)")
@@ -124,22 +124,24 @@ func (f *simFlags) register(fs *flag.FlagSet) {
 // shaped reports whether any workload-shaping flag is set.
 func (f *simFlags) shaped() bool { return f.window > 0 || f.burst != "" || f.hotspot != "" }
 
-// scenario translates the flags into the scenario the run, the checker
-// and any failure artifact share.
-func (f *simFlags) scenario() (harness.Scenario, error) {
-	sc := harness.Scenario{
-		Topology: f.topo, Routing: f.routing, Scheme: f.scheme,
-		VNets: f.vnets, VCsPerVNet: f.vcs,
-		Traffic: f.pattern, Rate: f.rate, Seed: f.seed, TDD: f.tdd,
-		Cycles: f.cycles, Warmup: f.warmup,
-	}
+// config translates the flags into the one config the run, the checker
+// and any failure artifact share. -warmup follows spinsweep's rule.
+func (f *simFlags) config() (spin.Config, error) {
+	sc := spin.Config{Topology: f.topo, Routing: f.routing, Scheme: f.scheme, VNets: f.vnets, VCsPerVNet: f.vcs}
 	if f.preset != "" {
 		p, err := spin.PresetByName(f.preset)
 		if err != nil {
 			return sc, err
 		}
-		c := p.Config
-		sc.Topology, sc.Routing, sc.Scheme, sc.VNets, sc.VCsPerVNet = c.Topology, c.Routing, c.Scheme, c.VNets, c.VCsPerVNet
+		sc = p.Config
+	}
+	sc.Traffic, sc.Rate, sc.Seed, sc.TDD = f.pattern, f.rate, f.seed, f.tdd
+	sc.Cycles, sc.Warmup = f.cycles, f.warmup
+	switch {
+	case f.warmup < 0:
+		sc.Warmup = 0
+	case f.warmup == 0:
+		sc.Warmup = f.cycles / 10
 	}
 	if f.think != 0 && f.window == 0 {
 		return sc, fmt.Errorf("-think needs -window (closed-loop clients)")
@@ -163,9 +165,6 @@ func (f *simFlags) scenario() (harness.Scenario, error) {
 	var w workload.Spec
 	if f.window > 0 {
 		w.Mode, w.Window, w.Think = "closed", f.window, f.think
-		if sc.VNets < 2 {
-			sc.VNets = 2 // replies need their own message class
-		}
 	}
 	if f.burst != "" {
 		if _, err := fmt.Sscanf(f.burst, "%d:%d", &w.BurstOn, &w.BurstOff); err != nil {
@@ -178,7 +177,7 @@ func (f *simFlags) scenario() (harness.Scenario, error) {
 		}
 	}
 	sc.Workload = &w
-	return sc, w.Validate()
+	return sc, nil
 }
 
 func main() {
@@ -245,7 +244,10 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	sc, err := f.scenario()
+	sc, err := f.config()
+	if err == nil {
+		err = sc.Validate() // refused here, not by the replay of its artifact
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -355,7 +357,7 @@ func main() {
 }
 
 // report prints the end-of-traffic summary (and saves a -record trace).
-func report(s *spin.Simulation, sc harness.Scenario, hist bool, recorder *traffic.Recorder, recordPath, replayPath string) {
+func report(s *spin.Simulation, sc spin.Config, hist bool, recorder *traffic.Recorder, recordPath, replayPath string) {
 	net := s.Network()
 	if recorder != nil {
 		rf, err := os.Create(recordPath)
@@ -448,7 +450,7 @@ type replicate struct {
 // runReplicates runs sc under n derived seeds in parallel and prints
 // per-replicate rows plus mean ± stddev aggregates. A replicate that fails
 // its check writes its artifact to checkDir and fails the set.
-func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, timeout time.Duration, progress, check bool, checkDir string) error {
+func runReplicates(ctx context.Context, sc spin.Config, n, workers int, timeout time.Duration, progress, check bool, checkDir string) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -460,7 +462,7 @@ func runReplicates(ctx context.Context, sc harness.Scenario, n, workers int, tim
 			Run: func(ctx context.Context, seed int64) (replicate, error) {
 				c := sc
 				c.Seed = seed
-				s, err := c.SimFrom(sims)
+				s, err := sims.Get(c)
 				if err != nil {
 					return replicate{}, err
 				}

@@ -63,15 +63,15 @@ func TestCheckArtifactKeepsWorkloadShaping(t *testing.T) {
 			if err := fs.Parse(append(base, tc.args...)); err != nil {
 				t.Fatal(err)
 			}
-			sc, err := f.scenario()
+			sc, err := f.config()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sc.Workload == nil || *sc.Workload != tc.want {
 				t.Fatalf("flags built workload %+v, want %+v", sc.Workload, tc.want)
 			}
-			if sc.VNets != tc.vnets {
-				t.Fatalf("vnets = %d, want %d", sc.VNets, tc.vnets)
+			if n := sc.Normalized().VNets; n != tc.vnets {
+				t.Fatalf("vnets = %d, want %d", n, tc.vnets)
 			}
 			s, err := sc.Sim()
 			if err != nil {
@@ -124,7 +124,7 @@ func TestCheckArtifactKeepsReplayedTrace(t *testing.T) {
 	if err := fs.Parse([]string{"-topo", "mesh:4x4", "-scheme", "spin", "-cycles", "200", "-warmup", "20", "-replay", path}); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := f.scenario()
+	sc, err := f.config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,5 +252,48 @@ func TestReplayArtifactExitStatus(t *testing.T) {
 		if reproduced := strings.Contains(out.String(), "replay          reproduced: "); reproduced != tc.fails {
 			t.Errorf("%s: output does not match the verdict:\n%s", tc.name, out.String())
 		}
+	}
+}
+
+// TestDocumentedCheckReplays: the check → replay pair the package comment
+// documents, with -warmup left unset. The run fails its check and writes one
+// artifact, and -replay-artifact on that file reproduces the failure instead
+// of refusing its scenario (a 10,000-cycle default warmup in a 3,000-cycle
+// run once did).
+func TestDocumentedCheckReplays(t *testing.T) {
+	var f simFlags
+	fs := flag.NewFlagSet("spinsim", flag.ContinueOnError)
+	f.register(fs)
+	if err := fs.Parse([]string{"-topo", "mesh:4x4", "-vcs", "1", "-rate", "0.9", "-cycles", "3000"}); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := f.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := sc.Sim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := harness.Drive(context.Background(), sc, s.Network(), harness.Observe{Check: true, Drain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Failed() {
+		t.Fatal("the documented run passed its check")
+	}
+	dir := t.TempDir()
+	harness.ReportFailure(dir, res)
+	files, _ := filepath.Glob(filepath.Join(dir, "scenario-*.json"))
+	if len(files) != 1 {
+		t.Fatalf("%d artifacts, want 1", len(files))
+	}
+	var out bytes.Buffer
+	failed, err := replayArtifact(&out, files[0])
+	if err != nil || !failed || !strings.Contains(out.String(), "replay          reproduced: ") {
+		t.Fatalf("replay: failed = %v, err = %v:\n%s", failed, err, out.String())
 	}
 }

@@ -204,16 +204,24 @@ func pointKey(curve string, rate float64) string {
 	return fmt.Sprintf("%s@%g", curve, rate)
 }
 
-// drive runs one built sweep point through the shared run driver with
-// the sweep's observers attached; a checked point that breaks an
+// point completes cfg into the run of the sweep point called key: its seed
+// derives from o.Seed and key, its length and warmup are the sweep's.
+func (o Options) point(cfg spin.Config, key string) spin.Config {
+	cfg.Seed = runner.SeedFor(o.Seed, key)
+	cfg.Cycles, cfg.Warmup = o.Cycles, o.Warmup
+	return cfg
+}
+
+// drive runs one built sweep point of cfg through the shared run driver
+// with the sweep's observers attached; a checked point that breaks an
 // invariant fails its job. hist forces the latency histogram for points
 // that report percentiles even without Options.Telemetry.
-func (o Options) drive(ctx context.Context, sc harness.Scenario, net *sim.Network, hist bool) (*harness.Result, error) {
+func (o Options) drive(ctx context.Context, cfg spin.Config, net *sim.Network, hist bool) (*harness.Result, error) {
 	ob := harness.Observe{Check: o.Check, Hist: hist || o.Telemetry}
 	if o.Telemetry {
 		ob.Window = o.Epoch
 	}
-	res, err := harness.Drive(ctx, sc, net, ob)
+	res, err := harness.Drive(ctx, cfg, net, ob)
 	if err != nil {
 		return nil, err
 	}
@@ -223,22 +231,18 @@ func (o Options) drive(ctx context.Context, sc harness.Scenario, net *sim.Networ
 	return res, nil
 }
 
-// runPoint executes one configuration at one rate on a Simulation from the
-// sweep's pool and returns the driver's result for metric extraction; read,
-// when non-nil, sees the Simulation before it goes back (a failed point's
-// does not). The point's seed derives from o.Seed and key; the run is
-// advanced in chunks so ctx cancellation and per-job timeouts are honoured
-// promptly.
-func runPoint(ctx context.Context, cfg spin.Config, pattern string, rate float64, key string, o Options, read func(*spin.Simulation)) (*harness.Result, error) {
-	cfg.Traffic = pattern
-	cfg.Rate = rate
-	cfg.Seed = runner.SeedFor(o.Seed, key)
-	cfg.Warmup = o.Warmup
+// runPoint executes the sweep point called key, cfg (o.point completes it),
+// on a Simulation from the sweep's pool and returns the driver's result for
+// metric extraction; read, when non-nil, sees the Simulation before it goes
+// back (a failed point's does not). The run is advanced in chunks so ctx
+// cancellation and per-job timeouts are honoured promptly.
+func runPoint(ctx context.Context, cfg spin.Config, key string, o Options, hist bool, read func(*spin.Simulation)) (*harness.Result, error) {
+	cfg = o.point(cfg, key)
 	s, err := o.sims.Get(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := o.drive(ctx, harness.FromConfig(cfg, o.Cycles), s.Network(), false)
+	res, err := o.drive(ctx, cfg, s.Network(), hist)
 	if err != nil {
 		return nil, fmt.Errorf("point %s: %w", key, err)
 	}
@@ -257,8 +261,10 @@ func runPoint(ctx context.Context, cfg spin.Config, pattern string, rate float64
 // seeds still derived from the point keys.
 func latencyCurve(ctx context.Context, cfg spin.Config, pattern string, rates []float64, satLatency float64, curveKey string, o Options) (Series, error) {
 	var s Series
+	cfg.Traffic = pattern
 	for _, rate := range rates {
-		res, err := runPoint(ctx, cfg, pattern, rate, pointKey(curveKey, rate), o, nil)
+		cfg.Rate = rate
+		res, err := runPoint(ctx, cfg, pointKey(curveKey, rate), o, false, nil)
 		if err != nil {
 			return s, err
 		}

@@ -297,29 +297,3 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal("small specs wrong")
 	}
 }
-
-func TestSaturationSummary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	o := small()
-	o.Cycles = 1500
-	sat, err := SaturationSummary(context.Background(), o.meshSpec(), []string{"mesh_westfirst", "mesh_favors_min"}, []int{1, 1}, "transpose", 0.4, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sat) != 2 {
-		t.Fatalf("want 2 entries, got %v", sat)
-	}
-	for name, v := range sat {
-		if v <= 0 {
-			t.Fatalf("%s: zero saturation", name)
-		}
-	}
-}
-
-func TestAreaModelNote(t *testing.T) {
-	if AreaModelNote() == "" {
-		t.Fatal("empty note")
-	}
-}

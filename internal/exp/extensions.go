@@ -8,12 +8,8 @@ import (
 
 	spin "repro"
 	"repro/internal/deflection"
-	"repro/internal/harness"
-	"repro/internal/routing"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // TorusComparison pits the two deadlock-freedom strategies for a torus
@@ -49,14 +45,14 @@ func Torus(ctx context.Context, o Options) (*TorusComparison, error) {
 		name string
 		cfg  spin.Config
 	}{
-		{"bubble", spin.Config{Topology: "torus:4x4", Routing: "torus_dor", Scheme: "ring_bubble", DataFrac: 1}},
-		{"spin", spin.Config{Topology: "torus:4x4", Routing: "min_adaptive", Scheme: "spin", DataFrac: 1}},
+		{"bubble", spin.Config{Topology: "torus:4x4", Routing: "torus_dor", Scheme: "ring_bubble", Traffic: "tornado", DataFrac: 1}},
+		{"spin", spin.Config{Topology: "torus:4x4", Routing: "min_adaptive", Scheme: "spin", Traffic: "tornado", DataFrac: 1}},
 	} {
 		for _, rate := range res.Rates {
-			v, rate := v, rate
-			key := pointKey("torus/"+v.name, rate)
+			cfg, key := v.cfg, pointKey("torus/"+v.name, rate)
+			cfg.Rate = rate
 			jobs = append(jobs, runner.Job[float64]{Key: key, Run: func(ctx context.Context, _ int64) (float64, error) {
-				pt, err := runPoint(ctx, v.cfg, "tornado", rate, key, o, nil)
+				pt, err := runPoint(ctx, cfg, key, o, false, nil)
 				if err != nil {
 					return 0, err
 				}
@@ -114,7 +110,7 @@ func Deflection(ctx context.Context, o Options) (*DeflectionComparison, error) {
 		rate := rate
 		key := pointKey("deflection", rate)
 		jobs = append(jobs, runner.Job[deflectionSample]{Key: key, Run: func(ctx context.Context, seed int64) (deflectionSample, error) {
-			return deflectionPoint(ctx, rate, seed, o)
+			return deflectionPoint(ctx, rate, key, seed, o)
 		}})
 	}
 	samples, err := runner.Run(ctx, o.runnerOpts(), jobs)
@@ -129,8 +125,9 @@ func Deflection(ctx context.Context, o Options) (*DeflectionComparison, error) {
 	return res, nil
 }
 
-// deflectionPoint runs the bufferless and buffered networks at one rate.
-func deflectionPoint(ctx context.Context, rate float64, seed int64, o Options) (deflectionSample, error) {
+// deflectionPoint runs the bufferless and buffered networks at one rate, the
+// point called key (seed derives from it).
+func deflectionPoint(ctx context.Context, rate float64, key string, seed int64, o Options) (deflectionSample, error) {
 	var out deflectionSample
 	mesh, err := topology.NewMesh(4, 4, 1)
 	if err != nil {
@@ -161,18 +158,7 @@ func deflectionPoint(ctx context.Context, rate float64, seed int64, o Options) (
 		out.AvgDeflect = float64(dn.DeflectionSum) / float64(dn.Ejected)
 	}
 	// Buffered XY with 1-flit packets for apples-to-apples.
-	bn, err := sim.NewNetwork(sim.Config{
-		Topology:   mesh,
-		Routing:    &routing.XY{Mesh: mesh},
-		VCsPerVNet: 1,
-		Seed:       seed,
-		StatsStart: o.Warmup,
-		Traffic:    &traffic.Synthetic{Pattern: traffic.Uniform(16), Rate: rate, DataFrac: 0.0001},
-	})
-	if err != nil {
-		return out, err
-	}
-	res, err := o.drive(ctx, harness.Scenario{Topology: "mesh:4x4", Routing: "xy", Seed: seed, Cycles: o.Cycles}, bn, false)
+	res, err := runPoint(ctx, spin.Config{Topology: "mesh:4x4", Routing: "xy", Traffic: "uniform_random", Rate: rate, DataFrac: 0.0001}, key, o, false, nil)
 	if err != nil {
 		return out, err
 	}

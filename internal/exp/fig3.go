@@ -93,17 +93,17 @@ func Fig3(ctx context.Context, o Options) (*Fig3Result, error) {
 
 // deadlocksAt runs one point with no recovery scheme on a Simulation from
 // the sweep's pool (it goes back deadlocked or not: Reset forgets either)
-// and polls the oracle.
+// and polls the oracle, stopping at the first deadlock — the one point that
+// steps itself instead of going through runPoint's driver.
 func deadlocksAt(ctx context.Context, topo, routing, pattern, key string, rate float64, o Options) (bool, error) {
-	s, err := o.sims.Get(spin.Config{
+	s, err := o.sims.Get(o.point(spin.Config{
 		Topology:   topo,
 		Routing:    routing,
 		Traffic:    pattern,
 		Rate:       rate,
 		VCsPerVNet: 3,
 		DataFrac:   0.001, // 1-flit packets as in the paper's Fig. 3
-		Seed:       runner.SeedFor(o.Seed, key),
-	})
+	}, key))
 	if err != nil {
 		return false, err
 	}

@@ -98,49 +98,3 @@ func latencyFigures(ctx context.Context, title, figKey, topo string, configs []f
 	}
 	return out, nil
 }
-
-// SaturationSummary extracts the saturation throughput of each config for
-// one pattern — the quantity behind the paper's "X% higher throughput"
-// claims. The sweep has no early exit, so every (config, rate) point is
-// its own parallel job; the per-config maximum is folded afterwards.
-func SaturationSummary(ctx context.Context, topo string, configs []string, vcs []int, pattern string, maxRate float64, o Options) (map[string]float64, error) {
-	o = o.withDefaults()
-	rates := defaultRates(maxRate)
-	type satPoint struct {
-		Name string
-		TP   float64
-	}
-	var jobs []runner.Job[satPoint]
-	for i, name := range configs {
-		preset, err := spin.PresetByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfg := preset.Config
-		cfg.Topology = topo
-		if i < len(vcs) && vcs[i] > 0 {
-			cfg.VCsPerVNet = vcs[i]
-		}
-		curveKey := fmt.Sprintf("sat/%s/%s/%s", topo, name, pattern)
-		for _, rate := range rates {
-			name, cfg, rate := name, cfg, rate
-			key := pointKey(curveKey, rate)
-			jobs = append(jobs, runner.Job[satPoint]{Key: key, Run: func(ctx context.Context, _ int64) (satPoint, error) {
-				pt := satPoint{Name: name}
-				_, err := runPoint(ctx, cfg, pattern, rate, key, o, func(s *spin.Simulation) { pt.TP = s.Throughput() })
-				return pt, err
-			}})
-		}
-	}
-	points, err := runner.Run(ctx, o.runnerOpts(), jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for _, p := range points {
-		if tp, ok := out[p.Name]; !ok || p.TP > tp {
-			out[p.Name] = p.TP
-		}
-	}
-	return out, nil
-}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	spin "repro"
-	"repro/internal/harness"
 	"repro/internal/power"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -73,8 +72,8 @@ func Fig8a(ctx context.Context, o Options) (*Fig8aResult, error) {
 		for _, v := range variants {
 			app, v := app, v
 			key := fmt.Sprintf("fig8a/%s/%s", app.Name, v.name)
-			jobs = append(jobs, runner.Job[float64]{Key: key, Run: func(ctx context.Context, seed int64) (float64, error) {
-				return appEDP(ctx, app, v.routing, v.scheme, v.vcs, v.pk, seed, o)
+			jobs = append(jobs, runner.Job[float64]{Key: key, Run: func(ctx context.Context, _ int64) (float64, error) {
+				return appEDP(ctx, app, v.routing, v.scheme, v.vcs, v.pk, key, o)
 			}})
 		}
 	}
@@ -93,26 +92,24 @@ func Fig8a(ctx context.Context, o Options) (*Fig8aResult, error) {
 	return res, nil
 }
 
-// appEDP runs one application profile on one router configuration.
-func appEDP(ctx context.Context, app traffic.AppProfile, routing, scheme string, vcs int, pk power.SchemeKind, seed int64, o Options) (float64, error) {
-	cfg := spin.Config{
+// appEDP runs one application profile on one router configuration, the
+// point called key. A PARSEC profile is no traffic a config can name, so the
+// point replaces the generator of its traffic-less config by hand.
+func appEDP(ctx context.Context, app traffic.AppProfile, routing, scheme string, vcs int, pk power.SchemeKind, key string, o Options) (float64, error) {
+	cfg := o.point(spin.Config{
 		Topology:   o.meshSpec(),
 		Routing:    routing,
 		Scheme:     scheme,
 		VNets:      3,
 		VCsPerVNet: vcs,
-		Seed:       seed,
-		Warmup:     o.Warmup,
-	}
+	}, key)
 	s, err := o.sims.Get(cfg)
 	if err != nil {
 		return 0, err
 	}
 	topo := s.Topology()
-	// Drive the run from the application trace instead of a synthetic
-	// pattern.
 	s.Network().SetTraffic(&traffic.AppTraffic{Profile: app, Topo: topo})
-	res, err := o.drive(ctx, harness.FromConfig(cfg, o.Cycles), s.Network(), false)
+	res, err := o.drive(ctx, cfg, s.Network(), false)
 	if err != nil {
 		return 0, err
 	}
@@ -164,9 +161,11 @@ func Fig8b(ctx context.Context, o Options) (*Fig8bResult, error) {
 				Topology:   o.meshSpec(),
 				Routing:    "min_adaptive",
 				Scheme:     "spin",
+				Traffic:    "uniform_random",
+				Rate:       rate,
 				VNets:      3,
 				VCsPerVNet: 3,
-			}, "uniform_random", rate, key, o, func(s *spin.Simulation) { u = s.Network().LinkUtilisation() })
+			}, key, o, false, func(s *spin.Simulation) { u = s.Network().LinkUtilisation() })
 			return u, err
 		}})
 	}

@@ -61,15 +61,16 @@ func Fig9(ctx context.Context, o Options) (*Fig9Result, error) {
 			su, rate := su, rate
 			key := pointKey(curveKey, rate)
 			jobs = append(jobs, runner.Job[Fig9Entry]{Key: key, Run: func(ctx context.Context, _ int64) (Fig9Entry, error) {
-				cfg := spin.Config{
+				res, err := runPoint(ctx, spin.Config{
 					Topology:   su.topo,
 					Routing:    su.routing,
 					Scheme:     "spin",
+					Traffic:    su.pattern,
+					Rate:       rate,
 					VNets:      3,
 					VCsPerVNet: su.vcs,
 					SPIN:       spinimpl.Config{CountTruth: true},
-				}
-				res, err := runPoint(ctx, cfg, su.pattern, rate, key, o, nil)
+				}, key, o, false, nil)
 				if err != nil {
 					return Fig9Entry{}, err
 				}

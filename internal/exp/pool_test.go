@@ -116,14 +116,14 @@ func (c *pollsThen) Err() error {
 // next point on that worker is a build that returns what a fresh one does.
 func TestPoolForgetsFailedJobs(t *testing.T) {
 	o := Options{Cycles: 2000, Small: true, Seed: 5, Workers: 1}.withDefaults()
-	cfg := spin.Config{Topology: o.meshSpec(), Routing: "min_adaptive", Scheme: "spin", VNets: 3, VCsPerVNet: 1}
+	cfg := spin.Config{Topology: o.meshSpec(), Routing: "min_adaptive", Scheme: "spin", Traffic: "uniform_random", Rate: 0.3, VNets: 3, VCsPerVNet: 1}
 	point := func(ctx context.Context, read func(*spin.Simulation)) (st sim.Stats, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("panicked: %v", r)
 			}
 		}()
-		res, err := runPoint(ctx, cfg, "uniform_random", 0.3, "forget@0.3", o, read)
+		res, err := runPoint(ctx, cfg, "forget@0.3", o, false, read)
 		if err != nil {
 			return st, err
 		}
@@ -131,7 +131,7 @@ func TestPoolForgetsFailedJobs(t *testing.T) {
 	}
 	ref := o
 	ref.sims = spin.NewPool(0)
-	want, err := runPoint(context.Background(), cfg, "uniform_random", 0.3, "forget@0.3", ref, nil)
+	want, err := runPoint(context.Background(), cfg, "forget@0.3", ref, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,14 @@ import (
 // and the encoding must not have moved.
 func TestPointResultSurvivesRewind(t *testing.T) {
 	o := Options{Cycles: 1500, Seed: 9, Check: true, Telemetry: true, Epoch: 100}.withDefaults()
-	cfg := spin.Config{Topology: "mesh:4x4", Routing: "min_adaptive", Scheme: "spin", VNets: 3, VCsPerVNet: 1, TDD: 16}
+	cfg := spin.Config{Topology: "mesh:4x4", Routing: "min_adaptive", Scheme: "spin", Traffic: "uniform_random", VNets: 3, VCsPerVNet: 1, TDD: 16}
 	// Everything a point's caller can hold, including what Result's own JSON
 	// tags leave out.
 	encode := func(r *harness.Result) []byte {
 		if r.Stats.Counter("probes_sent") == 0 || r.Latency == nil || len(r.TimeSeries.Samples) == 0 || len(r.Trace) == 0 {
 			t.Fatalf("point exercised too little to alias anything: %+v", r.Stats)
 		}
-		return harness.CanonicalJSON(struct {
+		return spin.CanonicalJSON(struct {
 			Result     *harness.Result
 			Stats      sim.Stats
 			Latency    *sim.LatencySummary
@@ -38,12 +38,14 @@ func TestPointResultSurvivesRewind(t *testing.T) {
 	}
 	var nets []*sim.Network
 	ran := func(s *spin.Simulation) { nets = append(nets, s.Network()) }
-	first, err := runPoint(context.Background(), cfg, "uniform_random", 0.45, "alias@0.45", o, ran)
+	cfg.Rate = 0.45
+	first, err := runPoint(context.Background(), cfg, "alias@0.45", o, false, ran)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := encode(first)
-	second, err := runPoint(context.Background(), cfg, "uniform_random", 0.6, "alias@0.6", o, ran)
+	cfg.Rate = 0.6
+	second, err := runPoint(context.Background(), cfg, "alias@0.6", o, false, ran)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	spin "repro"
 	"repro/internal/harness"
 )
 
@@ -117,7 +118,7 @@ func (r SweepRequest) Normalized() SweepRequest {
 
 // Canonical returns the request's canonical bytes: the JSON of its
 // normalized form, the content-address input for the result cache.
-func (r SweepRequest) Canonical() []byte { return harness.CanonicalJSON(r.Normalized()) }
+func (r SweepRequest) Canonical() []byte { return spin.CanonicalJSON(r.Normalized()) }
 
 // Options projects the request's semantic fields into run options; the
 // caller layers its execution knobs (Workers, Timeout, Progress) on the

@@ -206,12 +206,12 @@ func TestSweepCheckNeverAliases(t *testing.T) {
 func TestCheckedPointFailsItsJob(t *testing.T) {
 	hammer := traffic.AppProfile{Name: "hammer", Rate: 0.9, DataRatio: 0.5}
 	o := Options{Cycles: 3000, Warmup: -1, Small: true, Check: true}.withDefaults()
-	_, err := appEDP(context.Background(), hammer, "min_adaptive", "", 1, power.SchemeNone, 1, o)
+	_, err := appEDP(context.Background(), hammer, "min_adaptive", "", 1, power.SchemeNone, "fig8a/hammer", o)
 	if err == nil || !strings.Contains(err.Error(), "violation") {
 		t.Fatalf("deadlocking point under check returned %v, want a violation", err)
 	}
 	o.Check = false
-	if _, err := appEDP(context.Background(), hammer, "min_adaptive", "", 1, power.SchemeNone, 1, o); err != nil {
+	if _, err := appEDP(context.Background(), hammer, "min_adaptive", "", 1, power.SchemeNone, "fig8a/hammer", o); err != nil {
 		t.Fatalf("unchecked point failed: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	spin "repro"
 	"repro/internal/cdg"
-	"repro/internal/power"
 	"repro/internal/topology"
 )
 
@@ -145,12 +144,3 @@ func (t *Table3Result) String() string {
 
 // Table3 returns the preset registry as a table.
 func Table3() *Table3Result { return &Table3Result{Presets: spin.Presets()} }
-
-// AreaModelNote summarises the power-model design points used by Fig. 10
-// and the cost claims, for EXPERIMENTS.md.
-func AreaModelNote() string {
-	t := power.Default()
-	m1 := power.RouterArea(t, power.MeshRouter(1, power.SchemeNone)).Total()
-	m3 := power.RouterArea(t, power.MeshRouter(3, power.SchemeNone)).Total()
-	return fmt.Sprintf("mesh router area (rel. units): 1VC=%.0f, 3VC=%.0f", m1, m3)
-}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/harness"
+	spin "repro"
 	"repro/internal/runner"
 	"repro/internal/workload"
 )
@@ -64,8 +64,8 @@ func WorkloadSweep(ctx context.Context, o Options) (*WorkloadSweepResult, error)
 	for _, rate := range defaultRates(0.6) {
 		rate := rate
 		key := pointKey("workload/closed", rate)
-		jobs = append(jobs, runner.Job[WorkloadPoint]{Key: key, Run: func(ctx context.Context, seed int64) (WorkloadPoint, error) {
-			return workloadPoint(ctx, rate, seed, o)
+		jobs = append(jobs, runner.Job[WorkloadPoint]{Key: key, Run: func(ctx context.Context, _ int64) (WorkloadPoint, error) {
+			return workloadPoint(ctx, rate, key, o)
 		}})
 	}
 	pts, err := runner.Run(ctx, o.runnerOpts(), jobs)
@@ -76,11 +76,13 @@ func WorkloadSweep(ctx context.Context, o Options) (*WorkloadSweepResult, error)
 	return res, nil
 }
 
-// workloadPoint runs one offered-rate point. Requests and replies are
-// both single-flit, so offered and achieved are directly comparable.
-func workloadPoint(ctx context.Context, rate float64, seed int64, o Options) (WorkloadPoint, error) {
-	var pt WorkloadPoint
-	sc := harness.Scenario{
+// workloadPoint runs one offered-rate point, the point called key.
+// Requests and replies are both single-flit, so offered and achieved are
+// directly comparable.
+func workloadPoint(ctx context.Context, rate float64, key string, o Options) (WorkloadPoint, error) {
+	pt := WorkloadPoint{Offered: rate}
+	var completed, terminals int64
+	res, err := runPoint(ctx, spin.Config{
 		Topology:   o.meshSpec(),
 		Routing:    "min_adaptive",
 		Scheme:     "spin",
@@ -88,29 +90,17 @@ func workloadPoint(ctx context.Context, rate float64, seed int64, o Options) (Wo
 		Rate:       rate,
 		VNets:      2,
 		VCsPerVNet: 2,
-		Seed:       seed,
 		TDD:        128,
-		Cycles:     o.Cycles,
-		Warmup:     o.Warmup,
 		Workload:   &workload.Spec{Mode: "closed", Window: workloadWindow, ReqLen: 1, RespLen: 1},
-	}
-	s, err := sc.SimFrom(o.sims)
+	}, key, o, true, func(s *spin.Simulation) {
+		completed = s.Network().Config().Traffic.(*workload.ClosedLoop).Completed()
+		terminals = int64(s.Topology().NumTerminals())
+	})
 	if err != nil {
 		return pt, err
 	}
-	res, err := o.drive(ctx, sc, s.Network(), true)
-	if err != nil {
-		return pt, err
-	}
-	cl, ok := s.Network().Config().Traffic.(*workload.ClosedLoop)
-	if !ok {
-		return pt, fmt.Errorf("exp: workload point built %T, want *workload.ClosedLoop", s.Network().Config().Traffic)
-	}
-	terminals := s.Topology().NumTerminals()
-	pt.Offered = rate
-	pt.Achieved = float64(cl.Completed()) / float64(o.Cycles) / float64(terminals)
+	pt.Achieved = float64(completed) / float64(o.Cycles) / float64(terminals)
 	pt.AvgLat = res.Stats.AvgLatency()
 	pt.P50, pt.P99 = res.Latency.P50, res.Latency.P99
-	o.sims.Put(s)
 	return pt, nil
 }

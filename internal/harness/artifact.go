@@ -81,12 +81,13 @@ type CDGChannel struct {
 // nil when the topology fails to build or the routing table has no model
 // of the routing on it. It never fails an artifact write.
 func BuildCDGCut(sc Scenario) *CDGCut {
+	sc = sc.Normalized()
 	topo, err := spin.BuildTopology(sc.Topology, sc.Seed)
-	e := spin.LookupRouting(spin.RoutingOf(sc.Config()))
+	e := spin.LookupRouting(spin.RoutingOf(sc))
 	if err != nil || e == nil {
 		return nil
 	}
-	vcs := max(sc.VCsPerVNet, 1)
+	vcs := sc.VCsPerVNet
 	dep, err := e.Model(topo, vcs)
 	if err != nil {
 		return nil

@@ -56,7 +56,7 @@ func (d *DiffResult) Summary() string {
 // scenario must be DifferentialEligible (an escape-VC baseline exists
 // for its topology).
 func RunDifferential(sc Scenario) (*DiffResult, error) {
-	if !sc.DifferentialEligible() {
+	if !DifferentialEligible(sc) {
 		return nil, fmt.Errorf("harness: no escape-VC baseline for topology %q", sc.Topology)
 	}
 	// Primary run, recording the workload it generates. The recorder is
@@ -75,7 +75,7 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 	// Baseline run: same topology/seed, escape-VC routing, no scheme,
 	// with the recording as its exact workload instead of a generator —
 	// built by Sim like any other injections scenario.
-	bsc := sc.Baseline()
+	bsc := Baseline(sc)
 	bsc.Traffic, bsc.Rate, bsc.Workload, bsc.Injections = "", 0, nil, rec.Entries
 	bs, err := bsc.Sim()
 	if err != nil {

@@ -67,7 +67,7 @@ func pick(rng *rand.Rand, opts []string) string { return opts[rng.Intn(len(opts)
 // route sets the scenario's routing as the routing table says it may run:
 // without a scheme if it is deadlock-free alone, else under SPIN, and at
 // no fewer VCs than its floor.
-func (sc *Scenario) route(name string) {
+func route(sc *Scenario, name string) {
 	e := spin.LookupRouting(name)
 	sc.Routing, sc.Scheme = name, "spin"
 	if e.Schemeless {
@@ -97,7 +97,7 @@ func Generate(rng *rand.Rand) Scenario {
 		Cycles:     600 + rng.Int63n(600),
 	}
 
-	sc.route(pick(rng, tc.routings))
+	route(&sc, pick(rng, tc.routings))
 	// The big dragonfly is the slowest topology; cap its runtime share.
 	if tc.dragonfly {
 		sc.Cycles = 400
@@ -126,7 +126,7 @@ func FromBits(topoSel, routeSel, patSel, vcs, vnets uint8, ratePct uint16, seed 
 		TDD:        16,
 		Cycles:     100 + int64(cycles)%400,
 	}
-	sc.route(tc.routings[int(routeSel)%len(tc.routings)])
+	route(&sc, tc.routings[int(routeSel)%len(tc.routings)])
 	if tc.dragonfly {
 		sc.Cycles = 200
 		sc.VNets = 1
@@ -198,11 +198,10 @@ func WorkloadFromBits(sc Scenario, mode, wa, wb, wc uint8) Scenario {
 	return sc
 }
 
-// DifferentialEligible reports whether the scenario has an escape-VC
-// baseline to compare against: whether Baseline's routing builds on its
-// topology.
-func (sc Scenario) DifferentialEligible() bool {
-	b := sc.Baseline()
+// DifferentialEligible reports whether sc has an escape-VC baseline to
+// compare against: whether Baseline's routing builds on its topology.
+func DifferentialEligible(sc Scenario) bool {
+	b := Baseline(sc)
 	topo, err := spin.BuildTopology(b.Topology, b.Seed)
 	if err == nil {
 		_, err = spin.BuildRouting(b.Routing, topo, b.VCsPerVNet)
@@ -210,13 +209,12 @@ func (sc Scenario) DifferentialEligible() bool {
 	return err == nil
 }
 
-// Baseline derives the escape-VC reference configuration used by the
+// Baseline derives the escape-VC reference configuration of sc used by the
 // differential oracle: same topology, workload and seed, but Duato
 // escape-VC routing with no recovery scheme — deadlock-free by
 // construction, so its delivered packet set is ground truth.
-func (sc Scenario) Baseline() Scenario {
-	b := sc
-	b.TDD = 0
-	b.route("escape_vc")
-	return b
+func Baseline(sc Scenario) Scenario {
+	sc.TDD = 0
+	route(&sc, "escape_vc")
+	return sc
 }

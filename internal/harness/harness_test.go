@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	spin "repro"
 	"repro/internal/sim"
 )
 
@@ -43,19 +44,26 @@ func TestGenerateIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestScenarioJSONRoundTrip: a generated scenario and every Table III
+// preset — Go-API values — survive the wire unchanged.
 func TestScenarioJSONRoundTrip(t *testing.T) {
 	t.Parallel()
-	sc := Generate(rand.New(rand.NewSource(7)))
-	b, err := json.Marshal(sc)
-	if err != nil {
-		t.Fatal(err)
+	scs := []Scenario{Generate(rand.New(rand.NewSource(7)))}
+	for _, p := range spin.Presets() {
+		scs = append(scs, p.Config)
 	}
-	var back Scenario
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", sc) {
-		t.Fatalf("round trip changed the scenario: %+v -> %+v", sc, back)
+	for _, sc := range scs {
+		b, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Scenario
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, sc) {
+			t.Fatalf("round trip changed the scenario: %#v -> %#v", sc, back)
+		}
 	}
 }
 
@@ -72,7 +80,7 @@ func TestRandomScenarios(t *testing.T) {
 		sc := Generate(rand.New(rand.NewSource(seed)))
 		t.Run(fmt.Sprintf("%03d/%s", seed, sc), func(t *testing.T) {
 			t.Parallel()
-			if sc.DifferentialEligible() {
+			if DifferentialEligible(sc) {
 				d, err := RunDifferential(sc)
 				if err != nil {
 					t.Fatal(err)
@@ -296,7 +304,7 @@ func TestArtifactReplayReproduces(t *testing.T) {
 func TestBaselineDerivation(t *testing.T) {
 	t.Parallel()
 	sc := Scenario{Topology: "mesh:4x4", Routing: "min_adaptive", Scheme: "spin", VCsPerVNet: 1, Seed: 3, TDD: 16}
-	b := sc.Baseline()
+	b := Baseline(sc)
 	if b.Routing != "escape_vc" || b.Scheme != "" || b.VCsPerVNet != 2 || b.TDD != 0 {
 		t.Fatalf("bad baseline: %+v", b)
 	}

@@ -82,36 +82,6 @@ func (r *Result) Summary() string {
 	return s
 }
 
-// CheckOptions derives the invariant-checker configuration for the
-// scenario. The recovery bound is the harness's liveness contract: SPIN
-// must clear any oracle-visible deadlock within the time for detection
-// (tDD stretched by up to 8x backoff) plus a few probe/move round trips
-// around the longest possible loop; schemeless scenarios are generated
-// deadlock-free, so any persistent oracle deadlock at all is a bug and
-// the bound is a small constant.
-func (sc Scenario) CheckOptions(routers int) sim.CheckOptions {
-	var opt sim.CheckOptions
-	tdd := sc.TDD
-	if tdd == 0 {
-		tdd = 128 // the paper's default, applied when the scenario doesn't override
-	}
-	if sc.Scheme == "spin" {
-		// Detection: priority rotation visits every router within
-		// EpochFactor*tDD*routers/... — in practice a few backoff-
-		// stretched detection intervals; recovery: probe+move+spin
-		// traverse the loop (<= 2*routers hops) a handful of times, and
-		// contended recoveries restart after kill_moves. The constant
-		// is calibrated against the harness corpus (see
-		// TestSpinRecoveryBoundRegression) with ~3x headroom.
-		opt.RecoveryBound = 40*tdd + 30*int64(routers)
-	} else {
-		// No recovery scheme: the routing itself must be deadlock-free,
-		// so the oracle may never see a deadlock persist.
-		opt.RecoveryBound = 256
-	}
-	return opt
-}
-
 // Observe is what one caller wants watched during a run; each field
 // mirrors a knob the entry points already carry (request fields, sweep
 // options, CLI flags).
@@ -206,7 +176,7 @@ func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Resu
 	if o.Drain {
 		// The drain keeps counting; the snapshot must not follow it.
 		res.Stats.Counters = maps.Clone(res.Stats.Counters)
-		res.Drained = net.Drain(sc.drainBudget())
+		res.Drained = net.Drain(drainBudget(sc))
 	}
 	if checker != nil {
 		res.Violations = append(checker.Violations(), windowViolations(net, o.Drain && res.Drained)...)

@@ -56,7 +56,7 @@ func TestRoutingTable(t *testing.T) {
 // forces in place of the scenario's.
 func TestCDGCutModelsTheRunRouting(t *testing.T) {
 	for _, p := range spin.Presets() {
-		sc := FromConfig(p.Config, 100)
+		sc := p.Config
 		sc.Topology = map[string]string{"dragonfly1024": "dragonfly:2,4,2,9", "mesh:64x64": "mesh:4x4", "mesh:8x8": "mesh:4x4"}[sc.Topology]
 		s, err := sc.Sim()
 		if err != nil {

@@ -39,7 +39,8 @@ const (
 	MutNone Mutation = iota
 	// MutNoProbe disables the timeout/probe phase entirely: deadlocks are
 	// never detected, so any reachable true deadlock becomes a liveness
-	// counterexample. Maps to spin.Config.SPIN.DisableProbe for replay.
+	// counterexample. Replays as the scenario's "mutation": "no_probe",
+	// which spin.Simulation.Reset turns into the scheme's DisableProbe.
 	MutNoProbe
 	// MutSpinUnchecked skips the chain-closure check before a spin: a
 	// partially frozen chain rotates anyway, pushing a packet into an

@@ -19,10 +19,11 @@ type Options struct {
 	// happens at a level boundary so a capped census is still
 	// deterministic. 0 = unlimited.
 	MaxStates int
-	// MaxViolations caps the violations carried in the result (the census
-	// still counts all of them). 0 = 64.
-	MaxViolations int
 }
+
+// maxViolations caps the violations carried in a result (the census still
+// counts all of them).
+const maxViolations = 64
 
 // Census is the committed state-space summary — the golden data that
 // makes model regressions byte-visible.
@@ -142,11 +143,6 @@ type chunkOut struct {
 // are deterministic for fixed (instance, options); violation traces are
 // valid paths but follow first-writer parent pointers.
 func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
-	maxVio := opts.MaxViolations
-	if maxVio <= 0 {
-		maxVio = 64
-	}
-
 	st := newStore()
 	init := in.InitialState()
 	st.lookupOrInsert(in.Encode(init), -1, "", 0, in.stateFlags(init))
@@ -254,7 +250,7 @@ func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
 		return ra.enc < rb.enc
 	})
 	totalVios := len(vios) + len(dead)
-	for _, id := range dead[:min(len(dead), maxVio)] {
+	for _, id := range dead[:min(len(dead), maxViolations)] {
 		vios = append(vios, vioRec{kind: "liveness", state: id,
 			message: fmt.Sprintf("state cannot reach full delivery (depth %d, %d/%d delivered)", st.states[id].level, in.deliveredOf(st, id), len(in.Packets))})
 	}
@@ -288,7 +284,7 @@ func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
 		}
 		return vios[a].action < vios[b].action
 	})
-	for _, v := range vios[:min(len(vios), maxVio)] {
+	for _, v := range vios[:min(len(vios), maxViolations)] {
 		trace := st.traceOf(v.state)
 		if v.action != "" {
 			trace = append(trace, v.action)

@@ -97,7 +97,7 @@ func TestAliasAdmitsNothingTheFullPathRejects(t *testing.T) {
 		{"negative epoch", "/v1/simulate", strings.Replace(smallScenario, `"seed":1`, `"seed":1,"epoch":-1`, 1),
 			"bad request: epoch must be >= 0, got -1 (request t-1)\n"},
 		{"failing Validate", "/v1/simulate", strings.Replace(smallScenario, `"rate":0.05`, `"rate":-1`, 1),
-			"bad request: harness: rate must be > 0, got -1 (request t-1)\n"},
+			"bad request: spin: rate must be > 0, got -1 (request t-1)\n"},
 	} {
 		for attempt := 1; attempt <= 2; attempt++ {
 			rec := postAs(t, s.Handler(), c.path, c.body)

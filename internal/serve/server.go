@@ -78,9 +78,9 @@ type Config struct {
 	Fleet *fleet.Fleet
 }
 
-// SimRequest is the /v1/simulate body: a harness scenario plus serving-
+// SimRequest is the /v1/simulate body: a run description plus serving-
 // only knobs. The scenario's own fields (topology, routing, traffic,
-// rate, cycles, seed, ...) are documented on harness.Scenario.
+// rate, cycles, seed, ...) are documented on spin.Config.
 type SimRequest struct {
 	harness.Scenario
 	// Check attaches the runtime invariant checker and reports its
@@ -102,7 +102,7 @@ func (r SimRequest) normalized() SimRequest {
 }
 
 // canonical returns the canonical bytes of the request.
-func (r SimRequest) canonical() []byte { return harness.CanonicalJSON(r.normalized()) }
+func (r SimRequest) canonical() []byte { return spin.CanonicalJSON(r.normalized()) }
 
 // SimStats is the measured outcome of one simulation.
 type SimStats struct {
@@ -847,11 +847,11 @@ func (s *Server) runSim(ctx context.Context, req SimRequest, key string, streamW
 	}
 	start := time.Now()
 	sc := req.Scenario
-	// SimFrom attaches whatever traffic source the scenario carries —
-	// synthetic, shaped workload, explicit injections, or a streamed
-	// binary trace — to a simulation of the server's pool, which gets it
+	// The pool's simulation comes back Reset to the scenario, with
+	// whatever traffic source it carries — synthetic, shaped workload,
+	// explicit injections, or a streamed binary trace; the pool gets it
 	// back only from a run that completed.
-	simulation, err := sc.SimFrom(s.sims)
+	simulation, err := s.sims.Get(sc)
 	if err != nil {
 		// The specs parsed as JSON but name unknown topologies/routings:
 		// the client's fault, not the server's.

@@ -516,15 +516,16 @@ func TestSimPoolBoundAndMetric(t *testing.T) {
 	}
 
 	// A request that fails after taking a simulation (its trace names a
-	// terminal the 4x4 mesh does not have) hands nothing back: the shape it
-	// took (1 VC, returned last) is a build again.
+	// terminal the 4x4 mesh does not have, so its Reset fails: neither a
+	// build nor a rewind) hands nothing back: the shape it took (1 VC,
+	// returned last) is a build again.
 	bad := `{"topology":"mesh:4x4","routing":"min_adaptive","scheme":"spin","cycles":500,"seed":3,"injections":[{"cycle":1,"src":99,"dst":1,"length":1}]}`
 	_, took := s.sims.Setups()
 	if rec := post(t, s.Handler(), "/v1/simulate", bad); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad trace: status %d: %s", rec.Code, rec.Body)
 	}
-	if _, r := s.sims.Setups(); r != took+1 {
-		t.Fatalf("the failing request did not take the idle simulation of its shape: %d rewinds, want %d", r, took+1)
+	if _, r := s.sims.Setups(); r != took {
+		t.Fatalf("the failing request counts as a rewind: %d rewinds, want %d", r, took)
 	}
 	before, _ := setups() // the metric counts executed simulations: this one never ran
 	miss(body(1, 4))

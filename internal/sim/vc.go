@@ -160,14 +160,6 @@ func (v *VC) activeTimeSnap(now int64) int64 {
 // queues, stable across phase 2.
 func (v *VC) SnapLen() int { return v.snapLen }
 
-// Front returns the flit at the head of the FIFO.
-func (v *VC) Front() (Flit, bool) {
-	if len(v.buf) == 0 {
-		return Flit{}, false
-	}
-	return v.buf[0], true
-}
-
 // FrontPacket returns the resident packet (the packet of the front flit).
 func (v *VC) FrontPacket() *Packet {
 	if len(v.buf) == 0 {

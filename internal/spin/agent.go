@@ -130,12 +130,6 @@ func (a *Agent) State() string {
 	return a.role.String()
 }
 
-// IsDeadlock reports the is_deadlock bit.
-func (a *Agent) IsDeadlock() bool { return a.isDeadlock }
-
-// FrozenCount reports how many local VCs are currently frozen.
-func (a *Agent) FrozenCount() int { return len(a.frozen) }
-
 func (a *Agent) count(name string, d int64) { a.r.Stats().Count(name, d) }
 
 // nextTag returns a globally unique SM tag from the agent's own stream.

@@ -142,9 +142,3 @@ func (d *Dragonfly) GlobalPortBase() int { return d.globalPortBase }
 
 // IsGlobalPort reports whether port p of a router drives a global link.
 func (d *Dragonfly) IsGlobalPort(p int) bool { return p >= d.globalPortBase }
-
-// RandomRouterInGroup maps a value v (any non-negative int) to a router id
-// within group grp, for intermediate-node selection.
-func (d *Dragonfly) RandomRouterInGroup(grp, v int) int {
-	return grp*d.A + v%d.A
-}

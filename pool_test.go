@@ -75,7 +75,7 @@ func TestPoolConcurrent(t *testing.T) {
 		s.Run(400)
 		return *s.Stats()
 	}
-	want := map[spin.Config]sim.Stats{}
+	want := map[string]sim.Stats{}
 	for _, cfg := range cfgs {
 		for seed := int64(1); seed <= 4; seed++ {
 			cfg.Seed = seed
@@ -83,7 +83,7 @@ func TestPoolConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[cfg] = run(s)
+			want[cfg.Key()] = run(s)
 		}
 	}
 	p := spin.NewPool(4)
@@ -100,8 +100,8 @@ func TestPoolConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := run(s); got.Ejected == 0 || !reflect.DeepEqual(got, want[cfg]) {
-					t.Errorf("%+v through the pool (rewound = %v) differs from a fresh build's:\npooled %+v\nfresh  %+v", cfg, s.Rewound(), got, want[cfg])
+				if got := run(s); got.Ejected == 0 || !reflect.DeepEqual(got, want[cfg.Key()]) {
+					t.Errorf("%+v through the pool (rewound = %v) differs from a fresh build's:\npooled %+v\nfresh  %+v", cfg, s.Rewound(), got, want[cfg.Key()])
 				}
 				p.Put(s)
 			}
@@ -110,5 +110,24 @@ func TestPoolConcurrent(t *testing.T) {
 	wg.Wait()
 	if builds, rewinds := p.Setups(); builds+rewinds != 96 || rewinds == 0 {
 		t.Fatalf("%d builds, %d rewinds of 96 runs", builds, rewinds)
+	}
+}
+
+// TestPoolShapesNormalized: a pool compares shapes on normalized configs, so
+// a shorthand config rewinds the network its spelled-out twin was built for,
+// and the other way round.
+func TestPoolShapesNormalized(t *testing.T) {
+	short := spin.Config{Topology: "mesh:4x4", Scheme: "spin", Traffic: "uniform_random", Rate: 0.2}
+	p := spin.NewPool(1)
+	for _, pair := range [][2]spin.Config{{short.Normalized(), short}, {short, short.Normalized()}} {
+		s, err := p.Get(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Put(s)
+		back, err := p.Get(pair[1])
+		if err != nil || back != s || !back.Rewound() {
+			t.Fatalf("%+v after %+v: %v, same simulation = %v, rewound = %v", pair[1], pair[0], err, back == s, back.Rewound())
+		}
 	}
 }

@@ -18,32 +18,33 @@ import (
 // attach/drain/err-check copies drifted before.
 //
 // The same goes for the workload: outside internal/traffic the replay
-// engine is built only by Scenario.Sim, and a network's generator
-// is swapped only there, by the two recorders (the differential oracle's
-// primary run, spinsim -record) and by Fig. 8's PARSEC generator.
+// engine is built only where a Config becomes a traffic source (config.go,
+// for Reset), and a network's generator is swapped only by Reset, the two
+// recorders (the differential oracle's primary run, spinsim -record) and
+// Fig. 8's PARSEC generator.
 func TestOneRunDriver(t *testing.T) {
 	driver := filepath.Join("internal", "harness", "run.go")
-	scenario := filepath.Join("internal", "harness", "scenario.go")
+	config := "config.go"
 	spinsim := filepath.Join("cmd", "spinsim", "main.go")
 	want := map[string][]string{
 		".AttachChecker(": {driver}, ".AttachTelemetry(": {driver}, ".AttachFlightRecorder(": {driver},
 		".AddObserver(": {driver}, ".Drain(": {driver},
 		"NewEventRing(":    {spinsim, driver},
 		"s.pool.Submit(":   {filepath.Join("internal", "serve", "server.go")},
-		"NewStreamReplay(": {scenario},
+		"NewStreamReplay(": {config, config},
 		".SetTraffic(": {spinsim, filepath.Join("internal", "exp", "fig8.go"),
-			filepath.Join("internal", "harness", "diff.go"), scenario, scenario},
+			filepath.Join("internal", "harness", "diff.go")},
 	}
 	got := map[string][]string{}
-	for _, root := range []string{"cmd", "internal"} {
+	for _, root := range []string{".", "cmd", "internal"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
-			if d.IsDir() && (path == filepath.Join("internal", "sim") || path == filepath.Join("internal", "traffic")) {
+			if d.IsDir() && (path == filepath.Join("internal", "sim") || path == filepath.Join("internal", "traffic") || root == "." && path != ".") {
 				return filepath.SkipDir
 			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || path == "spin.go" {
 				return nil
 			}
 			src, err := os.ReadFile(path)

@@ -3,14 +3,15 @@
 # (neither blank nor a // comment line). Simplicity PRs report both in
 # CHANGES.md.
 #
-#   scripts/loc.sh                      every package under cmd/ and internal/
+#   scripts/loc.sh                      the root package (.) and every package
+#                                       under cmd/ and internal/
 #   scripts/loc.sh internal/sim cmd/spinsim ...   just these (plus their total)
 #
 # Run it from the repo root (or any checkout of it: paths are relative).
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
-  set -- $(find cmd internal -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u)
+  set -- . $(find cmd internal -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u)
 fi
 
 printf '%-28s %7s %7s\n' package raw code

@@ -36,44 +36,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/sim"
-	spinimpl "repro/internal/spin"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
-
-// Config declares a simulation.
-type Config struct {
-	// Topology is a spec of one of the Topologies families, in the form
-	// its Usage spells ("mesh:8x8", "dragonfly:2,4,2,9", "dragonfly1024").
-	Topology string
-	// Routing names one of the Routings that runs ("" is min_adaptive), at
-	// no fewer VCs per vnet than its MinVCs. A scheme that forces a routing
-	// overrides it (RoutingOf).
-	Routing string
-	// Scheme names one of the Schemes ("" is none).
-	Scheme string
-	// Traffic: a synthetic pattern name ("uniform_random",
-	// "bit_complement", "transpose", "tornado", "neighbor", "bit_reverse",
-	// "bit_rotation", "shuffle") or "" for manual injection.
-	Traffic string
-	// Rate is offered load in flits/terminal/cycle.
-	Rate float64
-	// DataFrac is the long-packet fraction (default 0.5 of packets are
-	// 5-flit data, the rest 1-flit control, as in the paper).
-	DataFrac float64
-
-	VNets      int   // default 1
-	VCsPerVNet int   // default 1
-	VCDepth    int   // default 5
-	Seed       int64 // deterministic seed
-	Warmup     int64 // cycles before measurement starts
-
-	// TDD overrides SPIN's (and Static Bubble's) detection threshold
-	// (default 128, the paper's value).
-	TDD int64
-	// SPIN fine-tuning (zero values = paper defaults).
-	SPIN spinimpl.Config
-}
 
 // Simulation is a runnable network instance. It belongs to one goroutine.
 type Simulation struct {
@@ -101,54 +65,47 @@ func New(cfg Config) (*Simulation, error) {
 // topology are (its lazily built tables are a function of those, and a
 // scheme's forced routing is kept like a named one), and the network is
 // rewound in place (sim.Network.Reset) while its shape is; scheme and traffic
-// generator are always built afresh. Stats, events and results already taken
+// source are always built afresh. Stats, events and results already taken
 // from s stay valid; anything attached to Network() is dropped. A failed
 // Reset leaves s unusable until a Reset succeeds.
-func (s *Simulation) Reset(cfg Config) (err error) {
+func (s *Simulation) Reset(cfg Config) error { return s.reset(cfg.Normalized()) }
+
+// reset is Reset of a normalized config.
+func (s *Simulation) reset(cfg Config) (err error) {
 	was := *s
 	*s = Simulation{}
 	topo, alg, net := was.topo, was.alg, was.net
-	vcs := cfg.VCsPerVNet
-	if vcs == 0 {
-		vcs = 1
-	}
 	if topo == nil || cfg.Topology != was.cfg.Topology || seeded(cfg.Topology) && cfg.Seed != was.cfg.Seed {
 		if topo, err = BuildTopology(cfg.Topology, cfg.Seed); err != nil {
 			return err
 		}
 		alg, net = nil, nil
 	}
-	sch, t := LookupScheme(cfg.Scheme), targetOf(topo, vcs)
+	sch, t := LookupScheme(cfg.Scheme), targetOf(topo, cfg.VCsPerVNet)
 	switch {
 	case sch == nil:
 		return fmt.Errorf("spin: unknown scheme %q", cfg.Scheme)
 	case !t.fits(sch.Needs):
 		return fmt.Errorf("spin: %s needs %s", sch.Name, sch.Needs)
 	}
+	if cfg.Mutation == "no_probe" {
+		cfg.SPIN.DisableProbe = true
+	}
 	var scheme sim.Scheme
 	if sch.build != nil {
 		scheme = sch.build(cfg, t)
 	}
 	if alg == nil || RoutingOf(cfg) != RoutingOf(was.cfg) || cfg.VCsPerVNet != was.cfg.VCsPerVNet {
-		if alg, err = BuildRouting(RoutingOf(cfg), topo, vcs); err != nil {
+		if alg, err = BuildRouting(RoutingOf(cfg), topo, cfg.VCsPerVNet); err != nil {
 			return err
 		}
-	}
-	var gen sim.TrafficGen
-	if cfg.Traffic != "" {
-		pat, err := traffic.ByName(cfg.Traffic, topo)
-		if err != nil {
-			return err
-		}
-		gen = &traffic.Synthetic{Pattern: pat, Rate: cfg.Rate, DataFrac: cfg.DataFrac, VNets: max(1, cfg.VNets)}
 	}
 	simCfg := sim.Config{
 		Topology:   topo,
 		Routing:    alg,
 		Scheme:     scheme,
-		Traffic:    gen,
 		VNets:      cfg.VNets,
-		VCsPerVNet: vcs,
+		VCsPerVNet: cfg.VCsPerVNet,
 		VCDepth:    cfg.VCDepth,
 		Seed:       cfg.Seed,
 		StatsStart: cfg.Warmup,
@@ -159,6 +116,11 @@ func (s *Simulation) Reset(cfg Config) (err error) {
 			return err
 		}
 	}
+	gen, err := cfg.source(net.Config())
+	if err != nil {
+		return err
+	}
+	net.SetTraffic(gen)
 	*s = Simulation{cfg: cfg, net: net, topo: topo, alg: alg, rewound: net == was.net}
 	return nil
 }
@@ -182,9 +144,9 @@ type Pool struct {
 // the least recently returned first.
 func NewPool(bound int) *Pool { return &Pool{bound: bound} }
 
-// sameShape reports whether a network built for a can be rewound to b:
-// topology spec (and seed, where it picks the graph), VNets, VCsPerVNet,
-// VCDepth, as spelled.
+// sameShape reports whether a network built for a can be rewound to b, both
+// normalized: topology spec (and seed, where it picks the graph), VNets,
+// VCsPerVNet, VCDepth.
 func sameShape(a, b Config) bool {
 	return a.Topology == b.Topology && a.VNets == b.VNets && a.VCsPerVNet == b.VCsPerVNet && a.VCDepth == b.VCDepth &&
 		(a.Seed == b.Seed || !seeded(a.Topology))
@@ -194,6 +156,7 @@ func sameShape(a, b Config) bool {
 // pool holds one (the most recently returned), otherwise a new one. The
 // caller owns it until Put.
 func (p *Pool) Get(cfg Config) (*Simulation, error) {
+	cfg = cfg.Normalized()
 	var s *Simulation
 	if p != nil {
 		p.mu.Lock()
@@ -209,7 +172,7 @@ func (p *Pool) Get(cfg Config) (*Simulation, error) {
 	if s == nil {
 		s = new(Simulation)
 	}
-	if err := s.Reset(cfg); err != nil {
+	if err := s.reset(cfg); err != nil {
 		return nil, err
 	}
 	if p != nil && s.rewound {
