@@ -22,7 +22,7 @@ import (
 // run on the parallel runner at the default worker count (GOMAXPROCS);
 // BenchmarkFig7Workers isolates the scaling behaviour.
 func benchOpts() exp.Options {
-	return exp.Options{Cycles: 4000, Warmup: 400, Small: true, Seed: 9}
+	return exp.Options{Cycles: 4000, Warmup: 400, Seed: 9}
 }
 
 // BenchmarkFig7Workers measures the sweep engine's scaling: the same

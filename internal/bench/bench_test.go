@@ -280,18 +280,10 @@ func TestStepAllocBudgetWorkloads(t *testing.T) {
 		var gen sim.TrafficGen
 		switch kind {
 		case "closedloop":
-			cl, err := workload.NewClosedLoop(workload.ClosedLoopConfig{
-				Pattern: traffic.Uniform(64),
-				Window:  4,
-				Rate:    0.2,
-				Think:   8,
-				VNets:   2,
-				Seed:    17,
-			})
+			gen, err = workload.Build(workload.Spec{Mode: "closed", Window: 4, Think: 8}, traffic.Uniform(64), 0.2, 0, 2, 64, 5, 17)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gen = cl
 		case "burst":
 			gen = &workload.Burst{
 				Inner:   &traffic.Synthetic{Pattern: traffic.Uniform(64), Rate: 0.2, VNets: 2},

@@ -21,7 +21,7 @@ import (
 // sweepPass regenerates the figure once and reports its points and, from the
 // closing progress line, the networks it built.
 func sweepPass(tb testing.TB) (points, builds int) {
-	o := exp.Options{Cycles: 100, Seed: 17, Workers: 2, Progress: func(e runner.Event) {
+	o := exp.Options{Cycles: 100, Full: true, Seed: 17, Workers: 2, Progress: func(e runner.Event) {
 		if e.Note != "" {
 			if _, err := fmt.Sscanf(e.Note, "%d points, %d networks built", &points, &builds); err != nil {
 				tb.Fatalf("closing line %q: %v", e.Note, err)

@@ -26,7 +26,7 @@ func TestFig7DeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	o := Options{Cycles: 1200, Small: true, Seed: 7}
+	o := Options{Cycles: 1200, Seed: 7}
 	o.Workers = 1
 	base, err := Fig7(context.Background(), o)
 	if err != nil {
@@ -51,7 +51,7 @@ func TestFig3DeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	o := Options{Cycles: 1500, Small: true, Seed: 11, Workers: 1}
+	o := Options{Cycles: 1500, Seed: 11, Workers: 1}
 	base, err := Fig3(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestSweepCancellation(t *testing.T) {
 	}()
 	// Big enough that a full serial run would take far longer than the
 	// cancellation deadline below.
-	o := Options{Cycles: 500000, Small: true, Seed: 7, Workers: 2}
+	o := Options{Cycles: 500000, Seed: 7, Workers: 2}
 	start := time.Now()
 	_, err := Fig7(ctx, o)
 	if !errors.Is(err, context.Canceled) {
@@ -101,7 +101,7 @@ func TestSweepTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	o := Options{Cycles: 500000, Small: true, Seed: 7, Workers: 2, Timeout: 30 * time.Millisecond}
+	o := Options{Cycles: 500000, Seed: 7, Workers: 2, Timeout: 30 * time.Millisecond}
 	_, err := Fig8b(context.Background(), o)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)

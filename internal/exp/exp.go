@@ -11,8 +11,9 @@
 //
 // Absolute cycle counts default to a fraction of the paper's 100K-cycle
 // runs so a full reproduction finishes in minutes; Options.Cycles restores
-// the paper's scale. Options.Small swaps the 1024-node dragonfly and 8x8
-// mesh for scaled-down instances (useful in CI and benchmarks).
+// the paper's scale. Topologies are scaled down (4x4 mesh, 256-terminal
+// dragonfly) unless Options.Full asks for the paper's 8x8 mesh and
+// 1024-node dragonfly.
 package exp
 
 import (
@@ -29,42 +30,50 @@ import (
 	"repro/internal/sim"
 )
 
-// Options control experiment scale and execution.
+// Options is the one description of a figure sweep: the JSON fields are
+// the request a client POSTs to /v1/sweep and the shape behind spinsweep's
+// flags; the execution knobs after them never change results, so they are
+// never encoded and never change the content address. Defaults are decided
+// once, in Normalized.
 type Options struct {
-	// Cycles per simulation point (default 20000).
-	Cycles int64
-	// Warmup cycles before measurement. The rule: zero means "derive" —
-	// after Cycles is resolved (whether it was explicit or defaulted),
-	// Warmup becomes Cycles/10. A negative value requests a true
-	// zero-warmup run; there is no way to express that with 0 because
-	// the zero value must keep meaning "use the default".
-	Warmup int64
-	// Small shrinks topologies: mesh 4x4 and a 256-terminal dragonfly.
-	Small bool
+	// Fig names the sweep: one of SweepIDs(). Sweep takes the figure as an
+	// argument, so a Go caller of Sweep or a Fig* function may leave it
+	// empty; Validate and the canonical encoding need it.
+	Fig string `json:"fig"`
+	// Cycles per simulation point (0 = default 20000).
+	Cycles int64 `json:"cycles,omitempty"`
+	// Warmup cycles before measurement: zero means a tenth of the resolved
+	// Cycles, any negative value means none (normalized to -1, since zero
+	// must keep meaning "use the default").
+	Warmup int64 `json:"warmup,omitempty"`
+	// Full selects the paper-scale topologies (8x8 mesh, 1024-node
+	// dragonfly); the zero value runs the scaled-down instances (4x4 mesh,
+	// a 256-terminal dragonfly).
+	Full bool `json:"full,omitempty"`
 	// Seed is the base seed. Each simulation point runs on
 	// runner.SeedFor(Seed, pointKey), so two points of one sweep never
 	// share a random stream.
-	Seed int64
+	Seed int64 `json:"seed"`
+	// Check attaches the runtime invariant checker (internal/sim) to
+	// every point that steps a network; any violation fails that point's
+	// job. Fig. 3 deadlocks on purpose and is exempt; Fig. 10 and the cost
+	// table are analytic.
+	Check bool `json:"check,omitempty"`
+	// Telemetry adds a latency-percentile summary and an epoch-windowed
+	// time-series to every point of the result. Off by default (and
+	// omitted from the JSON encoding when off).
+	Telemetry bool `json:"telemetry,omitempty"`
+	// Epoch is the time-series window in cycles (0 = default 100; only
+	// meaningful with Telemetry).
+	Epoch int64 `json:"epoch,omitempty"`
+
 	// Workers bounds concurrently running simulation points (0 =
 	// GOMAXPROCS). Worker count never changes results.
-	Workers int
+	Workers int `json:"-"`
 	// Timeout bounds each simulation job (0 = unlimited).
-	Timeout time.Duration
+	Timeout time.Duration `json:"-"`
 	// Progress, when non-nil, observes each completed simulation job.
-	Progress runner.ProgressFunc
-	// Check attaches the runtime invariant checker (internal/sim) to
-	// every sweep point; any violation fails that point's job. Fig. 3 is
-	// exempt: its whole purpose is to drive schemeless networks into
-	// deadlock, which the checker would rightly flag.
-	Check bool
-	// Telemetry attaches the observability layer to every sweep point:
-	// each Point gains a latency-percentile summary and an epoch-windowed
-	// time-series. Off by default (and omitted from the JSON encoding when
-	// off), so existing encodings are byte-identical.
-	Telemetry bool
-	// Epoch is the time-series window in cycles (default 100 when
-	// Telemetry is on).
-	Epoch int64
+	Progress runner.ProgressFunc `json:"-"`
 
 	// sims is where every point of one sweep gets its Simulation, so that a
 	// figure builds shapes x workers networks, not one per job or point.
@@ -76,17 +85,9 @@ type Options struct {
 // and dragonfly at 1 and 3 VCs); the pool keeps one of each per worker.
 const simShapes = 4
 
+// withDefaults normalizes o and gives it the sweep's pool.
 func (o Options) withDefaults() Options {
-	if o.Cycles == 0 {
-		o.Cycles = 20000
-	}
-	switch {
-	case o.Warmup < 0:
-		o.Warmup = 0
-	case o.Warmup == 0:
-		o.Warmup = o.Cycles / 10
-	}
-	o.Epoch = harness.TelemetryEpoch(o.Telemetry, o.Epoch)
+	o = o.Normalized()
 	if o.sims == nil {
 		workers := o.Workers
 		if workers <= 0 {
@@ -113,20 +114,20 @@ func (o Options) runnerOpts() runner.Options {
 	return runner.Options{Workers: o.Workers, Seed: o.Seed, Timeout: o.Timeout, Progress: progress}
 }
 
-// meshSpec and dflySpec resolve topology specs under the Small knob.
+// meshSpec and dflySpec resolve topology specs under the Full knob.
 func (o Options) meshSpec() string {
-	if o.Small {
-		return "mesh:4x4"
+	if o.Full {
+		return "mesh:8x8"
 	}
-	return "mesh:8x8"
+	return "mesh:4x4"
 }
 
 func (o Options) dflySpec() string {
-	if o.Small {
-		// 256 terminals (power of two for the bit permutations), 64 routers.
-		return "dragonfly:4,4,4,16"
+	if o.Full {
+		return "dragonfly1024"
 	}
-	return "dragonfly1024"
+	// 256 terminals (power of two for the bit permutations), 64 routers.
+	return "dragonfly:4,4,4,16"
 }
 
 // Point is one (x, y) sample. When the sweep ran with Options.Telemetry
@@ -205,10 +206,11 @@ func pointKey(curve string, rate float64) string {
 }
 
 // point completes cfg into the run of the sweep point called key: its seed
-// derives from o.Seed and key, its length and warmup are the sweep's.
+// derives from o.Seed and key, its length and warmup are the sweep's (a
+// normalized "no warmup", -1, is a run's 0).
 func (o Options) point(cfg spin.Config, key string) spin.Config {
 	cfg.Seed = runner.SeedFor(o.Seed, key)
-	cfg.Cycles, cfg.Warmup = o.Cycles, o.Warmup
+	cfg.Cycles, cfg.Warmup = o.Cycles, max(o.Warmup, 0)
 	return cfg
 }
 

@@ -2,20 +2,24 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	spin "repro"
 )
 
 // small returns fast options for CI-scale experiment smoke runs.
 func small() Options {
-	return Options{Cycles: 3000, Warmup: 300, Small: true, Seed: 7}
+	return Options{Cycles: 3000, Warmup: 300, Seed: 7}
 }
 
 func TestFig3SmokeAndShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := Fig3(context.Background(), Options{Cycles: 4000, Small: true, Seed: 7})
+	res, err := Fig3(context.Background(), Options{Cycles: 4000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,27 +277,39 @@ func TestFigureRendering(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults is the table over Normalized, the one place a
+// sweep's defaults are decided, and over what the sweep then runs.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Cycles != 20000 || o.Warmup != 2000 {
-		t.Fatalf("defaults wrong: %+v", o)
+	for _, tc := range []struct {
+		name     string
+		in, want Options
+	}{
+		{"zero value", Options{}, Options{Cycles: 20000, Warmup: 2000}},
+		// Zero warmup derives Cycles/10 from the *resolved* cycle count —
+		// also when Cycles was set explicitly.
+		{"explicit cycles", Options{Cycles: 50000}, Options{Cycles: 50000, Warmup: 5000}},
+		// A negative Warmup is the explicit way to ask for no warmup at
+		// all; every spelling of it is one request.
+		{"no warmup", Options{Cycles: 50000, Warmup: -7}, Options{Cycles: 50000, Warmup: -1}},
+		{"telemetry epoch", Options{Telemetry: true}, Options{Cycles: 20000, Warmup: 2000, Telemetry: true, Epoch: 100}},
+		{"epoch without telemetry", Options{Epoch: 500}, Options{Cycles: 20000, Warmup: 2000}},
+		{"no checker runs for fig 3", Options{Fig: "3", Check: true}, Options{Fig: "3", Cycles: 20000, Warmup: 2000}},
+		{"execution knobs carried", Options{Workers: 3, Timeout: time.Second},
+			Options{Cycles: 20000, Warmup: 2000, Workers: 3, Timeout: time.Second}},
+	} {
+		if got := tc.in.Normalized(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Normalized() = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
-	// The warmup rule: zero derives Cycles/10 from the *resolved* cycle
-	// count — also when Cycles was set explicitly.
-	explicit := Options{Cycles: 50000}.withDefaults()
-	if explicit.Warmup != 5000 {
-		t.Fatalf("explicit Cycles with zero Warmup should derive Cycles/10, got %d", explicit.Warmup)
+	// A point of a sweep that asked for no warmup runs none.
+	if w := (Options{Warmup: -1}).withDefaults().point(spin.Config{}, "k@0.1").Warmup; w != 0 {
+		t.Errorf("no-warmup sweep runs its points with warmup %d", w)
 	}
-	// A negative Warmup is the explicit way to ask for no warmup at all.
-	none := Options{Cycles: 50000, Warmup: -1}.withDefaults()
-	if none.Warmup != 0 {
-		t.Fatalf("negative Warmup should resolve to 0, got %d", none.Warmup)
+	// The zero value means the scaled topologies; Full the paper's.
+	if o := (Options{}); o.meshSpec() != "mesh:4x4" || o.dflySpec() != "dragonfly:4,4,4,16" {
+		t.Error("scaled specs wrong")
 	}
-	if o.meshSpec() != "mesh:8x8" || o.dflySpec() != "dragonfly1024" {
-		t.Fatal("full-size specs wrong")
-	}
-	small := Options{Small: true}.withDefaults()
-	if small.meshSpec() != "mesh:4x4" || small.dflySpec() != "dragonfly:4,4,4,16" {
-		t.Fatal("small specs wrong")
+	if o := (Options{Full: true}); o.meshSpec() != "mesh:8x8" || o.dflySpec() != "dragonfly1024" {
+		t.Error("full-size specs wrong")
 	}
 }

@@ -135,7 +135,7 @@ func deflectionPoint(ctx context.Context, rate float64, key string, seed int64, 
 	}
 	// Bufferless run.
 	dn := deflection.New(mesh, seed)
-	dn.StatsStart = o.Warmup
+	dn.StatsStart = max(o.Warmup, 0)
 	rng := rand.New(rand.NewSource(seed))
 	stepAll := func(n int64) {
 		for i := int64(0); i < n; i++ {

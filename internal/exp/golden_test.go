@@ -44,7 +44,7 @@ func TestHotPathGolden(t *testing.T) {
 			t.Run(fmt.Sprintf("fig%s_workers%d", tc.fig, workers), func(t *testing.T) {
 				// Mirror spinsweep's flag path exactly: -seed 42 -cycles
 				// 2000 with default warmup and small topologies.
-				o := Options{Cycles: 2000, Small: true, Seed: 42, Workers: workers}
+				o := Options{Cycles: 2000, Seed: 42, Workers: workers}
 				v, err := Sweep(context.Background(), tc.fig, o)
 				if err != nil {
 					t.Fatal(err)

@@ -43,7 +43,7 @@ func fig7Curves(t *testing.T, o Options) (cfgs []spin.Config, patterns, keys []s
 // before, differs every time — and every Series must equal the one computed
 // on simulations built for each point (a pool that keeps nothing).
 func TestPoolFig7Curves(t *testing.T) {
-	o := Options{Cycles: 400, Small: true, Seed: 3, Check: true}.withDefaults()
+	o := Options{Cycles: 400, Seed: 3, Check: true}.withDefaults()
 	cfgs, patterns, keys := fig7Curves(t, o)
 	curve := func(o Options, i int) Series {
 		s, err := latencyCurve(context.Background(), cfgs[i], patterns[i], defaultRates(0.6), 300, keys[i], o)
@@ -115,7 +115,7 @@ func (c *pollsThen) Err() error {
 // Simulation they took from it is gone, not handed back half-run — and the
 // next point on that worker is a build that returns what a fresh one does.
 func TestPoolForgetsFailedJobs(t *testing.T) {
-	o := Options{Cycles: 2000, Small: true, Seed: 5, Workers: 1}.withDefaults()
+	o := Options{Cycles: 2000, Seed: 5, Workers: 1}.withDefaults()
 	cfg := spin.Config{Topology: o.meshSpec(), Routing: "min_adaptive", Scheme: "spin", Traffic: "uniform_random", Rate: 0.3, VNets: 3, VCsPerVNet: 1}
 	point := func(ctx context.Context, read func(*spin.Simulation)) (st sim.Stats, err error) {
 		defer func() {
@@ -174,7 +174,7 @@ func TestPoolForgetsFailedJobs(t *testing.T) {
 // points cost to set up, and no event before it does.
 func TestPoolClosingLine(t *testing.T) {
 	var notes []string
-	o := Options{Cycles: 100, Small: true, Seed: 1, Workers: 2, Timeout: time.Minute, Progress: func(e runner.Event) {
+	o := Options{Cycles: 100, Seed: 1, Workers: 2, Timeout: time.Minute, Progress: func(e runner.Event) {
 		if e.Note != "" || e.Done == e.Total {
 			notes = append(notes, e.Note)
 		}

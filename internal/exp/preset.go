@@ -17,6 +17,9 @@ import (
 // the figure sweeps, and per-point seeds derive from the same
 // "preset/<name>/<pattern>@<rate>" key scheme.
 func PresetSweep(ctx context.Context, name, pattern string, maxRate float64, o Options) (*Figure, error) {
+	if err := o.validKnobs(); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
 	p, err := spin.PresetByName(name)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,7 +15,7 @@ import (
 
 // This file is the canonical sweep surface shared by cmd/spinsweep and
 // the serving subsystem (internal/serve): a figure sweep is named by a
-// serializable SweepRequest, dispatched through Sweep, and encoded with
+// serializable Options, dispatched through Sweep, and encoded with
 // EncodeJSON. Because both entry points call exactly these functions,
 // the CLI's -json output and the daemon's /v1/sweep responses are
 // byte-identical by construction (TestSweepJSONSchemaGolden pins the
@@ -40,98 +41,81 @@ func (f Figures) String() string {
 	return b.String()
 }
 
-// SweepRequest is the serializable description of one figure sweep — the
-// unit a client POSTs to /v1/sweep and the shape behind spinsweep's
-// flags. Execution knobs (workers, timeouts, progress) are deliberately
-// absent: they never change results, so they must never change the
-// content address.
-type SweepRequest struct {
-	// Fig names the sweep: one of SweepIDs().
-	Fig string `json:"fig"`
-	// Cycles per simulation point (0 = default 20000).
-	Cycles int64 `json:"cycles,omitempty"`
-	// Warmup cycles before measurement (0 = Cycles/10, negative = none).
-	Warmup int64 `json:"warmup,omitempty"`
-	// Full selects the paper-scale topologies (8x8 mesh, 1024-node
-	// dragonfly); the default uses the scaled-down instances.
-	Full bool `json:"full,omitempty"`
-	// Seed is the base seed; per-point seeds derive from it and each
-	// point's stable key.
-	Seed int64 `json:"seed"`
-	// Check attaches the runtime invariant checker to every point that
-	// steps a network (Fig. 3 deadlocks on purpose and is exempt; Fig. 10
-	// and the cost table are analytic).
-	Check bool `json:"check,omitempty"`
-	// Telemetry adds a latency-percentile summary and an epoch-windowed
-	// time-series to every point of the result.
-	Telemetry bool `json:"telemetry,omitempty"`
-	// Epoch is the time-series window in cycles (0 = default 100; only
-	// meaningful with Telemetry).
-	Epoch int64 `json:"epoch,omitempty"`
-}
+// SweepRequest is Options.
+//
+// Deprecated: one type describes a sweep. Kept only because
+// benchmark/sweep.go, frozen with the benchmark, still names it.
+type SweepRequest = Options
+
+// Options returns its receiver.
+//
+// Deprecated: a request already is the sweep's options. Kept only because
+// benchmark/sweep.go, frozen with the benchmark, still calls it.
+func (o Options) Options() Options { return o }
 
 // SweepIDs lists the valid Fig names in canonical presentation order.
 func SweepIDs() []string {
 	return []string{"3", "6", "7", "8a", "8b", "9", "10", "costs", "torus", "deflection", "workload"}
 }
 
-// Validate reports whether the request names a runnable sweep.
-func (r SweepRequest) Validate() error {
-	for _, id := range SweepIDs() {
-		if r.Fig == id {
-			if r.Cycles < 0 {
-				return fmt.Errorf("exp: cycles must be >= 0, got %d", r.Cycles)
-			}
-			if r.Epoch < 0 {
-				return fmt.Errorf("exp: epoch must be >= 0, got %d", r.Epoch)
-			}
-			return nil
-		}
+// Validate reports whether o names a runnable sweep: a known figure, and
+// knobs that leave every point a measurement window.
+func (o Options) Validate() error {
+	if !slices.Contains(SweepIDs(), o.Fig) {
+		return fmt.Errorf("exp: unknown figure %q (valid: %s)", o.Fig, strings.Join(SweepIDs(), ", "))
 	}
-	return fmt.Errorf("exp: unknown figure %q (valid: %s)", r.Fig, strings.Join(SweepIDs(), ", "))
+	return o.validKnobs()
+}
+
+// validKnobs is Validate less the figure name, which a preset sweep has
+// none of.
+func (o Options) validKnobs() error {
+	n := o.Normalized()
+	switch {
+	case o.Cycles < 0:
+		return fmt.Errorf("exp: cycles must be >= 0, got %d", o.Cycles)
+	case o.Epoch < 0:
+		return fmt.Errorf("exp: epoch must be >= 0, got %d", o.Epoch)
+	case n.Warmup >= n.Cycles:
+		return fmt.Errorf("exp: warmup %d leaves no measurement window in %d cycles", n.Warmup, n.Cycles)
+	}
+	return nil
 }
 
 // Normalized resolves every defaulted knob to its explicit value, so
 // semantically identical requests share one canonical encoding (and
-// therefore one cache key). The rules mirror Options.withDefaults: zero
+// therefore one cache key), and every sweep runs what its key names: zero
 // cycles means 20000, zero warmup means a tenth of the resolved cycles,
 // and any negative warmup collapses to -1 ("no warmup").
-func (r SweepRequest) Normalized() SweepRequest {
-	if r.Cycles == 0 {
-		r.Cycles = 20000
+func (o Options) Normalized() Options {
+	if o.Cycles == 0 {
+		o.Cycles = 20000
 	}
 	switch {
-	case r.Warmup < 0:
-		r.Warmup = -1
-	case r.Warmup == 0:
-		r.Warmup = r.Cycles / 10
+	case o.Warmup < 0:
+		o.Warmup = -1
+	case o.Warmup == 0:
+		o.Warmup = o.Cycles / 10
 	}
-	r.Epoch = harness.TelemetryEpoch(r.Telemetry, r.Epoch)
-	switch r.Fig {
+	o.Epoch = harness.TelemetryEpoch(o.Telemetry, o.Epoch)
+	switch o.Fig {
 	case "3", "10", "costs":
 		// No checker ever runs for these, so a "checked" key must not
 		// name a result distinct from the unchecked one.
-		r.Check = false
+		o.Check = false
 	}
-	return r
+	return o
 }
 
 // Canonical returns the request's canonical bytes: the JSON of its
 // normalized form, the content-address input for the result cache.
-func (r SweepRequest) Canonical() []byte { return spin.CanonicalJSON(r.Normalized()) }
-
-// Options projects the request's semantic fields into run options; the
-// caller layers its execution knobs (Workers, Timeout, Progress) on the
-// result.
-func (r SweepRequest) Options() Options {
-	return Options{Cycles: r.Cycles, Warmup: r.Warmup, Small: !r.Full, Seed: r.Seed,
-		Check: r.Check, Telemetry: r.Telemetry, Epoch: r.Epoch}
-}
+func (o Options) Canonical() []byte { return spin.CanonicalJSON(o.Normalized()) }
 
 // DecodeSweepRequest reads one request from JSON, rejecting unknown
-// fields and trailing data (see harness.DecodeStrict).
-func DecodeSweepRequest(rd io.Reader) (SweepRequest, error) {
-	r, err := harness.DecodeStrict[SweepRequest](rd)
+// fields (the execution knobs among them) and trailing data (see
+// harness.DecodeStrict).
+func DecodeSweepRequest(rd io.Reader) (Options, error) {
+	r, err := harness.DecodeStrict[Options](rd)
 	if err != nil {
 		return r, fmt.Errorf("exp: decode sweep request: %w", err)
 	}

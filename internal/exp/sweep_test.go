@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/power"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -120,49 +123,88 @@ func compareGolden(t *testing.T, path string, got []byte) {
 
 // TestSweepRequestNormalization pins the request-side canonical form.
 func TestSweepRequestNormalization(t *testing.T) {
-	if err := (SweepRequest{Fig: "nope"}).Validate(); err == nil {
+	if err := (Options{Fig: "nope"}).Validate(); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
 	for _, id := range SweepIDs() {
-		if err := (SweepRequest{Fig: id}).Validate(); err != nil {
+		if err := (Options{Fig: id}).Validate(); err != nil {
 			t.Fatalf("%s rejected: %v", id, err)
 		}
 	}
 	// Defaults collapse: explicit defaults and omitted knobs hash alike.
-	a := SweepRequest{Fig: "7", Seed: 1}
-	b := SweepRequest{Fig: "7", Seed: 1, Cycles: 20000, Warmup: 2000}
+	a := Options{Fig: "7", Seed: 1}
+	b := Options{Fig: "7", Seed: 1, Cycles: 20000, Warmup: 2000}
 	if !bytes.Equal(a.Canonical(), b.Canonical()) {
 		t.Fatalf("defaults did not collapse:\n  %s\n  %s", a.Canonical(), b.Canonical())
 	}
 	// All negative warmups mean the same thing.
-	c := SweepRequest{Fig: "7", Seed: 1, Warmup: -7}
-	d := SweepRequest{Fig: "7", Seed: 1, Warmup: -1}
+	c := Options{Fig: "7", Seed: 1, Warmup: -7}
+	d := Options{Fig: "7", Seed: 1, Warmup: -1}
 	if !bytes.Equal(c.Canonical(), d.Canonical()) {
 		t.Fatal("negative warmups did not collapse")
 	}
-	// Distinct requests stay distinct.
-	e := SweepRequest{Fig: "7", Seed: 2}
+	// Distinct requests stay distinct; execution knobs are not the request.
+	e := Options{Fig: "7", Seed: 2}
 	if bytes.Equal(a.Canonical(), e.Canonical()) {
 		t.Fatal("seed not part of the canonical form")
+	}
+	f := Options{Fig: "7", Seed: 1, Workers: 3, Timeout: time.Minute, Progress: func(runner.Event) {}}
+	if !bytes.Equal(a.Canonical(), f.Canonical()) {
+		t.Fatalf("execution knobs entered the canonical form: %s", f.Canonical())
 	}
 	// Round trip through the strict decoder.
 	dec, err := DecodeSweepRequest(bytes.NewReader(a.Canonical()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec != a.Normalized() {
+	if !reflect.DeepEqual(dec, a.Normalized()) {
 		t.Fatalf("round trip changed the request: %+v vs %+v", dec, a.Normalized())
 	}
-	if _, err := DecodeSweepRequest(bytes.NewReader([]byte(`{"fig":"7","cycels":5}`))); err == nil {
-		t.Fatal("unknown field accepted")
+	for _, body := range []string{`{"fig":"7","cycels":5}`, `{"fig":"7","Workers":4}`} {
+		if _, err := DecodeSweepRequest(strings.NewReader(body)); err == nil {
+			t.Errorf("unknown field accepted: %s", body)
+		}
 	}
 }
 
-// TestSweepOptionsCarrySemantics checks the projection into run options.
+// TestSweepOptionsCarrySemantics checks the path benchmark/sweep.go still
+// takes, a SweepRequest normalized and then projected with Options: every
+// request field arrives, and the warmup is derived from the cycles asked for.
 func TestSweepOptionsCarrySemantics(t *testing.T) {
 	o := SweepRequest{Fig: "7", Seed: 9, Cycles: 500, Full: true, Check: true}.Normalized().Options()
-	if o.Cycles != 500 || o.Seed != 9 || o.Small || !o.Check || o.Warmup != 50 {
-		t.Fatalf("options = %+v", o)
+	want := Options{Fig: "7", Seed: 9, Cycles: 500, Warmup: 50, Full: true, Check: true}
+	if !reflect.DeepEqual(o, want) {
+		t.Fatalf("options = %+v, want %+v", o, want)
+	}
+}
+
+// TestValidateNeedsMeasurementWindow: a sweep whose knobs leave its points
+// no measurement window is refused for every figure, as spin.Config.Validate
+// refuses such a run, instead of running and reporting all-zero rows.
+func TestValidateNeedsMeasurementWindow(t *testing.T) {
+	for _, id := range SweepIDs() {
+		for _, o := range []Options{
+			{Fig: id, Cycles: 100, Warmup: 200},
+			{Fig: id, Cycles: 100, Warmup: 100},
+			{Fig: id, Cycles: -5},
+		} {
+			if err := o.Validate(); err == nil {
+				t.Errorf("fig %s: cycles %d, warmup %d accepted", id, o.Cycles, o.Warmup)
+			}
+		}
+		for _, o := range []Options{
+			{Fig: id, Cycles: 100, Warmup: 99},
+			{Fig: id, Cycles: 1},
+			{Fig: id, Cycles: 100, Warmup: -1},
+		} {
+			if err := o.Validate(); err != nil {
+				t.Errorf("fig %s: cycles %d, warmup %d refused: %v", id, o.Cycles, o.Warmup, err)
+			}
+		}
+	}
+	if _, err := PresetSweep(context.Background(), "mesh_xy", "", 0, Options{Cycles: 100, Warmup: 200}); err == nil ||
+		!strings.Contains(err.Error(), "measurement window") {
+		t.Errorf("preset sweep with no measurement window: %v", err)
 	}
 }
 
@@ -176,14 +218,14 @@ func TestSweepOptionsCarrySemantics(t *testing.T) {
 func TestSweepCheckNeverAliases(t *testing.T) {
 	exempt := map[string]bool{"3": true, "10": true, "costs": true}
 	for _, id := range SweepIDs() {
-		plain := SweepRequest{Fig: id, Seed: 1, Cycles: 300}
+		plain := Options{Fig: id, Seed: 1, Cycles: 300}
 		checked := plain
 		checked.Check = true
 		same := bytes.Equal(plain.Canonical(), checked.Canonical())
 		switch {
 		case exempt[id] && !same:
 			t.Errorf("fig %s runs no checker, yet check changes its key: %s", id, checked.Canonical())
-		case exempt[id] && checked.Normalized().Options().Check:
+		case exempt[id] && checked.Normalized().Check:
 			t.Errorf("fig %s: normalized options still ask for a checker", id)
 		case !exempt[id] && same:
 			t.Errorf("fig %s: check dropped from the canonical request", id)
@@ -192,7 +234,7 @@ func TestSweepCheckNeverAliases(t *testing.T) {
 	// The sweeps that used to drop Options.Check on the floor now run
 	// every network point under the checker, cleanly.
 	for _, id := range []string{"8a", "torus", "deflection", "workload"} {
-		o := SweepRequest{Fig: id, Seed: 1, Cycles: 300, Check: true}.Normalized().Options()
+		o := Options{Fig: id, Seed: 1, Cycles: 300, Check: true}
 		if _, err := Sweep(context.Background(), id, o); err != nil {
 			t.Errorf("fig %s under check: %v", id, err)
 		}
@@ -205,7 +247,7 @@ func TestSweepCheckNeverAliases(t *testing.T) {
 // still completes.
 func TestCheckedPointFailsItsJob(t *testing.T) {
 	hammer := traffic.AppProfile{Name: "hammer", Rate: 0.9, DataRatio: 0.5}
-	o := Options{Cycles: 3000, Warmup: -1, Small: true, Check: true}.withDefaults()
+	o := Options{Cycles: 3000, Warmup: -1, Check: true}.withDefaults()
 	_, err := appEDP(context.Background(), hammer, "min_adaptive", "", 1, power.SchemeNone, "fig8a/hammer", o)
 	if err == nil || !strings.Contains(err.Error(), "violation") {
 		t.Fatalf("deadlocking point under check returned %v, want a violation", err)

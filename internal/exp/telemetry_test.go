@@ -77,19 +77,16 @@ func TestSweepTelemetryOptIn(t *testing.T) {
 // epoch without telemetry is scrubbed, telemetry defaults its epoch, and
 // the two spellings of the default share one canonical encoding.
 func TestSweepRequestTelemetryNormalization(t *testing.T) {
-	r := SweepRequest{Fig: "7", Epoch: 500}.Normalized()
+	r := Options{Fig: "7", Epoch: 500}.Normalized()
 	if r.Epoch != 0 {
 		t.Errorf("epoch without telemetry kept: %d", r.Epoch)
 	}
-	a := SweepRequest{Fig: "7", Telemetry: true}.Canonical()
-	b := SweepRequest{Fig: "7", Telemetry: true, Epoch: 100}.Canonical()
+	a := Options{Fig: "7", Telemetry: true}.Canonical()
+	b := Options{Fig: "7", Telemetry: true, Epoch: 100}.Canonical()
 	if string(a) != string(b) {
 		t.Errorf("default-epoch spellings diverge:\n%s\n%s", a, b)
 	}
-	if err := (SweepRequest{Fig: "7", Epoch: -1}).Validate(); err == nil {
+	if err := (Options{Fig: "7", Epoch: -1}).Validate(); err == nil {
 		t.Error("negative epoch accepted")
-	}
-	if o := (SweepRequest{Fig: "7", Telemetry: true, Epoch: 50}).Options(); !o.Telemetry || o.Epoch != 50 {
-		t.Errorf("Options() drops telemetry knobs: %+v", o)
 	}
 }

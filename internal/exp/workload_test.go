@@ -13,7 +13,7 @@ import (
 // point instead of open-loop divergence.
 func TestWorkloadSweepSaturates(t *testing.T) {
 	t.Parallel()
-	res, err := WorkloadSweep(context.Background(), Options{Cycles: 4000, Seed: 5, Small: true, Workers: 2})
+	res, err := WorkloadSweep(context.Background(), Options{Cycles: 4000, Seed: 5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestWorkloadSweepSaturates(t *testing.T) {
 func TestWorkloadSweepDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	enc := func(workers int) string {
-		res, err := WorkloadSweep(context.Background(), Options{Cycles: 1500, Seed: 11, Small: true, Workers: workers})
+		res, err := WorkloadSweep(context.Background(), Options{Cycles: 1500, Seed: 11, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -608,13 +608,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, fmt.Sprintf("bad request: cycles beyond this server's limit (%d)", s.cfg.MaxCycles), http.StatusBadRequest)
 		return
 	}
+	n.Workers = s.cfg.Workers
 	canon := n.Canonical()
 	key := cache.KeyOf(ResultVersion+"/sweep", canon)
 	s.serveCached(w, r, key, fleet.ProxySpec{Path: "/v1/sweep", Body: canon}, nil,
 		func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
-			o := n.Options()
-			o.Workers = s.cfg.Workers
-			v, err := exp.Sweep(ctx, n.Fig, o)
+			v, err := exp.Sweep(ctx, n.Fig, n)
 			if err != nil {
 				return nil, err
 			}

@@ -296,8 +296,14 @@ func TestRequestValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, rec.Code)
 		}
 	}
-	if rec := post(t, h, "/v1/sweep", `{"fig":"nope"}`); rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown figure: status = %d, want 400", rec.Code)
+	for name, body := range map[string]string{
+		"unknown figure":        `{"fig":"nope"}`,
+		"no measurement window": `{"fig":"8b","cycles":100,"warmup":200,"seed":1}`,
+		"execution knob":        `{"fig":"10","Workers":4}`,
+	} {
+		if rec := post(t, h, "/v1/sweep", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("sweep %s: status = %d, want 400", name, rec.Code)
+		}
 	}
 	// A request the specs reject only at construction time (unknown
 	// topology name) maps to 400, not 500.

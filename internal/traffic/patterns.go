@@ -214,12 +214,11 @@ func ByName(name string, topo topology.Topology) (Pattern, error) {
 // Synthetic is an open-loop Bernoulli source over a Pattern: every cycle
 // each terminal independently generates a packet with probability
 // Rate/E[len] so that offered load equals Rate flits/terminal/cycle. A
-// DataFrac fraction of packets are long (DataLen flits); the rest are
+// DataFrac fraction of packets are long (dataLen flits); the rest are
 // single-flit control packets, matching the paper's 1-flit/5-flit mix.
 type Synthetic struct {
 	Pattern  Pattern
 	Rate     float64 // offered flits/terminal/cycle
-	DataLen  int     // long-packet length (default 5)
 	DataFrac float64 // fraction of packets that are long (default 0.5)
 	VNets    int     // spread packets round-robin over vnets (default 1)
 
@@ -228,13 +227,15 @@ type Synthetic struct {
 	// the order terminals are visited in.
 	next []int32
 
-	// DataLen and DataFrac with their defaults applied, and the per-cycle
-	// injection probability Rate/E[len] they imply: resolved once, in
+	// DataFrac with its default applied, and the per-cycle injection
+	// probability Rate/E[len] it implies: resolved once, in
 	// PrepareTerminals, instead of per terminal per cycle. The exported
 	// fields must not change afterwards.
-	dataLen       int
 	frac, pInject float64
 }
+
+// dataLen is the length of a long (data) packet, in flits.
+const dataLen = 5
 
 // Name implements sim.TrafficGen.
 func (s *Synthetic) Name() string {
@@ -246,21 +247,17 @@ func (s *Synthetic) PrepareTerminals(n int) {
 	if len(s.next) < n {
 		s.next = make([]int32, n)
 	}
-	s.dataLen = s.DataLen
-	if s.dataLen == 0 {
-		s.dataLen = 5
-	}
 	s.frac = s.DataFrac
 	if s.frac == 0 {
 		s.frac = 0.5
 	}
-	meanLen := s.frac*float64(s.dataLen) + (1 - s.frac)
+	meanLen := s.frac*dataLen + (1 - s.frac)
 	s.pInject = s.Rate / meanLen
 }
 
 // Generate implements sim.TrafficGen.
 func (s *Synthetic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
-	if s.dataLen == 0 {
+	if s.frac == 0 {
 		// Driven without the engine's PrepareTerminals call (tests calling
 		// Generate directly: the engine always prepares before stepping).
 		s.PrepareTerminals(src + 1)
@@ -270,7 +267,7 @@ func (s *Synthetic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.Pac
 	}
 	length := 1
 	if rng.Float64() < s.frac {
-		length = s.dataLen
+		length = dataLen
 	}
 	vnet := 0
 	if s.VNets > 1 {

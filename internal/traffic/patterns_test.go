@@ -205,7 +205,7 @@ func TestSyntheticOfferedLoad(t *testing.T) {
 }
 
 func TestSyntheticPacketMix(t *testing.T) {
-	gen := &Synthetic{Pattern: Uniform(64), Rate: 0.5, DataLen: 5, DataFrac: 0.5}
+	gen := &Synthetic{Pattern: Uniform(64), Rate: 0.5, DataFrac: 0.5}
 	rng := rand.New(rand.NewSource(3))
 	ones, fives := 0, 0
 	for c := 0; c < 30000; c++ {

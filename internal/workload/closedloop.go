@@ -34,7 +34,6 @@ type ClosedLoop struct {
 	respLen  int
 	think    int64
 	thinkMax int64
-	alpha    float64
 	vnets    int
 	seed     int64
 
@@ -67,82 +66,35 @@ func (s *thinkStream) next() uint64 {
 
 func (s *thinkStream) float64() float64 { return float64(s.next()>>11) / (1 << 53) }
 
-// ClosedLoopConfig assembles a ClosedLoop; zero fields take the
-// documented defaults.
-type ClosedLoopConfig struct {
-	Pattern   traffic.Pattern
-	Window    int     // default 4
-	Rate      float64 // offered request flits/terminal/cycle when the window is open
-	ReqLen    int     // default 1
-	RespLen   int     // default 5
-	Think     int64   // mean think time after a reply; 0 disables
-	ThinkMax  int64   // bounded-Pareto cap; default 8x Think
-	Alpha     float64 // Pareto shape; default 1.5
-	VNets     int     // total vnets; must be >= 2
-	MaxPktLen int     // engine packet-length cap (0 means 5)
-	Seed      int64
-}
+// paretoShape is the shape of the bounded-Pareto think-time draws.
+const paretoShape = 1.5
 
-// NewClosedLoop validates the configuration and builds the client set.
-func NewClosedLoop(c ClosedLoopConfig) (*ClosedLoop, error) {
-	if c.Pattern == nil {
-		return nil, fmt.Errorf("workload: closed loop needs a destination pattern")
-	}
-	if c.Window == 0 {
-		c.Window = 4
-	}
-	if c.Window < 0 || c.Window > 1024 {
-		return nil, fmt.Errorf("workload: window %d outside (0,1024]", c.Window)
-	}
-	if c.ReqLen == 0 {
-		c.ReqLen = 1
-	}
-	if c.RespLen == 0 {
-		c.RespLen = 5
-	}
-	if c.MaxPktLen == 0 {
-		c.MaxPktLen = 5
-	}
-	if c.ReqLen < 0 || c.ReqLen > c.MaxPktLen {
-		return nil, fmt.Errorf("workload: request length %d outside (0,%d]", c.ReqLen, c.MaxPktLen)
-	}
-	if c.RespLen < 0 || c.RespLen > c.MaxPktLen {
-		return nil, fmt.Errorf("workload: response length %d outside (0,%d]", c.RespLen, c.MaxPktLen)
-	}
-	if c.VNets < 2 {
-		return nil, fmt.Errorf("workload: closed loop needs >= 2 vnets to separate requests and replies, got %d", c.VNets)
-	}
-	if c.Rate <= 0 {
+// newClosedLoop builds the client set of s, a closed-mode spec Build has
+// validated and normalized, offering rate request flits/terminal/cycle
+// over pat. It checks only what the spec cannot know: the network's vnets,
+// the rate, and the engine's packet-length cap.
+func newClosedLoop(s Spec, pat traffic.Pattern, rate float64, vnets, maxPktLen int, seed int64) (*ClosedLoop, error) {
+	switch {
+	case vnets < 2:
+		return nil, fmt.Errorf("workload: closed loop needs >= 2 vnets to separate requests and replies, got %d", vnets)
+	case rate <= 0:
 		return nil, fmt.Errorf("workload: closed loop needs a positive rate")
-	}
-	if c.Think < 0 {
-		return nil, fmt.Errorf("workload: negative think time")
-	}
-	if c.ThinkMax == 0 {
-		c.ThinkMax = 8 * c.Think
-	}
-	if c.ThinkMax < c.Think {
-		return nil, fmt.Errorf("workload: think cap %d below mean %d", c.ThinkMax, c.Think)
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 1.5
-	}
-	p := c.Rate / float64(c.ReqLen)
-	if p > 1 {
-		p = 1
+	case s.ReqLen > maxPktLen:
+		return nil, fmt.Errorf("workload: request length %d outside (0,%d]", s.ReqLen, maxPktLen)
+	case s.RespLen > maxPktLen:
+		return nil, fmt.Errorf("workload: response length %d outside (0,%d]", s.RespLen, maxPktLen)
 	}
 	return &ClosedLoop{
-		pat:      c.Pattern,
-		window:   int32(c.Window),
-		rate:     c.Rate,
-		pIssue:   p,
-		reqLen:   c.ReqLen,
-		respLen:  c.RespLen,
-		think:    c.Think,
-		thinkMax: c.ThinkMax,
-		alpha:    c.Alpha,
-		vnets:    c.VNets,
-		seed:     c.Seed,
+		pat:      pat,
+		window:   int32(s.Window),
+		rate:     rate,
+		pIssue:   min(rate/float64(s.ReqLen), 1),
+		reqLen:   s.ReqLen,
+		respLen:  s.RespLen,
+		think:    s.Think,
+		thinkMax: s.ThinkMax,
+		vnets:    vnets,
+		seed:     seed,
 	}, nil
 }
 
@@ -231,7 +183,7 @@ func (cl *ClosedLoop) drawThink(t int) int64 {
 	if u > 1-1e-12 {
 		u = 1 - 1e-12
 	}
-	d := float64(cl.think) * math.Pow(1-u, -1/cl.alpha)
+	d := float64(cl.think) * math.Pow(1-u, -1/paretoShape)
 	if d > float64(cl.thinkMax) {
 		d = float64(cl.thinkMax)
 	}

@@ -90,8 +90,9 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Normalize fills defaults in place, mirroring exactly what Build does,
-// so two specs that simulate identically canonicalize identically.
+// Normalize fills defaults in place — the one place they are written;
+// Build runs on its result — so two specs that simulate identically
+// canonicalize identically.
 func (s *Spec) Normalize() {
 	if s.Mode == "" {
 		s.Mode = "open"
@@ -150,18 +151,7 @@ func Build(s Spec, pat traffic.Pattern, rate, dataFrac float64, vnets, terminals
 		pat = &Hotspot{Inner: pat, Frac: s.HotFrac, Hot: hot}
 	}
 	if s.Mode == "closed" {
-		return NewClosedLoop(ClosedLoopConfig{
-			Pattern:   pat,
-			Window:    s.Window,
-			Rate:      rate,
-			ReqLen:    s.ReqLen,
-			RespLen:   s.RespLen,
-			Think:     s.Think,
-			ThinkMax:  s.ThinkMax,
-			VNets:     vnets,
-			MaxPktLen: maxPktLen,
-			Seed:      seed,
-		})
+		return newClosedLoop(s, pat, rate, vnets, maxPktLen, seed)
 	}
 	syn := &traffic.Synthetic{Pattern: pat, Rate: rate, DataFrac: dataFrac, VNets: vnets}
 	if s.BurstOn > 0 {

@@ -99,30 +99,33 @@ func TestSpecNormalize(t *testing.T) {
 	}
 }
 
-// closedNet builds a mesh network driven by a closed-loop client set.
-func closedNet(t *testing.T, cfg ClosedLoopConfig) (*sim.Network, *ClosedLoop) {
+// closedLoop builds the closed-loop client set of s (mode closed implied)
+// for 16 terminals on two vnets, offering rate.
+func closedLoop(t *testing.T, s Spec, rate float64, seed int64) *ClosedLoop {
+	t.Helper()
+	s.Mode = "closed"
+	gen, err := Build(s, traffic.Uniform(16), rate, 0, 2, 16, 5, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen.(*ClosedLoop)
+}
+
+// closedNet builds a 4x4 mesh network driven by closedLoop's client set.
+func closedNet(t *testing.T, s Spec, rate float64, seed int64) (*sim.Network, *ClosedLoop) {
 	t.Helper()
 	m, err := topology.NewMesh(4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Pattern == nil {
-		cfg.Pattern = traffic.Uniform(16)
-	}
-	if cfg.VNets == 0 {
-		cfg.VNets = 2
-	}
-	cl, err := NewClosedLoop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := closedLoop(t, s, rate, seed)
 	n, err := sim.NewNetwork(sim.Config{
 		Topology:   m,
 		Routing:    &routing.XY{Mesh: m},
 		Traffic:    cl,
-		VNets:      cfg.VNets,
+		VNets:      2,
 		VCsPerVNet: 2,
-		Seed:       cfg.Seed,
+		Seed:       seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +139,7 @@ func closedNet(t *testing.T, cfg ClosedLoopConfig) (*sim.Network, *ClosedLoop) {
 // conservation between issues and completions.
 func TestClosedLoopHonorsWindow(t *testing.T) {
 	t.Parallel()
-	n, cl := closedNet(t, ClosedLoopConfig{Window: 2, Rate: 0.5, Think: 4, Seed: 7})
+	n, cl := closedNet(t, Spec{Window: 2, Think: 4}, 0.5, 7)
 	checker := n.AttachChecker(sim.CheckOptions{})
 	n.Run(600)
 	for _, v := range checker.Violations() {
@@ -174,7 +177,7 @@ func TestClosedLoopHonorsWindow(t *testing.T) {
 // window.
 func TestCheckerCatchesWindowOverflow(t *testing.T) {
 	t.Parallel()
-	n, cl := closedNet(t, ClosedLoopConfig{Window: 2, Rate: 0.5, Seed: 1})
+	n, cl := closedNet(t, Spec{Window: 2}, 0.5, 1)
 	checker := n.AttachChecker(sim.CheckOptions{})
 	n.Run(50)
 	if vs := checker.Violations(); len(vs) != 0 {
@@ -199,7 +202,7 @@ func TestCheckerCatchesWindowOverflow(t *testing.T) {
 // must report it and the checker must surface it as RuleWindow.
 func TestCheckerCatchesAccountingMismatch(t *testing.T) {
 	t.Parallel()
-	n, cl := closedNet(t, ClosedLoopConfig{Window: 4, Rate: 0.5, Seed: 2})
+	n, cl := closedNet(t, Spec{Window: 4}, 0.5, 2)
 	checker := n.AttachChecker(sim.CheckOptions{})
 	n.Run(50)
 	cl.completed[3] += 2 // corrupt: replies retired that were never issued
@@ -223,10 +226,7 @@ func TestCheckerCatchesAccountingMismatch(t *testing.T) {
 // specific, and must not panic or corrupt counters below zero.
 func TestClosedLoopRejectsUnmatchedReplies(t *testing.T) {
 	t.Parallel()
-	cl, err := NewClosedLoop(ClosedLoopConfig{Pattern: traffic.Uniform(16), Rate: 0.5, VNets: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := closedLoop(t, Spec{}, 0.5, 0)
 	cl.PrepareTerminals(16)
 	cl.OnEject(&sim.Packet{VNet: 1, Dst: 3}) // reply with nothing outstanding
 	if err := cl.AuditWindows(); err == nil || !strings.Contains(err.Error(), "no outstanding") {
@@ -236,10 +236,7 @@ func TestClosedLoopRejectsUnmatchedReplies(t *testing.T) {
 		t.Fatalf("outstanding went negative: %d", cl.Outstanding(3))
 	}
 
-	cl2, err := NewClosedLoop(ClosedLoopConfig{Pattern: traffic.Uniform(16), Rate: 0.5, VNets: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl2 := closedLoop(t, Spec{}, 0.5, 0)
 	cl2.PrepareTerminals(16)
 	cl2.OnEject(&sim.Packet{VNet: 1, Dst: 99}) // reply addressed off the grid
 	if err := cl2.AuditWindows(); err == nil || !strings.Contains(err.Error(), "unknown terminal") {
@@ -247,22 +244,32 @@ func TestClosedLoopRejectsUnmatchedReplies(t *testing.T) {
 	}
 }
 
-// TestNewClosedLoopValidation pins the constructor's rejection table.
-func TestNewClosedLoopValidation(t *testing.T) {
+// TestBuildRejects is Build's rejection table: a malformed spec (every
+// malformed field is in TestSpecValidate), and what only the run knows —
+// the network's vnets, terminals and packet-length cap (5 here), and the
+// offered rate.
+func TestBuildRejects(t *testing.T) {
 	t.Parallel()
-	pat := traffic.Uniform(16)
-	bad := []ClosedLoopConfig{
-		{Rate: 0.5, VNets: 2},                             // no pattern
-		{Pattern: pat, Rate: 0.5, VNets: 1},               // one vnet
-		{Pattern: pat, VNets: 2},                          // no rate
-		{Pattern: pat, Rate: 0.5, VNets: 2, Window: 2000}, // window too big
-		{Pattern: pat, Rate: 0.5, VNets: 2, ReqLen: 9},    // req > MaxPktLen
-		{Pattern: pat, Rate: 0.5, VNets: 2, Think: -1},    // negative think
-		{Pattern: pat, Rate: 0.5, VNets: 2, Think: 8, ThinkMax: 2},
-	}
-	for i, c := range bad {
-		if _, err := NewClosedLoop(c); err == nil {
-			t.Errorf("bad config %d accepted: %+v", i, c)
+	closed := func(s Spec) Spec { s.Mode = "closed"; return s }
+	for _, tc := range []struct {
+		name  string
+		s     Spec
+		rate  float64
+		vnets int
+		frag  string
+	}{
+		{"one vnet", closed(Spec{}), 0.5, 1, "vnets"},
+		{"no rate", closed(Spec{}), 0, 2, "positive rate"},
+		{"window 2000", closed(Spec{Window: 2000}), 0.5, 2, "window"},
+		{"req_len 9", closed(Spec{ReqLen: 9}), 0.5, 2, "request length"},
+		{"resp_len 6", closed(Spec{RespLen: 6}), 0.5, 2, "response length"},
+		{"negative think", closed(Spec{Think: -1}), 0.5, 2, "negative think"},
+		{"think cap below think", closed(Spec{Think: 8, ThinkMax: 2}), 0.5, 2, "below think"},
+		{"more hotspots than terminals", Spec{HotFrac: 0.5, Hotspots: 32}, 0.3, 1, "exceed"},
+	} {
+		_, err := Build(tc.s, traffic.Uniform(16), tc.rate, 0.5, tc.vnets, 16, 5, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.frag)
 		}
 	}
 }
@@ -349,8 +356,8 @@ func TestHotspotSkew(t *testing.T) {
 }
 
 // TestBuild pins the builder's dispatch: closed specs yield closed-loop
-// clients, bursty specs yield duty-compensated burst wrappers, hotspot
-// specs wrap the pattern, and impossible combinations error.
+// clients, bursty specs yield duty-compensated burst wrappers, and hotspot
+// specs wrap the pattern (TestBuildRejects has what it refuses).
 func TestBuild(t *testing.T) {
 	t.Parallel()
 	pat := traffic.Uniform(16)
@@ -391,12 +398,5 @@ func TestBuild(t *testing.T) {
 		t.Fatalf("hotspot spec built %T", gen)
 	} else if _, ok := s.Pattern.(*Hotspot); !ok {
 		t.Fatalf("hotspot spec pattern %T", s.Pattern)
-	}
-
-	if _, err := Build(Spec{Mode: "closed"}, pat, 0.3, 0.5, 1, 16, 5, 1); err == nil {
-		t.Fatal("closed loop with 1 vnet accepted")
-	}
-	if _, err := Build(Spec{HotFrac: 0.5, Hotspots: 32}, pat, 0.3, 0.5, 1, 16, 5, 1); err == nil {
-		t.Fatal("more hotspots than terminals accepted")
 	}
 }
