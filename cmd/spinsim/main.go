@@ -80,12 +80,11 @@ import (
 	"repro/internal/workload"
 )
 
-// recordFlagsErr is what -record cannot combine with: traffic.Recorder
-// wraps a generator, and a -replay run has none — recording it would only
-// copy its file.
+// recordFlagsErr is what -record cannot combine with: a -replay run's
+// workload already is a file — recording it would only copy it.
 func recordFlagsErr(record, replay string) error {
 	if record != "" && replay != "" {
-		return fmt.Errorf("-record wraps a traffic generator; recording a -replay would only copy %s", replay)
+		return fmt.Errorf("-record captures a generated workload; recording a -replay would only copy %s", replay)
 	}
 	return nil
 }
@@ -252,7 +251,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if f.window > 0 && *record != "" {
-		log.Fatal("-record captures an open-loop injection sequence; it cannot wrap closed-loop clients")
+		log.Fatal("-record captures an open-loop injection sequence; closed-loop clients inject in answer to deliveries, which a replay would not reproduce")
 	}
 	telemetryOn := *traceOut != "" || *tsout != "" || *hist || *epoch != 0
 	if *seeds > 1 {
@@ -280,8 +279,8 @@ func main() {
 	net := s.Network()
 	var recorder *traffic.Recorder
 	if *record != "" {
-		recorder = &traffic.Recorder{Gen: net.Config().Traffic}
-		net.SetTraffic(recorder)
+		recorder = &traffic.Recorder{}
+		net.AddObserver(sim.MaskOf(sim.EvPacketQueued), recorder)
 	}
 
 	ob := harness.Observe{Check: *check, Drain: *drain, Hist: *hist}

@@ -16,8 +16,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRecordFlagsErr pins what -record refuses: it wraps a generator,
-// which a -replay run has none of.
+// TestRecordFlagsErr pins what -record refuses: a -replay run, whose
+// workload already is a file.
 func TestRecordFlagsErr(t *testing.T) {
 	cases := []struct {
 		name           string

@@ -331,7 +331,7 @@ func (c Config) source(nc sim.Config) (sim.TrafficGen, error) {
 		return nil, err
 	}
 	if c.Workload != nil {
-		return workload.Build(*c.Workload, pat, c.Rate, c.DataFrac, nc.VNets, nc.Topology.NumTerminals(), nc.MaxPktLen, c.Seed)
+		return workload.Build(*c.Workload, pat, c.Rate, c.DataFrac, nc.VNets, nc.Topology.NumTerminals(), c.Seed)
 	}
 	return &traffic.Synthetic{Pattern: pat, Rate: c.Rate, DataFrac: c.DataFrac, VNets: nc.VNets}, nil
 }

@@ -49,11 +49,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.SetEjectHook(func(p *sim.Packet) {
-		fmt.Printf("cycle %3d | %v delivered (%d hops)\n", net.Now(), p, p.Hops)
-	})
+	injected := map[uint64]*sim.Packet{}
+	net.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) {
+		p := injected[e.Packet]
+		fmt.Printf("cycle %3d | %v delivered (%d hops)\n", e.Cycle, p, p.Hops)
+	}))
 	for i := range ring {
 		p := net.InjectPacket(ring[i], sim.PacketSpec{Dst: ring[(i+2)%len(ring)], Length: 2})
+		injected[p.ID] = p
 		fmt.Printf("cycle %3d | injected %v\n", net.Now(), p)
 	}
 

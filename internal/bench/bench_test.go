@@ -280,7 +280,7 @@ func TestStepAllocBudgetWorkloads(t *testing.T) {
 		var gen sim.TrafficGen
 		switch kind {
 		case "closedloop":
-			gen, err = workload.Build(workload.Spec{Mode: "closed", Window: 4, Think: 8}, traffic.Uniform(64), 0.2, 0, 2, 64, 5, 17)
+			gen, err = workload.Build(workload.Spec{Mode: "closed", Window: 4, Think: 8}, traffic.Uniform(64), 0.2, 0, 2, 64, 17)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,7 +41,7 @@ type ringAgent struct {
 	r      *sim.Router
 }
 
-// Quiescent implements sim.Quiescer: bubble flow control is a pure
+// Quiescent implements sim.Agent: bubble flow control is a pure
 // send/inject filter with a no-op Tick, so the agent never needs the
 // engine's agent phase.
 func (a *ringAgent) Quiescent() bool { return true }

@@ -182,7 +182,6 @@ func TestStaticBubbleQuiescentTracksTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ sim.Quiescer = sb.agents[0]
 	running := func(a *sbAgent) int {
 		k := 0
 		for _, since := range a.blockedSince {

@@ -62,7 +62,7 @@ func headBlocked(v *sim.VC) bool {
 	return v.Len() > 0 && !v.WaitingToEject() && v.Granted() < 0
 }
 
-// Quiescent implements sim.Quiescer: with no timer running, Tick only
+// Quiescent implements sim.Agent: with no timer running, Tick only
 // acts on buffered flits, and routers holding flits are always stepped.
 func (a *sbAgent) Quiescent() bool { return len(a.tracked) == 0 }
 

@@ -59,14 +59,14 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 	if !DifferentialEligible(sc) {
 		return nil, fmt.Errorf("harness: no escape-VC baseline for topology %q", sc.Topology)
 	}
-	// Primary run, recording the workload it generates. The recorder is
-	// transparent: this is exactly the run Run(sc) would do.
+	// Primary run, recording the workload it generates. The recorder only
+	// observes: this is exactly the run Run(sc) would do.
 	s, err := sc.Sim()
 	if err != nil {
 		return nil, err
 	}
-	rec := &traffic.Recorder{Gen: s.Network().Config().Traffic}
-	s.Network().SetTraffic(rec)
+	rec := &traffic.Recorder{}
+	s.Network().AddObserver(sim.MaskOf(sim.EvPacketQueued), rec)
 	primary, err := runDelivering(sc, s.Network())
 	if err != nil {
 		return nil, err
@@ -95,9 +95,9 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 // collected for comparison.
 func runDelivering(sc Scenario, net *sim.Network) (*Result, error) {
 	var got []Delivery
-	net.SetEjectHook(func(p *sim.Packet) {
-		got = append(got, Delivery{ID: p.ID, Src: p.Src, Dst: p.Dst, Length: p.Length, VNet: p.VNet})
-	})
+	net.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) {
+		got = append(got, Delivery{ID: e.Packet, Src: e.Src, Dst: e.Dst, Length: e.Len, VNet: e.VNet})
+	}))
 	res, err := Drive(context.Background(), sc, net, Observe{Check: true, Drain: true})
 	if err != nil {
 		return nil, err

@@ -321,11 +321,29 @@ func TestCompareDeliveriesFlagsDivergence(t *testing.T) {
 		t.Fatal("missing baseline delivery not flagged")
 	}
 	c := &Result{Delivered: []Delivery{{ID: 1, Src: 0, Dst: 3, Length: 5}, {ID: 2, Src: 1, Dst: 2, Length: 3}}}
-	if ms := compareDeliveries(a, c, 2); len(ms) == 0 {
-		t.Fatal("tuple divergence not flagged")
+	if ms := compareDeliveries(a, c, 2); len(ms) != 1 || !strings.Contains(ms[0], "packet 2 differs") {
+		t.Fatalf("length-only divergence flagged as %v", ms)
 	}
 	if ms := compareDeliveries(a, a, 2); len(ms) != 0 {
 		t.Fatalf("identical sets flagged: %v", ms)
+	}
+	// A run's tuples come from its packet_eject events, length included: a
+	// run that lost the lengths would compare equal to any other.
+	sc := Scenario{Topology: "mesh:4x4", Routing: "xy", Traffic: "uniform_random", Rate: 0.2, Cycles: 300, Seed: 1}
+	s, err := sc.Sim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runDelivering(sc, s.Network())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := map[int]bool{}
+	for _, d := range res.Delivered {
+		lengths[d.Length] = true
+	}
+	if len(res.Delivered) != int(res.Ejected) || !lengths[1] || !lengths[5] || len(lengths) != 2 {
+		t.Fatalf("%d deliveries of %d ejected packets, lengths %v: want every packet, 1- and 5-flit", len(res.Delivered), res.Ejected, lengths)
 	}
 }
 

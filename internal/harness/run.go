@@ -121,9 +121,9 @@ func Run(sc Scenario) (*Result, error) {
 
 // Drive is the one run driver: every observed simulation — harness
 // corpus, spind request, sweep point, spinsim run — goes through this
-// attach → step → drain → collect path. net is a built network whose
-// traffic source the caller may already have wrapped (recording); sc
-// gives the run length, the checker bounds and the name on failure
+// attach → step → drain → collect path. net is a built network the caller
+// may already have added observers to (recording, deliveries); sc gives
+// the run length, the checker bounds and the name on failure
 // artifacts. Chunked stepping is state-for-state identical to
 // one Run call and observers only read, so what is watched never changes
 // what is simulated.
@@ -209,7 +209,7 @@ func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Resu
 // request the loop issued must have been retired by its reply once the
 // network drained, and the window books must balance.
 func windowViolations(net *sim.Network, drained bool) []sim.Violation {
-	wt, ok := net.Config().Traffic.(sim.WindowedTraffic)
+	cl, ok := net.Config().Traffic.(sim.ClosedLoopTraffic)
 	if !ok {
 		return nil
 	}
@@ -217,10 +217,10 @@ func windowViolations(net *sim.Network, drained bool) []sim.Violation {
 	add := func(detail string) {
 		vs = append(vs, sim.Violation{Rule: sim.RuleWindow, Cycle: net.Now(), Detail: detail})
 	}
-	if left := wt.InWindow(); drained && left != 0 {
+	if left := cl.InWindow(); drained && left != 0 {
 		add(fmt.Sprintf("drain completed with %d requests still in window", left))
 	}
-	if err := wt.AuditWindows(); err != nil {
+	if err := cl.AuditWindows(); err != nil {
 		add(err.Error())
 	}
 	return vs

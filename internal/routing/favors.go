@@ -24,19 +24,10 @@ type FAvORS struct {
 	// false gives FAvORS-Min.
 	NonMinimal bool
 
-	into func([]int, int, int) []int
 	// AtSource compares the minimal and Valiant port sets side by side, so
 	// it needs two live buffers; Route reuses the first.
 	scratch  []int
 	scratch2 []int
-}
-
-// minInto lazily resolves the zero-allocation minimal-port accessor.
-func (f *FAvORS) minInto() func([]int, int, int) []int {
-	if f.into == nil {
-		f.into = minimalSource(f.Topo)
-	}
-	return f.into
 }
 
 // Name implements sim.RoutingAlgorithm.
@@ -53,7 +44,7 @@ func (f *FAvORS) AtSource(r *sim.Router, p *sim.Packet) {
 		return
 	}
 	src, dst := p.SrcRouter, p.DstRouter
-	f.scratch = f.minInto()(f.scratch[:0], src, dst)
+	f.scratch = f.Topo.MinimalPortsInto(f.scratch[:0], src, dst)
 	minPorts := f.scratch
 	if len(minPorts) == 0 {
 		return
@@ -70,7 +61,7 @@ func (f *FAvORS) AtSource(r *sim.Router, p *sim.Packet) {
 	if mid == src || mid == dst {
 		return
 	}
-	f.scratch2 = f.minInto()(f.scratch2[:0], src, mid)
+	f.scratch2 = f.Topo.MinimalPortsInto(f.scratch2[:0], src, mid)
 	midPorts := f.scratch2
 	if len(midPorts) == 0 {
 		return
@@ -99,7 +90,7 @@ func minActiveOver(r *sim.Router, ports []int, p *sim.Packet) int64 {
 // phase-local destination with the FAvORS selection function.
 func (f *FAvORS) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
 	dst := p.RouteDst()
-	f.scratch = f.minInto()(f.scratch[:0], r.ID, dst)
+	f.scratch = f.Topo.MinimalPortsInto(f.scratch[:0], r.ID, dst)
 	ports := f.scratch
 	mustPorts(f.Name(), ports, r.ID, dst)
 	port := pickAdaptive(r, ports, p.VNet, sim.AllVCs, p.Length)

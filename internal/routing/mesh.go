@@ -151,7 +151,6 @@ type MinAdaptive struct {
 	// "favors_min"); empty means "min_adaptive".
 	RoutingName string
 
-	into    func([]int, int, int) []int
 	scratch []int
 }
 
@@ -165,10 +164,7 @@ func (a *MinAdaptive) Name() string {
 
 // Route implements sim.RoutingAlgorithm.
 func (a *MinAdaptive) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
-	if a.into == nil {
-		a.into = minimalSource(a.Topo)
-	}
-	a.scratch = a.into(a.scratch[:0], r.ID, p.RouteDst())
+	a.scratch = a.Topo.MinimalPortsInto(a.scratch[:0], r.ID, p.RouteDst())
 	ports := a.scratch
 	mustPorts(a.Name(), ports, r.ID, p.RouteDst())
 	port := pickAdaptive(r, ports, p.VNet, sim.AllVCs, p.Length)

@@ -1,7 +1,5 @@
 package routing
 
-import "repro/internal/topology"
-
 // portTable is a precomputed per-(router, destination) output-port lookup:
 // one flattened port list per ordered router pair, built once per routing
 // instance from the algorithm's original per-hop computation. Route then
@@ -39,22 +37,4 @@ func (t *portTable) appendPorts(buf []int, r, dst int) []int {
 		buf = append(buf, int(p))
 	}
 	return buf
-}
-
-// minimalInto is the zero-allocation minimal-port interface every Graph-
-// backed topology provides.
-type minimalInto interface {
-	MinimalPortsInto(buf []int, r, dst int) []int
-}
-
-// minimalSource returns an appending MinimalPorts accessor for t: the
-// topology's own precomputed table when available (all built-in
-// topologies), otherwise a copying fallback around the allocating API.
-func minimalSource(t topology.Topology) func(buf []int, r, dst int) []int {
-	if g, ok := t.(minimalInto); ok {
-		return g.MinimalPortsInto
-	}
-	return func(buf []int, r, dst int) []int {
-		return append(buf, t.MinimalPorts(r, dst)...)
-	}
 }

@@ -59,18 +59,17 @@ func wantPorts(ports []int) []int {
 }
 
 // TestMinimalSourceMatchesMinimalPorts: the zero-allocation accessor the
-// routing algorithms use (MinimalPortsInto via minimalSource) returns
-// exactly MinimalPorts on every pair of every instance.
+// routing algorithms use (Topology.MinimalPortsInto) returns exactly
+// MinimalPorts on every pair of every instance.
 func TestMinimalSourceMatchesMinimalPorts(t *testing.T) {
 	for name, topo := range tableInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			into := minimalSource(topo)
 			var buf []int
 			n := topo.NumRouters()
 			for r := 0; r < n; r++ {
 				for dst := 0; dst < n; dst++ {
 					want := wantPorts(topo.MinimalPorts(r, dst))
-					buf = into(buf[:0], r, dst)
+					buf = topo.MinimalPortsInto(buf[:0], r, dst)
 					if !reflect.DeepEqual(wantPorts(buf), want) {
 						t.Fatalf("(%d -> %d): into=%v, MinimalPorts=%v", r, dst, buf, want)
 					}

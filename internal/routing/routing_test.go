@@ -138,24 +138,23 @@ func TestFAvORSMisroutesAtMostOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxMis := 0
-	n.SetEjectHook(func(p *sim.Packet) {
-		if p.Misroutes > maxMis {
-			maxMis = p.Misroutes
-		}
-	})
 	pat := traffic.Uniform(25)
 	rng := rand.New(rand.NewSource(9))
+	var pkts []*sim.Packet
 	for c := 0; c < 4000; c++ {
 		if c < 2000 {
 			for src := 0; src < 25; src++ {
 				if rng.Float64() < 0.1 {
 					d := pat.Dest(src, rng)
-					n.InjectPacket(src, sim.PacketSpec{Dst: d, Length: 1})
+					pkts = append(pkts, n.InjectPacket(src, sim.PacketSpec{Dst: d, Length: 1}))
 				}
 			}
 		}
 		n.Step()
+	}
+	maxMis := 0
+	for _, p := range pkts {
+		maxMis = max(maxMis, p.Misroutes)
 	}
 	// One Valiant detour adds at most a bounded number of non-reducing
 	// hops: each phase is minimal, so misroutes only accrue while heading
@@ -187,21 +186,30 @@ func TestDflyMinimalCanonicalNeverTwoGlobals(t *testing.T) {
 	n, err := sim.NewNetwork(sim.Config{
 		Topology:   d,
 		Routing:    &routing.DflyMinimal{Dfly: d, VCLadder: true, VCs: 2},
-		Traffic:    &traffic.Synthetic{Pattern: traffic.Uniform(d.NumTerminals()), Rate: 0.15},
 		VCsPerVNet: 2,
 		Seed:       12,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetEjectHook(func(p *sim.Packet) {
+	pat := traffic.Uniform(d.NumTerminals())
+	rng := rand.New(rand.NewSource(12))
+	var pkts []*sim.Packet
+	for c := 0; c < 4000; c++ {
+		for src := 0; src < d.NumTerminals(); src++ {
+			if rng.Float64() < 0.05 {
+				pkts = append(pkts, n.InjectPacket(src, sim.PacketSpec{Dst: pat.Dest(src, rng), Length: 1 + 4*rng.Intn(2)}))
+			}
+		}
+		n.Step()
+	}
+	if !n.Drain(50000) {
+		t.Fatal("canonical dragonfly failed to drain")
+	}
+	for _, p := range pkts {
 		if p.GlobalHops > 1 {
 			t.Fatalf("canonical minimal packet crossed %d global links", p.GlobalHops)
 		}
-	})
-	n.Run(4000)
-	if !n.Drain(50000) {
-		t.Fatal("canonical dragonfly failed to drain")
 	}
 }
 

@@ -7,12 +7,23 @@ package sim
 // The engine calls the hooks at fixed points of each cycle:
 //
 //  1. arriving SMs are delivered via HandleSM (in input-port order),
-//  2. Tick runs (counters, probes, freezes, spin launches),
-//  3. switch allocation consults Frozen VCs, FilterSend and FilterInject.
+//  2. PublishView runs on the awake routers' agents,
+//  3. Tick runs (counters, probes, freezes, spin launches),
+//  4. switch allocation consults Frozen VCs, FilterSend and FilterInject.
 type Agent interface {
 	// Tick runs once per cycle after SM delivery and before switch
 	// allocation.
 	Tick()
+	// Quiescent reports whether Tick would be a no-op given the router's
+	// current state; the engine then skips Tick for routers with no
+	// buffered flits. It must only return true when skipping Tick is
+	// observably identical to running it.
+	Quiescent() bool
+	// PublishView copies the state other routers' agents read during
+	// phase 2 (the SPIN follower chain) into a snapshot that stays
+	// immutable through phase 2. It runs at the end of phase 1 — after SM
+	// delivery, before any Tick.
+	PublishView()
 	// HandleSM delivers a special message that arrived on inPort this
 	// cycle.
 	HandleSM(sm *SM, inPort int)
@@ -26,16 +37,6 @@ type Agent interface {
 	// FilterInject reports whether the NIC may begin injecting p into vc
 	// this cycle.
 	FilterInject(vc *VC, p *Packet) bool
-}
-
-// Quiescer is an optional Agent extension. An agent that implements it
-// reports, each cycle, whether its Tick would be a no-op given the
-// router's current state; the engine then skips Tick for routers with no
-// buffered flits and a quiescent agent. Agents without the method are
-// conservatively ticked every cycle. Quiescent must only return true when
-// skipping Tick is observably identical to running it.
-type Quiescer interface {
-	Quiescent() bool
 }
 
 // Scheme builds the per-router Agents of a deadlock-freedom scheme and
@@ -55,6 +56,13 @@ type BaseAgent struct{}
 
 // Tick implements Agent.
 func (BaseAgent) Tick() {}
+
+// Quiescent implements Agent conservatively: the agent is ticked every
+// cycle.
+func (BaseAgent) Quiescent() bool { return false }
+
+// PublishView implements Agent; there is no view to publish.
+func (BaseAgent) PublishView() {}
 
 // HandleSM implements Agent; SMs are ignored.
 func (BaseAgent) HandleSM(*SM, int) {}

@@ -179,21 +179,6 @@ func newChecker(n *Network, opt CheckOptions) *InvariantChecker {
 	return c
 }
 
-// networkDiameter computes the router-graph diameter for the hop bound,
-// using the topology's own Diameter when it has one.
-func networkDiameter(n *Network) int {
-	if d, ok := n.cfg.Topology.(interface{ Diameter() int }); ok {
-		return d.Diameter()
-	}
-	topo, diameter := n.cfg.Topology, 0
-	for a := 0; a < topo.NumRouters(); a++ {
-		for b := 0; b < topo.NumRouters(); b++ {
-			diameter = max(diameter, topo.Distance(a, b))
-		}
-	}
-	return diameter
-}
-
 // AttachChecker installs an invariant checker that checks every cycle's
 // changes and every delivery and audits the whole network every auditEvery
 // cycles. At most one may be attached; attaching replaces any previous one.
@@ -279,8 +264,8 @@ func (c *InvariantChecker) flagVC(v *VC, rule, format string, args ...any) {
 // endOfStep runs at the end of Network.Step, after switch allocation.
 func (c *InvariantChecker) endOfStep() {
 	c.pass(c.net.now%auditEvery == 0)
-	if wt, ok := c.net.cfg.Traffic.(WindowedTraffic); ok {
-		c.checkWindows(wt)
+	if cl := c.net.closed; cl != nil {
+		c.checkWindows(cl)
 	}
 	if c.opt.StallBound > 0 {
 		c.checkProgress()
@@ -533,7 +518,7 @@ func (c *InvariantChecker) onEject(p *Packet) {
 		c.report(RuleDelivery, "packet %d delivered twice", p.ID)
 	}
 	if c.diameter < 0 {
-		c.diameter = networkDiameter(c.net)
+		c.diameter = c.net.cfg.Topology.Diameter()
 	}
 	if bound := 2*c.diameter + hopSlack; p.Hops-2*p.Misroutes > bound {
 		c.report(RuleHopBound, "packet %d took %d hops with %d misroutes (bound %d, diameter %d)", p.ID, p.Hops, p.Misroutes, bound, c.diameter)
@@ -545,7 +530,7 @@ func (c *InvariantChecker) onEject(p *Packet) {
 // generator's own request/reply bookkeeping balances (a reply that
 // matches no issued request, or completions exceeding issues, surfaces
 // through AuditWindows). Runs every cycle.
-func (c *InvariantChecker) checkWindows(wt WindowedTraffic) {
+func (c *InvariantChecker) checkWindows(wt ClosedLoopTraffic) {
 	w := wt.WindowLimit()
 	for t := range c.net.nics {
 		if o := wt.Outstanding(t); o < 0 || o > w {

@@ -28,22 +28,6 @@ import (
 // routers are walked in; TestPhase2OrderInvariance permutes the order and
 // fails on a live cross-router read.
 
-// TrafficPrep is implemented by traffic generators that keep per-terminal
-// state; PrepareTerminals is called once before the first cycle with the
-// terminal count.
-type TrafficPrep interface {
-	PrepareTerminals(n int)
-}
-
-// ViewPublisher is implemented by agents whose state other routers' agents
-// read during phase 2 (the SPIN follower chain). PublishView is called at
-// the end of phase 1 — after SM delivery, before any Tick — and must copy
-// the cross-router-visible fields into a snapshot that stays immutable
-// through phase 2.
-type ViewPublisher interface {
-	PublishView()
-}
-
 // bitset is the engine's worklist: one bit per entity of a population,
 // walked in ascending order a word at a time with bits.TrailingZeros64,
 // so entities with nothing to do cost nothing.
@@ -77,7 +61,8 @@ type resvOp struct {
 }
 
 // ejectRec is a fully ejected packet awaiting commit's replay of its
-// observers (telemetry, eject hook, invariant checker, pool recycle).
+// observers (telemetry, events, closed-loop source, invariant checker,
+// pool recycle).
 type ejectRec struct {
 	p        *Packet
 	lat      int64
@@ -138,8 +123,8 @@ func (n *Network) phase1() {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			if vp := n.routers[w*64+b].vpub; vp != nil {
-				vp.PublishView()
+			if a := n.routers[w*64+b].agent; a != nil {
+				a.PublishView()
 			}
 		}
 	}
@@ -250,8 +235,8 @@ func (n *Network) deliverLink(l *link) {
 }
 
 // ejected accounts a flit leaving the network; on tails it finalises the
-// packet and defers observer replay (telemetry, hooks, checker, pool
-// recycle) to commit.
+// packet and defers observer replay (telemetry, events, closed-loop
+// source, checker, pool recycle) to commit.
 func (n *Network) ejected(f Flit) {
 	n.stats.EjectedFlits++
 	if n.measuring() {
@@ -286,7 +271,7 @@ func (n *Network) ejected(f Flit) {
 			n.stats.MaxLatency = lat
 		}
 	}
-	if n.tele != nil || n.wants(EvPacketEject) || n.ejectHook != nil || n.checker != nil || n.trafObs != nil || p.pooled {
+	if n.tele != nil || n.wants(EvPacketEject) || n.checker != nil || n.closed != nil || p.pooled {
 		n.ejects = append(n.ejects, ejectRec{p: p, lat: p.EjectCycle - p.GenCycle, measured: measured})
 	}
 }
@@ -323,8 +308,8 @@ func (n *Network) commit() {
 	for _, v := range n.dirtyVCs {
 		v.refreshSnap()
 	}
-	// 5. Ejection observer replay; pooled packets recycle unless an
-	// observer may have retained the pointer.
+	// 5. Ejection observer replay, then pooled packets recycle: events
+	// carry values, and nothing shown the *Packet may retain it.
 	for i, rec := range n.ejects {
 		p := rec.p
 		if n.tele != nil {
@@ -332,20 +317,15 @@ func (n *Network) commit() {
 		}
 		if n.wants(EvPacketEject) {
 			n.emit(Event{Cycle: n.now, Kind: EvPacketEject, Router: p.DstRouter,
-				Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Arg: rec.lat})
+				Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Len: p.Length, Arg: rec.lat})
 		}
-		if n.ejectHook != nil {
-			n.ejectHook(p)
-		}
-		if n.trafObs != nil {
-			// Closed-loop accounting: the observer must not retain p
-			// (it may be recycled below), so recycling stays legal.
-			n.trafObs.OnEject(p)
+		if n.closed != nil {
+			n.closed.OnEject(p)
 		}
 		if n.checker != nil {
 			n.checker.onEject(p)
 		}
-		if p.pooled && n.ejectHook == nil {
+		if p.pooled {
 			n.pktPool = append(n.pktPool, p)
 		}
 		n.ejects[i] = ejectRec{}

@@ -26,7 +26,7 @@ func TestSwitchAllocationFairness(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := map[int]int{}
-	n.SetEjectHook(func(p *sim.Packet) { delivered[p.Src]++ })
+	n.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) { delivered[e.Src]++ }))
 	for i := 0; i < 40; i++ {
 		n.InjectPacket(0, sim.PacketSpec{Dst: 2, Length: 1})
 		n.InjectPacket(1, sim.PacketSpec{Dst: 2, Length: 1})
@@ -51,7 +51,7 @@ func TestEjectionBandwidthOnePerCycle(t *testing.T) {
 		VCsPerVNet: 4,
 	})
 	var ejectCycles []int64
-	n.SetEjectHook(func(p *sim.Packet) { ejectCycles = append(ejectCycles, p.EjectCycle) })
+	n.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) { ejectCycles = append(ejectCycles, e.Cycle) }))
 	for src := 0; src < 9; src++ {
 		if src != 4 {
 			n.InjectPacket(src, sim.PacketSpec{Dst: 4, Length: 1})

@@ -5,11 +5,6 @@ import (
 	"testing"
 )
 
-// probeFunc adapts a closure to the Probe interface.
-type probeFunc func(Event)
-
-func (f probeFunc) Event(e Event) { f(e) }
-
 // TestEventRingCapacity: a ring holds exactly the capacity asked for;
 // only a non-positive capacity is replaced by a default.
 func TestEventRingCapacity(t *testing.T) {
@@ -164,7 +159,7 @@ func TestAttachFlightRecorderPreservesProbe(t *testing.T) {
 		for _, what := range strings.Split(order, ",") {
 			switch what {
 			case "probe":
-				n.AddObserver(AllEvents, probeFunc(func(Event) { probed++ }))
+				n.AddObserver(AllEvents, ProbeFunc(func(Event) { probed++ }))
 			case "flight":
 				n.AttachFlightRecorder(8)
 			case "tele":

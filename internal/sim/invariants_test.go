@@ -92,7 +92,7 @@ func TestHeterogeneousLinkLatencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lat int64 = -1
-	n.SetEjectHook(func(p *sim.Packet) { lat = p.EjectCycle - p.GenCycle })
+	n.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) { lat = e.Arg }))
 	n.InjectPacket(0, sim.PacketSpec{Dst: 2, Length: 1})
 	n.Run(100)
 	// Hop 1: 1+1 cycles; hop 2: 5+1 cycles.
@@ -132,7 +132,7 @@ func TestNICInjectionSerialisesPerTerminal(t *testing.T) {
 	m, _ := topology.NewMesh(2, 1, 1)
 	n, _ := sim.NewNetwork(sim.Config{Topology: m, Routing: &routing.XY{Mesh: m}, VCsPerVNet: 1})
 	order := []uint64{}
-	n.SetEjectHook(func(p *sim.Packet) { order = append(order, p.ID) })
+	n.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) { order = append(order, e.Packet) }))
 	a := n.InjectPacket(0, sim.PacketSpec{Dst: 1, Length: 5})
 	b := n.InjectPacket(0, sim.PacketSpec{Dst: 1, Length: 5})
 	n.Run(200)
@@ -177,7 +177,7 @@ func TestDeliveryExactlyOnceProperty(t *testing.T) {
 			return false
 		}
 		seen := map[uint64]int{}
-		n.SetEjectHook(func(p *sim.Packet) { seen[p.ID]++ })
+		n.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) { seen[e.Packet]++ }))
 		n.Run(800)
 		if !n.Drain(20000) {
 			return false

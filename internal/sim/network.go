@@ -27,27 +27,18 @@ type TrafficStepper interface {
 	StepTraffic(now int64)
 }
 
-// TrafficEjectObserver is an optional TrafficGen extension: OnEject is
-// called for every ejected packet during commit. Closed-loop generators
-// use it to retire outstanding requests and queue replies. The *Packet is
-// only valid for the duration of the call — the engine may recycle it.
-type TrafficEjectObserver interface {
+// ClosedLoopTraffic is the contract of a TrafficGen with obligations
+// beyond its next packet: request/response clients with finite windows.
+// The engine hands it every ejected packet during commit; Drain keeps it
+// attached in quiesce mode and waits for InWindow to reach zero; the
+// invariant checker audits its windows every cycle.
+type ClosedLoopTraffic interface {
+	// OnEject retires outstanding requests and queues replies. p is valid
+	// only for the call: the engine may recycle it.
 	OnEject(p *Packet)
-}
-
-// TrafficQuiescer is an optional TrafficGen extension for generators
-// with internal obligations (pending replies). During Drain the engine
-// normally detaches traffic entirely; a quiescer instead stays attached
-// with Quiesce(true) — it must stop sourcing new work but keep meeting
-// obligations so the network can reach a truly empty state.
-type TrafficQuiescer interface {
+	// Quiesce(true) stops new work; obligations (pending replies) are
+	// still met, so the network can reach a truly empty state.
 	Quiesce(on bool)
-}
-
-// WindowedTraffic is implemented by closed-loop generators with finite
-// request windows. The invariant checker audits these accessors every
-// sweep, and Drain does not report success while InWindow is nonzero.
-type WindowedTraffic interface {
 	// WindowLimit is W, the per-terminal outstanding-request cap.
 	WindowLimit() int
 	// Outstanding reports terminal t's current in-window requests.
@@ -60,6 +51,9 @@ type WindowedTraffic interface {
 	AuditWindows() error
 }
 
+// MaxPktLen is the largest packet the engine injects, in flits.
+const MaxPktLen = 5
+
 // Config assembles a simulation.
 type Config struct {
 	Topology topology.Topology
@@ -69,8 +63,7 @@ type Config struct {
 
 	VNets      int // virtual networks (message classes); default 1
 	VCsPerVNet int // VCs per vnet per port; default 1
-	VCDepth    int // flits per VC; default 5
-	MaxPktLen  int // largest packet the traffic emits; default 5
+	VCDepth    int // flits per VC; default MaxPktLen
 
 	Seed       int64
 	StatsStart int64 // cycle measurement begins (warmup length)
@@ -90,16 +83,13 @@ func (c *Config) setDefaults() error {
 		c.VCsPerVNet = 1
 	}
 	if c.VCDepth == 0 {
-		c.VCDepth = 5
-	}
-	if c.MaxPktLen == 0 {
-		c.MaxPktLen = 5
+		c.VCDepth = MaxPktLen
 	}
 	if c.VCsPerVNet > 32 {
 		return fmt.Errorf("sim: at most 32 VCs per vnet, got %d", c.VCsPerVNet)
 	}
-	if c.VCDepth < c.MaxPktLen {
-		return fmt.Errorf("sim: VCDepth %d < MaxPktLen %d breaks virtual cut-through (and the spin space argument)", c.VCDepth, c.MaxPktLen)
+	if c.VCDepth < MaxPktLen {
+		return fmt.Errorf("sim: VCDepth %d < MaxPktLen %d breaks virtual cut-through (and the spin space argument)", c.VCDepth, MaxPktLen)
 	}
 	return nil
 }
@@ -158,8 +148,8 @@ type Network struct {
 	pktPool  []*Packet
 	smPool   []*SM
 	// pktChunks are the arrays pooled packets are cut from, pktChunk at a
-	// time, while no eject hook is installed: Reset puts every packet of
-	// them back on pktPool, wherever the last run left it.
+	// time: Reset puts every packet of them back on pktPool, wherever the
+	// last run left it.
 	pktChunks [][]Packet
 
 	injectTerm int
@@ -175,13 +165,10 @@ type Network struct {
 	// order-invariance oracle (export_test.go) is its one writer.
 	permute func([]*Router)
 
-	// ejectHook, when set, observes every ejected packet (tests, traces).
-	ejectHook func(*Packet)
-
-	// trafStep/trafObs cache the traffic generator's optional hooks so
-	// the hot path pays a nil check, not a type assertion, per cycle.
+	// trafStep/closed cache the traffic generator's two other roles so the
+	// hot path pays a nil check, not a type assertion, per cycle.
 	trafStep TrafficStepper
-	trafObs  TrafficEjectObserver
+	closed   ClosedLoopTraffic
 
 	// checker, when attached, audits every cycle what that cycle changed
 	// and the whole network on a fixed cadence (see checker.go).
@@ -291,7 +278,7 @@ func rewind[T any](s []T) []T {
 // Reset rewinds the network to cycle 0 of a run of cfg, exactly as
 // NewNetwork(cfg) would have built it. It is the only writer of initial run
 // state (NewNetwork ends by calling it). Whatever watches the network —
-// observers, telemetry, flight recorder, checker, eject hook — is dropped.
+// observers, telemetry, flight recorder, checker — is dropped.
 // cfg must have the shape the network was built with (Topology value, VNets,
 // VCsPerVNet, VCDepth): another is an error that leaves the network untouched.
 func (n *Network) Reset(cfg Config) error {
@@ -309,7 +296,7 @@ func (n *Network) Reset(cfg Config) error {
 	clear(n.nicBlocked)
 	clear(n.routerSets)
 	n.resvOps, n.inFlightOps, n.ejects, n.dirtyVCs = rewind(n.resvOps), rewind(n.inFlightOps), rewind(n.ejects), rewind(n.dirtyVCs)
-	n.observers, n.evMask, n.flight, n.tele, n.checker, n.ejectHook = nil, 0, nil, nil, nil, nil
+	n.observers, n.evMask, n.flight, n.tele, n.checker = nil, 0, nil, nil, nil
 	n.pktPool = rewind(n.pktPool)
 	for _, chunk := range n.pktChunks {
 		n.freeChunk(chunk)
@@ -325,7 +312,7 @@ func (n *Network) Reset(cfg Config) error {
 		n.termRNG[t].Seed(EntitySeed(cfg.Seed, TerminalKey(t)))
 	}
 	for i, r := range n.routers {
-		r.agent, r.qagent, r.vpub = nil, nil, nil
+		r.agent = nil
 		r.flitCount, r.spinningVCs, r.smPending = 0, 0, 0
 		for p := range r.smSends {
 			r.smSends[p] = rewind(r.smSends[p])
@@ -403,19 +390,7 @@ func (n *Network) RecountQueuedPackets() int {
 func (n *Network) SetAgent(router int, a Agent) {
 	r := n.routers[router]
 	r.agent = a
-	r.qagent, _ = a.(Quiescer)
-	r.vpub, _ = a.(ViewPublisher)
 	r.wake()
-}
-
-// SetEjectHook registers an observer for every ejected packet. f may keep
-// what it is shown, so the network gives up every pooled packet made so far
-// (to the collector, not to Reset) and owns none made while f is installed.
-func (n *Network) SetEjectHook(f func(*Packet)) {
-	n.ejectHook = f
-	if f != nil {
-		n.pktChunks = nil
-	}
 }
 
 func (n *Network) measuring() bool { return n.now >= n.cfg.StatsStart }
@@ -424,21 +399,20 @@ func (n *Network) measuring() bool { return n.now >= n.cfg.StatsStart }
 func (n *Network) vcIndex(v *VC) int { return int(n.vcBase[v.router.ID]) + int(v.slot) }
 
 // InjectPacket creates a packet and enqueues it at src's NIC, running the
-// routing algorithm's source hook. Tests and traffic replay use it
-// directly; open-loop traffic goes through Config.Traffic.
+// routing algorithm's source hook. Tests and examples use it directly;
+// traffic goes through Config.Traffic.
 func (n *Network) InjectPacket(src int, spec PacketSpec) *Packet {
-	// Packets injected through the public API are never pooled: callers
-	// routinely retain the pointer past ejection (tests, trace capture).
+	// Packets injected through the public API are never pooled: the caller
+	// holds the pointer, past ejection if it likes.
 	return n.inject(src, spec, false)
 }
 
 // inject creates (or recycles) a packet and enqueues it at src's NIC.
 // Pooled packets come from — and on ejection return to — the free list;
-// only the engine's own traffic-generation path uses pooling, and only
-// while no eject observer could retain the pointer.
+// the engine's own traffic-generation path uses them.
 func (n *Network) inject(src int, spec PacketSpec, pooled bool) *Packet {
-	if spec.Length <= 0 || spec.Length > n.cfg.MaxPktLen {
-		panic(fmt.Sprintf("sim: packet length %d outside (0,%d]", spec.Length, n.cfg.MaxPktLen))
+	if spec.Length <= 0 || spec.Length > MaxPktLen {
+		panic(fmt.Sprintf("sim: packet length %d outside (0,%d]", spec.Length, MaxPktLen))
 	}
 	if spec.VNet < 0 || spec.VNet >= n.cfg.VNets {
 		panic(fmt.Sprintf("sim: vnet %d out of range", spec.VNet))
@@ -479,7 +453,7 @@ func (n *Network) inject(src int, spec PacketSpec, pooled bool) *Packet {
 	n.queuedPackets++
 	if n.wants(EvPacketQueued) {
 		n.emit(Event{Cycle: n.now, Kind: EvPacketQueued, Router: p.SrcRouter,
-			Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet})
+			Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Len: p.Length})
 	}
 	return p
 }
@@ -489,13 +463,10 @@ func (n *Network) inject(src int, spec PacketSpec, pooled bool) *Packet {
 const pktChunk = 64
 
 // growPktPool refills the empty free list with one new chunk. Nothing is
-// recorded per packet: the chunk is remembered for Reset, and only while no
-// eject hook could keep a pointer into it.
+// recorded per packet: the chunk is remembered for Reset.
 func (n *Network) growPktPool() {
 	chunk := make([]Packet, pktChunk)
-	if n.ejectHook == nil {
-		n.pktChunks = append(n.pktChunks, chunk)
-	}
+	n.pktChunks = append(n.pktChunks, chunk)
 	n.freeChunk(chunk)
 }
 
@@ -537,26 +508,22 @@ func (n *Network) Run(cycles int64) {
 // and in-flight packets ejected) or maxCycles elapse. It reports whether
 // the network fully drained — the strongest liveness check available.
 //
-// A TrafficQuiescer (closed-loop generators with reply obligations)
-// stays attached in quiesce mode instead of being detached: new requests
-// stop, pending replies keep flowing, and the drain additionally waits
-// for the request window to empty (zero in-window residue).
+// A ClosedLoopTraffic source stays attached in quiesce mode instead of
+// being detached: new requests stop, pending replies keep flowing, and the
+// drain additionally waits for the request window to empty (zero
+// in-window residue).
 func (n *Network) Drain(maxCycles int64) bool {
-	saved := n.cfg.Traffic
-	var wt WindowedTraffic
-	if q, ok := saved.(TrafficQuiescer); ok {
-		q.Quiesce(true)
-		defer q.Quiesce(false)
-		wt, _ = saved.(WindowedTraffic)
+	cl := n.closed
+	if cl != nil {
+		cl.Quiesce(true)
+		defer cl.Quiesce(false)
 	} else {
+		saved := n.cfg.Traffic
 		n.cfg.Traffic = nil
 		defer func() { n.cfg.Traffic = saved }()
 	}
 	empty := func() bool {
-		if n.inNetwork != 0 || n.QueuedPackets() != 0 {
-			return false
-		}
-		return wt == nil || wt.InWindow() == 0
+		return n.inNetwork == 0 && n.queuedPackets == 0 && (cl == nil || cl.InWindow() == 0)
 	}
 	for i := int64(0); i < maxCycles; i++ {
 		if empty() {
@@ -592,13 +559,10 @@ func (n *Network) LinkUtilisation() LinkUtilisation {
 	return u
 }
 
-// SetTraffic replaces the open-loop traffic generator (nil disables
-// generation; queued and in-flight packets are unaffected).
+// SetTraffic replaces the traffic generator (nil disables generation;
+// queued and in-flight packets are unaffected).
 func (n *Network) SetTraffic(g TrafficGen) {
-	if tp, ok := g.(TrafficPrep); ok {
-		tp.PrepareTerminals(len(n.nics))
-	}
 	n.cfg.Traffic = g
 	n.trafStep, _ = g.(TrafficStepper)
-	n.trafObs, _ = g.(TrafficEjectObserver)
+	n.closed, _ = g.(ClosedLoopTraffic)
 }

@@ -61,11 +61,9 @@ func TestZeroLoadLatencyMatchesHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got *sim.Packet
-	n.SetEjectHook(func(p *sim.Packet) { got = p })
-	n.InjectPacket(0, sim.PacketSpec{Dst: 15, Length: 1})
+	got := n.InjectPacket(0, sim.PacketSpec{Dst: 15, Length: 1})
 	n.Run(100)
-	if got == nil {
+	if n.Stats().Ejected != 1 {
 		t.Fatal("packet not delivered")
 	}
 	if got.Hops != 6 {
@@ -89,7 +87,7 @@ func TestMultiFlitPacketsStayOrdered(t *testing.T) {
 		VCsPerVNet: 1,
 	})
 	delivered := 0
-	n.SetEjectHook(func(p *sim.Packet) { delivered++ })
+	n.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(sim.Event) { delivered++ }))
 	for i := 0; i < 5; i++ {
 		n.InjectPacket(0, sim.PacketSpec{Dst: 3, Length: 5})
 	}
@@ -195,7 +193,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := sim.NewNetwork(sim.Config{Topology: m}); err == nil {
 		t.Fatal("missing routing accepted")
 	}
-	if _, err := sim.NewNetwork(sim.Config{Topology: m, Routing: &routing.XY{Mesh: m}, VCDepth: 2, MaxPktLen: 5}); err == nil {
+	if _, err := sim.NewNetwork(sim.Config{Topology: m, Routing: &routing.XY{Mesh: m}, VCDepth: 2}); err == nil {
 		t.Fatal("VCDepth < MaxPktLen accepted")
 	}
 	if _, err := sim.NewNetwork(sim.Config{Topology: m, Routing: &routing.XY{Mesh: m}, VCsPerVNet: 40}); err == nil {

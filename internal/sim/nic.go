@@ -79,7 +79,7 @@ func (n *NIC) injectStep(net *Network) {
 		v.reserve(p, now, false)
 		if net.wants(EvPacketInject) {
 			net.emit(Event{Cycle: now, Kind: EvPacketInject, Router: n.router.ID,
-				Port: n.port, VC: v.index, Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet})
+				Port: n.port, VC: v.index, Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Len: p.Length})
 		}
 	}
 	n.curVC.enqueue(Flit{Pkt: n.cur, Seq: n.curSeq}, now)

@@ -46,8 +46,7 @@ type orderOutcome struct {
 	ejects map[uint64]int64
 }
 
-// ejectLog records (packet ID, eject cycle) off the event stream, so the
-// engine's packet pool stays on (an eject hook would turn it off).
+// ejectLog records (packet ID, eject cycle) off the event stream.
 type ejectLog map[uint64]int64
 
 func (l ejectLog) Event(e sim.Event) { l[e.Packet] = e.Cycle }

@@ -63,21 +63,18 @@ func watchAndRun(t *testing.T, net *sim.Network, cycles int) runRecord {
 // TestResetEqualsNew: a network that has been run hard under another seed
 // and then Reset behaves, event for event, like one built from nothing. The
 // dirtying run saturates the network with everything that can watch it
-// attached (checker, telemetry, flight recorder, eject hook, an observer),
-// so that flits, in-flight SMs, frozen and spinning VCs, backlogged NICs and
-// every attachment are there for Reset to forget one of. The scenarios are
+// attached (checker, telemetry, flight recorder, observers), so that flits,
+// in-flight SMs, frozen and spinning VCs, backlogged NICs and every
+// attachment are there for Reset to forget one of. The scenarios are
 // TestStallIndexParity's (every scheme on the topologies it runs on, among
 // them static_bubble's forced routing and escape_vc) plus a closed loop, a
 // Dally-ladder UGAL and a 3-vnet dragonfly.
 //
-// Each scenario then makes two more stops, for who owns a packet across a
-// Reset. The dirtying run above had an eject hook, which keeps what it is
-// shown: Reset must have reclaimed nothing, and what the hook kept must read
-// after the rewound run as it did at ejection. A second dirtying run has no
-// hook and ends with packets in VCs, on links and in NIC queues: Reset must
-// put every one of them back on the free list, the run after it must match
-// the fresh build cycle for cycle without allocating a packet, and a pooled
-// inject must cost no allocation.
+// Each scenario then makes one more stop, for who owns a packet across a
+// Reset. A second dirtying run ends with packets in VCs, on links and in NIC
+// queues: Reset must put every one of them back on the free list, the run
+// after it must match the fresh build cycle for cycle without allocating a
+// packet, and a pooled inject must cost no allocation.
 func TestResetEqualsNew(t *testing.T) {
 	type scenario struct {
 		name   string
@@ -94,7 +91,7 @@ func TestResetEqualsNew(t *testing.T) {
 		}
 		nc := s.Network().Config()
 		gen, err := workload.Build(workload.Spec{Mode: "closed", Window: 4, Think: 8}, pat, cfg.Rate, cfg.DataFrac,
-			nc.VNets, s.Topology().NumTerminals(), nc.MaxPktLen, cfg.Seed)
+			nc.VNets, s.Topology().NumTerminals(), cfg.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,14 +140,8 @@ func TestResetEqualsNew(t *testing.T) {
 			net.AttachFlightRecorder(64)
 			net.AddObserver(sim.AllEvents, new(eventDigest))
 			ejected := 0
-			var kept []*sim.Packet
-			var asEjected []sim.Packet
-			net.Run(1500) // the hook meets packets made before it was installed
-			net.SetEjectHook(func(p *sim.Packet) {
-				ejected++
-				kept, asEjected = append(kept, p), append(asEjected, *p)
-			})
-			net.Run(1500)
+			net.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(sim.Event) { ejected++ }))
+			net.Run(3000)
 			if net.InFlight() == 0 || net.QueuedPackets() == 0 || ejected == 0 {
 				t.Fatalf("dirtying run left %d packets in flight, %d queued, %d ejected: nothing to forget", net.InFlight(), net.QueuedPackets(), ejected)
 			}
@@ -184,21 +175,13 @@ func TestResetEqualsNew(t *testing.T) {
 			if net.Checker() != nil || net.Telemetry() != nil || net.FlightRecorder() != nil {
 				t.Fatal("Reset kept something that watches the network attached")
 			}
-			if free, owned := sim.PooledPackets(net); free != 0 || owned != 0 {
-				t.Fatalf("Reset after a hooked run reclaimed packets: %d free, %d owned", free, owned)
-			}
-			hookSaw := ejected
+			observerSaw := ejected
 			got := watchAndRun(t, net, sc.cycles)
-			if ejected != hookSaw {
-				t.Fatal("Reset kept the eject hook")
+			if ejected != observerSaw {
+				t.Fatal("Reset kept an observer")
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("rewound run differs from a fresh build's:\nrewound %+v\nfresh   %+v", got, want)
-			}
-			for i, p := range kept {
-				if *p != asEjected[i] {
-					t.Fatalf("a packet the eject hook kept was reused: %+v, ejected as %+v", *p, asEjected[i])
-				}
 			}
 			t.Logf("%d packets, %d spins, %d events, digest %016x", got.Stats.Ejected, got.Stats.Spins, got.Events, got.Digest)
 

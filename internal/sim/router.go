@@ -50,9 +50,7 @@ type Router struct {
 	// a link port the id of the router feeding it (-1: nobody).
 	waker []int32
 
-	agent  Agent
-	qagent Quiescer      // agent's optional quiescence probe (nil: always active)
-	vpub   ViewPublisher // agent's optional cross-router view hook
+	agent Agent
 
 	// Work counters behind active(): a router is stepped only while one of
 	// them is non-zero or its agent is awake.
@@ -92,10 +90,7 @@ func (r *Router) active() bool {
 	if r.flitCount > 0 || r.smPending > 0 || r.spinningVCs > 0 {
 		return true
 	}
-	if r.agent == nil {
-		return false
-	}
-	return r.qagent == nil || !r.qagent.Quiescent()
+	return r.agent != nil && !r.agent.Quiescent()
 }
 
 // wake puts the router in the network's awake set, the routers phase 2 asks

@@ -91,7 +91,8 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 
 // Event is one discrete simulator occurrence. All fields are plain
 // values; which are meaningful depends on Kind (packet events carry
-// Packet/Src/Dst, SM events carry SM/Tag, VC events carry Port/VC).
+// Packet/Src/Dst/VNet/Len, SM events carry SM/Tag, VC events carry
+// Port/VC).
 type Event struct {
 	Cycle  int64     `json:"cycle"`
 	Kind   EventKind `json:"kind"`
@@ -102,6 +103,7 @@ type Event struct {
 	Src    int       `json:"src,omitempty"`    // source terminal
 	Dst    int       `json:"dst,omitempty"`    // destination terminal
 	VNet   int       `json:"vnet,omitempty"`
+	Len    int       `json:"len,omitempty"` // packet length in flits (packet_* events)
 	SM     string    `json:"sm,omitempty"`  // SM kind name (sm_* events)
 	Tag    uint64    `json:"tag,omitempty"` // recovery-attempt tag (sm_* events)
 	Arg    int64     `json:"arg,omitempty"` // kind-specific: latency, spin cycle, deadlock count
@@ -112,6 +114,12 @@ type Event struct {
 type Probe interface {
 	Event(Event)
 }
+
+// ProbeFunc adapts a function to the Probe interface.
+type ProbeFunc func(Event)
+
+// Event implements Probe.
+func (f ProbeFunc) Event(e Event) { f(e) }
 
 // KindMask selects event kinds: bit k set means kind k is wanted.
 type KindMask uint64

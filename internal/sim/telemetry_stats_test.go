@@ -35,7 +35,7 @@ func telemetryRun(t *testing.T, rate float64) *spin.Simulation {
 
 // TestTelemetryHistMatchesStats audits the latency histogram against
 // both the engine's incremental sums and a brute-force recount from the
-// eject hook: the histogram must observe exactly the measurement-window
+// packet_eject events: the histogram must observe exactly the measurement-window
 // packets Stats counts, and its percentile estimates must land inside
 // the log₂ bucket of the exact order statistic (the acceptance
 // cross-check for p50/p95/p99).
@@ -45,11 +45,11 @@ func TestTelemetryHistMatchesStats(t *testing.T) {
 	tele := net.AttachTelemetry(sim.TelemetryOptions{Hist: true})
 	start := net.Config().StatsStart
 	var exact []int64
-	net.SetEjectHook(func(p *sim.Packet) {
-		if p.GenCycle >= start {
-			exact = append(exact, p.EjectCycle-p.GenCycle)
+	net.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) {
+		if e.Cycle-e.Arg >= start { // generated inside the measurement window
+			exact = append(exact, e.Arg)
 		}
-	})
+	}))
 	s.Run(4000)
 
 	st := net.Stats()
@@ -67,7 +67,7 @@ func TestTelemetryHistMatchesStats(t *testing.T) {
 		t.Errorf("hist max %d != MaxLatency %d", h.Max(), st.MaxLatency)
 	}
 
-	// Brute-force recount from the eject hook.
+	// Brute-force recount from the packet_eject events.
 	var sum, max int64
 	for _, v := range exact {
 		sum += v

@@ -159,7 +159,7 @@ func TestHotStructSizeClasses(t *testing.T) {
 		got, fits uintptr
 	}{
 		{"VC", unsafe.Sizeof(VC{}), 176},
-		{"Router", unsafe.Sizeof(Router{}), 416},
+		{"Router", unsafe.Sizeof(Router{}), 368},
 		{"NIC", unsafe.Sizeof(NIC{}), 96},
 	} {
 		if c.got > c.fits {

@@ -138,7 +138,7 @@ func (a *Agent) nextTag() uint64 {
 	return a.tagSeq*uint64(a.r.Net().NumRouters()) + uint64(a.id)
 }
 
-// PublishView implements sim.ViewPublisher: copy the follower state peers
+// PublishView implements sim.Agent: copy the follower state peers
 // read into the immutable-through-phase-2 snapshot. Idle agents with an
 // already-empty view return without touching anything.
 func (a *Agent) PublishView() {
@@ -189,7 +189,7 @@ func (a *Agent) scanWatch(port, idx int) (int, int, bool) {
 	return 0, 0, false
 }
 
-// Quiescent implements sim.Quiescer: with the initiator FSM off and no
+// Quiescent implements sim.Agent: with the initiator FSM off and no
 // follower freeze pending, Tick is a no-op unless the router holds
 // blocked flits — and routers holding flits are always stepped. The
 // engine uses this to skip idle routers' agent phase entirely.

@@ -186,7 +186,7 @@ func (a *Agent) handleMoveLike(sm *sim.SM, inPort int, isProbeMove bool) {
 			a.role = RoleFwdProgress
 			// afterSpin fires once every packet of the loop has finished
 			// its synchronized movement.
-			a.expire = sm.SpinCycle + int64(a.r.Net().Config().MaxPktLen)
+			a.expire = sm.SpinCycle + sim.MaxPktLen
 			return
 		}
 		// Our own dependency dissolved while the move circulated: cancel

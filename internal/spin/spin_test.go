@@ -363,12 +363,12 @@ func TestSpinAdaptiveMeshStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[uint64]bool{}
-		net.SetEjectHook(func(p *sim.Packet) {
-			if seen[p.ID] {
-				t.Fatalf("seed %d: packet %d delivered twice", seed, p.ID)
+		net.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) {
+			if seen[e.Packet] {
+				t.Fatalf("seed %d: packet %d delivered twice", seed, e.Packet)
 			}
-			seen[p.ID] = true
-		})
+			seen[e.Packet] = true
+		}))
 		net.Run(2500)
 		if !net.Drain(300000) {
 			t.Fatalf("seed %d: SPIN mesh failed to drain (%d in flight, %d spins, %d recoveries)",

@@ -51,6 +51,11 @@ type Topology interface {
 	// MinimalPorts returns the output ports at router r that lie on some
 	// minimal path toward router dst. The slice must not be mutated.
 	MinimalPorts(r, dst int) []int
+	// MinimalPortsInto appends MinimalPorts(r, dst) to buf and returns it,
+	// without allocating beyond buf's growth.
+	MinimalPortsInto(buf []int, r, dst int) []int
+	// Diameter reports the maximum finite router-to-router distance.
+	Diameter() int
 }
 
 // Graph is a concrete Topology built from an explicit link list. Concrete
@@ -251,8 +256,7 @@ func (g *Graph) MinimalPorts(r, dst int) []int {
 	return out
 }
 
-// MinimalPortsInto appends the minimal output ports of r toward dst to buf
-// and returns it, avoiding allocation on hot paths.
+// MinimalPortsInto implements Topology.
 func (g *Graph) MinimalPortsInto(buf []int, r, dst int) []int {
 	for _, p := range g.minimalAt(r, dst) {
 		buf = append(buf, int(p))
@@ -286,7 +290,7 @@ func (g *Graph) Connected() bool {
 	return true
 }
 
-// Diameter reports the maximum finite router-to-router distance.
+// Diameter implements Topology.
 func (g *Graph) Diameter() int {
 	max := 0
 	for a := 0; a < g.routers; a++ {

@@ -6,6 +6,7 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -224,13 +225,13 @@ type Synthetic struct {
 
 	// next rotates the vnet per terminal (not globally), so each
 	// terminal's emission sequence is independent of the others' and of
-	// the order terminals are visited in.
+	// the order terminals are visited in. It grows as terminals first emit.
 	next []int32
 
 	// DataFrac with its default applied, and the per-cycle injection
-	// probability Rate/E[len] it implies: resolved once, in
-	// PrepareTerminals, instead of per terminal per cycle. The exported
-	// fields must not change afterwards.
+	// probability Rate/E[len] it implies: resolved once, by the first
+	// Generate, instead of per terminal per cycle. The exported fields must
+	// not change afterwards.
 	frac, pInject float64
 }
 
@@ -242,25 +243,12 @@ func (s *Synthetic) Name() string {
 	return fmt.Sprintf("%s@%.3f", s.Pattern.Name(), s.Rate)
 }
 
-// PrepareTerminals implements sim.TrafficPrep.
-func (s *Synthetic) PrepareTerminals(n int) {
-	if len(s.next) < n {
-		s.next = make([]int32, n)
-	}
-	s.frac = s.DataFrac
-	if s.frac == 0 {
-		s.frac = 0.5
-	}
-	meanLen := s.frac*dataLen + (1 - s.frac)
-	s.pInject = s.Rate / meanLen
-}
-
 // Generate implements sim.TrafficGen.
 func (s *Synthetic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
 	if s.frac == 0 {
-		// Driven without the engine's PrepareTerminals call (tests calling
-		// Generate directly: the engine always prepares before stepping).
-		s.PrepareTerminals(src + 1)
+		s.frac = cmp.Or(s.DataFrac, 0.5)
+		meanLen := s.frac*dataLen + (1 - s.frac)
+		s.pInject = s.Rate / meanLen
 	}
 	if rng.Float64() >= s.pInject {
 		return
@@ -271,8 +259,8 @@ func (s *Synthetic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.Pac
 	}
 	vnet := 0
 	if s.VNets > 1 {
-		if src >= len(s.next) {
-			s.PrepareTerminals(src + 1)
+		for len(s.next) <= src {
+			s.next = append(s.next, make([]int32, max(len(s.next), 64))...) // doubling, never per terminal
 		}
 		vnet = int(s.next[src]) % s.VNets
 		s.next[src]++

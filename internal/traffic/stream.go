@@ -23,7 +23,6 @@ type StreamReplay struct {
 	// with a descriptive error instead of panicking inside the injector.
 	terminals int
 	vnets     int
-	maxLen    int
 
 	queues    [][]TraceEntry // entries due this cycle, per source
 	next      TraceEntry     // lookahead: first entry not yet due
@@ -39,7 +38,8 @@ type StreamReplay struct {
 // first cycle; a stream is checked entry by entry as it is read (see
 // Err).
 func NewStreamReplay(src EntrySource, cfg sim.Config) (*StreamReplay, error) {
-	s := &StreamReplay{src: src, terminals: cfg.Topology.NumTerminals(), vnets: cfg.VNets, maxLen: cfg.MaxPktLen}
+	terminals := cfg.Topology.NumTerminals()
+	s := &StreamReplay{src: src, terminals: terminals, vnets: cfg.VNets, queues: make([][]TraceEntry, terminals)}
 	if l, ok := src.(*sliceSource); ok {
 		for i, e := range l.entries {
 			if err := s.check(int64(i), e); err != nil {
@@ -53,11 +53,6 @@ func NewStreamReplay(src EntrySource, cfg sim.Config) (*StreamReplay, error) {
 // Name implements sim.TrafficGen.
 func (s *StreamReplay) Name() string { return "trace_stream" }
 
-// PrepareTerminals implements sim.TrafficPrep.
-func (s *StreamReplay) PrepareTerminals(n int) {
-	s.queues = make([][]TraceEntry, max(n, s.terminals))
-}
-
 // check is the one entry-vs-network bounds rule; i is the entry's
 // position in replay order.
 func (s *StreamReplay) check(i int64, e TraceEntry) error {
@@ -70,8 +65,8 @@ func (s *StreamReplay) check(i int64, e TraceEntry) error {
 		return fmt.Errorf("traffic: trace entry %d: dst %d outside [0,%d)", i, e.Dst, s.terminals)
 	case e.Src == e.Dst:
 		return fmt.Errorf("traffic: trace entry %d: self-destined packet at node %d", i, e.Src)
-	case e.Length <= 0 || e.Length > s.maxLen:
-		return fmt.Errorf("traffic: trace entry %d: length %d outside (0,%d]", i, e.Length, s.maxLen)
+	case e.Length <= 0 || e.Length > sim.MaxPktLen:
+		return fmt.Errorf("traffic: trace entry %d: length %d outside (0,%d]", i, e.Length, sim.MaxPktLen)
 	case e.VNet < 0 || e.VNet >= s.vnets:
 		return fmt.Errorf("traffic: trace entry %d: vnet %d outside [0,%d)", i, e.VNet, s.vnets)
 	}
@@ -83,7 +78,7 @@ func (s *StreamReplay) check(i int64, e TraceEntry) error {
 // before the parallel phases, so the per-source appends never race with
 // Generate.
 func (s *StreamReplay) StepTraffic(now int64) {
-	if s.err != nil || s.queues == nil {
+	if s.err != nil {
 		return
 	}
 	for {
@@ -118,9 +113,6 @@ func (s *StreamReplay) StepTraffic(now int64) {
 // entries. Each queue is filled serially in StepTraffic and emptied
 // here, so steady-state replay does not allocate.
 func (s *StreamReplay) Generate(_ int64, src int, _ *rand.Rand, emit func(sim.PacketSpec)) {
-	if src < 0 || src >= len(s.queues) {
-		return
-	}
 	q := s.queues[src]
 	if len(q) == 0 {
 		return

@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"io"
-	"math/rand"
 	"sort"
 
 	"repro/internal/sim"
@@ -66,23 +65,17 @@ func (s *sliceSource) Next() (TraceEntry, error) {
 	return s.entries[s.pos-1], nil
 }
 
-// Recorder wraps a TrafficGen and captures everything it emits, in
-// injection order: an entry list that replays the same workload. The
-// order is the engine's: terminals ascending within a cycle.
+// Recorder is a sim.Probe that captures a network's workload: one entry
+// per packet_queued event, in the order the engine queues packets
+// (terminals ascending within a cycle), so the list replays the same
+// workload. Register it for sim.MaskOf(sim.EvPacketQueued).
 type Recorder struct {
-	Gen     sim.TrafficGen
 	Entries []TraceEntry
 }
 
-// Name implements sim.TrafficGen.
-func (rec *Recorder) Name() string { return rec.Gen.Name() + "+record" }
-
-// Generate implements sim.TrafficGen.
-func (rec *Recorder) Generate(cycle int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
-	rec.Gen.Generate(cycle, src, rng, func(spec sim.PacketSpec) {
-		rec.Entries = append(rec.Entries, TraceEntry{
-			Cycle: cycle, Src: src, Dst: spec.Dst, Length: spec.Length, VNet: spec.VNet,
-		})
-		emit(spec)
-	})
+// Event implements sim.Probe.
+func (rec *Recorder) Event(e sim.Event) {
+	if e.Kind == sim.EvPacketQueued {
+		rec.Entries = append(rec.Entries, TraceEntry{Cycle: e.Cycle, Src: e.Src, Dst: e.Dst, Length: e.Len, VNet: e.VNet})
+	}
 }

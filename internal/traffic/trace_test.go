@@ -3,7 +3,6 @@ package traffic
 import (
 	"bytes"
 	"io"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -78,26 +77,32 @@ func TestSliceSourceOrder(t *testing.T) {
 	}
 }
 
+// TestRecorderThenReplayIdentical: a Recorder observing a network's
+// packet_queued events captures every packet its generator made, and a
+// replay of the recording emits exactly those packets, in the same order
+// at the same cycles.
 func TestRecorderThenReplayIdentical(t *testing.T) {
-	gen := &Synthetic{Pattern: Uniform(16), Rate: 0.2, VNets: 2}
-	rec := &Recorder{Gen: gen}
-	rng := rand.New(rand.NewSource(7))
-	for c := int64(0); c < 2000; c++ {
-		for src := 0; src < 16; src++ {
-			rec.Generate(c, src, rng, func(sim.PacketSpec) {})
-		}
-	}
-	if len(rec.Entries) == 0 {
-		t.Fatal("nothing recorded")
-	}
-	// Replay must emit exactly the recorded specs at the recorded cycles.
-	cfg := testNet(t).Config()
-	cfg.VNets = 2
-	rp, err := NewStreamReplay(SliceSource(rec.Entries), cfg)
+	m, err := topology.NewMesh(4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp.PrepareTerminals(16)
+	n, err := sim.NewNetwork(sim.Config{
+		Topology: m, Routing: &xyForTest{m: m}, VNets: 2, VCsPerVNet: 2, Seed: 7,
+		Traffic: &Synthetic{Pattern: Uniform(16), Rate: 0.2, VNets: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &Recorder{}
+	n.AddObserver(sim.MaskOf(sim.EvPacketQueued), rec)
+	n.Run(2000)
+	if made := n.Stats().Ejected + int64(n.InFlight()+n.QueuedPackets()); len(rec.Entries) == 0 || int64(len(rec.Entries)) != made {
+		t.Fatalf("recorded %d of the %d packets the generator made", len(rec.Entries), made)
+	}
+	rp, err := NewStreamReplay(SliceSource(rec.Entries), n.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var replayed []TraceEntry
 	for c := int64(0); c < 2100; c++ {
 		rp.StepTraffic(c)
@@ -110,20 +115,8 @@ func TestRecorderThenReplayIdentical(t *testing.T) {
 	if !rp.Done() {
 		t.Fatal("replay not done")
 	}
-	if len(replayed) != len(rec.Entries) {
-		t.Fatalf("replayed %d, recorded %d", len(replayed), len(rec.Entries))
-	}
-	count := map[TraceEntry]int{}
-	for _, e := range rec.Entries {
-		count[e]++
-	}
-	for _, e := range replayed {
-		count[e]--
-	}
-	for e, c := range count {
-		if c != 0 {
-			t.Fatalf("entry %+v mismatch (%d)", e, c)
-		}
+	if !reflect.DeepEqual(replayed, rec.Entries) {
+		t.Fatalf("replayed %d entries that differ from the %d recorded", len(replayed), len(rec.Entries))
 	}
 }
 

@@ -18,27 +18,19 @@ type Burst struct {
 	OnMean  int64 // mean burst length in cycles (>= 1)
 	OffMean int64 // mean idle gap in cycles (>= 1)
 
-	on    []bool
-	until []int64 // cycle at which the current state ends; -1 = not started
+	terms []burstState // per terminal, grown as terminals are first seen
+}
+
+// burstState is one terminal's on/off process. until is the cycle at which
+// the current state ends, 0 before the terminal's first draw (a draw is at
+// least one cycle, so a started terminal never reads 0).
+type burstState struct {
+	on    bool
+	until int64
 }
 
 // Name implements sim.TrafficGen.
 func (b *Burst) Name() string { return b.Inner.Name() + "+burst" }
-
-// PrepareTerminals implements sim.TrafficPrep.
-func (b *Burst) PrepareTerminals(n int) {
-	if tp, ok := b.Inner.(sim.TrafficPrep); ok {
-		tp.PrepareTerminals(n)
-	}
-	if len(b.until) >= n {
-		return
-	}
-	b.on = make([]bool, n)
-	b.until = make([]int64, n)
-	for i := range b.until {
-		b.until[i] = -1
-	}
-}
 
 func draw(rng *rand.Rand, mean int64) int64 {
 	if mean <= 1 {
@@ -49,24 +41,25 @@ func draw(rng *rand.Rand, mean int64) int64 {
 
 // Generate implements sim.TrafficGen.
 func (b *Burst) Generate(cycle int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
-	if src >= len(b.until) {
-		b.PrepareTerminals(src + 1)
+	for len(b.terms) <= src {
+		b.terms = append(b.terms, make([]burstState, max(len(b.terms), 64))...) // doubling, never per terminal
 	}
-	if b.until[src] < 0 {
+	t := &b.terms[src]
+	if t.until == 0 {
 		// Every terminal starts mid-burst; the first draw desynchronises
 		// the terminals since each uses its own stream.
-		b.on[src] = true
-		b.until[src] = cycle + draw(rng, b.OnMean)
+		t.on = true
+		t.until = cycle + draw(rng, b.OnMean)
 	}
-	for cycle >= b.until[src] {
-		b.on[src] = !b.on[src]
+	for cycle >= t.until {
+		t.on = !t.on
 		mean := b.OnMean
-		if !b.on[src] {
+		if !t.on {
 			mean = b.OffMean
 		}
-		b.until[src] += draw(rng, mean)
+		t.until += draw(rng, mean)
 	}
-	if !b.on[src] {
+	if !t.on {
 		return
 	}
 	b.Inner.Generate(cycle, src, rng, emit)

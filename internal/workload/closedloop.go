@@ -35,7 +35,6 @@ type ClosedLoop struct {
 	think    int64
 	thinkMax int64
 	vnets    int
-	seed     int64
 
 	outstanding []int32
 	thinkUntil  []int64
@@ -70,53 +69,46 @@ func (s *thinkStream) float64() float64 { return float64(s.next()>>11) / (1 << 5
 const paretoShape = 1.5
 
 // newClosedLoop builds the client set of s, a closed-mode spec Build has
-// validated and normalized, offering rate request flits/terminal/cycle
-// over pat. It checks only what the spec cannot know: the network's vnets,
-// the rate, and the engine's packet-length cap.
-func newClosedLoop(s Spec, pat traffic.Pattern, rate float64, vnets, maxPktLen int, seed int64) (*ClosedLoop, error) {
+// validated and normalized: one client per terminal, offering rate request
+// flits/terminal/cycle over pat. It checks only what the spec cannot know:
+// the network's vnets, the rate, and the engine's packet-length cap.
+func newClosedLoop(s Spec, pat traffic.Pattern, rate float64, vnets, terminals int, seed int64) (*ClosedLoop, error) {
 	switch {
 	case vnets < 2:
 		return nil, fmt.Errorf("workload: closed loop needs >= 2 vnets to separate requests and replies, got %d", vnets)
 	case rate <= 0:
 		return nil, fmt.Errorf("workload: closed loop needs a positive rate")
-	case s.ReqLen > maxPktLen:
-		return nil, fmt.Errorf("workload: request length %d outside (0,%d]", s.ReqLen, maxPktLen)
-	case s.RespLen > maxPktLen:
-		return nil, fmt.Errorf("workload: response length %d outside (0,%d]", s.RespLen, maxPktLen)
+	case s.ReqLen > sim.MaxPktLen:
+		return nil, fmt.Errorf("workload: request length %d outside (0,%d]", s.ReqLen, sim.MaxPktLen)
+	case s.RespLen > sim.MaxPktLen:
+		return nil, fmt.Errorf("workload: response length %d outside (0,%d]", s.RespLen, sim.MaxPktLen)
 	}
-	return &ClosedLoop{
-		pat:      pat,
-		window:   int32(s.Window),
-		rate:     rate,
-		pIssue:   min(rate/float64(s.ReqLen), 1),
-		reqLen:   s.ReqLen,
-		respLen:  s.RespLen,
-		think:    s.Think,
-		thinkMax: s.ThinkMax,
-		vnets:    vnets,
-		seed:     seed,
-	}, nil
+	cl := &ClosedLoop{
+		pat:         pat,
+		window:      int32(s.Window),
+		rate:        rate,
+		pIssue:      min(rate/float64(s.ReqLen), 1),
+		reqLen:      s.ReqLen,
+		respLen:     s.RespLen,
+		think:       s.Think,
+		thinkMax:    s.ThinkMax,
+		vnets:       vnets,
+		outstanding: make([]int32, terminals),
+		thinkUntil:  make([]int64, terminals),
+		pend:        make([][]pendingReply, terminals),
+		issued:      make([]int64, terminals),
+		completed:   make([]int64, terminals),
+		thinkSrc:    make([]thinkStream, terminals),
+	}
+	for i := range cl.thinkSrc {
+		cl.thinkSrc[i].state = uint64(sim.EntitySeed(seed, "W:"+strconv.Itoa(i)))
+	}
+	return cl, nil
 }
 
 // Name implements sim.TrafficGen.
 func (cl *ClosedLoop) Name() string {
 	return fmt.Sprintf("closed_loop(%s,W=%d)@%.3f", cl.pat.Name(), cl.window, cl.rate)
-}
-
-// PrepareTerminals implements sim.TrafficPrep.
-func (cl *ClosedLoop) PrepareTerminals(n int) {
-	if len(cl.outstanding) >= n {
-		return
-	}
-	cl.outstanding = make([]int32, n)
-	cl.thinkUntil = make([]int64, n)
-	cl.pend = make([][]pendingReply, n)
-	cl.issued = make([]int64, n)
-	cl.completed = make([]int64, n)
-	cl.thinkSrc = make([]thinkStream, n)
-	for i := range cl.thinkSrc {
-		cl.thinkSrc[i].state = uint64(sim.EntitySeed(cl.seed, "W:"+strconv.Itoa(i)))
-	}
 }
 
 // Generate implements sim.TrafficGen: first flush replies this server
@@ -145,7 +137,7 @@ func (cl *ClosedLoop) Generate(cycle int64, src int, rng *rand.Rand, emit func(s
 	cl.issued[src]++
 }
 
-// OnEject implements sim.TrafficEjectObserver, called in the serial
+// OnEject implements sim.ClosedLoopTraffic, called in the serial
 // commit for every ejected packet. A reply retires its requester's
 // window slot and starts the think timer; a request schedules the reply
 // the server owes.
@@ -196,23 +188,18 @@ func (cl *ClosedLoop) fail(format string, args ...any) {
 	}
 }
 
-// Quiesce implements sim.TrafficQuiescer: during drain the clients stop
+// Quiesce implements sim.ClosedLoopTraffic: during drain the clients stop
 // issuing requests but keep answering the ones already in flight, so
 // the network can reach zero in-window residue.
 func (cl *ClosedLoop) Quiesce(on bool) { cl.quiesced = on }
 
-// WindowLimit implements sim.WindowedTraffic.
+// WindowLimit implements sim.ClosedLoopTraffic.
 func (cl *ClosedLoop) WindowLimit() int { return int(cl.window) }
 
-// Outstanding implements sim.WindowedTraffic.
-func (cl *ClosedLoop) Outstanding(t int) int {
-	if t < 0 || t >= len(cl.outstanding) {
-		return 0
-	}
-	return int(cl.outstanding[t])
-}
+// Outstanding implements sim.ClosedLoopTraffic.
+func (cl *ClosedLoop) Outstanding(t int) int { return int(cl.outstanding[t]) }
 
-// InWindow implements sim.WindowedTraffic: total outstanding requests.
+// InWindow implements sim.ClosedLoopTraffic: total outstanding requests.
 func (cl *ClosedLoop) InWindow() int64 {
 	var total int64
 	for _, o := range cl.outstanding {
@@ -221,7 +208,7 @@ func (cl *ClosedLoop) InWindow() int64 {
 	return total
 }
 
-// AuditWindows implements sim.WindowedTraffic: the first internal
+// AuditWindows implements sim.ClosedLoopTraffic: the first internal
 // accounting violation (sticky), or nil.
 func (cl *ClosedLoop) AuditWindows() error {
 	if cl.auditErr != nil {

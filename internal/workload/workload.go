@@ -131,11 +131,11 @@ func (s *Spec) IsZero() bool {
 // Build assembles the traffic generator for a spec: pattern (wrapped
 // with hotspot skew when requested), then either the closed-loop client
 // or a Bernoulli source under the burst modulator. rate is offered
-// flits/terminal/cycle; vnets and maxPktLen come from the simulated
+// flits/terminal/cycle; vnets and terminals come from the simulated
 // configuration (closed mode needs vnets >= 2 to separate the request
 // and reply message classes); seed feeds the per-terminal think-time
 // streams.
-func Build(s Spec, pat traffic.Pattern, rate, dataFrac float64, vnets, terminals, maxPktLen int, seed int64) (sim.TrafficGen, error) {
+func Build(s Spec, pat traffic.Pattern, rate, dataFrac float64, vnets, terminals int, seed int64) (sim.TrafficGen, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func Build(s Spec, pat traffic.Pattern, rate, dataFrac float64, vnets, terminals
 		pat = &Hotspot{Inner: pat, Frac: s.HotFrac, Hot: hot}
 	}
 	if s.Mode == "closed" {
-		return newClosedLoop(s, pat, rate, vnets, maxPktLen, seed)
+		return newClosedLoop(s, pat, rate, vnets, terminals, seed)
 	}
 	syn := &traffic.Synthetic{Pattern: pat, Rate: rate, DataFrac: dataFrac, VNets: vnets}
 	if s.BurstOn > 0 {

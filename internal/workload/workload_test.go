@@ -104,7 +104,7 @@ func TestSpecNormalize(t *testing.T) {
 func closedLoop(t *testing.T, s Spec, rate float64, seed int64) *ClosedLoop {
 	t.Helper()
 	s.Mode = "closed"
-	gen, err := Build(s, traffic.Uniform(16), rate, 0, 2, 16, 5, seed)
+	gen, err := Build(s, traffic.Uniform(16), rate, 0, 2, 16, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,6 @@ func TestCheckerCatchesAccountingMismatch(t *testing.T) {
 func TestClosedLoopRejectsUnmatchedReplies(t *testing.T) {
 	t.Parallel()
 	cl := closedLoop(t, Spec{}, 0.5, 0)
-	cl.PrepareTerminals(16)
 	cl.OnEject(&sim.Packet{VNet: 1, Dst: 3}) // reply with nothing outstanding
 	if err := cl.AuditWindows(); err == nil || !strings.Contains(err.Error(), "no outstanding") {
 		t.Fatalf("unmatched reply not flagged: %v", err)
@@ -237,7 +236,6 @@ func TestClosedLoopRejectsUnmatchedReplies(t *testing.T) {
 	}
 
 	cl2 := closedLoop(t, Spec{}, 0.5, 0)
-	cl2.PrepareTerminals(16)
 	cl2.OnEject(&sim.Packet{VNet: 1, Dst: 99}) // reply addressed off the grid
 	if err := cl2.AuditWindows(); err == nil || !strings.Contains(err.Error(), "unknown terminal") {
 		t.Fatalf("out-of-range reply not flagged: %v", err)
@@ -267,7 +265,7 @@ func TestBuildRejects(t *testing.T) {
 		{"think cap below think", closed(Spec{Think: 8, ThinkMax: 2}), 0.5, 2, "below think"},
 		{"more hotspots than terminals", Spec{HotFrac: 0.5, Hotspots: 32}, 0.3, 1, "exceed"},
 	} {
-		_, err := Build(tc.s, traffic.Uniform(16), tc.rate, 0.5, tc.vnets, 16, 5, 1)
+		_, err := Build(tc.s, traffic.Uniform(16), tc.rate, 0.5, tc.vnets, 16, 1)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.frag)
 		}
@@ -293,7 +291,6 @@ func TestBurstGatesAndIsDeterministic(t *testing.T) {
 	run := func() (int, []bool) {
 		inner := &countingGen{}
 		b := &Burst{Inner: inner, OnMean: 10, OffMean: 30}
-		b.PrepareTerminals(1)
 		rng := rand.New(rand.NewSource(99))
 		gates := make([]bool, 4000)
 		for c := int64(0); c < 4000; c++ {
@@ -362,7 +359,7 @@ func TestBuild(t *testing.T) {
 	t.Parallel()
 	pat := traffic.Uniform(16)
 
-	gen, err := Build(Spec{Mode: "closed", Window: 8}, pat, 0.3, 0.5, 2, 16, 5, 1)
+	gen, err := Build(Spec{Mode: "closed", Window: 8}, pat, 0.3, 0.5, 2, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +371,7 @@ func TestBuild(t *testing.T) {
 		t.Fatalf("window %d, want 8", cl.WindowLimit())
 	}
 
-	gen, err = Build(Spec{BurstOn: 10, BurstOff: 30}, pat, 0.2, 0.5, 1, 16, 5, 1)
+	gen, err = Build(Spec{BurstOn: 10, BurstOff: 30}, pat, 0.2, 0.5, 1, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +387,7 @@ func TestBuild(t *testing.T) {
 		t.Fatalf("duty-compensated rate %g, want %g", syn.Rate, want)
 	}
 
-	gen, err = Build(Spec{HotFrac: 0.3, Hotspots: 2}, pat, 0.2, 0.5, 1, 16, 5, 1)
+	gen, err = Build(Spec{HotFrac: 0.3, Hotspots: 2}, pat, 0.2, 0.5, 1, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

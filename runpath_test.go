@@ -10,30 +10,31 @@ import (
 
 // TestOneRunDriver pins the run-path contract: outside the simulator
 // itself (internal/sim), this facade (spin.go), the examples and tests,
-// observers are registered, event rings built and networks drained in
-// exactly one place — harness.Drive — and spind reaches its worker pool
+// the checker, telemetry and event rings are attached and networks drained
+// in exactly one place — harness.Drive — and spind reaches its worker pool
 // through one helper; the one exception is the -trace ring spinsim sizes
-// from -tracebuf and hands to Drive. A second call site means an entry
-// point is assembling its own run again, which is how the
-// attach/drain/err-check copies drifted before.
+// from -tracebuf and hands to Drive. Observers are added by Drive and by
+// the two recorders that hand Drive an already-watched network (the
+// differential oracle, which also collects deliveries, and spinsim
+// -record). A second call site means an entry point is assembling its own
+// run again, which is how the attach/drain/err-check copies drifted before.
 //
 // The same goes for the workload: outside internal/traffic the replay
 // engine is built only where a Config becomes a traffic source (config.go,
-// for Reset), and a network's generator is swapped only by Reset, the two
-// recorders (the differential oracle's primary run, spinsim -record) and
+// for Reset), and a network's generator is swapped only by Reset and
 // Fig. 8's PARSEC generator.
 func TestOneRunDriver(t *testing.T) {
 	driver := filepath.Join("internal", "harness", "run.go")
+	diff := filepath.Join("internal", "harness", "diff.go")
 	config := "config.go"
 	spinsim := filepath.Join("cmd", "spinsim", "main.go")
 	want := map[string][]string{
 		".AttachChecker(": {driver}, ".AttachTelemetry(": {driver}, ".AttachFlightRecorder(": {driver},
-		".AddObserver(": {driver}, ".Drain(": {driver},
+		".AddObserver(": {spinsim, diff, diff, driver}, ".Drain(": {driver},
 		"NewEventRing(":    {spinsim, driver},
 		"s.pool.Submit(":   {filepath.Join("internal", "serve", "server.go")},
 		"NewStreamReplay(": {config, config},
-		".SetTraffic(": {spinsim, filepath.Join("internal", "exp", "fig8.go"),
-			filepath.Join("internal", "harness", "diff.go")},
+		".SetTraffic(":     {filepath.Join("internal", "exp", "fig8.go")},
 	}
 	got := map[string][]string{}
 	for _, root := range []string{".", "cmd", "internal"} {
