@@ -90,20 +90,22 @@ type Cost struct {
 }
 
 // SetupResult is one configuration's set-up cost: spin.New, Reset after a
-// run, a Pool's Get of a shape it holds idle (Put included), and (Before,
-// carried by -update) spin.New at the commit before Reset.
+// run, a Pool's Get of a shape it holds idle (Put included), and (Before and
+// BeforeReset, carried by -update) spin.New at the commit before Reset and
+// Reset at the parent of the commit that last changed what a rewind keeps.
 type SetupResult struct {
-	Name   string `json:"name"`
-	New    Cost   `json:"new"`
-	Reset  Cost   `json:"reset"`
-	Pooled Cost   `json:"pooled"`
-	Before Cost   `json:"before_new"`
+	Name        string `json:"name"`
+	New         Cost   `json:"new"`
+	Reset       Cost   `json:"reset"`
+	Pooled      Cost   `json:"pooled"`
+	Before      Cost   `json:"before_new"`
+	BeforeReset Cost   `json:"before_reset"`
 }
 
 // SweepResult is one figure's cost per point (Cost), its points, and the
 // networks built to run them; Before and BeforeBuilds (carried by -update)
-// are the same figure at the commit before simulations were pooled across
-// jobs, measured in the same session.
+// are the same figure at the parent of the commit that last changed what a
+// point pays for, measured in the same session.
 type SweepResult struct {
 	Name string `json:"name"`
 	Cost

@@ -78,7 +78,7 @@ func TestBenchRegression(t *testing.T) {
 				cur.Workloads[i].BeforeNsPerCycle = prev.BeforeNsPerCycle
 			}
 			for i, prev := range old.Setup {
-				cur.Setup[i].Before = prev.Before
+				cur.Setup[i].Before, cur.Setup[i].BeforeReset = prev.Before, prev.BeforeReset
 			}
 		}
 		if err := cur.Write(baselineFile); err != nil {
@@ -133,12 +133,12 @@ func TestBenchRegression(t *testing.T) {
 	for i, got := range cur.Setup {
 		want := base.Setup[i]
 		for _, c := range []struct {
-			op        string
-			got, want Cost
-		}{{"spin.New", got.New, want.New}, {"Reset", got.Reset, want.Reset}, {"pooled", got.Pooled, want.Pooled}} {
+			op                string
+			got, want, before Cost
+		}{{"spin.New", got.New, want.New, want.Before}, {"Reset", got.Reset, want.Reset, want.BeforeReset}, {"pooled", got.Pooled, want.Pooled, want.BeforeReset}} {
 			limit := c.want.Ns * scale * 1.25
 			t.Logf("%-13s %-8s %10.0f ns (limit %10.0f) %9.0f B %6.0f objects (before: %.0f ns, %.0f B, %.0f objects)",
-				got.Name, c.op, c.got.Ns, limit, c.got.Bytes, c.got.Objects, want.Before.Ns, want.Before.Bytes, want.Before.Objects)
+				got.Name, c.op, c.got.Ns, limit, c.got.Bytes, c.got.Objects, c.before.Ns, c.before.Bytes, c.before.Objects)
 			if c.got.Bytes > c.want.Bytes*1.05+1024 || c.got.Objects > c.want.Objects*1.05+16 {
 				t.Errorf("%s %s: %.0f B in %.0f objects exceeds baseline %.0f in %.0f", got.Name, c.op, c.got.Bytes, c.got.Objects, c.want.Bytes, c.want.Objects)
 			}

@@ -78,12 +78,15 @@ func checkSweep(t *testing.T, got, want SweepResult, scale float64, strict bool)
 // sweepAllocBudget is the ceiling on heap bytes per point of the figure
 // above. The parent of the commit that pooled simulations across jobs spent
 // 166 KB (a network built for every curve, and every packet allocated again
-// after a rewind); this tree spends ≈ 40 KB.
-const sweepAllocBudget = 64 << 10
+// after a rewind); the parent of the commit that recycled scheme agents
+// across a rewind spent ≈ 39 KB (a SPIN or Static Bubble agent per router per
+// point); this tree spends ≈ 22 KB.
+const sweepAllocBudget = 32 << 10
 
 // TestSweepAllocBudget pins what a point pays around its cycles: above
 // 100 KB jobs are building networks again, above 60 KB a rewound network is
-// allocating its packets again.
+// allocating its packets again, above 32 KB it is building its scheme's
+// agents again.
 func TestSweepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

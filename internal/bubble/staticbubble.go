@@ -32,11 +32,21 @@ func (s *StaticBubble) Attach(n *sim.Network) {
 	if s.TDD == 0 {
 		s.TDD = 128
 	}
-	s.net = n
+	s.net, s.agents = n, make([]*sbAgent, 0, n.NumRouters())
 	for i := 0; i < n.NumRouters(); i++ {
 		r := n.Router(i)
 		slots := r.Radix() * r.VCsPerPort()
-		a := &sbAgent{scheme: s, r: r, blockedSince: make([]int64, slots), recovery: make([]uint64, slots)}
+		// An agent left on r by the network's last run is rewritten as a
+		// literal naming only what survives: its timer tables, cleared, and
+		// the capacity of its tracked list.
+		a, ok := r.Agent().(*sbAgent)
+		if ok && len(a.blockedSince) == slots {
+			clear(a.blockedSince)
+			clear(a.recovery)
+			*a = sbAgent{scheme: s, r: r, blockedSince: a.blockedSince, recovery: a.recovery, tracked: a.tracked[:0]}
+		} else {
+			a = &sbAgent{scheme: s, r: r, blockedSince: make([]int64, slots), recovery: make([]uint64, slots)}
+		}
 		s.agents = append(s.agents, a)
 		n.SetAgent(i, a)
 	}

@@ -62,7 +62,7 @@ func (d *DflyMinimal) minPorts(r, dst int) []int {
 
 // canonicalPortTable precomputes CanonicalMinimalPorts for all pairs.
 func canonicalPortTable(dfly *topology.Dragonfly) *portTable {
-	return buildPortTable(dfly.NumRouters(), dfly.CanonicalMinimalPorts)
+	return buildPortTable(dfly.NumRouters(), func(r, dst int, _ []int) []int { return dfly.CanonicalMinimalPorts(r, dst) })
 }
 
 // Route implements sim.RoutingAlgorithm.

@@ -109,8 +109,8 @@ func (w *WestFirst) Name() string { return "westfirst" }
 // Route implements sim.RoutingAlgorithm.
 func (w *WestFirst) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
 	if w.tbl == nil {
-		w.tbl = buildPortTable(w.Mesh.NumRouters(), func(cur, dst int) []int {
-			return WestFirstPorts(w.Mesh, cur, dst, nil)
+		w.tbl = buildPortTable(w.Mesh.NumRouters(), func(cur, dst int, buf []int) []int {
+			return WestFirstPorts(w.Mesh, cur, dst, buf)
 		})
 	}
 	w.scratch = w.tbl.appendPorts(w.scratch[:0], r.ID, p.RouteDst())

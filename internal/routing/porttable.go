@@ -15,12 +15,15 @@ type portTable struct {
 }
 
 // buildPortTable evaluates f for every (router, dst) pair of an n-router
-// topology and packs the results.
-func buildPortTable(n int, f func(r, dst int) []int) *portTable {
+// topology and packs the results. f may append the pair's ports to buf, the
+// scratch buffer it returned for the last pair, emptied, and return it.
+func buildPortTable(n int, f func(r, dst int, buf []int) []int) *portTable {
 	t := &portTable{n: n, off: make([]int32, n*n+1)}
+	var buf []int
 	for r := 0; r < n; r++ {
 		for dst := 0; dst < n; dst++ {
-			for _, p := range f(r, dst) {
+			buf = f(r, dst, buf[:0])
+			for _, p := range buf {
 				t.ports = append(t.ports, uint8(p))
 			}
 			t.off[r*n+dst+1] = int32(len(t.ports))

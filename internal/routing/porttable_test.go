@@ -110,8 +110,8 @@ func TestWestFirstTableMatchesDirect(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			tbl := buildPortTable(m.NumRouters(), func(cur, dst int) []int {
-				return WestFirstPorts(m, cur, dst, nil)
+			tbl := buildPortTable(m.NumRouters(), func(cur, dst int, buf []int) []int {
+				return WestFirstPorts(m, cur, dst, buf)
 			})
 			var buf []int
 			n := m.NumRouters()

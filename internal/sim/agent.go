@@ -44,9 +44,13 @@ type Agent interface {
 type Scheme interface {
 	// Name identifies the scheme ("spin", "static_bubble", ...).
 	Name() string
-	// Attach is called once after the network is constructed; the scheme
-	// installs agents with Network.SetAgent and may keep the Network for
-	// global bookkeeping (rotating priorities need the router count).
+	// Attach is called once per run, by Network.Reset; the scheme must
+	// install an agent on every router with Network.SetAgent and may keep
+	// the Network for global bookkeeping (rotating priorities need the
+	// router count). Reset leaves each router's agent of this network's
+	// last run in place: Attach may recycle the one Router.Agent returns
+	// if it is of its own type, rewriting it as a literal that names only
+	// what survives, so that nothing of the last run leaks into this one.
 	Attach(n *Network)
 }
 

@@ -312,7 +312,11 @@ func (n *Network) Reset(cfg Config) error {
 		n.termRNG[t].Seed(EntitySeed(cfg.Seed, TerminalKey(t)))
 	}
 	for i, r := range n.routers {
-		r.agent = nil
+		// A scheme's Attach sets every router's agent and may recycle the
+		// one left here; without a scheme no agent survives the rewind.
+		if cfg.Scheme == nil {
+			r.agent = nil
+		}
 		r.flitCount, r.spinningVCs, r.smPending = 0, 0, 0
 		for p := range r.smSends {
 			r.smSends[p] = rewind(r.smSends[p])

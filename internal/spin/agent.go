@@ -118,6 +118,15 @@ func newAgent(s *Scheme, r *sim.Router) *Agent {
 	return &Agent{s: s, r: r, id: r.ID, srcID: -1, initOut: -1}
 }
 
+// recycle rewrites a, left on its router by the network's last run, as
+// newAgent would build it for s. It is a literal naming only what survives
+// (the router and the buffers' capacity), so a field added later starts the
+// run zeroed without being listed here.
+func (a *Agent) recycle(s *Scheme) {
+	*a = Agent{s: s, r: a.r, id: a.id, srcID: -1, initOut: -1,
+		loopPath: a.loopPath[:0], frozen: a.frozen[:0], view: agentView{frozen: a.view.frozen[:0]}}
+}
+
 // Role reports the initiator-side FSM role.
 func (a *Agent) Role() Role { return a.role }
 

@@ -98,7 +98,13 @@ func (s *Scheme) Attach(n *sim.Network) {
 	s.maxPath = 2 * n.NumRouters()
 	s.agents = make([]*Agent, n.NumRouters())
 	for i := 0; i < n.NumRouters(); i++ {
-		a := newAgent(s, n.Router(i))
+		r := n.Router(i)
+		a, ok := r.Agent().(*Agent)
+		if ok {
+			a.recycle(s)
+		} else {
+			a = newAgent(s, r)
+		}
 		s.agents[i] = a
 		n.SetAgent(i, a)
 	}

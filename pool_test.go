@@ -61,6 +61,44 @@ func TestPoolBound(t *testing.T) {
 	}
 }
 
+// TestPoolPrefersSameRun: of two idle simulations of one shape, Get hands
+// back the one whose last run had the config's scheme and routing (whose
+// agents and routing tables the rewind keeps), not merely the most recently
+// returned, and both are rewound.
+func TestPoolPrefersSameRun(t *testing.T) {
+	shape := spin.Config{Topology: "mesh:4x4", VCsPerVNet: 2, Traffic: "uniform_random", Rate: 0.2}
+	spinCfg, bubbleCfg := shape, shape
+	spinCfg.Routing, spinCfg.Scheme = "min_adaptive", "spin"
+	bubbleCfg.Routing, bubbleCfg.Scheme = "escape_vc", "static_bubble"
+	p := spin.NewPool(2)
+	held := map[string]*spin.Simulation{}
+	for _, cfg := range []spin.Config{spinCfg, bubbleCfg} {
+		s, err := p.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(200)
+		held[cfg.Scheme] = s
+	}
+	p.Put(held["spin"])
+	p.Put(held["static_bubble"])
+	for i, cfg := range []spin.Config{spinCfg, bubbleCfg, bubbleCfg, spinCfg} {
+		cfg.Seed = int64(i + 1)
+		s, err := p.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s != held[cfg.Scheme] || !s.Rewound() {
+			t.Fatalf("Get %d (%s): the %s simulation = %v, rewound = %v", i, cfg.Scheme, cfg.Scheme, s == held[cfg.Scheme], s.Rewound())
+		}
+		s.Run(200)
+		p.Put(s)
+	}
+	if builds, rewinds := p.Setups(); builds != 2 || rewinds != 4 {
+		t.Fatalf("%d builds, %d rewinds, want 2 and 4", builds, rewinds)
+	}
+}
+
 // TestPoolConcurrent: eight goroutines take, run and return simulations of
 // three shapes through one small pool; every run must read exactly as a
 // fresh build of its config does, whoever had the network before. Under

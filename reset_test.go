@@ -1,12 +1,16 @@
 package spin_test
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"regexp"
 	"runtime"
 	"testing"
 
 	spin "repro"
 	"repro/internal/sim"
+	spinscheme "repro/internal/spin"
 	"repro/internal/topology"
 )
 
@@ -71,6 +75,103 @@ func TestResetEqualsNew(t *testing.T) {
 		}
 	}
 }
+
+// TestRewindAcrossSchemes walks one Simulation through schemes on one shape,
+// so that each rewind finds the agents of another scheme, of none, or of its
+// own (which it recycles) on the routers, and requires every run to read,
+// counters and events, exactly as a fresh build of its config does. The runs
+// are loaded enough to leave agents mid-recovery with their detection backed
+// off, which a recycled agent must forget.
+func TestRewindAcrossSchemes(t *testing.T) {
+	base := spin.Config{Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin", VNets: 1, VCsPerVNet: 3, Traffic: "uniform_random", Rate: 0.6, Seed: 3, Warmup: 200}
+	with := func(f func(*spin.Config)) spin.Config {
+		c := base
+		f(&c)
+		return c
+	}
+	ladder := []struct {
+		name     string
+		cfg      spin.Config
+		recycles bool // the last stop ran SPIN too, so its agents are kept
+	}{
+		{"spin", base, false},
+		{"static_bubble", with(func(c *spin.Config) { c.Routing, c.Scheme = "", "static_bubble" }), false},
+		{"no scheme", with(func(c *spin.Config) { c.Routing, c.Scheme = "westfirst", "" }), false},
+		{"spin again", with(func(c *spin.Config) { c.Seed = 4 }), false},
+		{"spin at tDD 64", with(func(c *spin.Config) { c.Seed, c.TDD = 5, 64 }), true},
+	}
+	type record struct {
+		Stats  sim.Stats
+		Digest uint64
+		Events int
+	}
+	run := func(s *spin.Simulation) record {
+		var rec record
+		s.Network().AddObserver(sim.AllEvents, sim.ProbeFunc(func(e sim.Event) {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%d|%v", rec.Digest, e)
+			rec.Digest = h.Sum64()
+			rec.Events++
+		}))
+		s.Run(2000)
+		rec.Stats = *s.Stats()
+		return rec
+	}
+	s := new(spin.Simulation)
+	var last []sim.Agent // the routers' agents as the previous stop left them
+	for i, stop := range ladder {
+		if err := s.Reset(stop.cfg); err != nil {
+			t.Fatalf("%s: %v", stop.name, err)
+		}
+		if i > 0 && !s.Rewound() {
+			t.Fatalf("%s: the network was rebuilt", stop.name)
+		}
+		fresh, err := spin.New(stop.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", stop.name, err)
+		}
+		net := s.Network()
+		sch, isSpin := net.Config().Scheme.(*spinscheme.Scheme)
+		for r := range net.NumRouters() {
+			a := net.Router(r).Agent()
+			switch {
+			case stop.cfg.Scheme == "" && a != nil:
+				t.Fatalf("%s: router %d kept an agent (%T) through a rewind without a scheme", stop.name, r, a)
+			case stop.cfg.Scheme != "" && a == nil:
+				t.Fatalf("%s: router %d has no agent", stop.name, r)
+			case isSpin && a != sch.Agents()[r]:
+				t.Fatalf("%s: router %d's agent is not the scheme's", stop.name, r)
+			case isSpin && i > 0 && stop.recycles != (a == last[r]):
+				t.Fatalf("%s: router %d's agent recycled = %v, want %v", stop.name, r, a == last[r], stop.recycles)
+			}
+			if _, stale := a.(*spinscheme.Agent); stale && !isSpin {
+				t.Fatalf("%s: router %d kept the last run's SPIN agent", stop.name, r)
+			}
+			// At cycle 0 every agent holds what a fresh build's does. This is
+			// where a field a recycled agent kept shows, even one (like SPIN's
+			// detection backoff) that the first cycles of a run overwrite.
+			if got, want := agentState(a), agentState(fresh.Network().Router(r).Agent()); got != want {
+				t.Fatalf("%s: router %d starts with agent\n%s\nnot the fresh build's\n%s", stop.name, r, got, want)
+			}
+		}
+		got, want := run(s), run(fresh)
+		if got.Stats.Ejected == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the rewound run differs from a fresh build's:\nrewound %+v\nfresh   %+v", stop.name, got, want)
+		}
+		last = last[:0]
+		for r := range net.NumRouters() {
+			last = append(last, net.Router(r).Agent())
+		}
+	}
+}
+
+// agentState prints every field of a, with pointers (to its scheme, router
+// and VCs, which differ between two networks) masked.
+func agentState(a sim.Agent) string {
+	return pointers.ReplaceAllString(fmt.Sprintf("%T %+v", a, a), "0x")
+}
+
+var pointers = regexp.MustCompile(`0x[0-9a-f]+`)
 
 // TestFailedResetLeavesNothingBehind: after a Reset that fails the
 // Simulation holds nothing (so nothing half-built can be run by mistake),
@@ -158,8 +259,10 @@ func TestSeededTopologyRebuilt(t *testing.T) {
 
 // TestSetupAllocBudget: what a point of a sweep pays before its first cycle.
 // A fresh build is slabs (10,558 objects at the parent, most of them one VC
-// each and one sort per routing-table entry); a rewind allocates the
-// scheme's agents, the traffic generator and little else.
+// each and one sort per routing-table entry); a rewind recycles the scheme's
+// agents and allocates the scheme value, the traffic generator and little
+// else (3 objects, 672 bytes where it allocated 67 and 17,056 bytes while
+// every rewind built new agents).
 func TestSetupAllocBudget(t *testing.T) {
 	cfg := spin.Config{Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin", VNets: 1, VCsPerVNet: 3, Traffic: "uniform_random", Rate: 0.1}
 	build := testing.AllocsPerRun(5, func() {
@@ -184,8 +287,8 @@ func TestSetupAllocBudget(t *testing.T) {
 	if build > 1500 {
 		t.Errorf("spin.New allocates %.0f objects, budget 1500", build)
 	}
-	if rewind > 100 || bytes > 24<<10 {
-		t.Errorf("Reset allocates %.0f objects and %d bytes, budget 100 and 24 KB", rewind, bytes)
+	if rewind > 10 || bytes > 2<<10 {
+		t.Errorf("Reset allocates %.0f objects and %d bytes, budget 10 and 2 KB", rewind, bytes)
 	}
 }
 

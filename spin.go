@@ -64,8 +64,10 @@ func New(cfg Config) (*Simulation, error) {
 // same seed), the routing object while RoutingOf(cfg), VC count and
 // topology are (its lazily built tables are a function of those, and a
 // scheme's forced routing is kept like a named one), and the network is
-// rewound in place (sim.Network.Reset) while its shape is; scheme and traffic
-// source are always built afresh. Stats, events and results already taken
+// rewound in place (sim.Network.Reset) while its shape is. The scheme value
+// and the traffic source are always new; the scheme recycles the per-router
+// agents the network's last run left, when they are its own kind, rewritten
+// as it would build them. Stats, events and results already taken
 // from s stay valid; anything attached to Network() is dropped. A failed
 // Reset leaves s unusable until a Reset succeeds.
 func (s *Simulation) Reset(cfg Config) error { return s.reset(cfg.Normalized()) }
@@ -153,19 +155,30 @@ func sameShape(a, b Config) bool {
 }
 
 // Get returns a Simulation Reset to cfg: an idle one of cfg's shape if the
-// pool holds one (the most recently returned), otherwise a new one. The
-// caller owns it until Put.
+// pool holds one, otherwise a new one. Among idle ones of the shape it
+// prefers the most recently returned whose last run had cfg's scheme and
+// routing, whose agents and routing tables the rewind then keeps, and
+// otherwise takes the most recently returned. The caller owns it until Put.
 func (p *Pool) Get(cfg Config) (*Simulation, error) {
 	cfg = cfg.Normalized()
 	var s *Simulation
 	if p != nil {
 		p.mu.Lock()
+		pick := -1
 		for i := len(p.idle) - 1; i >= 0; i-- {
-			if sameShape(p.idle[i].cfg, cfg) {
-				s = p.idle[i]
-				p.idle = slices.Delete(p.idle, i, i+1)
-				break
+			if was := p.idle[i].cfg; sameShape(was, cfg) {
+				if pick < 0 {
+					pick = i
+				}
+				if was.Scheme == cfg.Scheme && RoutingOf(was) == RoutingOf(cfg) {
+					pick = i
+					break
+				}
 			}
+		}
+		if pick >= 0 {
+			s = p.idle[pick]
+			p.idle = slices.Delete(p.idle, pick, pick+1)
 		}
 		p.mu.Unlock()
 	}

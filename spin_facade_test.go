@@ -1,6 +1,7 @@
 package spin_test
 
 import (
+	"reflect"
 	"testing"
 
 	spin "repro"
@@ -126,6 +127,21 @@ func TestPresetByName(t *testing.T) {
 	}
 	if _, err := spin.PresetByName("nonsense"); err == nil {
 		t.Fatal("unknown preset accepted")
+	}
+}
+
+// TestPresetsCopied: Presets hands out a copy, so a caller that edits it
+// cannot change what PresetByName resolves.
+func TestPresetsCopied(t *testing.T) {
+	ps := spin.Presets()
+	want := ps[0]
+	ps[0].Config.Topology, ps[0].Config.VCsPerVNet = "ring:4", 7
+	got, err := spin.PresetByName(want.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(spin.Presets()[0], want) {
+		t.Fatalf("after editing Presets()[0], PresetByName(%q) = %+v, want %+v", want.Name, got, want)
 	}
 }
 
