@@ -1,10 +1,11 @@
 package spin_test
 
 // The benchmark harness: one benchmark per table and figure of the
-// paper's evaluation, plus the ablations called out in DESIGN.md. The
-// figure benchmarks run the same sweeps as cmd/spinsweep at reduced scale
-// and report the headline quantity of the figure through b.ReportMetric,
-// so `go test -bench .` regenerates the whole evaluation.
+// paper's evaluation. The figure benchmarks run the same sweeps as
+// cmd/spinsweep at reduced scale and report the headline quantity of the
+// figure through b.ReportMetric, so `go test -bench .` regenerates the
+// whole evaluation. The ablations called out in DESIGN.md live with the
+// scheme they ablate: `go test -bench Ablation ./internal/spin`.
 
 import (
 	"context"
@@ -15,7 +16,6 @@ import (
 	spin "repro"
 	"repro/internal/exp"
 	"repro/internal/runner"
-	spinimpl "repro/internal/spin"
 )
 
 // benchOpts keeps benchmark sweeps fast while preserving shape. Sweeps
@@ -176,104 +176,6 @@ func BenchmarkCosts(b *testing.B) {
 	}
 }
 
-// ablationRun measures delivered packets and spins for a SPIN variant
-// under a fixed adversarial load.
-func ablationRun(b *testing.B, sc spinimpl.Config) (float64, float64) {
-	b.Helper()
-	s, err := spin.New(spin.Config{
-		Topology:   "mesh:4x4",
-		Routing:    "min_adaptive",
-		Scheme:     "spin",
-		VCsPerVNet: 1,
-		Traffic:    "bit_complement",
-		Rate:       0.5,
-		Warmup:     500,
-		Seed:       13,
-		SPIN:       sc,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Run(6000)
-	return s.AvgLatency(), float64(s.Spins())
-}
-
-// BenchmarkAblationTDD sweeps the detection threshold: small tDD detects
-// fast but probes more; large tDD stalls recovery (DESIGN.md ablation).
-func BenchmarkAblationTDD(b *testing.B) {
-	for _, tdd := range []int64{32, 128, 512} {
-		b.Run(benchName("tdd", tdd), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lat, spins := ablationRun(b, spinimpl.Config{TDD: tdd})
-				b.ReportMetric(lat, "avg_latency")
-				b.ReportMetric(spins, "spins")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationEpoch sweeps the rotating-priority epoch factor.
-func BenchmarkAblationEpoch(b *testing.B) {
-	for _, ef := range []int64{2, 4, 8} {
-		b.Run(benchName("epoch", ef), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lat, spins := ablationRun(b, spinimpl.Config{TDD: 64, EpochFactor: ef})
-				b.ReportMetric(lat, "avg_latency")
-				b.ReportMetric(spins, "spins")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationProbeMove compares the multi-spin optimisation on/off.
-func BenchmarkAblationProbeMove(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "probe_move_on"
-		if disable {
-			name = "probe_move_off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lat, spins := ablationRun(b, spinimpl.Config{TDD: 64, DisableProbeMove: disable})
-				b.ReportMetric(lat, "avg_latency")
-				b.ReportMetric(spins, "spins")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationProbeFork compares probe forking on/off in a multi-VC
-// configuration where inter-dependent cycles require it.
-func BenchmarkAblationProbeFork(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "fork_on"
-		if disable {
-			name = "fork_off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s, err := spin.New(spin.Config{
-					Topology:   "mesh:4x4",
-					Routing:    "min_adaptive",
-					Scheme:     "spin",
-					VCsPerVNet: 3,
-					Traffic:    "bit_complement",
-					Rate:       0.5,
-					Warmup:     500,
-					Seed:       13,
-					SPIN:       spinimpl.Config{TDD: 64, DisableProbeFork: disable},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Run(6000)
-				b.ReportMetric(float64(s.Stats().Counter("recoveries")), "recoveries")
-				b.ReportMetric(float64(s.Stats().Ejected), "delivered")
-			}
-		})
-	}
-}
-
 // BenchmarkEngineMeshCycles measures raw simulator speed: router-cycles
 // per second on a busy 8x8 mesh.
 func BenchmarkEngineMeshCycles(b *testing.B) {
@@ -323,10 +225,6 @@ func BenchmarkSpinRecoveryLatency(b *testing.B) {
 	if runs > 0 {
 		b.ReportMetric(float64(total)/float64(runs), "spins_per_run")
 	}
-}
-
-func benchName(prefix string, v int64) string {
-	return fmt.Sprintf("%s_%d", prefix, v)
 }
 
 // BenchmarkExtensionTorus compares DOR+bubble flow control against

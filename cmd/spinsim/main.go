@@ -283,13 +283,8 @@ func main() {
 		net.AddObserver(sim.MaskOf(sim.EvPacketQueued), recorder)
 	}
 
-	ob := harness.Observe{Check: *check, Drain: *drain, Hist: *hist}
-	if *traceOut != "" || *tsout != "" || *epoch != 0 {
-		ob.Window = *epoch
-		if ob.Window == 0 {
-			ob.Window = 100
-		}
-	}
+	ob := harness.Observe{Check: *check, Drain: *drain, Hist: *hist,
+		Window: harness.TelemetryEpoch(*traceOut != "" || *tsout != "" || *epoch != 0, *epoch)}
 	if *traceOut != "" {
 		ob.Events = sim.NewEventRing(*tracebuf, sim.DefaultMask)
 	}

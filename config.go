@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"repro/internal/sim"
-	spinimpl "repro/internal/spin"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
@@ -46,8 +45,8 @@ type Config struct {
 	VCDepth    int `json:"vc_depth,omitempty"`     // flits per VC, default 5
 
 	Seed int64 `json:"seed"` // the run is deterministic in it
-	// TDD overrides SPIN's (and Static Bubble's) detection threshold
-	// (default 128, the paper's value).
+	// TDD is SPIN's (and Static Bubble's) detection threshold (default
+	// 128, the paper's value; cleared for a scheme without one).
 	TDD int64 `json:"tdd,omitempty"`
 
 	// Cycles is the traffic phase length; DrainCycles bounds the drain
@@ -84,14 +83,15 @@ type Config struct {
 	TraceB64 string `json:"trace_b64,omitempty"`
 	// Mutation injects a deliberate protocol defect for counterexample
 	// replay: "" (or "none") is the faithful protocol, "no_probe"
-	// disables SPIN's detection/probe phase (SPIN.DisableProbe), turning
-	// every true deadlock into a drain failure.
+	// disables SPIN's detection/probe phase (the scheme table builds SPIN
+	// with DisableProbe), turning every true deadlock into a drain failure.
 	Mutation string `json:"mutation,omitempty"`
 
-	// SPIN fine-tunes the scheme in process (zero values = paper
-	// defaults): the Fig. 9 truth count and the ablation switches. It is
-	// not part of the JSON form.
-	SPIN spinimpl.Config `json:"-"`
+	// CountTruth has SPIN check every confirmed recovery against the
+	// global deadlock oracle (Fig. 9's true/false-positive counters). It
+	// changes those two counters only, never the run, so it is not part
+	// of the JSON form.
+	CountTruth bool `json:"-"`
 }
 
 // closedLoop reports whether c carries a closed-loop workload block.

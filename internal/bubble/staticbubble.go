@@ -17,7 +17,8 @@ import (
 // 0, which the agent vetoes until a timeout fires.
 type StaticBubble struct {
 	Mesh *topology.Mesh
-	// TDD is the detection timeout in cycles (default 128).
+	// TDD is the detection timeout in cycles, > 0. It has no default
+	// here: the paper's value is spin.Config.Normalized's.
 	TDD int64
 
 	net    *sim.Network
@@ -29,8 +30,8 @@ func (s *StaticBubble) Name() string { return "static_bubble" }
 
 // Attach implements sim.Scheme.
 func (s *StaticBubble) Attach(n *sim.Network) {
-	if s.TDD == 0 {
-		s.TDD = 128
+	if s.TDD <= 0 {
+		panic("bubble: StaticBubble.TDD must be > 0")
 	}
 	s.net, s.agents = n, make([]*sbAgent, 0, n.NumRouters())
 	for i := 0; i < n.NumRouters(); i++ {

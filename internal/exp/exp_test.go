@@ -38,6 +38,22 @@ func TestFig3SmokeAndShape(t *testing.T) {
 	}
 }
 
+// TestFig3PollStopsAtBudget: the oracle poll steps a point for exactly
+// its cycle budget when the budget is not a multiple of the poll interval.
+func TestFig3PollStopsAtBudget(t *testing.T) {
+	s, err := spin.New(spin.Config{Topology: "mesh:4x4", Traffic: "uniform_random", Rate: 0.02, VCsPerVNet: 3, Cycles: 700})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadlocked, err := pollDeadlock(context.Background(), s, 700)
+	if err != nil || deadlocked {
+		t.Fatalf("deadlocked %v, err %v at rate 0.02", deadlocked, err)
+	}
+	if now := s.Network().Now(); now != 700 {
+		t.Fatalf("a 700-cycle budget ran %d cycles", now)
+	}
+}
+
 func TestFig7SmokeAndShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

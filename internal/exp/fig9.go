@@ -7,7 +7,6 @@ import (
 
 	spin "repro"
 	"repro/internal/runner"
-	spinimpl "repro/internal/spin"
 )
 
 // Fig9Result counts spins and oracle-verified false positives as a
@@ -69,7 +68,7 @@ func Fig9(ctx context.Context, o Options) (*Fig9Result, error) {
 					Rate:       rate,
 					VNets:      3,
 					VCsPerVNet: su.vcs,
-					SPIN:       spinimpl.Config{CountTruth: true},
+					CountTruth: true,
 				}, key, o, false, nil)
 				if err != nil {
 					return Fig9Entry{}, err

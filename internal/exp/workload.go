@@ -90,7 +90,6 @@ func workloadPoint(ctx context.Context, rate float64, key string, o Options) (Wo
 		Rate:       rate,
 		VNets:      2,
 		VCsPerVNet: 2,
-		TDD:        128,
 		Workload:   &workload.Spec{Mode: "closed", Window: workloadWindow, ReqLen: 1, RespLen: 1},
 	}, key, o, true, func(s *spin.Simulation) {
 		completed = s.Network().Config().Traffic.(*workload.ClosedLoop).Completed()

@@ -40,7 +40,7 @@ const (
 	// MutNoProbe disables the timeout/probe phase entirely: deadlocks are
 	// never detected, so any reachable true deadlock becomes a liveness
 	// counterexample. Replays as the scenario's "mutation": "no_probe",
-	// which spin.Simulation.Reset turns into the scheme's DisableProbe.
+	// which the facade's scheme table builds as SPIN's DisableProbe.
 	MutNoProbe
 	// MutSpinUnchecked skips the chain-closure check before a spin: a
 	// partially frozen chain rotates anyway, pushing a packet into an

@@ -428,7 +428,7 @@ func TestSpinFatTree(t *testing.T) {
 // tiny fraction of link bandwidth.
 func TestSpinSMLoadStaysLow(t *testing.T) {
 	mesh, _ := topology.NewMesh(4, 4, 1)
-	scheme := spin.New(spin.Config{})
+	scheme := spin.New(spin.Config{TDD: 128})
 	pat, _ := traffic.ByName("bit_complement", mesh)
 	net, err := sim.NewNetwork(sim.Config{
 		Topology:   mesh,

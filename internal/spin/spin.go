@@ -15,15 +15,18 @@
 package spin
 
 import (
+	"cmp"
+
 	"repro/internal/sim"
 )
 
 // Config parameterises the scheme.
 type Config struct {
-	// TDD is the deadlock-detection timeout in cycles (paper default 128).
+	// TDD is the deadlock-detection timeout in cycles, > 0. It has no
+	// default here: the paper's value is spin.Config.Normalized's.
 	TDD int64
 	// EpochFactor scales the rotating-priority epoch: epoch = EpochFactor
-	// × TDD (paper default 4).
+	// × TDD (0 is the paper's 4).
 	EpochFactor int64
 	// DisableProbeMove turns off the multi-spin optimisation; the FSM then
 	// falls back to fresh detection after every spin (ablation knob).
@@ -44,19 +47,10 @@ type Config struct {
 	// never arm the deadlock-detection counter, so no probes, moves, or
 	// spins ever happen and a true cyclic deadlock persists forever. It
 	// exists for the model checker (internal/mc): its no_probe mutation
-	// maps to this knob, so a model counterexample can be replayed
+	// is a scenario's "mutation": "no_probe", which the facade's scheme
+	// table maps to this knob, so a model counterexample can be replayed
 	// through the simulator with the identical defect injected.
 	DisableProbe bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.TDD == 0 {
-		c.TDD = 128
-	}
-	if c.EpochFactor == 0 {
-		c.EpochFactor = 4
-	}
-	return c
 }
 
 // graceHops is how many hops a probe travels before the rotating priority
@@ -83,9 +77,12 @@ type Scheme struct {
 	maxPath int
 }
 
-// New builds a SPIN scheme with cfg (zero value = paper defaults).
+// New builds a SPIN scheme with cfg.
 func New(cfg Config) *Scheme {
-	return &Scheme{cfg: cfg.withDefaults()}
+	if cfg.TDD <= 0 {
+		panic("spin: Config.TDD must be > 0")
+	}
+	return &Scheme{cfg: cfg}
 }
 
 // Name implements sim.Scheme.
@@ -94,7 +91,7 @@ func (s *Scheme) Name() string { return "spin" }
 // Attach implements sim.Scheme.
 func (s *Scheme) Attach(n *sim.Network) {
 	s.net = n
-	s.epoch = s.cfg.EpochFactor * s.cfg.TDD
+	s.epoch = cmp.Or(s.cfg.EpochFactor, 4) * s.cfg.TDD
 	s.maxPath = 2 * n.NumRouters()
 	s.agents = make([]*Agent, n.NumRouters())
 	for i := 0; i < n.NumRouters(); i++ {

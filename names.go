@@ -203,11 +203,7 @@ type SchemeEntry struct {
 var Schemes = []SchemeEntry{
 	{Name: "none"},
 	{Name: "spin", UsesTDD: true, build: func(cfg Config, _ target) sim.Scheme {
-		sc := cfg.SPIN
-		if cfg.TDD != 0 {
-			sc.TDD = cfg.TDD
-		}
-		return spinimpl.New(sc)
+		return spinimpl.New(spinimpl.Config{TDD: cfg.TDD, DisableProbe: cfg.Mutation == "no_probe", CountTruth: cfg.CountTruth})
 	}},
 	{Name: "static_bubble", Needs: MeshTopology, UsesTDD: true, Routing: "escape_vc",
 		build: func(cfg Config, t target) sim.Scheme { return &bubble.StaticBubble{Mesh: t.mesh, TDD: cfg.TDD} }},

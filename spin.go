@@ -90,9 +90,6 @@ func (s *Simulation) reset(cfg Config) (err error) {
 	case !t.fits(sch.Needs):
 		return fmt.Errorf("spin: %s needs %s", sch.Name, sch.Needs)
 	}
-	if cfg.Mutation == "no_probe" {
-		cfg.SPIN.DisableProbe = true
-	}
 	var scheme sim.Scheme
 	if sch.build != nil {
 		scheme = sch.build(cfg, t)

@@ -1,6 +1,7 @@
 package spin_test
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
@@ -241,5 +242,41 @@ func TestPresetsCoverTableIII(t *testing.T) {
 		if byTheory[theory] == 0 {
 			t.Fatalf("no preset exercises %s theory", theory)
 		}
+	}
+}
+
+// TestCountTruthChangesNoRun: a Fig. 9 point (CountTruth: true, the one
+// in-process field of Config) runs exactly as the same config without it —
+// the same ejections, cycle for cycle, and the same Stats — apart from the
+// true/false-positive counters it exists to fill.
+func TestCountTruthChangesNoRun(t *testing.T) {
+	run := func(countTruth bool) ([]sim.Event, sim.Stats) {
+		s, err := spin.New(spin.Config{
+			Topology: "mesh:4x4", Routing: "min_adaptive", Scheme: "spin",
+			Traffic: "uniform_random", Rate: 0.4, VNets: 3, VCsPerVNet: 1,
+			Seed: 9, Warmup: 400, Cycles: 4000, CountTruth: countTruth,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ejects []sim.Event
+		s.Network().AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) { ejects = append(ejects, e) }))
+		s.Run(4000)
+		return ejects, *s.Stats()
+	}
+	plainEjects, plain := run(false)
+	truthEjects, truth := run(true)
+	classified := truth.Counter("true_positive_spins") + truth.Counter("false_positive_spins")
+	if truth.Spins == 0 || classified != truth.Spins {
+		t.Fatalf("%d spins, %d classified: the point no longer exercises CountTruth", truth.Spins, classified)
+	}
+	if plainEjects == nil || !reflect.DeepEqual(plainEjects, truthEjects) {
+		t.Errorf("CountTruth changed the ejection stream: %d ejections without, %d with", len(plainEjects), len(truthEjects))
+	}
+	truth.Counters = maps.Clone(truth.Counters)
+	delete(truth.Counters, "true_positive_spins")
+	delete(truth.Counters, "false_positive_spins")
+	if !reflect.DeepEqual(plain, truth) {
+		t.Errorf("CountTruth changed the run's Stats:\nwithout %+v\nwith    %+v", plain, truth)
 	}
 }
