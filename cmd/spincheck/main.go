@@ -3,8 +3,9 @@
 // deadlock-free by Dally's theorem (acyclic CDG) or, for escape_vc, by
 // Duato's (acyclic escape sub-network) and, for cyclic ones, the size of the
 // dependency cycles a recovery scheme like SPIN must be able to break. The
-// routing names, their topology needs and VC floors are the root package's
-// routing table (spin.Routings); a count below a routing's floor is refused.
+// routing names, their topology needs, VC floors and verdicts are the root
+// package's routing table (spin.Routings, RoutingEntry.Verdict); a count
+// below a routing's floor, or above 32, is refused.
 //
 // Usage:
 //
@@ -19,8 +20,6 @@ import (
 	"log"
 
 	spin "repro"
-	"repro/internal/cdg"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -43,27 +42,17 @@ func main() {
 	if e == nil {
 		log.Fatalf("unknown routing %q (want one of %s)", *routing, routings)
 	}
-	dep, err := e.Model(topo, *vcs)
+	theorem, g, err := e.Verdict(topo, *vcs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := cdg.Build(topo, *vcs, dep)
+	verdicts := map[spin.Theorem]string{
+		spin.Dally:         "deadlock-free by Dally's theorem (no recovery scheme needed)",
+		spin.Duato:         "deadlock-free by Duato's theorem: its escape sub-network (" + e.Proof + ") is acyclic",
+		spin.NeedsRecovery: "NOT avoidance-deadlock-free: pair this routing with a recovery scheme (e.g. SPIN)",
+	}
 	fmt.Printf("topology: %s (%d routers, %d links)\n", topo.Name(), topo.NumRouters(), len(topo.Links()))
 	fmt.Printf("routing:  %s with %d VC class(es)\n", e.Name, *vcs)
 	fmt.Println(g.Describe())
-	switch {
-	case g.Acyclic():
-		fmt.Println("verdict:  deadlock-free by Dally's theorem (no recovery scheme needed)")
-	case e.Proof != "" && acyclic(spin.LookupRouting(e.Proof), topo, *vcs):
-		fmt.Printf("verdict:  deadlock-free by Duato's theorem: its escape sub-network (%s) is acyclic\n", e.Proof)
-	default:
-		fmt.Println("verdict:  NOT avoidance-deadlock-free: pair this routing with a recovery scheme (e.g. SPIN)")
-	}
-}
-
-// acyclic reports whether e's model on topo at vcs VC classes has an
-// acyclic CDG.
-func acyclic(e *spin.RoutingEntry, topo topology.Topology, vcs int) bool {
-	dep, err := e.Model(topo, vcs)
-	return err == nil && cdg.Build(topo, vcs, dep).Acyclic()
+	fmt.Println("verdict: ", verdicts[theorem])
 }

@@ -89,6 +89,15 @@ func recordFlagsErr(record, replay string) error {
 	return nil
 }
 
+// epochErr refuses a negative -epoch, as /v1/simulate and spinsweep do: it
+// attaches no sampler, so -tsout and -trace would have no series.
+func epochErr(epoch int64) error {
+	if epoch < 0 {
+		return fmt.Errorf("epoch must be >= 0, got %d", epoch)
+	}
+	return nil
+}
+
 // simFlags are the flags that describe the simulation itself — exactly
 // what a spin.Config carries, so the run, its -check artifact and its
 // replay all name the same configuration.
@@ -246,6 +255,9 @@ func main() {
 	sc, err := f.config()
 	if err == nil {
 		err = sc.Validate() // refused here, not by the replay of its artifact
+	}
+	if err == nil {
+		err = epochErr(*epoch)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -39,6 +39,20 @@ func TestRecordFlagsErr(t *testing.T) {
 	}
 }
 
+// TestNegativeEpochRefused: a negative -epoch is refused before the run,
+// as /v1/simulate and spinsweep refuse it; it once reached -tsout as a nil
+// time series.
+func TestNegativeEpochRefused(t *testing.T) {
+	for _, tc := range []struct {
+		epoch   int64
+		refused bool
+	}{{-5, true}, {-1, true}, {0, false}, {500, false}} {
+		if err := epochErr(tc.epoch); (err != nil) != tc.refused {
+			t.Errorf("epochErr(%d) = %v, want refused %v", tc.epoch, err, tc.refused)
+		}
+	}
+}
+
 // TestCheckArtifactKeepsWorkloadShaping pins the -check artifact
 // contract: the scenario built from the flags — workload block included —
 // is the one the run executes and the one scenario-<key>.json replays.

@@ -86,7 +86,7 @@ func TestDragonflyLadderAcyclic(t *testing.T) {
 			t.Errorf("ladder (valiant %v) at %d VCs must be cyclic: %s", tc.valiant, tc.floor-1, g.Describe())
 		}
 	}
-	free := Build(d, 2, DflyFreeDep(d))
+	free := Build(d, 2, MinAdaptiveDep(d))
 	if free.Acyclic() {
 		t.Fatal("free-VC dragonfly routing should be cyclic")
 	}

@@ -126,9 +126,3 @@ func DflyLadderDep(d *topology.Dragonfly, vcs int, valiant bool) DependencyFunc 
 		return reqs
 	}
 }
-
-// DflyFreeDep is dragonfly minimal routing with unrestricted VC use (the
-// UGAL+SPIN configuration): cyclic, hence needs recovery.
-func DflyFreeDep(d *topology.Dragonfly) DependencyFunc {
-	return MinAdaptiveDep(d)
-}

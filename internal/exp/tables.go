@@ -5,13 +5,11 @@ import (
 	"strings"
 
 	spin "repro"
-	"repro/internal/cdg"
-	"repro/internal/topology"
 )
 
 // Table1Row is one framework of the qualitative comparison (Table I).
-// The CDG columns are verified mechanically by internal/cdg at
-// construction time rather than asserted.
+// The CDG columns are verified mechanically at construction time, through
+// the routing table's verdicts, rather than asserted.
 type Table1Row struct {
 	Theory              string
 	InjectionRestricted string
@@ -49,8 +47,9 @@ func (t *Table1Result) String() string {
 	return b.String()
 }
 
-// Table1 builds the comparison and mechanically verifies the CDG claims
-// behind it on concrete instances.
+// Table1 builds the comparison and verifies the CDG claims behind it on
+// concrete instances: each note is the verdict (RoutingEntry.Verdict) on a
+// routing the table declares.
 func Table1() (*Table1Result, error) {
 	res := &Table1Result{Rows: []Table1Row{
 		{"Dally", "No", "Yes", "Yes", "1", "2", "6", "3", "None"},
@@ -59,35 +58,31 @@ func Table1() (*Table1Result, error) {
 		{"Deflection", "Yes", "No", "No", "n/a", "n/a", "0", "0", "High"},
 		{"SPIN", "No", "No", "No", "1", "1", "1", "1", "None"},
 	}}
-	mesh, err := topology.NewMesh(4, 4, 1)
-	if err != nil {
-		return nil, err
-	}
-	dfly, err := topology.NewDragonfly(2, 4, 2, 9, 1, 3)
-	if err != nil {
-		return nil, err
-	}
 	checks := []struct {
-		name    string
-		acyclic bool
-		got     bool
+		note, topo, routing string
+		vcs                 int
+		want                spin.Theorem
 	}{
-		{"mesh XY (Dally, minimal) acyclic", true, cdg.Build(mesh, 1, cdg.XYDep(mesh)).Acyclic()},
-		{"mesh west-first (Dally, partial adaptive) acyclic", true, cdg.Build(mesh, 2, cdg.WestFirstDep(mesh)).Acyclic()},
-		{"mesh fully-adaptive (needs SPIN) cyclic", false, cdg.Build(mesh, 1, cdg.MinAdaptiveDep(mesh)).Acyclic()},
-		{"mesh Duato escape sub-network acyclic", true, cdg.Build(mesh, 3, cdg.EscapeSubgraphDep(mesh)).Acyclic()},
-		{"dragonfly VC ladder (Dally) acyclic", true, cdg.Build(dfly, 2, cdg.DflyLadderDep(dfly, 2, false)).Acyclic()},
-		{"dragonfly free-VC (needs SPIN) cyclic", false, cdg.Build(dfly, 1, cdg.DflyFreeDep(dfly)).Acyclic()},
+		{"mesh XY (Dally, minimal) acyclic", "mesh:4x4", "xy", 1, spin.Dally},
+		{"mesh west-first (Dally, partial adaptive) acyclic", "mesh:4x4", "westfirst", 2, spin.Dally},
+		{"mesh fully-adaptive (needs SPIN) cyclic", "mesh:4x4", "min_adaptive", 1, spin.NeedsRecovery},
+		{"mesh Duato escape sub-network acyclic", "mesh:4x4", "escape_vc", 3, spin.Duato},
+		{"dragonfly VC ladder (Dally) acyclic", "dragonfly:2,4,2,9", "dfly_min_ladder", 2, spin.Dally},
+		{"dragonfly free-VC (needs SPIN) cyclic", "dragonfly:2,4,2,9", "dfly_free", 1, spin.NeedsRecovery},
 	}
 	for _, c := range checks {
-		status := "OK"
-		if c.got != c.acyclic {
-			status = "MISMATCH"
+		topo, err := spin.BuildTopology(c.topo, 1)
+		if err != nil {
+			return nil, err
 		}
-		res.Notes = append(res.Notes, fmt.Sprintf("%s [%s]", c.name, status))
-		if status == "MISMATCH" {
-			return nil, fmt.Errorf("exp: table I verification failed: %s", c.name)
+		got, _, err := spin.LookupRouting(c.routing).Verdict(topo, c.vcs)
+		if err != nil {
+			return nil, err
 		}
+		if got != c.want {
+			return nil, fmt.Errorf("exp: table I verification failed: %s (%s reads %s)", c.note, c.routing, got)
+		}
+		res.Notes = append(res.Notes, c.note+" [OK]")
 	}
 	return res, nil
 }

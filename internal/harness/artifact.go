@@ -87,12 +87,10 @@ func BuildCDGCut(sc Scenario) *CDGCut {
 	if err != nil || e == nil {
 		return nil
 	}
-	vcs := sc.VCsPerVNet
-	dep, err := e.Model(topo, vcs)
+	g, err := e.Graph(topo, sc.VCsPerVNet)
 	if err != nil {
 		return nil
 	}
-	g := cdg.Build(topo, vcs, dep)
 	cut := &CDGCut{
 		Routing:  e.Name,
 		Summary:  g.Describe(),

@@ -85,8 +85,8 @@ func (c *Config) setDefaults() error {
 	if c.VCDepth == 0 {
 		c.VCDepth = MaxPktLen
 	}
-	if c.VCsPerVNet > 32 {
-		return fmt.Errorf("sim: at most 32 VCs per vnet, got %d", c.VCsPerVNet)
+	if c.VCsPerVNet > MaxVCsPerVNet {
+		return fmt.Errorf("sim: at most %d VCs per vnet, got %d", MaxVCsPerVNet, c.VCsPerVNet)
 	}
 	if c.VCDepth < MaxPktLen {
 		return fmt.Errorf("sim: VCDepth %d < MaxPktLen %d breaks virtual cut-through (and the spin space argument)", c.VCDepth, MaxPktLen)

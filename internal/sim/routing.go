@@ -13,6 +13,9 @@ type PortRequest struct {
 	VCMask uint32
 }
 
+// MaxVCsPerVNet is the most VCs a vnet can have: one per bit of VCMask.
+const MaxVCsPerVNet = 32
+
 // AllVCs is the unrestricted VC mask.
 const AllVCs uint32 = ^uint32(0)
 

@@ -36,10 +36,10 @@ func meshPerimeterRing(m *topology.Mesh) ([]int, []int) {
 	return ring, ports
 }
 
-// TestSpinCountMatchesTheorem cross-checks the distributed implementation
-// against the internal/core theorem: a symmetric ring whose in-ring
-// packets sit d hops from their destinations resolves in exactly d spins,
-// and never more than m-1.
+// TestSpinCountMatchesTheorem checks the distributed implementation
+// against the paper's resolution bound for minimal routing (Section III): a
+// symmetric ring of m routers whose in-ring packets sit d hops from their
+// destinations resolves in exactly d spins, and never more than m-1.
 func TestSpinCountMatchesTheorem(t *testing.T) {
 	cases := []struct {
 		x, y  int

@@ -66,10 +66,10 @@ type RoutingEntry struct {
 	// MinVCs is the VC floor per vnet: below it the routing deadlocks (a
 	// ladder with fewer rungs than its paths have global hops) or has no
 	// VC to route on (escape_vc's adaptive class). Build and Model refuse
-	// fewer.
+	// fewer, and more than sim.MaxVCsPerVNet.
 	MinVCs int
-	// Schemeless: deadlock-free at MinVCs without a recovery scheme. The
-	// proof is an acyclic CDG: the entry's own model, or Proof's.
+	// Schemeless: deadlock-free at MinVCs without a recovery scheme, by the
+	// theorem Verdict names there.
 	Schemeless bool
 	// Proof names the analysis-only entry whose acyclic model proves a
 	// Schemeless routing whose own CDG is cyclic (Duato's condition).
@@ -91,6 +91,8 @@ func (e *RoutingEntry) target(topo topology.Topology, vcs int) (target, error) {
 		return t, fmt.Errorf("spin: %s routing needs %s", e.Name, e.Needs)
 	case vcs < e.MinVCs:
 		return t, fmt.Errorf("spin: %s needs >= %d VCs per vnet", e.Name, e.MinVCs)
+	case vcs > sim.MaxVCsPerVNet:
+		return t, fmt.Errorf("spin: at most %d VCs per vnet, got %d", sim.MaxVCsPerVNet, vcs)
 	}
 	return t, nil
 }
@@ -115,6 +117,49 @@ func (e *RoutingEntry) Model(topo topology.Topology, vcs int) (cdg.DependencyFun
 		return nil, err
 	}
 	return e.model(t), nil
+}
+
+// Theorem names what proves a routing deadlock-free (Table I's theories).
+type Theorem string
+
+// The verdicts RoutingEntry.Verdict reaches.
+const (
+	Dally         Theorem = "Dally"          // the routing's own CDG is acyclic
+	Duato         Theorem = "Duato"          // its Proof's CDG, an escape sub-network, is acyclic
+	NeedsRecovery Theorem = "needs recovery" // neither: pair it with a recovery scheme such as SPIN
+)
+
+// Graph builds the routing's CDG on topo at vcs VC classes, under Model's
+// needs and floor.
+func (e *RoutingEntry) Graph(topo topology.Topology, vcs int) (*cdg.Graph, error) {
+	dep, err := e.Model(topo, vcs)
+	if err != nil {
+		return nil, err
+	}
+	return cdg.Build(topo, vcs, dep), nil
+}
+
+// Verdict names the theorem that proves the routing deadlock-free on topo
+// at vcs VC classes: Dally's when its own CDG is acyclic, else Duato's when
+// Proof's is, else none (NeedsRecovery). It returns the routing's own graph.
+func (e *RoutingEntry) Verdict(topo topology.Topology, vcs int) (Theorem, *cdg.Graph, error) {
+	g, err := e.Graph(topo, vcs)
+	switch {
+	case err != nil:
+		return "", nil, err
+	case g.Acyclic():
+		return Dally, g, nil
+	case e.Proof == "":
+		return NeedsRecovery, g, nil
+	}
+	escape, err := LookupRouting(e.Proof).Graph(topo, vcs)
+	switch {
+	case err != nil:
+		return "", nil, err
+	case escape.Acyclic():
+		return Duato, g, nil
+	}
+	return NeedsRecovery, g, nil
 }
 
 // minAdaptiveModel is the model of every routing that takes any minimal
