@@ -89,11 +89,22 @@ func recordFlagsErr(record, replay string) error {
 	return nil
 }
 
-// epochErr refuses a negative -epoch, as /v1/simulate and spinsweep do: it
-// attaches no sampler, so -tsout and -trace would have no series.
-func epochErr(epoch int64) error {
-	if epoch < 0 {
+// runFlagsErr refuses, before the run, the flags that shape how spinsim
+// runs and that no run can honour: a negative -epoch, as /v1/simulate and
+// spinsweep refuse it (it attaches no sampler, so -tsout and -trace would
+// have no series); -seeds below 1 (there is no zeroth run); -tracebuf below
+// 1 (the event ring would quietly grow to its minimum); a negative -timeout
+// (the runner would read it as no budget at all).
+func runFlagsErr(epoch int64, seeds, tracebuf int, timeout time.Duration) error {
+	switch {
+	case epoch < 0:
 		return fmt.Errorf("epoch must be >= 0, got %d", epoch)
+	case seeds < 1:
+		return fmt.Errorf("seeds must be >= 1, got %d", seeds)
+	case tracebuf < 1:
+		return fmt.Errorf("tracebuf must be >= 1, got %d", tracebuf)
+	case timeout < 0:
+		return fmt.Errorf("timeout must be >= 0, got %v", timeout)
 	}
 	return nil
 }
@@ -257,7 +268,7 @@ func main() {
 		err = sc.Validate() // refused here, not by the replay of its artifact
 	}
 	if err == nil {
-		err = epochErr(*epoch)
+		err = runFlagsErr(*epoch, *seeds, *tracebuf, *timeout)
 	}
 	if err != nil {
 		log.Fatal(err)

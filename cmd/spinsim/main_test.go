@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/harness"
 	"repro/internal/mc"
@@ -47,8 +48,32 @@ func TestNegativeEpochRefused(t *testing.T) {
 		epoch   int64
 		refused bool
 	}{{-5, true}, {-1, true}, {0, false}, {500, false}} {
-		if err := epochErr(tc.epoch); (err != nil) != tc.refused {
-			t.Errorf("epochErr(%d) = %v, want refused %v", tc.epoch, err, tc.refused)
+		if err := runFlagsErr(tc.epoch, 1, 1, 0); (err != nil) != tc.refused {
+			t.Errorf("runFlagsErr(epoch %d) = %v, want refused %v", tc.epoch, err, tc.refused)
+		}
+	}
+}
+
+// TestRunCountsRefused: -seeds and -tracebuf below 1 and a negative
+// -timeout are refused before the run. They once ran one replicate, kept a
+// 256-event trace ring and ran without a budget, silently.
+func TestRunCountsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		seeds, tracebuf int
+		timeout         time.Duration
+		refused         bool
+	}{
+		{0, 1, 0, true},
+		{-2, 1, 0, true},
+		{1, 0, 0, true},
+		{1, -8, 0, true},
+		{1, 1, -time.Second, true},
+		{1, 1, 0, false},
+		{8, 1 << 18, 2 * time.Minute, false},
+	} {
+		err := runFlagsErr(0, tc.seeds, tc.tracebuf, tc.timeout)
+		if (err != nil) != tc.refused {
+			t.Errorf("runFlagsErr(seeds %d, tracebuf %d, timeout %v) = %v, want refused %v", tc.seeds, tc.tracebuf, tc.timeout, err, tc.refused)
 		}
 	}
 }

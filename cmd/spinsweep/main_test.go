@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"strings"
 	"testing"
@@ -36,6 +37,24 @@ func TestFlagsRefuseWhatTheAPIRefuses(t *testing.T) {
 		if _, err := parse(t, args...); err == nil {
 			t.Errorf("%s accepted", strings.Join(args, " "))
 		}
+	}
+}
+
+// TestExecutionFlagsRefused: a negative -workers or -timeout is refused
+// before anything runs, for a figure, for -fig all and for a -preset sweep.
+// They once meant GOMAXPROCS workers and no budget, silently.
+func TestExecutionFlagsRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "7", "-workers", "-3"},
+		{"-fig", "7", "-timeout", "-1s"},
+		{"-cycles", "300", "-workers", "-1"}, // -fig all
+	} {
+		if _, err := parse(t, args...); err == nil {
+			t.Errorf("%s accepted", strings.Join(args, " "))
+		}
+	}
+	if _, err := exp.PresetSweep(context.Background(), "mesh_favors_min", "", 0, exp.Options{Workers: -3}); err == nil {
+		t.Error("-preset with -workers -3 accepted")
 	}
 }
 

@@ -135,6 +135,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("spin: data_frac must be in [0,1], got %g", c.DataFrac)
 	case c.VNets < 0 || c.VCsPerVNet < 0 || c.VCDepth < 0:
 		return fmt.Errorf("spin: vnets/vcs_per_vnet/vc_depth must be >= 0")
+	case max(c.VNets, 1) > sim.MaxVCsPerPort/max(c.VCsPerVNet, 1):
+		return fmt.Errorf("spin: at most %d VCs per port (vnets x vcs_per_vnet), got %d x %d", sim.MaxVCsPerPort, c.VNets, c.VCsPerVNet)
+	case c.VCDepth > sim.MaxVCDepth:
+		return fmt.Errorf("spin: vc_depth must be <= %d, got %d", sim.MaxVCDepth, c.VCDepth)
 	case c.TDD < 0:
 		return fmt.Errorf("spin: tdd must be >= 0, got %d", c.TDD)
 	case c.Warmup < 0:

@@ -58,8 +58,9 @@ func SweepIDs() []string {
 	return []string{"3", "6", "7", "8a", "8b", "9", "10", "costs", "torus", "deflection", "workload"}
 }
 
-// Validate reports whether o names a runnable sweep: a known figure, and
-// knobs that leave every point a measurement window.
+// Validate reports whether o names a runnable sweep: a known figure, knobs
+// that leave every point a measurement window, and no negative worker count
+// or time budget.
 func (o Options) Validate() error {
 	if !slices.Contains(SweepIDs(), o.Fig) {
 		return fmt.Errorf("exp: unknown figure %q (valid: %s)", o.Fig, strings.Join(SweepIDs(), ", "))
@@ -76,6 +77,10 @@ func (o Options) validKnobs() error {
 		return fmt.Errorf("exp: cycles must be >= 0, got %d", o.Cycles)
 	case o.Epoch < 0:
 		return fmt.Errorf("exp: epoch must be >= 0, got %d", o.Epoch)
+	case o.Workers < 0:
+		return fmt.Errorf("exp: workers must be >= 0, got %d", o.Workers)
+	case o.Timeout < 0:
+		return fmt.Errorf("exp: timeout must be >= 0, got %v", o.Timeout)
 	case n.Warmup >= n.Cycles:
 		return fmt.Errorf("exp: warmup %d leaves no measurement window in %d cycles", n.Warmup, n.Cycles)
 	}

@@ -312,6 +312,23 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestVCCeilingsAreBadRequests: a body asking for more VCs per port or
+// deeper VCs than the simulator stores is a 400 before anything is built.
+// 5000 vnets once got a 200 after building a network of that many VCs per
+// port, ~20 MB a router.
+func TestVCCeilingsAreBadRequests(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	for name, body := range map[string]string{
+		"5000 vnets": `{"topology":"mesh:4x4","routing":"xy","traffic":"uniform_random","rate":0.05,"cycles":10,"vnets":5000}`,
+		"129 VCs":    `{"topology":"mesh:4x4","routing":"xy","traffic":"uniform_random","rate":0.05,"cycles":10,"vnets":5,"vcs_per_vnet":26}`,
+		"deep VCs":   `{"topology":"mesh:4x4","routing":"xy","traffic":"uniform_random","rate":0.05,"cycles":10,"vc_depth":1025}`,
+	} {
+		if rec := post(t, h, "/v1/simulate", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, rec.Code)
+		}
+	}
+}
+
 // TestMetricsExposition scrapes /metrics after some traffic and checks
 // the text-format rendering.
 func TestMetricsExposition(t *testing.T) {

@@ -284,8 +284,8 @@ func (c *InvariantChecker) pass(audit bool) {
 			c.countLink(l)
 		}
 		for _, r := range n.routers {
-			for _, v := range r.vcFlat {
-				c.lookVC(v, allRules)
+			for s := range r.vcFlat {
+				c.lookVC(&r.vcFlat[s], allRules)
 			}
 			c.begin(len(c.inflight)+r.ID, allRules)
 			if r.active() && !n.awake.has(r.ID) {
@@ -307,8 +307,9 @@ func (c *InvariantChecker) pass(audit bool) {
 				continue
 			}
 			p := nic.queue[nic.head]
-			for _, v := range nic.router.in[nic.port][p.VNet*n.cfg.VCsPerVNet:][:n.cfg.VCsPerVNet] {
-				if v.CanAccept(p.Length) {
+			vcs := nic.router.in[nic.port][p.VNet*n.cfg.VCsPerVNet:][:n.cfg.VCsPerVNet]
+			for k := range vcs {
+				if v := &vcs[k]; v.CanAccept(p.Length) {
 					c.flag(RuleWorklist, "terminal %d sleeps in the blocked set but r%d p%d vc%d has room for its next packet", t, v.router.ID, v.port, v.index)
 					break
 				}
@@ -331,7 +332,7 @@ func (c *InvariantChecker) pass(audit bool) {
 		for _, r := range n.routers {
 			for w, word := range r.occ {
 				for word &^= c.seen[r.ID][w]; word != 0; word &= word - 1 {
-					v := r.vcFlat[w<<6+bits.TrailingZeros64(word)]
+					v := &r.vcFlat[w<<6+bits.TrailingZeros64(word)]
 					c.buffered += len(v.buf)
 					c.lookVC(v, worklistOnly)
 				}
@@ -387,10 +388,10 @@ func (c *InvariantChecker) checkWorklistBits(v *VC) {
 		c.flagVC(v, RuleWorklist, "holds %d flits but its occupied bit is %v", len(v.buf), bit)
 	}
 	if bit := r.inFree.has(v.freeBit()); bit != v.snapAllocatable() {
-		c.flagVC(v, RuleWorklist, "snapshot is reserved=%v free=%d but its free bit is %v", v.snapResv, v.snapFree, bit)
+		c.flagVC(v, RuleWorklist, "snapshot is reserved=%v free=%d but its free bit is %v", v.is(vcSnapResv), v.snapFree, bit)
 	}
 	if bit := r.needRoute.has(slot); bit != v.unroutedHead() {
-		c.flagVC(v, RuleWorklist, "(%d flits, routed=%v) has its route-request bit %v", len(v.buf), v.routed, bit)
+		c.flagVC(v, RuleWorklist, "(%d flits, routed=%v) has its route-request bit %v", len(v.buf), v.is(vcRouted), bit)
 	}
 	if r.blocked.has(slot) {
 		if why := blockedUnowed(v); why != "" {
@@ -408,7 +409,7 @@ func blockedUnowed(v *VC) string {
 	switch {
 	case len(v.buf) == 0:
 		return "is empty"
-	case !v.routed || !v.buf[0].IsHead():
+	case !v.is(vcRouted) || !v.buf[0].IsHead():
 		return "has no routed head at its front"
 	case v.target != nil || v.outPort >= 0:
 		return "holds a grant"
@@ -427,8 +428,8 @@ func blockedUnowed(v *VC) string {
 
 // checkCredit audits v's credit accounting against its buffer and the links.
 func (c *InvariantChecker) checkCredit(v *VC) {
-	if len(v.buf) > v.depth {
-		c.flagVC(v, RuleCredit, "holds %d flits, depth %d", len(v.buf), v.depth)
+	if len(v.buf) > v.Depth() {
+		c.flagVC(v, RuleCredit, "holds %d flits, depth %d", len(v.buf), v.Depth())
 	}
 	if v.inFlight < 0 {
 		c.flagVC(v, RuleCredit, "negative in-flight count %d", v.inFlight)
@@ -436,9 +437,9 @@ func (c *InvariantChecker) checkCredit(v *VC) {
 	if v.FreeSlots() < 0 {
 		// Holds even mid-spin: the forced drain vacates exactly one slot
 		// per forced send, so len+inFlight never exceeds the depth.
-		c.flagVC(v, RuleCredit, "free slots %d (len=%d inFlight=%d depth=%d)", v.FreeSlots(), len(v.buf), v.inFlight, v.depth)
+		c.flagVC(v, RuleCredit, "free slots %d (len=%d inFlight=%d depth=%d)", v.FreeSlots(), len(v.buf), v.inFlight, v.Depth())
 	}
-	if got := int(c.inflight[c.ent]); got != v.inFlight {
+	if got := int(c.inflight[c.ent]); got != int(v.inFlight) {
 		c.flagVC(v, RuleCredit, "records %d in-flight flits, links carry %d", v.inFlight, got)
 	}
 }
@@ -550,7 +551,7 @@ func (c *InvariantChecker) checkProgress() {
 	for _, r := range c.net.routers {
 		total := len(r.vcFlat)
 		for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
-			v := r.vcFlat[slot]
+			v := &r.vcFlat[slot]
 			f := v.buf[0]
 			s := &c.stalls[c.net.vcIndex(v)]
 			stalled := s.age(now, now-1, wait{pktID: f.Pkt.ID, frontSeq: f.Seq, bufLen: len(v.buf)})
@@ -558,7 +559,7 @@ func (c *InvariantChecker) checkProgress() {
 			if stalled > c.opt.StallBound && !s.reported {
 				s.reported = true
 				c.report(RuleProgress, "r%d p%d vc%d front flit (packet %d seq %d) stuck for %d cycles (bound %d, frozen=%v)",
-					v.router.ID, v.port, v.index, f.Pkt.ID, f.Seq, stalled, c.opt.StallBound, v.frozen)
+					v.router.ID, v.port, v.index, f.Pkt.ID, f.Seq, stalled, c.opt.StallBound, v.Frozen())
 			}
 		}
 	}
@@ -580,7 +581,7 @@ func (c *InvariantChecker) checkRecoveryBound() {
 		}
 	}
 	for _, k := range c.dlBuf {
-		v := c.net.routers[k.Router].in[k.Port][k.Index]
+		v := &c.net.routers[k.Router].in[k.Port][k.Index]
 		p := v.FrontPacket()
 		// The checker runs every cycle: the last sample was oracleEvery ago.
 		s := &c.spells[c.net.vcIndex(v)]

@@ -18,7 +18,8 @@ func ResetStallIndex(n *Network) {
 		clear(r.blocked)
 		clear(r.needRoute)
 		clear(r.inFree)
-		for slot, v := range r.vcFlat {
+		for slot := range r.vcFlat {
+			v := &r.vcFlat[slot]
 			if v.unroutedHead() {
 				r.needRoute.set(slot)
 			}

@@ -169,8 +169,8 @@ func (n *Network) vcChain() []VCForensics {
 		marks[n.vcIndex(v)] |= inChain | mark
 	}
 	for _, r := range n.routers {
-		for _, v := range r.vcFlat {
-			if v.frozen || v.spinning {
+		for s := range r.vcFlat {
+			if v := &r.vcFlat[s]; v.flags&(vcFrozen|vcSpinning) != 0 {
 				add(v, 0)
 			}
 		}
@@ -179,7 +179,7 @@ func (n *Network) vcChain() []VCForensics {
 	// (disabled protocol, exceeded bound): blocked VCs with no freeze or
 	// spin state still form the chain worth dumping.
 	for _, d := range n.FindDeadlock() {
-		add(n.routers[d.Router].in[d.Port][d.Index], deadlocked)
+		add(&n.routers[d.Router].in[d.Port][d.Index], deadlocked)
 	}
 	// Walk grants: each chain member's downstream target joins the chain,
 	// closing the loop when the deadlocked cycle bites its own tail.
@@ -190,14 +190,14 @@ func (n *Network) vcChain() []VCForensics {
 	for _, v := range chain {
 		f := VCForensics{
 			Router:     v.router.ID,
-			Port:       v.port,
-			VC:         v.index,
-			Frozen:     v.frozen,
-			Spinning:   v.spinning,
+			Port:       v.Port(),
+			VC:         v.Index(),
+			Frozen:     v.Frozen(),
+			Spinning:   v.SpinInProgress(),
 			Deadlocked: marks[n.vcIndex(v)]&deadlocked != 0,
 			BufLen:     len(v.buf),
-			InFlight:   v.inFlight,
-			OutPort:    v.outPort,
+			InFlight:   int(v.inFlight),
+			OutPort:    int(v.outPort),
 			DownRouter: -1,
 			DownPort:   -1,
 			DownVC:     -1,
@@ -207,8 +207,8 @@ func (n *Network) vcChain() []VCForensics {
 		}
 		if v.target != nil {
 			f.DownRouter = v.target.router.ID
-			f.DownPort = v.target.port
-			f.DownVC = v.target.index
+			f.DownPort = v.target.Port()
+			f.DownVC = v.target.Index()
 		}
 		out = append(out, f)
 	}

@@ -101,10 +101,10 @@ func TestCaptureForensicsSnapshotsVCChain(t *testing.T) {
 
 	p := &Packet{ID: 42, Length: 1}
 	v.enqueue(Flit{Pkt: p, Seq: 0}, 3)
-	v.frozen = true
+	v.flags |= vcFrozen
 	v.outPort = 1
 	down := n.Router(0).VC(1, 1)
-	down.spinning = true
+	down.flags |= vcSpinning
 	v.target = down
 
 	snap := n.CaptureForensics("test_rule")

@@ -88,8 +88,14 @@ func (c *Config) setDefaults() error {
 	if c.VCsPerVNet > MaxVCsPerVNet {
 		return fmt.Errorf("sim: at most %d VCs per vnet, got %d", MaxVCsPerVNet, c.VCsPerVNet)
 	}
+	if c.VNets > MaxVCsPerPort/c.VCsPerVNet {
+		return fmt.Errorf("sim: at most %d VCs per port, got %d vnets x %d VCs", MaxVCsPerPort, c.VNets, c.VCsPerVNet)
+	}
 	if c.VCDepth < MaxPktLen {
 		return fmt.Errorf("sim: VCDepth %d < MaxPktLen %d breaks virtual cut-through (and the spin space argument)", c.VCDepth, MaxPktLen)
+	}
+	if c.VCDepth > MaxVCDepth {
+		return fmt.Errorf("sim: at most %d flits per VC, got %d", MaxVCDepth, c.VCDepth)
 	}
 	return nil
 }
@@ -213,8 +219,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 		words += 3*((radix*vcs+63)/64) + radix*n.freeStride/64
 		n.vcBase[i+1] = n.vcBase[i] + int32(radix*vcs)
 	}
-	vcSlab, vcFlat := make([]VC, ports*vcs), make([]*VC, ports*vcs)
-	in, outVCs := make([][]*VC, ports), make([][]*VC, ports)
+	vcSlab := make([]VC, ports*vcs)
+	in, outVCs := make([][]VC, ports), make([][]VC, ports)
 	outLink, outFree := make([]*link, ports), make([]bitset, ports)
 	waker, smSends := make([]int32, ports), make([][]*SM, ports)
 	n.routerSets = make(bitset, words)
@@ -223,14 +229,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 		r, radix := &routers[i], topo.Radix(i)
 		slotWords := (radix*vcs + 63) / 64
 		*r = Router{net: n, ID: i, radix: radix, localPorts: topo.LocalPorts(i),
-			in: carve(&in, radix), vcFlat: carve(&vcFlat, radix*vcs),
+			in: carve(&in, radix), vcFlat: carve(&vcSlab, radix*vcs),
 			outLink: carve(&outLink, radix), outVCs: carve(&outVCs, radix), outFree: carve(&outFree, radix),
 			waker: carve(&waker, radix), smSends: carve(&smSends, radix),
 			occ: carve(&sets, slotWords), needRoute: carve(&sets, slotWords), blocked: carve(&sets, slotWords),
 			inFree: carve(&sets, radix*n.freeStride/64)}
 		for slot := range r.vcFlat {
-			r.vcFlat[slot] = &vcSlab[int(n.vcBase[i])+slot]
-			*r.vcFlat[slot] = VC{router: r, port: slot / vcs, index: slot % vcs, slot: int32(slot)}
+			r.vcFlat[slot] = VC{router: r, port: uint8(slot / vcs), index: uint8(slot % vcs), slot: uint16(slot)}
 		}
 		for p := range r.in {
 			r.in[p] = r.vcFlat[p*vcs : (p+1)*vcs : (p+1)*vcs]
@@ -323,8 +328,9 @@ func (n *Network) Reset(cfg Config) error {
 		}
 		// A VC is rewritten as a literal naming only what survives, so a
 		// field added later starts a run zeroed without being listed here.
-		for _, v := range r.vcFlat {
-			*v = VC{router: r, port: v.port, index: v.index, slot: v.slot, depth: cfg.VCDepth, outPort: -1,
+		for s := range r.vcFlat {
+			v := &r.vcFlat[s]
+			*v = VC{router: r, port: v.port, index: v.index, slot: v.slot, outPort: -1,
 				buf: v.buf[:0], reqs: v.reqs[:0]}
 		}
 		n.routerRNG[i].Seed(EntitySeed(cfg.Seed, RouterKey(i)))
@@ -336,8 +342,8 @@ func (n *Network) Reset(cfg Config) error {
 		cfg.Scheme.Attach(n)
 	}
 	for _, r := range n.routers {
-		for _, v := range r.vcFlat {
-			v.refreshSnap()
+		for s := range r.vcFlat {
+			r.vcFlat[s].refreshSnap()
 		}
 	}
 	return nil

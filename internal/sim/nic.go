@@ -79,7 +79,7 @@ func (n *NIC) injectStep(net *Network) {
 		v.reserve(p, now, false)
 		if net.wants(EvPacketInject) {
 			net.emit(Event{Cycle: now, Kind: EvPacketInject, Router: n.router.ID,
-				Port: n.port, VC: v.index, Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Len: p.Length})
+				Port: n.port, VC: v.Index(), Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Len: p.Length})
 		}
 	}
 	n.curVC.enqueue(Flit{Pkt: n.cur, Seq: n.curSeq}, now)
@@ -89,7 +89,7 @@ func (n *NIC) injectStep(net *Network) {
 	net.stats.InjectedFlits++
 	if net.wants(EvFlitInject) {
 		net.emit(Event{Cycle: now, Kind: EvFlitInject, Router: n.router.ID,
-			Port: n.port, VC: n.curVC.index, Packet: n.cur.ID, VNet: n.cur.VNet})
+			Port: n.port, VC: n.curVC.Index(), Packet: n.cur.ID, VNet: n.cur.VNet})
 	}
 	n.curSeq++
 	if n.curSeq == n.cur.Length {
@@ -106,7 +106,7 @@ func (n *NIC) pickVC(net *Network, p *Packet) (v *VC, full bool) {
 	full = true
 	base := p.VNet * net.cfg.VCsPerVNet
 	for k := 0; k < net.cfg.VCsPerVNet; k++ {
-		v := n.router.in[n.port][base+k]
+		v := &n.router.in[n.port][base+k]
 		if !v.CanAccept(p.Length) {
 			continue
 		}

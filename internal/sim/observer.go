@@ -42,7 +42,7 @@ func (n *Network) findDeadlock(out []DeadlockedVC) []DeadlockedVC {
 	for _, r := range n.routers {
 		total := len(r.vcFlat)
 		for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
-			if v := r.vcFlat[slot]; v.routed {
+			if v := &r.vcFlat[slot]; v.is(vcRouted) {
 				s.vcs = append(s.vcs, v)
 				s.nodeOf[n.vcIndex(v)] = int32(len(s.vcs))
 			}
@@ -53,9 +53,9 @@ func (n *Network) findDeadlock(out []DeadlockedVC) []DeadlockedVC {
 		s.lo = append(s.lo, int32(len(s.deps)))
 		alive := false
 		switch {
-		case v.frozen || v.spinning:
+		case v.flags&(vcFrozen|vcSpinning) != 0:
 			alive = true
-		case v.WaitingToEject() || (v.target == nil && v.outPort >= 0 && v.outPort < r.localPorts):
+		case v.WaitingToEject() || (v.target == nil && v.outPort >= 0 && int(v.outPort) < r.localPorts):
 			alive = true
 		case v.target != nil:
 			alive = v.target.FreeSlots() > 0
@@ -98,7 +98,7 @@ func (n *Network) findDeadlock(out []DeadlockedVC) []DeadlockedVC {
 	for i, v := range s.vcs {
 		s.nodeOf[n.vcIndex(v)] = 0
 		if !s.live[i] {
-			out = append(out, DeadlockedVC{Router: v.router.ID, Port: v.port, Index: v.index})
+			out = append(out, DeadlockedVC{Router: v.router.ID, Port: v.Port(), Index: v.Index()})
 		}
 	}
 	return out

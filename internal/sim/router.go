@@ -16,14 +16,14 @@ type Router struct {
 	radix      int
 	localPorts int
 
-	in      [][]*VC // [port][vcIdx]: windows of vcFlat
-	vcFlat  []*VC   // all input VCs in (port, vcIdx) order: slot = port*VCsPerPort+vcIdx
+	in      [][]VC  // [port][vcIdx]: windows of vcFlat
+	vcFlat  []VC    // the router's window of the network's VC slab, in (port, vcIdx) order: slot = port*VCsPerPort+vcIdx
 	outLink []*link // per output port; nil for terminal/unwired ports
 
 	// What output port p sees of the router at the far end of its link: that
 	// input port's VCs and its words of the downstream router's inFree (both
 	// nil without a link).
-	outVCs  [][]*VC
+	outVCs  [][]VC
 	outFree []bitset
 
 	// The router's worklists, one slab. occ is the occupied-VC set: bit slot
@@ -120,7 +120,7 @@ func (r *Router) FirstOccupied(lo, hi int) int {
 }
 
 // VCAt returns the VC at a flat slot (see VC.Slot).
-func (r *Router) VCAt(slot int) *VC { return r.vcFlat[slot] }
+func (r *Router) VCAt(slot int) *VC { return &r.vcFlat[slot] }
 
 // Net returns the owning network.
 func (r *Router) Net() *Network { return r.net }
@@ -135,7 +135,7 @@ func (r *Router) LocalPorts() int { return r.localPorts }
 func (r *Router) Agent() Agent { return r.agent }
 
 // VC returns the virtual channel at (port, idx).
-func (r *Router) VC(port, idx int) *VC { return r.in[port][idx] }
+func (r *Router) VC(port, idx int) *VC { return &r.in[port][idx] }
 
 // VCsPerPort reports how many VCs each input port has.
 func (r *Router) VCsPerPort() int { return r.net.cfg.VNets * r.net.cfg.VCsPerVNet }
@@ -186,7 +186,7 @@ func (r *Router) DownstreamVCs(p, vnet int, mask uint32, buf []*VC) []*VC {
 		if mask&(1<<uint(k)) == 0 {
 			continue
 		}
-		buf = append(buf, r.outVCs[p][base+k])
+		buf = append(buf, &r.outVCs[p][base+k])
 	}
 	return buf
 }
@@ -274,18 +274,18 @@ func (r *Router) CloneSM(m *SM) *SM {
 // FreezeVC marks the VC as frozen: it no longer participates in normal
 // switch allocation and its resident packet will only move during a spin.
 func (r *Router) FreezeVC(v *VC) {
-	if !v.frozen && r.net.wants(EvVCFreeze) {
-		r.net.emit(Event{Cycle: r.net.now, Kind: EvVCFreeze, Router: r.ID, Port: v.port, VC: v.index})
+	if !v.is(vcFrozen) && r.net.wants(EvVCFreeze) {
+		r.net.emit(Event{Cycle: r.net.now, Kind: EvVCFreeze, Router: r.ID, Port: v.Port(), VC: v.Index()})
 	}
-	v.frozen = true
+	v.flags |= vcFrozen
 }
 
 // UnfreezeVC lifts a freeze (kill_move processing).
 func (r *Router) UnfreezeVC(v *VC) {
-	if v.frozen && r.net.wants(EvVCUnfreeze) {
-		r.net.emit(Event{Cycle: r.net.now, Kind: EvVCUnfreeze, Router: r.ID, Port: v.port, VC: v.index})
+	if v.is(vcFrozen) && r.net.wants(EvVCUnfreeze) {
+		r.net.emit(Event{Cycle: r.net.now, Kind: EvVCUnfreeze, Router: r.ID, Port: v.Port(), VC: v.Index()})
 	}
-	v.frozen = false
+	v.flags &^= vcFrozen
 }
 
 // StartSpin begins the synchronized movement of v's frozen resident
@@ -297,16 +297,15 @@ func (r *Router) StartSpin(v *VC, outPort int, target *VC) {
 	if v.FrontPacket() == nil {
 		return
 	}
-	if !v.spinning {
-		v.spinning = true
+	if !v.is(vcSpinning) {
 		r.spinningVCs++
 		if r.net.wants(EvSpinStart) {
 			r.net.emit(Event{Cycle: r.net.now, Kind: EvSpinStart, Router: r.ID,
-				Port: v.port, VC: v.index, Arg: int64(outPort)})
+				Port: v.Port(), VC: v.Index(), Arg: int64(outPort)})
 		}
 	}
-	v.frozen = false
-	v.outPort = outPort
+	v.flags = v.flags&^vcFrozen | vcSpinning
+	v.outPort = int8(outPort)
 	v.target = target
 	// The target is another router's VC; its force reservation is buffered
 	// and applied (before any normal reservation) at commit.
@@ -318,7 +317,7 @@ func (r *Router) StartSpin(v *VC, outPort int, target *VC) {
 func (r *Router) routeStage() {
 	for w, word := range r.needRoute {
 		for ; word != 0; word &= word - 1 {
-			v := r.vcFlat[w<<6+bits.TrailingZeros64(word)]
+			v := &r.vcFlat[w<<6+bits.TrailingZeros64(word)]
 			if !v.unroutedHead() {
 				panic(fmt.Sprintf("sim: r%d p%d vc%d queued for routing without an unrouted head at its front", r.ID, v.port, v.index))
 			}
@@ -329,16 +328,16 @@ func (r *Router) routeStage() {
 			if pkt.DstRouter == r.ID {
 				termPort := r.net.cfg.Topology.TerminalPort(pkt.Dst)
 				v.reqs = append(v.reqs[:0], PortRequest{Port: termPort, VCMask: AllVCs})
-				v.routed = true
+				v.flags |= vcRouted
 				continue
 			}
 			n := r.net
-			n.routeBuf = n.cfg.Routing.Route(r, v.port, pkt, n.routeBuf[:0])
+			n.routeBuf = n.cfg.Routing.Route(r, v.Port(), pkt, n.routeBuf[:0])
 			if len(n.routeBuf) == 0 {
 				panic(fmt.Sprintf("sim: routing %s returned no ports for %v at router %d", n.cfg.Routing.Name(), pkt, r.ID))
 			}
 			v.reqs = append(v.reqs[:0], n.routeBuf...)
-			v.routed = true
+			v.flags |= vcRouted
 		}
 		r.needRoute[w] = 0
 	}
@@ -353,8 +352,8 @@ func (r *Router) claimSpinPorts() {
 	}
 	total := len(r.vcFlat)
 	for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
-		if v := r.vcFlat[slot]; v.spinning {
-			r.spinClaimed.set(v.outPort)
+		if v := &r.vcFlat[slot]; v.is(vcSpinning) {
+			r.spinClaimed.set(int(v.outPort))
 		}
 	}
 }
@@ -430,16 +429,16 @@ func (r *Router) spinStage() {
 	}
 	total := len(r.vcFlat)
 	for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
-		v := r.vcFlat[slot]
-		if !v.spinning {
+		v := &r.vcFlat[slot]
+		if !v.is(vcSpinning) {
 			continue
 		}
-		out, target := v.outPort, v.target
-		if r.inUsed.has(v.port) || r.outUsed.has(out) {
+		out, target := int(v.outPort), v.target
+		if r.inUsed.has(v.Port()) || r.outUsed.has(out) {
 			panic("sim: spin port collision")
 		}
 		r.sendFlitFrom(v, out, target)
-		r.inUsed.set(v.port)
+		r.inUsed.set(v.Port())
 		r.outUsed.set(out)
 	}
 }
@@ -478,36 +477,36 @@ func (r *Router) allocateRun(lo, hi int) {
 		}
 		r.net.saVisits += int64(bits.OnesCount64(word))
 		for ; word != 0; word &= word - 1 {
-			r.allocate(r.vcFlat[w<<6+bits.TrailingZeros64(word)])
+			r.allocate(&r.vcFlat[w<<6+bits.TrailingZeros64(word)])
 		}
 	}
 }
 
 // allocate is one occupied VC's turn at switch allocation.
 func (r *Router) allocate(v *VC) {
-	if v.frozen || v.spinning || r.inUsed.has(v.port) {
+	if v.flags&(vcFrozen|vcSpinning) != 0 || r.inUsed.has(v.Port()) {
 		return
 	}
-	if v.target != nil || (v.outPort >= 0 && v.outPort < r.localPorts) {
+	if v.target != nil || (v.outPort >= 0 && int(v.outPort) < r.localPorts) {
 		// Granted packet (or ejection in progress): stream next flit.
 		r.tryContinue(v)
 		return
 	}
-	if v.routed && v.buf[0].IsHead() {
+	if v.is(vcRouted) && v.buf[0].IsHead() {
 		r.tryGrant(v)
 	}
 }
 
 // tryContinue streams a flit of an already-granted packet.
 func (r *Router) tryContinue(v *VC) {
-	out := v.outPort
+	out := int(v.outPort)
 	if r.outUsed.has(out) {
 		return
 	}
 	if v.target == nil {
 		// Ejection continues unconditionally: the NIC never stalls.
 		r.ejectFlit(v)
-		r.inUsed.set(v.port)
+		r.inUsed.set(v.Port())
 		r.outUsed.set(out)
 		return
 	}
@@ -521,7 +520,7 @@ func (r *Router) tryContinue(v *VC) {
 		return
 	}
 	r.sendFlitFrom(v, out, v.target)
-	r.inUsed.set(v.port)
+	r.inUsed.set(v.Port())
 	r.outUsed.set(out)
 }
 
@@ -544,9 +543,9 @@ func (r *Router) tryGrant(v *VC) {
 				continue
 			}
 			// Ejection request.
-			v.outPort = out
+			v.outPort = int8(out)
 			r.ejectFlit(v)
-			r.inUsed.set(v.port)
+			r.inUsed.set(v.Port())
 			r.outUsed.set(out)
 			return
 		}
@@ -562,7 +561,7 @@ func (r *Router) tryGrant(v *VC) {
 			continue
 		}
 		for ; cand != 0; cand &= cand - 1 {
-			dvc := r.outVCs[out][base+bits.TrailingZeros32(cand)]
+			dvc := &r.outVCs[out][base+bits.TrailingZeros32(cand)]
 			if !dvc.canAcceptSnap(pkt.Length) {
 				continue
 			}
@@ -575,9 +574,9 @@ func (r *Router) tryGrant(v *VC) {
 			// reservation can race it at commit.
 			r.net.resvOps = append(r.net.resvOps, resvOp{dvc: dvc, pkt: pkt})
 			v.target = dvc
-			v.outPort = out
+			v.outPort = int8(out)
 			r.sendFlitFrom(v, out, dvc)
-			r.inUsed.set(v.port)
+			r.inUsed.set(v.Port())
 			r.outUsed.set(out)
 			return
 		}

@@ -16,6 +16,18 @@ type PortRequest struct {
 // MaxVCsPerVNet is the most VCs a vnet can have: one per bit of VCMask.
 const MaxVCsPerVNet = 32
 
+// MaxVCsPerPort is the most VCs an input port can have, VNets x
+// VCsPerVNet: four vnets at MaxVCsPerVNet. VC.index is a byte below it and
+// VC.slot (port*VCsPerPort+index at radix <= 64) a uint16. It also bounds
+// what one request can make a network allocate: every port's VCs are built
+// up front.
+const MaxVCsPerPort = 128
+
+// MaxVCDepth is the deepest a VC can be, in flits: room for 200 packets of
+// MaxPktLen where virtual cut-through uses one, and small enough that a
+// VC's flit counts (buffered, in flight, free) are int16s.
+const MaxVCDepth = 1024
+
 // AllVCs is the unrestricted VC mask.
 const AllVCs uint32 = ^uint32(0)
 

@@ -427,10 +427,10 @@ func (t *Telemetry) vcOccupancy() []float64 {
 	occ := make([]float64, n.cfg.VNets)
 	slots := make([]int64, n.cfg.VNets)
 	for _, r := range n.routers {
-		for _, v := range r.vcFlat {
-			vn := v.VNet()
-			occ[vn] += float64(len(v.buf))
-			slots[vn] += int64(v.depth)
+		for s := range r.vcFlat {
+			v := &r.vcFlat[s]
+			occ[v.VNet()] += float64(len(v.buf))
+			slots[v.VNet()] += int64(n.cfg.VCDepth)
 		}
 	}
 	for i := range occ {

@@ -9,14 +9,38 @@ import "fmt"
 // a SPIN it transiently holds the draining tail of the frozen packet and
 // the arriving head of its upstream neighbour's packet; the FIFO and the
 // reservation owner handle that overlap.
+//
+// VCs live in one slab per network (see NewNetwork), so every byte here is
+// paid once per VC: 104 B, 34 560 times on the 1024-node dragonfly at 3
+// vnets x 3 VCs. Small fields are narrowed to the bounds NewNetwork
+// enforces (radix <= 64, MaxVCsPerPort, MaxVCDepth) and packed into the
+// padding after buf; the depth is the network's, not stored per VC. The
+// hot fields, read by the stages that visit an occupied VC every cycle,
+// come first; the reservation and congestion-proxy state behind them is
+// touched about once per packet.
 type VC struct {
 	router *Router
-	port   int // input port
-	index  int // VC index within the port (vnet-major)
+	buf    []Flit
 
-	buf      []Flit
-	depth    int
-	inFlight int // flits sent toward this VC but still on the link
+	slot     uint16 // port*VCsPerPort+index: the VC's bit in Router.occ
+	inFlight int16  // flits sent toward this VC but still on the link
+	// Commit-frozen snapshot of the state other routers may read during
+	// phase 2 (downstream credit checks, congestion proxies). The snapshot
+	// refreshes at every commit for VCs marked dirty; all cross-router reads
+	// in phase 2 go through it, so what a router sees of a neighbour is the
+	// end of the last cycle whether or not the neighbour has been stepped.
+	// Its two flags (vcSnapResv, vcSnapDirty) and snapActive complete it.
+	snapFree int16 // FreeSlots at last commit
+	snapLen  int16 // Len at last commit
+	port     uint8 // input port
+	index    uint8 // VC index within the port (vnet-major)
+	outPort  int8  // output port of the grant (-1 until granted)
+	flags    vcFlags
+
+	target *VC // downstream VC granted to the resident packet
+	// Routing state of the resident (front) packet. reqs is computed once
+	// per router visit when the head flit reaches the front (vcRouted).
+	reqs []PortRequest
 
 	// resvOwner is the packet the VC is currently allocated to (the most
 	// recently admitted one). It is set when an upstream head flit departs
@@ -25,50 +49,42 @@ type VC struct {
 	// activeSince is the cycle the VC last became allocated; it backs the
 	// "VC active time" congestion proxy FAvORS uses.
 	activeSince int64
-
-	// Routing state of the resident (front) packet. reqs is computed once
-	// per router visit when the head flit reaches the front.
-	reqs   []PortRequest
-	routed bool
-	// slot is the VC's flat index port*VCsPerPort+index at its router: its
-	// bit in Router.occ. It sits in routed's padding, so VC keeps its
-	// allocator size class.
-	slot     int32
-	target   *VC // downstream VC granted to the resident packet
-	outPort  int // output port of the grant (-1 until granted)
-	frozen   bool
-	spinning bool // force-transmitting during a spin
-
-	// Commit-frozen snapshot of the state other routers may read during
-	// phase 2 (downstream credit checks, congestion proxies). The snapshot
-	// refreshes at every commit for VCs marked dirty; all cross-router reads
-	// in phase 2 go through it, so what a router sees of a neighbour is the
-	// end of the last cycle whether or not the neighbour has been stepped.
-	snapFree   int   // FreeSlots at last commit
-	snapLen    int   // Len at last commit
-	snapResv   bool  // allocated (resvOwner != nil) at last commit
-	snapActive int64 // activeSince at last commit
-	snapDirty  bool  // queued on the network's refresh list
+	snapActive  int64 // activeSince at last commit
 }
+
+// vcFlags packs a VC's booleans into one byte.
+type vcFlags uint8
+
+const (
+	vcRouted    vcFlags = 1 << iota // reqs holds the resident head's requests
+	vcFrozen                        // frozen by a deadlock-recovery agent
+	vcSpinning                      // force-transmitting during a spin
+	vcSnapResv                      // allocated (resvOwner != nil) at last commit
+	vcSnapDirty                     // queued on the network's refresh list
+)
+
+// is reports whether every flag of f is set.
+func (v *VC) is(f vcFlags) bool { return v.flags&f == f }
 
 // Router returns the router this VC belongs to.
 func (v *VC) Router() *Router { return v.router }
 
 // Port returns the input port this VC belongs to.
-func (v *VC) Port() int { return v.port }
+func (v *VC) Port() int { return int(v.port) }
 
 // Index returns the VC index within its port.
-func (v *VC) Index() int { return v.index }
+func (v *VC) Index() int { return int(v.index) }
 
 // Slot returns the VC's flat index at its router, port*VCsPerPort+index:
 // the numbering Router.FirstOccupied and Router.VCAt use.
 func (v *VC) Slot() int { return int(v.slot) }
 
 // VNet reports the virtual network this VC serves.
-func (v *VC) VNet() int { return v.index / v.router.net.cfg.VCsPerVNet }
+func (v *VC) VNet() int { return v.Index() / v.router.net.cfg.VCsPerVNet }
 
-// Depth reports the buffer depth in flits.
-func (v *VC) Depth() int { return v.depth }
+// Depth reports the buffer depth in flits: the network's, the same for
+// every VC.
+func (v *VC) Depth() int { return v.router.net.cfg.VCDepth }
 
 // Len reports the number of buffered flits.
 func (v *VC) Len() int { return len(v.buf) }
@@ -81,7 +97,7 @@ func (v *VC) Idle() bool { return v.resvOwner == nil && v.Empty() }
 
 // FreeSlots reports buffer slots not occupied or promised to in-flight
 // flits.
-func (v *VC) FreeSlots() int { return v.depth - len(v.buf) - v.inFlight }
+func (v *VC) FreeSlots() int { return v.Depth() - len(v.buf) - int(v.inFlight) }
 
 // CanAccept reports whether a packet of the given length may be allocated
 // to this VC under virtual cut-through: the VC must be unallocated and have
@@ -106,17 +122,19 @@ func (v *VC) ActiveTime(now int64) int64 {
 // feeding router's blocked heads: when the VC turns free for allocation,
 // all of them get their next turn.
 func (v *VC) refreshSnap() {
-	v.snapFree = v.depth - len(v.buf) - v.inFlight
-	v.snapLen = len(v.buf)
-	v.snapResv = v.resvOwner != nil
-	v.snapActive = v.activeSince
-	v.snapDirty = false
 	r := v.router
+	v.snapFree = int16(v.FreeSlots())
+	v.snapLen = int16(len(v.buf))
+	v.snapActive = v.activeSince
+	v.flags &^= vcSnapResv | vcSnapDirty
+	if v.resvOwner != nil {
+		v.flags |= vcSnapResv
+	}
 	if i := v.freeBit(); !v.snapAllocatable() {
 		r.inFree.clear(i)
 	} else if !r.inFree.has(i) {
 		r.inFree.set(i)
-		if v.port >= r.localPorts && r.waker[v.port] >= 0 {
+		if v.Port() >= r.localPorts && r.waker[v.port] >= 0 {
 			clear(r.net.routers[r.waker[v.port]].blocked)
 		}
 	}
@@ -125,31 +143,31 @@ func (v *VC) refreshSnap() {
 // freeBit is the VC's bit in its router's inFree, and snapAllocatable the
 // predicate the bit caches: unreserved with a free slot as of the last
 // commit, which canAcceptSnap needs whatever the length.
-func (v *VC) freeBit() int          { return v.port*v.router.net.freeStride + v.index }
-func (v *VC) snapAllocatable() bool { return !v.snapResv && v.snapFree > 0 }
+func (v *VC) freeBit() int          { return v.Port()*v.router.net.freeStride + v.Index() }
+func (v *VC) snapAllocatable() bool { return !v.is(vcSnapResv) && v.snapFree > 0 }
 
 // unroutedHead reports whether the front flit is a head still to be routed:
 // the predicate of the VC's bit in its router's needRoute.
-func (v *VC) unroutedHead() bool { return len(v.buf) > 0 && v.buf[0].IsHead() && !v.routed }
+func (v *VC) unroutedHead() bool { return len(v.buf) > 0 && v.buf[0].IsHead() && !v.is(vcRouted) }
 
 // markDirty queues the VC for a snapshot refresh at the next commit.
 func (v *VC) markDirty() {
-	if v.snapDirty {
+	if v.is(vcSnapDirty) {
 		return
 	}
-	v.snapDirty = true
+	v.flags |= vcSnapDirty
 	n := v.router.net
 	n.dirtyVCs = append(n.dirtyVCs, v)
 }
 
 // canAcceptSnap is CanAccept evaluated against the commit snapshot.
 func (v *VC) canAcceptSnap(length int) bool {
-	return !v.snapResv && v.snapFree >= length
+	return !v.is(vcSnapResv) && int(v.snapFree) >= length
 }
 
 // activeTimeSnap is ActiveTime evaluated against the commit snapshot.
 func (v *VC) activeTimeSnap(now int64) int64 {
-	if !v.snapResv {
+	if !v.is(vcSnapResv) {
 		return 0
 	}
 	return now - v.snapActive
@@ -158,7 +176,7 @@ func (v *VC) activeTimeSnap(now int64) int64 {
 // SnapLen reports the buffered flit count as of the last commit — the
 // occupancy reading congestion-aware routing (UGAL) uses for next-hop
 // queues, stable across phase 2.
-func (v *VC) SnapLen() int { return v.snapLen }
+func (v *VC) SnapLen() int { return int(v.snapLen) }
 
 // FrontPacket returns the resident packet (the packet of the front flit).
 func (v *VC) FrontPacket() *Packet {
@@ -171,7 +189,7 @@ func (v *VC) FrontPacket() *Packet {
 // Requests returns the output-port requests of the resident packet, or nil
 // if no routed head is at the front. The slice must not be mutated.
 func (v *VC) Requests() []PortRequest {
-	if !v.routed {
+	if !v.is(vcRouted) {
 		return nil
 	}
 	return v.reqs
@@ -183,15 +201,15 @@ func (v *VC) Granted() int {
 	if v.target == nil {
 		return -1
 	}
-	return v.outPort
+	return int(v.outPort)
 }
 
 // Frozen reports whether the VC is frozen by a deadlock-recovery agent.
-func (v *VC) Frozen() bool { return v.frozen }
+func (v *VC) Frozen() bool { return v.is(vcFrozen) }
 
 // SpinInProgress reports whether the VC is force-transmitting its frozen
 // resident; the engine clears it when that packet's tail dequeues.
-func (v *VC) SpinInProgress() bool { return v.spinning }
+func (v *VC) SpinInProgress() bool { return v.is(vcSpinning) }
 
 // ResidentComplete reports whether every flit of the resident (front)
 // packet is buffered. SPIN's freeze/spin machinery requires it: spinning a
@@ -222,9 +240,9 @@ func (v *VC) WaitingToEject() bool {
 // the router's occupied-VC bitset, its route worklist when a head lands at
 // the front, and, on the router's first flit, the network's awake set.
 func (v *VC) enqueue(f Flit, now int64) {
-	if len(v.buf) >= v.depth {
+	if len(v.buf) >= v.Depth() {
 		panic(fmt.Sprintf("sim: VC overflow at r%d p%d vc%d cycle %d: depth=%d inFlight=%d frozen=%v spinning=%v resv=%v arriving=%v seq=%d front=%v",
-			v.router.ID, v.port, v.index, now, v.depth, v.inFlight, v.frozen, v.spinning, v.resvOwner, f.Pkt, f.Seq, v.buf[0].Pkt))
+			v.router.ID, v.port, v.index, now, v.Depth(), v.inFlight, v.Frozen(), v.SpinInProgress(), v.resvOwner, f.Pkt, f.Seq, v.buf[0].Pkt))
 	}
 	r := v.router
 	if len(v.buf) == 0 {
@@ -255,7 +273,7 @@ func (v *VC) dequeue() Flit {
 		r.occ.clear(int(v.slot))
 	}
 	r.blocked.clear(int(v.slot))
-	if v.port < r.localPorts && r.waker[v.port] >= 0 {
+	if v.Port() < r.localPorts && r.waker[v.port] >= 0 {
 		r.net.nicBlocked.clear(int(r.waker[v.port]))
 	}
 	if f.IsTail() {
@@ -276,16 +294,16 @@ func (v *VC) dequeue() Flit {
 // keeps its capacity so steady-state routing never reallocates.
 func (v *VC) clearResidentState() {
 	v.reqs = v.reqs[:0]
-	v.routed = false
 	v.target = nil
 	v.outPort = -1
-	if v.spinning {
-		v.spinning = false
+	spinning := v.is(vcSpinning)
+	v.flags &^= vcRouted | vcSpinning
+	if spinning {
 		v.router.spinningVCs--
 		n := v.router.net
 		if n.wants(EvSpinEnd) {
 			n.emit(Event{Cycle: n.now, Kind: EvSpinEnd, Router: v.router.ID,
-				Port: v.port, VC: v.index})
+				Port: v.Port(), VC: v.Index()})
 		}
 	}
 }

@@ -6,8 +6,48 @@ import (
 	"testing"
 
 	spin "repro"
+	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
+
+// TestVCWidthCeilings: sim.VC stores its index, slot and flit counts
+// narrowed to the network's bounds, so the bounds are refused where a
+// request enters (spin.Config.Validate) and where a network is built
+// (sim.NewNetwork): VNets x VCsPerVNet past sim.MaxVCsPerPort, VCDepth past
+// sim.MaxVCDepth. The paper's shapes, and the ceilings themselves, pass.
+func TestVCWidthCeilings(t *testing.T) {
+	m, err := topology.NewMesh(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name              string
+		vnets, vcs, depth int
+		ok                bool
+	}{
+		{"paper shape", 3, 3, 8, true},
+		{"defaults", 0, 0, 0, true},
+		{"port ceiling", sim.MaxVCsPerPort / sim.MaxVCsPerVNet, sim.MaxVCsPerVNet, 0, true},
+		{"depth ceiling", 1, 1, sim.MaxVCDepth, true},
+		{"5000 vnets", 5000, 0, 0, false},
+		{"one VC past the port ceiling", sim.MaxVCsPerPort + 1, 1, 0, false},
+		{"product past the port ceiling", 5, 26, 0, false},
+		{"product overflows", 1 << 40, 1 << 40, 0, false},
+		{"one flit past the depth ceiling", 1, 1, sim.MaxVCDepth + 1, false},
+	} {
+		c := spin.Config{Topology: "mesh:4x4", Routing: "xy", Traffic: "uniform_random", Rate: 0.1, Cycles: 10,
+			VNets: tc.vnets, VCsPerVNet: tc.vcs, VCDepth: tc.depth}
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", tc.name, err, tc.ok)
+		}
+		_, err := sim.NewNetwork(sim.Config{Topology: m, Routing: &routing.XY{Mesh: m},
+			VNets: tc.vnets, VCsPerVNet: tc.vcs, VCDepth: tc.depth})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: sim.NewNetwork error %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+}
 
 func TestFacadeQuickRun(t *testing.T) {
 	s, err := spin.New(spin.Config{
