@@ -3,9 +3,10 @@
 // deadlock-free by Dally's theorem (acyclic CDG) or, for escape_vc, by
 // Duato's (acyclic escape sub-network) and, for cyclic ones, the size of the
 // dependency cycles a recovery scheme like SPIN must be able to break. The
-// routing names, their topology needs, VC floors and verdicts are the root
-// package's routing table (spin.Routings, RoutingEntry.Verdict); a count
-// below a routing's floor, or above 32, is refused.
+// graph is built from the routing the simulator runs; the routing names,
+// their topology needs and verdicts are the root package's routing table
+// (spin.Routings, RoutingEntry.Verdict). A count below a routing's VC floor
+// is analysed, to show what the floor prevents; one above 32 is refused.
 //
 // Usage:
 //
@@ -25,7 +26,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spincheck: ")
-	topologies, _, routings, _ := spin.Names()
+	topologies, routings, _ := spin.Names()
 	var (
 		topoSpec = flag.String("topo", "mesh:8x8", "topology spec: "+topologies)
 		routing  = flag.String("routing", "xy", "routing function: "+routings)
@@ -48,7 +49,7 @@ func main() {
 	}
 	verdicts := map[spin.Theorem]string{
 		spin.Dally:         "deadlock-free by Dally's theorem (no recovery scheme needed)",
-		spin.Duato:         "deadlock-free by Duato's theorem: its escape sub-network (" + e.Proof + ") is acyclic",
+		spin.Duato:         fmt.Sprintf("deadlock-free by Duato's theorem: every state requests its escape VCs (mask %#x), whose sub-network is acyclic", e.Escape),
 		spin.NeedsRecovery: "NOT avoidance-deadlock-free: pair this routing with a recovery scheme (e.g. SPIN)",
 	}
 	fmt.Printf("topology: %s (%d routers, %d links)\n", topo.Name(), topo.NumRouters(), len(topo.Links()))

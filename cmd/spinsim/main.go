@@ -121,7 +121,7 @@ type simFlags struct {
 
 func (f *simFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.preset, "preset", "", "named configuration from Table III (see spintables -table 3)")
-	topologies, routings, _, schemes := spin.Names()
+	topologies, routings, schemes := spin.Names()
 	fs.StringVar(&f.topo, "topo", "mesh:8x8", "topology spec: "+topologies)
 	fs.StringVar(&f.routing, "routing", "min_adaptive", "routing algorithm: "+routings)
 	fs.StringVar(&f.scheme, "scheme", "", "deadlock scheme: "+schemes)

@@ -5,17 +5,19 @@
 // Duato's extension: it suffices that an escape sub-network's CDG is
 // acyclic and always reachable.
 //
-// The package verifies the paper's baselines mechanically: XY and
-// West-first are acyclic, fully-adaptive minimal routing is cyclic (hence
-// needs SPIN), the escape-VC configuration has an acyclic escape
-// sub-graph, and the dragonfly VC ladder is acyclic while free VC use is
-// not.
+// The graph is built from the routing the simulator runs (Routing: its
+// Candidates method), so the verdicts the root package's routing table
+// reaches — XY and West-first acyclic, fully-adaptive minimal routing
+// cyclic (hence needs SPIN), the escape-VC configuration's escape
+// sub-network acyclic, the dragonfly VC ladder acyclic while free VC use is
+// not — are about that code, not a model of it.
 package cdg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -26,125 +28,192 @@ type Channel struct {
 	VC   int
 }
 
+// Routing is a routing Build can walk. Candidates appends to buf every
+// request Route may return for packet p at router, arriving on inPort:
+// each port it may take, with every VC it may take there. Like Route, it
+// may end p's Valiant phase. A routing whose AtSource may send a packet via
+// an intermediate router (sim.Packet.Intermediate) also has a Valiant
+// method that says so.
+type Routing interface {
+	sim.RoutingAlgorithm
+	Candidates(router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest
+}
+
 // Graph is a channel dependency graph.
 type Graph struct {
-	topo     topology.Topology
-	vcs      int
-	channels []Channel
-	index    map[Channel]int
-	adj      [][]int
+	vcs int
+	adj [][]int // by node: link*vcs + VC
+	// Offered is the VC mask every packet state the walk reached requests
+	// some VC of: the intersection, over states, of the union of their
+	// requests' masks. Duato's condition needs it to meet the escape VCs.
+	Offered uint32
 }
 
-// DependencyFunc enumerates, for a packet that occupies VC class heldVC on
-// the link arriving at router r via input port inPort with destination
-// dst, the (outPort, vcMask) pairs it may request next. Injection is
-// modelled with inPort = -1 and heldVC = -1. It mirrors
-// sim.RoutingAlgorithm at the level of static analysis: implementations
-// must enumerate every choice the dynamic algorithm could make.
-type DependencyFunc func(r, inPort, heldVC, dst int) []Request
-
-// Request names an output port and the admissible VC classes there.
-type Request struct {
-	Port   int
-	VCMask uint32
-}
-
-// Build constructs the CDG for a topology with vcs VC classes per link
-// under the given dependency function. For every destination it traverses
-// exactly the (channel, VC-class) states packets headed there can reach —
-// dependencies that no real route produces (e.g. an eastbound XY channel
-// "requesting" a westward turn) are never added, so the analysis is exact
-// for incremental routing functions.
-func Build(topo topology.Topology, vcs int, dep DependencyFunc) *Graph {
-	g := &Graph{topo: topo, vcs: vcs, index: map[Channel]int{}}
+// Build constructs the CDG of rt on topo with vcs VC classes per link, each
+// request restricted to the VCs in mask: sim.AllVCs gives the routing's own
+// graph, its escape VCs Duato's escape sub-network. It walks the states
+// packets reach — a held channel and the packet's route state (destination,
+// intermediate, phase, global hops), advanced by sim.Packet.Arrive as the
+// engine advances it — from injection at every router with a terminal, so
+// a dependency no route produces (an eastbound XY channel "requesting" a
+// westward turn) is never added.
+//
+// A Valiant packet's first leg is walked once per intermediate rather than
+// per (intermediate, destination) pair, and its second once per
+// destination, from every state a first leg ended in. That over-approximates
+// in three places, each adding edges only, which keeps an acyclic verdict
+// sound: a first leg starts at every router, not only where AtSource would
+// pick that intermediate; it is not ejected when it passes its destination
+// (the engine ejects it there); and a second leg heads for every
+// destination, not only those its intermediate was drawn for. A second leg
+// is walked as a minimal packet with the global hops it has: the routings
+// read Intermediate only through RouteDst and the phase flip.
+func Build(topo topology.Topology, vcs int, rt Routing, mask uint32) *Graph {
 	links := topo.Links()
-	for li := range links {
-		for v := 0; v < vcs; v++ {
-			c := Channel{Link: li, VC: v}
-			g.index[c] = len(g.channels)
-			g.channels = append(g.channels, c)
+	nodes := len(links) * vcs
+	w := &walker{topo: topo, rt: rt, vcs: vcs, mask: mask, links: links,
+		global: make([]bool, len(links)), linkAt: make([][]int, topo.NumRouters()),
+		g:    &Graph{vcs: vcs, adj: make([][]int, nodes), Offered: sim.AllVCs},
+		seen: make([]uint64, nodes), flipped: make([]uint64, nodes)}
+	for r := range w.linkAt {
+		w.linkAt[r] = make([]int, topo.Radix(r))
+		for p := range w.linkAt[r] {
+			w.linkAt[r][p] = -1
 		}
 	}
-	g.adj = make([][]int, len(g.channels))
-	edge := map[[2]int]bool{}
-	// linkAt[(r, p)] is the index of the link leaving router r via port p.
-	linkAt := make(map[[2]int]int)
 	for li, l := range links {
-		linkAt[[2]int{l.Src, l.SrcPort}] = li
+		w.global[li] = sim.GlobalLink(topo, l)
+		w.linkAt[l.Src][l.SrcPort] = li
 	}
-	routers := topo.NumRouters()
-	visited := make([]bool, len(g.channels))
-	var stack []int
-	addState := func(r int, req Request) {
-		nli, ok := linkAt[[2]int{r, req.Port}]
-		if !ok {
-			return
-		}
-		for v := 0; v < vcs; v++ {
-			if req.VCMask&(1<<uint(v)) == 0 {
-				continue
-			}
-			n := g.index[Channel{Link: nli, VC: v}]
-			if !visited[n] {
-				visited[n] = true
-				stack = append(stack, n)
-			}
+	if v, ok := rt.(interface{ Valiant() bool }); ok && v.Valiant() {
+		for m := range w.linkAt {
+			w.inject(sim.Packet{DstRouter: m, Intermediate: m})
+			w.walk()
 		}
 	}
-	for dst := 0; dst < routers; dst++ {
-		for i := range visited {
-			visited[i] = false
-		}
-		stack = stack[:0]
-		// Seed with injection at every source.
-		for src := 0; src < routers; src++ {
-			if src == dst {
-				continue
-			}
-			for _, req := range dep(src, -1, -1, dst) {
-				addState(src, req)
-			}
-		}
-		// Traverse held states, recording channel-to-channel edges.
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			c := g.channels[u]
-			l := links[c.Link]
-			r := l.Dst
-			if r == dst {
-				continue // ejection releases the channel
-			}
-			for _, req := range dep(r, l.DstPort, c.VC, dst) {
-				nli, ok := linkAt[[2]int{r, req.Port}]
-				if !ok {
-					continue
-				}
-				for v := 0; v < vcs; v++ {
-					if req.VCMask&(1<<uint(v)) == 0 {
-						continue
-					}
-					w := g.index[Channel{Link: nli, VC: v}]
-					if !edge[[2]int{u, w}] {
-						edge[[2]int{u, w}] = true
-						g.adj[u] = append(g.adj[u], w)
-					}
-					if !visited[w] {
-						visited[w] = true
-						stack = append(stack, w)
-					}
+	for d := range w.linkAt {
+		w.inject(sim.Packet{DstRouter: d, Intermediate: -1})
+		for node, hops := range w.flipped {
+			for h := 0; hops>>h != 0; h++ {
+				if hops>>h&1 == 1 {
+					w.push(node, h, false)
 				}
 			}
 		}
+		w.walk()
 	}
-	for _, a := range g.adj {
-		sort.Ints(a)
+	for _, a := range w.g.adj {
+		slices.Sort(a)
 	}
-	return g
+	return w.g
+}
+
+// walker is Build's state. One walk follows the packets of one route
+// target: pkt, with GlobalHops 0. A packet state is a held node and the
+// packet's global hops; the rest is the walk's.
+type walker struct {
+	topo   topology.Topology
+	rt     Routing
+	vcs    int
+	mask   uint32
+	links  []topology.Link
+	global []bool  // by link: a dragonfly global channel
+	linkAt [][]int // [router][port]: the link leaving there, or -1
+	g      *Graph
+	pkt    sim.Packet
+	// seen and flipped hold, by node, bit h when a packet with h global
+	// hops held it: seen in this walk, flipped past its Valiant phase in
+	// any walk.
+	seen, flipped []uint64
+	stack         [][2]int // packet states: node, global hops
+	reqs          []sim.PortRequest
+}
+
+// inject starts a walk of packets like p, injected at every router but its
+// route target.
+func (w *walker) inject(p sim.Packet) {
+	w.pkt = p
+	clear(w.seen)
+	for s := range w.linkAt {
+		for in := 0; in < w.topo.LocalPorts(s) && s != p.RouteDst(); in++ {
+			w.step(-1, s, in, 0)
+		}
+	}
+}
+
+// walk steps every packet state reachable from the stacked ones.
+func (w *walker) walk() {
+	for len(w.stack) > 0 {
+		s := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		if l := w.links[s[0]/w.vcs]; l.Dst != w.pkt.DstRouter { // else ejection releases the channel
+			w.step(s[0], l.Dst, l.DstPort, s[1])
+		}
+	}
+}
+
+// step adds what a packet with hops global hops requests at router r,
+// arriving on inPort and holding node from (-1: at injection): an edge
+// from it to every VC of every request, each a packet state to walk.
+func (w *walker) step(from, r, inPort, hops int) {
+	p := w.pkt
+	p.GlobalHops = hops
+	w.reqs = w.rt.Candidates(r, inPort, &p, w.reqs[:0])
+	if p.Phase != w.pkt.Phase {
+		// The routing ended the Valiant phase here, so what it requests
+		// depends on the destination: the destinations' walks take the
+		// packet on from the channel it holds (at injection they cover it
+		// already).
+		if from >= 0 {
+			w.flipped[from] |= 1 << hops
+		}
+		return
+	}
+	var offered uint32
+	for _, req := range w.reqs {
+		mask := req.VCMask & w.mask
+		offered |= mask
+		li := w.linkAt[r][req.Port]
+		if li < 0 {
+			continue
+		}
+		next := p
+		next.Arrive(w.links[li].Dst, w.global[li])
+		for v := 0; v < w.vcs; v++ {
+			if mask&(1<<v) == 0 {
+				continue
+			}
+			to := li*w.vcs + v
+			if from >= 0 && !slices.Contains(w.g.adj[from], to) {
+				w.g.adj[from] = append(w.g.adj[from], to)
+			}
+			w.push(to, next.GlobalHops, next.Phase != w.pkt.Phase)
+		}
+	}
+	w.g.Offered &= offered
+}
+
+// push records a packet state: a packet with hops global hops holding node,
+// past its Valiant phase (it reached its intermediate) when flipped.
+func (w *walker) push(node, hops int, flipped bool) {
+	if hops >= 64 {
+		panic(fmt.Sprintf("cdg: %s routes a packet over 64 global channels", w.rt.Name()))
+	}
+	bit := uint64(1) << hops
+	switch {
+	case flipped:
+		w.flipped[node] |= bit
+	case w.seen[node]&bit == 0:
+		w.seen[node] |= bit
+		w.stack = append(w.stack, [2]int{node, hops})
+	}
 }
 
 // NumChannels reports the CDG node count.
-func (g *Graph) NumChannels() int { return len(g.channels) }
+func (g *Graph) NumChannels() int { return len(g.adj) }
+
+// channel names node n.
+func (g *Graph) channel(n int) Channel { return Channel{Link: n / g.vcs, VC: n % g.vcs} }
 
 // NumEdges reports the CDG edge count.
 func (g *Graph) NumEdges() int {
@@ -165,7 +234,7 @@ func (g *Graph) Cycles() [][]Channel {
 		if len(scc) > 1 {
 			chs := make([]Channel, len(scc))
 			for i, n := range scc {
-				chs[i] = g.channels[n]
+				chs[i] = g.channel(n)
 			}
 			out = append(out, chs)
 			continue
@@ -174,7 +243,7 @@ func (g *Graph) Cycles() [][]Channel {
 		n := scc[0]
 		for _, w := range g.adj[n] {
 			if w == n {
-				out = append(out, []Channel{g.channels[n]})
+				out = append(out, []Channel{g.channel(n)})
 				break
 			}
 		}

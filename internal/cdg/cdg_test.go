@@ -2,10 +2,15 @@ package cdg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
+
+// The graphs here are built from the routings the simulator runs.
 
 func mesh(t *testing.T, x, y int) *topology.Mesh {
 	t.Helper()
@@ -16,9 +21,17 @@ func mesh(t *testing.T, x, y int) *topology.Mesh {
 	return m
 }
 
+// own builds rt's own CDG: every VC of every candidate.
+func own(topo topology.Topology, vcs int, rt Routing) *Graph { return Build(topo, vcs, rt, sim.AllVCs) }
+
+// minAdaptive builds fully-adaptive minimal routing's CDG.
+func minAdaptive(topo topology.Topology, vcs int) *Graph {
+	return own(topo, vcs, &routing.MinAdaptive{Topo: topo})
+}
+
 func TestXYAcyclic(t *testing.T) {
 	m := mesh(t, 4, 4)
-	g := Build(m, 1, XYDep(m))
+	g := own(m, 1, &routing.XY{Mesh: m})
 	if !g.Acyclic() {
 		t.Fatalf("XY CDG should be acyclic: %s", g.Describe())
 	}
@@ -26,7 +39,7 @@ func TestXYAcyclic(t *testing.T) {
 
 func TestWestFirstAcyclic(t *testing.T) {
 	m := mesh(t, 5, 4)
-	g := Build(m, 2, WestFirstDep(m))
+	g := own(m, 2, &routing.WestFirst{Mesh: m})
 	if !g.Acyclic() {
 		t.Fatalf("west-first CDG should be acyclic: %s", g.Describe())
 	}
@@ -34,7 +47,7 @@ func TestWestFirstAcyclic(t *testing.T) {
 
 func TestMinAdaptiveCyclicOnMesh(t *testing.T) {
 	m := mesh(t, 3, 3)
-	g := Build(m, 1, MinAdaptiveDep(m))
+	g := minAdaptive(m, 1)
 	if g.Acyclic() {
 		t.Fatal("fully-adaptive minimal mesh routing must have a cyclic CDG (that's why it needs SPIN)")
 	}
@@ -47,7 +60,7 @@ func TestMinAdaptiveCyclicOnMesh(t *testing.T) {
 func TestMinAdaptiveAcyclicOnLine(t *testing.T) {
 	// A 1-D mesh has no turns, so even fully-adaptive routing is acyclic.
 	m := mesh(t, 6, 1)
-	g := Build(m, 1, MinAdaptiveDep(m))
+	g := minAdaptive(m, 1)
 	if !g.Acyclic() {
 		t.Fatalf("1-D adaptive routing should be acyclic: %s", g.Describe())
 	}
@@ -55,11 +68,15 @@ func TestMinAdaptiveAcyclicOnLine(t *testing.T) {
 
 func TestEscapeVCStructure(t *testing.T) {
 	m := mesh(t, 4, 4)
-	full := Build(m, 3, EscapeDep(m, 3))
+	rt := &routing.EscapeVC{Mesh: m, VCs: 3}
+	full := own(m, 3, rt)
 	if full.Acyclic() {
 		t.Fatal("full escape-VC CDG is expected to be cyclic (regular VCs are unrestricted)")
 	}
-	escape := Build(m, 3, EscapeSubgraphDep(m))
+	if full.Offered&1 == 0 {
+		t.Fatalf("some state does not request the escape VC (offered %#x)", full.Offered)
+	}
+	escape := Build(m, 3, rt, 1)
 	if !escape.Acyclic() {
 		t.Fatalf("Duato escape sub-network must be acyclic: %s", escape.Describe())
 	}
@@ -76,17 +93,21 @@ func TestDragonflyLadderAcyclic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		valiant bool
-		floor   int
-	}{{false, 2}, {true, 3}} {
-		if g := Build(d, tc.floor, DflyLadderDep(d, tc.floor, tc.valiant)); !g.Acyclic() {
-			t.Errorf("ladder (valiant %v) at %d VCs must be acyclic: %s", tc.valiant, tc.floor, g.Describe())
+		ladder func(vcs int) Routing
+		floor  int
+	}{
+		{func(vcs int) Routing { return &routing.DflyMinimal{Dfly: d, VCLadder: true, VCs: vcs} }, 2},
+		{func(vcs int) Routing { return &routing.UGAL{Dfly: d, VCLadder: true, VCs: vcs} }, 3},
+	} {
+		name := tc.ladder(tc.floor).Name()
+		if g := own(d, tc.floor, tc.ladder(tc.floor)); !g.Acyclic() {
+			t.Errorf("%s at %d VCs must be acyclic: %s", name, tc.floor, g.Describe())
 		}
-		if g := Build(d, tc.floor-1, DflyLadderDep(d, tc.floor-1, tc.valiant)); g.Acyclic() {
-			t.Errorf("ladder (valiant %v) at %d VCs must be cyclic: %s", tc.valiant, tc.floor-1, g.Describe())
+		if g := own(d, tc.floor-1, tc.ladder(tc.floor-1)); g.Acyclic() {
+			t.Errorf("%s at %d VCs must be cyclic: %s", name, tc.floor-1, g.Describe())
 		}
 	}
-	free := Build(d, 2, MinAdaptiveDep(d))
+	free := own(d, 2, &routing.DflyMinimal{Dfly: d, VCs: 2})
 	if free.Acyclic() {
 		t.Fatal("free-VC dragonfly routing should be cyclic")
 	}
@@ -100,7 +121,7 @@ func TestTorusDORCyclicWithOneVC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := Build(tor, 1, TorusDORDep(tor))
+	g := own(tor, 1, &routing.TorusDOR{Mesh: tor})
 	if g.Acyclic() {
 		t.Fatal("torus DOR with 1 VC should be cyclic (ring wraparound)")
 	}
@@ -108,7 +129,7 @@ func TestTorusDORCyclicWithOneVC(t *testing.T) {
 
 func TestIrregularMeshAdaptiveCyclic(t *testing.T) {
 	m := mesh(t, 4, 4)
-	g := Build(m, 2, MinAdaptiveDep(m))
+	g := minAdaptive(m, 2)
 	if g.Acyclic() {
 		t.Fatal("adaptive routing with 2 VCs still cyclic")
 	}
@@ -119,17 +140,17 @@ func TestIrregularMeshAdaptiveCyclic(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	m := mesh(t, 3, 3)
-	if s := Build(m, 1, XYDep(m)).Describe(); s == "" {
+	if s := own(m, 1, &routing.XY{Mesh: m}).Describe(); s == "" {
 		t.Fatal("empty description")
 	}
-	if s := Build(m, 1, MinAdaptiveDep(m)).Describe(); s == "" {
+	if s := minAdaptive(m, 1).Describe(); s == "" {
 		t.Fatal("empty description")
 	}
 }
 
 func TestCyclesReportMembers(t *testing.T) {
 	m := mesh(t, 3, 3)
-	g := Build(m, 1, MinAdaptiveDep(m))
+	g := minAdaptive(m, 1)
 	cycles := g.Cycles()
 	if len(cycles) == 0 {
 		t.Fatal("no cycles")
@@ -149,8 +170,8 @@ func TestCyclesReportMembers(t *testing.T) {
 
 func TestBuildCountsAreStable(t *testing.T) {
 	m := mesh(t, 4, 4)
-	a := Build(m, 2, WestFirstDep(m))
-	b := Build(m, 2, WestFirstDep(m))
+	a := own(m, 2, &routing.WestFirst{Mesh: m})
+	b := own(m, 2, &routing.WestFirst{Mesh: m})
 	if a.NumChannels() != b.NumChannels() || a.NumEdges() != b.NumEdges() {
 		t.Fatal("CDG construction not deterministic")
 	}
@@ -165,10 +186,54 @@ func TestJellyfishAdaptiveCyclic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := Build(j, 1, MinAdaptiveDep(j))
+	g := minAdaptive(j, 1)
 	if g.Acyclic() {
 		t.Fatal("random-graph adaptive routing should be cyclic (the paper's motivation for SPIN)")
 	}
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// TestValiantLegsAddEdges: a Valiant routing's graph holds its minimal
+// counterpart's and more — the dependencies at the misroute turn, such as
+// a FAvORS-NMin packet's U-turn at its intermediate router.
+func TestValiantLegsAddEdges(t *testing.T) {
+	m := mesh(t, 4, 4)
+	d, err := topology.NewDragonfly(2, 4, 2, 9, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		topo             topology.Topology
+		minimal, valiant Routing
+		wantUTurn        bool
+	}{
+		{m, &routing.MinAdaptive{Topo: m}, &routing.FAvORS{Topo: m, NonMinimal: true}, true},
+		{d, &routing.DflyMinimal{Dfly: d, VCs: 1}, &routing.UGAL{Dfly: d, VCs: 1}, false},
+	} {
+		small, big := own(tc.topo, 1, tc.minimal), own(tc.topo, 1, tc.valiant)
+		links := tc.topo.Links()
+		uTurns := 0
+		for u, adj := range big.adj {
+			for _, v := range adj {
+				a, b := links[u], links[v]
+				if a.Src == b.Dst && a.Dst == b.Src {
+					uTurns++
+				}
+			}
+		}
+		for u, adj := range small.adj {
+			for _, v := range adj {
+				if !slices.Contains(big.adj[u], v) {
+					t.Errorf("%s lacks %s's edge %d -> %d", tc.valiant.Name(), tc.minimal.Name(), u, v)
+				}
+			}
+		}
+		if big.NumEdges() <= small.NumEdges() {
+			t.Errorf("%s: %d edges, %s: %d; want more", tc.valiant.Name(), big.NumEdges(), tc.minimal.Name(), small.NumEdges())
+		}
+		if tc.wantUTurn && uTurns == 0 {
+			t.Errorf("%s: no U-turn at an intermediate", tc.valiant.Name())
+		}
+	}
+}

@@ -68,7 +68,7 @@ func Table1() (*Table1Result, error) {
 		{"mesh fully-adaptive (needs SPIN) cyclic", "mesh:4x4", "min_adaptive", 1, spin.NeedsRecovery},
 		{"mesh Duato escape sub-network acyclic", "mesh:4x4", "escape_vc", 3, spin.Duato},
 		{"dragonfly VC ladder (Dally) acyclic", "dragonfly:2,4,2,9", "dfly_min_ladder", 2, spin.Dally},
-		{"dragonfly free-VC (needs SPIN) cyclic", "dragonfly:2,4,2,9", "dfly_free", 1, spin.NeedsRecovery},
+		{"dragonfly free-VC (needs SPIN) cyclic", "dragonfly:2,4,2,9", "dfly_min", 1, spin.NeedsRecovery},
 	}
 	for _, c := range checks {
 		topo, err := spin.BuildTopology(c.topo, 1)

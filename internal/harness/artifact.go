@@ -78,8 +78,8 @@ type CDGChannel struct {
 }
 
 // BuildCDGCut computes the static CDG cut for the scenario, best-effort:
-// nil when the topology fails to build or the routing table has no model
-// of the routing on it. It never fails an artifact write.
+// nil when the topology fails to build or the routing table cannot build
+// the routing on it. It never fails an artifact write.
 func BuildCDGCut(sc Scenario) *CDGCut {
 	sc = sc.Normalized()
 	topo, err := spin.BuildTopology(sc.Topology, sc.Seed)
@@ -87,7 +87,7 @@ func BuildCDGCut(sc Scenario) *CDGCut {
 	if err != nil || e == nil {
 		return nil
 	}
-	g, err := e.Graph(topo, sc.VCsPerVNet)
+	_, g, err := e.Verdict(topo, sc.VCsPerVNet)
 	if err != nil {
 		return nil
 	}

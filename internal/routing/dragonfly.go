@@ -28,14 +28,13 @@ func (d *DflyMinimal) Name() string {
 	return "dfly_min"
 }
 
-// LadderMask maps a packet's global-hop count to its admissible VC under
+// ladderMask maps a packet's global-hop count to its admissible VC under
 // Dally's theory: the VC index must equal the number of global channels
 // already crossed, which makes the extended CDG acyclic. A count past the
 // top rung clamps to it, so a ladder with fewer VCs than a path has global
 // hops shares its top VC between them and can deadlock; the routing table
 // of the root package sets each ladder's VC floor so that cannot happen.
-// internal/cdg models the ladders with this same function.
-func LadderMask(globalHops, vcs int) uint32 {
+func ladderMask(globalHops, vcs int) uint32 {
 	k := globalHops
 	if k >= vcs {
 		k = vcs - 1
@@ -65,17 +64,19 @@ func canonicalPortTable(dfly *topology.Dragonfly) *portTable {
 	return buildPortTable(dfly.NumRouters(), func(r, dst int, _ []int) []int { return dfly.CanonicalMinimalPorts(r, dst) })
 }
 
-// Route implements sim.RoutingAlgorithm.
-func (d *DflyMinimal) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
-	dst := p.RouteDst()
-	ports := d.minPorts(r.ID, dst)
-	mustPorts(d.Name(), ports, r.ID, dst)
+// Candidates implements cdg.Routing: every port of the path model, on the
+// packet's ladder rung or on any VC.
+func (d *DflyMinimal) Candidates(router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
 	mask := sim.AllVCs
 	if d.VCLadder {
-		mask = LadderMask(p.GlobalHops, d.VCs)
+		mask = ladderMask(p.GlobalHops, d.VCs)
 	}
-	port := pickAdaptive(r, ports, p.VNet, mask, p.Length)
-	return append(buf, sim.PortRequest{Port: port, VCMask: mask})
+	return requests(buf, d.minPorts(router, p.RouteDst()), mask)
+}
+
+// Route implements sim.RoutingAlgorithm.
+func (d *DflyMinimal) Route(r *sim.Router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return pickOne(d, r, inPort, p, buf)
 }
 
 // UGAL is the Universal Globally-Adaptive Load-balanced dragonfly routing:
@@ -146,7 +147,7 @@ func (u *UGAL) portCongestion(r *sim.Router, ports []int, p *sim.Packet) int64 {
 	}
 	mask := sim.AllVCs
 	if u.VCLadder {
-		mask = LadderMask(0, u.VCs)
+		mask = ladderMask(0, u.VCs)
 	}
 	best := int64(1) << 30
 	for _, port := range ports {
@@ -176,23 +177,29 @@ func (u *UGAL) minPorts(r, dst int) []int {
 	return u.scratch
 }
 
-// Route implements sim.RoutingAlgorithm.
-func (u *UGAL) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
-	// Valiant routing over groups: the misroute phase ends as soon as the
-	// packet enters the intermediate *group*, not a specific router —
-	// otherwise the path takes two consecutive intra-group hops there,
-	// which creates intra-class local-channel cycles the VC ladder cannot
-	// order away.
-	if p.Intermediate >= 0 && p.Phase == 0 && u.Dfly.Group(r.ID) == u.Dfly.Group(p.Intermediate) {
+// Valiant reports that AtSource may route a packet via an intermediate.
+func (u *UGAL) Valiant() bool { return true }
+
+// Candidates implements cdg.Routing: every port of the path model toward
+// the phase target, on the packet's ladder rung or on any VC.
+//
+// Valiant routing over groups: the misroute phase ends as soon as the
+// packet enters the intermediate *group*, not a specific router —
+// otherwise the path takes two consecutive intra-group hops there, which
+// creates intra-class local-channel cycles the VC ladder cannot order
+// away. Candidates ends it, so Route does too.
+func (u *UGAL) Candidates(router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	if p.Intermediate >= 0 && p.Phase == 0 && u.Dfly.Group(router) == u.Dfly.Group(p.Intermediate) {
 		p.Phase = 1
 	}
-	dst := p.RouteDst()
-	ports := u.minPorts(r.ID, dst)
-	mustPorts(u.Name(), ports, r.ID, dst)
 	mask := sim.AllVCs
 	if u.VCLadder {
-		mask = LadderMask(p.GlobalHops, u.VCs)
+		mask = ladderMask(p.GlobalHops, u.VCs)
 	}
-	port := pickAdaptive(r, ports, p.VNet, mask, p.Length)
-	return append(buf, sim.PortRequest{Port: port, VCMask: mask})
+	return requests(buf, u.minPorts(router, p.RouteDst()), mask)
+}
+
+// Route implements sim.RoutingAlgorithm.
+func (u *UGAL) Route(r *sim.Router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return pickOne(u, r, inPort, p, buf)
 }

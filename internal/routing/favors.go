@@ -86,13 +86,18 @@ func minActiveOver(r *sim.Router, ports []int, p *sim.Packet) int64 {
 	return best
 }
 
+// Valiant reports whether AtSource may route a packet via an intermediate.
+func (f *FAvORS) Valiant() bool { return f.NonMinimal }
+
+// Candidates implements cdg.Routing: every minimal port toward the
+// phase-local destination, on any VC.
+func (f *FAvORS) Candidates(router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	f.scratch = f.Topo.MinimalPortsInto(f.scratch[:0], router, p.RouteDst())
+	return requests(buf, f.scratch, sim.AllVCs)
+}
+
 // Route implements sim.RoutingAlgorithm: minimal adaptive toward the
 // phase-local destination with the FAvORS selection function.
-func (f *FAvORS) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
-	dst := p.RouteDst()
-	f.scratch = f.Topo.MinimalPortsInto(f.scratch[:0], r.ID, dst)
-	ports := f.scratch
-	mustPorts(f.Name(), ports, r.ID, dst)
-	port := pickAdaptive(r, ports, p.VNet, sim.AllVCs, p.Length)
-	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
+func (f *FAvORS) Route(r *sim.Router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return pickOne(f, r, inPort, p, buf)
 }

@@ -18,13 +18,18 @@ type XY struct {
 // Name implements sim.RoutingAlgorithm.
 func (x *XY) Name() string { return "xy" }
 
-// Route implements sim.RoutingAlgorithm.
-func (x *XY) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+// Candidates implements cdg.Routing: the one dimension-ordered port.
+func (x *XY) Candidates(router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
 	if x.tbl == nil {
 		x.tbl = buildXYTable(x.Mesh)
 	}
-	port := int(x.tbl[r.ID*x.Mesh.NumRouters()+p.RouteDst()])
+	port := int(x.tbl[router*x.Mesh.NumRouters()+p.RouteDst()])
 	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
+}
+
+// Route implements sim.RoutingAlgorithm.
+func (x *XY) Route(r *sim.Router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return x.Candidates(r.ID, inPort, p, buf)
 }
 
 // buildXYTable precomputes XYPort for every (cur, dst) pair.
@@ -40,7 +45,6 @@ func buildXYTable(m *topology.Mesh) []uint8 {
 }
 
 // XYPort computes the dimension-ordered output port from cur toward dst.
-// Exported for static CDG analysis (internal/cdg).
 func XYPort(m *topology.Mesh, cur, dst int) int {
 	cx, cy := m.Coords(cur)
 	dx, dy := m.Coords(dst)
@@ -68,15 +72,19 @@ type TorusDOR struct {
 // Name implements sim.RoutingAlgorithm.
 func (t *TorusDOR) Name() string { return "torus_dor" }
 
-// Route implements sim.RoutingAlgorithm.
-func (t *TorusDOR) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
-	return append(buf, sim.PortRequest{Port: TorusDORPort(t.Mesh, r.ID, p.RouteDst()), VCMask: sim.AllVCs})
+// Candidates implements cdg.Routing: the one dimension-ordered port.
+func (t *TorusDOR) Candidates(router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return append(buf, sim.PortRequest{Port: torusDORPort(t.Mesh, router, p.RouteDst()), VCMask: sim.AllVCs})
 }
 
-// TorusDORPort is TorusDOR's output port from cur toward dst (cur != dst),
-// east or north when both ways round are equally short. Exported for
-// static CDG analysis.
-func TorusDORPort(m *topology.Mesh, cur, dst int) int {
+// Route implements sim.RoutingAlgorithm.
+func (t *TorusDOR) Route(r *sim.Router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return t.Candidates(r.ID, inPort, p, buf)
+}
+
+// torusDORPort is TorusDOR's output port from cur toward dst (cur != dst),
+// east or north when both ways round are equally short.
+func torusDORPort(m *topology.Mesh, cur, dst int) int {
 	cx, cy := m.Coords(cur)
 	dx, dy := m.Coords(dst)
 	if cx != dx {
@@ -106,23 +114,25 @@ type WestFirst struct {
 // Name implements sim.RoutingAlgorithm.
 func (w *WestFirst) Name() string { return "westfirst" }
 
-// Route implements sim.RoutingAlgorithm.
-func (w *WestFirst) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+// Candidates implements cdg.Routing: every west-first-legal minimal port.
+func (w *WestFirst) Candidates(router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
 	if w.tbl == nil {
 		w.tbl = buildPortTable(w.Mesh.NumRouters(), func(cur, dst int, buf []int) []int {
-			return WestFirstPorts(w.Mesh, cur, dst, buf)
+			return westFirstPorts(w.Mesh, cur, dst, buf)
 		})
 	}
-	w.scratch = w.tbl.appendPorts(w.scratch[:0], r.ID, p.RouteDst())
-	ports := w.scratch
-	mustPorts(w.Name(), ports, r.ID, p.RouteDst())
-	port := pickAdaptive(r, ports, p.VNet, sim.AllVCs, p.Length)
-	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
+	w.scratch = w.tbl.appendPorts(w.scratch[:0], router, p.RouteDst())
+	return requests(buf, w.scratch, sim.AllVCs)
 }
 
-// WestFirstPorts appends the west-first-legal minimal output ports from
-// cur toward dst to buf. Exported for static CDG analysis.
-func WestFirstPorts(m *topology.Mesh, cur, dst int, buf []int) []int {
+// Route implements sim.RoutingAlgorithm.
+func (w *WestFirst) Route(r *sim.Router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return pickOne(w, r, inPort, p, buf)
+}
+
+// westFirstPorts appends the west-first-legal minimal output ports from
+// cur toward dst to buf.
+func westFirstPorts(m *topology.Mesh, cur, dst int, buf []int) []int {
 	cx, cy := m.Coords(cur)
 	dx, dy := m.Coords(dst)
 	if dx < cx {
@@ -147,28 +157,22 @@ func WestFirstPorts(m *topology.Mesh, cur, dst int, buf []int) []int {
 type MinAdaptive struct {
 	sim.BaseRouting
 	Topo topology.Topology
-	// RoutingName lets configurations label the algorithm (e.g.
-	// "favors_min"); empty means "min_adaptive".
-	RoutingName string
 
 	scratch []int
 }
 
 // Name implements sim.RoutingAlgorithm.
-func (a *MinAdaptive) Name() string {
-	if a.RoutingName != "" {
-		return a.RoutingName
-	}
-	return "min_adaptive"
+func (a *MinAdaptive) Name() string { return "min_adaptive" }
+
+// Candidates implements cdg.Routing: every minimal port, on any VC.
+func (a *MinAdaptive) Candidates(router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	a.scratch = a.Topo.MinimalPortsInto(a.scratch[:0], router, p.RouteDst())
+	return requests(buf, a.scratch, sim.AllVCs)
 }
 
 // Route implements sim.RoutingAlgorithm.
-func (a *MinAdaptive) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
-	a.scratch = a.Topo.MinimalPortsInto(a.scratch[:0], r.ID, p.RouteDst())
-	ports := a.scratch
-	mustPorts(a.Name(), ports, r.ID, p.RouteDst())
-	port := pickAdaptive(r, ports, p.VNet, sim.AllVCs, p.Length)
-	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
+func (a *MinAdaptive) Route(r *sim.Router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return pickOne(a, r, inPort, p, buf)
 }
 
 // EscapeVC is Duato-theory adaptive routing for meshes: VC 0 of each vnet
@@ -194,19 +198,23 @@ func (e *EscapeVC) regularMask() uint32 {
 	return (uint32(1)<<uint(e.VCs) - 1) &^ 1
 }
 
-// Route implements sim.RoutingAlgorithm.
-func (e *EscapeVC) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+// Candidates implements cdg.Routing: every minimal port on the regular VCs,
+// then the escape request, the dimension-ordered port on VC 0 only.
+func (e *EscapeVC) Candidates(router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
 	if e.xyTbl == nil {
 		e.xyTbl = buildXYTable(e.Mesh)
 	}
 	dst := p.RouteDst()
-	e.scratch = e.Mesh.MinimalPortsInto(e.scratch[:0], r.ID, dst)
-	ports := e.scratch
-	mustPorts(e.Name(), ports, r.ID, dst)
-	adaptive := pickAdaptive(r, ports, p.VNet, e.regularMask(), p.Length)
-	buf = append(buf, sim.PortRequest{Port: adaptive, VCMask: e.regularMask()})
-	// Escape request: dimension-ordered port, escape VC only.
-	escape := int(e.xyTbl[r.ID*e.Mesh.NumRouters()+dst])
-	buf = append(buf, sim.PortRequest{Port: escape, VCMask: 1})
-	return buf
+	e.scratch = e.Mesh.MinimalPortsInto(e.scratch[:0], router, dst)
+	buf = requests(buf, e.scratch, e.regularMask())
+	return append(buf, sim.PortRequest{Port: int(e.xyTbl[router*e.Mesh.NumRouters()+dst]), VCMask: 1})
+}
+
+// Route implements sim.RoutingAlgorithm: one adaptive request, chosen
+// among the regular candidates, and the escape request.
+func (e *EscapeVC) Route(r *sim.Router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	n := len(buf)
+	buf = e.Candidates(r.ID, inPort, p, buf)
+	escape := buf[len(buf)-1]
+	return append(buf[:n], pickAdaptive(r, buf[n:len(buf)-1], p), escape)
 }

@@ -102,7 +102,7 @@ func TestXYTableMatchesXYPort(t *testing.T) {
 }
 
 // TestWestFirstTableMatchesDirect: the packed west-first port sets equal
-// WestFirstPorts, in order, on every mesh pair.
+// westFirstPorts, in order, on every mesh pair.
 func TestWestFirstTableMatchesDirect(t *testing.T) {
 	for name, topo := range tableInstances(t) {
 		m, ok := topo.(*topology.Mesh)
@@ -111,13 +111,13 @@ func TestWestFirstTableMatchesDirect(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			tbl := buildPortTable(m.NumRouters(), func(cur, dst int, buf []int) []int {
-				return WestFirstPorts(m, cur, dst, buf)
+				return westFirstPorts(m, cur, dst, buf)
 			})
 			var buf []int
 			n := m.NumRouters()
 			for r := 0; r < n; r++ {
 				for dst := 0; dst < n; dst++ {
-					want := wantPorts(WestFirstPorts(m, r, dst, nil))
+					want := wantPorts(westFirstPorts(m, r, dst, nil))
 					buf = tbl.appendPorts(buf[:0], r, dst)
 					if !reflect.DeepEqual(wantPorts(buf), want) {
 						t.Fatalf("(%d -> %d): table=%v, direct=%v", r, dst, buf, want)

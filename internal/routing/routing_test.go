@@ -48,17 +48,9 @@ func TestXYTakesManhattanPaths(t *testing.T) {
 
 func TestWestFirstNeverTurnsToWest(t *testing.T) {
 	m, _ := topology.NewMesh(6, 6, 1)
-	n, err := sim.NewNetwork(sim.Config{
-		Topology:   m,
-		Routing:    &routing.WestFirst{Mesh: m},
-		VCsPerVNet: 1,
-		Seed:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A packet destined east must never use a west port; verify the port
-	// helper directly over all pairs.
+	wf := &routing.WestFirst{Mesh: m}
+	// A packet destined east must never be offered a west port; check its
+	// candidate set over all pairs.
 	for cur := 0; cur < 36; cur++ {
 		for dst := 0; dst < 36; dst++ {
 			if cur == dst {
@@ -66,7 +58,10 @@ func TestWestFirstNeverTurnsToWest(t *testing.T) {
 			}
 			cx, _ := m.Coords(cur)
 			dx, _ := m.Coords(dst)
-			ports := routing.WestFirstPorts(m, cur, dst, nil)
+			var ports []int
+			for _, req := range wf.Candidates(cur, 0, &sim.Packet{DstRouter: dst, Intermediate: -1}, nil) {
+				ports = append(ports, req.Port)
+			}
 			if len(ports) == 0 {
 				t.Fatalf("no west-first ports %d->%d", cur, dst)
 			}
@@ -80,7 +75,6 @@ func TestWestFirstNeverTurnsToWest(t *testing.T) {
 			}
 		}
 	}
-	_ = n
 }
 
 func TestMinAdaptiveStaysMinimal(t *testing.T) {

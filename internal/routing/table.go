@@ -24,18 +24,23 @@ func (t *Table) Name() string {
 	return "table"
 }
 
-// Route implements sim.RoutingAlgorithm.
-func (t *Table) Route(r *sim.Router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+// Candidates implements cdg.Routing: the table's one port.
+func (t *Table) Candidates(router, _ int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
 	dst := p.RouteDst()
-	byDst, ok := t.Ports[r.ID]
+	byDst, ok := t.Ports[router]
 	if !ok {
-		panic(fmt.Sprintf("routing table: no entries at router %d", r.ID))
+		panic(fmt.Sprintf("routing table: no entries at router %d", router))
 	}
 	port, ok := byDst[dst]
 	if !ok {
-		panic(fmt.Sprintf("routing table: no entry at router %d for dst %d", r.ID, dst))
+		panic(fmt.Sprintf("routing table: no entry at router %d for dst %d", router, dst))
 	}
 	return append(buf, sim.PortRequest{Port: port, VCMask: sim.AllVCs})
+}
+
+// Route implements sim.RoutingAlgorithm.
+func (t *Table) Route(r *sim.Router, inPort int, p *sim.Packet, buf []sim.PortRequest) []sim.PortRequest {
+	return t.Candidates(r.ID, inPort, p, buf)
 }
 
 // Set records that packets for dst leave router via port.

@@ -208,9 +208,7 @@ func (n *Network) deliverLink(l *link) {
 			if topo.Distance(cur, pkt.RouteDst()) >= topo.Distance(prev, pkt.RouteDst()) {
 				pkt.Misroutes++
 			}
-			if l.global {
-				pkt.GlobalHops++
-			}
+			pkt.Arrive(cur, l.global)
 		}
 	}
 	if len(n.smBuf) > 1 {

@@ -72,6 +72,20 @@ func (p *Packet) RouteDst() int {
 	return p.DstRouter
 }
 
+// Arrive advances p's route state as its head crosses a link into router
+// r: a global link (GlobalLink) adds a global hop, and reaching its
+// intermediate ends a Valiant packet's first phase. The engine calls it on
+// every delivery and internal/cdg's walk on every channel it adds, so the
+// static analysis tracks GlobalHops and Phase as the simulator does.
+func (p *Packet) Arrive(r int, global bool) {
+	if global {
+		p.GlobalHops++
+	}
+	if p.Intermediate >= 0 && p.Phase == 0 && r == p.Intermediate {
+		p.Phase = 1
+	}
+}
+
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt#%d %d->%d len=%d vnet=%d", p.ID, p.Src, p.Dst, p.Length, p.VNet)
 }

@@ -252,7 +252,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	for i, tl := range topoLinks {
 		l := &links[i]
 		*l = link{topo: tl, index: i, dst: n.routers[tl.Dst]}
-		l.global = n.isGlobalHop(l)
+		l.global = GlobalLink(topo, tl)
 		n.links[i] = l
 		n.routers[tl.Src].wire(tl.SrcPort, l)
 	}
@@ -498,13 +498,10 @@ func (n *Network) Step() {
 	n.commit()
 }
 
-// isGlobalHop reports whether a link is a dragonfly global channel.
-func (n *Network) isGlobalHop(l *link) bool {
-	d, ok := n.cfg.Topology.(*topology.Dragonfly)
-	if !ok {
-		return false
-	}
-	return d.Group(l.topo.Src) != d.Group(l.topo.Dst)
+// GlobalLink reports whether l is a dragonfly global channel of topo.
+func GlobalLink(topo topology.Topology, l topology.Link) bool {
+	d, ok := topo.(*topology.Dragonfly)
+	return ok && d.Group(l.Src) != d.Group(l.Dst)
 }
 
 // Run advances the simulation by cycles steps.

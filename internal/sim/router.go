@@ -322,9 +322,6 @@ func (r *Router) routeStage() {
 				panic(fmt.Sprintf("sim: r%d p%d vc%d queued for routing without an unrouted head at its front", r.ID, v.port, v.index))
 			}
 			pkt := v.buf[0].Pkt
-			if pkt.Intermediate >= 0 && pkt.Phase == 0 && r.ID == pkt.Intermediate {
-				pkt.Phase = 1
-			}
 			if pkt.DstRouter == r.ID {
 				termPort := r.net.cfg.Topology.TerminalPort(pkt.Dst)
 				v.reqs = append(v.reqs[:0], PortRequest{Port: termPort, VCMask: AllVCs})

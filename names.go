@@ -19,7 +19,8 @@ import (
 // This file declares every name a Config can carry — topology families,
 // routings and schemes — once, in three tables. BuildTopology, BuildRouting
 // and Reset build from them; the harness generator, spind, spincheck and the
-// forensics CDG cut read them. A new routing is one RoutingEntry.
+// forensics CDG cut read them. A new routing is one RoutingEntry: its CDG,
+// and so its verdict, is built from the routing it makes.
 
 // Needs is the kind of topology a routing or scheme runs on.
 type Needs int
@@ -65,58 +66,37 @@ type RoutingEntry struct {
 	Needs Needs
 	// MinVCs is the VC floor per vnet: below it the routing deadlocks (a
 	// ladder with fewer rungs than its paths have global hops) or has no
-	// VC to route on (escape_vc's adaptive class). Build and Model refuse
-	// fewer, and more than sim.MaxVCsPerVNet.
+	// VC to route on (escape_vc's adaptive class). Build refuses fewer,
+	// and more than sim.MaxVCsPerVNet; Verdict analyses from one VC up, so
+	// spincheck can show what a floor prevents.
 	MinVCs int
 	// Schemeless: deadlock-free at MinVCs without a recovery scheme, by the
 	// theorem Verdict names there.
 	Schemeless bool
-	// Proof names the analysis-only entry whose acyclic model proves a
-	// Schemeless routing whose own CDG is cyclic (Duato's condition).
-	Proof string
-	// build makes the routing (nil: an analysis-only name, which spincheck
-	// models but nothing runs); model is its internal/cdg dependency
-	// function.
-	build func(target) sim.RoutingAlgorithm
-	model func(target) cdg.DependencyFunc
+	// Escape is the routing's escape VC mask, if it has one: Duato's
+	// escape sub-network is its candidate set restricted to these VCs.
+	Escape uint32
+	build  func(target) cdg.Routing
 }
 
-// Runs reports whether the routing can be built, not only analysed.
-func (e *RoutingEntry) Runs() bool { return e.build != nil }
-
-func (e *RoutingEntry) target(topo topology.Topology, vcs int) (target, error) {
+// routing builds the routing for topo at vcs VCs per vnet, refusing fewer
+// than floor.
+func (e *RoutingEntry) routing(topo topology.Topology, vcs, floor int) (cdg.Routing, error) {
 	t := targetOf(topo, vcs)
 	switch {
 	case !t.fits(e.Needs):
-		return t, fmt.Errorf("spin: %s routing needs %s", e.Name, e.Needs)
-	case vcs < e.MinVCs:
-		return t, fmt.Errorf("spin: %s needs >= %d VCs per vnet", e.Name, e.MinVCs)
+		return nil, fmt.Errorf("spin: %s routing needs %s", e.Name, e.Needs)
+	case vcs < floor:
+		return nil, fmt.Errorf("spin: %s needs >= %d VCs per vnet", e.Name, floor)
 	case vcs > sim.MaxVCsPerVNet:
-		return t, fmt.Errorf("spin: at most %d VCs per vnet, got %d", sim.MaxVCsPerVNet, vcs)
-	}
-	return t, nil
-}
-
-// Build makes the routing for topo at vcs VCs per vnet.
-func (e *RoutingEntry) Build(topo topology.Topology, vcs int) (sim.RoutingAlgorithm, error) {
-	t, err := e.target(topo, vcs)
-	if err == nil && !e.Runs() {
-		err = fmt.Errorf("spin: %s is an analysis-only routing", e.Name)
-	}
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("spin: at most %d VCs per vnet, got %d", sim.MaxVCsPerVNet, vcs)
 	}
 	return e.build(t), nil
 }
 
-// Model returns the routing's static dependency function on topo at vcs VC
-// classes, under the same needs and floor as Build.
-func (e *RoutingEntry) Model(topo topology.Topology, vcs int) (cdg.DependencyFunc, error) {
-	t, err := e.target(topo, vcs)
-	if err != nil {
-		return nil, err
-	}
-	return e.model(t), nil
+// Build makes the routing for topo at vcs VCs per vnet.
+func (e *RoutingEntry) Build(topo topology.Topology, vcs int) (sim.RoutingAlgorithm, error) {
+	return e.routing(topo, vcs, e.MinVCs)
 }
 
 // Theorem names what proves a routing deadlock-free (Table I's theories).
@@ -125,87 +105,62 @@ type Theorem string
 // The verdicts RoutingEntry.Verdict reaches.
 const (
 	Dally         Theorem = "Dally"          // the routing's own CDG is acyclic
-	Duato         Theorem = "Duato"          // its Proof's CDG, an escape sub-network, is acyclic
+	Duato         Theorem = "Duato"          // its escape sub-network is acyclic and always requested
 	NeedsRecovery Theorem = "needs recovery" // neither: pair it with a recovery scheme such as SPIN
 )
 
-// Graph builds the routing's CDG on topo at vcs VC classes, under Model's
-// needs and floor.
-func (e *RoutingEntry) Graph(topo topology.Topology, vcs int) (*cdg.Graph, error) {
-	dep, err := e.Model(topo, vcs)
-	if err != nil {
-		return nil, err
-	}
-	return cdg.Build(topo, vcs, dep), nil
-}
-
 // Verdict names the theorem that proves the routing deadlock-free on topo
-// at vcs VC classes: Dally's when its own CDG is acyclic, else Duato's when
-// Proof's is, else none (NeedsRecovery). It returns the routing's own graph.
+// at vcs VC classes, analysing the routing Build makes (below MinVCs too).
+// It returns the routing's own CDG.
 func (e *RoutingEntry) Verdict(topo topology.Topology, vcs int) (Theorem, *cdg.Graph, error) {
-	g, err := e.Graph(topo, vcs)
-	switch {
-	case err != nil:
+	rt, err := e.routing(topo, vcs, 1)
+	if err != nil {
 		return "", nil, err
-	case g.Acyclic():
-		return Dally, g, nil
-	case e.Proof == "":
-		return NeedsRecovery, g, nil
 	}
-	escape, err := LookupRouting(e.Proof).Graph(topo, vcs)
-	switch {
-	case err != nil:
-		return "", nil, err
-	case escape.Acyclic():
-		return Duato, g, nil
-	}
-	return NeedsRecovery, g, nil
+	theorem, g := verdict(topo, vcs, rt, e.Escape)
+	return theorem, g, nil
 }
 
-// minAdaptiveModel is the model of every routing that takes any minimal
-// port on any VC.
-func minAdaptiveModel(t target) cdg.DependencyFunc { return cdg.MinAdaptiveDep(t.topo) }
+// verdict is Dally's theorem when rt's own CDG is acyclic; else Duato's
+// when every state that CDG's walk reaches requests some of the escape VCs
+// and their sub-network is acyclic; else NeedsRecovery. It returns rt's
+// own CDG.
+func verdict(topo topology.Topology, vcs int, rt cdg.Routing, escape uint32) (Theorem, *cdg.Graph) {
+	g := cdg.Build(topo, vcs, rt, sim.AllVCs)
+	switch {
+	case g.Acyclic():
+		return Dally, g
+	case g.Offered&escape != 0 && cdg.Build(topo, vcs, rt, escape).Acyclic():
+		return Duato, g
+	}
+	return NeedsRecovery, g
+}
 
 // Routings is the routing table; "" names min_adaptive.
 var Routings = []RoutingEntry{
 	{Name: "xy", Needs: MeshTopology, MinVCs: 1, Schemeless: true,
-		build: func(t target) sim.RoutingAlgorithm { return &routing.XY{Mesh: t.mesh} },
-		model: func(t target) cdg.DependencyFunc { return cdg.XYDep(t.mesh) }},
+		build: func(t target) cdg.Routing { return &routing.XY{Mesh: t.mesh} }},
 	{Name: "westfirst", Needs: MeshTopology, MinVCs: 1, Schemeless: true,
-		build: func(t target) sim.RoutingAlgorithm { return &routing.WestFirst{Mesh: t.mesh} },
-		model: func(t target) cdg.DependencyFunc { return cdg.WestFirstDep(t.mesh) }},
+		build: func(t target) cdg.Routing { return &routing.WestFirst{Mesh: t.mesh} }},
 	{Name: "min_adaptive", Needs: AnyTopology, MinVCs: 1,
-		build: func(t target) sim.RoutingAlgorithm { return &routing.MinAdaptive{Topo: t.topo} },
-		model: minAdaptiveModel},
-	{Name: "escape_vc", Needs: MeshTopology, MinVCs: 2, Schemeless: true, Proof: "escape_subnet",
-		build: func(t target) sim.RoutingAlgorithm { return &routing.EscapeVC{Mesh: t.mesh, VCs: t.vcs} },
-		model: func(t target) cdg.DependencyFunc { return cdg.EscapeDep(t.mesh, t.vcs) }},
-	{Name: "escape_subnet", Needs: MeshTopology, MinVCs: 1, Schemeless: true,
-		model: func(t target) cdg.DependencyFunc { return cdg.EscapeSubgraphDep(t.mesh) }},
+		build: func(t target) cdg.Routing { return &routing.MinAdaptive{Topo: t.topo} }},
+	// VC 0 is EscapeVC's dimension-ordered escape channel.
+	{Name: "escape_vc", Needs: MeshTopology, MinVCs: 2, Schemeless: true, Escape: 1,
+		build: func(t target) cdg.Routing { return &routing.EscapeVC{Mesh: t.mesh, VCs: t.vcs} }},
 	{Name: "favors_min", Needs: AnyTopology, MinVCs: 1,
-		build: func(t target) sim.RoutingAlgorithm { return &routing.FAvORS{Topo: t.topo} },
-		model: minAdaptiveModel},
+		build: func(t target) cdg.Routing { return &routing.FAvORS{Topo: t.topo} }},
 	{Name: "favors_nmin", Needs: AnyTopology, MinVCs: 1,
-		build: func(t target) sim.RoutingAlgorithm { return &routing.FAvORS{Topo: t.topo, NonMinimal: true} },
-		model: minAdaptiveModel},
+		build: func(t target) cdg.Routing { return &routing.FAvORS{Topo: t.topo, NonMinimal: true} }},
 	{Name: "torus_dor", Needs: TorusTopology, MinVCs: 1,
-		build: func(t target) sim.RoutingAlgorithm { return &routing.TorusDOR{Mesh: t.mesh} },
-		model: func(t target) cdg.DependencyFunc { return cdg.TorusDORDep(t.mesh) }},
+		build: func(t target) cdg.Routing { return &routing.TorusDOR{Mesh: t.mesh} }},
 	{Name: "dfly_min", Needs: DragonflyTopology, MinVCs: 1,
-		build: func(t target) sim.RoutingAlgorithm { return &routing.DflyMinimal{Dfly: t.dfly, VCs: t.vcs} },
-		model: minAdaptiveModel},
+		build: func(t target) cdg.Routing { return &routing.DflyMinimal{Dfly: t.dfly, VCs: t.vcs} }},
 	{Name: "dfly_min_ladder", Needs: DragonflyTopology, MinVCs: 2, Schemeless: true,
-		build: func(t target) sim.RoutingAlgorithm {
-			return &routing.DflyMinimal{Dfly: t.dfly, VCLadder: true, VCs: t.vcs}
-		},
-		model: func(t target) cdg.DependencyFunc { return cdg.DflyLadderDep(t.dfly, t.vcs, false) }},
+		build: func(t target) cdg.Routing { return &routing.DflyMinimal{Dfly: t.dfly, VCLadder: true, VCs: t.vcs} }},
 	{Name: "ugal_ladder", Needs: DragonflyTopology, MinVCs: 3, Schemeless: true,
-		build: func(t target) sim.RoutingAlgorithm { return &routing.UGAL{Dfly: t.dfly, VCLadder: true, VCs: t.vcs} },
-		model: func(t target) cdg.DependencyFunc { return cdg.DflyLadderDep(t.dfly, t.vcs, true) }},
+		build: func(t target) cdg.Routing { return &routing.UGAL{Dfly: t.dfly, VCLadder: true, VCs: t.vcs} }},
 	{Name: "ugal_spin", Needs: DragonflyTopology, MinVCs: 1,
-		build: func(t target) sim.RoutingAlgorithm { return &routing.UGAL{Dfly: t.dfly, VCs: t.vcs} },
-		model: minAdaptiveModel},
-	{Name: "dfly_free", Needs: DragonflyTopology, MinVCs: 1, model: minAdaptiveModel},
+		build: func(t target) cdg.Routing { return &routing.UGAL{Dfly: t.dfly, VCs: t.vcs} }},
 }
 
 // LookupRouting returns the routing entry called name ("" is min_adaptive),
@@ -360,20 +315,18 @@ func (f *TopologyFamily) args(spec string) ([]int, error) {
 }
 
 // Names spells each table for usage text: the topology forms, the routings
-// that run, every routing (the analysis-only ones too) and the schemes.
-func Names() (topologies, routings, analysis, schemes string) {
-	var t, r, a, s []string
+// and the schemes.
+func Names() (topologies, routings, schemes string) {
+	var t, r, s []string
 	for _, f := range Topologies {
 		t = append(t, f.Usage)
 	}
-	for i := range Routings {
-		if a = append(a, Routings[i].Name); Routings[i].Runs() {
-			r = append(r, Routings[i].Name)
-		}
+	for _, e := range Routings {
+		r = append(r, e.Name)
 	}
 	for _, e := range Schemes {
 		s = append(s, e.Name)
 	}
 	join := func(l []string) string { return strings.Join(l, ", ") }
-	return join(t), join(r), join(a), join(s)
+	return join(t), join(r), join(s)
 }
