@@ -1,8 +1,8 @@
 // Package otrace is a lightweight distributed-tracing layer for the
 // spind serving stack: spans with parent links and W3C-style
-// traceparent identifiers, recorded into a bounded per-node ring so a
-// request's whole tree — across fleet hops — can be fetched after the
-// fact and merged into one timeline.
+// traceparent identifiers, recorded into a bounded ring so a request's
+// whole tree can be fetched after the fact — as a continuation of the
+// client's trace when the client sent a traceparent.
 //
 // The package is deliberately tiny: no clocks beyond time.Now, no
 // sampling machinery, no wire protocol beyond the traceparent header
@@ -25,7 +25,7 @@ import (
 
 // Traceparent format: version 00, 16-byte trace ID, 8-byte span ID,
 // flags 01 (sampled). This is the W3C trace-context layout; only the
-// fields the fleet needs are interpreted.
+// trace and span IDs are interpreted.
 const (
 	traceIDHexLen = 32
 	spanIDHexLen  = 16
@@ -108,7 +108,7 @@ func spanHex(id uint64) string {
 
 // SpanData is the exported, immutable form of one finished (or
 // snapshotted) span. Durations and start times are wall-clock
-// nanoseconds so spans from different nodes merge on one axis.
+// nanoseconds so spans line up on one axis with the caller's own.
 type SpanData struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
@@ -122,7 +122,8 @@ type SpanData struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 	attrs []attr
 	// Metric overrides the histogram label the span lands under (spans
-	// like "proxy:<peer>" all observe as "proxy"); empty means Name.
+	// named apart, like "proxy:<target>", all observe as "proxy"); empty
+	// means Name.
 	Metric string `json:"-"`
 }
 
@@ -203,7 +204,7 @@ func (s *Span) SetAttr(k, v string) {
 }
 
 // SetMetricName sets the histogram label the span's duration observes
-// under, collapsing per-peer span names into one bounded series.
+// under, collapsing per-target span names into one bounded series.
 func (s *Span) SetMetricName(m string) {
 	if s == nil {
 		return
@@ -289,8 +290,8 @@ func (s *Span) SpanID() string {
 	return s.data.SpanID
 }
 
-// Traceparent renders the header value that makes a downstream hop's
-// spans children of s ("" on nil).
+// Traceparent renders the header value that makes a downstream
+// service's spans children of s ("" on nil).
 func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
@@ -304,9 +305,9 @@ type traceEntry struct {
 	dropped int
 }
 
-// Tracer records finished spans into a bounded per-trace ring. One
-// Tracer per node; the node name stamps every span so merged timelines
-// show where each span ran.
+// Tracer records finished spans into a bounded per-trace ring. Its node
+// name stamps every span (SpanData.Node), which is the process lane the
+// span lands in on a Perfetto timeline.
 type Tracer struct {
 	node     string
 	capTrace int
@@ -327,7 +328,7 @@ const (
 	DefaultSpanCap  = 512
 )
 
-// NewTracer builds a tracer for one node. capTraces <= 0 selects
+// NewTracer builds a tracer named node. capTraces <= 0 selects
 // DefaultTraceCap.
 func NewTracer(node string, capTraces int) *Tracer {
 	if capTraces <= 0 {
@@ -359,7 +360,7 @@ func (t *Tracer) OnEnd(fn func(SpanData)) {
 
 // StartRequest opens a root span for one inbound request. A valid
 // traceparent header adopts the remote trace ID and parents the root
-// under the remote span (the cross-node link); anything else mints a
+// under the caller's span; anything else mints a
 // fresh trace. Safe on a nil tracer (returns a nil span).
 func (t *Tracer) StartRequest(name, traceparent string) *Span {
 	if t == nil {
@@ -395,7 +396,8 @@ func (t *Tracer) record(traceID string, spans []SpanData) {
 			t.head = (t.head + 1) % t.capTrace
 		}
 	}
-	// A long tree comes in batches; a peer's trace can have several roots here.
+	// A long tree comes in batches; a trace a client continues over several
+	// requests has several roots here.
 	room := min(len(spans), t.capSpans-len(e.spans))
 	e.dropped += len(spans) - room
 	if e.spans == nil {
@@ -450,7 +452,7 @@ func (t *Tracer) Len() int {
 }
 
 // SortSpans orders spans by start time (then span ID for stability) —
-// the canonical order for responses and merged timelines.
+// the canonical order for responses and timelines.
 func SortSpans(spans []SpanData) {
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {

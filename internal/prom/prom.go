@@ -3,9 +3,9 @@
 // in the version 0.0.4 text format that every Prometheus scraper
 // understands. The official client library would drag in a dependency
 // tree the container does not have; the daemon needs exactly the subset
-// implemented here. It is its own package so that internal/serve and
-// internal/fleet (which serve imports) register their series with the
-// same instruments, and one function, header, writes every # HELP line.
+// implemented here. It is its own package so that the instruments, their
+// labelling and the text format are tested apart from the daemon, and one
+// function, header, writes every # HELP line.
 package prom
 
 import (
@@ -82,8 +82,9 @@ var escaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Labels renders {k="v",...} from alternating keys and values, in the
 // order given ("" for none) — the one place label strings are rendered. A
-// value may come from outside the process (a gossiped peer id), so invalid
-// UTF-8 becomes U+FFFD: it must not lose a scraper the page.
+// value may come from outside the code (a build's module version or VCS
+// commit), so invalid UTF-8 becomes U+FFFD: it must not lose a scraper the
+// page.
 func Labels(kv ...string) string {
 	if len(kv) < 2 {
 		return ""
@@ -120,17 +121,6 @@ func addFloat(a *atomic.Uint64, delta float64) {
 		}
 	}
 }
-
-// collector splices another renderer's exposition text in at this point
-// of the render order.
-type collector func(io.Writer)
-
-// Collector registers fn, which renders a block of series registered
-// elsewhere — in practice another Registry's Render (the serving layer
-// mounts the fleet's series this way).
-func (r *Registry) Collector(fn func(io.Writer)) { r.add(collector(fn)) }
-
-func (c collector) render(w io.Writer) { c(w) }
 
 // family is what Counter and Histogram share: a name and the series bound
 // so far, by rendered label string.
@@ -226,15 +216,6 @@ func (s *CounterSeries) Add(delta float64) { addFloat(&s.sum, delta) }
 // Value reads the series.
 func (s *CounterSeries) Value() float64 { return math.Float64frombits(s.sum.Load()) }
 
-// Total sums every series of the counter (the fleet's admin view reports
-// its per-peer counters as totals).
-func (c *Counter) Total() (t float64) {
-	for _, s := range c.live() {
-		t += (*CounterSeries)(s).Value()
-	}
-	return t
-}
-
 func (c *Counter) render(w io.Writer) {
 	header(w, c.name, c.help, "counter")
 	for _, s := range c.live() {
@@ -263,7 +244,7 @@ type Sample struct {
 }
 
 // sampled is an instrument whose series are owned elsewhere (the cache
-// store's hit counters, queue depth, fleet members by state): fn samples
+// store's hit counters, queue depth, the build identity): fn samples
 // the whole set at scrape time and it renders in the order fn returns it.
 type sampled struct {
 	name, help, typ string

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/otrace"
 	"repro/internal/prom"
@@ -291,137 +290,5 @@ func TestSpanTreeAdditive(t *testing.T) {
 		if sp, ok := sweep[name]; !ok || sp.Parent != sweepRoot.SpanID {
 			t.Errorf("/v1/sweep span tree lacks a top-level %q (have %v)", name, sweep)
 		}
-	}
-}
-
-// fetchTrace GETs /v1/trace/<id> from one fleet node (404 -> empty doc).
-func fetchTrace(t *testing.T, n *fleetNode, id, query string) traceResponse {
-	t.Helper()
-	resp, err := http.Get("http://" + n.addr + "/v1/trace/" + id + query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc traceResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			t.Fatalf("trace response undecodable: %v", err)
-		}
-	}
-	return doc
-}
-
-// spanNodes reports the distinct node IDs a span set covers.
-func spanNodes(spans []otrace.SpanData) map[string]bool {
-	nodes := map[string]bool{}
-	for _, sp := range spans {
-		nodes[sp.Node] = true
-	}
-	return nodes
-}
-
-// TestFleetMergedTraceTimeline pins the cross-node acceptance criterion:
-// one proxied request yields, from either node, a merged span tree
-// covering both nodes, with the peer's root span stitched under the
-// proxy hop span, and a Perfetto-loadable rendering with one process
-// lane per node.
-func TestFleetMergedTraceTimeline(t *testing.T) {
-	a := newFleetNode(t, "a", nil, 25*time.Millisecond)
-	b := newFleetNode(t, "b", []string{a.addr}, 25*time.Millisecond)
-	converge(t, a, b)
-
-	seed := pickSeed(t, a, "b") // b owns it; a proxies
-	resp, body := postNode(t, a, "/v1/simulate", simBody(seed), nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Fleet"); got != "proxy:b" {
-		t.Fatalf("X-Fleet = %q, want proxy:b", got)
-	}
-	tid, _, ok := otrace.ParseTraceparent(resp.Header.Get("traceparent"))
-	if !ok {
-		t.Fatalf("response traceparent %q malformed", resp.Header.Get("traceparent"))
-	}
-
-	// Root spans land in each node's ring when the request ends — after
-	// the response body is written — so the merged view converges a beat
-	// after the client sees the bytes.
-	var doc traceResponse
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		doc = fetchTrace(t, a, tid, "")
-		if n := spanNodes(doc.Spans); n["a"] && n["b"] {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("merged trace never covered both nodes: %+v", doc.Spans)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	byID := map[string]otrace.SpanData{}
-	var proxySpan, peerRoot *otrace.SpanData
-	for i := range doc.Spans {
-		sp := doc.Spans[i]
-		if sp.TraceID != tid {
-			t.Errorf("span %s carries trace %s, want %s", sp.Name, sp.TraceID, tid)
-		}
-		byID[sp.SpanID] = sp
-		if sp.Node == "a" && sp.Name == "proxy:b" {
-			proxySpan = &doc.Spans[i]
-		}
-		if sp.Node == "b" && sp.Name == "simulate" {
-			peerRoot = &doc.Spans[i]
-		}
-	}
-	if proxySpan == nil || peerRoot == nil {
-		t.Fatalf("merged trace lacks the hop pair (proxy=%v peerRoot=%v):\n%+v", proxySpan, peerRoot, doc.Spans)
-	}
-	// The stitch: b's root is a child of a's proxy span, which nests under
-	// a's cache span (the hop is how the cache got its value), itself
-	// rooted in a's request span. One connected tree across two nodes.
-	if peerRoot.Parent != proxySpan.SpanID {
-		t.Errorf("peer root parent %s, want the proxy span %s", peerRoot.Parent, proxySpan.SpanID)
-	}
-	cacheSpan, ok := byID[proxySpan.Parent]
-	if !ok || cacheSpan.Node != "a" || cacheSpan.Name != "cache" {
-		t.Errorf("proxy span not nested under a's cache span (parent %q)", proxySpan.Parent)
-	}
-	if root, ok := byID[cacheSpan.Parent]; !ok || root.Node != "a" || root.Name != "simulate" {
-		t.Errorf("cache span not rooted in a's request span (parent %q)", cacheSpan.Parent)
-	}
-
-	// The same merged view is reachable from the peer: collection fans
-	// out regardless of which node the operator asks.
-	fromB := fetchTrace(t, b, tid, "")
-	if n := spanNodes(fromB.Spans); !n["a"] || !n["b"] {
-		t.Errorf("trace fetched from b covers %v, want both nodes", n)
-	}
-
-	// Perfetto rendering: valid Chrome trace-event JSON, one pid lane
-	// per node so the two sides sit in separate tracks.
-	pres, err := http.Get("http://" + a.addr + "/v1/trace/" + tid + "?format=perfetto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pres.Body.Close()
-	var chrome struct {
-		TraceEvents []struct {
-			Pid  int    `json:"pid"`
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(pres.Body).Decode(&chrome); err != nil {
-		t.Fatalf("perfetto rendering is not valid JSON: %v", err)
-	}
-	pids := map[int]bool{}
-	for _, ev := range chrome.TraceEvents {
-		if ev.Ph == "X" {
-			pids[ev.Pid] = true
-		}
-	}
-	if len(pids) < 2 {
-		t.Errorf("perfetto timeline has %d process lanes, want one per node (>=2)", len(pids))
 	}
 }

@@ -32,12 +32,19 @@ import (
 	spin "repro"
 	"repro/internal/cache"
 	"repro/internal/exp"
-	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/otrace"
 	"repro/internal/prom"
 	"repro/internal/runner"
 	"repro/internal/sim"
+)
+
+// The request headers spind reads and echoes: a client's correlation ID,
+// and its W3C trace context, under which the request's root span is
+// parented.
+const (
+	headerRequestID   = "X-Request-Id"
+	headerTraceparent = "Traceparent"
 )
 
 // ResultVersion names the semantics of cached results. It participates
@@ -66,16 +73,8 @@ type Config struct {
 	// a JSON handler yields machine-queryable request logs. The request
 	// ID is echoed in the X-Request-ID header and in error bodies, so a
 	// client-reported failure is one query away from its server-side
-	// record. With a fleet attached, the record also carries the peer-hop
-	// path and how the fleet satisfied the request.
+	// record.
 	Log *slog.Logger
-	// Fleet, when non-nil, joins this server to a spind fleet: requests
-	// consult the consistent-hash ring for their owner, fill from peer
-	// caches before simulating, and proxy to (or fall back from) the
-	// owner. The fleet's gossip/cache/admin endpoints are mounted on the
-	// handler tree and its Prometheus series on /metrics. Single-node
-	// behaviour is bit-for-bit unchanged when nil.
-	Fleet *fleet.Fleet
 }
 
 // SimRequest is the /v1/simulate body: a run description plus serving-
@@ -171,16 +170,15 @@ type Server struct {
 	// workersEff is the resolved pool size (spind_workers_effective).
 	workersEff int
 
-	// fleet is the optional membership/ownership layer; draining flips
-	// when shutdown starts so /readyz fails before the listener closes
-	// (load balancers stop routing while in-flight requests finish).
-	fleet    *fleet.Fleet
+	// draining flips when shutdown starts so /readyz fails before the
+	// listener closes (load balancers stop routing while in-flight
+	// requests finish).
 	draining atomic.Bool
 
-	// tracer records every request's span tree into a bounded per-node
-	// ring (served by /v1/trace/<id>); mSpanSeconds is the per-span-name
+	// tracer records every request's span tree into a bounded ring
+	// (served by /v1/trace/<id>); mSpanSeconds is the per-span-name
 	// duration histogram its OnEnd hook feeds. build is the daemon's
-	// identity, resolved once (served by /v1/version and gossiped).
+	// identity, resolved once (served by /v1/version and spind_build_info).
 	tracer       *otrace.Tracer
 	mSpanSeconds *prom.Histogram
 	build        BuildInfo
@@ -214,17 +212,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.QueueSize = 4 * workers
 	}
-	s := &Server{cfg: cfg, store: cfg.Cache, mux: http.NewServeMux(), start: time.Now(), reg: prom.NewRegistry(), fleet: cfg.Fleet}
-	s.build = ReadBuild()
+	s := &Server{cfg: cfg, store: cfg.Cache, mux: http.NewServeMux(), start: time.Now(), reg: prom.NewRegistry(), tracer: otrace.NewTracer("spind", 0)}
+	s.build = readBuild()
 	s.idPrefix = strconv.FormatInt(s.start.UnixNano()&0xffffffff, 16) + "-"
-
-	// The tracer's node name is the fleet identity when there is one, so
-	// spans merged across nodes say which daemon ran them.
-	node := "spind"
-	if s.fleet != nil {
-		node = s.fleet.SelfID()
-	}
-	s.tracer = otrace.NewTracer(node, 0)
 
 	s.workersEff = cfg.Workers
 	if s.workersEff <= 0 {
@@ -305,15 +295,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	if s.fleet != nil {
-		// Gossip and cache-fill are fleet-internal chatter (every node,
-		// every interval); they skip the request log. The admin view is
-		// operator-facing and logged like any endpoint.
-		s.mux.HandleFunc("/v1/fleet", s.instrument("fleet", s.fleet.HandleAdmin))
-		s.mux.HandleFunc("/v1/gossip", s.fleet.HandleGossip)
-		s.mux.HandleFunc("/v1/cache/", s.fleet.HandleCache)
-		s.reg.Collector(s.fleet.WriteMetrics)
-	}
 	return s, nil
 }
 
@@ -351,14 +332,11 @@ func (w *statusWriter) Flush() {
 
 // reqInfo is the per-request record behind request logging: the ID
 // assigned at ingress plus whatever the handler learns along the way
-// (cache outcome, job key, and — with a fleet — how the fleet satisfied
-// the request and the peer-hop path).
+// (cache outcome, job key).
 type reqInfo struct {
 	id    string
 	cache string
 	key   string
-	fleet string // "-", "owner", "fill:<peer>", "proxy:<peer>", "local", "fallback"
-	path  string // hop path, e.g. "nodeA>nodeB" ("" without a fleet)
 	// span is the request's root span; handlers hang the top-level child
 	// spans off it (decode, validate, cache — the rest nest under cache).
 	span   *otrace.Span
@@ -386,11 +364,10 @@ type codeSeries struct {
 // instrument wraps a handler with the request counter, the latency
 // histogram, the request-ID header, the request's root span, and the
 // per-request log record. An incoming X-Request-ID (a client
-// correlation ID, or a peer hop inside the fleet) is adopted instead of
-// minting a new one, so one ID follows a request across every node it
-// touches; an incoming traceparent likewise parents this request's root
-// span under the caller's hop span, which is what stitches per-node
-// span trees into one cross-fleet timeline. What no request changes is
+// correlation ID) is adopted instead of minting a new one, so the
+// client's ID is the one in the daemon's log; an incoming traceparent
+// likewise parents this request's root span under the caller's span, so
+// the server's tree continues the client's trace. What no request changes is
 // bound once: the latency series here, a status code's text and counter
 // series the first time the endpoint answers it.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
@@ -398,21 +375,18 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	var codes sync.Map // int -> *codeSeries
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{w, http.StatusOK, reqInfo{id: sanitizeRequestID(r.Header.Get(fleet.HeaderRequestID)), cache: "-", key: "-", fleet: "-"}}
+		sw := &statusWriter{w, http.StatusOK, reqInfo{id: sanitizeRequestID(r.Header.Get(headerRequestID)), cache: "-", key: "-"}}
 		info := &sw.info
 		if info.id == "" {
 			info.id = s.nextRequestID()
 		}
-		info.span = s.tracer.StartRequest(endpoint, r.Header.Get(fleet.HeaderTraceparent))
+		info.span = s.tracer.StartRequest(endpoint, r.Header.Get(headerTraceparent))
 		info.span.SetAttr("request_id", info.id)
-		if s.fleet != nil {
-			info.path = fleet.AppendPath(r.Header.Get(fleet.HeaderPath), s.fleet.SelfID())
-		}
 		if r.URL.RawQuery != "" {
 			info.query = r.URL.Query()
 		}
-		w.Header().Set(fleet.HeaderRequestID, info.id)
-		w.Header().Set(fleet.HeaderTraceparent, info.span.Traceparent())
+		w.Header().Set(headerRequestID, info.id)
+		w.Header().Set(headerTraceparent, info.span.Traceparent())
 		h(sw, r)
 		dur := time.Since(start)
 		code, ok := codes.Load(sw.code)
@@ -426,7 +400,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		info.span.SetAttr("cache", info.cache)
 		info.span.End()
 		if s.cfg.Log != nil {
-			args := []any{
+			s.cfg.Log.Info("request",
 				slog.String("id", info.id),
 				slog.String("endpoint", endpoint),
 				slog.Int("code", sw.code),
@@ -435,16 +409,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 				slog.Duration("dur", dur.Round(time.Microsecond)),
 				slog.String("trace", info.span.TraceID()),
 				slog.String("span", info.span.SpanID()),
-			}
-			if s.fleet != nil {
-				args = append(args, slog.String("fleet", info.fleet), slog.String("path", info.path))
-			}
-			s.cfg.Log.Info("request", args...)
+			)
 		}
 	}
 }
 
-// sanitizeRequestID accepts a forwarded request ID only when it is
+// sanitizeRequestID accepts a client's request ID only when it is
 // log-grep-safe: short and free of whitespace, quotes, and control
 // bytes (an attacker-controlled header must not forge log fields).
 func sanitizeRequestID(id string) string {
@@ -478,28 +448,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		time.Since(s.start).Seconds(), queued, running)
 }
 
-// handleReadyz reports readiness: whether this node should receive new
+// handleReadyz reports readiness: whether this daemon should receive new
 // traffic. It fails while draining (shutdown has begun but in-flight
-// requests are finishing) and, in a fleet, before the first gossip
-// round (the node has not learned the ring yet, so it would compute
-// keys its peers already cached).
+// requests are finishing).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, `{"status":"draining"}`)
-	case s.fleet != nil && !s.fleet.Ready():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"waiting-for-gossip"}`)
-	default:
-		fmt.Fprintln(w, `{"status":"ready"}`)
+		return
 	}
+	fmt.Fprintln(w, `{"status":"ready"}`)
 }
 
 // SetDraining flips the readiness gate; cmd/spind sets it when shutdown
-// begins, before closing the listener, so load balancers and fleet
-// peers stop routing here while in-flight requests complete.
+// begins, before closing the listener, so load balancers stop routing
+// here while in-flight requests complete.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // handleMetrics renders the Prometheus text exposition.
@@ -574,8 +538,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := req.normalized()
-	canon := n.canonical()
-	key := cache.KeyOf(ResultVersion+"/simulate", canon)
+	key := cache.KeyOf(ResultVersion+"/simulate", n.canonical())
 	var sse *sseWriter // ?stream=sse: a response mode, not part of the key (see stream.go)
 	var window int64
 	var onSample func(sim.WindowSample)
@@ -591,7 +554,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		defer sse.close()
 		window, onSample = streamWindowFor(req, n), sse.sample
 	}
-	s.serveCached(w, r, key, fleet.ProxySpec{Path: "/v1/simulate", Body: canon}, sse,
+	s.serveCached(w, r, key, sse,
 		func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
 			return s.runSim(ctx, n, key, window, onSample, cs)
 		})
@@ -609,9 +572,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.Workers = s.cfg.Workers
-	canon := n.Canonical()
-	key := cache.KeyOf(ResultVersion+"/sweep", canon)
-	s.serveCached(w, r, key, fleet.ProxySpec{Path: "/v1/sweep", Body: canon}, nil,
+	key := cache.KeyOf(ResultVersion+"/sweep", n.Canonical())
+	s.serveCached(w, r, key, nil,
 		func(ctx context.Context, cs *otrace.Span) ([]byte, error) {
 			v, err := exp.Sweep(ctx, n.Fig, n)
 			if err != nil {
@@ -637,22 +599,20 @@ func encodeBody(span *otrace.Span, v interface{}) ([]byte, error) {
 
 // serveCached is the one request tail, shared by /v1/simulate, /v1/sweep
 // and the SSE view of /v1/simulate: consult the cache (deduping
-// concurrent identical requests), on a miss run the computation — on the
-// pool, behind the fleet request path (see fleetCompute) — map failure
-// modes to status codes, and emit the result. proxy is the request in
-// the form the key's ring owner accepts. sse, when non-nil, selects the
-// event-stream response mode: heartbeats while waiting, the result (or
-// the error) as an event instead of a plain body.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, proxy fleet.ProxySpec, sse *sseWriter, run func(context.Context, *otrace.Span) ([]byte, error)) {
+// concurrent identical requests), on a miss run the computation on the
+// pool, map failure modes to status codes, and emit the result. sse,
+// when non-nil, selects the event-stream response mode: heartbeats while
+// waiting, the result (or the error) as an event instead of a plain body.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, sse *sseWriter, run func(context.Context, *otrace.Span) ([]byte, error)) {
 	info := requestInfo(w)
 	// One span covers lookup, singleflight join, and any led computation
-	// — its children (queue_wait, compute, fill/proxy) say which of
-	// those it was; the outcome attr says how the cache answered. Nothing
-	// but decode and validate sits beside it, so the root's children add
-	// up to the request.
+	// — its children (queue_wait, compute) say which of those it was; the
+	// outcome attr says how the cache answered. Nothing but decode and
+	// validate sits beside it, so the root's children add up to the
+	// request.
 	cs := info.span.StartChild("cache")
 	body, outcome, err := sse.await(func() ([]byte, cache.Outcome, error) {
-		return s.store.Do(r.Context(), key, s.fleetCompute(r, info, cs, key, proxy, sse != nil, s.onPool(cs, key, run)))
+		return s.store.Do(r.Context(), key, s.onPool(cs, key, run))
 	})
 	if err == nil && info.digest != "" {
 		// The bytes' next repeat skips the way here while memory holds key.
@@ -686,14 +646,10 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, cs *otrace.Span
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", info.cache)
 		w.Header().Set("X-Cache-Key", key)
-		if s.fleet != nil {
-			w.Header().Set("X-Fleet", info.fleet)
-			w.Header().Set(fleet.HeaderPath, info.path)
-		}
 		if info.query.Get("trace") == "server" {
 			// The wrapper is assembled after the lookup, so the cache stores
-			// (and fills/backfills ship) only the inner result bytes —
-			// tracing a request never perturbs what the fleet caches.
+			// only the inner result bytes — tracing a request never perturbs
+			// what is cached.
 			body = s.wrapServerTrace(info.span, body)
 		}
 		w.Write(body)
@@ -714,91 +670,6 @@ func (s *Server) onPool(parent *otrace.Span, key string, run func(context.Contex
 			return run(jctx, cs)
 		}})
 		qw.End()
-		return b, err
-	}
-}
-
-// fleetCompute wraps a local computation with the fleet request path:
-//
-//  1. resolve the key's deterministic owner on the consistent-hash ring;
-//  2. if we own it (or there is no fleet), compute locally;
-//  3. otherwise ask the owner — then its successors — for the cached
-//     bytes (peer cache-fill: a remote hit is byte-identical to a local
-//     one, so it simply becomes our cached value);
-//  4. on fill miss with a healthy owner, proxy the canonical request to
-//     it, so each simulation runs once fleet-wide, on its owner, with
-//     the owner's own singleflight deduping concurrent callers — unless
-//     the request streams: its samples only exist where the simulation
-//     runs, so a streamed miss leads locally ("local");
-//  5. on owner failure ("fallback"), compute locally; either way a
-//     result computed for a key we do not own is backfilled to the
-//     ring, so availability never depends on any single node.
-//
-// The wrapper runs inside cache.Store.Do, so everything downstream of
-// the local cache — including the peer round-trips — is deduplicated:
-// N concurrent identical requests on this node cost one fill/proxy hop.
-// Requests already forwarded once (X-Fleet-Forwarded) always compute
-// locally; divergent ring views must not bounce a request around.
-func (s *Server) fleetCompute(r *http.Request, info *reqInfo, parent *otrace.Span, key string, proxy fleet.ProxySpec, streamed bool, compute func(context.Context) ([]byte, error)) func(context.Context) ([]byte, error) {
-	if s.fleet == nil || r.Header.Get(fleet.HeaderForwarded) != "" {
-		return compute
-	}
-	return func(ctx context.Context) ([]byte, error) {
-		owner, ok := s.fleet.Owner(key)
-		if !ok || owner.Self {
-			if ok {
-				info.fleet = "owner"
-			}
-			return compute(ctx)
-		}
-		// Each peer hop gets its own span, and the hop carries that
-		// span's traceparent: whatever the peer records becomes a child
-		// of the hop, not of the whole request.
-		hop := func(span *otrace.Span) fleet.Hop {
-			return fleet.Hop{ReqID: info.id, Path: info.path, Traceparent: span.Traceparent()}
-		}
-		fs := parent.StartChild("fill")
-		b, peer, hit := s.fleet.Fill(ctx, key, hop(fs))
-		if hit {
-			fs.SetAttr("peer", peer)
-			fs.End()
-			info.fleet = "fill:" + peer
-			return b, nil
-		}
-		fs.SetAttr("outcome", "miss")
-		fs.End()
-		// A fallback is a local compute the owner should have done: it is
-		// not alive, or it is and the proxy to it failed.
-		how := "fallback"
-		if owner.State == fleet.StateAlive {
-			if streamed {
-				how = "local"
-			} else {
-				ps := parent.StartChild("proxy:" + owner.ID)
-				ps.SetMetricName("proxy")
-				b, upPath, err := s.fleet.Proxy(ctx, owner, proxy, hop(ps))
-				if err == nil {
-					ps.End()
-					info.fleet = "proxy:" + owner.ID
-					if upPath != "" {
-						info.path = upPath
-					}
-					return b, nil
-				}
-				// Proxy failure is already counted and logged by the fleet;
-				// fall through to local compute.
-				ps.SetAttr("error", err.Error())
-				ps.End()
-			}
-		}
-		b, err := compute(ctx)
-		if err == nil {
-			info.fleet = how
-			if how == "fallback" {
-				s.fleet.Fallback()
-			}
-			s.fleet.Backfill(key, b)
-		}
 		return b, err
 	}
 }

@@ -569,3 +569,34 @@ func TestSimPoolBoundAndMetric(t *testing.T) {
 		}
 	}
 }
+
+// TestReadyzLifecycle pins the liveness/readiness split: a server is
+// ready until draining, and /healthz is unaffected by the drain.
+func TestReadyzLifecycle(t *testing.T) {
+	s := newTestServer(t, Config{})
+	get := func(path string) (int, string) {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+	if code, body := get("/readyz"); code != http.StatusOK || !strings.Contains(body, "ready") {
+		t.Fatalf("fresh /readyz = %d %q", code, body)
+	}
+	if code, _ := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz = %d", code)
+	}
+	s.SetDraining(true)
+	if code, body := get("/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
+		t.Fatalf("draining /readyz = %d %q", code, body)
+	}
+	// Liveness is unaffected by the drain: the process must not be
+	// restarted for shutting down cleanly.
+	if code, _ := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("draining healthz = %d", code)
+	}
+	s.SetDraining(false)
+	if code, _ := get("/readyz"); code != http.StatusOK {
+		t.Fatalf("undrained /readyz = %d", code)
+	}
+}

@@ -19,7 +19,7 @@ import (
 // Protocol (SSE, text/event-stream):
 //
 //	event: sample   one closed telemetry window (sim.WindowSample JSON),
-//	                emitted live while this node leads the computation
+//	                emitted live while this request leads the computation
 //	event: result   the full SimResponse — byte-identical to the
 //	                non-streaming response body for the same request
 //	event: error    a failure, with the request ID for log correlation

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/otrace"
 	"repro/internal/sim"
 )
 
@@ -182,6 +184,52 @@ func TestRequestLogging(t *testing.T) {
 	missID, hitID := miss.Header().Get("X-Request-ID"), hit.Header().Get("X-Request-ID")
 	if missID == hitID {
 		t.Error("request IDs repeat")
+	}
+
+	// A client's correlation ID and trace context are adopted: the ID is
+	// echoed and logged, the record names the client's trace, and the
+	// server's root span is a child of the client's span.
+	const (
+		clientID     = "e2e-corr-0042"
+		clientTrace  = "4bf92f3577b34da6a3ce929d0e0e4736"
+		clientParent = "00f067aa0ba902b7"
+	)
+	buf.Reset()
+	req := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(smallScenario))
+	req.Header.Set("X-Request-ID", clientID)
+	req.Header.Set("traceparent", "00-"+clientTrace+"-"+clientParent+"-01")
+	adopted := httptest.NewRecorder()
+	s.Handler().ServeHTTP(adopted, req)
+	if adopted.Code != http.StatusOK {
+		t.Fatalf("adopted status %d: %s", adopted.Code, adopted.Body.String())
+	}
+	if got := adopted.Header().Get("X-Request-ID"); got != clientID {
+		t.Errorf("X-Request-ID = %q, want the client's %q", got, clientID)
+	}
+	var rec reqRecord
+	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &rec); err != nil {
+		t.Fatalf("adopted record is not one JSON object: %q (%v)", buf.String(), err)
+	}
+	if rec.ID != clientID || rec.Trace != clientTrace {
+		t.Errorf("adopted record id=%q trace=%q, want %q and %q", rec.ID, rec.Trace, clientID, clientTrace)
+	}
+	if tid, _, _ := otrace.ParseTraceparent(adopted.Header().Get("traceparent")); tid != clientTrace {
+		t.Errorf("response traceparent %q does not continue the client's trace", adopted.Header().Get("traceparent"))
+	}
+	trace := httptest.NewRecorder()
+	s.Handler().ServeHTTP(trace, httptest.NewRequest(http.MethodGet, "/v1/trace/"+clientTrace, nil))
+	var doc traceResponse
+	if err := json.Unmarshal(trace.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("GET /v1/trace/%s: status %d: %v", clientTrace, trace.Code, err)
+	}
+	var root *otrace.SpanData
+	for i, sp := range doc.Spans {
+		if sp.Name == "simulate" {
+			root = &doc.Spans[i]
+		}
+	}
+	if root == nil || root.Parent != clientParent || root.SpanID != rec.Span {
+		t.Errorf("server root span %+v, want the logged span %s under the client's span %s", root, rec.Span, clientParent)
 	}
 }
 

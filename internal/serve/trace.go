@@ -10,12 +10,9 @@ import (
 )
 
 // This file is the trace-retrieval surface: GET /v1/trace/<id> returns
-// a trace's spans from this node's bounded ring and — with a fleet —
-// merges in every peer's spans for the same trace, so one request's
-// whole cross-node tree comes back from any node it touched. The same
-// span set renders two ways: plain JSON (the default) or Chrome
-// trace-event JSON (?format=perfetto) that loads directly in Perfetto,
-// one process lane per node.
+// a trace's spans from the daemon's bounded ring. The same span set
+// renders two ways: plain JSON (the default) or Chrome trace-event JSON
+// (?format=perfetto) that loads directly in Perfetto.
 
 // traceResponse is the JSON envelope of /v1/trace/<id> and of the
 // ?trace=server echo on /v1/simulate.
@@ -27,10 +24,8 @@ type traceResponse struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// handleTrace is GET /v1/trace/<id>. ?local=1 restricts to this node's
-// ring (the form nodes use when fanning out to peers, so collection
-// never recurses); ?format=perfetto renders the Chrome trace-event
-// form.
+// handleTrace is GET /v1/trace/<id>. ?format=perfetto renders the
+// Chrome trace-event form.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, "GET a trace by ID", http.StatusMethodNotAllowed)
@@ -42,15 +37,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spans := s.tracer.Trace(id)
-	if s.fleet != nil && r.URL.Query().Get("local") != "1" {
-		for _, b := range s.fleet.CollectPeers(r.Context(), "/v1/trace/"+id+"?local=1") {
-			var doc traceResponse
-			if json.Unmarshal(b, &doc) == nil {
-				spans = append(spans, doc.Spans...)
-			}
-		}
-		otrace.SortSpans(spans)
-	}
 	if len(spans) == 0 {
 		httpError(w, "unknown trace (expired from the ring, or never sampled here)", http.StatusNotFound)
 		return
@@ -64,10 +50,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // wrapServerTrace wraps response bytes in the trace envelope: the spans
-// this node has recorded for the request's trace plus the live tree of
-// the still-open root span. Peer spans are not fetched here — the
-// client has the trace ID and can GET /v1/trace/<id> for the merged
-// tree once the hop spans land.
+// the daemon has recorded for the request's trace plus the live tree of
+// the still-open root span.
 func (s *Server) wrapServerTrace(span *otrace.Span, body []byte) []byte {
 	spans := append(s.tracer.Trace(span.TraceID()), span.Tree()...)
 	otrace.SortSpans(spans)

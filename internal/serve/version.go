@@ -9,28 +9,18 @@ import (
 
 // BuildInfo is the daemon's build identity as the Go runtime reports
 // it: module version, VCS commit (shortened), and toolchain. It backs
-// GET /v1/version, the spind_build_info metric, and the version string
-// gossiped to fleet peers — three views of one answer to "what exactly
-// is running on that node?".
+// GET /v1/version and the spind_build_info metric — two views of one
+// answer to "what exactly is running on that daemon?".
 type BuildInfo struct {
 	Version string `json:"version"`
 	Commit  string `json:"commit,omitempty"`
 	Go      string `json:"go"`
 }
 
-// String renders "version+commit", the compact form fleet members
-// gossip and /v1/fleet displays.
-func (b BuildInfo) String() string {
-	if b.Commit != "" {
-		return b.Version + "+" + b.Commit
-	}
-	return b.Version
-}
-
-// ReadBuild resolves the build identity via runtime/debug.ReadBuildInfo.
+// readBuild resolves the build identity via runtime/debug.ReadBuildInfo.
 // Binaries built without module or VCS stamping (go test, plain go
 // build in a work tree) degrade to "devel" with no commit.
-func ReadBuild() BuildInfo {
+func readBuild() BuildInfo {
 	b := BuildInfo{Version: "devel", Go: runtime.Version()}
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {

@@ -10,20 +10,20 @@ import (
 
 // Span-tree export: the serving layer's request spans rendered as the
 // same Chrome trace-event JSON WriteChromeTrace emits for simulator
-// events, so a cross-node request timeline loads in one Perfetto
-// window. Each node becomes one process (pid, named by a process_name
-// meta event); spans from one node share tid 1 and nest by time
-// containment, which is exactly how "X" complete events stack.
+// events, so a request timeline loads in one Perfetto window. Each node
+// name a span carries (SpanData.Node) becomes one process (pid, named by
+// a process_name meta event); spans of one node share tid 1 and nest by
+// time containment, which is exactly how "X" complete events stack.
 
 // spanPidBase keeps span processes clear of the simulator trace's fixed
 // pids (1 = packets, 2 = routers), so a span trace and a simulator
 // trace can even be concatenated into one document.
 const spanPidBase = 10
 
-// WriteSpanTrace renders a set of otrace spans — typically one merged
-// trace gathered from every fleet node — as Chrome trace-event JSON.
-// Wall-clock nanoseconds become microsecond timestamps on a shared
-// axis, so cross-node spans line up as well as the nodes' clocks do.
+// WriteSpanTrace renders a set of otrace spans — typically one trace as
+// GET /v1/trace/<id> returns it — as Chrome trace-event JSON. Wall-clock
+// nanoseconds become microsecond timestamps on a shared axis, so spans
+// of different nodes line up as well as their clocks do.
 func WriteSpanTrace(w io.Writer, spans []otrace.SpanData) error {
 	sorted := append([]otrace.SpanData(nil), spans...)
 	otrace.SortSpans(sorted)
