@@ -119,9 +119,10 @@ type SweepResult struct {
 const Schema = 1
 
 // Workloads is the benchmark matrix. Saturation rates sit at the highest
-// load where source queues stay bounded (measured on this tree), so
-// steady state recycles every packet through the pool; past that edge the
-// growing backlog genuinely allocates and allocs/cycle cannot be zero.
+// load where source queues stay bounded (measured on this tree). Past that
+// edge, where torus8x8/spin1vc runs, the pool still recycles every packet,
+// but each NIC's ring of queued records keeps doubling as its backlog grows,
+// so allocs/cycle is not zero.
 func Workloads() []Workload {
 	mk := func(name, topo, routing string, rate float64) Workload {
 		return Workload{

@@ -138,7 +138,7 @@ func (w *withinCandidates) AtSource(r *sim.Router, p *sim.Packet) {
 	if p.Intermediate >= 0 {
 		w.detours++
 		if !w.valiant {
-			w.t.Errorf("%s: %v sent via %d, but the routing is not Valiant", w.scenario, p, p.Intermediate)
+			w.t.Errorf("%s: a packet r%d->r%d sent via %d, but the routing is not Valiant", w.scenario, p.SrcRouter, p.DstRouter, p.Intermediate)
 		}
 	}
 }

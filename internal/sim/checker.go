@@ -20,6 +20,7 @@ import (
 // the delta pass looks at the VCs commit refreshed (Network.dirtyVCs), the
 // destinations of flits on active links and, for the worklist bits alone,
 // the occupied VCs. The audit walks everything, NIC and router sets too,
+// and recounts the queued-packet counter and the packet pool (auditBooks),
 // every auditEvery cycles and whenever the verdict is read: it catches what
 // bypassed markDirty, at most auditEvery-1 cycles late.
 
@@ -36,7 +37,7 @@ func (v Violation) String() string {
 
 // Rule names reported by the checker.
 const (
-	RuleConservation  = "conservation"   // injected - ejected != flits in buffers + links
+	RuleConservation  = "conservation"   // injected - ejected != flits in buffers + links; or the queued count or packet pool off its books
 	RuleCredit        = "credit"         // buffer occupancy / free-slot / in-flight accounting broken
 	RuleVCTOrder      = "vct_order"      // flit sequence numbers not contiguous within a packet
 	RuleVCTInterleave = "vct_interleave" // more than two packets, or not old-tail + new-head
@@ -126,8 +127,9 @@ type InvariantChecker struct {
 	violations []Violation
 	dropped    int64 // violations beyond maxViolations
 
-	// failing holds, per entity (VCs by vcIndex, routers, NICs, the network),
-	// the spellRules failing at its last look; ent is under look, was its old bits.
+	// failing holds, per entity (VCs by vcIndex, routers, NICs, the two
+	// audited books, the network), the spellRules failing at its last look;
+	// ent is under look, was its old bits.
 	failing []uint8
 	ent     int
 	was     uint8
@@ -162,7 +164,7 @@ func newChecker(n *Network, opt CheckOptions) *InvariantChecker {
 		net:      n,
 		opt:      opt,
 		diameter: -1,
-		failing:  make([]uint8, vcs+len(n.routers)+len(n.nics)+1),
+		failing:  make([]uint8, vcs+len(n.routers)+len(n.nics)+3),
 		foreign:  make(map[uint64]struct{}),
 		inflight: make([]int32, vcs),
 		seen:     make([]bitset, len(n.routers)),
@@ -280,12 +282,20 @@ func (c *InvariantChecker) endOfStep() {
 func (c *InvariantChecker) pass(audit bool) {
 	n := c.net
 	if audit {
+		held := 0 // pooled packets out, counted by their tails (see auditBooks)
 		for _, l := range n.links {
 			c.countLink(l)
+			for _, t := range l.flits {
+				held += pooledTail(t.flit)
+			}
 		}
 		for _, r := range n.routers {
 			for s := range r.vcFlat {
-				c.lookVC(&r.vcFlat[s], allRules)
+				v := &r.vcFlat[s]
+				c.lookVC(v, allRules)
+				for _, f := range v.buf {
+					held += pooledTail(f)
+				}
 			}
 			c.begin(len(c.inflight)+r.ID, allRules)
 			if r.active() && !n.awake.has(r.ID) {
@@ -306,15 +316,16 @@ func (c *InvariantChecker) pass(audit bool) {
 				c.flag(RuleWorklist, "terminal %d sleeps in the blocked set with %d packets queued (mid-injection: %v, busy: %v)", t, nic.QueueLen(), nic.cur != nil, busy)
 				continue
 			}
-			p := nic.queue[nic.head]
-			vcs := nic.router.in[nic.port][p.VNet*n.cfg.VCsPerVNet:][:n.cfg.VCsPerVNet]
+			q := &nic.ring[nic.head]
+			vcs := nic.router.in[nic.port][int(q.vnet)*n.cfg.VCsPerVNet:][:n.cfg.VCsPerVNet]
 			for k := range vcs {
-				if v := &vcs[k]; v.CanAccept(p.Length) {
+				if v := &vcs[k]; v.CanAccept(int(q.length)) {
 					c.flag(RuleWorklist, "terminal %d sleeps in the blocked set but r%d p%d vc%d has room for its next packet", t, v.router.ID, v.port, v.index)
 					break
 				}
 			}
 		}
+		c.auditBooks(held)
 	} else {
 		for w, word := range n.linkActive {
 			for ; word != 0; word &= word - 1 {
@@ -351,6 +362,42 @@ func (c *InvariantChecker) pass(audit bool) {
 	c.touched, c.buffered = c.touched[:0], 0
 	for _, s := range c.seen {
 		clear(s)
+	}
+}
+
+// pooledTail is 1 for the tail flit of a pooled packet, else 0: a pooled
+// packet is out of the free list until its tail is ejected.
+func pooledTail(f Flit) int {
+	if f.Pkt.pooled && f.IsTail() {
+		return 1
+	}
+	return 0
+}
+
+// auditBooks recounts the two tallies the engine keeps without looking:
+// the queued-packet counter, against the NICs' queues, and the packet pool's
+// packets out, against the ones held — heldInNetwork by a tail flit in a VC
+// or on a link, the rest by a NIC, as the packet it is injecting or its
+// materialised front. Each book is an entity of its own, so a drift in one
+// does not hide a later one in the other.
+func (c *InvariantChecker) auditBooks(heldInNetwork int) {
+	n := c.net
+	queued, held := 0, heldInNetwork
+	for _, nic := range n.nics {
+		queued += nic.QueueLen()
+		for _, p := range [...]*Packet{nic.cur, nic.front} {
+			if p != nil && p.pooled {
+				held++
+			}
+		}
+	}
+	c.begin(len(c.failing)-3, allRules)
+	if queued != n.queuedPackets {
+		c.flag(RuleConservation, "the source queues hold %d packets but the queued count is %d", queued, n.queuedPackets)
+	}
+	c.begin(len(c.failing)-2, allRules)
+	if out := len(n.pktChunks)*pktChunk - len(n.pktPool); out != held {
+		c.flag(RuleConservation, "%d pooled packets are off the free list but %d are held", out, held)
 	}
 }
 

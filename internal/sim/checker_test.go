@@ -265,8 +265,9 @@ func TestCheckerAuditsWorklists(t *testing.T) {
 
 // stallFixture is a 1-VC line whose only link VC at r1 holds a parked
 // packet, so traffic from terminal 0 backs up behind it: the first packet's
-// head blocks in r0's terminal VC and the next waits in the NIC. release
-// takes the parked packet away by hand.
+// head blocks in r0's terminal VC and the next waits in the NIC, its packet
+// drawn as its NIC's front. Both come from the pool, as a traffic source's
+// do. release takes the parked packet away by hand.
 func stallFixture(t *testing.T) (n *Network, head *VC, release func()) {
 	t.Helper()
 	n, err := NewNetwork(Config{Topology: lineTopology(t), Routing: nopRouting{}, VCsPerVNet: 1, VCDepth: 5})
@@ -282,7 +283,7 @@ func stallFixture(t *testing.T) (n *Network, head *VC, release func()) {
 	n.Router(1).FreezeVC(down)
 	n.Run(1) // the commit publishes the parked VC's snapshot
 	for i := 0; i < 2; i++ {
-		n.InjectPacket(0, PacketSpec{Dst: 1, Length: 5})
+		n.generate(0, PacketSpec{Dst: 1, Length: 5})
 	}
 	n.Run(8)
 	return n, n.Router(0).VC(0, 0), func() {
@@ -367,6 +368,56 @@ func TestCheckerDetectsStaleNICBlocked(t *testing.T) {
 	n.nicBlocked.set(0)
 	if vs := n.CheckStructural(); len(vs) != 1 || vs[0].Rule != RuleWorklist {
 		t.Fatalf("idle NIC in the blocked set not flagged as one %s violation: %v", RuleWorklist, vs)
+	}
+}
+
+// The two tests below break one of the tallies the audit recounts, between
+// two audits of stallFixture's traffic, and require the next audit to name it.
+
+// TestCheckerDetectsQueuedCountDrift: QueuedPackets is kept incrementally;
+// the audit recounts the NIC queues.
+func TestCheckerDetectsQueuedCountDrift(t *testing.T) {
+	n, _, _ := stallFixture(t)
+	n.Run(2*auditEvery - n.now)
+	if n.QueuedPackets() != 1 || len(n.checker.violations) != 0 {
+		t.Fatalf("fixture has %d packets queued, want 1; violations %v", n.QueuedPackets(), n.checker.violations)
+	}
+	n.queuedPackets++ // a push counted twice
+	n.Step()
+	if vs := n.checker.violations; len(vs) != 1 || !recorded(n.checker, RuleConservation, 2*auditEvery) {
+		t.Fatalf("queued counter drift not flagged as one %s violation by the audit: %v", RuleConservation, vs)
+	}
+}
+
+// TestCheckerDetectsHeldPacketOnFreeList: the pool remembers chunks, not
+// packets; the audit counts the pooled packets held (by their tails, and
+// NICs' packets not yet injected) against those off the free list.
+func TestCheckerDetectsHeldPacketOnFreeList(t *testing.T) {
+	n, _, _ := stallFixture(t)
+	n.Run(2*auditEvery - n.now)
+	front := n.nics[0].front
+	if front == nil || !front.pooled || len(n.checker.violations) != 0 {
+		t.Fatalf("fixture's NIC holds no pooled front packet (%v); violations %v", front, n.checker.violations)
+	}
+	n.pktPool = append(n.pktPool, front) // a recycle of a packet still held
+	n.Step()
+	if vs := n.checker.violations; len(vs) != 1 || !recorded(n.checker, RuleConservation, 2*auditEvery) {
+		t.Fatalf("held packet on the free list not flagged as one %s violation by the audit: %v", RuleConservation, vs)
+	}
+}
+
+// TestCheckerReportsEachBookDrift: the two books are looked at as separate
+// entities, so a pool drift that starts while the queued count is still off
+// gets a report of its own.
+func TestCheckerReportsEachBookDrift(t *testing.T) {
+	n, _, _ := stallFixture(t)
+	n.Run(2*auditEvery - n.now)
+	n.queuedPackets++
+	n.Step()
+	n.pktPool = append(n.pktPool, n.nics[0].front)
+	n.Run(auditEvery)
+	if vs := n.checker.violations; len(vs) != 2 || !recorded(n.checker, RuleConservation, 3*auditEvery) {
+		t.Fatalf("pool drift under a standing queued-count drift not flagged by the next audit: %v", vs)
 	}
 }
 

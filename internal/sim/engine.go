@@ -109,7 +109,7 @@ func (n *Network) phase1() {
 			word &^= 1 << uint(b)
 			nic := n.nics[w*64+b]
 			nic.injectStep(n)
-			if nic.cur == nil && nic.head == len(nic.queue) {
+			if nic.cur == nil && nic.size == 0 {
 				n.nicBusy.clear(w*64 + b)
 			}
 		}

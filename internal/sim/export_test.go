@@ -44,9 +44,9 @@ func PermutePhase2(n *Network, f func([]*Router)) { n.permute = f }
 // packets the chunks hold that Reset puts back on it.
 func PooledPackets(n *Network) (free, owned int) { return len(n.pktPool), len(n.pktChunks) * pktChunk }
 
-// InjectPooled queues a packet at src the way the traffic path does: taken
-// from the free list.
-func InjectPooled(n *Network, src int, spec PacketSpec) { n.inject(src, spec, true) }
+// InjectPooled queues a packet at src the way the traffic path does: as a
+// record, whose packet is drawn from the free list at the front.
+func InjectPooled(n *Network, src int, spec PacketSpec) { n.generate(src, spec) }
 
 // FlitsOnLinks counts the flits in flight between routers.
 func FlitsOnLinks(n *Network) (k int) {

@@ -47,9 +47,9 @@ type Packet struct {
 	// Checksum is an end-to-end payload integrity token.
 	Checksum uint64
 
-	// pooled marks packets owned by the engine's free list: created by the
-	// internal traffic-generation path and recycled on tail ejection when
-	// no observer could retain the pointer.
+	// pooled marks packets owned by the engine's free list: drawn when a
+	// traffic source's queued record reaches the front of its NIC and
+	// recycled on tail ejection.
 	pooled bool
 }
 

@@ -157,6 +157,12 @@ type Network struct {
 	// time: Reset puts every packet of them back on pktPool, wherever the
 	// last run left it.
 	pktChunks [][]Packet
+	// srcPkt is the scratch packet AtSource decides on when a packet is
+	// generated: only its record is queued (see NIC).
+	srcPkt Packet
+	// extPkts are InjectPacket's packets still queued at their source, by
+	// ID: the caller holds them, so they travel as they are.
+	extPkts map[uint64]*Packet
 
 	injectTerm int
 	injectFn   func(PacketSpec)
@@ -270,7 +276,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		rngs[i] = rand.New(&srcs[i])
 	}
 	n.routerRNG, n.termRNG = rngs[:len(routers)], rngs[len(routers):]
-	n.injectFn = func(spec PacketSpec) { n.inject(n.injectTerm, spec, true) }
+	n.injectFn = func(spec PacketSpec) { n.generate(n.injectTerm, spec) }
 	return n, n.Reset(cfg) // cannot fail: cfg is valid and of the network's own shape
 }
 
@@ -306,6 +312,7 @@ func (n *Network) Reset(cfg Config) error {
 	for _, chunk := range n.pktChunks {
 		n.freeChunk(chunk)
 	}
+	clear(n.extPkts)
 	for _, l := range n.links {
 		for _, t := range l.sms {
 			n.freeSM(t.sm)
@@ -313,7 +320,7 @@ func (n *Network) Reset(cfg Config) error {
 		*l = link{topo: l.topo, index: l.index, dst: l.dst, global: l.global, flits: rewind(l.flits), sms: rewind(l.sms)}
 	}
 	for t, nic := range n.nics {
-		*nic = NIC{term: t, router: nic.router, port: nic.port, queue: rewind(nic.queue)}
+		*nic = NIC{term: t, router: nic.router, port: nic.port, ring: nic.ring}
 		n.termRNG[t].Seed(EntitySeed(cfg.Seed, TerminalKey(t)))
 	}
 	for i, r := range n.routers {
@@ -381,20 +388,8 @@ func (n *Network) TerminalRNG(t int) *rand.Rand { return n.termRNG[t] }
 func (n *Network) InFlight() int { return n.inNetwork }
 
 // QueuedPackets reports packets waiting in NIC source queues. The count
-// is maintained incrementally at push/pop; RecountQueuedPackets is the
-// brute-force cross-check.
+// is maintained incrementally at push/pop; the checker's audit recounts it.
 func (n *Network) QueuedPackets() int { return n.queuedPackets }
-
-// RecountQueuedPackets recomputes QueuedPackets by scanning every NIC —
-// the original O(terminals) accessor, kept for auditing the incremental
-// counter.
-func (n *Network) RecountQueuedPackets() int {
-	total := 0
-	for _, nic := range n.nics {
-		total += nic.QueueLen()
-	}
-	return total
-}
 
 // SetAgent installs a deadlock agent on a router (called by schemes).
 func (n *Network) SetAgent(router int, a Agent) {
@@ -412,15 +407,35 @@ func (n *Network) vcIndex(v *VC) int { return int(n.vcBase[v.router.ID]) + int(v
 // routing algorithm's source hook. Tests and examples use it directly;
 // traffic goes through Config.Traffic.
 func (n *Network) InjectPacket(src int, spec PacketSpec) *Packet {
-	// Packets injected through the public API are never pooled: the caller
-	// holds the pointer, past ejection if it likes.
-	return n.inject(src, spec, false)
+	// The caller holds the pointer, past ejection if it likes: the packet
+	// is never pooled, and it is the one that travels.
+	id, q := n.enqueue(src, spec, true)
+	p := new(Packet)
+	n.fillPacket(p, src, id, &q)
+	if n.extPkts == nil {
+		n.extPkts = make(map[uint64]*Packet)
+	}
+	n.extPkts[id] = p
+	return p
 }
 
-// inject creates (or recycles) a packet and enqueues it at src's NIC.
-// Pooled packets come from — and on ejection return to — the free list;
-// the engine's own traffic-generation path uses them.
-func (n *Network) inject(src int, spec PacketSpec, pooled bool) *Packet {
+// generate enqueues a packet a traffic source asked for at src. Its
+// record alone is queued; the NIC draws a pooled packet for it when it
+// reaches the front.
+func (n *Network) generate(src int, spec PacketSpec) { n.enqueue(src, spec, false) }
+
+// packetID is the ID of terminal src's packet number seq. IDs interleave
+// per-terminal sequence numbers: unique, nonzero, and independent of the
+// generation order across terminals.
+func (n *Network) packetID(src int, seq int64) uint64 {
+	return uint64(seq)*uint64(len(n.nics)) + uint64(src) + 1
+}
+
+// enqueue queues the record of src's next packet, an InjectPacket one if
+// ext, and returns the packet's ID and record. AtSource decides its
+// intermediate on srcPkt, which carries only the fields a routing reads
+// there.
+func (n *Network) enqueue(src int, spec PacketSpec, ext bool) (uint64, queued) {
 	if spec.Length <= 0 || spec.Length > MaxPktLen {
 		panic(fmt.Sprintf("sim: packet length %d outside (0,%d]", spec.Length, MaxPktLen))
 	}
@@ -428,43 +443,52 @@ func (n *Network) inject(src int, spec PacketSpec, pooled bool) *Packet {
 		panic(fmt.Sprintf("sim: vnet %d out of range", spec.VNet))
 	}
 	nic := n.nics[src]
-	// Packet IDs interleave per-terminal sequence numbers: unique, nonzero,
-	// and independent of the generation order across terminals.
-	id := uint64(nic.pktSeq)*uint64(len(n.nics)) + uint64(src) + 1
+	id := n.packetID(src, nic.pktSeq)
 	nic.pktSeq++
-	var p *Packet
-	if pooled {
-		if len(n.pktPool) == 0 {
-			n.growPktPool()
-		}
-		k := len(n.pktPool) - 1
-		p = n.pktPool[k]
-		n.pktPool[k] = nil
-		n.pktPool = n.pktPool[:k]
-	} else {
-		p = new(Packet)
-	}
-	*p = Packet{
-		ID:           id,
-		Src:          src,
-		Dst:          spec.Dst,
-		SrcRouter:    n.cfg.Topology.TerminalRouter(src),
-		DstRouter:    n.cfg.Topology.TerminalRouter(spec.Dst),
-		VNet:         spec.VNet,
-		Length:       spec.Length,
-		GenCycle:     n.now,
-		Intermediate: -1,
-		pooled:       pooled,
-	}
-	p.Checksum = checksumFor(p.ID, p.Src, p.Dst, p.Length)
-	n.cfg.Routing.AtSource(n.routers[p.SrcRouter], p)
-	nic.push(p)
+	p := &n.srcPkt
+	*p = Packet{SrcRouter: nic.router.ID, DstRouter: n.cfg.Topology.TerminalRouter(spec.Dst),
+		VNet: spec.VNet, Length: spec.Length, Intermediate: -1}
+	n.cfg.Routing.AtSource(nic.router, p)
+	q := queued{gen: uint32(n.now), dst: int32(spec.Dst), intermediate: int32(p.Intermediate),
+		length: uint8(spec.Length), vnet: uint8(spec.VNet), ext: ext}
+	nic.push(q)
 	n.nicBusy.set(src)
 	n.queuedPackets++
 	if n.wants(EvPacketQueued) {
 		n.emit(Event{Cycle: n.now, Kind: EvPacketQueued, Router: p.SrcRouter,
-			Packet: p.ID, Src: p.Src, Dst: p.Dst, VNet: p.VNet, Len: p.Length})
+			Packet: id, Src: src, Dst: spec.Dst, VNet: spec.VNet, Len: spec.Length})
 	}
+	return id, q
+}
+
+// fillPacket makes p terminal src's packet id as its queued record q
+// describes it, at or after the cycle q was queued in.
+func (n *Network) fillPacket(p *Packet, src int, id uint64, q *queued) {
+	dst, length := int(q.dst), int(q.length)
+	*p = Packet{
+		ID:           id,
+		Src:          src,
+		Dst:          dst,
+		SrcRouter:    n.nics[src].router.ID,
+		DstRouter:    n.cfg.Topology.TerminalRouter(dst),
+		VNet:         int(q.vnet),
+		Length:       length,
+		GenCycle:     n.now - int64(uint32(n.now)-q.gen),
+		Intermediate: int(q.intermediate),
+		Checksum:     checksumFor(id, src, dst, length),
+		pooled:       !q.ext,
+	}
+}
+
+// allocPacket draws a packet from the free list, refilling it when empty.
+func (n *Network) allocPacket() *Packet {
+	if len(n.pktPool) == 0 {
+		n.growPktPool()
+	}
+	k := len(n.pktPool) - 1
+	p := n.pktPool[k]
+	n.pktPool[k] = nil
+	n.pktPool = n.pktPool[:k]
 	return p
 }
 

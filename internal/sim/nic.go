@@ -4,51 +4,79 @@ package sim
 // into the attached router's terminal-port VCs (one flit per cycle) and a
 // stall-free sink for ejected flits.
 //
-// The queue is a sliding ring over one backing array: pops advance head
-// instead of reslicing the front away, so a steady-state queue reuses its
-// capacity instead of reallocating on every push.
+// The source queue holds no packets. Each generated packet waits as a
+// queued record in a power-of-two ring that Reset keeps; only the front
+// one becomes a *Packet, when the NIC first tries to inject it (pickVC and
+// the scheme's injection filter need one). Live packets are therefore
+// bounded by what the network can hold, not by the backlog.
 type NIC struct {
 	term   int
 	router *Router
 	port   int // terminal input port at the router
 
-	queue  []*Packet
-	head   int // index of the front packet in queue
-	cur    *Packet
-	curVC  *VC
-	curSeq int
+	ring       []queued // power-of-two length
+	head, size uint32   // ring index of the front record; records queued
+	front      *Packet  // the front record's packet, once materialised
+	cur        *Packet
+	curVC      *VC
+	curSeq     int
 
-	// pktSeq counts packets injected at this terminal; packet IDs are
+	// pktSeq counts packets generated at this terminal; packet IDs are
 	// derived from it (interleaved across terminals) so they are unique and
-	// independent of the cross-terminal generation order.
+	// independent of the cross-terminal generation order. The front
+	// record's packet is number pktSeq-size.
 	pktSeq int64
 }
 
-// QueueLen reports the number of packets waiting at the source, including
-// the one mid-injection.
-func (n *NIC) QueueLen() int { return len(n.queue) - n.head }
+// queued is a packet waiting at its source: what the traffic source and
+// the routing's AtSource decided, and nothing the terminal already knows.
+type queued struct {
+	// gen is GenCycle's low 32 bits: a record waits less than 2^32 cycles,
+	// so the cycle it reaches the front at gives back the rest.
+	gen          uint32
+	dst          int32
+	intermediate int32
+	length, vnet uint8
+	// ext marks an InjectPacket packet: the caller holds its *Packet, which
+	// waits in Network.extPkts under its ID.
+	ext bool
+}
 
-// push enqueues a freshly generated packet.
-func (n *NIC) push(p *Packet) { n.queue = append(n.queue, p) }
+// QueueLen reports the number of packets waiting at the source, not
+// counting the one mid-injection.
+func (n *NIC) QueueLen() int { return int(n.size) }
 
-// pop removes and returns the front packet.
-func (n *NIC) pop() *Packet {
-	p := n.queue[n.head]
-	n.queue[n.head] = nil
-	n.head++
-	if n.head == len(n.queue) {
-		n.queue = n.queue[:0]
-		n.head = 0
-	} else if n.head >= 32 && n.head*2 >= len(n.queue) {
-		// Compact once the dead prefix dominates, keeping pushes O(1)
-		// amortised without unbounded growth of the backing array.
-		kept := copy(n.queue, n.queue[n.head:])
-		for i := kept; i < len(n.queue); i++ {
-			n.queue[i] = nil
-		}
-		n.queue = n.queue[:kept]
-		n.head = 0
+// push enqueues a freshly generated packet's record, doubling the ring
+// when it is full.
+func (n *NIC) push(q queued) {
+	if int(n.size) == len(n.ring) {
+		ring := make([]queued, max(1, 2*len(n.ring)))
+		k := copy(ring, n.ring[n.head:])
+		copy(ring[k:], n.ring[:n.head])
+		n.ring, n.head = ring, 0
 	}
+	n.ring[(n.head+n.size)&uint32(len(n.ring)-1)] = q
+	n.size++
+}
+
+// pop drops the front record.
+func (n *NIC) pop() {
+	n.head = (n.head + 1) & uint32(len(n.ring)-1)
+	n.size--
+}
+
+// materialise returns the front record's packet: the caller's own for an
+// InjectPacket record, else one drawn from the free list and filled in.
+func (n *NIC) materialise(net *Network) *Packet {
+	q := &n.ring[n.head]
+	id := net.packetID(n.term, n.pktSeq-int64(n.size))
+	if q.ext {
+		p := net.extPkts[id]
+		delete(net.extPkts, id)
+		return p
+	}
+	p := net.allocPacket()
+	net.fillPacket(p, n.term, id, q)
 	return p
 }
 
@@ -58,10 +86,13 @@ func (n *NIC) pop() *Packet {
 func (n *NIC) injectStep(net *Network) {
 	now := net.now
 	if n.cur == nil {
-		if n.head == len(n.queue) {
+		if n.size == 0 {
 			return
 		}
-		p := n.queue[n.head]
+		if n.front == nil {
+			n.front = n.materialise(net)
+		}
+		p := n.front
 		v, full := n.pickVC(net, p)
 		if v == nil {
 			if full {
@@ -73,7 +104,7 @@ func (n *NIC) injectStep(net *Network) {
 		}
 		n.pop()
 		net.queuedPackets--
-		n.cur, n.curVC, n.curSeq = p, v, 0
+		n.cur, n.curVC, n.curSeq, n.front = p, v, 0, nil
 		p.InjectCycle = now
 		net.inNetwork++
 		v.reserve(p, now, false)

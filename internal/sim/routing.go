@@ -45,9 +45,13 @@ type RoutingAlgorithm interface {
 	// not return an empty slice for a deliverable packet. Ejection is
 	// handled by the engine before Route is consulted.
 	Route(r *Router, inPort int, p *Packet, buf []PortRequest) []PortRequest
-	// AtSource runs once when p is created, before injection, letting
-	// source-routed decisions (UGAL, FAvORS non-minimal) annotate the
-	// packet (intermediate router, phase). r is the source router.
+	// AtSource runs once when p is generated, before it is queued, letting
+	// source-routed decisions (UGAL, FAvORS non-minimal) pick p's
+	// intermediate router. r is the source router. p is the network's
+	// scratch: it carries SrcRouter, DstRouter, VNet and Length, with
+	// Intermediate -1, and nothing else yet. AtSource may read those and
+	// set only p.Intermediate, the one field queued with the packet, and it
+	// must not keep p.
 	AtSource(r *Router, p *Packet)
 }
 
