@@ -93,9 +93,9 @@ func BenchmarkFig3(b *testing.B) {
 			b.Fatal(err)
 		}
 		min := 0.0
-		for _, e := range res.Entries {
-			if e.MinRate > 0 && (min == 0 || e.MinRate < min) {
-				min = e.MinRate
+		for _, rate := range res.Column("min_deadlock_rate") {
+			if rate > 0 && (min == 0 || rate < min) {
+				min = rate
 			}
 		}
 		b.ReportMetric(min, "min_deadlock_rate")
@@ -130,7 +130,8 @@ func BenchmarkFig8a(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.GeoMean(), "edp_geomean_vs_escape")
+		edp := res.Column("normalized_edp") // the last row is the geomean
+		b.ReportMetric(edp[len(edp)-1], "edp_geomean_vs_escape")
 	}
 }
 
@@ -140,7 +141,7 @@ func BenchmarkFig8b(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Entries[2].SMAll, "sm_util_high_load")
+		b.ReportMetric(res.Column("sm_all")[2], "sm_util_high_load")
 	}
 }
 
@@ -150,20 +151,20 @@ func BenchmarkFig9(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var spins int64
-		for _, e := range res.Entries {
-			spins += e.Spins
+		var spins float64
+		for _, n := range res.Column("spins") {
+			spins += n
 		}
-		b.ReportMetric(float64(spins), "total_spins")
+		b.ReportMetric(spins, "total_spins")
 	}
 }
 
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := exp.Fig10()
-		for _, e := range res.Entries {
-			if e.Design == "spin" {
-				b.ReportMetric(e.Normalized-1, "spin_area_overhead")
+		for i, v := range res.Column("vs_westfirst") {
+			if res.Rows[i].Key[0] == "spin" {
+				b.ReportMetric(v-1, "spin_area_overhead")
 			}
 		}
 	}
@@ -172,7 +173,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkCosts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := exp.Costs()
-		b.ReportMetric(c.Rows[0].AreaSave1v3, "mesh_area_save_1v3")
+		b.ReportMetric(c.Column("area_save_1v3")[0], "mesh_area_save_1v3")
 	}
 }
 
@@ -235,7 +236,7 @@ func BenchmarkExtensionTorus(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.SPIN[0], "spin_lowload_latency")
+		b.ReportMetric(res.Column("spin")[0], "spin_lowload_latency")
 	}
 }
 
@@ -246,6 +247,7 @@ func BenchmarkExtensionDeflection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.AvgDeflect[len(res.AvgDeflect)-1], "deflects_per_flit_high_load")
+		d := res.Column("deflects_per_flit")
+		b.ReportMetric(d[len(d)-1], "deflects_per_flit_high_load")
 	}
 }

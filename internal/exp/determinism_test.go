@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -61,12 +62,12 @@ func TestFig3DeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Entries) != len(again.Entries) {
+	if len(base.Rows) != len(again.Rows) {
 		t.Fatal("entry count differs across worker counts")
 	}
-	for i := range base.Entries {
-		if base.Entries[i] != again.Entries[i] {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, base.Entries[i], again.Entries[i])
+	for i := range base.Rows {
+		if !reflect.DeepEqual(base.Rows[i], again.Rows[i]) {
+			t.Fatalf("entry %d differs: %+v vs %+v", i, base.Rows[i], again.Rows[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package exp regenerates every table and figure of the paper's
 // evaluation (Section VI). Each Fig*/Table* function runs the relevant
-// simulations and returns a structured, printable result; cmd/spinsweep
+// simulations and returns a printable result: a figure's numbers are
+// either latency curves (Figures, Fig. 6/7) or one Table; cmd/spinsweep
 // and the repository benchmarks are thin wrappers around this package.
 //
 // The sweeps are embarrassingly parallel — each simulation point is a
@@ -20,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -191,6 +193,79 @@ func (f *Figure) String() string {
 				fmt.Fprintf(&b, " %20.4g", y)
 			} else {
 				fmt.Fprintf(&b, " %20s", "-")
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// Table is the one shape of every figure that is not a latency curve:
+// rows of measurements named by their sweep coordinates. The first
+// len(Key) Columns name a row's Key cells (numeric coordinates written
+// with %g, as pointKey writes them); the rest name its Values.
+type Table struct {
+	Title   string
+	Columns []string
+	Rows    []Row
+}
+
+// Row is one sweep point of a Table.
+type Row struct {
+	Key    []string
+	Values []float64
+}
+
+// Column returns the values of the named measurement column, one per row
+// (nil when no measurement column has that name).
+func (t *Table) Column(name string) []float64 {
+	i := slices.Index(t.Columns, name)
+	if i < 0 {
+		return nil
+	}
+	var out []float64
+	for _, r := range t.Rows {
+		if i < len(r.Key) {
+			return nil
+		}
+		out = append(out, r.Values[i-len(r.Key)])
+	}
+	return out
+}
+
+// String renders the table: the title, a header, then one line per row,
+// key cells left-aligned and values (%.4g) right-aligned in columns as
+// wide as their widest cell.
+func (t *Table) String() string {
+	lines := [][]string{t.Columns}
+	for _, r := range t.Rows {
+		line := slices.Clone(r.Key)
+		for _, v := range r.Values {
+			line = append(line, fmt.Sprintf("%.4g", v))
+		}
+		lines = append(lines, line)
+	}
+	width := make([]int, len(t.Columns))
+	for _, line := range lines {
+		for i, c := range line {
+			width[i] = max(width[i], len(c))
+		}
+	}
+	keys := 0
+	if len(t.Rows) > 0 {
+		keys = len(t.Rows[0].Key)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "# %s\n", t.Title)
+	for _, line := range lines {
+		for i, c := range line {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			if i < keys {
+				fmt.Fprintf(&b, "%-*s", width[i], c)
+			} else {
+				fmt.Fprintf(&b, "%*s", width[i], c)
 			}
 		}
 		b.WriteByte('\n')

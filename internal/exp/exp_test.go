@@ -23,14 +23,14 @@ func TestFig3SmokeAndShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Entries) == 0 {
+	if len(res.Rows) == 0 {
 		t.Fatal("no entries")
 	}
 	// Shape: deadlocks require far more than real-application load
 	// (~0.01-0.05 flits/node/cycle) whenever they occur at all.
-	for _, e := range res.Entries {
-		if e.MinRate != 0 && e.MinRate < 0.02 {
-			t.Fatalf("%s/%s deadlocks at %.3f — below any plausible onset", e.Topology, e.Pattern, e.MinRate)
+	for i, min := range res.Column("min_deadlock_rate") {
+		if min != 0 && min < 0.02 {
+			t.Fatalf("%v deadlocks at %.3f — below any plausible onset", res.Rows[i].Key, min)
 		}
 	}
 	if !strings.Contains(res.String(), "Fig. 3") {
@@ -113,12 +113,17 @@ func TestFig8aSmokeAndShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Entries) < 10 {
-		t.Fatalf("expected the full PARSEC suite, got %d", len(res.Entries))
+	// One row per benchmark, then the geometric mean.
+	if len(res.Rows) < 11 {
+		t.Fatalf("expected the full PARSEC suite, got %d", len(res.Rows)-1)
+	}
+	last := res.Rows[len(res.Rows)-1]
+	if last.Key[0] != "geomean" {
+		t.Fatalf("last row is %v, want the geomean", last.Key)
 	}
 	// Shape: the 2-VC SPIN router is cheaper at equal delivered traffic,
 	// so normalised EDP should be below ~1 on average (paper: 0.82).
-	gm := res.GeoMean()
+	gm := last.Values[0]
 	if gm <= 0 || gm >= 1.05 {
 		t.Fatalf("geomean normalised EDP = %.3f, expected < 1", gm)
 	}
@@ -132,21 +137,21 @@ func TestFig8bSmokeAndShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Entries) != 3 {
+	if len(res.Rows) != 3 {
 		t.Fatal("want 3 load points")
 	}
-	low, high := res.Entries[0], res.Entries[2]
-	if low.Flit >= high.Flit && high.Flit > 0.0 {
+	flit, idle := res.Column("flit"), res.Column("idle")
+	if flit[0] >= flit[2] && flit[2] > 0.0 {
 		// At low load links are mostly idle.
-		t.Fatalf("flit utilisation should grow with load: %.3f -> %.3f", low.Flit, high.Flit)
+		t.Fatalf("flit utilisation should grow with load: %.3f -> %.3f", flit[0], flit[2])
 	}
-	if low.Idle < 0.9 {
-		t.Fatalf("links should be ~idle at 0.01 load, got idle=%.3f", low.Idle)
+	if idle[0] < 0.9 {
+		t.Fatalf("links should be ~idle at 0.01 load, got idle=%.3f", idle[0])
 	}
 	// The paper's key claim: SM utilisation stays below a few percent.
-	for i, u := range res.Entries {
-		if u.SMAll > 0.05 {
-			t.Fatalf("SM link utilisation %.3f at rate %.2f exceeds 5%%", u.SMAll, res.Rates[i])
+	for i, sm := range res.Column("sm_all") {
+		if sm > 0.05 {
+			t.Fatalf("SM link utilisation %.3f at rate %s exceeds 5%%", sm, res.Rows[i].Key[0])
 		}
 	}
 }
@@ -159,12 +164,13 @@ func TestFig9SmokeAndShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Entries) != 20 {
-		t.Fatalf("want 4 setups x 5 rates = 20 entries, got %d", len(res.Entries))
+	if len(res.Rows) != 20 {
+		t.Fatalf("want 4 setups x 5 rates = 20 entries, got %d", len(res.Rows))
 	}
-	for _, e := range res.Entries {
-		if e.FalsePositives > e.Spins {
-			t.Fatalf("false positives (%d) exceed spins (%d)", e.FalsePositives, e.Spins)
+	spins := res.Column("spins")
+	for i, fp := range res.Column("false_positives") {
+		if fp > spins[i] {
+			t.Fatalf("false positives (%g) exceed spins (%g)", fp, spins[i])
 		}
 	}
 }
@@ -172,8 +178,8 @@ func TestFig9SmokeAndShape(t *testing.T) {
 func TestFig10Shape(t *testing.T) {
 	res := Fig10()
 	byName := map[string]float64{}
-	for _, e := range res.Entries {
-		byName[e.Design] = e.Normalized
+	for i, v := range res.Column("vs_westfirst") {
+		byName[res.Rows[i].Key[0]] = v
 	}
 	if byName["westfirst"] != 1.0 {
 		t.Fatal("baseline not normalised to 1")
@@ -194,9 +200,9 @@ func TestCosts(t *testing.T) {
 	if len(c.Rows) != 2 {
 		t.Fatal("want mesh + dragonfly rows")
 	}
-	for _, r := range c.Rows {
-		if r.AreaSave1v3 < 0.40 || r.AreaSave1v3 > 0.65 {
-			t.Fatalf("%s 1v3 area saving %.2f out of the paper's ballpark", r.Topology, r.AreaSave1v3)
+	for i, save := range c.Column("area_save_1v3") {
+		if save < 0.40 || save > 0.65 {
+			t.Fatalf("%s 1v3 area saving %.2f out of the paper's ballpark", c.Rows[i].Key[0], save)
 		}
 	}
 	if c.String() == "" {
@@ -244,12 +250,12 @@ func TestTorusExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bubble) != len(res.Rates) || len(res.SPIN) != len(res.Rates) {
+	if len(res.Rows) != 4 {
 		t.Fatal("missing points")
 	}
-	for i := range res.Rates {
-		if res.Bubble[i] <= 0 || res.SPIN[i] <= 0 {
-			t.Fatalf("zero latency at rate %.2f", res.Rates[i])
+	for _, r := range res.Rows {
+		if len(r.Values) != 2 || r.Values[0] <= 0 || r.Values[1] <= 0 {
+			t.Fatalf("zero latency at rate %s", r.Key[0])
 		}
 	}
 	if res.String() == "" {
@@ -265,12 +271,12 @@ func TestDeflectionExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Deflection) != len(res.Rates) {
+	if len(res.Rows) != 4 {
 		t.Fatal("missing points")
 	}
 	// Shape: deflections per flit grow with load.
-	if res.AvgDeflect[len(res.AvgDeflect)-1] <= res.AvgDeflect[0] {
-		t.Fatalf("deflections should grow with load: %v", res.AvgDeflect)
+	if d := res.Column("deflects_per_flit"); d[len(d)-1] <= d[0] {
+		t.Fatalf("deflections should grow with load: %v", d)
 	}
 	if res.String() == "" {
 		t.Fatal("empty render")
@@ -290,6 +296,30 @@ func TestFigureRendering(t *testing.T) {
 	out := f.String()
 	if !strings.Contains(out, "# t") || !strings.Contains(out, "a") || !strings.Contains(out, "-") {
 		t.Fatalf("render missing pieces:\n%s", out)
+	}
+}
+
+func TestTableRendering(t *testing.T) {
+	tb := &Table{
+		Title:   "t",
+		Columns: []string{"topology", "rate", "latency", "spins"},
+		Rows: []Row{
+			{Key: []string{"mesh", "0.05"}, Values: []float64{12.345678, 3}},
+			{Key: []string{"dragonfly", "0.1"}, Values: []float64{1e6, 0}},
+		},
+	}
+	want := "# t\n" +
+		"topology   rate  latency  spins\n" +
+		"mesh       0.05    12.35      3\n" +
+		"dragonfly  0.1     1e+06      0\n"
+	if got := tb.String(); got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
+	}
+	if got := tb.Column("latency"); !reflect.DeepEqual(got, []float64{12.345678, 1e6}) {
+		t.Fatalf("latency column %v", got)
+	}
+	if tb.Column("rate") != nil || tb.Column("nope") != nil {
+		t.Fatal("a key column or an unknown name read as a measurement column")
 	}
 }
 

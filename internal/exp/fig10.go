@@ -1,102 +1,53 @@
 package exp
 
-import (
-	"fmt"
-	"strings"
+import "repro/internal/power"
 
-	"repro/internal/power"
-)
-
-// Fig10Result is the router-area comparison of the deadlock-freedom
-// designs, normalised to the west-first baseline (Fig. 10).
-type Fig10Result struct {
-	Entries []Fig10Entry
-}
-
-// Fig10Entry is one design bar.
-type Fig10Entry struct {
-	Design     string
-	Area       float64
-	Normalized float64
-}
-
-// String renders the result.
-func (r *Fig10Result) String() string {
-	var b strings.Builder
-	b.WriteString("# Fig. 10: router area normalised to West-first (mesh design points)\n")
-	fmt.Fprintf(&b, "%-22s %12s %12s\n", "design", "area", "vs westfirst")
-	for _, e := range r.Entries {
-		fmt.Fprintf(&b, "%-22s %12.0f %12.3f\n", e.Design, e.Area, e.Normalized)
-	}
-	return b.String()
-}
-
-// Fig10 evaluates the analytical area model at the paper's design points:
-// the west-first router (no scheme hardware), the same router with SPIN's
-// modules, the Static Bubble router, and the escape-VC router (one extra
-// VC plus escape state).
-func Fig10() *Fig10Result {
+// Fig10 is the router-area comparison of the deadlock-freedom designs,
+// normalised to the west-first baseline (Fig. 10). It evaluates the
+// analytical area model at the paper's design points: the west-first
+// router (no scheme hardware), the same router with SPIN's modules, the
+// Static Bubble router, and the escape-VC router (one extra VC plus escape
+// state).
+func Fig10() *Table {
 	t := power.Default()
-	base := power.RouterArea(t, power.MeshRouter(1, power.SchemeNone)).Total()
-	entries := []Fig10Entry{
-		{Design: "westfirst", Area: base},
-		{Design: "spin", Area: power.RouterArea(t, power.MeshRouter(1, power.SchemeSPIN)).Total()},
-		{Design: "static_bubble", Area: power.RouterArea(t, power.MeshRouter(1, power.SchemeStaticBubble)).Total()},
-		{Design: "escape_vc", Area: power.RouterArea(t, power.MeshRouter(2, power.SchemeEscapeVC)).Total()},
+	area := func(vcs int, k power.SchemeKind) float64 {
+		return power.RouterArea(t, power.MeshRouter(vcs, k)).Total()
 	}
-	res := &Fig10Result{}
-	for _, e := range entries {
-		e.Normalized = e.Area / base
-		res.Entries = append(res.Entries, e)
+	base := area(1, power.SchemeNone)
+	res := &Table{
+		Title:   "Fig. 10: router area normalised to West-first (mesh design points)",
+		Columns: []string{"design", "area", "vs_westfirst"},
+	}
+	for _, d := range []struct {
+		name string
+		area float64
+	}{
+		{"westfirst", base},
+		{"spin", area(1, power.SchemeSPIN)},
+		{"static_bubble", area(1, power.SchemeStaticBubble)},
+		{"escape_vc", area(2, power.SchemeEscapeVC)},
+	} {
+		res.Rows = append(res.Rows, Row{Key: []string{d.name}, Values: []float64{d.area, d.area / base}})
 	}
 	return res
 }
 
-// CostSummary reports the headline VC-cost savings (Sec. VI-C/D): 1-VC
-// router area and power relative to 2-VC and 3-VC, for mesh and
+// Costs reports the headline VC-cost savings (Sec. VI-C/D): 1-VC router
+// area and power relative to 2-VC and 3-VC, as fractions, for the mesh and
 // dragonfly design points.
-type CostSummary struct {
-	Rows []CostRow
-}
-
-// CostRow is one comparison.
-type CostRow struct {
-	Topology     string
-	AreaSave1v3  float64
-	AreaSave1v2  float64
-	PowerSave1v3 float64
-}
-
-// String renders the summary.
-func (c *CostSummary) String() string {
-	var b strings.Builder
-	b.WriteString("# VC cost: savings of a 1-VC router\n")
-	fmt.Fprintf(&b, "%-12s %14s %14s %14s\n", "topology", "area vs 3VC", "area vs 2VC", "power vs 3VC")
-	for _, r := range c.Rows {
-		fmt.Fprintf(&b, "%-12s %13.0f%% %13.0f%% %13.0f%%\n",
-			r.Topology, r.AreaSave1v3*100, r.AreaSave1v2*100, r.PowerSave1v3*100)
-	}
-	return b.String()
-}
-
-// Costs evaluates the headline savings.
-func Costs() *CostSummary {
+func Costs() *Table {
 	t := power.Default()
-	row := func(label string, mk func(int, power.SchemeKind) power.RouterConfig) CostRow {
+	row := func(label string, mk func(int, power.SchemeKind) power.RouterConfig) Row {
 		a1 := power.RouterArea(t, mk(1, power.SchemeNone)).Total()
 		a2 := power.RouterArea(t, mk(2, power.SchemeNone)).Total()
 		a3 := power.RouterArea(t, mk(3, power.SchemeNone)).Total()
 		p1 := power.RouterPower(t, mk(1, power.SchemeNone), 0.2)
 		p3 := power.RouterPower(t, mk(3, power.SchemeNone), 0.2)
-		return CostRow{
-			Topology:     label,
-			AreaSave1v3:  1 - a1/a3,
-			AreaSave1v2:  1 - a1/a2,
-			PowerSave1v3: 1 - p1/p3,
-		}
+		return Row{Key: []string{label}, Values: []float64{1 - a1/a3, 1 - a1/a2, 1 - p1/p3}}
 	}
-	return &CostSummary{Rows: []CostRow{
-		row("mesh", power.MeshRouter),
-		row("dragonfly", power.DragonflyRouter),
-	}}
+	return &Table{
+		Title:   "VC cost: savings of a 1-VC router (fractions)",
+		Columns: []string{"topology", "area_save_1v3", "area_save_1v2", "power_save_1v3"},
+		Rows:    []Row{row("mesh", power.MeshRouter), row("dragonfly", power.DragonflyRouter)},
+	}
 }

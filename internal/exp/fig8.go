@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 
 	spin "repro"
 	"repro/internal/power"
@@ -13,47 +12,15 @@ import (
 	"repro/internal/traffic"
 )
 
-// Fig8aResult holds the PARSEC network-EDP comparison: minimal adaptive
-// with 2 VCs under SPIN versus the escape-VC design with 3 VCs,
-// normalised to the escape-VC baseline per benchmark (Fig. 8a).
-type Fig8aResult struct {
-	Entries []Fig8aEntry
-}
-
-// Fig8aEntry is one benchmark bar.
-type Fig8aEntry struct {
-	Benchmark     string
-	NormalizedEDP float64 // SPIN-2VC EDP / EscapeVC-3VC EDP
-}
-
-// GeoMean reports the geometric mean of the normalised EDPs.
-func (r *Fig8aResult) GeoMean() float64 {
-	if len(r.Entries) == 0 {
-		return 0
-	}
-	prod := 1.0
-	for _, e := range r.Entries {
-		prod *= e.NormalizedEDP
-	}
-	return math.Pow(prod, 1/float64(len(r.Entries)))
-}
-
-// String renders the result.
-func (r *Fig8aResult) String() string {
-	var b strings.Builder
-	b.WriteString("# Fig. 8(a): network EDP, MinAdaptive-2VC-SPIN normalised to EscapeVC-3VC\n")
-	for _, e := range r.Entries {
-		fmt.Fprintf(&b, "%-16s %.3f\n", e.Benchmark, e.NormalizedEDP)
-	}
-	fmt.Fprintf(&b, "%-16s %.3f\n", "geomean", r.GeoMean())
-	return b.String()
-}
-
-// Fig8a runs each PARSEC profile through both configurations and combines
+// Fig8a is the PARSEC network-EDP comparison (Fig. 8a): minimal adaptive
+// with 2 VCs under SPIN versus the escape-VC design with 3 VCs, normalised
+// to the escape-VC baseline per benchmark, then their geometric mean.
+//
+// It runs each PARSEC profile through both configurations and combines
 // activity counters with the power model into network EDP. Each (app,
 // router configuration) run is one parallel job; the per-app ratio is
 // folded from the job results in suite order.
-func Fig8a(ctx context.Context, o Options) (*Fig8aResult, error) {
+func Fig8a(ctx context.Context, o Options) (*Table, error) {
 	o = o.withDefaults()
 	apps := traffic.PARSEC()
 	type variant struct {
@@ -81,15 +48,18 @@ func Fig8a(ctx context.Context, o Options) (*Fig8aResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig8aResult{}
-	for i, app := range apps {
-		spinEDP, escEDP := edps[2*i], edps[2*i+1]
-		if escEDP == 0 {
-			continue
-		}
-		res.Entries = append(res.Entries, Fig8aEntry{Benchmark: app.Name, NormalizedEDP: spinEDP / escEDP})
+	t := &Table{
+		Title:   "Fig. 8(a): network EDP, MinAdaptive-2VC-SPIN normalised to EscapeVC-3VC",
+		Columns: []string{"benchmark", "normalized_edp"},
 	}
-	return res, nil
+	prod := 1.0
+	for i, app := range apps {
+		edp := edps[2*i] / edps[2*i+1]
+		prod *= edp
+		t.Rows = append(t.Rows, Row{Key: []string{app.Name}, Values: []float64{edp}})
+	}
+	t.Rows = append(t.Rows, Row{Key: []string{"geomean"}, Values: []float64{math.Pow(prod, 1/float64(len(apps)))}})
+	return t, nil
 }
 
 // appEDP runs one application profile on one router configuration, the
@@ -126,36 +96,17 @@ func appEDP(ctx context.Context, app traffic.AppProfile, routing, scheme string,
 	return power.EDP(energy, lat), nil
 }
 
-// Fig8bResult is the link-utilisation breakdown at three load points
-// (Fig. 8b): flits, each SM class, idle.
-type Fig8bResult struct {
-	Rates   []float64
-	Entries []sim.LinkUtilisation
-}
-
-// String renders the result.
-func (r *Fig8bResult) String() string {
-	var b strings.Builder
-	b.WriteString("# Fig. 8(b): link utilisation, mesh 3VC MinAdaptive+SPIN, uniform random\n")
-	fmt.Fprintf(&b, "%-8s %8s %8s %8s %8s %8s %8s\n", "rate", "flit", "probe", "move", "pmove", "kill", "idle")
-	for i, rate := range r.Rates {
-		u := r.Entries[i]
-		fmt.Fprintf(&b, "%-8.2f %8.4f %8.4f %8.4f %8.4f %8.4f %8.4f\n",
-			rate, u.Flit, u.SM[0], u.SM[1], u.SM[2], u.SM[3], u.Idle)
-	}
-	return b.String()
-}
-
-// Fig8b measures link-cycle usage at low/medium/high load, one parallel
-// job per load point.
-func Fig8b(ctx context.Context, o Options) (*Fig8bResult, error) {
+// Fig8b is the link-utilisation breakdown at three load points (Fig. 8b):
+// flits, each SM class, all SMs, idle, as fractions of link-cycles. It
+// measures link-cycle usage at low/medium/high load, one parallel job per
+// load point.
+func Fig8b(ctx context.Context, o Options) (*Table, error) {
 	o = o.withDefaults()
-	res := &Fig8bResult{Rates: []float64{0.01, 0.2, 0.5}}
-	var jobs []runner.Job[sim.LinkUtilisation]
-	for _, rate := range res.Rates {
+	var jobs []runner.Job[Row]
+	for _, rate := range []float64{0.01, 0.2, 0.5} {
 		rate := rate
 		key := pointKey("fig8b", rate)
-		jobs = append(jobs, runner.Job[sim.LinkUtilisation]{Key: key, Run: func(ctx context.Context, _ int64) (sim.LinkUtilisation, error) {
+		jobs = append(jobs, runner.Job[Row]{Key: key, Run: func(ctx context.Context, _ int64) (Row, error) {
 			var u sim.LinkUtilisation
 			_, err := runPoint(ctx, spin.Config{
 				Topology:   o.meshSpec(),
@@ -166,13 +117,16 @@ func Fig8b(ctx context.Context, o Options) (*Fig8bResult, error) {
 				VNets:      3,
 				VCsPerVNet: 3,
 			}, key, o, false, func(s *spin.Simulation) { u = s.Network().LinkUtilisation() })
-			return u, err
+			return Row{Key: []string{fmt.Sprintf("%g", rate)}, Values: []float64{u.Flit, u.SM[0], u.SM[1], u.SM[2], u.SM[3], u.SMAll, u.Idle}}, err
 		}})
 	}
-	entries, err := runner.Run(ctx, o.runnerOpts(), jobs)
+	rows, err := runner.Run(ctx, o.runnerOpts(), jobs)
 	if err != nil {
 		return nil, err
 	}
-	res.Entries = entries
-	return res, nil
+	return &Table{
+		Title:   "Fig. 8(b): link utilisation, mesh 3VC MinAdaptive+SPIN, uniform random",
+		Columns: []string{"rate", "flit", "probe", "move", "probe_move", "kill_move", "sm_all", "idle"},
+		Rows:    rows,
+	}, nil
 }

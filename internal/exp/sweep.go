@@ -127,9 +127,9 @@ func DecodeSweepRequest(rd io.Reader) (Options, error) {
 	return r, nil
 }
 
-// Sweep dispatches one figure sweep. The result is the figure's own
-// structured type (every one prints with String and encodes with
-// EncodeJSON).
+// Sweep dispatches one figure sweep. The result is Figures for the
+// latency curves (Fig. 6/7) and a *Table for every other id; both print
+// with String and encode with EncodeJSON.
 func Sweep(ctx context.Context, fig string, o Options) (interface{}, error) {
 	switch fig {
 	case "3":

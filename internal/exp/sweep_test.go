@@ -14,17 +14,16 @@ import (
 
 	"repro/internal/power"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// schemaSpecimens builds one synthetic instance of every sweep result
-// type. The values are arbitrary; the golden file pins the *encoding* —
-// field names, nesting, ordering — which is the schema contract between
-// spinsweep -json, the spind /v1/sweep endpoint, and downstream plotting
-// scripts.
+// schemaSpecimens builds one synthetic instance of each sweep result
+// shape: Figures (Fig. 6/7) and Table (every other figure). The values are
+// arbitrary; the golden file pins the *encoding* — field names, nesting,
+// ordering — which is the schema contract between spinsweep -json, the
+// spind /v1/sweep endpoint, and downstream plotting scripts.
 func schemaSpecimens() []struct {
 	Name string
 	V    interface{}
@@ -33,11 +32,7 @@ func schemaSpecimens() []struct {
 		Name string
 		V    interface{}
 	}{
-		{"fig3", &Fig3Result{Cycles: 1000, Entries: []Fig3Entry{
-			{Topology: "mesh", Pattern: "uniform_random", MinRate: 0.35},
-			{Topology: "dragonfly", Pattern: "tornado", MinRate: 0},
-		}}},
-		{"fig67", Figures{
+		{"figures", Figures{
 			"uniform_random": {
 				Title: "Fig. 7: mesh mesh:4x4 — uniform_random", XLabel: "inj_rate",
 				YLabel: "avg packet latency (cycles)",
@@ -49,25 +44,19 @@ func schemaSpecimens() []struct {
 				Series: []Series{{Label: "MinAdaptive_SPIN_3VC", Points: []Point{{X: 0.05, Y: 11}}}},
 			},
 		}},
-		{"fig8a", &Fig8aResult{Entries: []Fig8aEntry{{Benchmark: "blackscholes", NormalizedEDP: 0.82}}}},
-		{"fig8b", &Fig8bResult{Rates: []float64{0.1}, Entries: []sim.LinkUtilisation{
-			{Flit: 0.1, SM: [4]float64{0.001, 0.002, 0, 0}, SMAll: 0.003, Idle: 0.897},
-		}}},
-		{"fig9", &Fig9Result{Entries: []Fig9Entry{
-			{Topology: "mesh", VCs: 1, Rate: 0.3, Spins: 12, FalsePositives: 3, Probes: 40},
-		}}},
-		{"fig10", &Fig10Result{Entries: []Fig10Entry{{Design: "westfirst", Area: 4000, Normalized: 1}}}},
-		{"costs", &CostSummary{Rows: []CostRow{{Topology: "mesh", AreaSave1v3: 0.52, AreaSave1v2: 0.33, PowerSave1v3: 0.5}}}},
-		{"torus", &TorusComparison{Rates: []float64{0.05}, Bubble: []float64{20.1}, SPIN: []float64{18.3}}},
-		{"deflection", &DeflectionComparison{Rates: []float64{0.05}, Deflection: []float64{9.1}, Buffered: []float64{10.2}, AvgDeflect: []float64{0.4}}},
-		{"workload", &WorkloadSweepResult{Topology: "mesh:4x4", Window: 8, Points: []WorkloadPoint{
-			{Offered: 0.3, Achieved: 0.21, AvgLat: 24.5, P50: 18, P99: 96},
-		}}},
+		{"table", &Table{
+			Title:   "Fig. 9: spins and false positives vs injection rate",
+			Columns: []string{"topology", "vcs", "rate", "spins", "false_positives", "probes"},
+			Rows: []Row{
+				{Key: []string{"mesh", "1", "0.3"}, Values: []float64{12, 3, 40}},
+				{Key: []string{"dragonfly", "3", "0.05"}, Values: []float64{0, 0, 1.5e6}},
+			},
+		}},
 	}
 }
 
-// TestSweepJSONSchemaGolden pins the canonical JSON encoding of every
-// sweep result type against a golden file. A diff here means the output
+// TestSweepJSONSchemaGolden pins the canonical JSON encoding of both sweep
+// result shapes against a golden file. A diff here means the output
 // schema of spinsweep -json (and the spind API, which shares EncodeJSON)
 // changed: update the golden with -update AND bump
 // internal/serve.ResultVersion so stale cached results are not replayed

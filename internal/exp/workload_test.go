@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"encoding/json"
+	"strconv"
 	"testing"
 )
 
@@ -17,22 +18,28 @@ func TestWorkloadSweepSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) == 0 {
+	if len(res.Rows) == 0 {
 		t.Fatal("empty sweep")
 	}
-	last := res.Points[len(res.Points)-1]
-	if last.Achieved <= 0 {
-		t.Fatalf("no transactions completed at offered %g", last.Offered)
+	achieved, avg := res.Column("achieved"), res.Column("avg_latency")
+	p50, p99 := res.Column("p50"), res.Column("p99")
+	n := len(res.Rows) - 1
+	offered, err := strconv.ParseFloat(res.Rows[n].Key[0], 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if last.Achieved >= last.Offered {
-		t.Fatalf("closed loop did not throttle: achieved %g >= offered %g", last.Achieved, last.Offered)
+	if achieved[n] <= 0 {
+		t.Fatalf("no transactions completed at offered %g", offered)
 	}
-	for _, p := range res.Points {
-		if p.P99 < p.P50 {
-			t.Fatalf("offered %g: p99 %g below p50 %g", p.Offered, p.P99, p.P50)
+	if achieved[n] >= offered {
+		t.Fatalf("closed loop did not throttle: achieved %g >= offered %g", achieved[n], offered)
+	}
+	for i, r := range res.Rows {
+		if p99[i] < p50[i] {
+			t.Fatalf("offered %s: p99 %g below p50 %g", r.Key[0], p99[i], p50[i])
 		}
-		if p.P99 <= 0 || p.AvgLat <= 0 {
-			t.Fatalf("offered %g: degenerate latency stats %+v", p.Offered, p)
+		if p99[i] <= 0 || avg[i] <= 0 {
+			t.Fatalf("offered %s: degenerate latency stats %v", r.Key[0], r.Values)
 		}
 	}
 }

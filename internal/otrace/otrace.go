@@ -114,17 +114,12 @@ type SpanData struct {
 	SpanID  string `json:"span_id"`
 	Parent  string `json:"parent_span_id,omitempty"`
 	Name    string `json:"name"`
-	Node    string `json:"node,omitempty"`
 	Start   int64  `json:"start_unix_ns"`
 	Dur     int64  `json:"dur_ns"`
 	// Attrs is built by Span.Snapshot, Span.Tree and Tracer.Trace only: a
 	// span keeps its attributes as a few pairs, which is what OnEnd sees.
 	Attrs map[string]string `json:"attrs,omitempty"`
 	attrs []attr
-	// Metric overrides the histogram label the span lands under (spans
-	// named apart, like "proxy:<target>", all observe as "proxy"); empty
-	// means Name.
-	Metric string `json:"-"`
 }
 
 type attr struct{ k, v string }
@@ -138,14 +133,6 @@ func (d SpanData) rendered() SpanData {
 		}
 	}
 	return d
-}
-
-// MetricName is the label the span's duration is observed under.
-func (d SpanData) MetricName() string {
-	if d.Metric != "" {
-		return d.Metric
-	}
-	return d.Name
 }
 
 // Span is one in-progress operation. Obtain the root with
@@ -184,7 +171,6 @@ func (s *Span) StartChildAt(name string, start time.Time) *Span {
 			SpanID:  spanHex(s.root.base + s.root.next.Add(1)),
 			Parent:  s.data.SpanID,
 			Name:    name,
-			Node:    s.data.Node,
 			Start:   start.UnixNano(),
 		},
 	}
@@ -200,17 +186,6 @@ func (s *Span) SetAttr(k, v string) {
 		s.data.attrs = s.attrbuf[:0]
 	}
 	s.data.attrs = append(s.data.attrs, attr{k, v}) // a key set again wins when rendered
-	s.mu.Unlock()
-}
-
-// SetMetricName sets the histogram label the span's duration observes
-// under, collapsing per-target span names into one bounded series.
-func (s *Span) SetMetricName(m string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.data.Metric = m
 	s.mu.Unlock()
 }
 
@@ -305,11 +280,8 @@ type traceEntry struct {
 	dropped int
 }
 
-// Tracer records finished spans into a bounded per-trace ring. Its node
-// name stamps every span (SpanData.Node), which is the process lane the
-// span lands in on a Perfetto timeline.
+// Tracer records finished spans into a bounded per-trace ring.
 type Tracer struct {
-	node     string
 	capTrace int
 	capSpans int
 
@@ -328,26 +300,13 @@ const (
 	DefaultSpanCap  = 512
 )
 
-// NewTracer builds a tracer named node. capTraces <= 0 selects
-// DefaultTraceCap.
-func NewTracer(node string, capTraces int) *Tracer {
-	if capTraces <= 0 {
-		capTraces = DefaultTraceCap
-	}
+// NewTracer builds a tracer bounded by DefaultTraceCap and DefaultSpanCap.
+func NewTracer() *Tracer {
 	return &Tracer{
-		node:     node,
-		capTrace: capTraces,
+		capTrace: DefaultTraceCap,
 		capSpans: DefaultSpanCap,
 		traces:   make(map[string]*traceEntry),
 	}
-}
-
-// Node reports the tracer's node name.
-func (t *Tracer) Node() string {
-	if t == nil {
-		return ""
-	}
-	return t.node
 }
 
 // OnEnd installs a callback invoked (synchronously) for every span as it
@@ -369,7 +328,7 @@ func (t *Tracer) StartRequest(name, traceparent string) *Span {
 	now := time.Now()
 	s := &Span{tr: t, start: now}
 	s.root = s
-	s.data = SpanData{Name: name, Node: t.node, Start: now.UnixNano()}
+	s.data = SpanData{Name: name, Start: now.UnixNano()}
 	s.data.TraceID, s.base = newIDs()
 	s.data.SpanID = spanHex(s.base)
 	if tid, parent, ok := ParseTraceparent(traceparent); ok {
@@ -470,5 +429,5 @@ func ValidTraceID(id string) bool {
 
 // String implements fmt.Stringer for debugging.
 func (d SpanData) String() string {
-	return fmt.Sprintf("%s/%s %s@%s %dns", d.TraceID, d.SpanID, d.Name, d.Node, d.Dur)
+	return fmt.Sprintf("%s/%s %s %dns", d.TraceID, d.SpanID, d.Name, d.Dur)
 }

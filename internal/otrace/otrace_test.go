@@ -8,7 +8,7 @@ import (
 )
 
 func TestParseTraceparentRoundTrip(t *testing.T) {
-	tr := NewTracer("a", 0)
+	tr := NewTracer()
 	root := tr.StartRequest("request", "")
 	tp := root.Traceparent()
 	tid, sid, ok := ParseTraceparent(tp)
@@ -41,10 +41,10 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 }
 
 func TestStartRequestAdoptsRemoteTrace(t *testing.T) {
-	a := NewTracer("a", 0)
-	b := NewTracer("b", 0)
+	a := NewTracer()
+	b := NewTracer()
 	root := a.StartRequest("request", "")
-	child := root.StartChild("proxy:b")
+	child := root.StartChild("call")
 	remote := b.StartRequest("request", child.Traceparent())
 	if remote.TraceID() != root.TraceID() {
 		t.Fatalf("remote trace %s, want adopted %s", remote.TraceID(), root.TraceID())
@@ -57,15 +57,12 @@ func TestStartRequestAdoptsRemoteTrace(t *testing.T) {
 		t.Fatalf("node b recorded %d spans, want 1", len(spans))
 	}
 	if spans[0].Parent != child.SpanID() {
-		t.Fatalf("remote root parent %s, want the proxy child %s", spans[0].Parent, child.SpanID())
-	}
-	if spans[0].Node != "b" {
-		t.Fatalf("remote span node %q, want b", spans[0].Node)
+		t.Fatalf("remote root parent %s, want the calling child %s", spans[0].Parent, child.SpanID())
 	}
 }
 
 func TestSpanTreeAndAttrs(t *testing.T) {
-	tr := NewTracer("n1", 0)
+	tr := NewTracer()
 	root := tr.StartRequest("request", "")
 	c1 := root.StartChild("decode")
 	c1.End()
@@ -93,9 +90,6 @@ func TestSpanTreeAndAttrs(t *testing.T) {
 		t.Errorf("cache attrs = %v, want outcome=miss", byName["cache"].Attrs)
 	}
 	for _, s := range spans {
-		if s.Node != "n1" {
-			t.Errorf("span %s node %q, want n1", s.Name, s.Node)
-		}
 		if s.Dur < 0 {
 			t.Errorf("span %s negative duration %d", s.Name, s.Dur)
 		}
@@ -105,7 +99,6 @@ func TestSpanTreeAndAttrs(t *testing.T) {
 func TestNilSpanIsSafe(t *testing.T) {
 	var s *Span
 	s.SetAttr("k", "v")
-	s.SetMetricName("m")
 	s.End()
 	if c := s.StartChild("x"); c != nil {
 		t.Fatal("nil span produced a non-nil child")
@@ -126,7 +119,8 @@ func TestNilSpanIsSafe(t *testing.T) {
 }
 
 func TestTraceEviction(t *testing.T) {
-	tr := NewTracer("a", 3)
+	tr := NewTracer()
+	tr.capTrace = 3
 	var ids []string
 	for i := 0; i < 5; i++ {
 		s := tr.StartRequest("request", "")
@@ -149,7 +143,7 @@ func TestTraceEviction(t *testing.T) {
 }
 
 func TestSpanCapDrops(t *testing.T) {
-	tr := NewTracer("a", 0)
+	tr := NewTracer()
 	tr.capSpans = 4
 	root := tr.StartRequest("request", "")
 	for i := 0; i < 10; i++ {
@@ -164,27 +158,25 @@ func TestSpanCapDrops(t *testing.T) {
 	}
 }
 
-func TestOnEndCallbackAndMetricName(t *testing.T) {
-	tr := NewTracer("a", 0)
+func TestOnEndCallback(t *testing.T) {
+	tr := NewTracer()
 	var mu sync.Mutex
 	got := map[string]int{}
 	tr.OnEnd(func(d SpanData) {
 		mu.Lock()
-		got[d.MetricName()]++
+		got[d.Name]++
 		mu.Unlock()
 	})
 	root := tr.StartRequest("request", "")
-	p := root.StartChild("proxy:node-b")
-	p.SetMetricName("proxy")
-	p.End()
+	root.StartChild("epoch").End()
 	root.End()
-	if got["proxy"] != 1 || got["request"] != 1 {
-		t.Fatalf("OnEnd observed %v, want proxy:1 request:1", got)
+	if got["epoch"] != 1 || got["request"] != 1 {
+		t.Fatalf("OnEnd observed %v, want epoch:1 request:1", got)
 	}
 }
 
 func TestEndIsIdempotent(t *testing.T) {
-	tr := NewTracer("a", 0)
+	tr := NewTracer()
 	root := tr.StartRequest("request", "")
 	root.End()
 	root.End()
@@ -194,7 +186,7 @@ func TestEndIsIdempotent(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := NewTracer("a", 0)
+	tr := NewTracer()
 	root := tr.StartRequest("request", "")
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -214,7 +206,7 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 func TestValidTraceID(t *testing.T) {
-	tr := NewTracer("a", 0)
+	tr := NewTracer()
 	id := tr.StartRequest("r", "").TraceID()
 	if !ValidTraceID(id) {
 		t.Fatalf("minted trace ID %q fails validation", id)

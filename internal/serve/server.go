@@ -51,7 +51,7 @@ const (
 // in every cache key, so bumping it invalidates all previously stored
 // results. Bump it whenever simulator behaviour or a response/result
 // schema changes (see internal/exp's golden schema test).
-const ResultVersion = "spin-results-v2"
+const ResultVersion = "spin-results-v3"
 
 // Config assembles a Server.
 type Config struct {
@@ -212,7 +212,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.QueueSize = 4 * workers
 	}
-	s := &Server{cfg: cfg, store: cfg.Cache, mux: http.NewServeMux(), start: time.Now(), reg: prom.NewRegistry(), tracer: otrace.NewTracer("spind", 0)}
+	s := &Server{cfg: cfg, store: cfg.Cache, mux: http.NewServeMux(), start: time.Now(), reg: prom.NewRegistry(), tracer: otrace.NewTracer()}
 	s.build = readBuild()
 	s.idPrefix = strconv.FormatInt(s.start.UnixNano()&0xffffffff, 16) + "-"
 
@@ -246,14 +246,13 @@ func New(cfg Config) (*Server, error) {
 	s.mSimBuilds, s.mSimRewinds = setups.With("how", "build"), setups.With("how", "rewind")
 	s.mSimLatency = s.reg.Histogram("spind_sim_packet_latency_cycles", "Packet-latency percentiles (quantile label) per executed simulation, in cycles.",
 		[]float64{10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 100000})
-	s.mSpanSeconds = s.reg.Histogram("spind_span_duration_seconds", "Request span durations by span name (per-peer spans collapse onto one label).",
+	s.mSpanSeconds = s.reg.Histogram("spind_span_duration_seconds", "Request span durations by span name.",
 		[]float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1, 5, 10, 30, 60})
-	var spanSeries sync.Map // span metric name -> its series, bound on first use
+	var spanSeries sync.Map // span name -> its series, bound on first use
 	s.tracer.OnEnd(func(d otrace.SpanData) {
-		name := d.MetricName()
-		series, ok := spanSeries.Load(name)
+		series, ok := spanSeries.Load(d.Name)
 		if !ok {
-			series, _ = spanSeries.LoadOrStore(name, s.mSpanSeconds.With("span", name))
+			series, _ = spanSeries.LoadOrStore(d.Name, s.mSpanSeconds.With("span", d.Name))
 		}
 		series.(*prom.HistogramSeries).Observe(float64(d.Dur) / 1e9)
 	})
@@ -742,7 +741,6 @@ func (s *Server) runSim(ctx context.Context, req SimRequest, key string, streamW
 		// Each window becomes a child span, so the Perfetto view shows
 		// where inside the simulation the time went.
 		es := span.StartChild("epoch")
-		es.SetMetricName("epoch")
 		ob.OnWindow = func(done int64, closed []sim.WindowSample) {
 			es.End()
 			if onSample != nil {
@@ -752,7 +750,6 @@ func (s *Server) runSim(ctx context.Context, req SimRequest, key string, streamW
 			}
 			if done < sc.Cycles {
 				es = span.StartChild("epoch")
-				es.SetMetricName("epoch")
 			}
 		}
 	}

@@ -436,7 +436,8 @@ const pinnedTraceB64 = "H4sIAAAAAAAA/wTAu63CMBiG4ff7L3Fsx8kpT8UGFIyEEAUNQoAQNWMw
 // miss — the benchmark's miss_checked body, seed fixed — to their digest
 // from before the invariant checker went incremental (PR 19): the verdict,
 // the oracle counts and the telemetry of a clean run must not depend on
-// which VCs the checker looks at.
+// which VCs the checker looks at. The body carries its cache key, so the
+// digest is that of ResultVersion spin-results-v3.
 func TestCheckedResponsePinned(t *testing.T) {
 	req := SimRequest{Scenario: harness.Scenario{
 		Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin",
@@ -451,7 +452,7 @@ func TestCheckedResponsePinned(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", rec.Code, rec.Body)
 	}
-	const want = "020fba7bb433cfcbd25b0ee13261243bea2398b1b750ad67fe633ced3ee925a0"
+	const want = "9924758bdcf9d40f3576cc7899126a70a192f17ad200e3b9af62ff5b5b7053a4"
 	if got := fmt.Sprintf("%x", sha256.Sum256(rec.Body.Bytes())); got != want {
 		t.Errorf("checked response digest %s, want %s", got, want)
 	}
@@ -461,27 +462,29 @@ func TestCheckedResponsePinned(t *testing.T) {
 // the values computed before the request-normalisation helpers were
 // shared (PR 13): canonical bytes, and therefore every cached result,
 // survive the refactor. An epoch without telemetry names the plain
-// request's result.
+// request's result. The keys are those of ResultVersion spin-results-v3;
+// under spin-results-v2 the same canonical bytes gave the keys pinned
+// before the sweep results became tables.
 func TestCacheKeysPinned(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	sim := `"topology":"mesh:4x4","routing":"xy","traffic":"uniform_random","rate":0.05,"cycles":200,"seed":1`
 	for _, c := range []struct{ name, path, body, key string }{
 		{"simulate", "/v1/simulate", `{` + sim + `}`,
-			"36883bc5b000bcc4d0ec245e5cb96ade153bb5e151f6a45e16638a60792595b2"},
+			"041e0e50f73b18349b1c82f2f467f16e9253a3d85a61c2f5fe47ac510538aadb"},
 		{"simulate+telemetry", "/v1/simulate", `{` + sim + `,"telemetry":true}`,
-			"f271effb1201ae1d650f60d5ceae8942cf534582df5b4e32542baf27389469f7"},
+			"7ffaf0adf51e6e9e7d1872f807dfc15cc0459110ff508132f7aaae991750b67f"},
 		{"simulate+telemetry+epoch", "/v1/simulate", `{` + sim + `,"telemetry":true,"epoch":50}`,
-			"096b1dad80e06f75d9673a415cfc8a9d5ef681d345841a5fe35ee247f923513b"},
+			"737feec6881babcbbbd8d79a443a4adac2a0517a39c8d799ac10504d0de7ffdb"},
 		{"simulate+epoch only", "/v1/simulate", `{` + sim + `,"epoch":50}`,
-			"36883bc5b000bcc4d0ec245e5cb96ade153bb5e151f6a45e16638a60792595b2"},
+			"041e0e50f73b18349b1c82f2f467f16e9253a3d85a61c2f5fe47ac510538aadb"},
 		{"sweep", "/v1/sweep", `{"fig":"10"}`,
-			"31e7be3cdddfd7b4314c8b9d1f98347b8d16e818636c730997e8e223f81d0b70"},
+			"76055b8d43706ec3f26b4440ce534a551360952f5377bc317e02cbd4b17a775a"},
 		{"sweep+telemetry", "/v1/sweep", `{"fig":"10","telemetry":true}`,
-			"d6450419d44ded73b92e0aa9454ee84e6b27081bcbdc1715105162a29ead8125"},
+			"aedc0cf238fddcb212192aa2c27d5168208894ea5ff63ba922cabaa7aec08b52"},
 		{"trace_b64", "/v1/simulate", `{"topology":"mesh:4x4","routing":"xy","cycles":200,"seed":1,"trace_b64":"` + pinnedTraceB64 + `"}`,
-			"ebf723e1274744d3a0a41c7908c5feb4b9b8e7db13cf06860300e207592b99ff"},
+			"552480d15d1574ed5a1354d50c1a1abfecfc3d9633ea752a9c48b2d6e78b3999"},
 		{"injections", "/v1/simulate", `{"topology":"mesh:4x4","routing":"xy","cycles":200,"seed":1,"injections":[{"cycle":3,"src":0,"dst":5,"length":5,"vnet":0},{"cycle":1,"src":2,"dst":9,"length":1,"vnet":0}]}`,
-			"5bd5bb6f4b4724be1619529d27055c556436a1a023ea72b96ea1d971aad2de8e"},
+			"ca66eb956610d05bcbba45a5523a4a6bcaf123adad7e312dc450264a2728804c"},
 	} {
 		rec := post(t, s.Handler(), c.path, c.body)
 		if rec.Code != http.StatusOK {

@@ -3,55 +3,32 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sort"
 
 	"repro/internal/otrace"
 )
 
 // Span-tree export: the serving layer's request spans rendered as the
 // same Chrome trace-event JSON WriteChromeTrace emits for simulator
-// events, so a request timeline loads in one Perfetto window. Each node
-// name a span carries (SpanData.Node) becomes one process (pid, named by
-// a process_name meta event); spans of one node share tid 1 and nest by
-// time containment, which is exactly how "X" complete events stack.
+// events, so a request timeline loads in one Perfetto window. Every span
+// lands in one process (pid spanPid, named by a process_name meta event)
+// on tid 1, and spans nest by time containment, which is exactly how "X"
+// complete events stack.
 
-// spanPidBase keeps span processes clear of the simulator trace's fixed
-// pids (1 = packets, 2 = routers), so a span trace and a simulator
-// trace can even be concatenated into one document.
-const spanPidBase = 10
+// spanPid keeps the span process clear of the simulator trace's fixed
+// pids (1 = packets, 2 = routers), so a span trace and a simulator trace
+// can even be concatenated into one document.
+const spanPid = 10
 
 // WriteSpanTrace renders a set of otrace spans — typically one trace as
 // GET /v1/trace/<id> returns it — as Chrome trace-event JSON. Wall-clock
-// nanoseconds become microsecond timestamps on a shared axis, so spans
-// of different nodes line up as well as their clocks do.
+// nanoseconds become microsecond timestamps.
 func WriteSpanTrace(w io.Writer, spans []otrace.SpanData) error {
 	sorted := append([]otrace.SpanData(nil), spans...)
 	otrace.SortSpans(sorted)
 
-	// One pid per node, in first-seen (start-time) order.
-	pids := map[string]int{}
-	var nodes []string
+	doc := traceDoc{TraceEvents: make([]traceEvent, 0, len(sorted)+1)}
+	doc.TraceEvents = append(doc.TraceEvents, metaEvent(spanPid, "process_name", "spind"))
 	for _, s := range sorted {
-		node := s.Node
-		if node == "" {
-			node = "unknown"
-		}
-		if _, ok := pids[node]; !ok {
-			pids[node] = spanPidBase + len(nodes)
-			nodes = append(nodes, node)
-		}
-	}
-	sort.Strings(nodes)
-
-	doc := traceDoc{TraceEvents: make([]traceEvent, 0, len(sorted)+len(nodes))}
-	for _, node := range nodes {
-		doc.TraceEvents = append(doc.TraceEvents, metaEvent(pids[node], "process_name", "node "+node))
-	}
-	for _, s := range sorted {
-		node := s.Node
-		if node == "" {
-			node = "unknown"
-		}
 		args := map[string]any{
 			"trace_id": s.TraceID,
 			"span_id":  s.SpanID,
@@ -72,7 +49,7 @@ func WriteSpanTrace(w io.Writer, spans []otrace.SpanData) error {
 			Ph:   "X",
 			Ts:   s.Start / 1000,
 			Dur:  dur,
-			Pid:  pids[node],
+			Pid:  spanPid,
 			Tid:  1,
 			Args: args,
 		})

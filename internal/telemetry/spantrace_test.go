@@ -8,15 +8,17 @@ import (
 	"repro/internal/otrace"
 )
 
-func TestWriteSpanTraceMergesNodes(t *testing.T) {
-	a := otrace.NewTracer("a", 0)
-	b := otrace.NewTracer("b", 0)
+// TestWriteSpanTraceOneProcess: every span of a trace, whichever tracer
+// recorded it, lands in the one named span process.
+func TestWriteSpanTraceOneProcess(t *testing.T) {
+	a := otrace.NewTracer()
+	b := otrace.NewTracer()
 	root := a.StartRequest("request", "")
-	proxy := root.StartChild("proxy:b")
-	remote := b.StartRequest("request", proxy.Traceparent())
+	call := root.StartChild("call")
+	remote := b.StartRequest("request", call.Traceparent())
 	remote.StartChild("compute").End()
 	remote.End()
-	proxy.End()
+	call.End()
 	root.End()
 
 	merged := append(a.Trace(root.TraceID()), b.Trace(root.TraceID())...)
@@ -41,17 +43,17 @@ func TestWriteSpanTraceMergesNodes(t *testing.T) {
 		t.Fatalf("span trace is not valid JSON: %v", err)
 	}
 
-	procNames := map[string]bool{}
-	pidsByName := map[string]int{}
-	spanPids := map[int]bool{}
+	procs := map[int]string{}
+	spans := 0
 	for _, e := range doc.TraceEvents {
 		switch e.Ph {
 		case "M":
-			name, _ := e.Args["name"].(string)
-			procNames[name] = true
-			pidsByName[name] = e.Pid
+			procs[e.Pid], _ = e.Args["name"].(string)
 		case "X":
-			spanPids[e.Pid] = true
+			spans++
+			if _, ok := procs[e.Pid]; !ok || len(procs) != 1 {
+				t.Errorf("span %s on pid %d, processes %v: want one named process", e.Name, e.Pid, procs)
+			}
 			if e.Dur < 1 {
 				t.Errorf("span %s has zero-extent dur %d", e.Name, e.Dur)
 			}
@@ -60,14 +62,8 @@ func TestWriteSpanTraceMergesNodes(t *testing.T) {
 			}
 		}
 	}
-	if !procNames["node a"] || !procNames["node b"] {
-		t.Fatalf("process names %v, want node a and node b", procNames)
-	}
-	if len(spanPids) != 2 {
-		t.Fatalf("spans landed on %d pids, want 2 (one per node)", len(spanPids))
-	}
-	if pidsByName["node a"] == pidsByName["node b"] {
-		t.Fatal("nodes a and b share a pid")
+	if spans != 4 || len(procs) != 1 {
+		t.Fatalf("%d spans in processes %v, want 4 in one", spans, procs)
 	}
 }
 
