@@ -61,7 +61,23 @@ type Result struct {
 	// that wrote NsPerCycle: the "before" of a recorded speed-up. -update
 	// carries it over; only the commit making the claim edits it.
 	BeforeNsPerCycle float64 `json:"before_ns_per_cycle,omitempty"`
+	// DeliveredPerOffered is the flits the measured cycles delivered over
+	// the flits the source offered in them (Rate per terminal per cycle);
+	// 1 when nothing is offered. Spins counts the spins in those cycles.
+	// Together they say whether the row times a network that moves: see
+	// Stalled.
+	DeliveredPerOffered float64 `json:"delivered_per_offered"`
+	Spins               int64   `json:"spins"`
 }
+
+// StalledBelow is the delivered/offered ratio under which a row times a
+// stalled network: its ns/cycle is the cost of a jam, not of traffic, and
+// a speed-up measured only there is none.
+const StalledBelow = 0.9
+
+// Stalled reports whether the row delivered under StalledBelow of its
+// offered load.
+func (r Result) Stalled() bool { return r.DeliveredPerOffered < StalledBelow }
 
 // Report is the BENCH_sim.json schema.
 type Report struct {
@@ -199,23 +215,31 @@ func Measure(w Workload) (Result, error) {
 	s.Run(w.Warmup)
 	runtime.GC()
 	var before, after runtime.MemStats
+	was := *s.Stats()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	s.Run(w.Cycles)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
+	st := s.Stats()
 	if verdict != nil {
 		if err := verdict(); err != nil {
 			return Result{}, fmt.Errorf("bench %s: %w", w.Name, err)
 		}
 	}
 	n := float64(w.Cycles)
+	delivered := 1.0
+	if offered := w.Cfg.Rate * n * float64(s.Topology().NumTerminals()); offered > 0 {
+		delivered = float64(st.EjectedFlits-was.EjectedFlits) / offered
+	}
 	return Result{
-		Name:           w.Name,
-		NsPerCycle:     float64(elapsed.Nanoseconds()) / n,
-		AllocsPerCycle: float64(after.Mallocs-before.Mallocs) / n,
-		BytesPerCycle:  float64(after.TotalAlloc-before.TotalAlloc) / n,
-		Cycles:         w.Cycles,
+		Name:                w.Name,
+		NsPerCycle:          float64(elapsed.Nanoseconds()) / n,
+		AllocsPerCycle:      float64(after.Mallocs-before.Mallocs) / n,
+		BytesPerCycle:       float64(after.TotalAlloc-before.TotalAlloc) / n,
+		Cycles:              w.Cycles,
+		DeliveredPerOffered: delivered,
+		Spins:               st.Spins - was.Spins,
 	}, nil
 }
 

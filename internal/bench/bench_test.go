@@ -57,6 +57,10 @@ const baselineFile = "BENCH_sim.json"
 // concurrently and contend for the CPU, so an over-limit timing is
 // reported but not fatal; the allocation and byte gates are
 // contention-immune and always enforce.
+//
+// Each row also prints what it delivered of its offered load and how many
+// spins it saw, and a row under StalledBelow is labelled stalled: its
+// ns/cycle times a jammed network, not a moving one.
 func TestBenchRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts timing and allocation counts")
@@ -110,8 +114,12 @@ func TestBenchRegression(t *testing.T) {
 			gate = fmt.Sprintf("%.2fx its plain row exceeds %.2fx (baseline %.2fx x 1.10)", tax, baseTax*1.10, baseTax)
 			over = tax > baseTax*1.10
 		}
-		t.Logf("%-22s %8.0f ns/cycle (limit %8.0f)  %6.3f allocs/cycle  %8.1f B/cycle",
-			got.Name, got.NsPerCycle, limit, got.AllocsPerCycle, got.BytesPerCycle)
+		moving := ""
+		if got.Stalled() {
+			moving = "  stalled"
+		}
+		t.Logf("%-22s %8.0f ns/cycle (limit %8.0f)  %6.3f allocs/cycle  %8.1f B/cycle  %5.3f delivered/offered  %5d spins%s",
+			got.Name, got.NsPerCycle, limit, got.AllocsPerCycle, got.BytesPerCycle, got.DeliveredPerOffered, got.Spins, moving)
 		if over && os.Getenv("BENCH_STRICT") != "" {
 			t.Errorf("%s: %s", got.Name, gate)
 		} else if over {

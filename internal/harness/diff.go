@@ -14,11 +14,14 @@ import (
 // which is deadlock-free by construction. Both executions must drain and
 // deliver exactly the recorded packet set, packet for packet.
 //
-// Recording then replaying matters: the simulator's RNG is shared
-// between traffic generation and adaptive tie-breaking, so two different
-// configurations given the same seed would generate *different*
-// workloads. The trace pins the workload; the configurations only differ
-// in how they move it.
+// Every terminal draws on a stream of its own (sim/rng.go) that no routing
+// or scheme touches, so an open-loop source generates the same packets —
+// cycle, terminal, destination, length, vnet — under both configurations
+// given the same seed. The recording still pins what that does not cover:
+// a closed-loop client issues requests as its replies arrive, so its
+// workload follows how the primary moved it; and the baseline injects the
+// primary's packets themselves, so the comparison does not rest on the
+// argument above. The configurations differ only in how they move them.
 
 // DiffResult is the outcome of one differential comparison.
 type DiffResult struct {
@@ -29,6 +32,19 @@ type DiffResult struct {
 	Mismatches []string `json:"mismatches,omitempty"`
 	// TraceLen is the recorded workload size both runs had to deliver.
 	TraceLen int `json:"trace_len"`
+	// PrimaryRate and BaselineRate are how fast each run delivered it:
+	// reported, not judged (the delivery sets above are the verdict).
+	PrimaryRate  Rate `json:"primary_rate"`
+	BaselineRate Rate `json:"baseline_rate"`
+}
+
+// Rate is how fast a run delivered: the flits it ejected in its
+// measurement window, the same per terminal per measured cycle, and the
+// cycle its drain completed (0 if it did not).
+type Rate struct {
+	Flits     int64   `json:"flits"`
+	PerNode   float64 `json:"flits_per_node_cycle"`
+	DrainedAt int64   `json:"drained_at"`
 }
 
 // Failed reports whether either run violated invariants or the delivery
@@ -67,7 +83,7 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 	}
 	rec := &traffic.Recorder{}
 	s.Network().AddObserver(sim.MaskOf(sim.EvPacketQueued), rec)
-	primary, err := runDelivering(sc, s.Network())
+	primary, primaryRate, err := runDelivering(sc, s.Network())
 	if err != nil {
 		return nil, err
 	}
@@ -81,29 +97,37 @@ func RunDifferential(sc Scenario) (*DiffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := runDelivering(bsc, bs.Network())
+	baseline, baselineRate, err := runDelivering(bsc, bs.Network())
 	if err != nil {
 		return nil, err
 	}
 
-	d := &DiffResult{Primary: primary, Baseline: baseline, TraceLen: len(rec.Entries)}
+	d := &DiffResult{Primary: primary, Baseline: baseline, TraceLen: len(rec.Entries),
+		PrimaryRate: primaryRate, BaselineRate: baselineRate}
 	d.Mismatches = compareDeliveries(primary, baseline, len(rec.Entries))
 	return d, nil
 }
 
 // runDelivering is the checked, drained run with every delivery
-// collected for comparison.
-func runDelivering(sc Scenario, net *sim.Network) (*Result, error) {
+// collected for comparison, and how fast it delivered.
+func runDelivering(sc Scenario, net *sim.Network) (*Result, Rate, error) {
 	var got []Delivery
 	net.AddObserver(sim.MaskOf(sim.EvPacketEject), sim.ProbeFunc(func(e sim.Event) {
 		got = append(got, Delivery{ID: e.Packet, Src: e.Src, Dst: e.Dst, Length: e.Len, VNet: e.VNet})
 	}))
 	res, err := Drive(context.Background(), sc, net, Observe{Check: true, Drain: true})
 	if err != nil {
-		return nil, err
+		return nil, Rate{}, err
 	}
 	res.Delivered = got
-	return res, nil
+	r := Rate{Flits: res.Stats.EjectedFlitsMeas}
+	if cycles := res.Stats.MeasuredCycles; cycles > 0 {
+		r.PerNode = float64(r.Flits) / float64(cycles) / float64(net.Topology().NumTerminals())
+	}
+	if res.Drained {
+		r.DrainedAt = net.Now()
+	}
+	return res, r, nil
 }
 
 // compareDeliveries checks that both runs delivered the full recorded

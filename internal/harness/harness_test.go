@@ -334,7 +334,7 @@ func TestCompareDeliveriesFlagsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runDelivering(sc, s.Network())
+	res, _, err := runDelivering(sc, s.Network())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,5 +394,36 @@ func TestArtifactEmbedsTraceTail(t *testing.T) {
 		if !strings.Contains(string(raw), want) {
 			t.Fatalf("artifact missing %s", want)
 		}
+	}
+}
+
+// TestDifferentialRates logs how fast SPIN and the escape-VC baseline
+// deliver the same recorded workload at the two loads where SPIN's
+// throughput collapses on mesh:8x8 (1 VC at 0.12, 3 VCs at 0.30, uniform).
+// It reports; it judges nothing but that both runs delivered something.
+func TestDifferentialRates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 000-cycle checked runs are not short")
+	}
+	for _, tc := range []struct {
+		vcs  int
+		rate float64
+	}{{1, 0.12}, {3, 0.30}} {
+		sc := Scenario{Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin", Traffic: "uniform_random",
+			Rate: tc.rate, VCsPerVNet: tc.vcs, Cycles: 20000, Seed: 1}
+		t.Run(fmt.Sprintf("%dvc@%g", tc.vcs, tc.rate), func(t *testing.T) {
+			t.Parallel()
+			d, err := RunDifferential(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := Baseline(sc)
+			t.Logf("offered %.3f flits/node/cycle: SPIN %s/%dVC delivered %.4f (drained at cycle %d); baseline %s/%dVC %.4f (drained at cycle %d); %s",
+				tc.rate, sc.Routing, sc.VCsPerVNet, d.PrimaryRate.PerNode, d.PrimaryRate.DrainedAt,
+				b.Routing, b.VCsPerVNet, d.BaselineRate.PerNode, d.BaselineRate.DrainedAt, d.Summary())
+			if d.PrimaryRate.Flits == 0 || d.BaselineRate.Flits == 0 {
+				t.Fatalf("a run delivered nothing in its measurement window: %+v, %+v", d.PrimaryRate, d.BaselineRate)
+			}
+		})
 	}
 }

@@ -101,10 +101,13 @@ func TestPoolPanicCapture(t *testing.T) {
 // wait, and everything is back to (0, 0) once their results are in.
 func TestPoolDepth(t *testing.T) {
 	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
 	p := NewPool[int](PoolOptions{Workers: 1, QueueSize: 2})
 	defer p.Close()
+	defer free() // before Close: a failed wait must not leave a job blocked
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	submit := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -114,18 +117,28 @@ func TestPoolDepth(t *testing.T) {
 			}})
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if q, r := p.Depth(); q == 2 && r == 1 {
-			break
+	waitDepth := func(queued, running int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if q, r := p.Depth(); q == queued && r == running {
+				return
+			}
+			if time.Now().After(deadline) {
+				q, r := p.Depth()
+				t.Fatalf("never reached (%d queued, %d running): queued=%d running=%d", queued, running, q, r)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			q, r := p.Depth()
-			t.Fatalf("never reached full load: queued=%d running=%d", q, r)
-		}
-		time.Sleep(time.Millisecond)
 	}
-	close(release)
+	// The worker takes the first job before the other two arrive, so the
+	// queue has room for both (three at once could find it full).
+	submit()
+	waitDepth(0, 1)
+	submit()
+	submit()
+	waitDepth(2, 1)
+	free()
 	wg.Wait()
 	if q, r := p.Depth(); q != 0 || r != 0 {
 		t.Fatalf("depth after every result = (%d queued, %d running), want drained (0, 0)", q, r)

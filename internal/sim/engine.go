@@ -11,9 +11,10 @@ import (
 // in a cycle on what its neighbours looked like at the end of the last
 // one, whichever router the walk happens to reach first.
 //
-//   - Phase 1: deliver link arrivals into input VCs and agent inboxes, run
-//     traffic generation (each terminal on its private RNG stream), inject
-//     NIC flits, and publish agent views.
+//   - Phase 1: deliver link arrivals into input VCs and agent inboxes, give
+//     a traffic turn to each terminal whose source asked for this cycle
+//     (each on its private RNG stream), inject NIC flits, and publish agent
+//     views.
 //   - Phase 2: route computation, agent ticks, spin claims, SM arbitration
 //     and switch allocation over the active routers. A router's effects on
 //     another router's state — VC reservations, in-flight credits, ejection
@@ -92,15 +93,23 @@ func (n *Network) freeSM(sm *SM) {
 	n.smPool = append(n.smPool, sm)
 }
 
+// turnSlots is the turn wheel's size in cycles, a power of two; turns
+// named further ahead wait among the far turns, which a new lap of the
+// wheel sorts through. turnHorizon is how far ahead a source may settle
+// turns (Generate's limit): far enough that a call at the paper's low loads
+// settles tens of cycles, so that the far turns, not the wheel, carry most
+// of a terminal's wait, and the wheel stays a few words per 64 terminals.
+const (
+	turnSlots   = 16
+	turnHorizon = 64
+)
+
 // phase1 delivers arrivals, generates and injects traffic, and publishes
 // agent views.
 func (n *Network) phase1() {
 	n.deliverArrivals()
 	if n.cfg.Traffic != nil {
-		for t := range n.nics {
-			n.injectTerm = t
-			n.cfg.Traffic.Generate(n.now, t, n.termRNG[t], n.injectFn)
-		}
+		n.takeTurns()
 	}
 	for w, word := range n.nicBusy {
 		word &^= n.nicBlocked[w]
@@ -128,6 +137,104 @@ func (n *Network) phase1() {
 			}
 		}
 	}
+}
+
+// takeTurns gives a traffic turn to every terminal due this cycle, in
+// ascending terminal order, and files each at the cycle its source names
+// next. A terminal with nothing to emit before then costs nothing until it.
+func (n *Network) takeTurns() {
+	now := n.now
+	if now&(turnSlots-1) == 0 {
+		// A new lap of the wheel: the far turns it now reaches join it.
+		for w, word := range n.farTurns {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &^= 1 << uint(b)
+				if t := w*64 + b; n.due[t]-now < turnSlots {
+					n.farTurns.clear(t)
+					n.fileTurn(t)
+				}
+			}
+		}
+	}
+	slot := n.turnSlot(now)
+	for w, word := range slot {
+		slot[w] = 0
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			t := w*64 + b
+			if n.due[t] != now {
+				continue // re-armed earlier by an eject, and taken then
+			}
+			n.injectTerm = t
+			rng := &n.termRNG[t]
+			rng.ahead = 0
+			next := n.cfg.Traffic.Generate(now, now+turnHorizon, t, rng, n.injectFn)
+			n.due[t] = max(next, now+1)
+			n.fileTurn(t)
+		}
+	}
+}
+
+// turnSlot is the wheel slot of cycle c: the terminals due at c once c is
+// less than turnSlots ahead.
+func (n *Network) turnSlot(c int64) bitset {
+	i := int(c&(turnSlots-1)) * n.turnWords
+	return n.turnWheel[i : i+n.turnWords]
+}
+
+// fileTurn files terminal t at due[t]: in the wheel when that is less than
+// turnSlots ahead, among the far turns otherwise.
+func (n *Network) fileTurn(t int) {
+	if n.due[t]-n.now < turnSlots {
+		n.turnSlot(n.due[t]).set(t)
+	} else {
+		n.farTurns.set(t)
+	}
+}
+
+// rearm gives terminal t a turn at cycle c if it was due later.
+func (n *Network) rearm(t int, c int64) {
+	if n.due[t] > c {
+		n.due[t] = c
+		n.fileTurn(t)
+	}
+}
+
+// handBack is what generation stopping at the current cycle — a pause, or
+// a change of source — needs: every terminal's draws for the turns its
+// source settled from this cycle on go back to its stream, and its next
+// turn is the first of them. A source then resumes as if it had had a turn
+// on every cycle it was attached and none while it was not.
+func (n *Network) handBack() {
+	for t := range n.due {
+		rng := &n.termRNG[t]
+		if k := min(rng.ahead, n.due[t]-n.now); k > 0 {
+			rng.unread(k)
+			n.due[t] -= k
+		}
+		rng.ahead = 0
+	}
+}
+
+// placeTurns refiles every terminal at due[t], or at the current cycle if
+// that is past (generation was paused when it came).
+func (n *Network) placeTurns() {
+	clear(n.turnWheel)
+	clear(n.farTurns)
+	for t := range n.due {
+		n.due[t] = max(n.due[t], n.now)
+		n.fileTurn(t)
+	}
+}
+
+// turnAll gives every terminal a turn at the current cycle.
+func (n *Network) turnAll() {
+	for t := range n.due {
+		n.due[t] = n.now
+	}
+	n.placeTurns()
 }
 
 // phase2 runs the compute stages over the active routers, stage by stage.
@@ -319,6 +426,7 @@ func (n *Network) commit() {
 		}
 		if n.closed != nil {
 			n.closed.OnEject(p)
+			n.rearm(p.Dst, now+1)
 		}
 		if n.checker != nil {
 			n.checker.onEject(p)

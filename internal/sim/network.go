@@ -2,21 +2,45 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/topology"
 )
 
-// TrafficGen produces packets. Generate is called once per terminal per
-// cycle and emits zero or more packet specs to inject at that terminal.
-// The supplied rng is the terminal's private stream, so what a terminal
-// generates never depends on the order terminals are visited in. State
-// shared across terminals belongs in StepTraffic (see TrafficStepper).
+// TrafficGen produces packets, one terminal at a time. A terminal takes a
+// turn at the cycle its source is attached and then at each cycle its
+// source names, never on a cycle in between:
+//
+//   - Generate emits the packet specs terminal src injects at cycle now and
+//     returns the next cycle, after now, at which src needs a turn. Every
+//     cycle it skips is a turn settled to emit nothing.
+//   - rng is src's private stream, so what a terminal generates never
+//     depends on which other terminals take turns. A skipped turn that
+//     would have drawn is settled with rng.Misses, which draws for it in
+//     the order a turn at a time would have, so skipping changes no draw.
+//   - It may settle turns before limit only: it returns a cycle no later
+//     than limit, or a later one only when no turn before that cycle draws
+//     at all (a source that sleeps). The engine passes a fixed horizon; a
+//     wrapper passes the cycle its own state changes at.
+//   - An eject at a ClosedLoopTraffic terminal gives it a turn at the next
+//     cycle, whatever it asked for.
+//   - When generation stops (Drain, SetTraffic), the draws settled for
+//     turns not yet reached go back on their streams, and each of those
+//     terminals takes a turn as soon as generation resumes: cycles without
+//     a source are no turns at all, as when every terminal was called on
+//     every cycle.
+//
+// State shared across terminals belongs in StepTraffic (see
+// TrafficStepper).
 type TrafficGen interface {
 	Name() string
-	Generate(cycle int64, src int, rng *rand.Rand, emit func(PacketSpec))
+	Generate(now, limit int64, src int, rng *Stream, emit func(PacketSpec)) (next int64)
 }
+
+// Never is the turn a source names for a terminal that needs none until
+// something else re-arms it.
+const Never int64 = math.MaxInt64
 
 // TrafficStepper is an optional TrafficGen extension: StepTraffic runs
 // once at the top of every Step, before phase 1. It is the place for work
@@ -111,8 +135,17 @@ type Network struct {
 
 	// Per-entity RNG streams (see rng.go): routers draw for adaptive
 	// tie-breaking, terminals for traffic generation.
-	routerRNG []*rand.Rand
-	termRNG   []*rand.Rand
+	routerRNG []Stream
+	termRNG   []Stream
+
+	// Traffic turns (see engine.go): due[t] is the cycle terminal t's source
+	// asked for its next turn. turnWheel holds, in slot c%turnSlots, the
+	// terminals due at a cycle c less than turnSlots ahead; farTurns marks
+	// those due later, moved into the wheel as their slot comes round.
+	due       []int64
+	turnWheel bitset
+	farTurns  bitset
+	turnWords int // words per wheel slot
 
 	// freeStride is the bit stride between input ports in Router.inFree:
 	// the VCs of a port rounded up to whole words, so that a port's bits
@@ -250,12 +283,21 @@ func NewNetwork(cfg Config) (*Network, error) {
 		n.routers[i] = r
 	}
 	// Links are ordered by destination router (stable over the topology's
-	// declaration order): the order phase 1 delivers arrivals in.
-	topoLinks := append([]topology.Link(nil), topo.Links()...)
-	sort.SliceStable(topoLinks, func(i, j int) bool { return topoLinks[i].Dst < topoLinks[j].Dst })
+	// declaration order): the order phase 1 delivers arrivals in. A counting
+	// sort puts each straight into its slot, with no copy of the list.
+	topoLinks := topo.Links()
+	next := make([]int32, len(routers)+1) // the next slot of each router's links
+	for _, tl := range topoLinks {
+		next[tl.Dst+1]++
+	}
+	for r := range routers {
+		next[r+1] += next[r]
+	}
 	links := make([]link, len(topoLinks))
 	n.links = make([]*link, len(links))
-	for i, tl := range topoLinks {
+	for _, tl := range topoLinks {
+		i := int(next[tl.Dst])
+		next[tl.Dst]++
 		l := &links[i]
 		*l = link{topo: tl, index: i, dst: n.routers[tl.Dst]}
 		l.global = GlobalLink(topo, tl)
@@ -271,11 +313,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 		r.waker[port] = int32(t)
 	}
 	n.linkActive, n.awake, n.nicBusy, n.nicBlocked = newBitset(len(links)), newBitset(len(routers)), newBitset(len(nics)), newBitset(len(nics))
-	srcs, rngs := make([]splitmix64, len(routers)+len(nics)), make([]*rand.Rand, len(routers)+len(nics))
-	for i := range rngs {
-		rngs[i] = rand.New(&srcs[i])
+	streams := make([]Stream, len(routers)+len(nics))
+	for i := range streams {
+		streams[i].init()
 	}
-	n.routerRNG, n.termRNG = rngs[:len(routers)], rngs[len(routers):]
+	n.routerRNG, n.termRNG = streams[:len(routers)], streams[len(routers):]
+	n.turnWords = (len(nics) + 63) / 64
+	n.due, n.turnWheel, n.farTurns = make([]int64, len(nics)), make(bitset, turnSlots*n.turnWords), newBitset(len(nics))
 	n.injectFn = func(spec PacketSpec) { n.generate(n.injectTerm, spec) }
 	return n, n.Reset(cfg) // cannot fail: cfg is valid and of the network's own shape
 }
@@ -322,6 +366,7 @@ func (n *Network) Reset(cfg Config) error {
 	for t, nic := range n.nics {
 		*nic = NIC{term: t, router: nic.router, port: nic.port, ring: nic.ring}
 		n.termRNG[t].Seed(EntitySeed(cfg.Seed, TerminalKey(t)))
+		n.termRNG[t].ahead = 0
 	}
 	for i, r := range n.routers {
 		// A scheme's Attach sets every router's agent and may recycle the
@@ -378,10 +423,11 @@ func (n *Network) Now() int64 { return n.now }
 func (n *Network) Stats() *Stats { return &n.stats }
 
 // RouterRNG returns router id's private stream.
-func (n *Network) RouterRNG(id int) *rand.Rand { return n.routerRNG[id] }
+func (n *Network) RouterRNG(id int) *rand.Rand { return &n.routerRNG[id].Rand }
 
-// TerminalRNG returns terminal t's private stream.
-func (n *Network) TerminalRNG(t int) *rand.Rand { return n.termRNG[t] }
+// TerminalRNG returns terminal t's private stream, the one its traffic
+// source draws on.
+func (n *Network) TerminalRNG(t int) *Stream { return &n.termRNG[t] }
 
 // InFlight reports packets currently inside the network (injection started,
 // ejection not finished).
@@ -542,16 +588,24 @@ func (n *Network) Run(cycles int64) {
 // A ClosedLoopTraffic source stays attached in quiesce mode instead of
 // being detached: new requests stop, pending replies keep flowing, and the
 // drain additionally waits for the request window to empty (zero
-// in-window residue).
+// in-window residue). Steps after a drain generate what they would have if
+// the source had simply not been called during it.
 func (n *Network) Drain(maxCycles int64) bool {
 	cl := n.closed
 	if cl != nil {
 		cl.Quiesce(true)
-		defer cl.Quiesce(false)
-	} else {
-		saved := n.cfg.Traffic
+		defer func() {
+			cl.Quiesce(false)
+			// A quiesced client asks for no turn: every terminal takes one now.
+			n.turnAll()
+		}()
+	} else if saved := n.cfg.Traffic; saved != nil {
+		n.handBack()
 		n.cfg.Traffic = nil
-		defer func() { n.cfg.Traffic = saved }()
+		defer func() {
+			n.cfg.Traffic = saved
+			n.placeTurns()
+		}()
 	}
 	empty := func() bool {
 		return n.inNetwork == 0 && n.queuedPackets == 0 && (cl == nil || cl.InWindow() == 0)
@@ -593,7 +647,10 @@ func (n *Network) LinkUtilisation() LinkUtilisation {
 // SetTraffic replaces the traffic generator (nil disables generation;
 // queued and in-flight packets are unaffected).
 func (n *Network) SetTraffic(g TrafficGen) {
+	n.handBack()
 	n.cfg.Traffic = g
 	n.trafStep, _ = g.(TrafficStepper)
 	n.closed, _ = g.(ClosedLoopTraffic)
+	// A source's first turn at every terminal is the cycle it is attached.
+	n.turnAll()
 }

@@ -166,7 +166,7 @@ func (r *Router) Downstream(p int) (*Router, int, bool) {
 // adaptive tie-breaking. The stream is derived from (Config.Seed, router
 // id), so its draw sequence never depends on other routers' activity or on
 // the order routers are stepped in.
-func (r *Router) RNG() *rand.Rand { return r.net.routerRNG[r.ID] }
+func (r *Router) RNG() *rand.Rand { return &r.net.routerRNG[r.ID].Rand }
 
 // Stats returns the network's statistics, for agents to count into.
 func (r *Router) Stats() *Stats { return &r.net.stats }

@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -48,29 +47,45 @@ func PARSEC() []AppProfile {
 	}
 }
 
-// AppTraffic drives a simulation from an AppProfile over 3 vnets.
+// AppTraffic drives a simulation from an AppProfile over 3 vnets. Like
+// Synthetic, a terminal's turn settles its injection trials ahead to the
+// first that hits.
 type AppTraffic struct {
 	Profile AppProfile
 	Topo    topology.Topology
 
 	near [][]int // cached near-neighbour sets
+
+	// inject is the per-cycle injection chance Rate/E[len], resolved by the
+	// first Generate (ready); Profile must not change afterwards.
+	inject sim.Chance
+	ready  bool
 }
 
 // Name implements sim.TrafficGen.
 func (a *AppTraffic) Name() string { return fmt.Sprintf("parsec:%s", a.Profile.Name) }
 
 // Generate implements sim.TrafficGen.
-func (a *AppTraffic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
-	p := a.Profile
-	meanLen := p.DataRatio*5 + (1 - p.DataRatio)
-	if rng.Float64() >= p.Rate/meanLen {
-		return
+func (a *AppTraffic) Generate(now, limit int64, src int, rng *sim.Stream, emit func(sim.PacketSpec)) int64 {
+	if !a.ready {
+		p := a.Profile
+		meanLen := p.DataRatio*5 + (1 - p.DataRatio)
+		a.inject, a.ready = sim.NewChance(p.Rate/meanLen), true
 	}
+	if rng.Hit(a.inject) {
+		a.emitPacket(src, rng, emit)
+	}
+	return now + 1 + rng.Misses(a.inject, limit-now-1)
+}
+
+// emitPacket draws the destination and class of a message src generates
+// and emits it.
+func (a *AppTraffic) emitPacket(src int, rng *sim.Stream, emit func(sim.PacketSpec)) {
 	dst := a.pickDst(src, rng)
 	if dst == src {
 		return
 	}
-	if rng.Float64() < p.DataRatio {
+	if rng.Float64() < a.Profile.DataRatio {
 		emit(sim.PacketSpec{Dst: dst, Length: 5, VNet: 2})
 		return
 	}
@@ -82,7 +97,7 @@ func (a *AppTraffic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.Pa
 }
 
 // pickDst honours the locality knob.
-func (a *AppTraffic) pickDst(src int, rng *rand.Rand) int {
+func (a *AppTraffic) pickDst(src int, rng *sim.Stream) int {
 	n := a.Topo.NumTerminals()
 	if rng.Float64() >= a.Profile.Locality {
 		d := rng.Intn(n - 1)

@@ -217,6 +217,10 @@ func ByName(name string, topo topology.Topology) (Pattern, error) {
 // Rate/E[len] so that offered load equals Rate flits/terminal/cycle. A
 // DataFrac fraction of packets are long (dataLen flits); the rest are
 // single-flit control packets, matching the paper's 1-flit/5-flit mix.
+//
+// A terminal's turn settles its trials ahead, one draw per cycle in a
+// tight loop, and asks for its next turn at the first that hits (or at the
+// limit): the cycles in between cost the engine nothing.
 type Synthetic struct {
 	Pattern  Pattern
 	Rate     float64 // offered flits/terminal/cycle
@@ -229,10 +233,10 @@ type Synthetic struct {
 	next []int32
 
 	// DataFrac with its default applied, and the per-cycle injection
-	// probability Rate/E[len] it implies: resolved once, by the first
-	// Generate, instead of per terminal per cycle. The exported fields must
-	// not change afterwards.
-	frac, pInject float64
+	// chance Rate/E[len] it implies: resolved once, by the first Generate,
+	// instead of per turn. The exported fields must not change afterwards.
+	frac   float64
+	inject sim.Chance
 }
 
 // dataLen is the length of a long (data) packet, in flits.
@@ -244,15 +248,20 @@ func (s *Synthetic) Name() string {
 }
 
 // Generate implements sim.TrafficGen.
-func (s *Synthetic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
+func (s *Synthetic) Generate(now, limit int64, src int, rng *sim.Stream, emit func(sim.PacketSpec)) int64 {
 	if s.frac == 0 {
 		s.frac = cmp.Or(s.DataFrac, 0.5)
 		meanLen := s.frac*dataLen + (1 - s.frac)
-		s.pInject = s.Rate / meanLen
+		s.inject = sim.NewChance(s.Rate / meanLen)
 	}
-	if rng.Float64() >= s.pInject {
-		return
+	if rng.Hit(s.inject) {
+		s.emitPacket(src, rng, emit)
 	}
+	return now + 1 + rng.Misses(s.inject, limit-now-1)
+}
+
+// emitPacket draws the shape of a packet src generates and emits it.
+func (s *Synthetic) emitPacket(src int, rng *sim.Stream, emit func(sim.PacketSpec)) {
 	length := 1
 	if rng.Float64() < s.frac {
 		length = dataLen
@@ -265,7 +274,7 @@ func (s *Synthetic) Generate(_ int64, src int, rng *rand.Rand, emit func(sim.Pac
 		vnet = int(s.next[src]) % s.VNets
 		s.next[src]++
 	}
-	dst := s.Pattern.Dest(src, rng)
+	dst := s.Pattern.Dest(src, &rng.Rand)
 	if dst == src {
 		return
 	}

@@ -188,15 +188,20 @@ func TestByNameErrors(t *testing.T) {
 	}
 }
 
+// takeTurns drives gen at terminal src as the engine does: a turn at
+// cycle 0, then one at each cycle the source names, up to cycles.
+func takeTurns(gen sim.TrafficGen, src int, rng *sim.Stream, cycles int64, emit func(sim.PacketSpec)) {
+	for now := int64(0); now < cycles; {
+		now = gen.Generate(now, now+64, src, rng, emit)
+	}
+}
+
 func TestSyntheticOfferedLoad(t *testing.T) {
 	m := mesh8(t)
 	gen := &Synthetic{Pattern: Uniform(64), Rate: 0.3}
-	rng := rand.New(rand.NewSource(2))
 	flits := 0
 	cycles := 20000
-	for c := 0; c < cycles; c++ {
-		gen.Generate(int64(c), 5, rng, func(s sim.PacketSpec) { flits += s.Length })
-	}
+	takeTurns(gen, 5, sim.NewStream(2), int64(cycles), func(s sim.PacketSpec) { flits += s.Length })
 	got := float64(flits) / float64(cycles)
 	if got < 0.25 || got > 0.35 {
 		t.Fatalf("offered load %.3f, want ~0.30", got)
@@ -206,20 +211,17 @@ func TestSyntheticOfferedLoad(t *testing.T) {
 
 func TestSyntheticPacketMix(t *testing.T) {
 	gen := &Synthetic{Pattern: Uniform(64), Rate: 0.5, DataFrac: 0.5}
-	rng := rand.New(rand.NewSource(3))
 	ones, fives := 0, 0
-	for c := 0; c < 30000; c++ {
-		gen.Generate(int64(c), 1, rng, func(s sim.PacketSpec) {
-			switch s.Length {
-			case 1:
-				ones++
-			case 5:
-				fives++
-			default:
-				t.Fatalf("unexpected length %d", s.Length)
-			}
-		})
-	}
+	takeTurns(gen, 1, sim.NewStream(3), 30000, func(s sim.PacketSpec) {
+		switch s.Length {
+		case 1:
+			ones++
+		case 5:
+			fives++
+		default:
+			t.Fatalf("unexpected length %d", s.Length)
+		}
+	})
 	frac := float64(fives) / float64(ones+fives)
 	if frac < 0.45 || frac > 0.55 {
 		t.Fatalf("data fraction %.2f, want ~0.5", frac)
@@ -234,18 +236,15 @@ func TestPARSECProfiles(t *testing.T) {
 	m := mesh8(t)
 	for _, app := range apps {
 		gen := &AppTraffic{Profile: app, Topo: m}
-		rng := rand.New(rand.NewSource(4))
 		count := map[int]int{}
 		flits := 0
-		for c := 0; c < 50000; c++ {
-			gen.Generate(int64(c), 9, rng, func(s sim.PacketSpec) {
-				count[s.VNet]++
-				flits += s.Length
-				if s.Dst == 9 {
-					t.Fatalf("%s: self-destined packet", app.Name)
-				}
-			})
-		}
+		takeTurns(gen, 9, sim.NewStream(4), 50000, func(s sim.PacketSpec) {
+			count[s.VNet]++
+			flits += s.Length
+			if s.Dst == 9 {
+				t.Fatalf("%s: self-destined packet", app.Name)
+			}
+		})
 		if count[0] == 0 || count[2] == 0 {
 			t.Fatalf("%s: vnets unused: %v", app.Name, count)
 		}

@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"repro/internal/sim"
 )
@@ -111,16 +110,20 @@ func (s *StreamReplay) StepTraffic(now int64) {
 
 // Generate implements sim.TrafficGen, draining this source's due
 // entries. Each queue is filled serially in StepTraffic and emptied
-// here, so steady-state replay does not allocate.
-func (s *StreamReplay) Generate(_ int64, src int, _ *rand.Rand, emit func(sim.PacketSpec)) {
-	q := s.queues[src]
-	if len(q) == 0 {
-		return
+// here, so steady-state replay does not allocate. A terminal sleeps until
+// the cycle of the next entry not yet pumped, whichever terminal it is for:
+// until then no queue can fill.
+func (s *StreamReplay) Generate(_, _ int64, src int, _ *sim.Stream, emit func(sim.PacketSpec)) int64 {
+	if q := s.queues[src]; len(q) > 0 {
+		for _, e := range q {
+			emit(sim.PacketSpec{Dst: e.Dst, Length: e.Length, VNet: e.VNet})
+		}
+		s.queues[src] = q[:0]
 	}
-	for _, e := range q {
-		emit(sim.PacketSpec{Dst: e.Dst, Length: e.Length, VNet: e.VNet})
+	if !s.nextValid {
+		return sim.Never // the source is exhausted (StepTraffic has just run)
 	}
-	s.queues[src] = q[:0]
+	return s.next.Cycle
 }
 
 // Err reports the first decode or bounds failure; replay halts at the

@@ -13,6 +13,10 @@ import (
 // distributed durations around OnMean/OffMean drawn from the terminal's
 // private rng stream. State is strictly per-terminal, so the wrapper
 // adds no dependence on the order terminals are visited in.
+//
+// A terminal sleeps through its idle gaps. During a burst its inner
+// source settles turns ahead no further than the burst's end, so the draw
+// that ends the burst comes where it always did in the stream.
 type Burst struct {
 	Inner   sim.TrafficGen
 	OnMean  int64 // mean burst length in cycles (>= 1)
@@ -32,7 +36,7 @@ type burstState struct {
 // Name implements sim.TrafficGen.
 func (b *Burst) Name() string { return b.Inner.Name() + "+burst" }
 
-func draw(rng *rand.Rand, mean int64) int64 {
+func draw(rng *sim.Stream, mean int64) int64 {
 	if mean <= 1 {
 		return 1
 	}
@@ -40,7 +44,7 @@ func draw(rng *rand.Rand, mean int64) int64 {
 }
 
 // Generate implements sim.TrafficGen.
-func (b *Burst) Generate(cycle int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
+func (b *Burst) Generate(now, limit int64, src int, rng *sim.Stream, emit func(sim.PacketSpec)) int64 {
 	for len(b.terms) <= src {
 		b.terms = append(b.terms, make([]burstState, max(len(b.terms), 64))...) // doubling, never per terminal
 	}
@@ -49,9 +53,9 @@ func (b *Burst) Generate(cycle int64, src int, rng *rand.Rand, emit func(sim.Pac
 		// Every terminal starts mid-burst; the first draw desynchronises
 		// the terminals since each uses its own stream.
 		t.on = true
-		t.until = cycle + draw(rng, b.OnMean)
+		t.until = now + draw(rng, b.OnMean)
 	}
-	for cycle >= t.until {
+	for now >= t.until {
 		t.on = !t.on
 		mean := b.OnMean
 		if !t.on {
@@ -60,9 +64,9 @@ func (b *Burst) Generate(cycle int64, src int, rng *rand.Rand, emit func(sim.Pac
 		t.until += draw(rng, mean)
 	}
 	if !t.on {
-		return
+		return t.until
 	}
-	b.Inner.Generate(cycle, src, rng, emit)
+	return min(b.Inner.Generate(now, min(limit, t.until), src, rng, emit), t.until)
 }
 
 // Hotspot skews a destination pattern: with probability Frac a packet

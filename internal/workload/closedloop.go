@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 
 	"repro/internal/sim"
@@ -29,7 +28,7 @@ type ClosedLoop struct {
 	pat      traffic.Pattern
 	window   int32
 	rate     float64
-	pIssue   float64
+	issue    sim.Chance // a free, thinking-done terminal's chance to issue per cycle
 	reqLen   int
 	respLen  int
 	think    int64
@@ -87,7 +86,7 @@ func newClosedLoop(s Spec, pat traffic.Pattern, rate float64, vnets, terminals i
 		pat:         pat,
 		window:      int32(s.Window),
 		rate:        rate,
-		pIssue:      min(rate/float64(s.ReqLen), 1),
+		issue:       sim.NewChance(min(rate/float64(s.ReqLen), 1)),
 		reqLen:      s.ReqLen,
 		respLen:     s.RespLen,
 		think:       s.Think,
@@ -114,27 +113,30 @@ func (cl *ClosedLoop) Name() string {
 // Generate implements sim.TrafficGen: first flush replies this server
 // owes (queued by OnEject at commit, so the slice is stable during the
 // parallel phase), then issue a new request if a window slot is free
-// and the think timer expired.
-func (cl *ClosedLoop) Generate(cycle int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
+// and the think timer expired. A terminal sleeps while it thinks, and
+// while its window is full or the clients are quiesced: only an eject
+// there (which re-arms it) or the end of a drain can change that.
+func (cl *ClosedLoop) Generate(now, _ int64, src int, rng *sim.Stream, emit func(sim.PacketSpec)) int64 {
 	if q := cl.pend[src]; len(q) > 0 {
 		for _, r := range q {
 			emit(sim.PacketSpec{Dst: int(r.dst), Length: int(r.length), VNet: cl.vnets - 1})
 		}
 		cl.pend[src] = q[:0]
 	}
-	if cl.quiesced || cl.outstanding[src] >= cl.window || cycle < cl.thinkUntil[src] {
-		return
+	if cl.quiesced || cl.outstanding[src] >= cl.window {
+		return sim.Never
 	}
-	if rng.Float64() >= cl.pIssue {
-		return
+	if now < cl.thinkUntil[src] {
+		return cl.thinkUntil[src]
 	}
-	dst := cl.pat.Dest(src, rng)
-	if dst == src {
-		return
+	if rng.Hit(cl.issue) {
+		if dst := cl.pat.Dest(src, &rng.Rand); dst != src {
+			emit(sim.PacketSpec{Dst: dst, Length: cl.reqLen, VNet: 0})
+			cl.outstanding[src]++
+			cl.issued[src]++
+		}
 	}
-	emit(sim.PacketSpec{Dst: dst, Length: cl.reqLen, VNet: 0})
-	cl.outstanding[src]++
-	cl.issued[src]++
+	return now + 1
 }
 
 // OnEject implements sim.ClosedLoopTraffic, called in the serial

@@ -279,8 +279,9 @@ type countingGen struct {
 }
 
 func (g *countingGen) Name() string { return "counting" }
-func (g *countingGen) Generate(cycle int64, src int, rng *rand.Rand, emit func(sim.PacketSpec)) {
+func (g *countingGen) Generate(now, _ int64, _ int, _ *sim.Stream, _ func(sim.PacketSpec)) int64 {
 	g.calls++
+	return now + 1
 }
 
 // TestBurstGatesAndIsDeterministic drives the burst wrapper standalone:
@@ -291,12 +292,13 @@ func TestBurstGatesAndIsDeterministic(t *testing.T) {
 	run := func() (int, []bool) {
 		inner := &countingGen{}
 		b := &Burst{Inner: inner, OnMean: 10, OffMean: 30}
-		rng := rand.New(rand.NewSource(99))
+		rng := sim.NewStream(99)
 		gates := make([]bool, 4000)
-		for c := int64(0); c < 4000; c++ {
+		for c := int64(0); c < 4000; {
 			before := inner.calls
-			b.Generate(c, 0, rng, nil)
+			next := b.Generate(c, c+64, 0, rng, nil)
 			gates[c] = inner.calls > before
+			c = next
 		}
 		return inner.calls, gates
 	}

@@ -76,7 +76,7 @@ func TestSourcesRunAsBuilt(t *testing.T) {
 			}
 			var got []traffic.TraceEntry
 			for src := 0; src < ref.Topology().NumTerminals(); src++ {
-				gen.Generate(0, src, net.TerminalRNG(src), func(spec sim.PacketSpec) { got = append(got, emitted(src, spec)) })
+				gen.Generate(0, 1, src, net.TerminalRNG(src), func(spec sim.PacketSpec) { got = append(got, emitted(src, spec)) })
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("as built, the source emitted\n%v\ninside a network\n%v", got, want)
