@@ -1,10 +1,14 @@
 package cache
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
 )
+
+// dig is a test digest named by s.
+func dig(s string) Digest { return sha256.Sum256([]byte(s)) }
 
 func mustOpen(t *testing.T, dir string, maxMem int) *Store {
 	t.Helper()
@@ -20,18 +24,18 @@ func mustOpen(t *testing.T, dir string, maxMem int) *Store {
 // offered for a key the memory tier does not hold, is nothing.
 func TestAliasHitIsAGet(t *testing.T) {
 	s := mustOpen(t, "", 2)
-	if _, _, ok := s.GetAlias("d1"); ok {
+	if _, _, ok := s.GetAlias(dig("d1")); ok {
 		t.Fatal("alias hit on an empty store")
 	}
-	s.Alias("d1", "k1") // no entry: no alias
-	if _, _, ok := s.GetAlias("d1"); ok || len(s.alias) != 0 {
+	s.Alias(dig("d1"), "k1") // no entry: no alias
+	if _, _, ok := s.GetAlias(dig("d1")); ok || len(s.alias) != 0 {
 		t.Fatal("an alias was attached to a key the memory tier does not hold")
 	}
 	s.Put("k1", []byte("v1"))
 	s.Put("k2", []byte("v2"))
-	s.Alias("d1", "k1")
-	s.Alias("d1", "k1") // again: still one
-	if key, val, ok := s.GetAlias("d1"); !ok || key != "k1" || string(val) != "v1" {
+	s.Alias(dig("d1"), "k1")
+	s.Alias(dig("d1"), "k1") // again: still one
+	if key, val, ok := s.GetAlias(dig("d1")); !ok || len(key) != 1 || key[0] != "k1" || string(val) != "v1" {
 		t.Fatalf("GetAlias = %q, %q, %v", key, val, ok)
 	}
 	if st := s.Snapshot(); st.Hits != 1 || st.DiskHits != 0 || st.Misses != 0 {
@@ -45,7 +49,7 @@ func TestAliasHitIsAGet(t *testing.T) {
 	if _, ok := s.Get("k2"); ok {
 		t.Fatal("k2 survived: the alias hit did not touch the LRU")
 	}
-	if _, _, ok := s.GetAlias("d1"); !ok {
+	if _, _, ok := s.GetAlias(dig("d1")); !ok {
 		t.Fatal("k1's alias died with another entry")
 	}
 }
@@ -56,9 +60,9 @@ func TestAliasHitIsAGet(t *testing.T) {
 func TestAliasDiesWithItsEntry(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), 1)
 	s.Put("k1", []byte(`{"v":1}`))
-	s.Alias("d1", "k1")
+	s.Alias(dig("d1"), "k1")
 	s.Put("k2", []byte(`{"v":2}`)) // evicts k1 from memory; disk keeps it
-	if _, _, ok := s.GetAlias("d1"); ok {
+	if _, _, ok := s.GetAlias(dig("d1")); ok {
 		t.Fatal("an alias outlived its memory-tier entry")
 	}
 	if len(s.alias) != 0 {
@@ -67,11 +71,11 @@ func TestAliasDiesWithItsEntry(t *testing.T) {
 	if v, ok := s.Get("k1"); !ok || string(v) != `{"v":1}` {
 		t.Fatal("the evicted key is not on disk")
 	}
-	if _, _, ok := s.GetAlias("d1"); ok {
+	if _, _, ok := s.GetAlias(dig("d1")); ok {
 		t.Fatal("promotion from disk resurrected an alias")
 	}
-	s.Alias("d1", "k1")
-	if _, _, ok := s.GetAlias("d1"); !ok {
+	s.Alias(dig("d1"), "k1")
+	if _, _, ok := s.GetAlias(dig("d1")); !ok {
 		t.Fatal("a promoted entry cannot be aliased again")
 	}
 	if st := s.Snapshot(); st.Hits != 2 || st.DiskHits != 1 {
@@ -89,7 +93,7 @@ func TestAliasTableBounded(t *testing.T) {
 		key := fmt.Sprintf("k%d", k)
 		s.Put(key, []byte("v"))
 		for i := 0; i < spellings; i++ {
-			s.Alias(fmt.Sprintf("d%d.%d", k, i), key)
+			s.Alias(dig(fmt.Sprintf("d%d.%d", k, i)), key)
 		}
 		if len(s.alias) > maxAliases*maxMem {
 			t.Fatalf("after %d keys the alias table holds %d digests, bound %d", k+1, len(s.alias), maxAliases*maxMem)
@@ -100,7 +104,7 @@ func TestAliasTableBounded(t *testing.T) {
 	}
 	for k := 0; k < keys; k++ {
 		for i := 0; i < spellings; i++ {
-			_, _, ok := s.GetAlias(fmt.Sprintf("d%d.%d", k, i))
+			_, _, ok := s.GetAlias(dig(fmt.Sprintf("d%d.%d", k, i)))
 			if want := k >= keys-maxMem && i >= spellings-maxAliases; ok != want {
 				t.Errorf("digest %d of key %d: alias hit %v, want %v", i, k, ok, want)
 			}
@@ -121,9 +125,9 @@ func TestAliasConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				k := (i + g) % 16
-				key, d, val := fmt.Sprintf("k%d", k), fmt.Sprintf("d%d.%d", k, g%5), fmt.Sprintf("v%d", k)
-				if gotKey, gotVal, ok := s.GetAlias(d); ok && (gotKey != key || string(gotVal) != val) {
-					t.Errorf("alias %s answered %s=%s, want %s=%s", d, gotKey, gotVal, key, val)
+				key, d, val := fmt.Sprintf("k%d", k), dig(fmt.Sprintf("d%d.%d", k, g%5)), fmt.Sprintf("v%d", k)
+				if gotKey, gotVal, ok := s.GetAlias(d); ok && (gotKey[0] != key || string(gotVal) != val) {
+					t.Errorf("alias %x answered %s=%s, want %s=%s", d, gotKey, gotVal, key, val)
 					return
 				}
 				s.Put(key, []byte(val))
@@ -140,7 +144,7 @@ func TestAliasConcurrent(t *testing.T) {
 	for d, el := range s.alias {
 		e := el.Value.(*memEntry)
 		if s.mem[e.key] != el {
-			t.Errorf("alias %s outlived its entry %s", d, e.key)
+			t.Errorf("alias %x outlived its entry %s", d, e.key)
 		}
 	}
 }

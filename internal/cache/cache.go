@@ -35,6 +35,10 @@ func KeyOf(version string, canonical []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// Digest is a content address as bytes, before KeyOf's hex: what the
+// alias table is keyed by, so looking a body up builds no string.
+type Digest [sha256.Size]byte
+
 // Outcome classifies how Do satisfied a request.
 type Outcome int
 
@@ -84,15 +88,16 @@ type Store struct {
 	mem     map[string]*list.Element
 	order   *list.List // front = most recently used
 	maxMem  int
-	alias   map[string]*list.Element // raw-body digest -> the memory-tier entry it spells
+	alias   map[Digest]*list.Element // raw-body digest -> the memory-tier entry it spells
 	flights map[string]*flight
 	stats   Stats
 }
 
 type memEntry struct {
 	key     string
+	keyHdr  [1]string // key, as the X-Cache-Key header value an alias hit answers with
 	val     []byte
-	aliases []string // at most maxAliases, oldest first; die with the entry
+	aliases []Digest // at most maxAliases, oldest first; die with the entry
 }
 
 // maxAliases bounds the spellings remembered per memory-tier entry, and
@@ -125,7 +130,7 @@ func Open(dir string, maxMem int) (*Store, error) {
 		mem:     make(map[string]*list.Element),
 		order:   list.New(),
 		maxMem:  maxMem,
-		alias:   make(map[string]*list.Element),
+		alias:   make(map[Digest]*list.Element),
 		flights: make(map[string]*flight),
 	}, nil
 }
@@ -167,27 +172,29 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return v, true
 }
 
-// GetAlias answers a repeated request body by its bytes: d is KeyOf the
-// body as it arrived. When d was attached (Alias) to an entry the memory
-// tier still holds, it returns the entry's key and value, counting and
-// touching what Get(key) would; anything else is !ok.
-func (s *Store) GetAlias(d string) (key string, val []byte, ok bool) {
+// GetAlias answers a repeated request body by its bytes: d is the digest
+// KeyOf renders for the body as it arrived. When d was attached (Alias) to
+// an entry the memory tier still holds, it returns the entry's key, as the
+// one-element value of an X-Cache-Key header, and its value, counting and
+// touching what Get(key) would; anything else is !ok. Both slices are the
+// entry's own; callers must not mutate them.
+func (s *Store) GetAlias(d Digest) (key []string, val []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.alias[d]
 	if !ok {
-		return "", nil, false
+		return nil, nil, false
 	}
 	s.order.MoveToFront(el)
 	s.stats.Hits++
 	e := el.Value.(*memEntry)
-	return e.key, e.val, true
+	return e.keyHdr[:], e.val, true
 }
 
 // Alias attaches d, the digest of a body that went the full path and came
 // out at key, to key's memory-tier entry (a no-op if that is gone). It dies
 // with the entry, so the table is bounded and no body bytes are kept.
-func (s *Store) Alias(d, key string) {
+func (s *Store) Alias(d Digest, key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.mem[key]
@@ -340,7 +347,7 @@ func (s *Store) putMemLocked(key string, val []byte) {
 		s.order.MoveToFront(el)
 		return
 	}
-	s.mem[key] = s.order.PushFront(&memEntry{key: key, val: val})
+	s.mem[key] = s.order.PushFront(&memEntry{key: key, keyHdr: [1]string{key}, val: val})
 	for len(s.mem) > s.maxMem {
 		last := s.order.Remove(s.order.Back()).(*memEntry)
 		delete(s.mem, last.key)

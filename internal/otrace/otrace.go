@@ -10,6 +10,12 @@
 // nil-receiver safe, so call sites never guard on whether tracing is
 // enabled — an untraced request simply carries a nil *Span all the way
 // through.
+//
+// A request's tree costs one allocation: the root, its first child and
+// room to list them once ended come in one block, and the ring copies the
+// records into slots it reuses. IDs are kept as integers and bytes; hex is
+// rendered only for a reader (Snapshot, Tree, Trace, TraceID, SpanID,
+// Traceparent).
 package otrace
 
 import (
@@ -17,7 +23,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,16 +35,18 @@ import (
 // flags 01 (sampled). This is the W3C trace-context layout; only the
 // trace and span IDs are interpreted.
 const (
-	traceIDHexLen = 32
-	spanIDHexLen  = 16
+	traceIDHexLen  = 32
+	spanIDHexLen   = 16
+	traceparentLen = 2 + 1 + traceIDHexLen + 1 + spanIDHexLen + 1 + 2
 )
 
 // ParseTraceparent extracts the trace and parent-span IDs from a
 // traceparent header value. ok is false for anything malformed — an
-// unparseable header means "start a fresh trace", never an error.
+// unparseable header means "start a fresh trace", never an error. As W3C
+// trace-context requires, version ff and non-hex flags are malformed.
 func ParseTraceparent(tp string) (traceID, spanID string, ok bool) {
 	// 00-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx-yyyyyyyyyyyyyyyy-01
-	if len(tp) != 2+1+traceIDHexLen+1+spanIDHexLen+1+2 {
+	if len(tp) != traceparentLen {
 		return "", "", false
 	}
 	if tp[2] != '-' || tp[3+traceIDHexLen] != '-' || tp[4+traceIDHexLen+spanIDHexLen] != '-' {
@@ -44,18 +54,14 @@ func ParseTraceparent(tp string) (traceID, spanID string, ok bool) {
 	}
 	traceID = tp[3 : 3+traceIDHexLen]
 	spanID = tp[4+traceIDHexLen : 4+traceIDHexLen+spanIDHexLen]
-	if !isLowerHex(tp[:2]) || !isLowerHex(traceID) || !isLowerHex(spanID) {
+	version, flags := tp[:2], tp[traceparentLen-2:]
+	if !isLowerHex(version) || version == "ff" || !isLowerHex(flags) || !isLowerHex(traceID) || !isLowerHex(spanID) {
 		return "", "", false
 	}
 	if allZero(traceID) || allZero(spanID) {
 		return "", "", false
 	}
 	return traceID, spanID, true
-}
-
-// FormatTraceparent renders a traceparent header value.
-func FormatTraceparent(traceID, spanID string) string {
-	return "00-" + traceID + "-" + spanID + "-01"
 }
 
 func isLowerHex(s string) bool {
@@ -77,10 +83,48 @@ func allZero(s string) bool {
 	return true
 }
 
+// traceID is a trace's 16 bytes; its hex is what the API shows.
+type traceID [16]byte
+
+// decodeTraceID reads 32 lowercase hex characters (!ok for anything else).
+func decodeTraceID(s string) (id traceID, ok bool) {
+	if !ValidTraceID(s) {
+		return id, false
+	}
+	for i := range id {
+		id[i] = unhex(s[2*i])<<4 | unhex(s[2*i+1])
+	}
+	return id, true
+}
+
+// unhex is the value of one lowercase hex digit.
+func unhex(c byte) byte {
+	if c <= '9' {
+		return c - '0'
+	}
+	return c - 'a' + 10
+}
+
+func (id *traceID) String() string { return hex.EncodeToString(id[:]) }
+
+// spanHex renders a span ID as 16 lowercase hex characters.
+func spanHex(id uint64) string {
+	var b [spanIDHexLen]byte
+	return string(appendSpanHex(b[:0], id))
+}
+
+func appendSpanHex(b []byte, id uint64) []byte {
+	for i := 0; i < spanIDHexLen; i++ {
+		b = append(b, "0123456789abcdef"[id>>60])
+		id <<= 4
+	}
+	return b
+}
+
 // newIDs draws a request tree's identifiers in one crypto/rand read: a
-// 32-hex trace ID and the base its span IDs count up from (the root is
-// base, the tree's i-th child base+i), neither of them zero.
-func newIDs() (traceID string, base uint64) {
+// trace ID and the base its span IDs count up from (the root is base, the
+// tree's i-th child base+i), neither of them zero.
+func newIDs() (trace traceID, base uint64) {
 	var b [24]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand never fails on the supported platforms; a non-random
@@ -91,44 +135,63 @@ func newIDs() (traceID string, base uint64) {
 	}
 	b[0] |= 1
 	b[16] |= 1
-	var h [traceIDHexLen]byte
-	hex.Encode(h[:], b[:16])
-	return string(h[:]), binary.BigEndian.Uint64(b[16:])
-}
-
-// spanHex renders a span ID as 16 lowercase hex characters.
-func spanHex(id uint64) string {
-	var b [spanIDHexLen]byte
-	for i := range b {
-		b[i] = "0123456789abcdef"[id>>60]
-		id <<= 4
-	}
-	return string(b[:])
+	copy(trace[:], b[:16])
+	return trace, binary.BigEndian.Uint64(b[16:])
 }
 
 // SpanData is the exported, immutable form of one finished (or
 // snapshotted) span. Durations and start times are wall-clock
 // nanoseconds so spans line up on one axis with the caller's own.
 type SpanData struct {
-	TraceID string `json:"trace_id"`
-	SpanID  string `json:"span_id"`
-	Parent  string `json:"parent_span_id,omitempty"`
-	Name    string `json:"name"`
-	Start   int64  `json:"start_unix_ns"`
-	Dur     int64  `json:"dur_ns"`
-	// Attrs is built by Span.Snapshot, Span.Tree and Tracer.Trace only: a
-	// span keeps its attributes as a few pairs, which is what OnEnd sees.
-	Attrs map[string]string `json:"attrs,omitempty"`
-	attrs []attr
+	TraceID string            `json:"trace_id"`
+	SpanID  string            `json:"span_id"`
+	Parent  string            `json:"parent_span_id,omitempty"`
+	Name    string            `json:"name"`
+	Start   int64             `json:"start_unix_ns"`
+	Dur     int64             `json:"dur_ns"`
+	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
 type attr struct{ k, v string }
 
-// rendered returns d with Attrs built from the pairs.
-func (d SpanData) rendered() SpanData {
-	if len(d.attrs) > 0 {
-		d.Attrs = make(map[string]string, len(d.attrs))
-		for _, a := range d.attrs {
+// inlineAttrs is how many attributes a record holds in place: what the
+// spans of a request carry. Any more spill to a slice.
+const inlineAttrs = 3
+
+// record is one span as a tree and the ring keep it: integer IDs (a zero
+// parent is none) and attribute pairs, turned into a SpanData only when
+// read. It holds no pointer into the tree, so a filed record does not keep
+// its request's tree alive.
+type record struct {
+	name       string
+	id, parent uint64
+	start, dur int64
+	nattr      int
+	attrs      [inlineAttrs]attr
+	more       []attr // the attributes past the inline ones
+}
+
+func (r *record) setAttr(k, v string) {
+	if r.nattr < inlineAttrs {
+		r.attrs[r.nattr] = attr{k, v}
+		r.nattr++
+		return
+	}
+	r.more = append(r.more, attr{k, v})
+}
+
+// data renders r as a span of trace; a key set again wins.
+func (r *record) data(trace *traceID) SpanData {
+	d := SpanData{TraceID: trace.String(), SpanID: spanHex(r.id), Name: r.name, Start: r.start, Dur: r.dur}
+	if r.parent != 0 {
+		d.Parent = spanHex(r.parent)
+	}
+	if r.nattr > 0 {
+		d.Attrs = make(map[string]string, r.nattr+len(r.more))
+		for _, a := range r.attrs[:r.nattr] {
+			d.Attrs[a.k] = a.v
+		}
+		for _, a := range r.more {
 			d.Attrs[a.k] = a.v
 		}
 	}
@@ -139,19 +202,25 @@ func (d SpanData) rendered() SpanData {
 // Tracer.StartRequest and children with StartChild; finish with End.
 // All methods are safe on a nil receiver (no tracer → no spans).
 type Span struct {
-	tr      *Tracer
-	root    *Span
-	mu      sync.Mutex
-	data    SpanData
-	start   time.Time
-	ended   bool
-	attrbuf [3]attr // data.attrs' first backing: what a request's spans carry
-	// On a root, for its tree: a span's ID is base + the number of spans
-	// started before it, and a span that ends waits in done (under mu) for
-	// the root's End to file the tree into the ring as one record.
-	base uint64
-	next atomic.Uint64
-	done []SpanData
+	t     *tree
+	mu    sync.Mutex
+	rec   record // id and parent are fixed at start; the rest under mu
+	start time.Time
+	ended bool
+}
+
+// tree is one request's spans, allocated with the root: the root, its
+// first child, and the ended spans' records waiting (under root.mu) for
+// the root's End to copy them into the ring in one go.
+type tree struct {
+	tr        *Tracer
+	trace     traceID
+	next      atomic.Uint64 // spans started after the root
+	firstUsed atomic.Bool
+	root      Span
+	first     Span
+	done      []*record
+	doneBuf   [2]*record // done's first backing: a cache hit's two spans
 }
 
 // StartChild opens a child span under s.
@@ -162,30 +231,29 @@ func (s *Span) StartChildAt(name string, start time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	return &Span{
-		tr:    s.tr,
-		root:  s.root,
-		start: start,
-		data: SpanData{
-			TraceID: s.data.TraceID,
-			SpanID:  spanHex(s.root.base + s.root.next.Add(1)),
-			Parent:  s.data.SpanID,
-			Name:    name,
-			Start:   start.UnixNano(),
-		},
+	t := s.t
+	c := &t.first
+	if t.firstUsed.Swap(true) {
+		c = new(Span)
 	}
+	c.t = t
+	c.start = start
+	c.rec.name = name
+	c.rec.id = t.root.rec.id + t.next.Add(1)
+	c.rec.parent = s.rec.id
+	c.rec.start = start.UnixNano()
+	return c
 }
 
-// SetAttr attaches one key=value attribute.
+// SetAttr attaches one key=value attribute; an ended span ignores it.
 func (s *Span) SetAttr(k, v string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.data.attrs == nil {
-		s.data.attrs = s.attrbuf[:0]
+	if !s.ended {
+		s.rec.setAttr(k, v)
 	}
-	s.data.attrs = append(s.data.attrs, attr{k, v}) // a key set again wins when rendered
 	s.mu.Unlock()
 }
 
@@ -202,19 +270,19 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.data.Dur = time.Since(s.start).Nanoseconds()
-	d := s.data
+	s.rec.dur = time.Since(s.start).Nanoseconds()
 	s.mu.Unlock()
-	if fn := s.tr.onEnd.Load(); fn != nil {
-		(*fn)(d)
+	t := s.t
+	if fn := t.tr.onEnd.Load(); fn != nil {
+		(*fn)(s.rec.name, time.Duration(s.rec.dur))
 	}
-	r := s.root
+	r := &t.root
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.done = append(r.done, d)
-	if r.ended || len(r.done) == s.tr.capSpans {
-		s.tr.record(d.TraceID, r.done)
-		r.done = nil
+	t.done = append(t.done, &s.rec)
+	if r.ended || len(t.done) == t.tr.capSpans {
+		t.tr.record(&t.trace, t.done)
+		t.done = t.done[:0]
 	}
 }
 
@@ -225,11 +293,12 @@ func (s *Span) Tree() []SpanData {
 	if !ok {
 		return nil
 	}
-	s.root.mu.Lock()
-	defer s.root.mu.Unlock()
-	out := make([]SpanData, 0, len(s.root.done)+1)
-	for _, f := range s.root.done {
-		out = append(out, f.rendered())
+	t := s.t
+	t.root.mu.Lock()
+	defer t.root.mu.Unlock()
+	out := make([]SpanData, 0, len(t.done)+1)
+	for _, rec := range t.done {
+		out = append(out, rec.data(&t.trace))
 	}
 	return append(out, d)
 }
@@ -242,11 +311,11 @@ func (s *Span) Snapshot() (SpanData, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := s.data
+	r := s.rec
 	if !s.ended {
-		d.Dur = time.Since(s.start).Nanoseconds()
+		r.dur = time.Since(s.start).Nanoseconds()
 	}
-	return d.rendered(), true
+	return r.data(&s.t.trace), true
 }
 
 // TraceID reports the span's 32-hex-char trace ID ("" on nil).
@@ -254,7 +323,7 @@ func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return s.data.TraceID
+	return s.t.trace.String()
 }
 
 // SpanID reports the span's 16-hex-char span ID ("" on nil).
@@ -262,34 +331,46 @@ func (s *Span) SpanID() string {
 	if s == nil {
 		return ""
 	}
-	return s.data.SpanID
+	return spanHex(s.rec.id)
 }
 
 // Traceparent renders the header value that makes a downstream
-// service's spans children of s ("" on nil).
+// service's spans children of s ("" on nil), in one allocation.
 func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
 	}
-	return FormatTraceparent(s.data.TraceID, s.data.SpanID)
+	var b [traceparentLen]byte
+	out := append(b[:0], "00-"...)
+	out = hex.AppendEncode(out, s.t.trace[:])
+	out = append(out, '-')
+	out = appendSpanHex(out, s.rec.id)
+	return string(append(out, "-01"...))
 }
 
-// traceEntry is one trace's recorded spans.
-type traceEntry struct {
-	spans   []SpanData
+// slot is one retained trace in the ring.
+type slot struct {
+	trace   traceID
+	spans   []record
 	dropped int
 }
 
-// Tracer records finished spans into a bounded per-trace ring.
+// slotKeep bounds the records a reused slot's backing may hold: enough for
+// a request that decoded its body, so a cache hit's tree files without
+// allocating, and small enough that no slot keeps the largest trace it
+// ever held.
+const slotKeep = 4
+
+// Tracer records finished spans into a bounded ring of traces.
 type Tracer struct {
 	capTrace int
 	capSpans int
 
-	mu     sync.Mutex
-	traces map[string]*traceEntry
-	order  []string // ring of retained trace IDs; once full, order[head] is the oldest
-	head   int
-	onEnd  atomic.Pointer[func(SpanData)]
+	mu    sync.Mutex
+	index map[traceID]int // trace -> its slot
+	ring  []slot          // once full, ring[head] is the oldest
+	head  int
+	onEnd atomic.Pointer[func(name string, dur time.Duration)]
 }
 
 // DefaultTraceCap and DefaultSpanCap bound the ring: at most
@@ -305,13 +386,14 @@ func NewTracer() *Tracer {
 	return &Tracer{
 		capTrace: DefaultTraceCap,
 		capSpans: DefaultSpanCap,
-		traces:   make(map[string]*traceEntry),
+		index:    make(map[traceID]int),
 	}
 }
 
-// OnEnd installs a callback invoked (synchronously) for every span as it
-// ends — the hook the serving layer feeds span-duration histograms from.
-func (t *Tracer) OnEnd(fn func(SpanData)) {
+// OnEnd installs a callback invoked (synchronously) with every span's
+// name and duration as it ends — the hook the serving layer feeds
+// span-duration histograms from.
+func (t *Tracer) OnEnd(fn func(name string, dur time.Duration)) {
 	if t != nil {
 		t.onEnd.Store(&fn)
 	}
@@ -326,62 +408,71 @@ func (t *Tracer) StartRequest(name, traceparent string) *Span {
 		return nil
 	}
 	now := time.Now()
-	s := &Span{tr: t, start: now}
-	s.root = s
-	s.data = SpanData{Name: name, Start: now.UnixNano()}
-	s.data.TraceID, s.base = newIDs()
-	s.data.SpanID = spanHex(s.base)
+	tr := &tree{tr: t}
+	tr.done = tr.doneBuf[:0]
+	s := &tr.root
+	s.t = tr
+	s.start = now
+	s.rec.name = name
+	s.rec.start = now.UnixNano()
+	tr.trace, s.rec.id = newIDs()
 	if tid, parent, ok := ParseTraceparent(traceparent); ok {
-		s.data.TraceID = tid
-		s.data.Parent = parent
+		tr.trace, _ = decodeTraceID(tid)
+		s.rec.parent, _ = strconv.ParseUint(parent, 16, 64)
 	}
 	return s
 }
 
-// record files finished spans of one tree under their trace, evicting the
-// oldest trace beyond the trace cap. The slice is the ring's from here on.
-func (t *Tracer) record(traceID string, spans []SpanData) {
+// record files finished spans of one tree under their trace, taking the
+// oldest trace's slot beyond the trace cap. The records are copied.
+func (t *Tracer) record(trace *traceID, spans []*record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.traces[traceID]
-	if e == nil {
-		e = &traceEntry{}
-		t.traces[traceID] = e
-		if len(t.order) < t.capTrace {
-			t.order = append(t.order, traceID)
+	i, ok := t.index[*trace]
+	if !ok {
+		if len(t.ring) < t.capTrace {
+			i = len(t.ring)
+			t.ring = append(t.ring, slot{})
 		} else {
-			delete(t.traces, t.order[t.head])
-			t.order[t.head] = traceID
+			i = t.head
 			t.head = (t.head + 1) % t.capTrace
+			delete(t.index, t.ring[i].trace)
 		}
+		t.index[*trace] = i
+		e := &t.ring[i]
+		clear(e.spans)
+		if cap(e.spans) > slotKeep {
+			e.spans = nil
+		}
+		*e = slot{trace: *trace, spans: e.spans[:0]}
 	}
+	e := &t.ring[i]
 	// A long tree comes in batches; a trace a client continues over several
 	// requests has several roots here.
 	room := min(len(spans), t.capSpans-len(e.spans))
 	e.dropped += len(spans) - room
-	if e.spans == nil {
-		e.spans = spans[:room]
-	} else {
-		e.spans = append(e.spans, spans[:room]...)
+	e.spans = slices.Grow(e.spans, room)
+	for _, rec := range spans[:room] {
+		e.spans = append(e.spans, *rec)
 	}
 }
 
 // Trace returns the recorded spans of one trace, start-time ordered
 // (nil when the trace is unknown or evicted). The slice is a copy.
 func (t *Tracer) Trace(traceID string) []SpanData {
-	if t == nil {
+	id, ok := decodeTraceID(traceID)
+	if t == nil || !ok {
 		return nil
 	}
 	t.mu.Lock()
-	e := t.traces[traceID]
 	var out []SpanData
-	if e != nil {
-		out = append([]SpanData(nil), e.spans...)
+	if i, ok := t.index[id]; ok {
+		out = make([]SpanData, len(t.ring[i].spans))
+		for j := range out {
+			out[j] = t.ring[i].spans[j].data(&id)
+		}
 	}
 	t.mu.Unlock()
-	for i := range out {
-		out[i] = out[i].rendered()
-	}
 	SortSpans(out)
 	return out
 }
@@ -389,13 +480,14 @@ func (t *Tracer) Trace(traceID string) []SpanData {
 // Dropped reports how many spans of a trace were discarded over the
 // per-trace cap.
 func (t *Tracer) Dropped(traceID string) int {
-	if t == nil {
+	id, ok := decodeTraceID(traceID)
+	if t == nil || !ok {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e := t.traces[traceID]; e != nil {
-		return e.dropped
+	if i, ok := t.index[id]; ok {
+		return t.ring[i].dropped
 	}
 	return 0
 }
@@ -407,7 +499,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.traces)
+	return len(t.index)
 }
 
 // SortSpans orders spans by start time (then span ID for stability) —

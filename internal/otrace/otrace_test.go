@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestParseTraceparentRoundTrip(t *testing.T) {
@@ -32,6 +33,9 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"00-" + strings.Repeat("A", 32) + "-" + strings.Repeat("a", 16) + "-01", // uppercase
 		"00_" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 16) + "-01", // bad separator
 		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 16) + "-0",  // short
+		"ff-" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 16) + "-01", // version ff is invalid
+		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 16) + "-zz", // non-hex flags
+		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 16) + "-0F", // uppercase flags
 	}
 	for _, tp := range bad {
 		if _, _, ok := ParseTraceparent(tp); ok {
@@ -161,17 +165,22 @@ func TestSpanCapDrops(t *testing.T) {
 func TestOnEndCallback(t *testing.T) {
 	tr := NewTracer()
 	var mu sync.Mutex
-	got := map[string]int{}
-	tr.OnEnd(func(d SpanData) {
+	got := map[string]time.Duration{}
+	tr.OnEnd(func(name string, dur time.Duration) {
 		mu.Lock()
-		got[d.Name]++
+		got[name] += dur
 		mu.Unlock()
 	})
 	root := tr.StartRequest("request", "")
 	root.StartChild("epoch").End()
 	root.End()
-	if got["epoch"] != 1 || got["request"] != 1 {
-		t.Fatalf("OnEnd observed %v, want epoch:1 request:1", got)
+	if len(got) != 2 {
+		t.Fatalf("OnEnd observed %v, want epoch and request", got)
+	}
+	for _, d := range tr.Trace(root.TraceID()) {
+		if got[d.Name] != time.Duration(d.Dur) {
+			t.Errorf("OnEnd saw %s last %v, the trace records %v", d.Name, got[d.Name], time.Duration(d.Dur))
+		}
 	}
 }
 
@@ -215,5 +224,206 @@ func TestValidTraceID(t *testing.T) {
 		if ValidTraceID(bad) {
 			t.Errorf("ValidTraceID(%q) accepted", bad)
 		}
+	}
+}
+
+// TestParseTraceparentAcceptsFutureVersions: any lowercase-hex version but
+// ff, and any lowercase-hex flags, parse (W3C trace-context).
+func TestParseTraceparentAcceptsFutureVersions(t *testing.T) {
+	tid, sid := strings.Repeat("a", 32), strings.Repeat("b", 16)
+	for _, tp := range []string{"00-" + tid + "-" + sid + "-00", "01-" + tid + "-" + sid + "-ff", "fe-" + tid + "-" + sid + "-01"} {
+		if gotT, gotS, ok := ParseTraceparent(tp); !ok || gotT != tid || gotS != sid {
+			t.Errorf("ParseTraceparent(%q) = %q, %q, %v", tp, gotT, gotS, ok)
+		}
+	}
+}
+
+// wantSpan is what one span of a slot-reuse tree must read back as.
+type wantSpan struct {
+	parent string
+	attrs  map[string]string
+}
+
+// TestRingSlotReuse fills a small ring several times over with trees of
+// different sizes and attribute counts — a one-span tree, a cache-hit
+// shape, trees longer than a reused slot keeps — and checks that each
+// retained trace reads back exactly its own spans, attributes and parent
+// links, with nothing of the trace its slot held before, and that a reused
+// slot's dropped count starts again at 0.
+func TestRingSlotReuse(t *testing.T) {
+	tr := NewTracer()
+	tr.capTrace, tr.capSpans = 5, 6
+	type made struct {
+		id      string
+		spans   map[string]wantSpan
+		dropped int
+	}
+	var all []made
+	for n := 0; n < 4*tr.capTrace+3; n++ {
+		size := []int{1, 2, 9, 4, 3, 7}[n%6] // spans in the tree, root included
+		root := tr.StartRequest(fmt.Sprintf("r%d", n), "")
+		m := made{id: root.TraceID(), spans: map[string]wantSpan{}}
+		attrs := map[string]string{}
+		for a := 0; a < n%5; a++ {
+			k, v := fmt.Sprintf("k%d", a), fmt.Sprintf("t%d.%d", n, a)
+			root.SetAttr(k, v)
+			attrs[k] = v
+		}
+		m.spans[root.SpanID()] = wantSpan{attrs: attrs}
+		parent := root
+		for c := 1; c < size; c++ {
+			s := parent.StartChild(fmt.Sprintf("c%d", c))
+			ca := map[string]string{"n": fmt.Sprint(n), "c": fmt.Sprint(c)}
+			for k, v := range ca {
+				s.SetAttr(k, v)
+			}
+			m.spans[s.SpanID()] = wantSpan{parent: parent.SpanID(), attrs: ca}
+			s.End()
+			if c%3 == 0 {
+				parent = s // some depth, not only a fan
+			}
+		}
+		root.End()
+		m.dropped = max(0, size-tr.capSpans)
+		all = append(all, m)
+	}
+	if tr.Len() != tr.capTrace {
+		t.Fatalf("ring retains %d traces, want %d", tr.Len(), tr.capTrace)
+	}
+	for i, m := range all {
+		got := tr.Trace(m.id)
+		if i < len(all)-tr.capTrace {
+			if got != nil {
+				t.Errorf("trace %d was evicted but reads %d spans", i, len(got))
+			}
+			continue
+		}
+		if len(got)+m.dropped != len(m.spans) || tr.Dropped(m.id) != m.dropped {
+			t.Errorf("trace %d: %d spans and %d dropped, want %d in all, %d dropped", i, len(got), tr.Dropped(m.id), len(m.spans), m.dropped)
+		}
+		for _, d := range got {
+			want, ok := m.spans[d.SpanID]
+			if !ok || d.TraceID != m.id {
+				t.Errorf("trace %d holds span %s of trace %s, not its own", i, d.SpanID, d.TraceID)
+				continue
+			}
+			if d.Parent != want.parent {
+				t.Errorf("trace %d span %s: parent %q, want %q", i, d.Name, d.Parent, want.parent)
+			}
+			if fmt.Sprint(d.Attrs) != fmt.Sprint(want.attrs) {
+				t.Errorf("trace %d span %s: attrs %v, want %v", i, d.Name, d.Attrs, want.attrs)
+			}
+		}
+	}
+	for i := range tr.ring {
+		if c := cap(tr.ring[i].spans); c > max(slotKeep, tr.capSpans) {
+			t.Errorf("slot %d keeps room for %d records", i, c)
+		}
+	}
+}
+
+// TestLateSpanFilesUnderItsTrace: a span that ends after its root, once
+// the root's slot has gone to other traces, files under its own trace ID.
+func TestLateSpanFilesUnderItsTrace(t *testing.T) {
+	tr := NewTracer()
+	tr.capTrace = 2
+	root := tr.StartRequest("request", "")
+	late := root.StartChild("compute")
+	late.SetAttr("k", "v")
+	root.End()
+	for i := 0; i < 3; i++ {
+		tr.StartRequest("other", "").End()
+	}
+	if tr.Trace(root.TraceID()) != nil {
+		t.Fatal("the root's trace outlived its slot")
+	}
+	late.End()
+	got := tr.Trace(root.TraceID())
+	if len(got) != 1 || got[0].SpanID != late.SpanID() || got[0].Parent != root.SpanID() || got[0].Attrs["k"] != "v" {
+		t.Fatalf("late span filed as %+v, want compute under %s", got, root.SpanID())
+	}
+	for _, d := range got {
+		if d.TraceID != root.TraceID() {
+			t.Fatalf("late span filed under trace %s, want %s", d.TraceID, root.TraceID())
+		}
+	}
+}
+
+// TestAttrsSpillPastInline: a span keeps every attribute it is given,
+// however many, in Snapshot, Tree and Trace; a key set again wins.
+func TestAttrsSpillPastInline(t *testing.T) {
+	tr := NewTracer()
+	root := tr.StartRequest("request", "")
+	c := root.StartChild("busy")
+	want := map[string]string{}
+	for i := 0; i < 3*inlineAttrs+2; i++ {
+		k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
+		c.SetAttr(k, v)
+		want[k] = v
+	}
+	c.SetAttr("k0", "again")
+	want["k0"] = "again"
+	snap, _ := c.Snapshot()
+	c.End()
+	tree := root.Tree()
+	root.End()
+	var traced SpanData
+	for _, d := range tr.Trace(root.TraceID()) {
+		if d.Name == "busy" {
+			traced = d
+		}
+	}
+	for name, got := range map[string]map[string]string{"Snapshot": snap.Attrs, "Tree": tree[0].Attrs, "Trace": traced.Attrs} {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s attrs = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestIDsDistinct: 10⁵ request trees have distinct, non-zero trace IDs
+// and root span IDs, and a child's ID differs from its root's.
+func TestIDsDistinct(t *testing.T) {
+	tr := NewTracer()
+	traces, spans := map[string]bool{}, map[string]bool{}
+	for i := 0; i < 100_000; i++ {
+		root := tr.StartRequest("r", "")
+		tid, sid := root.TraceID(), root.SpanID()
+		if !ValidTraceID(tid) || sid == strings.Repeat("0", 16) {
+			t.Fatalf("request %d: zero or malformed IDs %s/%s", i, tid, sid)
+		}
+		if traces[tid] || spans[sid] {
+			t.Fatalf("request %d: repeated trace %s or span %s", i, tid, sid)
+		}
+		traces[tid], spans[sid] = true, true
+		if i%1000 == 0 && root.StartChild("c").SpanID() == sid {
+			t.Fatal("a child shares its root's span ID")
+		}
+	}
+}
+
+// TestTreeIsOneAllocation: a cache hit's spans — the root with its three
+// attributes and one child with two — cost one allocation from start to
+// filing, once the ring has settled; reading an ID renders it, and costs.
+func TestTreeIsOneAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tr := NewTracer()
+	hit := func() {
+		root := tr.StartRequest("simulate", "")
+		root.SetAttr("request_id", "r")
+		c := root.StartChild("cache")
+		c.SetAttr("via", "alias")
+		c.SetAttr("outcome", "hit")
+		c.End()
+		root.SetAttr("code", "200")
+		root.SetAttr("cache", "hit")
+		root.End()
+	}
+	for i := 0; i < 2*DefaultTraceCap; i++ {
+		hit()
+	}
+	if n := testing.AllocsPerRun(1000, hit); n > 1 {
+		t.Errorf("a cache hit's tree costs %.1f allocations, want 1", n)
 	}
 }

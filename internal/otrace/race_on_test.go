@@ -1,0 +1,5 @@
+//go:build race
+
+package otrace
+
+const raceEnabled = true

@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -372,5 +375,75 @@ func TestAliasConcurrentClients(t *testing.T) {
 	wg.Wait()
 	if st := s.Snapshot(); st.Hits+st.Misses+st.Shared != clients*rounds*bodies || st.Errors != 0 {
 		t.Errorf("stats %+v do not account for %d requests", st, clients*rounds*bodies)
+	}
+}
+
+// TestAliasHitParity: an alias hit answers as the full path does, through
+// Handler(): the same response headers in name and form, a /v1/trace
+// record of the root and one cache child with every attribute, and a
+// client's traceparent adopted as the root's parent.
+func TestAliasHitParity(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	miss := post(t, h, "/v1/simulate", smallScenario)
+	if miss.Code != http.StatusOK || miss.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("first post: %d %q", miss.Code, miss.Header().Get("X-Cache"))
+	}
+	hit := post(t, h, "/v1/simulate", smallScenario)
+	wantHit(t, s, hit, miss.Body.Bytes(), true)
+
+	form := map[string]*regexp.Regexp{
+		"X-Request-Id": regexp.MustCompile(`^[0-9a-f]+-[0-9]{6}$`),
+		"Traceparent":  regexp.MustCompile(`^00-[0-9a-f]{32}-[0-9a-f]{16}-01$`),
+		"Content-Type": regexp.MustCompile(`^application/json$`),
+		"X-Cache":      regexp.MustCompile(`^(miss|hit)$`),
+		"X-Cache-Key":  regexp.MustCompile(`^[0-9a-f]{64}$`),
+	}
+	for _, rec := range []*httptest.ResponseRecorder{miss, hit} {
+		if len(rec.Header()) != len(form) {
+			t.Errorf("response headers %v, want exactly %d", rec.Header(), len(form))
+		}
+		for name, re := range form {
+			if v := rec.Header()[name]; len(v) != 1 || !re.MatchString(v[0]) {
+				t.Errorf("%s = %q, want one value matching %s", name, v, re)
+			}
+		}
+	}
+	if hit.Header().Get("X-Cache-Key") != miss.Header().Get("X-Cache-Key") {
+		t.Errorf("alias hit key %s, full path %s", hit.Header().Get("X-Cache-Key"), miss.Header().Get("X-Cache-Key"))
+	}
+	if hit.Header().Get("X-Request-Id") == miss.Header().Get("X-Request-Id") {
+		t.Error("two requests were given one request ID")
+	}
+
+	tid, rootID, _ := otrace.ParseTraceparent(hit.Header().Get("Traceparent"))
+	get := httptest.NewRecorder()
+	h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/v1/trace/"+tid, nil))
+	var doc traceResponse
+	if err := json.Unmarshal(get.Body.Bytes(), &doc); err != nil || get.Code != http.StatusOK {
+		t.Fatalf("GET /v1/trace/%s: %d %v", tid, get.Code, err)
+	}
+	if doc.TraceID != tid || len(doc.Spans) != 2 {
+		t.Fatalf("trace %s holds %d spans, want root and cache: %+v", doc.TraceID, len(doc.Spans), doc.Spans)
+	}
+	root, cs := doc.Spans[0], doc.Spans[1]
+	wantRoot := map[string]string{"request_id": hit.Header().Get("X-Request-Id"), "code": "200", "cache": "hit"}
+	if root.Name != "simulate" || root.SpanID != rootID || root.Parent != "" || !maps.Equal(root.Attrs, wantRoot) {
+		t.Errorf("root span %+v, want simulate %s with %v", root, rootID, wantRoot)
+	}
+	wantCache := map[string]string{"via": "alias", "outcome": "hit"}
+	if cs.Name != "cache" || cs.Parent != rootID || cs.TraceID != tid || !maps.Equal(cs.Attrs, wantCache) {
+		t.Errorf("cache span %+v, want a child of %s with %v", cs, rootID, wantCache)
+	}
+
+	const client = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	req := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(smallScenario))
+	req.Header.Set("traceparent", client)
+	adopted := httptest.NewRecorder()
+	h.ServeHTTP(adopted, req)
+	gotTrace, _, _ := otrace.ParseTraceparent(adopted.Header().Get("Traceparent"))
+	spans := spansOf(t, s, adopted)
+	if gotTrace != "0af7651916cd43dd8448eb211c80319c" || spans["simulate"].Parent != "b7ad6b7169203331" || spans["cache"].Attrs["via"] != "alias" {
+		t.Errorf("client trace not adopted by an alias hit: trace %s, spans %+v", gotTrace, spans)
 	}
 }

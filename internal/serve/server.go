@@ -17,6 +17,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -249,12 +250,12 @@ func New(cfg Config) (*Server, error) {
 	s.mSpanSeconds = s.reg.Histogram("spind_span_duration_seconds", "Request span durations by span name.",
 		[]float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1, 5, 10, 30, 60})
 	var spanSeries sync.Map // span name -> its series, bound on first use
-	s.tracer.OnEnd(func(d otrace.SpanData) {
-		series, ok := spanSeries.Load(d.Name)
+	s.tracer.OnEnd(func(name string, dur time.Duration) {
+		series, ok := spanSeries.Load(name)
 		if !ok {
-			series, _ = spanSeries.LoadOrStore(d.Name, s.mSpanSeconds.With("span", d.Name))
+			series, _ = spanSeries.LoadOrStore(name, s.mSpanSeconds.With("span", name))
 		}
-		series.(*prom.HistogramSeries).Observe(float64(d.Dur) / 1e9)
+		series.(*prom.HistogramSeries).Observe(dur.Seconds())
 	})
 	s.reg.GaugeSetFunc("spind_build_info", "Build identity of this daemon (value is always 1; the labels carry the information).", func() []prom.Sample {
 		return []prom.Sample{{Labels: prom.Labels("version", s.build.Version, "commit", s.build.Commit, "go", s.build.Go), Value: 1}}
@@ -309,11 +310,13 @@ func (s *Server) Workers() int { return s.workersEff }
 func (s *Server) Close() { s.pool.Close() }
 
 // statusWriter captures the response code for metrics and, being what
-// every instrumented handler writes to, carries the request's record.
+// every instrumented handler writes to, carries the request's record and
+// backs the values of its X-Request-Id and Traceparent headers.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
 	info reqInfo
+	hdr  [2]string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -338,9 +341,10 @@ type reqInfo struct {
 	key   string
 	// span is the request's root span; handlers hang the top-level child
 	// spans off it (decode, validate, cache — the rest nest under cache).
-	span   *otrace.Span
-	query  url.Values // parsed once; nil (every Get "") without a query string
-	digest string     // of the body as it arrived, for the tail to alias ("": none)
+	span     *otrace.Span
+	query    url.Values   // parsed once; nil (every Get "") without a query string
+	digest   cache.Digest // of the body as it arrived, for the tail to alias
+	digested bool         // whether digest is set
 }
 
 // requestInfo retrieves the request record. Every handler that reads it
@@ -348,10 +352,14 @@ type reqInfo struct {
 func requestInfo(w http.ResponseWriter) *reqInfo { return &w.(*statusWriter).info }
 
 // nextRequestID mints a process-unique request ID, the sequence number
-// zero-padded to six digits.
+// zero-padded to six digits, in one allocation.
 func (s *Server) nextRequestID() string {
-	seq := strconv.FormatUint(s.reqSeq.Add(1), 10)
-	return s.idPrefix + "000000"[min(len(seq), 6):] + seq
+	var seq [20]byte
+	n := strconv.AppendUint(seq[:0], s.reqSeq.Add(1), 10)
+	var b [64]byte
+	id := append(b[:0], s.idPrefix...)
+	id = append(id, "000000"[min(len(n), 6):]...)
+	return string(append(id, n...))
 }
 
 // codeSeries is a status code's text and its spind_requests_total series.
@@ -369,12 +377,12 @@ type codeSeries struct {
 // the server's tree continues the client's trace. What no request changes is
 // bound once: the latency series here, a status code's text and counter
 // series the first time the endpoint answers it.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.HandlerFunc {
 	seconds := s.mReqSeconds.With("endpoint", endpoint)
 	var codes sync.Map // int -> *codeSeries
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{w, http.StatusOK, reqInfo{id: sanitizeRequestID(r.Header.Get(headerRequestID)), cache: "-", key: "-"}}
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK, info: reqInfo{id: sanitizeRequestID(r.Header.Get(headerRequestID)), cache: "-", key: "-"}}
 		info := &sw.info
 		if info.id == "" {
 			info.id = s.nextRequestID()
@@ -384,9 +392,11 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		if r.URL.RawQuery != "" {
 			info.query = r.URL.Query()
 		}
-		w.Header().Set(headerRequestID, info.id)
-		w.Header().Set(headerTraceparent, info.span.Traceparent())
-		h(sw, r)
+		sw.hdr = [2]string{info.id, info.span.Traceparent()}
+		h := w.Header()
+		h[headerRequestID] = sw.hdr[0:1:1]
+		h[headerTraceparent] = sw.hdr[1:2:2]
+		next(sw, r)
 		dur := time.Since(start)
 		code, ok := codes.Load(sw.code)
 		if !ok {
@@ -495,9 +505,16 @@ func readRequest[T interface{ Validate() error }](s *Server, w http.ResponseWrit
 	info := requestInfo(w)
 	start := time.Now()
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	raw, err := io.ReadAll(body)
+	// The body lands after the salt and a 0, so the buffer is the very
+	// input KeyOf hashes: one Sum256 is the digest.
+	buf := bodyBufs.Get().(*[]byte)
+	defer putBodyBuf(buf)
+	*buf = append(append((*buf)[:0], salt...), 0)
+	var err error
+	*buf, err = readAll(*buf, body)
+	raw := (*buf)[len(salt)+1:]
 	if err == nil && info.query.Get("stream") == "" {
-		info.digest = cache.KeyOf(salt, raw)
+		info.digest, info.digested = sha256.Sum256(*buf), true
 		if key, val, hit := s.store.GetAlias(info.digest); hit {
 			cs := info.span.StartChildAt("cache", start)
 			cs.SetAttr("via", "alias")
@@ -520,6 +537,34 @@ func readRequest[T interface{ Validate() error }](s *Server, w http.ResponseWrit
 		return req, false
 	}
 	return req, true
+}
+
+// bodyBufs holds request-body buffers between requests; putBodyBuf keeps
+// none larger than a typical body's 64 KiB, so a rare large body does not
+// pin its buffer.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func putBodyBuf(b *[]byte) {
+	if cap(*b) <= 64<<10 {
+		bodyBufs.Put(b)
+	}
+}
+
+// readAll is io.ReadAll appending to b.
+func readAll(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // handleSimulate is POST /v1/simulate.
@@ -613,19 +658,27 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	body, outcome, err := sse.await(func() ([]byte, cache.Outcome, error) {
 		return s.store.Do(r.Context(), key, s.onPool(cs, key, run))
 	})
-	if err == nil && info.digest != "" {
+	if err == nil && info.digested {
 		// The bytes' next repeat skips the way here while memory holds key.
 		s.store.Alias(info.digest, key)
 	}
-	s.respond(w, r, cs, key, body, outcome, err, sse)
+	s.respond(w, r, cs, []string{key}, body, outcome, err, sse)
 }
+
+// The values of the response headers no request changes, shared by every
+// response: net/http only reads them.
+var (
+	jsonContentType = []string{"application/json"}
+	xCacheValues    = [...][]string{cache.Hit: {"hit"}, cache.Miss: {"miss"}, cache.Shared: {"shared"}}
+)
 
 // respond is serveCached's end and the whole of an alias hit: it closes
 // the cache span cs with the outcome, then writes the error, the stream's
-// result event, or the headers and the body.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, cs *otrace.Span, key string, body []byte, outcome cache.Outcome, err error, sse *sseWriter) {
+// result event, or the headers and the body. key is the one-element value
+// of the X-Cache-Key header.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, cs *otrace.Span, key []string, body []byte, outcome cache.Outcome, err error, sse *sseWriter) {
 	info := requestInfo(w)
-	info.key = key
+	info.key = key[0]
 	info.cache = outcome.String()
 	if err != nil {
 		info.cache = "error"
@@ -642,9 +695,10 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, cs *otrace.Span
 	case sse != nil:
 		sse.event("result", body)
 	default:
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", info.cache)
-		w.Header().Set("X-Cache-Key", key)
+		h := w.Header()
+		h["Content-Type"] = jsonContentType
+		h["X-Cache"] = xCacheValues[outcome]
+		h["X-Cache-Key"] = key
 		if info.query.Get("trace") == "server" {
 			// The wrapper is assembled after the lookup, so the cache stores
 			// only the inner result bytes — tracing a request never perturbs
