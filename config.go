@@ -195,6 +195,7 @@ func (c Config) Normalized() Config {
 	if c.Scheme == "none" {
 		c.Scheme = "" // LookupScheme treats "none" and "" alike
 	}
+	c.Traffic = traffic.CanonicalName(c.Traffic) // ByName's aliases, spelled one way
 	if c.Workload != nil {
 		// Normalize the workload block the same way Build does, and drop
 		// a block that is all defaults — it shapes nothing, so the plain

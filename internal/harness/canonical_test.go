@@ -63,6 +63,19 @@ func TestCanonicalDefaultsCollapse(t *testing.T) {
 	}
 }
 
+// TestCanonicalPatternAliases: a pattern's alias names the same run as its
+// canonical name, so the two encode, and key the cache, the same.
+func TestCanonicalPatternAliases(t *testing.T) {
+	for alias, name := range map[string]string{"ur": "uniform_random", "uniform": "uniform_random",
+		"bitcomp": "bit_complement", "bitrev": "bit_reverse", "bitrot": "bit_rotation"} {
+		a, b := validScenario(), validScenario()
+		a.Traffic, b.Traffic = alias, name
+		if !CanonicalEqual(a, b) {
+			t.Errorf("%s and %s encode differently:\n  %s\n  %s", alias, name, a.Canonical(), b.Canonical())
+		}
+	}
+}
+
 // TestCanonicalDistinguishes guards against over-normalization: knobs
 // that change the simulation must change the canonical bytes.
 func TestCanonicalDistinguishes(t *testing.T) {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -425,5 +426,44 @@ func TestDifferentialRates(t *testing.T) {
 				t.Fatalf("a run delivered nothing in its measurement window: %+v, %+v", d.PrimaryRate, d.BaselineRate)
 			}
 		})
+	}
+}
+
+// booksOff is a closed-loop source that issues nothing and whose window
+// audit always fails.
+type booksOff struct{}
+
+func (booksOff) Generate(int64, int64, int, *sim.Stream, func(sim.PacketSpec)) int64 {
+	return sim.Never
+}
+func (booksOff) OnEject(*sim.Packet) {}
+func (booksOff) Quiesce(bool)        {}
+func (booksOff) WindowLimit() int    { return 1 }
+func (booksOff) Outstanding(int) int { return 0 }
+func (booksOff) InWindow() int64     { return 0 }
+func (booksOff) AuditWindows() error { return fmt.Errorf("books off") }
+
+// TestWindowFaultReportedOnce: a closed-loop accounting fault is the
+// checker's to report, and a checked, drained Drive reports it once.
+func TestWindowFaultReportedOnce(t *testing.T) {
+	sc := Scenario{Topology: "mesh:4x4", Routing: "xy", Cycles: 50}
+	s, err := sc.Sim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := s.Network()
+	net.SetTraffic(booksOff{})
+	res, err := Drive(context.Background(), sc, net, Observe{Check: true, Drain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var window []sim.Violation
+	for _, v := range res.Violations {
+		if v.Rule == sim.RuleWindow {
+			window = append(window, v)
+		}
+	}
+	if len(window) != 1 || !res.Drained {
+		t.Fatalf("drained %v, window violations %v, want exactly one", res.Drained, window)
 	}
 }

@@ -179,7 +179,7 @@ func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Resu
 		res.Drained = net.Drain(drainBudget(sc))
 	}
 	if checker != nil {
-		res.Violations = append(checker.Violations(), windowViolations(net, o.Drain && res.Drained)...)
+		res.Violations = checker.Violations()
 		res.MaxDeadlockSpell = checker.MaxDeadlockSpell()
 		res.OracleFirings = checker.OracleFirings()
 		res.Trace = tail.Events()
@@ -203,25 +203,4 @@ func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Resu
 	st := net.Stats()
 	res.Injected, res.Ejected, res.Spins = st.Injected, st.Ejected, st.Spins
 	return res, nil
-}
-
-// windowViolations audits a closed-loop source after the run: every
-// request the loop issued must have been retired by its reply once the
-// network drained, and the window books must balance.
-func windowViolations(net *sim.Network, drained bool) []sim.Violation {
-	cl, ok := net.Config().Traffic.(sim.ClosedLoopTraffic)
-	if !ok {
-		return nil
-	}
-	var vs []sim.Violation
-	add := func(detail string) {
-		vs = append(vs, sim.Violation{Rule: sim.RuleWindow, Cycle: net.Now(), Detail: detail})
-	}
-	if left := cl.InWindow(); drained && left != 0 {
-		add(fmt.Sprintf("drain completed with %d requests still in window", left))
-	}
-	if err := cl.AuditWindows(); err != nil {
-		add(err.Error())
-	}
-	return vs
 }

@@ -46,7 +46,7 @@ const (
 	RuleHopBound      = "hop_bound"      // packet took more hops than the routing bound allows
 	RuleProgress      = "progress"       // a VC's front flit made no progress for StallBound cycles
 	RuleRecovery      = "recovery_bound" // oracle-visible deadlock outlived RecoveryBound cycles
-	RuleWindow        = "window"         // closed-loop window accounting broken (outstanding outside [0,W], unmatched reply, drain residue)
+	RuleWindow        = "window"         // closed-loop window accounting broken (outstanding outside [0,W], unmatched reply); drain residue is Drain's liveness verdict, not a window rule
 	RuleWorklist      = "worklist"       // an engine worklist bitset disagrees with the state it indexes (a missed wake-up is a silent stall)
 )
 

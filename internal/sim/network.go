@@ -31,25 +31,16 @@ import (
 //     a source are no turns at all, as when every terminal was called on
 //     every cycle.
 //
-// State shared across terminals belongs in StepTraffic (see
-// TrafficStepper).
+// State shared across terminals is the source's own: the first terminal
+// to take a turn at a cycle can advance it for the rest (a stream replay
+// pumps its trace there).
 type TrafficGen interface {
-	Name() string
 	Generate(now, limit int64, src int, rng *Stream, emit func(PacketSpec)) (next int64)
 }
 
 // Never is the turn a source names for a terminal that needs none until
 // something else re-arms it.
 const Never int64 = math.MaxInt64
-
-// TrafficStepper is an optional TrafficGen extension: StepTraffic runs
-// once at the top of every Step, before phase 1. It is the place for work
-// that must see the whole generator — pumping a streaming trace into
-// per-source queues, advancing a global arrival process — while Generate
-// stays source-local.
-type TrafficStepper interface {
-	StepTraffic(now int64)
-}
 
 // ClosedLoopTraffic is the contract of a TrafficGen with obligations
 // beyond its next packet: request/response clients with finite windows.
@@ -210,10 +201,9 @@ type Network struct {
 	// order-invariance oracle (export_test.go) is its one writer.
 	permute func([]*Router)
 
-	// trafStep/closed cache the traffic generator's two other roles so the
-	// hot path pays a nil check, not a type assertion, per cycle.
-	trafStep TrafficStepper
-	closed   ClosedLoopTraffic
+	// closed caches the traffic generator's closed-loop role so the hot
+	// path pays a nil check, not a type assertion, per cycle.
+	closed ClosedLoopTraffic
 
 	// checker, when attached, audits every cycle what that cycle changed
 	// and the whole network on a fixed cadence (see checker.go).
@@ -560,9 +550,6 @@ func (n *Network) freeChunk(chunk []Packet) {
 // Step advances the simulation by one cycle: two phases, then the commit
 // (see engine.go).
 func (n *Network) Step() {
-	if n.trafStep != nil && n.cfg.Traffic != nil {
-		n.trafStep.StepTraffic(n.now)
-	}
 	n.phase1()
 	n.phase2()
 	n.commit()
@@ -649,7 +636,6 @@ func (n *Network) LinkUtilisation() LinkUtilisation {
 func (n *Network) SetTraffic(g TrafficGen) {
 	n.handBack()
 	n.cfg.Traffic = g
-	n.trafStep, _ = g.(TrafficStepper)
 	n.closed, _ = g.(ClosedLoopTraffic)
 	// A source's first turn at every terminal is the cycle it is attached.
 	n.turnAll()

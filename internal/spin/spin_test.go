@@ -516,5 +516,4 @@ func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)
 // hotspot sends every packet to a fixed destination terminal.
 type hotspot struct{ dst int }
 
-func (h hotspot) Name() string                   { return "hotspot" }
 func (h hotspot) Dest(src int, _ *rand.Rand) int { return h.dst }

@@ -1,8 +1,6 @@
 package traffic
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -61,9 +59,6 @@ type AppTraffic struct {
 	inject sim.Chance
 	ready  bool
 }
-
-// Name implements sim.TrafficGen.
-func (a *AppTraffic) Name() string { return fmt.Sprintf("parsec:%s", a.Profile.Name) }
 
 // Generate implements sim.TrafficGen.
 func (a *AppTraffic) Generate(now, limit int64, src int, rng *sim.Stream, emit func(sim.PacketSpec)) int64 {

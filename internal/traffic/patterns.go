@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -19,7 +20,6 @@ import (
 // patterns are defined over terminal ids; coordinate-based patterns
 // (transpose, tornado) derive dimensions from the topology.
 type Pattern interface {
-	Name() string
 	// Dest returns the destination terminal for a packet from src. rng
 	// serves randomised patterns (uniform random).
 	Dest(src int, rng *rand.Rand) int
@@ -28,7 +28,6 @@ type Pattern interface {
 // uniform selects destinations uniformly over all other terminals.
 type uniform struct{ n int }
 
-func (u uniform) Name() string { return "uniform_random" }
 func (u uniform) Dest(src int, rng *rand.Rand) int {
 	d := rng.Intn(u.n - 1)
 	if d >= src {
@@ -46,7 +45,6 @@ type bitComplement struct {
 	bits uint
 }
 
-func (p bitComplement) Name() string { return "bit_complement" }
 func (p bitComplement) Dest(src int, _ *rand.Rand) int {
 	return (^src) & (p.n - 1)
 }
@@ -66,7 +64,6 @@ type bitReverse struct {
 	bits uint
 }
 
-func (p bitReverse) Name() string { return "bit_reverse" }
 func (p bitReverse) Dest(src int, _ *rand.Rand) int {
 	return int(bits.Reverse64(uint64(src)) >> (64 - p.bits))
 }
@@ -85,7 +82,6 @@ type bitRotation struct {
 	bits uint
 }
 
-func (p bitRotation) Name() string { return "bit_rotation" }
 func (p bitRotation) Dest(src int, _ *rand.Rand) int {
 	return (src >> 1) | ((src & 1) << (p.bits - 1))
 }
@@ -104,7 +100,6 @@ type shuffle struct {
 	bits uint
 }
 
-func (p shuffle) Name() string { return "shuffle" }
 func (p shuffle) Dest(src int, _ *rand.Rand) int {
 	return ((src << 1) | (src >> (p.bits - 1))) & (p.n - 1)
 }
@@ -120,7 +115,6 @@ func Shuffle(n int) (Pattern, error) {
 // neighbor sends node i to node i+1 (mod n).
 type neighbor struct{ n int }
 
-func (p neighbor) Name() string { return "neighbor" }
 func (p neighbor) Dest(src int, _ *rand.Rand) int {
 	return (src + 1) % p.n
 }
@@ -136,7 +130,6 @@ type transpose struct {
 	bits uint
 }
 
-func (p transpose) Name() string { return "transpose" }
 func (p transpose) Dest(src int, _ *rand.Rand) int {
 	if p.mesh != nil {
 		x, y := p.mesh.Coords(src)
@@ -170,7 +163,6 @@ type tornado struct {
 	n    int
 }
 
-func (p tornado) Name() string { return "tornado" }
 func (p tornado) Dest(src int, _ *rand.Rand) int {
 	if p.mesh != nil {
 		x, y := p.mesh.Coords(src)
@@ -188,26 +180,42 @@ func Tornado(topo topology.Topology) Pattern {
 	return tornado{n: topo.NumTerminals()}
 }
 
-// ByName resolves the synthetic patterns used across the evaluation.
+// patterns is the one table of the synthetic patterns used across the
+// evaluation: each canonical name, the other spellings ByName accepts for
+// it, and its constructor.
+var patterns = []struct {
+	name    string
+	aliases []string
+	build   func(topology.Topology) (Pattern, error)
+}{
+	{"uniform_random", []string{"uniform", "ur"}, func(t topology.Topology) (Pattern, error) { return Uniform(t.NumTerminals()), nil }},
+	{"bit_complement", []string{"bitcomp"}, func(t topology.Topology) (Pattern, error) { return BitComplement(t.NumTerminals()) }},
+	{"bit_reverse", []string{"bitrev"}, func(t topology.Topology) (Pattern, error) { return BitReverse(t.NumTerminals()) }},
+	{"bit_rotation", []string{"bitrot"}, func(t topology.Topology) (Pattern, error) { return BitRotation(t.NumTerminals()) }},
+	{"shuffle", nil, func(t topology.Topology) (Pattern, error) { return Shuffle(t.NumTerminals()) }},
+	{"neighbor", nil, func(t topology.Topology) (Pattern, error) { return Neighbor(t.NumTerminals()), nil }},
+	{"transpose", nil, Transpose},
+	{"tornado", nil, func(t topology.Topology) (Pattern, error) { return Tornado(t), nil }},
+}
+
+// CanonicalName returns the canonical name of the pattern name spells, or
+// name itself when no pattern has that spelling.
+func CanonicalName(name string) string {
+	for _, p := range patterns {
+		if p.name == name || slices.Contains(p.aliases, name) {
+			return p.name
+		}
+	}
+	return name
+}
+
+// ByName resolves a synthetic pattern by its canonical name or an alias.
 func ByName(name string, topo topology.Topology) (Pattern, error) {
-	n := topo.NumTerminals()
-	switch name {
-	case "uniform_random", "uniform", "ur":
-		return Uniform(n), nil
-	case "bit_complement", "bitcomp":
-		return BitComplement(n)
-	case "bit_reverse", "bitrev":
-		return BitReverse(n)
-	case "bit_rotation", "bitrot":
-		return BitRotation(n)
-	case "shuffle":
-		return Shuffle(n)
-	case "neighbor":
-		return Neighbor(n), nil
-	case "transpose":
-		return Transpose(topo)
-	case "tornado":
-		return Tornado(topo), nil
+	name = CanonicalName(name)
+	for _, p := range patterns {
+		if p.name == name {
+			return p.build(topo)
+		}
 	}
 	return nil, fmt.Errorf("traffic: unknown pattern %q", name)
 }
@@ -241,11 +249,6 @@ type Synthetic struct {
 
 // dataLen is the length of a long (data) packet, in flits.
 const dataLen = 5
-
-// Name implements sim.TrafficGen.
-func (s *Synthetic) Name() string {
-	return fmt.Sprintf("%s@%.3f", s.Pattern.Name(), s.Rate)
-}
 
 // Generate implements sim.TrafficGen.
 func (s *Synthetic) Generate(now, limit int64, src int, rng *sim.Stream, emit func(sim.PacketSpec)) int64 {

@@ -262,8 +262,8 @@ func TestStreamReplayMatchesReplay(t *testing.T) {
 		if err := rp.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if !rp.Done() {
-			t.Fatal("replay not done")
+		if rp.Pumped() != int64(len(tr)) {
+			t.Fatalf("pumped %d of %d entries", rp.Pumped(), len(tr))
 		}
 		return *n.Stats()
 	}

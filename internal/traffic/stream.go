@@ -8,10 +8,11 @@ import (
 )
 
 // StreamReplay is the replay engine: it injects an exact workload,
-// pulled from an EntrySource, at its recorded cycles. It implements the
-// sim.TrafficStepper split: StepTraffic (once per cycle, the only reader
-// of the source) pumps the entries that have come due into per-source
-// queues, and Generate (per terminal) drains only its own source's queue.
+// pulled from an EntrySource, at its recorded cycles. Every terminal
+// sleeps until the cycle of the next entry not yet pumped, so at that
+// cycle all of them take a turn: the first to do so pumps the entries that
+// have come due into per-source queues (pump, the only reader of the
+// source), and each drains only its own source's queue.
 //
 // Over a *TraceReader, memory is bounded by one decoder chunk plus the
 // entries due in the current cycle, independent of trace length.
@@ -49,9 +50,6 @@ func NewStreamReplay(src EntrySource, cfg sim.Config) (*StreamReplay, error) {
 	return s, nil
 }
 
-// Name implements sim.TrafficGen.
-func (s *StreamReplay) Name() string { return "trace_stream" }
-
 // check is the one entry-vs-network bounds rule; i is the entry's
 // position in replay order.
 func (s *StreamReplay) check(i int64, e TraceEntry) error {
@@ -72,11 +70,10 @@ func (s *StreamReplay) check(i int64, e TraceEntry) error {
 	return nil
 }
 
-// StepTraffic implements sim.TrafficStepper: advance the source up to
-// cycle now, queueing every entry that has come due. Runs serially
-// before the parallel phases, so the per-source appends never race with
-// Generate.
-func (s *StreamReplay) StepTraffic(now int64) {
+// pump advances the source up to cycle now, queueing every entry that has
+// come due. Within a cycle only its first call reads: the lookahead it
+// leaves is past now.
+func (s *StreamReplay) pump(now int64) {
 	if s.err != nil {
 		return
 	}
@@ -108,12 +105,13 @@ func (s *StreamReplay) StepTraffic(now int64) {
 	}
 }
 
-// Generate implements sim.TrafficGen, draining this source's due
-// entries. Each queue is filled serially in StepTraffic and emptied
+// Generate implements sim.TrafficGen: pump the entries due by now, then
+// drain this source's queue. Each queue is filled by pump and emptied
 // here, so steady-state replay does not allocate. A terminal sleeps until
 // the cycle of the next entry not yet pumped, whichever terminal it is for:
 // until then no queue can fill.
-func (s *StreamReplay) Generate(_, _ int64, src int, _ *sim.Stream, emit func(sim.PacketSpec)) int64 {
+func (s *StreamReplay) Generate(now, _ int64, src int, _ *sim.Stream, emit func(sim.PacketSpec)) int64 {
+	s.pump(now)
 	if q := s.queues[src]; len(q) > 0 {
 		for _, e := range q {
 			emit(sim.PacketSpec{Dst: e.Dst, Length: e.Length, VNet: e.VNet})
@@ -121,7 +119,7 @@ func (s *StreamReplay) Generate(_, _ int64, src int, _ *sim.Stream, emit func(si
 		s.queues[src] = q[:0]
 	}
 	if !s.nextValid {
-		return sim.Never // the source is exhausted (StepTraffic has just run)
+		return sim.Never // the source is exhausted
 	}
 	return s.next.Cycle
 }
@@ -129,20 +127,6 @@ func (s *StreamReplay) Generate(_, _ int64, src int, _ *sim.Stream, emit func(si
 // Err reports the first decode or bounds failure; replay halts at the
 // failing entry rather than injecting garbage.
 func (s *StreamReplay) Err() error { return s.err }
-
-// Done reports whether the source is exhausted and every queued entry
-// has been injected.
-func (s *StreamReplay) Done() bool {
-	if !s.eof || s.nextValid {
-		return false
-	}
-	for _, q := range s.queues {
-		if len(q) > 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // Pumped reports how many entries have been queued for injection.
 func (s *StreamReplay) Pumped() int64 { return s.pumped }

@@ -79,8 +79,8 @@ func TestSliceSourceOrder(t *testing.T) {
 
 // TestRecorderThenReplayIdentical: a Recorder observing a network's
 // packet_queued events captures every packet its generator made, and a
-// replay of the recording emits exactly those packets, in the same order
-// at the same cycles.
+// replay of the recording, driven by Generate alone at the turns it names,
+// emits exactly those packets, in the same order at the same cycles.
 func TestRecorderThenReplayIdentical(t *testing.T) {
 	m, err := topology.NewMesh(4, 4, 1)
 	if err != nil {
@@ -106,7 +106,6 @@ func TestRecorderThenReplayIdentical(t *testing.T) {
 	var replayed []TraceEntry
 	due := make([]int64, 16)
 	for c := int64(0); c < 2100; c++ {
-		rp.StepTraffic(c)
 		for src := range due {
 			if due[src] == c {
 				due[src] = rp.Generate(c, c+64, src, nil, func(spec sim.PacketSpec) {
@@ -115,8 +114,8 @@ func TestRecorderThenReplayIdentical(t *testing.T) {
 			}
 		}
 	}
-	if !rp.Done() {
-		t.Fatal("replay not done")
+	if rp.Pumped() != int64(len(rec.Entries)) {
+		t.Fatalf("pumped %d of %d entries", rp.Pumped(), len(rec.Entries))
 	}
 	if !reflect.DeepEqual(replayed, rec.Entries) {
 		t.Fatalf("replayed %d entries that differ from the %d recorded", len(replayed), len(rec.Entries))

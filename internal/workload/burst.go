@@ -33,9 +33,6 @@ type burstState struct {
 	until int64
 }
 
-// Name implements sim.TrafficGen.
-func (b *Burst) Name() string { return b.Inner.Name() + "+burst" }
-
 func draw(rng *sim.Stream, mean int64) int64 {
 	if mean <= 1 {
 		return 1
@@ -78,9 +75,6 @@ type Hotspot struct {
 	Frac  float64
 	Hot   []int
 }
-
-// Name implements traffic.Pattern.
-func (h *Hotspot) Name() string { return h.Inner.Name() + "+hotspot" }
 
 // Dest implements traffic.Pattern.
 func (h *Hotspot) Dest(src int, rng *rand.Rand) int {

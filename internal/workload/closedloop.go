@@ -27,7 +27,6 @@ import (
 type ClosedLoop struct {
 	pat      traffic.Pattern
 	window   int32
-	rate     float64
 	issue    sim.Chance // a free, thinking-done terminal's chance to issue per cycle
 	reqLen   int
 	respLen  int
@@ -85,7 +84,6 @@ func newClosedLoop(s Spec, pat traffic.Pattern, rate float64, vnets, terminals i
 	cl := &ClosedLoop{
 		pat:         pat,
 		window:      int32(s.Window),
-		rate:        rate,
 		issue:       sim.NewChance(min(rate/float64(s.ReqLen), 1)),
 		reqLen:      s.ReqLen,
 		respLen:     s.RespLen,
@@ -103,11 +101,6 @@ func newClosedLoop(s Spec, pat traffic.Pattern, rate float64, vnets, terminals i
 		cl.thinkSrc[i].state = uint64(sim.EntitySeed(seed, "W:"+strconv.Itoa(i)))
 	}
 	return cl, nil
-}
-
-// Name implements sim.TrafficGen.
-func (cl *ClosedLoop) Name() string {
-	return fmt.Sprintf("closed_loop(%s,W=%d)@%.3f", cl.pat.Name(), cl.window, cl.rate)
 }
 
 // Generate implements sim.TrafficGen: first flush replies this server

@@ -245,17 +245,27 @@ func (cl parentClosedLoop) Generate(cycle int64, src int, rng *rand.Rand, emit f
 // the old engine gave it.
 type everyCycle struct{ old everyCycleGen }
 
-func (e everyCycle) Name() string { return "every_cycle" }
 func (e everyCycle) Generate(now, _ int64, src int, rng *sim.Stream, emit func(sim.PacketSpec)) int64 {
 	e.old.Generate(now, src, &rng.Rand, emit)
 	return now + 1
 }
 
-// The old sources' other roles, passed through.
-type everyCycleStepper struct {
+// everyCycleReplay pumps the old replay's trace where the old Step did, at
+// the top of every cycle: before terminal 0's call, the first of each cycle
+// on which every terminal takes a turn.
+type everyCycleReplay struct {
 	everyCycle
-	sim.TrafficStepper
+	old *parentStreamReplay
 }
+
+func (e everyCycleReplay) Generate(now, limit int64, src int, rng *sim.Stream, emit func(sim.PacketSpec)) int64 {
+	if src == 0 {
+		e.old.StepTraffic(now)
+	}
+	return e.everyCycle.Generate(now, limit, src, rng, emit)
+}
+
+// The old closed-loop source's other role, passed through.
 type everyCycleClosed struct {
 	everyCycle
 	sim.ClosedLoopTraffic
@@ -326,7 +336,7 @@ func turnScenarios(m *topology.Mesh, bursts [2]int64, window int, think int64) [
 				panic(err)
 			}
 			old := &parentStreamReplay{src: traffic.SliceSource(entries), queues: make([][]traffic.TraceEntry, n)}
-			return s, everyCycleStepper{everyCycle{old}, old}
+			return s, everyCycleReplay{everyCycle{old}, old}
 		}},
 	}
 }

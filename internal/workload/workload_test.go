@@ -278,7 +278,6 @@ type countingGen struct {
 	calls int
 }
 
-func (g *countingGen) Name() string { return "counting" }
 func (g *countingGen) Generate(now, _ int64, _ int, _ *sim.Stream, _ func(sim.PacketSpec)) int64 {
 	g.calls++
 	return now + 1

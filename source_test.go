@@ -12,8 +12,8 @@ import (
 )
 
 // TestSourcesRunAsBuilt: every traffic source Config.source builds runs as
-// built — StepTraffic and Generate straight after construction, with no
-// call in between that sizes it to the network — and its first cycle emits
+// built — Generate straight after construction, with no call before it that
+// sizes it to the network or advances it — and its first cycle emits
 // what the same source emits inside a network.
 func TestSourcesRunAsBuilt(t *testing.T) {
 	entries := []traffic.TraceEntry{
@@ -70,9 +70,6 @@ func TestSourcesRunAsBuilt(t *testing.T) {
 			gen, err := cfg.source(net.Config())
 			if err != nil {
 				t.Fatal(err)
-			}
-			if st, ok := gen.(sim.TrafficStepper); ok {
-				st.StepTraffic(0)
 			}
 			var got []traffic.TraceEntry
 			for src := 0; src < ref.Topology().NumTerminals(); src++ {
