@@ -207,15 +207,17 @@ func checkServe(t *testing.T, calibrationNs float64) {
 
 // hitAllocBudget is the ceiling on heap objects per alias hit, harness
 // included (it reuses its request and writer and its header map's
-// entries): the 5 an alias hit costs, and one of slack. The parent of the
+// entries): the 4 an alias hit costs, and one of slack. The parent of the
 // commit that introduced the alias spent 100; before span IDs were
-// rendered only when read, a hit spent 22.
-const hitAllocBudget = 6
+// rendered only when read, a hit spent 22; before its request ID and
+// traceparent were one string, 5.
+const hitAllocBudget = 5
 
-// TestHitAllocBudget pins what a repeated body costs in objects: the
-// request's writer and ID, its span tree, its traceparent, the body's
-// size limit — and no decode, no digest string, no per-span ID string, no
-// header value built per request, no label maps, no request copy.
+// TestHitAllocBudget pins what a repeated body costs in objects, four:
+// the request's writer, the one string holding its request ID and
+// traceparent, its span tree, and the body's size limit — and no decode,
+// no digest string, no per-span ID string, no header value built per
+// request, no label maps, no request copy.
 func TestHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

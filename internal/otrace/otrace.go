@@ -4,25 +4,32 @@
 // whole tree can be fetched after the fact — as a continuation of the
 // client's trace when the client sent a traceparent.
 //
-// The package is deliberately tiny: no clocks beyond time.Now, no
-// sampling machinery, no wire protocol beyond the traceparent header
+// The package is deliberately tiny: no sampling machinery, no wire
+// protocol beyond the traceparent header
 // (`00-<32 hex trace id>-<16 hex span id>-01`). Every Span method is
 // nil-receiver safe, so call sites never guard on whether tracing is
 // enabled — an untraced request simply carries a nil *Span all the way
 // through.
 //
+// A request reads the wall clock once: the caller's start, handed to
+// StartRequest. Every later instant of the tree is that start plus a
+// monotonic offset, and the caller's one end reading can close the root
+// (EndAfter). IDs come from ChaCha8 generators, each seeded once from
+// crypto/rand, so minting them takes no system call.
+//
 // A request's tree costs one allocation: the root, its first child and
 // room to list them once ended come in one block, and the ring copies the
 // records into slots it reuses. IDs are kept as integers and bytes; hex is
 // rendered only for a reader (Snapshot, Tree, Trace, TraceID, SpanID,
-// Traceparent).
+// AppendTraceparent).
 package otrace
 
 import (
-	"crypto/rand"
+	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"strconv"
@@ -121,22 +128,29 @@ func appendSpanHex(b []byte, id uint64) []byte {
 	return b
 }
 
-// newIDs draws a request tree's identifiers in one crypto/rand read: a
-// trace ID and the base its span IDs count up from (the root is base, the
-// tree's i-th child base+i), neither of them zero.
-func newIDs() (trace traceID, base uint64) {
-	var b [24]byte
-	if _, err := rand.Read(b[:]); err != nil {
+// idSources holds ChaCha8 generators, each seeded once from crypto/rand:
+// a CSPRNG, so the IDs it mints are as unpredictable as crypto/rand's,
+// drawn without a system call and, through the pool, without a lock.
+var idSources = sync.Pool{New: func() any {
+	var seed [32]byte
+	if _, err := crand.Read(seed[:]); err != nil {
 		// crypto/rand never fails on the supported platforms; a non-random
 		// ID still correlates, so degrade rather than panic the serving path.
-		for i := 0; i < len(b); i += 8 {
-			binary.LittleEndian.PutUint64(b[i:], uint64(time.Now().UnixNano()))
-		}
+		binary.LittleEndian.PutUint64(seed[:], uint64(time.Now().UnixNano()))
 	}
-	b[0] |= 1
-	b[16] |= 1
-	copy(trace[:], b[:16])
-	return trace, binary.BigEndian.Uint64(b[16:])
+	return rand.NewChaCha8(seed)
+}}
+
+// newIDs draws a request tree's identifiers: a trace ID and the base its
+// span IDs count up from (the root is base, the tree's i-th child base+i),
+// neither of them zero.
+func newIDs() (trace traceID, base uint64) {
+	src := idSources.Get().(*rand.ChaCha8)
+	binary.BigEndian.PutUint64(trace[:8], src.Uint64()|1<<56)
+	binary.BigEndian.PutUint64(trace[8:], src.Uint64())
+	base = src.Uint64() | 1<<56
+	idSources.Put(src)
+	return trace, base
 }
 
 // SpanData is the exported, immutable form of one finished (or
@@ -223,8 +237,23 @@ type tree struct {
 	doneBuf   [2]*record // done's first backing: a cache hit's two spans
 }
 
-// StartChild opens a child span under s.
-func (s *Span) StartChild(name string) *Span { return s.StartChildAt(name, time.Now()) }
+// StartChild opens a child span under s, now.
+func (s *Span) StartChild(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.StartChildAt(name, s.Now())
+}
+
+// Now is the tree's clock: its root's start plus the monotonic time since,
+// read without the wall clock (the zero Time on nil).
+func (s *Span) Now() time.Time {
+	if s == nil {
+		return time.Time{}
+	}
+	start := s.t.root.start
+	return start.Add(time.Since(start))
+}
 
 // StartChildAt opens a child as of start: a span named once part of it ran.
 func (s *Span) StartChildAt(name string, start time.Time) *Span {
@@ -261,6 +290,14 @@ func (s *Span) SetAttr(k, v string) {
 // ring sees it when its root ends — or at once if it outlives its root, as
 // the computation a cancelled request leaves behind does, or fills a batch.
 func (s *Span) End() {
+	if s != nil {
+		s.EndAfter(time.Since(s.start))
+	}
+}
+
+// EndAfter is End for a caller that has read the clock itself: the span
+// lasted d from its start.
+func (s *Span) EndAfter(d time.Duration) {
 	if s == nil {
 		return
 	}
@@ -270,7 +307,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.rec.dur = time.Since(s.start).Nanoseconds()
+	s.rec.dur = d.Nanoseconds()
 	s.mu.Unlock()
 	t := s.t
 	if fn := t.tr.onEnd.Load(); fn != nil {
@@ -334,18 +371,17 @@ func (s *Span) SpanID() string {
 	return spanHex(s.rec.id)
 }
 
-// Traceparent renders the header value that makes a downstream
-// service's spans children of s ("" on nil), in one allocation.
-func (s *Span) Traceparent() string {
+// AppendTraceparent appends the header value that makes a downstream
+// service's spans children of s (nothing on nil).
+func (s *Span) AppendTraceparent(b []byte) []byte {
 	if s == nil {
-		return ""
+		return b
 	}
-	var b [traceparentLen]byte
-	out := append(b[:0], "00-"...)
-	out = hex.AppendEncode(out, s.t.trace[:])
-	out = append(out, '-')
-	out = appendSpanHex(out, s.rec.id)
-	return string(append(out, "-01"...))
+	b = append(b, "00-"...)
+	b = hex.AppendEncode(b, s.t.trace[:])
+	b = append(b, '-')
+	b = appendSpanHex(b, s.rec.id)
+	return append(b, "-01"...)
 }
 
 // slot is one retained trace in the ring.
@@ -399,22 +435,22 @@ func (t *Tracer) OnEnd(fn func(name string, dur time.Duration)) {
 	}
 }
 
-// StartRequest opens a root span for one inbound request. A valid
-// traceparent header adopts the remote trace ID and parents the root
-// under the caller's span; anything else mints a
-// fresh trace. Safe on a nil tracer (returns a nil span).
-func (t *Tracer) StartRequest(name, traceparent string) *Span {
+// StartRequest opens a root span for one inbound request that started at
+// start, the tree's one wall-clock reading. A valid traceparent header
+// adopts the remote trace ID and parents the root under the caller's span;
+// anything else mints a fresh trace. Safe on a nil tracer (returns a nil
+// span).
+func (t *Tracer) StartRequest(name, traceparent string, start time.Time) *Span {
 	if t == nil {
 		return nil
 	}
-	now := time.Now()
 	tr := &tree{tr: t}
 	tr.done = tr.doneBuf[:0]
 	s := &tr.root
 	s.t = tr
-	s.start = now
+	s.start = start
 	s.rec.name = name
-	s.rec.start = now.UnixNano()
+	s.rec.start = start.UnixNano()
 	tr.trace, s.rec.id = newIDs()
 	if tid, parent, ok := ParseTraceparent(traceparent); ok {
 		tr.trace, _ = decodeTraceID(tid)

@@ -10,8 +10,8 @@ import (
 
 func TestParseTraceparentRoundTrip(t *testing.T) {
 	tr := NewTracer()
-	root := tr.StartRequest("request", "")
-	tp := root.Traceparent()
+	root := tr.StartRequest("request", "", time.Now())
+	tp := string(root.AppendTraceparent(nil))
 	tid, sid, ok := ParseTraceparent(tp)
 	if !ok {
 		t.Fatalf("own traceparent %q does not parse", tp)
@@ -47,9 +47,9 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 func TestStartRequestAdoptsRemoteTrace(t *testing.T) {
 	a := NewTracer()
 	b := NewTracer()
-	root := a.StartRequest("request", "")
+	root := a.StartRequest("request", "", time.Now())
 	child := root.StartChild("call")
-	remote := b.StartRequest("request", child.Traceparent())
+	remote := b.StartRequest("request", string(child.AppendTraceparent(nil)), time.Now())
 	if remote.TraceID() != root.TraceID() {
 		t.Fatalf("remote trace %s, want adopted %s", remote.TraceID(), root.TraceID())
 	}
@@ -67,7 +67,7 @@ func TestStartRequestAdoptsRemoteTrace(t *testing.T) {
 
 func TestSpanTreeAndAttrs(t *testing.T) {
 	tr := NewTracer()
-	root := tr.StartRequest("request", "")
+	root := tr.StartRequest("request", "", time.Now())
 	c1 := root.StartChild("decode")
 	c1.End()
 	c2 := root.StartChild("cache")
@@ -107,14 +107,14 @@ func TestNilSpanIsSafe(t *testing.T) {
 	if c := s.StartChild("x"); c != nil {
 		t.Fatal("nil span produced a non-nil child")
 	}
-	if s.TraceID() != "" || s.SpanID() != "" || s.Traceparent() != "" {
+	if s.TraceID() != "" || s.SpanID() != "" || string(s.AppendTraceparent(nil)) != "" {
 		t.Fatal("nil span reports non-empty IDs")
 	}
 	if _, ok := s.Snapshot(); ok {
 		t.Fatal("nil span snapshot reported ok")
 	}
 	var tr *Tracer
-	if sp := tr.StartRequest("r", ""); sp != nil {
+	if sp := tr.StartRequest("r", "", time.Now()); sp != nil {
 		t.Fatal("nil tracer produced a span")
 	}
 	if tr.Trace("x") != nil || tr.Len() != 0 {
@@ -127,7 +127,7 @@ func TestTraceEviction(t *testing.T) {
 	tr.capTrace = 3
 	var ids []string
 	for i := 0; i < 5; i++ {
-		s := tr.StartRequest("request", "")
+		s := tr.StartRequest("request", "", time.Now())
 		s.End()
 		ids = append(ids, s.TraceID())
 	}
@@ -149,7 +149,7 @@ func TestTraceEviction(t *testing.T) {
 func TestSpanCapDrops(t *testing.T) {
 	tr := NewTracer()
 	tr.capSpans = 4
-	root := tr.StartRequest("request", "")
+	root := tr.StartRequest("request", "", time.Now())
 	for i := 0; i < 10; i++ {
 		root.StartChild(fmt.Sprintf("c%d", i)).End()
 	}
@@ -171,7 +171,7 @@ func TestOnEndCallback(t *testing.T) {
 		got[name] += dur
 		mu.Unlock()
 	})
-	root := tr.StartRequest("request", "")
+	root := tr.StartRequest("request", "", time.Now())
 	root.StartChild("epoch").End()
 	root.End()
 	if len(got) != 2 {
@@ -186,7 +186,7 @@ func TestOnEndCallback(t *testing.T) {
 
 func TestEndIsIdempotent(t *testing.T) {
 	tr := NewTracer()
-	root := tr.StartRequest("request", "")
+	root := tr.StartRequest("request", "", time.Now())
 	root.End()
 	root.End()
 	if n := len(tr.Trace(root.TraceID())); n != 1 {
@@ -196,7 +196,7 @@ func TestEndIsIdempotent(t *testing.T) {
 
 func TestConcurrentSpans(t *testing.T) {
 	tr := NewTracer()
-	root := tr.StartRequest("request", "")
+	root := tr.StartRequest("request", "", time.Now())
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -216,7 +216,7 @@ func TestConcurrentSpans(t *testing.T) {
 
 func TestValidTraceID(t *testing.T) {
 	tr := NewTracer()
-	id := tr.StartRequest("r", "").TraceID()
+	id := tr.StartRequest("r", "", time.Now()).TraceID()
 	if !ValidTraceID(id) {
 		t.Fatalf("minted trace ID %q fails validation", id)
 	}
@@ -261,7 +261,7 @@ func TestRingSlotReuse(t *testing.T) {
 	var all []made
 	for n := 0; n < 4*tr.capTrace+3; n++ {
 		size := []int{1, 2, 9, 4, 3, 7}[n%6] // spans in the tree, root included
-		root := tr.StartRequest(fmt.Sprintf("r%d", n), "")
+		root := tr.StartRequest(fmt.Sprintf("r%d", n), "", time.Now())
 		m := made{id: root.TraceID(), spans: map[string]wantSpan{}}
 		attrs := map[string]string{}
 		for a := 0; a < n%5; a++ {
@@ -327,12 +327,12 @@ func TestRingSlotReuse(t *testing.T) {
 func TestLateSpanFilesUnderItsTrace(t *testing.T) {
 	tr := NewTracer()
 	tr.capTrace = 2
-	root := tr.StartRequest("request", "")
+	root := tr.StartRequest("request", "", time.Now())
 	late := root.StartChild("compute")
 	late.SetAttr("k", "v")
 	root.End()
 	for i := 0; i < 3; i++ {
-		tr.StartRequest("other", "").End()
+		tr.StartRequest("other", "", time.Now()).End()
 	}
 	if tr.Trace(root.TraceID()) != nil {
 		t.Fatal("the root's trace outlived its slot")
@@ -353,7 +353,7 @@ func TestLateSpanFilesUnderItsTrace(t *testing.T) {
 // however many, in Snapshot, Tree and Trace; a key set again wins.
 func TestAttrsSpillPastInline(t *testing.T) {
 	tr := NewTracer()
-	root := tr.StartRequest("request", "")
+	root := tr.StartRequest("request", "", time.Now())
 	c := root.StartChild("busy")
 	want := map[string]string{}
 	for i := 0; i < 3*inlineAttrs+2; i++ {
@@ -386,7 +386,7 @@ func TestIDsDistinct(t *testing.T) {
 	tr := NewTracer()
 	traces, spans := map[string]bool{}, map[string]bool{}
 	for i := 0; i < 100_000; i++ {
-		root := tr.StartRequest("r", "")
+		root := tr.StartRequest("r", "", time.Now())
 		tid, sid := root.TraceID(), root.SpanID()
 		if !ValidTraceID(tid) || sid == strings.Repeat("0", 16) {
 			t.Fatalf("request %d: zero or malformed IDs %s/%s", i, tid, sid)
@@ -401,6 +401,43 @@ func TestIDsDistinct(t *testing.T) {
 	}
 }
 
+// TestConcurrentIDsDistinct: trees minted from many goroutines at once —
+// each drawing from whichever seeded generator the pool hands it — have
+// pairwise distinct, non-zero trace IDs and non-zero span IDs.
+func TestConcurrentIDsDistinct(t *testing.T) {
+	const goroutines, trees = 8, 2000
+	tr := NewTracer()
+	ids := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range ids {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < trees; i++ {
+				root := tr.StartRequest("r", "", time.Now())
+				c := root.StartChild("c")
+				if root.SpanID() == strings.Repeat("0", 16) || c.SpanID() == strings.Repeat("0", 16) {
+					t.Errorf("goroutine %d, tree %d: a zero span ID", g, i)
+				}
+				ids[g] = append(ids[g], root.TraceID())
+			}
+		}(g)
+	}
+	wg.Wait()
+	seen := make(map[string]bool, goroutines*trees)
+	for g := range ids {
+		for i, id := range ids[g] {
+			if !ValidTraceID(id) {
+				t.Fatalf("goroutine %d, tree %d: zero or malformed trace ID %q", g, i, id)
+			}
+			if seen[id] {
+				t.Fatalf("goroutine %d, tree %d: trace ID %s minted twice", g, i, id)
+			}
+			seen[id] = true
+		}
+	}
+}
+
 // TestTreeIsOneAllocation: a cache hit's spans — the root with its three
 // attributes and one child with two — cost one allocation from start to
 // filing, once the ring has settled; reading an ID renders it, and costs.
@@ -410,7 +447,7 @@ func TestTreeIsOneAllocation(t *testing.T) {
 	}
 	tr := NewTracer()
 	hit := func() {
-		root := tr.StartRequest("simulate", "")
+		root := tr.StartRequest("simulate", "", time.Now())
 		root.SetAttr("request_id", "r")
 		c := root.StartChild("cache")
 		c.SetAttr("via", "alias")

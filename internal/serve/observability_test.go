@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/otrace"
 	"repro/internal/prom"
@@ -144,12 +146,58 @@ func TestSpanDurationHistogramEdges(t *testing.T) {
 	}
 
 	// The tracer feeds the histogram on span end, under the span's name.
-	root := s.tracer.StartRequest("probe", "")
+	root := s.tracer.StartRequest("probe", "", time.Now())
 	root.StartChild("probe_child").End()
 	root.End()
 	for _, name := range []string{"probe", "probe_child"} {
 		if n := s.mSpanSeconds.With("span", name).Count(); n != 1 {
 			t.Errorf("span %s not observed under its name: count %d", name, n)
+		}
+	}
+}
+
+// TestRequestDurationIsTheRootSpan: a request's latency sample and its root
+// span's duration are one clock reading, so the root's dur_ns in /v1/trace
+// is exactly what spind_request_duration_seconds recorded for it — on a
+// miss and on the alias hit after it.
+func TestRequestDurationIsTheRootSpan(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	var want float64 // the series' sum, accumulated as the histogram does
+	for i, cache := range []string{"miss", "hit"} {
+		rec := post(t, h, "/v1/simulate", smallScenario)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != cache {
+			t.Fatalf("post %d: %d, X-Cache %q; want 200, %s", i, rec.Code, rec.Header().Get("X-Cache"), cache)
+		}
+		tid, rootID, _ := otrace.ParseTraceparent(rec.Header().Get("Traceparent"))
+		get := httptest.NewRecorder()
+		h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/v1/trace/"+tid, nil))
+		var doc traceResponse
+		if err := json.Unmarshal(get.Body.Bytes(), &doc); err != nil || get.Code != http.StatusOK {
+			t.Fatalf("GET /v1/trace/%s: %d %v", tid, get.Code, err)
+		}
+		var root *otrace.SpanData
+		for j := range doc.Spans {
+			if doc.Spans[j].SpanID == rootID {
+				root = &doc.Spans[j]
+			}
+		}
+		if root == nil {
+			t.Fatalf("post %d: trace %s has no root span %s: %+v", i, tid, rootID, doc.Spans)
+		}
+		want += time.Duration(root.Dur).Seconds()
+
+		var metrics bytes.Buffer
+		s.reg.Render(&metrics)
+		var sum float64
+		var count int
+		for _, line := range strings.Split(metrics.String(), "\n") {
+			fmt.Sscanf(line, `spind_request_duration_seconds_sum{endpoint="simulate"} %g`, &sum)
+			fmt.Sscanf(line, `spind_request_duration_seconds_count{endpoint="simulate"} %d`, &count)
+		}
+		if count != i+1 || sum != want {
+			t.Errorf("after the %s: %d samples summing to %v s; want %d summing to %v s, the root spans' dur_ns",
+				cache, count, sum, i+1, want)
 		}
 	}
 }

@@ -311,7 +311,8 @@ func (s *Server) Close() { s.pool.Close() }
 
 // statusWriter captures the response code for metrics and, being what
 // every instrumented handler writes to, carries the request's record and
-// backs the values of its X-Request-Id and Traceparent headers.
+// backs the values of its X-Request-Id and Traceparent headers (slices of
+// one string when the ID is minted here).
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -351,15 +352,23 @@ type reqInfo struct {
 // is mounted through instrument, which is what puts it there.
 func requestInfo(w http.ResponseWriter) *reqInfo { return &w.(*statusWriter).info }
 
-// nextRequestID mints a process-unique request ID, the sequence number
-// zero-padded to six digits, in one allocation.
-func (s *Server) nextRequestID() string {
+// appendRequestID appends a process-unique request ID, the sequence
+// number zero-padded to six digits.
+func (s *Server) appendRequestID(b []byte) []byte {
 	var seq [20]byte
 	n := strconv.AppendUint(seq[:0], s.reqSeq.Add(1), 10)
-	var b [64]byte
-	id := append(b[:0], s.idPrefix...)
-	id = append(id, "000000"[min(len(n), 6):]...)
-	return string(append(id, n...))
+	b = append(b, s.idPrefix...)
+	b = append(b, "000000"[min(len(n), 6):]...)
+	return append(b, n...)
+}
+
+// firstValue is a header's first value: Header.Get without canonicalising
+// a key that is canonical already, as net/http leaves every key it parsed.
+func firstValue(vs []string) string {
+	if len(vs) == 0 {
+		return ""
+	}
+	return vs[0]
 }
 
 // codeSeries is a status code's text and its spind_requests_total series.
@@ -376,23 +385,34 @@ type codeSeries struct {
 // likewise parents this request's root span under the caller's span, so
 // the server's tree continues the client's trace. What no request changes is
 // bound once: the latency series here, a status code's text and counter
-// series the first time the endpoint answers it.
+// series the first time the endpoint answers it. The clock is read at the
+// start, which is the root span's too, and once at the end: the duration
+// the histogram, the log record and the root span share.
 func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.HandlerFunc {
 	seconds := s.mReqSeconds.With("endpoint", endpoint)
 	var codes sync.Map // int -> *codeSeries
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK, info: reqInfo{id: sanitizeRequestID(r.Header.Get(headerRequestID)), cache: "-", key: "-"}}
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK, info: reqInfo{id: sanitizeRequestID(firstValue(r.Header[headerRequestID])), cache: "-", key: "-"}}
 		info := &sw.info
+		info.span = s.tracer.StartRequest(endpoint, firstValue(r.Header[headerTraceparent]), start)
+		// A minted ID and the traceparent are rendered into one string, so
+		// both header values cost one allocation.
+		var b [128]byte
+		ids := b[:0]
 		if info.id == "" {
-			info.id = s.nextRequestID()
+			ids = s.appendRequestID(ids)
 		}
-		info.span = s.tracer.StartRequest(endpoint, r.Header.Get(headerTraceparent))
+		n := len(ids)
+		both := string(info.span.AppendTraceparent(ids))
+		if info.id == "" {
+			info.id = both[:n]
+		}
+		sw.hdr = [2]string{info.id, both[n:]}
 		info.span.SetAttr("request_id", info.id)
 		if r.URL.RawQuery != "" {
 			info.query = r.URL.Query()
 		}
-		sw.hdr = [2]string{info.id, info.span.Traceparent()}
 		h := w.Header()
 		h[headerRequestID] = sw.hdr[0:1:1]
 		h[headerTraceparent] = sw.hdr[1:2:2]
@@ -407,7 +427,7 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 		seconds.Observe(dur.Seconds())
 		info.span.SetAttr("code", code.(*codeSeries).text)
 		info.span.SetAttr("cache", info.cache)
-		info.span.End()
+		info.span.EndAfter(dur)
 		if s.cfg.Log != nil {
 			s.cfg.Log.Info("request",
 				slog.String("id", info.id),
@@ -503,7 +523,7 @@ func readRequest[T interface{ Validate() error }](s *Server, w http.ResponseWrit
 		return req, false
 	}
 	info := requestInfo(w)
-	start := time.Now()
+	start := info.span.Now()
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	// The body lands after the salt and a 0, so the buffer is the very
 	// input KeyOf hashes: one Sum256 is the digest.

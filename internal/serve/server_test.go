@@ -178,23 +178,32 @@ func TestQueueFullSheds(t *testing.T) {
 	done := make(chan struct{}, 2)
 	// Both held requests must have answered — their results stored — before
 	// the test's temp dir is removed under them.
-	defer func() { close(release); <-done; <-done }()
-	for i := 0; i < 2; i++ {
+	started := 0
+	defer func() {
+		close(release)
+		for ; started > 0; started-- {
+			<-done
+		}
+	}()
+	// The second request goes in once the first is running: sent together,
+	// the second can find the first still in the one queue slot and be shed.
+	for i, want := range [][2]int{{0, 1}, {1, 1}} {
+		started++
 		go func(i int) {
 			post(t, s.Handler(), "/v1/simulate", body(i))
 			done <- struct{}{}
 		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if q, r := s.pool.Depth(); q == 1 && r == 1 {
-			break
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if q, r := s.pool.Depth(); q == want[0] && r == want[1] {
+				break
+			}
+			if time.Now().After(deadline) {
+				q, r := s.pool.Depth()
+				t.Fatalf("pool never reached %d queued, %d running: queued=%d running=%d", want[0], want[1], q, r)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			q, r := s.pool.Depth()
-			t.Fatalf("pool never filled: queued=%d running=%d", q, r)
-		}
-		time.Sleep(time.Millisecond)
 	}
 
 	rec := post(t, s.Handler(), "/v1/simulate", body(2))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"repro/internal/otrace"
 )
@@ -13,9 +14,9 @@ import (
 func TestWriteSpanTraceOneProcess(t *testing.T) {
 	a := otrace.NewTracer()
 	b := otrace.NewTracer()
-	root := a.StartRequest("request", "")
+	root := a.StartRequest("request", "", time.Now())
 	call := root.StartChild("call")
-	remote := b.StartRequest("request", call.Traceparent())
+	remote := b.StartRequest("request", string(call.AppendTraceparent(nil)), time.Now())
 	remote.StartChild("compute").End()
 	remote.End()
 	call.End()

@@ -438,31 +438,42 @@ func at(es []sim.Event, i int) any {
 }
 
 // FuzzTrafficTurns searches the scenario space the test samples: any seed,
-// burst shape, window, think time and run length, on every source, on a
-// fresh network or (even on) a rewound one.
+// burst shape, window, think time and run length, on any one source (the
+// fuzzed index, modulo the scenario count), on a fresh network or (even
+// on) a rewound one. The seed corpus holds one input per source.
 //
 // Run it with: go test -fuzz FuzzTrafficTurns -fuzztime 60s ./internal/workload
 func FuzzTrafficTurns(f *testing.F) {
-	f.Add(int64(1), uint8(20), uint8(60), uint8(2), uint8(30), uint16(400))
-	f.Add(int64(7), uint8(1), uint8(1), uint8(1), uint8(0), uint16(64))
-	f.Add(int64(-3), uint8(200), uint8(3), uint8(8), uint8(255), uint16(1000))
-	f.Add(int64(1<<40), uint8(63), uint8(64), uint8(4), uint8(1), uint16(127))
 	m, err := topology.NewMesh(4, 4, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, on, off, window, think uint8, cycles uint16) {
+	shapes := []struct {
+		seed                   int64
+		on, off, window, think uint8
+		cycles                 uint16
+	}{
+		{1, 20, 60, 2, 30, 400},
+		{7, 1, 1, 1, 0, 64},
+		{-3, 200, 3, 8, 255, 1000},
+		{1 << 40, 63, 64, 4, 1, 127},
+	}
+	for i := range turnScenarios(m, [2]int64{1, 1}, 1, 0) {
+		s := shapes[i%len(shapes)]
+		f.Add(uint8(i), s.seed, s.on, s.off, s.window, s.think, s.cycles)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, seed int64, on, off, window, think uint8, cycles uint16) {
 		bursts := [2]int64{int64(on) + 1, int64(off) + 1}
 		c := int64(cycles%1500) + 1
-		for _, sc := range turnScenarios(m, bursts, int(window%8)+1, int64(think)) {
-			turns, ref := sc.build(seed)
-			got, want := runTurns(t, m, turns, seed, c, on%2 == 0), runTurns(t, m, ref, seed, c, false)
-			if i := firstDiff(got.events, want.events); i >= 0 {
-				t.Fatalf("%s: event %d differs: turns %+v, every cycle %+v", sc.name, i, at(got.events, i), at(want.events, i))
-			}
-			if !reflect.DeepEqual(got.stats, want.stats) {
-				t.Fatalf("%s: stats differ:\n turns:       %+v\n every cycle: %+v", sc.name, got.stats, want.stats)
-			}
+		scenarios := turnScenarios(m, bursts, int(window%8)+1, int64(think))
+		sc := scenarios[int(which)%len(scenarios)]
+		turns, ref := sc.build(seed)
+		got, want := runTurns(t, m, turns, seed, c, on%2 == 0), runTurns(t, m, ref, seed, c, false)
+		if i := firstDiff(got.events, want.events); i >= 0 {
+			t.Fatalf("%s: event %d differs: turns %+v, every cycle %+v", sc.name, i, at(got.events, i), at(want.events, i))
+		}
+		if !reflect.DeepEqual(got.stats, want.stats) {
+			t.Fatalf("%s: stats differ:\n turns:       %+v\n every cycle: %+v", sc.name, got.stats, want.stats)
 		}
 	})
 }
