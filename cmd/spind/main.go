@@ -45,6 +45,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -91,19 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The API handler takes every path except the profiling namespace:
-	// /debug/pprof is served by net/http/pprof for live CPU/heap/goroutine
-	// inspection of a running daemon (go tool pprof
-	// http://host:port/debug/pprof/profile).
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	hs := &http.Server{Addr: *addr, Handler: mux}
+	hs := &http.Server{Addr: *addr, Handler: withPprof(srv.Handler())}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("listening on %s (workers=%d, cachedir=%q)", *addr, srv.Workers(), *cachedir)
@@ -130,4 +119,24 @@ func main() {
 	st := srv.Snapshot()
 	log.Printf("bye: %d hits (%d disk), %d misses, %d shared, %d errors",
 		st.Hits, st.DiskHits, st.Misses, st.Shared, st.Errors)
+}
+
+// withPprof serves the profiling namespace, /debug/pprof, from
+// net/http/pprof for live CPU/heap/goroutine inspection of a running
+// daemon (go tool pprof http://host:port/debug/pprof/profile), and hands
+// every other request straight to api, so an API request is routed once.
+func withPprof(api http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/debug/pprof") {
+			mux.ServeHTTP(w, r)
+			return
+		}
+		api.ServeHTTP(w, r)
+	})
 }

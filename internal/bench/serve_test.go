@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -21,6 +22,15 @@ import (
 // the hit is found. The rows live in BENCH_serve.json beside the same rows
 // measured at the parent of the commit that last changed the request path
 // (before). Only public API is used, so this file compiles there unchanged.
+//
+// One run's best-of-5 batch varies from run to run by more than the gate's
+// slack on a shared machine, so the file is recorded from alternated runs:
+// build this package's test binary at the parent, with this file copied
+// in, and at the change (go test -c at each commit); run the two in turn,
+// each in its own copy of this directory, at least 5 times apiece with
+// -test.run TestBenchRegression -update; then write each row's medians
+// over the runs, the change's as ns, bytes and objects and the parent's
+// as before, with the change's median calibration_ns.
 
 const serveBaselineFile = "BENCH_serve.json"
 
@@ -79,16 +89,34 @@ func newRequester(tb testing.TB, maxMem int) *requester {
 	return rq
 }
 
+// twin is another requester on rq's server, for a row that sends from two
+// goroutines at once.
+func (rq *requester) twin() *requester {
+	tw := &requester{tb: rq.tb, h: rq.h, w: sink{h: http.Header{}}}
+	tw.req = rq.req.Clone(rq.req.Context())
+	tw.req.Header = http.Header{}
+	tw.req.Body = io.NopCloser(&tw.body)
+	return tw
+}
+
 // post sends body and requires a 200 of the given X-Cache class.
 func (rq *requester) post(body []byte, wantCache string) {
+	if err := rq.send(body, wantCache); err != nil {
+		rq.tb.Fatal(err)
+	}
+}
+
+// send is post for any goroutine: it returns what post fails on.
+func (rq *requester) send(body []byte, wantCache string) error {
 	rq.body.Reset(body)
 	rq.req.ContentLength = int64(len(body))
 	clear(rq.w.h)
 	rq.w.code, rq.w.n = http.StatusOK, 0
 	rq.h.ServeHTTP(&rq.w, rq.req)
 	if got := rq.w.h.Get("X-Cache"); rq.w.code != http.StatusOK || got != wantCache || rq.w.n == 0 {
-		rq.tb.Fatalf("status %d, X-Cache %q, %d bytes; want 200, %q, a body", rq.w.code, got, rq.w.n, wantCache)
+		return fmt.Errorf("status %d, X-Cache %q, %d bytes; want 200, %q, a body", rq.w.code, got, rq.w.n, wantCache)
 	}
+	return nil
 }
 
 func simBody(tb testing.TB, seed int64) []byte {
@@ -102,28 +130,61 @@ func simBody(tb testing.TB, seed int64) []byte {
 	return b
 }
 
-// requestRows builds the three ways to a hit; each func sends one request.
+// requestRows builds the ways to a hit; each func sends one request, or
+// one pair.
 //
-//	hit/alias     the same bytes again, value in the memory tier
-//	hit/fullpath  a spelling the alias table does not hold (64 paddings of
-//	              one request in rotation, more than an entry remembers),
-//	              value in the memory tier: decode to key, then the lookup
-//	hit/disk      two keys taking turns in a one-entry memory tier: the full
-//	              path, then the disk tier's read and json.Valid
+//	hit/alias              the same bytes again, value in the memory tier
+//	hit/fullpath           a spelling the alias table does not hold (64
+//	                       paddings of one request in rotation, more than an
+//	                       entry remembers), value in the memory tier: decode
+//	                       to key, then the lookup
+//	hit/disk               two keys taking turns in a one-entry memory tier:
+//	                       the full path, then the disk tier's read and
+//	                       json.Valid
+//	hit/alias+traceparent  hit/alias sent with one of 64 client traceparents
+//	                       in rotation, so each tree continues a trace the
+//	                       ring holds and files into its slot
+//	hit/alias+newtrace     hit/alias sent with a client trace the ring does
+//	                       not hold (1024 in rotation, four times the ring's
+//	                       256 traces, each filed once), so each tree looks
+//	                       for its trace in vain and takes the oldest slot
+//	hit/alias|newtrace     a pair at once on one server, from two
+//	                       goroutines: a hit/alias, whose tree mints its
+//	                       trace, and a hit/alias+newtrace; ns per pair
 func requestRows(tb testing.TB) []struct {
 	name string
 	next func()
 } {
-	mem, disk := newRequester(tb, 0), newRequester(tb, 1)
+	mem, disk, adopt, fresh, mix := newRequester(tb, 0), newRequester(tb, 1), newRequester(tb, 0), newRequester(tb, 0), newRequester(tb, 0)
+	mixFresh := mix.twin()
 	one, two := simBody(tb, 1), simBody(tb, 2)
-	mem.post(one, "miss")
-	disk.post(one, "miss")
+	for _, rq := range []*requester{mem, disk, adopt, fresh, mix} {
+		rq.post(one, "miss")
+	}
 	disk.post(two, "miss")
 	spellings := make([][]byte, 64)
 	for i := range spellings {
 		spellings[i] = append(bytes.Clone(one), strings.Repeat(" ", i+1)...)
 	}
-	var i, j int
+	traceparents := make([][]string, 64)
+	for i := range traceparents {
+		traceparents[i] = []string{fmt.Sprintf("00-%032x-%016x-01", i+1, i+1)}
+	}
+	newTraces := make([][]string, 1024)
+	for i := range newTraces {
+		newTraces[i] = []string{fmt.Sprintf("00-%032x-%016x-01", 1<<20+i, i+1)}
+	}
+	pairs, sent := make(chan struct{}), make(chan error)
+	var m int
+	go func() {
+		for range pairs {
+			mixFresh.req.Header["Traceparent"] = newTraces[m%len(newTraces)]
+			m++
+			sent <- mixFresh.send(one, "hit")
+		}
+	}()
+	tb.Cleanup(func() { close(pairs) })
+	var i, j, k, l int
 	return []struct {
 		name string
 		next func()
@@ -131,34 +192,56 @@ func requestRows(tb testing.TB) []struct {
 		{"hit/alias", func() { mem.post(one, "hit") }},
 		{"hit/fullpath", func() { mem.post(spellings[i%len(spellings)], "hit"); i++ }},
 		{"hit/disk", func() { disk.post([][]byte{one, two}[j%2], "hit"); j++ }},
+		{"hit/alias+traceparent", func() {
+			adopt.req.Header["Traceparent"] = traceparents[k%len(traceparents)]
+			adopt.post(one, "hit")
+			k++
+		}},
+		{"hit/alias+newtrace", func() {
+			fresh.req.Header["Traceparent"] = newTraces[l%len(newTraces)]
+			fresh.post(one, "hit")
+			l++
+		}},
+		{"hit/alias|newtrace", func() {
+			pairs <- struct{}{}
+			mix.post(one, "hit")
+			if err := <-sent; err != nil {
+				tb.Fatal(err)
+			}
+		}},
 	}
 }
 
 // measureRequests is the serve block: per row the best ns of reps batches,
-// heap bytes and objects of the first.
-func measureRequests(tb testing.TB, reps int) (rows []RequestRow) {
+// heap bytes and objects of the first. The batches run round by round, one
+// of every row a round, so a busy spell of the machine lands on every row
+// alike.
+func measureRequests(tb testing.TB, reps int) []RequestRow {
 	const batch = 2000
-	for _, r := range requestRows(tb) {
-		for i := 0; i < batch; i++ { // settle the rotation and every lazy bind
+	rs := requestRows(tb)
+	rows := make([]RequestRow, len(rs))
+	for i, r := range rs {
+		for n := 0; n < batch; n++ { // settle the rotation and every lazy bind
 			r.next()
 		}
-		row := RequestRow{Name: r.name}
-		for rep := 0; rep < reps; rep++ {
+		rows[i].Name = r.name
+	}
+	for rep := 0; rep < reps; rep++ {
+		for i, r := range rs {
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			start := time.Now()
-			for i := 0; i < batch; i++ {
+			for n := 0; n < batch; n++ {
 				r.next()
 			}
 			ns := float64(time.Since(start).Nanoseconds()) / batch
 			runtime.ReadMemStats(&after)
 			if rep == 0 {
-				row.Cost = Cost{ns, float64(after.TotalAlloc-before.TotalAlloc) / batch, float64(after.Mallocs-before.Mallocs) / batch}
+				rows[i].Cost = Cost{ns, float64(after.TotalAlloc-before.TotalAlloc) / batch, float64(after.Mallocs-before.Mallocs) / batch}
 			}
-			row.Ns = min(row.Ns, ns)
+			rows[i].Ns = min(rows[i].Ns, ns)
 		}
-		rows = append(rows, row)
 	}
 	return rows
 }
@@ -194,7 +277,7 @@ func checkServe(t *testing.T, calibrationNs float64) {
 	for i, got := range cur.Serve {
 		want := base.Serve[i]
 		limit := want.Ns * scale * 1.25
-		t.Logf("%-13s %7.0f ns (limit %7.0f) %6.0f B %5.1f objects (before: %.0f ns, %.0f B, %.1f objects)",
+		t.Logf("%-21s %7.0f ns (limit %7.0f) %6.0f B %5.1f objects (before: %.0f ns, %.0f B, %.1f objects)",
 			got.Name, got.Ns, limit, got.Bytes, got.Objects, want.Before.Ns, want.Before.Bytes, want.Before.Objects)
 		if got.Bytes > want.Bytes*1.05+64 || got.Objects > want.Objects*1.05+0.25 {
 			t.Errorf("%s: %.0f B in %.1f objects per request exceeds baseline %.0f in %.1f", got.Name, got.Bytes, got.Objects, want.Bytes, want.Objects)

@@ -22,6 +22,21 @@
 // records into slots it reuses. IDs are kept as integers and bytes; hex is
 // rendered only for a reader (Snapshot, Tree, Trace, TraceID, SpanID,
 // AppendTraceparent).
+//
+// A span belongs to the goroutine that started it: only that goroutine
+// calls SetAttr, Snapshot or Tree on it, and only before it ends, so a
+// span takes no lock of its own. End may come from any goroutine, more
+// than once; the first End wins. The one lock a span takes is its tree's,
+// to list itself as ended.
+//
+// A tree that minted its trace files its first batch into the next slot
+// without looking: nothing else can have filed under an ID minted here,
+// unless a client adopted it from the response header and filed first,
+// which the tracer counts. A tree that adopted a client's trace, a later
+// batch of a long tree, a span that outlives its root, and the readers
+// (Trace, Dropped) look the trace up in an index of the ring's slots,
+// which only a lookup brings up to date: a request that mints its trace
+// touches no map.
 package otrace
 
 import (
@@ -217,15 +232,14 @@ func (r *record) data(trace *traceID) SpanData {
 // All methods are safe on a nil receiver (no tracer → no spans).
 type Span struct {
 	t     *tree
-	mu    sync.Mutex
-	rec   record // id and parent are fixed at start; the rest under mu
+	rec   record // id and parent are fixed at start; the rest is the owner's until End
 	start time.Time
-	ended bool
+	ended atomic.Bool
 }
 
 // tree is one request's spans, allocated with the root: the root, its
-// first child, and the ended spans' records waiting (under root.mu) for
-// the root's End to copy them into the ring in one go.
+// first child, and the ended spans' records waiting (under mu) for the
+// root's End to copy them into the ring in one go.
 type tree struct {
 	tr        *Tracer
 	trace     traceID
@@ -233,9 +247,21 @@ type tree struct {
 	firstUsed atomic.Bool
 	root      Span
 	first     Span
-	done      []*record
-	doneBuf   [2]*record // done's first backing: a cache hit's two spans
+	// adoptedAt is the tracer's adoptedTakes when the tree started: if it
+	// has moved by the first filing, a client may have filed under this
+	// tree's minted trace already.
+	adoptedAt uint64
+
+	mu      sync.Mutex
+	done    []*record
+	closed  bool       // the root has ended: a later span files at once
+	filed   bool       // a batch is in the ring
+	doneBuf [2]*record // done's first backing: a cache hit's two spans
 }
+
+// adopted reports whether the tree continues a client's trace: only then
+// has its root a parent.
+func (t *tree) adopted() bool { return t.root.rec.parent != 0 }
 
 // StartChild opens a child span under s, now.
 func (s *Span) StartChild(name string) *Span {
@@ -274,16 +300,12 @@ func (s *Span) StartChildAt(name string, start time.Time) *Span {
 	return c
 }
 
-// SetAttr attaches one key=value attribute; an ended span ignores it.
+// SetAttr attaches one key=value attribute; an ended span ignores it. Only
+// the goroutine that started the span calls it.
 func (s *Span) SetAttr(k, v string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.ended {
+	if s != nil && !s.ended.Load() {
 		s.rec.setAttr(k, v)
 	}
-	s.mu.Unlock()
 }
 
 // End finishes the span (at most once; duplicate Ends are ignored). The
@@ -298,27 +320,21 @@ func (s *Span) End() {
 // EndAfter is End for a caller that has read the clock itself: the span
 // lasted d from its start.
 func (s *Span) EndAfter(d time.Duration) {
-	if s == nil {
+	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
 	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
 	s.rec.dur = d.Nanoseconds()
-	s.mu.Unlock()
 	t := s.t
 	if fn := t.tr.onEnd.Load(); fn != nil {
-		(*fn)(s.rec.name, time.Duration(s.rec.dur))
+		(*fn)(s.rec.name, d)
 	}
-	r := &t.root
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.done = append(t.done, &s.rec)
-	if r.ended || len(t.done) == t.tr.capSpans {
-		t.tr.record(&t.trace, t.done)
+	t.closed = t.closed || s == &t.root
+	if t.closed || len(t.done) == t.tr.capSpans {
+		t.tr.record(t)
+		t.filed = true
 		t.done = t.done[:0]
 	}
 }
@@ -331,8 +347,8 @@ func (s *Span) Tree() []SpanData {
 		return nil
 	}
 	t := s.t
-	t.root.mu.Lock()
-	defer t.root.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make([]SpanData, 0, len(t.done)+1)
 	for _, rec := range t.done {
 		out = append(out, rec.data(&t.trace))
@@ -346,10 +362,8 @@ func (s *Span) Snapshot() (SpanData, bool) {
 	if s == nil {
 		return SpanData{}, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r := s.rec
-	if !s.ended {
+	if !s.ended.Load() {
 		r.dur = time.Since(s.start).Nanoseconds()
 	}
 	return r.data(&s.t.trace), true
@@ -402,11 +416,17 @@ type Tracer struct {
 	capTrace int
 	capSpans int
 
-	mu    sync.Mutex
-	index map[traceID]int // trace -> its slot
-	ring  []slot          // once full, ring[head] is the oldest
-	head  int
-	onEnd atomic.Pointer[func(name string, dur time.Duration)]
+	mu   sync.Mutex
+	ring []slot // the n-th slot taken is ring[n % capTrace]
+	// taken counts the slots taken, indexed how many of those takes index
+	// has recorded. index maps a trace to its slot; an entry is stale once
+	// a later take gives its slot to another trace.
+	taken, indexed int
+	index          map[traceID]int
+	// adoptedTakes counts the slots adopted traces took, having looked for
+	// themselves in vain: what a minted trace's first filing checks.
+	adoptedTakes atomic.Uint64
+	onEnd        atomic.Pointer[func(name string, dur time.Duration)]
 }
 
 // DefaultTraceCap and DefaultSpanCap bound the ring: at most
@@ -444,7 +464,7 @@ func (t *Tracer) StartRequest(name, traceparent string, start time.Time) *Span {
 	if t == nil {
 		return nil
 	}
-	tr := &tree{tr: t}
+	tr := &tree{tr: t, adoptedAt: t.adoptedTakes.Load()}
 	tr.done = tr.doneBuf[:0]
 	s := &tr.root
 	s.t = tr
@@ -459,38 +479,65 @@ func (t *Tracer) StartRequest(name, traceparent string, start time.Time) *Span {
 	return s
 }
 
-// record files finished spans of one tree under their trace, taking the
-// oldest trace's slot beyond the trace cap. The records are copied.
-func (t *Tracer) record(trace *traceID, spans []*record) {
+// record files a tree's ended spans under its trace (under the tree's
+// lock). A minted trace's first batch takes the next slot; any other batch
+// looks for its trace's slot first, and takes the next only when the trace
+// is not in the ring. The next slot is the oldest trace's beyond the trace
+// cap. The records are copied.
+func (t *Tracer) record(tr *tree) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.index[*trace]
-	if !ok {
-		if len(t.ring) < t.capTrace {
-			i = len(t.ring)
-			t.ring = append(t.ring, slot{})
-		} else {
-			i = t.head
-			t.head = (t.head + 1) % t.capTrace
-			delete(t.index, t.ring[i].trace)
+	i := -1
+	if tr.filed || tr.adopted() || t.adoptedTakes.Load() != tr.adoptedAt {
+		i = t.find(&tr.trace)
+	}
+	stale := 0 // records a reused slot held past the ones filed now
+	if i < 0 {
+		if tr.adopted() {
+			t.adoptedTakes.Add(1)
 		}
-		t.index[*trace] = i
+		i = t.taken % t.capTrace
+		t.taken++
+		if i == len(t.ring) {
+			t.ring = append(t.ring, slot{})
+		}
 		e := &t.ring[i]
-		clear(e.spans)
 		if cap(e.spans) > slotKeep {
 			e.spans = nil
 		}
-		*e = slot{trace: *trace, spans: e.spans[:0]}
+		stale = len(e.spans)
+		*e = slot{trace: tr.trace, spans: e.spans[:0]}
 	}
 	e := &t.ring[i]
 	// A long tree comes in batches; a trace a client continues over several
 	// requests has several roots here.
-	room := min(len(spans), t.capSpans-len(e.spans))
-	e.dropped += len(spans) - room
+	room := min(len(tr.done), t.capSpans-len(e.spans))
+	e.dropped += len(tr.done) - room
 	e.spans = slices.Grow(e.spans, room)
-	for _, rec := range spans[:room] {
+	for _, rec := range tr.done[:room] {
 		e.spans = append(e.spans, *rec)
 	}
+	if n := len(e.spans); stale > n {
+		clear(e.spans[n:stale]) // the slot pins no string of the trace it held
+	}
+}
+
+// find is the slot holding trace, or -1 (under t.mu). It first indexes the
+// slots taken since the last find, and starts the index over from the
+// ring once it holds more stale entries than slots.
+func (t *Tracer) find(trace *traceID) int {
+	if t.taken-t.indexed > len(t.ring) || len(t.index) > 2*len(t.ring) {
+		clear(t.index)
+		t.indexed = t.taken - len(t.ring)
+	}
+	for ; t.indexed < t.taken; t.indexed++ {
+		i := t.indexed % t.capTrace
+		t.index[t.ring[i].trace] = i
+	}
+	if i, ok := t.index[*trace]; ok && t.ring[i].trace == *trace {
+		return i
+	}
+	return -1
 }
 
 // Trace returns the recorded spans of one trace, start-time ordered
@@ -502,7 +549,7 @@ func (t *Tracer) Trace(traceID string) []SpanData {
 	}
 	t.mu.Lock()
 	var out []SpanData
-	if i, ok := t.index[id]; ok {
+	if i := t.find(&id); i >= 0 {
 		out = make([]SpanData, len(t.ring[i].spans))
 		for j := range out {
 			out[j] = t.ring[i].spans[j].data(&id)
@@ -522,7 +569,7 @@ func (t *Tracer) Dropped(traceID string) int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.index[id]; ok {
+	if i := t.find(&id); i >= 0 {
 		return t.ring[i].dropped
 	}
 	return 0
@@ -535,7 +582,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.index)
+	return len(t.ring)
 }
 
 // SortSpans orders spans by start time (then span ID for stability) —

@@ -2,6 +2,8 @@ package otrace
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -462,5 +464,185 @@ func TestTreeIsOneAllocation(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, hit); n > 1 {
 		t.Errorf("a cache hit's tree costs %.1f allocations, want 1", n)
+	}
+}
+
+// TestSpanEndsOnceAnyGoroutine: a span may be ended by a goroutine other
+// than its owner — after its root has ended, or by two goroutines at once
+// (as a pool job and its request both end queue_wait) — and files exactly
+// one record under its trace, seen once by OnEnd.
+func TestSpanEndsOnceAnyGoroutine(t *testing.T) {
+	tr := NewTracer()
+	var mu sync.Mutex
+	ends := map[string]int{}
+	tr.OnEnd(func(name string, _ time.Duration) {
+		mu.Lock()
+		ends[name]++
+		mu.Unlock()
+	})
+	const trees = 200
+	for i := 0; i < trees; i++ {
+		root := tr.StartRequest("request", "", time.Now())
+		late := root.StartChild("late")
+		late.SetAttr("k", "v")
+		twice := root.StartChild("twice")
+		root.End()
+		var wg sync.WaitGroup
+		begin := make(chan struct{})
+		for _, s := range []*Span{late, twice, twice} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-begin
+				s.End()
+			}()
+		}
+		close(begin)
+		wg.Wait()
+		count := map[string]int{}
+		for _, d := range tr.Trace(root.TraceID()) {
+			if d.TraceID != root.TraceID() {
+				t.Fatalf("tree %d: span %s filed under trace %s", i, d.Name, d.TraceID)
+			}
+			count[d.SpanID]++
+		}
+		for _, s := range []*Span{root, late, twice} {
+			if n := count[s.SpanID()]; n != 1 {
+				t.Fatalf("tree %d: %d records of span %s, want 1", i, n, s.SpanID())
+			}
+		}
+		if len(count) != 3 {
+			t.Fatalf("tree %d: %d spans filed, want 3", i, len(count))
+		}
+	}
+	if ends["twice"] != trees || ends["late"] != trees {
+		t.Fatalf("OnEnd saw %v, want each of late and twice %d times", ends, trees)
+	}
+}
+
+// TestRingMatchesMapModel drives a 5-slot ring with random trees — minted
+// and adopted traces (from a live tree, a filed or evicted one, or a new
+// one), trees longer than capSpans that file in batches, children ending
+// after their root — and, after a random third of the steps, compares
+// Trace, Dropped and Len with a reference that looks every batch up in a
+// map. Reading only now and then lets several slots be taken between two
+// lookups, which the ring's index must then catch up on.
+func TestRingMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 1))
+	tr := NewTracer()
+	tr.capTrace, tr.capSpans = 5, 3
+
+	type refSlot struct {
+		spans   []string
+		dropped int
+	}
+	ref := map[string]*refSlot{}
+	var resident, evicted []string // resident oldest first; evicted newest last
+	file := func(trace string, ids []string) {
+		e := ref[trace]
+		if e == nil {
+			if len(resident) == tr.capTrace {
+				delete(ref, resident[0])
+				evicted = append(evicted, resident[0])
+				resident = resident[1:]
+			}
+			e = &refSlot{}
+			ref[trace] = e
+			resident = append(resident, trace)
+		}
+		room := min(len(ids), tr.capSpans-len(e.spans))
+		e.dropped += len(ids) - room
+		e.spans = append(e.spans, ids[:room]...)
+	}
+
+	type liveTree struct {
+		root    *Span
+		open    []*Span // not ended yet, the root among them until it ends
+		pending []string
+		closed  bool
+	}
+	var live []*liveTree
+	var traces []string // every trace ID a tree has carried
+	end := func(lt *liveTree, k int) {
+		s := lt.open[k]
+		lt.open = append(lt.open[:k], lt.open[k+1:]...)
+		s.End()
+		lt.pending = append(lt.pending, s.SpanID())
+		lt.closed = lt.closed || s == lt.root
+		if lt.closed || len(lt.pending) == tr.capSpans {
+			file(lt.root.TraceID(), lt.pending)
+			lt.pending = nil
+		}
+	}
+	check := func(step int, what string) {
+		if tr.Len() != len(resident) {
+			t.Fatalf("step %d (%s): Len %d, model holds %d", step, what, tr.Len(), len(resident))
+		}
+		seen := append(append([]string{}, resident...), evicted[max(0, len(evicted)-3):]...)
+		for _, lt := range live {
+			seen = append(seen, lt.root.TraceID())
+		}
+		for _, id := range seen {
+			var got []string
+			for _, d := range tr.Trace(id) {
+				got = append(got, d.SpanID)
+			}
+			var want []string
+			var dropped int
+			if e := ref[id]; e != nil {
+				want, dropped = append([]string{}, e.spans...), e.dropped
+			}
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) || tr.Dropped(id) != dropped {
+				t.Fatalf("step %d (%s): trace %s reads spans %v, %d dropped; model %v, %d dropped",
+					step, what, id, got, tr.Dropped(id), want, dropped)
+			}
+		}
+	}
+
+	const steps = 6000
+	for step := 0; step < steps; step++ {
+		var what string
+		switch op := rng.IntN(10); {
+		case op < 3 && len(live) < 6:
+			tp := ""
+			switch rng.IntN(4) {
+			case 0: // a client continues a tree still in flight
+				if len(live) > 0 {
+					tp = string(live[rng.IntN(len(live))].root.AppendTraceparent(nil))
+				}
+			case 1: // a trace filed before, resident or evicted
+				if len(traces) > 0 {
+					tp = "00-" + traces[rng.IntN(len(traces))] + "-00000000000000aa-01"
+				}
+			case 2: // a trace this tracer never saw
+				tp = fmt.Sprintf("00-%016x%016x-00000000000000bb-01", rng.Uint64()|1, rng.Uint64())
+			}
+			root := tr.StartRequest("r", tp, time.Now())
+			live = append(live, &liveTree{root: root, open: []*Span{root}})
+			traces = append(traces, root.TraceID())
+			what = "start minted"
+			if tp != "" {
+				what = "start adopted"
+			}
+		case op < 6 && len(live) > 0:
+			lt := live[rng.IntN(len(live))]
+			if !lt.closed {
+				lt.open = append(lt.open, lt.root.StartChild("c"))
+			}
+			what = "child"
+		case len(live) > 0:
+			i := rng.IntN(len(live))
+			lt := live[i]
+			end(lt, rng.IntN(len(lt.open)))
+			if len(lt.open) == 0 {
+				live = append(live[:i], live[i+1:]...)
+			}
+			what = "end"
+		}
+		if rng.IntN(3) == 0 || step == steps-1 {
+			check(step, what)
+		}
 	}
 }

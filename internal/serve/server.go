@@ -25,7 +25,9 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,9 +149,9 @@ type Server struct {
 	pool  *runner.Pool[[]byte]
 	// sims keeps the simulations the last misses ran on, at most one per
 	// worker, so a miss of a shape a worker has just run rewinds it.
-	sims  *spin.Pool
-	mux   *http.ServeMux
-	start time.Time
+	sims    *spin.Pool
+	handler *router
+	start   time.Time
 
 	reg         *prom.Registry
 	mRequests   *prom.Counter
@@ -213,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.QueueSize = 4 * workers
 	}
-	s := &Server{cfg: cfg, store: cfg.Cache, mux: http.NewServeMux(), start: time.Now(), reg: prom.NewRegistry(), tracer: otrace.NewTracer()}
+	s := &Server{cfg: cfg, store: cfg.Cache, start: time.Now(), reg: prom.NewRegistry(), tracer: otrace.NewTracer()}
 	s.build = readBuild()
 	s.idPrefix = strconv.FormatInt(s.start.UnixNano()&0xffffffff, 16) + "-"
 
@@ -249,14 +251,6 @@ func New(cfg Config) (*Server, error) {
 		[]float64{10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 100000})
 	s.mSpanSeconds = s.reg.Histogram("spind_span_duration_seconds", "Request span durations by span name.",
 		[]float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1, 5, 10, 30, 60})
-	var spanSeries sync.Map // span name -> its series, bound on first use
-	s.tracer.OnEnd(func(name string, dur time.Duration) {
-		series, ok := spanSeries.Load(name)
-		if !ok {
-			series, _ = spanSeries.LoadOrStore(name, s.mSpanSeconds.With("span", name))
-		}
-		series.(*prom.HistogramSeries).Observe(dur.Seconds())
-	})
 	s.reg.GaugeSetFunc("spind_build_info", "Build identity of this daemon (value is always 1; the labels carry the information).", func() []prom.Sample {
 		return []prom.Sample{{Labels: prom.Labels("version", s.build.Version, "commit", s.build.Commit, "go", s.build.Go), Value: 1}}
 	})
@@ -288,18 +282,111 @@ func New(cfg Config) (*Server, error) {
 		Timeout:   cfg.Timeout,
 	})
 
-	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.handleSimulate))
-	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.handleSweep))
-	s.mux.HandleFunc("/v1/trace/", s.instrument("trace", s.handleTrace))
-	s.mux.HandleFunc("/v1/version", s.instrument("version", s.handleVersion))
-	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	// An instrumented endpoint's name is its requests' root span's.
+	endpoints := []struct {
+		name, pattern string
+		h             http.HandlerFunc
+	}{
+		{"simulate", "/v1/simulate", s.handleSimulate},
+		{"sweep", "/v1/sweep", s.handleSweep},
+		{"trace", "/v1/trace/", s.handleTrace},
+		{"version", "/v1/version", s.handleVersion},
+		{"healthz", "/healthz", s.handleHealthz},
+	}
+	routes := []route{{"/readyz", s.handleReadyz}, {"/metrics", s.handleMetrics}}
+	for _, e := range endpoints {
+		routes = append(routes, route{e.pattern, s.instrument(e.name, e.h)})
+	}
+	s.handler = newRouter(routes)
+	s.tracer.OnEnd(s.spanObserver())
 	return s, nil
 }
 
-// Handler returns the HTTP handler tree.
-func (s *Server) Handler() http.Handler { return s.mux }
+// spanObserver is the tracer's OnEnd hook: it feeds a span's duration to
+// its spind_span_duration_seconds series. A name's series is bound at its
+// first span and kept in a list that is scanned with no lock and replaced
+// by a longer copy to add a name; there are as many names as span kinds.
+func (s *Server) spanObserver() func(string, time.Duration) {
+	type named struct {
+		name   string
+		series *prom.HistogramSeries
+	}
+	var (
+		mu    sync.Mutex // serialises adding a name
+		names atomic.Pointer[[]named]
+	)
+	names.Store(new([]named))
+	find := func(name string) *prom.HistogramSeries {
+		for _, n := range *names.Load() {
+			if n.name == name {
+				return n.series
+			}
+		}
+		return nil
+	}
+	return func(name string, dur time.Duration) {
+		h := find(name)
+		if h == nil {
+			mu.Lock()
+			if h = find(name); h == nil {
+				h = s.mSpanSeconds.With("span", name)
+				grown := append(slices.Clip(*names.Load()), named{name, h})
+				names.Store(&grown)
+			}
+			mu.Unlock()
+		}
+		h.Observe(dur.Seconds())
+	}
+}
+
+// route is one path the server answers: an http.ServeMux pattern and its
+// handler.
+type route struct {
+	pattern string
+	h       http.HandlerFunc
+}
+
+// router answers a request whose path is exactly a route's pattern from a
+// table, and every other request from an http.ServeMux holding the same
+// routes.
+type router struct {
+	exact map[string]http.HandlerFunc
+	mux   *http.ServeMux
+}
+
+func newRouter(routes []route) *router {
+	rt := &router{exact: make(map[string]http.HandlerFunc), mux: http.NewServeMux()}
+	for _, r := range routes {
+		rt.mux.HandleFunc(r.pattern, r.h)
+		if !strings.HasSuffix(r.pattern, "/") {
+			rt.exact[r.pattern] = r.h
+		}
+	}
+	return rt
+}
+
+// ServeHTTP takes the table only where the mux would reach the same
+// handler with nothing to answer first: a path the table holds, which is
+// clean, escaped as url.URL would escape it (an empty RawPath; the mux
+// matches escaped segments, so /v1%2Fsimulate is not /v1/simulate there).
+// That holds under CONNECT too, whose path the mux does not clean.
+func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.RawPath == "" {
+		if h := rt.exact[r.URL.Path]; h != nil {
+			h(w, r)
+			return
+		}
+	}
+	rt.mux.ServeHTTP(w, r)
+}
+
+// Handler returns the server's HTTP handler. A request for exactly
+// /v1/simulate, /v1/sweep, /v1/version, /healthz, /readyz or /metrics
+// goes straight to its handler, found in a table; every other request —
+// under /v1/trace/, a path to clean or unescape, an unknown path, * —
+// goes to an http.ServeMux holding the same routes, which answers it as it
+// would alone (its 301s, 400s and 404s included).
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // Workers reports the resolved worker-pool size (what
 // spind_workers_effective exposes).
