@@ -28,9 +28,9 @@ import (
 // build this package's test binary at the parent, with this file copied
 // in, and at the change (go test -c at each commit); run the two in turn,
 // each in its own copy of this directory, at least 5 times apiece with
-// -test.run TestBenchRegression -update; then write each row's medians
-// over the runs, the change's as ns, bytes and objects and the parent's
-// as before, with the change's median calibration_ns.
+// -test.run TestServeRegression -update (a few seconds a run); then write
+// each row's medians over the runs, the change's as ns, bytes and objects
+// and the parent's as before, with the change's median calibration_ns.
 
 const serveBaselineFile = "BENCH_serve.json"
 
@@ -246,13 +246,20 @@ func measureRequests(tb testing.TB, reps int) []RequestRow {
 	return rows
 }
 
-// checkServe is TestBenchRegression's serve block: bytes and objects per
-// request compare directly (5 % and a quarter of an object of slack: the
-// disk row's reads vary a little), ns through the calibration ratio under
-// the same advisory-unless-BENCH_STRICT rule. With -update it rewrites the
-// file, carrying each row's before over.
-func checkServe(t *testing.T, calibrationNs float64) {
-	cur := ServeReport{Schema: Schema, GoVersion: runtime.Version(), CalibrationNs: calibrationNs, Serve: measureRequests(t, 5)}
+// TestServeRegression is the serve block's gate, apart from the simulator
+// rows so that measuring it takes seconds: bytes and objects per request
+// compare directly (5 % and a quarter of an object of slack: the disk row's
+// reads vary a little), ns through the machines' calibration ratio under
+// TestBenchRegression's advisory-unless-BENCH_STRICT rule. With -update it
+// rewrites BENCH_serve.json, carrying each row's before over.
+func TestServeRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation distorts timing and allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cur := ServeReport{Schema: Schema, GoVersion: runtime.Version(), CalibrationNs: Calibrate(), Serve: measureRequests(t, 5)}
 	var base ServeReport
 	b, err := os.ReadFile(serveBaselineFile)
 	if err == nil {
@@ -273,7 +280,7 @@ func checkServe(t *testing.T, calibrationNs float64) {
 	if err != nil || base.Schema != Schema || len(base.Serve) != len(cur.Serve) {
 		t.Fatalf("%s: unreadable or out of date (%v); run with -update", serveBaselineFile, err)
 	}
-	scale := calibrationNs / base.CalibrationNs
+	scale := cur.CalibrationNs / base.CalibrationNs
 	for i, got := range cur.Serve {
 		want := base.Serve[i]
 		limit := want.Ns * scale * 1.25

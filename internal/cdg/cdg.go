@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -42,7 +43,8 @@ type Routing interface {
 // Graph is a channel dependency graph.
 type Graph struct {
 	vcs int
-	adj [][]int // by node: link*vcs + VC
+	// lo, adj: the edges in CSR form (package graph), by node link*vcs + VC.
+	lo, adj []int32
 	// Offered is the VC mask every packet state the walk reached requests
 	// some VC of: the intersection, over states, of the union of their
 	// requests' masks. Duato's condition needs it to meet the escape VCs.
@@ -73,8 +75,8 @@ func Build(topo topology.Topology, vcs int, rt Routing, mask uint32) *Graph {
 	nodes := len(links) * vcs
 	w := &walker{topo: topo, rt: rt, vcs: vcs, mask: mask, links: links,
 		global: make([]bool, len(links)), linkAt: make([][]int, topo.NumRouters()),
-		g:    &Graph{vcs: vcs, adj: make([][]int, nodes), Offered: sim.AllVCs},
-		seen: make([]uint64, nodes), flipped: make([]uint64, nodes)}
+		g:   &Graph{vcs: vcs, lo: make([]int32, 1, nodes+1), Offered: sim.AllVCs},
+		out: make([][]int32, nodes), seen: make([]uint64, nodes), flipped: make([]uint64, nodes)}
 	for r := range w.linkAt {
 		w.linkAt[r] = make([]int, topo.Radix(r))
 		for p := range w.linkAt[r] {
@@ -102,8 +104,10 @@ func Build(topo topology.Topology, vcs int, rt Routing, mask uint32) *Graph {
 		}
 		w.walk()
 	}
-	for _, a := range w.g.adj {
+	for _, a := range w.out {
 		slices.Sort(a)
+		w.g.adj = append(w.g.adj, a...)
+		w.g.lo = append(w.g.lo, int32(len(w.g.adj)))
 	}
 	return w.g
 }
@@ -120,6 +124,7 @@ type walker struct {
 	global []bool  // by link: a dragonfly global channel
 	linkAt [][]int // [router][port]: the link leaving there, or -1
 	g      *Graph
+	out    [][]int32 // by node: its edges so far
 	pkt    sim.Packet
 	// seen and flipped hold, by node, bit h when a packet with h global
 	// hops held it: seen in this walk, flipped past its Valiant phase in
@@ -184,8 +189,8 @@ func (w *walker) step(from, r, inPort, hops int) {
 				continue
 			}
 			to := li*w.vcs + v
-			if from >= 0 && !slices.Contains(w.g.adj[from], to) {
-				w.g.adj[from] = append(w.g.adj[from], to)
+			if from >= 0 && !slices.Contains(w.out[from], int32(to)) {
+				w.out[from] = append(w.out[from], int32(to))
 			}
 			w.push(to, next.GlobalHops, next.Phase != w.pkt.Phase)
 		}
@@ -210,120 +215,37 @@ func (w *walker) push(node, hops int, flipped bool) {
 }
 
 // NumChannels reports the CDG node count.
-func (g *Graph) NumChannels() int { return len(g.adj) }
+func (g *Graph) NumChannels() int { return len(g.lo) - 1 }
 
 // channel names node n.
-func (g *Graph) channel(n int) Channel { return Channel{Link: n / g.vcs, VC: n % g.vcs} }
+func (g *Graph) channel(n int32) Channel { return Channel{Link: int(n) / g.vcs, VC: int(n) % g.vcs} }
 
 // NumEdges reports the CDG edge count.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, a := range g.adj {
-		n += len(a)
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return len(g.adj) }
 
 // Cycles returns the non-trivial strongly connected components of the
 // CDG (each contains at least one dependency cycle), as channel lists.
 // An empty result proves the routing deadlock-free by Dally's theorem.
 func (g *Graph) Cycles() [][]Channel {
-	sccs := g.tarjan()
+	var s graph.Scratch
+	members, bounds := s.SCCs(g.lo, g.adj, nil)
 	var out [][]Channel
-	for _, scc := range sccs {
-		if len(scc) > 1 {
-			chs := make([]Channel, len(scc))
-			for i, n := range scc {
-				chs[i] = g.channel(n)
-			}
-			out = append(out, chs)
-			continue
+	for k := 1; k < len(bounds); k++ {
+		scc := members[bounds[k-1]:bounds[k]]
+		if n := scc[0]; len(scc) == 1 && !slices.Contains(g.adj[g.lo[n]:g.lo[n+1]], n) {
+			continue // a single node is a cycle only through a self-loop
 		}
-		// Single node with a self-loop is also a cycle.
-		n := scc[0]
-		for _, w := range g.adj[n] {
-			if w == n {
-				out = append(out, []Channel{g.channel(n)})
-				break
-			}
+		chs := make([]Channel, len(scc))
+		for i, n := range scc {
+			chs[i] = g.channel(n)
 		}
+		out = append(out, chs)
 	}
 	return out
 }
 
 // Acyclic reports whether the CDG has no dependency cycles.
 func (g *Graph) Acyclic() bool { return len(g.Cycles()) == 0 }
-
-// tarjan computes strongly connected components iteratively.
-func (g *Graph) tarjan() [][]int {
-	n := len(g.adj)
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		stack   []int
-		sccs    [][]int
-		counter int
-	)
-	type frame struct {
-		node, edge int
-	}
-	for start := 0; start < n; start++ {
-		if index[start] != unvisited {
-			continue
-		}
-		frames := []frame{{node: start}}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.edge < len(g.adj[f.node]) {
-				w := g.adj[f.node][f.edge]
-				f.edge++
-				if index[w] == unvisited {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{node: w})
-				} else if onStack[w] && index[w] < low[f.node] {
-					low[f.node] = index[w]
-				}
-				continue
-			}
-			node := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := frames[len(frames)-1].node
-				if low[node] < low[parent] {
-					low[parent] = low[node]
-				}
-			}
-			if low[node] == index[node] {
-				var scc []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == node {
-						break
-					}
-				}
-				sccs = append(sccs, scc)
-			}
-		}
-	}
-	return sccs
-}
 
 // Describe summarises the analysis for reports.
 func (g *Graph) Describe() string {

@@ -214,17 +214,17 @@ func TestValiantLegsAddEdges(t *testing.T) {
 		small, big := own(tc.topo, 1, tc.minimal), own(tc.topo, 1, tc.valiant)
 		links := tc.topo.Links()
 		uTurns := 0
-		for u, adj := range big.adj {
-			for _, v := range adj {
+		for u := 0; u < big.NumChannels(); u++ {
+			for _, v := range big.adj[big.lo[u]:big.lo[u+1]] {
 				a, b := links[u], links[v]
 				if a.Src == b.Dst && a.Dst == b.Src {
 					uTurns++
 				}
 			}
 		}
-		for u, adj := range small.adj {
-			for _, v := range adj {
-				if !slices.Contains(big.adj[u], v) {
+		for u := 0; u < small.NumChannels(); u++ {
+			for _, v := range small.adj[small.lo[u]:small.lo[u+1]] {
+				if !slices.Contains(big.adj[big.lo[u]:big.lo[u+1]], v) {
 					t.Errorf("%s lacks %s's edge %d -> %d", tc.valiant.Name(), tc.minimal.Name(), u, v)
 				}
 			}

@@ -1,6 +1,11 @@
 package mc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // The untimed protocol model. Each reachable state is a snapshot of:
 //
@@ -731,46 +736,35 @@ func (in *Instance) CheckInvariants(s *State) []string {
 	return violations
 }
 
-// OracleDeadlocked mirrors sim.Network.FindDeadlock on the abstract
-// state: a liveness fixpoint over occupied VCs, where frozen VCs count
-// as live (recovery is moving them). It reports whether any VC is
-// deadlocked right now.
-func (in *Instance) OracleDeadlocked(s *State) bool {
-	type vcKey struct{ r, p int }
-	live := map[vcKey]bool{}
-	occupied := map[vcKey]int{}
+// oracle mirrors sim.Network.FindDeadlock on the abstract state: a node
+// per packet, live when its packet is not its VC's occupant (it is not in
+// a VC, or a defect put it behind another), is ejecting, sits in a frozen
+// VC (recovery is moving it) or routes to an empty VC; its one edge leads
+// to the occupant it waits on. graph.Scratch.Live closes liveness over the
+// edges. Each expandChunk keeps one, so a successor's check allocates
+// nothing.
+type oracle struct {
+	lo, adj []int32
+	live    []bool
+	scc     graph.Scratch
+}
+
+// deadlocked reports whether any VC of s is deadlocked right now.
+func (o *oracle) deadlocked(in *Instance, s *State) bool {
+	o.lo, o.adj, o.live = o.lo[:0], o.adj[:0], o.live[:0]
 	for i, l := range s.Pkts {
-		if l.Kind == LocAt {
-			occupied[vcKey{int(l.Router), int(l.Port)}] = i
-		}
-	}
-	for k, pi := range occupied {
-		if s.frozen(k.r, k.p) || in.Packets[pi].Dst == k.r {
-			live[k] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for k, pi := range occupied {
-			if live[k] {
-				continue
-			}
-			out := in.Route(k.r, in.Packets[pi].Dst)
-			d, ok := in.Down(k.r, out)
-			if !ok {
-				continue
-			}
-			dk := vcKey{d.router, d.inPort}
-			if _, occ := occupied[dk]; !occ || live[dk] {
-				live[k] = true
-				changed = true
+		o.lo = append(o.lo, int32(len(o.adj)))
+		r, dst := int(l.Router), in.Packets[i].Dst
+		live := l.Kind != LocAt || s.occupant(r, int(l.Port)) != i || s.frozen(r, int(l.Port)) || dst == r
+		if d, ok := in.Down(r, in.Route(r, dst)); !live && ok {
+			j := s.occupant(d.router, d.inPort)
+			if live = j < 0; !live {
+				o.adj = append(o.adj, int32(j))
 			}
 		}
+		o.live = append(o.live, live)
 	}
-	for k := range occupied {
-		if !live[k] {
-			return true
-		}
-	}
-	return false
+	o.lo = append(o.lo, int32(len(o.adj)))
+	o.scc.Live(o.lo, o.adj, o.live)
+	return slices.Contains(o.live, false)
 }

@@ -64,7 +64,7 @@ func (r *Result) Failed() bool { return r.TotalViolations > 0 }
 // state flags computed at insertion.
 const (
 	flagDelivered   uint8 = 1 << iota // all packets delivered
-	flagDeadlocked                    // OracleDeadlocked holds
+	flagDeadlocked                    // the deadlock oracle holds
 	flagAssumedGood                   // truncated frontier: liveness assumed
 )
 
@@ -145,7 +145,7 @@ type chunkOut struct {
 func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
 	st := newStore()
 	init := in.InitialState()
-	st.lookupOrInsert(in.Encode(init), -1, "", 0, in.stateFlags(init))
+	st.lookupOrInsert(in.Encode(init), -1, "", 0, in.stateFlags(init, &oracle{}))
 
 	var vios []vioRec
 	for _, msg := range in.CheckInvariants(init) {
@@ -304,12 +304,12 @@ func (in *Instance) deliveredOf(st *store, id int32) int {
 }
 
 // stateFlags computes the per-state classification stored at insert.
-func (in *Instance) stateFlags(s *State) uint8 {
+func (in *Instance) stateFlags(s *State, o *oracle) uint8 {
 	var f uint8
 	if s.Delivered() == len(in.Packets) {
 		f |= flagDelivered
 	}
-	if in.OracleDeadlocked(s) {
+	if o.deadlocked(in, s) {
 		f |= flagDeadlocked
 	}
 	return f
@@ -319,6 +319,7 @@ func (in *Instance) stateFlags(s *State) uint8 {
 // successors at the given level and checking invariants on each.
 func (in *Instance) expandChunk(st *store, chunk []frontierItem, level int32) (chunkOut, error) {
 	var out chunkOut
+	var o oracle
 	for _, it := range chunk {
 		s, err := in.Decode([]byte(it.enc))
 		if err != nil {
@@ -326,7 +327,7 @@ func (in *Instance) expandChunk(st *store, chunk []frontierItem, level int32) (c
 		}
 		for _, sc := range in.Successors(s) {
 			enc := in.Encode(sc.State)
-			id, fresh := st.lookupOrInsert(enc, it.id, sc.Action, level, in.stateFlags(sc.State))
+			id, fresh := st.lookupOrInsert(enc, it.id, sc.Action, level, in.stateFlags(sc.State, &o))
 			out.edges = append(out.edges, edge{from: it.id, to: id})
 			if sc.Violation != "" {
 				out.vios = append(out.vios, vioRec{kind: "invariant", state: it.id, action: sc.Action, message: sc.Violation})

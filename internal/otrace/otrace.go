@@ -413,11 +413,13 @@ const slotKeep = 4
 
 // Tracer records finished spans into a bounded ring of traces.
 type Tracer struct {
-	capTrace int
-	capSpans int
+	capTrace   int
+	capSpans   int
+	capRecords int // the records the whole ring may hold
 
 	mu   sync.Mutex
 	ring []slot // the n-th slot taken is ring[n % capTrace]
+	held int    // the records the ring holds
 	// taken counts the slots taken, indexed how many of those takes index
 	// has recorded. index maps a trace to its slot; an entry is stale once
 	// a later take gives its slot to another trace.
@@ -437,12 +439,21 @@ const (
 	DefaultSpanCap  = 512
 )
 
-// NewTracer builds a tracer bounded by DefaultTraceCap and DefaultSpanCap.
+// recordCap bounds the records of all the ring's traces together, spans
+// past it counted but dropped like those past DefaultSpanCap. One trace may
+// hold a long run's every epoch span, but a ring of traces that clients
+// continue request after request holds about 1.4 MB of records, not
+// 256 × 90 KB.
+const recordCap = 8192
+
+// NewTracer builds a tracer bounded by DefaultTraceCap, DefaultSpanCap and
+// recordCap.
 func NewTracer() *Tracer {
 	return &Tracer{
-		capTrace: DefaultTraceCap,
-		capSpans: DefaultSpanCap,
-		index:    make(map[traceID]int),
+		capTrace:   DefaultTraceCap,
+		capSpans:   DefaultSpanCap,
+		capRecords: recordCap,
+		index:      make(map[traceID]int),
 	}
 }
 
@@ -502,6 +513,7 @@ func (t *Tracer) record(tr *tree) {
 			t.ring = append(t.ring, slot{})
 		}
 		e := &t.ring[i]
+		t.held -= len(e.spans)
 		if cap(e.spans) > slotKeep {
 			e.spans = nil
 		}
@@ -511,7 +523,8 @@ func (t *Tracer) record(tr *tree) {
 	e := &t.ring[i]
 	// A long tree comes in batches; a trace a client continues over several
 	// requests has several roots here.
-	room := min(len(tr.done), t.capSpans-len(e.spans))
+	room := min(len(tr.done), t.capSpans-len(e.spans), t.capRecords-t.held)
+	t.held += room
 	e.dropped += len(tr.done) - room
 	e.spans = slices.Grow(e.spans, room)
 	for _, rec := range tr.done[:room] {

@@ -3,11 +3,13 @@ package otrace
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestParseTraceparentRoundTrip(t *testing.T) {
@@ -322,6 +324,49 @@ func TestRingSlotReuse(t *testing.T) {
 			t.Errorf("slot %d keeps room for %d records", i, c)
 		}
 	}
+}
+
+// TestContinuedTracesHeapBound fills the ring with traces that clients
+// continue request after request, each twice past DefaultSpanCap: the ring
+// holds at most recordCap records, every other span is counted as
+// dropped, and the live heap the tracer pins stays under twice the records'
+// size (a slot's backing grows by doubling) plus the slots' kept backings.
+// Bounded per trace alone, the same ring pinned about 23 MB.
+func TestContinuedTracesHeapBound(t *testing.T) {
+	const perRequest = 16 // spans in each request's tree, root included
+	size := int(unsafe.Sizeof(record{}))
+	budget := (2*recordCap+DefaultTraceCap*slotKeep)*size + 256<<10 // and the ring, the index
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := NewTracer()
+	rounds := 2 * DefaultSpanCap / perRequest
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < DefaultTraceCap; i++ {
+			root := tr.StartRequest("request", fmt.Sprintf("00-%032x-%016x-01", i+1, round+1), time.Now())
+			for c := 1; c < perRequest; c++ {
+				root.StartChild("c").End()
+			}
+			root.End()
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d continued traces pin %.2f MB, budget %.2f MB", DefaultTraceCap, float64(heap)/1e6, float64(budget)/1e6)
+	if heap > int64(budget) {
+		t.Error("the ring pins more than its budget")
+	}
+	held, dropped := 0, 0
+	for i := 0; i < DefaultTraceCap; i++ {
+		id := fmt.Sprintf("%032x", i+1)
+		held += len(tr.Trace(id))
+		dropped += tr.Dropped(id)
+	}
+	if held != recordCap || held+dropped != rounds*DefaultTraceCap*perRequest {
+		t.Errorf("ring holds %d records and dropped %d, want %d held of %d", held, dropped, recordCap, rounds*DefaultTraceCap*perRequest)
+	}
+	runtime.KeepAlive(tr)
 }
 
 // TestLateSpanFilesUnderItsTrace: a span that ends after its root, once

@@ -55,3 +55,76 @@ func FlitsOnLinks(n *Network) (k int) {
 	}
 	return k
 }
+
+// AppendDeadlock is FindDeadlock appending to out, the form the checker
+// samples with: what the oracle's allocation budget is measured on.
+func AppendDeadlock(n *Network, out []DeadlockedVC) []DeadlockedVC { return n.findDeadlock(out) }
+
+// ReferenceDeadlock is the oracle as a repeat-until-unchanged liveness
+// fixpoint over the wait-for graph of VCs, with no scratch kept: the
+// reference FindDeadlock's closure over strongly connected components must
+// agree with, VC for VC and in the same order.
+func ReferenceDeadlock(n *Network) []DeadlockedVC {
+	var vcs, deps []*VC
+	var lo []int
+	var live []bool
+	nodeOf := map[*VC]int{}
+	for _, r := range n.routers {
+		total := len(r.vcFlat)
+		for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
+			if v := &r.vcFlat[slot]; v.is(vcRouted) {
+				vcs = append(vcs, v)
+				nodeOf[v] = len(vcs)
+			}
+		}
+	}
+	for _, v := range vcs {
+		r := v.router
+		lo = append(lo, len(deps))
+		alive := false
+		switch {
+		case v.flags&(vcFrozen|vcSpinning) != 0:
+			alive = true
+		case v.WaitingToEject() || (v.target == nil && v.outPort >= 0 && int(v.outPort) < r.localPorts):
+			alive = true
+		case v.target != nil:
+			alive = v.target.FreeSlots() > 0
+			deps = append(deps, v.target)
+		default:
+			pkt := v.FrontPacket()
+			for _, req := range v.reqs {
+				first := len(deps)
+				deps = r.DownstreamVCs(req.Port, pkt.VNet, req.VCMask, deps)
+				for _, dvc := range deps[first:] {
+					alive = alive || dvc.CanAccept(pkt.Length)
+				}
+				if alive = alive || req.Port < r.localPorts; alive {
+					break
+				}
+			}
+		}
+		live = append(live, alive)
+	}
+	lo = append(lo, len(deps))
+	for changed := true; changed; {
+		changed = false
+		for i := range vcs {
+			if live[i] {
+				continue
+			}
+			for _, dvc := range deps[lo[i]:lo[i+1]] {
+				if j := nodeOf[dvc]; j > 0 && live[j-1] || j == 0 && (dvc.resvOwner == nil || len(dvc.buf) == 0) {
+					live[i], changed = true, true
+					break
+				}
+			}
+		}
+	}
+	var out []DeadlockedVC
+	for i, v := range vcs {
+		if !live[i] {
+			out = append(out, DeadlockedVC{Router: v.router.ID, Port: v.Port(), Index: v.Index()})
+		}
+	}
+	return out
+}

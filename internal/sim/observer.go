@@ -1,5 +1,7 @@
 package sim
 
+import "repro/internal/graph"
+
 // The deadlock oracle gives tests and the Fig. 3 experiment a global view
 // no distributed scheme has: it decides, from the instantaneous buffer
 // state, whether some set of packets can never make progress.
@@ -10,6 +12,10 @@ package sim
 // drain and release buffer space — arbitration is fair, so eventual space
 // implies eventual progress under virtual cut-through). Non-empty, routed,
 // non-live VCs are deadlocked.
+//
+// FindDeadlock builds the wait-for graph of the occupied, routed VCs, each
+// edge a dependency on another such VC, and hands it to graph.Scratch.Live,
+// which decides liveness one strongly connected component at a time.
 
 // DeadlockedVC identifies a VC found in a deadlock cycle.
 type DeadlockedVC struct {
@@ -18,18 +24,22 @@ type DeadlockedVC struct {
 
 // oracleScratch is FindDeadlock's wait-for graph, kept by the network so
 // that sampling a busy network allocates nothing. Node i is the occupied,
-// routed VC vcs[i]; its admissible downstream VCs are deps[lo[i]:lo[i+1]].
+// routed VC vcs[i], live[i] whether it is live by itself, and its
+// dependencies on other nodes are adj[lo[i]:lo[i+1]]. deps holds one VC's
+// admissible downstream VCs while they are sorted into nodes and the rest.
 // nodeOf maps a vcIndex to its node number plus one, zeroed on return.
 type oracleScratch struct {
-	vcs, deps  []*VC
-	lo, nodeOf []int32
-	live       []bool
+	vcs, deps       []*VC
+	lo, adj, nodeOf []int32
+	live            []bool
+	scc             graph.Scratch
 }
 
-// FindDeadlock computes the set of deadlocked VCs via a liveness fixpoint.
-// An empty result means no routing deadlock exists at this instant.
-// Frozen/spinning VCs in mid-recovery count as live (recovery will move
-// them); tests bound how long recovery may take separately.
+// FindDeadlock computes the set of deadlocked VCs: the nodes of the
+// wait-for graph from which no path leads to a live one. An empty result
+// means no routing deadlock exists at this instant. Frozen/spinning VCs in
+// mid-recovery count as live (recovery will move them); tests bound how
+// long recovery may take separately.
 func (n *Network) FindDeadlock() []DeadlockedVC { return n.findDeadlock(nil) }
 
 // findDeadlock appends FindDeadlock's answer to out.
@@ -38,7 +48,7 @@ func (n *Network) findDeadlock(out []DeadlockedVC) []DeadlockedVC {
 	if s.nodeOf == nil {
 		s.nodeOf = make([]int32, n.vcBase[len(n.routers)])
 	}
-	s.vcs, s.deps, s.lo, s.live = s.vcs[:0], s.deps[:0], s.lo[:0], s.live[:0]
+	s.vcs, s.lo, s.adj, s.live = s.vcs[:0], s.lo[:0], s.adj[:0], s.live[:0]
 	for _, r := range n.routers {
 		total := len(r.vcFlat)
 		for slot := r.FirstOccupied(0, total); slot >= 0; slot = r.FirstOccupied(slot+1, total) {
@@ -50,7 +60,8 @@ func (n *Network) findDeadlock(out []DeadlockedVC) []DeadlockedVC {
 	}
 	for _, v := range s.vcs {
 		r := v.router
-		s.lo = append(s.lo, int32(len(s.deps)))
+		s.lo = append(s.lo, int32(len(s.adj)))
+		s.deps = s.deps[:0]
 		alive := false
 		switch {
 		case v.flags&(vcFrozen|vcSpinning) != 0:
@@ -73,28 +84,20 @@ func (n *Network) findDeadlock(out []DeadlockedVC) []DeadlockedVC {
 				}
 			}
 		}
-		s.live = append(s.live, alive)
-	}
-	s.lo = append(s.lo, int32(len(s.deps)))
-	// Propagate liveness backwards to a fixpoint: v is live if any
-	// dependency is live (space will eventually appear there).
-	for changed := true; changed; {
-		changed = false
-		for i := range s.vcs {
-			if s.live[i] {
-				continue
-			}
-			for _, dvc := range s.deps[s.lo[i]:s.lo[i+1]] {
-				// A dependency that holds no routed resident is draining
-				// space or idle-but-reserved; a reserved-but-empty VC counts
-				// as live (its owner is moving).
-				if j := s.nodeOf[n.vcIndex(dvc)]; j > 0 && s.live[j-1] || j == 0 && (dvc.resvOwner == nil || len(dvc.buf) == 0) {
-					s.live[i], changed = true, true
-					break
-				}
+		for _, dvc := range s.deps {
+			// A dependency that holds no routed resident is draining space
+			// or idle-but-reserved; a reserved-but-empty VC counts as live
+			// (its owner is moving), a reserved, occupied one for nothing.
+			if j := s.nodeOf[n.vcIndex(dvc)]; j > 0 {
+				s.adj = append(s.adj, j-1)
+			} else if dvc.resvOwner == nil || len(dvc.buf) == 0 {
+				alive = true
 			}
 		}
+		s.live = append(s.live, alive)
 	}
+	s.lo = append(s.lo, int32(len(s.adj)))
+	s.scc.Live(s.lo, s.adj, s.live)
 	for i, v := range s.vcs {
 		s.nodeOf[n.vcIndex(v)] = 0
 		if !s.live[i] {

@@ -1,8 +1,17 @@
 package sim_test
 
 import (
+	"bufio"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -135,4 +144,94 @@ func TestOraclePersistsWhileUnrecovered(t *testing.T) {
 	if n.Stats().Ejected != 0 {
 		t.Fatal("deadlocked packets delivered?!")
 	}
+}
+
+// TestOracleMatchesFixpoint: FindDeadlock, a liveness closure over the
+// wait-for graph's strongly connected components, names the same VCs in
+// the same order as the repeat-until-unchanged fixpoint it replaced
+// (ReferenceDeadlock), and a sample allocates nothing once the oracle's
+// scratch has grown to the graph. The scenarios are the fuzz corpus —
+// generated seeds and FuzzScenario's committed seed inputs, sampled every
+// 16 cycles like the checker's recovery bound — and SPIN's two collapse
+// points on mesh:8x8, where most of the network is one deadlocked knot.
+func TestOracleMatchesFixpoint(t *testing.T) {
+	type point struct {
+		sc    harness.Scenario
+		every int64
+		jam   int // deadlocked VCs some sample must reach
+	}
+	points := map[string]point{}
+	for _, vcs := range []struct {
+		n    int
+		rate float64
+	}{{1, 0.12}, {3, 0.30}} {
+		sc := harness.Scenario{Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin", Traffic: "uniform_random",
+			Rate: vcs.rate, VCsPerVNet: vcs.n, Seed: 1, Cycles: 20000}
+		points[fmt.Sprintf("collapse/%dvc@%.2f", vcs.n, vcs.rate)] = point{sc, 250, 100}
+	}
+	for seed := int64(1); seed <= 24; seed++ {
+		points[fmt.Sprintf("generated/%d", seed)] = point{harness.Generate(rand.New(rand.NewSource(seed))), 16, 0}
+	}
+	files, err := filepath.Glob(filepath.Join("..", "harness", "testdata", "fuzz", "FuzzScenario", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no FuzzScenario seed corpus: %v", err)
+	}
+	for _, path := range files {
+		v := fuzzValues(t, path)
+		sc := harness.FromBits(uint8(v[0]), uint8(v[1]), uint8(v[2]), uint8(v[3]), uint8(v[4]), uint16(v[5]), v[6], uint16(v[7]))
+		points["fuzz/"+filepath.Base(path)] = point{sc, 16, 0}
+	}
+	for name, p := range points {
+		t.Run(name, func(t *testing.T) {
+			s, err := p.sc.Sim()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := s.Network()
+			var got []sim.DeadlockedVC
+			most := 0
+			for c := int64(0); c < p.sc.Cycles; c += p.every {
+				n.Run(p.every)
+				if allocs := testing.AllocsPerRun(1, func() { got = sim.AppendDeadlock(n, got[:0]) }); allocs != 0 {
+					t.Errorf("cycle %d: a grown oracle allocates %.0f objects per sample", n.Now(), allocs)
+				}
+				if want := sim.ReferenceDeadlock(n); len(want) != len(got) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("cycle %d: FindDeadlock names %d VCs, the fixpoint %d:\n got %v\nwant %v", n.Now(), len(got), len(want), got, want)
+				}
+				most = max(most, len(got))
+			}
+			if most < p.jam {
+				t.Errorf("at most %d VCs deadlocked at once, want a jam of >= %d", most, p.jam)
+			}
+			t.Logf("at most %d VCs deadlocked at once", most)
+		})
+	}
+}
+
+// fuzzValues reads the integer arguments of one "go test fuzz v1" file.
+func fuzzValues(t *testing.T, path string) []int64 {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []int64
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		open, end := strings.IndexByte(line, '('), strings.LastIndexByte(line, ')')
+		if open < 0 || end < open {
+			continue // the version header
+		}
+		v, err := strconv.ParseInt(line[open+1:end], 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", path, line, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) != 8 {
+		t.Fatalf("%s: %d values, want FromBits' 8", path, len(out))
+	}
+	return out
 }
