@@ -70,21 +70,6 @@ func lessBytes(a, b []byte) bool {
 	return len(a) < len(b)
 }
 
-// Hash is FNV-1a over the canonical encoding — shard selection only;
-// equality always compares full encodings.
-func Hash(enc []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range enc {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
 // decoder walks an encoding sequentially with range checks.
 type decoder struct {
 	buf []byte

@@ -12,10 +12,9 @@ var fuzzInstances = []string{"mesh2x2", "mesh3x3", "ring5"}
 
 // FuzzMCState fuzzes the canonical state codec: any byte string the
 // decoder accepts must re-encode to exactly the same bytes (the
-// visited-set membership contract — one state, one encoding), hash
-// consistently, and be safe to hand to the invariant checker and the
-// successor generator. Decoder rejections are fine; panics and
-// encoding aliases are the bugs.
+// visited-set membership contract — one state, one encoding) and be
+// safe to hand to the invariant checker and the successor generator.
+// Decoder rejections are fine; panics and encoding aliases are the bugs.
 func FuzzMCState(f *testing.F) {
 	// Seed with real reachable encodings: each instance's initial state
 	// plus a few BFS levels, so the fuzzer starts from valid structures
@@ -55,9 +54,6 @@ func FuzzMCState(f *testing.F) {
 		re := in.Encode(st)
 		if !bytes.Equal(re, enc) {
 			t.Fatalf("decode accepted a non-canonical encoding:\n  in  %x\n  out %x", enc, re)
-		}
-		if Hash(re) != Hash(enc) {
-			t.Fatal("hash of identical bytes differs")
 		}
 		// Decoded states must be safe to explore: the checker calls both
 		// of these on every state the search reaches.

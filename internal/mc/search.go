@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/runner"
 )
@@ -42,9 +41,7 @@ type Census struct {
 
 // Violation is one property failure with a counterexample trace (action
 // labels from the initial state; replayable through internal/sim via
-// TraceScenario). The trace follows first-writer parent pointers, so its
-// exact path — unlike every census field — may vary across runs; it is
-// always a valid path of the state graph.
+// TraceScenario).
 type Violation struct {
 	Kind    string   `json:"kind"` // "invariant" or "liveness"
 	Message string   `json:"message"`
@@ -61,7 +58,7 @@ type Result struct {
 // Failed reports whether any property was violated.
 func (r *Result) Failed() bool { return r.TotalViolations > 0 }
 
-// state flags computed at insertion.
+// state flags, computed when expandChunk first meets a state.
 const (
 	flagDelivered   uint8 = 1 << iota // all packets delivered
 	flagDeadlocked                    // the deadlock oracle holds
@@ -76,46 +73,24 @@ type stateRec struct {
 	flags  uint8
 }
 
-const numShards = 64
-
-type visitShard struct {
-	mu  sync.Mutex
-	ids map[string]int32
-}
-
-// store is the sharded visited set: encodings map to dense state ids.
-// The shard index comes from the hash, membership from the full
-// encoding. Lock order is shard → store.
+// store is the visited set: encodings map to dense state ids. Only
+// Check's serial merge writes it, between levels; expandChunk reads it
+// with no lock while a level's batch runs, when nothing writes.
 type store struct {
-	shards [numShards]visitShard
-	mu     sync.Mutex
+	ids    map[string]int32
 	states []stateRec
 }
 
-func newStore() *store {
-	st := &store{}
-	for i := range st.shards {
-		st.shards[i].ids = make(map[string]int32)
+// insert stores rec under the next id unless its encoding is already
+// stored, and returns the encoding's id.
+func (st *store) insert(rec stateRec) int32 {
+	if id, seen := st.ids[rec.enc]; seen {
+		return id
 	}
-	return st
-}
-
-// lookupOrInsert returns the id for enc, inserting a fresh record when
-// unseen. ok reports a fresh insert.
-func (st *store) lookupOrInsert(enc []byte, parent int32, action string, level int32, flags uint8) (int32, bool) {
-	sh := &st.shards[Hash(enc)%numShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if id, seen := sh.ids[string(enc)]; seen {
-		return id, false
-	}
-	key := string(enc)
-	st.mu.Lock()
 	id := int32(len(st.states))
-	st.states = append(st.states, stateRec{enc: key, parent: parent, action: action, level: level, flags: flags})
-	st.mu.Unlock()
-	sh.ids[key] = id
-	return id, true
+	st.ids[rec.enc] = id
+	st.states = append(st.states, rec)
+	return id
 }
 
 type edge struct{ from, to int32 }
@@ -127,36 +102,35 @@ type vioRec struct {
 	message string
 }
 
-type frontierItem struct {
-	id  int32
-	enc string
-}
-
+// chunkOut is one chunk's expansion. An edge's to and a vioRec's state
+// are a stored id, or -1-k for the chunk's k-th new candidate.
 type chunkOut struct {
-	next  []frontierItem
+	fresh []stateRec
 	edges []edge
 	vios  []vioRec
 }
 
 // Check explores the instance's reachable state space by level-
-// synchronous parallel BFS and checks every property. The census fields
-// are deterministic for fixed (instance, options); violation traces are
-// valid paths but follow first-writer parent pointers.
+// synchronous parallel BFS and checks every property. The result — ids,
+// parent pointers, traces and violation order included — is the same at
+// every Workers count for fixed (instance, options).
 func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
-	st := newStore()
 	init := in.InitialState()
-	st.lookupOrInsert(in.Encode(init), -1, "", 0, in.stateFlags(init, &oracle{}))
+	st := &store{ids: make(map[string]int32)}
+	st.insert(stateRec{enc: string(in.Encode(init)), parent: -1, flags: in.stateFlags(init, &oracle{})})
 
 	var vios []vioRec
 	for _, msg := range in.CheckInvariants(init) {
 		vios = append(vios, vioRec{kind: "invariant", state: 0, message: msg})
 	}
 
-	frontier := []frontierItem{{id: 0, enc: st.states[0].enc}}
+	// The frontier is the id range [lo, hi): the merge gives a level's new
+	// states consecutive ids.
+	lo, hi := int32(0), int32(1)
 	var edges []edge
 	depth := int32(0) // level of the current frontier
 	truncated := false
-	for len(frontier) > 0 {
+	for lo < hi {
 		if opts.Bound > 0 && int(depth) >= opts.Bound {
 			truncated = true
 			break
@@ -166,34 +140,57 @@ func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
 			break
 		}
 		// One runner batch per level: the chunks expand in parallel and
-		// come back in chunk order, so next/edges/vios do not depend on
-		// which worker finished first.
+		// come back in chunk order, and the merge below stores their new
+		// states in that order, so ids do not depend on which worker
+		// finished first.
 		const chunkSize = 256
 		var jobs []runner.Job[chunkOut]
-		for start := 0; start < len(frontier); start += chunkSize {
-			chunk := frontier[start:min(start+chunkSize, len(frontier))]
+		for start := lo; start < hi; start += chunkSize {
+			end := min(start+chunkSize, hi)
 			jobs = append(jobs, runner.Job[chunkOut]{
-				Key: fmt.Sprintf("mc:%s:l%d:c%d", in.Name, depth, start/chunkSize),
-				Run: func(context.Context, int64) (chunkOut, error) { return in.expandChunk(st, chunk, depth+1) },
+				Key: fmt.Sprintf("mc:%s:l%d:c%d", in.Name, depth, (start-lo)/chunkSize),
+				Run: func(context.Context, int64) (chunkOut, error) { return in.expandChunk(st, start, end, depth+1) },
 			})
 		}
 		outs, err := runner.Run(ctx, runner.Options{Workers: opts.Workers}, jobs)
 		if err != nil {
 			return nil, err
 		}
-		frontier = nil
+		lo = hi
+		var ids []int32
 		for _, out := range outs {
-			frontier = append(frontier, out.next...)
-			edges = append(edges, out.edges...)
-			vios = append(vios, out.vios...)
+			// A candidate an earlier chunk of this level stored maps to
+			// that chunk's id; its invariants were reported there.
+			base := int32(len(st.states))
+			ids = ids[:0]
+			for _, rec := range out.fresh {
+				ids = append(ids, st.insert(rec))
+			}
+			resolve := func(id int32) int32 {
+				if id < 0 {
+					return ids[-1-id]
+				}
+				return id
+			}
+			for _, e := range out.edges {
+				edges = append(edges, edge{from: e.from, to: resolve(e.to)})
+			}
+			for _, v := range out.vios {
+				if v.state < 0 && ids[-1-v.state] < base {
+					continue
+				}
+				v.state = resolve(v.state)
+				vios = append(vios, v)
+			}
 		}
+		hi = int32(len(st.states))
 		depth++
 	}
 	if truncated {
 		// The boundary frontier is stored but unexpanded: liveness must
 		// assume it recovers (the run proves nothing beyond the bound).
-		for _, it := range frontier {
-			st.states[it.id].flags |= flagAssumedGood
+		for id := lo; id < hi; id++ {
+			st.states[id].flags |= flagAssumedGood
 		}
 	}
 
@@ -277,8 +274,7 @@ func Check(ctx context.Context, in *Instance, opts Options) (*Result, error) {
 		if vios[a].message != vios[b].message {
 			return vios[a].message < vios[b].message
 		}
-		// State ids are first-writer, so they differ between runs at
-		// Workers > 1; the encoding and the action label do not.
+		// Ties break on the state's encoding, then the action label.
 		if ea, eb := st.states[vios[a].state].enc, st.states[vios[b].state].enc; ea != eb {
 			return ea < eb
 		}
@@ -303,7 +299,7 @@ func (in *Instance) deliveredOf(st *store, id int32) int {
 	return s.Delivered()
 }
 
-// stateFlags computes the per-state classification stored at insert.
+// stateFlags computes the per-state classification stored with a state.
 func (in *Instance) stateFlags(s *State, o *oracle) uint8 {
 	var f uint8
 	if s.Delivered() == len(in.Packets) {
@@ -315,28 +311,38 @@ func (in *Instance) stateFlags(s *State, o *oracle) uint8 {
 	return f
 }
 
-// expandChunk decodes and expands one frontier chunk, inserting fresh
-// successors at the given level and checking invariants on each.
-func (in *Instance) expandChunk(st *store, chunk []frontierItem, level int32) (chunkOut, error) {
+// expandChunk decodes and expands the frontier states [lo, hi). Each
+// successor is an edge; one no state holds yet becomes a candidate at the
+// given level, once per chunk, and only candidates are classified and
+// checked for invariants.
+func (in *Instance) expandChunk(st *store, lo, hi, level int32) (chunkOut, error) {
 	var out chunkOut
 	var o oracle
-	for _, it := range chunk {
-		s, err := in.Decode([]byte(it.enc))
+	local := make(map[string]int32) // candidate encoding -> k
+	for id := lo; id < hi; id++ {
+		s, err := in.Decode([]byte(st.states[id].enc))
 		if err != nil {
-			return out, fmt.Errorf("mc: stored state %d corrupt: %w", it.id, err)
+			return out, fmt.Errorf("mc: stored state %d corrupt: %w", id, err)
 		}
 		for _, sc := range in.Successors(s) {
 			enc := in.Encode(sc.State)
-			id, fresh := st.lookupOrInsert(enc, it.id, sc.Action, level, in.stateFlags(sc.State, &o))
-			out.edges = append(out.edges, edge{from: it.id, to: id})
-			if sc.Violation != "" {
-				out.vios = append(out.vios, vioRec{kind: "invariant", state: it.id, action: sc.Action, message: sc.Violation})
-			}
-			if fresh {
-				out.next = append(out.next, frontierItem{id: id, enc: string(enc)})
-				for _, msg := range in.CheckInvariants(sc.State) {
-					out.vios = append(out.vios, vioRec{kind: "invariant", state: id, message: msg})
+			to, seen := st.ids[string(enc)]
+			if !seen {
+				k, dup := local[string(enc)]
+				if !dup {
+					k = int32(len(out.fresh))
+					key := string(enc)
+					local[key] = k
+					out.fresh = append(out.fresh, stateRec{enc: key, parent: id, action: sc.Action, level: level, flags: in.stateFlags(sc.State, &o)})
+					for _, msg := range in.CheckInvariants(sc.State) {
+						out.vios = append(out.vios, vioRec{kind: "invariant", state: -1 - k, message: msg})
+					}
 				}
+				to = -1 - k
+			}
+			out.edges = append(out.edges, edge{from: id, to: to})
+			if sc.Violation != "" {
+				out.vios = append(out.vios, vioRec{kind: "invariant", state: id, action: sc.Action, message: sc.Violation})
 			}
 		}
 	}

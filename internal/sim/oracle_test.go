@@ -161,13 +161,8 @@ func TestOracleMatchesFixpoint(t *testing.T) {
 		jam   int // deadlocked VCs some sample must reach
 	}
 	points := map[string]point{}
-	for _, vcs := range []struct {
-		n    int
-		rate float64
-	}{{1, 0.12}, {3, 0.30}} {
-		sc := harness.Scenario{Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin", Traffic: "uniform_random",
-			Rate: vcs.rate, VCsPerVNet: vcs.n, Seed: 1, Cycles: 20000}
-		points[fmt.Sprintf("collapse/%dvc@%.2f", vcs.n, vcs.rate)] = point{sc, 250, 100}
+	for _, c := range collapsePoints() {
+		points[c.name] = point{c.sc, 250, 100}
 	}
 	for seed := int64(1); seed <= 24; seed++ {
 		points[fmt.Sprintf("generated/%d", seed)] = point{harness.Generate(rand.New(rand.NewSource(seed))), 16, 0}
@@ -204,6 +199,67 @@ func TestOracleMatchesFixpoint(t *testing.T) {
 				t.Errorf("at most %d VCs deadlocked at once, want a jam of >= %d", most, p.jam)
 			}
 			t.Logf("at most %d VCs deadlocked at once", most)
+		})
+	}
+}
+
+// collapsePoints are SPIN's two collapse points on mesh:8x8,
+// min_adaptive, uniform random: 1 VC at 0.12 offered and 3 VCs at 0.30,
+// where most of the network ends up in one deadlocked knot.
+func collapsePoints() []collapsePoint {
+	var points []collapsePoint
+	for _, vcs := range []struct {
+		n    int
+		rate float64
+	}{{1, 0.12}, {3, 0.30}} {
+		points = append(points, collapsePoint{fmt.Sprintf("collapse/%dvc@%.2f", vcs.n, vcs.rate), harness.Scenario{
+			Topology: "mesh:8x8", Routing: "min_adaptive", Scheme: "spin", Traffic: "uniform_random",
+			Rate: vcs.rate, VCsPerVNet: vcs.n, Seed: 1, Cycles: 20000}})
+	}
+	return points
+}
+
+type collapsePoint struct {
+	name string
+	sc   harness.Scenario
+}
+
+// BenchmarkFindDeadlock times one oracle call on a frozen network: each
+// collapse point is sampled every 250 cycles, as TestOracleMatchesFixpoint
+// samples it, then rebuilt, run to the sample with the largest deadlocked
+// knot and sampled there again and again without a step. The checker's
+// sample every 16 cycles of a checked run pays this inside a collapse; a
+// grown oracle allocates nothing.
+func BenchmarkFindDeadlock(b *testing.B) {
+	for _, c := range collapsePoints() {
+		b.Run(c.name, func(b *testing.B) {
+			network := func() *sim.Network {
+				s, err := c.sc.Sim()
+				if err != nil {
+					b.Fatal(err)
+				}
+				return s.Network()
+			}
+			n := network()
+			var got []sim.DeadlockedVC
+			peak, at := 0, int64(0)
+			for cyc := int64(250); cyc <= c.sc.Cycles; cyc += 250 {
+				n.Run(250)
+				if got = sim.AppendDeadlock(n, got[:0]); len(got) > peak {
+					peak, at = len(got), cyc
+				}
+			}
+			n = network()
+			n.Run(at)
+			if got = sim.AppendDeadlock(n, got[:0]); len(got) != peak || peak < 100 {
+				b.Fatalf("%d VCs deadlocked at cycle %d, want the first pass's %d (>= 100)", len(got), at, peak)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got = sim.AppendDeadlock(n, got[:0])
+			}
+			b.ReportMetric(float64(len(got)), "deadlocked_vcs")
 		})
 	}
 }
