@@ -61,6 +61,10 @@ type Result struct {
 	// that wrote NsPerCycle: the "before" of a recorded speed-up. -update
 	// carries it over; only the commit making the claim edits it.
 	BeforeNsPerCycle float64 `json:"before_ns_per_cycle,omitempty"`
+	// BeforeBytesPerCycle is BytesPerCycle measured likewise, at the parent
+	// of the commit that last changed what the row allocates: the "before"
+	// of a recorded allocation cut, carried over by -update the same way.
+	BeforeBytesPerCycle float64 `json:"before_bytes_per_cycle,omitempty"`
 	// DeliveredPerOffered is the flits the measured cycles delivered over
 	// the flits the source offered in them (Rate per terminal per cycle);
 	// 1 when nothing is offered. Spins counts the spins in those cycles.
@@ -137,8 +141,8 @@ const Schema = 1
 // Workloads is the benchmark matrix. Saturation rates sit at the highest
 // load where source queues stay bounded (measured on this tree). Past that
 // edge, where torus8x8/spin1vc runs, the pool still recycles every packet,
-// but each NIC's ring of queued records keeps doubling as its backlog grows,
-// so allocs/cycle is not zero.
+// but the growing backlog keeps taking new record blocks, so allocs/cycle
+// is not zero.
 func Workloads() []Workload {
 	mk := func(name, topo, routing string, rate float64) Workload {
 		return Workload{
@@ -179,9 +183,17 @@ func Workloads() []Workload {
 // ScaleWorkloads is the paper-scale end of the matrix: the 1024-node
 // Table III dragonfly and a 4096-router mesh, the rows where per-router
 // cost is set by cache misses rather than instructions. Cycle counts are
-// short — one cycle of the 1024-node dragonfly costs roughly what a whole
-// mesh8x8 measurement window does — and warmup is just long enough to
-// fill the pipeline.
+// short — one cycle of the 4096-router mesh costs ≈ 5 ms, a third of a
+// whole mesh8x8/low measurement window — and the warm-up runs past the fill
+// (measured, uniform random, seed 17): the dragonfly's packets in flight
+// level off by cycle 200, the mesh's by cycle 500, and both deliver their
+// offered load from then on. What a cycle allocates after the fill is the
+// first touch of VCs (one buffer each, then its growth to the depth). In
+// 3 000 warm-up cycles the dragonfly's falls from 1.3 KB a cycle at cycle
+// 200 into a 50–90 B band it reaches by cycle 1 000, and the mesh's from
+// 12.9 KB to ≈ 0.3 KB, where it still halves about every 2 500 cycles. The
+// mesh runs at 0.02: at 0.05 (80 % of its uniform bisection bound) and at
+// 0.03 it jams within 1 000 cycles.
 func ScaleWorkloads() []Workload {
 	mk := func(name, preset string, rate float64) Workload {
 		p, err := spin.PresetByName(preset)
@@ -192,11 +204,11 @@ func ScaleWorkloads() []Workload {
 		cfg.Traffic = "uniform_random"
 		cfg.Rate = rate
 		cfg.Seed = 17
-		return Workload{Name: name, Cfg: cfg, Warmup: 200, Cycles: 100}
+		return Workload{Name: name, Cfg: cfg, Warmup: 3000, Cycles: 100}
 	}
 	return []Workload{
 		mk("dfly1024/low", "dfly1024", 0.05),
-		mk("mesh64x64/low", "mesh64x64", 0.05),
+		mk("mesh64x64/low", "mesh64x64", 0.02),
 	}
 }
 
@@ -254,8 +266,14 @@ func SetupWorkloads() (ws []Workload) {
 	return ws
 }
 
-// MeasureSetup times w's build, and its rewind after a short run (so that
-// there are buffers, free lists and in-flight traffic to rewind).
+// dirtyCycles is how long MeasureSetup runs w before each rewind, so that
+// there are buffers, free lists and in-flight traffic to rewind: a fifth of
+// w's measured window (400 cycles on the 8x8 and dfly64 rows, 20 on the
+// 1024-node dragonfly), whatever its warm-up.
+func (w Workload) dirtyCycles() int64 { return w.Cycles / 5 }
+
+// MeasureSetup times w's build, and its rewind after a short run (see
+// dirtyCycles).
 func MeasureSetup(w Workload, reps int) (SetupResult, error) {
 	s, err := spin.New(w.Cfg)
 	if err != nil {
@@ -279,9 +297,9 @@ func MeasureSetup(w Workload, reps int) (SetupResult, error) {
 	}
 	res := SetupResult{Name: w.Name}
 	res.New = cost(0, func() error { _, err := spin.New(w.Cfg); return err })
-	res.Reset = cost(w.Warmup/10, func() error { return s.Reset(w.Cfg) })
+	res.Reset = cost(w.dirtyCycles(), func() error { return s.Reset(w.Cfg) })
 	pool := spin.NewPool(1)
-	res.Pooled = cost(w.Warmup/10, func() (err error) { pool.Put(s); s, err = pool.Get(w.Cfg); return err })
+	res.Pooled = cost(w.dirtyCycles(), func() (err error) { pool.Put(s); s, err = pool.Get(w.Cfg); return err })
 	return res, err
 }
 

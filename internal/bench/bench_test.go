@@ -78,7 +78,7 @@ func TestBenchRegression(t *testing.T) {
 			cur.Sweep.Before, cur.Sweep.BeforeBuilds = old.Sweep.Before, old.Sweep.BeforeBuilds
 			for i, w := range cur.Workloads {
 				prev, _ := old.Find(w.Name)
-				cur.Workloads[i].BeforeNsPerCycle = prev.BeforeNsPerCycle
+				cur.Workloads[i].BeforeNsPerCycle, cur.Workloads[i].BeforeBytesPerCycle = prev.BeforeNsPerCycle, prev.BeforeBytesPerCycle
 			}
 			for i, prev := range old.Setup {
 				cur.Setup[i].Before, cur.Setup[i].BeforeReset = prev.Before, prev.BeforeReset
@@ -377,7 +377,7 @@ func BenchmarkSetup(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s.Run(w.Warmup / 10)
+				s.Run(w.dirtyCycles())
 				b.StartTimer()
 				if err := s.Reset(w.Cfg); err != nil {
 					b.Fatal(err)

@@ -37,7 +37,7 @@ func (v Violation) String() string {
 
 // Rule names reported by the checker.
 const (
-	RuleConservation  = "conservation"   // injected - ejected != flits in buffers + links; or the queued count or packet pool off its books
+	RuleConservation  = "conservation"   // injected - ejected != flits in buffers + links; or the queued count, packet pool or record blocks off their books
 	RuleCredit        = "credit"         // buffer occupancy / free-slot / in-flight accounting broken
 	RuleVCTOrder      = "vct_order"      // flit sequence numbers not contiguous within a packet
 	RuleVCTInterleave = "vct_interleave" // more than two packets, or not old-tail + new-head
@@ -127,7 +127,7 @@ type InvariantChecker struct {
 	violations []Violation
 	dropped    int64 // violations beyond maxViolations
 
-	// failing holds, per entity (VCs by vcIndex, routers, NICs, the two
+	// failing holds, per entity (VCs by vcIndex, routers, NICs, the three
 	// audited books, the network), the spellRules failing at its last look;
 	// ent is under look, was its old bits.
 	failing []uint8
@@ -164,7 +164,7 @@ func newChecker(n *Network, opt CheckOptions) *InvariantChecker {
 		net:      n,
 		opt:      opt,
 		diameter: -1,
-		failing:  make([]uint8, vcs+len(n.routers)+len(n.nics)+3),
+		failing:  make([]uint8, vcs+len(n.routers)+len(n.nics)+4),
 		foreign:  make(map[uint64]struct{}),
 		inflight: make([]int32, vcs),
 		seen:     make([]bitset, len(n.routers)),
@@ -316,7 +316,7 @@ func (c *InvariantChecker) pass(audit bool) {
 				c.flag(RuleWorklist, "terminal %d sleeps in the blocked set with %d packets queued (mid-injection: %v, busy: %v)", t, nic.QueueLen(), nic.cur != nil, busy)
 				continue
 			}
-			q := &nic.ring[nic.head]
+			q := nic.frontRec()
 			vcs := nic.router.in[nic.port][int(q.vnet)*n.cfg.VCsPerVNet:][:n.cfg.VCsPerVNet]
 			for k := range vcs {
 				if v := &vcs[k]; v.CanAccept(int(q.length)) {
@@ -374,15 +374,16 @@ func pooledTail(f Flit) int {
 	return 0
 }
 
-// auditBooks recounts the two tallies the engine keeps without looking:
-// the queued-packet counter, against the NICs' queues, and the packet pool's
+// auditBooks recounts the three tallies the engine keeps without looking:
+// the queued-packet counter, against the NICs' queues; the packet pool's
 // packets out, against the ones held — heldInNetwork by a tail flit in a VC
 // or on a link, the rest by a NIC, as the packet it is injecting or its
-// materialised front. Each book is an entity of its own, so a drift in one
-// does not hide a later one in the other.
+// materialised front; and the record blocks carved but off the free list,
+// against the blocks the NICs' backlogs hold. Each book is an entity of its
+// own, so a drift in one does not hide a later one in another.
 func (c *InvariantChecker) auditBooks(heldInNetwork int) {
 	n := c.net
-	queued, held := 0, heldInNetwork
+	queued, held, blocks := 0, heldInNetwork, 0
 	for _, nic := range n.nics {
 		queued += nic.QueueLen()
 		for _, p := range [...]*Packet{nic.cur, nic.front} {
@@ -390,14 +391,25 @@ func (c *InvariantChecker) auditBooks(heldInNetwork int) {
 				held++
 			}
 		}
+		for b := nic.head; b != nil; b = b.next {
+			blocks++
+		}
 	}
-	c.begin(len(c.failing)-3, allRules)
+	c.begin(len(c.failing)-4, allRules)
 	if queued != n.queuedPackets {
 		c.flag(RuleConservation, "the source queues hold %d packets but the queued count is %d", queued, n.queuedPackets)
 	}
-	c.begin(len(c.failing)-2, allRules)
+	c.begin(len(c.failing)-3, allRules)
 	if out := len(n.pktChunks)*pktChunk - len(n.pktPool); out != held {
 		c.flag(RuleConservation, "%d pooled packets are off the free list but %d are held", out, held)
+	}
+	c.begin(len(c.failing)-2, allRules)
+	carved, free := len(n.blockChunks)*blockChunk, 0
+	for b := n.freeBlocks; b != nil && free <= carved; b = b.next { // bounded: a cycle is a drift too
+		free++
+	}
+	if out := carved - free; out != blocks {
+		c.flag(RuleConservation, "%d record blocks are off the free list but the source queues hold %d", out, blocks)
 	}
 }
 

@@ -406,7 +406,23 @@ func TestCheckerDetectsHeldPacketOnFreeList(t *testing.T) {
 	}
 }
 
-// TestCheckerReportsEachBookDrift: the two books are looked at as separate
+// TestCheckerDetectsLeakedBlock: record blocks are remembered by chunk, like
+// packets; the audit counts the blocks the NICs' queues hold against those
+// carved and not on the free list.
+func TestCheckerDetectsLeakedBlock(t *testing.T) {
+	n, _, _ := stallFixture(t)
+	n.Run(2*auditEvery - n.now)
+	if held, free, _ := RecordBlocks(n); held != 1 || free == 0 || len(n.checker.violations) != 0 {
+		t.Fatalf("fixture's NIC holds %d blocks with %d free, want 1 and some; violations %v", held, free, n.checker.violations)
+	}
+	LeakBlock(n)
+	n.Step()
+	if vs := n.checker.violations; len(vs) != 1 || !recorded(n.checker, RuleConservation, 2*auditEvery) {
+		t.Fatalf("leaked block not flagged as one %s violation by the audit: %v", RuleConservation, vs)
+	}
+}
+
+// TestCheckerReportsEachBookDrift: the books are looked at as separate
 // entities, so a pool drift that starts while the queued count is still off
 // gets a report of its own.
 func TestCheckerReportsEachBookDrift(t *testing.T) {

@@ -44,6 +44,27 @@ func PermutePhase2(n *Network, f func([]*Router)) { n.permute = f }
 // packets the chunks hold that Reset puts back on it.
 func PooledPackets(n *Network) (free, owned int) { return len(n.pktPool), len(n.pktChunks) * pktChunk }
 
+// BlockRecs is how many queued records a NIC's backlog block holds.
+const BlockRecs = blockRecs
+
+// RecordBlocks reports the record blocks n's NICs hold, the blocks on its
+// free list, and the blocks its chunks hold, which Reset puts back on it.
+func RecordBlocks(n *Network) (held, free, carved int) {
+	for _, nic := range n.nics {
+		for b := nic.head; b != nil; b = b.next {
+			held++
+		}
+	}
+	for b := n.freeBlocks; b != nil; b = b.next {
+		free++
+	}
+	return held, free, len(n.blockChunks) * blockChunk
+}
+
+// LeakBlock takes a record block off n's free list and drops it, as a NIC
+// that lost track of one would.
+func LeakBlock(n *Network) { n.takeBlock() }
+
 // InjectPooled queues a packet at src the way the traffic path does: as a
 // record, whose packet is drawn from the free list at the front.
 func InjectPooled(n *Network, src int, spec PacketSpec) { n.generate(src, spec) }

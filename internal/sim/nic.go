@@ -5,18 +5,22 @@ package sim
 // stall-free sink for ejected flits.
 //
 // The source queue holds no packets. Each generated packet waits as a
-// queued record in a power-of-two ring that Reset keeps; only the front
-// one becomes a *Packet, when the NIC first tries to inject it (pickVC and
-// the scheme's injection filter need one). Live packets are therefore
-// bounded by what the network can hold, not by the backlog.
+// queued record in a chain of fixed-size blocks drawn from the network's
+// free list (see recBlock): a NIC takes a block when its tail block fills
+// and hands one back as soon as it drains, its last one included, so idle
+// terminals hold none and a backlog is never copied. Only the front record
+// becomes a *Packet, when the NIC first tries to inject it (pickVC and the
+// scheme's injection filter need one). Live packets are therefore bounded
+// by what the network can hold, not by the backlog.
 type NIC struct {
 	term   int
 	router *Router
 	port   int // terminal input port at the router
 
-	ring       []queued // power-of-two length
-	head, size uint32   // ring index of the front record; records queued
-	front      *Packet  // the front record's packet, once materialised
+	head, tail *recBlock // first and last block of the backlog; nil when empty
+	off, fill  uint16    // front record's index in head; records written to tail
+	size       uint32    // records queued
+	front      *Packet   // the front record's packet, once materialised
 	cur        *Packet
 	curVC      *VC
 	curSeq     int
@@ -46,29 +50,58 @@ type queued struct {
 // counting the one mid-injection.
 func (n *NIC) QueueLen() int { return int(n.size) }
 
-// push enqueues a freshly generated packet's record, doubling the ring
-// when it is full.
-func (n *NIC) push(q queued) {
-	if int(n.size) == len(n.ring) {
-		ring := make([]queued, max(1, 2*len(n.ring)))
-		k := copy(ring, n.ring[n.head:])
-		copy(ring[k:], n.ring[:n.head])
-		n.ring, n.head = ring, 0
+// recBlock is a run of blockRecs queued records, linked into a NIC's
+// backlog or the network's free list. The link comes first, so the
+// collector scans one word of a block, not its records.
+type recBlock struct {
+	next *recBlock
+	recs [blockRecs]queued
+}
+
+// blockRecs records make a block: 8 + 16 x 16 B = 264 B.
+const blockRecs = 16
+
+// push enqueues a freshly generated packet's record, taking a block from
+// the free list when the tail block is full.
+func (n *NIC) push(net *Network, q queued) {
+	if n.tail == nil || n.fill == blockRecs {
+		b := net.takeBlock()
+		if n.tail == nil {
+			n.head = b
+		} else {
+			n.tail.next = b
+		}
+		n.tail, n.fill = b, 0
 	}
-	n.ring[(n.head+n.size)&uint32(len(n.ring)-1)] = q
+	n.tail.recs[n.fill] = q
+	n.fill++
 	n.size++
 }
 
-// pop drops the front record.
-func (n *NIC) pop() {
-	n.head = (n.head + 1) & uint32(len(n.ring)-1)
+// pop drops the front record, handing its block back once it is drained:
+// the front block when the next record is in the one behind it, the last
+// block when the queue empties.
+func (n *NIC) pop(net *Network) {
+	n.off++
 	n.size--
+	switch {
+	case n.size == 0:
+		net.putBlock(n.head)
+		n.head, n.tail, n.off = nil, nil, 0
+	case n.off == blockRecs:
+		b := n.head
+		n.head, n.off = b.next, 0
+		net.putBlock(b)
+	}
 }
+
+// frontRec is the front record; the queue must not be empty.
+func (n *NIC) frontRec() *queued { return &n.head.recs[n.off] }
 
 // materialise returns the front record's packet: the caller's own for an
 // InjectPacket record, else one drawn from the free list and filled in.
 func (n *NIC) materialise(net *Network) *Packet {
-	q := &n.ring[n.head]
+	q := n.frontRec()
 	id := net.packetID(n.term, n.pktSeq-int64(n.size))
 	if q.ext {
 		p := net.extPkts[id]
@@ -102,7 +135,7 @@ func (n *NIC) injectStep(net *Network) {
 			}
 			return
 		}
-		n.pop()
+		n.pop(net)
 		net.queuedPackets--
 		n.cur, n.curVC, n.curSeq, n.front = p, v, 0, nil
 		p.InjectCycle = now

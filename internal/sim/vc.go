@@ -255,8 +255,29 @@ func (v *VC) enqueue(f Flit, now int64) {
 		r.wake()
 	}
 	r.flitCount++
+	if len(v.buf) == cap(v.buf) {
+		v.grow()
+	}
 	v.buf = append(v.buf, f)
 	v.markDirty()
+}
+
+// grow gives a full buffer room: one flit the first time, the VC's depth
+// the second, so a buffer is allocated at most twice. A full 5-flit VC pays
+// 16 + 80 B, not append's 16 + 32 + 64 + 128 with three slots past the
+// depth. The first step stays one flit because most VCs a lightly loaded
+// run touches never hold a second: the 1024-node dragonfly at 0.02 for
+// 3 200 cycles allocates 2 % more with a first step of two flits, 10 %
+// more with one to the depth. Nothing is preallocated: most VCs of a large
+// network are never touched.
+func (v *VC) grow() {
+	c := 1
+	if cap(v.buf) > 0 {
+		c = v.Depth()
+	}
+	buf := make([]Flit, len(v.buf), c)
+	copy(buf, v.buf)
+	v.buf = buf
 }
 
 // dequeue removes the front flit, updating routing/reservation state when

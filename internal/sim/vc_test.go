@@ -158,7 +158,8 @@ func (nopRouting) Route(_ *Router, _ int, _ *Packet, buf []PortRequest) []PortRe
 // windows of one slab: four slice headers, not four allocations) and adds
 // nothing to VC or NIC. A queued record is what a run past the knee grows
 // by, one per packet in a source backlog: 16 B, with GenCycle kept as its
-// low 32 bits. Growing one of these is a decision, so the numbers are
+// low 32 bits, and a backlog grows by 264 B blocks of sixteen records
+// behind a link. Growing one of these is a decision, so the numbers are
 // pinned.
 func TestHotStructSizeClasses(t *testing.T) {
 	for _, c := range []struct {
@@ -169,10 +170,35 @@ func TestHotStructSizeClasses(t *testing.T) {
 		{"Router", unsafe.Sizeof(Router{}), 368},
 		{"NIC", unsafe.Sizeof(NIC{}), 96},
 		{"queued", unsafe.Sizeof(queued{}), 16},
+		{"recBlock", unsafe.Sizeof(recBlock{}), 264},
 	} {
 		if c.got > c.fits {
 			t.Errorf("%s is %d bytes, past its %d-byte size class", c.name, c.got, c.fits)
 		}
 		t.Logf("%s %d/%d", c.name, c.got, c.fits)
+	}
+}
+
+// TestVCBufferGrowsTwice: a VC's buffer is allocated at most twice, to one
+// flit and then to the depth, so a full VC holds exactly VCDepth slots.
+func TestVCBufferGrowsTwice(t *testing.T) {
+	for _, depth := range []int{MaxPktLen, 6, 16} {
+		n, err := NewNetwork(Config{Topology: lineTopology(t), Routing: nopRouting{}, VCsPerVNet: 1, VCDepth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := n.Router(0).VC(0, 0)
+		p := &Packet{ID: 1, Length: depth}
+		grown := 0
+		for seq := 0; seq < depth; seq++ {
+			was := cap(v.buf)
+			v.enqueue(Flit{Pkt: p, Seq: seq}, 0)
+			if cap(v.buf) != was {
+				grown++
+			}
+		}
+		if grown > 2 || cap(v.buf) != depth {
+			t.Errorf("depth %d: the buffer was allocated %d times and holds %d slots, want at most 2 and %d", depth, grown, cap(v.buf), depth)
+		}
 	}
 }
