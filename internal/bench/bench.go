@@ -4,6 +4,13 @@
 // mesh, the 1-VC SPIN regime, and two paper-scale presets), and compares
 // runs against the committed baseline BENCH_sim.json.
 //
+// Every figure of the package comes out of one measuring loop, measure:
+// rounds of operations, each after a runtime.GC and between two
+// ReadMemStats, reporting the best ns per unit over the rounds and the heap
+// bytes and objects per unit of the first. A matrix row's operation is the
+// next Cycles-long window of one network, built, attached and warmed once,
+// so its first round is the row as measured alone after its warm-up.
+//
 // The baseline carries a machine-speed calibration: the time per
 // iteration of a fixed integer kernel measured on the machine that wrote
 // the file. A regression check scales the baseline's ns/cycle by the
@@ -18,10 +25,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	spin "repro"
@@ -42,14 +49,17 @@ type Workload struct {
 	// Attach, when set, attaches observers before the warm-up; the func it
 	// returns, if any, is their verdict, read after the measurement. A row
 	// named after a plain row plus CheckSuffix is that row under the
-	// invariant checker, gated on its ratio to it: the checker's tax.
+	// invariant checker, measured beside it and gated on its ratio to it:
+	// the checker's tax.
 	Attach func(*sim.Network) func() error
 }
 
 // CheckSuffix marks a workload measured with the invariant checker on.
 const CheckSuffix = "+check"
 
-// Result is one workload's measurement.
+// Result is one workload's measurement. A checked row's NsPerCycle is its
+// plain row's times the median of their rounds' ratios, so the ratio of the
+// two rows is the checker's tax as the rounds measured it.
 type Result struct {
 	Name           string  `json:"name"`
 	NsPerCycle     float64 `json:"ns_per_cycle"`
@@ -83,17 +93,22 @@ const StalledBelow = 0.9
 // offered load.
 func (r Result) Stalled() bool { return r.DeliveredPerOffered < StalledBelow }
 
-// Report is the BENCH_sim.json schema.
-type Report struct {
+// Header opens every BENCH_*.json file.
+type Header struct {
 	// Schema guards against comparing incompatible file versions.
 	Schema int `json:"schema"`
 	// GoVersion that produced the baseline (informational).
 	GoVersion string `json:"go_version"`
 	// CalibrationNs is the fixed integer kernel's ns/iteration on the
-	// producing machine; regression checks scale ns/cycle by the ratio of
-	// the current machine's calibration to this.
-	CalibrationNs float64  `json:"calibration_ns"`
-	Workloads     []Result `json:"workloads"`
+	// producing machine; regression checks scale ns by the ratio of the
+	// current machine's calibration to this.
+	CalibrationNs float64 `json:"calibration_ns"`
+}
+
+// Report is the BENCH_sim.json schema.
+type Report struct {
+	Header
+	Workloads []Result `json:"workloads"`
 	// Setup is what a run pays before its first cycle.
 	Setup []SetupResult `json:"setup"`
 	// Sweep is what a point of a figure pays around its cycles (measured by
@@ -101,8 +116,8 @@ type Report struct {
 	Sweep SweepResult `json:"sweep"`
 }
 
-// Cost is one set-up operation: best ns of its repetitions, heap bytes and
-// objects of the first.
+// Cost is one measured operation per unit (cycle, build, point, request):
+// best ns of its rounds, heap bytes and objects of the first.
 type Cost struct {
 	Ns      float64 `json:"ns"`
 	Bytes   float64 `json:"bytes"`
@@ -212,176 +227,187 @@ func ScaleWorkloads() []Workload {
 	}
 }
 
-// Measure runs one workload and reports per-cycle cost. The warmup phase
-// is excluded; a GC between warmup and measurement keeps the measured
-// Mallocs delta attributable to the measured cycles.
-func Measure(w Workload) (Result, error) {
-	s, err := spin.New(w.Cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("bench %s: %w", w.Name, err)
-	}
-	var verdict func() error
-	if w.Attach != nil {
-		verdict = w.Attach(s.Network())
-	}
-	s.Run(w.Warmup)
-	runtime.GC()
-	var before, after runtime.MemStats
-	was := *s.Stats()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	s.Run(w.Cycles)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	st := s.Stats()
-	if verdict != nil {
-		if err := verdict(); err != nil {
-			return Result{}, fmt.Errorf("bench %s: %w", w.Name, err)
-		}
-	}
-	n := float64(w.Cycles)
-	delivered := 1.0
-	if offered := w.Cfg.Rate * n * float64(s.Topology().NumTerminals()); offered > 0 {
-		delivered = float64(st.EjectedFlits-was.EjectedFlits) / offered
-	}
-	return Result{
-		Name:                w.Name,
-		NsPerCycle:          float64(elapsed.Nanoseconds()) / n,
-		AllocsPerCycle:      float64(after.Mallocs-before.Mallocs) / n,
-		BytesPerCycle:       float64(after.TotalAlloc-before.TotalAlloc) / n,
-		Cycles:              w.Cycles,
-		DeliveredPerOffered: delivered,
-		Spins:               st.Spins - was.Spins,
-	}, nil
-}
-
-// SetupWorkloads are the setup block's configurations: the Fig. 7 mesh, the
-// small dragonfly and the 1024-node preset.
-func SetupWorkloads() (ws []Workload) {
-	for _, w := range append(Workloads(), ScaleWorkloads()...) {
-		if w.Name == "mesh8x8/low" || w.Name == "dfly64/low" || w.Name == "dfly1024/low" {
-			ws = append(ws, w)
-		}
-	}
-	return ws
-}
-
-// dirtyCycles is how long MeasureSetup runs w before each rewind, so that
-// there are buffers, free lists and in-flight traffic to rewind: a fifth of
-// w's measured window (400 cycles on the 8x8 and dfly64 rows, 20 on the
-// 1024-node dragonfly), whatever its warm-up.
-func (w Workload) dirtyCycles() int64 { return w.Cycles / 5 }
-
-// MeasureSetup times w's build, and its rewind after a short run (see
-// dirtyCycles).
-func MeasureSetup(w Workload, reps int) (SetupResult, error) {
-	s, err := spin.New(w.Cfg)
-	if err != nil {
-		return SetupResult{}, fmt.Errorf("bench %s: %w", w.Name, err)
-	}
-	cost := func(run int64, op func() error) (c Cost) {
-		for i := 0; i < reps && err == nil; i++ {
-			s.Run(run)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			err = op()
-			ns := float64(time.Since(start).Nanoseconds())
-			runtime.ReadMemStats(&after)
-			if i == 0 {
-				c = Cost{ns, float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs)}
-			}
-			c.Ns = min(c.Ns, ns)
-		}
-		return c
-	}
-	res := SetupResult{Name: w.Name}
-	res.New = cost(0, func() error { _, err := spin.New(w.Cfg); return err })
-	res.Reset = cost(w.dirtyCycles(), func() error { return s.Reset(w.Cfg) })
-	pool := spin.NewPool(1)
-	res.Pooled = cost(w.dirtyCycles(), func() (err error) { pool.Put(s); s, err = pool.Get(w.Cfg); return err })
-	return res, err
-}
-
 // calibrationSink defeats dead-code elimination of the kernel.
 var calibrationSink uint64
 
-// Calibrate times a fixed xorshift kernel and reports ns/iteration — a
-// pure-integer, cache-resident proxy for the machine's scalar speed. The
-// minimum of three runs rejects scheduling noise.
-func Calibrate() float64 {
-	const iters = 1 << 25
-	best := 0.0
-	for rep := 0; rep < 3; rep++ {
-		x := uint64(0x9E3779B97F4A7C15)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		elapsed := float64(time.Since(start).Nanoseconds()) / iters
-		calibrationSink += x
-		if best == 0 || elapsed < best {
-			best = elapsed
-		}
+// xorshift runs the calibration kernel for n iterations.
+func xorshift(n int) {
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
 	}
-	return best
+	calibrationSink += x
 }
 
-// Collect measures every workload of the matrix, then extra (best ns of reps
-// runs each; allocation counts come from the first run, which is
-// deterministic) and stamps the report with the machine calibration.
-func Collect(reps int, extra ...Workload) (Report, error) {
-	rep := Report{Schema: Schema, GoVersion: runtime.Version(), CalibrationNs: Calibrate()}
-	for _, w := range append(append(Workloads(), ScaleWorkloads()...), extra...) {
-		var best Result
-		for i := 0; i < reps; i++ {
-			r, err := Measure(w)
-			if err != nil {
-				return Report{}, err
+// Calibrate times the xorshift kernel and reports ns/iteration — a
+// pure-integer, cache-resident proxy for the machine's scalar speed. The
+// best of three rounds rejects scheduling noise.
+func Calibrate() float64 {
+	const iters = 1 << 25
+	s, _ := measure(3, []op{{run: func() (float64, error) { xorshift(iters); return iters, nil }}}) // the kernel cannot fail
+	return s[0].Ns
+}
+
+// op is one operation of a measuring round: prep, when set, readies it
+// untimed; run does it and reports how many units it did.
+type op struct {
+	prep func()
+	run  func() (units float64, err error)
+}
+
+// sample is what measure reports of one op: best ns per unit, heap bytes
+// and objects per unit of the first round, and each round's ns per unit.
+type sample struct {
+	Cost
+	rounds []float64
+}
+
+// measure is the package's one measuring loop: rounds times, it runs every
+// op once, in order, each after a runtime.GC and between two ReadMemStats,
+// so a busy spell of the machine lands on every op of a round alike.
+func measure(rounds int, ops []op) ([]sample, error) {
+	out := make([]sample, len(ops))
+	for r := 0; r < rounds; r++ {
+		for i, o := range ops {
+			if o.prep != nil {
+				o.prep()
 			}
-			if i == 0 {
-				best = r
-			} else if r.NsPerCycle < best.NsPerCycle {
-				best.NsPerCycle = r.NsPerCycle
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			units, err := o.run()
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				return nil, err
+			}
+			s, ns := &out[i], float64(elapsed.Nanoseconds())/units
+			if r == 0 {
+				s.Cost = Cost{ns, float64(after.TotalAlloc-before.TotalAlloc) / units, float64(after.Mallocs-before.Mallocs) / units}
+			}
+			s.Ns, s.rounds = min(s.Ns, ns), append(s.rounds, ns)
+		}
+	}
+	return out, nil
+}
+
+// Collect measures every row of the matrix over rounds rounds, and stamps
+// the report with the machine calibration. Each twin (a checked row) is
+// measured in the same rounds as the row it names, four times as many: its
+// tax is the median of the rounds' ratios, one round's ratio moves by a
+// fifth either way on a shared machine, and torus8x8/spin1vc's rises over
+// its first four windows as its backlog grows. The setup block's
+// sub-millisecond operations run five times as many rounds.
+func Collect(rounds int, twins ...Workload) (Report, error) {
+	rep := Report{Header: Header{Schema, runtime.Version(), Calibrate()}}
+	for _, w := range append(Workloads(), ScaleWorkloads()...) {
+		group, n := []Workload{w}, rounds
+		for _, x := range twins {
+			if strings.TrimSuffix(x.Name, CheckSuffix) == w.Name {
+				group, n = append(group, x), 4*rounds
 			}
 		}
-		rep.Workloads = append(rep.Workloads, best)
-	}
-	for _, w := range SetupWorkloads() {
-		r, err := MeasureSetup(w, 5*reps) // sub-millisecond operations: best of more
+		rs, err := measureRows(n, group)
 		if err != nil {
 			return Report{}, err
 		}
-		rep.Setup = append(rep.Setup, r)
+		rep.Workloads = append(rep.Workloads, rs...)
 	}
-	return rep, nil
+	names, ops, err := setupOps()
+	var samples []sample
+	if err == nil {
+		samples, err = measure(5*rounds, ops)
+	}
+	for i := 0; err == nil && i < len(ops); i += 3 {
+		rep.Setup = append(rep.Setup, SetupResult{Name: strings.TrimSuffix(names[i], "/new"),
+			New: samples[i].Cost, Reset: samples[i+1].Cost, Pooled: samples[i+2].Cost})
+	}
+	return rep, err
 }
 
-// Load reads a report from path.
-func Load(path string) (Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, err
+// measureRows builds, attaches and warms each of ws once, then times the
+// next Cycles-long window of every one per round, so that the first round
+// is each row as measured alone after its warm-up. ws[0] is a plain row and
+// the rest its twins, whose NsPerCycle is ws[0]'s times the median of their
+// rounds' ratios to it.
+func measureRows(rounds int, ws []Workload) ([]Result, error) {
+	res, ops := make([]Result, len(ws)), make([]op, len(ws))
+	verdicts := make([]func() error, len(ws))
+	for i, w := range ws {
+		s, err := spin.New(w.Cfg)
+		if err != nil {
+			return nil, fmt.Errorf("bench %s: %w", w.Name, err)
+		}
+		if w.Attach != nil {
+			verdicts[i] = w.Attach(s.Network())
+		}
+		s.Run(w.Warmup)
+		r, n, st := &res[i], float64(w.Cycles), s.Stats()
+		*r = Result{Name: w.Name, Cycles: w.Cycles, Spins: -1}
+		ops[i].run = func() (float64, error) {
+			ejected, spins := st.EjectedFlits, st.Spins
+			s.Run(w.Cycles)
+			if r.Spins < 0 { // the first window
+				r.Spins, r.DeliveredPerOffered = st.Spins-spins, 1
+				if offered := w.Cfg.Rate * n * float64(s.Topology().NumTerminals()); offered > 0 {
+					r.DeliveredPerOffered = float64(st.EjectedFlits-ejected) / offered
+				}
+			}
+			return n, nil
+		}
 	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return Report{}, fmt.Errorf("bench: parse %s: %w", path, err)
+	samples, err := measure(rounds, ops)
+	for i, smp := range samples {
+		if err == nil && verdicts[i] != nil {
+			if err = verdicts[i](); err != nil {
+				err = fmt.Errorf("bench %s: %w", ws[i].Name, err)
+			}
+		}
+		r := &res[i]
+		r.NsPerCycle, r.AllocsPerCycle, r.BytesPerCycle = smp.Ns, smp.Objects, smp.Bytes
+		if i > 0 {
+			for k := range smp.rounds {
+				smp.rounds[k] /= samples[0].rounds[k]
+			}
+			r.NsPerCycle = res[0].NsPerCycle * median(smp.rounds)
+		}
 	}
-	if r.Schema != Schema {
-		return Report{}, fmt.Errorf("bench: %s has schema %d, want %d (regenerate with -update)", path, r.Schema, Schema)
-	}
-	return r, nil
+	return res, err
 }
 
-// Write emits the report as indented JSON to path.
-func (r Report) Write(path string) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+// median returns the middle of xs (the mean of the middle two for an even
+// count), reordering xs.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+}
+
+// setupOps are the setup block's operations on the Fig. 7 mesh, the small
+// dragonfly and the 1024-node preset, three per configuration: spin.New,
+// Reset after a short run, and a Pool's Put and Get of the same. The run, a
+// fifth of the row's measured window (400 cycles on the 8x8 and dfly64
+// rows, 20 on the 1024-node dragonfly), leaves buffers, free lists and
+// in-flight traffic to rewind.
+func setupOps() (names []string, ops []op, err error) {
+	for _, w := range append(Workloads(), ScaleWorkloads()...) {
+		if w.Name != "mesh8x8/low" && w.Name != "dfly64/low" && w.Name != "dfly1024/low" {
+			continue
+		}
+		s, err := spin.New(w.Cfg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bench %s: %w", w.Name, err)
+		}
+		pool, dirty := spin.NewPool(1), func() { s.Run(w.Cycles / 5) }
+		names = append(names, w.Name+"/new", w.Name+"/reset", w.Name+"/pooled")
+		ops = append(ops,
+			op{run: func() (float64, error) { _, err := spin.New(w.Cfg); return 1, err }},
+			op{prep: dirty, run: func() (float64, error) { return 1, s.Reset(w.Cfg) }},
+			op{prep: dirty, run: func() (_ float64, err error) { pool.Put(s); s, err = pool.Get(w.Cfg); return 1, err }})
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return names, ops, nil
 }
 
 // Find returns the named workload result.

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/harness"
@@ -21,16 +19,19 @@ import (
 // on one cache hit, through Handler().ServeHTTP with no socket, by the way
 // the hit is found. The rows live in BENCH_serve.json beside the same rows
 // measured at the parent of the commit that last changed the request path
-// (before). Only public API is used, so this file compiles there unchanged.
+// (before). The package reaches the rest of the tree only through its
+// public API, so this directory, copied into a checkout of the parent,
+// compiles there unchanged.
 //
 // One run's best-of-5 batch varies from run to run by more than the gate's
 // slack on a shared machine, so the file is recorded from alternated runs:
-// build this package's test binary at the parent, with this file copied
-// in, and at the change (go test -c at each commit); run the two in turn,
-// each in its own copy of this directory, at least 5 times apiece with
-// -test.run TestServeRegression -update (a few seconds a run); then write
-// each row's medians over the runs, the change's as ns, bytes and objects
-// and the parent's as before, with the change's median calibration_ns.
+// build this package's test binary at the parent, with this directory
+// copied over the parent's, and at the change (go test -c at each commit);
+// run the two in turn, each in its own copy of this directory, at least 5
+// times apiece with -test.run TestServeRegression -update (a few seconds a
+// run); then write each row's medians over the runs, the change's as ns,
+// bytes and objects and the parent's as before, with the change's median
+// calibration_ns.
 
 const serveBaselineFile = "BENCH_serve.json"
 
@@ -43,10 +44,15 @@ type RequestRow struct {
 
 // ServeReport is the BENCH_serve.json schema.
 type ServeReport struct {
-	Schema        int          `json:"schema"`
-	GoVersion     string       `json:"go_version"`
-	CalibrationNs float64      `json:"calibration_ns"`
-	Serve         []RequestRow `json:"serve"`
+	Header
+	Serve []RequestRow `json:"serve"`
+}
+
+func (r *ServeReport) carry(old report) {
+	prev := old.(*ServeReport).Serve
+	for i := range r.Serve[:min(len(r.Serve), len(prev))] {
+		r.Serve[i].Before = prev[i].Before
+	}
 }
 
 // sink is the smallest ResponseWriter that keeps what the rows check.
@@ -212,86 +218,46 @@ func requestRows(tb testing.TB) []struct {
 	}
 }
 
-// measureRequests is the serve block: per row the best ns of reps batches,
-// heap bytes and objects of the first. The batches run round by round, one
-// of every row a round, so a busy spell of the machine lands on every row
-// alike.
-func measureRequests(tb testing.TB, reps int) []RequestRow {
+// measureRequests is the serve block: per row, after a batch that settles
+// its rotation and every lazy bind, one batch a round.
+func measureRequests(tb testing.TB, rounds int) []RequestRow {
 	const batch = 2000
 	rs := requestRows(tb)
-	rows := make([]RequestRow, len(rs))
+	ops := make([]op, len(rs))
 	for i, r := range rs {
-		for n := 0; n < batch; n++ { // settle the rotation and every lazy bind
-			r.next()
-		}
-		rows[i].Name = r.name
-	}
-	for rep := 0; rep < reps; rep++ {
-		for i, r := range rs {
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
+		ops[i].run = func() (float64, error) {
 			for n := 0; n < batch; n++ {
 				r.next()
 			}
-			ns := float64(time.Since(start).Nanoseconds()) / batch
-			runtime.ReadMemStats(&after)
-			if rep == 0 {
-				rows[i].Cost = Cost{ns, float64(after.TotalAlloc-before.TotalAlloc) / batch, float64(after.Mallocs-before.Mallocs) / batch}
-			}
-			rows[i].Ns = min(rows[i].Ns, ns)
+			return batch, nil
 		}
+		ops[i].run()
+	}
+	samples, _ := measure(rounds, ops) // a row fails the test, not the op
+	rows := make([]RequestRow, len(rs))
+	for i, r := range rs {
+		rows[i] = RequestRow{Name: r.name, Cost: samples[i].Cost}
 	}
 	return rows
 }
 
 // TestServeRegression is the serve block's gate, apart from the simulator
-// rows so that measuring it takes seconds: bytes and objects per request
-// compare directly (5 % and a quarter of an object of slack: the disk row's
-// reads vary a little), ns through the machines' calibration ratio under
+// rows so that measuring it takes seconds, under serveLimits and
 // TestBenchRegression's advisory-unless-BENCH_STRICT rule. With -update it
 // rewrites BENCH_serve.json, carrying each row's before over.
 func TestServeRegression(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation distorts timing and allocation counts")
-	}
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cur := ServeReport{Schema: Schema, GoVersion: runtime.Version(), CalibrationNs: Calibrate(), Serve: measureRequests(t, 5)}
+	skipGate(t)
+	cur := ServeReport{Header: Header{Schema, runtime.Version(), Calibrate()}, Serve: measureRequests(t, 5)}
 	var base ServeReport
-	b, err := os.ReadFile(serveBaselineFile)
-	if err == nil {
-		err = json.Unmarshal(b, &base)
-	}
-	if *update {
-		for i := range cur.Serve {
-			if i < len(base.Serve) {
-				cur.Serve[i].Before = base.Serve[i].Before
-			}
-		}
-		out, _ := json.MarshalIndent(cur, "", "  ")
-		if err := os.WriteFile(serveBaselineFile, append(out, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	scale := baseline(t, serveBaselineFile, &cur, &base)
+	if scale == 0 {
 		return
 	}
-	if err != nil || base.Schema != Schema || len(base.Serve) != len(cur.Serve) {
-		t.Fatalf("%s: unreadable or out of date (%v); run with -update", serveBaselineFile, err)
+	if len(base.Serve) != len(cur.Serve) {
+		t.Fatalf("%s: out of date; run with -update", serveBaselineFile)
 	}
-	scale := cur.CalibrationNs / base.CalibrationNs
 	for i, got := range cur.Serve {
-		want := base.Serve[i]
-		limit := want.Ns * scale * 1.25
-		t.Logf("%-21s %7.0f ns (limit %7.0f) %6.0f B %5.1f objects (before: %.0f ns, %.0f B, %.1f objects)",
-			got.Name, got.Ns, limit, got.Bytes, got.Objects, want.Before.Ns, want.Before.Bytes, want.Before.Objects)
-		if got.Bytes > want.Bytes*1.05+64 || got.Objects > want.Objects*1.05+0.25 {
-			t.Errorf("%s: %.0f B in %.1f objects per request exceeds baseline %.0f in %.1f", got.Name, got.Bytes, got.Objects, want.Bytes, want.Objects)
-		}
-		if got.Ns > limit && os.Getenv("BENCH_STRICT") != "" {
-			t.Errorf("%s: %.0f ns exceeds %.0f (baseline %.0f x calibration %.2f x 1.25)", got.Name, got.Ns, limit, want.Ns, scale)
-		}
+		gate(t, got.Name, "", serveLimits.costBounds(got.Cost, base.Serve[i].Cost, scale, "")...)
 	}
 }
 
@@ -309,9 +275,7 @@ const hitAllocBudget = 5
 // no digest string, no per-span ID string, no header value built per
 // request, no label maps, no request copy.
 func TestHitAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
+	skipUnderRace(t)
 	alias := requestRows(t)[0]
 	alias.next()
 	if avg := testing.AllocsPerRun(2000, alias.next); avg > hitAllocBudget {

@@ -3,9 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/exp"
 	"repro/internal/runner"
@@ -34,45 +32,18 @@ func sweepPass(tb testing.TB) (points, builds int) {
 	return points, builds
 }
 
-// measureSweep is the sweep block: best ns per point of reps passes, heap
-// bytes and objects per point and networks built of the first (every pass
-// has its own pool, so every pass is the same work).
-func measureSweep(tb testing.TB, reps int) (res SweepResult) {
+// measureSweep is the sweep block: the figure, once per round, after one
+// pass that binds what is bound once; points and networks built of the
+// last round (every pass has its own pool, so every pass is the same work).
+func measureSweep(tb testing.TB, rounds int) SweepResult {
 	sweepPass(tb) // routing tables, lazy binds
-	for rep := 0; rep < reps; rep++ {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		points, builds := sweepPass(tb)
-		ns := float64(time.Since(start).Nanoseconds()) / float64(points)
-		runtime.ReadMemStats(&after)
-		if rep == 0 {
-			res = SweepResult{Name: "fig7/100", Points: points, Builds: builds,
-				Cost: Cost{ns, float64(after.TotalAlloc-before.TotalAlloc) / float64(points), float64(after.Mallocs-before.Mallocs) / float64(points)}}
-		}
-		res.Ns = min(res.Ns, ns)
-	}
+	res := SweepResult{Name: "fig7/100"}
+	samples, _ := measure(rounds, []op{{run: func() (float64, error) { // a pass fails the test, not the op
+		res.Points, res.Builds = sweepPass(tb)
+		return float64(res.Points), nil
+	}}})
+	res.Cost = samples[0].Cost
 	return res
-}
-
-// checkSweep is TestBenchRegression's sweep block: points and networks built
-// are exact, bytes and objects per point compare directly (10 %: which worker
-// meets which shape first moves a build or two's worth of buffer growth), ns
-// through the calibration ratio under the advisory-unless-BENCH_STRICT rule.
-func checkSweep(t *testing.T, got, want SweepResult, scale float64, strict bool) {
-	limit := want.Ns * scale * 1.25
-	t.Logf("%-13s %8.0f ns/point (limit %8.0f) %7.0f B %5.0f objects, %d networks for %d points (before: %.0f ns, %.0f B, %.0f objects, %d networks)",
-		got.Name, got.Ns, limit, got.Bytes, got.Objects, got.Builds, got.Points, want.Before.Ns, want.Before.Bytes, want.Before.Objects, want.BeforeBuilds)
-	if got.Points != want.Points || got.Builds > want.Builds {
-		t.Errorf("%s: %d networks built for %d points, baseline %d for %d", got.Name, got.Builds, got.Points, want.Builds, want.Points)
-	}
-	if got.Bytes > want.Bytes*1.10 || got.Objects > want.Objects*1.10 {
-		t.Errorf("%s: %.0f B in %.0f objects per point exceeds baseline %.0f in %.0f", got.Name, got.Bytes, got.Objects, want.Bytes, want.Objects)
-	}
-	if got.Ns > limit && strict {
-		t.Errorf("%s: %.0f ns per point exceeds %.0f (baseline %.0f x calibration %.2f x 1.25)", got.Name, got.Ns, limit, want.Ns, scale)
-	}
 }
 
 // sweepAllocBudget is the ceiling on heap bytes per point of the figure
@@ -88,9 +59,7 @@ const sweepAllocBudget = 32 << 10
 // allocating its packets again, above 32 KB it is building its scheme's
 // agents again.
 func TestSweepAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
+	skipUnderRace(t)
 	res := measureSweep(t, 1)
 	t.Logf("%d points, %d networks built: %.0f B in %.0f objects per point", res.Points, res.Builds, res.Bytes, res.Objects)
 	if res.Bytes > sweepAllocBudget {

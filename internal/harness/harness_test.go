@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	spin "repro"
 	"repro/internal/sim"
@@ -465,5 +467,32 @@ func TestWindowFaultReportedOnce(t *testing.T) {
 	}
 	if len(window) != 1 || !res.Drained {
 		t.Fatalf("drained %v, window violations %v, want exactly one", res.Drained, window)
+	}
+}
+
+// TestDrainHonoursContext: a drain that cannot finish — a schemeless 1-VC
+// mesh jammed at half load, with a budget of two million cycles — stops
+// within one poll of its context being cancelled and returns the context's
+// error, as the traffic phase does.
+func TestDrainHonoursContext(t *testing.T) {
+	sc := Scenario{Topology: "mesh:8x8", Routing: "min_adaptive", VCsPerVNet: 1,
+		Traffic: "uniform_random", Rate: 0.5, Cycles: 3000, DrainCycles: 2_000_000, Seed: 1}
+	s, err := sc.Sim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelled time.Time
+	o := Observe{Drain: true, OnWindow: func(done int64, _ []sim.WindowSample) {
+		time.AfterFunc(200*time.Millisecond, func() { cancelled = time.Now(); cancel() })
+	}}
+	res, err := Drive(ctx, sc, s.Network(), o)
+	late := time.Since(cancelled)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("Drive = %v, %v at cycle %d; want the context's error", res, err, s.Network().Now())
+	}
+	if now := s.Network().Now(); now <= sc.Cycles || late > time.Second {
+		t.Fatalf("returned at cycle %d, %v after the cancel; want a drain stopped within a second", now, late)
 	}
 }

@@ -90,7 +90,8 @@ type Observe struct {
 	// event tail failure artifacts embed.
 	Check bool
 	// Drain follows the traffic phase with a drain of at most
-	// Scenario.DrainCycles (0 = 250x Cycles).
+	// Scenario.DrainCycles (0 = 250x Cycles), which polls ctx as the
+	// traffic phase does.
 	Drain bool
 	// Hist enables the latency histogram, Window (> 0) the time-series
 	// sampler at that width.
@@ -176,7 +177,11 @@ func Drive(ctx context.Context, sc Scenario, net *sim.Network, o Observe) (*Resu
 	if o.Drain {
 		// The drain keeps counting; the snapshot must not follow it.
 		res.Stats.Counters = maps.Clone(res.Stats.Counters)
-		res.Drained = net.Drain(drainBudget(sc))
+		drained, err := net.DrainContext(ctx, drainBudget(sc))
+		if err != nil {
+			return nil, err
+		}
+		res.Drained = drained
 	}
 	if checker != nil {
 		res.Violations = checker.Violations()

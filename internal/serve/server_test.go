@@ -252,6 +252,22 @@ func TestPanicBecomes500(t *testing.T) {
 	}
 }
 
+// TestDrainTimeoutIs504: a drain that cannot finish (a schemeless 1-VC mesh
+// jammed at half load, two million drain cycles allowed) is held to the
+// request's budget like its traffic phase: 504, and nothing cached.
+func TestDrainTimeoutIs504(t *testing.T) {
+	s := newTestServer(t, Config{Timeout: 200 * time.Millisecond})
+	jam := `{"topology":"mesh:8x8","routing":"min_adaptive","vcs_per_vnet":1,"traffic":"uniform_random","rate":0.5,"cycles":3000,"drain_cycles":2000000,"seed":1}`
+	start := time.Now()
+	rec := post(t, s.Handler(), "/v1/simulate", jam)
+	if took := time.Since(start); rec.Code != http.StatusGatewayTimeout || took > 2*time.Second {
+		t.Fatalf("status %d after %v, want 504 within the budget: %s", rec.Code, took, rec.Body)
+	}
+	if st := s.store.Snapshot(); st.Errors != 1 || st.MemEntries != 0 {
+		t.Fatalf("the timed-out run was cached? stats = %+v", st)
+	}
+}
+
 // TestSweepMatchesCLIEncoding pins the anti-drift guarantee: the
 // /v1/sweep response body is byte-identical to what spinsweep -json
 // prints, because both are exp.Sweep piped through exp.EncodeJSON.

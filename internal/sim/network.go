@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -617,6 +618,18 @@ func (n *Network) Run(cycles int64) {
 // in-window residue). Steps after a drain generate what they would have if
 // the source had simply not been called during it.
 func (n *Network) Drain(maxCycles int64) bool {
+	drained, _ := n.DrainContext(context.Background(), maxCycles)
+	return drained
+}
+
+// drainPoll is how many cycles DrainContext steps between two polls of its
+// context: the slice runner.Cycles polls the traffic phase at.
+const drainPoll = 64
+
+// DrainContext is Drain that also stops, undrained, once ctx is done: it
+// polls ctx every drainPoll cycles and then returns ctx.Err(). A drain that
+// ends first steps exactly as Drain, cycle for cycle.
+func (n *Network) DrainContext(ctx context.Context, maxCycles int64) (bool, error) {
 	cl := n.closed
 	if cl != nil {
 		cl.Quiesce(true)
@@ -638,11 +651,16 @@ func (n *Network) Drain(maxCycles int64) bool {
 	}
 	for i := int64(0); i < maxCycles; i++ {
 		if empty() {
-			return true
+			return true, nil
+		}
+		if i%drainPoll == 0 {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
 		}
 		n.Step()
 	}
-	return empty()
+	return empty(), nil
 }
 
 // LinkUtilisation aggregates the per-link busy accounting over the

@@ -1,8 +1,7 @@
 package sim_test
 
 import (
-	"fmt"
-	"hash/fnv"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,16 +12,30 @@ import (
 	"repro/internal/workload"
 )
 
-// eventDigest is a Probe that folds the event stream, in order, into a hash.
+// eventDigest is a Probe that folds the event stream, in order, into an
+// FNV-1a hash of every field of every event (eventFields of them): the
+// integers and the SM kind's length as eight bytes each, then its bytes.
 type eventDigest struct {
 	sum    uint64
 	events int
+	buf    []byte
 }
 
+const eventFields = 13
+
 func (d *eventDigest) Event(e sim.Event) {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%v", d.sum, e)
-	d.sum = h.Sum64()
+	if d.events == 0 {
+		d.sum = 14695981039346656037 // FNV-1a's offset basis
+	}
+	b := d.buf[:0]
+	for _, v := range [eventFields]uint64{uint64(e.Cycle), uint64(e.Kind), uint64(e.Router), uint64(e.Port),
+		uint64(e.VC), e.Packet, uint64(e.Src), uint64(e.Dst), uint64(e.VNet), uint64(e.Len), e.Tag, uint64(e.Arg), uint64(len(e.SM))} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	d.buf = append(b, e.SM...)
+	for _, c := range d.buf {
+		d.sum = (d.sum ^ uint64(c)) * 1099511628211
+	}
 	d.events++
 }
 
@@ -48,6 +61,9 @@ func watchAndRun(t *testing.T, net *sim.Network, cycles int) runRecord {
 	chk := net.AttachChecker(sim.CheckOptions{StallBound: 1 << 40, RecoveryBound: 1 << 40})
 	if vs := chk.Violations(); len(vs) != 0 {
 		t.Fatalf("audit at cycle 0: %v", vs)
+	}
+	if n := reflect.TypeOf(sim.Event{}).NumField(); n != eventFields {
+		t.Fatalf("sim.Event has %d fields, eventDigest folds %d", n, eventFields)
 	}
 	var d eventDigest
 	net.AddObserver(sim.AllEvents, &d)

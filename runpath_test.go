@@ -30,7 +30,7 @@ func TestOneRunDriver(t *testing.T) {
 	spinsim := filepath.Join("cmd", "spinsim", "main.go")
 	want := map[string][]string{
 		".AttachChecker(": {driver}, ".AttachTelemetry(": {driver}, ".AttachFlightRecorder(": {driver},
-		".AddObserver(": {spinsim, diff, diff, driver}, ".Drain(": {driver},
+		".AddObserver(": {spinsim, diff, diff, driver}, ".DrainContext(": {driver}, ".Drain(": nil,
 		"NewEventRing(":    {spinsim, driver},
 		"s.pool.Submit(":   {filepath.Join("internal", "serve", "server.go")},
 		"NewStreamReplay(": {config, config},
