@@ -38,6 +38,18 @@ func checkedWorkloads() []Workload {
 	return ws
 }
 
+// update rewrites a baseline from one session's measurements. The heap
+// fields of code that allocates the same are not exact between sessions:
+// the runtime's post-GC background work allocates in whichever window is
+// open, and hash-seeded maps grow by 16 B more or less. In twelve sessions
+// of two trees that allocate alike, a step row moved by at most one object
+// and 16 B per window, save one session's mesh8x8/sat+check (6 objects,
+// 5.5 KB); a setup op, timed once, by up to 8 objects and 5.7 KB (one
+// spin.New of mesh8x8/low read 128 to 136 objects in consecutive runs of
+// one binary); and the sweep by up to 4 objects and 560 B a point, since
+// which worker meets which shape first decides what each point reuses.
+// A larger move is the code's; -benchmem on the row's Benchmark, which
+// averages many operations, tells the two apart.
 var update = flag.Bool("update", false, "rewrite the baseline of each gate run (BENCH_sim.json, BENCH_serve.json) from this machine's measurements")
 
 const baselineFile = "BENCH_sim.json"

@@ -64,8 +64,10 @@ func (b *RingBubble) ringOf(router, port int) (int, int) {
 // ringHasSpareBubble counts free packet buffers in the ring of (router,
 // outPort) excluding the one at dvc, requiring at least one more. It reads
 // the live VC state of every router on the ring, not the commit snapshots,
-// so a ring-bubble run depends on phase 2 walking routers in ascending
-// order (the order its goldens encode).
+// so a ring-bubble run depends on phase 2 visiting routers in ascending
+// order (the order its goldens encode): it sees every lower router after
+// its switch allocation and every higher one before. Nothing else in a
+// visit changes what it reads, since ring bubble never spins.
 func (b *RingBubble) ringHasSpareBubble(n *sim.Network, router, outPort int, dvc *sim.VC, length int) bool {
 	dim, coord := b.ringOf(router, outPort)
 	if dim < 0 {

@@ -15,10 +15,11 @@ import (
 //     a traffic turn to each terminal whose source asked for this cycle
 //     (each on its private RNG stream), inject NIC flits, and publish agent
 //     views.
-//   - Phase 2: route computation, agent ticks, spin claims, SM arbitration
-//     and switch allocation over the active routers. A router's effects on
-//     another router's state — VC reservations, in-flight credits, ejection
-//     observers — are buffered instead of applied.
+//   - Phase 2: one visit per active router, in ascending order, running
+//     its route computation, agent tick, spin claims and SM arbitration,
+//     spin transmission and switch allocation back to back. A router's
+//     effects on another router's state — VC reservations, in-flight
+//     credits, ejection observers — are buffered instead of applied.
 //   - Commit: force reservations, then grants, in-flight credits, VC
 //     snapshot refresh, ejection observer replay, checker, telemetry.
 //
@@ -26,8 +27,8 @@ import (
 // frozen before it — VC snapshots refreshed at the previous commit, agent
 // views published at the end of phase 1 — and every cross-router write is
 // buffered to commit. Phase 2 is therefore independent of the order its
-// routers are walked in; TestPhase2OrderInvariance permutes the order and
-// fails on a live cross-router read.
+// routers are visited in; TestPhase2OrderInvariance permutes the order and
+// fails on a live cross-router read from any stage.
 
 // bitset is the engine's worklist: one bit per entity of a population,
 // walked in ascending order a word at a time with bits.TrailingZeros64,
@@ -237,10 +238,10 @@ func (n *Network) turnAll() {
 	n.placeTurns()
 }
 
-// phase2 runs the compute stages over the active routers, stage by stage.
-// Every cross-router read inside them goes through VC snapshots or
-// published views, so no router can observe another's progress within the
-// phase.
+// phase2 visits each active router once, in ascending order, running its
+// stages back to back (Router.step). Every cross-router read in a visit goes
+// through VC snapshots or published views and every cross-router write is
+// buffered to commit, so no router can observe another's visit.
 func (n *Network) phase2() {
 	active := n.active[:0]
 	for w, word := range n.awake {
@@ -259,22 +260,7 @@ func (n *Network) phase2() {
 		n.permute(active)
 	}
 	for _, r := range active {
-		r.routeStage()
-	}
-	for _, r := range active {
-		if r.agent != nil {
-			r.agent.Tick()
-		}
-	}
-	for _, r := range active {
-		r.claimSpinPorts()
-		r.resolveSMs()
-	}
-	for _, r := range active {
-		r.spinStage()
-	}
-	for _, r := range active {
-		r.saStage()
+		r.step()
 	}
 }
 

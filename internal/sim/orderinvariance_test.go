@@ -90,7 +90,10 @@ func requireOrderInvariant(t *testing.T, build func(t *testing.T) *sim.Network, 
 // cannot change what a run computes. A stage that read a neighbour's live
 // state would still be deterministic under the ascending walk, and so
 // invisible to every golden; here it shows as a run that differs under
-// reverse or shuffled order.
+// reverse or shuffled order. Phase 2 visits each router once and runs all
+// its stages there, so a live read from any stage, an agent's Tick as much
+// as switch allocation, lands before some neighbours' visits and after
+// others', and is covered.
 //
 // Ring bubble and SPIN's CountTruth accounting are outside the contract
 // (both scan live state network-wide by design) and are not listed.
@@ -147,43 +150,66 @@ func TestPhase2OrderInvariance(t *testing.T) {
 	}
 }
 
-// liveReadScheme is the planted violation: its agents throttle a send on
-// how full the downstream input port is, reading the neighbour's live
-// VC.Len() — which that neighbour lowers in the same phase 2 if it is
-// stepped first — where the contract demands VC.SnapLen().
-type liveReadScheme struct{ snapshot bool }
+// liveReadScheme is the planted violation: its agents read how full a
+// neighbour's input port is through the live VC.Len() — which that
+// neighbour lowers in its own switch allocation, so the answer depends on
+// whether it was visited first — where the contract demands VC.SnapLen().
+// The read sits in FilterSend (switch allocation) or, with inTick, in Tick,
+// where it adds what it saw to a Stats counter.
+type liveReadScheme struct{ snapshot, inTick bool }
 
 func (s *liveReadScheme) Name() string { return "live_read" }
 
 func (s *liveReadScheme) Attach(n *sim.Network) {
 	for i := 0; i < n.NumRouters(); i++ {
-		n.SetAgent(i, &liveReadAgent{scheme: s})
+		n.SetAgent(i, &liveReadAgent{scheme: s, r: n.Router(i)})
 	}
 }
 
-type liveReadAgent struct {
-	sim.BaseAgent
-	scheme *liveReadScheme
-}
-
-func (a *liveReadAgent) Quiescent() bool { return true }
-
-func (a *liveReadAgent) FilterSend(_ *sim.VC, _ int, dvc *sim.VC) bool {
-	down, held := dvc.Router(), 0
+// held is how many flits the input port of down at port buffers, as the
+// scheme reads it.
+func (s *liveReadScheme) held(down *sim.Router, port int) int {
+	held := 0
 	for k := 0; k < down.VCsPerPort(); k++ {
-		if v := down.VC(dvc.Port(), k); a.scheme.snapshot {
+		if v := down.VC(port, k); s.snapshot {
 			held += v.SnapLen()
 		} else {
 			held += v.Len()
 		}
 	}
-	return held <= 5
+	return held
 }
 
-// TestPhase2OrderOracleCatchesLiveRead proves the oracle has teeth: the
-// planted live read must make some permuted walk differ from the ascending
-// one, and the same throttle reading snapshots must not.
-func TestPhase2OrderOracleCatchesLiveRead(t *testing.T) {
+type liveReadAgent struct {
+	sim.BaseAgent
+	scheme *liveReadScheme
+	r      *sim.Router
+}
+
+func (a *liveReadAgent) Quiescent() bool { return true }
+
+func (a *liveReadAgent) Tick() {
+	if !a.scheme.inTick {
+		return
+	}
+	seen := 0
+	for p := a.r.LocalPorts(); p < a.r.Radix(); p++ {
+		if down, port, ok := a.r.Downstream(p); ok {
+			seen += a.scheme.held(down, port)
+		}
+	}
+	a.r.Stats().Count("downstream_flits_seen", int64(seen))
+}
+
+func (a *liveReadAgent) FilterSend(_ *sim.VC, _ int, dvc *sim.VC) bool {
+	return a.scheme.inTick || a.scheme.held(dvc.Router(), dvc.Port()) <= 5
+}
+
+// requireOracleCatches proves the oracle has teeth for one planted read:
+// reading live state must make some permuted walk differ from the ascending
+// one, and the same agent reading snapshots must not.
+func requireOracleCatches(t *testing.T, inTick bool) {
+	t.Helper()
 	build := func(snapshot bool) func(*testing.T) *sim.Network {
 		return func(t *testing.T) *sim.Network {
 			m, err := topology.NewMesh(8, 8, 1)
@@ -193,7 +219,7 @@ func TestPhase2OrderOracleCatchesLiveRead(t *testing.T) {
 			n, err := sim.NewNetwork(sim.Config{
 				Topology:   m,
 				Routing:    &routing.XY{Mesh: m},
-				Scheme:     &liveReadScheme{snapshot: snapshot},
+				Scheme:     &liveReadScheme{snapshot: snapshot, inTick: inTick},
 				Traffic:    &traffic.Synthetic{Pattern: traffic.Uniform(64), Rate: 0.35},
 				VCsPerVNet: 3,
 				Seed:       23,
@@ -215,3 +241,13 @@ func TestPhase2OrderOracleCatchesLiveRead(t *testing.T) {
 		t.Fatal("an agent reading a neighbour's live VC.Len() in phase 2 went unnoticed under every permuted walk")
 	}
 }
+
+// TestPhase2OrderOracleCatchesLiveRead plants the live read in switch
+// allocation, where it can change which packets move.
+func TestPhase2OrderOracleCatchesLiveRead(t *testing.T) { requireOracleCatches(t, false) }
+
+// TestPhase2OrderOracleCatchesCrossStageRead plants it in Tick, a stage
+// other than the switch allocation that changes what it reads: phase 2
+// visits each router once, running all its stages, so a neighbour visited
+// earlier has already allocated by the time the reader ticks.
+func TestPhase2OrderOracleCatchesCrossStageRead(t *testing.T) { requireOracleCatches(t, true) }

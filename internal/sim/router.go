@@ -58,8 +58,9 @@ type Router struct {
 	spinningVCs int // VCs force-transmitting a spin this cycle
 	smPending   int // SMs offered via SendSM awaiting arbitration
 
-	// Per-cycle port scratch: each set is reset by the first stage that
-	// uses it in a cycle and read only later in that same phase 2.
+	// Per-cycle port scratch, reset by the first stage of the router's visit
+	// that uses it and read only later in that visit; smSends also collects
+	// the SMs that phase 1's deliveries offer.
 	smSends     [][]*SM // per output port: SMs competing for the link
 	smBusy      portSet // output port carries an SM this cycle
 	spinClaimed portSet // output port claimed by a spinning VC this cycle
@@ -310,6 +311,18 @@ func (r *Router) StartSpin(v *VC, outPort int, target *VC) {
 	// The target is another router's VC; its force reservation is buffered
 	// and applied (before any normal reservation) at commit.
 	r.net.resvOps = append(r.net.resvOps, resvOp{dvc: target, pkt: v.FrontPacket(), force: true})
+}
+
+// step is the router's phase-2 visit: its five stages, in order.
+func (r *Router) step() {
+	r.routeStage()
+	if r.agent != nil {
+		r.agent.Tick()
+	}
+	r.claimSpinPorts()
+	r.resolveSMs()
+	r.spinStage()
+	r.saStage()
 }
 
 // routeStage computes port requests for every VC whose resident head flit
