@@ -239,15 +239,3 @@ func BenchmarkExtensionTorus(b *testing.B) {
 		b.ReportMetric(res.Column("spin")[0], "spin_lowload_latency")
 	}
 }
-
-// BenchmarkExtensionDeflection quantifies Table I's deflection row.
-func BenchmarkExtensionDeflection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Deflection(context.Background(), benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := res.Column("deflects_per_flit")
-		b.ReportMetric(d[len(d)-1], "deflects_per_flit_high_load")
-	}
-}

@@ -263,26 +263,6 @@ func TestTorusExtension(t *testing.T) {
 	}
 }
 
-func TestDeflectionExtension(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	res, err := Deflection(context.Background(), small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatal("missing points")
-	}
-	// Shape: deflections per flit grow with load.
-	if d := res.Column("deflects_per_flit"); d[len(d)-1] <= d[0] {
-		t.Fatalf("deflections should grow with load: %v", d)
-	}
-	if res.String() == "" {
-		t.Fatal("empty render")
-	}
-}
-
 func TestFigureRendering(t *testing.T) {
 	f := &Figure{
 		Title:  "t",

@@ -55,7 +55,7 @@ func (o Options) Options() Options { return o }
 
 // SweepIDs lists the valid Fig names in canonical presentation order.
 func SweepIDs() []string {
-	return []string{"3", "6", "7", "8a", "8b", "9", "10", "costs", "torus", "deflection", "workload"}
+	return []string{"3", "6", "7", "8a", "8b", "9", "10", "costs", "torus", "workload"}
 }
 
 // Validate reports whether o names a runnable sweep: a known figure, knobs
@@ -150,8 +150,6 @@ func Sweep(ctx context.Context, fig string, o Options) (interface{}, error) {
 		return Costs(), nil
 	case "torus":
 		return Torus(ctx, o)
-	case "deflection":
-		return Deflection(ctx, o)
 	case "workload":
 		return WorkloadSweep(ctx, o)
 	}

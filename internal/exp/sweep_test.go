@@ -222,7 +222,7 @@ func TestSweepCheckNeverAliases(t *testing.T) {
 	}
 	// The sweeps that used to drop Options.Check on the floor now run
 	// every network point under the checker, cleanly.
-	for _, id := range []string{"8a", "torus", "deflection", "workload"} {
+	for _, id := range []string{"8a", "torus", "workload"} {
 		o := Options{Fig: id, Seed: 1, Cycles: 300, Check: true}
 		if _, err := Sweep(context.Background(), id, o); err != nil {
 			t.Errorf("fig %s under check: %v", id, err)

@@ -1,8 +1,12 @@
 // Package mc is an explicit-state model checker for the SPIN protocol:
 // an untimed abstraction of the simulator's routers (one single-packet VC
-// per input port, a handful of packets, deterministic routing) with the
-// agent state machine of internal/spin reduced to nondeterministic
-// enabled actions (timers become "may fire now"). The checker enumerates
+// per input port, a handful of packets, deterministic routing) whose
+// actions are guards plus updates over internal/spin's own rules. A
+// probe, move or kill_move hop and a spin trigger call the functions the
+// simulator's agents call (spin.ForkProbe, ConfirmsLoop, FreezeOnMove,
+// AcceptKill and Releases, SpinOrAbort) over a one-VC view of the port;
+// only the scheduling is the model's: timers become "may fire now" and SM
+// contention a nondeterministic drop. The checker enumerates
 // every reachable protocol state of a small instance by parallel frontier
 // BFS, checks safety invariants (no lost or duplicated packets, frozen-VC
 // and credit sanity, spin mutual exclusion) on each, and checks the
@@ -17,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/routing"
+	"repro/internal/spin"
 	"repro/internal/topology"
 )
 
@@ -42,11 +47,11 @@ const (
 	// counterexample. Replays as the scenario's "mutation": "no_probe",
 	// which the facade's scheme table builds as SPIN's DisableProbe.
 	MutNoProbe
-	// MutSpinUnchecked skips the chain-closure check before a spin: a
+	// MutSpinUnchecked ignores spin.SpinOrAbort's abort verdict: a
 	// partially frozen chain rotates anyway, pushing a packet into an
-	// occupied VC — a safety (duplicate-occupancy) counterexample. This
-	// defect lives in the model's abstraction of triggerSpin and has no
-	// simulator knob; it validates the safety-invariant machinery.
+	// occupied VC — a safety (duplicate-occupancy) counterexample. The
+	// model alone ignores the verdict, so the defect has no simulator
+	// knob; it validates the safety-invariant machinery.
 	MutSpinUnchecked
 )
 
@@ -93,8 +98,8 @@ type Instance struct {
 	RoutingName string
 	// Packets is the workload (truncatable via the -packets flag).
 	Packets []Packet
-	// MaxPath caps probe paths, mirroring the simulator's cap
-	// of 2 x routers (internal/spin's loop-buffer depth).
+	// MaxPath caps probe paths: spin.MaxProbePath, the simulator's
+	// loop-buffer depth.
 	MaxPath int
 	// Mutation is the injected defect (MutNone = faithful protocol).
 	Mutation Mutation
@@ -166,6 +171,7 @@ func NewInstance(name string, packets int, mut Mutation) (*Instance, error) {
 		in.Packets = in.Packets[:packets]
 	}
 	in.Mutation = mut
+	in.MaxPath = spin.MaxProbePath(in.NumRouters())
 	return in, nil
 }
 
@@ -251,7 +257,6 @@ func (in *Instance) wire() {
 	for _, l := range in.topo.Links() {
 		in.down[l.Src][l.SrcPort] = portDest{router: l.Dst, inPort: l.DstPort}
 	}
-	in.MaxPath = 2 * n
 }
 
 // validate checks the workload and route table are self-consistent:

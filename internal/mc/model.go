@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/spin"
 )
 
 // The untimed protocol model. Each reachable state is a snapshot of:
@@ -27,16 +28,25 @@ import (
 // reachable from every state) is existential, so extra interleavings can
 // only add proof obligations, never hide one.
 //
-// Deliberate abstractions, kept in sync with internal/spin by the replay
-// tests: one VC per port and one virtual network (VCsPerVNet=1, packet
-// length = VC depth, so virtual cut-through holds one packet per VC);
-// probe_move is elided (the model's initiator returns to detection after
-// every spin, the DisableProbeMove ablation); the rotating-priority probe
-// drop is subsumed by the nondeterministic DropSM (instance loops are
-// shorter than internal/spin's graceHops, so the simulator never applies the
-// rule to them either); and an initiator re-emits an SM kind only once
-// its previous one is gone, mirroring the timed guarantee that a
-// bufferless SM either returns or is dropped within one loop traversal.
+// The protocol's decisions are internal/spin's. Each SM hop and spin
+// trigger builds the one-VC port view its rules take (portView) and acts
+// on their verdict: spin.ForkProbe and ConfirmsLoop
+// for a probe, FreezeOnMove for a move, AcceptKill and Releases for a
+// kill_move, SpinOrAbort (the chain walk included) for a trigger. A rule
+// changed in internal/spin changes the census.
+//
+// Deliberate abstractions, the model's own: one VC per port and one
+// virtual network (VCsPerVNet=1, packet length = VC depth, so virtual
+// cut-through holds one packet per VC), so probes never fork; timers are
+// nondeterministic expiries and SM contention is DropSM; probe_move is
+// elided (the model's initiator returns to detection after every spin,
+// the DisableProbeMove ablation); the rotating-priority probe cull is
+// subsumed by DropSM (instance loops are shorter than internal/spin's
+// graceHops, so the simulator never applies it to them either); and an
+// initiator re-emits an SM kind only once its previous one is gone,
+// mirroring the timed guarantee that a bufferless SM either returns or is
+// dropped within one loop traversal. MutSpinUnchecked is the model
+// ignoring SpinOrAbort's abort verdict.
 
 // Role is the model's initiator FSM state.
 type Role uint8
@@ -212,14 +222,27 @@ func (in *Instance) blockedOn(s *State, r, p int) (int, bool) {
 	return out, true
 }
 
-// freezeCandidate mirrors the agent's freezeCandidate: the unfrozen VC at
-// (r, inPort) whose resident is head-blocked on out.
-func (in *Instance) freezeCandidate(s *State, r, inPort, out int) bool {
-	if s.frozen(r, inPort) {
-		return false
+// portView is the model's one-VC view of (r, p) for internal/spin's
+// rules.
+func (in *Instance) portView(s *State, r, p int) [1]spin.PortVC {
+	pi := s.occupant(r, p)
+	out, ok := in.blockedOn(s, r, p)
+	if !ok {
+		out = -1
 	}
-	o, ok := in.blockedOn(s, r, inPort)
-	return ok && o == out
+	return [1]spin.PortVC{{Idle: pi < 0, Ejecting: pi >= 0 && in.Packets[pi].Dst == r, Frozen: s.frozen(r, p), Blocked: out}}
+}
+
+// nextHop is an SM's next output port at r, -1 when its path is used up
+// or names no link.
+func (in *Instance) nextHop(r int, path []uint8) int {
+	if len(path) == 0 {
+		return -1
+	}
+	if _, ok := in.Down(r, int(path[0])); !ok {
+		return -1
+	}
+	return int(path[0])
 }
 
 // hasSM reports whether initiator already has an SM of kind in flight.
@@ -338,8 +361,7 @@ func (in *Instance) Successors(s *State) []Succ {
 		case SMProbe:
 			add(fmt.Sprintf("probe_hop i%d at r%d", m.Initiator, m.Router), in.probeHop(s, i), false, "")
 		case SMMove:
-			n, viol := in.moveHop(s, i)
-			add(fmt.Sprintf("move_hop i%d at r%d", m.Initiator, m.Router), n, false, viol)
+			add(fmt.Sprintf("move_hop i%d at r%d", m.Initiator, m.Router), in.moveHop(s, i), false, "")
 		case SMKill:
 			add(fmt.Sprintf("kill_hop i%d at r%d", m.Initiator, m.Router), in.killHop(s, i), false, "")
 		}
@@ -391,17 +413,17 @@ func (in *Instance) Successors(s *State) []Succ {
 	return out
 }
 
-// probeHop processes SM i (a probe) at its current router, mirroring
-// handleProbe/forkProbe: the initiator's returning probe confirms when a
-// local dependency matches; otherwise the probe forwards along the unique
-// blocked dependency of its arrival port or is dropped on any sign of
-// progress.
+// probeHop processes SM i (a probe) at its current router: the
+// initiator's returning probe confirms when spin.ConfirmsLoop holds (and
+// no move of its is still out); otherwise spin.ForkProbe forwards it or
+// drops it, and the initiator's counter re-arms.
 func (in *Instance) probeHop(s *State, i int) *State {
 	n := s.Clone()
 	m := n.SMs[i]
 	r, ip := int(m.Router), int(m.InPort)
+	port := in.portView(n, r, ip)
 	if int(m.Initiator) == r && n.Routers[r].Role == RoleProbing &&
-		in.freezeCandidate(n, r, ip, int(m.FirstOut)) && !n.hasSM(r, SMMove) {
+		!n.hasSM(r, SMMove) && spin.ConfirmsLoop(port[:], int(m.FirstOut)) {
 		// Confirmed: latch the loop and launch the move (Phase II).
 		n.removeSM(i)
 		rs := &n.Routers[r]
@@ -417,126 +439,81 @@ func (in *Instance) probeHop(s *State, i int) *State {
 		})
 		return n
 	}
-	// Fork rule, single-VC case: the arrival port's VC must itself be a
-	// blocked dependency, else the probe dies (idle VC, ejecting or
-	// unblocked resident all mean progress is possible here).
-	drop := func() *State {
+	var buf [1]int // a one-VC view is blocked on one port at most: it never forks
+	if v, outs := spin.ForkProbe(port[:], spin.ProbeHop{PathLen: len(m.Path), MaxPath: in.MaxPath}, buf[:0]); v != spin.Forward {
 		n.removeSM(i)
 		n.Routers[m.Initiator].Role = RoleIdle
-		return n
+	} else {
+		in.forward(n, i, outs[0], append(append([]uint8(nil), m.Path...), uint8(outs[0])))
 	}
-	if len(m.Path) >= in.MaxPath {
-		return drop()
-	}
-	pi := n.occupant(r, ip)
-	if pi < 0 || in.Packets[pi].Dst == r {
-		return drop()
-	}
-	outPort, ok := in.blockedOn(n, r, ip)
-	if !ok {
-		return drop()
-	}
-	d, _ := in.Down(r, outPort)
-	n.SMs[i].Router = uint8(d.router)
-	n.SMs[i].InPort = uint8(d.inPort)
-	n.SMs[i].Path = append(append([]uint8(nil), m.Path...), uint8(outPort))
 	return n
 }
 
-// moveHop processes SM i (a move), mirroring handleMoveLike: freeze the
-// matching candidate and forward, drop on conflict (another recovery
-// holds the router) or staleness, and on the final return freeze the
-// initiator's own candidate — or cancel with a kill when its dependency
-// dissolved. It reports a violation string when the freeze rules break.
-func (in *Instance) moveHop(s *State, i int) (*State, string) {
+// forward moves SM i of n out of its router's port out, carrying path.
+func (in *Instance) forward(n *State, i, out int, path []uint8) {
+	d, _ := in.Down(int(n.SMs[i].Router), out)
+	n.SMs[i].Router = uint8(d.router)
+	n.SMs[i].InPort = uint8(d.inPort)
+	n.SMs[i].Path = path
+}
+
+// moveHop processes SM i (a move) by spin.FreezeOnMove: freeze the
+// candidate and forward, or, home, freeze the initiator's own candidate
+// and arm, or cancel with a kill.
+func (in *Instance) moveHop(s *State, i int) *State {
 	n := s.Clone()
 	m := n.SMs[i]
 	r, ip := int(m.Router), int(m.InPort)
 	rs := &n.Routers[r]
-	if int(m.Initiator) == r && len(m.Path) == 0 {
-		// Final return to the initiator.
+	h := spin.MoveHop{Home: int(m.Initiator) == r && len(m.Path) == 0, Latched: rs.Role == RoleMoveOut && ip == int(rs.LoopPort),
+		Out: in.nextHop(r, m.Path), Holder: int(rs.SrcID), Sender: int(m.Initiator)}
+	if h.Home {
+		h.Out = int(rs.InitOut)
+	}
+	port := in.portView(n, r, ip)
+	v, _ := spin.FreezeOnMove(port[:], h)
+	if v != spin.Forward {
 		n.removeSM(i)
-		if rs.Role != RoleMoveOut || ip != int(rs.LoopPort) {
-			return n, "" // misreturn: a stale copy, dropped
-		}
-		if in.freezeCandidate(n, r, ip, int(rs.InitOut)) {
-			rs.Frozen |= 1 << uint(ip)
-			rs.SrcID = int8(r)
-			rs.Role = RoleArmed
-			return n, ""
-		}
-		// Our own dependency dissolved while the move circulated.
+	}
+	switch v {
+	case spin.Arm:
+		rs.Frozen |= 1 << uint(ip)
+		rs.SrcID = int8(r)
+		rs.Role = RoleArmed
+	case spin.Cancel:
 		in.startKill(n, r)
-		return n, ""
+	case spin.Forward:
+		rs.Frozen |= 1 << uint(ip)
+		rs.SrcID = int8(m.Initiator)
+		in.forward(n, i, h.Out, append([]uint8(nil), m.Path[1:]...))
 	}
-	if len(m.Path) == 0 {
-		n.removeSM(i)
-		return n, "" // malformed
-	}
-	outPort := int(m.Path[0])
-	if rs.SrcID >= 0 && rs.SrcID != int8(m.Initiator) {
-		// Another recovery holds this router (Fig. 5a, Case II).
-		n.removeSM(i)
-		return n, ""
-	}
-	if !in.freezeCandidate(n, r, ip, outPort) {
-		// The dependency the probe saw no longer exists here.
-		n.removeSM(i)
-		return n, ""
-	}
-	if in.Packets[n.occupant(r, ip)].Dst == r {
-		return n, fmt.Sprintf("move i%d froze an ejecting packet at r%d port %d", m.Initiator, r, ip)
-	}
-	rs.Frozen |= 1 << uint(ip)
-	rs.SrcID = int8(m.Initiator)
-	d, _ := in.Down(r, outPort)
-	n.SMs[i].Router = uint8(d.router)
-	n.SMs[i].InPort = uint8(d.inPort)
-	n.SMs[i].Path = append([]uint8(nil), m.Path[1:]...)
-	return n, ""
+	return n
 }
 
-// killHop processes SM i (a kill_move), mirroring handleKill: unfreeze
-// the matching entry and forward; drop without forwarding when the router
-// is frozen by a different recovery (or not frozen at all).
+// killHop processes SM i (a kill_move) by spin.AcceptKill: release the
+// entry spin.Releases picks and forward, or drop.
 func (in *Instance) killHop(s *State, i int) *State {
 	n := s.Clone()
 	m := n.SMs[i]
 	r, ip := int(m.Router), int(m.InPort)
 	rs := &n.Routers[r]
-	if int(m.Initiator) == r && len(m.Path) == 0 {
+	out := in.nextHop(r, m.Path)
+	v := spin.AcceptKill(int(m.Initiator) == r && len(m.Path) == 0, out, int(rs.SrcID), int(m.Initiator))
+	if v != spin.Forward {
 		n.removeSM(i)
-		if rs.Role == RoleKillOut {
+		if v == spin.Home && rs.Role == RoleKillOut {
 			in.resetInitiator(n, r)
 		}
 		return n
 	}
-	if len(m.Path) == 0 {
-		n.removeSM(i)
-		return n
-	}
-	if rs.SrcID != int8(m.Initiator) {
-		n.removeSM(i)
-		return n // the freeze belongs to a different, still-valid recovery
-	}
-	outPort := int(m.Path[0])
-	if n.frozen(r, ip) {
-		pi := n.occupant(r, ip)
-		if pi >= 0 && in.Route(r, in.Packets[pi].Dst) == outPort {
-			rs.Frozen &^= 1 << uint(ip)
-			if rs.Frozen == 0 {
-				rs.SrcID = -1
-			}
+	// The model's spin is atomic, so no entry is ever mid-spin.
+	if pi := n.occupant(r, ip); n.frozen(r, ip) && pi >= 0 && spin.Releases(ip, out, ip, in.Route(r, in.Packets[pi].Dst), false) {
+		rs.Frozen &^= 1 << uint(ip)
+		if rs.Frozen == 0 {
+			rs.SrcID = -1
 		}
 	}
-	d, ok := in.Down(r, outPort)
-	if !ok {
-		n.removeSM(i)
-		return n
-	}
-	n.SMs[i].Router = uint8(d.router)
-	n.SMs[i].InPort = uint8(d.inPort)
-	n.SMs[i].Path = append([]uint8(nil), m.Path[1:]...)
+	in.forward(n, i, out, append([]uint8(nil), m.Path[1:]...))
 	return n
 }
 
@@ -572,49 +549,35 @@ type chainEntry struct {
 	router, inPort, out int
 }
 
-// walkChain follows frozen entries downstream from (r, p), mirroring
-// chainClosed: every hop must land on a VC frozen for the same source.
-// It returns the cycle when it comes back to the start.
-func (in *Instance) walkChain(s *State, r, p int) ([]chainEntry, bool) {
-	src := s.Routers[r].SrcID
+// trigger fires the spin counter of frozen entry (r, p) by
+// spin.SpinOrAbort over the chain of frozen entries downstream of it: a
+// closed cycle moves every packet one hop simultaneously (the synchronized
+// spin) and its freezes clear; a broken chain aborts this entry's freeze
+// instead. Under MutSpinUnchecked the model ignores the abort verdict and
+// rotates the partial chain anyway — the deliberate safety defect.
+func (in *Instance) trigger(s *State, r, p int) (*State, string) {
+	n := s.Clone()
 	var cycle []chainEntry
 	cr, cp := r, p
-	for steps := 0; steps <= in.MaxPath; steps++ {
-		pi := s.occupant(cr, cp)
+	closed := spin.SpinOrAbort(int(n.Routers[r].SrcID), in.MaxPath, false, func() (int, bool) {
+		pi := n.occupant(cr, cp)
 		if pi < 0 {
-			return cycle, false
+			return -1, false
 		}
 		out := in.Route(cr, in.Packets[pi].Dst)
 		if out < 0 {
 			// The resident is home (reachable only after a mutation
 			// corrupted occupancy): the chain is broken here.
-			return cycle, false
+			return -1, false
 		}
 		cycle = append(cycle, chainEntry{router: cr, inPort: cp, out: out})
 		d, ok := in.Down(cr, out)
-		if !ok {
-			return cycle, false
-		}
-		if s.Routers[d.router].SrcID != src || !s.frozen(d.router, d.inPort) {
-			return cycle, false
-		}
-		if d.router == r && d.inPort == p {
-			return cycle, true
+		if !ok || !n.frozen(d.router, d.inPort) {
+			return -1, false
 		}
 		cr, cp = d.router, d.inPort
-	}
-	return cycle, false
-}
-
-// trigger fires the spin counter of frozen entry (r, p): if its frozen
-// chain closes into a cycle, every packet of the cycle moves one hop
-// simultaneously (the synchronized spin) and the freezes clear; a broken
-// chain aborts this entry's freeze instead. Under MutSpinUnchecked the
-// closure check is skipped and the partial chain rotates anyway — the
-// deliberate safety defect.
-func (in *Instance) trigger(s *State, r, p int) (*State, string) {
-	n := s.Clone()
-	cycle, closed := in.walkChain(n, r, p)
+		return int(n.Routers[d.router].SrcID), d.router == r && d.inPort == p
+	}) == spin.Spin
 	if !closed && in.Mutation != MutSpinUnchecked {
 		// spin_abort: release this entry; the dependency re-enters
 		// detection.
@@ -630,9 +593,8 @@ func (in *Instance) trigger(s *State, r, p int) (*State, string) {
 	}
 	src := n.Routers[r].SrcID
 	// Spin mutual exclusion: a firing cycle must be wholly frozen for one
-	// source. walkChain enforces this hop by hop; the re-check keeps the
-	// property explicit so a future walkChain change cannot silently
-	// weaken it.
+	// source. spin.SpinOrAbort enforces this hop by hop; the re-check is
+	// the model's own audit of the shared rule.
 	if closed {
 		for _, e := range cycle {
 			if n.Routers[e.router].SrcID != src || !n.frozen(e.router, e.inPort) {
@@ -652,7 +614,7 @@ func (in *Instance) trigger(s *State, r, p int) (*State, string) {
 			// Under the mutation a broken chain's last hop may land on an
 			// occupied, unfrozen VC — the lost/duplicated packet defect
 			// the occupancy invariant exists to catch.
-			if occ := n.occupant(d.router, d.inPort); occ >= 0 && !containsInt(moved, occ) {
+			if occ := n.occupant(d.router, d.inPort); occ >= 0 && !slices.Contains(moved, occ) {
 				violation = fmt.Sprintf("spin rotated p%d into the occupied VC (r%d port %d)", moved[i], d.router, d.inPort)
 			}
 		}
@@ -669,15 +631,6 @@ func (in *Instance) trigger(s *State, r, p int) (*State, string) {
 		}
 	}
 	return n, violation
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // CheckInvariants audits state-level safety: exactly-once packet

@@ -2,6 +2,7 @@ package spin
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -82,8 +83,8 @@ type Agent struct {
 	// SM link utilisation negligible at saturation (Fig. 8b).
 	backoff int64
 
-	// Follower state.
-	isDeadlock  bool
+	// Follower state. srcID is the initiator whose recovery holds this
+	// router's freezes, -1 for none: the paper's is_deadlock is srcID >= 0.
 	srcID       int
 	followSpin  int64
 	frozen      []frozenEntry
@@ -104,18 +105,17 @@ type Agent struct {
 }
 
 // agentView is the cross-router-visible follower state, frozen at the end
-// of the engine's delivery phase. The chainClosed/peerFrozenVC walks read
-// peers through it, so every agent of a loop evaluates the same state no
+// of the engine's delivery phase. triggerSpin's chain walks read peers
+// through it, so every agent of a loop evaluates the same state no
 // matter at which point of phase 2 it runs — the all-or-none spin
 // property.
 type agentView struct {
-	isDeadlock bool
-	srcID      int
-	frozen     []frozenEntry
+	srcID  int
+	frozen []frozenEntry
 }
 
 func newAgent(s *Scheme, r *sim.Router) *Agent {
-	return &Agent{s: s, r: r, id: r.ID, srcID: -1, initOut: -1}
+	return &Agent{s: s, r: r, id: r.ID, srcID: -1, initOut: -1, view: agentView{srcID: -1}}
 }
 
 // recycle rewrites a, left on its router by the network's last run, as
@@ -124,7 +124,7 @@ func newAgent(s *Scheme, r *sim.Router) *Agent {
 // run zeroed without being listed here.
 func (a *Agent) recycle(s *Scheme) {
 	*a = Agent{s: s, r: a.r, id: a.id, srcID: -1, initOut: -1,
-		loopPath: a.loopPath[:0], frozen: a.frozen[:0], view: agentView{frozen: a.view.frozen[:0]}}
+		loopPath: a.loopPath[:0], frozen: a.frozen[:0], view: agentView{srcID: -1, frozen: a.view.frozen[:0]}}
 }
 
 // Role reports the initiator-side FSM role.
@@ -133,7 +133,7 @@ func (a *Agent) Role() Role { return a.role }
 // State reports the paper-level FSM state name, folding the follower
 // freeze in: a router frozen by another initiator reports "frozen".
 func (a *Agent) State() string {
-	if a.isDeadlock && a.srcID != a.id && a.role != RoleMove && a.role != RoleKillMove {
+	if a.srcID >= 0 && a.srcID != a.id && a.role != RoleMove && a.role != RoleKillMove {
 		return "frozen"
 	}
 	return a.role.String()
@@ -151,10 +151,9 @@ func (a *Agent) nextTag() uint64 {
 // read into the immutable-through-phase-2 snapshot. Idle agents with an
 // already-empty view return without touching anything.
 func (a *Agent) PublishView() {
-	if !a.isDeadlock && !a.view.isDeadlock {
+	if a.srcID < 0 && a.view.srcID < 0 {
 		return
 	}
-	a.view.isDeadlock = a.isDeadlock
 	a.view.srcID = a.srcID
 	a.view.frozen = append(a.view.frozen[:0], a.frozen...)
 }
@@ -202,7 +201,7 @@ func (a *Agent) scanWatch(port, idx int) (int, int, bool) {
 // follower freeze pending, Tick is a no-op unless the router holds
 // blocked flits — and routers holding flits are always stepped. The
 // engine uses this to skip idle routers' agent phase entirely.
-func (a *Agent) Quiescent() bool { return a.role == RoleOff && !a.isDeadlock }
+func (a *Agent) Quiescent() bool { return a.role == RoleOff && a.srcID < 0 }
 
 // Tick implements sim.Agent.
 func (a *Agent) Tick() {
@@ -352,7 +351,7 @@ func (a *Agent) startKill(now int64) {
 // optimisation) or fall back to fresh detection.
 func (a *Agent) afterSpin(now int64) {
 	if !a.s.cfg.DisableProbeMove {
-		if _, ok := a.localDependency(); ok {
+		if a.localDependency() {
 			a.role = RoleProbeMove
 			a.spinCycle = now + 2*a.loopLen
 			a.expire = now + a.loopLen
@@ -372,18 +371,35 @@ func (a *Agent) afterSpin(now int64) {
 	a.resetToDD(now)
 }
 
-// localDependency finds a VC at the loop's local input port (within the
-// loop's vnet) whose resident is head-blocked on initOut.
-func (a *Agent) localDependency() (*sim.VC, bool) {
-	if v := a.freezeCandidate(a.loopPort, a.initOut, a.loopVNet); v != nil {
-		return v, true
+// localDependency reports whether the loop's local input port (within the
+// loop's vnet) still holds a freeze candidate blocked on initOut.
+func (a *Agent) localDependency() bool {
+	var buf [sim.MaxVCsPerVNet]PortVC
+	return FreezeCandidate(a.portView(&buf, a.loopPort, a.loopVNet), a.initOut) >= 0
+}
+
+// portView fills buf with the rules' view of inPort's VCs in vnet.
+func (a *Agent) portView(buf *[sim.MaxVCsPerVNet]PortVC, inPort, vnet int) []PortVC {
+	port := buf[:a.r.Net().Config().VCsPerVNet]
+	for k := range port {
+		v := a.vcOf(inPort, vnet, k)
+		out, ok := blockedDependency(v)
+		if !ok {
+			out = -1
+		}
+		port[k] = PortVC{Idle: v.Idle(), Ejecting: v.WaitingToEject(), Frozen: v.Frozen(), Blocked: out}
 	}
-	return nil, false
+	return port
+}
+
+// vcOf is VC k of inPort's VCs in vnet.
+func (a *Agent) vcOf(inPort, vnet, k int) *sim.VC {
+	return a.r.VC(inPort, vnet*a.r.Net().Config().VCsPerVNet+k)
 }
 
 // tickFollower triggers pending spins and cleans up completed ones.
 func (a *Agent) tickFollower(now int64) {
-	if !a.isDeadlock {
+	if a.srcID < 0 {
 		return
 	}
 	if !a.spinStarted && now >= a.followSpin {
@@ -398,95 +414,45 @@ func (a *Agent) tickFollower(now int64) {
 		}
 		// All frozen packets fully departed: resume normal operation.
 		a.frozen = a.frozen[:0]
-		a.isDeadlock = false
 		a.spinStarted = false
 		a.srcID = -1
 	}
 }
 
-// chainClosed walks the frozen chain downstream from entry e and reports
-// whether it comes back to e — i.e. the whole dependency cycle is frozen
-// and will spin together. A broken chain (a kill_move that was dropped
-// mid-path by SM contention leaves a frozen suffix) must not spin: an
-// upstream router would push flits into a buffer nobody is draining.
-// The walk reads peers through their published views (state at the end of
-// the delivery phase), so every agent of the loop evaluates the same
-// snapshot and either the entire loop fires or none of it does,
-// regardless of tick order.
-func (a *Agent) chainClosed(e frozenEntry) bool {
-	cur, curEntry := a, e
-	for steps := 0; steps <= a.s.maxPath; steps++ {
-		d, inPort, ok := cur.r.Downstream(curEntry.out)
-		if !ok {
-			return false
-		}
-		peer, ok := d.Agent().(*Agent)
-		if !ok || !peer.view.isDeadlock || peer.view.srcID != a.srcID {
-			return false
-		}
-		var next *frozenEntry
-		for i := range peer.view.frozen {
-			if peer.view.frozen[i].vc.Port() == inPort {
-				next = &peer.view.frozen[i]
-				break
-			}
-		}
-		if next == nil {
-			return false
-		}
-		if peer == a && next.vc == e.vc {
-			return true
-		}
-		cur, curEntry = peer, *next
-	}
-	return false
-}
-
-// triggerSpin starts the synchronized movement for every frozen VC whose
-// dependency cycle is fully frozen.
+// triggerSpin starts the synchronized movement for every frozen VC that
+// SpinOrAbort lets spin. The chain walks read peers through their
+// published views (state at the end of the delivery phase), so every agent
+// of the loop evaluates the same snapshot regardless of tick order.
 func (a *Agent) triggerSpin(now int64) {
 	a.spinStarted = true
 	kept := a.frozen[:0]
 	for _, e := range a.frozen {
-		if !a.chainClosed(e) {
-			a.r.UnfreezeVC(e.vc)
-			a.count("spin_aborts", 1)
-			continue
-		}
 		// A pathological folded path could freeze two VCs sharing a port;
-		// the crossbar moves one flit per port per cycle, so spin only one
-		// and release the other (it re-enters detection). Closed cycles
-		// cannot share ports (an output port determines its downstream
-		// entry uniquely), so this never splits a fired cycle. The frozen
-		// list is at most a handful of entries, so a scan over the already
-		// fired ones replaces the old per-call maps.
-		conflict := false
-		for _, k := range kept {
-			if k.out == e.out || k.vc.Port() == e.vc.Port() {
-				conflict = true
-				break
+		// spin only one and release the other (it re-enters detection).
+		clash := slices.ContainsFunc(kept, func(k frozenEntry) bool { return k.out == e.out || k.vc.Port() == e.vc.Port() })
+		cur, at := a, e
+		var land *sim.VC // the downstream frozen VC our spin flits land in
+		v := SpinOrAbort(a.srcID, a.s.maxPath, clash, func() (int, bool) {
+			peer, next, ok := cur.peerFrozen(at.out)
+			if !ok {
+				return -1, false
 			}
-		}
-		if conflict {
+			if land == nil {
+				land = next.vc
+			}
+			cur, at = peer, next
+			return peer.view.srcID, next.vc == e.vc
+		})
+		if v == Abort {
 			a.r.UnfreezeVC(e.vc)
-			a.count("spin_aborts", 1)
+			a.count(v.Counter(), 1)
 			continue
 		}
-		peerVC := a.peerFrozenVC(e.out)
-		if peerVC == nil {
-			// The chain is inconsistent (should not happen: kill_move
-			// timing guarantees cancellation reaches us first). Abort
-			// this entry gracefully.
-			a.r.UnfreezeVC(e.vc)
-			a.count("spin_aborts", 1)
-			continue
-		}
-		a.r.StartSpin(e.vc, e.out, peerVC)
+		a.r.StartSpin(e.vc, e.out, land)
 		kept = append(kept, e)
 	}
 	a.frozen = kept
 	if len(a.frozen) == 0 {
-		a.isDeadlock = false
 		a.spinStarted = false
 		a.srcID = -1
 		return
@@ -505,28 +471,24 @@ func (a *Agent) triggerSpin(now int64) {
 	}
 }
 
-// peerFrozenVC resolves the downstream frozen VC our spin flits will land
-// in: the VC the downstream agent froze at the input port our link feeds,
-// for the same recovery source. Like chainClosed it reads the peer's
-// published view.
-func (a *Agent) peerFrozenVC(out int) *sim.VC {
+// peerFrozen resolves where a spin out of port out lands: the downstream
+// agent and the entry its published view holds frozen at the input port
+// the link feeds.
+func (a *Agent) peerFrozen(out int) (*Agent, frozenEntry, bool) {
 	d, inPort, ok := a.r.Downstream(out)
 	if !ok {
-		return nil
+		return nil, frozenEntry{}, false
 	}
 	peer, ok := d.Agent().(*Agent)
-	if !ok {
-		return nil
+	if !ok || peer.view.srcID < 0 {
+		return nil, frozenEntry{}, false
 	}
-	if !peer.view.isDeadlock || peer.view.srcID != a.srcID {
-		return nil
-	}
-	for _, e := range peer.view.frozen {
-		if e.vc.Port() == inPort {
-			return e.vc
+	for _, f := range peer.view.frozen {
+		if f.vc.Port() == inPort {
+			return peer, f, true
 		}
 	}
-	return nil
+	return nil, frozenEntry{}, false
 }
 
 // classifyRecovery snapshots, at probe-confirmation time (before any

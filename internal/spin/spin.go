@@ -69,11 +69,7 @@ type Scheme struct {
 	net    *sim.Network
 	agents []*Agent
 	epoch  int64
-	// maxPath caps the probe path (loop-buffer depth) at 2 × routers. The
-	// paper sizes the loop buffer at N entries (log2(radix)·N bits); fully
-	// developed congestion can grow dependency cycles past N hops, and a
-	// cycle longer than the cap can never be confirmed or recovered. The
-	// cap also bounds probe lifetime, keeping SM link utilisation low.
+	// maxPath is MaxProbePath of the network's router count.
 	maxPath int
 }
 
@@ -92,7 +88,7 @@ func (s *Scheme) Name() string { return "spin" }
 func (s *Scheme) Attach(n *sim.Network) {
 	s.net = n
 	s.epoch = cmp.Or(s.cfg.EpochFactor, 4) * s.cfg.TDD
-	s.maxPath = 2 * n.NumRouters()
+	s.maxPath = MaxProbePath(n.NumRouters())
 	s.agents = make([]*Agent, n.NumRouters())
 	for i := 0; i < n.NumRouters(); i++ {
 		r := n.Router(i)

@@ -3,10 +3,10 @@
 // (Ramrakhyani, Gratz, Krishna — ISCA 2018).
 //
 // It bundles a cycle-accurate virtual-cut-through network simulator, the
-// topologies and routing algorithms of the paper's evaluation, all four
-// prior deadlock-freedom frameworks (Dally turn models and VC ladders,
-// Duato escape VCs, bubble flow control, deflection routing), and SPIN
-// itself: a distributed deadlock-recovery protocol that detects a cyclic
+// topologies and routing algorithms of the paper's evaluation, the prior
+// deadlock-freedom frameworks that keep buffers (Dally turn models and VC
+// ladders, Duato escape VCs, bubble flow control; bufferless deflection is
+// Table I's qualitative row only), and SPIN itself: a distributed deadlock-recovery protocol that detects a cyclic
 // buffer dependency with a timeout-triggered probe, announces a common
 // spin cycle with a move message, and resolves the deadlock by moving
 // every packet of the cycle forward one hop simultaneously.
