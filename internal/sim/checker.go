@@ -283,9 +283,9 @@ func (c *InvariantChecker) pass(audit bool) {
 	n := c.net
 	if audit {
 		held := 0 // pooled packets out, counted by their tails (see auditBooks)
-		for _, l := range n.links {
-			c.countLink(l)
-			for _, t := range l.flits {
+		c.countWheel()
+		for _, slot := range n.wheel {
+			for _, t := range slot {
 				held += pooledTail(t.flit)
 			}
 		}
@@ -327,11 +327,7 @@ func (c *InvariantChecker) pass(audit bool) {
 		}
 		c.auditBooks(held)
 	} else {
-		for w, word := range n.linkActive {
-			for ; word != 0; word &= word - 1 {
-				c.countLink(n.links[w<<6+bits.TrailingZeros64(word)])
-			}
-		}
+		c.countWheel()
 		for _, v := range n.dirtyVCs {
 			c.lookVC(v, allRules)
 		}
@@ -413,12 +409,15 @@ func (c *InvariantChecker) auditBooks(heldInNetwork int) {
 	}
 }
 
-// countLink adds l's flits to the in-flight counts of the VCs they head for.
-func (c *InvariantChecker) countLink(l *link) {
-	for _, t := range l.flits {
-		i := c.net.vcIndex(t.dst)
-		if c.inflight[i]++; c.inflight[i] == 1 {
-			c.touched = append(c.touched, t.dst)
+// countWheel adds the flits on the arrival wheel to the in-flight counts of
+// the VCs they head for.
+func (c *InvariantChecker) countWheel() {
+	for _, slot := range c.net.wheel {
+		for _, t := range slot {
+			i := c.net.vcIndex(t.dst)
+			if c.inflight[i]++; c.inflight[i] == 1 {
+				c.touched = append(c.touched, t.dst)
+			}
 		}
 	}
 }

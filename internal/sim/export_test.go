@@ -71,8 +71,8 @@ func InjectPooled(n *Network, src int, spec PacketSpec) { n.generate(src, spec) 
 
 // FlitsOnLinks counts the flits in flight between routers.
 func FlitsOnLinks(n *Network) (k int) {
-	for _, l := range n.links {
-		k += len(l.flits)
+	for _, slot := range n.wheel {
+		k += len(slot)
 	}
 	return k
 }

@@ -159,8 +159,11 @@ func (nopRouting) Route(_ *Router, _ int, _ *Packet, buf []PortRequest) []PortRe
 // nothing to VC or NIC. A queued record is what a run past the knee grows
 // by, one per packet in a source backlog: 16 B, with GenCycle kept as its
 // low 32 bits, and a backlog grows by 264 B blocks of sixteen records
-// behind a link. Growing one of these is a decision, so the numbers are
-// pinned.
+// behind a link. A flit in flight is one 32 B entry of the arrival wheel (a
+// flit, the VC it lands in, the link it crosses), and a link, whose flits
+// are on the wheel, not in a list of its own, is 128 B: its topology record,
+// its SM list and its utilisation counters. Growing one of these is a
+// decision, so the numbers are pinned.
 func TestHotStructSizeClasses(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -171,6 +174,8 @@ func TestHotStructSizeClasses(t *testing.T) {
 		{"NIC", unsafe.Sizeof(NIC{}), 96},
 		{"queued", unsafe.Sizeof(queued{}), 16},
 		{"recBlock", unsafe.Sizeof(recBlock{}), 264},
+		{"flitTransit", unsafe.Sizeof(flitTransit{}), 32},
+		{"link", unsafe.Sizeof(link{}), 128},
 	} {
 		if c.got > c.fits {
 			t.Errorf("%s is %d bytes, past its %d-byte size class", c.name, c.got, c.fits)
